@@ -205,23 +205,24 @@ func benchDynamicBatch(b *testing.B, delFrac float64) {
 	stream := RandomChurnStream(n, m, b.N, 30, delFrac, 7)
 	// MaxRounds is cumulative over the resident session; lift the default
 	// cap so arbitrarily long -benchtime runs don't trip it.
-	sess, err := NewDynamic(stream.Initial, DynamicConfig{K: k, Seed: 7, MaxRounds: 1 << 30})
+	sess, err := NewCluster(stream.Initial, WithK(k), WithSeed(7), WithMaxRounds(1<<30))
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer sess.Close()
-	if _, err := sess.Query(); err != nil { // build-up
+	ctx := context.Background()
+	if _, err := sess.Connectivity(ctx); err != nil { // build-up
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	rounds := 0
 	for i := 0; i < b.N; i++ {
-		br, err := sess.ApplyBatch(stream.Batches[i])
+		br, err := sess.ApplyBatch(ctx, stream.Batches[i])
 		if err != nil {
 			b.Fatal(err)
 		}
-		q, err := sess.Query()
+		q, err := sess.Connectivity(ctx)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -18,6 +18,7 @@ import (
 	"kmgraph/internal/sketch"
 	"kmgraph/internal/store"
 	"kmgraph/internal/transport"
+	"kmgraph/internal/verify"
 )
 
 // DefaultClusterK is the machine count NewCluster uses when WithK is not
@@ -160,22 +161,22 @@ type ClusterEvent = resident.Event
 type ClusterMetrics = resident.Metrics
 
 // Problem identifies a Theorem 4 verification problem for Cluster.Verify.
-type Problem = resident.Problem
+type Problem = verify.Problem
 
 // The eight verification problems (Theorem 4).
 const (
-	ProblemSpanningConnectedSubgraph = resident.SpanningConnectedSubgraph
-	ProblemCut                       = resident.CutVerification
-	ProblemSTConnectivity            = resident.STConnectivity
-	ProblemEdgeOnAllPaths            = resident.EdgeOnAllPaths
-	ProblemSTCut                     = resident.STCutVerification
-	ProblemBipartiteness             = resident.Bipartiteness
-	ProblemCycleContainment          = resident.CycleContainment
-	ProblemECycleContainment         = resident.ECycleContainment
+	ProblemSpanningConnectedSubgraph = verify.SpanningConnectedSubgraph
+	ProblemCut                       = verify.CutVerification
+	ProblemSTConnectivity            = verify.STConnectivity
+	ProblemEdgeOnAllPaths            = verify.EdgeOnAllPaths
+	ProblemSTCut                     = verify.STCutVerification
+	ProblemBipartiteness             = verify.Bipartiteness
+	ProblemCycleContainment          = verify.CycleContainment
+	ProblemECycleContainment         = verify.ECycleContainment
 )
 
 // VerifyArgs carries the per-problem arguments of Cluster.Verify.
-type VerifyArgs = resident.VerifyArgs
+type VerifyArgs = verify.Args
 
 // ErrClusterClosed is returned by jobs submitted to a closed Cluster.
 var ErrClusterClosed = resident.ErrClosed

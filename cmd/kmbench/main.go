@@ -134,23 +134,24 @@ func engineBenchmarks() ([]benchResult, error) {
 		results = append(results, measure("DynamicBatchMixedChurn/n1024_k8", 0, 0,
 			func(b *testing.B) {
 				stream := kmgraph.RandomChurnStream(n, m, b.N, 30, 0.5, 7)
-				sess, err := kmgraph.NewDynamic(stream.Initial, kmgraph.DynamicConfig{K: k, Seed: 7, MaxRounds: 1 << 30})
+				sess, err := kmgraph.NewCluster(stream.Initial, kmgraph.WithK(k), kmgraph.WithSeed(7), kmgraph.WithMaxRounds(1<<30))
 				if err != nil {
 					b.Fatal(err)
 				}
 				defer sess.Close()
-				if _, err := sess.Query(); err != nil {
+				ctx := context.Background()
+				if _, err := sess.Connectivity(ctx); err != nil {
 					b.Fatal(err)
 				}
 				b.ReportAllocs()
 				b.ResetTimer()
 				rounds := 0
 				for i := 0; i < b.N; i++ {
-					br, err := sess.ApplyBatch(stream.Batches[i])
+					br, err := sess.ApplyBatch(ctx, stream.Batches[i])
 					if err != nil {
 						b.Fatal(err)
 					}
-					q, err := sess.Query()
+					q, err := sess.Connectivity(ctx)
 					if err != nil {
 						b.Fatal(err)
 					}

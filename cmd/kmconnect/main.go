@@ -42,45 +42,17 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	"kmgraph"
+	"kmgraph/internal/cli"
 	"kmgraph/internal/core"
 	"kmgraph/internal/dist"
 	"kmgraph/internal/procstat"
-	"kmgraph/internal/telemetry"
 )
-
-// traceOpts returns a tracer plus the cluster options that wire it in,
-// or nil options when tracing is off.
-func traceOpts(path string) (*telemetry.JobTracer, []kmgraph.ClusterOption) {
-	if path == "" {
-		return nil, nil
-	}
-	tr := telemetry.NewJobTracer()
-	return tr, []kmgraph.ClusterOption{
-		kmgraph.WithObserver(tr.Observer()),
-		kmgraph.WithPhaseMetrics(),
-	}
-}
-
-// writeTrace flushes the tracer (when tracing is on) and reports the
-// output path.
-func writeTrace(tr *telemetry.JobTracer, path string) {
-	if tr == nil {
-		return
-	}
-	if err := tr.WriteFile(path); err != nil {
-		fmt.Fprintf(os.Stderr, "writing trace: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("trace: wrote %s\n", path)
-}
 
 func buildGraph(gen string, n, m, c int, p float64, seed int64) (*kmgraph.Graph, error) {
 	switch gen {
@@ -114,14 +86,6 @@ func loadGraph(path string) (*kmgraph.Graph, error) {
 	return kmgraph.ReadEdgeList(f)
 }
 
-// jobCtx maps the -timeout flag to a job context (0 = no deadline).
-func jobCtx(timeout time.Duration) (context.Context, context.CancelFunc) {
-	if timeout > 0 {
-		return context.WithTimeout(context.Background(), timeout)
-	}
-	return context.WithCancel(context.Background())
-}
-
 // runStore serves a kmgs store (or text edge list) shard-direct: the
 // graph is never materialized in this process — the residency's
 // per-machine shards are filled straight from the stream, and the
@@ -134,18 +98,16 @@ func runStore(path string, k int, seed int64, timeout time.Duration, materialize
 	if !skipOracle {
 		src, closer, err := kmgraph.OpenSource(path)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			cli.Fatal(err)
 		}
 		oracleCount, err = kmgraph.ComponentsFromSourceOracle(src)
 		closer.Close()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			cli.Fatal(err)
 		}
 	}
 
-	tracer, clOpts := traceOpts(tracePath)
+	tracer, clOpts := cli.TraceOpts(tracePath)
 	clOpts = append(clOpts, kmgraph.WithK(k), kmgraph.WithSeed(seed))
 
 	loadStart := time.Now()
@@ -158,16 +120,14 @@ func runStore(path string, k int, seed int64, timeout time.Duration, materialize
 		var closer interface{ Close() error }
 		src, closer, err = kmgraph.OpenSource(path)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			cli.Fatal(err)
 		}
 		var edges []kmgraph.Edge
 		edges, err = kmgraph.DrainEdgeSource(src)
 		n := src.N()
 		closer.Close()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			cli.Fatal(err)
 		}
 		g := kmgraph.FromEdges(n, edges)
 		edges = nil
@@ -176,8 +136,7 @@ func runStore(path string, k int, seed int64, timeout time.Duration, materialize
 		cl, err = kmgraph.OpenCluster(path, clOpts...)
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		cli.Fatal(err)
 	}
 	defer cl.Close()
 	loadWall := time.Since(loadStart)
@@ -186,13 +145,12 @@ func runStore(path string, k int, seed int64, timeout time.Duration, materialize
 		path, cl.N(), met.Edges, k, kmgraph.DefaultBandwidth(cl.N()), mode, loadWall.Round(time.Millisecond))
 	fmt.Printf("after-load peak RSS: %d MB\n", procstat.MaxRSSBytes()>>20)
 
-	ctx, cancel := jobCtx(timeout)
+	ctx, cancel := cli.JobCtx(timeout)
 	defer cancel()
 	queryStart := time.Now()
 	res, err := cl.Connectivity(ctx)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		cli.Fatal(err)
 	}
 	met = cl.Metrics()
 	fmt.Printf("components: %d (oracle: %d)\n", res.Components, oracleCount)
@@ -200,66 +158,23 @@ func runStore(path string, k int, seed int64, timeout time.Duration, materialize
 	fmt.Printf("cost: load %d rounds (paid once) + query %d rounds (query wall %v)\n",
 		met.LoadRounds, res.Rounds, time.Since(queryStart).Round(time.Millisecond))
 	fmt.Printf("peak RSS: %d MB\n", procstat.MaxRSSBytes()>>20)
-	writeTrace(tracer, tracePath)
-}
-
-// distObserve wires -trace and -flight-dump into the coordinator
-// options, returning the collectors to flush afterwards.
-func distObserve(opts *dist.CoordOptions, tracePath, flightDir string) (*dist.JobTrace, *dist.FlightLog) {
-	var trace *dist.JobTrace
-	if tracePath != "" {
-		trace = &dist.JobTrace{}
-		opts.Trace = trace
-	}
-	var flight *dist.FlightLog
-	if flightDir != "" {
-		flight = &dist.FlightLog{}
-		opts.Flight = flight
-	}
-	return trace, flight
-}
-
-// distFail dumps the flight log (when -flight-dump is set) and exits.
-func distFail(err error, flight *dist.FlightLog, flightDir string) {
-	if flight != nil {
-		if derr := flight.Dump(flightDir); derr != nil {
-			fmt.Fprintf(os.Stderr, "flight dump: %v\n", derr)
-		} else {
-			fmt.Fprintf(os.Stderr, "flight dump: wrote %s\n", flightDir)
-		}
-	}
-	fmt.Fprintln(os.Stderr, err)
-	os.Exit(1)
-}
-
-// writeDistTrace writes the assembled cross-process trace.
-func writeDistTrace(trace *dist.JobTrace, path string) {
-	if trace == nil {
-		return
-	}
-	if err := telemetry.WriteTrace(path, trace.Assemble()); err != nil {
-		fmt.Fprintf(os.Stderr, "writing trace: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("trace: wrote %s (trace id %#x)\n", path, trace.TraceID())
+	cli.WriteTrace(tracer, tracePath)
 }
 
 // runDistributed coordinates a connectivity job over a kmworker fleet.
-func runDistributed(workers []string, source string, k int, seed int64, timeout time.Duration,
-	opts dist.CoordOptions, tracePath, flightDir string) {
-	trace, flight := distObserve(&opts, tracePath, flightDir)
-	fmt.Printf("distributed: %s over %d workers, k=%d\n", source, len(workers), k)
-	ctx, cancel := jobCtx(timeout)
+func runDistributed(job *cli.DistJob, source string, k int, seed int64, timeout time.Duration) {
+	fmt.Printf("distributed: %s over %d workers, k=%d\n", source, len(job.Workers), k)
+	ctx, cancel := cli.JobCtx(timeout)
 	defer cancel()
 	start := time.Now()
-	res, err := dist.RunConnectivityOpts(ctx, workers, source, core.Config{K: k, Seed: seed}, opts)
+	res, err := dist.RunConnectivityOpts(ctx, job.Workers, source, core.Config{K: k, Seed: seed}, job.Opts)
 	if err != nil {
-		distFail(err, flight, flightDir)
+		job.Fail(err)
 	}
 	fmt.Printf("components: %d\n", res.Components)
 	fmt.Printf("phases: %d  sketch failures: %d\n", res.Phases, res.SketchFailures)
 	fmt.Printf("cost: %s (wall %v)\n", res.Metrics.String(), time.Since(start).Round(time.Millisecond))
-	writeDistTrace(trace, tracePath)
+	job.WriteTrace()
 }
 
 // distSource maps the graph flags to a dist source spec that every
@@ -290,21 +205,17 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "job deadline (0 = none), e.g. 30s")
 	algo := flag.String("algo", "sketch", "sketch|edgecheck|flooding|referee")
 	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON of the resident job's phases to this file")
-	transportMode := flag.String("transport", "local", "local|tcp: where the k machines run")
-	workerList := flag.String("workers", "", "with -transport tcp: comma-separated kmworker addresses")
-	retries := flag.Int("retries", 1, "with -transport tcp: total job attempts; lost workers are re-dialed between attempts")
-	hbTimeout := flag.Duration("heartbeat-timeout", 30*time.Second, "with -transport tcp: silence tolerated on a worker before declaring it stalled")
-	flightDir := flag.String("flight-dump", "", "with -transport tcp: on failure, dump flight-recorder snapshots as JSON under this directory")
+	distFlags := cli.RegisterDistFlags()
 	flag.Parse()
 
-	if *tracePath != "" && *transportMode == "local" && *storePath == "" && *algo != "sketch" {
+	if *tracePath != "" && *distFlags.Transport == "local" && *storePath == "" && *algo != "sketch" {
 		fmt.Fprintln(os.Stderr, "kmconnect: -trace requires the resident engine (-algo sketch or -store) or -transport tcp")
 		os.Exit(2)
 	}
-	switch *transportMode {
+	switch *distFlags.Transport {
 	case "local":
 	case "tcp":
-		if *workerList == "" {
+		if *distFlags.Workers == "" {
 			fmt.Fprintln(os.Stderr, "kmconnect: -transport tcp requires -workers")
 			os.Exit(2)
 		}
@@ -316,13 +227,10 @@ func main() {
 			fmt.Fprintf(os.Stderr, "kmconnect: %v\n", err)
 			os.Exit(2)
 		}
-		runDistributed(strings.Split(*workerList, ","), source, *k, *seed, *timeout, dist.CoordOptions{
-			HeartbeatTimeout: *hbTimeout,
-			Retry:            dist.RetryPolicy{Attempts: *retries},
-		}, *tracePath, *flightDir)
+		runDistributed(distFlags.Job(*tracePath), source, *k, *seed, *timeout)
 		return
 	default:
-		fmt.Fprintf(os.Stderr, "kmconnect: unknown transport %q\n", *transportMode)
+		fmt.Fprintf(os.Stderr, "kmconnect: unknown transport %q\n", *distFlags.Transport)
 		os.Exit(2)
 	}
 	if *storePath != "" {
@@ -341,8 +249,7 @@ func main() {
 		g, err = buildGraph(*gen, *n, *m, *c, *p, *seed)
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		cli.Fatal(err)
 	}
 	fmt.Printf("graph: %s n=%d m=%d; cluster: k=%d B=%d bits/link/round\n",
 		*gen, g.N(), g.M(), *k, kmgraph.DefaultBandwidth(g.N()))
@@ -350,33 +257,30 @@ func main() {
 	_, oracleCount := kmgraph.ComponentsOracle(g)
 	switch *algo {
 	case "sketch":
-		tracer, clOpts := traceOpts(*tracePath)
+		tracer, clOpts := cli.TraceOpts(*tracePath)
 		clOpts = append(clOpts, kmgraph.WithK(*k), kmgraph.WithSeed(*seed))
 		cl, err := kmgraph.NewCluster(g, clOpts...)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			cli.Fatal(err)
 		}
 		defer cl.Close()
-		ctx, cancel := jobCtx(*timeout)
+		ctx, cancel := cli.JobCtx(*timeout)
 		defer cancel()
 		res, err := cl.Connectivity(ctx)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			cli.Fatal(err)
 		}
 		met := cl.Metrics()
 		fmt.Printf("components: %d (oracle: %d)\n", res.Components, oracleCount)
 		fmt.Printf("phases: %d  sketch failures: %d\n", res.Phases, res.SketchFailures)
 		fmt.Printf("cost: load %d rounds (paid once) + query %d rounds\n",
 			met.LoadRounds, res.Rounds)
-		writeTrace(tracer, *tracePath)
+		cli.WriteTrace(tracer, *tracePath)
 	case "edgecheck":
 		cfg := kmgraph.Config{K: *k, Seed: *seed, EdgeCheckSelection: true}
 		res, err := kmgraph.Connectivity(g, cfg)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			cli.Fatal(err)
 		}
 		fmt.Printf("components: %d (oracle: %d)\n", res.Components, oracleCount)
 		fmt.Printf("phases: %d  sketch failures: %d\n", res.Phases, res.SketchFailures)
@@ -390,8 +294,7 @@ func main() {
 			res, err = kmgraph.RefereeConnectivity(g, cfg)
 		}
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			cli.Fatal(err)
 		}
 		fmt.Printf("components: %d (oracle: %d)\n", res.Components, oracleCount)
 		fmt.Printf("cost: %s\n", res.Metrics.String())

@@ -10,22 +10,13 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"kmgraph"
+	"kmgraph/internal/cli"
 )
-
-// jobCtx maps the -timeout flag to a job context (0 = no deadline).
-func jobCtx(timeout time.Duration) (context.Context, context.CancelFunc) {
-	if timeout > 0 {
-		return context.WithTimeout(context.Background(), timeout)
-	}
-	return context.WithCancel(context.Background())
-}
 
 func main() {
 	kind := flag.String("graph", "bridged", "cycle|bridged|complete|gnm")
@@ -54,16 +45,14 @@ func main() {
 	trueCut := kmgraph.MinCutOracle(g)
 	cl, err := kmgraph.NewCluster(g, kmgraph.WithK(*k), kmgraph.WithSeed(*seed))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		cli.Fatal(err)
 	}
 	defer cl.Close()
-	ctx, cancel := jobCtx(*timeout)
+	ctx, cancel := cli.JobCtx(*timeout)
 	defer cancel()
 	res, err := cl.ApproxMinCut(ctx)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		cli.Fatal(err)
 	}
 	met := cl.Metrics()
 	fmt.Printf("graph: %s n=%d m=%d\n", *kind, g.N(), g.M())

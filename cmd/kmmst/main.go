@@ -26,94 +26,33 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	"kmgraph"
+	"kmgraph/internal/cli"
 	"kmgraph/internal/core"
 	"kmgraph/internal/dist"
-	"kmgraph/internal/telemetry"
 )
 
-// traceOpts returns a tracer plus the cluster options that wire it in,
-// or nil options when tracing is off.
-func traceOpts(path string) (*telemetry.JobTracer, []kmgraph.ClusterOption) {
-	if path == "" {
-		return nil, nil
-	}
-	tr := telemetry.NewJobTracer()
-	return tr, []kmgraph.ClusterOption{
-		kmgraph.WithObserver(tr.Observer()),
-		kmgraph.WithPhaseMetrics(),
-	}
-}
-
-// writeTrace flushes the tracer (when tracing is on) and reports the
-// output path.
-func writeTrace(tr *telemetry.JobTracer, path string) {
-	if tr == nil {
-		return
-	}
-	if err := tr.WriteFile(path); err != nil {
-		fmt.Fprintf(os.Stderr, "writing trace: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("trace: wrote %s\n", path)
-}
-
-// jobCtx maps the -timeout flag to a job context (0 = no deadline).
-func jobCtx(timeout time.Duration) (context.Context, context.CancelFunc) {
-	if timeout > 0 {
-		return context.WithTimeout(context.Background(), timeout)
-	}
-	return context.WithCancel(context.Background())
-}
-
 // runDistributed coordinates an MST job over a kmworker fleet.
-func runDistributed(workers []string, source string, k int, seed int64, strong bool, timeout time.Duration,
-	opts dist.CoordOptions, tracePath, flightDir string) {
-	var trace *dist.JobTrace
-	if tracePath != "" {
-		trace = &dist.JobTrace{}
-		opts.Trace = trace
-	}
-	var flight *dist.FlightLog
-	if flightDir != "" {
-		flight = &dist.FlightLog{}
-		opts.Flight = flight
-	}
-	fmt.Printf("distributed: %s over %d workers, k=%d\n", source, len(workers), k)
-	ctx, cancel := jobCtx(timeout)
+func runDistributed(job *cli.DistJob, source string, k int, seed int64, strong bool, timeout time.Duration) {
+	fmt.Printf("distributed: %s over %d workers, k=%d\n", source, len(job.Workers), k)
+	ctx, cancel := cli.JobCtx(timeout)
 	defer cancel()
 	start := time.Now()
 	cfg := core.MSTConfig{Config: core.Config{K: k, Seed: seed}, StrongOutput: strong}
-	res, err := dist.RunMSTOpts(ctx, workers, source, cfg, opts)
+	res, err := dist.RunMSTOpts(ctx, job.Workers, source, cfg, job.Opts)
 	if err != nil {
-		if flight != nil {
-			if derr := flight.Dump(flightDir); derr != nil {
-				fmt.Fprintf(os.Stderr, "flight dump: %v\n", derr)
-			} else {
-				fmt.Fprintf(os.Stderr, "flight dump: wrote %s\n", flightDir)
-			}
-		}
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		job.Fail(err)
 	}
 	fmt.Printf("MST: weight=%d edges=%d\n", res.TotalWeight, len(res.Edges))
 	fmt.Printf("phases: %d  elimination iterations: %d  sketch failures: %d\n",
 		res.Phases, res.ElimIters, res.SketchFailures)
 	fmt.Printf("cost: %s (wall %v)\n", res.Metrics.String(), time.Since(start).Round(time.Millisecond))
-	if trace != nil {
-		if err := telemetry.WriteTrace(tracePath, trace.Assemble()); err != nil {
-			fmt.Fprintf(os.Stderr, "writing trace: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("trace: wrote %s (trace id %#x)\n", tracePath, trace.TraceID())
-	}
+	job.WriteTrace()
 }
 
 func main() {
@@ -126,11 +65,7 @@ func main() {
 	repMode := flag.Bool("rep", false, "use the random edge partition model instead")
 	storePath := flag.String("store", "", "serve a kmgs store shard-direct (never materializes the graph; no oracle check)")
 	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON of the resident job's phases to this file")
-	transportMode := flag.String("transport", "local", "local|tcp: where the k machines run")
-	workerList := flag.String("workers", "", "with -transport tcp: comma-separated kmworker addresses")
-	retries := flag.Int("retries", 1, "with -transport tcp: total job attempts; lost workers are re-dialed between attempts")
-	hbTimeout := flag.Duration("heartbeat-timeout", 30*time.Second, "with -transport tcp: silence tolerated on a worker before declaring it stalled")
-	flightDir := flag.String("flight-dump", "", "with -transport tcp: on failure, dump flight-recorder snapshots as JSON under this directory")
+	distFlags := cli.RegisterDistFlags()
 	flag.Parse()
 	if *m == 0 {
 		*m = 3 * *n
@@ -139,35 +74,31 @@ func main() {
 		fmt.Fprintln(os.Stderr, "kmmst: -trace requires the resident engine (not -rep)")
 		os.Exit(2)
 	}
-	switch *transportMode {
+	switch *distFlags.Transport {
 	case "local":
 	case "tcp":
-		if *workerList == "" || *storePath == "" {
+		if *distFlags.Workers == "" || *storePath == "" {
 			fmt.Fprintln(os.Stderr, "kmmst: -transport tcp requires -workers and -store")
 			os.Exit(2)
 		}
-		runDistributed(strings.Split(*workerList, ","), "store:"+*storePath, *k, *seed, *strong, *timeout, dist.CoordOptions{
-			HeartbeatTimeout: *hbTimeout,
-			Retry:            dist.RetryPolicy{Attempts: *retries},
-		}, *tracePath, *flightDir)
+		runDistributed(distFlags.Job(*tracePath), "store:"+*storePath, *k, *seed, *strong, *timeout)
 		return
 	default:
-		fmt.Fprintf(os.Stderr, "kmmst: unknown transport %q\n", *transportMode)
+		fmt.Fprintf(os.Stderr, "kmmst: unknown transport %q\n", *distFlags.Transport)
 		os.Exit(2)
 	}
-	tracer, clOpts := traceOpts(*tracePath)
+	tracer, clOpts := cli.TraceOpts(*tracePath)
 	clOpts = append(clOpts, kmgraph.WithK(*k), kmgraph.WithSeed(*seed))
 
 	if *storePath != "" {
 		cl, err := kmgraph.OpenCluster(*storePath, clOpts...)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			cli.Fatal(err)
 		}
 		defer cl.Close()
 		met := cl.Metrics()
 		fmt.Printf("store: %s n=%d m=%d (shard-direct; oracle skipped)\n", *storePath, cl.N(), met.Edges)
-		ctx, cancel := jobCtx(*timeout)
+		ctx, cancel := cli.JobCtx(*timeout)
 		defer cancel()
 		var opts []kmgraph.MSTOption
 		if *strong {
@@ -175,13 +106,12 @@ func main() {
 		}
 		res, err := cl.MST(ctx, opts...)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			cli.Fatal(err)
 		}
 		fmt.Printf("MST: weight=%d edges=%d\n", res.TotalWeight, len(res.Edges))
 		fmt.Printf("cost: load %d rounds (paid once) + MST %d rounds\n",
 			cl.Metrics().LoadRounds, res.Metrics.Rounds)
-		writeTrace(tracer, *tracePath)
+		cli.WriteTrace(tracer, *tracePath)
 		return
 	}
 
@@ -192,8 +122,7 @@ func main() {
 	if *repMode {
 		res, err := kmgraph.REPMST(g, kmgraph.REPConfig{K: *k, Seed: *seed})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			cli.Fatal(err)
 		}
 		fmt.Printf("REP MST: weight=%d edges=%d (match: %v)\n",
 			res.TotalWeight, len(res.Edges), res.TotalWeight == oracleWeight)
@@ -204,11 +133,10 @@ func main() {
 
 	cl, err := kmgraph.NewCluster(g, clOpts...)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		cli.Fatal(err)
 	}
 	defer cl.Close()
-	ctx, cancel := jobCtx(*timeout)
+	ctx, cancel := cli.JobCtx(*timeout)
 	defer cancel()
 	var opts []kmgraph.MSTOption
 	if *strong {
@@ -216,8 +144,7 @@ func main() {
 	}
 	res, err := cl.MST(ctx, opts...)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		cli.Fatal(err)
 	}
 	fmt.Printf("MST: weight=%d edges=%d (match: %v)\n",
 		res.TotalWeight, len(res.Edges), res.TotalWeight == oracleWeight)
@@ -231,5 +158,5 @@ func main() {
 		fmt.Printf("cost: load %d rounds (paid once) + MST %d rounds\n",
 			met.LoadRounds, res.Metrics.Rounds)
 	}
-	writeTrace(tracer, *tracePath)
+	cli.WriteTrace(tracer, *tracePath)
 }

@@ -166,7 +166,9 @@ func main() {
 			name, source, len(addrs), *k, *retries)
 	}
 
-	hs := &http.Server{Addr: *addr, Handler: srv}
+	// A client that never finishes its request headers must not pin a
+	// connection (and its goroutine) forever.
+	hs := &http.Server{Addr: *addr, Handler: srv, ReadHeaderTimeout: 10 * time.Second}
 	errCh := make(chan error, 1)
 	go func() { errCh <- hs.ListenAndServe() }()
 	fmt.Printf("kmserve: listening on %s\n", *addr)

@@ -19,22 +19,13 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"kmgraph"
+	"kmgraph/internal/cli"
 )
-
-// jobCtx maps the -timeout flag to a job context (0 = no deadline).
-func jobCtx(timeout time.Duration) (context.Context, context.CancelFunc) {
-	if timeout > 0 {
-		return context.WithTimeout(context.Background(), timeout)
-	}
-	return context.WithCancel(context.Background())
-}
 
 func buildStream(gen string, n, m, batches, batchSize, window, comps int, delFrac float64, seed int64) (*kmgraph.UpdateStream, error) {
 	switch gen {
@@ -97,14 +88,12 @@ func main() {
 	}
 	stream, err := buildStream(*gen, *n, *m, *batches, *batchSize, *window, *comps, *delFrac, *seed)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		cli.Fatal(err)
 	}
 
 	sess, err := kmgraph.NewCluster(stream.Initial, kmgraph.WithK(*k), kmgraph.WithSeed(*seed))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		cli.Fatal(err)
 	}
 	defer sess.Close()
 
@@ -112,7 +101,7 @@ func main() {
 		*gen, stream.Initial.N(), stream.Initial.M(), len(stream.Batches), *k,
 		kmgraph.DefaultBandwidth(stream.Initial.N()), sess.Metrics().LoadRounds)
 
-	ctx, cancel := jobCtx(*timeout)
+	ctx, cancel := cli.JobCtx(*timeout)
 	q, err := sess.Connectivity(ctx)
 	cancel()
 	if err != nil {
@@ -131,7 +120,7 @@ func main() {
 	ok := true
 	var sumApply, sumQuery, sumStatic, nStatic int
 	for i, ops := range stream.Batches {
-		ctx, cancel := jobCtx(*timeout)
+		ctx, cancel := cli.JobCtx(*timeout)
 		br, err := sess.ApplyBatch(ctx, ops)
 		cancel()
 		if err != nil {
@@ -139,7 +128,7 @@ func main() {
 			os.Exit(1)
 		}
 		snap = kmgraph.ApplyOps(snap, ops)
-		ctx, cancel = jobCtx(*timeout)
+		ctx, cancel = cli.JobCtx(*timeout)
 		q, err := sess.Connectivity(ctx)
 		cancel()
 		if err != nil {

@@ -10,22 +10,13 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"kmgraph"
+	"kmgraph/internal/cli"
 )
-
-// jobCtx maps the -timeout flag to a job context (0 = no deadline).
-func jobCtx(timeout time.Duration) (context.Context, context.CancelFunc) {
-	if timeout > 0 {
-		return context.WithTimeout(context.Background(), timeout)
-	}
-	return context.WithCancel(context.Background())
-}
 
 func main() {
 	problem := flag.String("problem", "bipartite", "bipartite|cycle|scs|stconn|cut|all")
@@ -46,68 +37,56 @@ func main() {
 	}
 	tree, _ := kmgraph.MSTOracle(g)
 
+	// The instance's problems, in -problem all order; each goes by its
+	// Problem.String name (the one table in internal/verify).
 	type job struct {
-		name string
 		p    kmgraph.Problem
 		args kmgraph.VerifyArgs
 		desc string
 	}
-	jobs := map[string]job{
-		"bipartite": {
-			name: "bipartite", p: kmgraph.ProblemBipartiteness,
-			desc: fmt.Sprintf("bipartiteness (oracle: %v)", kmgraph.IsBipartiteOracle(g)),
-		},
-		"cycle": {
-			name: "cycle", p: kmgraph.ProblemCycleContainment,
-			desc: "cycle containment",
-		},
-		"scs": {
-			name: "scs", p: kmgraph.ProblemSpanningConnectedSubgraph,
-			args: kmgraph.VerifyArgs{H: tree},
-			desc: "spanning connected subgraph: a spanning tree",
-		},
-		"stconn": {
-			name: "stconn", p: kmgraph.ProblemSTConnectivity,
-			args: kmgraph.VerifyArgs{S: 0, T: g.N() - 1},
-			desc: fmt.Sprintf("s-t connectivity between 0 and %d", g.N()-1),
-		},
-		"cut": {
-			name: "cut", p: kmgraph.ProblemCut,
-			args: kmgraph.VerifyArgs{Cut: bridgeSet},
-			desc: fmt.Sprintf("cut verification: the %d bridges", len(bridgeSet)),
-		},
+	jobs := []job{
+		{p: kmgraph.ProblemBipartiteness,
+			desc: fmt.Sprintf("bipartiteness (oracle: %v)", kmgraph.IsBipartiteOracle(g))},
+		{p: kmgraph.ProblemCycleContainment,
+			desc: "cycle containment"},
+		{p: kmgraph.ProblemSpanningConnectedSubgraph, args: kmgraph.VerifyArgs{H: tree},
+			desc: "spanning connected subgraph: a spanning tree"},
+		{p: kmgraph.ProblemSTConnectivity, args: kmgraph.VerifyArgs{S: 0, T: g.N() - 1},
+			desc: fmt.Sprintf("s-t connectivity between 0 and %d", g.N()-1)},
+		{p: kmgraph.ProblemCut, args: kmgraph.VerifyArgs{Cut: bridgeSet},
+			desc: fmt.Sprintf("cut verification: the %d bridges", len(bridgeSet))},
 	}
-	order := []string{"bipartite", "cycle", "scs", "stconn", "cut"}
-	var selected []job
-	if *problem == "all" {
-		for _, name := range order {
-			selected = append(selected, jobs[name])
+	selected := jobs
+	if *problem != "all" {
+		selected = nil
+		for _, j := range jobs {
+			if j.p.String() == *problem {
+				selected = []job{j}
+			}
 		}
-	} else if j, ok := jobs[*problem]; ok {
-		selected = []job{j}
-	} else {
-		fmt.Fprintf(os.Stderr, "unknown problem %q\n", *problem)
-		os.Exit(1)
+		if selected == nil {
+			fmt.Fprintf(os.Stderr, "unknown problem %q\n", *problem)
+			os.Exit(1)
+		}
 	}
 
 	cl, err := kmgraph.NewCluster(g, kmgraph.WithK(*k), kmgraph.WithSeed(*seed))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		cli.Fatal(err)
 	}
 	defer cl.Close()
 	fmt.Printf("graph: two bridged cliques, n=%d m=%d; k=%d, load %d rounds (paid once)\n",
 		g.N(), g.M(), *k, cl.Metrics().LoadRounds)
 
 	for _, j := range selected {
-		ctx, cancel := jobCtx(*timeout)
+		ctx, cancel := cli.JobCtx(*timeout)
 		out, err := cl.Verify(ctx, j.p, j.args)
 		cancel()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", j.name, err)
+			fmt.Fprintf(os.Stderr, "%s: %v\n", j.p, err)
 			os.Exit(1)
 		}
-		fmt.Printf("%-10s %s\n", j.name+":", j.desc)
+		fmt.Printf("%-10s %s\n", j.p.String()+":", j.desc)
 		fmt.Printf("           verdict: %v  cost: %d runs, %d rounds\n",
 			out.Holds, out.Runs, out.Rounds)
 	}

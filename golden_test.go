@@ -131,23 +131,25 @@ func TestGoldenMSTMetrics(t *testing.T) {
 
 func TestGoldenDynamicMetrics(t *testing.T) {
 	stream := RandomChurnStream(128, 384, 6, 12, 0.4, 7)
-	sess, err := NewDynamic(stream.Initial, DynamicConfig{K: 4, Seed: 7})
+	sess, err := NewCluster(stream.Initial, WithK(4), WithSeed(7))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var trace string
 	for i, batch := range stream.Batches {
-		br, err := sess.ApplyBatch(batch)
+		br, err := sess.ApplyBatch(t.Context(), batch)
 		if err != nil {
 			t.Fatal(err)
 		}
-		q, err := sess.Query()
+		q, err := sess.Connectivity(t.Context())
 		if err != nil {
 			t.Fatal(err)
 		}
 		trace += fmt.Sprintf("[%d:%d/%d/%d]", i, br.Applied, q.Components, q.Rounds)
 	}
-	met, err := sess.Close()
+	// The session-wide Metrics are what the resident engine's Close
+	// returns; Cluster.Close drops them, so pin them at the engine.
+	met, err := sess.e.Close()
 	if err != nil {
 		t.Fatal(err)
 	}

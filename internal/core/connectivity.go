@@ -105,7 +105,9 @@ type Config struct {
 	PhaseHookID int                    `json:"-"`
 }
 
-func (c Config) withDefaults(n int) Config {
+// WithDefaults resolves zero-valued fields for an n-vertex input. Every
+// host resolves its Config through it, so they agree on every parameter.
+func (c Config) WithDefaults(n int) Config {
 	if c.BandwidthBits == 0 {
 		c.BandwidthBits = kmachine.Bandwidth(n)
 	}
@@ -124,11 +126,6 @@ func (c Config) withDefaults(n int) Config {
 	}
 	return c
 }
-
-// WithDefaults resolves zero-valued fields for an n-vertex input exactly as
-// a static run would (exported for the dynamic subsystem, which shares the
-// configuration semantics).
-func (c Config) WithDefaults(n int) Config { return c.withDefaults(n) }
 
 // Result is the outcome of a connectivity run.
 type Result struct {
@@ -157,14 +154,17 @@ type Result struct {
 	Metrics kmachine.Metrics
 }
 
-// machineOutput is each machine's designated output variable o_i.
-type machineOutput struct {
-	labels        map[int]uint64
-	failures      int64
-	phases        int
-	collapseIters int
-	protocolCount int // §2.6 count at machine 0; -1 elsewhere/disabled
-	phaseRounds   []int
+// MachineOutput is each machine's designated output variable o_i of a
+// connectivity job. The one-shot handler sets it as the machine's output,
+// dist ships it in wire form (AppendOutput), and resident machines reply
+// with it; Assemble combines one per machine into the global Result.
+type MachineOutput struct {
+	Labels        map[int]uint64
+	Failures      int64
+	Phases        int
+	CollapseIters int
+	ProtocolCount int // §2.6 count at machine 0; -1 elsewhere/disabled
+	PhaseRounds   []int
 }
 
 // Run executes the connectivity algorithm on g under a fresh random vertex
@@ -202,76 +202,82 @@ func RunSourceContext(ctx context.Context, src graph.EdgeSource, cfg Config) (*R
 	if err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults(part.N())
-	cluster, err := kmachine.New(kmachine.Config{
-		K:                   cfg.K,
-		BandwidthBits:       cfg.BandwidthBits,
-		MessageOverheadBits: cfg.MessageOverheadBits,
-		Seed:                cfg.Seed,
-		MaxRounds:           cfg.MaxRounds,
-	})
-	if err != nil {
-		return nil, err
-	}
-	res, err := cluster.RunContext(ctx, func(mctx *kmachine.Ctx) error {
-		m := newMachine(mctx, part.View(mctx.ID()), cfg)
-		return m.run()
-	})
-	if err != nil {
-		return nil, err
-	}
-	return assemble(part.N(), res)
+	return runConnectivity(ctx, part.N(), func(id int) GraphView { return part.View(id) }, cfg)
 }
 
 // RunWithPartitionContext is RunWithPartition with cancellation.
 func RunWithPartitionContext(ctx context.Context, g *graph.Graph, part *kmachine.VertexPartition, cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults(g.N())
-	cluster, err := kmachine.New(kmachine.Config{
-		K:                   cfg.K,
-		BandwidthBits:       cfg.BandwidthBits,
-		MessageOverheadBits: cfg.MessageOverheadBits,
-		Seed:                cfg.Seed,
-		MaxRounds:           cfg.MaxRounds,
-	})
-	if err != nil {
-		return nil, err
-	}
-	res, err := cluster.RunContext(ctx, func(mctx *kmachine.Ctx) error {
-		m := newMachine(mctx, part.View(mctx.ID()), cfg)
-		return m.run()
-	})
-	if err != nil {
-		return nil, err
-	}
-	return assemble(g.N(), res)
+	return runConnectivity(ctx, g.N(), func(id int) GraphView { return part.View(id) }, cfg)
 }
 
-func assemble(n int, res *kmachine.Result) (*Result, error) {
-	out := &Result{Labels: make([]uint64, n), Metrics: res.Metrics, ProtocolCount: -1}
+func runConnectivity(ctx context.Context, n int, view func(id int) GraphView, cfg Config) (*Result, error) {
+	cfg = cfg.WithDefaults(n)
+	res, err := runOneShot(ctx, cfg, ConnectivityHandler(view, cfg))
+	if err != nil {
+		return nil, err
+	}
+	out, err := Assemble(n, res.Outputs)
+	if err != nil {
+		return nil, err
+	}
+	out.Metrics = res.Metrics
+	return out, nil
+}
+
+// MachineConfig is the engine configuration a (resolved) Config runs
+// under — the one conversion every host's cluster bring-up goes through.
+func (c Config) MachineConfig() kmachine.Config {
+	return kmachine.Config{
+		K:                   c.K,
+		BandwidthBits:       c.BandwidthBits,
+		MessageOverheadBits: c.MessageOverheadBits,
+		Seed:                c.Seed,
+		MaxRounds:           c.MaxRounds,
+	}
+}
+
+// runOneShot is the one-shot host: a fresh cluster that lives for one
+// handler run.
+func runOneShot(ctx context.Context, cfg Config, h kmachine.Handler) (*kmachine.Result, error) {
+	cluster, err := kmachine.New(cfg.MachineConfig())
+	if err != nil {
+		return nil, err
+	}
+	return cluster.RunContext(ctx, h)
+}
+
+// Assemble combines one MachineOutput per machine into the global
+// connectivity result over n vertices (Metrics is left to the host, which
+// knows what the job cost it).
+func Assemble(n int, outputs []any) (*Result, error) {
+	out := &Result{Labels: make([]uint64, n), ProtocolCount: -1}
 	seen := make(map[uint64]bool)
 	assigned := 0
-	for i, o := range res.Outputs {
-		mo, ok := o.(*machineOutput)
+	for i, o := range outputs {
+		mo, ok := o.(*MachineOutput)
 		if !ok {
 			return nil, fmt.Errorf("core: machine %d produced no output", i)
 		}
-		for v, l := range mo.labels {
+		for v, l := range mo.Labels {
+			if v < 0 || v >= n {
+				return nil, fmt.Errorf("core: machine %d labeled vertex %d of %d", i, v, n)
+			}
 			out.Labels[v] = l
 			seen[l] = true
 			assigned++
 		}
-		out.SketchFailures += mo.failures
-		if mo.phases > out.Phases {
-			out.Phases = mo.phases
+		out.SketchFailures += mo.Failures
+		if mo.Phases > out.Phases {
+			out.Phases = mo.Phases
 		}
-		if mo.collapseIters > out.CollapseIters {
-			out.CollapseIters = mo.collapseIters
+		if mo.CollapseIters > out.CollapseIters {
+			out.CollapseIters = mo.CollapseIters
 		}
-		if mo.protocolCount >= 0 {
-			out.ProtocolCount = mo.protocolCount
+		if mo.ProtocolCount >= 0 {
+			out.ProtocolCount = mo.ProtocolCount
 		}
-		if mo.phaseRounds != nil {
-			out.PhaseRounds = mo.phaseRounds
+		if mo.PhaseRounds != nil {
+			out.PhaseRounds = mo.PhaseRounds
 		}
 	}
 	if assigned != n {
@@ -281,60 +287,67 @@ func assemble(n int, res *kmachine.Result) (*Result, error) {
 	return out, nil
 }
 
-// machine is the static connectivity machine: the shared merge engine plus
-// the per-phase selection strategies.
-type machine struct {
-	*Merger
+// ConnectivityHandler returns the per-machine connectivity program over
+// the given view lookup: shared-randomness setup, the connectivity job,
+// and the optional §2.6 output protocol. cfg must already be resolved
+// (WithDefaults) so every participant of a multi-process run agrees on
+// every parameter.
+func ConnectivityHandler(view func(id int) GraphView, cfg Config) kmachine.Handler {
+	return func(mctx *kmachine.Ctx) error {
+		m := NewMerger(mctx, view(mctx.ID()), cfg)
+		defer m.ReleasePools()
+		if err := m.Setup(); err != nil {
+			return err
+		}
+		var rounds []int
+		out, _, _ := m.ConnectivityJob(0, func(phase, round int, active, failures uint64) {
+			if mctx.ID() == 0 {
+				rounds = append(rounds, round)
+			}
+			m.configHook(phase, round, active, failures)
+		})
+		out.PhaseRounds = rounds
+		if cfg.CountComponents {
+			out.ProtocolCount = m.countComponents()
+		}
+		mctx.SetOutput(out)
+		return nil
+	}
 }
 
-func newMachine(ctx *kmachine.Ctx, view GraphView, cfg Config) *machine {
-	return &machine{Merger: NewMerger(ctx, view, cfg)}
+// configHook is the PhaseFunc delivering Config.PhaseHook on the machine
+// it names.
+func (m *Merger) configHook(phase, round int, _, _ uint64) {
+	if m.Cfg.PhaseHook != nil && m.Ctx.ID() == m.Cfg.PhaseHookID {
+		m.Cfg.PhaseHook(phase, round)
+	}
 }
 
-func (m *machine) run() error {
-	defer m.ReleasePools()
-	if err := m.Setup(); err != nil {
-		return err
+// ConnectivityJob is the Theorem 1 program over a ready Merger (shared
+// randomness established, singleton labels): selection phases numbered
+// from firstPhase until no component is active. Every host runs exactly
+// this — the one-shot and dist handlers after Setup, the resident
+// machines over a derived view of the residency.
+func (m *Merger) ConnectivityJob(firstPhase int, after PhaseFunc) (out *MachineOutput, converged, cancelled bool) {
+	sel := m.SelectSketch
+	if m.Cfg.EdgeCheckSelection {
+		sel = m.selectEdgeCheck
 	}
-	out := &machineOutput{}
-	for m.Phase = 0; m.Phase < m.Cfg.MaxPhases; m.Phase++ {
-		m.StateSlot = 0
-		m.PhaseActive = 0
-		if m.Cfg.EdgeCheckSelection {
-			m.selectEdgeCheck()
-		} else {
-			m.SelectSketch()
-		}
-		m.Collapse()
-		m.BroadcastAndRelabel()
-		active, failures, _ := m.PhaseSync()
-		if m.Ctx.ID() == 0 {
-			out.phaseRounds = append(out.phaseRounds, m.Ctx.Round())
-		}
-		if m.Cfg.PhaseHook != nil && m.Ctx.ID() == m.Cfg.PhaseHookID {
-			m.Cfg.PhaseHook(m.Phase, m.Ctx.Round())
-		}
-		out.phases = m.Phase + 1
-		if active == 0 && failures == 0 {
-			break
-		}
-	}
-	out.protocolCount = -1
-	if m.Cfg.CountComponents {
-		out.protocolCount = m.countComponents()
-	}
-	out.labels = m.Labels
-	out.failures = m.Failures
-	out.collapseIters = m.CollapseIters
-	m.Ctx.SetOutput(out)
-	return nil
+	phases, converged, cancelled := m.RunPhases(firstPhase, m.Cfg.MaxPhases, func(int) { sel() }, after)
+	return &MachineOutput{
+		Labels:        m.Labels,
+		Failures:      m.Failures,
+		Phases:        phases,
+		CollapseIters: m.CollapseIters,
+		ProtocolCount: -1,
+	}, converged, cancelled
 }
 
 // countComponents is the paper's §2.6 output protocol: every machine sends
 // "YES" for each label it holds to that label's proxy (Lemma 1 pricing);
 // the proxies forward the distinct labels they proxy to machine 0, which
 // returns the count (and -1 is returned on all other machines).
-func (m *machine) countComponents() int {
+func (m *Merger) countComponents() int {
 	// Collect the distinct labels first, then emit in sorted order: the
 	// send order reaches the proxies' recorded streams, and building it
 	// from map iteration would shuffle it per run.
@@ -374,7 +387,7 @@ func (m *machine) countComponents() int {
 // selectEdgeCheck is the GHS-style baseline: learn the label of every
 // neighbor across every edge (Θ(m) traffic per phase), then nominate the
 // smallest outgoing edge per part directly.
-func (m *machine) selectEdgeCheck() {
+func (m *Merger) selectEdgeCheck() {
 	k := m.Ctx.K()
 	parts := m.Parts()
 

@@ -16,45 +16,8 @@ import (
 	"sort"
 
 	"kmgraph/internal/graph"
-	"kmgraph/internal/kmachine"
 	"kmgraph/internal/wire"
 )
-
-// ConnectivityHandler returns the per-machine connectivity program over
-// the given view lookup. cfg must already be resolved (WithDefaults) so
-// every participant of a multi-process run agrees on every parameter.
-func ConnectivityHandler(view func(id int) GraphView, cfg Config) kmachine.Handler {
-	return func(mctx *kmachine.Ctx) error {
-		return newMachine(mctx, view(mctx.ID()), cfg).run()
-	}
-}
-
-// MSTHandler returns the per-machine MST program over the given view
-// lookup. cfg must already be resolved (MSTConfig.WithDefaults).
-func MSTHandler(view func(id int) GraphView, cfg MSTConfig) kmachine.Handler {
-	return func(mctx *kmachine.Ctx) error {
-		m := &mstMachine{machine: newMachine(mctx, view(mctx.ID()), cfg.Config), mstCfg: cfg}
-		return m.run()
-	}
-}
-
-// WithDefaults resolves zero-valued fields for an n-vertex input exactly
-// as RunMST would.
-func (c MSTConfig) WithDefaults(n int) MSTConfig {
-	c.Config = c.Config.withDefaults(n)
-	if c.MaxElimIters == 0 {
-		c.MaxElimIters = DefaultMaxElimIters(n)
-	}
-	return c
-}
-
-// Assemble combines machine outputs into the global connectivity result
-// (exported for the distributed coordinator, which gathers Outputs from
-// worker processes instead of a local run).
-func Assemble(n int, res *kmachine.Result) (*Result, error) { return assemble(n, res) }
-
-// AssembleMST combines machine outputs into the global MST result.
-func AssembleMST(n int, res *kmachine.Result) (*MSTResult, error) { return assembleMST(n, res) }
 
 // Output wire tags.
 const (
@@ -64,56 +27,56 @@ const (
 
 // maxOutputItems bounds decoded collection sizes (a worker output for an
 // n-vertex graph never exceeds n entries per collection; the bound only
-// guards against corrupt frames allocating unbounded memory).
+// guards against corrupt frames).
 const maxOutputItems = 1 << 28
 
 // AppendOutput encodes one machine's designated output (as produced by
 // the connectivity or MST handler) onto b in wire form.
 func AppendOutput(b []byte, o any) ([]byte, error) {
 	switch mo := o.(type) {
-	case *machineOutput:
+	case *MachineOutput:
 		b = append(b, outputConn)
-		b = appendLabels(b, mo.labels)
-		b = wire.AppendVarint(b, mo.failures)
-		b = wire.AppendUvarint(b, uint64(mo.phases))
-		b = wire.AppendUvarint(b, uint64(mo.collapseIters))
-		b = wire.AppendVarint(b, int64(mo.protocolCount))
-		b = wire.AppendBool(b, mo.phaseRounds != nil)
-		if mo.phaseRounds != nil {
-			b = wire.AppendUvarint(b, uint64(len(mo.phaseRounds)))
-			for _, r := range mo.phaseRounds {
+		b = appendLabels(b, mo.Labels)
+		b = wire.AppendVarint(b, mo.Failures)
+		b = wire.AppendUvarint(b, uint64(mo.Phases))
+		b = wire.AppendUvarint(b, uint64(mo.CollapseIters))
+		b = wire.AppendVarint(b, int64(mo.ProtocolCount))
+		b = wire.AppendBool(b, mo.PhaseRounds != nil)
+		if mo.PhaseRounds != nil {
+			b = wire.AppendUvarint(b, uint64(len(mo.PhaseRounds)))
+			for _, r := range mo.PhaseRounds {
 				b = wire.AppendUvarint(b, uint64(r))
 			}
 		}
 		return b, nil
-	case *mstOutput:
+	case *MSTOutput:
 		b = append(b, outputMST)
-		b = appendLabels(b, mo.labels)
-		b = wire.AppendUvarint(b, uint64(len(mo.edges)))
-		for _, e := range mo.edges {
+		b = appendLabels(b, mo.Labels)
+		b = wire.AppendUvarint(b, uint64(len(mo.Edges)))
+		for _, e := range mo.Edges {
 			b = appendEdge(b, e)
 		}
-		b = wire.AppendBool(b, mo.vertexEdges != nil)
-		if mo.vertexEdges != nil {
-			vs := make([]int, 0, len(mo.vertexEdges))
-			for v := range mo.vertexEdges {
+		b = wire.AppendBool(b, mo.VertexEdges != nil)
+		if mo.VertexEdges != nil {
+			vs := make([]int, 0, len(mo.VertexEdges))
+			for v := range mo.VertexEdges {
 				vs = append(vs, v)
 			}
 			sort.Ints(vs)
 			b = wire.AppendUvarint(b, uint64(len(vs)))
 			for _, v := range vs {
 				b = wire.AppendUvarint(b, uint64(v))
-				es := mo.vertexEdges[v]
+				es := mo.VertexEdges[v]
 				b = wire.AppendUvarint(b, uint64(len(es)))
 				for _, e := range es {
 					b = appendEdge(b, e)
 				}
 			}
 		}
-		b = wire.AppendVarint(b, mo.failures)
-		b = wire.AppendUvarint(b, uint64(mo.phases))
-		b = wire.AppendUvarint(b, uint64(mo.elimIters))
-		b = wire.AppendUvarint(b, uint64(mo.weakRounds))
+		b = wire.AppendVarint(b, mo.Failures)
+		b = wire.AppendUvarint(b, uint64(mo.Phases))
+		b = wire.AppendUvarint(b, uint64(mo.ElimIters))
+		b = wire.AppendUvarint(b, uint64(mo.WeakRounds))
 		return b, nil
 	default:
 		return nil, fmt.Errorf("core: cannot encode output of type %T", o)
@@ -125,23 +88,23 @@ func ReadOutput(r *wire.Reader) (any, error) {
 	tag := int(r.Uvarint())
 	switch tag {
 	case outputConn:
-		mo := &machineOutput{}
+		mo := &MachineOutput{}
 		var err error
-		if mo.labels, err = readLabels(r); err != nil {
+		if mo.Labels, err = readLabels(r); err != nil {
 			return nil, err
 		}
-		mo.failures = r.Varint()
-		mo.phases = int(r.Uvarint())
-		mo.collapseIters = int(r.Uvarint())
-		mo.protocolCount = int(r.Varint())
+		mo.Failures = r.Varint()
+		mo.Phases = int(r.Uvarint())
+		mo.CollapseIters = int(r.Uvarint())
+		mo.ProtocolCount = int(r.Varint())
 		if r.Bool() {
 			cnt := int(r.Uvarint())
 			if err := checkCount(r, cnt); err != nil {
 				return nil, err
 			}
-			mo.phaseRounds = make([]int, cnt)
-			for i := range mo.phaseRounds {
-				mo.phaseRounds[i] = int(r.Uvarint())
+			mo.PhaseRounds = make([]int, cnt)
+			for i := range mo.PhaseRounds {
+				mo.PhaseRounds[i] = int(r.Uvarint())
 			}
 		}
 		if r.Err() != nil {
@@ -149,9 +112,9 @@ func ReadOutput(r *wire.Reader) (any, error) {
 		}
 		return mo, nil
 	case outputMST:
-		mo := &mstOutput{}
+		mo := &MSTOutput{}
 		var err error
-		if mo.labels, err = readLabels(r); err != nil {
+		if mo.Labels, err = readLabels(r); err != nil {
 			return nil, err
 		}
 		cnt := int(r.Uvarint())
@@ -159,10 +122,10 @@ func ReadOutput(r *wire.Reader) (any, error) {
 			return nil, err
 		}
 		for i := 0; i < cnt && r.Err() == nil; i++ {
-			mo.edges = append(mo.edges, readEdge(r))
+			mo.Edges = append(mo.Edges, readEdge(r))
 		}
 		if r.Bool() {
-			mo.vertexEdges = make(map[int][]graph.Edge)
+			mo.VertexEdges = make(map[int][]graph.Edge)
 			nv := int(r.Uvarint())
 			if err := checkCount(r, nv); err != nil {
 				return nil, err
@@ -177,13 +140,13 @@ func ReadOutput(r *wire.Reader) (any, error) {
 				for j := 0; j < ne && r.Err() == nil; j++ {
 					es = append(es, readEdge(r))
 				}
-				mo.vertexEdges[v] = es
+				mo.VertexEdges[v] = es
 			}
 		}
-		mo.failures = r.Varint()
-		mo.phases = int(r.Uvarint())
-		mo.elimIters = int(r.Uvarint())
-		mo.weakRounds = int(r.Uvarint())
+		mo.Failures = r.Varint()
+		mo.Phases = int(r.Uvarint())
+		mo.ElimIters = int(r.Uvarint())
+		mo.WeakRounds = int(r.Uvarint())
 		if r.Err() != nil {
 			return nil, r.Err()
 		}
@@ -238,7 +201,9 @@ func checkCount(r *wire.Reader, n int) error {
 	if err := r.Err(); err != nil {
 		return err
 	}
-	if n < 0 || n > maxOutputItems {
+	// Every item takes at least one byte on the wire, so a count beyond
+	// the bytes left is corrupt — and must not size an allocation.
+	if n < 0 || n > maxOutputItems || n > r.Len() {
 		return fmt.Errorf("core: output collection size %d out of range", n)
 	}
 	return nil

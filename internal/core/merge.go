@@ -77,23 +77,6 @@ func (st *CompState) Encode(buf []byte) []byte {
 	return buf
 }
 
-// DecodeState parses a CompState produced by Encode.
-func DecodeState(r *wire.Reader) *CompState {
-	st := &CompState{
-		Label:  r.Uvarint(),
-		Cur:    r.Uvarint(),
-		Parent: r.Uvarint(),
-	}
-	st.Holders = append([]byte(nil), r.Bytes()...)
-	st.HasBest = r.Bool()
-	st.BestU = int(r.Uvarint())
-	st.BestV = int(r.Uvarint())
-	st.BestW = r.Varint()
-	st.TargetLabel = r.Uvarint()
-	st.ElimDone = r.Bool()
-	return st
-}
-
 // NewCompState returns a fresh root state for a component label.
 func NewCompState(label uint64, k int) *CompState {
 	return &CompState{Label: label, Cur: label, Parent: label, Holders: make([]byte, (k+7)/8)}
@@ -314,6 +297,40 @@ func (m *Merger) PhaseSync() (active, failures uint64, cancelled bool) {
 	return active, fc & (1<<cancelShift - 1), fc>>cancelShift > 0
 }
 
+// PhaseFunc observes the end of a job's i-th phase (0-based within the
+// job): the machine's completed round count and the cluster-wide
+// collectives' values. Observation only — it must not communicate.
+type PhaseFunc func(i, round int, active, failures uint64)
+
+// RunPhases is the Borůvka phase driver every job on every host runs:
+// up to maxPhases phases numbered firstPhase, firstPhase+1, … (0 for a
+// one-shot run; the session-global counter on a residency, so proxies and
+// ranks never repeat), each phase sel → Collapse → BroadcastAndRelabel →
+// PhaseSync. It stops when no component anywhere is active and nothing
+// failed (converged), when the machines jointly observe a cancellation
+// request, or when maxPhases are spent (neither flag set).
+func (m *Merger) RunPhases(firstPhase, maxPhases int, sel func(i int), after PhaseFunc) (phases int, converged, cancelled bool) {
+	for m.Phase = firstPhase; phases < maxPhases; m.Phase++ {
+		m.StateSlot = 0
+		m.PhaseActive = 0
+		sel(phases)
+		m.Collapse()
+		m.BroadcastAndRelabel()
+		active, failures, cancel := m.PhaseSync()
+		if after != nil {
+			after(phases, m.Ctx.Round(), active, failures)
+		}
+		phases++
+		if cancel {
+			return phases, false, true
+		}
+		if active == 0 && failures == 0 {
+			return phases, true, false
+		}
+	}
+	return phases, false, false
+}
+
 // NewMerger returns a merge engine for one machine.
 func NewMerger(ctx *kmachine.Ctx, view GraphView, cfg Config) *Merger {
 	return &Merger{
@@ -446,43 +463,62 @@ func (m *Merger) ApplyRank(st *CompState, nbrLabel uint64) {
 	}
 }
 
-// SelectSketch is the paper's per-phase selection path (§2.3–2.4): part
-// sketches to component proxies, linear combination, l0-sample, neighbor-
-// label resolution, DRR ranking. It fills m.States with each component's
-// merge decision; Collapse and BroadcastAndRelabel finish the phase. The
-// static connectivity machine and the resident substrate's derived-view
-// jobs both run exactly this code.
+// SelectSketch is the paper's per-phase selection path (§2.3–2.5): fresh
+// part sketches to component proxies, linear combination, l0-sample,
+// neighbor-label resolution, DRR ranking. It fills m.States with each
+// component's merge decision; Collapse and BroadcastAndRelabel finish the
+// phase.
 func (m *Merger) SelectSketch() {
+	m.GatherFreshParts(m.Sh.SketchSeed(m.Phase, 0))
+	m.RankSampled(nil)
+}
+
+// GatherParts is the first half of a sketch selection step (§2.3, Lemma
+// 3): every part's sketch — whatever part returns for it, encoded before
+// the next call — travels to its component's proxy, which sums the parts
+// per component (intra-component edges cancel by linearity) and records
+// the part holders. Payloads are interned exact-size in the arena.
+func (m *Merger) GatherParts(seed uint64, part func(label uint64, members []int) *sketch.Sketch) {
 	parts := m.Parts()
-	seed := m.Sh.SketchSeed(m.Phase, 0)
-	a := m.Comm.Arena()
-
-	// Part sketches to component proxies (Lemma 3). One pooled sketch is
-	// reset per part; payloads are interned exact-size in the arena.
 	out := m.outBuf[:0]
-	part := m.Pool().Get(seed)
 	for _, label := range SortedKeys(parts) {
-		for _, v := range parts[label] {
-			part.AddVertex(v, m.View.Adj(v), nil)
-		}
-		out = append(out, proxy.Out{Dst: m.ProxyOf(0, label), Data: m.SketchPayload(label, part), Framed: true})
-		part.Reset()
+		out = append(out, proxy.Out{Dst: m.ProxyOf(0, label), Data: m.SketchPayload(label, part(label, parts[label])), Framed: true})
 	}
-	m.Pool().Put(part)
 	recv := m.Comm.Exchange(out)
-
-	// Proxy side: sum part sketches per component, record part holders.
+	m.outBuf = out
 	m.AccumulateParts(recv, seed)
+}
 
-	// Sample an outgoing edge per component; resolve the neighbor label by
-	// querying the outside endpoint's home machine.
-	out = out[:0]
+// GatherFreshParts gathers part sketches built fresh against the view
+// under seed. One pooled sketch is reset per part.
+func (m *Merger) GatherFreshParts(seed uint64) {
+	sk := m.Pool().Get(seed)
+	m.GatherParts(seed, func(_ uint64, members []int) *sketch.Sketch {
+		sk.Reset()
+		for _, v := range members {
+			sk.AddVertex(v, m.View.Adj(v), nil)
+		}
+		return sk
+	})
+	m.Pool().Put(sk)
+}
+
+// RankSampled is the second half (§2.4–2.5): sample an outgoing edge from
+// every gathered component sum, resolve the neighbor's label by querying
+// the outside endpoint's home machine (which also validates that the edge
+// exists), and apply the merge rule. merged, when non-nil, sees every
+// component that connected to its neighbor, with the sampled edge in
+// PendU/PendV and its weight.
+func (m *Merger) RankSampled(merged func(st *CompState, w int64)) {
+	a := m.Comm.Arena()
+	out := m.outBuf[:0]
 	for _, label := range m.StateKeys() {
-		sk := m.States[label].Sum
-		m.States[label].Sum = nil
-		x, y, insideSmaller, st := sk.SampleEdge()
+		st := m.States[label]
+		sk := st.Sum
+		st.Sum = nil
+		x, y, insideSmaller, status := sk.SampleEdge()
 		m.Pool().Put(sk)
-		switch st {
+		switch status {
 		case sketch.Empty:
 			// No outgoing edges: inactive root this phase.
 		case sketch.Failed:
@@ -492,6 +528,7 @@ func (m *Merger) SelectSketch() {
 			if insideSmaller {
 				outside = y
 			}
+			st.PendU, st.PendV = x, y
 			q := a.Grab(40)
 			q = wire.AppendUvarint(q, uint64(outside))
 			q = wire.AppendUvarint(q, uint64(x))
@@ -500,19 +537,16 @@ func (m *Merger) SelectSketch() {
 			out = append(out, proxy.Out{Dst: m.View.Home(outside), Data: a.Commit(q)})
 		}
 	}
-	recv = m.Comm.Exchange(out)
+	recv := m.Comm.Exchange(out)
 	m.outBuf = out
-
-	// Home machines answer label queries and validate the edge exists.
 	recv = m.Comm.Exchange(m.AnswerLabelQueries(recv))
 
-	// DRR ranking (§2.5).
 	for _, msg := range recv {
 		r := wire.NewReader(msg.Data)
 		askLabel := r.Uvarint()
 		nbrLabel := r.Uvarint()
 		valid := r.Bool()
-		r.Varint() // weight, unused for connectivity
+		w := r.Varint()
 		st := m.States[askLabel]
 		if st == nil {
 			panic("core: reply for unknown component")
@@ -524,6 +558,9 @@ func (m *Merger) SelectSketch() {
 		}
 		m.PhaseActive++
 		m.ApplyRank(st, nbrLabel)
+		if merged != nil && st.Parent != st.Label {
+			merged(st, w)
+		}
 	}
 }
 

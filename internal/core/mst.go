@@ -20,7 +20,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"kmgraph/internal/graph"
 	"kmgraph/internal/kmachine"
@@ -62,14 +61,16 @@ type MSTResult struct {
 	Metrics kmachine.Metrics
 }
 
-type mstOutput struct {
-	labels      map[int]uint64
-	edges       []graph.Edge
-	vertexEdges map[int][]graph.Edge
-	failures    int64
-	phases      int
-	elimIters   int
-	weakRounds  int
+// MSTOutput is each machine's designated output of an MST job (the MST
+// counterpart of MachineOutput).
+type MSTOutput struct {
+	Labels      map[int]uint64
+	Edges       []graph.Edge
+	VertexEdges map[int][]graph.Edge
+	Failures    int64
+	Phases      int
+	ElimIters   int
+	WeakRounds  int
 }
 
 // DefaultMaxElimIters returns the default per-phase elimination cap for an
@@ -82,6 +83,16 @@ func DefaultMaxElimIters(n int) int {
 	return 2*l + 8
 }
 
+// WithDefaults resolves zero-valued fields for an n-vertex input exactly
+// as RunMST would.
+func (c MSTConfig) WithDefaults(n int) MSTConfig {
+	c.Config = c.Config.WithDefaults(n)
+	if c.MaxElimIters == 0 {
+		c.MaxElimIters = DefaultMaxElimIters(n)
+	}
+	return c
+}
+
 // RunMST executes the MST algorithm on g under a fresh random vertex
 // partition.
 func RunMST(g *graph.Graph, cfg MSTConfig) (*MSTResult, error) {
@@ -92,70 +103,59 @@ func RunMST(g *graph.Graph, cfg MSTConfig) (*MSTResult, error) {
 // deadline passes, the underlying cluster aborts and ctx.Err() is
 // returned.
 func RunMSTContext(ctx context.Context, g *graph.Graph, cfg MSTConfig) (*MSTResult, error) {
-	cfg.Config = cfg.Config.withDefaults(g.N())
-	if cfg.MaxElimIters == 0 {
-		cfg.MaxElimIters = DefaultMaxElimIters(g.N())
-	}
+	cfg = cfg.WithDefaults(g.N())
 	part := kmachine.NewRVP(g, cfg.K, uint64(cfg.Seed)^0x9e37)
-	cluster, err := kmachine.New(kmachine.Config{
-		K:                   cfg.K,
-		BandwidthBits:       cfg.BandwidthBits,
-		MessageOverheadBits: cfg.MessageOverheadBits,
-		Seed:                cfg.Seed,
-		MaxRounds:           cfg.MaxRounds,
-	})
+	res, err := runOneShot(ctx, cfg.Config, MSTHandler(func(id int) GraphView { return part.View(id) }, cfg))
 	if err != nil {
 		return nil, err
 	}
-	res, err := cluster.RunContext(ctx, func(mctx *kmachine.Ctx) error {
-		m := &mstMachine{machine: newMachine(mctx, part.View(mctx.ID()), cfg.Config), mstCfg: cfg}
-		return m.run()
-	})
+	out, err := AssembleMST(g.N(), res.Outputs)
 	if err != nil {
 		return nil, err
 	}
-	return assembleMST(g.N(), res)
+	out.Metrics = res.Metrics
+	return out, nil
 }
 
-func assembleMST(n int, res *kmachine.Result) (*MSTResult, error) {
-	out := &MSTResult{Labels: make([]uint64, n), Metrics: res.Metrics}
+// AssembleMST combines one MSTOutput per machine into the global MST
+// result over n vertices (Metrics is left to the host, as in Assemble).
+func AssembleMST(n int, outputs []any) (*MSTResult, error) {
+	out := &MSTResult{Labels: make([]uint64, n)}
 	byID := make(map[uint64]graph.Edge)
-	for i, o := range res.Outputs {
-		mo, ok := o.(*mstOutput)
+	for i, o := range outputs {
+		mo, ok := o.(*MSTOutput)
 		if !ok {
 			return nil, fmt.Errorf("core: machine %d produced no MST output", i)
 		}
-		for v, l := range mo.labels {
+		for v, l := range mo.Labels {
+			if v < 0 || v >= n {
+				return nil, fmt.Errorf("core: machine %d labeled vertex %d of %d", i, v, n)
+			}
 			out.Labels[v] = l
 		}
-		for _, e := range mo.edges {
+		for _, e := range mo.Edges {
 			byID[graph.EdgeID(e.U, e.V, n)] = e
 		}
-		out.SketchFailures += mo.failures
-		if mo.phases > out.Phases {
-			out.Phases = mo.phases
+		out.SketchFailures += mo.Failures
+		if mo.Phases > out.Phases {
+			out.Phases = mo.Phases
 		}
-		if mo.elimIters > out.ElimIters {
-			out.ElimIters = mo.elimIters
+		if mo.ElimIters > out.ElimIters {
+			out.ElimIters = mo.ElimIters
 		}
-		if mo.weakRounds > out.WeakRounds {
-			out.WeakRounds = mo.weakRounds
+		if mo.WeakRounds > out.WeakRounds {
+			out.WeakRounds = mo.WeakRounds
 		}
-		if mo.vertexEdges != nil {
+		if mo.VertexEdges != nil {
 			if out.VertexEdges == nil {
 				out.VertexEdges = make(map[int][]graph.Edge)
 			}
-			for v, es := range mo.vertexEdges {
+			for v, es := range mo.VertexEdges {
 				out.VertexEdges[v] = es
 			}
 		}
 	}
-	ids := make([]uint64, 0, len(byID))
-	for id := range byID {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
+	for _, id := range SortedKeys(byID) {
 		e := byID[id]
 		out.Edges = append(out.Edges, e)
 		out.TotalWeight += e.W
@@ -163,48 +163,37 @@ func assembleMST(n int, res *kmachine.Result) (*MSTResult, error) {
 	return out, nil
 }
 
-type mstMachine struct {
-	*machine
-	mstCfg MSTConfig
-	w      *MWOE
+// MSTHandler returns the per-machine MST program over the given view
+// lookup. cfg must already be resolved (MSTConfig.WithDefaults).
+func MSTHandler(view func(id int) GraphView, cfg MSTConfig) kmachine.Handler {
+	return func(mctx *kmachine.Ctx) error {
+		m := NewMerger(mctx, view(mctx.ID()), cfg.Config)
+		defer m.ReleasePools()
+		if err := m.Setup(); err != nil {
+			return err
+		}
+		out, _, _ := m.MSTJob(0, cfg.MaxElimIters, cfg.StrongOutput, m.configHook)
+		mctx.SetOutput(out)
+		return nil
+	}
 }
 
-func (m *mstMachine) run() error {
-	defer m.ReleasePools()
-	if err := m.Setup(); err != nil {
-		return err
+// MSTJob is the Theorem 2 program over a ready Merger: MWOE selection
+// phases numbered from firstPhase, MST edges accumulated on the proxies
+// (weak output) and, with strong set, disseminated to both endpoints'
+// homes. A cancelled job skips the dissemination.
+func (m *Merger) MSTJob(firstPhase, maxElimIters int, strong bool, after PhaseFunc) (out *MSTOutput, converged, cancelled bool) {
+	w := NewMWOE(m, maxElimIters)
+	phases, converged, cancelled := m.RunPhases(firstPhase, m.Cfg.MaxPhases, func(int) { w.Select() }, after)
+	out = &MSTOutput{Phases: phases, WeakRounds: m.Ctx.Round()}
+	if strong && !cancelled {
+		out.VertexEdges = w.DisseminateStrong()
 	}
-	m.w = NewMWOE(m.Merger, m.mstCfg.MaxElimIters)
-	out := &mstOutput{}
-	for m.Phase = 0; m.Phase < m.Cfg.MaxPhases; m.Phase++ {
-		m.StateSlot = 0
-		m.PhaseActive = 0
-		m.w.Select()
-		m.Collapse()
-		m.BroadcastAndRelabel()
-		active, failures, _ := m.PhaseSync()
-		if m.Cfg.PhaseHook != nil && m.Ctx.ID() == m.Cfg.PhaseHookID {
-			m.Cfg.PhaseHook(m.Phase, m.Ctx.Round())
-		}
-		out.phases = m.Phase + 1
-		if active == 0 && failures == 0 {
-			break
-		}
+	out.Labels = m.Labels
+	out.Failures = m.Failures
+	out.ElimIters = w.ElimIters
+	for _, id := range SortedKeys(w.Edges) {
+		out.Edges = append(out.Edges, w.Edges[id])
 	}
-	out.weakRounds = m.Ctx.Round()
-
-	if m.mstCfg.StrongOutput {
-		out.vertexEdges = m.w.DisseminateStrong()
-	}
-
-	out.labels = m.Labels
-	out.failures = m.Failures
-	out.elimIters = m.w.ElimIters
-	var edges []graph.Edge
-	for _, id := range SortedKeys(m.w.Edges) {
-		edges = append(edges, m.w.Edges[id])
-	}
-	out.edges = edges
-	m.Ctx.SetOutput(out)
-	return nil
+	return out, converged, cancelled
 }

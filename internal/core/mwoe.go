@@ -49,24 +49,11 @@ func (w *MWOE) Select() {
 	m := w.M
 	k := m.Ctx.K()
 	n := m.View.N()
-	parts := m.Parts()
 
 	// Iteration 0: unfiltered sketches, exactly as connectivity.
-	seed := m.Sh.SketchSeed(m.Phase, 0)
+	m.GatherFreshParts(m.Sh.SketchSeed(m.Phase, 0))
+	parts := m.Parts()
 	a := m.Comm.Arena()
-	var out []proxy.Out
-	part := m.Pool().Get(seed)
-	for _, label := range SortedKeys(parts) {
-		for _, v := range parts[label] {
-			part.AddVertex(v, m.View.Adj(v), nil)
-		}
-		out = append(out, proxy.Out{Dst: m.ProxyOf(0, label), Data: m.SketchPayload(label, part), Framed: true})
-		part.Reset()
-	}
-	m.Pool().Put(part)
-	recv := m.Comm.Exchange(out)
-
-	m.AccumulateParts(recv, seed)
 
 	active := w.sampleAndResolve()
 
@@ -108,7 +95,7 @@ func (w *MWOE) Select() {
 		}
 
 		// Combined exchange: thresholds to part holders + state handoff.
-		out = nil
+		var out []proxy.Out
 		newStates := m.takeSpareStates()
 		thresholds := make(map[uint64][2]uint64) // label -> {weight(bits), id}
 		for _, label := range m.StateKeys() {
@@ -137,7 +124,7 @@ func (w *MWOE) Select() {
 				m.stFree = append(m.stFree, st)
 			}
 		}
-		recv = m.Comm.Exchange(out)
+		recv := m.Comm.Exchange(out)
 		for _, msg := range recv {
 			switch msg.Data[0] {
 			case tagThreshold:
@@ -159,7 +146,7 @@ func (w *MWOE) Select() {
 		m.StateSlot++
 
 		// Filtered part re-sketches to the (new) proxies.
-		seed = m.Sh.SketchSeed(m.Phase, s)
+		seed := m.Sh.SketchSeed(m.Phase, s)
 		out = nil
 		part := m.Pool().Get(seed)
 		for _, label := range SortedKeys(thresholds) {

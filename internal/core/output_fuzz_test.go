@@ -1,0 +1,100 @@
+package core
+
+import (
+	"context"
+	"reflect"
+	"runtime"
+	"testing"
+
+	"kmgraph/internal/graph"
+	"kmgraph/internal/kmachine"
+	"kmgraph/internal/wire"
+)
+
+// realOutputs returns the per-machine outputs of real runs of both job
+// families: connectivity with the §2.6 count (machine 0 carries phase
+// rounds and the count) and strong-output MST (vertex-edge maps).
+func realOutputs(t testing.TB) []any {
+	t.Helper()
+	g := graph.WithDistinctWeights(graph.GNM(60, 150, 3), 4)
+	part := kmachine.NewRVP(g, 3, 1)
+	view := func(id int) GraphView { return part.View(id) }
+	cfg := MSTConfig{Config: Config{K: 3, Seed: 5, CountComponents: true}, StrongOutput: true}.WithDefaults(g.N())
+	var outs []any
+	for _, h := range []kmachine.Handler{ConnectivityHandler(view, cfg.Config), MSTHandler(view, cfg)} {
+		res, err := runOneShot(context.Background(), cfg.Config, h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		outs = append(outs, res.Outputs...)
+	}
+	return outs
+}
+
+// TestOutputRoundTrip: ReadOutput(AppendOutput(o)) is the identity on
+// what the handlers of both families really produce.
+func TestOutputRoundTrip(t *testing.T) {
+	strong := false
+	for i, o := range realOutputs(t) {
+		b, err := AppendOutput(nil, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := wire.NewReader(b)
+		got, err := ReadOutput(r)
+		if err != nil || r.Done() != nil {
+			t.Fatalf("output %d: decode: %v / trailing: %v", i, err, r.Done())
+		}
+		if !reflect.DeepEqual(got, o) {
+			t.Fatalf("output %d drifted through the wire:\n got  %+v\n want %+v", i, got, o)
+		}
+		if mo, ok := o.(*MSTOutput); ok && len(mo.VertexEdges) > 0 {
+			strong = true
+		}
+	}
+	if !strong {
+		t.Fatal("no strong-output vertex-edge map among the real outputs")
+	}
+}
+
+// FuzzReadOutput: the decoder of worker-supplied output bytes never
+// panics, allocates in proportion to its input (a count field alone must
+// not size an allocation), accepts only what re-encodes to an equal
+// value, and hands the assemblers nothing that makes them panic.
+func FuzzReadOutput(f *testing.F) {
+	for _, o := range realOutputs(f) {
+		b, err := AppendOutput(nil, o)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Add([]byte{})
+	f.Add([]byte{outputConn, 0xff, 0xff, 0xff, 0x7f})                   // 2^28-1 labels, no bytes
+	f.Add([]byte{outputConn, 0, 0, 0, 0, 0, 1, 0xff, 0xff, 0xff, 0x7f}) // 2^28-1 phase rounds
+	f.Add([]byte{outputMST, 0, 0xff, 0xff, 0xff, 0x7f})                 // 2^28-1 edges
+	f.Add([]byte{outputMST, 1, 0xff, 0xff, 0x03, 7, 0, 1})              // vertex 65535 of a 4-vertex graph
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		o, err := ReadOutput(wire.NewReader(data))
+		runtime.ReadMemStats(&m1)
+		if grew, budget := m1.TotalAlloc-m0.TotalAlloc, uint64(1<<16+512*len(data)); grew > budget {
+			t.Fatalf("decoding %d bytes allocated %d (budget %d)", len(data), grew, budget)
+		}
+		if err != nil {
+			return
+		}
+		b, err := AppendOutput(nil, o)
+		if err != nil {
+			t.Fatalf("decoded value does not re-encode: %v", err)
+		}
+		o2, err := ReadOutput(wire.NewReader(b))
+		if err != nil || !reflect.DeepEqual(o, o2) {
+			t.Fatalf("re-encoded value drifted (err %v):\n got  %+v\n want %+v", err, o2, o)
+		}
+		// Whatever vertices the bytes name, assembly reports, never panics.
+		Assemble(4, []any{o})
+		AssembleMST(4, []any{o})
+	})
+}

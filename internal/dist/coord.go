@@ -105,7 +105,12 @@ func RunConnectivityOpts(ctx context.Context, addrs []string, source string, cfg
 	if err != nil {
 		return nil, err
 	}
-	return core.Assemble(n, res)
+	out, err := core.Assemble(n, res.Outputs)
+	if err != nil {
+		return nil, err
+	}
+	out.Metrics = res.Metrics
+	return out, nil
 }
 
 // RunMST runs a distributed MST job over the worker fleet at addrs.
@@ -120,7 +125,12 @@ func RunMSTOpts(ctx context.Context, addrs []string, source string, cfg core.MST
 	if err != nil {
 		return nil, err
 	}
-	return core.AssembleMST(n, res)
+	out, err := core.AssembleMST(n, res.Outputs)
+	if err != nil {
+		return nil, err
+	}
+	out.Metrics = res.Metrics
+	return out, nil
 }
 
 type gathered struct {

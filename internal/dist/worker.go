@@ -497,35 +497,19 @@ func (w *Worker) execute(ctx context.Context, job *Job, st *jobState) ([]byte, e
 		st.spans.Store(rec)
 	}
 
-	var handler kmachine.Handler
-	var resolved core.Config
+	// A decoded job carries the shared configuration in both Conn and
+	// MST.Config, so one resolution serves either kind.
+	cfg := job.MST.WithDefaults(n)
+	if rec != nil {
+		cfg.PhaseHook, cfg.PhaseHookID = rec.Hook(), lo
+	}
 	view := func(id int) core.GraphView { return part.View(id) }
-	switch job.Kind {
-	case KindConnectivity:
-		cfg := job.Conn.WithDefaults(n)
-		if rec != nil {
-			cfg.PhaseHook, cfg.PhaseHookID = rec.Hook(), lo
-		}
-		resolved = cfg
-		handler = core.ConnectivityHandler(view, cfg)
-	case KindMST:
-		cfg := job.MST.WithDefaults(n)
-		if rec != nil {
-			cfg.PhaseHook, cfg.PhaseHookID = rec.Hook(), lo
-		}
-		resolved = cfg.Config
+	handler := core.ConnectivityHandler(view, cfg.Config)
+	if job.Kind == KindMST {
 		handler = core.MSTHandler(view, cfg)
-	default:
-		return nil, fmt.Errorf("dist: unknown job kind %d", job.Kind)
 	}
 
-	cluster, err := kmachine.NewWithTransport(kmachine.Config{
-		K:                   k,
-		BandwidthBits:       resolved.BandwidthBits,
-		MessageOverheadBits: resolved.MessageOverheadBits,
-		Seed:                resolved.Seed,
-		MaxRounds:           resolved.MaxRounds,
-	}, func(p transport.Params, met *transport.Metrics, workers int) (transport.Transport, error) {
+	cluster, err := kmachine.NewWithTransport(cfg.MachineConfig(), func(p transport.Params, met *transport.Metrics, workers int) (transport.Transport, error) {
 		tr, err := tcp.New(p, met, workers, lo, hi, peers)
 		if err == nil {
 			peersOwned = false

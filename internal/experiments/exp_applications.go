@@ -213,25 +213,25 @@ func E9() Experiment {
 				runsErr error
 			}
 			var rows []row
-			scs, err := verify.SpanningConnectedSubgraph(g, tree, cfg)
+			scs, err := verify.OneShot(g, cfg, verify.SpanningConnectedSubgraph, verify.Args{H: tree})
 			rows = append(rows, row{"spanning connected subgraph", scs, true, err})
-			cut, err := verify.Cut(bridgedG, bridges, cfg)
+			cut, err := verify.OneShot(bridgedG, cfg, verify.CutVerification, verify.Args{Cut: bridges})
 			rows = append(rows, row{"cut", cut, true, err})
-			st, err := verify.STConnectivity(g, 0, n-1, cfg)
+			st, err := verify.OneShot(g, cfg, verify.STConnectivity, verify.Args{S: 0, T: n - 1})
 			rows = append(rows, row{"s-t connectivity", st, graph.SameComponent(g, 0, n-1), err})
-			eap, err := verify.EdgeOnAllPaths(graph.Path(n), 0, n-1, graph.Edge{U: n / 2, V: n/2 + 1}, cfg)
+			eap, err := verify.OneShot(graph.Path(n), cfg, verify.EdgeOnAllPaths, verify.Args{S: 0, T: n - 1, E: graph.Edge{U: n / 2, V: n/2 + 1}})
 			rows = append(rows, row{"edge on all paths", eap, true, err})
-			stc, err := verify.STCut(bridgedG, 0, n/8, bridges, cfg)
+			stc, err := verify.OneShot(bridgedG, cfg, verify.STCutVerification, verify.Args{S: 0, T: n / 8, Cut: bridges})
 			rows = append(rows, row{"s-t cut", stc, true, err})
-			bip, err := verify.Bipartiteness(grid, cfg)
+			bip, err := verify.OneShot(grid, cfg, verify.Bipartiteness, verify.Args{})
 			rows = append(rows, row{"bipartiteness (grid)", bip, true, err})
-			bip2, err := verify.Bipartiteness(odd, cfg)
+			bip2, err := verify.OneShot(odd, cfg, verify.Bipartiteness, verify.Args{})
 			rows = append(rows, row{"bipartiteness (odd cycle)", bip2, false, err})
-			cyc, err := verify.CycleContainment(g, cfg)
+			cyc, err := verify.OneShot(g, cfg, verify.CycleContainment, verify.Args{})
 			rows = append(rows, row{"cycle containment", cyc, graph.HasCycle(g), err})
 			probe := g.Edges()[0]
 			onCycle := graph.SameComponent(g.RemoveEdges([]graph.Edge{probe}), probe.U, probe.V)
-			ecyc, err := verify.ECycleContainment(g, probe, cfg)
+			ecyc, err := verify.OneShot(g, cfg, verify.ECycleContainment, verify.Args{E: probe})
 			rows = append(rows, row{"e-cycle containment", ecyc, onCycle, err})
 
 			for _, r := range rows {

@@ -1,11 +1,12 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"kmgraph/internal/core"
-	"kmgraph/internal/dynamic"
 	"kmgraph/internal/graph"
+	"kmgraph/internal/resident"
 	"kmgraph/internal/stats"
 )
 
@@ -67,24 +68,25 @@ func runDynamic(p Params) ([]*stats.Table, error) {
 
 func runDynamicConfig(wl dynWorkload, n, m, batches, batchSize, k int, seed int64) ([]string, error) {
 	s := wl.stream(n, m, batches, batchSize, seed)
-	sess, err := dynamic.NewSession(s.Initial, dynamic.Config{K: k, Seed: seed})
+	ctx := context.Background()
+	sess, err := resident.New(s.Initial, resident.Config{K: k, Seed: seed})
 	if err != nil {
 		return nil, err
 	}
 	defer sess.Close()
-	buildup, err := sess.Query()
+	buildup, err := sess.Query(ctx)
 	if err != nil {
 		return nil, err
 	}
 	snap := s.Initial
 	var apply, query, static, phases, dirty float64
 	for i, ops := range s.Batches {
-		br, err := sess.ApplyBatch(ops)
+		br, err := sess.ApplyBatch(ctx, ops)
 		if err != nil {
 			return nil, err
 		}
 		snap = graph.ApplyOps(snap, ops)
-		q, err := sess.Query()
+		q, err := sess.Query(ctx)
 		if err != nil {
 			return nil, err
 		}

@@ -45,54 +45,58 @@ type Result struct {
 	Metrics kmachine.Metrics
 }
 
-// Approximate estimates the edge connectivity of g within an O(log n)
-// factor w.h.p.
-func Approximate(g *graph.Graph, cfg Config) (*Result, error) {
-	if cfg.Trials == 0 {
-		cfg.Trials = 3
+// Sampled reports whether the edge with the given ID survives a trial's
+// sampling: a shared hash of (trial seed, edge ID) clears the level's
+// threshold. Every host filters with exactly this predicate.
+func Sampled(tseed, threshold, edgeID uint64) bool {
+	return hashing.Hash2(tseed, edgeID) < threshold
+}
+
+// Runner executes one connectivity run of the level search and returns
+// its component count. Level 0 is the graph itself; at level >= 1 the run
+// sees only the edges Sampled(tseed, threshold, ·) keeps.
+type Runner func(level, trial int, tseed, threshold uint64) (components int, err error)
+
+// Search is the Theorem 3 level search over an n-vertex graph, as a driver
+// over the host's connectivity runner: trials samples per level (0 => 3)
+// at rates 2^-1 … 2^-maxLevel (0 => 40), stopping at the first level where
+// a majority of samples disconnect. It fills Estimate, Level and Runs;
+// the host accounts Rounds and Metrics.
+func Search(n int, seed int64, trials, maxLevel int, run Runner) (*Result, error) {
+	if trials == 0 {
+		trials = 3
 	}
-	if cfg.MaxLevel == 0 {
-		cfg.MaxLevel = 40
+	if maxLevel == 0 {
+		maxLevel = 40
 	}
 	res := &Result{}
-	sampleSeed := hashing.Hash2(uint64(cfg.Seed), 0x3c17)
-
-	runConn := func(sub *graph.Graph, seedTweak int64) (int, error) {
-		c := cfg.Config
-		c.Seed = cfg.Seed + seedTweak
-		r, err := core.Run(sub, c)
-		if err != nil {
-			return 0, err
+	runConn := func(level, trial int, tseed, threshold uint64) (int, error) {
+		cc, err := run(level, trial, tseed, threshold)
+		if err == nil {
+			res.Runs++
 		}
-		res.Runs++
-		res.Rounds += r.Metrics.Rounds
-		res.Metrics.Rounds += r.Metrics.Rounds
-		res.Metrics.Messages += r.Metrics.Messages
-		res.Metrics.PayloadBytes += r.Metrics.PayloadBytes
-		return r.Components, nil
+		return cc, err
 	}
 
 	// Level 0 (p = 1) is the input graph itself.
-	base, err := runConn(g, 0)
+	base, err := runConn(0, 0, 0, 0)
 	if err != nil {
 		return nil, err
 	}
-	if base > 1 && g.N() > 0 {
+	if base > 1 && n > 0 {
 		res.Level = -1
 		res.Estimate = 0
 		return res, nil
 	}
 
-	logn := math.Log(float64(g.N()) + 2)
-	for level := 1; level <= cfg.MaxLevel; level++ {
+	sampleSeed := hashing.Hash2(uint64(seed), 0x3c17)
+	logn := math.Log(float64(n) + 2)
+	for level := 1; level <= maxLevel; level++ {
 		threshold := uint64(1) << uint(64-level)
 		disconnected := 0
-		for trial := 0; trial < cfg.Trials; trial++ {
+		for trial := 0; trial < trials; trial++ {
 			tseed := hashing.Hash3(sampleSeed, uint64(level), uint64(trial))
-			sub := g.Filter(func(e graph.Edge) bool {
-				return hashing.Hash2(tseed, graph.EdgeID(e.U, e.V, g.N())) < threshold
-			})
-			cc, err := runConn(sub, int64(level*100+trial+1))
+			cc, err := runConn(level, trial, tseed, threshold)
 			if err != nil {
 				return nil, err
 			}
@@ -100,7 +104,7 @@ func Approximate(g *graph.Graph, cfg Config) (*Result, error) {
 				disconnected++
 			}
 		}
-		if 2*disconnected >= cfg.Trials {
+		if 2*disconnected >= trials {
 			// Majority of samples at rate 2^-level disconnected:
 			// λ ≈ 2^level · ln n up to an O(log n) factor.
 			res.Level = level
@@ -112,7 +116,37 @@ func Approximate(g *graph.Graph, cfg Config) (*Result, error) {
 		}
 	}
 	// Never disconnected: λ exceeds every tested rate's threshold.
-	res.Level = cfg.MaxLevel + 1
-	res.Estimate = math.Exp2(float64(cfg.MaxLevel)) * logn / 2
+	res.Level = maxLevel + 1
+	res.Estimate = math.Exp2(float64(maxLevel)) * logn / 2
+	return res, nil
+}
+
+// Approximate estimates the edge connectivity of g within an O(log n)
+// factor w.h.p. — the one-shot host of Search: every run materializes its
+// sample with g.Filter and pays a fresh cluster (core.Run) under its own
+// seed.
+func Approximate(g *graph.Graph, cfg Config) (*Result, error) {
+	var met kmachine.Metrics
+	res, err := Search(g.N(), cfg.Seed, cfg.Trials, cfg.MaxLevel, func(level, trial int, tseed, threshold uint64) (int, error) {
+		sub, c := g, cfg.Config
+		if level > 0 {
+			sub = g.Filter(func(e graph.Edge) bool {
+				return Sampled(tseed, threshold, graph.EdgeID(e.U, e.V, g.N()))
+			})
+			c.Seed += int64(level*100 + trial + 1)
+		}
+		r, err := core.Run(sub, c)
+		if err != nil {
+			return 0, err
+		}
+		met.Rounds += r.Metrics.Rounds
+		met.Messages += r.Metrics.Messages
+		met.PayloadBytes += r.Metrics.PayloadBytes
+		return r.Components, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	res.Rounds, res.Metrics = met.Rounds, met
 	return res, nil
 }

@@ -12,7 +12,8 @@ package resident
 import (
 	"kmgraph/internal/core"
 	"kmgraph/internal/graph"
-	"kmgraph/internal/hashing"
+	"kmgraph/internal/mincut"
+	"kmgraph/internal/verify"
 )
 
 // View kinds of a derived run.
@@ -41,17 +42,28 @@ func newRunSpec(kind int) *runSpec {
 	return &runSpec{kind: kind, probeU: -1, probeV: -1}
 }
 
-// specEdges returns a keep/remove spec over an edge-ID set.
-func specEdges(kind int, edges map[uint64]bool) *runSpec {
-	s := newRunSpec(kind)
-	s.edges = edges
-	return s
-}
-
-// specSample returns a shared-hash sampling spec (min-cut trials).
-func specSample(tseed, threshold uint64) *runSpec {
-	s := newRunSpec(viewSample)
-	s.tseed, s.threshold = tseed, threshold
+// specForView maps a verification reduction's view of G to the run spec
+// the machines derive it from; edge sets travel as EdgeIDs over n.
+func specForView(v verify.View, n int) *runSpec {
+	s := newRunSpec(viewFull)
+	switch v.Kind {
+	case verify.ViewKeep:
+		s.kind = viewKeep
+	case verify.ViewRemove:
+		s.kind = viewRemove
+	case verify.ViewDoubleCover:
+		s.kind = viewCover
+	}
+	if s.kind == viewKeep || s.kind == viewRemove {
+		s.edges = make(map[uint64]bool, len(v.Edges))
+		for _, ed := range v.Edges {
+			ed = ed.Canon()
+			s.edges[graph.EdgeID(ed.U, ed.V, n)] = true
+		}
+	}
+	if v.Probe != nil {
+		s.probeU, s.probeV = v.Probe.U, v.Probe.V
+	}
 	return s
 }
 
@@ -78,7 +90,7 @@ func (s *runSpec) keepEdge(u, v, n int) bool {
 	case viewRemove:
 		return !s.edges[graph.EdgeID(u, v, n)]
 	case viewSample:
-		return hashing.Hash2(s.tseed, graph.EdgeID(u, v, n)) < s.threshold
+		return mincut.Sampled(s.tseed, s.threshold, graph.EdgeID(u, v, n))
 	}
 	return true
 }

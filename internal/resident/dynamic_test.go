@@ -1,6 +1,10 @@
-package dynamic
+package resident
+
+// The batch/query job family under churn (the former internal/dynamic
+// suite, now driving the engine directly).
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -48,18 +52,15 @@ func assertMatchesOracle(t *testing.T, g *graph.Graph, q *QueryResult) {
 	}
 }
 
-// replay runs a stream through a session, checking every batch's result
+// replay runs a stream through an engine, checking every batch's result
 // and every query against the oracle snapshot; it returns the per-batch
 // results for further assertions.
 func replay(t *testing.T, s *graph.Stream, cfg Config) ([]*BatchResult, []*QueryResult) {
 	t.Helper()
-	sess, err := NewSession(s.Initial, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
+	ctx := context.Background()
+	sess := mustEngine(t, s.Initial, cfg)
 	snap := s.Initial
-	if q, err := sess.Query(); err != nil {
+	if q, err := sess.Query(ctx); err != nil {
 		t.Fatal(err)
 	} else {
 		assertMatchesOracle(t, snap, q)
@@ -67,7 +68,7 @@ func replay(t *testing.T, s *graph.Stream, cfg Config) ([]*BatchResult, []*Query
 	var brs []*BatchResult
 	var qrs []*QueryResult
 	for i, ops := range s.Batches {
-		br, err := sess.ApplyBatch(ops)
+		br, err := sess.ApplyBatch(ctx, ops)
 		if err != nil {
 			t.Fatalf("batch %d: %v", i, err)
 		}
@@ -75,7 +76,7 @@ func replay(t *testing.T, s *graph.Stream, cfg Config) ([]*BatchResult, []*Query
 			t.Fatalf("batch %d: clean stream saw rejections: %+v", i, br)
 		}
 		snap = graph.ApplyOps(snap, ops)
-		q, err := sess.Query()
+		q, err := sess.Query(ctx)
 		if err != nil {
 			t.Fatalf("query %d: %v", i, err)
 		}
@@ -121,41 +122,13 @@ func TestCoinMergeAndLevelWise(t *testing.T) {
 	replay(t, s, Config{K: 3, Seed: 7, CollapseLevelWise: true})
 }
 
-// TestStaticEquivalence pins the "static run = one-shot dynamic session"
-// property: a session queried once on its initial graph answers exactly
-// what the static algorithm and the oracle answer.
-func TestStaticEquivalence(t *testing.T) {
-	g := graph.GNM(400, 700, 3)
-	cfg := Config{K: 5, Seed: 13}
-	sess, err := NewSession(g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-	q, err := sess.Query()
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertMatchesOracle(t, g, q)
-	static, err := core.Run(g, core.Config{K: 5, Seed: 13})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q.Components != static.Components {
-		t.Fatalf("dynamic %d components, static %d", q.Components, static.Components)
-	}
-}
-
 func TestEdgeCases(t *testing.T) {
+	ctx := context.Background()
 	g := graph.Path(50) // 0-1-...-49
-	sess, err := NewSession(g, Config{K: 3, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
+	sess := mustEngine(t, g, Config{K: 3, Seed: 2})
 
 	// Empty batch.
-	br, err := sess.ApplyBatch(nil)
+	br, err := sess.ApplyBatch(ctx, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +137,7 @@ func TestEdgeCases(t *testing.T) {
 	}
 
 	// Duplicate insert, delete of a non-existent edge, invalid ops.
-	br, err = sess.ApplyBatch([]graph.EdgeOp{
+	br, err = sess.ApplyBatch(ctx, []graph.EdgeOp{
 		{U: 0, V: 1, W: 1},          // duplicate: path already has it
 		{Del: true, U: 0, V: 2},     // absent edge
 		{U: 7, V: 7, W: 1},          // self-loop
@@ -178,7 +151,7 @@ func TestEdgeCases(t *testing.T) {
 	if *br != want {
 		t.Fatalf("got %+v, want %+v", *br, want)
 	}
-	q, err := sess.Query()
+	q, err := sess.Query(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +159,7 @@ func TestEdgeCases(t *testing.T) {
 
 	// Delete-then-reinsert within one batch: net no-op on the graph, both
 	// ops applied, and connectivity intact.
-	br, err = sess.ApplyBatch([]graph.EdgeOp{
+	br, err = sess.ApplyBatch(ctx, []graph.EdgeOp{
 		{Del: true, U: 24, V: 25},
 		{U: 24, V: 25, W: 1},
 	})
@@ -196,7 +169,7 @@ func TestEdgeCases(t *testing.T) {
 	if br.Applied != 2 || br.RejectedDeletes+br.RejectedInserts != 0 {
 		t.Fatalf("delete-then-reinsert: %+v", br)
 	}
-	q, err = sess.Query()
+	q, err = sess.Query(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,20 +179,20 @@ func TestEdgeCases(t *testing.T) {
 	}
 
 	// Reinsert-after-query of a previously deleted forest edge.
-	if _, err := sess.ApplyBatch([]graph.EdgeOp{{Del: true, U: 10, V: 11}}); err != nil {
+	if _, err := sess.ApplyBatch(ctx, []graph.EdgeOp{{Del: true, U: 10, V: 11}}); err != nil {
 		t.Fatal(err)
 	}
-	q, err = sess.Query()
+	q, err = sess.Query(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if q.Components != 2 {
 		t.Fatalf("after split: components = %d, want 2", q.Components)
 	}
-	if _, err := sess.ApplyBatch([]graph.EdgeOp{{U: 10, V: 11, W: 1}}); err != nil {
+	if _, err := sess.ApplyBatch(ctx, []graph.EdgeOp{{U: 10, V: 11, W: 1}}); err != nil {
 		t.Fatal(err)
 	}
-	q, err = sess.Query()
+	q, err = sess.Query(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,22 +224,18 @@ func TestDeterminism(t *testing.T) {
 func TestIncrementalCheaperThanStatic(t *testing.T) {
 	n, m, k := 1000, 3000, 8
 	s := graph.RandomChurnStream(n, m, 3, m/100, 0.5, 41)
-	cfg := Config{K: k, Seed: 47}
-	sess, err := NewSession(s.Initial, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-	if _, err := sess.Query(); err != nil { // initial build-up
+	ctx := context.Background()
+	sess := mustEngine(t, s.Initial, Config{K: k, Seed: 47})
+	if _, err := sess.Query(ctx); err != nil { // initial build-up
 		t.Fatal(err)
 	}
 	snap := s.Initial
 	for i, ops := range s.Batches {
-		if _, err := sess.ApplyBatch(ops); err != nil {
+		if _, err := sess.ApplyBatch(ctx, ops); err != nil {
 			t.Fatal(err)
 		}
 		snap = graph.ApplyOps(snap, ops)
-		q, err := sess.Query()
+		q, err := sess.Query(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -286,11 +255,12 @@ func TestIncrementalCheaperThanStatic(t *testing.T) {
 
 // TestSessionLifecycle checks Close idempotence and post-close errors.
 func TestSessionLifecycle(t *testing.T) {
-	sess, err := NewSession(graph.Cycle(30), Config{K: 2, Seed: 1})
+	ctx := context.Background()
+	sess, err := New(graph.Cycle(30), Config{K: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sess.Query(); err != nil {
+	if _, err := sess.Query(ctx); err != nil {
 		t.Fatal(err)
 	}
 	met, err := sess.Close()
@@ -300,10 +270,10 @@ func TestSessionLifecycle(t *testing.T) {
 	if met.Rounds <= 0 || met.DroppedMessages != 0 {
 		t.Fatalf("bad session metrics: %+v", met)
 	}
-	if _, err := sess.ApplyBatch(nil); err != ErrClosed {
+	if _, err := sess.ApplyBatch(ctx, nil); err != ErrClosed {
 		t.Fatalf("ApplyBatch after close: %v", err)
 	}
-	if _, err := sess.Query(); err != ErrClosed {
+	if _, err := sess.Query(ctx); err != ErrClosed {
 		t.Fatalf("Query after close: %v", err)
 	}
 	if _, err := sess.Close(); err != nil {

@@ -3,13 +3,11 @@ package resident
 import (
 	"context"
 	"errors"
-	"math"
 	"sync"
 	"sync/atomic"
 
 	"kmgraph/internal/core"
 	"kmgraph/internal/graph"
-	"kmgraph/internal/hashing"
 	"kmgraph/internal/kmachine"
 	"kmgraph/internal/mincut"
 	"kmgraph/internal/verify"
@@ -118,13 +116,7 @@ func newEngine(n, edges int, cfg Config, makeView func(id int) *dynView) (*Engin
 	if banksN <= 0 {
 		banksN = defaultBanks(n)
 	}
-	kc, err := kmachine.New(kmachine.Config{
-		K:                   ccfg.K,
-		BandwidthBits:       ccfg.BandwidthBits,
-		MessageOverheadBits: ccfg.MessageOverheadBits,
-		Seed:                ccfg.Seed,
-		MaxRounds:           ccfg.MaxRounds,
-	})
+	kc, err := kmachine.New(ccfg.MachineConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -474,7 +466,7 @@ func (e *Engine) ApplyBatch(ctx context.Context, ops []graph.EdgeOp) (*BatchResu
 		t.end(err)
 		return nil, err
 	}
-	r0 := rs[0]
+	r0 := rs[0].out.(*batchOutput)
 	e.statMu.Lock()
 	e.batches++
 	e.edges += r0.appliedIns - r0.appliedDel
@@ -519,32 +511,31 @@ func (e *Engine) Query(ctx context.Context) (*QueryResult, error) {
 	e.statMu.Lock()
 	e.queries++
 	e.statMu.Unlock()
-	if rs[0].cancelled {
+	outs, converged, cancelled := jobOutputs(rs)
+	if cancelled {
 		err := t.cancelErr()
 		t.end(err)
 		return nil, err
 	}
-	res := &QueryResult{Labels: make([]uint64, e.n), Rounds: rounds, Epoch: t.epoch}
-	converged := true
-	for _, r := range rs {
-		for v, l := range r.labels {
-			res.Labels[v] = l
-		}
-		if r.phases > res.Phases {
-			res.Phases = r.phases
-		}
-		if r.collapseIters > res.CollapseIters {
-			res.CollapseIters = r.collapseIters
-		}
-		res.SketchFailures += r.failures
-		converged = converged && r.converged
+	cr, err := core.Assemble(e.n, outs)
+	if err != nil {
+		t.end(err)
+		return nil, err
 	}
-	r0 := rs[0]
-	res.Components = r0.components
-	res.Forest = r0.forest
-	res.RelabeledVertices = r0.relabeled
-	res.CertificateEdges = r0.certEdges
-	res.MergeEdges = r0.mergeEdges
+	q := rs[0].out.(*jobOutput).query
+	res := &QueryResult{
+		Labels:            cr.Labels,
+		Components:        q.components,
+		Forest:            q.forest,
+		Phases:            cr.Phases,
+		Rounds:            rounds,
+		SketchFailures:    cr.SketchFailures,
+		CollapseIters:     cr.CollapseIters,
+		RelabeledVertices: q.relabeled,
+		CertificateEdges:  q.certEdges,
+		MergeEdges:        q.mergeEdges,
+		Epoch:             t.epoch,
+	}
 	if !converged {
 		t.end(ErrNotConverged)
 		return res, ErrNotConverged
@@ -553,6 +544,18 @@ func (e *Engine) Query(ctx context.Context) (*QueryResult, error) {
 		return res, oerr
 	}
 	return res, nil
+}
+
+// jobOutputs splits one phase-driven job's replies into the per-machine
+// outputs core assembles and the phase driver's verdict (which the
+// machines reach jointly, so any one reply carries it).
+func jobOutputs(rs []reply) (outs []any, converged, cancelled bool) {
+	outs = make([]any, len(rs))
+	for i, r := range rs {
+		outs[i] = r.out.(*jobOutput).machine
+	}
+	r0 := rs[0].out.(*jobOutput)
+	return outs, r0.converged, r0.cancelled
 }
 
 // MST constructs the minimum spanning forest of the current graph
@@ -566,312 +569,114 @@ func (e *Engine) MST(ctx context.Context, strong bool) (*core.MSTResult, error) 
 		return nil, err
 	}
 	startR := e.lastMaxRound
-	rs, _, err := e.command(hostCmd{kind: cmdMST, mst: &mstSpec{strong: strong}, seq: t.seq, name: t.name})
+	rs, _, err := e.command(hostCmd{kind: cmdMST, strong: strong, seq: t.seq, name: t.name})
 	if err != nil {
 		t.end(err)
 		return nil, err
 	}
-	if rs[0].cancelled {
+	outs, _, cancelled := jobOutputs(rs)
+	if cancelled {
 		err := t.cancelErr()
 		t.end(err)
 		return nil, err
 	}
-	out := &core.MSTResult{Labels: make([]uint64, e.n)}
-	byID := make(map[uint64]graph.Edge)
-	weakMax := 0
-	for _, r := range rs {
-		for v, l := range r.labels {
-			out.Labels[v] = l
-		}
-		for _, ed := range r.mstEdges {
-			byID[graph.EdgeID(ed.U, ed.V, e.n)] = ed
-		}
-		out.SketchFailures += r.failures
-		if r.phases > out.Phases {
-			out.Phases = r.phases
-		}
-		if r.elimIters > out.ElimIters {
-			out.ElimIters = r.elimIters
-		}
-		if r.weakRounds > weakMax {
-			weakMax = r.weakRounds
-		}
-		if r.vertexEdges != nil {
-			if out.VertexEdges == nil {
-				out.VertexEdges = make(map[int][]graph.Edge)
-			}
-			for v, es := range r.vertexEdges {
-				out.VertexEdges[v] = es
-			}
-		}
+	out, err := core.AssembleMST(e.n, outs)
+	if err != nil {
+		t.end(err)
+		return nil, err
 	}
-	for _, id := range core.SortedKeys(byID) {
-		ed := byID[id]
-		out.Edges = append(out.Edges, ed)
-		out.TotalWeight += ed.W
-	}
-	out.WeakRounds = weakMax - startR
+	out.WeakRounds -= startR // machines report session-cumulative rounds
 	var oerr error
 	out.Metrics, oerr = t.endOK()
-	if oerr != nil {
-		return out, oerr
-	}
-	return out, nil
-}
-
-// runOutcome is the host-side result of one derived-view connectivity run.
-type runOutcome struct {
-	components   int
-	labels       []uint64
-	probePresent bool
-	rounds       int
+	return out, oerr
 }
 
 // runDerived executes one derived-view connectivity run under an admitted
-// job and assembles the outcome.
-func (e *Engine) runDerived(t *jobToken, spec *runSpec) (*runOutcome, error) {
+// job and returns what the reductions read off it, plus the rounds it cost.
+func (e *Engine) runDerived(t *jobToken, spec *runSpec) (verify.Run, int, error) {
 	if err := t.ctx.Err(); err != nil {
-		return nil, err
+		return verify.Run{}, 0, err
 	}
 	rs, rounds, err := e.command(hostCmd{kind: cmdRun, spec: spec, seq: t.seq, name: t.name})
 	if err != nil {
-		return nil, err
+		return verify.Run{}, 0, err
 	}
-	if rs[0].cancelled {
-		return nil, t.cancelErr()
+	outs, converged, cancelled := jobOutputs(rs)
+	if cancelled {
+		return verify.Run{}, 0, t.cancelErr()
+	}
+	if !converged {
+		return verify.Run{}, 0, ErrNotConverged
 	}
 	nView := e.n
 	if spec.kind == viewCover {
 		nView = 2 * e.n
 	}
-	out := &runOutcome{labels: make([]uint64, nView), rounds: rounds}
-	converged := true
+	cr, err := core.Assemble(nView, outs)
+	if err != nil {
+		return verify.Run{}, 0, err
+	}
+	run := verify.Run{Components: cr.Components, Labels: cr.Labels}
 	for _, r := range rs {
-		for v, l := range r.labels {
-			out.labels[v] = l
-		}
-		out.probePresent = out.probePresent || r.probePresent
-		converged = converged && r.converged
+		run.ProbePresent = run.ProbePresent || r.out.(*jobOutput).probePresent
 	}
-	if !converged {
-		return nil, ErrNotConverged
-	}
-	seen := make(map[uint64]bool)
-	for _, l := range out.labels {
-		seen[l] = true
-	}
-	out.components = len(seen)
-	return out, nil
+	return run, rounds, nil
 }
 
 // MinCut estimates the edge connectivity of the current graph within an
-// O(log n) factor (Theorem 3) by Karger-style sampling trials, each a
-// derived-view connectivity run on the residency. trials and maxLevel
-// follow mincut.Config semantics (0 selects 3 and 40).
+// O(log n) factor (Theorem 3): the resident host of mincut.Search, each
+// sampling trial a derived-view connectivity run on the residency. trials
+// and maxLevel follow mincut.Config semantics (0 selects 3 and 40).
 func (e *Engine) MinCut(ctx context.Context, trials, maxLevel int) (*mincut.Result, error) {
-	if trials == 0 {
-		trials = 3
-	}
-	if maxLevel == 0 {
-		maxLevel = 40
-	}
 	t, err := e.begin(ctx, "mincut")
 	if err != nil {
 		return nil, err
 	}
-	res := &mincut.Result{}
-	fail := func(err error) (*mincut.Result, error) {
+	total := 0
+	res, err := mincut.Search(e.n, e.ccfg.Seed, trials, maxLevel, func(level, _ int, tseed, threshold uint64) (int, error) {
+		spec := newRunSpec(viewFull)
+		if level > 0 {
+			spec.kind, spec.tseed, spec.threshold = viewSample, tseed, threshold
+		}
+		run, rounds, err := e.runDerived(t, spec)
+		total += rounds
+		return run.Components, err
+	})
+	if err != nil {
 		t.end(err)
 		return nil, err
 	}
-	runConn := func(spec *runSpec) (int, error) {
-		out, err := e.runDerived(t, spec)
-		if err != nil {
-			return 0, err
-		}
-		res.Runs++
-		res.Rounds += out.rounds
-		return out.components, nil
-	}
-
-	// Level 0 (p = 1) is the live graph itself.
-	base, err := runConn(newRunSpec(viewFull))
-	if err != nil {
-		return fail(err)
-	}
-	if base > 1 && e.n > 0 {
-		res.Level = -1
-		res.Estimate = 0
-		var oerr error
-		res.Metrics, oerr = t.endOK()
-		return res, oerr
-	}
-
-	sampleSeed := hashing.Hash2(uint64(e.ccfg.Seed), 0x3c17)
-	logn := math.Log(float64(e.n) + 2)
-	for level := 1; level <= maxLevel; level++ {
-		threshold := uint64(1) << uint(64-level)
-		disconnected := 0
-		for trial := 0; trial < trials; trial++ {
-			tseed := hashing.Hash3(sampleSeed, uint64(level), uint64(trial))
-			cc, err := runConn(specSample(tseed, threshold))
-			if err != nil {
-				return fail(err)
-			}
-			if cc > base {
-				disconnected++
-			}
-		}
-		if 2*disconnected >= trials {
-			// Majority of samples at rate 2^-level disconnected:
-			// λ ≈ 2^level · ln n up to an O(log n) factor.
-			res.Level = level
-			res.Estimate = math.Exp2(float64(level-1)) * logn / 2
-			if res.Estimate < 1 {
-				res.Estimate = 1
-			}
-			var oerr error
-			res.Metrics, oerr = t.endOK()
-			return res, oerr
-		}
-	}
-	// Never disconnected: λ exceeds every tested rate's threshold.
-	res.Level = maxLevel + 1
-	res.Estimate = math.Exp2(float64(maxLevel)) * logn / 2
+	res.Rounds = total
 	var oerr error
 	res.Metrics, oerr = t.endOK()
 	return res, oerr
 }
 
-// edgeIDSet canonicalizes an edge list into an EdgeID set over n vertices.
-func edgeIDSet(edges []graph.Edge, n int) map[uint64]bool {
-	set := make(map[uint64]bool, len(edges))
-	for _, ed := range edges {
-		ed = ed.Canon()
-		set[graph.EdgeID(ed.U, ed.V, n)] = true
-	}
-	return set
-}
-
 // Verify runs one of the Theorem 4 verification problems against the
-// current graph, each a reduction to one or two derived-view connectivity
-// runs on the residency.
+// current graph: the resident host of verify.Decide, each run of the
+// reduction a derived-view connectivity run on the residency.
 func (e *Engine) Verify(ctx context.Context, p Problem, args VerifyArgs) (*verify.Outcome, error) {
 	t, err := e.begin(ctx, "verify")
 	if err != nil {
 		return nil, err
 	}
-	out := &verify.Outcome{}
-	fail := func(err error) (*verify.Outcome, error) {
+	e.statMu.Lock()
+	m := e.edges // stable for the job: only ApplyBatch changes it, and jobs serialize
+	e.statMu.Unlock()
+	total := 0
+	out, err := verify.Decide(p, args, e.n, m, func(v verify.View) (verify.Run, error) {
+		run, rounds, err := e.runDerived(t, specForView(v, e.n))
+		total += rounds
+		return run, err
+	})
+	if err != nil {
 		t.end(err)
 		return nil, err
 	}
-	run := func(spec *runSpec) (*runOutcome, error) {
-		ro, err := e.runDerived(t, spec)
-		if err != nil {
-			return nil, err
-		}
-		out.Runs++
-		out.Rounds += ro.rounds
-		return ro, nil
-	}
-	stOK := func(s, t int) bool { return s >= 0 && t >= 0 && s < e.n && t < e.n }
-
-	switch p {
-	case SpanningConnectedSubgraph:
-		ro, err := run(specEdges(viewKeep, edgeIDSet(args.H, e.n)))
-		if err != nil {
-			return fail(err)
-		}
-		out.Holds = ro.components == 1 || e.n <= 1
-
-	case CutVerification:
-		before, err := run(newRunSpec(viewFull))
-		if err != nil {
-			return fail(err)
-		}
-		after, err := run(specEdges(viewRemove, edgeIDSet(args.Cut, e.n)))
-		if err != nil {
-			return fail(err)
-		}
-		out.Holds = after.components > before.components
-
-	case STConnectivity:
-		if !stOK(args.S, args.T) {
-			return fail(errors.New("resident: s/t out of range"))
-		}
-		ro, err := run(newRunSpec(viewFull))
-		if err != nil {
-			return fail(err)
-		}
-		out.Holds = ro.labels[args.S] == ro.labels[args.T]
-
-	case EdgeOnAllPaths:
-		if !stOK(args.S, args.T) {
-			return fail(errors.New("resident: s/t out of range"))
-		}
-		ro, err := run(specEdges(viewRemove, edgeIDSet([]graph.Edge{args.E}, e.n)))
-		if err != nil {
-			return fail(err)
-		}
-		out.Holds = ro.labels[args.S] != ro.labels[args.T]
-
-	case STCutVerification:
-		if !stOK(args.S, args.T) {
-			return fail(errors.New("resident: s/t out of range"))
-		}
-		ro, err := run(specEdges(viewRemove, edgeIDSet(args.Cut, e.n)))
-		if err != nil {
-			return fail(err)
-		}
-		out.Holds = ro.labels[args.S] != ro.labels[args.T]
-
-	case Bipartiteness:
-		g, err := run(newRunSpec(viewFull))
-		if err != nil {
-			return fail(err)
-		}
-		d, err := run(newRunSpec(viewCover))
-		if err != nil {
-			return fail(err)
-		}
-		out.Holds = d.components == 2*g.components
-
-	case CycleContainment:
-		ro, err := run(newRunSpec(viewFull))
-		if err != nil {
-			return fail(err)
-		}
-		e.statMu.Lock()
-		m := e.edges
-		e.statMu.Unlock()
-		out.Holds = m > e.n-ro.components
-
-	case ECycleContainment:
-		ed := args.E.Canon()
-		if ed.U < 0 || ed.V >= e.n || ed.U == ed.V {
-			return fail(errors.New("resident: edge out of range"))
-		}
-		spec := specEdges(viewRemove, edgeIDSet([]graph.Edge{ed}, e.n))
-		spec.probeU, spec.probeV = ed.U, ed.V
-		ro, err := run(spec)
-		if err != nil {
-			return fail(err)
-		}
-		if !ro.probePresent {
-			return fail(errors.New("resident: edge not in graph"))
-		}
-		out.Holds = ro.labels[ed.U] == ro.labels[ed.V]
-
-	default:
-		return fail(errors.New("resident: unknown verification problem"))
-	}
+	out.Rounds = total
 	var oerr error
 	out.Metrics, oerr = t.endOK()
-	if oerr != nil {
-		return out, oerr
-	}
-	return out, nil
+	return out, oerr
 }
 
 // Metrics reports the engine's cumulative cost accounting. It is safe to
@@ -917,28 +722,6 @@ func (e *Engine) N() int { return e.n }
 
 // K returns the machine count.
 func (e *Engine) K() int { return e.k }
-
-// Rounds returns the cumulative engine rounds consumed so far (load
-// included). It reflects the last completed command.
-func (e *Engine) Rounds() int {
-	e.statMu.Lock()
-	defer e.statMu.Unlock()
-	return e.lastSnapshot.Rounds
-}
-
-// Batches returns the number of batches applied so far.
-func (e *Engine) Batches() int {
-	e.statMu.Lock()
-	defer e.statMu.Unlock()
-	return e.batches
-}
-
-// Queries returns the number of connectivity queries answered so far.
-func (e *Engine) Queries() int {
-	e.statMu.Lock()
-	defer e.statMu.Unlock()
-	return e.queries
-}
 
 // Close shuts the cluster down and returns the session-wide engine
 // metrics. Further jobs return ErrClosed; Close is idempotent and waits

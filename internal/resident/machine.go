@@ -33,49 +33,48 @@ const (
 // barrier grouping — and therefore per-command round counts — cannot
 // depend on goroutine scheduling.
 type hostCmd struct {
-	kind int
-	seq  int            // job sequence number (observer events)
-	name string         // job family name (observer events)
-	ops  []graph.EdgeOp // cmdApply: machine 0 (ingress) only
-	spec *runSpec       // cmdRun
-	mst  *mstSpec       // cmdMST
-	wake chan struct{}
-}
-
-type mstSpec struct {
-	strong bool
+	kind   int
+	seq    int            // job sequence number (observer events)
+	name   string         // job family name (observer events)
+	ops    []graph.EdgeOp // cmdApply: machine 0 (ingress) only
+	spec   *runSpec       // cmdRun
+	strong bool           // cmdMST: strong output criterion
+	wake   chan struct{}
 }
 
 // reply is one machine's out-of-band result for one command — the model's
-// designated output variables o_i, read between commands.
+// designated output variable o_i, read between commands: nil (load ack),
+// *batchOutput, or *jobOutput.
 type reply struct {
 	id     int
 	rounds int
-	// batch
-	applied    int
-	appliedIns int
-	appliedDel int
-	rejIns     int
-	rejDel     int
-	// query / run / mst
-	labels        map[int]uint64
-	components    int
-	forest        []graph.Edge
-	phases        int
-	failures      int64
-	collapseIters int
-	relabeled     int
-	certEdges     int
-	mergeEdges    int
-	converged     bool
-	cancelled     bool
-	// run
-	probePresent bool
-	// mst
-	mstEdges    []graph.Edge
-	vertexEdges map[int][]graph.Edge
-	elimIters   int
-	weakRounds  int
+	out    any
+}
+
+// batchOutput is machine 0's verdict tally for one applied batch.
+type batchOutput struct {
+	applied, appliedIns, appliedDel int
+	rejIns, rejDel                  int
+}
+
+// jobOutput is one machine's output of a phase-driven job: the value the
+// one-shot handler of the same family would SetOutput (so the host
+// assembles it with core.Assemble / core.AssembleMST), plus the phase
+// driver's verdict and the resident-only extras.
+type jobOutput struct {
+	machine              any // *core.MachineOutput or *core.MSTOutput
+	converged, cancelled bool
+	probePresent         bool         // derived runs with a presence probe
+	query                *queryOutput // connectivity queries, machine 0 only
+}
+
+// queryOutput is the certificate coordinator's part of a query answer.
+type queryOutput struct {
+	components int
+	forest     []graph.Edge
+	relabeled  int
+	certEdges  int
+	mergeEdges int
 }
 
 // rmachine is one machine's resident state for the lifetime of the
@@ -115,7 +114,7 @@ func (m *rmachine) loop() error {
 	if m.ctx.ID() == 0 {
 		m.coord = newCoordinator(m.view.n)
 	}
-	m.reply(reply{}) // ready: load done, rounds carried in the reply
+	m.reply(nil) // ready: load done, rounds carried in the reply
 
 	for {
 		// Park while idling on the host: the round barrier proceeds
@@ -147,32 +146,43 @@ func (m *rmachine) loop() error {
 	}
 }
 
-func (m *rmachine) reply(r reply) {
-	r.id = m.ctx.ID()
-	r.rounds = m.ctx.Round()
-	m.e.replyCh <- r
+func (m *rmachine) reply(out any) {
+	m.e.replyCh <- reply{id: m.ctx.ID(), rounds: m.ctx.Round(), out: out}
 }
 
-// phaseEvent emits an observer event from machine 0 (free host-side
-// observability, between metered rounds). With Config.PhaseMetrics the
-// event carries a deep cluster-metrics snapshot, served by the
-// coordinator out-of-band (snapshot requests ride the event channel but
-// are not barrier events, so fetching one mid-run cannot wedge the
-// round loop or change any metered quantity).
-func (m *rmachine) phaseEvent(cmd hostCmd, phase int, active, failures uint64) {
+// phaseEvents returns the job's phase hook: an observer event from
+// machine 0 after every phase (free host-side observability, between
+// metered rounds). With Config.PhaseMetrics the event carries a deep
+// cluster-metrics snapshot, served by the coordinator out-of-band
+// (snapshot requests ride the event channel but are not barrier events,
+// so fetching one mid-run cannot wedge the round loop or change any
+// metered quantity).
+func (m *rmachine) phaseEvents(cmd hostCmd) core.PhaseFunc {
 	if m.ctx.ID() != 0 || m.e.cfg.Observer == nil {
-		return
+		return nil
 	}
-	ev := Event{
-		Job: cmd.name, Seq: cmd.seq, Phase: phase,
-		Round: m.ctx.Round(), Active: active, Failures: failures,
-	}
-	if m.e.cfg.PhaseMetrics {
-		if met, ok := m.e.kc.Snapshot(); ok {
-			ev.Snap = &met
+	return func(phase, round int, active, failures uint64) {
+		ev := Event{
+			Job: cmd.name, Seq: cmd.seq, Phase: phase,
+			Round: round, Active: active, Failures: failures,
 		}
+		if m.e.cfg.PhaseMetrics {
+			if met, ok := m.e.kc.Snapshot(); ok {
+				ev.Snap = &met
+			}
+		}
+		m.e.notify(ev)
 	}
-	m.e.notify(ev)
+}
+
+// jobMerger returns a fresh merge engine for one job over view: it reuses
+// the residency (session communicator, shared randomness) but none of the
+// incremental state — labels start as singletons. Release its pools when
+// the job is over.
+func (m *rmachine) jobMerger(view core.GraphView, cfg core.Config) *core.Merger {
+	fm := core.NewMergerOn(m.mg.Comm, view, cfg, m.mg.Sh, m.mg.Poly)
+	fm.Cancelled = m.e.jobCancelled
+	return fm
 }
 
 // applyBatch distributes a batch from the ingress to the endpoints' home
@@ -261,7 +271,7 @@ func (m *rmachine) applyBatch(ops []graph.EdgeOp) {
 		out = append(out, proxy.Out{Dst: 0, Data: a.Commit(data)})
 	}
 	recv = m.mg.Comm.Exchange(out)
-	rep := reply{}
+	rep := &batchOutput{}
 	if m.ctx.ID() == 0 {
 		acc := make([]bool, len(ops))
 		for _, msg := range recv {
@@ -349,14 +359,13 @@ func (m *rmachine) applyOp(del bool, u, v int, w int64) bool {
 func (m *rmachine) query(cmd hostCmd) {
 	startFail := m.mg.Failures
 	startCollapse := m.mg.CollapseIters
-	rep := reply{}
+	rep := &jobOutput{}
 
 	// Step 1: certificate piece relabel.
 	var out []proxy.Out
 	if m.ctx.ID() == 0 {
 		changes, cert := m.coord.recompute()
-		rep.relabeled = len(changes)
-		rep.certEdges = cert
+		rep.query = &queryOutput{relabeled: len(changes), certEdges: cert}
 		k := m.ctx.K()
 		bufs := make([][]byte, k)
 		counts := make([]int, k)
@@ -397,29 +406,10 @@ func (m *rmachine) query(cmd hostCmd) {
 		pre[v] = l
 	}
 	m.mergeRecs = m.mergeRecs[:0]
-	phases := 0
-	converged := false
-	cancelled := false
-	for phases < m.ccfg.MaxPhases {
-		m.mg.Phase = m.globalPhase
-		m.mg.StateSlot = 0
-		m.mg.PhaseActive = 0
-		m.selectBanks(phases % m.banksN)
-		m.mg.Collapse()
-		m.mg.BroadcastAndRelabel()
-		active, failures, cancel := m.mg.PhaseSync()
-		m.globalPhase++
-		phases++
-		m.phaseEvent(cmd, phases-1, active, failures)
-		if cancel {
-			cancelled = true
-			break
-		}
-		if active == 0 && failures == 0 {
-			converged = true
-			break
-		}
-	}
+	phases, converged, cancelled := m.mg.RunPhases(m.globalPhase, m.ccfg.MaxPhases,
+		func(i int) { m.selectBanks(i % m.banksN) }, m.phaseEvents(cmd))
+	m.globalPhase += phases
+	rep.converged, rep.cancelled = converged, cancelled
 
 	// Step 3: final sync — Boruvka label changes and sampled merge edges
 	// flow to the coordinator, which grows the forest and counts
@@ -460,201 +450,67 @@ func (m *rmachine) query(cmd hostCmd) {
 			}
 		}
 		m.coord.relabelAndGrow(changes, merges)
-		rep.components = m.coord.components()
-		rep.forest = m.coord.forestEdges()
-		rep.mergeEdges = len(merges)
+		rep.query.components = m.coord.components()
+		rep.query.forest = m.coord.forestEdges()
+		rep.query.mergeEdges = len(merges)
 	}
-	rep.phases = phases
-	rep.converged = converged
-	rep.cancelled = cancelled
-	rep.failures = m.mg.Failures - startFail
-	rep.collapseIters = m.mg.CollapseIters - startCollapse
-	rep.labels = make(map[int]uint64, len(m.mg.Labels))
+	// The session merger's labels and counters outlive the job: reply with
+	// a snapshot and this query's deltas.
+	labels := make(map[int]uint64, len(m.mg.Labels))
 	for v, l := range m.mg.Labels {
-		rep.labels[v] = l
+		labels[v] = l
+	}
+	rep.machine = &core.MachineOutput{
+		Labels:        labels,
+		Failures:      m.mg.Failures - startFail,
+		Phases:        phases,
+		CollapseIters: m.mg.CollapseIters - startCollapse,
+		ProtocolCount: -1,
 	}
 	m.reply(rep)
 }
 
-// selectBanks is the dynamic selection step: identical to the static
-// sketch path (§2.3–2.4) except that part sketches come from the
-// maintained banks instead of being built fresh against a per-phase
-// projection, and applied merges record their sampled edge for the
-// certificate forest.
+// selectBanks is the dynamic selection step: the static sketch path
+// (§2.3–2.5) with part sketches drawn from the maintained banks instead of
+// built fresh against a per-phase projection, and every applied merge's
+// sampled edge recorded for the certificate forest.
 func (m *rmachine) selectBanks(bank int) {
-	parts := m.mg.Parts()
-	seed := m.banks.seeds[bank]
-	a := m.mg.Comm.Arena()
-
-	// Part bank-sums to component proxies.
-	var out []proxy.Out
-	for _, label := range core.SortedKeys(parts) {
-		sk := m.banks.get(label, bank, parts[label], m.view)
-		out = append(out, proxy.Out{Dst: m.mg.ProxyOf(0, label), Data: m.mg.SketchPayload(label, sk), Framed: true})
-	}
-	recv := m.mg.Comm.Exchange(out)
-
-	// Proxy side: sum part sketches per component (linearity cancels
-	// intra-component edges), record part holders.
-	m.mg.AccumulateParts(recv, seed)
-
-	// Sample an outgoing edge per component; resolve the neighbor label by
-	// querying the outside endpoint's home machine (live adjacency).
-	out = nil
-	for _, label := range m.mg.StateKeys() {
-		cst := m.mg.States[label]
-		sk := cst.Sum
-		cst.Sum = nil
-		x, y, insideSmaller, st := sk.SampleEdge()
-		m.mg.Pool().Put(sk)
-		switch st {
-		case sketch.Empty:
-			// No outgoing edges: inactive root this phase.
-		case sketch.Failed:
-			m.mg.Failures++
-		case sketch.Sampled:
-			outside := x
-			if insideSmaller {
-				outside = y
-			}
-			cst.PendU, cst.PendV = x, y
-			q := a.Grab(40)
-			q = wire.AppendUvarint(q, uint64(outside))
-			q = wire.AppendUvarint(q, uint64(x))
-			q = wire.AppendUvarint(q, uint64(y))
-			q = wire.AppendUvarint(q, label)
-			out = append(out, proxy.Out{Dst: m.view.Home(outside), Data: a.Commit(q)})
-		}
-	}
-	recv = m.mg.Comm.Exchange(out)
-	out = m.mg.AnswerLabelQueries(recv)
-	recv = m.mg.Comm.Exchange(out)
-
-	// DRR ranking; applied merges record the sampled edge as a fresh
-	// forest edge.
-	for _, msg := range recv {
-		r := wire.NewReader(msg.Data)
-		askLabel := r.Uvarint()
-		nbrLabel := r.Uvarint()
-		valid := r.Bool()
-		w := r.Varint()
-		st := m.mg.States[askLabel]
-		if st == nil {
-			panic("resident: reply for unknown component")
-		}
-		if !valid || nbrLabel == askLabel {
-			m.mg.Failures++
-			continue
-		}
-		m.mg.PhaseActive++
-		m.mg.ApplyRank(st, nbrLabel)
-		if st.Parent != st.Label {
-			m.mergeRecs = append(m.mergeRecs, graph.Edge{U: st.PendU, V: st.PendV, W: w})
-		}
-	}
+	m.mg.GatherParts(m.banks.seeds[bank], func(label uint64, members []int) *sketch.Sketch {
+		return m.banks.get(label, bank, members, m.view)
+	})
+	m.mg.RankSampled(func(st *core.CompState, w int64) {
+		m.mergeRecs = append(m.mergeRecs, graph.Edge{U: st.PendU, V: st.PendV, W: w})
+	})
 }
 
 // runDerived executes one fresh connectivity computation over a derived
 // view of the live graph — the building block of the min-cut sampling
-// trials and the verification reductions. The job reuses the residency
-// (partition, shared randomness, session communicator) but none of the
-// incremental state: labels start as singletons over the derived view.
+// trials and the verification reductions: core's connectivity job on a
+// per-job merger over the derived view.
 func (m *rmachine) runDerived(cmd hostCmd) {
 	spec := cmd.spec
-	rep := reply{}
+	rep := &jobOutput{}
 	if spec.probeU >= 0 && m.view.Home(spec.probeU) == m.ctx.ID() {
 		rep.probePresent = m.view.has(spec.probeU, spec.probeV)
 	}
-	view := m.derive(spec)
-	cfg := m.runConfig(spec)
-	fm := core.NewMergerOn(m.mg.Comm, view, cfg, m.mg.Sh, m.mg.Poly)
+	fm := m.jobMerger(m.derive(spec), m.runConfig(spec))
 	defer fm.ReleasePools()
-	fm.Cancelled = m.e.jobCancelled
-
-	phases := 0
-	converged := false
-	cancelled := false
-	for phases < cfg.MaxPhases {
-		fm.Phase = m.globalPhase
-		fm.StateSlot = 0
-		fm.PhaseActive = 0
-		fm.SelectSketch()
-		fm.Collapse()
-		fm.BroadcastAndRelabel()
-		active, failures, cancel := fm.PhaseSync()
-		m.globalPhase++
-		phases++
-		m.phaseEvent(cmd, phases-1, active, failures)
-		if cancel {
-			cancelled = true
-			break
-		}
-		if active == 0 && failures == 0 {
-			converged = true
-			break
-		}
-	}
-	rep.phases = phases
-	rep.converged = converged
-	rep.cancelled = cancelled
-	rep.failures = fm.Failures
-	rep.collapseIters = fm.CollapseIters
-	rep.labels = fm.Labels
+	out, converged, cancelled := fm.ConnectivityJob(m.globalPhase, m.phaseEvents(cmd))
+	m.globalPhase += out.Phases
+	rep.machine, rep.converged, rep.cancelled = out, converged, cancelled
 	m.reply(rep)
 }
 
-// runMST constructs the minimum spanning forest of the live graph with the
-// §3.1 algorithm: fresh singleton labels over the resident adjacency,
-// MWOE selection phases through the shared engine, MST edges accumulated
-// on the proxies (weak output) and optionally disseminated to both
-// endpoints' homes (strong output).
+// runMST constructs the minimum spanning forest of the live graph: core's
+// §3.1 MST job on a per-job merger over the resident adjacency.
 func (m *rmachine) runMST(cmd hostCmd) {
-	rep := reply{}
-	fm := core.NewMergerOn(m.mg.Comm, m.view, m.ccfg, m.mg.Sh, m.mg.Poly)
+	fm := m.jobMerger(m.view, m.ccfg)
 	defer fm.ReleasePools()
-	fm.Cancelled = m.e.jobCancelled
 	maxElim := m.e.cfg.MaxElimIters
 	if maxElim <= 0 {
 		maxElim = core.DefaultMaxElimIters(m.view.N())
 	}
-	w := core.NewMWOE(fm, maxElim)
-
-	phases := 0
-	converged := false
-	cancelled := false
-	for phases < m.ccfg.MaxPhases {
-		fm.Phase = m.globalPhase
-		fm.StateSlot = 0
-		fm.PhaseActive = 0
-		w.Select()
-		fm.Collapse()
-		fm.BroadcastAndRelabel()
-		active, failures, cancel := fm.PhaseSync()
-		m.globalPhase++
-		phases++
-		m.phaseEvent(cmd, phases-1, active, failures)
-		if cancel {
-			cancelled = true
-			break
-		}
-		if active == 0 && failures == 0 {
-			converged = true
-			break
-		}
-	}
-	rep.weakRounds = m.ctx.Round()
-	if cmd.mst.strong && !cancelled {
-		rep.vertexEdges = w.DisseminateStrong()
-	}
-	rep.phases = phases
-	rep.converged = converged
-	rep.cancelled = cancelled
-	rep.failures = fm.Failures
-	rep.collapseIters = fm.CollapseIters
-	rep.elimIters = w.ElimIters
-	rep.labels = fm.Labels
-	for _, id := range core.SortedKeys(w.Edges) {
-		rep.mstEdges = append(rep.mstEdges, w.Edges[id])
-	}
-	m.reply(rep)
+	out, converged, cancelled := fm.MSTJob(m.globalPhase, maxElim, cmd.strong, m.phaseEvents(cmd))
+	m.globalPhase += out.Phases
+	m.reply(&jobOutput{machine: out, converged: converged, cancelled: cancelled})
 }

@@ -45,6 +45,7 @@ import (
 	"kmgraph/internal/graph"
 	"kmgraph/internal/kmachine"
 	"kmgraph/internal/sketch"
+	"kmgraph/internal/verify"
 )
 
 // Config parameterizes a resident engine. The zero value of everything
@@ -280,65 +281,12 @@ type Metrics struct {
 	ObserverPanics uint64
 }
 
-// Problem identifies one of the Theorem 4 verification problems.
-type Problem int
-
-const (
-	// SpanningConnectedSubgraph: does H span G and is it connected?
-	SpanningConnectedSubgraph Problem = iota
-	// CutVerification: does removing the edge set disconnect G further?
-	CutVerification
-	// STConnectivity: are S and T connected?
-	STConnectivity
-	// EdgeOnAllPaths: does E lie on every S-T path?
-	EdgeOnAllPaths
-	// STCutVerification: does removing the edge set separate S from T?
-	STCutVerification
-	// Bipartiteness: is G 2-colorable (via the double cover)?
-	Bipartiteness
-	// CycleContainment: does G contain any cycle?
-	CycleContainment
-	// ECycleContainment: does E lie on some cycle?
-	ECycleContainment
+// Problem and VerifyArgs are the verify package's: Engine.Verify is one
+// host of verify.Decide and adds nothing to its vocabulary.
+type (
+	Problem    = verify.Problem
+	VerifyArgs = verify.Args
 )
-
-// String returns the problem's short name.
-func (p Problem) String() string {
-	switch p {
-	case SpanningConnectedSubgraph:
-		return "scs"
-	case CutVerification:
-		return "cut"
-	case STConnectivity:
-		return "stconn"
-	case EdgeOnAllPaths:
-		return "allpaths"
-	case STCutVerification:
-		return "stcut"
-	case Bipartiteness:
-		return "bipartite"
-	case CycleContainment:
-		return "cycle"
-	case ECycleContainment:
-		return "ecycle"
-	}
-	return fmt.Sprintf("problem(%d)", int(p))
-}
-
-// VerifyArgs carries the per-problem arguments of Verify. Unused fields
-// are ignored.
-type VerifyArgs struct {
-	// H is the subgraph edge set (SpanningConnectedSubgraph).
-	H []graph.Edge
-	// Cut is the candidate cut edge set (CutVerification,
-	// STCutVerification).
-	Cut []graph.Edge
-	// S and T are the query vertices (STConnectivity, EdgeOnAllPaths,
-	// STCutVerification).
-	S, T int
-	// E is the query edge (EdgeOnAllPaths, ECycleContainment).
-	E graph.Edge
-}
 
 // ErrNotConverged is returned by a job whose merge phases exhausted
 // MaxPhasesPerQuery with components still active (persistent sketch

@@ -10,6 +10,7 @@ import (
 
 	"kmgraph/internal/core"
 	"kmgraph/internal/graph"
+	"kmgraph/internal/verify"
 )
 
 func mustEngine(t *testing.T, g *graph.Graph, cfg Config) *Engine {
@@ -74,7 +75,7 @@ func TestOneClusterServesEveryFamily(t *testing.T) {
 	jobRounds += mc.Metrics.Rounds
 
 	// Two verification problems on the same residency.
-	vb, err := e.Verify(ctx, Bipartiteness, VerifyArgs{})
+	vb, err := e.Verify(ctx, verify.Bipartiteness, VerifyArgs{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func TestOneClusterServesEveryFamily(t *testing.T) {
 	}
 	jobRounds += vb.Metrics.Rounds
 
-	vs, err := e.Verify(ctx, STConnectivity, VerifyArgs{S: 0, T: g.N() - 1})
+	vs, err := e.Verify(ctx, verify.STConnectivity, VerifyArgs{S: 0, T: g.N() - 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,117 +124,56 @@ func TestOneClusterServesEveryFamily(t *testing.T) {
 	}
 }
 
-// TestResidentMatchesOneShot pins the resident jobs against the one-shot
-// algorithms' verdicts on the same inputs.
-func TestResidentMatchesOneShot(t *testing.T) {
-	ctx := context.Background()
+// TestPhaseDriverStopRuleOnResidency pins what each outcome of the shared
+// phase driver (core.Merger.RunPhases) means to a resident job: exhausted
+// phases surface as ErrNotConverged with the engine still usable — a
+// retried query resumes from the certificate and finishes — and a
+// cancellation observed mid-run stops the job at the phase boundary
+// without wedging the cluster.
+func TestPhaseDriverStopRuleOnResidency(t *testing.T) {
+	g := graph.GNM(300, 700, 71)
+	_, oracleCC := graph.Components(g)
 
-	// Disconnected input: min-cut reports 0, SCS of a spanning tree of one
-	// component fails, cycle containment agrees with m > n - c.
-	g := graph.DisjointComponents(300, 3, 0.5, 11)
-	e := mustEngine(t, g, Config{K: 4, Seed: 9})
-	mc, err := e.MinCut(ctx, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mc.Level != -1 || mc.Estimate != 0 {
-		t.Fatalf("min-cut of disconnected graph: %+v", mc)
-	}
-	_, cc := graph.Components(g)
-	cyc, err := e.Verify(ctx, CycleContainment, VerifyArgs{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := g.M() > g.N()-cc; cyc.Holds != want {
-		t.Fatalf("cycle containment = %v, want %v", cyc.Holds, want)
-	}
-
-	// Spanning connected subgraph: the MST of a connected graph holds, a
-	// partial edge set does not.
-	g2 := graph.WithDistinctWeights(graph.RandomConnected(250, 600, 13), 14)
-	e2 := mustEngine(t, g2, Config{K: 4, Seed: 17})
-	tree, _ := graph.KruskalMST(g2)
-	scs, err := e2.Verify(ctx, SpanningConnectedSubgraph, VerifyArgs{H: tree})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !scs.Holds {
-		t.Fatal("SCS rejected a spanning tree")
-	}
-	scs2, err := e2.Verify(ctx, SpanningConnectedSubgraph, VerifyArgs{H: tree[:len(tree)/2]})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if scs2.Holds {
-		t.Fatal("SCS accepted half a spanning tree")
-	}
-
-	// Cut verification: the bridges of two bridged cliques are a cut; a
-	// single non-bridge edge is not.
-	g3 := graph.TwoCliquesBridged(30, 2, 19)
-	e3 := mustEngine(t, g3, Config{K: 3, Seed: 23})
-	var bridges, inner []graph.Edge
-	for _, ed := range g3.Edges() {
-		if (ed.U < 30) != (ed.V < 30) {
-			bridges = append(bridges, ed)
-		} else if len(inner) == 0 {
-			inner = append(inner, ed)
+	t.Run("exhausted", func(t *testing.T) {
+		e := mustEngine(t, g, Config{K: 4, Seed: 5, MaxPhasesPerQuery: 1})
+		ctx := context.Background()
+		if _, err := e.Verify(ctx, verify.CycleContainment, VerifyArgs{}); !errors.Is(err, ErrNotConverged) {
+			t.Fatalf("derived run capped at one phase: err = %v, want ErrNotConverged", err)
 		}
-	}
-	vc, err := e3.Verify(ctx, CutVerification, VerifyArgs{Cut: bridges})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !vc.Holds {
-		t.Fatal("bridge set not recognized as a cut")
-	}
-	vc2, err := e3.Verify(ctx, CutVerification, VerifyArgs{Cut: inner})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vc2.Holds {
-		t.Fatal("inner clique edge recognized as a cut")
-	}
+		q, err := e.Query(ctx)
+		if !errors.Is(err, ErrNotConverged) || q == nil || q.Phases != 1 {
+			t.Fatalf("query capped at one phase: result %+v, err %v; want a 1-phase partial result and ErrNotConverged", q, err)
+		}
+		for try := 0; err != nil; try++ {
+			if try == 64 || !errors.Is(err, ErrNotConverged) {
+				t.Fatalf("retry %d: %v", try, err)
+			}
+			q, err = e.Query(ctx)
+		}
+		assertMatchesOracle(t, g, q)
+	})
 
-	// ST cut / edge-on-all-paths / e-cycle on a path plus one chord.
-	gb := graph.NewBuilder(6)
-	for i := 0; i < 5; i++ {
-		gb.AddEdge(i, i+1, 1)
-	}
-	gb.AddEdge(0, 2, 1) // chord: 0-1, 1-2 lie on a cycle
-	g4 := gb.Build()
-	e4 := mustEngine(t, g4, Config{K: 2, Seed: 29})
-	stc, err := e4.Verify(ctx, STCutVerification, VerifyArgs{S: 0, T: 5, Cut: []graph.Edge{{U: 3, V: 4}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !stc.Holds {
-		t.Fatal("edge (3,4) should separate 0 from 5")
-	}
-	eap, err := e4.Verify(ctx, EdgeOnAllPaths, VerifyArgs{S: 0, T: 5, E: graph.Edge{U: 4, V: 5}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !eap.Holds {
-		t.Fatal("edge (4,5) lies on every 0-5 path")
-	}
-	ecy, err := e4.Verify(ctx, ECycleContainment, VerifyArgs{E: graph.Edge{U: 1, V: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ecy.Holds {
-		t.Fatal("edge (1,2) lies on the chord cycle")
-	}
-	ecy2, err := e4.Verify(ctx, ECycleContainment, VerifyArgs{E: graph.Edge{U: 4, V: 5}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ecy2.Holds {
-		t.Fatal("edge (4,5) is a bridge, not on any cycle")
-	}
-	if _, err := e4.Verify(ctx, ECycleContainment, VerifyArgs{E: graph.Edge{U: 0, V: 5}}); err == nil {
-		t.Fatal("ECycleContainment accepted an absent edge")
-	}
+	t.Run("cancelled", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		cfg := Config{K: 4, Seed: 5}
+		cfg.Observer = func(ev Event) {
+			if ev.Job == "mincut" && ev.Phase == 0 {
+				cancel() // mid-run: between phase 0 and phase 1 of the first derived run
+			}
+		}
+		e := mustEngine(t, g, cfg)
+		if _, err := e.MinCut(ctx, 0, 0); !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled min-cut: err = %v, want context.Canceled", err)
+		}
+		cyc, err := e.Verify(context.Background(), verify.CycleContainment, VerifyArgs{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := g.M() > g.N()-oracleCC; cyc.Holds != want {
+			t.Fatalf("post-cancel cycle containment = %v, want %v", cyc.Holds, want)
+		}
+	})
 }
 
 // TestMSTTracksBatches: MST jobs observe the live graph — after deleting
@@ -417,7 +357,7 @@ func TestConcurrentCallers(t *testing.T) {
 			if _, err := e.ApplyBatch(ctx, []graph.EdgeOp{{U: i, V: 100 + i, W: 1}}); err != nil {
 				errs <- err
 			}
-			if _, err := e.Verify(ctx, CycleContainment, VerifyArgs{}); err != nil {
+			if _, err := e.Verify(ctx, verify.CycleContainment, VerifyArgs{}); err != nil {
 				errs <- err
 			}
 		}(i)
@@ -508,9 +448,9 @@ func TestObserverSeesPhases(t *testing.T) {
 	}
 }
 
-// TestResidentQueryEquivalence: a fresh engine's first query matches the
-// static algorithm's component count (the static-equivalence property the
-// dynamic subsystem pinned, now at the resident layer).
+// TestResidentQueryEquivalence pins the "static run = one-shot session"
+// property: a fresh engine's first query answers exactly what the static
+// algorithm and the oracle answer.
 func TestResidentQueryEquivalence(t *testing.T) {
 	g := graph.GNM(350, 650, 99)
 	e := mustEngine(t, g, Config{K: 5, Seed: 101})
@@ -518,6 +458,7 @@ func TestResidentQueryEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	assertMatchesOracle(t, g, q)
 	static, err := core.Run(g, core.Config{K: 5, Seed: 101})
 	if err != nil {
 		t.Fatal(err)

@@ -38,6 +38,7 @@ import (
 	"kmgraph/internal/resident"
 	"kmgraph/internal/telemetry"
 	"kmgraph/internal/transport/tcp"
+	"kmgraph/internal/verify"
 )
 
 // Config parameterizes a Server. The zero value is usable: every field
@@ -319,6 +320,26 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
+// maxBodyBytes caps a JSON request body (load, verify, batch). A batch op
+// is a few dozen bytes, so this admits batches of hundreds of thousands
+// of ops and refuses what would otherwise be decoded without bound.
+const maxBodyBytes = 8 << 20
+
+// decodeBody decodes the request's JSON body into v, reading at most
+// maxBodyBytes. On failure it writes the error response — 413 for an
+// oversized body, 400 for a malformed one — and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", maxBodyBytes)
+	case err != nil:
+		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	}
+	return err == nil
+}
+
 // jobError maps a job error to an HTTP status.
 func jobError(w http.ResponseWriter, err error) {
 	switch {
@@ -503,8 +524,7 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req loadRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.Name == "" || req.Path == "" {
@@ -863,17 +883,6 @@ type verifyRequest struct {
 	E       *jsonEdge  `json:"e,omitempty"`
 }
 
-var problemByName = map[string]kmgraph.Problem{
-	"scs":       kmgraph.ProblemSpanningConnectedSubgraph,
-	"cut":       kmgraph.ProblemCut,
-	"stconn":    kmgraph.ProblemSTConnectivity,
-	"allpaths":  kmgraph.ProblemEdgeOnAllPaths,
-	"stcut":     kmgraph.ProblemSTCut,
-	"bipartite": kmgraph.ProblemBipartiteness,
-	"cycle":     kmgraph.ProblemCycleContainment,
-	"ecycle":    kmgraph.ProblemECycleContainment,
-}
-
 // verifyResponse answers verification requests (Epoch semantics as in
 // mstResponse).
 type verifyResponse struct {
@@ -894,11 +903,10 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req verifyRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
-	p, ok := problemByName[req.Problem]
+	p, ok := verify.ParseProblem(req.Problem)
 	if !ok {
 		writeError(w, http.StatusBadRequest, "unknown problem %q", req.Problem)
 		return
@@ -967,8 +975,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req batchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if len(req.Ops) == 0 {

@@ -522,3 +522,42 @@ func TestConcurrentJobsAndMetricsConsistency(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestOversizedBodyRefusedWith413: a body past maxBodyBytes is refused
+// with 413 and the usual JSON error body instead of being decoded without
+// bound — and a refused batch leaves the graph (its epoch) untouched.
+func TestOversizedBodyRefusedWith413(t *testing.T) {
+	_, ts := newTestServer(t, Config{}, "g", kmgraph.GNM(200, 500, 3), 4, 5)
+	base := ts.URL + "/graphs/g"
+	var before, after metricsResponse
+	getJSON(t, base+"/metrics", http.StatusOK, &before)
+
+	// Well-formed JSON throughout: only its size is wrong.
+	var body bytes.Buffer
+	body.WriteString(`{"ops":[{"u":1,"v":2}`)
+	for body.Len() <= maxBodyBytes {
+		body.WriteString(`,{"u":1,"v":2}`)
+	}
+	body.WriteString(`]}`)
+	for _, ep := range []string{"/batch", "/verify"} {
+		resp, err := http.Post(base+ep, "application/json", bytes.NewReader(body.Bytes()))
+		if err != nil {
+			t.Fatalf("POST %s: %v", ep, err)
+		}
+		var e errorResponse
+		err = json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || err != nil || e.Error == "" {
+			t.Fatalf("POST %s: status %d, error body %q (decode: %v); want 413 with a JSON error",
+				ep, resp.StatusCode, e.Error, err)
+		}
+	}
+
+	getJSON(t, base+"/metrics", http.StatusOK, &after)
+	if after.Epoch != before.Epoch || after.Batches != before.Batches {
+		t.Fatalf("refused batch touched the graph: epoch %d -> %d, batches %d -> %d",
+			before.Epoch, after.Epoch, before.Batches, after.Batches)
+	}
+	// The same ops at a legal size are accepted: the cap, not the content, refused them.
+	postJSON(t, base+"/batch", map[string]any{"ops": []map[string]int{{"u": 1, "v": 2}}}, http.StatusOK, nil)
+}

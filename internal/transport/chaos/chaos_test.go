@@ -53,13 +53,7 @@ func runConnectivity(n, m int, gs int64, cfg core.Config, plan Plan) (*core.Resu
 	}
 	cfg = cfg.WithDefaults(part.N())
 	var ct *Transport
-	cluster, err := kmachine.NewWithTransport(kmachine.Config{
-		K:                   cfg.K,
-		BandwidthBits:       cfg.BandwidthBits,
-		MessageOverheadBits: cfg.MessageOverheadBits,
-		Seed:                cfg.Seed,
-		MaxRounds:           cfg.MaxRounds,
-	}, func(p transport.Params, met *transport.Metrics, workers int) (transport.Transport, error) {
+	cluster, err := kmachine.NewWithTransport(cfg.MachineConfig(), func(p transport.Params, met *transport.Metrics, workers int) (transport.Transport, error) {
 		ct = New(local.New(p, met, workers), plan)
 		return ct, nil
 	})
@@ -75,8 +69,12 @@ func runConnectivity(n, m int, gs int64, cfg core.Config, plan Plan) (*core.Resu
 	if err != nil {
 		return nil, journal, err
 	}
-	res, err := core.Assemble(part.N(), kres)
-	return res, journal, err
+	res, err := core.Assemble(part.N(), kres.Outputs)
+	if err != nil {
+		return nil, journal, err
+	}
+	res.Metrics = kres.Metrics
+	return res, journal, nil
 }
 
 // TestNoFaultGolden pins zero behavioral drift from the wrapper: a

@@ -147,7 +147,10 @@ func ReadMetrics(r *wire.Reader) (*Metrics, error) {
 		return nil, r.Err()
 	}
 	const maxK = 1 << 16
-	if k < 0 || k > maxK {
+	// The k×k link matrix and the two per-machine counters take at least
+	// one byte per entry, so a k the remaining bytes cannot back is
+	// corrupt — and must not size the allocation.
+	if k < 0 || k > maxK || k*(k+2) > r.Len() {
 		return nil, fmt.Errorf("transport: metrics k=%d out of range", k)
 	}
 	m := NewMetrics(k)

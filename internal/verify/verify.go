@@ -18,12 +18,80 @@
 package verify
 
 import (
+	"errors"
 	"fmt"
 
 	"kmgraph/internal/core"
 	"kmgraph/internal/graph"
 	"kmgraph/internal/kmachine"
 )
+
+// Problem identifies one of the Theorem 4 verification problems.
+type Problem int
+
+const (
+	// SpanningConnectedSubgraph: does H span G and is it connected?
+	SpanningConnectedSubgraph Problem = iota
+	// CutVerification: does removing the edge set disconnect G further?
+	CutVerification
+	// STConnectivity: are S and T connected?
+	STConnectivity
+	// EdgeOnAllPaths: does E lie on every S-T path?
+	EdgeOnAllPaths
+	// STCutVerification: does removing the edge set separate S from T?
+	STCutVerification
+	// Bipartiteness: is G 2-colorable (via the double cover)?
+	Bipartiteness
+	// CycleContainment: does G contain any cycle?
+	CycleContainment
+	// ECycleContainment: does E lie on some cycle?
+	ECycleContainment
+)
+
+// problemNames is the one name table: Problem.String, ParseProblem, the
+// kmserve verify endpoint and cmd/kmverify all read it.
+var problemNames = [...]string{
+	SpanningConnectedSubgraph: "scs",
+	CutVerification:           "cut",
+	STConnectivity:            "stconn",
+	EdgeOnAllPaths:            "allpaths",
+	STCutVerification:         "stcut",
+	Bipartiteness:             "bipartite",
+	CycleContainment:          "cycle",
+	ECycleContainment:         "ecycle",
+}
+
+// String returns the problem's short name.
+func (p Problem) String() string {
+	if p >= 0 && int(p) < len(problemNames) {
+		return problemNames[p]
+	}
+	return fmt.Sprintf("problem(%d)", int(p))
+}
+
+// ParseProblem resolves a short name (as printed by String).
+func ParseProblem(name string) (Problem, bool) {
+	for p, s := range problemNames {
+		if s == name {
+			return Problem(p), true
+		}
+	}
+	return 0, false
+}
+
+// Args carries the per-problem arguments. Unused fields are ignored.
+type Args struct {
+	// H is the subgraph edge set (SpanningConnectedSubgraph).
+	H []graph.Edge
+	// Cut is the candidate cut edge set (CutVerification,
+	// STCutVerification).
+	Cut []graph.Edge
+	// S and T are the query vertices (STConnectivity, EdgeOnAllPaths,
+	// STCutVerification).
+	S, T int
+	// E is the query edge (EdgeOnAllPaths, ECycleContainment).
+	E graph.Edge
+}
 
 // Outcome reports a verification verdict and its cost.
 type Outcome struct {
@@ -37,135 +105,149 @@ type Outcome struct {
 	Metrics kmachine.Metrics
 }
 
-type runner struct {
-	cfg core.Config
-	out Outcome
+// ViewKind selects how a connectivity run's graph derives from G.
+type ViewKind int
+
+const (
+	// ViewFull is G itself.
+	ViewFull ViewKind = iota
+	// ViewKeep keeps only the edges in View.Edges.
+	ViewKeep
+	// ViewRemove removes the edges in View.Edges.
+	ViewRemove
+	// ViewDoubleCover is the bipartite double cover of G (2n vertices).
+	ViewDoubleCover
+)
+
+// View describes the graph one connectivity run of a reduction sees.
+// Membership is local knowledge in the model, so a host derives it at
+// zero rounds: the one-shot host materializes the subgraph, the resident
+// host filters each machine's live adjacency.
+type View struct {
+	Kind  ViewKind
+	Edges []graph.Edge
+	// Probe, when set, additionally asks whether this (canonical) edge is
+	// present in G itself; the answer comes back as Run.ProbePresent.
+	Probe *graph.Edge
 }
 
-func (r *runner) components(g *graph.Graph, tweak int64) (int, *core.Result, error) {
-	cfg := r.cfg
-	cfg.Seed += tweak
-	res, err := core.Run(g, cfg)
-	if err != nil {
-		return 0, nil, err
+// Run is what a reduction reads off one connectivity execution.
+type Run struct {
+	Components   int
+	Labels       []uint64
+	ProbePresent bool
+}
+
+// Decide expresses each Theorem 4 reduction once, over the host's
+// connectivity runner: n and m are G's vertex and edge counts, run
+// executes connectivity on a View of G. It fills Holds and Runs; the
+// host accounts Rounds and Metrics.
+func Decide(p Problem, args Args, n, m int, run func(View) (Run, error)) (*Outcome, error) {
+	out := &Outcome{}
+	var err error
+	// do is run with a sticky error, so a reduction reads top to bottom.
+	do := func(v View) Run {
+		if err != nil {
+			return Run{}
+		}
+		var r Run
+		if r, err = run(v); err != nil {
+			return Run{}
+		}
+		out.Runs++
+		return r
 	}
-	r.out.Runs++
-	r.out.Rounds += res.Metrics.Rounds
-	r.out.Metrics.Rounds += res.Metrics.Rounds
-	r.out.Metrics.Messages += res.Metrics.Messages
-	r.out.Metrics.PayloadBytes += res.Metrics.PayloadBytes
-	return res.Components, res, nil
-}
-
-func subgraph(g *graph.Graph, edges []graph.Edge) *graph.Graph {
-	keep := make(map[uint64]bool, len(edges))
-	for _, e := range edges {
-		e = e.Canon()
-		keep[graph.EdgeID(e.U, e.V, g.N())] = true
+	// connected answers s-t connectivity on a view of G.
+	connected := func(v View, s, t int) bool {
+		if s < 0 || t < 0 || s >= n || t >= n {
+			err = errors.New("verify: s/t out of range")
+		}
+		r := do(v)
+		return err == nil && r.Labels[s] == r.Labels[t]
 	}
-	return g.Filter(func(e graph.Edge) bool { return keep[graph.EdgeID(e.U, e.V, g.N())] })
-}
 
-// SpanningConnectedSubgraph verifies whether the subgraph H of G (given as
-// an edge set over G's vertices) spans G and is connected.
-func SpanningConnectedSubgraph(g *graph.Graph, h []graph.Edge, cfg core.Config) (*Outcome, error) {
-	r := &runner{cfg: cfg}
-	cc, _, err := r.components(subgraph(g, h), 1)
+	switch p {
+	case SpanningConnectedSubgraph:
+		out.Holds = do(View{Kind: ViewKeep, Edges: args.H}).Components == 1 || n <= 1
+	case CutVerification:
+		before := do(View{}).Components
+		after := do(View{Kind: ViewRemove, Edges: args.Cut}).Components
+		out.Holds = after > before
+	case STConnectivity:
+		out.Holds = connected(View{}, args.S, args.T)
+	case EdgeOnAllPaths:
+		// True iff S and T are disconnected in G \ {E} (§3.3).
+		out.Holds = !connected(View{Kind: ViewRemove, Edges: []graph.Edge{args.E}}, args.S, args.T)
+	case STCutVerification:
+		out.Holds = !connected(View{Kind: ViewRemove, Edges: args.Cut}, args.S, args.T)
+	case Bipartiteness:
+		// G is bipartite iff its double cover has exactly twice as many
+		// connected components as G.
+		ccG := do(View{}).Components
+		ccD := do(View{Kind: ViewDoubleCover}).Components
+		out.Holds = ccD == 2*ccG
+	case CycleContainment:
+		out.Holds = m > n-do(View{}).Components
+	case ECycleContainment:
+		// True iff E's endpoints remain connected in G \ {E}.
+		e := args.E.Canon()
+		var r Run
+		if e.U >= 0 && e.V < n && e.U != e.V { // anything else is absent without asking
+			r = do(View{Kind: ViewRemove, Edges: []graph.Edge{e}, Probe: &e})
+		}
+		if err == nil && !r.ProbePresent {
+			err = fmt.Errorf("verify: edge (%d,%d) not in graph", e.U, e.V)
+		}
+		out.Holds = err == nil && r.Labels[e.U] == r.Labels[e.V]
+	default:
+		return nil, fmt.Errorf("verify: unknown problem %d", int(p))
+	}
 	if err != nil {
 		return nil, err
 	}
-	r.out.Holds = cc == 1 || g.N() <= 1
-	return &r.out, nil
-}
-
-// Cut verifies whether the given edge set is a cut of G: removing it must
-// increase the number of connected components.
-func Cut(g *graph.Graph, cut []graph.Edge, cfg core.Config) (*Outcome, error) {
-	r := &runner{cfg: cfg}
-	before, _, err := r.components(g, 1)
-	if err != nil {
-		return nil, err
-	}
-	after, _, err := r.components(g.RemoveEdges(cut), 2)
-	if err != nil {
-		return nil, err
-	}
-	r.out.Holds = after > before
-	return &r.out, nil
-}
-
-// STConnectivity verifies whether s and t are in the same connected
-// component of G.
-func STConnectivity(g *graph.Graph, s, t int, cfg core.Config) (*Outcome, error) {
-	if s < 0 || t < 0 || s >= g.N() || t >= g.N() {
-		return nil, fmt.Errorf("verify: s/t out of range")
-	}
-	r := &runner{cfg: cfg}
-	_, res, err := r.components(g, 1)
-	if err != nil {
-		return nil, err
-	}
-	r.out.Holds = res.Labels[s] == res.Labels[t]
-	return &r.out, nil
-}
-
-// EdgeOnAllPaths verifies whether edge e lies on every path between u and
-// v: true iff u and v are disconnected in G \ {e} (§3.3).
-func EdgeOnAllPaths(g *graph.Graph, u, v int, e graph.Edge, cfg core.Config) (*Outcome, error) {
-	out, err := STConnectivity(g.RemoveEdges([]graph.Edge{e}), u, v, cfg)
-	if err != nil {
-		return nil, err
-	}
-	out.Holds = !out.Holds
 	return out, nil
 }
 
-// STCut verifies whether the given edge set is an s-t cut: removing it
-// must disconnect s from t.
-func STCut(g *graph.Graph, s, t int, cut []graph.Edge, cfg core.Config) (*Outcome, error) {
-	out, err := STConnectivity(g.RemoveEdges(cut), s, t, cfg)
+// OneShot decides p on g with the one-shot host: every run materializes
+// its view (Filter / RemoveEdges / DoubleCover) and pays a fresh cluster
+// (core.Run), the i-th run under seed cfg.Seed+i.
+func OneShot(g *graph.Graph, cfg core.Config, p Problem, args Args) (*Outcome, error) {
+	var met kmachine.Metrics
+	runs := 0
+	out, err := Decide(p, args, g.N(), g.M(), func(v View) (Run, error) {
+		sub := g
+		switch v.Kind {
+		case ViewKeep:
+			keep := make(map[uint64]bool, len(v.Edges))
+			for _, e := range v.Edges {
+				e = e.Canon()
+				keep[graph.EdgeID(e.U, e.V, g.N())] = true
+			}
+			sub = g.Filter(func(e graph.Edge) bool { return keep[graph.EdgeID(e.U, e.V, g.N())] })
+		case ViewRemove:
+			sub = g.RemoveEdges(v.Edges)
+		case ViewDoubleCover:
+			sub = g.DoubleCover()
+		}
+		runs++
+		c := cfg
+		c.Seed += int64(runs)
+		res, err := core.Run(sub, c)
+		if err != nil {
+			return Run{}, err
+		}
+		met.Rounds += res.Metrics.Rounds
+		met.Messages += res.Metrics.Messages
+		met.PayloadBytes += res.Metrics.PayloadBytes
+		return Run{
+			Components:   res.Components,
+			Labels:       res.Labels,
+			ProbePresent: v.Probe != nil && g.HasEdge(v.Probe.U, v.Probe.V),
+		}, nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	out.Holds = !out.Holds
+	out.Rounds, out.Metrics = met.Rounds, met
 	return out, nil
-}
-
-// Bipartiteness verifies whether G is bipartite using the double cover
-// reduction: G is bipartite iff its bipartite double cover has exactly
-// twice as many connected components as G.
-func Bipartiteness(g *graph.Graph, cfg core.Config) (*Outcome, error) {
-	r := &runner{cfg: cfg}
-	ccG, _, err := r.components(g, 1)
-	if err != nil {
-		return nil, err
-	}
-	ccD, _, err := r.components(g.DoubleCover(), 2)
-	if err != nil {
-		return nil, err
-	}
-	r.out.Holds = ccD == 2*ccG
-	return &r.out, nil
-}
-
-// CycleContainment verifies whether G contains any cycle:
-// m > n - #components.
-func CycleContainment(g *graph.Graph, cfg core.Config) (*Outcome, error) {
-	r := &runner{cfg: cfg}
-	cc, _, err := r.components(g, 1)
-	if err != nil {
-		return nil, err
-	}
-	r.out.Holds = g.M() > g.N()-cc
-	return &r.out, nil
-}
-
-// ECycleContainment verifies whether edge e lies on some cycle of G:
-// true iff its endpoints remain connected in G \ {e}.
-func ECycleContainment(g *graph.Graph, e graph.Edge, cfg core.Config) (*Outcome, error) {
-	e = e.Canon()
-	if !g.HasEdge(e.U, e.V) {
-		return nil, fmt.Errorf("verify: edge (%d,%d) not in graph", e.U, e.V)
-	}
-	return STConnectivity(g.RemoveEdges([]graph.Edge{e}), e.U, e.V, cfg)
 }

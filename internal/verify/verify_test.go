@@ -13,7 +13,7 @@ func TestSpanningConnectedSubgraph(t *testing.T) {
 	g := graph.RandomConnected(80, 200, 1)
 	tree, _ := graph.KruskalMST(g)
 
-	out, err := SpanningConnectedSubgraph(g, tree, cfg)
+	out, err := OneShot(g, cfg, SpanningConnectedSubgraph, Args{H: tree})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,7 +21,7 @@ func TestSpanningConnectedSubgraph(t *testing.T) {
 		t.Error("spanning tree should verify as SCS")
 	}
 	// Remove one tree edge: no longer spanning connected.
-	out, err = SpanningConnectedSubgraph(g, tree[1:], cfg)
+	out, err = OneShot(g, cfg, SpanningConnectedSubgraph, Args{H: tree[1:]})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func TestSpanningConnectedSubgraph(t *testing.T) {
 		t.Error("tree minus an edge is not connected")
 	}
 	// The full graph is an SCS of itself (when connected).
-	out, err = SpanningConnectedSubgraph(g, g.Edges(), cfg)
+	out, err = OneShot(g, cfg, SpanningConnectedSubgraph, Args{H: g.Edges()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestSpanningConnectedSubgraph(t *testing.T) {
 		t.Error("G should be an SCS of itself")
 	}
 	// Empty subgraph of a >1 vertex graph is not.
-	out, err = SpanningConnectedSubgraph(g, nil, cfg)
+	out, err = OneShot(g, cfg, SpanningConnectedSubgraph, Args{H: nil})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestCutVerification(t *testing.T) {
 	if len(bridges) != 2 {
 		t.Fatalf("expected 2 bridges, got %d", len(bridges))
 	}
-	out, err := Cut(g, bridges, cfg)
+	out, err := OneShot(g, cfg, CutVerification, Args{Cut: bridges})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestCutVerification(t *testing.T) {
 		t.Errorf("runs = %d, want 2", out.Runs)
 	}
 	// One bridge alone is not a cut.
-	out, err = Cut(g, bridges[:1], cfg)
+	out, err = OneShot(g, cfg, CutVerification, Args{Cut: bridges[:1]})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,21 +96,21 @@ func TestSTConnectivity(t *testing.T) {
 	if !sameFound || !diffFound {
 		t.Skip("degenerate component split")
 	}
-	out, err := STConnectivity(g, 0, s, cfg)
+	out, err := OneShot(g, cfg, STConnectivity, Args{S: 0, T: s})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !out.Holds {
 		t.Error("same-component pair should connect")
 	}
-	out, err = STConnectivity(g, 0, tt, cfg)
+	out, err = OneShot(g, cfg, STConnectivity, Args{S: 0, T: tt})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.Holds {
 		t.Error("cross-component pair should not connect")
 	}
-	if _, err := STConnectivity(g, -1, 5, cfg); err == nil {
+	if _, err := OneShot(g, cfg, STConnectivity, Args{S: -1, T: 5}); err == nil {
 		t.Error("out of range should error")
 	}
 }
@@ -118,7 +118,7 @@ func TestSTConnectivity(t *testing.T) {
 func TestEdgeOnAllPaths(t *testing.T) {
 	// On a path graph, every edge lies on all paths between the ends.
 	g := graph.Path(30)
-	out, err := EdgeOnAllPaths(g, 0, 29, graph.Edge{U: 10, V: 11}, cfg)
+	out, err := OneShot(g, cfg, EdgeOnAllPaths, Args{S: 0, T: 29, E: graph.Edge{U: 10, V: 11}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestEdgeOnAllPaths(t *testing.T) {
 	}
 	// On a cycle, no single edge is on all paths.
 	c := graph.Cycle(30)
-	out, err = EdgeOnAllPaths(c, 0, 15, graph.Edge{U: 0, V: 1}, cfg)
+	out, err = OneShot(c, cfg, EdgeOnAllPaths, Args{S: 0, T: 15, E: graph.Edge{U: 0, V: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,14 +144,14 @@ func TestSTCut(t *testing.T) {
 			bridge = e
 		}
 	}
-	out, err := STCut(g, 0, 15, []graph.Edge{bridge}, cfg)
+	out, err := OneShot(g, cfg, STCutVerification, Args{S: 0, T: 15, Cut: []graph.Edge{bridge}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !out.Holds {
 		t.Error("bridge is an s-t cut across the cliques")
 	}
-	out, err = STCut(g, 0, 7, []graph.Edge{bridge}, cfg)
+	out, err = OneShot(g, cfg, STCutVerification, Args{S: 0, T: 7, Cut: []graph.Edge{bridge}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestBipartiteness(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			out, err := Bipartiteness(tc.g, cfg)
+			out, err := OneShot(tc.g, cfg, Bipartiteness, Args{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -190,14 +190,14 @@ func TestBipartiteness(t *testing.T) {
 }
 
 func TestCycleContainment(t *testing.T) {
-	if out, _ := CycleContainment(graph.RandomTree(40, 5), cfg); out.Holds {
+	if out, _ := OneShot(graph.RandomTree(40, 5), cfg, CycleContainment, Args{}); out.Holds {
 		t.Error("tree has no cycle")
 	}
-	if out, _ := CycleContainment(graph.Cycle(12), cfg); !out.Holds {
+	if out, _ := OneShot(graph.Cycle(12), cfg, CycleContainment, Args{}); !out.Holds {
 		t.Error("cycle graph has a cycle")
 	}
 	forest := graph.DisjointComponents(40, 4, 0, 6)
-	if out, _ := CycleContainment(forest, cfg); out.Holds {
+	if out, _ := OneShot(forest, cfg, CycleContainment, Args{}); out.Holds {
 		t.Error("forest has no cycle")
 	}
 }
@@ -205,28 +205,28 @@ func TestCycleContainment(t *testing.T) {
 func TestECycleContainment(t *testing.T) {
 	g := graph.Lollipop(6, 4)
 	// Clique edges are on cycles; the tail edges are bridges.
-	out, err := ECycleContainment(g, graph.Edge{U: 1, V: 2}, cfg)
+	out, err := OneShot(g, cfg, ECycleContainment, Args{E: graph.Edge{U: 1, V: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !out.Holds {
 		t.Error("clique edge lies on a cycle")
 	}
-	out, err = ECycleContainment(g, graph.Edge{U: 6, V: 7}, cfg)
+	out, err = OneShot(g, cfg, ECycleContainment, Args{E: graph.Edge{U: 6, V: 7}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.Holds {
 		t.Error("tail edge is a bridge")
 	}
-	if _, err := ECycleContainment(g, graph.Edge{U: 0, V: 9}, cfg); err == nil {
+	if _, err := OneShot(g, cfg, ECycleContainment, Args{E: graph.Edge{U: 0, V: 9}}); err == nil {
 		t.Error("non-edge should error")
 	}
 }
 
 func TestOutcomeAccounting(t *testing.T) {
 	g := graph.Cycle(30)
-	out, err := Bipartiteness(g, cfg)
+	out, err := OneShot(g, cfg, Bipartiteness, Args{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,14 +239,14 @@ func TestVerifiersMatchOraclesRandomized(t *testing.T) {
 	// Randomized cross-validation of the reductions on mixed graphs.
 	for seed := int64(0); seed < 6; seed++ {
 		g := graph.GNM(60, 90+int(seed)*20, seed)
-		out, err := Bipartiteness(g, core.Config{K: 3, Seed: seed})
+		out, err := OneShot(g, core.Config{K: 3, Seed: seed}, Bipartiteness, Args{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if out.Holds != graph.IsBipartite(g) {
 			t.Errorf("seed %d: bipartite mismatch", seed)
 		}
-		cyc, err := CycleContainment(g, core.Config{K: 3, Seed: seed})
+		cyc, err := OneShot(g, core.Config{K: 3, Seed: seed}, CycleContainment, Args{})
 		if err != nil {
 			t.Fatal(err)
 		}

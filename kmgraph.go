@@ -18,7 +18,8 @@
 //   - A dynamic-graph subsystem: batched edge insert/delete streams with
 //     incrementally maintained linear sketches, answering connectivity /
 //     component-count / spanning-forest queries between batches at a
-//     fraction of a static re-run's rounds (NewDynamic, cmd/kmstream).
+//     fraction of a static re-run's rounds (Cluster.ApplyBatch,
+//     cmd/kmstream).
 //   - A deterministic k-machine engine with per-link bandwidth accounting,
 //     so every reported cost is the model's round complexity.
 //
@@ -65,13 +66,19 @@
 // # Migration note: one-shot functions
 //
 // The original one-shot entry points — Connectivity(g, cfg), MST(g, cfg),
-// SpanningTree, ApproxMinCut, the Verify* functions, and NewDynamic —
-// remain fully supported; each builds a fresh cluster, pays the load for
-// a single run, and tears it down. Prefer them for experiments and
-// ablations (they expose per-run knobs like EdgeCheckSelection and
-// CountComponents); prefer NewCluster whenever more than one question is
-// asked of the same graph, under churn, or when jobs need deadlines and
-// cancellation (the one-shot API takes no context).
+// SpanningTree, ApproxMinCut, and the Verify* functions — remain fully
+// supported; each builds a fresh cluster, pays the load for a single run,
+// and tears it down. Prefer them for experiments and ablations (they
+// expose per-run knobs like EdgeCheckSelection and CountComponents);
+// prefer NewCluster whenever more than one question is asked of the same
+// graph, under churn, or when jobs need deadlines and cancellation (the
+// one-shot API takes no context).
+//
+// NewDynamic, Dynamic and DynamicConfig are removed: a dynamic session was
+// a Cluster minus the context argument. Use NewCluster(g, WithK(k),
+// WithSeed(s)) with Cluster.ApplyBatch(ctx, ops) and
+// Cluster.Connectivity(ctx); BatchResult, QueryResult and ErrNotConverged
+// are unchanged.
 //
 // The experiment harness reproducing every theorem is available via
 // AllExperiments and the cmd/kmbench tool; EXPERIMENTS.md records
@@ -84,13 +91,13 @@ import (
 	"kmgraph/internal/baseline"
 	"kmgraph/internal/congested"
 	"kmgraph/internal/core"
-	"kmgraph/internal/dynamic"
 	"kmgraph/internal/experiments"
 	"kmgraph/internal/graph"
 	"kmgraph/internal/kmachine"
 	"kmgraph/internal/lowerbound"
 	"kmgraph/internal/mincut"
 	"kmgraph/internal/rep"
+	"kmgraph/internal/resident"
 	"kmgraph/internal/store"
 	"kmgraph/internal/verify"
 )
@@ -284,38 +291,15 @@ var (
 	ApplyOps = graph.ApplyOps
 )
 
-// DynamicConfig parameterizes a dynamic session.
-type DynamicConfig = dynamic.Config
+// BatchResult reports one applied update batch (Cluster.ApplyBatch).
+type BatchResult = resident.BatchResult
 
-// Dynamic is a live dynamic-graph session: the graph stays resident
-// across the k-machine cluster, per-part linear sketches are maintained
-// incrementally under batched edge insertions and deletions (AddItem's ±1
-// linearity), and connectivity/component-count/spanning-forest queries
-// between batches re-run only the merge/DRR phases from a certificate of
-// the previous answer.
-type Dynamic = dynamic.Session
+// QueryResult reports one connectivity query (Cluster.Connectivity).
+type QueryResult = resident.QueryResult
 
-// BatchResult reports one applied update batch.
-type BatchResult = dynamic.BatchResult
-
-// QueryResult reports one dynamic connectivity query.
-type QueryResult = dynamic.QueryResult
-
-// ErrNotConverged is returned by Dynamic.Query when merge phases exhaust
-// the per-query cap (persistent sketch failures); the session stays
-// usable.
-var ErrNotConverged = dynamic.ErrNotConverged
-
-// NewDynamic starts a dynamic session on g across cfg.K machines. The
-// static Connectivity algorithm is the degenerate case: a fresh session's
-// first Query runs the same merge phases from singleton labels.
-//
-// A Dynamic session is a resident Cluster restricted to ApplyBatch and
-// Query; NewCluster exposes the same residency with the full job API
-// (MST, min-cut, verification) and per-job contexts.
-func NewDynamic(g *Graph, cfg DynamicConfig) (*Dynamic, error) {
-	return dynamic.NewSession(g, cfg)
-}
+// ErrNotConverged is returned by a Cluster job whose merge phases exhaust
+// the per-job cap (persistent sketch failures); the cluster stays usable.
+var ErrNotConverged = resident.ErrNotConverged
 
 // MinCutConfig parameterizes the approximate min-cut.
 type MinCutConfig = mincut.Config
@@ -337,25 +321,47 @@ type VerifyOutcome = verify.Outcome
 // Verification problems (Theorem 4). One-shot: each call builds a fresh
 // cluster per connectivity run; Cluster.Verify serves the same problems
 // against a residency.
-var (
-	// VerifySpanningConnectedSubgraph checks whether H spans G and is
-	// connected.
-	VerifySpanningConnectedSubgraph = verify.SpanningConnectedSubgraph
-	// VerifyCut checks whether removing the edges disconnects G further.
-	VerifyCut = verify.Cut
-	// VerifySTConnectivity checks whether s and t are connected.
-	VerifySTConnectivity = verify.STConnectivity
-	// VerifyEdgeOnAllPaths checks whether e lies on every u-v path.
-	VerifyEdgeOnAllPaths = verify.EdgeOnAllPaths
-	// VerifySTCut checks whether the edge set separates s from t.
-	VerifySTCut = verify.STCut
-	// VerifyBipartiteness checks 2-colorability via the double cover.
-	VerifyBipartiteness = verify.Bipartiteness
-	// VerifyCycleContainment checks whether G has any cycle.
-	VerifyCycleContainment = verify.CycleContainment
-	// VerifyECycleContainment checks whether e lies on some cycle.
-	VerifyECycleContainment = verify.ECycleContainment
-)
+
+// VerifySpanningConnectedSubgraph checks whether H spans G and is
+// connected.
+func VerifySpanningConnectedSubgraph(g *Graph, h []Edge, cfg Config) (*VerifyOutcome, error) {
+	return verify.OneShot(g, cfg, verify.SpanningConnectedSubgraph, verify.Args{H: h})
+}
+
+// VerifyCut checks whether removing the edges disconnects G further.
+func VerifyCut(g *Graph, cut []Edge, cfg Config) (*VerifyOutcome, error) {
+	return verify.OneShot(g, cfg, verify.CutVerification, verify.Args{Cut: cut})
+}
+
+// VerifySTConnectivity checks whether s and t are connected.
+func VerifySTConnectivity(g *Graph, s, t int, cfg Config) (*VerifyOutcome, error) {
+	return verify.OneShot(g, cfg, verify.STConnectivity, verify.Args{S: s, T: t})
+}
+
+// VerifyEdgeOnAllPaths checks whether e lies on every u-v path.
+func VerifyEdgeOnAllPaths(g *Graph, u, v int, e Edge, cfg Config) (*VerifyOutcome, error) {
+	return verify.OneShot(g, cfg, verify.EdgeOnAllPaths, verify.Args{S: u, T: v, E: e})
+}
+
+// VerifySTCut checks whether the edge set separates s from t.
+func VerifySTCut(g *Graph, s, t int, cut []Edge, cfg Config) (*VerifyOutcome, error) {
+	return verify.OneShot(g, cfg, verify.STCutVerification, verify.Args{S: s, T: t, Cut: cut})
+}
+
+// VerifyBipartiteness checks 2-colorability via the double cover.
+func VerifyBipartiteness(g *Graph, cfg Config) (*VerifyOutcome, error) {
+	return verify.OneShot(g, cfg, verify.Bipartiteness, verify.Args{})
+}
+
+// VerifyCycleContainment checks whether G has any cycle.
+func VerifyCycleContainment(g *Graph, cfg Config) (*VerifyOutcome, error) {
+	return verify.OneShot(g, cfg, verify.CycleContainment, verify.Args{})
+}
+
+// VerifyECycleContainment checks whether e lies on some cycle.
+func VerifyECycleContainment(g *Graph, e Edge, cfg Config) (*VerifyOutcome, error) {
+	return verify.OneShot(g, cfg, verify.ECycleContainment, verify.Args{E: e})
+}
 
 // BaselineConfig parameterizes the baseline algorithms.
 type BaselineConfig = baseline.Config

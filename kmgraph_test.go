@@ -114,17 +114,17 @@ func TestFacadeConversion(t *testing.T) {
 
 func TestFacadeDynamic(t *testing.T) {
 	stream := RandomChurnStream(200, 500, 3, 20, 0.5, 9)
-	sess, err := NewDynamic(stream.Initial, DynamicConfig{K: 4, Seed: 3})
+	sess, err := NewCluster(stream.Initial, WithK(4), WithSeed(3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sess.Close()
-	if _, err := sess.Query(); err != nil {
+	if _, err := sess.Connectivity(t.Context()); err != nil {
 		t.Fatal(err)
 	}
 	snap := stream.Initial
 	for i, ops := range stream.Batches {
-		br, err := sess.ApplyBatch(ops)
+		br, err := sess.ApplyBatch(t.Context(), ops)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,7 +132,7 @@ func TestFacadeDynamic(t *testing.T) {
 			t.Fatalf("batch %d: applied %d of %d", i, br.Applied, len(ops))
 		}
 		snap = ApplyOps(snap, ops)
-		q, err := sess.Query()
+		q, err := sess.Connectivity(t.Context())
 		if err != nil {
 			t.Fatal(err)
 		}
