@@ -1,8 +1,9 @@
 package resident
 
 import (
-	"sort"
+	"slices"
 
+	"kmgraph/internal/core"
 	"kmgraph/internal/graph"
 )
 
@@ -18,6 +19,11 @@ type coordinator struct {
 	labels  []uint64              // authoritative labeling as of last sync
 	forest  map[uint64]graph.Edge // spanning forest of the last queried snapshot, minus deletions
 	pending map[uint64]graph.Edge // net accepted insertions since the last query
+	// sorted lists the forest's edge IDs in ascending order, plus IDs
+	// deleted since the last recompute (which skips and prunes them): one
+	// listing serves recompute and forestEdges, and each query only merges
+	// its few fresh edges in instead of re-sorting the whole forest.
+	sorted []uint64
 }
 
 type vertLabel struct {
@@ -55,13 +61,21 @@ func (c *coordinator) applyAccepted(op graph.EdgeOp) {
 	c.pending[id] = graph.Edge{U: op.U, V: op.V, W: op.W}
 }
 
-func sortedEdgeIDs(m map[uint64]graph.Edge) []uint64 {
-	ids := make([]uint64, 0, len(m))
-	for id := range m {
-		ids = append(ids, id)
+// mergeSortedIDs merges the ascending, disjoint ID lists a and add into a,
+// in place from the back.
+func mergeSortedIDs(a, add []uint64) []uint64 {
+	i, j := len(a)-1, len(add)-1
+	a = slices.Grow(a, len(add))[:len(a)+len(add)]
+	for k := len(a) - 1; j >= 0; k-- {
+		if i >= 0 && a[i] > add[j] {
+			a[k] = a[i]
+			i--
+		} else {
+			a[k] = add[j]
+			j--
+		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
+	return a
 }
 
 // recompute rebuilds piece labels from the certificate (forest ∪ pending),
@@ -81,21 +95,28 @@ func sortedEdgeIDs(m map[uint64]graph.Edge) []uint64 {
 func (c *coordinator) recompute() (changes []vertLabel, certEdges int) {
 	certEdges = len(c.forest) + len(c.pending)
 	uf := graph.NewUnionFind(c.n)
-	newForest := make(map[uint64]graph.Edge, len(c.forest))
-	for _, id := range sortedEdgeIDs(c.forest) {
-		e := c.forest[id]
+	kept := c.sorted[:0]
+	for _, id := range c.sorted {
+		e, ok := c.forest[id]
+		if !ok {
+			continue // deleted since the last query
+		}
 		if uf.Union(e.U, e.V) {
-			newForest[id] = e
+			kept = append(kept, id)
+		} else {
+			delete(c.forest, id)
 		}
 	}
-	for _, id := range sortedEdgeIDs(c.pending) {
-		e := c.pending[id]
-		if uf.Union(e.U, e.V) {
-			newForest[id] = e
+	fresh := core.SortedKeys(c.pending)
+	accepted := fresh[:0]
+	for _, id := range fresh {
+		if e := c.pending[id]; uf.Union(e.U, e.V) {
+			c.forest[id] = e
+			accepted = append(accepted, id)
 		}
 	}
-	c.forest = newForest
-	c.pending = make(map[uint64]graph.Edge)
+	c.sorted = mergeSortedIDs(kept, accepted)
+	clear(c.pending)
 
 	classSize := make(map[uint64]int)
 	for v := 0; v < c.n; v++ {
@@ -137,9 +158,16 @@ func (c *coordinator) relabelAndGrow(changes []vertLabel, merges []graph.Edge) {
 	for _, ch := range changes {
 		c.labels[ch.v] = ch.label
 	}
+	fresh := make([]uint64, 0, len(merges))
 	for _, e := range merges {
-		c.forest[graph.EdgeID(e.U, e.V, c.n)] = e
+		id := graph.EdgeID(e.U, e.V, c.n)
+		if _, ok := c.forest[id]; !ok {
+			fresh = append(fresh, id)
+		}
+		c.forest[id] = e
 	}
+	slices.Sort(fresh)
+	c.sorted = mergeSortedIDs(c.sorted, slices.Compact(fresh))
 }
 
 // components counts distinct labels.
@@ -154,8 +182,10 @@ func (c *coordinator) components() int {
 // forestEdges returns the current forest sorted by edge ID.
 func (c *coordinator) forestEdges() []graph.Edge {
 	out := make([]graph.Edge, 0, len(c.forest))
-	for _, id := range sortedEdgeIDs(c.forest) {
-		out = append(out, c.forest[id])
+	for _, id := range c.sorted {
+		if e, ok := c.forest[id]; ok {
+			out = append(out, e)
+		}
 	}
 	return out
 }

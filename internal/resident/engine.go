@@ -67,6 +67,7 @@ type Engine struct {
 	batches      int
 	queries      int
 	edges        int
+	banks        BankMetrics
 }
 
 // New loads g across a fresh cluster under a random vertex partition and
@@ -270,11 +271,17 @@ func (e *Engine) command(c hostCmd) ([]reply, int, error) {
 		return nil, 0, err
 	}
 	maxR := e.lastMaxRound
+	var banks BankMetrics
 	for _, r := range rs {
 		if r.rounds > maxR {
 			maxR = r.rounds
 		}
+		banks.add(r.banks)
 	}
+	banks.KeptBytes = int64(banks.KeptSums) * int64(e.ccfg.Sketch.Cells()) * cellBytes
+	e.statMu.Lock()
+	e.banks = banks
+	e.statMu.Unlock()
 	delta := maxR - e.lastMaxRound
 	e.lastMaxRound = maxR
 	return rs, delta, nil
@@ -697,6 +704,7 @@ func (e *Engine) Metrics() Metrics {
 		QueuedJobs:     e.queued,
 		RunningJobs:    e.running,
 		ObserverPanics: e.observerPanics.Load(),
+		Banks:          e.banks,
 	}
 }
 

@@ -49,6 +49,7 @@ type reply struct {
 	id     int
 	rounds int
 	out    any
+	banks  BankMetrics // this machine's bank ledger so far
 }
 
 // batchOutput is machine 0's verdict tally for one applied batch.
@@ -96,6 +97,8 @@ type rmachine struct {
 	// DRR ranks stay fresh across jobs (the paper's h_{j,ρ} freshness).
 	globalPhase int
 	mergeRecs   []graph.Edge
+	moves       []vertLabel // step 1's relabels, reused across queries
+	pre         []uint64    // owned labels entering the merge phases, reused
 }
 
 func (m *rmachine) loop() error {
@@ -107,9 +110,9 @@ func (m *rmachine) loop() error {
 	for b := range seeds {
 		seeds[b] = m.mg.Sh.BankSeed(b)
 	}
-	m.banks = newBankCache(m.ccfg.Sketch, seeds)
+	m.banks = newBankCache(m.ccfg.Sketch.Cells(), seeds, m.mg.Pool())
 	m.mg.OnRelabel = func(relabel map[uint64]uint64) {
-		m.banks.mergeRelabel(relabel, m.mg.Parts())
+		m.banks.mergeRelabel(relabel, m.mg.Parts, m.view)
 	}
 	if m.ctx.ID() == 0 {
 		m.coord = newCoordinator(m.view.n)
@@ -137,6 +140,7 @@ func (m *rmachine) loop() error {
 		case cmdMST:
 			m.runMST(cmd)
 		case cmdClose:
+			m.banks.close()
 			m.mg.ReleasePools()
 			m.ctx.SetOutput(&struct{}{})
 			return nil
@@ -147,7 +151,7 @@ func (m *rmachine) loop() error {
 }
 
 func (m *rmachine) reply(out any) {
-	m.e.replyCh <- reply{id: m.ctx.ID(), rounds: m.ctx.Round(), out: out}
+	m.e.replyCh <- reply{id: m.ctx.ID(), rounds: m.ctx.Round(), out: out, banks: m.banks.stats}
 }
 
 // phaseEvents returns the job's phase hook: an observer event from
@@ -387,23 +391,23 @@ func (m *rmachine) query(cmd hostCmd) {
 		}
 	}
 	recv := m.mg.Comm.Exchange(out)
+	m.moves = m.moves[:0]
 	for _, msg := range recv {
 		r := wire.NewReader(msg.Data)
 		cnt := int(r.Uvarint())
 		for i := 0; i < cnt; i++ {
-			v := int(r.Uvarint())
-			l := r.Uvarint()
-			m.banks.drop(m.mg.Labels[v])
-			m.banks.drop(l)
-			m.mg.Labels[v] = l
+			m.moves = append(m.moves, vertLabel{v: int(r.Uvarint()), label: r.Uvarint()})
 		}
 	}
-	m.banks.retain(m.mg.Parts())
+	m.banks.move(m.moves, m.mg.Labels, m.mg.Parts, m.view)
+	for _, mv := range m.moves {
+		m.mg.Labels[mv.v] = mv.label
+	}
 
 	// Step 2: Boruvka merge phases from the piece labeling.
-	pre := make(map[int]uint64, len(m.mg.Labels))
-	for v, l := range m.mg.Labels {
-		pre[v] = l
+	m.pre = m.pre[:0]
+	for _, v := range m.view.owned {
+		m.pre = append(m.pre, m.mg.Labels[v])
 	}
 	m.mergeRecs = m.mergeRecs[:0]
 	phases, converged, cancelled := m.mg.RunPhases(m.globalPhase, m.ccfg.MaxPhases,
@@ -416,8 +420,8 @@ func (m *rmachine) query(cmd hostCmd) {
 	// components over its resident labeling.
 	var chg []byte
 	nc := 0
-	for _, v := range m.view.owned {
-		if m.mg.Labels[v] != pre[v] {
+	for i, v := range m.view.owned {
+		if m.mg.Labels[v] != m.pre[i] {
 			chg = wire.AppendUvarint(chg, uint64(v))
 			chg = wire.AppendUvarint(chg, m.mg.Labels[v])
 			nc++
@@ -472,12 +476,16 @@ func (m *rmachine) query(cmd hostCmd) {
 
 // selectBanks is the dynamic selection step: the static sketch path
 // (§2.3–2.5) with part sketches drawn from the maintained banks instead of
-// built fresh against a per-phase projection, and every applied merge's
-// sampled edge recorded for the certificate forest.
+// built fresh against a per-phase projection (light parts still are, into
+// one pooled scratch sketch), and every applied merge's sampled edge
+// recorded for the certificate forest.
 func (m *rmachine) selectBanks(bank int) {
-	m.mg.GatherParts(m.banks.seeds[bank], func(label uint64, members []int) *sketch.Sketch {
-		return m.banks.get(label, bank, members, m.view)
+	seed := m.banks.seeds[bank]
+	scratch := m.mg.Pool().Get(seed)
+	m.mg.GatherParts(seed, func(label uint64, members []int) *sketch.Sketch {
+		return m.banks.get(label, bank, members, m.view, scratch)
 	})
+	m.mg.Pool().Put(scratch)
 	m.mg.RankSampled(func(st *core.CompState, w int64) {
 		m.mergeRecs = append(m.mergeRecs, graph.Edge{U: st.PendU, V: st.PendV, W: w})
 	})

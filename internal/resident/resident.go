@@ -16,8 +16,9 @@
 //     (proxy.Setup, the FaithfulRandomness polynomial, bank seeds). Jobs
 //     never pay the load phase again — the engine meters it exactly once
 //     and reports it in Metrics.Load.
-//   - The maintained state: per-part sketch banks (updated in O(1) per
-//     edge op by linearity) and the certificate forest at machine 0, so
+//   - The maintained state: sketch-bank sums of the parts heavy enough to
+//     be worth summarizing (updated in O(1) per edge op by linearity) and
+//     the certificate forest at machine 0, so
 //     connectivity queries after churn run ~log(#affected pieces) phases
 //     instead of ~log(n).
 //   - The session communicator: one proxy.Comm per machine, with
@@ -279,6 +280,38 @@ type Metrics struct {
 	QueuedJobs, RunningJobs int
 	// ObserverPanics counts recovered panics out of Config.Observer.
 	ObserverPanics uint64
+	// Banks accounts for the maintained sketch banks as of the last
+	// completed job, summed over machines.
+	Banks BankMetrics
+}
+
+// BankMetrics is the sketch-bank ledger. A machine keeps a (part, bank) sum
+// only while the part holds at least Params.Cells() local half-edges, so
+// per bank KeptSums is at most the machines' half-edges / Cells() — the
+// kept sums never outweigh the adjacency they summarize.
+type BankMetrics struct {
+	// KeptSums is the number of (part, bank) sums currently held, and
+	// KeptBytes their cell arrays' size.
+	KeptSums  int
+	KeptBytes int64
+	// ReadsKept and ReadsRebuilt count part-sketch reads served by a kept
+	// sum and reads built from adjacency (light parts, and the first read
+	// of a heavy part's bank).
+	ReadsKept, ReadsRebuilt int64
+	// Dropped counts kept sums released without a successor: their part
+	// fell below the threshold, lost most of its vertices, or merged with
+	// a heavy part that did not keep the bank.
+	Dropped int64
+}
+
+// cellBytes is the size of one sketch cell (count, idSum, fingerprint).
+const cellBytes = 24
+
+func (b *BankMetrics) add(o BankMetrics) {
+	b.KeptSums += o.KeptSums
+	b.ReadsKept += o.ReadsKept
+	b.ReadsRebuilt += o.ReadsRebuilt
+	b.Dropped += o.Dropped
 }
 
 // Problem and VerifyArgs are the verify package's: Engine.Verify is one

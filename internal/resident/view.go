@@ -89,121 +89,250 @@ func (v *dynView) remove(u, to int) bool {
 	return true
 }
 
-// bankCache maintains, per component part held on this machine and per
-// sketch bank, the sum of the part members' l0-sketches over the *current*
-// adjacency. Entries are built lazily (a rebuild is free local
-// computation), updated in O(1) per edge op by AddItem's ±1 linearity,
-// merged by sketch addition when components merge, and dropped — to be
-// rebuilt lazily — when the certificate step splits a part.
+// halfEdges counts the local half-edges of a part, stopping once the count
+// reaches limit (callers only compare against it).
+//
+//km:hotpath
+func (v *dynView) halfEdges(members []int, limit int) int {
+	h := 0
+	for _, u := range members {
+		if h += len(v.adj[u]); h >= limit {
+			break
+		}
+	}
+	return h
+}
+
+// bankCache maintains sums of part members' l0-sketches over the *current*
+// adjacency, per component part held on this machine and per sketch bank —
+// but only where a sum pays for itself: a (part, bank) sum is kept only
+// when the part's local half-edge count reaches Params.Cells(), i.e. when
+// the summary is smaller than the adjacency it summarizes. A lighter
+// part's sketch is rebuilt from adjacency into the reader's scratch sketch
+// (a rebuild is free local computation). Kept sums are updated in O(1) per
+// edge op by AddItem's ±1 linearity, follow the certificate step's vertex
+// moves by AddVertex/SubVertex, fold in place when components merge, and
+// are drawn from and returned to the session merger's sketch pool.
 type bankCache struct {
-	params sketch.Params
-	seeds  []uint64
-	parts  map[uint64]map[int]*sketch.Sketch // label -> bank -> sum
+	cells int      // Params.Cells(): the keep threshold, in local half-edges
+	seeds []uint64 // per-bank sketch seeds
+	pool  *sketch.Pool
+	parts map[uint64][]*sketch.Sketch // label -> bank -> kept sum (nil = not kept)
+	stats BankMetrics
 }
 
-func newBankCache(params sketch.Params, seeds []uint64) *bankCache {
-	return &bankCache{params: params, seeds: seeds, parts: make(map[uint64]map[int]*sketch.Sketch)}
+func newBankCache(cells int, seeds []uint64, pool *sketch.Pool) *bankCache {
+	return &bankCache{cells: cells, seeds: seeds, pool: pool, parts: make(map[uint64][]*sketch.Sketch)}
 }
 
-// get returns the bank sum for a part, building it from the live adjacency
-// on a cache miss.
-func (c *bankCache) get(label uint64, bank int, members []int, view *dynView) *sketch.Sketch {
-	e := c.parts[label]
-	if e == nil {
-		e = make(map[int]*sketch.Sketch)
-		c.parts[label] = e
+// get returns a part's sketch under one bank: the kept sum of a heavy part
+// (built on first read), or a rebuild into scratch for a light one — valid
+// until the next get, which is all GatherParts asks.
+//
+//km:hotpath
+func (c *bankCache) get(label uint64, bank int, members []int, view *dynView, scratch *sketch.Sketch) *sketch.Sketch {
+	sums := c.parts[label]
+	sk := scratch
+	if view.halfEdges(members, c.cells) < c.cells {
+		if sums != nil {
+			c.drop(label) // the part shrank below what a sum is worth
+		}
+		sk.Reset()
+	} else {
+		if sums == nil {
+			sums = c.track(label)
+		}
+		if sums[bank] != nil {
+			c.stats.ReadsKept++
+			return sums[bank]
+		}
+		sk = c.pool.Get(c.seeds[bank])
+		sums[bank] = sk
+		c.stats.KeptSums++
 	}
-	if sk := e[bank]; sk != nil {
-		return sk
-	}
-	sk := sketch.New(c.params, c.seeds[bank])
+	c.stats.ReadsRebuilt++
 	for _, v := range members {
 		sk.AddVertex(v, view.Adj(v), nil)
 	}
-	e[bank] = sk
 	return sk
 }
 
-// update applies one endpoint's incidence delta to every materialized bank
-// of the endpoint's part: sign follows the a_u convention (+1 when the
-// endpoint is the smaller one), negated for deletions.
+// track starts keeping sums for a part (none yet).
+func (c *bankCache) track(label uint64) []*sketch.Sketch {
+	sums := make([]*sketch.Sketch, len(c.seeds))
+	c.parts[label] = sums
+	return sums
+}
+
+// update applies one endpoint's incidence delta to every kept sum of the
+// endpoint's part: sign follows the a_u convention (+1 when the endpoint is
+// the smaller one), negated for deletions.
+//
+//km:hotpath
 func (c *bankCache) update(label uint64, id uint64, sign int) {
-	if e := c.parts[label]; e != nil {
-		for _, sk := range e {
+	for _, sk := range c.parts[label] {
+		if sk != nil {
 			sk.AddItem(id, sign)
 		}
 	}
 }
 
-// drop discards the cached sums of a part (it will rebuild lazily).
-func (c *bankCache) drop(label uint64) { delete(c.parts, label) }
-
-// retain prunes cache keys that are no longer live labels on this machine.
-func (c *bankCache) retain(live map[uint64][]int) {
-	for l := range c.parts {
-		if _, ok := live[l]; !ok {
-			delete(c.parts, l)
+// leave subtracts vertex v's incidence from the kept sums of the part it
+// is leaving.
+//
+//km:hotpath
+func (c *bankCache) leave(label uint64, v int, adj []graph.Half) {
+	for _, sk := range c.parts[label] {
+		if sk != nil {
+			sk.SubVertex(v, adj)
 		}
 	}
 }
 
-// mergeRelabel folds cached part sums through an old-label -> root map
-// (invoked before labels are rewritten, so localParts still reflects the
-// old grouping). For each root, the merged bank sum exists only if every
-// local source part has that bank materialized; otherwise the bank is
-// dropped and rebuilt lazily on next use.
-func (c *bankCache) mergeRelabel(relabel map[uint64]uint64, localParts map[uint64][]int) {
-	groups := make(map[uint64][]uint64)
-	for l := range localParts {
-		nl, ok := relabel[l]
-		if !ok {
-			nl = l
-		}
-		groups[nl] = append(groups[nl], l) //kmvet:ignore sketch addition is cell-wise linear; fold order immaterial
-	}
-	next := make(map[uint64]map[int]*sketch.Sketch, len(groups))
-	for nl, srcs := range groups {
-		if len(srcs) == 1 && srcs[0] == nl {
-			if e, ok := c.parts[nl]; ok {
-				next[nl] = e
-			}
-			continue
-		}
-		entries := make([]map[int]*sketch.Sketch, 0, len(srcs))
-		complete := true
-		for _, l := range srcs {
-			e, ok := c.parts[l]
-			if !ok {
-				complete = false
-				break
-			}
-			entries = append(entries, e)
-		}
-		if !complete {
-			continue
-		}
-		merged := make(map[int]*sketch.Sketch)
-		for b, sk := range entries[0] {
-			sum := sk.Clone()
-			all := true
-			for _, e := range entries[1:] {
-				o, ok := e[b]
-				if !ok {
-					all = false
-					break
-				}
-				if err := sum.Add(o); err != nil {
-					all = false
-					break
-				}
-			}
-			if all {
-				merged[b] = sum
-			}
-		}
-		if len(merged) > 0 {
-			next[nl] = merged
+// join adds vertex v's incidence to the kept sums of the part it joins.
+//
+//km:hotpath
+func (c *bankCache) join(label uint64, v int, adj []graph.Half) {
+	for _, sk := range c.parts[label] {
+		if sk != nil {
+			sk.AddVertex(v, adj, nil)
 		}
 	}
-	c.parts = next
+}
+
+// free returns a kept sum (nil = none) to the pool.
+func (c *bankCache) free(sk *sketch.Sketch) {
+	if sk != nil {
+		c.pool.Put(sk)
+		c.stats.KeptSums--
+	}
+}
+
+// discard frees a kept sum that no longer describes any part.
+func (c *bankCache) discard(sk *sketch.Sketch) {
+	if sk != nil {
+		c.stats.Dropped++
+		c.free(sk)
+	}
+}
+
+// drop discards every kept sum of a part; reads rebuild them on demand.
+func (c *bankCache) drop(label uint64) {
+	for _, sk := range c.parts[label] {
+		c.discard(sk)
+	}
+	delete(c.parts, label)
+}
+
+// close releases every kept sum, so the next session on this process
+// recycles the cell arrays.
+func (c *bankCache) close() {
+	for l := range c.parts {
+		c.drop(l)
+	}
+}
+
+// move carries the certificate step's vertex relabels (labels and parts
+// still describe the grouping before them) into the kept sums by
+// linearity: a moved vertex's incidence leaves its old part's sums and
+// joins its new part's. Only when the leavers are the majority of their
+// local part is the part dropped instead — rebuilding from the vertices
+// that stay is then the cheaper side.
+func (c *bankCache) move(moves []vertLabel, labels map[int]uint64, parts func() map[uint64][]int, view *dynView) {
+	if len(c.parts) == 0 || len(moves) == 0 {
+		return
+	}
+	leavers := make(map[uint64]int) // kept part -> vertices leaving it
+	for _, mv := range moves {
+		if old := labels[mv.v]; c.parts[old] != nil {
+			leavers[old]++
+		}
+	}
+	if len(leavers) > 0 {
+		local := parts()
+		for old, n := range leavers {
+			if 2*n > len(local[old]) {
+				c.drop(old)
+			}
+		}
+	}
+	for _, mv := range moves {
+		adj := view.Adj(mv.v)
+		c.leave(labels[mv.v], mv.v, adj)
+		c.join(mv.label, mv.v, adj)
+	}
+}
+
+// mergeRelabel folds kept sums through an old-label -> root map, in place
+// (invoked before labels are rewritten, so parts still returns the old
+// grouping). A bank of the merged part survives when every local source
+// part either keeps it or is light; light sources contribute their members
+// by AddVertex, and a lone source's sums just move to the root label. Any
+// other bank is released and rebuilt on its next read.
+func (c *bankCache) mergeRelabel(relabel map[uint64]uint64, parts func() map[uint64][]int, view *dynView) {
+	if len(c.parts) == 0 {
+		return
+	}
+	heirs := make(map[uint64][]uint64, len(c.parts)) // root of a kept part -> local sources merging into it
+	for l := range c.parts {
+		if root, ok := relabel[l]; ok {
+			l = root
+		}
+		heirs[l] = nil
+	}
+	local := parts()
+	for old, root := range relabel {
+		if srcs, ok := heirs[root]; ok && len(local[old]) > 0 {
+			heirs[root] = append(srcs, old) // any order: sketch addition commutes
+		}
+	}
+	for root, srcs := range heirs {
+		if len(srcs) == 0 {
+			continue // a kept part nothing merges into
+		}
+		if len(local[root]) > 0 {
+			srcs = append(srcs, root)
+		}
+		c.fold(root, srcs, local, view)
+	}
+}
+
+// fold merges the local source parts srcs (at least one of them kept) into
+// the part labelled root.
+func (c *bankCache) fold(root uint64, srcs []uint64, local map[uint64][]int, view *dynView) {
+	var dst []*sketch.Sketch
+	light := srcs[:0] // sources without sums that are cheap enough to add in
+	complete := true  // no heavy source lacks sums altogether
+	for _, l := range srcs {
+		sums := c.parts[l]
+		switch {
+		case sums == nil && view.halfEdges(local[l], c.cells) < c.cells:
+			light = append(light, l)
+		case sums == nil:
+			complete = false
+		case dst == nil:
+			dst = sums
+		default:
+			for b, sk := range sums {
+				if dst[b] != nil && sk != nil && dst[b].Add(sk) == nil {
+					c.free(sk)
+					continue
+				}
+				c.discard(dst[b])
+				c.discard(sk)
+				dst[b] = nil
+			}
+		}
+		delete(c.parts, l)
+	}
+	c.parts[root] = dst
+	if !complete {
+		c.drop(root)
+		return
+	}
+	for _, l := range light {
+		for _, v := range local[l] {
+			c.join(root, v, view.Adj(v))
+		}
+	}
 }

@@ -146,6 +146,21 @@ func (s *Server) registerTenantMetrics(t *tenant) {
 	s.registry.CounterFunc("kmgraph_observer_panics_total",
 		"Recovered panics out of the graph's observer hook.",
 		func() float64 { return float64(t.c.Metrics().ObserverPanics) }, g)
+	s.registry.GaugeFunc("kmgraph_bank_kept_sums",
+		"Sketch-bank (part, bank) sums held across the graph's machines.",
+		func() float64 { return float64(t.c.Metrics().Banks.KeptSums) }, g)
+	s.registry.GaugeFunc("kmgraph_bank_kept_bytes",
+		"Bytes of sketch cells held by the kept sketch-bank sums.",
+		func() float64 { return float64(t.c.Metrics().Banks.KeptBytes) }, g)
+	s.registry.CounterFunc("kmgraph_bank_reads_kept_total",
+		"Part-sketch reads served from a kept sketch-bank sum.",
+		func() float64 { return float64(t.c.Metrics().Banks.ReadsKept) }, g)
+	s.registry.CounterFunc("kmgraph_bank_reads_rebuilt_total",
+		"Part-sketch reads rebuilt from the part's adjacency.",
+		func() float64 { return float64(t.c.Metrics().Banks.ReadsRebuilt) }, g)
+	s.registry.CounterFunc("kmgraph_bank_dropped_total",
+		"Kept sketch-bank sums released without a successor.",
+		func() float64 { return float64(t.c.Metrics().Banks.Dropped) }, g)
 }
 
 // handlePrometheus serves the whole registry in Prometheus text

@@ -97,10 +97,19 @@ func TestMetricsEndpointExposesServerAndEngineSeries(t *testing.T) {
 	if v := sampleValue(t, body, `kmgraph_job_rounds_total{graph="g",job="connectivity"}`); v <= 0 {
 		t.Errorf("engine round counter: %v", v)
 	}
+	// The bank ledger: a cold query on 300 singletons rebuilds at least
+	// one sketch per vertex.
+	if v := sampleValue(t, body, `kmgraph_bank_reads_rebuilt_total{graph="g"}`); v < 300 {
+		t.Errorf("bank rebuilt-reads counter: %v", v)
+	}
 	// Tenant gauges and process series are present.
 	for _, sample := range []string{
 		`kmserve_queue_depth{graph="g"}`,
 		`kmserve_graph_epoch{graph="g"}`,
+		`kmgraph_bank_kept_sums{graph="g"}`,
+		`kmgraph_bank_kept_bytes{graph="g"}`,
+		`kmgraph_bank_reads_kept_total{graph="g"}`,
+		`kmgraph_bank_dropped_total{graph="g"}`,
 		"kmserve_graphs",
 		"process_max_resident_memory_bytes",
 		"go_goroutines",

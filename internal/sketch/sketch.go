@@ -347,12 +347,19 @@ func (s *Sketch) AddVertex(u int, adj []graph.Half, filter func(u int, h graph.H
 	}
 }
 
-// Clone returns an independent deep copy of s (same shape and seed).
-func (s *Sketch) Clone() *Sketch {
-	c := New(s.p, s.seed)
-	copy(c.cells, s.cells)
-	copy(c.touched, s.touched)
-	return c
+// SubVertex subtracts the incidence vector of vertex u — the inverse of
+// AddVertex(u, adj, nil), so a maintained sum can let a vertex go by
+// linearity instead of being rebuilt without it.
+//
+//km:hotpath
+func (s *Sketch) SubVertex(u int, adj []graph.Half) {
+	for _, h := range adj {
+		if u < h.To {
+			s.AddItem(graph.EdgeID(u, h.To, s.p.N), -1)
+		} else {
+			s.AddItem(graph.EdgeID(h.To, u, s.p.N), +1)
+		}
+	}
 }
 
 // Add accumulates other into s (vector addition). Shapes and seeds must

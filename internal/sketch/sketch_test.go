@@ -440,4 +440,15 @@ func TestAddVertexMatchesAddItem(t *testing.T) {
 	if string(viaVertex.EncodeTo(nil)) != string(viaItems.EncodeTo(nil)) {
 		t.Fatal("AddVertex two-ladder path drifted from AddItem")
 	}
+
+	// SubVertex is its inverse: a sum lets one member go and equals the
+	// sketch of the member that stays.
+	other := []graph.Half{{To: 42, W: 1}, {To: 9, W: 1}}
+	viaVertex.AddVertex(77, other, nil)
+	viaVertex.SubVertex(u, adj)
+	stays := New(p, seed)
+	stays.AddVertex(77, other, nil)
+	if string(viaVertex.EncodeTo(nil)) != string(stays.EncodeTo(nil)) {
+		t.Fatal("SubVertex did not undo AddVertex")
+	}
 }
