@@ -53,11 +53,24 @@ type CompState struct {
 	TargetLabel uint64
 	ElimDone    bool
 
-	// Transient proxy-side selection state, never encoded: the pooled
-	// sketch accumulating this component's part sums, and the sampled edge
-	// awaiting neighbor-label resolution.
-	Sum          *sketch.Sketch
-	PendU, PendV int
+	// Transient proxy-side selection state, never encoded: the outcome of
+	// l0-sampling the sum of this component's part sketches (SumAndSample) —
+	// PendU/PendV is the sampled edge awaiting neighbor-label resolution —
+	// and, while SumAndSample runs, the component's last part message.
+	PendU, PendV  int
+	insideSmaller bool          // PendU is the endpoint inside the component
+	status        sketch.Status // of the stored sample
+	sampled       bool          // a sample is stored and not yet taken
+	tail          int32         // 1 + index of the last part message seen; 0 = none
+}
+
+// takeSample hands out the sample SumAndSample stored for the component,
+// once; ok is false when no part sketch arrived for it since the last take.
+//
+//km:hotpath
+func (st *CompState) takeSample() (x, y int, insideSmaller bool, status sketch.Status, ok bool) {
+	ok, st.sampled = st.sampled, false
+	return st.PendU, st.PendV, st.insideSmaller, st.status, ok
 }
 
 // Encode appends the wire encoding of the state.
@@ -111,7 +124,8 @@ type Merger struct {
 	// OnRelabel, when non-nil, is invoked with each non-empty old-label ->
 	// root map just BEFORE owned labels are rewritten (so the hook still
 	// sees the pre-merge grouping). The dynamic subsystem uses it to merge
-	// maintained sketch-bank sums by linearity.
+	// maintained sketch-bank sums by linearity. The map is reused by the
+	// next phase: read it during the call only.
 	OnRelabel func(relabel map[uint64]uint64)
 
 	// Cancelled, when non-nil, reports whether the current job was asked
@@ -130,6 +144,9 @@ type Merger struct {
 	outBuf       []proxy.Out
 	ansBuf       []proxy.Out
 	keyBuf       []uint64
+	chainNext    []int32 // SumAndSample: message -> next message of its label, -1 ends
+	chainHead    []int32 // SumAndSample: first message of each label seen
+	relabel      map[uint64]uint64
 }
 
 // StateKeys returns m.States' labels in ascending order through a reused
@@ -146,29 +163,66 @@ func (m *Merger) StateKeys() []uint64 {
 	return ls
 }
 
-// AccumulateParts is the proxy side of a sketch selection step: for every
-// received (label, encoded part sketch) message it sums the part into the
-// component state's pooled accumulator (creating the state on first
-// sight) and records the sender as a part holder. Static connectivity,
-// MST iteration 0, and the resident bank path all run exactly this code.
+// SumAndSample is the proxy side of a sketch selection step (Lemma 3): it
+// adds up, per component, the part sketches received as (label, encoded
+// sketch) messages, l0-samples each sum once and stores the outcome in the
+// component's state, recording every sender as a part holder. Nothing
+// reads a sum after its sample, so all components share one pooled scratch
+// sketch: a first pass chains each label's messages (chainNext) from the
+// label's first one (chainHead), a second folds one chain at a time. Cell
+// addition commutes, so the fold order cannot change a sample. With create
+// set the step starts from no states and makes one per label seen (static
+// connectivity, MST iteration 0, the resident bank path); otherwise every
+// label must already have its state here (MST elimination iterations).
 //
 //km:hotpath
-func (m *Merger) AccumulateParts(recv []kmachine.Message, seed uint64) {
-	m.ResetStates()
-	for _, msg := range recv {
-		r := wire.NewReader(msg.Data)
-		label := r.Uvarint()
+func (m *Merger) SumAndSample(recv []kmachine.Message, seed uint64, create bool) {
+	if create {
+		m.ResetStates()
+	}
+	next, heads := m.chainNext[:0], m.chainHead[:0]
+	for i, msg := range recv {
+		label, _ := splitPart(msg.Data)
 		st := m.States[label]
 		if st == nil {
+			if !create {
+				panic("core: part sketch for a component state not held here")
+			}
 			st = m.NewState(label)
 			m.States[label] = st
-			st.Sum = m.Pool().Get(seed)
-		}
-		if err := st.Sum.AddEncoded(msg.Data[len(msg.Data)-r.Len():]); err != nil {
-			panic(fmt.Sprintf("core: bad sketch from %d: %v", msg.Src, err)) //kmvet:ignore panic path; never executes on protocol-conformant traffic
 		}
 		st.Holders[msg.Src/8] |= 1 << uint(msg.Src%8)
+		if st.tail == 0 {
+			heads = append(heads, int32(i))
+		} else {
+			next[st.tail-1] = int32(i)
+		}
+		st.tail = int32(i) + 1
+		next = append(next, -1)
 	}
+	sum := m.Pool().Get(seed)
+	for _, h := range heads {
+		for i := h; i >= 0; i = next[i] {
+			_, enc := splitPart(recv[i].Data)
+			if err := sum.AddEncoded(enc); err != nil {
+				panic(fmt.Sprintf("core: bad sketch from %d: %v", recv[i].Src, err)) //kmvet:ignore panic path; never executes on protocol-conformant traffic
+			}
+		}
+		label, _ := splitPart(recv[h].Data)
+		st := m.States[label]
+		st.PendU, st.PendV, st.insideSmaller, st.status = sum.SampleEdge()
+		st.sampled, st.tail = true, 0
+		sum.Reset()
+	}
+	m.Pool().Put(sum)
+	m.chainNext, m.chainHead = next, heads
+}
+
+// splitPart splits a SketchPayload body into its label and encoded sketch.
+func splitPart(data []byte) (label uint64, enc []byte) {
+	r := wire.NewReader(data)
+	label = r.Uvarint()
+	return label, data[len(data)-r.Len():]
 }
 
 // SketchPayload encodes (label, sk) through the machine's reusable scratch
@@ -212,10 +266,6 @@ func (m *Merger) ResetStates() {
 		return
 	}
 	for l, st := range m.States {
-		if st.Sum != nil {
-			m.Pool().Put(st.Sum)
-			st.Sum = nil
-		}
 		m.stFree = append(m.stFree, st) //kmvet:ignore free-list recycling; recycled states are fully reset by NewState before reuse
 		delete(m.States, l)
 	}
@@ -476,8 +526,9 @@ func (m *Merger) SelectSketch() {
 // GatherParts is the first half of a sketch selection step (§2.3, Lemma
 // 3): every part's sketch — whatever part returns for it, encoded before
 // the next call — travels to its component's proxy, which sums the parts
-// per component (intra-component edges cancel by linearity) and records
-// the part holders. Payloads are interned exact-size in the arena.
+// per component (intra-component edges cancel by linearity), samples the
+// sum and records the part holders (SumAndSample). Payloads are interned
+// exact-size in the arena.
 func (m *Merger) GatherParts(seed uint64, part func(label uint64, members []int) *sketch.Sketch) {
 	parts := m.Parts()
 	out := m.outBuf[:0]
@@ -486,7 +537,7 @@ func (m *Merger) GatherParts(seed uint64, part func(label uint64, members []int)
 	}
 	recv := m.Comm.Exchange(out)
 	m.outBuf = out
-	m.AccumulateParts(recv, seed)
+	m.SumAndSample(recv, seed, true)
 }
 
 // GatherFreshParts gathers part sketches built fresh against the view
@@ -503,21 +554,17 @@ func (m *Merger) GatherFreshParts(seed uint64) {
 	m.Pool().Put(sk)
 }
 
-// RankSampled is the second half (§2.4–2.5): sample an outgoing edge from
-// every gathered component sum, resolve the neighbor's label by querying
-// the outside endpoint's home machine (which also validates that the edge
-// exists), and apply the merge rule. merged, when non-nil, sees every
-// component that connected to its neighbor, with the sampled edge in
+// RankSampled is the second half (§2.4–2.5): take the outgoing edge sampled
+// from every gathered component sum, resolve the neighbor's label by
+// querying the outside endpoint's home machine (which also validates that
+// the edge exists), and apply the merge rule. merged, when non-nil, sees
+// every component that connected to its neighbor, with the sampled edge in
 // PendU/PendV and its weight.
 func (m *Merger) RankSampled(merged func(st *CompState, w int64)) {
 	a := m.Comm.Arena()
 	out := m.outBuf[:0]
 	for _, label := range m.StateKeys() {
-		st := m.States[label]
-		sk := st.Sum
-		st.Sum = nil
-		x, y, insideSmaller, status := sk.SampleEdge()
-		m.Pool().Put(sk)
+		x, y, insideSmaller, status, _ := m.States[label].takeSample()
 		switch status {
 		case sketch.Empty:
 			// No outgoing edges: inactive root this phase.
@@ -528,7 +575,6 @@ func (m *Merger) RankSampled(merged func(st *CompState, w int64)) {
 			if insideSmaller {
 				outside = y
 			}
-			st.PendU, st.PendV = x, y
 			q := a.Grab(40)
 			q = wire.AppendUvarint(q, uint64(outside))
 			q = wire.AppendUvarint(q, uint64(x))
@@ -607,7 +653,7 @@ func (m *Merger) AnswerLabelQueries(recv []kmachine.Message) []proxy.Out {
 // local count of merged components.
 func (m *Merger) BroadcastAndRelabel() uint64 {
 	k := m.Ctx.K()
-	var out []proxy.Out
+	out := m.outBuf[:0]
 	var localMerges uint64
 	a := m.Comm.Arena()
 	for _, label := range m.StateKeys() {
@@ -627,7 +673,12 @@ func (m *Merger) BroadcastAndRelabel() uint64 {
 		}
 	}
 	recv := m.Comm.Exchange(out)
-	relabel := make(map[uint64]uint64)
+	m.outBuf = out
+	if m.relabel == nil {
+		m.relabel = make(map[uint64]uint64)
+	}
+	relabel := m.relabel
+	clear(relabel)
 	for _, msg := range recv {
 		r := wire.NewReader(msg.Data)
 		oldL := r.Uvarint()
@@ -723,7 +774,7 @@ func (m *Merger) Collapse() {
 // HandoffStates moves all component states to the next slot's proxies
 // (fresh h_{j,ρ} per iteration, as Lemma 5 requires for independence).
 func (m *Merger) HandoffStates() {
-	var out []proxy.Out
+	out := m.outBuf[:0]
 	a := m.Comm.Arena()
 	newStates := m.takeSpareStates()
 	for _, label := range m.StateKeys() {
@@ -737,6 +788,7 @@ func (m *Merger) HandoffStates() {
 		m.stFree = append(m.stFree, st) // encoded copy travels; recycle the original
 	}
 	recv := m.Comm.Exchange(out)
+	m.outBuf = out
 	for _, msg := range recv {
 		r := wire.NewReader(msg.Data)
 		st := m.DecodeStateInto(r)

@@ -7,6 +7,9 @@
 package core
 
 import (
+	"cmp"
+	"slices"
+
 	"kmgraph/internal/graph"
 	"kmgraph/internal/proxy"
 	"kmgraph/internal/sketch"
@@ -35,12 +38,28 @@ type MWOE struct {
 	MaxElimIters int
 	Edges        map[uint64]graph.Edge
 	ElimIters    int
+
+	thresholds []threshold                    // this iteration's, reused
+	cut        threshold                      // the one lighter filters against
+	lighter    func(u int, h graph.Half) bool // AddVertex filter, bound once
+}
+
+// threshold is a component's current best edge in the (weight, edge ID)
+// order, as its part holders receive it: the next filtered sketch keeps
+// only strictly lighter edges.
+type threshold struct {
+	label uint64
+	w     int64
+	id    uint64
 }
 
 // NewMWOE returns an MWOE selector over m. maxElimIters caps elimination
 // iterations per phase.
 func NewMWOE(m *Merger, maxElimIters int) *MWOE {
-	return &MWOE{M: m, MaxElimIters: maxElimIters, Edges: make(map[uint64]graph.Edge)}
+	w := &MWOE{M: m, MaxElimIters: maxElimIters, Edges: make(map[uint64]graph.Edge)}
+	n := m.View.N()
+	w.lighter = func(u int, h graph.Half) bool { return edgeLessHalf(u, h, n, w.cut.w, w.cut.id) }
+	return w
 }
 
 // Select runs the per-phase elimination loop (§3.1) and leaves, in
@@ -95,9 +114,8 @@ func (w *MWOE) Select() {
 		}
 
 		// Combined exchange: thresholds to part holders + state handoff.
-		var out []proxy.Out
+		out := m.outBuf[:0]
 		newStates := m.takeSpareStates()
-		thresholds := make(map[uint64][2]uint64) // label -> {weight(bits), id}
 		for _, label := range m.StateKeys() {
 			st := m.States[label]
 			if st.HasBest && !st.ElimDone {
@@ -125,14 +143,12 @@ func (w *MWOE) Select() {
 			}
 		}
 		recv := m.Comm.Exchange(out)
+		ths := w.thresholds[:0]
 		for _, msg := range recv {
 			switch msg.Data[0] {
 			case tagThreshold:
 				r := wire.NewReader(msg.Data[1:])
-				label := r.Uvarint()
-				wgt := r.Varint()
-				id := r.Uvarint()
-				thresholds[label] = [2]uint64{uint64(wgt), id}
+				ths = append(ths, threshold{label: r.Uvarint(), w: r.Varint(), id: r.Uvarint()})
 			case tagState:
 				r := wire.NewReader(msg.Data[1:])
 				st := m.DecodeStateInto(r)
@@ -145,38 +161,25 @@ func (w *MWOE) Select() {
 		m.States = newStates
 		m.StateSlot++
 
-		// Filtered part re-sketches to the (new) proxies.
+		// Filtered part re-sketches to the (new) proxies, by ascending label
+		// (a component has one proxy, so labels are distinct).
+		slices.SortFunc(ths, func(a, b threshold) int { return cmp.Compare(a.label, b.label) })
+		w.thresholds = ths
 		seed := m.Sh.SketchSeed(m.Phase, s)
-		out = nil
+		out = out[:0]
 		part := m.Pool().Get(seed)
-		for _, label := range SortedKeys(thresholds) {
-			th := thresholds[label]
-			tw, tid := int64(th[0]), th[1]
-			for _, v := range parts[label] {
-				part.AddVertex(v, m.View.Adj(v), func(u int, h graph.Half) bool {
-					return edgeLessHalf(u, h, n, tw, tid)
-				})
+		for _, th := range ths {
+			w.cut = th
+			for _, v := range parts[th.label] {
+				part.AddVertex(v, m.View.Adj(v), w.lighter)
 			}
-			out = append(out, proxy.Out{Dst: m.ProxyOf(m.StateSlot, label), Data: m.SketchPayload(label, part), Framed: true})
+			out = append(out, proxy.Out{Dst: m.ProxyOf(m.StateSlot, th.label), Data: m.SketchPayload(th.label, part), Framed: true})
 			part.Reset()
 		}
 		m.Pool().Put(part)
 		recv = m.Comm.Exchange(out)
-
-		for _, msg := range recv {
-			r := wire.NewReader(msg.Data)
-			label := r.Uvarint()
-			st := m.States[label]
-			if st == nil {
-				panic("core: filtered sketch for unknown state")
-			}
-			if st.Sum == nil {
-				st.Sum = m.Pool().Get(seed)
-			}
-			if err := st.Sum.AddEncoded(msg.Data[len(msg.Data)-r.Len():]); err != nil {
-				panic(err)
-			}
-		}
+		m.outBuf = out
+		m.SumAndSample(recv, seed, false)
 		active = w.sampleAndResolve()
 	}
 
@@ -201,16 +204,13 @@ func (w *MWOE) Select() {
 func (w *MWOE) sampleAndResolve() uint64 {
 	m := w.M
 	a := m.Comm.Arena()
-	var out []proxy.Out
+	out := m.outBuf[:0]
 	for _, label := range m.StateKeys() {
 		st := m.States[label]
-		if st.ElimDone || st.Sum == nil {
+		x, y, insideSmaller, status, ok := st.takeSample()
+		if st.ElimDone || !ok {
 			continue
 		}
-		sk := st.Sum
-		st.Sum = nil
-		x, y, insideSmaller, status := sk.SampleEdge()
-		m.Pool().Put(sk)
 		switch status {
 		case sketch.Empty:
 			// Nothing lighter remains. If a best edge exists, it is the
@@ -225,7 +225,6 @@ func (w *MWOE) sampleAndResolve() uint64 {
 			if insideSmaller {
 				outside = y
 			}
-			st.PendU, st.PendV = x, y
 			q := a.Grab(40)
 			q = wire.AppendUvarint(q, uint64(outside))
 			q = wire.AppendUvarint(q, uint64(x))
@@ -235,8 +234,8 @@ func (w *MWOE) sampleAndResolve() uint64 {
 		}
 	}
 	recv := m.Comm.Exchange(out)
-	out = m.AnswerLabelQueries(recv)
-	recv = m.Comm.Exchange(out)
+	m.outBuf = out
+	recv = m.Comm.Exchange(m.AnswerLabelQueries(recv))
 
 	var active uint64
 	for _, msg := range recv {

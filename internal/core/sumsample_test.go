@@ -1,0 +1,245 @@
+package core
+
+import (
+	"math/rand"
+	"testing"
+
+	"kmgraph/internal/graph"
+	"kmgraph/internal/kmachine"
+	"kmgraph/internal/sketch"
+	"kmgraph/internal/wire"
+)
+
+// partMsg is one (label, part sketch) message of a selection step, and the
+// items the part sketch holds.
+type partMsg struct {
+	src   int
+	label uint64
+	items map[uint64]int // edge slot -> ±1
+}
+
+type sample struct {
+	x, y          int
+	insideSmaller bool
+	status        sketch.Status
+}
+
+// encodeParts builds the messages as GatherParts would.
+func encodeParts(p sketch.Params, seed uint64, parts []partMsg) []kmachine.Message {
+	recv := make([]kmachine.Message, len(parts))
+	for i, pm := range parts {
+		sk := sketch.New(p, seed)
+		for id, sign := range pm.items {
+			sk.AddItem(id, sign)
+		}
+		recv[i] = kmachine.Message{Src: pm.src, Data: sk.EncodeTo(wire.AppendUvarint(nil, pm.label))}
+	}
+	return recv
+}
+
+// referenceSamples is the per-label dense path SumAndSample replaced:
+// Decode every part, Add it into the label's own sum, sample each sum.
+func referenceSamples(t *testing.T, p sketch.Params, seed uint64, recv []kmachine.Message) (map[uint64]sample, map[uint64]map[int]bool) {
+	t.Helper()
+	sums := make(map[uint64]*sketch.Sketch)
+	holders := make(map[uint64]map[int]bool)
+	for _, msg := range recv {
+		label, enc := splitPart(msg.Data)
+		part, err := sketch.Decode(p, seed, enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sums[label] == nil {
+			sums[label] = sketch.New(p, seed)
+			holders[label] = make(map[int]bool)
+		}
+		if err := sums[label].Add(part); err != nil {
+			t.Fatal(err)
+		}
+		holders[label][msg.Src] = true
+	}
+	want := make(map[uint64]sample)
+	for label, sum := range sums {
+		var s sample
+		s.x, s.y, s.insideSmaller, s.status = sum.SampleEdge()
+		want[label] = s
+	}
+	return want, holders
+}
+
+// randomParts draws a message set over labels 100, 101, …: 1..k parts per
+// label from distinct sources, some empty, some cancelling to the zero
+// vector, some repeated with the opposite sign; ordered as Exchange
+// returns them (by source, a label's parts interleaved with the others').
+func randomParts(rng *rand.Rand, n, k, labels int) []partMsg {
+	slot := func() uint64 {
+		x, y := rng.Intn(n), rng.Intn(n-1)
+		if y >= x {
+			y++
+		}
+		return graph.EdgeID(x, y, n)
+	}
+	var parts []partMsg
+	for l := 0; l < labels; l++ {
+		label := uint64(100 + l)
+		srcs := rng.Perm(k)[:1+rng.Intn(k)]
+		kind := rng.Intn(5)
+		for i, src := range srcs {
+			items := make(map[uint64]int)
+			switch {
+			case kind == 0 && i%2 == 1:
+				// Opposite of the previous part: the pair sums to zero.
+				for id, sign := range parts[len(parts)-1].items {
+					items[id] = -sign
+				}
+			case kind == 1 && i == len(srcs)-1 && len(srcs) > 1:
+				// The first part again, negated (other parts lie between).
+				for id, sign := range parts[len(parts)-len(srcs)+1].items {
+					items[id] = -sign
+				}
+			case kind == 2 && i > 0:
+				// Empty part.
+			default:
+				for j := rng.Intn(12); j > 0; j-- {
+					items[slot()] = 1 - 2*rng.Intn(2)
+				}
+			}
+			parts = append(parts, partMsg{src: src, label: label, items: items})
+		}
+	}
+	rng.Shuffle(len(parts), func(i, j int) { parts[i], parts[j] = parts[j], parts[i] })
+	bySrc := make([]partMsg, 0, len(parts))
+	for src := 0; src < k; src++ {
+		for _, pm := range parts {
+			if pm.src == src {
+				bySrc = append(bySrc, pm)
+			}
+		}
+	}
+	return bySrc
+}
+
+// soloMerger returns machine 0's Merger of a k-machine cluster whose run is
+// already over: SumAndSample needs a Merger (for K and the pool) but no
+// communication, so the test drives it from its own goroutine.
+func soloMerger(t *testing.T, k int, p sketch.Params) *Merger {
+	t.Helper()
+	g := graph.Path(p.N)
+	cfg := Config{K: k, Seed: 1, Sketch: p}.WithDefaults(g.N())
+	part := kmachine.NewRVP(g, k, 1)
+	var m *Merger
+	_, err := runOneShot(t.Context(), cfg, func(mctx *kmachine.Ctx) error {
+		if mctx.ID() == 0 {
+			m = NewMerger(mctx, part.View(0), cfg)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(m.ReleasePools)
+	return m
+}
+
+// checkStates compares the stored sample and holders of every label in
+// want against the states, and that nothing else holds a fresh sample.
+func checkStates(t *testing.T, m *Merger, k int, want map[uint64]sample, holders map[uint64]map[int]bool) {
+	t.Helper()
+	for label, st := range m.States {
+		ws, fresh := want[label]
+		x, y, inside, status, ok := st.takeSample()
+		if ok != fresh {
+			t.Fatalf("label %d: stored sample = %v, want %v", label, ok, fresh)
+		}
+		if st.tail != 0 {
+			t.Fatalf("label %d: chain tail %d left behind", label, st.tail)
+		}
+		if !fresh {
+			continue
+		}
+		if got := (sample{x, y, inside, status}); got != ws {
+			t.Fatalf("label %d: sample %+v, reference %+v", label, got, ws)
+		}
+		for src := 0; src < k; src++ {
+			if got := st.Holders[src/8]&(1<<uint(src%8)) != 0; got != holders[label][src] {
+				t.Fatalf("label %d: holder bit of machine %d = %v, want %v", label, src, got, holders[label][src])
+			}
+		}
+	}
+	for label := range want {
+		if m.States[label] == nil {
+			t.Fatalf("label %d has no state", label)
+		}
+	}
+}
+
+// TestSumAndSampleMatchesPerLabelSums is the differential test of the
+// proxy side: one scratch sketch folded chain by chain must store, for
+// every label, the sample its own dense Decode+Add sum gives.
+func TestSumAndSampleMatchesPerLabelSums(t *testing.T) {
+	const k = 8
+	shapes := []sketch.Params{
+		sketch.DefaultParams(64),
+		{N: 64, Levels: 3, Buckets: 2, Reps: 1}, // small enough that samples fail
+	}
+	seen := make(map[sketch.Status]int)
+	for _, p := range shapes {
+		m := soloMerger(t, k, p)
+		rng := rand.New(rand.NewSource(int64(p.Levels)))
+		for round := 0; round < 60; round++ {
+			seed := rng.Uint64()
+			recv := encodeParts(p, seed, randomParts(rng, p.N, k, 1+rng.Intn(30)))
+			want, holders := referenceSamples(t, p, seed, recv)
+			m.SumAndSample(recv, seed, true)
+			if len(m.States) != len(want) {
+				t.Fatalf("%d states for %d labels", len(m.States), len(want))
+			}
+			checkStates(t, m, k, want, holders)
+			for _, s := range want {
+				seen[s.status]++
+			}
+
+			// An elimination iteration: fresh sketches under a new seed for
+			// some of the labels, states kept (create=false).
+			var again []partMsg
+			for _, pm := range randomParts(rng, p.N, k, len(want)) {
+				if pm.label%3 != 0 {
+					again = append(again, pm)
+				}
+			}
+			seed2 := rng.Uint64()
+			recv = encodeParts(p, seed2, again)
+			want2, holders2 := referenceSamples(t, p, seed2, recv)
+			for label, hs := range holders2 {
+				for src := range holders[label] {
+					hs[src] = true // holders accumulate over a phase
+				}
+			}
+			m.SumAndSample(recv, seed2, false)
+			if len(m.States) != len(want) {
+				t.Fatalf("create=false changed the state set: %d, was %d", len(m.States), len(want))
+			}
+			checkStates(t, m, k, want2, holders2)
+		}
+		if peak := m.Pool().Peak(); peak != 1 {
+			t.Fatalf("SumAndSample held %d dense sketches at once, want 1", peak)
+		}
+
+		// A part for a label without a state is a protocol violation.
+		stray := encodeParts(p, 7, []partMsg{{src: 3, label: 9999}})
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("create=false accepted a part for an unknown label")
+				}
+			}()
+			m.SumAndSample(stray, 7, false)
+		}()
+	}
+	t.Logf("reference statuses: %v", seen)
+	for _, s := range []sketch.Status{sketch.Empty, sketch.Sampled, sketch.Failed} {
+		if seen[s] == 0 {
+			t.Errorf("no label's reference sample was %v: the inputs do not cover it", s)
+		}
+	}
+}

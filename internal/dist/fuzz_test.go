@@ -93,8 +93,8 @@ func (tap *frameTap) frames() map[tcp.FrameType][][]byte {
 	return out
 }
 
-// realControlFrames runs a traced 2-worker job (and one that fails at the
-// workers) through taps and returns the control frames that crossed.
+// realControlFrames runs two traced 2-worker jobs (and one that fails at
+// the workers) through taps and returns the control frames that crossed.
 func realControlFrames(t testing.TB) map[tcp.FrameType][][]byte {
 	t.Helper()
 	taps := make([]*frameTap, 2)
@@ -116,6 +116,12 @@ func realControlFrames(t testing.TB) map[tcp.FrameType][][]byte {
 	defer cancel()
 	cfg := core.MSTConfig{Config: core.Config{K: 4, Seed: 9}, StrongOutput: true}
 	if _, err := RunMSTOpts(ctx, addrs, "gnm:400:1200:3", cfg, CoordOptions{Trace: &JobTrace{}}); err != nil {
+		t.Fatal(err)
+	}
+	// A connectivity job too: its result frames carry the other output
+	// kind, and the corpus's heartbeat count follows the jobs' wall time,
+	// which fell when the proxies stopped keeping per-component sums.
+	if _, err := RunConnectivityOpts(ctx, addrs, "gnm:3000:9000:5", cfg.Config, CoordOptions{Trace: &JobTrace{}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := RunConnectivity(ctx, addrs, "store:/nonexistent.kmgs", cfg.Config); err == nil {

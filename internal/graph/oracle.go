@@ -14,12 +14,18 @@ type UnionFind struct {
 
 // NewUnionFind returns a union-find over n singleton elements.
 func NewUnionFind(n int) *UnionFind {
-	uf := &UnionFind{parent: make([]int, n), size: make([]int, n), count: n}
+	uf := &UnionFind{parent: make([]int, n), size: make([]int, n)}
+	uf.Reset()
+	return uf
+}
+
+// Reset makes every element a singleton again, keeping the arrays.
+func (uf *UnionFind) Reset() {
 	for i := range uf.parent {
 		uf.parent[i] = i
 		uf.size[i] = 1
 	}
-	return uf
+	uf.count = len(uf.parent)
 }
 
 // Find returns the representative of x.

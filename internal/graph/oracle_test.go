@@ -27,6 +27,18 @@ func TestUnionFind(t *testing.T) {
 	if uf.Find(4) == uf.Find(0) {
 		t.Error("4 should be separate")
 	}
+	uf.Reset()
+	if uf.Count() != 5 {
+		t.Fatalf("count after Reset = %d", uf.Count())
+	}
+	for x := 0; x < 5; x++ {
+		if uf.Find(x) != x {
+			t.Errorf("after Reset, Find(%d) = %d", x, uf.Find(x))
+		}
+	}
+	if !uf.Union(0, 1) || uf.Count() != 4 {
+		t.Error("a reset union-find should merge again")
+	}
 }
 
 func TestComponentsKnown(t *testing.T) {

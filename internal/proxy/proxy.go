@@ -20,6 +20,7 @@ package proxy
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"kmgraph/internal/hashing"
 	"kmgraph/internal/kmachine"
@@ -71,7 +72,8 @@ type Comm struct {
 	counts   []uint64
 	expected []int64
 	got      []int64
-	recvBuf  []kmachine.Message
+	recvBuf  []kmachine.Message // arrivals, in arrival order
+	sortBuf  []kmachine.Message // the same, by source: what Exchange returns
 }
 
 // NewComm returns a collective communicator over ctx.
@@ -222,16 +224,19 @@ func (c *Comm) Exchange(out []Out) []kmachine.Message {
 			}
 		}
 	}
-	// Stable sort by source. Arrivals are a concatenation of per-round
-	// deliveries, each already ascending in Src, so insertion sort runs in
-	// O(messages · rounds-in-collective) — near linear — with no allocation.
-	for i := 1; i < len(recv); i++ {
-		for j := i; j > 0 && recv[j-1].Src > recv[j].Src; j-- {
-			recv[j-1], recv[j] = recv[j], recv[j-1]
-		}
+	// Stable counting sort by source: got already tallies the arrivals per
+	// source, so its prefix sums are each source's first slot in the result.
+	at := int64(0)
+	for i, n := range got {
+		got[i], at = at, at+n
 	}
-	c.recvBuf = recv
-	return recv
+	sorted := slices.Grow(c.sortBuf[:0], len(recv))[:len(recv)]
+	for _, m := range recv {
+		sorted[got[m.Src]] = m
+		got[m.Src]++
+	}
+	c.recvBuf, c.sortBuf = recv, sorted
+	return sorted
 }
 
 // GatherTo sends data from every machine to root; root receives all k

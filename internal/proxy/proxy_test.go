@@ -3,6 +3,7 @@ package proxy
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 
 	"kmgraph/internal/kmachine"
@@ -416,3 +417,88 @@ func TestExchangeDeterministicRounds(t *testing.T) {
 		t.Errorf("rounds differ: %d vs %d", a, b)
 	}
 }
+
+// TestExchangeOrderAcrossRounds pins what Exchange returns when one
+// collective spans several rounds: arrivals interleave sources round by
+// round (and, for frames a faster machine sent early, come out of the
+// pending buffer first), and the result is their stable sort by source —
+// (source, send order). The slice a call returned may be overwritten by
+// later calls; the Data bytes it pointed at may not.
+func TestExchangeOrderAcrossRounds(t *testing.T) {
+	const k, hub = 4, 1
+	// sends[c][src] messages go from src to the hub in collective c (the
+	// hub's own are self-sends). Machine 3 has nothing to wait for in
+	// collective 0, so its collective-1 frames reach the hub early.
+	sends := [][k]int{{6, 2, 2, 0}, {2, 1, 3, 4}, {1, 1, 0, 1}}
+	payload := func(c, src, idx int) []byte {
+		return append([]byte{byte(c), byte(src), byte(idx)}, bytes.Repeat([]byte{0xa5}, 37)...)
+	}
+	c := newCluster(t, k, 512) // one 40-byte message per link per round
+	_, err := c.Run(func(ctx *kmachine.Ctx) error {
+		comm := NewComm(ctx)
+		var kept [][]byte // every Data slice the hub was ever handed
+		sawPending, sawUnsorted := false, false
+		for col := range sends {
+			var out []Out
+			for i := 0; i < sends[col][ctx.ID()]; i++ {
+				out = append(out, Out{Dst: hub, Data: payload(col, ctx.ID(), i)})
+			}
+			start := ctx.Round()
+			recv := comm.Exchange(out)
+			if ctx.ID() != hub {
+				if len(recv) != 0 {
+					return fmt.Errorf("machine %d received %d messages", ctx.ID(), len(recv))
+				}
+				continue
+			}
+			if col == 0 && ctx.Round()-start < 3 {
+				return fmt.Errorf("collective 0 took %d rounds, want >= 3", ctx.Round()-start)
+			}
+			sawPending = sawPending || len(comm.pending[comm.seq]) > 0
+			arrival := slices.Clone(comm.recvBuf)
+			sawUnsorted = sawUnsorted || !slices.IsSortedFunc(arrival, bySrc)
+			slices.SortStableFunc(arrival, bySrc)
+			if len(recv) != len(arrival) {
+				return fmt.Errorf("collective %d: %d messages returned, %d arrived", col, len(recv), len(arrival))
+			}
+			i := 0
+			for src := 0; src < k; src++ {
+				for idx := 0; idx < sends[col][src]; idx++ {
+					if i >= len(recv) || recv[i].Src != src || !bytes.Equal(recv[i].Data, payload(col, src, idx)) {
+						return fmt.Errorf("collective %d: message %d is not (source %d, send %d)", col, i, src, idx)
+					}
+					if &recv[i].Data[0] != &arrival[i].Data[0] {
+						return fmt.Errorf("collective %d: message %d is not the stable sort of arrival order", col, i)
+					}
+					kept = append(kept, recv[i].Data)
+					i++
+				}
+			}
+			if i != len(recv) {
+				return fmt.Errorf("collective %d: %d messages, want %d", col, len(recv), i)
+			}
+		}
+		if ctx.ID() == hub {
+			if !sawPending || !sawUnsorted {
+				return fmt.Errorf("schedule too tame: pending path %v, out-of-order arrival %v", sawPending, sawUnsorted)
+			}
+			i := 0
+			for col := range sends {
+				for src := 0; src < k; src++ {
+					for idx := 0; idx < sends[col][src]; idx++ {
+						if !bytes.Equal(kept[i], payload(col, src, idx)) {
+							return fmt.Errorf("Data of collective %d (source %d, send %d) was overwritten by a later call", col, src, idx)
+						}
+						i++
+					}
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+func bySrc(a, b kmachine.Message) int { return a.Src - b.Src }

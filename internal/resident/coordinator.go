@@ -24,6 +24,7 @@ type coordinator struct {
 	// listing serves recompute and forestEdges, and each query only merges
 	// its few fresh edges in instead of re-sorting the whole forest.
 	sorted []uint64
+	uf     *graph.UnionFind // recompute's piece finder, reset per query
 }
 
 type vertLabel struct {
@@ -37,6 +38,7 @@ func newCoordinator(n int) *coordinator {
 		labels:  make([]uint64, n),
 		forest:  make(map[uint64]graph.Edge),
 		pending: make(map[uint64]graph.Edge),
+		uf:      graph.NewUnionFind(n),
 	}
 	for v := range c.labels {
 		c.labels[v] = uint64(v)
@@ -94,7 +96,8 @@ func mergeSortedIDs(a, add []uint64) []uint64 {
 // therefore relabels only the fragment.
 func (c *coordinator) recompute() (changes []vertLabel, certEdges int) {
 	certEdges = len(c.forest) + len(c.pending)
-	uf := graph.NewUnionFind(c.n)
+	uf := c.uf
+	uf.Reset()
 	kept := c.sorted[:0]
 	for _, id := range c.sorted {
 		e, ok := c.forest[id]

@@ -98,7 +98,9 @@ type rmachine struct {
 	globalPhase int
 	mergeRecs   []graph.Edge
 	moves       []vertLabel // step 1's relabels, reused across queries
+	synced      []vertLabel // machine 0: the final sync's label changes, reused
 	pre         []uint64    // owned labels entering the merge phases, reused
+	chg         []byte      // the final sync's encoded label changes, reused
 }
 
 func (m *rmachine) loop() error {
@@ -151,7 +153,9 @@ func (m *rmachine) loop() error {
 }
 
 func (m *rmachine) reply(out any) {
-	m.e.replyCh <- reply{id: m.ctx.ID(), rounds: m.ctx.Round(), out: out, banks: m.banks.stats}
+	banks := m.banks.stats
+	banks.PoolPeak = m.mg.Pool().Peak()
+	m.e.replyCh <- reply{id: m.ctx.ID(), rounds: m.ctx.Round(), out: out, banks: banks}
 }
 
 // phaseEvents returns the job's phase hook: an observer event from
@@ -418,7 +422,7 @@ func (m *rmachine) query(cmd hostCmd) {
 	// Step 3: final sync — Boruvka label changes and sampled merge edges
 	// flow to the coordinator, which grows the forest and counts
 	// components over its resident labeling.
-	var chg []byte
+	chg := m.chg[:0]
 	nc := 0
 	for i, v := range m.view.owned {
 		if m.mg.Labels[v] != m.pre[i] {
@@ -427,6 +431,7 @@ func (m *rmachine) query(cmd hostCmd) {
 			nc++
 		}
 	}
+	m.chg = chg
 	a := m.mg.Comm.Arena()
 	data := a.Grab(20 + len(chg) + 30*len(m.mergeRecs))
 	data = wire.AppendUvarint(data, uint64(nc))
@@ -440,7 +445,7 @@ func (m *rmachine) query(cmd hostCmd) {
 	data = a.Commit(data)
 	recv = m.mg.Comm.Exchange([]proxy.Out{{Dst: 0, Data: data}})
 	if m.ctx.ID() == 0 {
-		var changes []vertLabel
+		changes := m.synced[:0]
 		var merges []graph.Edge
 		for _, msg := range recv {
 			r := wire.NewReader(msg.Data)
@@ -453,19 +458,18 @@ func (m *rmachine) query(cmd hostCmd) {
 				merges = append(merges, graph.Edge{U: int(r.Uvarint()), V: int(r.Uvarint()), W: r.Varint()})
 			}
 		}
+		m.synced = changes
 		m.coord.relabelAndGrow(changes, merges)
 		rep.query.components = m.coord.components()
 		rep.query.forest = m.coord.forestEdges()
 		rep.query.mergeEdges = len(merges)
 	}
 	// The session merger's labels and counters outlive the job: reply with
-	// a snapshot and this query's deltas.
-	labels := make(map[int]uint64, len(m.mg.Labels))
-	for v, l := range m.mg.Labels {
-		labels[v] = l
-	}
+	// this query's deltas and the live label map, which the host assembles
+	// into its own slice before it admits the next command — and only a
+	// command changes labels.
 	rep.machine = &core.MachineOutput{
-		Labels:        labels,
+		Labels:        m.mg.Labels,
 		Failures:      m.mg.Failures - startFail,
 		Phases:        phases,
 		CollapseIters: m.mg.CollapseIters - startCollapse,

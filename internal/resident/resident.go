@@ -302,6 +302,13 @@ type BankMetrics struct {
 	// fell below the threshold, lost most of its vertices, or merged with
 	// a heavy part that did not keep the bank.
 	Dropped int64
+	// KeptPeak and PoolPeak are high-water marks, each machine's own,
+	// summed over machines: the most kept sums a machine held at once, and
+	// the most sketches of any use its session pool had handed out at once
+	// — kept sums plus a selection step's part and sum scratch, so PoolPeak
+	// is at most KeptPeak + 2 per machine: the proxy side of a step holds
+	// O(1) dense sketches, never one per component.
+	KeptPeak, PoolPeak int
 }
 
 // cellBytes is the size of one sketch cell (count, idSum, fingerprint).
@@ -312,6 +319,8 @@ func (b *BankMetrics) add(o BankMetrics) {
 	b.ReadsKept += o.ReadsKept
 	b.ReadsRebuilt += o.ReadsRebuilt
 	b.Dropped += o.Dropped
+	b.KeptPeak += o.KeptPeak
+	b.PoolPeak += o.PoolPeak
 }
 
 // Problem and VerifyArgs are the verify package's: Engine.Verify is one

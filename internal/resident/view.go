@@ -149,6 +149,7 @@ func (c *bankCache) get(label uint64, bank int, members []int, view *dynView, sc
 		sk = c.pool.Get(c.seeds[bank])
 		sums[bank] = sk
 		c.stats.KeptSums++
+		c.stats.KeptPeak = max(c.stats.KeptPeak, c.stats.KeptSums)
 	}
 	c.stats.ReadsRebuilt++
 	for _, v := range members {

@@ -595,6 +595,8 @@ type Pool struct {
 	free   []*Sketch
 	tab    *Sketch // table donor: holds the cached tables for tab.seed
 	global *sync.Pool
+	out    int // sketches handed out and not yet returned
+	peak   int // high-water of out
 }
 
 // NewPool returns a pool producing sketches of shape p.
@@ -627,8 +629,14 @@ func (s *Sketch) adoptTab(tab *Sketch) {
 	s.bpre = append(s.bpre[:0], tab.bpre...)
 }
 
+// Peak returns the most sketches the pool ever had handed out at once:
+// what its owner held in dense cell arrays at its worst moment.
+func (pl *Pool) Peak() int { return pl.peak }
+
 // Get returns an all-zero sketch for the given seed.
 func (pl *Pool) Get(seed uint64) *Sketch {
+	pl.out++
+	pl.peak = max(pl.peak, pl.out)
 	if n := len(pl.free); n > 0 {
 		s := pl.free[n-1]
 		pl.free = pl.free[:n-1]
@@ -660,6 +668,7 @@ func (pl *Pool) Put(ss ...*Sketch) {
 	for _, s := range ss {
 		if s != nil {
 			pl.free = append(pl.free, s)
+			pl.out--
 		}
 	}
 }
