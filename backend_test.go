@@ -1,0 +1,246 @@
+package kmgraph
+
+// The backend axis: the same stored graph behind a fleet-backed Cluster
+// (two in-process kmworkers), a resident Cluster, and the one-shot hosts.
+// Placement is a constructor argument, so everything a caller can see —
+// answers, Metrics, job counts, observer events, cancellation — must
+// agree with the hosts whose machines are goroutines, and with sequential
+// oracles that share no code with either.
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"net"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"kmgraph/internal/dist"
+)
+
+// startTestWorkers launches count in-process kmworkers.
+func startTestWorkers(t *testing.T, count int) []string {
+	t.Helper()
+	addrs := make([]string, count)
+	for i := range addrs {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := dist.NewWorker(ln, dist.WorkerOptions{MeshTimeout: 30 * time.Second, HeartbeatInterval: 20 * time.Millisecond})
+		go w.Serve()
+		t.Cleanup(func() { w.Close() })
+		addrs[i] = w.Addr()
+	}
+	return addrs
+}
+
+func intLabels(ls []uint64) []int {
+	out := make([]int, len(ls))
+	for i, l := range ls {
+		out[i] = int(l)
+	}
+	return out
+}
+
+func TestBackendAxis(t *testing.T) {
+	tieHeavy := NewGraphBuilder(500) // three distinct weights over 1500 edges
+	for i, e := range GNM(500, 1500, 7).Edges() {
+		tieHeavy.AddEdge(e.U, e.V, int64(1+i%3))
+	}
+	families := []struct {
+		name string
+		g    *Graph
+	}{
+		{"gnm", WithDistinctWeights(GNM(600, 1800, 3), 4)},
+		{"small-components", WithDistinctWeights(DisjointComponents(600, 40, 0.5, 5), 6)},
+		{"tie-heavy", tieHeavy.Build()},
+	}
+	addrs := startTestWorkers(t, 2)
+	const k, seed = 4, int64(11)
+	ctx := context.Background()
+
+	for _, fam := range families {
+		t.Run(fam.name, func(t *testing.T) {
+			g := fam.g
+			path := filepath.Join(t.TempDir(), "g.kmgs")
+			if err := WriteStore(path, g.Source()); err != nil {
+				t.Fatal(err)
+			}
+			oneShot, err := ConnectivityFromSource(g.Source(), Config{K: k, Seed: seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			oneShotMST, err := MST(g, MSTConfig{Config: Config{K: k, Seed: seed}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			oracleLabels, oracleCount := ComponentsOracle(g)
+			_, oracleWeight := MSTOracle(g)
+
+			var mu sync.Mutex
+			var starts, dones int
+			fleet, err := OpenFleet(FleetSpec{Source: "store:" + path, Addrs: addrs},
+				WithK(k), WithSeed(seed), WithObserver(func(ev ClusterEvent) {
+					mu.Lock()
+					defer mu.Unlock()
+					switch {
+					case ev.Done:
+						dones++
+					case ev.Phase < 0:
+						starts++
+					}
+				}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer fleet.Close()
+			resident, err := OpenCluster(path, WithK(k), WithSeed(seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resident.Close()
+			if fleet.N() != g.N() || fleet.K() != k || fleet.Epoch() != 0 {
+				t.Errorf("fleet cluster: n=%d k=%d epoch=%d, want %d, %d, 0", fleet.N(), fleet.K(), fleet.Epoch(), g.N(), k)
+			}
+
+			fq, err := fleet.Connectivity(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			total := fleet.Metrics().Total
+			if got, want := metricsFingerprint(&total), metricsFingerprint(&oneShot.Metrics); got != want {
+				t.Errorf("fleet connectivity Metrics fingerprint %d, one-shot host's %d", got, want)
+			}
+			rq, err := resident.Connectivity(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fq.Components != oracleCount || rq.Components != oracleCount || oneShot.Components != oracleCount {
+				t.Errorf("components: fleet %d, resident %d, one-shot %d, union-find %d",
+					fq.Components, rq.Components, oneShot.Components, oracleCount)
+			}
+			if !sameLabeling(intLabels(fq.Labels), intLabels(rq.Labels)) || !sameLabeling(intLabels(fq.Labels), oracleLabels) {
+				t.Error("fleet label partition differs from the resident cluster's or the oracle's")
+			}
+			if fq.Rounds != oneShot.Metrics.Rounds || fq.Phases != oneShot.Phases || fq.SketchFailures != oneShot.SketchFailures {
+				t.Errorf("fleet query: %d rounds / %d phases / %d failures, one-shot %d / %d / %d",
+					fq.Rounds, fq.Phases, fq.SketchFailures, oneShot.Metrics.Rounds, oneShot.Phases, oneShot.SketchFailures)
+			}
+
+			fm, err := fleet.MST(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fm.TotalWeight != oracleWeight {
+				t.Errorf("fleet MST weight %d, Kruskal's %d", fm.TotalWeight, oracleWeight)
+			}
+			if got, want := metricsFingerprint(&fm.Metrics), metricsFingerprint(&oneShotMST.Metrics); got != want {
+				t.Errorf("fleet MST Metrics fingerprint %d, one-shot host's %d", got, want)
+			}
+			if tot := fleet.Metrics().Total; tot.Rounds != fq.Rounds+fm.Metrics.Rounds {
+				t.Errorf("fleet total rounds %d, want the two jobs' %d + %d", tot.Rounds, fq.Rounds, fm.Metrics.Rounds)
+			}
+
+			// What needs a residency is refused, typed, without a job.
+			_, errST := fleet.SpanningTree(ctx)
+			_, errBatch := fleet.ApplyBatch(ctx, []EdgeOp{{U: 0, V: 1, W: 1}})
+			_, errCut := fleet.ApproxMinCut(ctx)
+			_, errVerify := fleet.Verify(ctx, ProblemBipartiteness, VerifyArgs{})
+			for i, err := range []error{errST, errBatch, errCut, errVerify} {
+				if !errors.Is(err, ErrUnsupported) {
+					t.Errorf("unsupported family %d: err = %v, want ErrUnsupported", i, err)
+				}
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if jobs := fleet.Metrics().Jobs; jobs != 2 || starts != 2 || dones != 2 {
+				t.Errorf("after two jobs: Metrics().Jobs=%d, observer saw %d starts / %d dones", jobs, starts, dones)
+			}
+		})
+	}
+}
+
+// TestFleetClusterCancellation: a fleet job whose context is cancelled
+// while the workers' engines are running (the first heartbeat reporting a
+// completed round) returns ctx.Err() promptly and leaves the Cluster — and
+// the fleet — serviceable for the next job.
+func TestFleetClusterCancellation(t *testing.T) {
+	const n, m, gs = 8000, 24000, int64(3)
+	want, err := ComponentsFromSourceOracle(StreamGNM(n, m, gs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var cancelRunning context.CancelFunc // armed for the job to cancel
+	spec := FleetSpec{Source: fmt.Sprintf("gnm:%d:%d:%d", n, m, gs), Addrs: startTestWorkers(t, 2)}
+	spec.Coord.Progress = func(_ int, rounds uint64) {
+		mu.Lock()
+		defer mu.Unlock()
+		if rounds > 0 && cancelRunning != nil {
+			cancelRunning()
+		}
+	}
+	fleet, err := OpenFleet(spec, WithK(4), WithSeed(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fleet.Close()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	mu.Lock()
+	cancelRunning = cancel
+	mu.Unlock()
+	if _, err := fleet.Connectivity(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled job: err = %v, want context.Canceled", err)
+	}
+	mu.Lock()
+	cancelRunning = nil
+	mu.Unlock()
+	if queued, running := fleet.Queue(); queued != 0 || running != 0 {
+		t.Errorf("queue after a cancelled job: %d queued, %d running", queued, running)
+	}
+	q, err := fleet.Connectivity(context.Background())
+	if err != nil || q.Components != want {
+		t.Fatalf("job after a cancelled one: %v components, err %v; want %d", q, err, want)
+	}
+	if met := fleet.Metrics(); met.Jobs != 2 || met.Queries != 1 {
+		t.Errorf("Metrics after a cancelled and a clean job: %d jobs, %d queries; want 2, 1", met.Jobs, met.Queries)
+	}
+}
+
+// TestOneFleetJobPath fails if a serving layer or a CLI grows its own
+// distributed job path again: only a Cluster (through dist.Fleet) and the
+// benchmarks that measure the coordinator itself may call dist.Run*.
+func TestOneFleetJobPath(t *testing.T) {
+	call := regexp.MustCompile(`\bdist\.Run[A-Z]\w*\(`)
+	var sites []string
+	for _, dir := range []string{"internal/server", "cmd/kmconnect", "cmd/kmmst", "cmd/kmserve", "cmd/kmcut", "cmd/kmverify", "cmd/kmstream", "cmd/kmload", "internal/cli"} {
+		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil || len(files) == 0 {
+			t.Fatalf("no Go files under %s (%v)", dir, err)
+		}
+		for _, path := range files {
+			if strings.HasSuffix(path, "_test.go") {
+				continue
+			}
+			src, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, line := range strings.Split(string(src), "\n") {
+				if call.MatchString(line) {
+					sites = append(sites, fmt.Sprintf("%s:%d: %s", path, i+1, strings.TrimSpace(line)))
+				}
+			}
+		}
+	}
+	if len(sites) != 0 {
+		t.Fatalf("distributed jobs bypass the Cluster:\n%s", strings.Join(sites, "\n"))
+	}
+}

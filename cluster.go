@@ -1,19 +1,25 @@
-// The resident Cluster API: load a graph onto k machines once, then run
-// every algorithm family as a cancellable job against that residency.
-// This is the library's serving front door; the one-shot free functions
-// (Connectivity, MST, ApproxMinCut, Verify*) remain as single-run
-// wrappers for experiments and ablations.
+// The Cluster API: put a graph on k machines — loaded once into this
+// process (NewCluster, OpenCluster) or hosted by a kmworker fleet
+// (OpenFleet) — then run every algorithm family as a cancellable job
+// against it. This is the library's serving front door; the one-shot free
+// functions (Connectivity, MST, ApproxMinCut, Verify*) remain as
+// single-run wrappers for experiments and ablations.
 
 package kmgraph
 
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"time"
 
+	"kmgraph/internal/core"
+	"kmgraph/internal/dist"
 	"kmgraph/internal/graph"
+	"kmgraph/internal/kmachine"
+	"kmgraph/internal/mincut"
 	"kmgraph/internal/resident"
 	"kmgraph/internal/sketch"
 	"kmgraph/internal/store"
@@ -37,13 +43,37 @@ const DefaultClusterK = 8
 // banks and a certificate forest make Connectivity after ApplyBatch far
 // cheaper than a static re-run, and Metrics() proves the load phase is
 // paid exactly once.
+//
+// Where the k machines run is a property of the Cluster, not of its
+// callers: NewCluster and OpenCluster host them in this process,
+// OpenFleet on a kmworker fleet, and every method, observer event and
+// metric means the same on both.
 type Cluster struct {
-	e *resident.Engine
+	e engine
 }
 
-// ClusterOption configures NewCluster and OpenCluster (functional
-// options replacing the per-algorithm Config structs of the one-shot
-// API).
+// engine is what a Cluster needs of the k machines' host — exactly
+// resident.Engine's method set. *resident.Engine (machines are goroutines
+// holding a residency) and *dist.Fleet (machines are worker processes
+// that rebuild their shards per job) implement it; this field is the only
+// place that knows there are two.
+type engine interface {
+	Query(ctx context.Context) (*resident.QueryResult, error)
+	MST(ctx context.Context, strong bool) (*core.MSTResult, error)
+	MinCut(ctx context.Context, trials, maxLevel int) (*mincut.Result, error)
+	Verify(ctx context.Context, p verify.Problem, args verify.Args) (*verify.Outcome, error)
+	ApplyBatch(ctx context.Context, ops []graph.EdgeOp) (*resident.BatchResult, error)
+	Metrics() resident.Metrics
+	Epoch() uint64
+	Queue() (queued, running int)
+	N() int
+	K() int
+	Close() (*kmachine.Metrics, error)
+}
+
+// ClusterOption configures NewCluster, OpenCluster and OpenFleet
+// (functional options replacing the per-algorithm Config structs of the
+// one-shot API).
 type ClusterOption func(*clusterOptions)
 
 // clusterOptions is the resolved option set: the resident engine config
@@ -187,11 +217,23 @@ var ErrClusterClosed = resident.ErrClosed
 // caller knows its progress stream is incomplete.
 var ErrObserverPanic = resident.ErrObserverPanic
 
-// ErrLinkDown is the typed failure of distributed jobs (-transport tcp,
-// kmworker fleets): a peer process died or desynchronized mid-round, so
-// the job fails promptly at the barrier instead of hanging. Match with
-// errors.Is to tell a crashed fleet from a bad job spec.
+// ErrLinkDown is the typed failure of jobs on a fleet-backed Cluster: a
+// worker process died or desynchronized mid-round, so the job fails
+// promptly at the barrier instead of hanging. Match with errors.Is to
+// tell a crashed fleet from a bad job spec.
 var ErrLinkDown = transport.ErrLinkDown
+
+// ErrUnsupported is returned by the job families a fleet-backed Cluster
+// cannot run — ApplyBatch, ApproxMinCut, Verify and SpanningTree: fleet
+// workers rebuild their shards per job, so there is no residency to
+// mutate, derive views from, or keep a certificate forest on.
+var ErrUnsupported = resident.ErrUnsupported
+
+// FleetSpec names a graph hosted by a kmworker fleet: the source spec
+// every worker rematerializes its shard from, the worker addresses, and
+// the coordinator tuning (heartbeat deadline, retry recovery, flight log)
+// of jobs against it.
+type FleetSpec = dist.FleetSpec
 
 // NewCluster loads g across a resident k-machine cluster (one graph
 // distribution, metered as Metrics().Load) and returns the job interface.
@@ -254,6 +296,29 @@ func OpenCluster(path string, opts ...ClusterOption) (*Cluster, error) {
 	return &Cluster{e: e}, nil
 }
 
+// OpenFleet returns a Cluster whose k machines are hosted by the kmworker
+// processes of spec (cmd/kmworker), each loading its own slice of the
+// graph from spec.Source. It is an ordinary Cluster — the same methods,
+// observer events, admission queue and Metrics — with Connectivity and
+// MST run as distributed jobs whose results and Metrics are bit-identical
+// to the one-shot ConnectivityFromSource / MST on the same source, k and
+// seed. Workers keep nothing between jobs, so every job pays its shard
+// load, Epoch stays 0, and ApplyBatch, ApproxMinCut, Verify and
+// SpanningTree return ErrUnsupported. A lost worker fails the job with
+// ErrLinkDown after spec.Coord.Retry is spent. Nothing is dialed until
+// the first job; WithK must be at least the worker count.
+func OpenFleet(spec FleetSpec, opts ...ClusterOption) (*Cluster, error) {
+	o := resolveClusterOptions(opts)
+	if o.src != nil {
+		return nil, errors.New("kmgraph: WithEdgeSource is an OpenCluster option; a fleet loads from spec.Source")
+	}
+	e, err := dist.OpenFleet(spec, o.Config)
+	if err != nil {
+		return nil, err
+	}
+	return &Cluster{e: e}, nil
+}
+
 func resolveClusterOptions(opts []ClusterOption) *clusterOptions {
 	o := &clusterOptions{Config: resident.Config{K: DefaultClusterK}}
 	for _, opt := range opts {
@@ -310,8 +375,13 @@ func (c *Cluster) Connectivity(ctx context.Context) (*QueryResult, error) {
 
 // SpanningTree returns a spanning forest of the current graph — the ST
 // corollary the paper highlights as breaking the Ω̃(n/k) barrier —
-// served from the residency's certificate-backed connectivity query.
+// served from the residency's certificate-backed connectivity query. A
+// fleet keeps no certificate: there it returns ErrUnsupported, before
+// running anything.
 func (c *Cluster) SpanningTree(ctx context.Context) (*QueryResult, error) {
+	if _, ok := c.e.(*resident.Engine); !ok {
+		return nil, fmt.Errorf("kmgraph: spanning tree: %w", ErrUnsupported)
+	}
 	return c.e.Query(ctx)
 }
 

@@ -6,12 +6,6 @@
 // and writes machine-readable results, so the simulator's performance
 // trajectory is tracked across PRs.
 //
-// With -trace it runs one resident connectivity job (on a generated
-// graph, or -store for a kmgs container) with the phase tracer attached
-// and writes the Chrome trace-event JSON (Perfetto / chrome://tracing).
-//
-// Usage:
-//
 // With -shootout it runs E18: the identical connectivity job on the
 // local (in-process) and TCP (multi-worker) transport backends —
 // rounds, messages, and all per-link bits are equal by construction and
@@ -23,7 +17,6 @@
 //
 //	kmbench [-quick] [-exp E1,E6] [-seed 42] [-trials 3] [-csv dir]
 //	kmbench -json BENCH_kmachine.json [-store graph.kmgs]
-//	kmbench -trace out.json [-store graph.kmgs] [-n 2048] [-store-k 16]
 //	kmbench -shootout SHOOTOUT.json [-n 100000] [-store-k 16] [-workers 2]
 package main
 
@@ -345,54 +338,6 @@ func distShootout(path string, n, k, nWorkers int, seed int64) error {
 	return nil
 }
 
-// runTrace runs one resident connectivity job with the phase tracer
-// attached and writes the Chrome trace-event JSON to path.
-func runTrace(path, storePath string, n, k int, seed int64) {
-	tracer := telemetry.NewJobTracer()
-	opts := []kmgraph.ClusterOption{
-		kmgraph.WithK(k), kmgraph.WithSeed(seed),
-		kmgraph.WithObserver(tracer.Observer()),
-		kmgraph.WithPhaseMetrics(),
-	}
-	var (
-		c   *kmgraph.Cluster
-		err error
-	)
-	if storePath != "" {
-		c, err = kmgraph.OpenCluster(storePath, opts...)
-	} else {
-		c, err = kmgraph.NewCluster(kmgraph.GNM(n, 3*n, seed), opts...)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	defer c.Close()
-	res, err := c.Connectivity(context.Background())
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	if err := tracer.WriteFile(path); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	fmt.Printf("traced connectivity: n=%d components=%d rounds=%d phases=%d\n",
-		c.N(), res.Components, res.Rounds, res.Phases)
-	fmt.Printf("wrote %s\n", path)
-}
-
-// flagPassed reports whether the named flag was set explicitly.
-func flagPassed(name string) bool {
-	passed := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == name {
-			passed = true
-		}
-	})
-	return passed
-}
-
 func main() {
 	quick := flag.Bool("quick", false, "run reduced sweeps")
 	expList := flag.String("exp", "", "comma-separated experiment IDs (default: all)")
@@ -403,25 +348,16 @@ func main() {
 	storePath := flag.String("store", "", "with -json: also benchmark the shard-direct load path against this kmgs store")
 	storeK := flag.Int("store-k", 16, "machine count for the -store benchmark")
 	storeSeed := flag.Int64("store-seed", 1, "seed for the -store benchmark")
-	tracePath := flag.String("trace", "", "run one traced resident connectivity job and write Chrome trace-event JSON to this file")
-	traceN := flag.Int("n", 2048, "with -trace or -shootout: vertices of the generated graph")
+	shootoutN := flag.Int("n", 100000, "with -shootout: vertices of the generated graph")
 	shootoutPath := flag.String("shootout", "", "run the E18 local-vs-TCP transport shootout and write kmachine-bench/v2 results to this file")
 	shootoutWorkers := flag.Int("workers", 2, "with -shootout: worker process count")
 	flag.Parse()
 
 	if *shootoutPath != "" {
-		n := *traceN
-		if n == 2048 && !flagPassed("n") {
-			n = 100000
-		}
-		if err := distShootout(*shootoutPath, n, *storeK, *shootoutWorkers, *storeSeed); err != nil {
+		if err := distShootout(*shootoutPath, *shootoutN, *storeK, *shootoutWorkers, *storeSeed); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		return
-	}
-	if *tracePath != "" {
-		runTrace(*tracePath, *storePath, *traceN, *storeK, *storeSeed)
 		return
 	}
 	if *jsonPath != "" {

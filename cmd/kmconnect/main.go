@@ -16,24 +16,26 @@
 // With -store, the graph is served shard-direct from a kmgs container
 // (see cmd/kmconvert) and never materialized in this process.
 //
-// With -transport tcp, the k machines run distributed across the
-// kmworker processes listed in -workers (see cmd/kmworker): this
-// process coordinates, each worker loads its own slice of the graph
-// from the source spec and hosts a contiguous machine range. Only
-// -store and -gen gnm sources are supported (the workers must be able
-// to reproduce the graph independently), and only the one-shot sketch
-// algorithm runs distributed. The result and its Metrics are
-// bit-identical to a local run with the same parameters.
+// With -transport tcp, the Cluster is a fleet-backed one
+// (kmgraph.OpenFleet): the k machines run distributed across the
+// kmworker processes listed in -workers (see cmd/kmworker), this process
+// coordinates, each worker loads its own slice of the graph from the
+// source spec and hosts a contiguous machine range — and the query, its
+// output and its -trace are the ones every other mode runs. Only -store
+// and -gen gnm sources are supported (the workers must be able to
+// reproduce the graph independently; the coordinator never sees it, so
+// there is no oracle count), and only the sketch algorithm runs
+// distributed. The result and its Metrics are bit-identical to a local
+// run with the same parameters.
 //
-// With -trace, the resident engine's phase events are recorded and
-// written as Chrome trace-event JSON (loadable in Perfetto or
-// chrome://tracing): one span per job enclosing one span per merge
-// phase, annotated with rounds, message and payload deltas, and link
-// skew. Locally, only the resident sketch path (-algo sketch or
-// -store) emits phase events. With -transport tcp, -trace instead
-// assembles a cross-process trace: every worker streams its phase
-// spans back over its control connection and the written trace has one
-// pid per worker, annotated with per-worker rounds, wire traffic, and
+// With -trace, the Cluster's phase events are recorded and written as
+// Chrome trace-event JSON (loadable in Perfetto or chrome://tracing):
+// one span per job enclosing one span per merge phase, annotated with
+// rounds, message and payload deltas, and link skew. Locally, only the
+// resident sketch path (-algo sketch or -store) emits phase events. With
+// -transport tcp the same trace additionally carries one pid per worker
+// (100 + worker index): the phase spans each worker streamed back over
+// its control connection, annotated with its rounds, wire traffic, and
 // barrier waits.
 //
 // With -transport tcp -flight-dump dir/, a failed run writes each
@@ -49,8 +51,6 @@ import (
 
 	"kmgraph"
 	"kmgraph/internal/cli"
-	"kmgraph/internal/core"
-	"kmgraph/internal/dist"
 	"kmgraph/internal/procstat"
 )
 
@@ -93,7 +93,7 @@ func loadGraph(path string) (*kmgraph.Graph, error) {
 // instead drains the store into a full graph.Graph and loads via
 // NewCluster (the legacy path), which is the E15 memory baseline; the
 // two paths produce bit-identical residencies and Metrics.
-func runStore(path string, k int, seed int64, timeout time.Duration, materialize, skipOracle bool, tracePath string) {
+func runStore(path string, k int, clOpts []kmgraph.ClusterOption, timeout time.Duration, materialize, skipOracle bool) {
 	oracleCount := -1
 	if !skipOracle {
 		src, closer, err := kmgraph.OpenSource(path)
@@ -106,9 +106,6 @@ func runStore(path string, k int, seed int64, timeout time.Duration, materialize
 			cli.Fatal(err)
 		}
 	}
-
-	tracer, clOpts := cli.TraceOpts(tracePath)
-	clOpts = append(clOpts, kmgraph.WithK(k), kmgraph.WithSeed(seed))
 
 	loadStart := time.Now()
 	var cl *kmgraph.Cluster
@@ -145,36 +142,28 @@ func runStore(path string, k int, seed int64, timeout time.Duration, materialize
 		path, cl.N(), met.Edges, k, kmgraph.DefaultBandwidth(cl.N()), mode, loadWall.Round(time.Millisecond))
 	fmt.Printf("after-load peak RSS: %d MB\n", procstat.MaxRSSBytes()>>20)
 
-	ctx, cancel := cli.JobCtx(timeout)
-	defer cancel()
-	queryStart := time.Now()
-	res, err := cl.Connectivity(ctx)
-	if err != nil {
-		cli.Fatal(err)
-	}
-	met = cl.Metrics()
-	fmt.Printf("components: %d (oracle: %d)\n", res.Components, oracleCount)
-	fmt.Printf("phases: %d  sketch failures: %d\n", res.Phases, res.SketchFailures)
-	fmt.Printf("cost: load %d rounds (paid once) + query %d rounds (query wall %v)\n",
-		met.LoadRounds, res.Rounds, time.Since(queryStart).Round(time.Millisecond))
+	runQuery(cl, oracleCount, timeout, cli.Fatal)
 	fmt.Printf("peak RSS: %d MB\n", procstat.MaxRSSBytes()>>20)
-	cli.WriteTrace(tracer, tracePath)
 }
 
-// runDistributed coordinates a connectivity job over a kmworker fleet.
-func runDistributed(job *cli.DistJob, source string, k int, seed int64, timeout time.Duration) {
-	fmt.Printf("distributed: %s over %d workers, k=%d\n", source, len(job.Workers), k)
+// runQuery asks cl — resident or fleet-backed — for connectivity and
+// reports the answer and its cost. oracleCount < 0 means no oracle ran.
+func runQuery(cl *kmgraph.Cluster, oracleCount int, timeout time.Duration, fail func(error)) {
 	ctx, cancel := cli.JobCtx(timeout)
 	defer cancel()
 	start := time.Now()
-	res, err := dist.RunConnectivityOpts(ctx, job.Workers, source, core.Config{K: k, Seed: seed}, job.Opts)
+	res, err := cl.Connectivity(ctx)
 	if err != nil {
-		job.Fail(err)
+		fail(err)
 	}
-	fmt.Printf("components: %d\n", res.Components)
+	if oracleCount >= 0 {
+		fmt.Printf("components: %d (oracle: %d)\n", res.Components, oracleCount)
+	} else {
+		fmt.Printf("components: %d\n", res.Components)
+	}
 	fmt.Printf("phases: %d  sketch failures: %d\n", res.Phases, res.SketchFailures)
-	fmt.Printf("cost: %s (wall %v)\n", res.Metrics.String(), time.Since(start).Round(time.Millisecond))
-	job.WriteTrace()
+	fmt.Printf("cost: load %d rounds (paid once) + query %d rounds (query wall %v)\n",
+		cl.Metrics().LoadRounds, res.Rounds, time.Since(start).Round(time.Millisecond))
 }
 
 // distSource maps the graph flags to a dist source spec that every
@@ -204,7 +193,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "seed")
 	timeout := flag.Duration("timeout", 0, "job deadline (0 = none), e.g. 30s")
 	algo := flag.String("algo", "sketch", "sketch|edgecheck|flooding|referee")
-	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON of the resident job's phases to this file")
+	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON of the job's phases to this file")
 	distFlags := cli.RegisterDistFlags()
 	flag.Parse()
 
@@ -212,6 +201,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, "kmconnect: -trace requires the resident engine (-algo sketch or -store) or -transport tcp")
 		os.Exit(2)
 	}
+	// One tracer and one option set, whichever constructor the flags pick.
+	tracer, clOpts := cli.TraceOpts(*tracePath)
+	clOpts = append(clOpts, kmgraph.WithK(*k), kmgraph.WithSeed(*seed))
 	switch *distFlags.Transport {
 	case "local":
 	case "tcp":
@@ -227,14 +219,23 @@ func main() {
 			fmt.Fprintf(os.Stderr, "kmconnect: %v\n", err)
 			os.Exit(2)
 		}
-		runDistributed(distFlags.Job(*tracePath), source, *k, *seed, *timeout)
+		spec := distFlags.Fleet(source)
+		cl, err := kmgraph.OpenFleet(spec, clOpts...)
+		if err != nil {
+			cli.Fatal(err)
+		}
+		defer cl.Close()
+		fmt.Printf("distributed: %s over %d workers, k=%d\n", source, len(spec.Addrs), *k)
+		runQuery(cl, -1, *timeout, func(err error) { distFlags.Fail(spec, err) })
+		cli.WriteTrace(tracer, *tracePath)
 		return
 	default:
 		fmt.Fprintf(os.Stderr, "kmconnect: unknown transport %q\n", *distFlags.Transport)
 		os.Exit(2)
 	}
 	if *storePath != "" {
-		runStore(*storePath, *k, *seed, *timeout, *materialize, *skipOracle, *tracePath)
+		runStore(*storePath, *k, clOpts, *timeout, *materialize, *skipOracle)
+		cli.WriteTrace(tracer, *tracePath)
 		return
 	}
 	if *m == 0 {
@@ -257,24 +258,12 @@ func main() {
 	_, oracleCount := kmgraph.ComponentsOracle(g)
 	switch *algo {
 	case "sketch":
-		tracer, clOpts := cli.TraceOpts(*tracePath)
-		clOpts = append(clOpts, kmgraph.WithK(*k), kmgraph.WithSeed(*seed))
 		cl, err := kmgraph.NewCluster(g, clOpts...)
 		if err != nil {
 			cli.Fatal(err)
 		}
 		defer cl.Close()
-		ctx, cancel := cli.JobCtx(*timeout)
-		defer cancel()
-		res, err := cl.Connectivity(ctx)
-		if err != nil {
-			cli.Fatal(err)
-		}
-		met := cl.Metrics()
-		fmt.Printf("components: %d (oracle: %d)\n", res.Components, oracleCount)
-		fmt.Printf("phases: %d  sketch failures: %d\n", res.Phases, res.SketchFailures)
-		fmt.Printf("cost: load %d rounds (paid once) + query %d rounds\n",
-			met.LoadRounds, res.Rounds)
+		runQuery(cl, oracleCount, *timeout, cli.Fatal)
 		cli.WriteTrace(tracer, *tracePath)
 	case "edgecheck":
 		cfg := kmgraph.Config{K: *k, Seed: *seed, EdgeCheckSelection: true}

@@ -10,50 +10,30 @@
 //	kmmst -transport tcp -workers host:9601,host:9602 -store graph.kmgs
 //	      [-k 8] [-seed 1] [-strong] [-trace out.json] [-flight-dump dir/]
 //
-// With -trace, the resident engine's phase events are written as Chrome
-// trace-event JSON (Perfetto / chrome://tracing). -rep does not use the
-// resident engine and cannot be traced. With -transport tcp, -trace
-// assembles the cross-process trace streamed back by the workers (one
-// pid per worker), and -flight-dump dir/ writes each side's
-// flight-recorder snapshot on failure — see cmd/kmconnect for details.
+// With -trace, the Cluster's phase events are written as Chrome
+// trace-event JSON (Perfetto / chrome://tracing). -rep does not use a
+// Cluster and cannot be traced. With -transport tcp the same trace also
+// carries one pid per worker (the spans each worker streamed back), and
+// -flight-dump dir/ writes each side's flight-recorder snapshot on
+// failure — see cmd/kmconnect for details.
 //
-// With -transport tcp, the k machines run distributed across the
-// kmworker processes listed in -workers; each loads its slice of the
-// graph from the -store spec (the path must be readable by every
-// worker). The result and Metrics are bit-identical to a local
-// shard-direct run. No oracle check (the coordinator never sees the
-// graph).
+// With -transport tcp, -store is served by a fleet-backed Cluster
+// (kmgraph.OpenFleet) instead of a resident one: the k machines run
+// distributed across the kmworker processes listed in -workers, each
+// loading its slice of the graph from the store (the path must be
+// readable by every worker). The job, its output and its Metrics are the
+// local shard-direct run's, bit for bit. No oracle check (the coordinator
+// never sees the graph).
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"kmgraph"
 	"kmgraph/internal/cli"
-	"kmgraph/internal/core"
-	"kmgraph/internal/dist"
 )
-
-// runDistributed coordinates an MST job over a kmworker fleet.
-func runDistributed(job *cli.DistJob, source string, k int, seed int64, strong bool, timeout time.Duration) {
-	fmt.Printf("distributed: %s over %d workers, k=%d\n", source, len(job.Workers), k)
-	ctx, cancel := cli.JobCtx(timeout)
-	defer cancel()
-	start := time.Now()
-	cfg := core.MSTConfig{Config: core.Config{K: k, Seed: seed}, StrongOutput: strong}
-	res, err := dist.RunMSTOpts(ctx, job.Workers, source, cfg, job.Opts)
-	if err != nil {
-		job.Fail(err)
-	}
-	fmt.Printf("MST: weight=%d edges=%d\n", res.TotalWeight, len(res.Edges))
-	fmt.Printf("phases: %d  elimination iterations: %d  sketch failures: %d\n",
-		res.Phases, res.ElimIters, res.SketchFailures)
-	fmt.Printf("cost: %s (wall %v)\n", res.Metrics.String(), time.Since(start).Round(time.Millisecond))
-	job.WriteTrace()
-}
 
 func main() {
 	n := flag.Int("n", 2048, "vertices")
@@ -64,7 +44,7 @@ func main() {
 	strong := flag.Bool("strong", false, "strong output criterion (both endpoints)")
 	repMode := flag.Bool("rep", false, "use the random edge partition model instead")
 	storePath := flag.String("store", "", "serve a kmgs store shard-direct (never materializes the graph; no oracle check)")
-	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON of the resident job's phases to this file")
+	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON of the job's phases to this file")
 	distFlags := cli.RegisterDistFlags()
 	flag.Parse()
 	if *m == 0 {
@@ -74,6 +54,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "kmmst: -trace requires the resident engine (not -rep)")
 		os.Exit(2)
 	}
+	tcp := false
 	switch *distFlags.Transport {
 	case "local":
 	case "tcp":
@@ -81,34 +62,47 @@ func main() {
 			fmt.Fprintln(os.Stderr, "kmmst: -transport tcp requires -workers and -store")
 			os.Exit(2)
 		}
-		runDistributed(distFlags.Job(*tracePath), "store:"+*storePath, *k, *seed, *strong, *timeout)
-		return
+		tcp = true
 	default:
 		fmt.Fprintf(os.Stderr, "kmmst: unknown transport %q\n", *distFlags.Transport)
 		os.Exit(2)
 	}
 	tracer, clOpts := cli.TraceOpts(*tracePath)
 	clOpts = append(clOpts, kmgraph.WithK(*k), kmgraph.WithSeed(*seed))
+	var opts []kmgraph.MSTOption
+	if *strong {
+		opts = append(opts, kmgraph.StrongOutput())
+	}
 
 	if *storePath != "" {
-		cl, err := kmgraph.OpenCluster(*storePath, clOpts...)
+		// One job path for a store, wherever its k machines run: only the
+		// constructor differs.
+		var spec kmgraph.FleetSpec // stays zero (no flight log) on a local run
+		var cl *kmgraph.Cluster
+		var err error
+		if tcp {
+			spec = distFlags.Fleet("store:" + *storePath)
+			fmt.Printf("distributed: %s over %d workers, k=%d\n", spec.Source, len(spec.Addrs), *k)
+			cl, err = kmgraph.OpenFleet(spec, clOpts...)
+		} else {
+			cl, err = kmgraph.OpenCluster(*storePath, clOpts...)
+		}
 		if err != nil {
 			cli.Fatal(err)
 		}
 		defer cl.Close()
-		met := cl.Metrics()
-		fmt.Printf("store: %s n=%d m=%d (shard-direct; oracle skipped)\n", *storePath, cl.N(), met.Edges)
+		if !tcp {
+			fmt.Printf("store: %s n=%d m=%d (shard-direct; oracle skipped)\n", *storePath, cl.N(), cl.Metrics().Edges)
+		}
 		ctx, cancel := cli.JobCtx(*timeout)
 		defer cancel()
-		var opts []kmgraph.MSTOption
-		if *strong {
-			opts = append(opts, kmgraph.StrongOutput())
-		}
 		res, err := cl.MST(ctx, opts...)
 		if err != nil {
-			cli.Fatal(err)
+			distFlags.Fail(spec, err)
 		}
 		fmt.Printf("MST: weight=%d edges=%d\n", res.TotalWeight, len(res.Edges))
+		fmt.Printf("phases: %d  elimination iterations: %d  sketch failures: %d\n",
+			res.Phases, res.ElimIters, res.SketchFailures)
 		fmt.Printf("cost: load %d rounds (paid once) + MST %d rounds\n",
 			cl.Metrics().LoadRounds, res.Metrics.Rounds)
 		cli.WriteTrace(tracer, *tracePath)
@@ -138,10 +132,6 @@ func main() {
 	defer cl.Close()
 	ctx, cancel := cli.JobCtx(*timeout)
 	defer cancel()
-	var opts []kmgraph.MSTOption
-	if *strong {
-		opts = append(opts, kmgraph.StrongOutput())
-	}
 	res, err := cl.MST(ctx, opts...)
 	if err != nil {
 		cli.Fatal(err)

@@ -1,5 +1,6 @@
-// Command kmserve serves a registry of resident k-machine clusters over
-// HTTP/JSON: every job family of the Cluster API — connectivity,
+// Command kmserve serves a registry of k-machine Clusters — resident in
+// this process, or hosted by a kmworker fleet — over HTTP/JSON: every job
+// family of the Cluster API — connectivity,
 // spanning-tree, MST, approximate min-cut, verification, dynamic edge
 // batches, metrics — becomes an endpoint, with per-request deadlines,
 // bounded admission queues with 429 backpressure, and an epoch-keyed
@@ -17,12 +18,17 @@
 // clients may also POST /graphs {"name":..., "path":...} to load more
 // at runtime and DELETE /graphs/{name} to drop them.
 //
-// Each -fleet name=source@addr1,addr2,... registers a distributed-backed
-// graph: jobs run over a kmworker fleet instead of a resident cluster,
-// with heartbeat supervision and retry recovery (-fleet-retries,
-// -fleet-heartbeat-timeout), and degrade gracefully — an unhealthy
-// fleet answers 503 with Retry-After instead of hanging, and the
-// kmserve_graph_state gauge tracks fleet health on /metrics.
+// Each -fleet name=source@addr1,addr2,... registers a fleet-backed graph
+// (kmgraph.OpenFleet) in the same registry, under the same
+// /graphs/{name}/… endpoints, cache, miss coalescing, admission queue,
+// /jobs and /trace: only its k machines run elsewhere, on the listed
+// kmworker processes, with heartbeat supervision and retry recovery
+// (-fleet-retries, -fleet-heartbeat-timeout). Workers keep no state
+// between jobs, so a fleet serves connectivity and MST and answers 501 on
+// spanning-tree, mincut, verify and batch (no residency to mutate, derive
+// views from, or keep a certificate forest on). It degrades gracefully —
+// an unhealthy fleet answers 503 with Retry-After instead of hanging, and
+// the kmserve_graph_state gauge tracks fleet health on /metrics.
 //
 // Endpoints (all JSON):
 //
@@ -40,11 +46,12 @@
 //	POST   /graphs/{name}/verify                {"problem":"bipartite", ...}
 //	POST   /graphs/{name}/batch                 {"ops":[{"u":0,"v":1}, ...]}
 //	GET    /graphs/{name}/metrics
-//	GET    /graphs/{name}/trace                 (Chrome trace-event JSON)
-//	GET    /fleet
+//	GET    /graphs/{name}/trace                 (Chrome trace-event JSON; one pid per worker on a fleet)
+//	GET    /graphs/{name}/jobs                  (recent engine jobs, newest first)
+//	GET    /graphs/{name}/jobs/{id}/events      (Server-Sent Events: one job's progress)
+//	GET    /fleet                               (health of every fleet-backed graph)
 //	GET    /fleet/{name}                        (503 body when the fleet is down)
-//	GET    /fleet/{name}/connectivity           ?labels=true&timeout=30s
-//	GET    /fleet/{name}/mst                    ?edges=true
+//	GET    /fleet/{name}/connectivity|mst|trace (aliases of /graphs/{name}/…)
 //
 // With -debug-addr, a second private listener serves net/http/pprof
 // under /debug/pprof/. With -log-requests, every request emits one
@@ -67,7 +74,6 @@ import (
 	"time"
 
 	"kmgraph"
-	"kmgraph/internal/core"
 	"kmgraph/internal/dist"
 	"kmgraph/internal/server"
 )
@@ -149,15 +155,14 @@ func main() {
 		name, rest, _ := strings.Cut(spec, "=")
 		source, addrList, _ := strings.Cut(rest, "@")
 		addrs := strings.Split(addrList, ",")
-		err := srv.RegisterFleet(name, server.FleetSpec{
+		err := srv.RegisterFleet(name, kmgraph.FleetSpec{
 			Source: source,
 			Addrs:  addrs,
-			Conn:   core.Config{K: *k, Seed: *seed},
 			Coord: dist.CoordOptions{
 				HeartbeatTimeout: *hbTimeout,
 				Retry:            dist.RetryPolicy{Attempts: *retries},
 			},
-		})
+		}, kmgraph.WithK(*k), kmgraph.WithSeed(*seed))
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "kmserve: %v\n", err)
 			os.Exit(1)

@@ -1,6 +1,7 @@
 // Package cli is the plumbing the algorithm binaries share: the -timeout
-// job context, the -trace wiring of a resident Cluster, and the
-// -transport tcp flag set with its trace and flight-dump handling.
+// job context, the -trace wiring of a Cluster, and the -transport tcp
+// flag set that turns into a fleet-backed one, with its flight-dump
+// handling.
 package cli
 
 import (
@@ -75,57 +76,33 @@ func RegisterDistFlags() *DistFlags {
 	}
 }
 
-// DistJob is one coordinator-side job's observability: the options to
-// run it under and the collectors to flush afterwards.
-type DistJob struct {
-	Workers []string
-	Opts    dist.CoordOptions
-
-	tracePath, flightDir string
-}
-
-// Job resolves the flags into a job: the worker list, the heartbeat and
-// retry policy, a cross-process trace when tracePath is set, and a flight
-// log when -flight-dump is.
-func (f *DistFlags) Job(tracePath string) *DistJob {
-	j := &DistJob{
-		Workers: strings.Split(*f.Workers, ","),
-		Opts: dist.CoordOptions{
+// Fleet resolves the flags into the spec of a fleet-backed Cluster over
+// source: the worker list, the heartbeat and retry policy, and a flight
+// log when -flight-dump is set.
+func (f *DistFlags) Fleet(source string) kmgraph.FleetSpec {
+	spec := kmgraph.FleetSpec{
+		Source: source,
+		Addrs:  strings.Split(*f.Workers, ","),
+		Coord: dist.CoordOptions{
 			HeartbeatTimeout: *f.HeartbeatTimeout,
 			Retry:            dist.RetryPolicy{Attempts: *f.Retries},
 		},
-		tracePath: tracePath,
-		flightDir: *f.FlightDir,
 	}
-	if tracePath != "" {
-		j.Opts.Trace = &dist.JobTrace{}
+	if *f.FlightDir != "" {
+		spec.Coord.Flight = &dist.FlightLog{}
 	}
-	if j.flightDir != "" {
-		j.Opts.Flight = &dist.FlightLog{}
-	}
-	return j
+	return spec
 }
 
-// Fail dumps the flight log (when -flight-dump is set), then Fatal(err).
-func (j *DistJob) Fail(err error) {
-	if j.Opts.Flight != nil {
-		if derr := j.Opts.Flight.Dump(j.flightDir); derr != nil {
+// Fail dumps the fleet's flight log (when -flight-dump is set), then
+// Fatal(err). A spec without one (a local run) just fails.
+func (f *DistFlags) Fail(spec kmgraph.FleetSpec, err error) {
+	if fl := spec.Coord.Flight; fl != nil {
+		if derr := fl.Dump(*f.FlightDir); derr != nil {
 			fmt.Fprintf(os.Stderr, "flight dump: %v\n", derr)
 		} else {
-			fmt.Fprintf(os.Stderr, "flight dump: wrote %s\n", j.flightDir)
+			fmt.Fprintf(os.Stderr, "flight dump: wrote %s\n", *f.FlightDir)
 		}
 	}
 	Fatal(err)
-}
-
-// WriteTrace writes the assembled cross-process trace (when -trace is
-// set).
-func (j *DistJob) WriteTrace() {
-	if j.Opts.Trace == nil {
-		return
-	}
-	if err := telemetry.WriteTrace(j.tracePath, j.Opts.Trace.Assemble()); err != nil {
-		Fatal(fmt.Errorf("writing trace: %v", err))
-	}
-	fmt.Printf("trace: wrote %s (trace id %#x)\n", j.tracePath, j.Opts.Trace.TraceID())
 }

@@ -62,11 +62,6 @@ type CoordOptions struct {
 	// Retry governs recovery after a failed attempt. The zero value
 	// never retries.
 	Retry RetryPolicy
-	// Trace, when non-nil, enables cross-process job tracing: the
-	// coordinator mints a trace ID into the job spec, workers stream
-	// phase spans back on their control connections, and Trace.Assemble
-	// returns the merged multi-pid Chrome trace after the run.
-	Trace *JobTrace
 	// Flight, when non-nil, records per-control-link activity and
 	// captures any flight-recorder snapshot a failing worker reports,
 	// for Flight.Dump / the CLIs' -flight-dump.
@@ -86,22 +81,22 @@ func (o CoordOptions) withDefaults() CoordOptions {
 	return o
 }
 
-// RunConnectivity runs a distributed connectivity job over the worker
-// fleet at addrs, on the graph named by the source spec. The assembled
-// result (and its Metrics) is bit-identical to core.RunSource with the
-// same spec and configuration.
+// RunConnectivity runs one distributed connectivity job over the worker
+// fleet at addrs, on the graph named by the source spec, with default
+// coordinator options: the coordinator itself, for callers that measure
+// it. Everything else runs jobs through a fleet-backed Cluster (Fleet).
 func RunConnectivity(ctx context.Context, addrs []string, source string, cfg core.Config) (*core.Result, error) {
-	return RunConnectivityOpts(ctx, addrs, source, cfg, CoordOptions{})
+	return runConnectivity(ctx, addrs, source, cfg, CoordOptions{}, nil)
 }
 
-// RunConnectivityOpts is RunConnectivity with coordinator tuning:
-// heartbeat deadlines and retry-with-respawn recovery. A recovered run
-// (one that succeeded after retries) is bit-identical to a fault-free
-// one — jobs are deterministic and re-materializable from their source
-// spec, so a retry replays the exact computation.
-func RunConnectivityOpts(ctx context.Context, addrs []string, source string, cfg core.Config, opts CoordOptions) (*core.Result, error) {
+// runConnectivity runs a connectivity job under opts; a non-nil span log
+// makes it a traced one. The assembled result (and its Metrics) is
+// bit-identical to core.RunSource with the same spec and configuration —
+// also after retries: jobs are deterministic and re-materializable from
+// their source spec, so a recovered run replays the exact computation.
+func runConnectivity(ctx context.Context, addrs []string, source string, cfg core.Config, opts CoordOptions, tr *spanLog) (*core.Result, error) {
 	job := Job{Kind: KindConnectivity, Source: source, Conn: cfg}
-	res, n, err := runRetry(ctx, addrs, job, opts)
+	res, n, err := runRetry(ctx, addrs, job, opts, tr)
 	if err != nil {
 		return nil, err
 	}
@@ -113,15 +108,10 @@ func RunConnectivityOpts(ctx context.Context, addrs []string, source string, cfg
 	return out, nil
 }
 
-// RunMST runs a distributed MST job over the worker fleet at addrs.
-func RunMST(ctx context.Context, addrs []string, source string, cfg core.MSTConfig) (*core.MSTResult, error) {
-	return RunMSTOpts(ctx, addrs, source, cfg, CoordOptions{})
-}
-
-// RunMSTOpts is RunMST with coordinator tuning (see RunConnectivityOpts).
-func RunMSTOpts(ctx context.Context, addrs []string, source string, cfg core.MSTConfig, opts CoordOptions) (*core.MSTResult, error) {
+// runMST is runConnectivity's MST counterpart (golden: core.RunMST).
+func runMST(ctx context.Context, addrs []string, source string, cfg core.MSTConfig, opts CoordOptions, tr *spanLog) (*core.MSTResult, error) {
 	job := Job{Kind: KindMST, Source: source, MST: cfg}
-	res, n, err := runRetry(ctx, addrs, job, opts)
+	res, n, err := runRetry(ctx, addrs, job, opts, tr)
 	if err != nil {
 		return nil, err
 	}
@@ -141,7 +131,7 @@ type gathered struct {
 
 // runOnce ships the job to every worker, gathers and merges the
 // partials. One attempt: retries live in runRetry.
-func runOnce(ctx context.Context, addrs []string, job Job, opts CoordOptions) (*kmachine.Result, int, error) {
+func runOnce(ctx context.Context, addrs []string, job Job, opts CoordOptions, tr *spanLog) (*kmachine.Result, int, error) {
 	k := job.K()
 	ranges, err := SplitRanges(k, len(addrs))
 	if err != nil {
@@ -152,9 +142,9 @@ func runOnce(ctx context.Context, addrs []string, job Job, opts CoordOptions) (*
 	for i, a := range addrs {
 		job.Workers[i] = WorkerSpec{Addr: a, Lo: ranges[i][0], Hi: ranges[i][1]}
 	}
-	if opts.Trace != nil {
+	if tr != nil {
 		job.TraceID = newClusterID()
-		opts.Trace.reset(&job, ranges)
+		tr.reset(ranges)
 	}
 	if opts.Flight != nil {
 		opts.Flight.reset()
@@ -170,22 +160,22 @@ func runOnce(ctx context.Context, addrs []string, job Job, opts CoordOptions) (*
 	}
 	for i, a := range addrs {
 		conn, err := net.DialTimeout("tcp", a, 10*time.Second)
+		if err == nil {
+			conns[i] = conn
+			job.Index = i
+			conn.SetWriteDeadline(time.Now().Add(30 * time.Second))
+			_, err = conn.Write(tcp.AppendFrame(nil, tcp.FrameJob, AppendJob(nil, &job)))
+		}
 		if err != nil {
 			closeAll()
-			// Unreachable at dial time is a crashed worker: classify it
-			// so the retry policy (and Respawn) can recover from it.
+			// Unreachable at dial time, or gone before it took the job, is
+			// a crashed worker: classify it so the retry policy (and
+			// Respawn) can recover from it.
 			workerFailuresCounter(transport.ReasonCrash).Inc()
 			return nil, 0, &transport.LinkDownError{
 				Peer: i, Addr: a, Reason: transport.ReasonCrash,
-				Err: fmt.Errorf("dist: dialing worker: %w", err),
+				Err: fmt.Errorf("dist: starting job on worker: %w", err),
 			}
-		}
-		conns[i] = conn
-		job.Index = i
-		conn.SetWriteDeadline(time.Now().Add(30 * time.Second))
-		if _, err := conn.Write(tcp.AppendFrame(nil, tcp.FrameJob, AppendJob(nil, &job))); err != nil {
-			closeAll()
-			return nil, 0, fmt.Errorf("dist: sending job to worker %d: %w", i, err)
 		}
 	}
 
@@ -205,7 +195,7 @@ func runOnce(ctx context.Context, addrs []string, job Job, opts CoordOptions) (*
 	results := make(chan gathered, len(conns))
 	for i, conn := range conns {
 		go func(i int, conn net.Conn) {
-			rf, err := gatherOne(conn, i, addrs[i], opts)
+			rf, err := gatherOne(conn, i, addrs[i], opts, tr)
 			results <- gathered{idx: i, rf: rf, err: err}
 		}(i, conn)
 	}
@@ -273,9 +263,9 @@ func runOnce(ctx context.Context, addrs []string, job Job, opts CoordOptions) (*
 // both as structured LinkDownErrors carrying the worker index, its
 // last reported round, and the coordinator's control-link flight
 // snapshot. Heartbeat round counts feed opts.Progress, span batches
-// feed opts.Trace, and every inbound frame is one recorded "round" of
-// the control link in opts.Flight.
-func gatherOne(conn net.Conn, idx int, addr string, opts CoordOptions) (*resultFrame, error) {
+// feed tr, and every inbound frame is one recorded "round" of the
+// control link in opts.Flight.
+func gatherOne(conn net.Conn, idx int, addr string, opts CoordOptions, tr *spanLog) (*resultFrame, error) {
 	var buf []byte
 	var lastRounds uint64
 	var flight *transport.FlightRecorder
@@ -297,7 +287,9 @@ func gatherOne(conn net.Conn, idx int, addr string, opts CoordOptions) (*resultF
 		})
 		lastFrame = now
 	}
-	fail := func(ld *transport.LinkDownError) error {
+	fail := func(reason transport.LinkDownReason, err error) error {
+		workerFailuresCounter(reason).Inc()
+		ld := &transport.LinkDownError{Peer: idx, Addr: addr, Round: lastRounds, Reason: reason, Err: err}
 		if flight != nil {
 			flight.RecordError(lastRounds, ld)
 			ld.Flight = flight.Snapshot()
@@ -318,22 +310,21 @@ func gatherOne(conn net.Conn, idx int, addr string, opts CoordOptions) (*resultF
 				reason = transport.ReasonStall
 				heartbeatsMissedCounter().Inc()
 			}
-			workerFailuresCounter(reason).Inc()
-			return nil, fail(&transport.LinkDownError{
-				Peer: idx, Addr: addr, Round: lastRounds, Reason: reason,
-				Err: fmt.Errorf("dist: reading result: %v", err),
-			})
+			return nil, fail(reason, fmt.Errorf("dist: reading result: %v", err))
 		}
 		switch t {
 		case tcp.FrameHeartbeat:
-			if _, rounds, spans, err := decodeHeartbeat(body); err == nil {
-				lastRounds = rounds
-				if opts.Trace != nil {
-					opts.Trace.add(idx, spans)
-				}
-				if opts.Progress != nil {
-					opts.Progress(idx, rounds)
-				}
+			_, rounds, spans, err := decodeHeartbeat(body)
+			if err != nil {
+				// A beat that does not decode is no proof of life: a worker
+				// streaming garbage must not hold the job open until the
+				// caller's deadline.
+				return nil, fail(transport.ReasonDesync, fmt.Errorf("dist: undecodable heartbeat: %v", err))
+			}
+			lastRounds = rounds
+			tr.add(idx, spans)
+			if opts.Progress != nil {
+				opts.Progress(idx, rounds)
 			}
 			record(body)
 		case tcp.FrameResult:
@@ -342,9 +333,7 @@ func gatherOne(conn net.Conn, idx int, addr string, opts CoordOptions) (*resultF
 				return nil, err
 			}
 			record(body)
-			if opts.Trace != nil {
-				opts.Trace.add(idx, rf.spans)
-			}
+			tr.add(idx, rf.spans)
 			return rf, nil
 		case tcp.FrameError:
 			ef, err := decodeErrorFrame(body)
@@ -364,11 +353,7 @@ func gatherOne(conn net.Conn, idx int, addr string, opts CoordOptions) (*resultF
 			}
 			return nil, ef.err()
 		default:
-			workerFailuresCounter(transport.ReasonDesync).Inc()
-			return nil, fail(&transport.LinkDownError{
-				Peer: idx, Addr: addr, Round: lastRounds, Reason: transport.ReasonDesync,
-				Err: fmt.Errorf("dist: unexpected frame type %d from worker", t),
-			})
+			return nil, fail(transport.ReasonDesync, fmt.Errorf("dist: unexpected frame type %d from worker", t))
 		}
 	}
 }

@@ -31,7 +31,6 @@ import (
 	"kmgraph/internal/core"
 	"kmgraph/internal/graph"
 	"kmgraph/internal/store"
-	"kmgraph/internal/telemetry"
 	"kmgraph/internal/transport"
 	"kmgraph/internal/wire"
 )
@@ -258,7 +257,7 @@ type resultFrame struct {
 	lo, hi  int
 	metrics []byte // transport.AppendMetrics encoding
 	outputs []any
-	spans   []telemetry.PhaseSpan
+	spans   []transport.PhaseSpan
 }
 
 // errorFrame is a worker's job failure. Link-down failures carry the
@@ -398,7 +397,7 @@ const maxSpanBatch = 256
 const maxSpanDecode = 1 << 16
 
 // appendSpans encodes a phase-span batch.
-func appendSpans(b []byte, spans []telemetry.PhaseSpan) []byte {
+func appendSpans(b []byte, spans []transport.PhaseSpan) []byte {
 	b = wire.AppendUvarint(b, uint64(len(spans)))
 	for _, s := range spans {
 		b = wire.AppendVarint(b, int64(s.Phase))
@@ -413,7 +412,7 @@ func appendSpans(b []byte, spans []telemetry.PhaseSpan) []byte {
 	return b
 }
 
-func readSpans(r *wire.Reader) ([]telemetry.PhaseSpan, error) {
+func readSpans(r *wire.Reader) ([]transport.PhaseSpan, error) {
 	n := int(r.Uvarint())
 	if err := r.Err(); err != nil {
 		return nil, err
@@ -424,9 +423,9 @@ func readSpans(r *wire.Reader) ([]telemetry.PhaseSpan, error) {
 	if n > maxSpanDecode {
 		return nil, fmt.Errorf("dist: span batch of %d", n)
 	}
-	spans := make([]telemetry.PhaseSpan, n)
+	spans := make([]transport.PhaseSpan, n)
 	for i := range spans {
-		spans[i] = telemetry.PhaseSpan{
+		spans[i] = transport.PhaseSpan{
 			Phase:      int(r.Varint()),
 			StartRound: int(r.Uvarint()),
 			EndRound:   int(r.Uvarint()),
@@ -443,14 +442,14 @@ func readSpans(r *wire.Reader) ([]telemetry.PhaseSpan, error) {
 // appendHeartbeat encodes a FrameHeartbeat body: which cluster the beat
 // is for, how many rounds its engine has completed, and a bounded batch
 // of freshly completed phase spans (empty unless the job is traced).
-func appendHeartbeat(b []byte, clusterID, rounds uint64, spans []telemetry.PhaseSpan) []byte {
+func appendHeartbeat(b []byte, clusterID, rounds uint64, spans []transport.PhaseSpan) []byte {
 	b = wire.AppendU64(b, clusterID)
 	b = wire.AppendUvarint(b, rounds)
 	b = appendSpans(b, spans)
 	return b
 }
 
-func decodeHeartbeat(body []byte) (clusterID, rounds uint64, spans []telemetry.PhaseSpan, err error) {
+func decodeHeartbeat(body []byte) (clusterID, rounds uint64, spans []transport.PhaseSpan, err error) {
 	r := wire.NewReader(body)
 	clusterID = r.U64()
 	rounds = r.Uvarint()

@@ -133,7 +133,7 @@ func TestGoldenMSTLocalVsTCP(t *testing.T) {
 	}
 
 	addrs := startWorkers(t, 2)
-	dist, err := RunMST(context.Background(), addrs, "store:"+path, cfg)
+	dist, err := runMST(context.Background(), addrs, "store:"+path, cfg, CoordOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

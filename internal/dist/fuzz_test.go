@@ -115,13 +115,13 @@ func realControlFrames(t testing.TB) map[tcp.FrameType][][]byte {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 	cfg := core.MSTConfig{Config: core.Config{K: 4, Seed: 9}, StrongOutput: true}
-	if _, err := RunMSTOpts(ctx, addrs, "gnm:400:1200:3", cfg, CoordOptions{Trace: &JobTrace{}}); err != nil {
+	if _, err := runMST(ctx, addrs, "gnm:400:1200:3", cfg, CoordOptions{}, &spanLog{}); err != nil {
 		t.Fatal(err)
 	}
 	// A connectivity job too: its result frames carry the other output
 	// kind, and the corpus's heartbeat count follows the jobs' wall time,
 	// which fell when the proxies stopped keeping per-component sums.
-	if _, err := RunConnectivityOpts(ctx, addrs, "gnm:3000:9000:5", cfg.Config, CoordOptions{Trace: &JobTrace{}}); err != nil {
+	if _, err := runConnectivity(ctx, addrs, "gnm:3000:9000:5", cfg.Config, CoordOptions{}, &spanLog{}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := RunConnectivity(ctx, addrs, "store:/nonexistent.kmgs", cfg.Config); err == nil {

@@ -1,5 +1,5 @@
-// Coordinator-side observability state: the assembled cross-process
-// job trace and the flight-recorder log backing -flight-dump.
+// Coordinator-side observability state: the per-worker span streams of a
+// traced job and the flight-recorder log backing -flight-dump.
 
 package dist
 
@@ -8,10 +8,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 
-	"kmgraph/internal/telemetry"
 	"kmgraph/internal/transport"
 )
 
@@ -19,78 +17,62 @@ import (
 // (phase counts are O(log n); the cap only guards a runaway engine).
 const maxTraceSpansPerWorker = 1 << 16
 
-// JobTrace collects the phase spans workers stream back on their
-// control connections and assembles them into one multi-pid Chrome
-// trace. Hand one to CoordOptions.Trace; after a successful run,
-// Assemble returns the trace of the attempt that succeeded (each retry
-// resets the collection, so a recovered run traces its clean replay).
-type JobTrace struct {
+// spanLog collects the phase spans the workers of one traced job stream
+// back on their control connections. Each attempt resets it, so after a
+// recovered run it holds the clean replay's spans. A nil *spanLog is an
+// untraced job: the spec carries no trace ID and workers record nothing.
+type spanLog struct {
+	// phase, when non-nil, sees the lowest worker's phase spans as they
+	// arrive (every worker crosses the same phase boundaries at the same
+	// rounds, so one stream is the job's progress). It runs on that
+	// worker's gather goroutine.
+	phase func(transport.PhaseSpan)
+
 	mu      sync.Mutex
-	job     string
-	traceID uint64
-	workers []telemetry.WorkerSpans
+	workers []transport.WorkerSpans
 }
 
 // reset starts a fresh attempt: one empty span stream per worker.
-func (t *JobTrace) reset(job *Job, ranges [][2]int) {
+func (t *spanLog) reset(ranges [][2]int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.job = job.Kind.String()
-	t.traceID = job.TraceID
-	t.workers = make([]telemetry.WorkerSpans, len(ranges))
+	t.workers = make([]transport.WorkerSpans, len(ranges))
 	for i, r := range ranges {
-		t.workers[i] = telemetry.WorkerSpans{Index: i, Lo: r[0], Hi: r[1]}
+		t.workers[i] = transport.WorkerSpans{Index: i, Lo: r[0], Hi: r[1]}
 	}
 }
 
 // add appends one worker's span batch (heartbeat or result tail).
-func (t *JobTrace) add(idx int, spans []telemetry.PhaseSpan) {
-	if len(spans) == 0 {
+func (t *spanLog) add(idx int, spans []transport.PhaseSpan) {
+	if t == nil || len(spans) == 0 {
 		return
 	}
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	if idx < 0 || idx >= len(t.workers) {
-		return
-	}
 	w := &t.workers[idx]
 	if room := maxTraceSpansPerWorker - len(w.Spans); room < len(spans) {
 		spans = spans[:max(room, 0)]
 	}
 	w.Spans = append(w.Spans, spans...)
-}
-
-// TraceID returns the ID the coordinator minted into the job spec.
-func (t *JobTrace) TraceID() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.traceID
-}
-
-// WorkerSpans returns a copy of the per-worker span streams, spans in
-// time order (batches can arrive slightly out of order across the
-// heartbeat/result boundary).
-func (t *JobTrace) WorkerSpans() []telemetry.WorkerSpans {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]telemetry.WorkerSpans, len(t.workers))
-	for i, w := range t.workers {
-		out[i] = w
-		out[i].Spans = append([]telemetry.PhaseSpan(nil), w.Spans...)
-		sort.SliceStable(out[i].Spans, func(a, b int) bool {
-			return out[i].Spans[a].StartUs < out[i].Spans[b].StartUs
-		})
-	}
-	return out
-}
-
-// Assemble builds the multi-pid Chrome trace (pid = worker index).
-func (t *JobTrace) Assemble() telemetry.Trace {
-	ws := t.WorkerSpans()
-	t.mu.Lock()
-	job, id := t.job, t.traceID
 	t.mu.Unlock()
-	return telemetry.AssembleDistTrace(job, id, ws)
+	if idx == 0 && t.phase != nil {
+		for _, s := range spans {
+			if s.Phase >= 0 {
+				t.phase(s)
+			}
+		}
+	}
+}
+
+// streams returns the per-worker span streams of the last attempt. Each
+// is in time order: a worker's frames have one writer at a time and carry
+// spans popped from one queue.
+func (t *spanLog) streams() []transport.WorkerSpans {
+	if t == nil {
+		return nil
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.workers
 }
 
 // FlightLog is the coordinator's post-mortem state for one distributed

@@ -7,10 +7,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"kmgraph/internal/core"
 	"kmgraph/internal/graph"
+	"kmgraph/internal/resident"
 	"kmgraph/internal/store"
 	"kmgraph/internal/telemetry"
 	"kmgraph/internal/transport"
@@ -18,7 +20,7 @@ import (
 )
 
 // sumSpanRounds totals the engine rounds one worker's spans cover.
-func sumSpanRounds(spans []telemetry.PhaseSpan) int {
+func sumSpanRounds(spans []transport.PhaseSpan) int {
 	total := 0
 	for _, sp := range spans {
 		total += sp.Rounds()
@@ -26,74 +28,120 @@ func sumSpanRounds(spans []telemetry.PhaseSpan) int {
 	return total
 }
 
-// tracePids collects the distinct pids of a trace's span ("X") events.
-func tracePids(tr telemetry.Trace) map[int]int {
-	pids := make(map[int]int)
-	for _, ev := range tr.TraceEvents {
-		if ev.Ph == "X" {
-			pids[ev.Pid]++
+// fleetObserver is what a test keeps of a fleet engine's observer stream:
+// a JobTracer rendering it, the phase events, and the done event.
+type fleetObserver struct {
+	tracer *telemetry.JobTracer
+	mu     sync.Mutex
+	phases []resident.Event
+	done   resident.Event
+}
+
+// openTracedFleet opens a fleet engine over addrs whose observer feeds a
+// fleetObserver.
+func openTracedFleet(t *testing.T, addrs []string, source string, k int, seed int64, coord CoordOptions) (*Fleet, *fleetObserver) {
+	t.Helper()
+	o := &fleetObserver{tracer: telemetry.NewJobTracer()}
+	f, err := OpenFleet(FleetSpec{Source: source, Addrs: addrs, Coord: coord}, resident.Config{
+		K: k, Seed: seed, PhaseMetrics: true,
+		Observer: func(ev resident.Event) {
+			o.tracer.Observer()(ev)
+			o.mu.Lock()
+			defer o.mu.Unlock()
+			switch {
+			case ev.Done:
+				o.done = ev
+			case ev.Phase >= 0:
+				o.phases = append(o.phases, ev)
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { f.Close() })
+	return f, o
+}
+
+// checkTelescopes asserts the tentpole accounting of a traced fleet job of
+// the given rounds and phases: one span stream per worker on the done
+// event, each telescoping to the job's rounds; one phase event per phase,
+// round counter strictly increasing; and in the rendered trace one pid per
+// worker plus the engine's own, every pid's phase spans summing to the
+// same rounds.
+func checkTelescopes(t *testing.T, o *fleetObserver, workers, rounds, phases int) {
+	t.Helper()
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if o.done.Err != "" || o.done.Delta == nil || o.done.Delta.Rounds != rounds {
+		t.Fatalf("done event = %+v, want a clean one with Delta.Rounds %d", o.done, rounds)
+	}
+	if len(o.done.Workers) != workers {
+		t.Fatalf("done event carries %d span streams, want %d", len(o.done.Workers), workers)
+	}
+	for _, w := range o.done.Workers {
+		if got := sumSpanRounds(w.Spans); got != rounds {
+			t.Errorf("worker %d span rounds sum to %d, want the merged Metrics.Rounds %d", w.Index, got, rounds)
 		}
 	}
-	return pids
+	if len(o.phases) != phases {
+		t.Errorf("%d phase events, want one per phase (%d)", len(o.phases), phases)
+	}
+	for i := 1; i < len(o.phases); i++ {
+		if o.phases[i].Round <= o.phases[i-1].Round {
+			t.Errorf("phase event %d at round %d follows round %d: the stream ran backwards",
+				i, o.phases[i].Round, o.phases[i-1].Round)
+		}
+	}
+	perPid := make(map[int]int)
+	for _, ev := range o.tracer.Snapshot().TraceEvents {
+		if ev.Cat == "phase" {
+			perPid[ev.Pid] += ev.Args["rounds"].(int)
+		}
+	}
+	if len(perPid) != workers+1 {
+		t.Fatalf("trace has phase spans on pids %v, want the engine's and one per worker", perPid)
+	}
+	for i := 0; i < workers; i++ {
+		if perPid[telemetry.WorkerPid(i)] == 0 {
+			t.Errorf("trace has no phase spans on worker %d's pid", i)
+		}
+	}
+	for pid, sum := range perPid {
+		if sum != rounds {
+			t.Errorf("pid %d phase rounds sum to %d, want %d", pid, sum, rounds)
+		}
+	}
 }
 
 // TestDistTraceTelescopesConnectivity is the tentpole acceptance for
-// cross-process tracing: a traced TCP connectivity job produces one
+// cross-process tracing: a connectivity job on a fleet engine reports one
 // span stream per worker whose round totals each telescope exactly to
 // the merged Metrics.Rounds (itself pinned bit-identical to the local
-// golden), and the assembled Chrome trace has one pid per worker.
+// golden), and the one trace assembler renders them one pid per worker.
 func TestDistTraceTelescopesConnectivity(t *testing.T) {
 	const (
 		n, m = 600, 1800
 		gs   = int64(7)
 	)
-	cfg := core.Config{K: 6, Seed: 11}
-	golden, err := core.RunSource(graph.StreamGNM(n, m, gs), cfg)
+	golden, err := core.RunSource(graph.StreamGNM(n, m, gs), core.Config{K: 6, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	addrs := startWorkers(t, 3)
-	trace := &JobTrace{}
-	spec := fmt.Sprintf("gnm:%d:%d:%d", n, m, gs)
-	res, err := RunConnectivityOpts(context.Background(), addrs, spec, cfg, CoordOptions{Trace: trace})
+	f, o := openTracedFleet(t, startWorkers(t, 3), fmt.Sprintf("gnm:%d:%d:%d", n, m, gs), 6, 11, CoordOptions{})
+	res, err := f.Query(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Metrics.Rounds != golden.Metrics.Rounds {
-		t.Fatalf("merged rounds %d != golden %d", res.Metrics.Rounds, golden.Metrics.Rounds)
+	if res.Rounds != golden.Metrics.Rounds || res.Components != golden.Components {
+		t.Fatalf("fleet query = %d components / %d rounds, golden %d / %d",
+			res.Components, res.Rounds, golden.Components, golden.Metrics.Rounds)
 	}
-	if trace.TraceID() == 0 {
-		t.Fatal("coordinator minted no trace ID")
-	}
-
-	ws := trace.WorkerSpans()
-	if len(ws) != len(addrs) {
-		t.Fatalf("trace covers %d workers, want %d", len(ws), len(addrs))
-	}
-	for _, w := range ws {
-		if len(w.Spans) == 0 {
-			t.Fatalf("worker %d streamed no spans", w.Index)
-		}
-		if got := sumSpanRounds(w.Spans); got != res.Metrics.Rounds {
-			t.Errorf("worker %d span rounds sum to %d, want merged Metrics.Rounds %d",
-				w.Index, got, res.Metrics.Rounds)
-		}
-	}
-
-	pids := tracePids(trace.Assemble())
-	if len(pids) != len(addrs) {
-		t.Fatalf("assembled trace has pids %v, want one per worker", pids)
-	}
-	for i := range addrs {
-		if pids[i] == 0 {
-			t.Errorf("assembled trace has no span events for worker pid %d", i)
-		}
-	}
+	checkTelescopes(t, o, 3, res.Rounds, res.Phases)
 }
 
-// TestDistTraceTelescopesMST is the same telescoping acceptance for a
-// traced MST job served from a kmgs store.
+// TestDistTraceTelescopesMST is the same telescoping acceptance for an
+// MST job served from a kmgs store.
 func TestDistTraceTelescopesMST(t *testing.T) {
 	const n, m = 400, 1200
 	g := graph.WithDistinctWeights(graph.GNM(n, m, 5), 6)
@@ -101,40 +149,24 @@ func TestDistTraceTelescopesMST(t *testing.T) {
 	if err := store.WriteFile(path, g.Source()); err != nil {
 		t.Fatal(err)
 	}
-	cfg := core.MSTConfig{Config: core.Config{K: 4, Seed: 3}}
-
-	addrs := startWorkers(t, 2)
-	trace := &JobTrace{}
-	res, err := RunMSTOpts(context.Background(), addrs, "store:"+path, cfg, CoordOptions{Trace: trace})
+	f, o := openTracedFleet(t, startWorkers(t, 2), "store:"+path, 4, 3, CoordOptions{})
+	res, err := f.MST(context.Background(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws := trace.WorkerSpans()
-	if len(ws) != len(addrs) {
-		t.Fatalf("trace covers %d workers, want %d", len(ws), len(addrs))
-	}
-	for _, w := range ws {
-		if got := sumSpanRounds(w.Spans); got != res.Metrics.Rounds {
-			t.Errorf("worker %d span rounds sum to %d, want merged Metrics.Rounds %d",
-				w.Index, got, res.Metrics.Rounds)
-		}
-	}
-	if pids := tracePids(trace.Assemble()); len(pids) != len(addrs) {
-		t.Fatalf("assembled trace has pids %v, want one per worker", pids)
-	}
+	checkTelescopes(t, o, 2, res.Metrics.Rounds, res.Phases)
 }
 
-// TestRetryTracesSuccessfulAttempt pins that a traced job that recovers
-// via retry reports the clean replay's spans: the per-worker round sums
+// TestRetryTracesSuccessfulAttempt pins that a job that recovers via
+// retry reports the clean replay's spans: the per-worker round sums
 // still telescope to the recovered (bit-identical) Metrics.Rounds, not
-// to the aborted first attempt's partial progress.
+// to the aborted first attempt's partial progress, and the phase events
+// the aborted attempt already reported are not reported again.
 func TestRetryTracesSuccessfulAttempt(t *testing.T) {
 	const (
 		n, m = 8000, 24000
 		gs   = int64(3)
 	)
-	cfg := core.Config{K: 6, Seed: 5}
-
 	_, a0 := startWorker(t)
 	victim, a1 := startWorker(t)
 	go func() {
@@ -143,28 +175,17 @@ func TestRetryTracesSuccessfulAttempt(t *testing.T) {
 	}()
 
 	respawned := 0
-	trace := &JobTrace{}
-	opts := CoordOptions{
-		Trace: trace,
-		Retry: RetryPolicy{
-			Attempts: 3,
-			Respawn:  respawnDead(t, &respawned),
-		},
-	}
-	spec := fmt.Sprintf("gnm:%d:%d:%d", n, m, gs)
-	res, err := RunConnectivityOpts(context.Background(), []string{a0, a1}, spec, cfg, opts)
+	f, o := openTracedFleet(t, []string{a0, a1}, fmt.Sprintf("gnm:%d:%d:%d", n, m, gs), 6, 5, CoordOptions{
+		Retry: RetryPolicy{Attempts: 3, Respawn: respawnDead(t, &respawned)},
+	})
+	res, err := f.Query(context.Background())
 	if err != nil {
 		t.Fatalf("job did not recover: %v", err)
 	}
 	if respawned == 0 {
 		t.Fatal("job succeeded without respawning the killed worker; the kill missed the run")
 	}
-	for _, w := range trace.WorkerSpans() {
-		if got := sumSpanRounds(w.Spans); got != res.Metrics.Rounds {
-			t.Errorf("worker %d span rounds sum to %d after recovery, want %d",
-				w.Index, got, res.Metrics.Rounds)
-		}
-	}
+	checkTelescopes(t, o, 2, res.Rounds, res.Phases)
 }
 
 // stubTransport is a minimal inner backend for driving the chaos layer

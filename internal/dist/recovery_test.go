@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,6 +16,7 @@ import (
 	"kmgraph/internal/graph"
 	"kmgraph/internal/store"
 	"kmgraph/internal/transport"
+	"kmgraph/internal/transport/tcp"
 )
 
 // startWorker launches one in-process worker with a fast heartbeat and
@@ -105,7 +107,7 @@ func TestRetryRecoversKilledWorkerConnectivity(t *testing.T) {
 		Respawn:    respawnDead(t, &respawned),
 	}}
 	spec := fmt.Sprintf("gnm:%d:%d:%d", n, m, gs)
-	res, err := RunConnectivityOpts(context.Background(), []string{a0, a1}, spec, cfg, opts)
+	res, err := runConnectivity(context.Background(), []string{a0, a1}, spec, cfg, opts, nil)
 	if err != nil {
 		t.Fatalf("job did not recover: %v", err)
 	}
@@ -156,7 +158,7 @@ func TestRetryRecoversKilledWorkerMST(t *testing.T) {
 		MaxBackoff: 200 * time.Millisecond,
 		Respawn:    respawnDead(t, &respawned),
 	}}
-	res, err := RunMSTOpts(context.Background(), []string{a0, a1}, "store:"+path, cfg, opts)
+	res, err := runMST(context.Background(), []string{a0, a1}, "store:"+path, cfg, opts, nil)
 	if err != nil {
 		t.Fatalf("job did not recover: %v", err)
 	}
@@ -214,8 +216,8 @@ func TestSilentWorkerStallsPromptly(t *testing.T) {
 	cfg := core.Config{K: 2, Seed: 1}
 	opts := CoordOptions{HeartbeatTimeout: 300 * time.Millisecond}
 	start := time.Now()
-	_, err = RunConnectivityOpts(context.Background(), []string{ln.Addr().String()},
-		"gnm:200:600:1", cfg, opts)
+	_, err = runConnectivity(context.Background(), []string{ln.Addr().String()},
+		"gnm:200:600:1", cfg, opts, nil)
 	if err == nil {
 		t.Fatal("job succeeded against a silent worker")
 	}
@@ -240,6 +242,66 @@ func TestSilentWorkerStallsPromptly(t *testing.T) {
 	held = nil
 	mu.Unlock()
 	waitGoroutines(t, base)
+}
+
+// TestGarbageHeartbeatsFailAsDesync closes a coordinator liveness hole: a
+// worker that takes the job and then streams heartbeats that do not
+// decode used to refresh the read deadline with every frame and keep the
+// job "alive" until the caller's own deadline. It must fail promptly as a
+// desync link-down — well under HeartbeatTimeout — and, being link-down,
+// be retried under the default policy.
+func TestGarbageHeartbeatsFailAsDesync(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	var jobs atomic.Int32
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer c.Close()
+				var buf []byte
+				if ft, _, err := tcp.ReadFrame(c, &buf); err != nil || ft != tcp.FrameJob {
+					return
+				}
+				jobs.Add(1)
+				beat := tcp.AppendFrame(nil, tcp.FrameHeartbeat, []byte{0xff})
+				for {
+					if _, err := c.Write(beat); err != nil {
+						return
+					}
+					time.Sleep(5 * time.Millisecond)
+				}
+			}()
+		}
+	}()
+
+	const hbTimeout = 30 * time.Second
+	opts := CoordOptions{
+		HeartbeatTimeout: hbTimeout,
+		Retry:            RetryPolicy{Attempts: 2, Backoff: 10 * time.Millisecond},
+	}
+	start := time.Now()
+	_, err = runConnectivity(context.Background(), []string{ln.Addr().String()},
+		"gnm:200:600:1", core.Config{K: 2, Seed: 1}, opts, nil)
+	if !errors.Is(err, transport.ErrLinkDown) {
+		t.Fatalf("err = %v, want wrapping transport.ErrLinkDown", err)
+	}
+	var ld *transport.LinkDownError
+	if !errors.As(err, &ld) || ld.Reason != transport.ReasonDesync {
+		t.Fatalf("err = %v, want desync classification", err)
+	}
+	if elapsed := time.Since(start); elapsed > hbTimeout/4 {
+		t.Fatalf("garbage heartbeats held the job for %v (HeartbeatTimeout %v)", elapsed, hbTimeout)
+	}
+	if got := jobs.Load(); got != 2 {
+		t.Fatalf("worker was shipped the job %d times, want 2 (the desync is retryable)", got)
+	}
 }
 
 // TestDrainFinishesActiveJob pins graceful drain: a worker draining

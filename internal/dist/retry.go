@@ -70,12 +70,12 @@ func (p RetryPolicy) delay(retry int) time.Duration {
 
 // runRetry drives attempts of runOnce under the retry policy,
 // re-dialing (and, via Respawn, replacing) workers between attempts.
-func runRetry(ctx context.Context, addrs []string, job Job, opts CoordOptions) (*kmachine.Result, int, error) {
+func runRetry(ctx context.Context, addrs []string, job Job, opts CoordOptions, tr *spanLog) (*kmachine.Result, int, error) {
 	opts = opts.withDefaults()
 	pol := opts.Retry
 	var firstFail time.Time
 	for attempt := 1; ; attempt++ {
-		res, n, err := runOnce(ctx, addrs, job, opts)
+		res, n, err := runOnce(ctx, addrs, job, opts, tr)
 		if err == nil {
 			if attempt > 1 {
 				recoveryHistogram().Observe(time.Since(firstFail).Seconds())

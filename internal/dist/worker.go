@@ -13,7 +13,6 @@ import (
 
 	"kmgraph/internal/core"
 	"kmgraph/internal/kmachine"
-	"kmgraph/internal/telemetry"
 	"kmgraph/internal/transport"
 	"kmgraph/internal/transport/tcp"
 	"kmgraph/internal/wire"
@@ -90,7 +89,7 @@ type jobState struct {
 	lo, hi    int
 	started   time.Time
 	cluster   atomic.Pointer[kmachine.Cluster]
-	spans     atomic.Pointer[telemetry.SpanRecorder] // set for traced jobs
+	spans     atomic.Pointer[transport.SpanRecorder] // set for traced jobs
 }
 
 // rounds reports the job's live round count (0 before the engine
@@ -106,7 +105,7 @@ func (s *jobState) rounds() uint64 {
 
 // drainSpans pops up to max freshly completed phase spans for the next
 // heartbeat (nil for untraced jobs).
-func (s *jobState) drainSpans(max int) []telemetry.PhaseSpan {
+func (s *jobState) drainSpans(max int) []transport.PhaseSpan {
 	if r := s.spans.Load(); r != nil {
 		return r.Drain(max)
 	}
@@ -437,7 +436,10 @@ func (w *Worker) heartbeat(conn net.Conn, st *jobState, interval time.Duration,
 		case <-tick.C:
 			buf = tcp.AppendFrame(buf[:0], tcp.FrameHeartbeat,
 				appendHeartbeat(nil, st.clusterID, st.rounds(), st.drainSpans(maxSpanBatch)))
-			conn.SetWriteDeadline(time.Now().Add(interval))
+			// Not less than a second: at a millisecond interval (tests) the
+			// deadline can pass between setting it and the write being
+			// scheduled, and a failed beat cancels the job.
+			conn.SetWriteDeadline(time.Now().Add(max(interval, time.Second)))
 			if _, err := conn.Write(buf); err != nil {
 				cancel()
 				return
@@ -484,10 +486,10 @@ func (w *Worker) execute(ctx context.Context, job *Job, st *jobState) ([]byte, e
 	// local wire-traffic and barrier-wait deltas read from the tcp
 	// transport's flight recorder. The heartbeat loop streams the spans
 	// back in bounded batches; the remainder rides the result frame.
-	var rec *telemetry.SpanRecorder
+	var rec *transport.SpanRecorder
 	var flight *transport.FlightRecorder // set by the transport factory below
 	if job.TraceID != 0 {
-		rec = telemetry.NewSpanRecorder(func() (int64, int64, int64) {
+		rec = transport.NewSpanRecorder(func() (int64, int64, int64) {
 			if flight == nil {
 				return 0, 0, 0
 			}
@@ -525,7 +527,7 @@ func (w *Worker) execute(ctx context.Context, job *Job, st *jobState) ([]byte, e
 	if err != nil {
 		return nil, err
 	}
-	var tail []telemetry.PhaseSpan
+	var tail []transport.PhaseSpan
 	if rec != nil {
 		// Seal the trailing sync span so per-worker span rounds
 		// telescope exactly to the merged Metrics.Rounds, then flush

@@ -46,6 +46,7 @@ import (
 	"kmgraph/internal/graph"
 	"kmgraph/internal/kmachine"
 	"kmgraph/internal/sketch"
+	"kmgraph/internal/transport"
 	"kmgraph/internal/verify"
 )
 
@@ -187,6 +188,10 @@ type Event struct {
 	// Messages, PayloadBytes — the same quantity end() meters). Nil on
 	// other events.
 	Delta *kmachine.Metrics
+	// Workers, on the Done event of a job that ran on a worker fleet, is
+	// each worker's phase-span stream (its own clock, its own link traffic
+	// and barrier waits). Nil for jobs of an in-process engine.
+	Workers []transport.WorkerSpans
 }
 
 // BatchResult reports one applied update batch.
@@ -337,6 +342,13 @@ var ErrNotConverged = errors.New("resident: job did not converge within MaxPhase
 
 // ErrClosed is returned by operations on a closed engine.
 var ErrClosed = errors.New("resident: cluster closed")
+
+// ErrUnsupported is returned by an engine that cannot run the requested
+// job family where its machines are placed: a worker fleet rebuilds its
+// shards per job, so it has no residency to mutate (ApplyBatch) or to
+// derive views from (min-cut, verification) and keeps no certificate
+// forest.
+var ErrUnsupported = errors.New("job family not supported on this cluster's placement")
 
 // ErrObserverPanic is returned by a job during which the Config.Observer
 // callback panicked. The engine recovers the panic (the cluster stays

@@ -1,8 +1,6 @@
 package server
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -12,22 +10,22 @@ import (
 	"sync/atomic"
 	"time"
 
-	"kmgraph/internal/core"
-	"kmgraph/internal/dist"
+	"kmgraph"
 	"kmgraph/internal/telemetry"
-	"kmgraph/internal/transport"
 )
 
-// This file is the server's distributed-fleet layer: graphs backed not
-// by a resident in-process cluster but by a kmworker fleet, served with
-// graceful degradation. A health prober keeps a per-fleet state gauge
-// (kmserve_graph_state: 2 healthy, 1 degraded, 0 down); requests
-// against a down fleet are shed immediately with 503 + Retry-After
-// instead of timing out, degraded fleets are attempted under the
-// coordinator's retry-with-respawn policy, and every recovery attempt
-// is visible on GET /metrics (kmgraph_dist_retries_total,
-// kmgraph_dist_heartbeats_missed_total, kmgraph_dist_recovery_seconds —
-// the dist layer's telemetry lands in this server's registry).
+// A fleet-backed graph is an ordinary registry graph — a kmgraph.Cluster
+// opened with OpenFleet, served by every /graphs/{name}/… handler through
+// the same cache, coalescing, admission and job funnel as a resident one.
+// This file holds the one thing that is specific to it: its health. A
+// prober keeps a per-fleet state gauge (kmserve_graph_state: 2 healthy,
+// 1 degraded, 0 down); a request that would have to run a job on a down
+// fleet is shed with 503 + Retry-After before it is admitted or anything
+// is dialed, degraded fleets are attempted under FleetSpec.Coord.Retry,
+// and every recovery attempt is visible on GET /metrics
+// (kmgraph_dist_retries_total, kmgraph_dist_heartbeats_missed_total,
+// kmgraph_dist_recovery_seconds — the dist layer's telemetry lands in
+// this server's registry).
 
 // Fleet states, in ascending health.
 const (
@@ -36,65 +34,26 @@ const (
 	fleetHealthy  = 2 // full fleet reachable
 )
 
-func fleetStateName(s int64) string {
-	switch s {
-	case fleetHealthy:
-		return "healthy"
-	case fleetDegraded:
-		return "degraded"
-	default:
-		return "down"
-	}
-}
+var fleetStateNames = [...]string{fleetDown: "down", fleetDegraded: "degraded", fleetHealthy: "healthy"}
 
-// FleetSpec describes one distributed-backed graph: the job source
-// every worker rematerializes its shard from, the worker fleet, and the
-// coordinator tuning used for jobs against it.
-type FleetSpec struct {
-	// Source is the dist source spec (store:<path>, gnm:<n>:<m>:<seed>,
-	// rmat:<n>:<m>:<seed>). Store paths must be readable by the workers.
-	Source string
-	// Addrs are the kmworker addresses. Jobs need the whole fleet.
-	Addrs []string
-	// Conn is the base algorithm configuration (K must be >=
-	// len(Addrs); zero-valued tuning fields resolve worker-side).
-	Conn core.Config
-	// Coord tunes heartbeat deadlines and retry recovery for jobs run
-	// against this fleet. The zero value uses coordinator defaults
-	// (30s heartbeat deadline, no retries).
-	Coord dist.CoordOptions
-	// ProbeInterval separates fleet health probes (default 5s).
-	ProbeInterval time.Duration
-	// ProbeTimeout bounds one worker dial during a probe (default 2s).
-	ProbeTimeout time.Duration
-}
+const (
+	probeInterval = 5 * time.Second // between fleet health probes
+	probeTimeout  = 2 * time.Second // one worker dial during a probe
+	// fleetRetryAfter is the Retry-After hint on 503s: the next probe may
+	// flip the fleet back to healthy.
+	fleetRetryAfter = "6"
+)
 
-func (sp FleetSpec) withDefaults() FleetSpec {
-	if sp.ProbeInterval <= 0 {
-		sp.ProbeInterval = 5 * time.Second
-	}
-	if sp.ProbeTimeout <= 0 {
-		sp.ProbeTimeout = 2 * time.Second
-	}
-	return sp
-}
-
-// fleet is one registered distributed-backed graph.
+// fleet is the health prober of one fleet-backed graph.
 type fleet struct {
-	name  string
-	spec  FleetSpec
-	slots chan struct{}
-	cache *resultCache
-	shed  atomic.Int64
+	name   string
+	source string
+	addrs  []string
 
 	state atomic.Int64 // fleetDown / fleetDegraded / fleetHealthy
-
-	// trace accumulates the phase spans workers stream back during
-	// fleet jobs; GET /fleet/{name}/trace serves the most recent job's
-	// assembled multi-pid Chrome trace. jobRounds holds each worker's
-	// live heartbeat round count during (and after) the most recent job,
-	// surfaced as kmserve_fleet_job_rounds gauges.
-	trace     *dist.JobTrace
+	nUp   atomic.Int64 // workers reachable at the last probe
+	// jobRounds holds each worker's live heartbeat round count during (and
+	// after) the most recent job, surfaced as kmserve_fleet_job_rounds.
 	jobRounds []atomic.Uint64
 
 	mu sync.Mutex
@@ -104,54 +63,37 @@ type fleet struct {
 	probeDone chan struct{}
 }
 
-// coordOptions returns the spec's coordinator tuning with this fleet's
-// trace collector and progress gauges wired in.
-func (f *fleet) coordOptions() dist.CoordOptions {
-	opts := f.spec.Coord
-	opts.Trace = f.trace
-	opts.Progress = func(worker int, rounds uint64) {
-		if worker >= 0 && worker < len(f.jobRounds) {
-			f.jobRounds[worker].Store(rounds)
-		}
-	}
-	return opts
-}
-
-// RegisterFleet adds a distributed-backed graph under name. The health
-// prober starts immediately; Close stops it.
-func (s *Server) RegisterFleet(name string, spec FleetSpec) error {
-	if name == "" {
-		return errors.New("server: empty fleet name")
-	}
-	spec = spec.withDefaults()
-	if len(spec.Addrs) == 0 {
-		return fmt.Errorf("server: fleet %q has no workers", name)
-	}
-	if spec.Conn.K < len(spec.Addrs) {
-		return fmt.Errorf("server: fleet %q has k=%d for %d workers (need k >= workers)",
-			name, spec.Conn.K, len(spec.Addrs))
-	}
+// RegisterFleet opens spec as a Cluster (opts carry its k and seed) and
+// registers it under name like any other graph; the health prober starts
+// immediately and stops when the graph is unloaded or the server closed.
+func (s *Server) RegisterFleet(name string, spec kmgraph.FleetSpec, opts ...kmgraph.ClusterOption) error {
 	f := &fleet{
 		name:      name,
-		spec:      spec,
-		slots:     make(chan struct{}, s.cfg.MaxQueue),
-		cache:     newResultCache(s.cfg.CacheEntries),
-		trace:     &dist.JobTrace{},
+		source:    spec.Source,
+		addrs:     spec.Addrs,
 		jobRounds: make([]atomic.Uint64, len(spec.Addrs)),
 		up:        make([]bool, len(spec.Addrs)),
 		stop:      make(chan struct{}),
 		probeDone: make(chan struct{}),
 	}
-	s.mu.Lock()
-	if s.fleets == nil {
-		s.fleets = make(map[string]*fleet)
+	spec.Coord.Progress = func(worker int, rounds uint64) {
+		if worker < len(f.jobRounds) { // a Respawn may have grown the fleet
+			f.jobRounds[worker].Store(rounds)
+		}
 	}
-	if _, dup := s.fleets[name]; dup {
-		s.mu.Unlock()
-		return fmt.Errorf("server: fleet %q already registered", name)
+	c, err := kmgraph.OpenFleet(spec, append(opts,
+		kmgraph.WithObserver(s.JobObserver(name)), kmgraph.WithPhaseMetrics())...)
+	if err != nil {
+		s.dropUnregisteredObs(name)
+		return fmt.Errorf("server: fleet %q: %w", name, err)
 	}
-	s.fleets[name] = f
-	s.mu.Unlock()
+	f.probeOnce()
+	go f.probeLoop()
+	if _, err := s.register(name, c, f); err != nil {
+		f.close()
+		c.Close()
+		return err
+	}
 
 	g := telemetry.Label{Name: "graph", Value: name}
 	s.registry.GaugeFunc("kmserve_graph_state",
@@ -159,59 +101,30 @@ func (s *Server) RegisterFleet(name string, spec FleetSpec) error {
 		func() float64 { return float64(f.state.Load()) }, g)
 	s.registry.GaugeFunc("kmserve_fleet_workers_up",
 		"Workers reachable at the last fleet health probe.",
-		func() float64 {
-			f.mu.Lock()
-			defer f.mu.Unlock()
-			n := 0
-			for _, ok := range f.up {
-				if ok {
-					n++
-				}
-			}
-			return float64(n)
-		}, g)
-	s.registry.CounterFunc("kmserve_shed_total",
-		"Requests refused with 429 by the graph's admission queue.",
-		func() float64 { return float64(f.shed.Load()) }, g)
-	// One gauge per worker: the live engine round count its heartbeats
-	// reported during the most recent fleet job (previously these counts
-	// were decoded and discarded).
-	for i := range spec.Addrs {
+		func() float64 { return float64(f.nUp.Load()) }, g)
+	for i := range f.jobRounds {
 		w := i
 		s.registry.GaugeFunc("kmserve_fleet_job_rounds",
 			"Engine round count last reported by each worker's heartbeats during a fleet job.",
 			func() float64 { return float64(f.jobRounds[w].Load()) },
 			g, telemetry.Label{Name: "worker", Value: strconv.Itoa(w)})
 	}
-
-	f.probeOnce()
-	go f.probeLoop()
 	return nil
 }
 
-// closeFleets stops every fleet prober (called from Server.Close).
-func (s *Server) closeFleets() {
-	s.mu.Lock()
-	fs := make([]*fleet, 0, len(s.fleets))
-	for _, f := range s.fleets {
-		fs = append(fs, f) //kmvet:ignore shutdown fan-out; prober close order immaterial
-	}
-	s.fleets = nil
-	s.mu.Unlock()
-	for _, f := range fs {
-		close(f.stop)
-		<-f.probeDone
-		s.registry.DropLabeled("graph", f.name)
-	}
+// close stops the prober and waits for it.
+func (f *fleet) close() {
+	close(f.stop)
+	<-f.probeDone
 }
 
 // probeOnce dials every worker once and folds the result into the
 // state gauge.
 func (f *fleet) probeOnce() {
-	up := make([]bool, len(f.spec.Addrs))
+	up := make([]bool, len(f.addrs))
 	n := 0
-	for i, a := range f.spec.Addrs {
-		c, err := net.DialTimeout("tcp", a, f.spec.ProbeTimeout)
+	for i, a := range f.addrs {
+		c, err := net.DialTimeout("tcp", a, probeTimeout)
 		if err == nil {
 			c.Close()
 			up[i] = true
@@ -221,6 +134,7 @@ func (f *fleet) probeOnce() {
 	f.mu.Lock()
 	f.up = up
 	f.mu.Unlock()
+	f.nUp.Store(int64(n))
 	switch {
 	case n == len(up):
 		f.state.Store(fleetHealthy)
@@ -233,7 +147,7 @@ func (f *fleet) probeOnce() {
 
 func (f *fleet) probeLoop() {
 	defer close(f.probeDone)
-	tick := time.NewTicker(f.spec.ProbeInterval)
+	tick := time.NewTicker(probeInterval)
 	defer tick.Stop()
 	for {
 		select {
@@ -245,75 +159,40 @@ func (f *fleet) probeLoop() {
 	}
 }
 
-// retryAfter is the Retry-After hint on shed requests: the next probe
-// may flip the fleet back to healthy.
-func (f *fleet) retryAfter() string {
-	return strconv.Itoa(int(f.spec.ProbeInterval/time.Second) + 1)
-}
-
-// gate sheds requests against a known-down fleet with 503 +
-// Retry-After. Degraded fleets pass: the job runs under the retry
-// policy, which may respawn/re-dial its way to a full mesh.
+// gate sheds a request that would run a job on a known-down fleet with
+// 503 + Retry-After, before admission and without a dial. Degraded fleets
+// pass: the job runs under the retry policy, which may respawn or re-dial
+// its way to a full mesh. A nil fleet is a resident graph: always open.
 func (f *fleet) gate(w http.ResponseWriter) bool {
-	if f.state.Load() == fleetDown {
-		w.Header().Set("Retry-After", f.retryAfter())
-		writeError(w, http.StatusServiceUnavailable,
-			"fleet %q unavailable (0/%d workers reachable)", f.name, len(f.spec.Addrs))
-		return false
-	}
-	return true
-}
-
-// admit claims an admission slot, or writes 429 + Retry-After.
-func (f *fleet) admit(w http.ResponseWriter) bool {
-	select {
-	case f.slots <- struct{}{}:
+	if f == nil || f.state.Load() != fleetDown {
 		return true
-	default:
-		f.shed.Add(1)
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, "fleet %q admission queue full", f.name)
-		return false
 	}
+	w.Header().Set("Retry-After", fleetRetryAfter)
+	writeError(w, http.StatusServiceUnavailable,
+		"fleet %q unavailable (0/%d workers reachable)", f.name, len(f.addrs))
+	return false
 }
 
-func (f *fleet) release() { <-f.slots }
-
-// jobError maps a fleet job failure: a link-down (worker lost, retries
-// exhausted) is a degraded-service 503 with Retry-After — the fleet may
-// come back — anything else follows the standard job mapping. A
-// link-down also triggers an immediate re-probe so the state gauge
-// reflects the loss before the next scheduled probe.
-func (f *fleet) jobError(w http.ResponseWriter, err error) {
-	if errors.Is(err, transport.ErrLinkDown) {
-		go f.probeOnce()
-		w.Header().Set("Retry-After", f.retryAfter())
-		writeError(w, http.StatusServiceUnavailable, "fleet %q degraded: %v", f.name, err)
-		return
+// fleetTenant resolves {name} to a fleet-backed graph; a miss writes 404
+// and returns nil.
+func (s *Server) fleetTenant(w http.ResponseWriter, r *http.Request) *tenant {
+	t := s.tenant(w, r)
+	if t != nil && t.fleet == nil {
+		writeError(w, http.StatusNotFound, "graph %q is not fleet-backed", t.name)
+		return nil
 	}
-	jobError(w, err)
+	return t
 }
 
-// fleet resolves {name}; a miss writes 404 and returns nil.
-func (s *Server) fleet(w http.ResponseWriter, r *http.Request) *fleet {
-	name := r.PathValue("name")
-	s.mu.RLock()
-	f := s.fleets[name]
-	s.mu.RUnlock()
-	if f == nil {
-		writeError(w, http.StatusNotFound, "unknown fleet %q", name)
-	}
-	return f
-}
-
-// fleetRoutes registers the fleet endpoints (called from routes).
+// fleetRoutes registers the fleet health endpoints, and the job and trace
+// routes fleets were served on before they were graphs, as aliases.
 func (s *Server) fleetRoutes() {
 	s.handle("GET /fleet", "fleet_list", s.handleFleetList)
 	s.handle("GET /fleet/{name}", "fleet_info", s.handleFleetInfo)
-	s.handle("GET /fleet/{name}/trace", "fleet_trace", s.handleFleetTrace)
+	s.handle("GET /fleet/{name}/trace", "fleet_trace", s.handleTrace)
 	for _, m := range []string{"GET", "POST"} {
-		s.handle(m+" /fleet/{name}/connectivity", "fleet_connectivity", s.handleFleetConnectivity)
-		s.handle(m+" /fleet/{name}/mst", "fleet_mst", s.handleFleetMST)
+		s.handle(m+" /fleet/{name}/connectivity", "fleet_connectivity", s.handleConnectivity)
+		s.handle(m+" /fleet/{name}/mst", "fleet_mst", s.handleMST)
 	}
 }
 
@@ -332,185 +211,45 @@ type fleetInfo struct {
 	Workers []fleetWorker `json:"workers"`
 }
 
-func (f *fleet) info() fleetInfo {
+func (t *tenant) fleetInfo() fleetInfo {
+	f := t.fleet
 	f.mu.Lock()
 	up := append([]bool(nil), f.up...)
 	f.mu.Unlock()
-	ws := make([]fleetWorker, len(f.spec.Addrs))
-	for i, a := range f.spec.Addrs {
+	ws := make([]fleetWorker, len(f.addrs))
+	for i, a := range f.addrs {
 		ws[i] = fleetWorker{Addr: a, Up: up[i]}
 	}
 	return fleetInfo{
 		Name:    f.name,
-		Source:  f.spec.Source,
-		K:       f.spec.Conn.K,
-		State:   fleetStateName(f.state.Load()),
+		Source:  f.source,
+		K:       t.c.K(),
+		State:   fleetStateNames[f.state.Load()],
 		Workers: ws,
 	}
 }
 
 func (s *Server) handleFleetList(w http.ResponseWriter, r *http.Request) {
 	s.mu.RLock()
-	infos := make([]fleetInfo, 0, len(s.fleets))
-	for _, f := range s.fleets {
-		infos = append(infos, f.info())
+	infos := []fleetInfo{}
+	for _, t := range s.graphs {
+		if t.fleet != nil {
+			infos = append(infos, t.fleetInfo())
+		}
 	}
 	s.mu.RUnlock()
 	sort.Slice(infos, func(i, j int) bool { return infos[i].Name < infos[j].Name })
 	writeJSON(w, http.StatusOK, map[string]any{"fleets": infos})
 }
 
-// handleFleetTrace serves the most recent fleet job's assembled
-// cross-process trace (one Chrome-trace pid per worker, built from the
-// phase spans workers streamed back on their control connections).
-// Before any job has run — or when no job carried a trace ID — the
-// trace is empty and the X-Kmserve-Trace-Id header reads 0. Concurrent
-// fleet jobs share the collector; the trace reflects whichever job
-// reset it last.
-func (s *Server) handleFleetTrace(w http.ResponseWriter, r *http.Request) {
-	f := s.fleet(w, r)
-	if f == nil {
-		return
-	}
-	w.Header().Set("X-Kmserve-Trace-Id", fmt.Sprintf("%016x", f.trace.TraceID()))
-	writeJSON(w, http.StatusOK, f.trace.Assemble())
-}
-
 func (s *Server) handleFleetInfo(w http.ResponseWriter, r *http.Request) {
-	f := s.fleet(w, r)
-	if f == nil {
+	t := s.fleetTenant(w, r)
+	if t == nil {
 		return
 	}
-	info := f.info()
 	status := http.StatusOK
-	if f.state.Load() == fleetDown {
+	if t.fleet.state.Load() == fleetDown {
 		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, status, info)
-}
-
-// fleetConnectivityResponse answers fleet connectivity requests. Fleet
-// sources are immutable (no batch endpoint), so results cache forever.
-type fleetConnectivityResponse struct {
-	Graph          string   `json:"graph"`
-	Components     int      `json:"components"`
-	Phases         int      `json:"phases"`
-	Rounds         int      `json:"rounds"`
-	SketchFailures int64    `json:"sketch_failures"`
-	Cached         bool     `json:"cached"`
-	Labels         []uint64 `json:"labels,omitempty"`
-}
-
-func (c fleetConnectivityResponse) hit() any { c.Cached = true; return c }
-
-func (s *Server) handleFleetConnectivity(w http.ResponseWriter, r *http.Request) {
-	f := s.fleet(w, r)
-	if f == nil {
-		return
-	}
-	labels := boolParam(r, "labels")
-	shape := func(v any) any {
-		c := v.(fleetConnectivityResponse)
-		if !labels {
-			c.Labels = nil
-		}
-		return c
-	}
-	s.runFleet(w, r, f, "connectivity", shape, func(ctx context.Context) (hitMarker, error) {
-		res, err := dist.RunConnectivityOpts(ctx, f.spec.Addrs, f.spec.Source, f.spec.Conn, f.coordOptions())
-		if err != nil {
-			return nil, err
-		}
-		return fleetConnectivityResponse{
-			Graph:          f.name,
-			Components:     res.Components,
-			Phases:         res.Phases,
-			Rounds:         res.Metrics.Rounds,
-			SketchFailures: res.SketchFailures,
-			Labels:         res.Labels,
-		}, nil
-	})
-}
-
-// fleetMSTResponse answers fleet MST requests.
-type fleetMSTResponse struct {
-	Graph       string     `json:"graph"`
-	TotalWeight int64      `json:"total_weight"`
-	EdgeCount   int        `json:"edge_count"`
-	Phases      int        `json:"phases"`
-	Rounds      int        `json:"rounds"`
-	Cached      bool       `json:"cached"`
-	Edges       []jsonEdge `json:"edges,omitempty"`
-}
-
-func (m fleetMSTResponse) hit() any { m.Cached = true; return m }
-
-func (s *Server) handleFleetMST(w http.ResponseWriter, r *http.Request) {
-	f := s.fleet(w, r)
-	if f == nil {
-		return
-	}
-	edges := boolParam(r, "edges")
-	shape := func(v any) any {
-		m := v.(fleetMSTResponse)
-		if !edges {
-			m.Edges = nil
-		}
-		return m
-	}
-	s.runFleet(w, r, f, "mst", shape, func(ctx context.Context) (hitMarker, error) {
-		cfg := core.MSTConfig{Config: f.spec.Conn}
-		res, err := dist.RunMSTOpts(ctx, f.spec.Addrs, f.spec.Source, cfg, f.coordOptions())
-		if err != nil {
-			return nil, err
-		}
-		out := make([]jsonEdge, len(res.Edges))
-		for i, e := range res.Edges {
-			out[i] = jsonEdge{U: e.U, V: e.V, W: e.W}
-		}
-		return fleetMSTResponse{
-			Graph:       f.name,
-			TotalWeight: res.TotalWeight,
-			EdgeCount:   len(res.Edges),
-			Phases:      res.Phases,
-			Rounds:      res.Metrics.Rounds,
-			Edges:       out,
-		}, nil
-	})
-}
-
-// runFleet is the shared protocol around a fleet job: health gate,
-// cache lookup (fleet graphs are immutable, so the epoch is always 0),
-// admission, run under the request deadline, degradation-aware error
-// mapping.
-func (s *Server) runFleet(w http.ResponseWriter, r *http.Request, f *fleet, job string,
-	shape func(any) any, run func(ctx context.Context) (hitMarker, error)) {
-	timeout, err := s.parseTimeout(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	key := cacheKey{epoch: 0, job: job, args: ""}
-	if v, ok := f.cache.get(key); ok {
-		w.Header().Set("X-Kmserve-Cache", "hit")
-		writeJSON(w, http.StatusOK, shape(v.(hitMarker).hit()))
-		return
-	}
-	if !f.gate(w) {
-		return
-	}
-	if !f.admit(w) {
-		return
-	}
-	defer f.release()
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	defer cancel()
-	resp, err := run(ctx)
-	if err != nil {
-		f.jobError(w, err)
-		return
-	}
-	f.cache.put(key, resp)
-	w.Header().Set("X-Kmserve-Cache", "miss")
-	writeJSON(w, http.StatusOK, shape(resp))
+	writeJSON(w, status, t.fleetInfo())
 }

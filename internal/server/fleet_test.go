@@ -1,17 +1,24 @@
 package server
 
 import (
+	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"kmgraph"
 	"kmgraph/internal/core"
 	"kmgraph/internal/dist"
 	"kmgraph/internal/graph"
+	"kmgraph/internal/store"
+	"kmgraph/internal/telemetry"
 )
 
 // startFleetWorker launches one in-process dist worker and returns it
@@ -24,41 +31,50 @@ func startFleetWorker(t *testing.T) (*dist.Worker, string) {
 	}
 	w := dist.NewWorker(ln, dist.WorkerOptions{
 		MeshTimeout:       30 * time.Second,
-		HeartbeatInterval: 100 * time.Millisecond,
+		HeartbeatInterval: 20 * time.Millisecond,
 	})
 	go w.Serve()
 	t.Cleanup(func() { w.Close() })
 	return w, w.Addr()
 }
 
-// newFleetServer registers a fleet of live workers over a gnm source
-// and returns the serving front end plus the fleet-local golden.
-func newFleetServer(t *testing.T, name string, workers int) (*Server, *httptest.Server, *core.Result) {
+// The fleet fixture: one weighted graph in a kmgs store every worker
+// loads its shard from, so connectivity and MST both have one-shot
+// goldens.
+const (
+	fleetK    = 4
+	fleetSeed = int64(9)
+)
+
+var fleetCfg = core.Config{K: fleetK, Seed: fleetSeed}
+
+func fleetGraph() *graph.Graph {
+	return graph.WithDistinctWeights(graph.GNM(4000, 12000, 3), 4)
+}
+
+// fleetSource writes the fixture graph to a store and returns its source
+// spec plus the one-shot connectivity golden on it.
+func fleetSource(t *testing.T) (string, *core.Result) {
 	t.Helper()
-	const (
-		n, m = 4000, 12000
-		gs   = int64(3)
-		k    = 4
-		seed = int64(9)
-	)
-	cfg := core.Config{K: k, Seed: seed}
-	golden, err := core.RunSource(graph.StreamGNM(n, m, gs), cfg)
+	g := fleetGraph()
+	path := filepath.Join(t.TempDir(), "fleet.kmgs")
+	if err := store.WriteFile(path, g.Source()); err != nil {
+		t.Fatal(err)
+	}
+	golden, err := core.RunSource(g.Source(), fleetCfg)
 	if err != nil {
 		t.Fatalf("golden: %v", err)
 	}
-	addrs := make([]string, workers)
-	for i := range addrs {
-		_, addrs[i] = startFleetWorker(t)
-	}
-	s := New(Config{})
-	err = s.RegisterFleet(name, FleetSpec{
-		Source: fmt.Sprintf("gnm:%d:%d:%d", n, m, gs),
-		Addrs:  addrs,
-		Conn:   cfg,
-		Coord: dist.CoordOptions{
-			Retry: dist.RetryPolicy{Attempts: 3, Backoff: 50 * time.Millisecond},
-		},
-	})
+	return "store:" + path, golden
+}
+
+// newFleetServer registers the fixture under name as a fleet-backed graph
+// over the given worker addresses and returns the serving front end.
+func newFleetServer(t *testing.T, name, source string, addrs []string, coord dist.CoordOptions) (*Server, *httptest.Server) {
+	t.Helper()
+	s := New(Config{MaxQueue: 32})
+	err := s.RegisterFleet(name, kmgraph.FleetSpec{Source: source, Addrs: addrs, Coord: coord},
+		kmgraph.WithK(fleetK), kmgraph.WithSeed(fleetSeed))
 	if err != nil {
 		t.Fatalf("RegisterFleet: %v", err)
 	}
@@ -67,18 +83,195 @@ func newFleetServer(t *testing.T, name string, workers int) (*Server, *httptest.
 		ts.Close()
 		s.Close()
 	})
+	return s, ts
+}
+
+// newLiveFleetServer is newFleetServer over two fresh workers.
+func newLiveFleetServer(t *testing.T, name string) (*Server, *httptest.Server, *core.Result) {
+	t.Helper()
+	source, golden := fleetSource(t)
+	_, a0 := startFleetWorker(t)
+	_, a1 := startFleetWorker(t)
+	s, ts := newFleetServer(t, name, source, []string{a0, a1}, dist.CoordOptions{
+		Retry: dist.RetryPolicy{Attempts: 3, Backoff: 50 * time.Millisecond},
+	})
 	return s, ts, golden
 }
 
-func TestFleetConnectivityMatchesLocal(t *testing.T) {
-	_, ts, golden := newFleetServer(t, "web", 2)
-
-	var out struct {
-		Graph      string `json:"graph"`
-		Components int    `json:"components"`
-		Rounds     int    `json:"rounds"`
-		Cached     bool   `json:"cached"`
+// workerPhaseRounds sums, per fleet-worker pid of a served trace, the
+// rounds of its phase spans.
+func workerPhaseRounds(t *testing.T, url string) map[int]int {
+	t.Helper()
+	var trace struct {
+		TraceEvents []struct {
+			Cat  string         `json:"cat"`
+			Pid  int            `json:"pid"`
+			Args map[string]any `json:"args"`
+		} `json:"traceEvents"`
 	}
+	getJSON(t, url, http.StatusOK, &trace)
+	perPid := map[int]int{}
+	for _, ev := range trace.TraceEvents {
+		if ev.Cat == "phase" && ev.Pid >= telemetry.WorkerPid(0) {
+			perPid[ev.Pid] += int(ev.Args["rounds"].(float64))
+		}
+	}
+	return perPid
+}
+
+// TestFleetIsAGraph is the tentpole acceptance: a fleet-backed graph is
+// served by the code that serves resident graphs — coalescing, cache,
+// job funnel, trace, error mapping — and differs only in what its engine
+// cannot run. The cases share one fleet and run in order.
+func TestFleetIsAGraph(t *testing.T) {
+	s, ts, golden := newLiveFleetServer(t, "web")
+	base := ts.URL + "/graphs/web"
+	okJobs := func(job string) float64 {
+		return sampleValue(t, scrape(t, ts.URL), fmt.Sprintf(`kmgraph_jobs_total{graph="web",job=%q,status="ok"}`, job))
+	}
+
+	t.Run("cold herd runs one distributed job", func(t *testing.T) {
+		const clients = 4
+		var wg sync.WaitGroup
+		out := make([]connectivityResponse, clients)
+		start := make(chan struct{})
+		for i := range out {
+			wg.Add(1)
+			go func(c *connectivityResponse) {
+				defer wg.Done()
+				<-start
+				resp, err := http.Get(base + "/connectivity")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				defer resp.Body.Close()
+				if err := json.NewDecoder(resp.Body).Decode(c); err != nil || resp.StatusCode != http.StatusOK {
+					t.Errorf("cold request: status %d, decode error %v", resp.StatusCode, err)
+				}
+			}(&out[i])
+		}
+		close(start)
+		wg.Wait()
+		for i, c := range out {
+			if c.Components != golden.Components || c.Rounds != golden.Metrics.Rounds || c.SketchFailures != golden.SketchFailures {
+				t.Errorf("client %d: %d components / %d rounds / %d sketch failures, want core.RunSource's %d / %d / %d",
+					i, c.Components, c.Rounds, c.SketchFailures, golden.Components, golden.Metrics.Rounds, golden.SketchFailures)
+			}
+		}
+		if n := okJobs("connectivity"); n != 1 {
+			t.Errorf("%v distributed connectivity jobs ran for %d concurrent cold requests, want 1", n, clients)
+		}
+		if n := sampleValue(t, scrape(t, ts.URL), `kmserve_cache_coalesced_total{graph="web"}`); n < 1 {
+			t.Errorf("kmserve_cache_coalesced_total = %v, want >= 1", n)
+		}
+	})
+
+	t.Run("repeat is a cache hit that runs no job", func(t *testing.T) {
+		var c connectivityResponse
+		resp := getJSON(t, base+"/connectivity?labels=true", http.StatusOK, &c)
+		if !c.Cached || resp.Header.Get("X-Kmserve-Cache") != "hit" || len(c.Labels) != len(golden.Labels) {
+			t.Errorf("repeat: cached=%v header=%q labels=%d, want a hit with %d labels",
+				c.Cached, resp.Header.Get("X-Kmserve-Cache"), len(c.Labels), len(golden.Labels))
+		}
+		if n := okJobs("connectivity"); n != 1 {
+			t.Errorf("%v connectivity jobs after a repeat, want still 1", n)
+		}
+	})
+
+	t.Run("jobs and trace come from the one funnel", func(t *testing.T) {
+		var jobs struct {
+			Jobs []jobProgress `json:"jobs"`
+		}
+		getJSON(t, base+"/jobs", http.StatusOK, &jobs)
+		if len(jobs.Jobs) != 1 || jobs.Jobs[0].Job != "connectivity" || jobs.Jobs[0].Running ||
+			jobs.Jobs[0].Round != golden.Metrics.Rounds || jobs.Jobs[0].Phase != golden.Phases-1 {
+			t.Errorf("jobs = %+v, want the one finished connectivity job at round %d, phase %d",
+				jobs.Jobs, golden.Metrics.Rounds, golden.Phases-1)
+		}
+		perPid := workerPhaseRounds(t, base+"/trace")
+		if len(perPid) != 2 {
+			t.Fatalf("trace worker pids = %v, want one per worker", perPid)
+		}
+		for pid, sum := range perPid {
+			if sum != golden.Metrics.Rounds {
+				t.Errorf("pid %d phase rounds sum to %d, want the job's %d", pid, sum, golden.Metrics.Rounds)
+			}
+		}
+	})
+
+	t.Run("strong MST matches core.RunMST", func(t *testing.T) {
+		want, err := core.RunMST(fleetGraph(), core.MSTConfig{Config: fleetCfg, StrongOutput: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m mstResponse
+		getJSON(t, base+"/mst?strong=true&edges=true", http.StatusOK, &m)
+		if m.TotalWeight != want.TotalWeight || m.EdgeCount != len(want.Edges) || m.Rounds != want.Metrics.Rounds || m.Phases != want.Phases {
+			t.Fatalf("mst = weight %d / %d edges / %d rounds / %d phases, want %d / %d / %d / %d",
+				m.TotalWeight, m.EdgeCount, m.Rounds, m.Phases, want.TotalWeight, len(want.Edges), want.Metrics.Rounds, want.Phases)
+		}
+		for i, e := range want.Edges {
+			if got := m.Edges[i]; got.U != e.U || got.V != e.V || got.W != e.W {
+				t.Fatalf("edge %d = %+v, want %+v", i, got, e)
+			}
+		}
+	})
+
+	t.Run("what a fleet cannot run answers 501", func(t *testing.T) {
+		for _, c := range []struct{ method, path, body string }{
+			{"POST", "/batch", `{"ops":[{"u":1,"v":2}]}`},
+			{"GET", "/mincut", ""},
+			{"POST", "/verify", `{"problem":"cycle"}`},
+			{"GET", "/spanning-tree", ""},
+			{"GET", "/connectivity?forest=true", ""}, // answerable from the cache, were it not a forest
+		} {
+			req, _ := http.NewRequest(c.method, base+c.path, strings.NewReader(c.body))
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var e errorResponse
+			decodeErr := json.NewDecoder(resp.Body).Decode(&e)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusNotImplemented || decodeErr != nil ||
+				!strings.Contains(e.Error, kmgraph.ErrUnsupported.Error()) {
+				t.Errorf("%s %s: status %d body %q, want 501 naming ErrUnsupported", c.method, c.path, resp.StatusCode, e.Error)
+			}
+		}
+	})
+
+	t.Run("names collide loudly", func(t *testing.T) {
+		c, err := kmgraph.NewCluster(kmgraph.GNM(100, 300, 1), kmgraph.WithK(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Register("web", c); err == nil {
+			t.Error("a resident graph was registered under a fleet's name")
+		}
+		if err := s.Register("g", c); err != nil {
+			t.Fatal(err)
+		}
+		err = s.RegisterFleet("g", kmgraph.FleetSpec{Source: "gnm:100:300:1", Addrs: []string{"127.0.0.1:1"}}, kmgraph.WithK(2))
+		if err == nil {
+			t.Error("a fleet was registered under a resident graph's name")
+		}
+		// The refused fleet must not have taken the live graph's funnel or
+		// series with it.
+		getJSON(t, ts.URL+"/graphs/g/jobs", http.StatusOK, nil)
+		if v := sampleValue(t, scrape(t, ts.URL), `kmserve_shed_total{graph="g"}`); v != 0 {
+			t.Errorf(`kmserve_shed_total{graph="g"} = %v after the refusal, want the resident graph's 0`, v)
+		}
+	})
+}
+
+// TestFleetConnectivityMatchesLocal keeps one case on the
+// /fleet/{name}/connectivity alias fleets were served on before they
+// were graphs.
+func TestFleetConnectivityMatchesLocal(t *testing.T) {
+	_, ts, golden := newLiveFleetServer(t, "web")
+
+	var out connectivityResponse
 	resp := getJSON(t, ts.URL+"/fleet/web/connectivity", http.StatusOK, &out)
 	if out.Components != golden.Components {
 		t.Errorf("components = %d, want %d", out.Components, golden.Components)
@@ -90,45 +283,52 @@ func TestFleetConnectivityMatchesLocal(t *testing.T) {
 		t.Errorf("first request: cached=%v header=%q, want fresh miss", out.Cached, resp.Header.Get("X-Kmserve-Cache"))
 	}
 
-	// Fleet graphs are immutable: the second request must be a hit.
-	resp = getJSON(t, ts.URL+"/fleet/web/connectivity", http.StatusOK, &out)
+	// Fleet graphs are immutable: the second request must be a hit, on
+	// either name of the route.
+	resp = getJSON(t, ts.URL+"/graphs/web/connectivity", http.StatusOK, &out)
 	if !out.Cached || resp.Header.Get("X-Kmserve-Cache") != "hit" {
 		t.Errorf("second request: cached=%v header=%q, want cache hit", out.Cached, resp.Header.Get("X-Kmserve-Cache"))
 	}
 
 	var info fleetInfo
 	getJSON(t, ts.URL+"/fleet/web", http.StatusOK, &info)
-	if info.State != "healthy" || len(info.Workers) != 2 {
-		t.Errorf("info = %+v, want healthy with 2 workers", info)
+	if info.State != "healthy" || len(info.Workers) != 2 || info.K != fleetK {
+		t.Errorf("info = %+v, want healthy with 2 workers at k=%d", info, fleetK)
 	}
+	getJSON(t, ts.URL+"/fleet/nosuch", http.StatusNotFound, nil)
 }
 
 func TestFleetDownSheds503(t *testing.T) {
 	// A listener that is opened and immediately closed yields an address
-	// with nothing behind it: every probe and dial fails fast.
+	// with nothing behind it: the registration probe finds the fleet down.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	dead := ln.Addr().String()
 	ln.Close()
+	_, ts := newFleetServer(t, "ghost", "gnm:1000:3000:1", []string{dead}, dist.CoordOptions{})
 
-	s := New(Config{})
-	err = s.RegisterFleet("ghost", FleetSpec{
-		Source: "gnm:1000:3000:1",
-		Addrs:  []string{dead},
-		Conn:   core.Config{K: 2, Seed: 1},
-	})
+	// From here on something listens there again, so a dial would be seen:
+	// the gate must shed on the prober's verdict alone.
+	ln, err = net.Listen("tcp", dead)
 	if err != nil {
-		t.Fatalf("RegisterFleet: %v", err)
+		t.Fatalf("relisten on %s: %v", dead, err)
 	}
-	ts := httptest.NewServer(s)
-	t.Cleanup(func() {
-		ts.Close()
-		s.Close()
-	})
+	defer ln.Close()
+	var dials atomic.Int32
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			dials.Add(1)
+			c.Close()
+		}
+	}()
 
-	resp, err := http.Get(ts.URL + "/fleet/ghost/connectivity")
+	resp, err := http.Get(ts.URL + "/graphs/ghost/connectivity")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,6 +339,9 @@ func TestFleetDownSheds503(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("503 without Retry-After header")
 	}
+	if n := dials.Load(); n != 0 {
+		t.Errorf("shedding a request on a down fleet dialed it %d times", n)
+	}
 
 	var info fleetInfo
 	getJSON(t, ts.URL+"/fleet/ghost", http.StatusServiceUnavailable, &info)
@@ -148,21 +351,17 @@ func TestFleetDownSheds503(t *testing.T) {
 }
 
 func TestFleetStateOnMetrics(t *testing.T) {
-	_, ts, _ := newFleetServer(t, "web", 2)
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	buf := make([]byte, 1<<20)
-	nr, _ := resp.Body.Read(buf)
-	body := string(buf[:nr])
-	want := `kmserve_graph_state{graph="web"} 2`
-	if !strings.Contains(body, want) {
-		t.Errorf("metrics exposition missing %q", want)
-	}
-	if !strings.Contains(body, `kmserve_fleet_workers_up{graph="web"} 2`) {
-		t.Errorf("metrics exposition missing workers-up gauge")
+	_, ts, _ := newLiveFleetServer(t, "web")
+	body := scrape(t, ts.URL)
+	for _, want := range []string{
+		`kmserve_graph_state{graph="web"} 2`,
+		`kmserve_fleet_workers_up{graph="web"} 2`,
+		`kmserve_shed_total{graph="web"} 0`,
+		`kmserve_graphs 1`,
+	} {
+		if !strings.Contains(body, want) {
+			t.Errorf("metrics exposition missing %q", want)
+		}
 	}
 }
 
@@ -174,44 +373,18 @@ func TestFleetDegradesAndRecovers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("distributed recovery test")
 	}
-	const (
-		n, m = 4000, 12000
-		gs   = int64(3)
-		k    = 4
-		seed = int64(9)
-	)
-	cfg := core.Config{K: k, Seed: seed}
-	golden, err := core.RunSource(graph.StreamGNM(n, m, gs), cfg)
-	if err != nil {
-		t.Fatalf("golden: %v", err)
-	}
-
+	source, golden := fleetSource(t)
 	w1, a1 := startFleetWorker(t)
 	_, a2 := startFleetWorker(t)
-
-	s := New(Config{})
-	err = s.RegisterFleet("web", FleetSpec{
-		Source: fmt.Sprintf("gnm:%d:%d:%d", n, m, gs),
-		Addrs:  []string{a1, a2},
-		Conn:   cfg,
-		Coord: dist.CoordOptions{
-			HeartbeatTimeout: 5 * time.Second,
-			Retry:            dist.RetryPolicy{Attempts: 2, Backoff: 50 * time.Millisecond},
-		},
-	})
-	if err != nil {
-		t.Fatalf("RegisterFleet: %v", err)
-	}
-	ts := httptest.NewServer(s)
-	t.Cleanup(func() {
-		ts.Close()
-		s.Close()
+	_, ts := newFleetServer(t, "web", source, []string{a1, a2}, dist.CoordOptions{
+		HeartbeatTimeout: 5 * time.Second,
+		Retry:            dist.RetryPolicy{Attempts: 2, Backoff: 50 * time.Millisecond},
 	})
 
 	// Lose a worker: the job fails link-down after its retry budget and
 	// the endpoint degrades to 503 + Retry-After.
 	w1.Close()
-	resp, err := http.Get(ts.URL + "/fleet/web/connectivity")
+	resp, err := http.Get(ts.URL + "/graphs/web/connectivity")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,6 +394,9 @@ func TestFleetDegradesAndRecovers(t *testing.T) {
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("degraded 503 without Retry-After header")
+	}
+	if n := sampleValue(t, scrape(t, ts.URL), `kmgraph_jobs_total{graph="web",job="connectivity",status="error"}`); n != 1 {
+		t.Errorf("failed fleet job counted %v times in kmgraph_jobs_total, want 1", n)
 	}
 
 	// A replacement worker on the same address restores service; no
@@ -236,58 +412,33 @@ func TestFleetDegradesAndRecovers(t *testing.T) {
 	go w.Serve()
 	t.Cleanup(func() { w.Close() })
 
-	var out struct {
-		Components int `json:"components"`
-		Rounds     int `json:"rounds"`
-	}
-	getJSON(t, ts.URL+"/fleet/web/connectivity", http.StatusOK, &out)
+	var out connectivityResponse
+	getJSON(t, ts.URL+"/graphs/web/connectivity", http.StatusOK, &out)
 	if out.Components != golden.Components || out.Rounds != golden.Metrics.Rounds {
 		t.Errorf("recovered result = %d components / %d rounds, want %d / %d",
 			out.Components, out.Rounds, golden.Components, golden.Metrics.Rounds)
 	}
 }
 
-// TestFleetTraceAndRoundGauges pins the fleet observability wiring: a
-// fleet job feeds the per-worker round gauges (previously the heartbeat
-// round counts were decoded and discarded) and leaves an assembled
-// cross-process trace behind GET /fleet/{name}/trace with one pid per
-// worker whose span round sums telescope to the job's merged rounds.
+// TestFleetTraceAndRoundGauges pins what only a fleet reports: its jobs
+// feed the per-worker round gauges from the workers' heartbeats, and the
+// graph's trace — here through the /fleet/{name}/trace alias — carries
+// one pid per worker whose span round sums telescope to the job's merged
+// rounds.
 func TestFleetTraceAndRoundGauges(t *testing.T) {
-	_, ts, golden := newFleetServer(t, "web", 2)
+	_, ts, golden := newLiveFleetServer(t, "web")
 
-	var out struct {
-		Rounds int `json:"rounds"`
-	}
-	getJSON(t, ts.URL+"/fleet/web/connectivity", http.StatusOK, &out)
+	var out connectivityResponse
+	getJSON(t, ts.URL+"/graphs/web/connectivity", http.StatusOK, &out)
 	if out.Rounds != golden.Metrics.Rounds {
 		t.Fatalf("rounds = %d, want %d", out.Rounds, golden.Metrics.Rounds)
 	}
-
-	var trace struct {
-		TraceEvents []struct {
-			Ph   string         `json:"ph"`
-			Pid  int            `json:"pid"`
-			Args map[string]any `json:"args"`
-		} `json:"traceEvents"`
-	}
-	resp := getJSON(t, ts.URL+"/fleet/web/trace", http.StatusOK, &trace)
-	if id := resp.Header.Get("X-Kmserve-Trace-Id"); id == "" || id == strings.Repeat("0", 16) {
-		t.Errorf("trace id header = %q, want a minted id", id)
-	}
-	perPid := map[int]float64{}
-	for _, ev := range trace.TraceEvents {
-		if ev.Ph != "X" {
-			continue
-		}
-		if r, ok := ev.Args["rounds"].(float64); ok {
-			perPid[ev.Pid] += r
-		}
-	}
+	perPid := workerPhaseRounds(t, ts.URL+"/fleet/web/trace")
 	if len(perPid) != 2 {
 		t.Fatalf("trace span pids = %v, want one per worker", perPid)
 	}
 	for pid, sum := range perPid {
-		if int(sum) != golden.Metrics.Rounds {
+		if sum != golden.Metrics.Rounds {
 			t.Errorf("pid %d span rounds sum to %v, want %d", pid, sum, golden.Metrics.Rounds)
 		}
 	}

@@ -1,10 +1,12 @@
 // Package server is the network serving layer: an HTTP/JSON front end
-// hosting a registry of named resident Clusters and exposing every job
-// family — connectivity, spanning-tree, MST, approximate min-cut, the
-// Theorem 4 verifications, dynamic edge batches, and metrics — as
-// endpoints over the cancellable-job API.
+// hosting a registry of named Clusters — resident in this process, or
+// backed by a kmworker fleet (fleet.go) — and exposing every job family —
+// connectivity, spanning-tree, MST, approximate min-cut, the Theorem 4
+// verifications, dynamic edge batches, and metrics — as endpoints over
+// the cancellable-job API. Both kinds of graph are served by the same
+// handlers; a fleet answers the families it cannot run with 501.
 //
-// Three serving concerns layer over the resident engine:
+// Three serving concerns layer over the Cluster:
 //
 //   - Admission and backpressure: each graph has a bounded admission
 //     queue (Config.MaxQueue) layered over the engine's one-job
@@ -105,7 +107,6 @@ type Server struct {
 
 	mu     sync.RWMutex
 	graphs map[string]*tenant
-	fleets map[string]*fleet
 
 	// obs maps graph name -> observer funnel; populated by JobObserver
 	// (possibly before the cluster exists) and consulted by Register.
@@ -113,11 +114,13 @@ type Server struct {
 	obs   map[string]*graphObs
 }
 
-// tenant is one hosted graph: the resident cluster, its bounded
-// admission queue, and its epoch-keyed result cache.
+// tenant is one hosted graph: the cluster, its bounded admission queue,
+// its epoch-keyed result cache, and — for a fleet-backed cluster — the
+// fleet's health prober.
 type tenant struct {
 	name   string
 	c      *kmgraph.Cluster
+	fleet  *fleet // nil for a resident graph
 	slots  chan struct{}
 	cache  *resultCache
 	flight flightGroup
@@ -160,14 +163,14 @@ func New(cfg Config) *Server {
 // Register adds a loaded cluster under name. The server owns the
 // cluster from here on (Close/DELETE will close it).
 func (s *Server) Register(name string, c *kmgraph.Cluster) error {
-	_, err := s.register(name, c)
+	_, err := s.register(name, c, nil)
 	return err
 }
 
-// register adds the cluster and returns its tenant, so in-process
-// callers (handleLoad) need no post-registration lookup that could race
-// a concurrent DELETE.
-func (s *Server) register(name string, c *kmgraph.Cluster) (*tenant, error) {
+// register adds the cluster (with its prober, for a fleet) and returns
+// its tenant, so in-process callers (handleLoad) need no post-registration
+// lookup that could race a concurrent DELETE.
+func (s *Server) register(name string, c *kmgraph.Cluster, f *fleet) (*tenant, error) {
 	if name == "" {
 		return nil, errors.New("server: empty graph name")
 	}
@@ -179,6 +182,7 @@ func (s *Server) register(name string, c *kmgraph.Cluster) (*tenant, error) {
 	t := &tenant{
 		name:  name,
 		c:     c,
+		fleet: f,
 		slots: make(chan struct{}, s.cfg.MaxQueue),
 		cache: newResultCache(s.cfg.CacheEntries),
 	}
@@ -187,10 +191,18 @@ func (s *Server) register(name string, c *kmgraph.Cluster) (*tenant, error) {
 	return t, nil
 }
 
+// close stops the fleet prober, if any, and closes the cluster (waiting
+// for its in-flight job).
+func (t *tenant) close() error {
+	if t.fleet != nil {
+		t.fleet.close()
+	}
+	return t.c.Close()
+}
+
 // Close closes every hosted cluster (waiting for in-flight jobs) and
 // stops every fleet prober.
 func (s *Server) Close() error {
-	s.closeFleets()
 	s.mu.Lock()
 	ts := make([]*tenant, 0, len(s.graphs))
 	for _, t := range s.graphs {
@@ -200,7 +212,7 @@ func (s *Server) Close() error {
 	s.mu.Unlock()
 	var err error
 	for _, t := range ts {
-		if cerr := t.c.Close(); err == nil {
+		if cerr := t.close(); err == nil {
 			err = cerr
 		}
 		s.registry.DropLabeled("graph", t.name)
@@ -341,8 +353,19 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 }
 
 // jobError maps a job error to an HTTP status.
-func jobError(w http.ResponseWriter, err error) {
+func (t *tenant) jobError(w http.ResponseWriter, err error) {
 	switch {
+	case errors.Is(err, kmgraph.ErrUnsupported):
+		writeError(w, http.StatusNotImplemented, "graph %q: %v", t.name, err)
+	case errors.Is(err, kmgraph.ErrLinkDown):
+		// A lost worker (retries exhausted) is degraded service, not a broken
+		// request — the fleet may come back. Re-probe now, so the state gauge
+		// and the gate see the loss before the next scheduled probe.
+		if t.fleet != nil {
+			go t.fleet.probeOnce()
+		}
+		w.Header().Set("Retry-After", fleetRetryAfter)
+		writeError(w, http.StatusServiceUnavailable, "graph %q degraded: %v", t.name, err)
 	case errors.Is(err, context.DeadlineExceeded):
 		writeError(w, http.StatusGatewayTimeout, "job deadline exceeded: %v", err)
 	case errors.Is(err, context.Canceled):
@@ -560,10 +583,11 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		// Whatever failed — missing path, corrupt store, bad options —
 		// the request named an unusable input: a client error.
+		s.dropUnregisteredObs(req.Name)
 		writeError(w, http.StatusBadRequest, "loading %q: %v", req.Path, err)
 		return
 	}
-	t, err := s.register(req.Name, c)
+	t, err := s.register(req.Name, c, nil)
 	if err != nil {
 		c.Close()
 		writeError(w, http.StatusConflict, "%v", err)
@@ -588,7 +612,7 @@ func (s *Server) handleUnload(w http.ResponseWriter, r *http.Request) {
 	}
 	s.registry.DropLabeled("graph", name)
 	s.dropObs(name)
-	if err := t.c.Close(); err != nil {
+	if err := t.close(); err != nil {
 		writeError(w, http.StatusInternalServerError, "close: %v", err)
 		return
 	}
@@ -640,6 +664,9 @@ func (s *Server) runCached(w http.ResponseWriter, r *http.Request, t *tenant, jo
 		writeJSON(w, http.StatusOK, shape(v.(hitMarker).hit()))
 		return
 	}
+	if !t.fleet.gate(w) {
+		return
+	}
 	// Coalesce concurrent identical misses: one leader runs the job,
 	// followers wait (under the same request deadline) and re-check the
 	// cache, so a cold expensive answer is computed once, not once per
@@ -667,7 +694,7 @@ func (s *Server) runCached(w http.ResponseWriter, r *http.Request, t *tenant, jo
 				// The leader failed or its result was not cacheable (a
 				// batch raced it): contend for leadership and run.
 			case <-ctx.Done():
-				jobError(w, ctx.Err())
+				t.jobError(w, ctx.Err())
 				return
 			}
 		}
@@ -678,7 +705,7 @@ func (s *Server) runCached(w http.ResponseWriter, r *http.Request, t *tenant, jo
 	defer t.release()
 	resp, runEpoch, err := run(ctx, key.epoch)
 	if err != nil {
-		jobError(w, err)
+		t.jobError(w, err)
 		return
 	}
 	if runEpoch == key.epoch {
@@ -722,6 +749,12 @@ func (s *Server) handleSpanningTree(w http.ResponseWriter, r *http.Request) {
 func (s *Server) serveConnectivity(w http.ResponseWriter, r *http.Request, forest bool) {
 	t := s.tenant(w, r)
 	if t == nil {
+		return
+	}
+	if forest && t.fleet != nil {
+		// A fleet keeps no certificate forest to answer from, whatever its
+		// cache holds for plain connectivity.
+		t.jobError(w, fmt.Errorf("spanning forest: %w", kmgraph.ErrUnsupported))
 		return
 	}
 	labels := boolParam(r, "labels")
@@ -998,7 +1031,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	br, err := t.c.ApplyBatch(ctx, ops)
 	if err != nil {
-		jobError(w, err)
+		t.jobError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, batchResponse{

@@ -388,6 +388,55 @@ func TestLoadAndUnloadOverHTTP(t *testing.T) {
 	getJSON(t, ts.URL+"/graphs/web/connectivity", http.StatusNotFound, nil)
 }
 
+// TestFailedLoadLeavesNoObserver: POST /graphs wires the graph's observer
+// funnel (a 4096-event tracer) before it opens the cluster, so a load
+// that then fails must drop it again — or distinct bad requests grow the
+// server without bound — unless a live graph of that name shares it.
+func TestFailedLoadLeavesNoObserver(t *testing.T) {
+	s, base := newObservedServer(t, Config{AllowLoad: true}, "web", kmgraph.GNM(300, 900, 5), 4, 7)
+	getJSON(t, base+"/graphs/web/connectivity", http.StatusOK, nil)
+	obsCount := func() int {
+		s.obsMu.Lock()
+		defer s.obsMu.Unlock()
+		return len(s.obs)
+	}
+	before := obsCount()
+
+	absent := filepath.Join(t.TempDir(), "absent.kmgs")
+	for _, name := range []string{"a", "b", "c"} {
+		postJSON(t, base+"/graphs", loadRequest{Name: name, Path: absent}, http.StatusBadRequest, nil)
+	}
+	if got := obsCount(); got != before {
+		t.Errorf("three failed loads left %d observer funnels, want the %d there were", got, before)
+	}
+
+	// A failed load under the live graph's name must leave its funnel be.
+	postJSON(t, base+"/graphs", loadRequest{Name: "web", Path: absent}, http.StatusConflict, nil)
+	s.dropUnregisteredObs("web")
+	var jobs struct {
+		Jobs []jobProgress `json:"jobs"`
+	}
+	getJSON(t, base+"/graphs/web/jobs", http.StatusOK, &jobs)
+	if len(jobs.Jobs) != 2 { // load + connectivity
+		t.Errorf("live graph's jobs after a failed load under its name: %+v, want its load and query", jobs.Jobs)
+	}
+	var trace struct {
+		TraceEvents []struct {
+			Cat string `json:"cat"`
+		} `json:"traceEvents"`
+	}
+	getJSON(t, base+"/graphs/web/trace", http.StatusOK, &trace)
+	spans := 0
+	for _, ev := range trace.TraceEvents {
+		if ev.Cat == "job" {
+			spans++
+		}
+	}
+	if spans != 2 {
+		t.Errorf("live graph's trace holds %d job spans after a failed load under its name, want 2", spans)
+	}
+}
+
 func TestLoadDisabledByDefault(t *testing.T) {
 	s := New(Config{})
 	ts := httptest.NewServer(s)

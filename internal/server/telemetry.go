@@ -73,6 +73,17 @@ func (s *Server) dropObs(name string) {
 	s.obsMu.Unlock()
 }
 
+// dropUnregisteredObs forgets the observer state JobObserver created for
+// a cluster that then failed to open — unless a graph of that name is
+// registered: its jobs and trace live in the same funnel.
+func (s *Server) dropUnregisteredObs(name string) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if _, live := s.graphs[name]; !live {
+		s.dropObs(name)
+	}
+}
+
 func (o *graphObs) observe(ev kmgraph.ClusterEvent) {
 	o.tracer.Observer()(ev)
 	o.trackJob(ev)

@@ -3,7 +3,6 @@ package telemetry
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"sort"
 	"sync"
@@ -11,6 +10,7 @@ import (
 
 	"kmgraph/internal/kmachine"
 	"kmgraph/internal/resident"
+	"kmgraph/internal/transport"
 )
 
 // TraceEvent is one Chrome trace-event (the JSON schema Perfetto and
@@ -34,17 +34,21 @@ type Trace struct {
 	DisplayTimeUnit string       `json:"displayTimeUnit"`
 }
 
-// JobTracer turns resident-engine Observer events into a Chrome trace:
-// each job becomes a "job" span enclosing one "phase" span per merge
-// phase plus a trailing "sync" span (the work between the last phase
-// boundary and job completion — certificate sync, result collection).
+// JobTracer turns a Cluster's Observer events into a Chrome trace: each
+// job becomes a "job" span enclosing one "phase" span per merge phase
+// plus a trailing "sync" span (the work between the last phase boundary
+// and job completion — certificate sync, result collection), all on the
+// pid of the engine that took the job (localPid). A job that ran on a
+// worker fleet additionally renders each worker's own span stream — its
+// clock, its wire frames and bytes, its barrier waits — on one pid per
+// worker (WorkerPid).
 //
-// Round accounting telescopes exactly: phase i's rounds are the round
-// counter delta since the previous event, the sync span covers the
-// remainder, so the per-span round totals of a job sum to precisely the
-// job's metered Metrics.Rounds. When the engine runs with PhaseMetrics,
-// spans are additionally annotated with per-phase message and payload
-// deltas and the cumulative max-link-bits skew.
+// Round accounting telescopes exactly on every pid: phase i's rounds are
+// the round counter delta since the previous event, the sync span covers
+// the remainder, so the per-span round totals of a job sum to precisely
+// the job's metered Metrics.Rounds. When the engine runs with
+// PhaseMetrics, local spans are additionally annotated with per-phase
+// message and payload deltas and the cumulative max-link-bits skew.
 //
 // A JobTracer is safe for concurrent use (Observer callbacks arrive on
 // engine goroutines while Snapshot/WriteTo run on servers') and is
@@ -52,11 +56,20 @@ type Trace struct {
 type JobTracer struct {
 	mu        sync.Mutex
 	epoch     time.Time
+	meta      []TraceEvent // process/thread names, one pair per pid seen
+	workers   int          // fleet workers 0..workers-1 are named in meta
 	events    []TraceEvent
 	jobs      map[int]*traceJob
 	maxEvents int
 	dropped   int
 }
+
+// localPid is the trace process of the engine that takes the jobs: a
+// resident engine, or the coordinator of a fleet.
+const localPid = 1
+
+// WorkerPid returns the trace process fleet worker i renders on.
+func WorkerPid(i int) int { return 100 + i }
 
 // traceJob is the open-span state of one in-flight job.
 type traceJob struct {
@@ -75,13 +88,34 @@ func NewJobTracer() *JobTracer {
 		epoch: time.Now(),
 		jobs:  make(map[int]*traceJob),
 	}
-	t.events = append(t.events,
-		TraceEvent{Name: "process_name", Ph: "M", Pid: 1, Tid: 1,
-			Args: map[string]any{"name": "kmgraph"}},
-		TraceEvent{Name: "thread_name", Ph: "M", Pid: 1, Tid: 1,
-			Args: map[string]any{"name": "resident engine"}},
-	)
+	t.name(localPid, "kmgraph", "engine")
 	return t
+}
+
+// name records a pid's process and thread names.
+func (t *JobTracer) name(pid int, process, thread string) {
+	t.meta = append(t.meta,
+		TraceEvent{Name: "process_name", Ph: "M", Pid: pid, Tid: 1,
+			Args: map[string]any{"name": process}},
+		TraceEvent{Name: "thread_name", Ph: "M", Pid: pid, Tid: 1,
+			Args: map[string]any{"name": thread}},
+	)
+}
+
+// span appends one phase span — the trailing sync span when phase < 0 —
+// of the local engine or of a fleet worker: the one place a phase is
+// rendered, so every pid's spans carry the same name, category and round
+// accounting and differ only in the annotations their source can supply.
+func (t *JobTracer) span(pid, phase int, ts, dur float64, rounds, round int, args map[string]any) {
+	name := "sync"
+	if phase >= 0 {
+		name = fmt.Sprintf("phase %d", phase)
+		args["phase"] = phase
+	}
+	args["rounds"], args["round"] = rounds, round
+	t.events = append(t.events, TraceEvent{
+		Name: name, Cat: "phase", Ph: "X", Ts: ts, Dur: dur, Pid: pid, Tid: 1, Args: args,
+	})
 }
 
 // SetMaxEvents bounds the retained event buffer: when a completed job
@@ -122,19 +156,9 @@ func (t *JobTracer) observe(ev resident.Event) {
 
 	case ev.Phase >= 0:
 		j := t.open(ev, now)
-		args := map[string]any{
-			"phase":    ev.Phase,
-			"rounds":   ev.Round - j.lastRound,
-			"round":    ev.Round,
-			"active":   ev.Active,
-			"failures": ev.Failures,
-		}
+		args := map[string]any{"active": ev.Active, "failures": ev.Failures}
 		t.annotate(args, j.lastSnap, ev.Snap)
-		t.events = append(t.events, TraceEvent{
-			Name: fmt.Sprintf("phase %d", ev.Phase), Cat: "phase", Ph: "X",
-			Ts: t.us(j.lastT), Dur: t.us(now) - t.us(j.lastT),
-			Pid: 1, Tid: 1, Args: args,
-		})
+		t.span(localPid, ev.Phase, t.us(j.lastT), t.us(now)-t.us(j.lastT), ev.Round-j.lastRound, ev.Round, args)
 		j.lastT = now
 		j.lastRound = ev.Round
 		if ev.Snap != nil {
@@ -149,16 +173,12 @@ func (t *JobTracer) observe(ev resident.Event) {
 			// completion (certificate sync, final collectives). Always
 			// emitted — even 0-round — so span rounds telescope exactly
 			// to the job's metered total.
-			args := map[string]any{
-				"rounds": ev.Round - j.lastRound,
-				"round":  ev.Round,
-			}
+			args := map[string]any{}
 			t.annotate(args, j.lastSnap, ev.Snap)
-			t.events = append(t.events, TraceEvent{
-				Name: "sync", Cat: "phase", Ph: "X",
-				Ts: t.us(j.lastT), Dur: t.us(now) - t.us(j.lastT),
-				Pid: 1, Tid: 1, Args: args,
-			})
+			t.span(localPid, -1, t.us(j.lastT), t.us(now)-t.us(j.lastT), ev.Round-j.lastRound, ev.Round, args)
+		}
+		for _, w := range ev.Workers {
+			t.workerSpans(j, w)
 		}
 		rounds := ev.Round - j.startRound
 		args := map[string]any{
@@ -183,10 +203,32 @@ func (t *JobTracer) observe(ev resident.Event) {
 		t.events = append(t.events, TraceEvent{
 			Name: fmt.Sprintf("%s #%d", ev.Job, ev.Seq), Cat: "job", Ph: "X",
 			Ts: t.us(j.start), Dur: t.us(now) - t.us(j.start),
-			Pid: 1, Tid: 1, Args: args,
+			Pid: localPid, Tid: 1, Args: args,
 		})
 		delete(t.jobs, ev.Seq)
 		t.trim()
+	}
+}
+
+// workerSpans renders one fleet worker's span stream on its own pid. A
+// worker's clock starts when its engine range does and is not
+// synchronized with anyone's, so its timeline is laid from the job's
+// start: within-worker durations and cross-worker phase alignment are
+// meaningful — what straggler attribution needs — absolute offsets are
+// not. Rounds are the worker's own count, from 0 at job start.
+func (t *JobTracer) workerSpans(j *traceJob, w transport.WorkerSpans) {
+	pid := WorkerPid(w.Index)
+	if w.Index >= t.workers { // streams arrive in index order
+		t.workers = w.Index + 1
+		t.name(pid, fmt.Sprintf("worker %d [%d,%d)", w.Index, w.Lo, w.Hi), "engine range")
+	}
+	for _, s := range w.Spans {
+		t.span(pid, s.Phase, t.us(j.start)+float64(s.StartUs), float64(s.DurUs), s.Rounds(), s.EndRound,
+			map[string]any{
+				"frames":          s.Frames,
+				"bytes":           s.Bytes,
+				"barrier_wait_ms": float64(s.WaitNs) / 1e6,
+			})
 	}
 }
 
@@ -227,19 +269,14 @@ func (t *JobTracer) annotate(args map[string]any, prev, cur *kmachine.Metrics) {
 }
 
 // trim enforces the event cap by dropping the oldest job spans (the
-// two leading metadata records are kept).
+// metadata records are kept, and count against the cap).
 func (t *JobTracer) trim() {
-	if t.maxEvents <= 0 || len(t.events) <= t.maxEvents {
+	keep := max(t.maxEvents-len(t.meta), 0)
+	if t.maxEvents <= 0 || len(t.events) <= keep {
 		return
 	}
-	const meta = 2
-	keep := t.maxEvents - meta
-	if keep < 0 {
-		keep = 0
-	}
-	t.dropped += len(t.events) - meta - keep
-	tail := t.events[len(t.events)-keep:]
-	t.events = append(t.events[:meta:meta], tail...)
+	t.dropped += len(t.events) - keep
+	t.events = append(t.events[:0], t.events[len(t.events)-keep:]...)
 }
 
 // Dropped reports how many spans the event cap has evicted so far (the
@@ -256,7 +293,7 @@ func (t *JobTracer) Snapshot() Trace {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return Trace{
-		TraceEvents:     append([]TraceEvent(nil), t.events...),
+		TraceEvents:     append(append([]TraceEvent(nil), t.meta...), t.events...),
 		DisplayTimeUnit: "ms",
 	}
 }
@@ -278,24 +315,13 @@ func (t *JobTracer) SnapshotSorted() Trace {
 	return tr
 }
 
-// Write writes the trace as Chrome trace-event JSON.
-func (t *JobTracer) Write(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	return enc.Encode(t.Snapshot())
-}
-
 // WriteFile writes the trace to path (the CLIs' -trace flag).
 func (t *JobTracer) WriteFile(path string) error {
-	return writeTraceFile(path, t.Snapshot())
-}
-
-// writeTraceFile writes a trace document as JSON to path.
-func writeTraceFile(path string, tr Trace) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := json.NewEncoder(f).Encode(tr); err != nil {
+	if err := json.NewEncoder(f).Encode(t.Snapshot()); err != nil {
 		f.Close()
 		return err
 	}

@@ -194,6 +194,24 @@ func MergeMetrics(dst, src *Metrics) error {
 	if src.Rounds > dst.Rounds {
 		dst.Rounds = src.Rounds
 	}
+	dst.add(src)
+	return nil
+}
+
+// SumMetrics returns a + b for two complete accountings of the same k —
+// successive jobs of one cluster, whose rounds add (MergeMetrics' partials
+// of one run share theirs) — with MaxLinkBits resolved.
+func SumMetrics(a, b *Metrics) *Metrics {
+	sum := NewMetrics(len(a.SentMsgs))
+	sum.add(a)
+	sum.add(b)
+	sum.Rounds = a.Rounds + b.Rounds
+	sum.Finish()
+	return sum
+}
+
+// add folds every counter of src except Rounds into dst (same k).
+func (dst *Metrics) add(src *Metrics) {
 	dst.Messages += src.Messages
 	dst.PayloadBytes += src.PayloadBytes
 	dst.DroppedMessages += src.DroppedMessages
@@ -209,5 +227,4 @@ func MergeMetrics(dst, src *Metrics) error {
 	for i, v := range src.RecvMsgs {
 		dst.RecvMsgs[i] += v
 	}
-	return nil
 }

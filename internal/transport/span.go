@@ -1,7 +1,6 @@
-package telemetry
+package transport
 
 import (
-	"fmt"
 	"sync"
 	"time"
 )
@@ -11,8 +10,9 @@ import (
 // worker's own clock (microseconds since that worker started its engine
 // range), and the local link traffic and barrier wait accumulated while
 // it ran. Spans are streamed to the coordinator in bounded batches
-// piggybacked on heartbeat frames and assembled into one multi-pid
-// Chrome trace.
+// piggybacked on heartbeat frames, handed to the job's observer on its
+// done event (resident.Event.Workers), and rendered by
+// telemetry.JobTracer on one trace pid per worker.
 type PhaseSpan struct {
 	// Phase is the merge-phase index, or -1 for the trailing sync span
 	// (the work between the last phase boundary and engine completion).
@@ -135,52 +135,4 @@ type WorkerSpans struct {
 	Index  int
 	Lo, Hi int
 	Spans  []PhaseSpan
-}
-
-// AssembleDistTrace builds one Chrome trace from the per-worker span
-// streams of a distributed job: one pid per worker (pid = worker
-// index), phase and sync spans as "X" events, and a metadata record
-// carrying the job name and trace ID. Each worker's timeline starts at
-// its own microsecond 0 — worker clocks are not synchronized, so only
-// within-worker durations and cross-worker phase alignment are
-// meaningful, which is exactly what straggler attribution needs.
-func AssembleDistTrace(job string, traceID uint64, workers []WorkerSpans) Trace {
-	tr := Trace{DisplayTimeUnit: "ms"}
-	for _, w := range workers {
-		tr.TraceEvents = append(tr.TraceEvents,
-			TraceEvent{Name: "process_name", Ph: "M", Pid: w.Index, Tid: 1,
-				Args: map[string]any{
-					"name": fmt.Sprintf("worker %d [%d,%d)", w.Index, w.Lo, w.Hi),
-				}},
-			TraceEvent{Name: "thread_name", Ph: "M", Pid: w.Index, Tid: 1,
-				Args: map[string]any{"name": job,
-					"trace_id": fmt.Sprintf("%#x", traceID)}},
-		)
-		for _, s := range w.Spans {
-			name := "sync"
-			if s.Phase >= 0 {
-				name = fmt.Sprintf("phase %d", s.Phase)
-			}
-			tr.TraceEvents = append(tr.TraceEvents, TraceEvent{
-				Name: name, Cat: "phase", Ph: "X",
-				Ts: float64(s.StartUs), Dur: float64(s.DurUs),
-				Pid: w.Index, Tid: 1,
-				Args: map[string]any{
-					"phase":           s.Phase,
-					"round":           s.EndRound,
-					"rounds":          s.Rounds(),
-					"frames":          s.Frames,
-					"bytes":           s.Bytes,
-					"barrier_wait_ms": float64(s.WaitNs) / 1e6,
-				},
-			})
-		}
-	}
-	return tr
-}
-
-// WriteTrace writes any trace document as Chrome trace-event JSON to
-// path (the CLIs' -trace flag in TCP mode).
-func WriteTrace(path string, tr Trace) error {
-	return writeTraceFile(path, tr)
 }

@@ -53,15 +53,37 @@
 // WithEdgeSource plugs in any EdgeSource stream; WriteStore and
 // ConnectivityFromSource round out the streaming surface.
 //
+// # Graphs whose shards outgrow one process: the worker fleet
+//
+// OpenFleet is the third constructor of the same Cluster: the k machines
+// are hosted by kmworker processes (cmd/kmworker) joined by TCP links,
+// each loading its own slice of the graph from a source spec, and this
+// process only coordinates:
+//
+//	c, err := kmgraph.OpenFleet(kmgraph.FleetSpec{
+//		Source: "store:web.kmgs", // readable by every worker
+//		Addrs:  []string{"10.0.0.1:9601", "10.0.0.2:9601"},
+//	}, kmgraph.WithK(32), kmgraph.WithSeed(7))
+//	q, err := c.Connectivity(ctx) // bit-identical to the local answer and Metrics
+//
+// Placement is a property of the Cluster, not of its callers: methods,
+// observer events, traces, the admission queue and Metrics mean the same
+// as on a resident Cluster. Workers keep nothing between jobs, so every
+// job pays its shard load, Epoch stays 0, and the families that need a
+// residency — ApplyBatch, ApproxMinCut, Verify, SpanningTree — return
+// ErrUnsupported; a lost worker fails the job with ErrLinkDown once
+// FleetSpec.Coord.Retry is spent.
+//
 // # Serving over the network
 //
-// cmd/kmserve hosts a registry of named resident Clusters behind an
-// HTTP/JSON API (internal/server): every job family becomes an
-// endpoint with per-request deadlines, a bounded admission queue with
-// 429 backpressure, and a result cache keyed on the graph's mutation
-// epoch (Cluster.Epoch) so repeated queries on an unchanged graph cost
-// zero simulation rounds. cmd/kmload is the matching closed-loop load
-// generator; see the README's "Serving" section and EXPERIMENTS.md E16.
+// cmd/kmserve hosts a registry of named Clusters, resident or
+// fleet-backed, behind an HTTP/JSON API (internal/server): every job
+// family becomes an endpoint with per-request deadlines, a bounded
+// admission queue with 429 backpressure, and a result cache keyed on the
+// graph's mutation epoch (Cluster.Epoch) so repeated queries on an
+// unchanged graph cost zero simulation rounds. cmd/kmload is the matching
+// closed-loop load generator; see the README's "Serving" section and
+// EXPERIMENTS.md E16.
 //
 // # Migration note: one-shot functions
 //
