@@ -8,6 +8,7 @@ package kmgraph
 // oracles that share no code with either.
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -15,6 +16,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -60,6 +62,9 @@ func TestBackendAxis(t *testing.T) {
 		{"gnm", WithDistinctWeights(GNM(600, 1800, 3), 4)},
 		{"small-components", WithDistinctWeights(DisjointComponents(600, 40, 0.5, 5), 6)},
 		{"tie-heavy", tieHeavy.Build()},
+		{"all-equal", GNM(300, 900, 8)},
+		{"star", WithDistinctWeights(Star(300), 9)},
+		{"long-path", Path(400)},
 	}
 	addrs := startTestWorkers(t, 2)
 	const k, seed = 4, int64(11)
@@ -81,7 +86,55 @@ func TestBackendAxis(t *testing.T) {
 				t.Fatal(err)
 			}
 			oracleLabels, oracleCount := ComponentsOracle(g)
-			_, oracleWeight := MSTOracle(g)
+			oracleForest, oracleWeight := MSTOracle(g)
+			slices.SortFunc(oracleForest, func(a, b Edge) int { // canonical U < V: the edge ID order, as a result lists them
+				return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V))
+			})
+
+			// The MST matrix: at every k and seed the one-shot, resident and
+			// fleet hosts return Kruskal's forest under (weight, edge ID), edge
+			// for edge, at the same model cost — a fresh residency's load plus
+			// its one job being the one-shot run.
+			for _, mk := range []int{2, 4, 16} {
+				for ms := seed; ms < seed+3; ms++ {
+					cell := fmt.Sprintf("MST k=%d seed=%d", mk, ms)
+					one, err := MST(g, MSTConfig{Config: Config{K: mk, Seed: ms}})
+					if err != nil {
+						t.Fatal(cell, err)
+					}
+					want := metricsFingerprint(&one.Metrics)
+					for _, host := range []struct {
+						name string
+						open func() (*Cluster, error)
+					}{
+						{"resident", func() (*Cluster, error) { return OpenCluster(path, WithK(mk), WithSeed(ms)) }},
+						{"fleet", func() (*Cluster, error) {
+							return OpenFleet(FleetSpec{Source: "store:" + path, Addrs: addrs}, WithK(mk), WithSeed(ms))
+						}},
+					} {
+						c, err := host.open()
+						if err != nil {
+							t.Fatal(cell, host.name, err)
+						}
+						res, err := c.MST(ctx)
+						total := c.Metrics().Total
+						c.Close()
+						if err != nil {
+							t.Fatal(cell, host.name, err)
+						}
+						if !slices.Equal(res.Edges, oracleForest) {
+							t.Errorf("%s: %s MST is not Kruskal's forest (%d edges, weight %d; want %d, %d)",
+								cell, host.name, len(res.Edges), res.TotalWeight, len(oracleForest), oracleWeight)
+						}
+						if got := metricsFingerprint(&total); got != want {
+							t.Errorf("%s: %s Metrics fingerprint %d, one-shot host's %d", cell, host.name, got, want)
+						}
+					}
+					if !slices.Equal(one.Edges, oracleForest) {
+						t.Errorf("%s: one-shot MST is not Kruskal's forest", cell)
+					}
+				}
+			}
 
 			var mu sync.Mutex
 			var starts, dones int

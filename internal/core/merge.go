@@ -55,13 +55,17 @@ type CompState struct {
 
 	// Transient proxy-side selection state, never encoded: the outcome of
 	// l0-sampling the sum of this component's part sketches (SumAndSample) —
-	// PendU/PendV is the sampled edge awaiting neighbor-label resolution —
-	// and, while SumAndSample runs, the component's last part message.
-	PendU, PendV  int
-	insideSmaller bool          // PendU is the endpoint inside the component
-	status        sketch.Status // of the stored sample
-	sampled       bool          // a sample is stored and not yet taken
-	tail          int32         // 1 + index of the last part message seen; 0 = none
+	// PendU/PendV is the sampled edge awaiting neighbor-label resolution; an
+	// MST job (Merger.allSlots) keeps every slot the sum verified instead,
+	// as a range of the Merger's slot buffer — and, while SumAndSample runs,
+	// the component's last part message.
+	PendU, PendV   int
+	status         sketch.Status // of the stored sample
+	tail           int32         // 1 + index of the last part message seen; 0 = none
+	slotLo, slotHi int32         // MST: Merger.slotBuf[slotLo:slotHi], the sample first
+	insideSmaller  bool          // PendU is the endpoint inside the component
+	full           bool          // MST: the slots are the sum's whole support
+	sampled        bool          // a sample is stored and not yet taken
 }
 
 // takeSample hands out the sample SumAndSample stored for the component,
@@ -134,6 +138,13 @@ type Merger struct {
 	// protocol and cancellation costs no extra rounds.
 	Cancelled func() bool
 
+	// allSlots makes SumAndSample keep every slot a sum verifies
+	// (sketch.SampleAll) instead of the one sample: NewMWOE sets it, for the
+	// life of an MST job's Merger. slotBuf holds them, one range per
+	// component, from one SumAndSample to the next.
+	allSlots bool
+	slotBuf  []sketch.Slot
+
 	prevFailures int64
 	skPool       *sketch.Pool
 	partsMap     map[uint64][]int
@@ -147,6 +158,19 @@ type Merger struct {
 	chainNext    []int32 // SumAndSample: message -> next message of its label, -1 ends
 	chainHead    []int32 // SumAndSample: first message of each label seen
 	relabel      map[uint64]uint64
+}
+
+// slotsOf returns every slot st's sum verified in the last SumAndSample of
+// an MST job, the sample first; valid, as is st.full (whether they are the
+// sum's whole support), until the next one.
+func (m *Merger) slotsOf(st *CompState) []sketch.Slot { return m.slotBuf[st.slotLo:st.slotHi] }
+
+// takeSlots is takeSample for an MST job.
+//
+//km:hotpath
+func (m *Merger) takeSlots(st *CompState) (slots []sketch.Slot, status sketch.Status, ok bool) {
+	ok, st.sampled = st.sampled, false
+	return m.slotsOf(st), st.status, ok
 }
 
 // StateKeys returns m.States' labels in ascending order through a reused
@@ -166,7 +190,8 @@ func (m *Merger) StateKeys() []uint64 {
 // SumAndSample is the proxy side of a sketch selection step (Lemma 3): it
 // adds up, per component, the part sketches received as (label, encoded
 // sketch) messages, l0-samples each sum once and stores the outcome in the
-// component's state, recording every sender as a part holder. Nothing
+// component's state (the one sample, or for an MST job every verified
+// slot), recording every sender as a part holder. Nothing
 // reads a sum after its sample, so all components share one pooled scratch
 // sketch: a first pass chains each label's messages (chainNext) from the
 // label's first one (chainHead), a second folds one chain at a time. Cell
@@ -201,6 +226,7 @@ func (m *Merger) SumAndSample(recv []kmachine.Message, seed uint64, create bool)
 		next = append(next, -1)
 	}
 	sum := m.Pool().Get(seed)
+	m.slotBuf = m.slotBuf[:0]
 	for _, h := range heads {
 		for i := h; i >= 0; i = next[i] {
 			_, enc := splitPart(recv[i].Data)
@@ -210,7 +236,13 @@ func (m *Merger) SumAndSample(recv []kmachine.Message, seed uint64, create bool)
 		}
 		label, _ := splitPart(recv[h].Data)
 		st := m.States[label]
-		st.PendU, st.PendV, st.insideSmaller, st.status = sum.SampleEdge()
+		if m.allSlots {
+			st.slotLo = int32(len(m.slotBuf))
+			m.slotBuf, st.status, st.full = sum.SampleAll(m.slotBuf)
+			st.slotHi = int32(len(m.slotBuf))
+		} else {
+			st.PendU, st.PendV, st.insideSmaller, st.status = sum.SampleEdge()
+		}
 		st.sampled, st.tail = true, 0
 		sum.Reset()
 	}

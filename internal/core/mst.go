@@ -1,9 +1,11 @@
 // MST construction (§3.1, Theorem 2): Boruvka phases as in connectivity,
 // but each phase finds every component's minimum-weight outgoing edge
-// (MWOE) by repeated sketch-and-eliminate: sample a random outgoing edge,
-// broadcast its weight to the component's parts, re-sketch only strictly
-// lighter edges, and repeat until the sampler reports an empty vector —
-// the last sampled edge is then the MWOE w.h.p. Every MWOE is an MST edge
+// (MWOE) by repeated sketch-and-eliminate: sample outgoing edges (every
+// slot the summed sketch verifies, where the paper draws one — see MWOE),
+// broadcast the lightest one's weight to the component's parts, re-sketch
+// only strictly lighter edges, and repeat until the sampler reports an
+// empty vector or decodes the remaining edges in full — the lightest edge
+// seen is then the MWOE w.h.p. Every MWOE is an MST edge
 // by the cut property (weights are totally ordered by (w, edge ID), so the
 // MST is unique); components then merge along DRR trees exactly as in the
 // connectivity algorithm.

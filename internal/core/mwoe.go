@@ -33,6 +33,20 @@ func edgeLessHalf(u int, h graph.Half, n int, tw int64, tid uint64) bool {
 // MWOE drives MWOE selection phases over a Merger. Edges accumulates the
 // decided MST edges known to this machine (the weak output criterion:
 // every MST edge is known to the proxy that recorded it).
+//
+// One departure from §3.1, on every host: the paper draws one outgoing
+// edge from a component's summed sketch per elimination iteration, so the
+// candidates halve and a phase takes ~log2 of their number in iterations.
+// Here an iteration takes every slot the sum verified (sketch.SampleAll:
+// 4.4 per sum on G(3000, 9000), a third of the sums decoding in full),
+// asks about all of them in the exchanges the one draw already cost, and
+// thresholds on the lightest: the candidates fall
+// ~(s+1)-fold with s slots, a phase takes ~log_(s+1) iterations, and a sum
+// that decodes in full ends the component's elimination at once. The
+// answer is unchanged — elimination still ends only on an empty filtered
+// sketch or a full decode, so each decision is the component's minimum
+// outgoing edge under (weight, edge ID) and the forest the unique MST;
+// rounds, messages and bytes are what move (about half, E6).
 type MWOE struct {
 	M            *Merger
 	MaxElimIters int
@@ -40,6 +54,8 @@ type MWOE struct {
 	ElimIters    int
 
 	thresholds []threshold                    // this iteration's, reused
+	asked      []*CompState                   // states with queries in flight, in send order, reused
+	sent       []int                          // per home machine: queries sent, then next reply to read
 	cut        threshold                      // the one lighter filters against
 	lighter    func(u int, h graph.Half) bool // AddVertex filter, bound once
 }
@@ -56,14 +72,16 @@ type threshold struct {
 // NewMWOE returns an MWOE selector over m. maxElimIters caps elimination
 // iterations per phase.
 func NewMWOE(m *Merger, maxElimIters int) *MWOE {
-	w := &MWOE{M: m, MaxElimIters: maxElimIters, Edges: make(map[uint64]graph.Edge)}
+	w := &MWOE{M: m, MaxElimIters: maxElimIters, Edges: make(map[uint64]graph.Edge), sent: make([]int, m.Ctx.K())}
+	m.allSlots = true
 	n := m.View.N()
 	w.lighter = func(u int, h graph.Half) bool { return edgeLessHalf(u, h, n, w.cut.w, w.cut.id) }
 	return w
 }
 
-// Select runs the per-phase elimination loop (§3.1) and leaves, in
-// m.States, each component's MWOE decision with DRR parent applied.
+// Select runs the per-phase elimination loop (§3.1, every verified slot a
+// candidate) and leaves, in m.States, each component's MWOE decision with
+// DRR parent applied.
 func (w *MWOE) Select() {
 	m := w.M
 	k := m.Ctx.K()
@@ -77,9 +95,9 @@ func (w *MWOE) Select() {
 	active := w.sampleAndResolve()
 
 	// Elimination iterations: threshold broadcast, filtered re-sketch,
-	// re-sample, until every component's sampler comes back empty (or the
-	// job is cancelled — the verdict rides the same collective, so all
-	// machines break together).
+	// re-sample, until every component's sampler comes back empty or
+	// decodes in full (or the job is cancelled — the verdict rides the same
+	// collective, so all machines break together).
 	for s := 1; ; s++ {
 		ac := m.Comm.AllSum(active | m.CancelBit()<<cancelShift)
 		if ac>>cancelShift > 0 {
@@ -195,19 +213,29 @@ func (w *MWOE) Select() {
 	}
 }
 
-// sampleAndResolve samples each state's summed sketch, resolves neighbor
-// labels and edge weights via home-machine queries, updates component
-// states, and returns the local count of components still eliminating.
+// sampleAndResolve takes every slot each state's summed sketch verified,
+// asks the outside endpoint's home machine about each of them (neighbor
+// label, existence, weight) in one query exchange and one answer exchange,
+// and makes the lightest valid reply under the (weight, edge ID) order the
+// component's new best edge. It returns the local count of components
+// still eliminating.
 //
-// A component whose filtered vector comes back empty has converged: the
-// current best edge is the MWOE.
+// A component has converged — its best edge is the MWOE — when its
+// filtered vector comes back empty, or when the sum decoded in full and
+// every slot was confirmed: the slots then are all the lighter outgoing
+// edges there are, and the lightest of them needs no confirming empty
+// iteration. A step fails only when no reply is usable.
 func (w *MWOE) sampleAndResolve() uint64 {
 	m := w.M
+	n := m.View.N()
 	a := m.Comm.Arena()
 	out := m.outBuf[:0]
+	asked := w.asked[:0]
+	sent := w.sent
+	clear(sent)
 	for _, label := range m.StateKeys() {
 		st := m.States[label]
-		x, y, insideSmaller, status, ok := st.takeSample()
+		slots, status, ok := m.takeSlots(st)
 		if st.ElimDone || !ok {
 			continue
 		}
@@ -221,44 +249,75 @@ func (w *MWOE) sampleAndResolve() uint64 {
 			st.ElimDone = true
 			st.HasBest = false
 		case sketch.Sampled:
-			outside := x
-			if insideSmaller {
-				outside = y
+			asked = append(asked, st)
+			for _, sl := range slots {
+				x, y, outside := sl.Edge(n)
+				q := a.Grab(40)
+				q = wire.AppendUvarint(q, uint64(outside))
+				q = wire.AppendUvarint(q, uint64(x))
+				q = wire.AppendUvarint(q, uint64(y))
+				q = wire.AppendUvarint(q, label)
+				home := m.View.Home(outside)
+				out = append(out, proxy.Out{Dst: home, Data: a.Commit(q)})
+				sent[home]++
 			}
-			q := a.Grab(40)
-			q = wire.AppendUvarint(q, uint64(outside))
-			q = wire.AppendUvarint(q, uint64(x))
-			q = wire.AppendUvarint(q, uint64(y))
-			q = wire.AppendUvarint(q, label)
-			out = append(out, proxy.Out{Dst: m.View.Home(outside), Data: a.Commit(q)})
 		}
 	}
 	recv := m.Comm.Exchange(out)
-	m.outBuf = out
+	m.outBuf, w.asked = out, asked
 	recv = m.Comm.Exchange(m.AnswerLabelQueries(recv))
 
+	// Replies carry no slot index: a home machine answers its queries in
+	// the order Exchange handed them over — by (source, send order) — and
+	// Exchange hands the answers back the same way, so the replies of one
+	// home machine are in this machine's send order to it. sent[h] becomes
+	// the index of the next unread reply of home machine h.
+	next := 0
+	for h, c := range sent {
+		sent[h], next = next, next+c
+	}
+	if next != len(recv) {
+		panic("core: MST replies do not match the queries sent")
+	}
 	var active uint64
-	for _, msg := range recv {
-		r := wire.NewReader(msg.Data)
-		askLabel := r.Uvarint()
-		nbrLabel := r.Uvarint()
-		valid := r.Bool()
-		wgt := r.Varint()
-		st := m.States[askLabel]
-		if st == nil {
-			panic("core: MST reply for unknown component")
+	for _, st := range asked {
+		usable, confirmed := false, true
+		var bestID uint64
+		for _, sl := range m.slotsOf(st) {
+			x, y, outside := sl.Edge(n)
+			home := m.View.Home(outside)
+			r := wire.NewReader(recv[sent[home]].Data)
+			sent[home]++
+			askLabel := r.Uvarint()
+			nbrLabel := r.Uvarint()
+			valid := r.Bool()
+			wgt := r.Varint()
+			if askLabel != st.Label {
+				panic("core: MST reply for another component's slot")
+			}
+			if !valid || nbrLabel == askLabel {
+				// A fingerprint collision produced a slot that is no
+				// outgoing edge: the decode cannot be trusted to be whole.
+				confirmed = false
+				continue
+			}
+			if usable && (wgt > st.BestW || wgt == st.BestW && sl.ID > bestID) {
+				continue
+			}
+			usable, bestID = true, sl.ID
+			st.BestU, st.BestV, st.BestW, st.TargetLabel = x, y, wgt, nbrLabel
 		}
-		if !valid || nbrLabel == askLabel {
+		switch {
+		case !usable:
 			m.Failures++
 			st.ElimDone = true
 			st.HasBest = false
-			continue
+		case st.full && confirmed:
+			st.HasBest, st.ElimDone = true, true
+		default:
+			st.HasBest = true
+			active++
 		}
-		st.HasBest = true
-		st.BestU, st.BestV = st.PendU, st.PendV
-		st.BestW = wgt
-		st.TargetLabel = nbrLabel
-		active++
 	}
 	return active
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"kmgraph/internal/graph"
@@ -24,6 +25,13 @@ type sample struct {
 	status        sketch.Status
 }
 
+// allSample is what an MST job's Merger stores instead: every verified
+// slot of the sum and the full-decode verdict.
+type allSample struct {
+	slots []sketch.Slot
+	full  bool
+}
+
 // encodeParts builds the messages as GatherParts would.
 func encodeParts(p sketch.Params, seed uint64, parts []partMsg) []kmachine.Message {
 	recv := make([]kmachine.Message, len(parts))
@@ -39,7 +47,7 @@ func encodeParts(p sketch.Params, seed uint64, parts []partMsg) []kmachine.Messa
 
 // referenceSamples is the per-label dense path SumAndSample replaced:
 // Decode every part, Add it into the label's own sum, sample each sum.
-func referenceSamples(t *testing.T, p sketch.Params, seed uint64, recv []kmachine.Message) (map[uint64]sample, map[uint64]map[int]bool) {
+func referenceSamples(t *testing.T, p sketch.Params, seed uint64, recv []kmachine.Message) (map[uint64]sample, map[uint64]allSample, map[uint64]map[int]bool) {
 	t.Helper()
 	sums := make(map[uint64]*sketch.Sketch)
 	holders := make(map[uint64]map[int]bool)
@@ -59,12 +67,16 @@ func referenceSamples(t *testing.T, p sketch.Params, seed uint64, recv []kmachin
 		holders[label][msg.Src] = true
 	}
 	want := make(map[uint64]sample)
+	wantAll := make(map[uint64]allSample)
 	for label, sum := range sums {
 		var s sample
 		s.x, s.y, s.insideSmaller, s.status = sum.SampleEdge()
 		want[label] = s
+		var a allSample
+		a.slots, _, a.full = sum.SampleAll(nil)
+		wantAll[label] = a
 	}
-	return want, holders
+	return want, wantAll, holders
 }
 
 // randomParts draws a message set over labels 100, 101, …: 1..k parts per
@@ -141,13 +153,20 @@ func soloMerger(t *testing.T, k int, p sketch.Params) *Merger {
 	return m
 }
 
-// checkStates compares the stored sample and holders of every label in
-// want against the states, and that nothing else holds a fresh sample.
-func checkStates(t *testing.T, m *Merger, k int, want map[uint64]sample, holders map[uint64]map[int]bool) {
+// checkStates compares the stored sample (for an MST job's Merger, the
+// stored slots) and holders of every label in want against the states, and
+// that nothing else holds a fresh sample.
+func checkStates(t *testing.T, m *Merger, k int, want map[uint64]sample, wantAll map[uint64]allSample, holders map[uint64]map[int]bool) {
 	t.Helper()
 	for label, st := range m.States {
 		ws, fresh := want[label]
-		x, y, inside, status, ok := st.takeSample()
+		got, slots := sample{}, []sketch.Slot(nil)
+		var ok bool
+		if m.allSlots {
+			slots, got.status, ok = m.takeSlots(st)
+		} else {
+			got.x, got.y, got.insideSmaller, got.status, ok = st.takeSample()
+		}
 		if ok != fresh {
 			t.Fatalf("label %d: stored sample = %v, want %v", label, ok, fresh)
 		}
@@ -157,7 +176,12 @@ func checkStates(t *testing.T, m *Merger, k int, want map[uint64]sample, holders
 		if !fresh {
 			continue
 		}
-		if got := (sample{x, y, inside, status}); got != ws {
+		if wa := wantAll[label]; m.allSlots {
+			// The head of the slots is the sample (sketch's own tests).
+			if got.status != ws.status || !slices.Equal(slots, wa.slots) || st.full != wa.full {
+				t.Fatalf("label %d: %v slots %v full %v, reference %v %v full %v", label, got.status, slots, st.full, ws.status, wa.slots, wa.full)
+			}
+		} else if got != ws {
 			t.Fatalf("label %d: sample %+v, reference %+v", label, got, ws)
 		}
 		for src := 0; src < k; src++ {
@@ -175,26 +199,26 @@ func checkStates(t *testing.T, m *Merger, k int, want map[uint64]sample, holders
 
 // TestSumAndSampleMatchesPerLabelSums is the differential test of the
 // proxy side: one scratch sketch folded chain by chain must store, for
-// every label, the sample its own dense Decode+Add sum gives.
+// every label, the sample its own dense Decode+Add sum gives — and, on an
+// MST job's Merger (every other shape pass), all of that sum's slots.
 func TestSumAndSampleMatchesPerLabelSums(t *testing.T) {
 	const k = 8
-	shapes := []sketch.Params{
-		sketch.DefaultParams(64),
-		{N: 64, Levels: 3, Buckets: 2, Reps: 1}, // small enough that samples fail
-	}
+	small := sketch.Params{N: 64, Levels: 3, Buckets: 2, Reps: 1} // small enough that samples fail
+	shapes := []sketch.Params{sketch.DefaultParams(64), small, sketch.DefaultParams(64), small}
 	seen := make(map[sketch.Status]int)
-	for _, p := range shapes {
+	for i, p := range shapes {
 		m := soloMerger(t, k, p)
+		m.allSlots = i >= 2
 		rng := rand.New(rand.NewSource(int64(p.Levels)))
 		for round := 0; round < 60; round++ {
 			seed := rng.Uint64()
 			recv := encodeParts(p, seed, randomParts(rng, p.N, k, 1+rng.Intn(30)))
-			want, holders := referenceSamples(t, p, seed, recv)
+			want, wantAll, holders := referenceSamples(t, p, seed, recv)
 			m.SumAndSample(recv, seed, true)
 			if len(m.States) != len(want) {
 				t.Fatalf("%d states for %d labels", len(m.States), len(want))
 			}
-			checkStates(t, m, k, want, holders)
+			checkStates(t, m, k, want, wantAll, holders)
 			for _, s := range want {
 				seen[s.status]++
 			}
@@ -209,7 +233,7 @@ func TestSumAndSampleMatchesPerLabelSums(t *testing.T) {
 			}
 			seed2 := rng.Uint64()
 			recv = encodeParts(p, seed2, again)
-			want2, holders2 := referenceSamples(t, p, seed2, recv)
+			want2, wantAll2, holders2 := referenceSamples(t, p, seed2, recv)
 			for label, hs := range holders2 {
 				for src := range holders[label] {
 					hs[src] = true // holders accumulate over a phase
@@ -219,7 +243,7 @@ func TestSumAndSampleMatchesPerLabelSums(t *testing.T) {
 			if len(m.States) != len(want) {
 				t.Fatalf("create=false changed the state set: %d, was %d", len(m.States), len(want))
 			}
-			checkStates(t, m, k, want2, holders2)
+			checkStates(t, m, k, want2, wantAll2, holders2)
 		}
 		if peak := m.Pool().Peak(); peak != 1 {
 			t.Fatalf("SumAndSample held %d dense sketches at once, want 1", peak)

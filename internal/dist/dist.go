@@ -104,7 +104,10 @@ func (j *Job) config() core.Config {
 
 // specVersion 2 added the trace ID, span batches on heartbeat and
 // result frames, and flight-recorder snapshots on error frames.
-const specVersion = 2
+// specVersion 3 changes no byte of the spec: MST elimination now queries
+// every slot a sum verified (core.MWOE), and workers of different builds
+// would run different elimination protocols and desync mid-job.
+const specVersion = 3
 
 // maxWorkers bounds a decoded worker list.
 const maxWorkers = 1 << 16

@@ -5,8 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"net"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -16,6 +18,7 @@ import (
 	"kmgraph/internal/kmachine"
 	"kmgraph/internal/store"
 	"kmgraph/internal/transport"
+	"kmgraph/internal/transport/tcp"
 )
 
 // metricsFingerprint folds every field of a Metrics — including the
@@ -286,6 +289,58 @@ func TestJobSpecRoundTrip(t *testing.T) {
 		!got.MST.StrongOutput || got.MST.MaxElimIters != 7 || len(got.Workers) != 2 ||
 		got.Workers[1] != j.Workers[1] {
 		t.Fatalf("round trip drifted: %+v vs %+v", got, j)
+	}
+
+	// A spec from a build that ran the single-draw MST elimination
+	// (version 2, otherwise byte-identical) is refused by its version, by
+	// the decoder and by a worker — which answers on the control link and
+	// dials no peer of the spec's mesh.
+	v2 := AppendJob(nil, j)
+	v2[0] = 2
+	if _, err := DecodeJob(v2); err == nil || !strings.Contains(err.Error(), "job spec version 2, want 3") {
+		t.Fatalf("version-2 spec: err = %v, want the version error", err)
+	}
+	peer, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peer.Close()
+	dialed := make(chan struct{})
+	go func() {
+		if c, err := peer.Accept(); err == nil {
+			c.Close()
+			close(dialed)
+		}
+	}()
+	old := *j
+	old.Index = 1
+	old.Workers = []WorkerSpec{{Addr: peer.Addr().String(), Lo: 0, Hi: 3}, {Addr: startWorkers(t, 1)[0], Lo: 3, Hi: 8}}
+	v2 = AppendJob(nil, &old)
+	v2[0] = 2
+	conn, err := net.Dial("tcp", old.Workers[1].Addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write(tcp.AppendFrame(nil, tcp.FrameJob, v2)); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	var buf []byte
+	ft, body, err := tcp.ReadFrame(conn, &buf)
+	if err != nil || ft != tcp.FrameError {
+		t.Fatalf("worker's answer to a version-2 spec: frame %v, err %v; want an error frame", ft, err)
+	}
+	if ef, err := decodeErrorFrame(body); err != nil || !strings.Contains(ef.err().Error(), "job spec version 2, want 3") {
+		t.Fatalf("worker's error frame: %v / %v, want the version error", ef, err)
+	}
+	if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("control link after the refusal: %v, want EOF", err)
+	}
+	select {
+	case <-dialed:
+		t.Fatal("worker dialed a mesh peer for a spec it refused")
+	default:
 	}
 
 	// Non-contiguous cover must be rejected.

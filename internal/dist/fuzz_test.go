@@ -115,7 +115,10 @@ func realControlFrames(t testing.TB) map[tcp.FrameType][][]byte {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 	cfg := core.MSTConfig{Config: core.Config{K: 4, Seed: 9}, StrongOutput: true}
-	if _, err := runMST(ctx, addrs, "gnm:400:1200:3", cfg, CoordOptions{}, &spanLog{}); err != nil {
+	// n=1600, four times what it was: the corpus's heartbeat count follows
+	// the job's wall time, and MST elimination now takes about half the
+	// rounds on the same input.
+	if _, err := runMST(ctx, addrs, "gnm:1600:4800:3", cfg, CoordOptions{}, &spanLog{}); err != nil {
 		t.Fatal(err)
 	}
 	// A connectivity job too: its result frames carry the other output

@@ -581,7 +581,7 @@ func (e *Engine) MST(ctx context.Context, strong bool) (*core.MSTResult, error) 
 		t.end(err)
 		return nil, err
 	}
-	outs, _, cancelled := jobOutputs(rs)
+	outs, converged, cancelled := jobOutputs(rs)
 	if cancelled {
 		err := t.cancelErr()
 		t.end(err)
@@ -593,6 +593,11 @@ func (e *Engine) MST(ctx context.Context, strong bool) (*core.MSTResult, error) 
 		return nil, err
 	}
 	out.WeakRounds -= startR // machines report session-cumulative rounds
+	if !converged {
+		// The edges decided so far are MST edges; the forest is not whole.
+		out.Metrics = t.end(ErrNotConverged)
+		return out, ErrNotConverged
+	}
 	var oerr error
 	out.Metrics, oerr = t.endOK()
 	return out, oerr

@@ -10,6 +10,7 @@ import (
 
 	"kmgraph/internal/core"
 	"kmgraph/internal/graph"
+	"kmgraph/internal/sketch"
 	"kmgraph/internal/verify"
 )
 
@@ -174,6 +175,57 @@ func TestPhaseDriverStopRuleOnResidency(t *testing.T) {
 			t.Fatalf("post-cancel cycle containment = %v, want %v", cyc.Holds, want)
 		}
 	})
+}
+
+// TestTinySketchParamsStarveMST is the MST counterpart of core's
+// TestTinySketchParamsDegradeGracefully, starved on purpose: sketches of
+// one repetition and two buckets (so sums fail to sample, decode in part
+// and collide) and one elimination iteration per phase (so a component
+// must finish by a full decode or an empty re-sketch, or be truncated).
+// Whatever that does to the cost, an edge the job returns is an edge of
+// the Kruskal forest, and a forest that is not whole is reported as
+// ErrNotConverged.
+func TestTinySketchParamsStarveMST(t *testing.T) {
+	var failures int64
+	var whole, partial int
+	for seed := int64(1); seed <= 6; seed++ {
+		g := graph.WithUniformWeights(graph.RandomConnected(120, 360, seed), 40, seed+10) // ties too
+		p := sketch.DefaultParams(g.N())
+		p.Reps, p.Buckets = 1, 2
+		cfg := Config{K: 4, Seed: seed, Sketch: p, MaxElimIters: 1}
+		if seed%2 == 0 {
+			cfg.MaxPhasesPerQuery = 6 // too few for a starved job: the not-converged cell
+		}
+		e := mustEngine(t, g, cfg)
+		res, err := e.MST(context.Background(), false)
+		if err != nil && !errors.Is(err, ErrNotConverged) {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		forest, total := graph.KruskalMST(g)
+		want := make(map[uint64]int64, len(forest))
+		for _, fe := range forest {
+			want[graph.EdgeID(fe.U, fe.V, g.N())] = fe.W
+		}
+		for _, me := range res.Edges {
+			if w, ok := want[graph.EdgeID(me.U, me.V, g.N())]; !ok || w != me.W {
+				t.Fatalf("seed %d: returned edge %+v is not in the Kruskal forest", seed, me)
+			}
+		}
+		if err == nil {
+			whole++
+			if len(res.Edges) != len(forest) || res.TotalWeight != total {
+				t.Fatalf("seed %d: converged with %d edges of weight %d, Kruskal has %d of %d", seed, len(res.Edges), res.TotalWeight, len(forest), total)
+			}
+		} else {
+			partial++
+		}
+		failures += res.SketchFailures
+		t.Logf("seed %d: %d/%d edges, %d phases, %d elimination iterations, %d sketch failures, err %v",
+			seed, len(res.Edges), len(forest), res.Phases, res.ElimIters, res.SketchFailures, err)
+	}
+	if failures == 0 || whole == 0 || partial == 0 {
+		t.Fatalf("%d sketch failures, %d whole forests, %d not converged: the cell starves nothing", failures, whole, partial)
+	}
 }
 
 // TestMSTTracksBatches: MST jobs observe the live graph — after deleting

@@ -431,6 +431,11 @@ func (s *Sketch) verify(c *cell) (id uint64, sign int, ok bool) {
 // level it returns the one maximizing a query hash, which approximates a
 // uniform sample over the support (the max-hash slot is the level's
 // "survivor"). The same sketch always returns the same answer.
+//
+// Sample stops at the first productive level and keeps one slot, as the
+// paper's sampler does; connectivity uses it. Every other tester it
+// verified on the way is thrown away — SampleAll returns them all, which
+// MST elimination uses in place of §3.1's single draw.
 func (s *Sketch) Sample() (id uint64, sign int, st Status) {
 	if s.IsZero() {
 		return 0, 0, Empty
@@ -466,6 +471,105 @@ func (s *Sketch) Sample() (id uint64, sign int, st Status) {
 		}
 	}
 	return 0, 0, Failed
+}
+
+// Slot is one recovered coordinate of a sketched vector: an edge-slot id
+// and the sign of its entry.
+type Slot struct {
+	ID   uint64
+	Sign int
+}
+
+// Edge decodes the slot into its canonical edge (x < y) over n vertices and
+// the endpoint outside the sketched vertex set: y when the sign is +1 (the
+// smaller endpoint x is the one inside, as SampleEdge's insideSmaller), x
+// otherwise.
+func (sl Slot) Edge(n int) (x, y, outside int) {
+	x, y = graph.DecodeEdgeID(sl.ID, n)
+	if sl.Sign > 0 {
+		return x, y, y
+	}
+	return x, y, x
+}
+
+// SampleAll is Sample without the throwing away: it appends to buf every
+// distinct slot that passes the checks Sample makes (one-sparse
+// fingerprint, level and bucket consistency) at any level of any
+// repetition, and returns the extended buf. The first slot appended is
+// exactly Sample's answer and st exactly Sample's status, so a caller that
+// reads only that one sees Sample; the rest follow in scan order (levels
+// from sparsest down, then repetition, then bucket), the same for the same
+// sketch. A sum verifies at most Cells() slots.
+//
+// full reports that the appended slots are the whole support of the
+// vector: some repetition's level-0 row — where every slot lives, whatever
+// its level — had every non-zero tester verified, so each of its buckets
+// holds exactly one slot and all of them were returned. An Empty sketch is
+// full.
+//
+// This departs from the paper's sampler, which draws one slot per sketch
+// (§2.3): MST elimination (core.MWOE) uses every verified slot as a
+// candidate, connectivity keeps the single draw of Sample.
+//
+//km:hotpath
+func (s *Sketch) SampleAll(buf []Slot) (slots []Slot, st Status, full bool) {
+	if s.IsZero() {
+		return buf, Empty, true
+	}
+	first := len(buf)
+	nb := s.p.Buckets
+	var headH uint64
+	for level := s.p.Levels - 1; level >= 0; level-- {
+		// Until a level produces a slot, this level's max-hash survivor is
+		// Sample's answer and belongs at the head.
+		head := len(buf) == first
+		for rep := 0; rep < s.p.Reps; rep++ {
+			rl := rep*s.p.Levels + level
+			nonzero, verified := 0, 0
+			for t := s.touched[rl]; t != 0; t &= t - 1 {
+				b := bits.TrailingZeros64(t)
+				c := &s.cells[rl*nb+b]
+				if c.count == 0 && c.idSum == 0 && c.fp == 0 {
+					continue
+				}
+				nonzero++
+				cid, csign, ok := s.verify(c)
+				if !ok || s.levelOf(cid) < level || s.bucketOf(rep, level, cid) != b {
+					continue
+				}
+				verified++
+				if hasSlot(buf[first:], cid) {
+					continue
+				}
+				buf = append(buf, Slot{ID: cid, Sign: csign})
+				if head {
+					if h := hashing.Hash2(s.qsalt, cid); len(buf) == first+1 || h > headH {
+						headH = h
+						last := len(buf) - 1
+						buf[first], buf[last] = buf[last], buf[first]
+					}
+				}
+			}
+			if level == 0 && nonzero > 0 && verified == nonzero {
+				full = true
+			}
+		}
+	}
+	if len(buf) == first {
+		return buf, Failed, false
+	}
+	return buf, Sampled, full
+}
+
+// hasSlot reports whether id is among slots (a sum verifies a few slots,
+// a handful of times each: a scan beats any index).
+func hasSlot(slots []Slot, id uint64) bool {
+	for i := range slots {
+		if slots[i].ID == id {
+			return true
+		}
+	}
+	return false
 }
 
 // SampleEdge decodes a sampled slot into a canonical edge (x < y) plus the

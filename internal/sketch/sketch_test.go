@@ -1,6 +1,8 @@
 package sketch
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"kmgraph/internal/graph"
@@ -344,6 +346,19 @@ func BenchmarkSample(b *testing.B) {
 	}
 }
 
+func BenchmarkSampleAll(b *testing.B) {
+	p := DefaultParams(4096)
+	s := New(p, 9)
+	for i := uint64(0); i < 100; i++ {
+		s.AddItem(i*37+5, 1)
+	}
+	var buf []Slot
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf, _, _ = s.SampleAll(buf[:0])
+	}
+}
+
 func BenchmarkEncode(b *testing.B) {
 	p := DefaultParams(4096)
 	s := New(p, 9)
@@ -450,5 +465,109 @@ func TestAddVertexMatchesAddItem(t *testing.T) {
 	stays.AddVertex(77, other, nil)
 	if string(viaVertex.EncodeTo(nil)) != string(stays.EncodeTo(nil)) {
 		t.Fatal("SubVertex did not undo AddVertex")
+	}
+}
+
+// TestSampleAllAgreesWithSampleAndSupport: over random supports of size
+// 0…200 — built with ± pairs that cancel, so the sketch has touched cells
+// that are zero again — SampleAll's first slot and status are Sample's,
+// every slot is a support element with its sign, none repeats, and a full
+// decode returns the support exactly. A second shape small enough to fail covers
+// Failed and truncated decodes.
+func TestSampleAllAgreesWithSampleAndSupport(t *testing.T) {
+	shapes := []Params{
+		DefaultParams(64),
+		{N: 64, Levels: 3, Buckets: 2, Reps: 1},
+	}
+	seen := make(map[Status]int)
+	fulls, partials := 0, 0
+	var buf []Slot
+	for si, p := range shapes {
+		rng := rand.New(rand.NewSource(int64(si) + 1))
+		universe := uint64(p.N) * uint64(p.N)
+		for trial := 0; trial < 400; trial++ {
+			s := New(p, rng.Uint64())
+			support := make(map[uint64]int)
+			size := rng.Intn(201)
+			if trial%8 == 0 {
+				size = rng.Intn(8) // supports a level-0 row can hold apart
+			}
+			for len(support) < size {
+				id := rng.Uint64() % universe
+				if support[id] == 0 {
+					support[id] = 1 - 2*rng.Intn(2)
+					s.AddItem(id, support[id])
+				}
+			}
+			for j := rng.Intn(50); j > 0; j-- {
+				id := rng.Uint64() % universe
+				sign := 1 - 2*rng.Intn(2)
+				s.AddItem(id, sign)
+				s.AddItem(id, -sign)
+			}
+
+			id, sign, st := s.Sample()
+			var full bool
+			var ast Status
+			buf, ast, full = s.SampleAll(buf[:0])
+			seen[ast]++
+			if ast != st {
+				t.Fatalf("shape %d trial %d: SampleAll status %v, Sample's %v", si, trial, ast, st)
+			}
+			if (st == Sampled) != (len(buf) > 0) {
+				t.Fatalf("shape %d trial %d: status %v with %d slots", si, trial, st, len(buf))
+			}
+			if (st == Empty) != (size == 0) {
+				t.Fatalf("shape %d trial %d: status %v on a support of %d", si, trial, st, size)
+			}
+			if st == Sampled && (buf[0] != Slot{ID: id, Sign: sign}) {
+				t.Fatalf("shape %d trial %d: head %+v, Sample drew (%d, %d)", si, trial, buf[0], id, sign)
+			}
+			// Appending after a caller's own prefix changes nothing: the
+			// prefix stays, and is not consulted for duplicates.
+			pre := []Slot{{ID: id, Sign: 7}}
+			if after, _, _ := s.SampleAll(pre); after[0] != pre[0] || !slices.Equal(after[1:], buf) {
+				t.Fatalf("shape %d trial %d: after a prefix SampleAll appended %v, alone %v", si, trial, after[1:], buf)
+			}
+			got := make(map[uint64]bool, len(buf))
+			for _, sl := range buf {
+				if support[sl.ID] != sl.Sign {
+					t.Fatalf("shape %d trial %d: slot %+v, support has sign %d", si, trial, sl, support[sl.ID])
+				}
+				if got[sl.ID] {
+					t.Fatalf("shape %d trial %d: slot %d returned twice", si, trial, sl.ID)
+				}
+				got[sl.ID] = true
+			}
+			switch {
+			case full && len(buf) != size:
+				t.Fatalf("shape %d trial %d: decoded in full with %d slots of a support of %d", si, trial, len(buf), size)
+			case full:
+				fulls++
+			case st == Sampled:
+				partials++
+			}
+		}
+	}
+	t.Logf("statuses %v, %d full decodes, %d partial", seen, fulls, partials)
+	if seen[Empty] == 0 || seen[Sampled] == 0 || seen[Failed] == 0 || fulls == 0 || partials == 0 {
+		t.Error("the inputs do not cover every status and both decode verdicts")
+	}
+}
+
+// TestSampleAllAllocationFree pins the caller-owned buffer: once it has
+// grown, reading every slot of a sum allocates nothing.
+func TestSampleAllAllocationFree(t *testing.T) {
+	p := DefaultParams(256)
+	s := New(p, 5)
+	for i := uint64(0); i < 40; i++ {
+		s.AddItem(hashing.Hash2(9, i)%(256*256), 1)
+	}
+	buf, st, _ := s.SampleAll(nil)
+	if st != Sampled || len(buf) < 2 {
+		t.Fatalf("status %v, %d slots: want several", st, len(buf))
+	}
+	if a := testing.AllocsPerRun(100, func() { buf, _, _ = s.SampleAll(buf[:0]) }); a != 0 {
+		t.Fatalf("SampleAll with a reused buffer allocates %.1f times per call", a)
 	}
 }
