@@ -85,6 +85,7 @@ func Flooding(g *graph.Graph, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer cluster.Close()
 	part := kmachine.NewRVP(g, cfg.K, uint64(cfg.Seed)^0x9e37)
 	res, err := cluster.Run(func(ctx *kmachine.Ctx) error {
 		view := part.View(ctx.ID())
@@ -155,6 +156,7 @@ func Referee(g *graph.Graph, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer cluster.Close()
 	part := kmachine.NewRVP(g, cfg.K, uint64(cfg.Seed)^0x9e37)
 	res, err := cluster.Run(func(ctx *kmachine.Ctx) error {
 		view := part.View(ctx.ID())

@@ -151,6 +151,7 @@ func Convert(tr *Trace, cfg Config) (*ConvertResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer cluster.Close()
 	res, err := cluster.Run(func(ctx *kmachine.Ctx) error {
 		comm := proxy.NewComm(ctx)
 		for r := 0; r < tr.Rounds; r++ {

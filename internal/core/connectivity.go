@@ -236,13 +236,13 @@ func (c Config) MachineConfig() kmachine.Config {
 	}
 }
 
-// runOneShot is the one-shot host: a fresh cluster that lives for one
-// handler run.
+// runOneShot is the one-shot caller: a cluster that is run once.
 func runOneShot(ctx context.Context, cfg Config, h kmachine.Handler) (*kmachine.Result, error) {
 	cluster, err := kmachine.New(cfg.MachineConfig())
 	if err != nil {
 		return nil, err
 	}
+	defer cluster.Close()
 	return cluster.RunContext(ctx, h)
 }
 

@@ -199,7 +199,6 @@ func (s *stubTransport) Round(in *transport.RoundIn, out *transport.RoundOut) er
 	out.Running = 1
 	return nil
 }
-func (s *stubTransport) Pending() bool          { return false }
 func (s *stubTransport) Remnants() (int, int64) { return 0, 0 }
 func (s *stubTransport) Close() error           { return nil }
 

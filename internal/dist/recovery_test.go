@@ -187,36 +187,12 @@ func TestRetryRecoversKilledWorkerMST(t *testing.T) {
 func TestSilentWorkerStallsPromptly(t *testing.T) {
 	base := runtime.NumGoroutine()
 
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	var mu sync.Mutex
-	var held []net.Conn
-	defer func() {
-		mu.Lock()
-		for _, c := range held {
-			c.Close()
-		}
-		mu.Unlock()
-	}()
-	go func() {
-		for {
-			c, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			mu.Lock()
-			held = append(held, c)
-			mu.Unlock()
-		}
-	}()
+	addr, _, stop := silentListener(t)
 
 	cfg := core.Config{K: 2, Seed: 1}
 	opts := CoordOptions{HeartbeatTimeout: 300 * time.Millisecond}
 	start := time.Now()
-	_, err = runConnectivity(context.Background(), []string{ln.Addr().String()},
+	_, err := runConnectivity(context.Background(), []string{addr},
 		"gnm:200:600:1", cfg, opts, nil)
 	if err == nil {
 		t.Fatal("job succeeded against a silent worker")
@@ -232,16 +208,50 @@ func TestSilentWorkerStallsPromptly(t *testing.T) {
 		t.Fatalf("stall detection took %v, want within the heartbeat deadline's order", elapsed)
 	}
 
-	// The accept loop above is ours; everything the coordinator spawned
-	// must be gone.
-	ln.Close()
-	mu.Lock()
-	for _, c := range held {
-		c.Close()
-	}
-	held = nil
-	mu.Unlock()
+	// The accept loop is ours; everything the coordinator spawned must be
+	// gone.
+	stop()
 	waitGoroutines(t, base)
+}
+
+// silentListener accepts connections and never answers them. It returns
+// its address, the number accepted so far, and a stop (also run at test
+// cleanup) that closes it and every connection it holds.
+func silentListener(t *testing.T) (addr string, accepted func() int, stop func()) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var held []net.Conn
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			held = append(held, c)
+			mu.Unlock()
+		}
+	}()
+	stop = func() {
+		ln.Close()
+		mu.Lock()
+		defer mu.Unlock()
+		for _, c := range held {
+			c.Close()
+		}
+		held = nil
+	}
+	t.Cleanup(stop)
+	accepted = func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(held)
+	}
+	return ln.Addr().String(), accepted, stop
 }
 
 // TestGarbageHeartbeatsFailAsDesync closes a coordinator liveness hole: a
@@ -362,6 +372,41 @@ func TestDrainFinishesActiveJob(t *testing.T) {
 	w1.mu.Unlock()
 	if orphans != 0 {
 		t.Fatalf("drained worker holds %d orphaned cluster inboxes", orphans)
+	}
+}
+
+// TestCancelDuringMeshDialReleasesWorker: a job cancelled while a worker
+// is dialing a lower-index participant that accepts and never says hello
+// must let go of that worker at once. tcp.Dial used to take no context, so
+// the dial sat out HandshakeTimeout (30 s) per attempt and Worker.Close
+// waited with it.
+func TestCancelDuringMeshDialReleasesWorker(t *testing.T) {
+	silent, accepted, _ := silentListener(t)
+	w, addr := startWorker(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		_, err := runConnectivity(ctx, []string{silent, addr},
+			"gnm:200:600:1", core.Config{K: 2, Seed: 1}, CoordOptions{}, nil)
+		done <- err
+	}()
+	// The silent listener holds two connections once the worker is in its
+	// hello wait: the coordinator's control link and the worker's dial.
+	for deadline := time.Now().Add(10 * time.Second); accepted() < 2 || len(w.Jobs()) == 0; {
+		if time.Now().After(deadline) {
+			t.Fatalf("worker never dialed: %d connections, %d jobs", accepted(), len(w.Jobs()))
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	cancel()
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("job err = %v, want context.Canceled", err)
+	}
+	start := time.Now()
+	w.Close()
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("Worker.Close took %v with the job cancelled mid-dial, want under a second", d)
 	}
 }
 

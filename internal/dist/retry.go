@@ -27,10 +27,6 @@ type RetryPolicy struct {
 	Backoff time.Duration
 	// MaxBackoff caps the grown delay (default 10s).
 	MaxBackoff time.Duration
-	// RetryAll retries any failure. The default retries only link-down
-	// failures (crash, stall, desync): a malformed job or an unreadable
-	// source fails identically every time, so it fails fast.
-	RetryAll bool
 	// Respawn, when set, runs before each retry with the failing
 	// attempt's error. It may restart dead workers (the tcp dialer's
 	// retry window then picks the replacements up) and return a
@@ -52,10 +48,10 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	return p
 }
 
-// retryable reports whether err is worth another attempt under p.
-func (p RetryPolicy) retryable(err error) bool {
-	return p.RetryAll || errors.Is(err, transport.ErrLinkDown)
-}
+// retryable reports whether err is worth another attempt: only link-down
+// failures (crash, stall, desync) are — a malformed job or an unreadable
+// source fails identically every time, so it fails fast.
+func retryable(err error) bool { return errors.Is(err, transport.ErrLinkDown) }
 
 // delay computes the backoff before retry number retry (1-based), with
 // ±25% jitter.
@@ -82,7 +78,7 @@ func runRetry(ctx context.Context, addrs []string, job Job, opts CoordOptions, t
 			}
 			return res, n, nil
 		}
-		if ctx.Err() != nil || attempt >= pol.Attempts || !pol.retryable(err) {
+		if ctx.Err() != nil || attempt >= pol.Attempts || !retryable(err) {
 			return nil, 0, err
 		}
 		if firstFail.IsZero() {

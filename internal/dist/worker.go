@@ -511,8 +511,8 @@ func (w *Worker) execute(ctx context.Context, job *Job, st *jobState) ([]byte, e
 		handler = core.MSTHandler(view, cfg)
 	}
 
-	cluster, err := kmachine.NewWithTransport(cfg.MachineConfig(), func(p transport.Params, met *transport.Metrics, workers int) (transport.Transport, error) {
-		tr, err := tcp.New(p, met, workers, lo, hi, peers)
+	cluster, err := kmachine.NewWithTransport(cfg.MachineConfig(), func(p transport.Params, met *transport.Metrics) (transport.Transport, error) {
+		tr, err := tcp.New(p, met, lo, hi, peers)
 		if err == nil {
 			peersOwned = false
 			flight = tr.Flight()
@@ -522,6 +522,7 @@ func (w *Worker) execute(ctx context.Context, job *Job, st *jobState) ([]byte, e
 	if err != nil {
 		return nil, err
 	}
+	defer cluster.Close() // the peer links; a cancelled job's peers abort on seeing them go
 	st.cluster.Store(cluster)
 	kres, err := cluster.RunContext(ctx, handler)
 	if err != nil {
@@ -577,7 +578,7 @@ func (w *Worker) formMesh(ctx context.Context, job *Job) ([]*tcp.Peer, error) {
 
 	inbox := w.inboxFor(job.ClusterID)
 	for j := 0; j < job.Index; j++ {
-		p, err := tcp.Dial(job.Workers[j].Addr, ours, j, w.opts.Transport)
+		p, err := tcp.Dial(ctx, job.Workers[j].Addr, ours, j, w.opts.Transport)
 		if err != nil {
 			return fail(err)
 		}

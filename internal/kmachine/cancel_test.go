@@ -54,44 +54,6 @@ func TestRunContextCancelReleasesSteppingMachines(t *testing.T) {
 	waitGoroutines(t, base)
 }
 
-// TestRunContextCancelWithParkedMachines: a cancelled run whose machines
-// are all parked on external input must terminate, and the machines'
-// goroutines must exit cleanly once they touch the cluster again — the
-// abort path the resident substrate depends on.
-func TestRunContextCancelWithParkedMachines(t *testing.T) {
-	base := runtime.NumGoroutine()
-	cl, err := New(Config{K: 3, BandwidthBits: 1024, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	release := make(chan struct{})
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		_, err := cl.RunContext(ctx, func(c *Ctx) error {
-			c.Park()
-			<-release // external input that never arrives before cancel
-			c.Unpark()
-			c.Step()
-			return nil
-		})
-		done <- err
-	}()
-	time.Sleep(20 * time.Millisecond) // let every machine park
-	cancel()
-	select {
-	case err := <-done:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("err = %v, want context.Canceled", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("RunContext did not return after cancel with all machines parked")
-	}
-	// Wake the parked handlers: their Unpark/Step must abort, not wedge.
-	close(release)
-	waitGoroutines(t, base)
-}
-
 // TestRunContextDeadline: a deadline behaves like a cancel.
 func TestRunContextDeadline(t *testing.T) {
 	cl, err := New(Config{K: 2, BandwidthBits: 64, Seed: 3})

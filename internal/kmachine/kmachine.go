@@ -4,13 +4,22 @@
 // synchronous rounds with O(polylog n) bits of bandwidth per link per
 // round. Local computation is free; the only measured cost is rounds.
 //
-// Each machine runs as a goroutine executing a Handler in SPMD style. A
-// coordinator goroutine enforces the round barrier over channels: a machine
-// ends its round by calling Ctx.Step, which submits its outgoing messages
-// and blocks until the next round's deliveries arrive. Every directed link
-// has a FIFO byte queue drained at BandwidthBits per round; a message is
-// delivered in the round its last bit arrives, so oversized messages
-// automatically cost multiple rounds, exactly as the model prescribes.
+// A machine is its local state plus the rounds it joins. The state — each
+// machine's Ctx (round counter, arena, private RNG), the link queues and
+// the cumulative Metrics — belongs to the Cluster and outlives any one
+// Run; a Run lends every machine a goroutine that executes a Handler in
+// SPMD style and returns when all of them have. A one-shot algorithm is a
+// cluster that is run once; a residency (internal/resident) is one that is
+// run once per command, its own state riding beside the Ctxs. Between runs
+// a cluster holds memory and no goroutines.
+//
+// During a Run a coordinator enforces the round barrier over channels: a
+// machine ends its round by calling Ctx.Step, which submits its outgoing
+// messages and blocks until the next round's deliveries arrive. Every
+// directed link has a FIFO byte queue drained at BandwidthBits per round; a
+// message is delivered in the round its last bit arrives, so oversized
+// messages automatically cost multiple rounds, exactly as the model
+// prescribes.
 //
 // The link layer itself lives behind transport.Transport: the coordinator
 // stages each barrier's outboxes and hands them to the transport, which
@@ -19,21 +28,18 @@
 // backend (transport/local) hosts all k machines in this process and is
 // the bit-exact reference; transport/tcp hosts a contiguous sub-range so
 // a cluster spans OS processes connected by real sockets, with identical
-// Metrics by construction.
+// Metrics by construction. Nothing above the transport depends on which
+// backend carries the rounds.
 //
 // The simulation is deterministic: machine code is deterministic given its
 // inputs and per-machine seeded RNG, events are processed in machine-ID
 // order, and deliveries are sorted by (source, send order).
 //
 // The round engine is allocation-free in steady state: link queues, event
-// slots, and delivery buffers are preallocated and recycled across rounds,
-// and an active-link index (a per-destination bitmap of sources with bits
-// in flight) makes quiescent links cost zero — sparse-communication phases
-// run in O(active links) per round instead of O(k²). When many links are
-// active and GOMAXPROCS allows, the per-destination transmit loop is
-// sharded across a bounded set of workers (destinations are independent;
-// global counters are merged in destination order after the join), with a
-// serial fallback otherwise. Both paths produce bit-identical Metrics.
+// slots, and delivery buffers are preallocated and recycled across rounds
+// and runs, and an active-link index (a per-destination bitmap of sources
+// with bits in flight) makes quiescent links cost zero — sparse-
+// communication phases run in O(active links) per round instead of O(k²).
 //
 //km:roundpure
 package kmachine
@@ -43,7 +49,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sync"
 
 	"kmgraph/internal/hashing"
@@ -64,7 +69,8 @@ type Config struct {
 	MessageOverheadBits int
 	// Seed drives all per-machine private randomness.
 	Seed int64
-	// MaxRounds aborts runaway executions. 0 means the default cap.
+	// MaxRounds aborts runaway executions: the cap is on the cluster's
+	// cumulative rounds, over all its runs. 0 means the default cap.
 	MaxRounds int
 }
 
@@ -89,25 +95,32 @@ type Message = transport.Message
 // layer's accounting type, which distributed runs merge across workers).
 type Metrics = transport.Metrics
 
-// TransportMaker builds the transport backend for one run: it receives
-// the link parameters, the run's metrics sink, and the bound on sharded
-// transmit workers. The default maker builds transport/local.
-type TransportMaker func(p transport.Params, met *Metrics, workers int) (transport.Transport, error)
+// TransportMaker builds the cluster's transport backend, once, on the
+// first Run: it receives the link parameters and the cluster's metrics
+// sink. The default maker builds transport/local.
+type TransportMaker func(p transport.Params, met *Metrics) (transport.Transport, error)
 
 // Handler is the per-machine program. It runs on every machine (SPMD);
-// ctx.ID distinguishes them. Returning ends the machine's participation.
+// ctx.ID distinguishes them. Returning ends the machine's participation
+// in this run.
 type Handler func(ctx *Ctx) error
 
-// Cluster is a configured k-machine system; Run executes a Handler on it.
-// A Cluster supports at most one Run at a time (the resident substrate
-// keeps exactly one alive for its whole lifetime).
+// Cluster is a configured k-machine system; Run executes a Handler on it,
+// any number of times, one at a time. Whoever builds a cluster Closes it.
 type Cluster struct {
 	cfg Config
 	mk  TransportMaker
 
+	// The machines, built by the first Run and kept until Close: what the
+	// next run resumes from.
+	tr   transport.Transport
+	met  *Metrics
+	ctxs []*Ctx // hosted machines, ascending ID
+	co   coordinator
+
 	mu      sync.Mutex
 	evCh    chan event    // live run's event channel (nil before Run)
-	runDone chan struct{} // closed when the coordinator exits
+	runDone chan struct{} // closed when that run's coordinator exits
 }
 
 // New validates cfg and returns a cluster on the in-process reference
@@ -117,9 +130,8 @@ func New(cfg Config) (*Cluster, error) {
 }
 
 // NewWithTransport is New with an explicit transport backend; a nil maker
-// selects the in-process reference backend (transport/local). The maker
-// is invoked once per Run with that run's metrics sink. A transport that
-// hosts a sub-range [lo, hi) of the machines makes this cluster one
+// selects the in-process reference backend (transport/local). A transport
+// that hosts a sub-range [lo, hi) of the machines makes this cluster one
 // participant of a multi-process run: only the hosted machines execute
 // here, and Result.Outputs is filled for them alone.
 func NewWithTransport(cfg Config, mk TransportMaker) (*Cluster, error) {
@@ -136,8 +148,8 @@ func NewWithTransport(cfg Config, mk TransportMaker) (*Cluster, error) {
 		cfg.MaxRounds = defaultMaxRounds
 	}
 	if mk == nil {
-		mk = func(p transport.Params, met *Metrics, workers int) (transport.Transport, error) {
-			return local.New(p, met, workers), nil
+		mk = func(p transport.Params, met *Metrics) (transport.Transport, error) {
+			return local.New(p, met), nil
 		}
 	}
 	return &Cluster{cfg: cfg, mk: mk}, nil
@@ -146,11 +158,22 @@ func NewWithTransport(cfg Config, mk TransportMaker) (*Cluster, error) {
 // Config returns the cluster configuration.
 func (c *Cluster) Config() Config { return c.cfg }
 
-// Result carries the run metrics and each machine's designated output
-// variable o_i (§1.1), set via Ctx.SetOutput. In a multi-process run the
-// Metrics are this process's partial accounting (its hosted destinations)
-// and Outputs is filled only for hosted machines; transport.MergeMetrics
-// reassembles the global view.
+// Close releases the transport (peer links, for a multi-process cluster;
+// the in-process backend owns nothing). Call it once no Run is in flight;
+// the cluster must not be run again.
+func (c *Cluster) Close() error {
+	if c.tr == nil {
+		return nil
+	}
+	return c.tr.Close()
+}
+
+// Result carries the cluster's metrics — the running total over every run
+// so far, this one included — and each machine's designated output
+// variable o_i (§1.1), set via Ctx.SetOutput during this run. In a
+// multi-process run the Metrics are this process's partial accounting (its
+// hosted destinations) and Outputs is filled only for hosted machines;
+// transport.MergeMetrics reassembles the global view.
 type Result struct {
 	Metrics Metrics
 	Outputs []any
@@ -163,8 +186,6 @@ type event struct {
 	id     int
 	outbox []Message
 	done   bool
-	park   bool
-	unpark bool
 	cancel bool         // injected by the RunContext watcher, not a machine
 	snap   chan Metrics // metrics snapshot request (host side, free)
 	err    error
@@ -180,7 +201,8 @@ type delivery struct {
 	abort bool
 }
 
-// Ctx is a machine's handle to the cluster, valid only inside its Handler.
+// Ctx is a machine's handle to the cluster. It is kept between runs (a
+// program may hold on to it) but may only be used inside a Handler.
 type Ctx struct {
 	id  int
 	cfg Config
@@ -188,9 +210,8 @@ type Ctx struct {
 
 	round  int
 	outbox []Message
-	evCh   chan<- event
+	evCh   chan<- event // the live run's
 	inCh   chan delivery
-	stop   <-chan struct{} // closed when the coordinator exits
 	output any
 	arena  *wire.Arena
 }
@@ -201,15 +222,22 @@ func (c *Ctx) ID() int { return c.id }
 // K returns the number of machines.
 func (c *Ctx) K() int { return c.cfg.K }
 
-// Round returns the number of completed rounds.
+// Round returns the number of rounds this machine has completed, over
+// every run of the cluster.
 func (c *Ctx) Round() int { return c.round }
 
 // BandwidthBits returns the per-link per-round bit budget.
 func (c *Ctx) BandwidthBits() int { return c.cfg.BandwidthBits }
 
 // Rand returns this machine's private source of randomness (§1.1: each
-// machine has access to a private source of true random bits).
-func (c *Ctx) Rand() *rand.Rand { return c.rng }
+// machine has access to a private source of true random bits). It is
+// built on first use — most machines of most runs never draw from it.
+func (c *Ctx) Rand() *rand.Rand {
+	if c.rng == nil {
+		c.rng = rand.New(rand.NewSource(int64(hashing.Hash2(uint64(c.cfg.Seed), uint64(c.id)+0xabcd))))
+	}
+	return c.rng
+}
 
 // Arena returns this machine's message arena: an append-style allocator for
 // encoding outgoing message payloads without a heap allocation per message.
@@ -223,7 +251,8 @@ func (c *Ctx) Arena() *wire.Arena {
 	return c.arena
 }
 
-// SetOutput sets the machine's designated local output variable o_i.
+// SetOutput sets the machine's designated local output variable o_i for
+// this run.
 func (c *Ctx) SetOutput(v any) { c.output = v }
 
 // Send queues a message to machine dst for transmission starting next
@@ -252,60 +281,21 @@ func (c *Ctx) Broadcast(data []byte) {
 
 type abortPanic struct{}
 
-// submit sends an event to the coordinator, aborting the machine if the
-// coordinator has already exited (a cancelled run must not wedge machines
-// in barrier calls, whatever state they were in when the abort hit).
-//
-//km:hotpath
-func (c *Ctx) submit(e event) {
-	select {
-	case c.evCh <- e:
-	case <-c.stop:
-		panic(abortPanic{})
-	}
-}
-
-// Park withdraws this machine from the round barrier: the cluster keeps
-// advancing rounds without it, and messages addressed to it are buffered
-// for its next Step. Park lets a machine idle on external input (the
-// dynamic subsystem's command channel) without stalling machines that are
-// still draining in-flight deliveries — and, once every machine is parked,
-// the cluster is quiescent and no rounds pass at all. Any Sends still
-// queued (a collective can complete without a final Step when all its
-// frames pre-arrived) are submitted with the park event, exactly as a
-// Step or handler return would submit them. Call Unpark before
-// communicating again. Parking requires the local transport (the hosted
-// range must be the whole cluster).
-func (c *Ctx) Park() {
-	c.submit(event{id: c.id, outbox: c.outbox, park: true})
-	c.outbox = nil
-}
-
-// Unpark re-enters the machine into the round barrier after a Park.
-func (c *Ctx) Unpark() { c.submit(event{id: c.id, unpark: true}) }
-
 // Step ends the current round and blocks until the coordinator advances
 // the cluster. It returns the messages whose transmission completed this
 // round, sorted by (Src, send order). The returned slice is reused by the
 // engine: it stays valid until the second-next Step call; do not retain it
 // (retaining the payload bytes of individual messages is fine).
 //
+// The coordinator outlives every machine of its run (it returns only once
+// each has), so neither the submit nor the wait can be left hanging: an
+// aborted run releases its stepping machines with an abort delivery.
+//
 //km:hotpath
 func (c *Ctx) Step() []Message {
-	c.submit(event{id: c.id, outbox: c.outbox})
+	c.evCh <- event{id: c.id, outbox: c.outbox}
 	c.outbox = nil
-	var d delivery
-	select {
-	case d = <-c.inCh:
-	case <-c.stop:
-		// The coordinator exited without serving this step (aborted run).
-		// Prefer a delivery that raced in just before the exit.
-		select {
-		case d = <-c.inCh:
-		default:
-			panic(abortPanic{})
-		}
-	}
+	d := <-c.inCh
 	if d.abort {
 		panic(abortPanic{})
 	}
@@ -316,11 +306,11 @@ func (c *Ctx) Step() []Message {
 	return d.msgs
 }
 
-// Snapshot returns a copy of the live run's metrics, observed between
-// rounds (the coordinator serves the request at its next event, so the
-// copy is always internally consistent). It reports false when no run is
-// active. Snapshot is free host-side observability: it does not perturb
-// rounds, queues, or machine state.
+// Snapshot returns a copy of the cluster's metrics as of the live run's
+// current round, observed between rounds (the coordinator serves the
+// request at its next event, so the copy is always internally consistent).
+// It reports false when no run is active. Snapshot is free host-side
+// observability: it does not perturb rounds, queues, or machine state.
 func (c *Cluster) Snapshot() (Metrics, bool) {
 	c.mu.Lock()
 	evCh, runDone := c.evCh, c.runDone
@@ -342,58 +332,77 @@ func (c *Cluster) Snapshot() (Metrics, bool) {
 	}
 }
 
-// coordinator is the per-run engine state above the transport: the event
-// barrier slots for hosted machines plus the park/pending bookkeeping.
-// Slot indices are hosted-relative (machine id minus lo).
+// coordinator is the engine state above the transport: the event barrier
+// slots for hosted machines and the staging buffers of a round, kept with
+// the machines so a later run reuses them. Slot indices are
+// hosted-relative (machine id minus lo).
 type coordinator struct {
-	lo, hi int
-
 	evSlots []event // one slot per hosted machine; replaces sorting per barrier
 	evHave  []bool
 	evCount int
 
-	stepped      []bool
-	parked       []bool
-	nParked      int
-	running      int         // hosted machines still running
-	pendingInbox [][]Message // buffered deliveries for parked machines
-	spareOutbox  [][]Message // drained outbox backings awaiting hand-back
+	stepped     []bool
+	running     int         // hosted machines still running
+	spareOutbox [][]Message // drained outbox backings awaiting hand-back
+
+	in  transport.RoundIn
+	out transport.RoundOut
+}
+
+// open builds the machines on the first Run: the transport with its link
+// queues, the metrics they account into, one Ctx per hosted machine.
+func (c *Cluster) open() error {
+	if c.tr != nil {
+		return nil
+	}
+	k := c.cfg.K
+	met := transport.NewMetrics(k)
+	tr, err := c.mk(transport.Params{
+		K:                   k,
+		BandwidthBits:       c.cfg.BandwidthBits,
+		MessageOverheadBits: c.cfg.MessageOverheadBits,
+	}, met)
+	if err != nil {
+		return err
+	}
+	lo, hi := tr.Hosted()
+	if lo < 0 || hi > k || lo >= hi {
+		tr.Close()
+		return fmt.Errorf("kmachine: transport hosts [%d,%d) of %d machines", lo, hi, k)
+	}
+	hosted := hi - lo
+	c.tr, c.met = tr, met
+	c.ctxs = make([]*Ctx, hosted)
+	for i := range c.ctxs {
+		c.ctxs[i] = &Ctx{id: lo + i, cfg: c.cfg, inCh: make(chan delivery, 1)}
+	}
+	c.co = coordinator{
+		evSlots:     make([]event, hosted),
+		evHave:      make([]bool, hosted),
+		stepped:     make([]bool, hosted),
+		spareOutbox: make([][]Message, hosted),
+	}
+	return nil
 }
 
 // Run executes h on every machine and returns the metrics and outputs.
 // It returns the first handler error, a panic converted to an error, or
-// ErrMaxRounds.
+// ErrMaxRounds. A run that fails leaves the machines wherever the failure
+// caught them: Close the cluster rather than run it again.
 func (c *Cluster) Run(h Handler) (*Result, error) {
 	return c.RunContext(context.Background(), h)
 }
 
 // RunContext is Run with cancellation: when ctx is cancelled, the
 // coordinator aborts the execution — machines blocked in Step are released
-// with an abort delivery, machines parked on external input are abandoned
-// (their goroutines exit the next time they touch the cluster), and
-// RunContext returns ctx.Err().
+// with an abort delivery — and RunContext returns ctx.Err() once every
+// hosted machine has.
 func (c *Cluster) RunContext(ctx context.Context, h Handler) (*Result, error) {
-	k := c.cfg.K
-	met := transport.NewMetrics(k)
-
-	workers := runtime.GOMAXPROCS(0)
-	if workers > transport.TransmitMaxWorkers {
-		workers = transport.TransmitMaxWorkers
-	}
-	tr, err := c.mk(transport.Params{
-		K:                   k,
-		BandwidthBits:       c.cfg.BandwidthBits,
-		MessageOverheadBits: c.cfg.MessageOverheadBits,
-	}, met, workers)
-	if err != nil {
+	if err := c.open(); err != nil {
 		return nil, err
 	}
-	defer tr.Close()
-	lo, hi := tr.Hosted()
-	if lo < 0 || hi > k || lo >= hi {
-		return nil, fmt.Errorf("kmachine: transport hosts [%d,%d) of %d machines", lo, hi, k)
-	}
-	hosted := hi - lo
+	k, tr, met, co := c.cfg.K, c.tr, c.met, &c.co
+	lo, hosted := c.ctxs[0].id, len(c.ctxs)
 
 	evCh := make(chan event, hosted)
 	runDone := make(chan struct{})
@@ -403,8 +412,6 @@ func (c *Cluster) RunContext(ctx context.Context, h Handler) (*Result, error) {
 	defer close(runDone)
 
 	if ctx.Done() != nil {
-		watchStop := make(chan struct{})
-		defer close(watchStop)
 		go func() {
 			select {
 			case <-ctx.Done():
@@ -412,25 +419,14 @@ func (c *Cluster) RunContext(ctx context.Context, h Handler) (*Result, error) {
 				case evCh <- event{cancel: true, err: ctx.Err()}:
 				case <-runDone:
 				}
-			case <-watchStop:
+			case <-runDone:
 			}
 		}()
 	}
 
-	ctxs := make([]*Ctx, hosted)
-	for i := 0; i < hosted; i++ {
-		id := lo + i
-		ctxs[i] = &Ctx{
-			id:   id,
-			cfg:  c.cfg,
-			rng:  rand.New(rand.NewSource(int64(hashing.Hash2(uint64(c.cfg.Seed), uint64(id)+0xabcd)))),
-			evCh: evCh,
-			inCh: make(chan delivery, 1),
-			stop: runDone,
-		}
-	}
-	for i := 0; i < hosted; i++ {
-		go func(ctx *Ctx) {
+	for _, m := range c.ctxs {
+		m.evCh, m.output = evCh, nil
+		go func(m *Ctx) {
 			var err error
 			func() {
 				defer func() {
@@ -439,38 +435,28 @@ func (c *Cluster) RunContext(ctx context.Context, h Handler) (*Result, error) {
 							err = ErrMaxRounds
 							return
 						}
-						err = fmt.Errorf("kmachine: machine %d panicked: %v", ctx.id, r)
+						err = fmt.Errorf("kmachine: machine %d panicked: %v", m.id, r)
 					}
 				}()
-				err = h(ctx)
+				err = h(m)
 			}()
-			select {
-			case evCh <- event{id: ctx.id, outbox: ctx.outbox, done: true, err: err, output: ctx.output}:
-			case <-runDone:
-				// Coordinator already exited; nobody collects this output.
-			}
-		}(ctxs[i])
+			// The coordinator is done reading the outbox within this run, so
+			// its backing array is the next run's.
+			out := m.outbox
+			m.outbox = out[:0]
+			evCh <- event{id: m.id, outbox: out, done: true, err: err, output: m.output}
+		}(m)
 	}
 
 	res := &Result{Outputs: make([]any, k)}
-	co := &coordinator{
-		lo:           lo,
-		hi:           hi,
-		evSlots:      make([]event, hosted),
-		evHave:       make([]bool, hosted),
-		stepped:      make([]bool, hosted),
-		parked:       make([]bool, hosted),
-		running:      hosted,
-		pendingInbox: make([][]Message, hosted),
-		spareOutbox:  make([][]Message, hosted),
-	}
+	co.running = hosted
 	var firstErr error
 	aborting := false
 	unilateral := false // abort not shared by peers (cancel / transport death)
 	dead := false       // the transport failed: no more rounds, only drain
 	globalRunning := k
-	var in transport.RoundIn
-	var out transport.RoundOut
+	in, out := &co.in, &co.out
+	in.Msgs = in.Msgs[:0]
 
 	handle := func(e event) {
 		switch {
@@ -482,63 +468,34 @@ func (c *Cluster) RunContext(ctx context.Context, h Handler) (*Result, error) {
 			}
 		case e.snap != nil:
 			e.snap <- met.Snapshot()
-		case e.park:
-			// Stage the park outbox immediately, exactly as a step would at
-			// barrier end: the machine cannot submit again this barrier, so
-			// its per-link send order is preserved.
-			in.Msgs = append(in.Msgs, e.outbox...)
-			co.spareOutbox[e.id-lo] = e.outbox[:0]
-			co.parked[e.id-lo] = true
-			co.nParked++
-		case e.unpark:
-			co.parked[e.id-lo] = false
-			co.nParked--
 		default:
 			i := e.id - lo
-			if e.done && co.parked[i] {
-				// A machine may return while parked; un-mark it so the
-				// barrier arithmetic stays consistent (the slot this
-				// event fills is the one the un-marking adds).
-				co.parked[i] = false
-				co.nParked--
-			}
-			if !co.evHave[i] {
-				co.evCount++
-			}
 			co.evSlots[i] = e
 			co.evHave[i] = true
+			co.evCount++
+		}
+	}
+	// abortStepped releases every machine waiting in Step with an abort
+	// delivery (the transport is gone: no round will serve them).
+	abortStepped := func() {
+		in.Msgs = in.Msgs[:0]
+		for i, m := range c.ctxs {
+			if co.stepped[i] {
+				co.stepped[i] = false
+				m.inCh <- delivery{abort: true}
+			}
 		}
 	}
 
 	for globalRunning > 0 {
-		// Barrier: one event per running non-parked hosted machine.
-		// Park/unpark events adjust the barrier size as they arrive.
-		if (aborting || dead) && co.running == co.nParked && co.running > 0 {
-			// Every hosted survivor is parked on external input and will
-			// never observe the abort; end the run rather than hang.
-			if firstErr == nil {
-				firstErr = ErrMaxRounds
-			}
-			break
-		}
-		if co.running > 0 && co.running-co.nParked == 0 && !tr.Pending() && len(in.Msgs) == 0 {
-			// Fully quiescent: every hosted machine is parked and no bits
-			// are in flight. Block (without burning rounds) until one
-			// re-enters. (Only the local backend parks, so quiescence here
-			// is global quiescence.)
-			handle(<-evCh)
-			if co.evCount == 0 {
-				continue
-			}
-		}
-		for co.evCount < co.running-co.nParked {
+		// Barrier: one event per running hosted machine.
+		for co.evCount < co.running {
 			handle(<-evCh)
 		}
 
 		// Process the barrier's events in machine-ID order (they arrive at
 		// most once per machine per barrier, so bucketing by ID replaces a
 		// comparison sort).
-		nEvents := co.evCount
 		doneDelta := 0
 		for i := 0; i < hosted; i++ {
 			if !co.evHave[i] {
@@ -563,55 +520,37 @@ func (c *Cluster) RunContext(ctx context.Context, h Handler) (*Result, error) {
 		co.evCount = 0
 
 		if dead {
-			// The transport is gone: release stepped machines with an abort
-			// delivery and drain until every hosted machine has returned.
-			in.Msgs = in.Msgs[:0]
-			for i := 0; i < hosted; i++ {
-				if co.stepped[i] {
-					co.stepped[i] = false
-					ctxs[i].inCh <- delivery{abort: true}
-				}
-			}
+			// The transport is gone: drain until every hosted machine has
+			// returned.
+			abortStepped()
 			if co.running == 0 {
 				break
 			}
 			continue
 		}
-		if unilateral && co.running == 0 && co.nParked == 0 && hosted < k {
+		if unilateral && co.running == 0 && hosted < k {
 			// This participant aborted on its own (cancellation) and has
 			// fully drained; stop joining barriers (peers observe the link
-			// closing and abort too). Shared aborts (MaxRounds) are hit by
-			// every participant at the same round, so those keep joining
-			// barriers and drain the whole cluster in lockstep.
+			// closing, when the owner Closes the cluster, and abort too).
+			// Shared aborts (MaxRounds) are hit by every participant at the
+			// same round, so those keep joining barriers and drain the whole
+			// cluster in lockstep — as does a participant whose machines
+			// have merely finished: it paces the shared barrier until the
+			// whole cluster's running count hits zero.
 			break
-		}
-		if nEvents == 0 && len(in.Msgs) == 0 && !tr.Pending() && hosted == k {
-			// Only park/unpark churn: nothing to transmit, no round passes.
-			// (A multi-process participant never takes this shortcut: even
-			// with all its hosted machines done it must keep pacing the
-			// shared barrier until the whole cluster's running count hits
-			// zero, or its peers would starve.)
-			continue
 		}
 
 		// Run the round: barrier with peers, one bandwidth quantum on
 		// every active link.
-		in.Events = nEvents
 		in.DoneDelta = doneDelta
-		if err := tr.Round(&in, &out); err != nil {
+		if err := tr.Round(in, out); err != nil {
 			dead = true
 			aborting = true
 			unilateral = true
 			if firstErr == nil {
 				firstErr = err
 			}
-			in.Msgs = in.Msgs[:0]
-			for i := 0; i < hosted; i++ {
-				if co.stepped[i] {
-					co.stepped[i] = false
-					ctxs[i].inCh <- delivery{abort: true}
-				}
-			}
+			abortStepped()
 			if co.running == 0 {
 				break
 			}
@@ -630,27 +569,16 @@ func (c *Cluster) RunContext(ctx context.Context, h Handler) (*Result, error) {
 		if met.Rounds > c.cfg.MaxRounds {
 			aborting = true
 		}
-		for i := 0; i < hosted; i++ {
+		for i, m := range c.ctxs {
 			inbox := out.Inboxes[i]
-			switch {
-			case co.stepped[i]:
-				msgs := inbox
-				if len(co.pendingInbox[i]) > 0 {
-					// Hand over the pending buffer (merged with this round's
-					// deliveries); it now belongs to the machine.
-					msgs = append(co.pendingInbox[i], msgs...)
-					co.pendingInbox[i] = nil
-				}
+			if co.stepped[i] {
 				co.stepped[i] = false
-				ctxs[i].inCh <- delivery{msgs: msgs, spare: co.spareOutbox[i], abort: aborting}
+				m.inCh <- delivery{msgs: inbox, spare: co.spareOutbox[i], abort: aborting}
 				co.spareOutbox[i] = nil
-			case co.parked[i]:
-				// Buffer for the machine's next Step after it unparks.
-				co.pendingInbox[i] = append(co.pendingInbox[i], inbox...)
-			case len(inbox) > 0:
+			} else if len(inbox) > 0 {
 				met.DroppedMessages += len(inbox)
-				for _, m := range inbox {
-					met.DroppedBytes += int64(len(m.Data))
+				for _, msg := range inbox {
+					met.DroppedBytes += int64(len(msg.Data))
 				}
 			}
 		}
@@ -659,19 +587,12 @@ func (c *Cluster) RunContext(ctx context.Context, h Handler) (*Result, error) {
 		}
 	}
 
-	// Undelivered queue remnants (including buffers for machines that
-	// returned while their deliveries were parked) are protocol bugs;
-	// surface them.
+	// Traffic still queued when the last machine returned is a protocol
+	// bug; surface it in this run's result. The queues themselves are
+	// kept, so the cumulative accounting does not charge it twice.
+	res.Metrics = met.Snapshot()
 	rm, rb := tr.Remnants()
-	met.DroppedMessages += rm
-	met.DroppedBytes += rb
-	for _, p := range co.pendingInbox {
-		for _, m := range p {
-			met.DroppedMessages++
-			met.DroppedBytes += int64(len(m.Data))
-		}
-	}
-	met.Finish()
-	res.Metrics = *met
+	res.Metrics.DroppedMessages += rm
+	res.Metrics.DroppedBytes += rb
 	return res, firstErr
 }

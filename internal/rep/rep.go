@@ -94,6 +94,7 @@ func run(g *graph.Graph, cfg Config, unweighted bool) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer cluster.Close()
 
 	// Phase 1+2: local filtering, then route survivors to both endpoints'
 	// RVP homes (batched per destination machine).

@@ -2,7 +2,6 @@ package resident
 
 import (
 	"context"
-	"errors"
 	"sync"
 	"sync/atomic"
 
@@ -26,18 +25,18 @@ type Engine struct {
 	k      int
 	banksN int
 
-	kc      *kmachine.Cluster
-	cmds    []chan hostCmd
-	replyCh chan reply
-	ackCh   chan int
-	done    chan struct{}
-	result  *kmachine.Result
-	runErr  error
+	// The residency: the cluster (each machine's Ctx, the link queues, the
+	// cumulative Metrics) and one rmachine of kept state per machine. Every
+	// command is one ordinary run of the cluster over them; between
+	// commands they are memory and nothing else.
+	kc *kmachine.Cluster
+	ms []*rmachine
 
 	// sem admits one job at a time; every field below the semaphore is
 	// guarded by holding it (New initializes them before any job can run).
 	sem          chan struct{}
 	closed       bool
+	dead         error // the run error that ended the residency, if one did
 	lastMaxRound int
 	jobSeq       int
 
@@ -60,26 +59,30 @@ type Engine struct {
 
 	// statMu guards the counters surfaced by Metrics, which must be
 	// readable while a job is in flight.
-	statMu       sync.Mutex
-	loadMetrics  kmachine.Metrics
-	lastSnapshot kmachine.Metrics
-	jobs         int
-	batches      int
-	queries      int
-	edges        int
-	banks        BankMetrics
+	statMu      sync.Mutex
+	loadMetrics kmachine.Metrics
+	total       kmachine.Metrics // the cluster's Result.Metrics after the last run
+	jobs        int
+	batches     int
+	queries     int
+	edges       int
+	banks       BankMetrics
 }
 
 // New loads g across a fresh cluster under a random vertex partition and
 // blocks until every machine finishes the load phase (shared randomness,
 // bank seeds, resident adjacency). The load is the only time the graph is
 // distributed; its cost is recorded in Metrics().Load.
-func New(g *graph.Graph, cfg Config) (*Engine, error) {
+func New(g *graph.Graph, cfg Config) (*Engine, error) { return newOn(g, cfg, nil) }
+
+// newOn is New with the rounds carried by the transport mk builds (nil:
+// transport/local); tests use it to put a residency on another backend.
+func newOn(g *graph.Graph, cfg Config, mk kmachine.TransportMaker) (*Engine, error) {
 	if err := validConfig(g.N(), cfg); err != nil {
 		return nil, err
 	}
 	part := kmachine.NewRVP(g, cfg.K, uint64(cfg.Seed)^0x9e37)
-	return newEngine(g.N(), g.M(), cfg, func(id int) *dynView {
+	return newEngine(g.N(), g.M(), cfg, mk, func(id int) *dynView {
 		lv := part.View(id)
 		return newDynView(g.N(), id, lv.Home, lv.Owned(), lv.Adj)
 	})
@@ -101,75 +104,57 @@ func NewFromSource(src graph.EdgeSource, cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newEngine(n, part.M(), cfg, func(id int) *dynView {
+	return newEngine(n, part.M(), cfg, nil, func(id int) *dynView {
 		return adoptDynView(n, id, part.Home, part.Owned(id), part.TakeAdj(id))
 	})
 }
 
-// newEngine is the shared residency bring-up: the view maker is called
-// once per machine, on that machine's goroutine, to produce its mutable
-// graph knowledge. Callers own config validation (they must validate
-// before touching their partition machinery, so newEngine does not
-// repeat it).
-func newEngine(n, edges int, cfg Config, makeView func(id int) *dynView) (*Engine, error) {
+// newEngine is the shared residency bring-up: the load is the first
+// command, in which the view maker is called once per machine, on that
+// machine's goroutine, to produce its mutable graph knowledge. mk selects
+// the transport that carries the rounds; no answer or cost depends on it.
+// Callers own config validation (they must validate before touching their
+// partition machinery, so newEngine does not repeat it).
+func newEngine(n, edges int, cfg Config, mk kmachine.TransportMaker, makeView func(id int) *dynView) (*Engine, error) {
 	ccfg := cfg.coreConfig(n)
 	banksN := cfg.Banks
 	if banksN <= 0 {
 		banksN = defaultBanks(n)
 	}
-	kc, err := kmachine.New(ccfg.MachineConfig())
+	kc, err := kmachine.NewWithTransport(ccfg.MachineConfig(), mk)
 	if err != nil {
 		return nil, err
 	}
 
 	e := &Engine{
-		cfg:     cfg,
-		ccfg:    ccfg,
-		n:       n,
-		k:       ccfg.K,
-		banksN:  banksN,
-		kc:      kc,
-		cmds:    make([]chan hostCmd, ccfg.K),
-		replyCh: make(chan reply, ccfg.K),
-		ackCh:   make(chan int, ccfg.K),
-		done:    make(chan struct{}),
-		sem:     make(chan struct{}, 1),
-		edges:   edges,
+		cfg:    cfg,
+		ccfg:   ccfg,
+		n:      n,
+		k:      ccfg.K,
+		banksN: banksN,
+		kc:     kc,
+		ms:     make([]*rmachine, ccfg.K),
+		sem:    make(chan struct{}, 1),
+		edges:  edges,
 	}
-	for i := range e.cmds {
-		e.cmds[i] = make(chan hostCmd, 1)
-	}
-	go func() {
-		res, err := kc.Run(func(ctx *kmachine.Ctx) error {
-			view := makeView(ctx.ID())
-			m := &rmachine{
-				e:      e,
-				ctx:    ctx,
-				mg:     core.NewMerger(ctx, view, ccfg),
-				view:   view,
-				ccfg:   ccfg,
-				banksN: banksN,
-			}
-			return m.loop()
-		})
-		e.result = res
-		e.runErr = err
-		close(e.done)
-	}()
-
-	rs, err := e.collect()
+	_, _, err = e.run(func(ctx *kmachine.Ctx) error {
+		view := makeView(ctx.ID())
+		m := &rmachine{
+			e:      e,
+			ctx:    ctx,
+			mg:     core.NewMerger(ctx, view, ccfg),
+			view:   view,
+			ccfg:   ccfg,
+			banksN: banksN,
+		}
+		e.ms[ctx.ID()] = m
+		return m.load()
+	})
 	if err != nil {
+		kc.Close()
 		return nil, err
 	}
-	for _, r := range rs {
-		if r.rounds > e.lastMaxRound {
-			e.lastMaxRound = r.rounds
-		}
-	}
-	if met, ok := kc.Snapshot(); ok {
-		e.loadMetrics = met
-		e.lastSnapshot = met
-	}
+	e.loadMetrics = e.total
 	loadEv := Event{Job: "load", Seq: 0, Phase: -1, Round: e.lastMaxRound, Done: true}
 	if cfg.PhaseMetrics {
 		snap := e.loadMetrics
@@ -206,85 +191,46 @@ func (e *Engine) jobCancelled() bool {
 	return p != nil && p.Load()
 }
 
-func (e *Engine) err() error {
-	if e.runErr != nil {
-		return e.runErr
+// run executes one command — h over the machines' kept state — as one
+// ordinary run of the cluster, and returns the machines' outputs plus the
+// cluster-round delta it cost. A run that fails ends the residency: the
+// machines are wherever the failure caught them, so this command and
+// every later one return its error.
+func (e *Engine) run(h kmachine.Handler) ([]any, int, error) {
+	if e.dead != nil {
+		return nil, 0, e.dead
 	}
-	return errors.New("resident: cluster terminated unexpectedly")
-}
-
-// collect gathers one reply per machine, preferring buffered replies over
-// the termination signal so late replies from a dying cluster still land.
-func (e *Engine) collect() ([]reply, error) {
-	rs := make([]reply, e.k)
-	for got := 0; got < e.k; got++ {
-		select {
-		case r := <-e.replyCh:
-			rs[r.id] = r
-		default:
-			select {
-			case r := <-e.replyCh:
-				rs[r.id] = r
-			case <-e.done:
-				return nil, e.err()
-			}
-		}
-	}
-	return rs, nil
-}
-
-// dispatch sends a command to every machine and completes the wake
-// handshake: all machines unpark and ack before the gate opens and any of
-// them steps.
-func (e *Engine) dispatch(c hostCmd) error {
-	c.wake = make(chan struct{})
-	for i := 0; i < e.k; i++ {
-		cc := c
-		if i != 0 {
-			cc.ops = nil
-		}
-		select {
-		case e.cmds[i] <- cc:
-		case <-e.done:
-			return e.err()
-		}
-	}
-	for i := 0; i < e.k; i++ {
-		select {
-		case <-e.ackCh:
-		case <-e.done:
-			return e.err()
-		}
-	}
-	close(c.wake)
-	return nil
-}
-
-// command broadcasts a command (control plane), waits for all replies, and
-// returns them plus the cluster-round delta the command cost.
-func (e *Engine) command(c hostCmd) ([]reply, int, error) {
-	if err := e.dispatch(c); err != nil {
-		return nil, 0, err
-	}
-	rs, err := e.collect()
+	res, err := e.kc.Run(h)
 	if err != nil {
+		e.dead = err
 		return nil, 0, err
 	}
 	maxR := e.lastMaxRound
 	var banks BankMetrics
-	for _, r := range rs {
-		if r.rounds > maxR {
-			maxR = r.rounds
+	for _, m := range e.ms {
+		if r := m.ctx.Round(); r > maxR {
+			maxR = r
 		}
-		banks.add(r.banks)
+		banks.add(m.banks.stats)
+		banks.PoolPeak += m.mg.Pool().Peak()
 	}
 	banks.KeptBytes = int64(banks.KeptSums) * int64(e.ccfg.Sketch.Cells()) * cellBytes
 	e.statMu.Lock()
 	e.banks = banks
+	e.total = res.Metrics
 	e.statMu.Unlock()
 	delta := maxR - e.lastMaxRound
 	e.lastMaxRound = maxR
-	return rs, delta, nil
+	return res.Outputs, delta, nil
+}
+
+// command is run for a program over one machine's kept state whose return
+// value is that machine's output.
+func (e *Engine) command(prog func(m *rmachine) any) ([]any, int, error) {
+	return e.run(func(ctx *kmachine.Ctx) error {
+		ctx.SetOutput(prog(e.ms[ctx.ID()]))
+		return nil
+	})
 }
 
 // jobToken is the admission record of one running job.
@@ -331,18 +277,14 @@ func (e *Engine) begin(ctx context.Context, name string) (*jobToken, error) {
 	case e.sem <- struct{}{}:
 	case <-ctx.Done():
 		return nil, ctx.Err()
-	case <-e.done:
-		// The cluster is gone: closed cleanly (ErrClosed) or died.
-		if e.closed {
-			return nil, ErrClosed
-		}
-		return nil, e.err()
 	}
+	err := ctx.Err()
 	if e.closed {
-		<-e.sem
-		return nil, ErrClosed
+		err = ErrClosed
+	} else if e.dead != nil {
+		err = e.dead
 	}
-	if err := ctx.Err(); err != nil {
+	if err != nil {
 		<-e.sem
 		return nil, err
 	}
@@ -353,7 +295,7 @@ func (e *Engine) begin(ctx context.Context, name string) (*jobToken, error) {
 	e.statMu.Lock()
 	e.queued--
 	e.running = 1
-	t.before = e.lastSnapshot
+	t.before = e.total
 	e.statMu.Unlock()
 	if ctx.Done() != nil {
 		// Only cancellable contexts need the watcher; Background-context
@@ -379,9 +321,10 @@ func (e *Engine) begin(ctx context.Context, name string) (*jobToken, error) {
 	return t, nil
 }
 
-// end releases the job: stops the watcher, refreshes the cumulative
-// snapshot, bumps counters, emits the done event, and frees the semaphore.
-// It returns the job's engine-cost delta.
+// end releases the job: stops the watcher, bumps counters, emits the done
+// event, and frees the semaphore. It returns the job's engine-cost delta:
+// the cluster's running total after the job's last run against the total
+// at admission.
 func (t *jobToken) end(jobErr error) kmachine.Metrics {
 	e := t.e
 	if t.stopWatch != nil {
@@ -391,12 +334,8 @@ func (t *jobToken) end(jobErr error) kmachine.Metrics {
 	if t.cancelFn != nil {
 		t.cancelFn()
 	}
-	after, ok := e.kc.Snapshot()
 	e.statMu.Lock()
-	if !ok {
-		after = e.lastSnapshot
-	}
-	e.lastSnapshot = after
+	after := e.total
 	delta := kmachine.Metrics{
 		Rounds:       after.Rounds - t.before.Rounds,
 		Messages:     after.Messages - t.before.Messages,
@@ -468,12 +407,12 @@ func (e *Engine) ApplyBatch(ctx context.Context, ops []graph.EdgeOp) (*BatchResu
 		}
 		clean = append(clean, op)
 	}
-	rs, rounds, err := e.command(hostCmd{kind: cmdApply, ops: clean, seq: t.seq, name: t.name})
+	outs, rounds, err := e.command(func(m *rmachine) any { return m.applyBatch(clean) })
 	if err != nil {
 		t.end(err)
 		return nil, err
 	}
-	r0 := rs[0].out.(*batchOutput)
+	r0 := outs[0].(*batchOutput)
 	e.statMu.Lock()
 	e.batches++
 	e.edges += r0.appliedIns - r0.appliedDel
@@ -510,7 +449,7 @@ func (e *Engine) Query(ctx context.Context) (*QueryResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	rs, rounds, err := e.command(hostCmd{kind: cmdQuery, seq: t.seq, name: t.name})
+	rs, rounds, err := e.command(func(m *rmachine) any { return m.query(t) })
 	if err != nil {
 		t.end(err)
 		return nil, err
@@ -529,7 +468,7 @@ func (e *Engine) Query(ctx context.Context) (*QueryResult, error) {
 		t.end(err)
 		return nil, err
 	}
-	q := rs[0].out.(*jobOutput).query
+	q := rs[0].(*jobOutput).query
 	res := &QueryResult{
 		Labels:            cr.Labels,
 		Components:        q.components,
@@ -553,15 +492,15 @@ func (e *Engine) Query(ctx context.Context) (*QueryResult, error) {
 	return res, nil
 }
 
-// jobOutputs splits one phase-driven job's replies into the per-machine
+// jobOutputs splits one phase-driven job's machine outputs into the per-machine
 // outputs core assembles and the phase driver's verdict (which the
-// machines reach jointly, so any one reply carries it).
-func jobOutputs(rs []reply) (outs []any, converged, cancelled bool) {
+// machines reach jointly, so any one output carries it).
+func jobOutputs(rs []any) (outs []any, converged, cancelled bool) {
 	outs = make([]any, len(rs))
 	for i, r := range rs {
-		outs[i] = r.out.(*jobOutput).machine
+		outs[i] = r.(*jobOutput).machine
 	}
-	r0 := rs[0].out.(*jobOutput)
+	r0 := rs[0].(*jobOutput)
 	return outs, r0.converged, r0.cancelled
 }
 
@@ -576,7 +515,7 @@ func (e *Engine) MST(ctx context.Context, strong bool) (*core.MSTResult, error) 
 		return nil, err
 	}
 	startR := e.lastMaxRound
-	rs, _, err := e.command(hostCmd{kind: cmdMST, strong: strong, seq: t.seq, name: t.name})
+	rs, _, err := e.command(func(m *rmachine) any { return m.runMST(t, strong) })
 	if err != nil {
 		t.end(err)
 		return nil, err
@@ -609,7 +548,7 @@ func (e *Engine) runDerived(t *jobToken, spec *runSpec) (verify.Run, int, error)
 	if err := t.ctx.Err(); err != nil {
 		return verify.Run{}, 0, err
 	}
-	rs, rounds, err := e.command(hostCmd{kind: cmdRun, spec: spec, seq: t.seq, name: t.name})
+	rs, rounds, err := e.command(func(m *rmachine) any { return m.runDerived(t, spec) })
 	if err != nil {
 		return verify.Run{}, 0, err
 	}
@@ -630,7 +569,7 @@ func (e *Engine) runDerived(t *jobToken, spec *runSpec) (verify.Run, int, error)
 	}
 	run := verify.Run{Components: cr.Components, Labels: cr.Labels}
 	for _, r := range rs {
-		run.ProbePresent = run.ProbePresent || r.out.(*jobOutput).probePresent
+		run.ProbePresent = run.ProbePresent || r.(*jobOutput).probePresent
 	}
 	return run, rounds, nil
 }
@@ -699,7 +638,7 @@ func (e *Engine) Metrics() Metrics {
 	defer e.statMu.Unlock()
 	return Metrics{
 		Load:           e.loadMetrics,
-		Total:          e.lastSnapshot,
+		Total:          e.total,
 		LoadRounds:     e.loadMetrics.Rounds,
 		Jobs:           e.jobs,
 		Batches:        e.batches,
@@ -736,22 +675,24 @@ func (e *Engine) N() int { return e.n }
 // K returns the machine count.
 func (e *Engine) K() int { return e.k }
 
-// Close shuts the cluster down and returns the session-wide engine
-// metrics. Further jobs return ErrClosed; Close is idempotent and waits
-// for the in-flight job, if any, to finish.
+// Close ends the residency and returns the session-wide engine metrics
+// (with the run error that ended it early, if one did). Further jobs
+// return ErrClosed; Close is idempotent and waits for the in-flight job,
+// if any, to finish.
 func (e *Engine) Close() (*kmachine.Metrics, error) {
-	select {
-	case e.sem <- struct{}{}:
-		if !e.closed {
-			e.closed = true
-			e.dispatch(hostCmd{kind: cmdClose})
+	e.sem <- struct{}{}
+	defer func() { <-e.sem }()
+	if !e.closed {
+		e.closed = true
+		if e.dead == nil {
+			for _, m := range e.ms {
+				m.banks.close()
+				m.mg.ReleasePools()
+			}
 		}
-		<-e.sem
-	case <-e.done:
+		e.ms = nil
+		e.kc.Close()
 	}
-	<-e.done
-	if e.result != nil {
-		return &e.result.Metrics, e.runErr
-	}
-	return nil, e.runErr
+	total := e.total
+	return &total, e.dead
 }

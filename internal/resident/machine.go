@@ -1,7 +1,6 @@
 package resident
 
 import (
-	"fmt"
 	"sort"
 
 	"kmgraph/internal/core"
@@ -12,45 +11,14 @@ import (
 	"kmgraph/internal/wire"
 )
 
-// Host command kinds. Command arrival is control plane and free; command
-// *contents* that are data (batch ops) enter only at machine 0 and are
+// A command is a program the host runs over every machine's kept state
+// (Engine.command). Command arrival is control plane and free; command
+// *contents* that are data (batch ops) are read only by machine 0 and
 // distributed in-model at metered cost. Run/MST specs are public problem
 // statements (local knowledge), so they ride the control plane like the
-// one-shot algorithms' pre-filtered inputs.
-const (
-	cmdApply = iota
-	cmdQuery
-	cmdRun
-	cmdMST
-	cmdClose
-)
-
-// hostCmd is a control-plane command.
-//
-// wake is the determinism gate: each machine unparks and acks, then blocks
-// on wake until the host has seen all k acks. This guarantees every
-// machine has re-entered the round barrier before any machine steps, so
-// barrier grouping — and therefore per-command round counts — cannot
-// depend on goroutine scheduling.
-type hostCmd struct {
-	kind   int
-	seq    int            // job sequence number (observer events)
-	name   string         // job family name (observer events)
-	ops    []graph.EdgeOp // cmdApply: machine 0 (ingress) only
-	spec   *runSpec       // cmdRun
-	strong bool           // cmdMST: strong output criterion
-	wake   chan struct{}
-}
-
-// reply is one machine's out-of-band result for one command — the model's
-// designated output variable o_i, read between commands: nil (load ack),
-// *batchOutput, or *jobOutput.
-type reply struct {
-	id     int
-	rounds int
-	out    any
-	banks  BankMetrics // this machine's bank ledger so far
-}
+// one-shot algorithms' pre-filtered inputs. Each machine's result is the
+// model's designated output variable o_i for that run: *batchOutput or
+// *jobOutput.
 
 // batchOutput is machine 0's verdict tally for one applied batch.
 type batchOutput struct {
@@ -79,10 +47,10 @@ type queryOutput struct {
 }
 
 // rmachine is one machine's resident state for the lifetime of the
-// engine: the shared merge engine (labels, proxy states), the mutable
-// adjacency view, the maintained sketch banks, and — on machine 0 — the
-// certificate coordinator. The machine executes host commands in SPMD
-// style.
+// engine: its cluster Ctx and the session communicator bound to it, the
+// shared merge engine (labels, proxy states), the mutable adjacency view,
+// the maintained sketch banks, and — on machine 0 — the certificate
+// coordinator. It is plain state: a command's run lends it a goroutine.
 type rmachine struct {
 	e      *Engine
 	ctx    *kmachine.Ctx
@@ -103,7 +71,9 @@ type rmachine struct {
 	chg         []byte      // the final sync's encoded label changes, reused
 }
 
-func (m *rmachine) loop() error {
+// load is the first command: shared randomness, bank seeds, and — on
+// machine 0 — the certificate coordinator.
+func (m *rmachine) load() error {
 	if err := m.mg.Setup(); err != nil {
 		return err
 	}
@@ -119,43 +89,7 @@ func (m *rmachine) loop() error {
 	if m.ctx.ID() == 0 {
 		m.coord = newCoordinator(m.view.n)
 	}
-	m.reply(nil) // ready: load done, rounds carried in the reply
-
-	for {
-		// Park while idling on the host: the round barrier proceeds
-		// without this machine, so peers still draining deliveries are
-		// never stalled. The ack/wake handshake then holds every machine
-		// back until all have unparked, keeping barrier grouping — and so
-		// round accounting — deterministic.
-		m.ctx.Park()
-		cmd := <-m.e.cmds[m.ctx.ID()]
-		m.ctx.Unpark()
-		m.e.ackCh <- m.ctx.ID()
-		<-cmd.wake
-		switch cmd.kind {
-		case cmdApply:
-			m.applyBatch(cmd.ops)
-		case cmdQuery:
-			m.query(cmd)
-		case cmdRun:
-			m.runDerived(cmd)
-		case cmdMST:
-			m.runMST(cmd)
-		case cmdClose:
-			m.banks.close()
-			m.mg.ReleasePools()
-			m.ctx.SetOutput(&struct{}{})
-			return nil
-		default:
-			return fmt.Errorf("resident: unknown command %d", cmd.kind)
-		}
-	}
-}
-
-func (m *rmachine) reply(out any) {
-	banks := m.banks.stats
-	banks.PoolPeak = m.mg.Pool().Peak()
-	m.e.replyCh <- reply{id: m.ctx.ID(), rounds: m.ctx.Round(), out: out, banks: banks}
+	return nil
 }
 
 // phaseEvents returns the job's phase hook: an observer event from
@@ -165,13 +99,13 @@ func (m *rmachine) reply(out any) {
 // (snapshot requests ride the event channel but are not barrier events,
 // so fetching one mid-run cannot wedge the round loop or change any
 // metered quantity).
-func (m *rmachine) phaseEvents(cmd hostCmd) core.PhaseFunc {
+func (m *rmachine) phaseEvents(t *jobToken) core.PhaseFunc {
 	if m.ctx.ID() != 0 || m.e.cfg.Observer == nil {
 		return nil
 	}
 	return func(phase, round int, active, failures uint64) {
 		ev := Event{
-			Job: cmd.name, Seq: cmd.seq, Phase: phase,
+			Job: t.name, Seq: t.seq, Phase: phase,
 			Round: round, Active: active, Failures: failures,
 		}
 		if m.e.cfg.PhaseMetrics {
@@ -198,7 +132,7 @@ func (m *rmachine) jobMerger(view core.GraphView, cfg core.Config) *core.Merger 
 // and collects per-op accept/reject verdicts back at machine 0 (which
 // folds accepted ops into the certificate). Ops arrive canonicalized
 // (U < V); the home of U is the primary, responsible for the verdict.
-func (m *rmachine) applyBatch(ops []graph.EdgeOp) {
+func (m *rmachine) applyBatch(ops []graph.EdgeOp) *batchOutput {
 	k := m.ctx.K()
 
 	// Exchange 1: ingress routes each op to both endpoints' homes.
@@ -311,7 +245,7 @@ func (m *rmachine) applyBatch(ops []graph.EdgeOp) {
 			m.coord.applyAccepted(op)
 		}
 	}
-	m.reply(rep)
+	return rep
 }
 
 // applyOp mutates the live adjacency and the maintained banks for the
@@ -364,7 +298,7 @@ func (m *rmachine) applyOp(del bool, u, v int, w int64) bool {
 // fresh forest edges and label changes to the coordinator. A cancelled
 // query breaks at a phase boundary but still runs the final sync, so the
 // coordinator's certificate stays consistent with the machines' labels.
-func (m *rmachine) query(cmd hostCmd) {
+func (m *rmachine) query(t *jobToken) *jobOutput {
 	startFail := m.mg.Failures
 	startCollapse := m.mg.CollapseIters
 	rep := &jobOutput{}
@@ -415,7 +349,7 @@ func (m *rmachine) query(cmd hostCmd) {
 	}
 	m.mergeRecs = m.mergeRecs[:0]
 	phases, converged, cancelled := m.mg.RunPhases(m.globalPhase, m.ccfg.MaxPhases,
-		func(i int) { m.selectBanks(i % m.banksN) }, m.phaseEvents(cmd))
+		func(i int) { m.selectBanks(i % m.banksN) }, m.phaseEvents(t))
 	m.globalPhase += phases
 	rep.converged, rep.cancelled = converged, cancelled
 
@@ -464,10 +398,10 @@ func (m *rmachine) query(cmd hostCmd) {
 		rep.query.forest = m.coord.forestEdges()
 		rep.query.mergeEdges = len(merges)
 	}
-	// The session merger's labels and counters outlive the job: reply with
-	// this query's deltas and the live label map, which the host assembles
-	// into its own slice before it admits the next command — and only a
-	// command changes labels.
+	// The session merger's labels and counters outlive the job: the output
+	// is this query's deltas and the live label map, which the host
+	// assembles into its own slice before it admits the next command — and
+	// only a command changes labels.
 	rep.machine = &core.MachineOutput{
 		Labels:        m.mg.Labels,
 		Failures:      m.mg.Failures - startFail,
@@ -475,7 +409,7 @@ func (m *rmachine) query(cmd hostCmd) {
 		CollapseIters: m.mg.CollapseIters - startCollapse,
 		ProtocolCount: -1,
 	}
-	m.reply(rep)
+	return rep
 }
 
 // selectBanks is the dynamic selection step: the static sketch path
@@ -499,30 +433,29 @@ func (m *rmachine) selectBanks(bank int) {
 // view of the live graph — the building block of the min-cut sampling
 // trials and the verification reductions: core's connectivity job on a
 // per-job merger over the derived view.
-func (m *rmachine) runDerived(cmd hostCmd) {
-	spec := cmd.spec
+func (m *rmachine) runDerived(t *jobToken, spec *runSpec) *jobOutput {
 	rep := &jobOutput{}
 	if spec.probeU >= 0 && m.view.Home(spec.probeU) == m.ctx.ID() {
 		rep.probePresent = m.view.has(spec.probeU, spec.probeV)
 	}
 	fm := m.jobMerger(m.derive(spec), m.runConfig(spec))
 	defer fm.ReleasePools()
-	out, converged, cancelled := fm.ConnectivityJob(m.globalPhase, m.phaseEvents(cmd))
+	out, converged, cancelled := fm.ConnectivityJob(m.globalPhase, m.phaseEvents(t))
 	m.globalPhase += out.Phases
 	rep.machine, rep.converged, rep.cancelled = out, converged, cancelled
-	m.reply(rep)
+	return rep
 }
 
 // runMST constructs the minimum spanning forest of the live graph: core's
 // §3.1 MST job on a per-job merger over the resident adjacency.
-func (m *rmachine) runMST(cmd hostCmd) {
+func (m *rmachine) runMST(t *jobToken, strong bool) *jobOutput {
 	fm := m.jobMerger(m.view, m.ccfg)
 	defer fm.ReleasePools()
 	maxElim := m.e.cfg.MaxElimIters
 	if maxElim <= 0 {
 		maxElim = core.DefaultMaxElimIters(m.view.N())
 	}
-	out, converged, cancelled := fm.MSTJob(m.globalPhase, maxElim, cmd.strong, m.phaseEvents(cmd))
+	out, converged, cancelled := fm.MSTJob(m.globalPhase, maxElim, strong, m.phaseEvents(t))
 	m.globalPhase += out.Phases
-	m.reply(&jobOutput{machine: out, converged: converged, cancelled: cancelled})
+	return &jobOutput{machine: out, converged: converged, cancelled: cancelled}
 }

@@ -5,11 +5,15 @@
 // min-cut approximation, and the Theorem 4 verification problems — without
 // ever re-distributing the graph.
 //
-// The substrate generalizes the dynamic subsystem's serving loop (which it
-// absorbs): each machine is a long-lived goroutine that parks on the round
-// barrier while idle (kmachine Park/Unpark), wakes for host commands, and
-// executes them in SPMD lockstep. Residency means three things survive
-// across jobs:
+// A residency is state, not a host. The engine owns one kmachine.Cluster
+// (each machine's Ctx, the link queues, the cumulative Metrics) and one
+// rmachine of kept state per machine, and executes every command — the
+// load, a batch, a query, a derived run, an MST — as one ordinary run of
+// that cluster whose handler is the command's program over the kept
+// state: outputs come back through Ctx.SetOutput, costs through
+// Result.Metrics. Between commands the residency is memory and holds no
+// goroutine; nothing in it depends on which transport carries its rounds.
+// Three things survive across jobs:
 //
 //   - The loaded state: the random vertex partition, each machine's
 //     mutable adjacency, and the shared randomness established at load
@@ -31,7 +35,10 @@
 // A running job observes cancellation cooperatively at phase boundaries —
 // the verdict rides the phase-end collectives (core.Merger.PhaseSync), so
 // every machine stops at the same point of the protocol, the barrier is
-// never wedged, and the cluster stays serviceable for the next job.
+// never wedged, and the cluster stays serviceable for the next job. A
+// run that fails — a machine program that panics, a session past
+// MaxRounds — ends the residency instead: that job and every later one
+// return the run's error.
 // Per-phase freshness across jobs comes from a session-global phase
 // counter: proxy assignments h_{j,ρ}, DRR ranks, and sketch seeds never
 // repeat within a session.

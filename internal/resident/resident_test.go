@@ -448,6 +448,13 @@ func TestCloseReleasesGoroutines(t *testing.T) {
 	if met.Rounds <= 0 || met.DroppedMessages != 0 {
 		t.Fatalf("bad close metrics: %+v", met)
 	}
+	waitForGoroutines(t, base)
+}
+
+// waitForGoroutines polls until the goroutine count is back at base, and
+// fails with a stack dump if it is not within five seconds.
+func waitForGoroutines(t *testing.T, base int) {
+	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > base {
 		if time.Now().After(deadline) {

@@ -188,11 +188,6 @@ func (t *Transport) wrap(err error) error {
 // Hosted returns the wrapped transport's machine range.
 func (t *Transport) Hosted() (int, int) { return t.inner.Hosted() }
 
-// Pending reports the wrapped transport's in-flight bits; messages held
-// by the chaos layer count as pending too (they will re-enter a later
-// round).
-func (t *Transport) Pending() bool { return len(t.delayed) > 0 || t.inner.Pending() }
-
 // Remnants reports the wrapped transport's queued remnants plus any
 // messages still held by the chaos layer at termination.
 func (t *Transport) Remnants() (int, int64) {
@@ -276,7 +271,7 @@ func (t *Transport) Round(in *transport.RoundIn, out *transport.RoundOut) error 
 	// The inner transport must not observe the engine's slice; swap in
 	// the filtered view with the other barrier fields intact.
 	t.record(t.staged)
-	filtered := transport.RoundIn{Msgs: t.staged, Events: in.Events, DoneDelta: in.DoneDelta}
+	filtered := transport.RoundIn{Msgs: t.staged, DoneDelta: in.DoneDelta}
 	return t.wrap(t.inner.Round(&filtered, out))
 }
 

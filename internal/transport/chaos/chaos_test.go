@@ -53,8 +53,8 @@ func runConnectivity(n, m int, gs int64, cfg core.Config, plan Plan) (*core.Resu
 	}
 	cfg = cfg.WithDefaults(part.N())
 	var ct *Transport
-	cluster, err := kmachine.NewWithTransport(cfg.MachineConfig(), func(p transport.Params, met *transport.Metrics, workers int) (transport.Transport, error) {
-		ct = New(local.New(p, met, workers), plan)
+	cluster, err := kmachine.NewWithTransport(cfg.MachineConfig(), func(p transport.Params, met *transport.Metrics) (transport.Transport, error) {
+		ct = New(local.New(p, met), plan)
 		return ct, nil
 	})
 	if err != nil {

@@ -2,8 +2,8 @@
 // in one process and every round's traffic moves through the shared link
 // simulator directly, with no serialization. It is the bit-exact
 // reference backend — the TCP backend must produce identical Metrics on
-// identical inputs — and the only backend that supports parked (resident)
-// clusters, whose quiescence logic needs a global view of in-flight bits.
+// identical inputs. It owns no goroutine, socket or file: a cluster built
+// on it that is simply dropped leaks nothing.
 package local
 
 import "kmgraph/internal/transport"
@@ -18,10 +18,9 @@ type Local struct {
 }
 
 // New returns a local transport over all k machines, accounting into met.
-// workers bounds the sharded transmit fan-out (1 disables it).
-func New(p transport.Params, met *transport.Metrics, workers int) *Local {
+func New(p transport.Params, met *transport.Metrics) *Local {
 	return &Local{
-		sw:      transport.NewSwitch(p, 0, p.K, met, workers),
+		sw:      transport.NewSwitch(p, 0, p.K, met, 1),
 		k:       p.K,
 		running: p.K,
 		inboxes: make([][]transport.Message, p.K),
@@ -42,6 +41,7 @@ func (l *Local) Round(in *transport.RoundIn, out *transport.RoundOut) error {
 	l.running -= in.DoneDelta
 	out.Running = l.running
 	if l.running == 0 {
+		l.running = l.k // the run is over; the next barrier opens the next
 		out.Advanced = false
 		out.Inboxes = nil
 		return nil
@@ -55,14 +55,8 @@ func (l *Local) Round(in *transport.RoundIn, out *transport.RoundOut) error {
 	return nil
 }
 
-// Pending reports whether any bits are in flight.
-func (l *Local) Pending() bool { return l.sw.Active() }
-
 // Remnants reports traffic still queued at termination.
 func (l *Local) Remnants() (int, int64) { return l.sw.Remnants() }
 
 // Close is a no-op for the in-process backend.
-func (l *Local) Close() error {
-	l.sw.Stop()
-	return nil
-}
+func (l *Local) Close() error { return nil }

@@ -3,8 +3,6 @@ package transport
 import (
 	"fmt"
 	"math/bits"
-	"sync"
-	"sync/atomic"
 )
 
 // queued is an in-flight message with transmission progress.
@@ -31,16 +29,6 @@ type linkQueue struct {
 
 func (q *linkQueue) empty() bool { return q.head == len(q.items) }
 
-// Parallel-transmit tuning. The transmit loop shards per-destination work
-// across workers only when enough links are active to amortize the join;
-// small or sparse rounds take the serial path. Both paths are bit-exact.
-// The vars are overridable by tests to force the parallel path.
-var (
-	TransmitParallelMinLinks = 64
-	TransmitMaxWorkers       = 16
-	TransmitForceParallel    = false // tests only: take the sharded path always
-)
-
 // Switch is the link simulator for the incoming links of destinations
 // [lo, hi) in a k-machine cluster: one FIFO byte queue per directed link,
 // drained at BandwidthBits per round, with an active-link index (a
@@ -50,9 +38,8 @@ var (
 // owns its hosted sub-range — which is what keeps the backends bit-exact
 // with each other.
 //
-// A Switch is driven by one goroutine (the round engine); only the
-// sharded transmit fans out internally, merging per-destination counters
-// deterministically in destination order after the join.
+// A Switch is driven by one goroutine (the round engine) and owns none of
+// its own: nothing about it needs stopping or closing.
 type Switch struct {
 	p      Params
 	lo, hi int
@@ -68,52 +55,26 @@ type Switch struct {
 	inbox    [][]Message
 	inboxBuf [][2][]Message
 	inboxSel []int
-
-	// Per-destination transmit results, merged deterministically (in
-	// destination order) after a parallel round.
-	dstMsgs    []int64
-	dstBytes   []int64
-	dstDrained []int32
-
-	workers int
-	next    atomic.Int64 // destination cursor for the sharded transmit
-
-	// Persistent transmit pool: workers park on wake and each drains
-	// destinations from the shared cursor until it passes roundN, then
-	// checks in on roundWG. Spawned lazily on the first sharded round
-	// (guarded by a plain nil check — the Switch is single-driver) and
-	// torn down by Stop; the round loop itself never creates a goroutine
-	// (or its closure) per round.
-	stopOnce sync.Once
-	wake     chan struct{}
-	stop     chan struct{}
-	roundN   int
-	roundWG  sync.WaitGroup
 }
 
 // NewSwitch returns a link simulator for destinations [lo, hi) of a
-// k-machine cluster, accounting into met. workers bounds the sharded
-// transmit fan-out (1 disables it).
-func NewSwitch(p Params, lo, hi int, met *Metrics, workers int) *Switch {
+// k-machine cluster, accounting into met. The last parameter is unused:
+// it bounded a sharded transmit pool that is gone (no measurement ever
+// favoured it), and stays only because bench/ calls this signature — the
+// next [benchmark] PR can drop it there and here, with Stop.
+func NewSwitch(p Params, lo, hi int, met *Metrics, _ int) *Switch {
 	n := hi - lo
-	if workers < 1 {
-		workers = 1
-	}
 	s := &Switch{
-		p:          p,
-		lo:         lo,
-		hi:         hi,
-		met:        met,
-		queues:     make([]linkQueue, n*p.K),
-		activeSrc:  make([][]uint64, n),
-		dstActive:  make([]int, n),
-		inbox:      make([][]Message, n),
-		inboxBuf:   make([][2][]Message, n),
-		inboxSel:   make([]int, n),
-		dstMsgs:    make([]int64, n),
-		dstBytes:   make([]int64, n),
-		dstDrained: make([]int32, n),
-		workers:    workers,
+		p:         p,
+		lo:        lo,
+		hi:        hi,
+		met:       met,
+		queues:    make([]linkQueue, n*p.K),
+		activeSrc: make([][]uint64, n),
+		dstActive: make([]int, n),
+		inbox:     make([][]Message, n),
+		inboxBuf:  make([][2][]Message, n),
+		inboxSel:  make([]int, n),
 	}
 	words := (p.K + 63) >> 6
 	for d := 0; d < n; d++ {
@@ -150,16 +111,14 @@ func (s *Switch) Enqueue(m Message) {
 }
 
 // transmitDst drains one round of bandwidth on every active link into
-// hosted destination index di. It touches only di-indexed state (queues,
-// bitmaps, inbox, counters) plus distinct LinkBits elements, so distinct
-// destinations can run concurrently.
+// hosted destination index di.
 //
 //km:hotpath
 func (s *Switch) transmitDst(di int) {
 	d := s.lo + di
 	buf := s.inbox[di]
 	words := s.activeSrc[di]
-	var delivered, drained int32
+	var delivered, drained int
 	var payload int64
 	for wi, w := range words {
 		for w != 0 {
@@ -203,18 +162,16 @@ func (s *Switch) transmitDst(di int) {
 	s.inbox[di] = buf
 	s.inboxBuf[di][s.inboxSel[di]] = buf // retain grown capacity for reuse
 	s.met.RecvMsgs[d] += int64(delivered)
-	s.dstMsgs[di] = int64(delivered)
-	s.dstBytes[di] = payload
-	s.dstDrained[di] = drained
-	s.dstActive[di] -= int(drained)
+	s.met.Messages += int64(delivered)
+	s.met.PayloadBytes += payload
+	s.dstActive[di] -= drained
+	s.active -= drained
 }
 
 // TransmitRound advances every active hosted link by one round of
-// bandwidth, choosing the sharded or serial path, and merges the
-// per-destination counters into the metrics in destination order. The
-// deliveries land in the per-destination inboxes (see Inbox) and the
-// double buffers are flipped, so a buffer returned last round stays
-// untouched for one more round.
+// bandwidth, destination by destination. The deliveries land in the
+// per-destination inboxes (see Inbox) and the double buffers are flipped,
+// so a buffer returned last round stays untouched for one more round.
 //
 //km:hotpath
 func (s *Switch) TransmitRound() {
@@ -222,76 +179,14 @@ func (s *Switch) TransmitRound() {
 	for di := 0; di < n; di++ {
 		s.inboxSel[di] ^= 1
 		s.inbox[di] = s.inboxBuf[di][s.inboxSel[di]][:0]
-		s.dstMsgs[di], s.dstBytes[di], s.dstDrained[di] = 0, 0, 0
-	}
-	if s.workers > 1 && (s.active >= TransmitParallelMinLinks || TransmitForceParallel) {
-		if s.wake == nil {
-			s.startPool()
-		}
-		s.next.Store(0)
-		s.roundN = n
-		s.roundWG.Add(s.workers)
-		for w := 0; w < s.workers; w++ {
-			s.wake <- struct{}{}
-		}
-		s.roundWG.Wait()
-	} else {
-		for di := 0; di < n; di++ {
-			if s.dstActive[di] > 0 {
-				s.transmitDst(di)
-			}
-		}
-	}
-	for di := 0; di < n; di++ {
-		s.met.Messages += s.dstMsgs[di]
-		s.met.PayloadBytes += s.dstBytes[di]
-		s.active -= int(s.dstDrained[di])
-	}
-}
-
-// startPool launches the persistent transmit workers. Each wake token
-// admits one worker to one round; the token send happens-before the
-// worker's read of roundN and the queue state, and the worker's writes
-// happen-before roundWG.Wait returns.
-func (s *Switch) startPool() {
-	s.wake = make(chan struct{})
-	s.stop = make(chan struct{})
-	for w := 0; w < s.workers; w++ {
-		go s.poolWorker()
-	}
-}
-
-func (s *Switch) poolWorker() {
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-s.wake:
-			for {
-				di := int(s.next.Add(1)) - 1
-				if di >= s.roundN {
-					break
-				}
-				if s.dstActive[di] > 0 {
-					s.transmitDst(di)
-				}
-			}
-			s.roundWG.Done()
+		if s.dstActive[di] > 0 {
+			s.transmitDst(di)
 		}
 	}
 }
 
-// Stop tears down the transmit pool, if one was started. The Switch
-// remains usable afterward on the serial path only; transport backends
-// call Stop from Close.
-func (s *Switch) Stop() {
-	s.stopOnce.Do(func() {
-		if s.stop != nil {
-			close(s.stop)
-		}
-		s.workers = 1
-	})
-}
+// Stop does nothing (see NewSwitch); bench/ defers it.
+func (s *Switch) Stop() {}
 
 // Inbox returns hosted destination d's deliveries from the last
 // TransmitRound. The slice is valid until the second-next TransmitRound.

@@ -1,6 +1,7 @@
 package tcp
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -270,21 +271,38 @@ var errHandshake = fmt.Errorf("tcp: handshake rejected")
 // handshake (send ours, read theirs, validate), and returns the
 // established link. Connect and handshake failures are retried under
 // Options (a peer may not have learned about the cluster yet); each
-// retry increments the reconnect counter.
-func Dial(addr string, ours *Hello, wantIndex int, opts Options) (*Peer, error) {
+// retry increments the reconnect counter. Dial returns ctx.Err() as soon
+// as ctx ends, whether it is connecting, backing off or waiting for the
+// peer's hello.
+func Dial(ctx context.Context, addr string, ours *Hello, wantIndex int, opts Options) (*Peer, error) {
 	opts = opts.withDefaults()
+	dialer := net.Dialer{Timeout: opts.DialTimeout}
 	var lastErr error
 	for attempt := 0; attempt < opts.DialAttempts; attempt++ {
 		if attempt > 0 {
 			reconnectsCounter().Inc()
-			time.Sleep(opts.DialBackoff)
+			backoff := time.NewTimer(opts.DialBackoff)
+			select {
+			case <-backoff.C:
+			case <-ctx.Done():
+				backoff.Stop()
+			}
 		}
-		conn, err := net.DialTimeout("tcp", addr, opts.DialTimeout)
+		if ctx.Err() != nil {
+			return nil, ctx.Err()
+		}
+		conn, err := dialer.DialContext(ctx, "tcp", addr)
 		if err != nil {
 			lastErr = err
 			continue
 		}
+		// A listener that accepts and never answers would hold the hello
+		// read for HandshakeTimeout; closing the connection ends it at once.
+		stop := context.AfterFunc(ctx, func() { conn.Close() })
 		theirs, err := handshakeActive(conn, ours, opts)
+		if !stop() {
+			return nil, ctx.Err()
+		}
 		if err != nil {
 			conn.Close()
 			if errors.Is(err, errHandshake) {

@@ -43,16 +43,15 @@ type Transport struct {
 }
 
 // New assembles the transport for the participant hosting [lo, hi),
-// from already-handshaken peer links covering the rest of [0, K).
-// workers bounds the sharded transmit fan-out. New takes ownership of
-// the peers; Close closes them.
-func New(p transport.Params, met *transport.Metrics, workers, lo, hi int, peers []*Peer) (*Transport, error) {
+// from already-handshaken peer links covering the rest of [0, K). New
+// takes ownership of the peers; Close closes them.
+func New(p transport.Params, met *transport.Metrics, lo, hi int, peers []*Peer) (*Transport, error) {
 	if lo < 0 || hi > p.K || lo >= hi {
 		return nil, fmt.Errorf("tcp: hosting [%d,%d) of %d machines", lo, hi, p.K)
 	}
 	t := &Transport{
 		p:           p,
-		sw:          transport.NewSwitch(p, lo, hi, met, workers),
+		sw:          transport.NewSwitch(p, lo, hi, met, 1),
 		lo:          lo,
 		hi:          hi,
 		peers:       append([]*Peer(nil), peers...),
@@ -177,6 +176,9 @@ func (t *Transport) Round(in *transport.RoundIn, out *transport.RoundOut) error 
 
 	out.Running = t.running
 	if t.running <= 0 {
+		// The run is over, at this barrier for every participant; the next
+		// barrier opens the next.
+		t.running = t.p.K
 		out.Advanced = false
 		out.Inboxes = nil
 		return nil
@@ -190,16 +192,12 @@ func (t *Transport) Round(in *transport.RoundIn, out *transport.RoundOut) error 
 	return nil
 }
 
-// Pending reports whether any hosted link has bits in flight.
-func (t *Transport) Pending() bool { return t.sw.Active() }
-
 // Remnants reports traffic still queued on hosted links at termination.
 func (t *Transport) Remnants() (int, int64) { return t.sw.Remnants() }
 
 // Close tears down every peer link (best-effort Bye, then the socket).
 func (t *Transport) Close() error {
 	t.closeOnce.Do(func() {
-		t.sw.Stop()
 		for _, pr := range t.peers {
 			pr.Close()
 		}

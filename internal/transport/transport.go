@@ -131,9 +131,6 @@ type RoundIn struct {
 	// grouped by source machine ID ascending with per-source send order
 	// preserved (the only order the link FIFOs observe).
 	Msgs []Message
-	// Events is the number of hosted machines that submitted a step or
-	// return event at this barrier.
-	Events int
 	// DoneDelta is the number of hosted machines that returned (halted)
 	// at this barrier.
 	DoneDelta int
@@ -158,7 +155,10 @@ type RoundOut struct {
 
 // Transport moves rounds of k-machine traffic for the machines one
 // process hosts. Implementations are driven by a single engine goroutine;
-// Round is never called concurrently.
+// Round is never called concurrently. A transport carries every run of its
+// cluster: the barrier at which Running reaches zero ends one run, and the
+// next Round call opens the next with all K machines running again and
+// whatever the link queues still hold.
 type Transport interface {
 	// Hosted returns the half-open range [lo, hi) of machine indices this
 	// process runs. The local backend hosts [0, K).
@@ -170,9 +170,6 @@ type Transport interface {
 	// lost a peer returns an error wrapping ErrLinkDown; the engine then
 	// aborts the job.
 	Round(in *RoundIn, out *RoundOut) error
-	// Pending reports whether any bits are still in flight on hosted
-	// links (used by the engine's quiescence logic for parked clusters).
-	Pending() bool
 	// Remnants returns the count and payload bytes of messages still
 	// queued on hosted links at termination (protocol-bug accounting).
 	Remnants() (int, int64)

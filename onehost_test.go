@@ -1,0 +1,90 @@
+package kmgraph
+
+import (
+	"context"
+	"fmt"
+	"os"
+	"path/filepath"
+	"regexp"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+)
+
+// settleGoroutines polls until the goroutine count is back at base (or the
+// deadline passes) and returns the last count seen.
+func settleGoroutines(base int) int {
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(5 * time.Second); n > base && time.Now().Before(deadline); {
+		time.Sleep(5 * time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	return n
+}
+
+// TestIdleClusterHoldsNoGoroutines pins what running every command as an
+// ordinary kmachine run buys: a residency is state, so between jobs a
+// Cluster costs memory and not one goroutine (a parked k=8 engine held 11:
+// k machines, the coordinator, the Run caller and the transmit pool).
+func TestIdleClusterHoldsNoGoroutines(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	base := runtime.NumGoroutine()
+	g := GNM(400, 1200, 3)
+	c, err := NewCluster(g, WithK(8), WithSeed(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Connectivity(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.ApplyBatch(context.Background(), []EdgeOp{{U: 0, V: 399, W: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	// More is a leak; fewer is an earlier test's straggler exiting.
+	if n := settleGoroutines(base); n > base {
+		t.Errorf("idle Cluster: %d goroutines, %d before NewCluster", n, base)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := settleGoroutines(base); n > base {
+		t.Errorf("closed Cluster: %d goroutines, %d before NewCluster", n, base)
+	}
+}
+
+// TestOneHost fails if the residency grows back into a host of its own: a
+// machine that idles inside a never-returning run (Park/Unpark), a
+// transport that must report in-flight bits for that run's quiescence
+// logic (Pending), or a command channel per machine. A command is one
+// ordinary kmachine run over state that outlives it.
+func TestOneHost(t *testing.T) {
+	parked := regexp.MustCompile(`\b(Park|Unpark)\(|\bPending\(\)|\[\]chan\b|chan hostCmd`)
+	var sites []string
+	for _, dir := range []string{"internal/kmachine", "internal/transport", "internal/transport/local",
+		"internal/transport/tcp", "internal/transport/chaos", "internal/resident"} {
+		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil || len(files) == 0 {
+			t.Fatalf("no Go files under %s (%v)", dir, err)
+		}
+		for _, path := range files {
+			if strings.HasSuffix(path, "_test.go") {
+				continue
+			}
+			src, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, line := range strings.Split(string(src), "\n") {
+				if parked.MatchString(line) {
+					sites = append(sites, fmt.Sprintf("%s:%d: %s", path, i+1, strings.TrimSpace(line)))
+				}
+			}
+		}
+	}
+	if len(sites) != 0 {
+		t.Fatalf("the parked-cluster design is back:\n%s", strings.Join(sites, "\n"))
+	}
+}
