@@ -22,7 +22,10 @@ import (
 	"testing"
 	"time"
 
+	"kmgraph/internal/core"
 	"kmgraph/internal/dist"
+	"kmgraph/internal/kmachine"
+	"kmgraph/internal/resident"
 )
 
 // startTestWorkers launches count in-process kmworkers.
@@ -269,11 +272,12 @@ func TestFleetClusterCancellation(t *testing.T) {
 
 // TestOneFleetJobPath fails if a serving layer or a CLI grows its own
 // distributed job path again: only a Cluster (through dist.Fleet) and the
-// benchmarks that measure the coordinator itself may call dist.Run*.
+// benchmark module (bench/), which measures the coordinator itself, may
+// call dist.Run*.
 func TestOneFleetJobPath(t *testing.T) {
 	call := regexp.MustCompile(`\bdist\.Run[A-Z]\w*\(`)
 	var sites []string
-	for _, dir := range []string{"internal/server", "cmd/kmconnect", "cmd/kmmst", "cmd/kmserve", "cmd/kmcut", "cmd/kmverify", "cmd/kmstream", "cmd/kmload", "internal/cli"} {
+	for _, dir := range []string{"internal/server", "cmd/kmrun", "cmd/kmserve", "cmd/kmbench", "cmd/kmload", "internal/cli"} {
 		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
 		if err != nil || len(files) == 0 {
 			t.Fatalf("no Go files under %s (%v)", dir, err)
@@ -295,5 +299,56 @@ func TestOneFleetJobPath(t *testing.T) {
 	}
 	if len(sites) != 0 {
 		t.Fatalf("distributed jobs bypass the Cluster:\n%s", strings.Join(sites, "\n"))
+	}
+}
+
+// TestNotConvergedOnEveryHost: a job that runs out of phases answers wrong
+// — 208 components where the oracle counts 3, a 304-edge "spanning" forest
+// — so every host must say so: the partial result comes back with
+// ErrNotConverged from the one-shot drivers, a residency and a fleet alike
+// (the first and the last used to return it with a nil error, and kmserve
+// would have cached it).
+func TestNotConvergedOnEveryHost(t *testing.T) {
+	g := WithDistinctWeights(GNM(400, 1200, 1), 2)
+	ctx := context.Background()
+	cfg := Config{K: 4, Seed: 1, MaxPhases: 1}
+	rcfg := resident.Config{K: 4, Seed: 1, MaxPhasesPerQuery: 1}
+	type engine interface {
+		Query(context.Context) (*resident.QueryResult, error)
+		MST(context.Context, bool) (*core.MSTResult, error)
+		Close() (*kmachine.Metrics, error)
+	}
+	onEngine := func(e engine, err error) (conn, mst bool, connErr, mstErr error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		q, connErr := e.Query(ctx)
+		f, mstErr := e.MST(ctx, false)
+		return q != nil && q.Phases == 1, f != nil && f.Phases == 1, connErr, mstErr
+	}
+	hosts := map[string]func() (conn, mst bool, connErr, mstErr error){
+		"one-shot": func() (bool, bool, error, error) {
+			r, connErr := core.Run(g, cfg)
+			f, mstErr := core.RunMST(g, core.MSTConfig{Config: cfg})
+			return r != nil && r.Phases == 1, f != nil && f.Phases == 1, connErr, mstErr
+		},
+		"resident": func() (bool, bool, error, error) { return onEngine(resident.New(g, rcfg)) },
+		"fleet": func() (bool, bool, error, error) {
+			path := filepath.Join(t.TempDir(), "g.kmgs")
+			if err := WriteStore(path, g.Source()); err != nil {
+				t.Fatal(err)
+			}
+			return onEngine(dist.OpenFleet(dist.FleetSpec{Source: "store:" + path, Addrs: startTestWorkers(t, 2)}, rcfg))
+		},
+	}
+	for name, run := range hosts {
+		conn, mst, connErr, mstErr := run()
+		if !errors.Is(connErr, ErrNotConverged) || !conn {
+			t.Errorf("%s connectivity at one phase: partial result %v, err %v; want a 1-phase result and ErrNotConverged", name, conn, connErr)
+		}
+		if !errors.Is(mstErr, ErrNotConverged) || !mst {
+			t.Errorf("%s MST at one phase: partial result %v, err %v; want a 1-phase forest and ErrNotConverged", name, mst, mstErr)
+		}
 	}
 }

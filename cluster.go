@@ -21,7 +21,6 @@ import (
 	"kmgraph/internal/kmachine"
 	"kmgraph/internal/mincut"
 	"kmgraph/internal/resident"
-	"kmgraph/internal/sketch"
 	"kmgraph/internal/store"
 	"kmgraph/internal/transport"
 	"kmgraph/internal/verify"
@@ -99,56 +98,9 @@ func WithK(k int) ClusterOption { return func(c *clusterOptions) { c.K = k } }
 // WithSeed sets the seed driving the vertex partition and all coins.
 func WithSeed(seed int64) ClusterOption { return func(c *clusterOptions) { c.Seed = seed } }
 
-// WithBandwidth sets the per-link per-round bit budget (default
-// DefaultBandwidth(n)).
-func WithBandwidth(bits int) ClusterOption {
-	return func(c *clusterOptions) { c.BandwidthBits = bits }
-}
-
-// WithMessageOverhead sets the per-message framing bits (default 64).
-func WithMessageOverhead(bits int) ClusterOption {
-	return func(c *clusterOptions) { c.MessageOverheadBits = bits }
-}
-
-// WithMaxPhases caps Boruvka phases per job (default 12·ceil(log2 n)+4).
-func WithMaxPhases(p int) ClusterOption {
-	return func(c *clusterOptions) { c.MaxPhasesPerQuery = p }
-}
-
-// WithBanks sets the number of persistent sketch banks (default
-// 2·ceil(log2 n)+4).
-func WithBanks(b int) ClusterOption { return func(c *clusterOptions) { c.Banks = b } }
-
-// WithSketchParams overrides the sketch dimensions (default
-// sketch defaults for n).
-func WithSketchParams(p SketchParams) ClusterOption {
-	return func(c *clusterOptions) { c.Sketch = p }
-}
-
-// WithCollapseLevelWise selects the paper-exact O(depth) tree collapse
-// (ablation E10).
-func WithCollapseLevelWise() ClusterOption {
-	return func(c *clusterOptions) { c.CollapseLevelWise = true }
-}
-
-// WithCoinMerge selects the footnote-9 coin merge rule.
-func WithCoinMerge() ClusterOption { return func(c *clusterOptions) { c.CoinMerge = true } }
-
-// WithFaithfulRandomness distributes shared random bits in-model and
-// drives proxy selection through the d-wise independent family (§2.2).
-func WithFaithfulRandomness() ClusterOption {
-	return func(c *clusterOptions) { c.FaithfulRandomness = true }
-}
-
 // WithMaxRounds caps cumulative engine rounds for the whole session
 // (default 5,000,000).
 func WithMaxRounds(r int) ClusterOption { return func(c *clusterOptions) { c.MaxRounds = r } }
-
-// WithMaxElimIters caps MST elimination iterations per phase (default
-// 2·ceil(log2 n)+8).
-func WithMaxElimIters(i int) ClusterOption {
-	return func(c *clusterOptions) { c.MaxElimIters = i }
-}
 
 // WithJobTimeout sets a default wall-clock deadline for every job whose
 // context carries no earlier deadline (0 = none). The deadline covers
@@ -179,9 +131,6 @@ func WithObserver(fn func(ClusterEvent)) ClusterOption {
 func WithPhaseMetrics() ClusterOption {
 	return func(c *clusterOptions) { c.PhaseMetrics = true }
 }
-
-// SketchParams fixes sketch dimensions (see WithSketchParams).
-type SketchParams = sketch.Params
 
 // ClusterEvent is a progress notification from a Cluster observer.
 type ClusterEvent = resident.Event
@@ -239,9 +188,9 @@ type FleetSpec = dist.FleetSpec
 // distribution, metered as Metrics().Load) and returns the job interface.
 // Close it when done.
 //
-// NewCluster serves graphs already materialized in memory; for graphs
-// too large to materialize, use OpenCluster, whose shard-direct loader
-// produces a bit-identical residency from a stream.
+// NewCluster serves graphs already materialized in memory, through
+// OpenCluster's loader over g's own edge stream; for graphs too large to
+// materialize, use OpenCluster on a file or any EdgeSource.
 func NewCluster(g *Graph, opts ...ClusterOption) (*Cluster, error) {
 	o := resolveClusterOptions(opts)
 	if o.src != nil {
@@ -259,9 +208,9 @@ func NewCluster(g *Graph, opts ...ClusterOption) (*Cluster, error) {
 // pass), each endpoint hashed to its owner machine, and per-machine
 // adjacency shards filled in place. The full graph is never
 // materialized on the coordinator, which is what lets million-vertex
-// inputs serve from a fraction of NewCluster's peak memory; the
-// resulting residency is bit-identical to NewCluster on the same graph
-// and seed (same partition, rounds, and Metrics).
+// inputs serve from a fraction of the memory a Graph would take; the
+// residency depends only on the edge set and the seed, not on where the
+// stream came from.
 //
 // path names either a kmgs binary store (written by cmd/kmconvert or
 // store.Write; detected by magic) or a whitespace-separated text edge

@@ -6,40 +6,25 @@
 // and writes machine-readable results, so the simulator's performance
 // trajectory is tracked across PRs.
 //
-// With -shootout it runs E18: the identical connectivity job on the
-// local (in-process) and TCP (multi-worker) transport backends —
-// rounds, messages, and all per-link bits are equal by construction and
-// asserted so — and writes both wall-clock entries as
-// kmachine-bench/v2, with wire-level totals (bytes on the wire vs model
-// payload bytes, barrier-wait skew) on stdout.
-//
 // Usage:
 //
 //	kmbench [-quick] [-exp E1,E6] [-seed 42] [-trials 3] [-csv dir]
 //	kmbench -json BENCH_kmachine.json [-store graph.kmgs]
-//	kmbench -shootout SHOOTOUT.json [-n 100000] [-store-k 16] [-workers 2]
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
-	"net"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"kmgraph"
 	"kmgraph/internal/benchfmt"
-	"kmgraph/internal/core"
-	"kmgraph/internal/dist"
-	"kmgraph/internal/graph"
 	"kmgraph/internal/procstat"
-	"kmgraph/internal/telemetry"
-	"kmgraph/internal/transport/tcp"
 )
 
 // benchResult is one engine-throughput measurement in the shared
@@ -251,93 +236,6 @@ func runJSON(path, storePath string, storeK int, storeSeed int64) {
 	fmt.Printf("wrote %s\n", path)
 }
 
-// distShootout is E18: one connectivity job at (n, k, seed), run once
-// on the local backend and once over TCP across in-process workers on
-// localhost. Rounds/messages/link bits are bit-equal by construction
-// (the golden suite pins it; this asserts it again on the shootout
-// graph), so the comparison isolates what the wire costs: wall-clock,
-// bytes on the wire vs the model's payload bytes, and barrier skew.
-func distShootout(path string, n, k, nWorkers int, seed int64) error {
-	m := 3 * n
-	spec := fmt.Sprintf("gnm:%d:%d:%d", n, m, seed)
-	cfg := core.Config{K: k, Seed: seed}
-
-	reg := telemetry.NewRegistry()
-	tcp.RegisterTelemetry(reg)
-
-	localStart := time.Now()
-	local, err := core.RunSource(graph.StreamGNM(n, m, seed), cfg)
-	if err != nil {
-		return err
-	}
-	localWall := time.Since(localStart)
-
-	addrs := make([]string, nWorkers)
-	for i := range addrs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return err
-		}
-		w := dist.NewWorker(ln, dist.WorkerOptions{})
-		go w.Serve()
-		defer w.Close()
-		addrs[i] = w.Addr()
-	}
-	tcpStart := time.Now()
-	remote, err := dist.RunConnectivity(context.Background(), addrs, spec, cfg)
-	if err != nil {
-		return err
-	}
-	tcpWall := time.Since(tcpStart)
-
-	if remote.Components != local.Components || remote.Metrics.Rounds != local.Metrics.Rounds ||
-		remote.Metrics.Messages != local.Metrics.Messages ||
-		remote.Metrics.PayloadBytes != local.Metrics.PayloadBytes {
-		return fmt.Errorf("shootout: TCP run drifted from local (components %d/%d rounds %d/%d)",
-			remote.Components, local.Components, remote.Metrics.Rounds, local.Metrics.Rounds)
-	}
-
-	var wireBytes, wireFrames int64
-	for i := 0; i < nWorkers; i++ {
-		l := telemetry.Label{Name: "peer", Value: strconv.Itoa(i)}
-		wireBytes += reg.Counter("kmgraph_transport_bytes_sent_total", "", l).Value()
-		wireFrames += reg.Counter("kmgraph_transport_frames_sent_total", "", l).Value()
-	}
-	bw := reg.HistogramWith(nil, "kmgraph_transport_barrier_wait_seconds", "")
-
-	results := []benchResult{
-		{
-			Name:        fmt.Sprintf("DistShootout/local_n%d_k%d", n, k),
-			NsPerOp:     float64(localWall.Nanoseconds()),
-			Rounds:      local.Metrics.Rounds,
-			MaxRSSBytes: procstat.MaxRSSBytes(),
-		},
-		{
-			Name:        fmt.Sprintf("DistShootout/tcp_w%d_n%d_k%d", nWorkers, n, k),
-			NsPerOp:     float64(tcpWall.Nanoseconds()),
-			Rounds:      remote.Metrics.Rounds,
-			MaxRSSBytes: procstat.MaxRSSBytes(),
-		},
-	}
-	if err := benchfmt.WriteFile(path, results); err != nil {
-		return err
-	}
-	fmt.Printf("E18 shootout: n=%d m=%d k=%d workers=%d seed=%d components=%d\n",
-		n, m, k, nWorkers, seed, local.Components)
-	fmt.Printf("  rounds %d, messages %d, model payload %d B (identical local/tcp, asserted)\n",
-		local.Metrics.Rounds, local.Metrics.Messages, local.Metrics.PayloadBytes)
-	fmt.Printf("  local wall %v   tcp wall %v (%.2fx)\n",
-		localWall.Round(time.Millisecond), tcpWall.Round(time.Millisecond),
-		float64(tcpWall)/float64(localWall))
-	fmt.Printf("  wire: %d B in %d frames (%.2fx model payload; framing+done-counts overhead included)\n",
-		wireBytes, wireFrames, float64(wireBytes)/float64(local.Metrics.PayloadBytes))
-	fmt.Printf("  barrier wait: count=%d mean=%.1fµs p50=%.1fµs p99=%.1fµs\n",
-		bw.Count(), 1e6*bw.Sum()/float64(bw.Count()),
-		1e6*bw.Quantile(0.5), 1e6*bw.Quantile(0.99))
-	fmt.Printf("wrote %s\n", path)
-	return nil
-}
-
 func main() {
 	quick := flag.Bool("quick", false, "run reduced sweeps")
 	expList := flag.String("exp", "", "comma-separated experiment IDs (default: all)")
@@ -348,18 +246,8 @@ func main() {
 	storePath := flag.String("store", "", "with -json: also benchmark the shard-direct load path against this kmgs store")
 	storeK := flag.Int("store-k", 16, "machine count for the -store benchmark")
 	storeSeed := flag.Int64("store-seed", 1, "seed for the -store benchmark")
-	shootoutN := flag.Int("n", 100000, "with -shootout: vertices of the generated graph")
-	shootoutPath := flag.String("shootout", "", "run the E18 local-vs-TCP transport shootout and write kmachine-bench/v2 results to this file")
-	shootoutWorkers := flag.Int("workers", 2, "with -shootout: worker process count")
 	flag.Parse()
 
-	if *shootoutPath != "" {
-		if err := distShootout(*shootoutPath, *shootoutN, *storeK, *shootoutWorkers, *storeSeed); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
 	if *jsonPath != "" {
 		runJSON(*jsonPath, *storePath, *storeK, *storeSeed)
 		return

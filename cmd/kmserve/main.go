@@ -74,6 +74,7 @@ import (
 	"time"
 
 	"kmgraph"
+	"kmgraph/internal/cli"
 	"kmgraph/internal/dist"
 	"kmgraph/internal/server"
 )
@@ -98,13 +99,20 @@ func main() {
 		loads = append(loads, v)
 		return nil
 	})
-	var fleets []string
+	type fleetFlag struct {
+		name, source string
+		addrs        []string
+	}
+	var fleets []fleetFlag
 	flag.Func("fleet", "name=source@addr1,addr2,... distributed-backed graph over a kmworker fleet (repeatable)", func(v string) error {
-		if !strings.Contains(v, "=") || !strings.Contains(v, "@") {
+		name, rest, named := strings.Cut(v, "=")
+		source, addrList, placed := strings.Cut(rest, "@")
+		if !named || !placed {
 			return fmt.Errorf("want name=source@addr1,addr2,..., got %q", v)
 		}
-		fleets = append(fleets, v)
-		return nil
+		addrs, err := cli.SplitAddrs(addrList)
+		fleets = append(fleets, fleetFlag{name, source, addrs})
+		return err
 	})
 	flag.Parse()
 
@@ -151,13 +159,10 @@ func main() {
 		fmt.Printf("kmserve: loaded %q from %s: n=%d m=%d k=%d (%d load rounds, %v)\n",
 			name, path, c.N(), met.Edges, c.K(), met.LoadRounds, time.Since(start).Round(time.Millisecond))
 	}
-	for _, spec := range fleets {
-		name, rest, _ := strings.Cut(spec, "=")
-		source, addrList, _ := strings.Cut(rest, "@")
-		addrs := strings.Split(addrList, ",")
-		err := srv.RegisterFleet(name, kmgraph.FleetSpec{
-			Source: source,
-			Addrs:  addrs,
+	for _, fl := range fleets {
+		err := srv.RegisterFleet(fl.name, kmgraph.FleetSpec{
+			Source: fl.source,
+			Addrs:  fl.addrs,
 			Coord: dist.CoordOptions{
 				HeartbeatTimeout: *hbTimeout,
 				Retry:            dist.RetryPolicy{Attempts: *retries},
@@ -168,7 +173,7 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("kmserve: fleet %q: source %s over %d workers (k=%d, %d attempts)\n",
-			name, source, len(addrs), *k, *retries)
+			fl.name, fl.source, len(fl.addrs), *k, *retries)
 	}
 
 	// A client that never finishes its request headers must not pin a
@@ -182,7 +187,9 @@ func main() {
 		// The pprof mux lives on its own listener so profiling endpoints
 		// are never exposed on the serving address.
 		go func() {
-			if err := http.ListenAndServe(*debugAddr, nil); err != nil {
+			// The nil Handler is the default mux, where pprof registers.
+			ds := &http.Server{Addr: *debugAddr, ReadHeaderTimeout: 10 * time.Second}
+			if err := ds.ListenAndServe(); err != nil {
 				fmt.Fprintf(os.Stderr, "kmserve: debug listener: %v\n", err)
 			}
 		}()

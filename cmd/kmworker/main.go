@@ -1,5 +1,5 @@
 // Command kmworker hosts a contiguous range of a distributed k-machine
-// cluster. A coordinator (kmconnect/kmmst with -transport tcp) dials
+// cluster. A coordinator (kmrun with -transport tcp) dials
 // the worker, ships a job spec, and the worker forms a TCP mesh with
 // its peers, loads its slice of the graph shard-direct from the job's
 // source spec, runs the round engine over its hosted machines, and
@@ -98,7 +98,9 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("kmworker: metrics on http://%s/metrics (debug: /statusz)\n", mln.Addr())
-		go http.Serve(mln, mux)
+		// As on kmserve's listeners: a client that never finishes its
+		// request headers must not pin a connection forever.
+		go (&http.Server{Handler: mux, ReadHeaderTimeout: 10 * time.Second}).Serve(mln)
 	}
 
 	sig := make(chan os.Signal, 1)

@@ -86,9 +86,12 @@ func Flooding(g *graph.Graph, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	defer cluster.Close()
-	part := kmachine.NewRVP(g, cfg.K, uint64(cfg.Seed)^0x9e37)
+	part, err := kmachine.LoadShards(g.Source(), cfg.K, uint64(cfg.Seed)^0x9e37)
+	if err != nil {
+		return nil, err
+	}
 	res, err := cluster.Run(func(ctx *kmachine.Ctx) error {
-		view := part.View(ctx.ID())
+		view := part.Shard(ctx.ID())
 		comm := proxy.NewComm(ctx)
 		labels := make(map[int]uint64, len(view.Owned()))
 		changed := make(map[int]bool, len(view.Owned()))
@@ -157,9 +160,12 @@ func Referee(g *graph.Graph, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	defer cluster.Close()
-	part := kmachine.NewRVP(g, cfg.K, uint64(cfg.Seed)^0x9e37)
+	part, err := kmachine.LoadShards(g.Source(), cfg.K, uint64(cfg.Seed)^0x9e37)
+	if err != nil {
+		return nil, err
+	}
 	res, err := cluster.Run(func(ctx *kmachine.Ctx) error {
-		view := part.View(ctx.ID())
+		view := part.Shard(ctx.ID())
 		comm := proxy.NewComm(ctx)
 
 		// Ship local edges to the referee.

@@ -128,8 +128,7 @@ func Convert(tr *Trace, cfg Config) (*ConvertResult, error) {
 		bw = kmachine.Bandwidth(n)
 	}
 	// Node placement: the same RVP hashing the algorithms use.
-	dummy := graph.NewBuilder(n).Build()
-	part := kmachine.NewRVP(dummy, cfg.K, uint64(cfg.Seed)^0x9e37)
+	home := func(v int) int { return kmachine.HomeOf(uint64(cfg.Seed)^0x9e37, cfg.K, v) }
 
 	// Precompute, per machine and clique round, the messages it originates.
 	perMachineRound := make([][][]TraceMsg, cfg.K)
@@ -137,7 +136,7 @@ func Convert(tr *Trace, cfg Config) (*ConvertResult, error) {
 		perMachineRound[i] = make([][]TraceMsg, tr.Rounds)
 	}
 	for _, m := range tr.Messages {
-		h := part.Home(m.Src)
+		h := home(m.Src)
 		perMachineRound[h][m.Round] = append(perMachineRound[h][m.Round], m)
 	}
 
@@ -169,7 +168,7 @@ func Convert(tr *Trace, cfg Config) (*ConvertResult, error) {
 			for _, msg := range recv {
 				rd := wire.NewReader(msg.Data)
 				dst := int(rd.Uvarint())
-				out = append(out, proxy.Out{Dst: part.Home(dst), Data: msg.Data})
+				out = append(out, proxy.Out{Dst: home(dst), Data: msg.Data})
 			}
 			comm.Exchange(out)
 		}

@@ -38,11 +38,17 @@
 // All communication goes through proxy.Comm exchanges, so the engine's
 // per-link bandwidth accounting prices every step exactly as Lemma 1 does.
 //
+// Every entry point loads its input the same way — kmachine.LoadShards over
+// an edge stream — and runs over the resulting kmachine.Shard per machine
+// (RunShards); a job that runs out of phases returns its partial result
+// with ErrNotConverged.
+//
 //km:roundpure
 package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 
@@ -162,10 +168,16 @@ type MachineOutput struct {
 	Labels        map[int]uint64
 	Failures      int64
 	Phases        int
+	Converged     bool // the phase driver's verdict, reached jointly by the machines
 	CollapseIters int
 	ProtocolCount int // §2.6 count at machine 0; -1 elsewhere/disabled
 	PhaseRounds   []int
 }
+
+// ErrNotConverged is returned — with the partial result — by a job whose
+// Boruvka phases hit MaxPhases before the stop rule held (persistent
+// sketch failures, or an undersized phase budget), on every host.
+var ErrNotConverged = errors.New("core: job did not converge within MaxPhases")
 
 // Run executes the connectivity algorithm on g under a fresh random vertex
 // partition and returns the component labeling.
@@ -177,21 +189,12 @@ func Run(g *graph.Graph, cfg Config) (*Result, error) {
 // deadline passes, the underlying cluster aborts and ctx.Err() is
 // returned.
 func RunContext(ctx context.Context, g *graph.Graph, cfg Config) (*Result, error) {
-	return RunWithPartitionContext(ctx, g, kmachine.NewRVP(g, cfg.K, uint64(cfg.Seed)^0x9e37), cfg)
+	return RunSourceContext(ctx, g.Source(), cfg)
 }
 
-// RunWithPartition executes the connectivity algorithm under a caller-
-// provided vertex partition (the lower-bound harness prescribes placement
-// per the two-party reduction; everything else uses Run's RVP).
-func RunWithPartition(g *graph.Graph, part *kmachine.VertexPartition, cfg Config) (*Result, error) {
-	return RunWithPartitionContext(context.Background(), g, part, cfg)
-}
-
-// RunSource executes the connectivity algorithm shard-direct: src is
-// streamed once per loader pass, each endpoint hashed to its owner
-// machine, and per-machine adjacency shards filled in place — no global
-// graph.Graph is ever built. Results and Metrics are bit-identical to
-// Run on the materialized graph with the same seed.
+// RunSource executes the connectivity algorithm on a streamed graph: src
+// is read by the shard loader, each endpoint hashed to its home machine —
+// no global graph.Graph is ever built.
 func RunSource(src graph.EdgeSource, cfg Config) (*Result, error) {
 	return RunSourceContext(context.Background(), src, cfg)
 }
@@ -202,26 +205,24 @@ func RunSourceContext(ctx context.Context, src graph.EdgeSource, cfg Config) (*R
 	if err != nil {
 		return nil, err
 	}
-	return runConnectivity(ctx, part.N(), func(id int) GraphView { return part.View(id) }, cfg)
+	return RunShards(ctx, part, cfg)
 }
 
-// RunWithPartitionContext is RunWithPartition with cancellation.
-func RunWithPartitionContext(ctx context.Context, g *graph.Graph, part *kmachine.VertexPartition, cfg Config) (*Result, error) {
-	return runConnectivity(ctx, g.N(), func(id int) GraphView { return part.View(id) }, cfg)
-}
-
-func runConnectivity(ctx context.Context, n int, view func(id int) GraphView, cfg Config) (*Result, error) {
-	cfg = cfg.WithDefaults(n)
-	res, err := runOneShot(ctx, cfg, ConnectivityHandler(view, cfg))
+// RunShards executes the connectivity algorithm over a loaded partition:
+// the one-shot caller under the four Run variants above, and the entry
+// point of the lower-bound harness, whose placement is prescribed rather
+// than hashed.
+func RunShards(ctx context.Context, part *kmachine.ShardPartition, cfg Config) (*Result, error) {
+	cfg = cfg.WithDefaults(part.N())
+	res, err := runOneShot(ctx, cfg, ConnectivityHandler(part.Shard, cfg))
 	if err != nil {
 		return nil, err
 	}
-	out, err := Assemble(n, res.Outputs)
-	if err != nil {
-		return nil, err
+	out, err := Assemble(part.N(), res.Outputs)
+	if out != nil {
+		out.Metrics = res.Metrics
 	}
-	out.Metrics = res.Metrics
-	return out, nil
+	return out, err
 }
 
 // MachineConfig is the engine configuration a (resolved) Config runs
@@ -248,9 +249,11 @@ func runOneShot(ctx context.Context, cfg Config, h kmachine.Handler) (*kmachine.
 
 // Assemble combines one MachineOutput per machine into the global
 // connectivity result over n vertices (Metrics is left to the host, which
-// knows what the job cost it).
+// knows what the job cost it). When the machines ran out of phases the
+// result is partial and comes back together with ErrNotConverged.
 func Assemble(n int, outputs []any) (*Result, error) {
 	out := &Result{Labels: make([]uint64, n), ProtocolCount: -1}
+	converged := true
 	seen := make(map[uint64]bool)
 	assigned := 0
 	for i, o := range outputs {
@@ -267,6 +270,7 @@ func Assemble(n int, outputs []any) (*Result, error) {
 			assigned++
 		}
 		out.SketchFailures += mo.Failures
+		converged = converged && mo.Converged
 		if mo.Phases > out.Phases {
 			out.Phases = mo.Phases
 		}
@@ -284,23 +288,26 @@ func Assemble(n int, outputs []any) (*Result, error) {
 		return nil, fmt.Errorf("core: %d of %d vertices labeled", assigned, n)
 	}
 	out.Components = len(seen)
+	if !converged {
+		return out, ErrNotConverged
+	}
 	return out, nil
 }
 
 // ConnectivityHandler returns the per-machine connectivity program over
-// the given view lookup: shared-randomness setup, the connectivity job,
-// and the optional §2.6 output protocol. cfg must already be resolved
-// (WithDefaults) so every participant of a multi-process run agrees on
-// every parameter.
-func ConnectivityHandler(view func(id int) GraphView, cfg Config) kmachine.Handler {
+// the given shard lookup (a ShardPartition's Shard method): shared-
+// randomness setup, the connectivity job, and the optional §2.6 output
+// protocol. cfg must already be resolved (WithDefaults) so every
+// participant of a multi-process run agrees on every parameter.
+func ConnectivityHandler(shard func(id int) *kmachine.Shard, cfg Config) kmachine.Handler {
 	return func(mctx *kmachine.Ctx) error {
-		m := NewMerger(mctx, view(mctx.ID()), cfg)
+		m := NewMerger(mctx, shard(mctx.ID()), cfg)
 		defer m.ReleasePools()
 		if err := m.Setup(); err != nil {
 			return err
 		}
 		var rounds []int
-		out, _, _ := m.ConnectivityJob(0, func(phase, round int, active, failures uint64) {
+		out, _ := m.ConnectivityJob(0, func(phase, round int, active, failures uint64) {
 			if mctx.ID() == 0 {
 				rounds = append(rounds, round)
 			}
@@ -328,7 +335,7 @@ func (m *Merger) configHook(phase, round int, _, _ uint64) {
 // from firstPhase until no component is active. Every host runs exactly
 // this — the one-shot and dist handlers after Setup, the resident
 // machines over a derived view of the residency.
-func (m *Merger) ConnectivityJob(firstPhase int, after PhaseFunc) (out *MachineOutput, converged, cancelled bool) {
+func (m *Merger) ConnectivityJob(firstPhase int, after PhaseFunc) (out *MachineOutput, cancelled bool) {
 	sel := m.SelectSketch
 	if m.Cfg.EdgeCheckSelection {
 		sel = m.selectEdgeCheck
@@ -338,9 +345,10 @@ func (m *Merger) ConnectivityJob(firstPhase int, after PhaseFunc) (out *MachineO
 		Labels:        m.Labels,
 		Failures:      m.Failures,
 		Phases:        phases,
+		Converged:     converged,
 		CollapseIters: m.CollapseIters,
 		ProtocolCount: -1,
-	}, converged, cancelled
+	}, cancelled
 }
 
 // countComponents is the paper's §2.6 output protocol: every machine sends

@@ -39,6 +39,7 @@ func AppendOutput(b []byte, o any) ([]byte, error) {
 		b = appendLabels(b, mo.Labels)
 		b = wire.AppendVarint(b, mo.Failures)
 		b = wire.AppendUvarint(b, uint64(mo.Phases))
+		b = wire.AppendBool(b, mo.Converged)
 		b = wire.AppendUvarint(b, uint64(mo.CollapseIters))
 		b = wire.AppendVarint(b, int64(mo.ProtocolCount))
 		b = wire.AppendBool(b, mo.PhaseRounds != nil)
@@ -75,6 +76,7 @@ func AppendOutput(b []byte, o any) ([]byte, error) {
 		}
 		b = wire.AppendVarint(b, mo.Failures)
 		b = wire.AppendUvarint(b, uint64(mo.Phases))
+		b = wire.AppendBool(b, mo.Converged)
 		b = wire.AppendUvarint(b, uint64(mo.ElimIters))
 		b = wire.AppendUvarint(b, uint64(mo.WeakRounds))
 		return b, nil
@@ -95,6 +97,7 @@ func ReadOutput(r *wire.Reader) (any, error) {
 		}
 		mo.Failures = r.Varint()
 		mo.Phases = int(r.Uvarint())
+		mo.Converged = r.Bool()
 		mo.CollapseIters = int(r.Uvarint())
 		mo.ProtocolCount = int(r.Varint())
 		if r.Bool() {
@@ -145,6 +148,7 @@ func ReadOutput(r *wire.Reader) (any, error) {
 		}
 		mo.Failures = r.Varint()
 		mo.Phases = int(r.Uvarint())
+		mo.Converged = r.Bool()
 		mo.ElimIters = int(r.Uvarint())
 		mo.WeakRounds = int(r.Uvarint())
 		if r.Err() != nil {

@@ -12,29 +12,12 @@ import (
 	"fmt"
 	"slices"
 
-	"kmgraph/internal/graph"
 	"kmgraph/internal/hashing"
 	"kmgraph/internal/kmachine"
 	"kmgraph/internal/proxy"
 	"kmgraph/internal/sketch"
 	"kmgraph/internal/wire"
 )
-
-// GraphView abstracts the graph knowledge a machine consults during the
-// merge phases: its owned vertices, their adjacency, and the globally
-// computable home hash. kmachine.LocalView implements it for static runs;
-// the dynamic subsystem substitutes a mutable view that tracks batched
-// edge insertions and deletions.
-type GraphView interface {
-	// N returns the number of vertices of the input graph.
-	N() int
-	// Owned returns this machine's vertices.
-	Owned() []int
-	// Home returns the home machine of any vertex.
-	Home(v int) int
-	// Adj returns the adjacency list of an owned vertex.
-	Adj(u int) []graph.Half
-}
 
 // CompState is the proxy-held state of one component during a phase.
 type CompState struct {
@@ -107,7 +90,11 @@ func NewCompState(label uint64, k int) *CompState {
 type Merger struct {
 	Ctx  *kmachine.Ctx
 	Comm *proxy.Comm
-	View GraphView
+	// View is the graph the machine consults during the merge phases: the
+	// shard it was loaded with, a residency's live shard (which tracks
+	// batched insertions and deletions), or a derived shard built for one
+	// min-cut trial or verification run.
+	View *kmachine.Shard
 	Cfg  Config
 	Sh   *proxy.Shared
 	Poly *hashing.Poly // non-nil in FaithfulRandomness mode
@@ -414,7 +401,7 @@ func (m *Merger) RunPhases(firstPhase, maxPhases int, sel func(i int), after Pha
 }
 
 // NewMerger returns a merge engine for one machine.
-func NewMerger(ctx *kmachine.Ctx, view GraphView, cfg Config) *Merger {
+func NewMerger(ctx *kmachine.Ctx, view *kmachine.Shard, cfg Config) *Merger {
 	return &Merger{
 		Ctx:    ctx,
 		Comm:   proxy.NewComm(ctx),
@@ -429,7 +416,7 @@ func NewMerger(ctx *kmachine.Ctx, view GraphView, cfg Config) *Merger {
 // path: successive jobs on one loaded cluster must reuse the session
 // communicator (frame sequencing is cluster-global) and must not pay the
 // Setup broadcast again. Labels start as singletons over the view.
-func NewMergerOn(comm *proxy.Comm, view GraphView, cfg Config, sh *proxy.Shared, poly *hashing.Poly) *Merger {
+func NewMergerOn(comm *proxy.Comm, view *kmachine.Shard, cfg Config, sh *proxy.Shared, poly *hashing.Poly) *Merger {
 	m := &Merger{
 		Ctx:    comm.Ctx(),
 		Comm:   comm,

@@ -71,6 +71,7 @@ type MSTOutput struct {
 	VertexEdges map[int][]graph.Edge
 	Failures    int64
 	Phases      int
+	Converged   bool
 	ElimIters   int
 	WeakRounds  int
 }
@@ -106,23 +107,28 @@ func RunMST(g *graph.Graph, cfg MSTConfig) (*MSTResult, error) {
 // returned.
 func RunMSTContext(ctx context.Context, g *graph.Graph, cfg MSTConfig) (*MSTResult, error) {
 	cfg = cfg.WithDefaults(g.N())
-	part := kmachine.NewRVP(g, cfg.K, uint64(cfg.Seed)^0x9e37)
-	res, err := runOneShot(ctx, cfg.Config, MSTHandler(func(id int) GraphView { return part.View(id) }, cfg))
+	part, err := kmachine.LoadShards(g.Source(), cfg.K, uint64(cfg.Seed)^0x9e37)
+	if err != nil {
+		return nil, err
+	}
+	res, err := runOneShot(ctx, cfg.Config, MSTHandler(part.Shard, cfg))
 	if err != nil {
 		return nil, err
 	}
 	out, err := AssembleMST(g.N(), res.Outputs)
-	if err != nil {
-		return nil, err
+	if out != nil {
+		out.Metrics = res.Metrics
 	}
-	out.Metrics = res.Metrics
-	return out, nil
+	return out, err
 }
 
 // AssembleMST combines one MSTOutput per machine into the global MST
 // result over n vertices (Metrics is left to the host, as in Assemble).
+// When the machines ran out of phases the edges are MST edges but the
+// forest is not whole, and it comes back together with ErrNotConverged.
 func AssembleMST(n int, outputs []any) (*MSTResult, error) {
 	out := &MSTResult{Labels: make([]uint64, n)}
+	converged := true
 	byID := make(map[uint64]graph.Edge)
 	for i, o := range outputs {
 		mo, ok := o.(*MSTOutput)
@@ -139,6 +145,7 @@ func AssembleMST(n int, outputs []any) (*MSTResult, error) {
 			byID[graph.EdgeID(e.U, e.V, n)] = e
 		}
 		out.SketchFailures += mo.Failures
+		converged = converged && mo.Converged
 		if mo.Phases > out.Phases {
 			out.Phases = mo.Phases
 		}
@@ -162,19 +169,22 @@ func AssembleMST(n int, outputs []any) (*MSTResult, error) {
 		out.Edges = append(out.Edges, e)
 		out.TotalWeight += e.W
 	}
+	if !converged {
+		return out, ErrNotConverged
+	}
 	return out, nil
 }
 
-// MSTHandler returns the per-machine MST program over the given view
+// MSTHandler returns the per-machine MST program over the given shard
 // lookup. cfg must already be resolved (MSTConfig.WithDefaults).
-func MSTHandler(view func(id int) GraphView, cfg MSTConfig) kmachine.Handler {
+func MSTHandler(shard func(id int) *kmachine.Shard, cfg MSTConfig) kmachine.Handler {
 	return func(mctx *kmachine.Ctx) error {
-		m := NewMerger(mctx, view(mctx.ID()), cfg.Config)
+		m := NewMerger(mctx, shard(mctx.ID()), cfg.Config)
 		defer m.ReleasePools()
 		if err := m.Setup(); err != nil {
 			return err
 		}
-		out, _, _ := m.MSTJob(0, cfg.MaxElimIters, cfg.StrongOutput, m.configHook)
+		out, _ := m.MSTJob(0, cfg.MaxElimIters, cfg.StrongOutput, m.configHook)
 		mctx.SetOutput(out)
 		return nil
 	}
@@ -184,10 +194,10 @@ func MSTHandler(view func(id int) GraphView, cfg MSTConfig) kmachine.Handler {
 // phases numbered from firstPhase, MST edges accumulated on the proxies
 // (weak output) and, with strong set, disseminated to both endpoints'
 // homes. A cancelled job skips the dissemination.
-func (m *Merger) MSTJob(firstPhase, maxElimIters int, strong bool, after PhaseFunc) (out *MSTOutput, converged, cancelled bool) {
+func (m *Merger) MSTJob(firstPhase, maxElimIters int, strong bool, after PhaseFunc) (out *MSTOutput, cancelled bool) {
 	w := NewMWOE(m, maxElimIters)
 	phases, converged, cancelled := m.RunPhases(firstPhase, m.Cfg.MaxPhases, func(int) { w.Select() }, after)
-	out = &MSTOutput{Phases: phases, WeakRounds: m.Ctx.Round()}
+	out = &MSTOutput{Phases: phases, Converged: converged, WeakRounds: m.Ctx.Round()}
 	if strong && !cancelled {
 		out.VertexEdges = w.DisseminateStrong()
 	}
@@ -197,5 +207,5 @@ func (m *Merger) MSTJob(firstPhase, maxElimIters int, strong bool, after PhaseFu
 	for _, id := range SortedKeys(w.Edges) {
 		out.Edges = append(out.Edges, w.Edges[id])
 	}
-	return out, converged, cancelled
+	return out, cancelled
 }

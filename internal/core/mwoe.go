@@ -1,8 +1,8 @@
 // MWOE is the per-phase minimum-weight-outgoing-edge selector of the MST
 // algorithm (§3.1), extracted from the one-shot MST machine so the
 // resident substrate can run MST jobs against an already-loaded cluster:
-// it operates on any Merger (static LocalView or the resident mutable
-// view) and records the MST edges it decides on the proxy machines.
+// it operates on any Merger, whatever shard it views, and records the MST
+// edges it decides on the proxy machines.
 
 package core
 

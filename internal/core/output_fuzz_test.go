@@ -17,11 +17,13 @@ import (
 func realOutputs(t testing.TB) []any {
 	t.Helper()
 	g := graph.WithDistinctWeights(graph.GNM(60, 150, 3), 4)
-	part := kmachine.NewRVP(g, 3, 1)
-	view := func(id int) GraphView { return part.View(id) }
+	part, err := kmachine.LoadShards(g.Source(), 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg := MSTConfig{Config: Config{K: 3, Seed: 5, CountComponents: true}, StrongOutput: true}.WithDefaults(g.N())
 	var outs []any
-	for _, h := range []kmachine.Handler{ConnectivityHandler(view, cfg.Config), MSTHandler(view, cfg)} {
+	for _, h := range []kmachine.Handler{ConnectivityHandler(part.Shard, cfg.Config), MSTHandler(part.Shard, cfg)} {
 		res, err := runOneShot(context.Background(), cfg.Config, h)
 		if err != nil {
 			t.Fatal(err)

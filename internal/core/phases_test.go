@@ -27,10 +27,13 @@ func runPhases(t *testing.T, first, max int, setup func(*Merger), sel func(m *Me
 	t.Helper()
 	g := graph.Path(12)
 	cfg := Config{K: 3, Seed: 5}.WithDefaults(g.N())
-	part := kmachine.NewRVP(g, cfg.K, 1)
+	part, err := kmachine.LoadShards(g.Source(), cfg.K, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var got phaseRun
-	_, err := runOneShot(t.Context(), cfg, func(mctx *kmachine.Ctx) error {
-		m := NewMerger(mctx, part.View(mctx.ID()), cfg)
+	_, err = runOneShot(t.Context(), cfg, func(mctx *kmachine.Ctx) error {
+		m := NewMerger(mctx, part.Shard(mctx.ID()), cfg)
 		defer m.ReleasePools()
 		if err := m.Setup(); err != nil {
 			return err

@@ -138,11 +138,14 @@ func soloMerger(t *testing.T, k int, p sketch.Params) *Merger {
 	t.Helper()
 	g := graph.Path(p.N)
 	cfg := Config{K: k, Seed: 1, Sketch: p}.WithDefaults(g.N())
-	part := kmachine.NewRVP(g, k, 1)
+	part, err := kmachine.LoadShards(g.Source(), k, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var m *Merger
-	_, err := runOneShot(t.Context(), cfg, func(mctx *kmachine.Ctx) error {
+	_, err = runOneShot(t.Context(), cfg, func(mctx *kmachine.Ctx) error {
 		if mctx.ID() == 0 {
-			m = NewMerger(mctx, part.View(0), cfg)
+			m = NewMerger(mctx, part.Shard(0), cfg)
 		}
 		return nil
 	})

@@ -93,7 +93,9 @@ func RunConnectivity(ctx context.Context, addrs []string, source string, cfg cor
 // makes it a traced one. The assembled result (and its Metrics) is
 // bit-identical to core.RunSource with the same spec and configuration —
 // also after retries: jobs are deterministic and re-materializable from
-// their source spec, so a recovered run replays the exact computation.
+// their source spec, so a recovered run replays the exact computation. A
+// job that ran out of phases returns its partial result with
+// core.ErrNotConverged, as core.RunSource does.
 func runConnectivity(ctx context.Context, addrs []string, source string, cfg core.Config, opts CoordOptions, tr *spanLog) (*core.Result, error) {
 	job := Job{Kind: KindConnectivity, Source: source, Conn: cfg}
 	res, n, err := runRetry(ctx, addrs, job, opts, tr)
@@ -101,11 +103,10 @@ func runConnectivity(ctx context.Context, addrs []string, source string, cfg cor
 		return nil, err
 	}
 	out, err := core.Assemble(n, res.Outputs)
-	if err != nil {
-		return nil, err
+	if out != nil {
+		out.Metrics = res.Metrics
 	}
-	out.Metrics = res.Metrics
-	return out, nil
+	return out, err
 }
 
 // runMST is runConnectivity's MST counterpart (golden: core.RunMST).
@@ -116,11 +117,10 @@ func runMST(ctx context.Context, addrs []string, source string, cfg core.MSTConf
 		return nil, err
 	}
 	out, err := core.AssembleMST(n, res.Outputs)
-	if err != nil {
-		return nil, err
+	if out != nil {
+		out.Metrics = res.Metrics
 	}
-	out.Metrics = res.Metrics
-	return out, nil
+	return out, err
 }
 
 type gathered struct {
@@ -163,8 +163,7 @@ func runOnce(ctx context.Context, addrs []string, job Job, opts CoordOptions, tr
 		if err == nil {
 			conns[i] = conn
 			job.Index = i
-			conn.SetWriteDeadline(time.Now().Add(30 * time.Second))
-			_, err = conn.Write(tcp.AppendFrame(nil, tcp.FrameJob, AppendJob(nil, &job)))
+			err = tcp.WriteFrame(conn, tcp.FrameJob, AppendJob(nil, &job))
 		}
 		if err != nil {
 			closeAll()

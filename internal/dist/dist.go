@@ -1,5 +1,5 @@
 // Package dist runs k-machine jobs across OS processes. A coordinator
-// (kmconnect/kmmst with -transport tcp) splits the k machines into
+// (kmrun -transport tcp, kmserve -fleet) splits the k machines into
 // contiguous ranges over a set of worker processes (cmd/kmworker),
 // ships each worker a job spec over a control connection, and gathers
 // partial results. The workers form a TCP mesh among themselves
@@ -107,7 +107,9 @@ func (j *Job) config() core.Config {
 // specVersion 3 changes no byte of the spec: MST elimination now queries
 // every slot a sum verified (core.MWOE), and workers of different builds
 // would run different elimination protocols and desync mid-job.
-const specVersion = 3
+// specVersion 4 is the same for the result frame: a machine output carries
+// the phase driver's convergence verdict (core.AppendOutput).
+const specVersion = 4
 
 // maxWorkers bounds a decoded worker list.
 const maxWorkers = 1 << 16

@@ -291,14 +291,18 @@ func TestJobSpecRoundTrip(t *testing.T) {
 		t.Fatalf("round trip drifted: %+v vs %+v", got, j)
 	}
 
-	// A spec from a build that ran the single-draw MST elimination
-	// (version 2, otherwise byte-identical) is refused by its version, by
-	// the decoder and by a worker — which answers on the control link and
-	// dials no peer of the spec's mesh.
-	v2 := AppendJob(nil, j)
-	v2[0] = 2
-	if _, err := DecodeJob(v2); err == nil || !strings.Contains(err.Error(), "job spec version 2, want 3") {
-		t.Fatalf("version-2 spec: err = %v, want the version error", err)
+	// A spec from an older build — version 2 ran the single-draw MST
+	// elimination, version 3 shipped machine outputs without the
+	// convergence verdict; the spec bytes are otherwise identical — is
+	// refused by its version, by the decoder and by a worker — which
+	// answers on the control link and dials no peer of the spec's mesh.
+	for _, v := range []byte{2, 3} {
+		stale := AppendJob(nil, j)
+		stale[0] = v
+		want := fmt.Sprintf("job spec version %d, want 4", v)
+		if _, err := DecodeJob(stale); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("version-%d spec: err = %v, want the version error", v, err)
+		}
 	}
 	peer, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -315,23 +319,23 @@ func TestJobSpecRoundTrip(t *testing.T) {
 	old := *j
 	old.Index = 1
 	old.Workers = []WorkerSpec{{Addr: peer.Addr().String(), Lo: 0, Hi: 3}, {Addr: startWorkers(t, 1)[0], Lo: 3, Hi: 8}}
-	v2 = AppendJob(nil, &old)
-	v2[0] = 2
+	v3 := AppendJob(nil, &old)
+	v3[0] = 3
 	conn, err := net.Dial("tcp", old.Workers[1].Addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if _, err := conn.Write(tcp.AppendFrame(nil, tcp.FrameJob, v2)); err != nil {
+	if _, err := conn.Write(tcp.AppendFrame(nil, tcp.FrameJob, v3)); err != nil {
 		t.Fatal(err)
 	}
 	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
 	var buf []byte
 	ft, body, err := tcp.ReadFrame(conn, &buf)
 	if err != nil || ft != tcp.FrameError {
-		t.Fatalf("worker's answer to a version-2 spec: frame %v, err %v; want an error frame", ft, err)
+		t.Fatalf("worker's answer to a version-3 spec: frame %v, err %v; want an error frame", ft, err)
 	}
-	if ef, err := decodeErrorFrame(body); err != nil || !strings.Contains(ef.err().Error(), "job spec version 2, want 3") {
+	if ef, err := decodeErrorFrame(body); err != nil || !strings.Contains(ef.err().Error(), "job spec version 3, want 4") {
 		t.Fatalf("worker's error frame: %v / %v, want the version error", ef, err)
 	}
 	if _, err := conn.Read(make([]byte, 1)); err != io.EOF {

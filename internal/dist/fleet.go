@@ -93,7 +93,9 @@ func (f *Fleet) notify(ev resident.Event) {
 // run admits one job, runs it under the observer protocol — start, one
 // phase event per phase boundary the lowest worker reports, done with
 // the merged Metrics as Delta and every worker's spans — and accounts
-// for it. job returns the merged Metrics and the vertex count.
+// for it. job returns the merged Metrics and the vertex count of a job the
+// workers ran to its end — also beside an error, when that end was short of
+// convergence.
 func (f *Fleet) run(ctx context.Context, name string, job func(context.Context, *spanLog) (*kmachine.Metrics, int, error)) error {
 	if d := f.cfg.JobTimeout; d > 0 {
 		if _, has := ctx.Deadline(); !has {
@@ -147,7 +149,8 @@ func (f *Fleet) run(ctx context.Context, name string, job func(context.Context, 
 	f.jobs++
 	if err != nil {
 		done.Err = err.Error()
-	} else {
+	}
+	if met != nil {
 		// A fresh sum per job, never mutated once published: Metrics()
 		// readers and observers may keep what they were handed.
 		sum := transport.SumMetrics(&f.total, met)
@@ -175,29 +178,29 @@ func (f *Fleet) coreConfig() core.Config {
 func (f *Fleet) Query(ctx context.Context) (*resident.QueryResult, error) {
 	var out *core.Result
 	err := f.run(ctx, "connectivity", func(ctx context.Context, tr *spanLog) (_ *kmachine.Metrics, _ int, err error) {
-		if out, err = runConnectivity(ctx, f.spec.Addrs, f.spec.Source, f.coreConfig(), f.spec.Coord, tr); err != nil {
+		if out, err = runConnectivity(ctx, f.spec.Addrs, f.spec.Source, f.coreConfig(), f.spec.Coord, tr); out == nil {
 			return nil, 0, err
 		}
-		return &out.Metrics, len(out.Labels), nil
+		return &out.Metrics, len(out.Labels), err
 	})
-	if err != nil {
+	if out == nil {
 		return nil, err
 	}
 	f.mu.Lock()
 	f.queries++
 	f.mu.Unlock()
 	return &resident.QueryResult{Labels: out.Labels, Components: out.Components, Phases: out.Phases,
-		Rounds: out.Metrics.Rounds, SketchFailures: out.SketchFailures, CollapseIters: out.CollapseIters}, nil
+		Rounds: out.Metrics.Rounds, SketchFailures: out.SketchFailures, CollapseIters: out.CollapseIters}, err
 }
 
 // MST runs one distributed MST job (Theorem 2; strong selects 2(b)).
 func (f *Fleet) MST(ctx context.Context, strong bool) (out *core.MSTResult, err error) {
 	cfg := core.MSTConfig{Config: f.coreConfig(), StrongOutput: strong, MaxElimIters: f.cfg.MaxElimIters}
 	err = f.run(ctx, "mst", func(ctx context.Context, tr *spanLog) (_ *kmachine.Metrics, _ int, err error) {
-		if out, err = runMST(ctx, f.spec.Addrs, f.spec.Source, cfg, f.spec.Coord, tr); err != nil {
+		if out, err = runMST(ctx, f.spec.Addrs, f.spec.Source, cfg, f.spec.Coord, tr); out == nil {
 			return nil, 0, err
 		}
-		return &out.Metrics, len(out.Labels), nil
+		return &out.Metrics, len(out.Labels), err
 	})
 	return out, err
 }

@@ -20,8 +20,6 @@ import (
 
 // WorkerOptions tune a worker process.
 type WorkerOptions struct {
-	// Transport tunes the peer links (zero value = tcp defaults).
-	Transport tcp.Options
 	// MeshTimeout bounds forming the full peer mesh for one job
 	// (default 60s).
 	MeshTimeout time.Duration
@@ -89,18 +87,20 @@ type jobState struct {
 	lo, hi    int
 	started   time.Time
 	cluster   atomic.Pointer[kmachine.Cluster]
+	seen      atomic.Uint64                          // the last live round count
 	spans     atomic.Pointer[transport.SpanRecorder] // set for traced jobs
 }
 
-// rounds reports the job's live round count (0 before the engine
-// starts or after it finishes).
+// rounds reports the job's live round count: 0 before the engine starts,
+// and after it finishes the last count seen — a beat that fires between
+// the run's end and the result frame must not report the job back at 0.
 func (s *jobState) rounds() uint64 {
 	if c := s.cluster.Load(); c != nil {
 		if m, ok := c.Snapshot(); ok {
-			return uint64(m.Rounds)
+			s.seen.Store(uint64(m.Rounds))
 		}
 	}
-	return 0
+	return s.seen.Load()
 }
 
 // drainSpans pops up to max freshly completed phase spans for the next
@@ -250,7 +250,6 @@ func (w *Worker) unregisterJob(id uint64) {
 // it), a Job runs a job with this connection as the control channel.
 func (w *Worker) route(conn net.Conn) {
 	defer w.wg.Done()
-	topts := w.opts.Transport
 	conn.SetReadDeadline(time.Now().Add(30 * time.Second))
 	var buf []byte
 	t, body, err := tcp.ReadFrame(conn, &buf)
@@ -275,7 +274,7 @@ func (w *Worker) route(conn net.Conn) {
 	case tcp.FrameJob:
 		job, err := DecodeJob(body)
 		if err != nil {
-			writeError(conn, topts, err)
+			writeError(conn, err)
 			conn.Close()
 			return
 		}
@@ -370,7 +369,6 @@ func (w *Worker) runJob(conn net.Conn, job *Job) {
 	body, err := w.execute(ctx, job, st)
 	close(hbStop)
 	<-hbDone
-	topts := w.opts.Transport
 	if err != nil {
 		// A job this worker aborted by shutting down is a lost worker
 		// from the coordinator's point of view: report it as link-down
@@ -384,10 +382,10 @@ func (w *Worker) runJob(conn net.Conn, job *Job) {
 		default:
 		}
 		w.logFailure(job, err)
-		writeError(conn, topts, err)
+		writeError(conn, err)
 		return
 	}
-	writeFrameTo(conn, topts, tcp.FrameResult, body)
+	tcp.WriteFrame(conn, tcp.FrameResult, body)
 }
 
 // logFailure emits a structured record for a failed job. Link-down
@@ -474,7 +472,8 @@ func (w *Worker) execute(ctx context.Context, job *Job, st *jobState) ([]byte, e
 	if err != nil {
 		return nil, err
 	}
-	part, err := kmachine.LoadShardsRange(src, k, uint64(base.Seed)^0x9e37, lo, hi)
+	pseed := uint64(base.Seed) ^ 0x9e37
+	part, err := kmachine.LoadShardsRange(src, k, func(v int) int { return kmachine.HomeOf(pseed, k, v) }, lo, hi)
 	closer.Close()
 	if err != nil {
 		return nil, err
@@ -505,10 +504,9 @@ func (w *Worker) execute(ctx context.Context, job *Job, st *jobState) ([]byte, e
 	if rec != nil {
 		cfg.PhaseHook, cfg.PhaseHookID = rec.Hook(), lo
 	}
-	view := func(id int) core.GraphView { return part.View(id) }
-	handler := core.ConnectivityHandler(view, cfg.Config)
+	handler := core.ConnectivityHandler(part.Shard, cfg.Config)
 	if job.Kind == KindMST {
-		handler = core.MSTHandler(view, cfg)
+		handler = core.MSTHandler(part.Shard, cfg)
 	}
 
 	cluster, err := kmachine.NewWithTransport(cfg.MachineConfig(), func(p transport.Params, met *transport.Metrics) (transport.Transport, error) {
@@ -578,7 +576,7 @@ func (w *Worker) formMesh(ctx context.Context, job *Job) ([]*tcp.Peer, error) {
 
 	inbox := w.inboxFor(job.ClusterID)
 	for j := 0; j < job.Index; j++ {
-		p, err := tcp.Dial(ctx, job.Workers[j].Addr, ours, j, w.opts.Transport)
+		p, err := tcp.Dial(ctx, job.Workers[j].Addr, ours, j)
 		if err != nil {
 			return fail(err)
 		}
@@ -595,7 +593,7 @@ func (w *Worker) formMesh(ctx context.Context, job *Job) ([]*tcp.Peer, error) {
 				ip.conn.Close()
 				continue
 			}
-			p, err := tcp.AcceptPeer(ip.conn, ip.hello, ours, w.opts.Transport)
+			p, err := tcp.AcceptPeer(ip.conn, ip.hello, ours)
 			if err != nil {
 				// A stale retry or a mismatched hello; keep waiting for a
 				// good link from that index.
@@ -616,16 +614,6 @@ func (w *Worker) formMesh(ctx context.Context, job *Job) ([]*tcp.Peer, error) {
 	return peers, nil
 }
 
-func writeFrameTo(conn net.Conn, opts tcp.Options, t tcp.FrameType, body []byte) error {
-	if wt := opts.WriteTimeout; wt > 0 {
-		conn.SetWriteDeadline(time.Now().Add(wt))
-	} else {
-		conn.SetWriteDeadline(time.Now().Add(30 * time.Second))
-	}
-	_, err := conn.Write(tcp.AppendFrame(nil, t, body))
-	return err
-}
-
-func writeError(conn net.Conn, opts tcp.Options, jobErr error) {
-	writeFrameTo(conn, opts, tcp.FrameError, appendErrorFrame(nil, jobErr))
+func writeError(conn net.Conn, jobErr error) {
+	tcp.WriteFrame(conn, tcp.FrameError, appendErrorFrame(nil, jobErr))
 }

@@ -107,12 +107,15 @@ func TestQuickRVPTotal(t *testing.T) {
 		n := int(n16)%500 + 1
 		k := int(k8)%16 + 1
 		g := graph.NewBuilder(n).Build()
-		p1 := NewRVP(g, k, seed)
-		p2 := NewRVP(g, k, seed)
+		p1, err1 := LoadShards(g.Source(), k, seed)
+		p2, err2 := LoadShards(g.Source(), k, seed)
+		if err1 != nil || err2 != nil {
+			return false
+		}
 		total := 0
 		for i := 0; i < k; i++ {
-			total += len(p1.Owned(i))
-			if len(p1.Owned(i)) != len(p2.Owned(i)) {
+			total += len(p1.Shard(i).Owned())
+			if len(p1.Shard(i).Owned()) != len(p2.Shard(i).Owned()) {
 				return false
 			}
 		}

@@ -13,6 +13,10 @@
 // run once per command, its own state riding beside the Ctxs. Between runs
 // a cluster holds memory and no goroutines.
 //
+// A machine's input is its Shard (shardload.go): the vertices hashed to it
+// with their incident edges, the model's random vertex partition. One
+// loader produces it for every host from any edge stream.
+//
 // During a Run a coordinator enforces the round barrier over channels: a
 // machine ends its round by calling Ctx.Step, which submits its outgoing
 // messages and blocks until the next round's deliveries arrive. Every

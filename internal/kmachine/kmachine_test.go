@@ -317,13 +317,18 @@ func TestBandwidthHelper(t *testing.T) {
 
 func TestRVPBalanceAndLocality(t *testing.T) {
 	g := graph.GNM(1000, 3000, 3)
-	p := NewRVP(g, 8, 99)
-	total := 0
+	p, err := LoadShards(g.Source(), 8, 99)
+	if err != nil {
+		t.Fatal(err)
+	}
+	total, maxLoad := 0, 0
 	for i := 0; i < 8; i++ {
-		total += len(p.Owned(i))
-		for _, v := range p.Owned(i) {
-			if p.Home(v) != i {
-				t.Fatalf("vertex %d owned by %d but homed at %d", v, i, p.Home(v))
+		s := p.Shard(i)
+		total += len(s.Owned())
+		maxLoad = max(maxLoad, len(s.Owned()))
+		for _, v := range s.Owned() {
+			if s.Home(v) != i {
+				t.Fatalf("vertex %d owned by %d but homed at %d", v, i, s.Home(v))
 			}
 		}
 	}
@@ -331,11 +336,11 @@ func TestRVPBalanceAndLocality(t *testing.T) {
 		t.Errorf("owned total = %d", total)
 	}
 	// Balance: max load within 3x of mean for n/k = 125.
-	if p.MaxLoad() > 3*1000/8 {
-		t.Errorf("max load %d too imbalanced", p.MaxLoad())
+	if maxLoad > 3*1000/8 {
+		t.Errorf("max load %d too imbalanced", maxLoad)
 	}
 	// Locality enforcement.
-	v := p.View(0)
+	v := p.Shard(0)
 	if len(v.Owned()) > 0 {
 		_ = v.Adj(v.Owned()[0]) // fine
 	}
@@ -344,7 +349,7 @@ func TestRVPBalanceAndLocality(t *testing.T) {
 			t.Error("expected panic on non-local access")
 		}
 	}()
-	other := p.Owned(1)[0]
+	other := p.Shard(1).Owned()[0]
 	_ = v.Adj(other)
 }
 

@@ -1,133 +1,18 @@
 package kmachine
 
 import (
-	"fmt"
-
 	"kmgraph/internal/graph"
 	"kmgraph/internal/hashing"
 )
 
-// VertexPartition is the paper's random vertex partition (RVP, §1.1):
-// every vertex is hashed to a uniformly random home machine, carrying its
-// incident edge list with it. Because assignment is by hashing, every
-// machine can evaluate Home(v) for any vertex ID locally — the property
+// HomeOf is the home hash of the paper's random vertex partition (RVP,
+// §1.1): the machine vertex v, with its incident edges, lands on under a
+// given shared seed and machine count. Because assignment is by hashing,
+// every machine can evaluate it for any vertex ID locally — the property
 // real systems obtain the same way and that the algorithms rely on.
-type VertexPartition struct {
-	g        *graph.Graph
-	k        int
-	seed     uint64
-	explicit []int // non-nil for prescribed (non-hashed) assignments
-	owned    [][]int
-}
-
-// NewRVP partitions g's vertices over k machines using the given shared
-// seed.
-func NewRVP(g *graph.Graph, k int, seed uint64) *VertexPartition {
-	p := &VertexPartition{g: g, k: k, seed: seed, owned: make([][]int, k)}
-	for v := 0; v < g.N(); v++ {
-		h := p.Home(v)
-		p.owned[h] = append(p.owned[h], v)
-	}
-	return p
-}
-
-// NewExplicitPartition builds a vertex partition with prescribed homes
-// (homes[v] in [0, k)). Used by the lower-bound harness (§4), where vertex
-// placement is dictated by the two-party reduction rather than by hashing;
-// Home remains globally computable, as the simulation argument permits.
-func NewExplicitPartition(g *graph.Graph, k int, homes []int) *VertexPartition {
-	if len(homes) != g.N() {
-		panic("kmachine: homes length mismatch")
-	}
-	p := &VertexPartition{g: g, k: k, explicit: append([]int(nil), homes...), owned: make([][]int, k)}
-	for v, h := range p.explicit {
-		if h < 0 || h >= k {
-			panic("kmachine: home out of range")
-		}
-		p.owned[h] = append(p.owned[h], v)
-	}
-	return p
-}
-
-// Home returns the home machine of vertex v.
-func (p *VertexPartition) Home(v int) int {
-	if p.explicit != nil {
-		return p.explicit[v]
-	}
-	return HomeOf(p.seed, p.k, v)
-}
-
-// HomeOf is the RVP home hash: the machine vertex v lands on under a
-// given shared seed and machine count. Both the in-memory partition and
-// the shard-direct loader route through it, which is what makes the two
-// load paths produce bit-identical residencies.
 func HomeOf(seed uint64, k, v int) int {
 	return hashing.RangeOf(hashing.Hash2(seed^0x52d5, uint64(v)), k)
 }
-
-// K returns the machine count.
-func (p *VertexPartition) K() int { return p.k }
-
-// N returns the vertex count.
-func (p *VertexPartition) N() int { return p.g.N() }
-
-// Owned returns the vertices homed at machine i (sorted ascending).
-func (p *VertexPartition) Owned(i int) []int { return p.owned[i] }
-
-// MaxLoad returns the largest number of vertices on one machine (the RVP
-// balance property says this is Θ̃(n/k) w.h.p.).
-func (p *VertexPartition) MaxLoad() int {
-	m := 0
-	for _, o := range p.owned {
-		if len(o) > m {
-			m = len(o)
-		}
-	}
-	return m
-}
-
-// View returns machine i's restricted view of the input. Handlers must
-// access the graph only through views: a view exposes adjacency only for
-// owned vertices, enforcing the model's locality.
-func (p *VertexPartition) View(i int) *LocalView {
-	return &LocalView{id: i, p: p}
-}
-
-// LocalView is the knowledge machine i starts with: its own vertices with
-// their incident edges (including neighbor IDs and weights), plus the
-// ability to hash any vertex ID to its home machine.
-type LocalView struct {
-	id int
-	p  *VertexPartition
-}
-
-// ID returns the machine this view belongs to.
-func (v *LocalView) ID() int { return v.id }
-
-// N returns the number of vertices of the input graph (public knowledge).
-func (v *LocalView) N() int { return v.p.g.N() }
-
-// K returns the number of machines.
-func (v *LocalView) K() int { return v.p.k }
-
-// Owned returns this machine's vertices.
-func (v *LocalView) Owned() []int { return v.p.owned[v.id] }
-
-// Home returns the home machine of any vertex (computable by hashing).
-func (v *LocalView) Home(x int) int { return v.p.Home(x) }
-
-// Adj returns the adjacency list of an owned vertex. Accessing a vertex
-// homed elsewhere panics: that would violate the model.
-func (v *LocalView) Adj(u int) []graph.Half {
-	if v.p.Home(u) != v.id {
-		panic(fmt.Sprintf("kmachine: machine %d accessed non-local vertex %d (home %d)",
-			v.id, u, v.p.Home(u)))
-	}
-	return v.p.g.Adj(u)
-}
-
-// Degree returns the degree of an owned vertex.
-func (v *LocalView) Degree(u int) int { return len(v.Adj(u)) }
 
 // EdgePartition is the random edge partition (REP, §1.3): each edge is
 // assigned to a uniformly random machine, independently.
@@ -152,12 +37,6 @@ func NewREP(g *graph.Graph, k int, seed uint64) *EdgePartition {
 func (p *EdgePartition) HomeEdge(e graph.Edge) int {
 	return hashing.RangeOf(hashing.Hash2(p.seed^0xeed9e, graph.EdgeID(e.U, e.V, p.g.N())), p.k)
 }
-
-// K returns the machine count.
-func (p *EdgePartition) K() int { return p.k }
-
-// N returns the vertex count.
-func (p *EdgePartition) N() int { return p.g.N() }
 
 // OwnedEdges returns the edges homed at machine i.
 func (p *EdgePartition) OwnedEdges(i int) []graph.Edge { return p.owned[i] }

@@ -8,45 +8,144 @@ import (
 	"kmgraph/internal/graph"
 )
 
-// ShardPartition is the shard-direct realization of the random vertex
-// partition: built by streaming an EdgeSource exactly once per pass and
-// hashing each endpoint to its owner machine, so per-machine adjacency
-// shards are filled directly from the stream and a coordinator-side
-// graph.Graph never exists. This is also the model's own story — in the
-// k-machine model edges *arrive* random-partitioned; central
-// materialization is an artifact of the simulator, which this loader
-// removes.
+// Shard is what the model gives a machine (§1.1), and the one form it takes
+// on every host: the vertices hashed to the machine with their incident
+// edges (neighbor IDs and weights), the public vertex count, and the
+// globally computable home function. The one-shot handlers, a distributed
+// worker and the baselines read the shard the loader hands them; a
+// residency adopts it as the machine's live graph and mutates it in place
+// (Insert / Remove); min-cut sampling and the verification reductions
+// construct the filtered or lifted shard they run over (NewShard). How
+// adjacency is stored is this file's decision alone.
+type Shard struct {
+	n, id int
+	owned []int
+	home  func(v int) int
+	adj   map[int][]graph.Half // a row per owned vertex, sorted by neighbor
+}
+
+// NewShard wraps rows the caller built for machine id's owned vertices
+// (ascending; rows sorted by neighbor) over an n-vertex graph. An owned
+// vertex without a row gets an empty one; adj may be nil.
+func NewShard(n, id int, owned []int, home func(v int) int, adj map[int][]graph.Half) *Shard {
+	if adj == nil {
+		adj = make(map[int][]graph.Half, len(owned))
+	}
+	for _, u := range owned {
+		if _, ok := adj[u]; !ok {
+			adj[u] = nil
+		}
+	}
+	return &Shard{n: n, id: id, owned: owned, home: home, adj: adj}
+}
+
+// ID returns the machine the shard belongs to.
+func (s *Shard) ID() int { return s.id }
+
+// N returns the number of vertices of the input graph (public knowledge).
+func (s *Shard) N() int { return s.n }
+
+// Owned returns this machine's vertices, ascending.
+func (s *Shard) Owned() []int { return s.owned }
+
+// Home returns the home machine of any vertex.
+func (s *Shard) Home(v int) int { return s.home(v) }
+
+// Adj returns the adjacency list of an owned vertex. Asking for a vertex
+// homed elsewhere panics: that would violate the model. (Every owned
+// vertex has a row, so the check is the row lookup itself, not a hash.)
+func (s *Shard) Adj(u int) []graph.Half {
+	row, ok := s.adj[u]
+	if !ok {
+		panic(fmt.Sprintf("kmachine: machine %d accessed non-local vertex %d (home %d)", s.id, u, s.home(u)))
+	}
+	return row
+}
+
+func (s *Shard) find(u, to int) (int, bool) {
+	a := s.Adj(u)
+	i := sort.Search(len(a), func(i int) bool { return a[i].To >= to })
+	return i, i < len(a) && a[i].To == to
+}
+
+// Has reports whether the owned vertex u currently has an edge to `to`.
+func (s *Shard) Has(u, to int) bool {
+	_, ok := s.find(u, to)
+	return ok
+}
+
+// Insert adds the half-edge u->h, keeping the row sorted. It reports
+// false (and leaves the row unchanged) if the edge is already present.
+func (s *Shard) Insert(u int, h graph.Half) bool {
+	i, ok := s.find(u, h.To)
+	if ok {
+		return false
+	}
+	a := append(s.adj[u], graph.Half{})
+	copy(a[i+1:], a[i:])
+	a[i] = h
+	s.adj[u] = a
+	return true
+}
+
+// Remove deletes the half-edge u->to, reporting whether it was present.
+func (s *Shard) Remove(u, to int) bool {
+	i, ok := s.find(u, to)
+	if !ok {
+		return false
+	}
+	a := s.adj[u]
+	copy(a[i:], a[i+1:])
+	s.adj[u] = a[:len(a)-1]
+	return true
+}
+
+// HalfEdges counts the local half-edges of a part, stopping once the count
+// reaches limit (callers only compare against it).
 //
-// The result is bit-identical to NewRVP on the same graph and seed: the
-// same HomeOf hash assigns vertices, owned lists are ascending, and each
-// adjacency row is sorted by neighbor with identical weights — so seeds,
-// partitions, round counts, and Metrics of any run are unchanged by
-// which load path produced the residency.
+//km:hotpath
+func (s *Shard) HalfEdges(members []int, limit int) int {
+	h := 0
+	for _, u := range members {
+		if h += len(s.adj[u]); h >= limit {
+			break
+		}
+	}
+	return h
+}
+
+// ShardPartition is a vertex partition of one input over k machines: the
+// Shard of every machine in the hosted range [lo, hi). It is built by
+// streaming an EdgeSource and sending each endpoint to its home machine's
+// shard, so a coordinator-side graph.Graph never exists. This is also the
+// model's own story — in the k-machine model edges *arrive* partitioned;
+// central materialization would be an artifact of the simulator.
 type ShardPartition struct {
 	n, m   int
-	k      int
-	lo, hi int // machines whose shards are materialized
-	seed   uint64
-	owned  [][]int
-	adj    []map[int][]graph.Half // per machine: owned vertex -> sorted adjacency
+	lo, hi int
+	shards []*Shard // nil outside [lo, hi)
 }
 
-// LoadShards streams src into per-machine adjacency shards for k
-// machines under the RVP seed. It makes two passes when the source
-// supports Reset (degree counting, then a fill into exactly-sized rows
-// backed by one arena per machine). Self-loops, out-of-range endpoints,
-// and duplicate edges are errors, matching graph.Builder.
+// LoadShards streams src into one Shard per machine under the random
+// vertex partition of the given seed (HomeOf).
 func LoadShards(src graph.EdgeSource, k int, seed uint64) (*ShardPartition, error) {
-	return LoadShardsRange(src, k, seed, 0, k)
+	return LoadShardsRange(src, k, func(v int) int { return HomeOf(seed, k, v) }, 0, k)
 }
 
-// LoadShardsRange is LoadShards restricted to machines [lo, hi): only
-// their owned lists and adjacency rows are materialized, so a worker
-// process hosting a sub-range of a distributed cluster holds only its
-// own slice of the graph. The stream is still validated in full, and
-// the shards produced for [lo, hi) are bit-identical to the same
-// machines' shards under a full LoadShards with the same seed.
-func LoadShardsRange(src graph.EdgeSource, k int, seed uint64, lo, hi int) (*ShardPartition, error) {
+// LoadShardsRange is the loader: it streams src into the shards of
+// machines [lo, hi) of k under the given home function — the RVP hash for
+// every algorithm, a table for the lower-bound harness (§4), whose
+// placement the two-party reduction prescribes. It makes two passes over
+// the source (degree counting, then a fill into exactly-sized rows backed
+// by one arena per machine). Only the hosted machines' owned lists and
+// rows are materialized, so a worker process hosting a sub-range of a
+// distributed cluster holds only its own slice of the graph; the stream is
+// still validated in full, and a machine's shard does not depend on which
+// range it was loaded in. Owned lists are ascending and rows sorted by
+// neighbor whatever order the source delivers edges in. Self-loops,
+// out-of-range endpoints, and duplicate edges are errors, matching
+// graph.Builder.
+func LoadShardsRange(src graph.EdgeSource, k int, home func(v int) int, lo, hi int) (*ShardPartition, error) {
 	n := src.N()
 	if n < 0 {
 		return nil, fmt.Errorf("kmachine: negative vertex count %d", n)
@@ -57,27 +156,30 @@ func LoadShardsRange(src graph.EdgeSource, k int, seed uint64, lo, hi int) (*Sha
 	if lo < 0 || hi > k || lo >= hi {
 		return nil, fmt.Errorf("kmachine: shard range [%d,%d) outside [0,%d)", lo, hi, k)
 	}
-	p := &ShardPartition{n: n, k: k, lo: lo, hi: hi, seed: seed,
-		owned: make([][]int, k), adj: make([]map[int][]graph.Half, k)}
-
 	if k > 1<<16 {
 		return nil, fmt.Errorf("kmachine: k = %d exceeds the shard loader's machine table", k)
 	}
+	p := &ShardPartition{n: n, lo: lo, hi: hi, shards: make([]*Shard, k)}
+
 	hosted := func(mach uint16) bool { return int(mach) >= lo && int(mach) < hi }
-	home := make([]uint16, n)
+	homes := make([]uint16, n)
 	perMachine := make([]int, k)
 	for v := 0; v < n; v++ {
-		h := HomeOf(seed, k, v)
-		home[v] = uint16(h)
+		h := home(v)
+		if h < 0 || h >= k {
+			return nil, fmt.Errorf("kmachine: vertex %d homed at machine %d of %d", v, h, k)
+		}
+		homes[v] = uint16(h)
 		perMachine[h]++
 	}
 	for i := lo; i < hi; i++ {
-		p.owned[i] = make([]int, 0, perMachine[i])
-		p.adj[i] = make(map[int][]graph.Half, perMachine[i])
+		p.shards[i] = &Shard{n: n, id: i, home: home,
+			owned: make([]int, 0, perMachine[i]), adj: make(map[int][]graph.Half, perMachine[i])}
 	}
 	for v := 0; v < n; v++ {
-		if hosted(home[v]) {
-			p.owned[home[v]] = append(p.owned[home[v]], v)
+		if hosted(homes[v]) {
+			s := p.shards[homes[v]]
+			s.owned = append(s.owned, v)
 		}
 	}
 
@@ -100,10 +202,10 @@ func LoadShardsRange(src graph.EdgeSource, k int, seed uint64, lo, hi int) (*Sha
 		if err := checkShardEdge(e, n); err != nil {
 			return nil, err
 		}
-		if hosted(home[e.U]) {
+		if hosted(homes[e.U]) {
 			deg[e.U]++
 		}
-		if hosted(home[e.V]) {
+		if hosted(homes[e.V]) {
 			deg[e.V]++
 		}
 		m++
@@ -114,17 +216,14 @@ func LoadShardsRange(src graph.EdgeSource, k int, seed uint64, lo, hi int) (*Sha
 	cur := make([]int32, n)
 	for i := lo; i < hi; i++ {
 		total := 0
-		for _, v := range p.owned[i] {
+		for _, v := range p.shards[i].owned {
 			total += int(deg[v])
 		}
 		arena := make([]graph.Half, total)
 		off := 0
-		for _, v := range p.owned[i] {
+		for _, v := range p.shards[i].owned {
 			d := int(deg[v])
-			if d == 0 {
-				continue
-			}
-			p.adj[i][v] = arena[off : off : off+d]
+			p.shards[i].adj[v] = arena[off : off : off+d]
 			off += d
 		}
 	}
@@ -146,19 +245,19 @@ func LoadShardsRange(src graph.EdgeSource, k int, seed uint64, lo, hi int) (*Sha
 		if err := checkShardEdge(e, n); err != nil {
 			return nil, err
 		}
-		hu, hv := home[e.U], home[e.V]
+		hu, hv := homes[e.U], homes[e.V]
 		if hosted(hu) {
 			if int(cur[e.U]) >= int(deg[e.U]) {
 				return nil, fmt.Errorf("kmachine: source changed between passes (row %d overflow)", e.U)
 			}
-			p.adj[hu][e.U] = append(p.adj[hu][e.U], graph.Half{To: e.V, W: e.W})
+			p.shards[hu].adj[e.U] = append(p.shards[hu].adj[e.U], graph.Half{To: e.V, W: e.W})
 			cur[e.U]++
 		}
 		if hosted(hv) {
 			if int(cur[e.V]) >= int(deg[e.V]) {
 				return nil, fmt.Errorf("kmachine: source changed between passes (row %d overflow)", e.V)
 			}
-			p.adj[hv][e.V] = append(p.adj[hv][e.V], graph.Half{To: e.U, W: e.W})
+			p.shards[hv].adj[e.V] = append(p.shards[hv].adj[e.V], graph.Half{To: e.U, W: e.W})
 			cur[e.V]++
 		}
 	}
@@ -172,7 +271,7 @@ func LoadShardsRange(src graph.EdgeSource, k int, seed uint64, lo, hi int) (*Sha
 	// Sort rows by neighbor (a no-op for canonical-row-order sources like
 	// the store, whose halves arrive pre-sorted) and reject duplicates.
 	for i := lo; i < hi; i++ {
-		for v, row := range p.adj[i] {
+		for v, row := range p.shards[i].adj {
 			if !halvesSorted(row) {
 				sort.Slice(row, func(a, b int) bool { return row[a].To < row[b].To })
 			}
@@ -211,92 +310,10 @@ func (p *ShardPartition) N() int { return p.n }
 // M returns the edge count of the streamed graph.
 func (p *ShardPartition) M() int { return p.m }
 
-// K returns the machine count.
-func (p *ShardPartition) K() int { return p.k }
-
-// Home returns the home machine of vertex v (the shared RVP hash).
-func (p *ShardPartition) Home(v int) int { return HomeOf(p.seed, p.k, v) }
-
-// Hosted returns the half-open machine range whose shards are
-// materialized ([0, K) for LoadShards).
-func (p *ShardPartition) Hosted() (lo, hi int) { return p.lo, p.hi }
-
-// Owned returns the vertices homed at machine i (sorted ascending).
-// The machine's shard must be materialized.
-func (p *ShardPartition) Owned(i int) []int {
-	p.checkHosted(i)
-	return p.owned[i]
-}
-
-func (p *ShardPartition) checkHosted(i int) {
+// Shard returns machine i's shard; i must be in the hosted range.
+func (p *ShardPartition) Shard(i int) *Shard {
 	if i < p.lo || i >= p.hi {
-		panic(fmt.Sprintf("kmachine: machine %d outside materialized shard range [%d,%d)",
-			i, p.lo, p.hi))
+		panic(fmt.Sprintf("kmachine: machine %d outside materialized shard range [%d,%d)", i, p.lo, p.hi))
 	}
+	return p.shards[i]
 }
-
-// MaxLoad returns the largest number of vertices on one materialized
-// machine.
-func (p *ShardPartition) MaxLoad() int {
-	m := 0
-	for i := p.lo; i < p.hi; i++ {
-		if len(p.owned[i]) > m {
-			m = len(p.owned[i])
-		}
-	}
-	return m
-}
-
-// TakeAdj surrenders machine i's adjacency shard to the caller (the
-// resident engine adopts it as the machine's mutable view, avoiding a
-// second copy of the graph in memory). The partition's own View for
-// that machine must not be used afterwards.
-func (p *ShardPartition) TakeAdj(i int) map[int][]graph.Half {
-	p.checkHosted(i)
-	a := p.adj[i]
-	p.adj[i] = nil
-	return a
-}
-
-// View returns machine i's restricted view of the sharded input — the
-// same contract as VertexPartition.View.
-func (p *ShardPartition) View(i int) *ShardView {
-	p.checkHosted(i)
-	return &ShardView{id: i, p: p}
-}
-
-// ShardView is a machine's local knowledge under a shard-direct load:
-// its owned vertices with adjacency, plus the globally computable home
-// hash. It implements the same GraphView surface as LocalView.
-type ShardView struct {
-	id int
-	p  *ShardPartition
-}
-
-// ID returns the machine this view belongs to.
-func (v *ShardView) ID() int { return v.id }
-
-// N returns the vertex count (public knowledge).
-func (v *ShardView) N() int { return v.p.n }
-
-// K returns the machine count.
-func (v *ShardView) K() int { return v.p.k }
-
-// Owned returns this machine's vertices.
-func (v *ShardView) Owned() []int { return v.p.owned[v.id] }
-
-// Home returns the home machine of any vertex.
-func (v *ShardView) Home(x int) int { return v.p.Home(x) }
-
-// Adj returns the adjacency list of an owned vertex. Accessing a vertex
-// homed elsewhere panics: that would violate the model.
-func (v *ShardView) Adj(u int) []graph.Half {
-	if v.p.Home(u) != v.id {
-		panic(fmt.Sprintf("kmachine: machine %d accessed non-local vertex %d (home %d)",
-			v.id, u, v.p.Home(u)))
-	}
-	return v.p.adj[v.id][u]
-}
-
-// Degree returns the degree of an owned vertex.
-func (v *ShardView) Degree(u int) int { return len(v.Adj(u)) }

@@ -3,31 +3,57 @@ package kmachine
 import (
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"kmgraph/internal/graph"
 )
 
-// TestShardLoadMatchesRVP pins the bit-exactness contract: the shard
-// loader must reproduce the in-memory random vertex partition exactly —
-// same owned lists, same per-vertex adjacency, same order, same weights.
+// checkShard compares machine i's shard with the definition of a vertex
+// partition, read off the graph itself: the owned list is the ascending
+// list of vertices home sends to i, every row is g's own adjacency (same
+// order, same weights), and a vertex homed elsewhere has no row.
+func checkShard(t *testing.T, s *Shard, g *graph.Graph, i int, home func(int) int) {
+	t.Helper()
+	if s.ID() != i || s.N() != g.N() {
+		t.Fatalf("machine %d: shard says id=%d n=%d, want n=%d", i, s.ID(), s.N(), g.N())
+	}
+	var owned []int
+	for v := 0; v < g.N(); v++ {
+		if home(v) == i {
+			owned = append(owned, v)
+		}
+		if s.Home(v) != home(v) {
+			t.Fatalf("machine %d: Home(%d) = %d, want %d", i, v, s.Home(v), home(v))
+		}
+	}
+	if len(owned)+len(s.Owned()) > 0 && !reflect.DeepEqual(s.Owned(), owned) {
+		t.Fatalf("machine %d: owned = %v, want %v", i, s.Owned(), owned)
+	}
+	for _, v := range owned {
+		got, want := s.Adj(v), g.Adj(v)
+		if len(got)+len(want) > 0 && !reflect.DeepEqual(got, want) {
+			t.Fatalf("machine %d vertex %d adjacency differs\n got %v\nwant %v", i, v, got, want)
+		}
+	}
+}
+
+// TestShardLoadMatchesRVP pins the loader against the definition of the
+// random vertex partition — HomeOf and the graph's adjacency — over full
+// loads, hosted sub-ranges and a prescribed-homes table.
 func TestShardLoadMatchesRVP(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 25; trial++ {
+	for trial := 0; trial < 24; trial++ {
 		n := 1 + rng.Intn(300)
-		maxM := n * (n - 1) / 2
-		m := 0
-		if maxM > 0 {
-			m = rng.Intn(maxM/2 + 1)
-		}
+		m := rng.Intn(n*(n-1)/4 + 1)
 		g := graph.GNM(n, m, int64(trial))
 		if trial%2 == 0 {
 			g = graph.WithDistinctWeights(g, int64(trial))
 		}
-		k := 1 + rng.Intn(12)
+		k := []int{1, 3, 8}[trial%3]
 		seed := uint64(trial) * 0x9e3779b97f4a7c15
+		rvp := func(v int) int { return HomeOf(seed, k, v) }
 
-		rvp := NewRVP(g, k, seed)
 		sp, err := LoadShards(g.Source(), k, seed)
 		if err != nil {
 			t.Fatalf("trial %d: LoadShards: %v", trial, err)
@@ -36,26 +62,42 @@ func TestShardLoadMatchesRVP(t *testing.T) {
 			t.Fatalf("trial %d: got n=%d m=%d, want n=%d m=%d", trial, sp.N(), sp.M(), n, g.M())
 		}
 		for i := 0; i < k; i++ {
-			if !reflect.DeepEqual(rvp.Owned(i), sp.Owned(i)) {
-				t.Fatalf("trial %d: machine %d owned lists differ", trial, i)
-			}
-			lv, sv := rvp.View(i), sp.View(i)
-			for _, v := range rvp.Owned(i) {
-				want := lv.Adj(v)
-				got := sv.Adj(v)
-				if len(want) == 0 && len(got) == 0 {
-					continue
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("trial %d: machine %d vertex %d adjacency differs\n got %v\nwant %v",
-						trial, i, v, got, want)
-				}
-			}
+			checkShard(t, sp.Shard(i), g, i, rvp)
 		}
-		for v := 0; v < n; v++ {
-			if rvp.Home(v) != sp.Home(v) {
-				t.Fatalf("trial %d: home(%d) differs", trial, v)
-			}
+
+		// A hosted sub-range holds the same shards and nothing else.
+		lo := rng.Intn(k)
+		hi := lo + 1 + rng.Intn(k-lo)
+		sub, err := LoadShardsRange(g.Source(), k, rvp, lo, hi)
+		if err != nil {
+			t.Fatalf("trial %d: LoadShardsRange [%d,%d): %v", trial, lo, hi, err)
+		}
+		for i := lo; i < hi; i++ {
+			checkShard(t, sub.Shard(i), g, i, rvp)
+		}
+		if lo > 0 {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("trial %d: Shard(%d) outside [%d,%d) did not panic", trial, lo-1, lo, hi)
+					}
+				}()
+				sub.Shard(lo - 1)
+			}()
+		}
+
+		// Prescribed placement (the lower-bound harness): any table works.
+		homes := make([]int, n)
+		for v := range homes {
+			homes[v] = rng.Intn(k)
+		}
+		table := func(v int) int { return homes[v] }
+		tp, err := LoadShardsRange(g.Source(), k, table, 0, k)
+		if err != nil {
+			t.Fatalf("trial %d: prescribed homes: %v", trial, err)
+		}
+		for i := 0; i < k; i++ {
+			checkShard(t, tp.Shard(i), g, i, table)
 		}
 	}
 }
@@ -72,17 +114,8 @@ func TestShardLoadUnsortedSourceIsSorted(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := graph.FromEdges(10, edges)
-	rvp := NewRVP(g, 3, 42)
 	for i := 0; i < 3; i++ {
-		lv, sv := rvp.View(i), sp.View(i)
-		for _, v := range rvp.Owned(i) {
-			if len(lv.Adj(v)) == 0 && len(sv.Adj(v)) == 0 {
-				continue
-			}
-			if !reflect.DeepEqual(sv.Adj(v), lv.Adj(v)) {
-				t.Fatalf("vertex %d adjacency differs: got %v want %v", v, sv.Adj(v), lv.Adj(v))
-			}
-		}
+		checkShard(t, sp.Shard(i), g, i, func(v int) int { return HomeOf(42, 3, v) })
 	}
 }
 
@@ -100,4 +133,83 @@ func TestShardLoadRejectsBadStreams(t *testing.T) {
 	if _, err := LoadShards(graph.NewSliceSource(10, nil), 0, 1); err == nil {
 		t.Error("k=0 accepted")
 	}
+	if _, err := LoadShardsRange(graph.NewSliceSource(10, nil), 4, func(int) int { return 4 }, 0, 4); err == nil {
+		t.Error("home outside [0,k) accepted")
+	}
+}
+
+// TestShardMutationMatchesOracle drives Insert / Remove / Has on a loaded
+// shard against a map oracle: verdicts agree, rows stay sorted and hold
+// exactly the oracle's edges, and — rows being carved from one arena per
+// machine — a row that outgrows its slot never tramples its neighbours.
+func TestShardMutationMatchesOracle(t *testing.T) {
+	const n, k = 60, 3
+	g := graph.GNM(n, 150, 11)
+	sp, err := LoadShards(g.Source(), k, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := sp.Shard(1)
+	oracle := make(map[int]map[int]int64) // owned vertex -> neighbor -> weight
+	for _, u := range s.Owned() {
+		oracle[u] = make(map[int]int64)
+		for _, h := range g.Adj(u) {
+			oracle[u][h.To] = h.W
+		}
+	}
+	if len(s.Owned()) == 0 {
+		t.Fatal("machine 1 owns nothing")
+	}
+	rng := rand.New(rand.NewSource(9))
+	for step := 0; step < 4000; step++ {
+		u := s.Owned()[rng.Intn(len(s.Owned()))]
+		to := rng.Intn(n)
+		_, present := oracle[u][to]
+		if s.Has(u, to) != present {
+			t.Fatalf("step %d: Has(%d,%d) = %v, oracle %v", step, u, to, !present, present)
+		}
+		if rng.Intn(3) > 0 { // insert-biased, so rows outgrow their arena slots
+			w := int64(step)
+			if s.Insert(u, graph.Half{To: to, W: w}) == present {
+				t.Fatalf("step %d: Insert(%d,%d) verdict wrong (present=%v)", step, u, to, present)
+			}
+			if !present {
+				oracle[u][to] = w
+			}
+		} else {
+			if s.Remove(u, to) != present {
+				t.Fatalf("step %d: Remove(%d,%d) verdict wrong (present=%v)", step, u, to, present)
+			}
+			delete(oracle[u], to)
+		}
+		if step%97 != 0 && step != 3999 {
+			continue
+		}
+		half := 0
+		for _, v := range s.Owned() {
+			row := s.Adj(v)
+			if !sort.SliceIsSorted(row, func(a, b int) bool { return row[a].To < row[b].To }) {
+				t.Fatalf("step %d: row %d unsorted: %v", step, v, row)
+			}
+			if len(row) != len(oracle[v]) {
+				t.Fatalf("step %d: row %d has %d halves, oracle %d", step, v, len(row), len(oracle[v]))
+			}
+			for _, h := range row {
+				if w, ok := oracle[v][h.To]; !ok || w != h.W {
+					t.Fatalf("step %d: row %d holds %v, oracle (%d, %v)", step, v, h, w, ok)
+				}
+			}
+			half += len(row)
+		}
+		if got := s.HalfEdges(s.Owned(), 1<<30); got != half {
+			t.Fatalf("step %d: HalfEdges = %d, rows hold %d", step, got, half)
+		}
+	}
+	// The model's locality: a vertex homed elsewhere has no row here.
+	defer func() {
+		if recover() == nil {
+			t.Error("mutating a non-local vertex did not panic")
+		}
+	}()
+	s.Insert(sp.Shard(0).Owned()[0], graph.Half{To: 1, W: 1})
 }

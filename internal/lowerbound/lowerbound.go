@@ -20,6 +20,7 @@
 package lowerbound
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -174,8 +175,11 @@ func RunSCS(inst Instance, cfg core.Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	part := kmachine.NewExplicitPartition(hGraph, cfg.K, homes)
-	res, err := core.RunWithPartition(hGraph, part, cfg)
+	part, err := kmachine.LoadShardsRange(hGraph.Source(), cfg.K, func(v int) int { return homes[v] }, 0, cfg.K)
+	if err != nil {
+		return nil, err
+	}
+	res, err := core.RunShards(context.Background(), part, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -1,5 +1,5 @@
 // Package procstat reads host-process statistics for the CLIs' memory
-// reporting (kmbench's max_rss_bytes, kmconnect's peak-RSS lines). One
+// reporting (kmbench's max_rss_bytes, kmrun's peak-RSS lines). One
 // shared implementation so the platform normalization lives in exactly
 // one place.
 package procstat

@@ -110,7 +110,6 @@ func run(g *graph.Graph, cfg Config, unweighted bool) (*Result, error) {
 		}
 		keep := localForest(n, mine)
 
-		vp := kmachine.NewRVP(g, ctx.K(), vertexSeed)
 		batches := make([][]byte, ctx.K())
 		addTo := func(dst int, e graph.Edge) {
 			b := batches[dst]
@@ -120,7 +119,7 @@ func run(g *graph.Graph, cfg Config, unweighted bool) (*Result, error) {
 			batches[dst] = b
 		}
 		for _, e := range keep {
-			hu, hv := vp.Home(e.U), vp.Home(e.V)
+			hu, hv := kmachine.HomeOf(vertexSeed, ctx.K(), e.U), kmachine.HomeOf(vertexSeed, ctx.K(), e.V)
 			addTo(hu, e)
 			if hv != hu {
 				addTo(hv, e)

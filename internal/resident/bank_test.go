@@ -9,17 +9,18 @@ import (
 
 	"kmgraph/internal/core"
 	"kmgraph/internal/graph"
+	"kmgraph/internal/kmachine"
 	"kmgraph/internal/sketch"
 )
 
-// bankRig is one machine's bank state driven by hand: a mutating dynView
+// bankRig is one machine's bank state driven by hand: a mutating shard
 // over the vertices it owns (every third vertex lives elsewhere), a part
 // labeling, and the cache under test. Cells() is 12, so parts cross the
 // keep threshold after a handful of edges.
 type bankRig struct {
 	t      *testing.T
 	params sketch.Params
-	view   *dynView
+	view   *kmachine.Shard
 	labels map[int]uint64
 	c      *bankCache
 }
@@ -35,7 +36,7 @@ func newBankRig(t *testing.T, n, banks int) *bankRig {
 			r.labels[v] = uint64(v)
 		}
 	}
-	r.view = adoptDynView(n, 0, home, owned, nil)
+	r.view = kmachine.NewShard(n, 0, owned, home, nil)
 	seeds := make([]uint64, banks)
 	for b := range seeds {
 		seeds[b] = 0xb0 + uint64(b)
@@ -46,7 +47,7 @@ func newBankRig(t *testing.T, n, banks int) *bankRig {
 
 func (r *bankRig) parts() map[uint64][]int {
 	p := make(map[uint64][]int)
-	for _, v := range r.view.owned {
+	for _, v := range r.view.Owned() {
 		p[r.labels[v]] = append(p[r.labels[v]], v)
 	}
 	return p
@@ -76,7 +77,7 @@ func (r *bankRig) setEdge(u, v int, del bool) {
 		if r.view.Home(end.a) != 0 {
 			continue
 		}
-		changed := del && r.view.remove(end.a, end.b) || !del && r.view.insert(end.a, graph.Half{To: end.b, W: 1})
+		changed := del && r.view.Remove(end.a, end.b) || !del && r.view.Insert(end.a, graph.Half{To: end.b, W: 1})
 		if changed {
 			r.c.update(r.labels[end.a], id, end.sign)
 		}
@@ -269,7 +270,7 @@ func TestBankCacheMatchesFreshBuilds(t *testing.T) {
 		const n, banks = 96, 4
 		rng := rand.New(rand.NewSource(seed))
 		r := newBankRig(t, n, banks)
-		owned := r.view.owned
+		owned := r.view.Owned()
 		for step := 0; step < 1500; step++ {
 			switch op := rng.Intn(10); {
 			case op < 5: // edge churn, insert-biased so parts grow heavy

@@ -12,6 +12,7 @@ package resident
 import (
 	"kmgraph/internal/core"
 	"kmgraph/internal/graph"
+	"kmgraph/internal/kmachine"
 	"kmgraph/internal/mincut"
 	"kmgraph/internal/verify"
 )
@@ -67,20 +68,6 @@ func specForView(v verify.View, n int) *runSpec {
 	return s
 }
 
-// staticView is a materialized immutable snapshot of a derived graph,
-// implementing core.GraphView for the duration of one job.
-type staticView struct {
-	n     int
-	owned []int
-	home  func(v int) int
-	adj   map[int][]graph.Half
-}
-
-func (v *staticView) N() int                 { return v.n }
-func (v *staticView) Owned() []int           { return v.owned }
-func (v *staticView) Home(x int) int         { return v.home(x) }
-func (v *staticView) Adj(u int) []graph.Half { return v.adj[u] }
-
 // keepEdge reports whether the (canonical) edge {u,v} of the live n-vertex
 // graph survives the spec's filter.
 func (s *runSpec) keepEdge(u, v, n int) bool {
@@ -95,10 +82,10 @@ func (s *runSpec) keepEdge(u, v, n int) bool {
 	return true
 }
 
-// derive materializes the spec's view over the machine's live adjacency.
-// Local computation is free in the model; only the merge phases that run
-// over the view are metered.
-func (m *rmachine) derive(spec *runSpec) core.GraphView {
+// derive materializes the spec's view over the machine's live adjacency:
+// the shard one job runs over. Local computation is free in the model;
+// only the merge phases that run over the view are metered.
+func (m *rmachine) derive(spec *runSpec) *kmachine.Shard {
 	live := m.view
 	if spec.kind == viewFull {
 		return live
@@ -108,9 +95,9 @@ func (m *rmachine) derive(spec *runSpec) core.GraphView {
 		// lifts to {u, v+n} and {u+n, v}. Keeping both copies of a vertex
 		// on its base home machine preserves the RVP locality argument.
 		n := live.N()
-		owned := make([]int, 0, 2*len(live.owned))
-		adj := make(map[int][]graph.Half, 2*len(live.owned))
-		for _, v := range live.owned {
+		owned := make([]int, 0, 2*len(live.Owned()))
+		adj := make(map[int][]graph.Half, 2*len(live.Owned()))
+		for _, v := range live.Owned() {
 			owned = append(owned, v)
 			base := live.Adj(v)
 			up := make([]graph.Half, len(base))
@@ -122,19 +109,14 @@ func (m *rmachine) derive(spec *runSpec) core.GraphView {
 			adj[v] = up
 			adj[v+n] = down
 		}
-		for _, v := range live.owned {
+		for _, v := range live.Owned() {
 			owned = append(owned, v+n)
 		}
-		return &staticView{
-			n:     2 * n,
-			owned: owned,
-			home:  func(x int) int { return live.Home(x % n) },
-			adj:   adj,
-		}
+		return kmachine.NewShard(2*n, live.ID(), owned, func(x int) int { return live.Home(x % n) }, adj)
 	}
 	n := live.N()
-	adj := make(map[int][]graph.Half, len(live.owned))
-	for _, v := range live.owned {
+	adj := make(map[int][]graph.Half, len(live.Owned()))
+	for _, v := range live.Owned() {
 		var kept []graph.Half
 		for _, h := range live.Adj(v) {
 			if spec.keepEdge(v, h.To, n) {
@@ -143,7 +125,7 @@ func (m *rmachine) derive(spec *runSpec) core.GraphView {
 		}
 		adj[v] = kept
 	}
-	return &staticView{n: n, owned: live.owned, home: live.Home, adj: adj}
+	return kmachine.NewShard(n, live.ID(), live.Owned(), live.Home, adj)
 }
 
 // runConfig resolves the core config a derived run uses: the double cover

@@ -69,33 +69,25 @@ type Engine struct {
 	banks       BankMetrics
 }
 
-// New loads g across a fresh cluster under a random vertex partition and
+// New loads g across a fresh cluster: NewFromSource on the graph's own
+// edge stream.
+func New(g *graph.Graph, cfg Config) (*Engine, error) { return NewFromSource(g.Source(), cfg) }
+
+// NewFromSource loads a streamed graph under a random vertex partition and
 // blocks until every machine finishes the load phase (shared randomness,
-// bank seeds, resident adjacency). The load is the only time the graph is
-// distributed; its cost is recorded in Metrics().Load.
-func New(g *graph.Graph, cfg Config) (*Engine, error) { return newOn(g, cfg, nil) }
+// bank seeds, resident adjacency): src is consumed by the kmachine shard
+// loader (two streaming passes), each endpoint hashed to its home machine,
+// and each machine adopts its shard as its live graph without copying. No
+// global graph.Graph is ever materialized — this is the out-of-core
+// serving path. The load is the only time the graph is distributed; its
+// cost is recorded in Metrics().Load.
+func NewFromSource(src graph.EdgeSource, cfg Config) (*Engine, error) { return newOn(src, cfg, nil) }
 
-// newOn is New with the rounds carried by the transport mk builds (nil:
-// transport/local); tests use it to put a residency on another backend.
-func newOn(g *graph.Graph, cfg Config, mk kmachine.TransportMaker) (*Engine, error) {
-	if err := validConfig(g.N(), cfg); err != nil {
-		return nil, err
-	}
-	part := kmachine.NewRVP(g, cfg.K, uint64(cfg.Seed)^0x9e37)
-	return newEngine(g.N(), g.M(), cfg, mk, func(id int) *dynView {
-		lv := part.View(id)
-		return newDynView(g.N(), id, lv.Home, lv.Owned(), lv.Adj)
-	})
-}
-
-// NewFromSource loads a streamed graph shard-direct: src is consumed by
-// the kmachine shard loader (two streaming passes), each endpoint hashed
-// to its owner machine and appended into that machine's adjacency shard,
-// which the resident view then adopts without copying. No global
-// graph.Graph is ever materialized — this is the out-of-core serving
-// path — and the residency is bit-identical to New on the same graph
-// and seed: same partition, same round counts, same Metrics.
-func NewFromSource(src graph.EdgeSource, cfg Config) (*Engine, error) {
+// newOn is NewFromSource with the rounds carried by the transport mk
+// builds (nil: transport/local); tests use it to put a residency on
+// another backend. No answer or cost depends on it. The load is the first
+// command, in which every machine adopts its shard.
+func newOn(src graph.EdgeSource, cfg Config, mk kmachine.TransportMaker) (*Engine, error) {
 	n := src.N()
 	if err := validConfig(n, cfg); err != nil {
 		return nil, err
@@ -104,18 +96,6 @@ func NewFromSource(src graph.EdgeSource, cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newEngine(n, part.M(), cfg, nil, func(id int) *dynView {
-		return adoptDynView(n, id, part.Home, part.Owned(id), part.TakeAdj(id))
-	})
-}
-
-// newEngine is the shared residency bring-up: the load is the first
-// command, in which the view maker is called once per machine, on that
-// machine's goroutine, to produce its mutable graph knowledge. mk selects
-// the transport that carries the rounds; no answer or cost depends on it.
-// Callers own config validation (they must validate before touching their
-// partition machinery, so newEngine does not repeat it).
-func newEngine(n, edges int, cfg Config, mk kmachine.TransportMaker, makeView func(id int) *dynView) (*Engine, error) {
 	ccfg := cfg.coreConfig(n)
 	banksN := cfg.Banks
 	if banksN <= 0 {
@@ -135,10 +115,10 @@ func newEngine(n, edges int, cfg Config, mk kmachine.TransportMaker, makeView fu
 		kc:     kc,
 		ms:     make([]*rmachine, ccfg.K),
 		sem:    make(chan struct{}, 1),
-		edges:  edges,
+		edges:  part.M(),
 	}
 	_, _, err = e.run(func(ctx *kmachine.Ctx) error {
-		view := makeView(ctx.ID())
+		view := part.Shard(ctx.ID())
 		m := &rmachine{
 			e:      e,
 			ctx:    ctx,
@@ -457,14 +437,14 @@ func (e *Engine) Query(ctx context.Context) (*QueryResult, error) {
 	e.statMu.Lock()
 	e.queries++
 	e.statMu.Unlock()
-	outs, converged, cancelled := jobOutputs(rs)
+	outs, cancelled := jobOutputs(rs)
 	if cancelled {
 		err := t.cancelErr()
 		t.end(err)
 		return nil, err
 	}
 	cr, err := core.Assemble(e.n, outs)
-	if err != nil {
+	if cr == nil {
 		t.end(err)
 		return nil, err
 	}
@@ -482,9 +462,9 @@ func (e *Engine) Query(ctx context.Context) (*QueryResult, error) {
 		MergeEdges:        q.mergeEdges,
 		Epoch:             t.epoch,
 	}
-	if !converged {
-		t.end(ErrNotConverged)
-		return res, ErrNotConverged
+	if err != nil { // ErrNotConverged: the partial answer goes back with it
+		t.end(err)
+		return res, err
 	}
 	if _, oerr := t.endOK(); oerr != nil {
 		return res, oerr
@@ -492,16 +472,15 @@ func (e *Engine) Query(ctx context.Context) (*QueryResult, error) {
 	return res, nil
 }
 
-// jobOutputs splits one phase-driven job's machine outputs into the per-machine
-// outputs core assembles and the phase driver's verdict (which the
-// machines reach jointly, so any one output carries it).
-func jobOutputs(rs []any) (outs []any, converged, cancelled bool) {
+// jobOutputs splits one phase-driven job's machine outputs into the
+// per-machine outputs core assembles and whether the job was cancelled
+// (which the machines observe jointly, so any one output carries it).
+func jobOutputs(rs []any) (outs []any, cancelled bool) {
 	outs = make([]any, len(rs))
 	for i, r := range rs {
 		outs[i] = r.(*jobOutput).machine
 	}
-	r0 := rs[0].(*jobOutput)
-	return outs, r0.converged, r0.cancelled
+	return outs, rs[0].(*jobOutput).cancelled
 }
 
 // MST constructs the minimum spanning forest of the current graph
@@ -520,22 +499,23 @@ func (e *Engine) MST(ctx context.Context, strong bool) (*core.MSTResult, error) 
 		t.end(err)
 		return nil, err
 	}
-	outs, converged, cancelled := jobOutputs(rs)
+	outs, cancelled := jobOutputs(rs)
 	if cancelled {
 		err := t.cancelErr()
 		t.end(err)
 		return nil, err
 	}
 	out, err := core.AssembleMST(e.n, outs)
-	if err != nil {
+	if out == nil {
 		t.end(err)
 		return nil, err
 	}
 	out.WeakRounds -= startR // machines report session-cumulative rounds
-	if !converged {
-		// The edges decided so far are MST edges; the forest is not whole.
-		out.Metrics = t.end(ErrNotConverged)
-		return out, ErrNotConverged
+	if err != nil {
+		// ErrNotConverged: the edges decided so far are MST edges; the
+		// forest is not whole.
+		out.Metrics = t.end(err)
+		return out, err
 	}
 	var oerr error
 	out.Metrics, oerr = t.endOK()
@@ -552,12 +532,9 @@ func (e *Engine) runDerived(t *jobToken, spec *runSpec) (verify.Run, int, error)
 	if err != nil {
 		return verify.Run{}, 0, err
 	}
-	outs, converged, cancelled := jobOutputs(rs)
+	outs, cancelled := jobOutputs(rs)
 	if cancelled {
 		return verify.Run{}, 0, t.cancelErr()
-	}
-	if !converged {
-		return verify.Run{}, 0, ErrNotConverged
 	}
 	nView := e.n
 	if spec.kind == viewCover {

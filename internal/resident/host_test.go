@@ -32,7 +32,7 @@ func TestResidencyOnZeroPlanChaos(t *testing.T) {
 	ctx := context.Background()
 	dynamic := func(mk kmachine.TransportMaker) (string, *kmachine.Metrics) {
 		stream := graph.RandomChurnStream(128, 384, 6, 12, 0.4, 7)
-		e, err := newOn(stream.Initial, Config{K: 4, Seed: 7}, mk)
+		e, err := newOn(stream.Initial.Source(), Config{K: 4, Seed: 7}, mk)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,7 +55,7 @@ func TestResidencyOnZeroPlanChaos(t *testing.T) {
 		return trace, met
 	}
 	static := func(mk kmachine.TransportMaker) (string, *kmachine.Metrics) {
-		e, err := newOn(graph.GNM(192, 576, 9), Config{K: 4, Seed: 21}, mk)
+		e, err := newOn(graph.GNM(192, 576, 9).Source(), Config{K: 4, Seed: 21}, mk)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -28,13 +28,13 @@ type batchOutput struct {
 
 // jobOutput is one machine's output of a phase-driven job: the value the
 // one-shot handler of the same family would SetOutput (so the host
-// assembles it with core.Assemble / core.AssembleMST), plus the phase
-// driver's verdict and the resident-only extras.
+// assembles it with core.Assemble / core.AssembleMST, convergence verdict
+// included), plus the resident-only extras.
 type jobOutput struct {
-	machine              any // *core.MachineOutput or *core.MSTOutput
-	converged, cancelled bool
-	probePresent         bool         // derived runs with a presence probe
-	query                *queryOutput // connectivity queries, machine 0 only
+	machine      any          // *core.MachineOutput or *core.MSTOutput
+	cancelled    bool         // the job stopped at a phase boundary on request
+	probePresent bool         // derived runs with a presence probe
+	query        *queryOutput // connectivity queries, machine 0 only
 }
 
 // queryOutput is the certificate coordinator's part of a query answer.
@@ -55,7 +55,7 @@ type rmachine struct {
 	e      *Engine
 	ctx    *kmachine.Ctx
 	mg     *core.Merger
-	view   *dynView
+	view   *kmachine.Shard
 	banks  *bankCache
 	coord  *coordinator // machine 0 only
 	ccfg   core.Config
@@ -87,7 +87,7 @@ func (m *rmachine) load() error {
 		m.banks.mergeRelabel(relabel, m.mg.Parts, m.view)
 	}
 	if m.ctx.ID() == 0 {
-		m.coord = newCoordinator(m.view.n)
+		m.coord = newCoordinator(m.view.N())
 	}
 	return nil
 }
@@ -121,7 +121,7 @@ func (m *rmachine) phaseEvents(t *jobToken) core.PhaseFunc {
 // the residency (session communicator, shared randomness) but none of the
 // incremental state — labels start as singletons. Release its pools when
 // the job is over.
-func (m *rmachine) jobMerger(view core.GraphView, cfg core.Config) *core.Merger {
+func (m *rmachine) jobMerger(view *kmachine.Shard, cfg core.Config) *core.Merger {
 	fm := core.NewMergerOn(m.mg.Comm, view, cfg, m.mg.Sh, m.mg.Poly)
 	fm.Cancelled = m.e.jobCancelled
 	return fm
@@ -254,26 +254,26 @@ func (m *rmachine) applyBatch(ops []graph.EdgeOp) *batchOutput {
 // follows a_u (§2.3): +1 for the smaller endpoint's incidence, negated on
 // deletion.
 func (m *rmachine) applyOp(del bool, u, v int, w int64) bool {
-	id := graph.EdgeID(u, v, m.view.n)
+	id := graph.EdgeID(u, v, m.view.N())
 	me := m.ctx.ID()
 	ownU := m.view.Home(u) == me
 	ownV := m.view.Home(v) == me
 	var present bool
 	if ownU {
-		present = m.view.has(u, v)
+		present = m.view.Has(u, v)
 	} else {
-		present = m.view.has(v, u)
+		present = m.view.Has(v, u)
 	}
 	if del {
 		if !present {
 			return false
 		}
 		if ownU {
-			m.view.remove(u, v)
+			m.view.Remove(u, v)
 			m.banks.update(m.mg.Labels[u], id, -1)
 		}
 		if ownV {
-			m.view.remove(v, u)
+			m.view.Remove(v, u)
 			m.banks.update(m.mg.Labels[v], id, +1)
 		}
 		return true
@@ -282,11 +282,11 @@ func (m *rmachine) applyOp(del bool, u, v int, w int64) bool {
 		return false
 	}
 	if ownU {
-		m.view.insert(u, graph.Half{To: v, W: w})
+		m.view.Insert(u, graph.Half{To: v, W: w})
 		m.banks.update(m.mg.Labels[u], id, +1)
 	}
 	if ownV {
-		m.view.insert(v, graph.Half{To: u, W: w})
+		m.view.Insert(v, graph.Half{To: u, W: w})
 		m.banks.update(m.mg.Labels[v], id, -1)
 	}
 	return true
@@ -344,21 +344,21 @@ func (m *rmachine) query(t *jobToken) *jobOutput {
 
 	// Step 2: Boruvka merge phases from the piece labeling.
 	m.pre = m.pre[:0]
-	for _, v := range m.view.owned {
+	for _, v := range m.view.Owned() {
 		m.pre = append(m.pre, m.mg.Labels[v])
 	}
 	m.mergeRecs = m.mergeRecs[:0]
 	phases, converged, cancelled := m.mg.RunPhases(m.globalPhase, m.ccfg.MaxPhases,
 		func(i int) { m.selectBanks(i % m.banksN) }, m.phaseEvents(t))
 	m.globalPhase += phases
-	rep.converged, rep.cancelled = converged, cancelled
+	rep.cancelled = cancelled
 
 	// Step 3: final sync — Boruvka label changes and sampled merge edges
 	// flow to the coordinator, which grows the forest and counts
 	// components over its resident labeling.
 	chg := m.chg[:0]
 	nc := 0
-	for i, v := range m.view.owned {
+	for i, v := range m.view.Owned() {
 		if m.mg.Labels[v] != m.pre[i] {
 			chg = wire.AppendUvarint(chg, uint64(v))
 			chg = wire.AppendUvarint(chg, m.mg.Labels[v])
@@ -406,6 +406,7 @@ func (m *rmachine) query(t *jobToken) *jobOutput {
 		Labels:        m.mg.Labels,
 		Failures:      m.mg.Failures - startFail,
 		Phases:        phases,
+		Converged:     converged,
 		CollapseIters: m.mg.CollapseIters - startCollapse,
 		ProtocolCount: -1,
 	}
@@ -436,13 +437,13 @@ func (m *rmachine) selectBanks(bank int) {
 func (m *rmachine) runDerived(t *jobToken, spec *runSpec) *jobOutput {
 	rep := &jobOutput{}
 	if spec.probeU >= 0 && m.view.Home(spec.probeU) == m.ctx.ID() {
-		rep.probePresent = m.view.has(spec.probeU, spec.probeV)
+		rep.probePresent = m.view.Has(spec.probeU, spec.probeV)
 	}
 	fm := m.jobMerger(m.derive(spec), m.runConfig(spec))
 	defer fm.ReleasePools()
-	out, converged, cancelled := fm.ConnectivityJob(m.globalPhase, m.phaseEvents(t))
+	out, cancelled := fm.ConnectivityJob(m.globalPhase, m.phaseEvents(t))
 	m.globalPhase += out.Phases
-	rep.machine, rep.converged, rep.cancelled = out, converged, cancelled
+	rep.machine, rep.cancelled = out, cancelled
 	return rep
 }
 
@@ -455,7 +456,7 @@ func (m *rmachine) runMST(t *jobToken, strong bool) *jobOutput {
 	if maxElim <= 0 {
 		maxElim = core.DefaultMaxElimIters(m.view.N())
 	}
-	out, converged, cancelled := fm.MSTJob(m.globalPhase, maxElim, strong, m.phaseEvents(t))
+	out, cancelled := fm.MSTJob(m.globalPhase, maxElim, strong, m.phaseEvents(t))
 	m.globalPhase += out.Phases
-	return &jobOutput{machine: out, converged: converged, cancelled: cancelled}
+	return &jobOutput{machine: out, cancelled: cancelled}
 }

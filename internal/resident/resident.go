@@ -15,8 +15,9 @@
 // goroutine; nothing in it depends on which transport carries its rounds.
 // Three things survive across jobs:
 //
-//   - The loaded state: the random vertex partition, each machine's
-//     mutable adjacency, and the shared randomness established at load
+//   - The loaded state: each machine's kmachine.Shard — the object the
+//     shard loader hands every host, adopted here and mutated in place by
+//     batches — and the shared randomness established at load
 //     (proxy.Setup, the FaithfulRandomness polynomial, bank seeds). Jobs
 //     never pay the load phase again — the engine meters it exactly once
 //     and reports it in Metrics.Load.
@@ -344,8 +345,9 @@ type (
 
 // ErrNotConverged is returned by a job whose merge phases exhausted
 // MaxPhasesPerQuery with components still active (persistent sketch
-// failures); the engine remains usable and the job may be retried.
-var ErrNotConverged = errors.New("resident: job did not converge within MaxPhasesPerQuery")
+// failures); the engine remains usable and the job may be retried. It is
+// the one-shot and fleet hosts' error too.
+var ErrNotConverged = core.ErrNotConverged
 
 // ErrClosed is returned by operations on a closed engine.
 var ErrClosed = errors.New("resident: cluster closed")

@@ -1,107 +1,10 @@
 package resident
 
 import (
-	"sort"
-
 	"kmgraph/internal/graph"
+	"kmgraph/internal/kmachine"
 	"kmgraph/internal/sketch"
 )
-
-// dynView is a machine's mutable graph knowledge: the adjacency of its
-// owned vertices, kept current under batched insertions and deletions. It
-// implements core.GraphView, so the shared merge engine consults the live
-// graph when validating sampled edges and answering label queries.
-type dynView struct {
-	n     int
-	id    int
-	home  func(v int) int
-	owned []int
-	adj   map[int][]graph.Half // owned vertex -> sorted adjacency
-}
-
-func newDynView(n, id int, home func(int) int, owned []int, initAdj func(v int) []graph.Half) *dynView {
-	v := &dynView{n: n, id: id, home: home, owned: owned, adj: make(map[int][]graph.Half, len(owned))}
-	for _, u := range owned {
-		v.adj[u] = append([]graph.Half(nil), initAdj(u)...)
-	}
-	return v
-}
-
-// adoptDynView wraps an adjacency shard the caller surrenders (the
-// shard-direct load path): the rows are adopted as the live adjacency
-// without copying, so the streamed shards ARE the residency. Rows must
-// be sorted by neighbor, which the shard loader guarantees.
-func adoptDynView(n, id int, home func(int) int, owned []int, adj map[int][]graph.Half) *dynView {
-	if adj == nil {
-		adj = make(map[int][]graph.Half)
-	}
-	return &dynView{n: n, id: id, home: home, owned: owned, adj: adj}
-}
-
-// N returns the vertex count.
-func (v *dynView) N() int { return v.n }
-
-// Owned returns this machine's vertices.
-func (v *dynView) Owned() []int { return v.owned }
-
-// Home returns the home machine of any vertex.
-func (v *dynView) Home(x int) int { return v.home(x) }
-
-// Adj returns the current adjacency list of an owned vertex.
-func (v *dynView) Adj(u int) []graph.Half { return v.adj[u] }
-
-func (v *dynView) find(u, to int) (int, bool) {
-	a := v.adj[u]
-	i := sort.Search(len(a), func(i int) bool { return a[i].To >= to })
-	return i, i < len(a) && a[i].To == to
-}
-
-// has reports whether the owned vertex u currently has an edge to `to`.
-func (v *dynView) has(u, to int) bool {
-	_, ok := v.find(u, to)
-	return ok
-}
-
-// insert adds the half-edge u->h, keeping the list sorted. It reports
-// false (and leaves the list unchanged) if the edge is already present.
-func (v *dynView) insert(u int, h graph.Half) bool {
-	i, ok := v.find(u, h.To)
-	if ok {
-		return false
-	}
-	a := v.adj[u]
-	a = append(a, graph.Half{})
-	copy(a[i+1:], a[i:])
-	a[i] = h
-	v.adj[u] = a
-	return true
-}
-
-// remove deletes the half-edge u->to, reporting whether it was present.
-func (v *dynView) remove(u, to int) bool {
-	i, ok := v.find(u, to)
-	if !ok {
-		return false
-	}
-	a := v.adj[u]
-	copy(a[i:], a[i+1:])
-	v.adj[u] = a[:len(a)-1]
-	return true
-}
-
-// halfEdges counts the local half-edges of a part, stopping once the count
-// reaches limit (callers only compare against it).
-//
-//km:hotpath
-func (v *dynView) halfEdges(members []int, limit int) int {
-	h := 0
-	for _, u := range members {
-		if h += len(v.adj[u]); h >= limit {
-			break
-		}
-	}
-	return h
-}
 
 // bankCache maintains sums of part members' l0-sketches over the *current*
 // adjacency, per component part held on this machine and per sketch bank —
@@ -130,10 +33,10 @@ func newBankCache(cells int, seeds []uint64, pool *sketch.Pool) *bankCache {
 // until the next get, which is all GatherParts asks.
 //
 //km:hotpath
-func (c *bankCache) get(label uint64, bank int, members []int, view *dynView, scratch *sketch.Sketch) *sketch.Sketch {
+func (c *bankCache) get(label uint64, bank int, members []int, view *kmachine.Shard, scratch *sketch.Sketch) *sketch.Sketch {
 	sums := c.parts[label]
 	sk := scratch
-	if view.halfEdges(members, c.cells) < c.cells {
+	if view.HalfEdges(members, c.cells) < c.cells {
 		if sums != nil {
 			c.drop(label) // the part shrank below what a sum is worth
 		}
@@ -239,7 +142,7 @@ func (c *bankCache) close() {
 // joins its new part's. Only when the leavers are the majority of their
 // local part is the part dropped instead — rebuilding from the vertices
 // that stay is then the cheaper side.
-func (c *bankCache) move(moves []vertLabel, labels map[int]uint64, parts func() map[uint64][]int, view *dynView) {
+func (c *bankCache) move(moves []vertLabel, labels map[int]uint64, parts func() map[uint64][]int, view *kmachine.Shard) {
 	if len(c.parts) == 0 || len(moves) == 0 {
 		return
 	}
@@ -270,7 +173,7 @@ func (c *bankCache) move(moves []vertLabel, labels map[int]uint64, parts func() 
 // part either keeps it or is light; light sources contribute their members
 // by AddVertex, and a lone source's sums just move to the root label. Any
 // other bank is released and rebuilt on its next read.
-func (c *bankCache) mergeRelabel(relabel map[uint64]uint64, parts func() map[uint64][]int, view *dynView) {
+func (c *bankCache) mergeRelabel(relabel map[uint64]uint64, parts func() map[uint64][]int, view *kmachine.Shard) {
 	if len(c.parts) == 0 {
 		return
 	}
@@ -300,14 +203,14 @@ func (c *bankCache) mergeRelabel(relabel map[uint64]uint64, parts func() map[uin
 
 // fold merges the local source parts srcs (at least one of them kept) into
 // the part labelled root.
-func (c *bankCache) fold(root uint64, srcs []uint64, local map[uint64][]int, view *dynView) {
+func (c *bankCache) fold(root uint64, srcs []uint64, local map[uint64][]int, view *kmachine.Shard) {
 	var dst []*sketch.Sketch
 	light := srcs[:0] // sources without sums that are cheap enough to add in
 	complete := true  // no heavy source lacks sums altogether
 	for _, l := range srcs {
 		sums := c.parts[l]
 		switch {
-		case sums == nil && view.halfEdges(local[l], c.cells) < c.cells:
+		case sums == nil && view.HalfEdges(local[l], c.cells) < c.cells:
 			light = append(light, l)
 		case sums == nil:
 			complete = false

@@ -60,8 +60,7 @@ func runConnectivity(n, m int, gs int64, cfg core.Config, plan Plan) (*core.Resu
 	if err != nil {
 		return nil, nil, err
 	}
-	view := func(id int) core.GraphView { return part.View(id) }
-	kres, err := cluster.Run(core.ConnectivityHandler(view, cfg))
+	kres, err := cluster.Run(core.ConnectivityHandler(part.Shard, cfg))
 	var journal []Fault
 	if ct != nil {
 		journal = append(journal, ct.Journal()...)

@@ -14,53 +14,29 @@ import (
 	"kmgraph/internal/wire"
 )
 
-// Options tune a peer link's timeouts. The zero value selects the
-// defaults.
-type Options struct {
-	// DialTimeout bounds one TCP connect attempt (default 5s).
-	DialTimeout time.Duration
-	// DialAttempts is how many times Dial retries the connect+handshake
-	// before giving up (default 40). Retries cover the window where a
-	// peer has not yet received its job spec and opened its listener
-	// routing for this cluster.
-	DialAttempts int
-	// DialBackoff separates retries (default 250ms).
-	DialBackoff time.Duration
-	// HandshakeTimeout bounds the wait for the hello reply after a
-	// connect (default 30s). It is deliberately longer than DialTimeout:
-	// the passive side answers only once its own job spec arrives, so
-	// the dialer waits out that skew inside one attempt instead of
-	// churning retries.
-	HandshakeTimeout time.Duration
-	// WriteTimeout bounds one frame write (default 30s).
-	WriteTimeout time.Duration
-	// IdleTimeout bounds the silence a read loop tolerates between
-	// frames (default 2m — generous enough to cover a peer's shard-load
-	// skew before its first barrier).
-	IdleTimeout time.Duration
-}
-
-func (o Options) withDefaults() Options {
-	if o.DialTimeout == 0 {
-		o.DialTimeout = 5 * time.Second
-	}
-	if o.DialAttempts == 0 {
-		o.DialAttempts = 40
-	}
-	if o.DialBackoff == 0 {
-		o.DialBackoff = 250 * time.Millisecond
-	}
-	if o.HandshakeTimeout == 0 {
-		o.HandshakeTimeout = 30 * time.Second
-	}
-	if o.WriteTimeout == 0 {
-		o.WriteTimeout = 30 * time.Second
-	}
-	if o.IdleTimeout == 0 {
-		o.IdleTimeout = 2 * time.Minute
-	}
-	return o
-}
+// A peer link's timeouts.
+const (
+	// dialTimeout bounds one TCP connect attempt.
+	dialTimeout = 5 * time.Second
+	// dialAttempts is how many times Dial retries the connect+handshake
+	// before giving up. Retries cover the window where a peer has not yet
+	// received its job spec and opened its listener routing for this
+	// cluster.
+	dialAttempts = 40
+	// dialBackoff separates retries.
+	dialBackoff = 250 * time.Millisecond
+	// handshakeTimeout bounds the wait for the hello reply after a
+	// connect. It is deliberately longer than dialTimeout: the passive
+	// side answers only once its own job spec arrives, so the dialer waits
+	// out that skew inside one attempt instead of churning retries.
+	handshakeTimeout = 30 * time.Second
+	// writeTimeout bounds one frame write.
+	writeTimeout = 30 * time.Second
+	// idleTimeout bounds the silence a read loop tolerates between frames
+	// — generous enough to cover a peer's shard-load skew before its
+	// first barrier.
+	idleTimeout = 2 * time.Minute
+)
 
 // Peer is one established link to another participant of a distributed
 // cluster: the socket, the remote's hosted range, a write buffer (one
@@ -75,7 +51,6 @@ type Peer struct {
 	conn  net.Conn
 	addr  string // remote address, for structured link-down errors
 	k     int
-	opts  Options
 	stats linkStats
 
 	// Wire accounting for the flight recorder. Sent counters are only
@@ -98,7 +73,7 @@ type Peer struct {
 
 // newPeer wraps an established, handshaken connection. It starts the
 // read loop.
-func newPeer(conn net.Conn, remote *Hello, opts Options) *Peer {
+func newPeer(conn net.Conn, remote *Hello) *Peer {
 	p := &Peer{
 		Index:  remote.Index,
 		Lo:     remote.Lo,
@@ -106,7 +81,6 @@ func newPeer(conn net.Conn, remote *Hello, opts Options) *Peer {
 		conn:   conn,
 		addr:   conn.RemoteAddr().String(),
 		k:      remote.K,
-		opts:   opts.withDefaults(),
 		stats:  newLinkStats(remote.Index),
 		frames: make(chan *RoundFrame, 4),
 		arena:  wire.NewArena(0),
@@ -126,7 +100,7 @@ func (p *Peer) readLoop() {
 	var buf []byte
 	var err error
 	for err == nil {
-		p.conn.SetReadDeadline(time.Now().Add(p.opts.IdleTimeout))
+		p.conn.SetReadDeadline(time.Now().Add(idleTimeout))
 		var t FrameType
 		var body []byte
 		t, body, err = ReadFrame(p.conn, &buf)
@@ -164,7 +138,7 @@ func (p *Peer) writeRound(seq uint64, doneDelta int, msgs []transport.Message) e
 	b = AppendRoundBody(b, seq, doneDelta, msgs)
 	b = FinishFrame(b, 0)
 	p.wbuf = b
-	p.conn.SetWriteDeadline(time.Now().Add(p.opts.WriteTimeout))
+	p.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 	if _, err := p.conn.Write(b); err != nil {
 		return err
 	}
@@ -214,17 +188,17 @@ func (p *Peer) Close() error {
 	return nil
 }
 
-// writeFrame sends one complete frame on conn under the write timeout.
-func writeFrame(conn net.Conn, opts Options, t FrameType, body []byte) error {
-	conn.SetWriteDeadline(time.Now().Add(opts.WriteTimeout))
+// WriteFrame sends one complete frame on conn under the write timeout.
+func WriteFrame(conn net.Conn, t FrameType, body []byte) error {
+	conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 	_, err := conn.Write(AppendFrame(nil, t, body))
 	return err
 }
 
 // readHello reads and decodes the peer's FrameHello under the
 // handshake timeout.
-func readHello(conn net.Conn, opts Options) (*Hello, error) {
-	conn.SetReadDeadline(time.Now().Add(opts.HandshakeTimeout))
+func readHello(conn net.Conn) (*Hello, error) {
+	conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
 	var buf []byte
 	t, body, err := ReadFrame(conn, &buf)
 	if err != nil {
@@ -269,19 +243,18 @@ var errHandshake = fmt.Errorf("tcp: handshake rejected")
 
 // Dial connects to a lower-index participant at addr, performs the
 // handshake (send ours, read theirs, validate), and returns the
-// established link. Connect and handshake failures are retried under
-// Options (a peer may not have learned about the cluster yet); each
+// established link. Connect and handshake failures are retried (a peer
+// may not have learned about the cluster yet); each
 // retry increments the reconnect counter. Dial returns ctx.Err() as soon
 // as ctx ends, whether it is connecting, backing off or waiting for the
 // peer's hello.
-func Dial(ctx context.Context, addr string, ours *Hello, wantIndex int, opts Options) (*Peer, error) {
-	opts = opts.withDefaults()
-	dialer := net.Dialer{Timeout: opts.DialTimeout}
+func Dial(ctx context.Context, addr string, ours *Hello, wantIndex int) (*Peer, error) {
+	dialer := net.Dialer{Timeout: dialTimeout}
 	var lastErr error
-	for attempt := 0; attempt < opts.DialAttempts; attempt++ {
+	for attempt := 0; attempt < dialAttempts; attempt++ {
 		if attempt > 0 {
 			reconnectsCounter().Inc()
-			backoff := time.NewTimer(opts.DialBackoff)
+			backoff := time.NewTimer(dialBackoff)
 			select {
 			case <-backoff.C:
 			case <-ctx.Done():
@@ -297,9 +270,9 @@ func Dial(ctx context.Context, addr string, ours *Hello, wantIndex int, opts Opt
 			continue
 		}
 		// A listener that accepts and never answers would hold the hello
-		// read for HandshakeTimeout; closing the connection ends it at once.
+		// read for handshakeTimeout; closing the connection ends it at once.
 		stop := context.AfterFunc(ctx, func() { conn.Close() })
-		theirs, err := handshakeActive(conn, ours, opts)
+		theirs, err := handshakeActive(conn, ours)
 		if !stop() {
 			return nil, ctx.Err()
 		}
@@ -316,16 +289,16 @@ func Dial(ctx context.Context, addr string, ours *Hello, wantIndex int, opts Opt
 			handshakeFailuresCounter().Inc()
 			return nil, fmt.Errorf("tcp: %s is participant %d, want %d", addr, theirs.Index, wantIndex)
 		}
-		return newPeer(conn, theirs, opts), nil
+		return newPeer(conn, theirs), nil
 	}
 	return nil, fmt.Errorf("tcp: dialing peer %d at %s: %w", wantIndex, addr, lastErr)
 }
 
-func handshakeActive(conn net.Conn, ours *Hello, opts Options) (*Hello, error) {
-	if err := writeFrame(conn, opts, FrameHello, AppendHello(nil, ours)); err != nil {
+func handshakeActive(conn net.Conn, ours *Hello) (*Hello, error) {
+	if err := WriteFrame(conn, FrameHello, AppendHello(nil, ours)); err != nil {
 		return nil, err
 	}
-	theirs, err := readHello(conn, opts)
+	theirs, err := readHello(conn)
 	if err != nil {
 		return nil, err
 	}
@@ -339,14 +312,13 @@ func handshakeActive(conn net.Conn, ours *Hello, opts Options) (*Hello, error) {
 // AcceptPeer completes the passive side of a peer handshake: the
 // listener's router has already read the remote's hello; validate it,
 // answer with ours, and return the established link.
-func AcceptPeer(conn net.Conn, theirs, ours *Hello, opts Options) (*Peer, error) {
-	opts = opts.withDefaults()
+func AcceptPeer(conn net.Conn, theirs, ours *Hello) (*Peer, error) {
 	if err := ValidateHello(theirs, ours); err != nil {
 		handshakeFailuresCounter().Inc()
 		return nil, err
 	}
-	if err := writeFrame(conn, opts, FrameHello, AppendHello(nil, ours)); err != nil {
+	if err := WriteFrame(conn, FrameHello, AppendHello(nil, ours)); err != nil {
 		return nil, err
 	}
-	return newPeer(conn, theirs, opts), nil
+	return newPeer(conn, theirs), nil
 }

@@ -49,7 +49,7 @@ const (
 )
 
 // problemNames is the one name table: Problem.String, ParseProblem, the
-// kmserve verify endpoint and cmd/kmverify all read it.
+// kmserve verify endpoint and cmd/kmrun verify all read it.
 var problemNames = [...]string{
 	SpanningConnectedSubgraph: "scs",
 	CutVerification:           "cut",

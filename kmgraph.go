@@ -19,7 +19,7 @@
 //     incrementally maintained linear sketches, answering connectivity /
 //     component-count / spanning-forest queries between batches at a
 //     fraction of a static re-run's rounds (Cluster.ApplyBatch,
-//     cmd/kmstream).
+//     cmd/kmrun stream).
 //   - A deterministic k-machine engine with per-link bandwidth accounting,
 //     so every reported cost is the model's round complexity.
 //
@@ -44,8 +44,9 @@
 // Graphs too large to materialize are served shard-direct from disk:
 // OpenCluster streams a kmgs binary store (cmd/kmconvert) or a text
 // edge list, hashes each endpoint to its owner machine, and fills
-// per-machine adjacency shards in place — no coordinator-side Graph,
-// and a residency bit-identical to NewCluster's on the same seed:
+// per-machine adjacency shards in place — no coordinator-side Graph.
+// It is the one loader: NewCluster(g) is OpenCluster over g's own edge
+// stream, so the two give the same residency on the same seed:
 //
 //	c, err := kmgraph.OpenCluster("web.kmgs", kmgraph.WithK(32))
 //	q, err := c.Connectivity(ctx)
@@ -174,12 +175,6 @@ var (
 	WithUniformWeights = graph.WithUniformWeights
 	// ReadEdgeList parses a whitespace-separated edge-list file.
 	ReadEdgeList = graph.ReadEdgeList
-	// FromEdges builds a graph directly from a canonical edge list
-	// (arena-backed; peak memory is the output graph itself).
-	FromEdges = graph.FromEdges
-	// DrainEdgeSource collects an EdgeSource into a canonical edge slice
-	// (small inputs and tests; the serving path never drains).
-	DrainEdgeSource = graph.Drain
 	// WriteEdgeList writes a graph as an edge-list file.
 	WriteEdgeList = graph.WriteEdgeList
 	// MaxDegree returns the maximum degree.
@@ -262,10 +257,9 @@ func OpenStoreSource(path string) (EdgeSource, io.Closer, error) {
 }
 
 // ConnectivityFromSource is Connectivity over a streamed input: the
-// shard-direct loader fills per-machine adjacency straight from the
-// stream (no global Graph), then the algorithm runs unchanged. Results
-// and Metrics are bit-identical to Connectivity on the materialized
-// graph with the same seed.
+// shard loader fills per-machine adjacency straight from the stream (no
+// global Graph), then the algorithm runs. Connectivity(g) is this function
+// over g.Source().
 func ConnectivityFromSource(src EdgeSource, cfg Config) (*Result, error) {
 	return core.RunSource(src, cfg)
 }
@@ -319,9 +313,11 @@ type BatchResult = resident.BatchResult
 // QueryResult reports one connectivity query (Cluster.Connectivity).
 type QueryResult = resident.QueryResult
 
-// ErrNotConverged is returned by a Cluster job whose merge phases exhaust
-// the per-job cap (persistent sketch failures); the cluster stays usable.
-var ErrNotConverged = resident.ErrNotConverged
+// ErrNotConverged is returned — with the partial result — by a job whose
+// merge phases exhaust their cap (persistent sketch failures, an
+// undersized Config.MaxPhases): by a Cluster job, resident or fleet-backed
+// (the cluster stays usable), and by the one-shot functions alike.
+var ErrNotConverged = core.ErrNotConverged
 
 // MinCutConfig parameterizes the approximate min-cut.
 type MinCutConfig = mincut.Config

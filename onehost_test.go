@@ -88,3 +88,65 @@ func TestOneHost(t *testing.T) {
 		t.Fatalf("the parked-cluster design is back:\n%s", strings.Join(sites, "\n"))
 	}
 }
+
+// TestOneShard fails if a machine's graph is spelled a second way again: a
+// second non-test type under internal/ (besides graph.Graph, the global
+// graph the shards are cut from) that hands out adjacency rows, a second
+// vertex-partition type or loader beside kmachine.LoadShards{,Range}, or
+// one of the four views and two partitions that kmachine.Shard replaced.
+func TestOneShard(t *testing.T) {
+	adj := regexp.MustCompile(`^func \(\w+ \*?(\w+)\) Adj\(\w+ int\) \[\](?:graph\.)?Half\b`)
+	part := regexp.MustCompile(`^type (\w*Partition)\b|^func ((?:New|Load)\w*(?:RVP|Partition|Shard)\w*)\(`)
+	gone := regexp.MustCompile(`\b(VertexPartition|LocalView|ShardView|dynView|staticView|NewRVP|NewExplicitPartition|RunWithPartition\w*|TakeAdj|GraphView)\b`)
+	allowed := map[string]bool{
+		"internal/graph:Graph": true, "internal/kmachine:Shard": true,
+		"internal/kmachine:ShardPartition": true, "internal/kmachine:EdgePartition": true,
+		"internal/kmachine:LoadShards": true, "internal/kmachine:LoadShardsRange": true, "internal/kmachine:NewShard": true,
+	}
+	seen := make(map[string]bool)
+	var sites []string
+	err := filepath.WalkDir("internal", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && d.Name() == "testdata" {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for i, line := range strings.Split(string(src), "\n") {
+			name := ""
+			if m := adj.FindStringSubmatch(line); m != nil {
+				name = m[1]
+			} else if m := part.FindStringSubmatch(line); m != nil {
+				name = m[1] + m[2]
+			}
+			if key := filepath.ToSlash(filepath.Dir(path)) + ":" + name; name != "" {
+				seen[key] = true
+				if !allowed[key] {
+					sites = append(sites, fmt.Sprintf("%s:%d: %s", path, i+1, strings.TrimSpace(line)))
+				}
+			}
+			if gone.MatchString(line) {
+				sites = append(sites, fmt.Sprintf("%s:%d: %s", path, i+1, strings.TrimSpace(line)))
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sites) != 0 {
+		t.Errorf("a machine's graph has a second spelling:\n%s", strings.Join(sites, "\n"))
+	}
+	for key := range allowed {
+		if !seen[key] {
+			t.Errorf("%s not found: the guard's patterns no longer match the code they guard", key)
+		}
+	}
+}

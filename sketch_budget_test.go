@@ -14,14 +14,17 @@ import (
 func poolPeaks(t *testing.T, g *Graph, cfg core.Config, job func(m *core.Merger)) []int {
 	t.Helper()
 	cfg = cfg.WithDefaults(g.N())
-	part := kmachine.NewRVP(g, cfg.K, uint64(cfg.Seed)^0x9e37)
+	part, err := kmachine.LoadShards(g.Source(), cfg.K, uint64(cfg.Seed)^0x9e37)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cluster, err := kmachine.New(cfg.MachineConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	peaks := make([]int, cfg.K)
 	_, err = cluster.Run(func(mctx *kmachine.Ctx) error {
-		m := core.NewMerger(mctx, part.View(mctx.ID()), cfg)
+		m := core.NewMerger(mctx, part.Shard(mctx.ID()), cfg)
 		defer m.ReleasePools()
 		if err := m.Setup(); err != nil {
 			return err
@@ -55,7 +58,7 @@ func TestDenseSketchBudget(t *testing.T) {
 
 	t.Run("connectivity", func(t *testing.T) {
 		check(t, poolPeaks(t, g, core.Config{K: k, Seed: 21}, func(m *core.Merger) {
-			if _, converged, _ := m.ConnectivityJob(0, nil); !converged {
+			if out, _ := m.ConnectivityJob(0, nil); !out.Converged {
 				t.Error("connectivity job did not converge")
 			}
 		}))
@@ -64,7 +67,7 @@ func TestDenseSketchBudget(t *testing.T) {
 	t.Run("mst", func(t *testing.T) {
 		wg := WithDistinctWeights(g, 9)
 		check(t, poolPeaks(t, wg, core.Config{K: k, Seed: 21}, func(m *core.Merger) {
-			if _, converged, _ := m.MSTJob(0, core.DefaultMaxElimIters(wg.N()), false, nil); !converged {
+			if out, _ := m.MSTJob(0, core.DefaultMaxElimIters(wg.N()), false, nil); !out.Converged {
 				t.Error("MST job did not converge")
 			}
 		}))
