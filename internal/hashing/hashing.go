@@ -49,19 +49,8 @@ func RangeOf(h uint64, n int) int {
 	if n <= 0 {
 		return 0
 	}
-	hi, _ := mul64(h, uint64(n))
+	hi, _ := bits.Mul64(h, uint64(n))
 	return int(hi)
-}
-
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask = 1<<32 - 1
-	a0, a1 := a&mask, a>>32
-	b0, b1 := b&mask, b>>32
-	t := a1*b0 + (a0*b0)>>32
-	w1 := t&mask + a0*b1
-	hi = a1*b1 + t>>32 + w1>>32
-	lo = a * b
-	return
 }
 
 // Poly is a d-wise independent hash function over GF(2^61-1): a random

@@ -2,6 +2,8 @@ package hashing
 
 import (
 	"math"
+	"math/big"
+	"math/rand"
 	"testing"
 
 	"kmgraph/internal/field"
@@ -39,6 +41,19 @@ func TestRangeOfBounds(t *testing.T) {
 					t.Errorf("n=%d cell %d badly unbalanced: %d (want ~%d)", n, c, got, want)
 				}
 			}
+		}
+	}
+	// The value is floor(h·n / 2^64) exactly, for any h and any n an int
+	// holds: the one-instruction multiply against arbitrary precision.
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 20000; i++ {
+		h, n := rng.Uint64(), int(rng.Uint64()>>(1+rng.Intn(63)))
+		if i%64 == 0 {
+			h = math.MaxUint64 - uint64(i/64)
+		}
+		want := new(big.Int).Mul(new(big.Int).SetUint64(h), big.NewInt(int64(n)))
+		if got := RangeOf(h, n); !want.Rsh(want, 64).IsInt64() || int64(got) != want.Int64() {
+			t.Fatalf("RangeOf(%#x, %d) = %d, want floor(h*n/2^64) = %v", h, n, got, want)
 		}
 	}
 }

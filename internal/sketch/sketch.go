@@ -22,6 +22,12 @@
 // z derive from a shared seed, so machines build *identical* projections —
 // the distributed analogue of the paper's shared sketch matrix L_j.
 //
+// Every item is added by one kernel (addSlot, under AddVertex, SubVertex and
+// AddItem). It reads powers of z from radix-16 fixed-base windows built per
+// seed and factors a slot's power as (z^N)^x · z^y. The field is exact and
+// its elements canonical, so a power is the same word however it is
+// factored, and a cell is the same three words the formulas above give.
+//
 //km:roundpure
 package sketch
 
@@ -29,6 +35,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 
 	"kmgraph/internal/field"
@@ -95,21 +102,19 @@ type cell struct {
 
 // Sketch is a linear l0-sampler over the edge-slot universe.
 //
-// Seed-derived hash state is precomputed once per (re)seed so the hot
-// AddItem/Sample paths avoid repeated full hash and exponentiation chains:
-// zpow caches z^(2^i) for the fingerprint power ladder, bpre caches the
-// id-independent prefix of the bucket hash per (rep, level), and lvlSeed /
-// qsalt cache the level and query salts. All derived values are exactly
-// the ones the naive per-call formulas produce — the sketch contents are
-// bit-identical either way.
+// Seed-derived hash state is precomputed once per (re)seed: winZ and winN
+// are radix-16 fixed-base windows of the fingerprint base z and of z^N, so
+// z^e is one lookup per hex digit of e and the power of a slot x·N + y is
+// winN[x]·winZ[y]; bpre caches the id-independent prefix of the bucket hash
+// per (rep, level); lvlSeed / qsalt cache the level and query salts. Every
+// derived value is the word the per-call formula gives (package doc).
 type Sketch struct {
 	p       Params
 	seed    uint64
-	zbase   uint64
 	lvlSeed uint64   // Hash2(seed, 0xa11ce), the levelOf salt
 	qsalt   uint64   // Hash2(seed, 0x9a3f1e), the Sample query salt
-	zpow    []uint64 // zbase^(2^i) for i < bits(N²)
-	zpowN   []uint64 // (zbase^N)^(2^i) for i < bits(N)
+	winZ    []uint64 // winZ[16j+d] = z^(d<<4j) for j < ceil(bits(N)/4)
+	winN    []uint64 // winN[16j+d] = (z^N)^(d<<4j), same length
 	bpre    []uint64 // Hash3(seed, rep, level) per (rep*Levels + level)
 	cells   []cell
 	// touched[rep*Levels+level] has bit b set if bucket b was ever written;
@@ -144,38 +149,15 @@ func zBase(seed uint64) uint64 {
 	return z
 }
 
-// reseed recomputes the seed-derived tables (without touching cells).
+// reseed recomputes the seed-derived tables (without touching cells). z^N
+// is read through the windows of z just built, never the previous seed's.
 func (s *Sketch) reseed(seed uint64) {
 	s.seed = seed
-	s.zbase = zBase(seed)
 	s.lvlSeed = hashing.Hash2(seed, 0xa11ce)
 	s.qsalt = hashing.Hash2(seed, 0x9a3f1e)
-	zbits := bits.Len64(uint64(s.p.N) * uint64(s.p.N))
-	if zbits < 1 {
-		zbits = 1
-	}
-	if cap(s.zpow) < zbits {
-		s.zpow = make([]uint64, zbits)
-	}
-	s.zpow = s.zpow[:zbits]
-	z := s.zbase
-	for i := range s.zpow {
-		s.zpow[i] = z
-		z = field.Mul(z, z)
-	}
-	nbits := bits.Len64(uint64(s.p.N))
-	if nbits < 1 {
-		nbits = 1
-	}
-	if cap(s.zpowN) < nbits {
-		s.zpowN = make([]uint64, nbits)
-	}
-	s.zpowN = s.zpowN[:nbits]
-	z = s.powZ(uint64(s.p.N))
-	for i := range s.zpowN {
-		s.zpowN[i] = z
-		z = field.Mul(z, z)
-	}
+	w := max(1, (bits.Len64(uint64(s.p.N))+3)/4)
+	s.winZ = fillWindows(s.winZ, zBase(seed), w)
+	s.winN = fillWindows(s.winN, pow(s.winZ, uint64(s.p.N)), w)
 	nb := s.p.Reps * s.p.Levels
 	if cap(s.bpre) < nb {
 		s.bpre = make([]uint64, nb)
@@ -186,6 +168,34 @@ func (s *Sketch) reseed(seed uint64) {
 			s.bpre[rep*s.p.Levels+level] = hashing.Hash3(seed, uint64(rep), uint64(level))
 		}
 	}
+}
+
+// fillWindows returns win resized to w radix-16 windows of base:
+// win[16j+d] = base^(d<<4j).
+func fillWindows(win []uint64, base uint64, w int) []uint64 {
+	win = slices.Grow(win[:0], 16*w)[:16*w]
+	for j := 0; j < len(win); j += 16 {
+		row := win[j : j+16]
+		row[0], row[1] = 1, base
+		for d := 2; d < 16; d++ { // halves, not a chain: the multiplies overlap
+			row[d] = field.Mul(row[d/2], row[(d+1)/2])
+		}
+		base = field.Mul(row[8], row[8])
+	}
+	return win
+}
+
+// pow returns win's base to the e, one lookup per hex digit of e. The
+// windows cover every e <= N, so every coordinate of a universe slot.
+//
+//km:hotpath
+func pow(win []uint64, e uint64) uint64 {
+	r := win[e&15]
+	for j := 16; e > 15; j += 16 {
+		e >>= 4
+		r = field.Mul(r, win[j+int(e&15)])
+	}
+	return r
 }
 
 // Reset zeroes the sketch in place, keeping shape, seed, and hash tables.
@@ -224,20 +234,6 @@ func (s *Sketch) cellAt(rep, level, bucket int) *cell {
 	return &s.cells[(rep*s.p.Levels+level)*s.p.Buckets+bucket]
 }
 
-// powZ returns zbase^id via the cached power ladder: the product of
-// zbase^(2^i) over id's set bits — the same product binary exponentiation
-// computes, without redoing the squarings per call.
-func (s *Sketch) powZ(id uint64) uint64 {
-	if id>>len(s.zpow) != 0 {
-		return field.Pow(s.zbase, id)
-	}
-	r := uint64(1)
-	for e := id; e != 0; e &= e - 1 {
-		r = field.Mul(r, s.zpow[bits.TrailingZeros64(e)])
-	}
-	return r
-}
-
 // levelOf returns the highest subsampling level slot id survives to,
 // capped at Levels-1. Nested: the slot is present in levels 0..levelOf.
 func (s *Sketch) levelOf(id uint64) int {
@@ -258,52 +254,49 @@ func (s *Sketch) bucketOf(rep, level int, id uint64) int {
 	return hashing.RangeOf(hashing.Mix64(s.bpre[rep*s.p.Levels+level]^idMix(id)), s.p.Buckets)
 }
 
-// powN returns (zbase^N)^e via the cached second ladder, so fingerprints
-// of edge slots id = x·N + y factor into two short-exponent products.
-func (s *Sketch) powN(e uint64) uint64 {
-	if e>>len(s.zpowN) != 0 {
-		return field.Pow(s.powZ(uint64(s.p.N)), e)
-	}
-	r := uint64(1)
-	for ; e != 0; e &= e - 1 {
-		r = field.Mul(r, s.zpowN[bits.TrailingZeros64(e)])
-	}
-	return r
+// powID returns z^id for a slot id = x·N + y as (z^N)^x · z^y.
+//
+//km:hotpath
+func (s *Sketch) powID(id uint64) uint64 {
+	n := uint64(s.p.N)
+	return field.Mul(pow(s.winN, id/n), pow(s.winZ, id%n))
 }
 
-// AddItem adds sign (+1 or -1) to slot id.
+// AddItem adds sign (+1 or -1) to slot id, a slot of the universe (id < N²).
 //
 //km:hotpath
 func (s *Sketch) AddItem(id uint64, sign int) {
-	s.addItemZ(id, sign, s.powZ(id))
+	if sign > 0 {
+		s.addSlot(id, +1, s.powID(id))
+	} else {
+		s.addSlot(id, -1, field.Neg(s.powID(id)))
+	}
 }
 
-// addItemZ is AddItem with the fingerprint power z^id supplied by the
-// caller (AddVertex computes it incrementally from the two power ladders;
-// the value is identical to powZ(id) either way).
+// addSlot is the one item-add loop: it adds cnt = ±1 at slot id, given the
+// signed fingerprint term fp = cnt·z^id. The sign rides in the field
+// elements (Add(x, Neg(b)) == Sub(x, b) on canonical values), so the cell
+// loop has no branch on it.
 //
 //km:hotpath
-func (s *Sketch) addItemZ(id uint64, sign int, zid uint64) {
+func (s *Sketch) addSlot(id uint64, cnt int64, fp uint64) {
 	idf := field.Reduce(id)
+	if cnt < 0 {
+		idf = field.Neg(idf)
+	}
 	mix := idMix(id)
 	top := s.levelOf(id)
 	nb := s.p.Buckets
-	cells, touched, bpre := s.cells, s.touched, s.bpre
 	for rep := 0; rep < s.p.Reps; rep++ {
 		base := rep * s.p.Levels
-		for level := 0; level <= top; level++ {
-			b := hashing.RangeOf(hashing.Mix64(bpre[base+level]^mix), nb)
-			touched[base+level] |= 1 << uint(b)
-			c := &cells[(base+level)*nb+b]
-			if sign > 0 {
-				c.count++
-				c.idSum = field.Add(c.idSum, idf)
-				c.fp = field.Add(c.fp, zid)
-			} else {
-				c.count--
-				c.idSum = field.Sub(c.idSum, idf)
-				c.fp = field.Sub(c.fp, zid)
-			}
+		touched := s.touched[base : base+top+1]
+		for level, pre := range s.bpre[base : base+top+1] {
+			b := hashing.RangeOf(hashing.Mix64(pre^mix), nb)
+			touched[level] |= 1 << uint(b)
+			c := &s.cells[(base+level)*nb+b]
+			c.count += cnt
+			c.idSum = field.Add(c.idSum, idf)
+			c.fp = field.Add(c.fp, fp)
 		}
 	}
 }
@@ -318,33 +311,7 @@ func (s *Sketch) addItemZ(id uint64, sign int, zid uint64) {
 //
 //km:hotpath
 func (s *Sketch) AddVertex(u int, adj []graph.Half, filter func(u int, h graph.Half) bool) {
-	// Fingerprint powers factor over the edge-slot id x·N + y:
-	// z^(x·N+y) = (z^N)^x · z^y. The per-vertex factors z^(u·N) and z^u are
-	// computed once, the per-neighbor factor needs only a bits(N)-long
-	// ladder walk — about half the multiplies of a full powZ per item.
-	n := uint64(s.p.N)
-	var zun, zu uint64
-	haveZun, haveZu := false, false
-	for _, h := range adj {
-		if filter != nil && !filter(u, h) {
-			continue
-		}
-		if u < h.To {
-			if !haveZun {
-				zun = s.powN(uint64(u))
-				haveZun = true
-			}
-			id := uint64(u)*n + uint64(h.To)
-			s.addItemZ(id, +1, field.Mul(zun, s.powZ(uint64(h.To))))
-		} else {
-			if !haveZu {
-				zu = s.powZ(uint64(u))
-				haveZu = true
-			}
-			id := uint64(h.To)*n + uint64(u)
-			s.addItemZ(id, -1, field.Mul(s.powN(uint64(h.To)), zu))
-		}
-	}
+	s.addVertex(u, adj, filter, +1)
 }
 
 // SubVertex subtracts the incidence vector of vertex u — the inverse of
@@ -353,11 +320,29 @@ func (s *Sketch) AddVertex(u int, adj []graph.Half, filter func(u int, h graph.H
 //
 //km:hotpath
 func (s *Sketch) SubVertex(u int, adj []graph.Half) {
+	s.addVertex(u, adj, nil, -1)
+}
+
+// addVertex adds sign·a_u. Fingerprint powers factor over the slot id
+// x·N + y as (z^N)^x · z^y: the per-vertex factors (z^N)^u and z^u are
+// computed once, with the slot's sign folded in, and each neighbour costs
+// one short window walk and one multiply.
+//
+//km:hotpath
+func (s *Sketch) addVertex(u int, adj []graph.Half, filter func(u int, h graph.Half) bool, sign int64) {
+	n := uint64(s.p.N)
+	zun, zu := pow(s.winN, uint64(u)), field.Neg(pow(s.winZ, uint64(u)))
+	if sign < 0 {
+		zun, zu = field.Neg(zun), field.Neg(zu)
+	}
 	for _, h := range adj {
-		if u < h.To {
-			s.AddItem(graph.EdgeID(u, h.To, s.p.N), -1)
+		if filter != nil && !filter(u, h) {
+			continue
+		}
+		if v := uint64(h.To); u < h.To {
+			s.addSlot(uint64(u)*n+v, sign, field.Mul(zun, pow(s.winZ, v)))
 		} else {
-			s.AddItem(graph.EdgeID(h.To, u, s.p.N), +1)
+			s.addSlot(v*n+uint64(u), -sign, field.Mul(pow(s.winN, v), zu))
 		}
 	}
 }
@@ -416,7 +401,7 @@ func (s *Sketch) verify(c *cell) (id uint64, sign int, ok bool) {
 	if id >= maxID {
 		return 0, 0, false
 	}
-	want := s.powZ(id)
+	want := s.powID(id)
 	if sign < 0 {
 		want = field.Neg(want)
 	}
@@ -628,7 +613,8 @@ func Decode(p Params, seed uint64, data []byte) (*Sketch, error) {
 // AddEncoded accumulates a wire-encoded sketch (same Params/seed) into s
 // by linearity, without materializing the intermediate: decoding into a
 // zero sketch equals Decode; decoding into a non-zero one equals
-// Decode-then-Add. This is the proxy-side summation fast path.
+// Decode-then-Add. This is the proxy-side summation fast path. After an
+// error s holds part of data and is unspecified: callers panic or discard it.
 func (s *Sketch) AddEncoded(data []byte) error {
 	nb := s.p.Buckets
 	off := 0
@@ -725,11 +711,10 @@ func (pl *Pool) ensureTab(seed uint64) *Sketch {
 // adoptTab copies the donor's precomputed tables into s.
 func (s *Sketch) adoptTab(tab *Sketch) {
 	s.seed = tab.seed
-	s.zbase = tab.zbase
 	s.lvlSeed = tab.lvlSeed
 	s.qsalt = tab.qsalt
-	s.zpow = append(s.zpow[:0], tab.zpow...)
-	s.zpowN = append(s.zpowN[:0], tab.zpowN...)
+	s.winZ = append(s.winZ[:0], tab.winZ...)
+	s.winN = append(s.winN[:0], tab.winN...)
 	s.bpre = append(s.bpre[:0], tab.bpre...)
 }
 

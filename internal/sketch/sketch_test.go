@@ -1,10 +1,15 @@
 package sketch
 
 import (
+	"bytes"
+	"cmp"
+	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
 
+	"kmgraph/internal/field"
 	"kmgraph/internal/graph"
 	"kmgraph/internal/hashing"
 )
@@ -334,6 +339,40 @@ func BenchmarkAddVertexDeg16(b *testing.B) {
 	}
 }
 
+// BenchmarkAddVertexFiltered is MST's closure path: a weight threshold
+// that passes half of every row.
+func BenchmarkAddVertexFiltered(b *testing.B) {
+	g := graph.WithDistinctWeights(graph.GNM(1000, 8000, 1), 3)
+	s := New(DefaultParams(1000), 9)
+	limit := int64(g.M() / 2)
+	lighter := func(u int, h graph.Half) bool { return h.W <= limit }
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.AddVertex(i%1000, g.Adj(i%1000), lighter)
+	}
+}
+
+func BenchmarkSubVertex(b *testing.B) {
+	g := graph.GNM(1000, 8000, 1)
+	s := New(DefaultParams(1000), 9)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.SubVertex(i%1000, g.Adj(i%1000))
+	}
+}
+
+// BenchmarkPoolGetReseed alternates seeds on one pooled sketch, so every
+// Get rebuilds and copies the seed-derived tables: the price of a phase
+// change at the benchmark's n.
+func BenchmarkPoolGetReseed(b *testing.B) {
+	pl := NewPool(DefaultParams(4000))
+	pl.Put(pl.Get(0))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pl.Put(pl.Get(uint64(i&1) + 1))
+	}
+}
+
 func BenchmarkSample(b *testing.B) {
 	p := DefaultParams(4096)
 	s := New(p, 9)
@@ -408,30 +447,48 @@ func TestAddEncodedMatchesDecodeAdd(t *testing.T) {
 	}
 }
 
-// TestPoolReuseBitExact pins pooled-sketch reuse: a recycled sketch
-// re-seeded for a new phase must encode exactly like a fresh one.
+// TestPoolReuseBitExact pins pooled-sketch reuse: a sketch recycled through
+// several seeds — its tables rebuilt by the pool's donor and copied in —
+// must encode and sample exactly like a fresh New(p, seed) at every one,
+// whichever way the items arrive.
 func TestPoolReuseBitExact(t *testing.T) {
-	p := DefaultParams(128)
-	pl := NewPool(p)
-	build := func(s *Sketch) {
-		for i := 0; i < 25; i++ {
-			s.AddItem(uint64(i*i+3), +1)
+	for _, n := range []int{128, 4000, 1 << 20} {
+		p := DefaultParams(n)
+		pl := NewPool(p)
+		vs, rows := testVertices(n), testRows(n, int64(n))
+		build := func(s *Sketch) {
+			for i := 0; i < 25; i++ {
+				s.AddItem(uint64(i*i+3), +1)
+			}
+			for _, u := range vs {
+				s.AddVertex(u, rows[u], nil)
+			}
+			s.SubVertex(vs[0], rows[vs[0]])
 		}
-	}
-	for _, seed := range []uint64{1, 99, 1 << 40} {
-		got := pl.Get(seed)
-		build(got)
-		want := New(p, seed)
-		build(want)
-		if string(got.EncodeTo(nil)) != string(want.EncodeTo(nil)) {
-			t.Fatalf("seed %d: pooled sketch drifted from fresh sketch", seed)
+		for _, seed := range []uint64{1, 99, 1 << 40, 99, 0} {
+			got := pl.Get(seed)
+			build(got)
+			want := New(p, seed)
+			build(want)
+			if !bytes.Equal(got.EncodeTo(nil), want.EncodeTo(nil)) {
+				t.Fatalf("n %d seed %d: pooled sketch drifted from fresh sketch", n, seed)
+			}
+			gid, gsign, gst := got.Sample()
+			wid, wsign, wst := want.Sample()
+			if gid != wid || gsign != wsign || gst != wst || gst != Sampled {
+				t.Fatalf("n %d seed %d: pooled sketch samples (%d, %d, %v), fresh (%d, %d, %v)",
+					n, seed, gid, gsign, gst, wid, wsign, wst)
+			}
+			if !slices.Equal(got.winZ, want.winZ) || !slices.Equal(got.winN, want.winN) {
+				t.Fatalf("n %d seed %d: pooled sketch holds another seed's windows", n, seed)
+			}
+			pl.Put(got)
 		}
-		pl.Put(got)
+		pl.Release()
 	}
-	pl.Release()
 }
 
-// TestAddVertexMatchesAddItem pins the two-ladder fingerprint path:
+// TestAddVertexMatchesAddItem pins the factored fingerprint path:
 // AddVertex must produce exactly the cells that per-item AddItem does.
 func TestAddVertexMatchesAddItem(t *testing.T) {
 	n := 200
@@ -453,7 +510,7 @@ func TestAddVertexMatchesAddItem(t *testing.T) {
 		}
 	}
 	if string(viaVertex.EncodeTo(nil)) != string(viaItems.EncodeTo(nil)) {
-		t.Fatal("AddVertex two-ladder path drifted from AddItem")
+		t.Fatal("AddVertex drifted from AddItem")
 	}
 
 	// SubVertex is its inverse: a sum lets one member go and equals the
@@ -570,4 +627,339 @@ func TestSampleAllAllocationFree(t *testing.T) {
 	if a := testing.AllocsPerRun(100, func() { buf, _, _ = s.SampleAll(buf[:0]) }); a != 0 {
 		t.Fatalf("SampleAll with a reused buffer allocates %.1f times per call", a)
 	}
+}
+
+// testVertices returns vertices of an n-vertex graph on both sides of every
+// radix-16 window boundary n has, with the ends of the range.
+func testVertices(n int) []int {
+	var vs []int
+	for _, v := range []int{0, 1, 15, 16, 17, 255, 256, 257, 4095, 4096, 65535, 65536, n / 2, n - 2, n - 1} {
+		if v >= 0 && v < n && !slices.Contains(vs, v) {
+			vs = append(vs, v)
+		}
+	}
+	return vs
+}
+
+// evenWeight passes every other half-edge of a testRows row.
+func evenWeight(u int, h graph.Half) bool { return h.W%2 == 0 }
+
+// testRows returns an adjacency row for each of testVertices(n): the other
+// boundary vertices plus random ones, weights counting up from 0 so that
+// evenWeight passes half of a row.
+func testRows(n int, seed int64) map[int][]graph.Half {
+	rng := rand.New(rand.NewSource(seed))
+	rows := make(map[int][]graph.Half)
+	for _, u := range testVertices(n) {
+		tos := testVertices(n)
+		for i := 0; i < 8; i++ {
+			tos = append(tos, rng.Intn(n))
+		}
+		var row []graph.Half
+		for _, v := range tos {
+			if v != u && !slices.ContainsFunc(row, func(h graph.Half) bool { return h.To == v }) {
+				row = append(row, graph.Half{To: v, W: int64(len(row))})
+			}
+		}
+		rows[u] = row
+	}
+	return rows
+}
+
+// naive is the package doc's sketch with no tables and no factoring: every
+// hash from hashing.Hash2/Hash4 and every power from field.Pow, one item at
+// a time. It is the reference the kernel is compared against.
+type naive struct {
+	p     Params
+	seed  uint64
+	cells []cell
+}
+
+func newNaive(p Params, seed uint64) *naive {
+	return &naive{p: p, seed: seed, cells: make([]cell, p.Cells())}
+}
+
+func (r *naive) z() uint64 {
+	z := field.Reduce(hashing.Hash2(r.seed, 0x5eedba5e))
+	if z < 2 {
+		z += 2
+	}
+	return z
+}
+
+func (r *naive) level(id uint64) int {
+	return min(hashing.TrailingZeros(hashing.Hash2(r.seed, 0xa11ce), id), r.p.Levels-1)
+}
+
+func (r *naive) cell(rep, level, bucket int) *cell {
+	return &r.cells[(rep*r.p.Levels+level)*r.p.Buckets+bucket]
+}
+
+func (r *naive) bucket(rep, level int, id uint64) int {
+	return hashing.RangeOf(hashing.Hash4(r.seed, uint64(rep), uint64(level), id), r.p.Buckets)
+}
+
+func (r *naive) add(id uint64, sign int) {
+	idf, fp := field.Reduce(id), field.Pow(r.z(), id)
+	for rep := 0; rep < r.p.Reps; rep++ {
+		for level := 0; level <= r.level(id); level++ {
+			c := r.cell(rep, level, r.bucket(rep, level, id))
+			if sign > 0 {
+				c.count, c.idSum, c.fp = c.count+1, field.Add(c.idSum, idf), field.Add(c.fp, fp)
+			} else {
+				c.count, c.idSum, c.fp = c.count-1, field.Sub(c.idSum, idf), field.Sub(c.fp, fp)
+			}
+		}
+	}
+}
+
+// addVertex adds sign·a_u, restricted to the half-edges filter passes.
+func (r *naive) addVertex(u int, adj []graph.Half, filter func(int, graph.Half) bool, sign int) {
+	for _, h := range adj {
+		if filter != nil && !filter(u, h) {
+			continue
+		}
+		if u > h.To {
+			r.add(graph.EdgeID(u, h.To, r.p.N), -sign)
+		} else {
+			r.add(graph.EdgeID(u, h.To, r.p.N), sign)
+		}
+	}
+}
+
+// encode writes the wire form the package documents on EncodeTo.
+func (r *naive) encode() []byte {
+	var buf []byte
+	for rl := 0; rl < r.p.Reps*r.p.Levels; rl++ {
+		row := r.cells[rl*r.p.Buckets : (rl+1)*r.p.Buckets]
+		var bitmap uint64
+		for b, c := range row {
+			if c != (cell{}) {
+				bitmap |= 1 << uint(b)
+			}
+		}
+		buf = binary.AppendUvarint(buf, bitmap)
+		for _, c := range row {
+			if c != (cell{}) {
+				buf = binary.AppendVarint(buf, c.count)
+				buf = binary.LittleEndian.AppendUint64(buf, c.idSum)
+				buf = binary.LittleEndian.AppendUint64(buf, c.fp)
+			}
+		}
+	}
+	return buf
+}
+
+// recover returns the slot the tester at (rep, level, bucket) holds alone,
+// if it passes the one-sparse test and the slot belongs there.
+func (r *naive) recover(rep, level, bucket int) (Slot, bool) {
+	c := r.cell(rep, level, bucket)
+	var sl Slot
+	switch c.count {
+	case 1:
+		sl = Slot{ID: c.idSum, Sign: +1}
+	case -1:
+		sl = Slot{ID: field.Neg(c.idSum), Sign: -1}
+	default:
+		return Slot{}, false
+	}
+	want := field.Pow(r.z(), sl.ID)
+	if sl.Sign < 0 {
+		want = field.Neg(want)
+	}
+	ok := sl.ID < uint64(r.p.N)*uint64(r.p.N) && c.fp == want &&
+		r.level(sl.ID) >= level && r.bucket(rep, level, sl.ID) == bucket
+	return sl, ok
+}
+
+// sampleAll returns what SampleAll documents: every distinct recoverable
+// slot, the max-query-hash slot of the sparsest productive level first, the
+// status, and whether some repetition's level-0 row decoded completely.
+func (r *naive) sampleAll() (slots []Slot, st Status, full bool) {
+	if !slices.ContainsFunc(r.cells, func(c cell) bool { return c != (cell{}) }) {
+		return nil, Empty, true
+	}
+	qsalt := hashing.Hash2(r.seed, 0x9a3f1e)
+	for level := r.p.Levels - 1; level >= 0; level-- {
+		head := len(slots) == 0
+		for rep := 0; rep < r.p.Reps; rep++ {
+			nonzero, recovered := 0, 0
+			for b := 0; b < r.p.Buckets; b++ {
+				if *r.cell(rep, level, b) == (cell{}) {
+					continue
+				}
+				nonzero++
+				sl, ok := r.recover(rep, level, b)
+				if !ok {
+					continue
+				}
+				recovered++
+				if slices.Contains(slots, sl) {
+					continue
+				}
+				slots = append(slots, sl)
+				if head && hashing.Hash2(qsalt, sl.ID) > hashing.Hash2(qsalt, slots[0].ID) {
+					last := len(slots) - 1
+					slots[0], slots[last] = slots[last], slots[0]
+				}
+			}
+			full = full || level == 0 && nonzero > 0 && recovered == nonzero
+		}
+	}
+	if len(slots) == 0 {
+		return nil, Failed, false
+	}
+	return slots, Sampled, full
+}
+
+// checkAgainstNaive compares a sketch with the reference cell for cell (the
+// encodings) and answer for answer (Sample and SampleAll).
+func checkAgainstNaive(t *testing.T, what string, s *Sketch, r *naive) {
+	t.Helper()
+	if !bytes.Equal(s.EncodeTo(nil), r.encode()) {
+		t.Fatalf("%s: cells differ from the reference sketch", what)
+	}
+	want, wantSt, wantFull := r.sampleAll()
+	id, sign, st := s.Sample()
+	if st != wantSt || st == Sampled && (Slot{ID: id, Sign: sign}) != want[0] {
+		t.Fatalf("%s: Sample = (%d, %d, %v), reference %v %v", what, id, sign, st, want, wantSt)
+	}
+	got, gotSt, gotFull := s.SampleAll(nil)
+	if gotSt != wantSt || gotFull != wantFull || len(got) != len(want) || len(got) > 0 && got[0] != want[0] {
+		t.Fatalf("%s: SampleAll = %v %v full=%v, reference %v %v full=%v", what, got, gotSt, gotFull, want, wantSt, wantFull)
+	}
+	byID := func(a, b Slot) int { return cmp.Compare(a.ID, b.ID) }
+	slices.SortFunc(got, byID)
+	slices.SortFunc(want, byID)
+	if !slices.Equal(got, want) {
+		t.Fatalf("%s: SampleAll slots %v, reference %v", what, got, want)
+	}
+}
+
+// TestKernelMatchesReference drives the one item-add kernel — AddVertex
+// with and without a filter, AddItem of either sign, SubVertex — beside the
+// table-free reference, at vertex counts on both sides of every window
+// boundary and at shapes whose level cap binds, and requires identical
+// cells and identical samples after every step.
+func TestKernelMatchesReference(t *testing.T) {
+	for _, n := range []int{2, 3, 15, 16, 17, 255, 256, 257, 4000, 65536, 1 << 20} {
+		vs, rows := testVertices(n), testRows(n, int64(n))
+		first, rest := vs[:(len(vs)+1)/2], vs[(len(vs)+1)/2:]
+		for _, p := range []Params{DefaultParams(n), {N: n, Levels: 2, Buckets: 6, Reps: 2}, {N: n, Levels: 1, Buckets: 3, Reps: 3}} {
+			rng := rand.New(rand.NewSource(int64(n)*31 + int64(p.Levels)))
+			seed := rng.Uint64()
+			s, r := New(p, seed), newNaive(p, seed)
+			step := func(what string) {
+				t.Helper()
+				checkAgainstNaive(t, fmt.Sprintf("n %d levels %d after %s", n, p.Levels, what), s, r)
+			}
+			step("nothing")
+			for _, u := range first {
+				s.AddVertex(u, rows[u], nil)
+				r.addVertex(u, rows[u], nil, +1)
+			}
+			step("AddVertex")
+			for _, u := range rest {
+				s.AddVertex(u, rows[u], evenWeight)
+				r.addVertex(u, rows[u], evenWeight, +1)
+			}
+			step("filtered AddVertex")
+			universe := uint64(n) * uint64(n)
+			items := []uint64{0, 1, uint64(n) - 1, uint64(n), universe - 1, rng.Uint64() % universe, rng.Uint64() % universe}
+			for i, id := range items {
+				s.AddItem(id, 1-2*(i%2))
+				r.add(id, 1-2*(i%2))
+			}
+			step("AddItem")
+			for _, u := range first {
+				s.SubVertex(u, rows[u])
+				r.addVertex(u, rows[u], nil, -1)
+			}
+			step("SubVertex")
+			// Taking everything else out, by every route, leaves exactly the
+			// zero sketch: no residue in any cell.
+			for i, id := range items {
+				s.AddItem(id, 2*(i%2)-1)
+				r.add(id, 2*(i%2)-1)
+			}
+			for _, u := range rest {
+				s.SubVertex(u, rows[u])
+				r.addVertex(u, rows[u], nil, -1)
+				s.AddVertex(u, rows[u], func(u int, h graph.Half) bool { return !evenWeight(u, h) })
+				r.addVertex(u, rows[u], evenWeight, -1)
+				r.addVertex(u, rows[u], nil, +1)
+			}
+			step("cancelling everything")
+			if !s.IsZero() || len(s.EncodeTo(nil)) != p.Reps*p.Levels {
+				t.Fatalf("n %d levels %d: the cancelled sketch is not the zero sketch", n, p.Levels)
+			}
+		}
+	}
+}
+
+// TestAddVertexAllocationFree pins the kernel's tables to the sketch: adding
+// a row, filtered or not, and taking it out again allocate nothing.
+func TestAddVertexAllocationFree(t *testing.T) {
+	n := 4000
+	s := New(DefaultParams(n), 5)
+	rows := testRows(n, 1)
+	if a := testing.AllocsPerRun(100, func() {
+		for u, row := range rows {
+			s.AddVertex(u, row, nil)
+			s.AddVertex(u, row, evenWeight)
+			s.SubVertex(u, row)
+		}
+	}); a != 0 {
+		t.Fatalf("AddVertex/SubVertex allocate %.1f times per pass", a)
+	}
+}
+
+// FuzzAddEncoded feeds the sketch layer's one decoder of peer bytes: it
+// must never panic, must answer nil or an error, and what it accepted must
+// re-encode to a form that decodes to the same sketch.
+func FuzzAddEncoded(f *testing.F) {
+	p := Params{N: 300, Levels: 6, Buckets: 6, Reps: 2}
+	const seed = 21
+	s := New(p, seed)
+	f.Add(s.EncodeTo(nil))
+	for i := uint64(0); i < 40; i++ {
+		s.AddItem(hashing.Hash2(5, i)%(300*300), 1-2*int(i%2))
+	}
+	enc := s.EncodeTo(nil)
+	f.Add(enc)
+	f.Add(enc[:len(enc)-3])
+	f.Add(enc[:1])
+	f.Add(append(slices.Clone(enc), 0))
+	f.Add(append([]byte{0xff, 0x01}, enc[1:]...)) // bitmap with buckets 6 and 7
+	nonCanon := binary.AppendVarint([]byte{0x01}, 1)
+	nonCanon = binary.LittleEndian.AppendUint64(nonCanon, field.P) // = 0, not canonical
+	nonCanon = binary.LittleEndian.AppendUint64(nonCanon, ^uint64(0))
+	f.Add(append(nonCanon, make([]byte, p.Reps*p.Levels-1)...))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d, err := Decode(p, seed, data)
+		if err != nil {
+			return
+		}
+		for _, c := range d.cells {
+			if c.idSum >= field.P || c.fp >= field.P {
+				t.Fatalf("accepted a non-canonical field word: %+v", c)
+			}
+		}
+		again := d.EncodeTo(nil)
+		d2, err := Decode(p, seed, again)
+		if err != nil || !bytes.Equal(d2.EncodeTo(nil), again) {
+			t.Fatalf("re-encoding of accepted bytes is not a fixed point (err %v)", err)
+		}
+		// Accepted bytes add by linearity: twice into one accumulator is
+		// the decoded sketch added to itself.
+		sum, _ := Decode(p, seed, data)
+		if err := sum.AddEncoded(data); err != nil {
+			t.Fatalf("bytes accepted once were refused the second time: %v", err)
+		}
+		if err := d.Add(d2); err != nil || !bytes.Equal(sum.EncodeTo(nil), d.EncodeTo(nil)) {
+			t.Fatalf("AddEncoded twice differs from Decode + Add (err %v)", err)
+		}
+		d.Sample()
+		d.SampleAll(nil)
+	})
 }
