@@ -4,6 +4,8 @@ import (
 	"context"
 	"runtime"
 	"testing"
+
+	"kmgraph/internal/core"
 )
 
 // allocated returns the bytes fn allocates (TotalAlloc delta; nothing else
@@ -26,7 +28,7 @@ func allocated(t *testing.T, fn func() error) uint64 {
 func TestColdQueryAllocationBudget(t *testing.T) {
 	g := GNM(2000, 6000, 5)
 	oneShot := func() error {
-		_, err := ConnectivityFromSource(g.Source(), Config{K: 8, Seed: 21})
+		_, err := core.RunSource(g.Source(), Config{K: 8, Seed: 21})
 		return err
 	}
 	cold := func() error {

@@ -80,7 +80,7 @@ func TestBackendAxis(t *testing.T) {
 			if err := WriteStore(path, g.Source()); err != nil {
 				t.Fatal(err)
 			}
-			oneShot, err := ConnectivityFromSource(g.Source(), Config{K: k, Seed: seed})
+			oneShot, err := core.RunSource(g.Source(), Config{K: k, Seed: seed})
 			if err != nil {
 				t.Fatal(err)
 			}

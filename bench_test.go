@@ -14,17 +14,19 @@ import (
 	"testing"
 	"time"
 
+	"kmgraph/internal/baseline"
+	"kmgraph/internal/experiments"
 	"kmgraph/internal/telemetry"
 )
 
 func benchExperiment(b *testing.B, id string) {
-	e, err := ExperimentByID(id)
+	e, err := experiments.ByID(id)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tables, err := e.Run(ExperimentParams{Quick: true, Seed: 42})
+		tables, err := e.Run(experiments.Params{Quick: true, Seed: 42})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -290,7 +292,7 @@ func BenchmarkFloodingBaseline(b *testing.B) {
 	g := GNM(1024, 3072, 1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := FloodingConnectivity(g, BaselineConfig{K: 8, Seed: int64(i)}); err != nil {
+		if _, err := baseline.Flooding(g, baseline.Config{K: 8, Seed: int64(i)}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -300,7 +302,7 @@ func BenchmarkRefereeBaseline(b *testing.B) {
 	g := GNM(1024, 3072, 1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := RefereeConnectivity(g, BaselineConfig{K: 8, Seed: int64(i)}); err != nil {
+		if _, err := baseline.Referee(g, baseline.Config{K: 8, Seed: int64(i)}); err != nil {
 			b.Fatal(err)
 		}
 	}

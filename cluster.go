@@ -1,9 +1,8 @@
 // The Cluster API: put a graph on k machines — loaded once into this
 // process (NewCluster, OpenCluster) or hosted by a kmworker fleet
 // (OpenFleet) — then run every algorithm family as a cancellable job
-// against it. This is the library's serving front door; the one-shot free
-// functions (Connectivity, MST, ApproxMinCut, Verify*) remain as
-// single-run wrappers for experiments and ablations.
+// against it. This is the library's one front door; only Connectivity and
+// MST keep a one-shot form, for the per-run ablation Config.
 
 package kmgraph
 
@@ -250,10 +249,10 @@ func OpenCluster(path string, opts ...ClusterOption) (*Cluster, error) {
 // graph from spec.Source. It is an ordinary Cluster — the same methods,
 // observer events, admission queue and Metrics — with Connectivity and
 // MST run as distributed jobs whose results and Metrics are bit-identical
-// to the one-shot ConnectivityFromSource / MST on the same source, k and
-// seed. Workers keep nothing between jobs, so every job pays its shard
-// load, Epoch stays 0, and ApplyBatch, ApproxMinCut, Verify and
-// SpanningTree return ErrUnsupported. A lost worker fails the job with
+// to the one-shot Connectivity / MST on the same graph, k and seed.
+// Workers keep nothing between jobs, so every job pays its shard load,
+// Epoch stays 0, and ApplyBatch, ApproxMinCut, Verify and SpanningTree
+// return ErrUnsupported. A lost worker fails the job with
 // ErrLinkDown after spec.Coord.Retry is spent. Nothing is dialed until
 // the first job; WithK must be at least the worker count.
 func OpenFleet(spec FleetSpec, opts ...ClusterOption) (*Cluster, error) {

@@ -24,6 +24,7 @@ import (
 
 	"kmgraph"
 	"kmgraph/internal/benchfmt"
+	"kmgraph/internal/experiments"
 	"kmgraph/internal/procstat"
 )
 
@@ -253,12 +254,12 @@ func main() {
 		return
 	}
 
-	var exps []kmgraph.Experiment
+	var exps []experiments.Experiment
 	if *expList == "" {
-		exps = kmgraph.AllExperiments()
+		exps = experiments.All()
 	} else {
 		for _, id := range strings.Split(*expList, ",") {
-			e, err := kmgraph.ExperimentByID(strings.TrimSpace(id))
+			e, err := experiments.ByID(strings.TrimSpace(id))
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)
@@ -267,7 +268,7 @@ func main() {
 		}
 	}
 
-	params := kmgraph.ExperimentParams{Quick: *quick, Seed: *seed, Trials: *trials}
+	params := experiments.Params{Quick: *quick, Seed: *seed, Trials: *trials}
 	for _, e := range exps {
 		fmt.Printf("=== %s: %s\n", e.ID, e.Title)
 		fmt.Printf("    reproduces: %s\n\n", e.PaperRef)

@@ -52,7 +52,9 @@ import (
 	"time"
 
 	"kmgraph"
+	"kmgraph/internal/baseline"
 	"kmgraph/internal/cli"
+	"kmgraph/internal/rep"
 )
 
 var families = map[string]func(fs *flag.FlagSet, args []string){
@@ -116,7 +118,7 @@ func connectivity(fs *flag.FlagSet, args []string) {
 
 	if *algo != "sketch" {
 		noCluster(f, g, "-algo "+*algo)
-		components, cost := baseline(f, g, *algo)
+		components, cost := runBaseline(f, g, *algo)
 		fmt.Printf("components: %d%s\n%s\n", components, oracle, cost)
 		return
 	}
@@ -131,10 +133,10 @@ func connectivity(fs *flag.FlagSet, args []string) {
 	s.Close()
 }
 
-// baseline runs one of the algorithms the paper improves on — one-shot, on
+// runBaseline runs one of the algorithms the paper improves on — one-shot, on
 // the in-memory graph, without a Cluster — and returns its answer and
 // cost lines.
-func baseline(f *cli.Flags, g *kmgraph.Graph, algo string) (components int, cost string) {
+func runBaseline(f *cli.Flags, g *kmgraph.Graph, algo string) (components int, cost string) {
 	switch algo {
 	case "edgecheck":
 		res, err := kmgraph.Connectivity(g, kmgraph.Config{K: *f.K, Seed: *f.Seed, EdgeCheckSelection: true})
@@ -144,11 +146,11 @@ func baseline(f *cli.Flags, g *kmgraph.Graph, algo string) (components int, cost
 		return res.Components, fmt.Sprintf("phases: %d  sketch failures: %d\ncost: %s",
 			res.Phases, res.SketchFailures, res.Metrics.String())
 	case "flooding", "referee":
-		run := kmgraph.FloodingConnectivity
+		run := baseline.Flooding
 		if algo == "referee" {
-			run = kmgraph.RefereeConnectivity
+			run = baseline.Referee
 		}
-		res, err := run(g, kmgraph.BaselineConfig{K: *f.K, Seed: *f.Seed})
+		res, err := run(g, baseline.Config{K: *f.K, Seed: *f.Seed})
 		if err != nil {
 			cli.Fatal(err)
 		}
@@ -173,7 +175,7 @@ func mst(fs *flag.FlagSet, args []string) {
 	}
 	if *repMode {
 		noCluster(f, g, "-rep")
-		res, err := kmgraph.REPMST(g, kmgraph.REPConfig{K: *f.K, Seed: *f.Seed})
+		res, err := rep.MST(g, rep.Config{K: *f.K, Seed: *f.Seed})
 		if err != nil {
 			cli.Fatal(err)
 		}

@@ -1,11 +1,12 @@
 package kmgraph
 
 // Cross-host differential table: every Theorem 4 problem and the Theorem 3
-// min-cut run through both hosts of the one reduction layer — the
-// one-shot adapter (a fresh cluster per connectivity run) and a resident
-// Cluster — on several graph families. The hosts must agree with each
-// other (verdict, level, run count, error text) and with sequential
-// oracles that share no code with the reductions.
+// min-cut run through two hosts of the one reduction layer — a sequential
+// host (each view materialized with Filter / RemoveEdges / DoubleCover and
+// counted by union-find) and a resident Cluster — on several graph
+// families. The hosts must agree with each other (verdict, level, run
+// count, error text) and with sequential oracles that share no code with
+// the reductions.
 
 import (
 	"fmt"
@@ -60,6 +61,35 @@ func verdictOracle(g *Graph, p Problem, a VerifyArgs) bool {
 		return connectedOracle(without(g, []Edge{a.E}), a.E.U, a.E.V)
 	}
 	panic("no oracle for " + p.String())
+}
+
+// sequentialVerify is the sequential host of the verification reductions:
+// the same views, each materialized and counted by union-find instead of a
+// k-machine run.
+func sequentialVerify(g *Graph, p Problem, args VerifyArgs) (*VerifyOutcome, error) {
+	return verify.Decide(p, args, g.N(), g.M(), func(v verify.View) (verify.Run, error) {
+		sub := g
+		switch v.Kind {
+		case verify.ViewKeep:
+			keep := make(map[Edge]bool, len(v.Edges))
+			for _, e := range v.Edges {
+				e = e.Canon()
+				keep[Edge{U: e.U, V: e.V}] = true
+			}
+			sub = g.Filter(func(e Edge) bool { return keep[Edge{U: e.U, V: e.V}] })
+		case verify.ViewRemove:
+			sub = g.RemoveEdges(v.Edges)
+		case verify.ViewDoubleCover:
+			sub = g.DoubleCover()
+		}
+		labels, cc := ComponentsOracle(sub)
+		run := verify.Run{Components: cc, Labels: make([]uint64, len(labels))}
+		for v, l := range labels {
+			run.Labels[v] = uint64(l)
+		}
+		run.ProbePresent = v.Probe != nil && g.HasEdge(v.Probe.U, v.Probe.V)
+		return run, nil
+	})
 }
 
 // levelOracle is the sequential host of the level search: the same
@@ -163,11 +193,17 @@ func TestCrossHostDifferential(t *testing.T) {
 			{ProblemECycleContainment, VerifyArgs{E: Edge{U: 0, V: n}}},
 			{ProblemECycleContainment, VerifyArgs{E: Edge{U: 3, V: 3}}},
 			{Problem(99), VerifyArgs{}},
+			// Out-of-range endpoints, which EdgeID(u, v, n) = u·n + v would
+			// alias onto real edges.
+			{ProblemSpanningConnectedSubgraph, VerifyArgs{H: append([]Edge{{U: forest[0].U - 1, V: forest[0].V + n}}, forest[1:]...)}},
+			{ProblemCut, VerifyArgs{Cut: []Edge{{U: 0, V: n + 2}}}},
+			{ProblemSTCut, VerifyArgs{S: 0, T: 1, Cut: []Edge{{U: -1, V: 3}}}},
+			{ProblemEdgeOnAllPaths, VerifyArgs{S: 0, T: 1, E: Edge{U: 0, V: n + 1}}},
 		}
 
 		t.Run(fam.name, func(t *testing.T) {
-			cfg := Config{K: fam.k, Seed: 31}
-			c, err := NewCluster(g, WithK(fam.k), WithSeed(31))
+			const seed = 31
+			c, err := NewCluster(g, WithK(fam.k), WithSeed(seed))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -176,19 +212,19 @@ func TestCrossHostDifferential(t *testing.T) {
 			for i, tc := range cases {
 				name := fmt.Sprintf("%s#%d", tc.p, i)
 				want := verdictOracle(g, tc.p, tc.args)
-				one, err := verify.OneShot(g, cfg, tc.p, tc.args)
+				seq, err := sequentialVerify(g, tc.p, tc.args)
 				if err != nil {
-					t.Fatalf("%s: one-shot: %v", name, err)
+					t.Fatalf("%s: sequential: %v", name, err)
 				}
 				res, err := c.Verify(t.Context(), tc.p, tc.args)
 				if err != nil {
 					t.Fatalf("%s: cluster: %v", name, err)
 				}
-				if one.Holds != want || res.Holds != want {
-					t.Errorf("%s: one-shot %v, cluster %v, oracle %v", name, one.Holds, res.Holds, want)
+				if seq.Holds != want || res.Holds != want {
+					t.Errorf("%s: sequential %v, cluster %v, oracle %v", name, seq.Holds, res.Holds, want)
 				}
-				if one.Runs != res.Runs || one.Runs == 0 {
-					t.Errorf("%s: one-shot used %d runs, cluster %d", name, one.Runs, res.Runs)
+				if seq.Runs != res.Runs || seq.Runs == 0 || res.Rounds <= 0 {
+					t.Errorf("%s: sequential used %d runs, cluster %d in %d rounds", name, seq.Runs, res.Runs, res.Rounds)
 				}
 				if seen[tc.p] == nil {
 					seen[tc.p] = make(map[bool]bool)
@@ -199,31 +235,25 @@ func TestCrossHostDifferential(t *testing.T) {
 			// Bad inputs: the same refusal from both hosts, and the cluster
 			// stays serviceable (the min-cut below still runs on it).
 			for i, tc := range bad {
-				_, errOne := verify.OneShot(g, cfg, tc.p, tc.args)
+				_, errSeq := sequentialVerify(g, tc.p, tc.args)
 				_, errRes := c.Verify(t.Context(), tc.p, tc.args)
-				if errOne == nil || errRes == nil || errOne.Error() != errRes.Error() {
-					t.Errorf("bad input %d (%s): one-shot error %v, cluster error %v; want the same non-nil error",
-						i, tc.p, errOne, errRes)
+				if errSeq == nil || errRes == nil || errSeq.Error() != errRes.Error() {
+					t.Errorf("bad input %d (%s): sequential error %v, cluster error %v; want the same non-nil error",
+						i, tc.p, errSeq, errRes)
 				}
 			}
 
-			want, err := levelOracle(g, cfg.Seed)
+			want, err := levelOracle(g, seed)
 			if err != nil {
 				t.Fatal(err)
 			}
-			one, err := ApproxMinCut(g, MinCutConfig{Config: cfg})
+			got, err := c.ApproxMinCut(t.Context())
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := c.ApproxMinCut(t.Context())
-			if err != nil {
-				t.Fatal(err)
-			}
-			for host, got := range map[string]*MinCutResult{"one-shot": one, "cluster": res} {
-				if got.Level != want.Level || got.Estimate != want.Estimate || got.Runs != want.Runs {
-					t.Errorf("min-cut %s: level %d estimate %.2f runs %d; sequential search: %d / %.2f / %d",
-						host, got.Level, got.Estimate, got.Runs, want.Level, want.Estimate, want.Runs)
-				}
+			if got.Level != want.Level || got.Estimate != want.Estimate || got.Runs != want.Runs || got.Rounds <= 0 {
+				t.Errorf("min-cut cluster: level %d estimate %.2f runs %d (%d rounds); sequential search: %d / %.2f / %d",
+					got.Level, got.Estimate, got.Runs, got.Rounds, want.Level, want.Estimate, want.Runs)
 			}
 			if disconnected := componentCount(g) > 1; (want.Level == -1) != disconnected {
 				t.Errorf("min-cut level %d on a graph with %d components", want.Level, componentCount(g))

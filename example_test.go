@@ -99,24 +99,19 @@ func ExampleMST() {
 	// Output: optimal: true
 }
 
-func ExampleVerifyBipartiteness() {
+func ExampleCluster_Verify() {
 	grid := kmgraph.Grid(10, 10) // grids are 2-colorable
-	out, err := kmgraph.VerifyBipartiteness(grid, kmgraph.Config{K: 4, Seed: 1})
+	c, err := kmgraph.NewCluster(grid, kmgraph.WithK(4), kmgraph.WithSeed(1))
+	if err != nil {
+		panic(err)
+	}
+	defer c.Close()
+	out, err := c.Verify(context.Background(), kmgraph.ProblemBipartiteness, kmgraph.VerifyArgs{})
 	if err != nil {
 		panic(err)
 	}
 	fmt.Println("bipartite:", out.Holds)
 	// Output: bipartite: true
-}
-
-func ExampleRunLowerBound() {
-	inst := kmgraph.NewDisjointnessInstance(64, 5)
-	res, err := kmgraph.RunLowerBound(inst, kmgraph.Config{K: 4, Seed: 2})
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println("SCS == DISJ:", res.SCSHolds == res.Disjoint)
-	// Output: SCS == DISJ: true
 }
 
 func ExampleGraphBuilder() {

@@ -10,6 +10,7 @@ import (
 	"log"
 
 	"kmgraph"
+	"kmgraph/internal/lowerbound"
 )
 
 func main() {
@@ -20,8 +21,8 @@ func main() {
 
 	const k = 4
 	for _, b := range []int{32, 64, 128, 256} {
-		inst := kmgraph.NewDisjointnessInstance(b, int64(b))
-		res, err := kmgraph.RunLowerBound(inst, kmgraph.Config{K: k, Seed: 7})
+		inst := lowerbound.RandomInstance(b, int64(b), lowerbound.ForceNothing)
+		res, err := lowerbound.RunSCS(inst, kmgraph.Config{K: k, Seed: 7})
 		if err != nil {
 			log.Fatal(err)
 		}

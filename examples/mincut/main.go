@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -23,9 +24,12 @@ func main() {
 	}
 	for _, tc := range cases {
 		trueCut := kmgraph.MinCutOracle(tc.g)
-		res, err := kmgraph.ApproxMinCut(tc.g, kmgraph.MinCutConfig{
-			Config: kmgraph.Config{K: 8, Seed: 9},
-		})
+		c, err := kmgraph.NewCluster(tc.g, kmgraph.WithK(8), kmgraph.WithSeed(9))
+		if err != nil {
+			log.Fatal(err)
+		}
+		res, err := c.ApproxMinCut(context.Background())
+		c.Close()
 		if err != nil {
 			log.Fatal(err)
 		}

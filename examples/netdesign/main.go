@@ -10,6 +10,7 @@ import (
 	"log"
 
 	"kmgraph"
+	"kmgraph/internal/rep"
 )
 
 func main() {
@@ -30,7 +31,7 @@ func main() {
 		rvp.TotalWeight, rvp.Metrics.Rounds, rvp.TotalWeight == best)
 
 	// REP model: local cycle-property filtering + conversion.
-	repRes, err := kmgraph.REPMST(g, kmgraph.REPConfig{K: k, Seed: 5})
+	repRes, err := rep.MST(g, rep.Config{K: k, Seed: 5})
 	if err != nil {
 		log.Fatal(err)
 	}

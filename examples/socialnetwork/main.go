@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sort"
@@ -48,7 +49,12 @@ func main() {
 	fmt.Println("oracle agrees")
 
 	// Is the friendship graph bipartite (a pure "two-camps" structure)?
-	bip, err := kmgraph.VerifyBipartiteness(g, kmgraph.Config{K: 16, Seed: 4})
+	c, err := kmgraph.NewCluster(g, kmgraph.WithK(16), kmgraph.WithSeed(4))
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer c.Close()
+	bip, err := c.Verify(context.Background(), kmgraph.ProblemBipartiteness, kmgraph.VerifyArgs{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -11,41 +12,36 @@ import (
 )
 
 func main() {
-	// A 32x32 road grid and a proposed backbone (a spanning tree).
+	// A 32x32 road grid and a proposed backbone (a spanning tree), loaded
+	// once onto 8 machines; every question below is a job on that cluster.
 	g := kmgraph.Grid(32, 32)
 	backbone, _ := kmgraph.MSTOracle(g)
-	cfg := kmgraph.Config{K: 8, Seed: 21}
+	c, err := kmgraph.NewCluster(g, kmgraph.WithK(8), kmgraph.WithSeed(21))
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer c.Close()
 	fmt.Printf("road grid: n=%d m=%d; backbone: %d roads\n\n", g.N(), g.M(), len(backbone))
 
-	report := func(name string, out *kmgraph.VerifyOutcome, err error) {
-		if err != nil {
-			log.Fatalf("%s: %v", name, err)
-		}
-		fmt.Printf("%-42s %-5v (%d runs, %d rounds)\n", name, out.Holds, out.Runs, out.Rounds)
-	}
-
-	out, err := kmgraph.VerifySpanningConnectedSubgraph(g, backbone, cfg)
-	report("backbone spans and connects the city?", out, err)
-
-	out, err = kmgraph.VerifyCut(g, backbone[:100], cfg)
-	report("do the first 100 backbone roads form a cut?", out, err)
-
-	out, err = kmgraph.VerifySTConnectivity(g, 0, g.N()-1, cfg)
-	report("corner-to-corner route exists?", out, err)
-
 	cross := kmgraph.Edge{U: 0, V: 1}
-	out, err = kmgraph.VerifyEdgeOnAllPaths(g, 0, 1, cross, cfg)
-	report("is road (0,1) the only way from 0 to 1?", out, err)
-
-	out, err = kmgraph.VerifySTCut(g, 0, g.N()-1, g.Edges()[:64], cfg)
-	report("do the first 64 roads separate the corners?", out, err)
-
-	out, err = kmgraph.VerifyBipartiteness(g, cfg)
-	report("is the grid two-colorable?", out, err)
-
-	out, err = kmgraph.VerifyCycleContainment(g, cfg)
-	report("does the grid contain a cycle?", out, err)
-
-	out, err = kmgraph.VerifyECycleContainment(g, cross, cfg)
-	report("is road (0,1) on some cycle?", out, err)
+	for _, q := range []struct {
+		name string
+		p    kmgraph.Problem
+		args kmgraph.VerifyArgs
+	}{
+		{"backbone spans and connects the city?", kmgraph.ProblemSpanningConnectedSubgraph, kmgraph.VerifyArgs{H: backbone}},
+		{"do the first 100 backbone roads form a cut?", kmgraph.ProblemCut, kmgraph.VerifyArgs{Cut: backbone[:100]}},
+		{"corner-to-corner route exists?", kmgraph.ProblemSTConnectivity, kmgraph.VerifyArgs{S: 0, T: g.N() - 1}},
+		{"is road (0,1) the only way from 0 to 1?", kmgraph.ProblemEdgeOnAllPaths, kmgraph.VerifyArgs{S: 0, T: 1, E: cross}},
+		{"do the first 64 roads separate the corners?", kmgraph.ProblemSTCut, kmgraph.VerifyArgs{S: 0, T: g.N() - 1, Cut: g.Edges()[:64]}},
+		{"is the grid two-colorable?", kmgraph.ProblemBipartiteness, kmgraph.VerifyArgs{}},
+		{"does the grid contain a cycle?", kmgraph.ProblemCycleContainment, kmgraph.VerifyArgs{}},
+		{"is road (0,1) on some cycle?", kmgraph.ProblemECycleContainment, kmgraph.VerifyArgs{E: cross}},
+	} {
+		out, err := c.Verify(context.Background(), q.p, q.args)
+		if err != nil {
+			log.Fatalf("%s: %v", q.name, err)
+		}
+		fmt.Printf("%-42s %-5v (%d runs, %d rounds)\n", q.name, out.Holds, out.Runs, out.Rounds)
+	}
 }

@@ -8,6 +8,8 @@ package kmgraph
 import (
 	"fmt"
 	"testing"
+
+	"kmgraph/internal/baseline"
 )
 
 func families(seed int64) map[string]*Graph {
@@ -70,11 +72,16 @@ func TestIntegrationMSTMatrix(t *testing.T) {
 
 func TestIntegrationSpanningTree(t *testing.T) {
 	g := GNM(240, 720, 7)
-	res, err := SpanningTree(g, Config{K: 6, Seed: 31})
+	c, err := NewCluster(g, WithK(6), WithSeed(31))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub := fromEdges(g.N(), res.Edges)
+	defer c.Close()
+	res, err := c.SpanningTree(t.Context())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub := fromEdges(g.N(), res.Forest)
 	wantLabels, wantCount := ComponentsOracle(g)
 	gotLabels, gotCount := ComponentsOracle(sub)
 	if gotCount != wantCount {
@@ -91,15 +98,19 @@ func TestIntegrationVerifiersOnRealisticGraphs(t *testing.T) {
 	}
 	for seed := int64(0); seed < 4; seed++ {
 		g := ChungLu(180, 2.6, 5, seed)
-		cfg := Config{K: 4, Seed: seed + 41}
-		bip, err := VerifyBipartiteness(g, cfg)
+		c, err := NewCluster(g, WithK(4), WithSeed(seed+41))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		bip, err := c.Verify(t.Context(), ProblemBipartiteness, VerifyArgs{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if bip.Holds != IsBipartiteOracle(g) {
 			t.Errorf("seed %d: bipartite mismatch", seed)
 		}
-		cyc, err := VerifyCycleContainment(g, cfg)
+		cyc, err := c.Verify(t.Context(), ProblemCycleContainment, VerifyArgs{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,11 +127,11 @@ func TestIntegrationBaselinesAgreeWithCore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fl, err := FloodingConnectivity(g, BaselineConfig{K: 5, Seed: 1})
+	fl, err := baseline.Flooding(g, baseline.Config{K: 5, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rf, err := RefereeConnectivity(g, BaselineConfig{K: 5, Seed: 1})
+	rf, err := baseline.Referee(g, baseline.Config{K: 5, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

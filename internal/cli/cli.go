@@ -16,6 +16,7 @@ import (
 
 	"kmgraph"
 	"kmgraph/internal/dist"
+	"kmgraph/internal/kmachine"
 	"kmgraph/internal/procstat"
 	"kmgraph/internal/telemetry"
 )
@@ -167,7 +168,7 @@ func (f *Flags) PrintGraph(g *kmgraph.Graph) {
 		label = *f.Input
 	}
 	fmt.Printf("graph: %s n=%d m=%d; cluster: k=%d B=%d bits/link/round\n",
-		label, g.N(), g.M(), *f.K, kmgraph.DefaultBandwidth(g.N()))
+		label, g.N(), g.M(), *f.K, kmachine.Bandwidth(g.N()))
 }
 
 // Session is an open Cluster with the job plumbing of the flags that
@@ -220,7 +221,7 @@ func (f *Flags) Open(g *kmgraph.Graph) *Session {
 		if s.Cluster, err = kmgraph.OpenCluster(*f.Store, opts...); err == nil {
 			fmt.Printf("store: %s n=%d m=%d; cluster: k=%d B=%d bits/link/round (shard-direct load %v)\n",
 				*f.Store, s.Cluster.N(), s.Cluster.Metrics().Edges, *f.K,
-				kmgraph.DefaultBandwidth(s.Cluster.N()), time.Since(start).Round(time.Millisecond))
+				kmachine.Bandwidth(s.Cluster.N()), time.Since(start).Round(time.Millisecond))
 			fmt.Printf("after-load peak RSS: %d MB\n", procstat.MaxRSSBytes()>>20)
 		}
 	}

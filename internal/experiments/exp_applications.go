@@ -1,13 +1,14 @@
 package experiments
 
 import (
+	"context"
 	"math"
 
 	"kmgraph/internal/congested"
 	"kmgraph/internal/core"
 	"kmgraph/internal/graph"
-	"kmgraph/internal/mincut"
 	"kmgraph/internal/rep"
+	"kmgraph/internal/resident"
 	"kmgraph/internal/stats"
 	"kmgraph/internal/verify"
 )
@@ -162,7 +163,12 @@ func E8() Experiment {
 				"graph", "n", "true λ", "estimate", "ratio", "runs", "rounds")
 			for _, tc := range cases {
 				lambda := graph.MinCut(tc.g)
-				r, err := mincut.Approximate(tc.g, mincut.Config{Config: core.Config{K: 4, Seed: p.Seed}})
+				e, err := resident.New(tc.g, resident.Config{K: 4, Seed: p.Seed})
+				if err != nil {
+					return nil, err
+				}
+				r, err := e.MinCut(context.Background(), 0, 0)
+				e.Close()
 				if err != nil {
 					return nil, err
 				}
@@ -191,7 +197,6 @@ func E9() Experiment {
 			if p.Quick {
 				n = 256
 			}
-			cfg := core.Config{K: 4, Seed: p.Seed}
 			g := graph.RandomConnected(n, 2*n, p.Seed+41)
 			tree, _ := graph.KruskalMST(g)
 			bridgedG := graph.TwoCliquesBridged(n/8, 2, p.Seed+43)
@@ -201,55 +206,57 @@ func E9() Experiment {
 					bridges = append(bridges, e)
 				}
 			}
-			grid := graph.Grid(n/32, 32)
-			odd := graph.Cycle(n + 1)
+			path, grid, odd := graph.Path(n), graph.Grid(n/32, 32), graph.Cycle(n+1)
+			probe := g.Edges()[0]
+			onCycle := graph.SameComponent(g.RemoveEdges([]graph.Edge{probe}), probe.U, probe.V)
 
 			tb := stats.NewTable("E9: verification verdicts and cost (k=4, n="+stats.I(n)+")",
 				"problem", "verdict", "oracle", "match", "runs", "rounds")
-			type row struct {
-				name    string
-				out     *verify.Outcome
-				oracle  bool
-				runsErr error
+			rows := []struct {
+				name   string
+				g      *graph.Graph
+				p      verify.Problem
+				args   verify.Args
+				oracle bool
+			}{
+				{"spanning connected subgraph", g, verify.SpanningConnectedSubgraph, verify.Args{H: tree}, true},
+				{"cut", bridgedG, verify.CutVerification, verify.Args{Cut: bridges}, true},
+				{"s-t connectivity", g, verify.STConnectivity, verify.Args{S: 0, T: n - 1}, graph.SameComponent(g, 0, n-1)},
+				{"edge on all paths", path, verify.EdgeOnAllPaths, verify.Args{S: 0, T: n - 1, E: graph.Edge{U: n / 2, V: n/2 + 1}}, true},
+				{"s-t cut", bridgedG, verify.STCutVerification, verify.Args{S: 0, T: n / 8, Cut: bridges}, true},
+				{"bipartiteness (grid)", grid, verify.Bipartiteness, verify.Args{}, true},
+				{"bipartiteness (odd cycle)", odd, verify.Bipartiteness, verify.Args{}, false},
+				{"cycle containment", g, verify.CycleContainment, verify.Args{}, graph.HasCycle(g)},
+				{"e-cycle containment", g, verify.ECycleContainment, verify.Args{E: probe}, onCycle},
 			}
-			var rows []row
-			scs, err := verify.OneShot(g, cfg, verify.SpanningConnectedSubgraph, verify.Args{H: tree})
-			rows = append(rows, row{"spanning connected subgraph", scs, true, err})
-			cut, err := verify.OneShot(bridgedG, cfg, verify.CutVerification, verify.Args{Cut: bridges})
-			rows = append(rows, row{"cut", cut, true, err})
-			st, err := verify.OneShot(g, cfg, verify.STConnectivity, verify.Args{S: 0, T: n - 1})
-			rows = append(rows, row{"s-t connectivity", st, graph.SameComponent(g, 0, n-1), err})
-			eap, err := verify.OneShot(graph.Path(n), cfg, verify.EdgeOnAllPaths, verify.Args{S: 0, T: n - 1, E: graph.Edge{U: n / 2, V: n/2 + 1}})
-			rows = append(rows, row{"edge on all paths", eap, true, err})
-			stc, err := verify.OneShot(bridgedG, cfg, verify.STCutVerification, verify.Args{S: 0, T: n / 8, Cut: bridges})
-			rows = append(rows, row{"s-t cut", stc, true, err})
-			bip, err := verify.OneShot(grid, cfg, verify.Bipartiteness, verify.Args{})
-			rows = append(rows, row{"bipartiteness (grid)", bip, true, err})
-			bip2, err := verify.OneShot(odd, cfg, verify.Bipartiteness, verify.Args{})
-			rows = append(rows, row{"bipartiteness (odd cycle)", bip2, false, err})
-			cyc, err := verify.OneShot(g, cfg, verify.CycleContainment, verify.Args{})
-			rows = append(rows, row{"cycle containment", cyc, graph.HasCycle(g), err})
-			probe := g.Edges()[0]
-			onCycle := graph.SameComponent(g.RemoveEdges([]graph.Edge{probe}), probe.U, probe.V)
-			ecyc, err := verify.OneShot(g, cfg, verify.ECycleContainment, verify.Args{E: probe})
-			rows = append(rows, row{"e-cycle containment", ecyc, onCycle, err})
-
+			// One residency per graph serves every problem asked of it.
+			engines := make(map[*graph.Graph]*resident.Engine)
 			for _, r := range rows {
-				if r.runsErr != nil {
-					return nil, r.runsErr
+				e := engines[r.g]
+				if e == nil {
+					var err error
+					if e, err = resident.New(r.g, resident.Config{K: 4, Seed: p.Seed}); err != nil {
+						return nil, err
+					}
+					defer e.Close()
+					engines[r.g] = e
+				}
+				out, err := e.Verify(context.Background(), r.p, r.args)
+				if err != nil {
+					return nil, err
 				}
 				verdict, oracle := "false", "false"
-				if r.out.Holds {
+				if out.Holds {
 					verdict = "true"
 				}
 				if r.oracle {
 					oracle = "true"
 				}
 				match := "yes"
-				if r.out.Holds != r.oracle {
+				if out.Holds != r.oracle {
 					match = "NO"
 				}
-				tb.AddRow(r.name, verdict, oracle, match, stats.I(r.out.Runs), stats.I(r.out.Rounds))
+				tb.AddRow(r.name, verdict, oracle, match, stats.I(out.Runs), stats.I(out.Rounds))
 			}
 			tb.AddNote("every verdict must equal its oracle column")
 			return []*stats.Table{tb}, nil

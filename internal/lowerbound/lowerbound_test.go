@@ -1,6 +1,7 @@
 package lowerbound
 
 import (
+	"fmt"
 	"testing"
 
 	"kmgraph/internal/core"
@@ -135,4 +136,14 @@ func TestPartitionPlacement(t *testing.T) {
 			t.Fatalf("v_%d placement inconsistent with bit ownership", i)
 		}
 	}
+}
+
+func ExampleRunSCS() {
+	inst := RandomInstance(64, 5, ForceNothing)
+	res, err := RunSCS(inst, core.Config{K: 4, Seed: 2})
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println("SCS == DISJ:", res.SCSHolds == res.Disjoint)
+	// Output: SCS == DISJ: true
 }

@@ -14,20 +14,9 @@ package mincut
 import (
 	"math"
 
-	"kmgraph/internal/core"
-	"kmgraph/internal/graph"
 	"kmgraph/internal/hashing"
 	"kmgraph/internal/kmachine"
 )
-
-// Config parameterizes a min-cut approximation run.
-type Config struct {
-	core.Config
-	// Trials is the number of independent samples per level (0 => 3).
-	Trials int
-	// MaxLevel caps the sampling levels (0 => 40).
-	MaxLevel int
-}
 
 // Result is the outcome of a min-cut approximation.
 type Result struct {
@@ -118,35 +107,5 @@ func Search(n int, seed int64, trials, maxLevel int, run Runner) (*Result, error
 	// Never disconnected: λ exceeds every tested rate's threshold.
 	res.Level = maxLevel + 1
 	res.Estimate = math.Exp2(float64(maxLevel)) * logn / 2
-	return res, nil
-}
-
-// Approximate estimates the edge connectivity of g within an O(log n)
-// factor w.h.p. — the one-shot host of Search: every run materializes its
-// sample with g.Filter and pays a fresh cluster (core.Run) under its own
-// seed.
-func Approximate(g *graph.Graph, cfg Config) (*Result, error) {
-	var met kmachine.Metrics
-	res, err := Search(g.N(), cfg.Seed, cfg.Trials, cfg.MaxLevel, func(level, trial int, tseed, threshold uint64) (int, error) {
-		sub, c := g, cfg.Config
-		if level > 0 {
-			sub = g.Filter(func(e graph.Edge) bool {
-				return Sampled(tseed, threshold, graph.EdgeID(e.U, e.V, g.N()))
-			})
-			c.Seed += int64(level*100 + trial + 1)
-		}
-		r, err := core.Run(sub, c)
-		if err != nil {
-			return 0, err
-		}
-		met.Rounds += r.Metrics.Rounds
-		met.Messages += r.Metrics.Messages
-		met.PayloadBytes += r.Metrics.PayloadBytes
-		return r.Components, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	res.Rounds, res.Metrics = met.Rounds, met
 	return res, nil
 }

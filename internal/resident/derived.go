@@ -4,8 +4,7 @@
 // knowledge in the model — an edge's membership is decidable at both
 // endpoints' home machines from the spec alone (an edge-ID set shipped on
 // the free control plane, a shared hash, or the double-cover construction)
-// — so deriving a view costs zero rounds, exactly like the one-shot
-// algorithms' pre-filtered inputs.
+// — so deriving a view costs zero rounds.
 
 package resident
 
@@ -27,9 +26,9 @@ const (
 )
 
 // runSpec describes one derived-view connectivity run. It travels on the
-// control plane (command broadcast): like the one-shot verify package,
-// subgraph membership is local knowledge — every machine knows which of
-// its vertices' incident edges are in H.
+// control plane (command broadcast): subgraph membership is local
+// knowledge — every machine knows which of its vertices' incident edges
+// are in H.
 type runSpec struct {
 	kind             int
 	edges            map[uint64]bool // viewKeep / viewRemove, by EdgeID over n
@@ -130,7 +129,7 @@ func (m *rmachine) derive(spec *runSpec) *kmachine.Shard {
 
 // runConfig resolves the core config a derived run uses: the double cover
 // doubles the vertex universe, so sketch dimensions and the phase cap
-// scale exactly as a one-shot run on the cover graph would size them.
+// scale exactly as a run on the cover graph itself would size them.
 func (m *rmachine) runConfig(spec *runSpec) core.Config {
 	cfg := m.ccfg
 	if spec.kind == viewCover {

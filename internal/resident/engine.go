@@ -554,7 +554,7 @@ func (e *Engine) runDerived(t *jobToken, spec *runSpec) (verify.Run, int, error)
 // MinCut estimates the edge connectivity of the current graph within an
 // O(log n) factor (Theorem 3): the resident host of mincut.Search, each
 // sampling trial a derived-view connectivity run on the residency. trials
-// and maxLevel follow mincut.Config semantics (0 selects 3 and 40).
+// and maxLevel are mincut.Search's (0 selects 3 and 40).
 func (e *Engine) MinCut(ctx context.Context, trials, maxLevel int) (*mincut.Result, error) {
 	t, err := e.begin(ctx, "mincut")
 	if err != nil {

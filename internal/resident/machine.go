@@ -15,8 +15,8 @@ import (
 // (Engine.command). Command arrival is control plane and free; command
 // *contents* that are data (batch ops) are read only by machine 0 and
 // distributed in-model at metered cost. Run/MST specs are public problem
-// statements (local knowledge), so they ride the control plane like the
-// one-shot algorithms' pre-filtered inputs. Each machine's result is the
+// statements (local knowledge), so they ride the control plane for free.
+// Each machine's result is the
 // model's designated output variable o_i for that run: *batchOutput or
 // *jobOutput.
 

@@ -372,7 +372,7 @@ func (t *tenant) jobError(w http.ResponseWriter, err error) {
 		writeError(w, http.StatusRequestTimeout, "job cancelled: %v", err)
 	case errors.Is(err, kmgraph.ErrClusterClosed):
 		writeError(w, http.StatusGone, "%v", err)
-	case errors.Is(err, resident.ErrBadConfig):
+	case errors.Is(err, resident.ErrBadConfig), errors.Is(err, verify.ErrBadArgs):
 		writeError(w, http.StatusBadRequest, "%v", err)
 	default:
 		writeError(w, http.StatusInternalServerError, "%v", err)

@@ -152,6 +152,17 @@ func TestEndpointsAnswerEveryJobFamily(t *testing.T) {
 	getJSON(t, ts.URL+"/graphs/absent/connectivity", http.StatusNotFound, nil)
 }
 
+// TestVerifyBadArgsAre400: an out-of-range edge endpoint (which EdgeID
+// would alias onto a real edge: {0, 12} is (1, 2) on 10 vertices) or s/t
+// vertex is the caller's mistake, not a server fault.
+func TestVerifyBadArgsAre400(t *testing.T) {
+	_, ts := newTestServer(t, Config{}, "p", kmgraph.Path(10), 2, 1)
+	postJSON(t, ts.URL+"/graphs/p/verify", map[string]any{"problem": "cut", "cut": []map[string]int{{"u": 0, "v": 12}}},
+		http.StatusBadRequest, nil)
+	postJSON(t, ts.URL+"/graphs/p/verify", map[string]any{"problem": "stconn", "s": -1, "t": 1},
+		http.StatusBadRequest, nil)
+}
+
 // TestCacheHitServesWithZeroRounds is the acceptance-criteria pin: a
 // repeated connectivity query on an unchanged graph is served from the
 // epoch-keyed cache without a single simulation round, and a batch that
@@ -342,7 +353,7 @@ func TestLoadAndUnloadOverHTTP(t *testing.T) {
 	if err := kmgraph.WriteStore(path, src); err != nil {
 		t.Fatal(err)
 	}
-	stored, closer, err := kmgraph.OpenStoreSource(path)
+	stored, closer, err := kmgraph.OpenSource(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,6 @@ import (
 	"errors"
 	"fmt"
 
-	"kmgraph/internal/core"
 	"kmgraph/internal/graph"
 	"kmgraph/internal/kmachine"
 )
@@ -93,6 +92,10 @@ type Args struct {
 	E graph.Edge
 }
 
+// ErrBadArgs tags a refused argument: an s/t vertex or an H / Cut / E
+// endpoint outside [0, n). Decide refuses it before any run, on every host.
+var ErrBadArgs = errors.New("invalid arguments")
+
 // Outcome reports a verification verdict and its cost.
 type Outcome struct {
 	// Holds is the verification verdict.
@@ -121,8 +124,7 @@ const (
 
 // View describes the graph one connectivity run of a reduction sees.
 // Membership is local knowledge in the model, so a host derives it at
-// zero rounds: the one-shot host materializes the subgraph, the resident
-// host filters each machine's live adjacency.
+// zero rounds: the resident host filters each machine's live adjacency.
 type View struct {
 	Kind  ViewKind
 	Edges []graph.Edge
@@ -157,10 +159,20 @@ func Decide(p Problem, args Args, n, m int, run func(View) (Run, error)) (*Outco
 		out.Runs++
 		return r
 	}
+	// inRange refuses, before any run, an edge argument with an endpoint
+	// outside [0, n): graph.EdgeID(u, v, n) = u·n + v would alias it onto a
+	// real edge ({0, 12} is (1, 2) when n = 10).
+	inRange := func(what string, es ...graph.Edge) {
+		for _, e := range es {
+			if err == nil && (e.U < 0 || e.V < 0 || e.U >= n || e.V >= n) {
+				err = fmt.Errorf("verify: %w: %s edge (%d,%d) outside [0,%d)", ErrBadArgs, what, e.U, e.V, n)
+			}
+		}
+	}
 	// connected answers s-t connectivity on a view of G.
 	connected := func(v View, s, t int) bool {
-		if s < 0 || t < 0 || s >= n || t >= n {
-			err = errors.New("verify: s/t out of range")
+		if err == nil && (s < 0 || t < 0 || s >= n || t >= n) {
+			err = fmt.Errorf("verify: %w: s/t (%d,%d) outside [0,%d)", ErrBadArgs, s, t, n)
 		}
 		r := do(v)
 		return err == nil && r.Labels[s] == r.Labels[t]
@@ -168,8 +180,10 @@ func Decide(p Problem, args Args, n, m int, run func(View) (Run, error)) (*Outco
 
 	switch p {
 	case SpanningConnectedSubgraph:
+		inRange("H", args.H...)
 		out.Holds = do(View{Kind: ViewKeep, Edges: args.H}).Components == 1 || n <= 1
 	case CutVerification:
+		inRange("cut", args.Cut...)
 		before := do(View{}).Components
 		after := do(View{Kind: ViewRemove, Edges: args.Cut}).Components
 		out.Holds = after > before
@@ -177,8 +191,10 @@ func Decide(p Problem, args Args, n, m int, run func(View) (Run, error)) (*Outco
 		out.Holds = connected(View{}, args.S, args.T)
 	case EdgeOnAllPaths:
 		// True iff S and T are disconnected in G \ {E} (§3.3).
+		inRange("E", args.E)
 		out.Holds = !connected(View{Kind: ViewRemove, Edges: []graph.Edge{args.E}}, args.S, args.T)
 	case STCutVerification:
+		inRange("cut", args.Cut...)
 		out.Holds = !connected(View{Kind: ViewRemove, Edges: args.Cut}, args.S, args.T)
 	case Bipartiteness:
 		// G is bipartite iff its double cover has exactly twice as many
@@ -191,8 +207,9 @@ func Decide(p Problem, args Args, n, m int, run func(View) (Run, error)) (*Outco
 	case ECycleContainment:
 		// True iff E's endpoints remain connected in G \ {E}.
 		e := args.E.Canon()
+		inRange("E", e)
 		var r Run
-		if e.U >= 0 && e.V < n && e.U != e.V { // anything else is absent without asking
+		if e.U != e.V { // a self-loop is absent without asking
 			r = do(View{Kind: ViewRemove, Edges: []graph.Edge{e}, Probe: &e})
 		}
 		if err == nil && !r.ProbePresent {
@@ -205,49 +222,5 @@ func Decide(p Problem, args Args, n, m int, run func(View) (Run, error)) (*Outco
 	if err != nil {
 		return nil, err
 	}
-	return out, nil
-}
-
-// OneShot decides p on g with the one-shot host: every run materializes
-// its view (Filter / RemoveEdges / DoubleCover) and pays a fresh cluster
-// (core.Run), the i-th run under seed cfg.Seed+i.
-func OneShot(g *graph.Graph, cfg core.Config, p Problem, args Args) (*Outcome, error) {
-	var met kmachine.Metrics
-	runs := 0
-	out, err := Decide(p, args, g.N(), g.M(), func(v View) (Run, error) {
-		sub := g
-		switch v.Kind {
-		case ViewKeep:
-			keep := make(map[uint64]bool, len(v.Edges))
-			for _, e := range v.Edges {
-				e = e.Canon()
-				keep[graph.EdgeID(e.U, e.V, g.N())] = true
-			}
-			sub = g.Filter(func(e graph.Edge) bool { return keep[graph.EdgeID(e.U, e.V, g.N())] })
-		case ViewRemove:
-			sub = g.RemoveEdges(v.Edges)
-		case ViewDoubleCover:
-			sub = g.DoubleCover()
-		}
-		runs++
-		c := cfg
-		c.Seed += int64(runs)
-		res, err := core.Run(sub, c)
-		if err != nil {
-			return Run{}, err
-		}
-		met.Rounds += res.Metrics.Rounds
-		met.Messages += res.Metrics.Messages
-		met.PayloadBytes += res.Metrics.PayloadBytes
-		return Run{
-			Components:   res.Components,
-			Labels:       res.Labels,
-			ProbePresent: v.Probe != nil && g.HasEdge(v.Probe.U, v.Probe.V),
-		}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out.Rounds, out.Metrics = met.Rounds, met
 	return out, nil
 }

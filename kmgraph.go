@@ -14,7 +14,8 @@
 //     problems (Theorem 4).
 //   - Baselines (flooding, referee, GHS-style edge checking), the REP
 //     partition model, a congested-clique conversion simulator, and the
-//     Theorem 5 lower-bound harness.
+//     Theorem 5 lower-bound harness — the paper's apparatus, run by
+//     cmd/kmrun (-algo, -rep) and the cmd/kmbench experiment catalog.
 //   - A dynamic-graph subsystem: batched edge insert/delete streams with
 //     incrementally maintained linear sketches, answering connectivity /
 //     component-count / spanning-forest queries between batches at a
@@ -52,7 +53,7 @@
 //	q, err := c.Connectivity(ctx)
 //
 // WithEdgeSource plugs in any EdgeSource stream; WriteStore and
-// ConnectivityFromSource round out the streaming surface.
+// OpenSource round out the streaming surface.
 //
 // # Graphs whose shards outgrow one process: the worker fleet
 //
@@ -86,40 +87,42 @@
 // closed-loop load generator; see the README's "Serving" section and
 // EXPERIMENTS.md E16.
 //
-// # Migration note: one-shot functions
+// # Migration note: one front door
 //
-// The original one-shot entry points — Connectivity(g, cfg), MST(g, cfg),
-// SpanningTree, ApproxMinCut, and the Verify* functions — remain fully
-// supported; each builds a fresh cluster, pays the load for a single run,
-// and tears it down. Prefer them for experiments and ablations (they
-// expose per-run knobs like EdgeCheckSelection and CountComponents);
-// prefer NewCluster whenever more than one question is asked of the same
-// graph, under churn, or when jobs need deadlines and cancellation (the
-// one-shot API takes no context).
+// Every job family runs on a Cluster. Connectivity(g, cfg) and MST(g, cfg)
+// remain as one-shot runs because they alone take the per-run ablation
+// Config (EdgeCheckSelection, CollapseLevelWise, …); the other one-shot
+// twins and the paper-apparatus pass-throughs are gone. Replacements (the
+// internal packages are what cmd/kmrun and cmd/kmbench import; from
+// outside this module, use those commands):
 //
-// NewDynamic, Dynamic and DynamicConfig are removed: a dynamic session was
-// a Cluster minus the context argument. Use NewCluster(g, WithK(k),
-// WithSeed(s)) with Cluster.ApplyBatch(ctx, ops) and
-// Cluster.Connectivity(ctx); BatchResult, QueryResult and ErrNotConverged
-// are unchanged.
+//	ApproxMinCut, MinCutConfig        Cluster.ApproxMinCut(ctx, WithTrials(t), WithMaxLevel(l))
+//	VerifySpanningConnectedSubgraph, VerifyCut, VerifySTConnectivity, VerifyEdgeOnAllPaths,
+//	VerifySTCut, VerifyBipartiteness, VerifyCycleContainment, VerifyECycleContainment
+//	                                  Cluster.Verify(ctx, Problem…, VerifyArgs{…}), e.g. ProblemCut for VerifyCut
+//	SpanningTree                      Cluster.SpanningTree(ctx)
+//	ConnectivityFromSource            OpenCluster("", WithEdgeSource(src)), then Connectivity(ctx)
+//	OpenStoreSource                   OpenSource (sniffs a kmgs store, same results)
+//	FloodingConnectivity, RefereeConnectivity, BaselineConfig, BaselineResult
+//	                                  internal/baseline: Flooding, Referee, Config, Result (kmrun connectivity -algo)
+//	REPMST, REPConnectivity, REPConfig, REPResult
+//	                                  internal/rep: MST, Connectivity, Config, Result (kmrun mst -rep)
+//	FloodingCongestedClique, ConvertCliqueTrace, CliqueTrace, ConvertConfig, ConvertResult
+//	                                  internal/congested: FloodingCC, Convert, Trace, Config, ConvertResult (kmbench -exp E12)
+//	NewDisjointnessInstance, RunLowerBound, DisjointnessInstance, LowerBoundResult
+//	                                  internal/lowerbound: RandomInstance(b, seed, ForceNothing), RunSCS, Instance, Result (kmbench -exp E11)
+//	DefaultBandwidth                  internal/kmachine: Bandwidth
+//	AllExperiments, ExperimentByID, Experiment, ExperimentParams
+//	                                  internal/experiments: All, ByID, Experiment, Params (kmbench)
 //
-// The experiment harness reproducing every theorem is available via
-// AllExperiments and the cmd/kmbench tool; EXPERIMENTS.md records
-// paper-vs-measured outcomes.
+// NewDynamic, Dynamic and DynamicConfig went earlier the same way: use
+// NewCluster with Cluster.ApplyBatch(ctx, ops) and Cluster.Connectivity(ctx).
 package kmgraph
 
 import (
-	"io"
-
-	"kmgraph/internal/baseline"
-	"kmgraph/internal/congested"
 	"kmgraph/internal/core"
-	"kmgraph/internal/experiments"
 	"kmgraph/internal/graph"
-	"kmgraph/internal/kmachine"
-	"kmgraph/internal/lowerbound"
 	"kmgraph/internal/mincut"
-	"kmgraph/internal/rep"
 	"kmgraph/internal/resident"
 	"kmgraph/internal/store"
 	"kmgraph/internal/verify"
@@ -194,9 +197,9 @@ var (
 	IsBipartiteOracle = graph.IsBipartite
 )
 
-// Config parameterizes the connectivity algorithm (and is embedded by the
-// other algorithms' configs). The zero value of everything except K is
-// sensible: bandwidth defaults to DefaultBandwidth(n).
+// Config parameterizes a one-shot Connectivity or MST run, ablations
+// included. The zero value of everything except K is sensible: bandwidth
+// defaults to 16·ceil(log2 n)² bits per round.
 type Config = core.Config
 
 // Result is a connectivity outcome: labels, component count, phases, and
@@ -206,13 +209,13 @@ type Result = core.Result
 // Connectivity runs the paper's Õ(n/k²) connected-components algorithm
 // (Theorem 1) on a random vertex partition of g across cfg.K machines.
 //
-// One-shot: builds a fresh cluster per call. For repeated questions on
-// one graph, use NewCluster and Cluster.Connectivity instead.
+// One-shot: builds a fresh cluster per call, under the per-run ablation
+// knobs of cfg. For repeated questions on one graph, use NewCluster and
+// Cluster.Connectivity instead.
 func Connectivity(g *Graph, cfg Config) (*Result, error) { return core.Run(g, cfg) }
 
 // EdgeSource is a resettable edge stream — the input contract of the
-// shard-direct load path (OpenCluster, ConnectivityFromSource,
-// WriteStore). The binary store, text edge lists, in-memory graphs
+// shard-direct load path (OpenCluster, WriteStore). The binary store, text edge lists, in-memory graphs
 // (Graph.Source), and the streaming generators all implement it.
 type EdgeSource = graph.EdgeSource
 
@@ -244,26 +247,6 @@ var (
 // working set, never a materialized Graph.
 func WriteStore(path string, src EdgeSource) error { return store.WriteFile(path, src) }
 
-// OpenStoreSource opens a kmgs store as an EdgeSource (mmap-backed,
-// zero-copy, checksummed). Close it when done. Most callers want
-// OpenCluster(path) directly; this is the escape hatch for feeding a
-// store to other consumers (WriteStore round-trips, custom loaders).
-func OpenStoreSource(path string) (EdgeSource, io.Closer, error) {
-	r, err := store.Open(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	return r.Source(), r, nil
-}
-
-// ConnectivityFromSource is Connectivity over a streamed input: the
-// shard loader fills per-machine adjacency straight from the stream (no
-// global Graph), then the algorithm runs. Connectivity(g) is this function
-// over g.Source().
-func ConnectivityFromSource(src EdgeSource, cfg Config) (*Result, error) {
-	return core.RunSource(src, cfg)
-}
-
 // MSTConfig parameterizes the MST algorithm.
 type MSTConfig = core.MSTConfig
 
@@ -276,14 +259,6 @@ type MSTResult = core.MSTResult
 // One-shot: builds a fresh cluster per call. For repeated questions on
 // one graph, use NewCluster and Cluster.MST instead.
 func MST(g *Graph, cfg MSTConfig) (*MSTResult, error) { return core.RunMST(g, cfg) }
-
-// SpanningTree computes a spanning forest of g in Õ(n/k²) rounds under
-// the relaxed (one-machine-per-edge) output criterion — the ST corollary
-// the paper's introduction highlights as breaking the Ω̃(n/k) barrier.
-// Implemented as MST over unit weights.
-func SpanningTree(g *Graph, cfg Config) (*MSTResult, error) {
-	return core.RunMST(g, core.MSTConfig{Config: cfg})
-}
 
 // EdgeOp is one update (insertion or deletion) in a dynamic edge stream.
 type EdgeOp = graph.EdgeOp
@@ -316,150 +291,11 @@ type QueryResult = resident.QueryResult
 // ErrNotConverged is returned — with the partial result — by a job whose
 // merge phases exhaust their cap (persistent sketch failures, an
 // undersized Config.MaxPhases): by a Cluster job, resident or fleet-backed
-// (the cluster stays usable), and by the one-shot functions alike.
+// (the cluster stays usable), and by Connectivity and MST alike.
 var ErrNotConverged = core.ErrNotConverged
-
-// MinCutConfig parameterizes the approximate min-cut.
-type MinCutConfig = mincut.Config
 
 // MinCutResult is a min-cut approximation outcome.
 type MinCutResult = mincut.Result
 
-// ApproxMinCut runs the O(log n)-approximate min-cut (Theorem 3).
-//
-// One-shot: builds a fresh cluster per connectivity run. For repeated
-// questions on one graph, use NewCluster and Cluster.ApproxMinCut.
-func ApproxMinCut(g *Graph, cfg MinCutConfig) (*MinCutResult, error) {
-	return mincut.Approximate(g, cfg)
-}
-
 // VerifyOutcome is a verification verdict with cost accounting.
 type VerifyOutcome = verify.Outcome
-
-// Verification problems (Theorem 4). One-shot: each call builds a fresh
-// cluster per connectivity run; Cluster.Verify serves the same problems
-// against a residency.
-
-// VerifySpanningConnectedSubgraph checks whether H spans G and is
-// connected.
-func VerifySpanningConnectedSubgraph(g *Graph, h []Edge, cfg Config) (*VerifyOutcome, error) {
-	return verify.OneShot(g, cfg, verify.SpanningConnectedSubgraph, verify.Args{H: h})
-}
-
-// VerifyCut checks whether removing the edges disconnects G further.
-func VerifyCut(g *Graph, cut []Edge, cfg Config) (*VerifyOutcome, error) {
-	return verify.OneShot(g, cfg, verify.CutVerification, verify.Args{Cut: cut})
-}
-
-// VerifySTConnectivity checks whether s and t are connected.
-func VerifySTConnectivity(g *Graph, s, t int, cfg Config) (*VerifyOutcome, error) {
-	return verify.OneShot(g, cfg, verify.STConnectivity, verify.Args{S: s, T: t})
-}
-
-// VerifyEdgeOnAllPaths checks whether e lies on every u-v path.
-func VerifyEdgeOnAllPaths(g *Graph, u, v int, e Edge, cfg Config) (*VerifyOutcome, error) {
-	return verify.OneShot(g, cfg, verify.EdgeOnAllPaths, verify.Args{S: u, T: v, E: e})
-}
-
-// VerifySTCut checks whether the edge set separates s from t.
-func VerifySTCut(g *Graph, s, t int, cut []Edge, cfg Config) (*VerifyOutcome, error) {
-	return verify.OneShot(g, cfg, verify.STCutVerification, verify.Args{S: s, T: t, Cut: cut})
-}
-
-// VerifyBipartiteness checks 2-colorability via the double cover.
-func VerifyBipartiteness(g *Graph, cfg Config) (*VerifyOutcome, error) {
-	return verify.OneShot(g, cfg, verify.Bipartiteness, verify.Args{})
-}
-
-// VerifyCycleContainment checks whether G has any cycle.
-func VerifyCycleContainment(g *Graph, cfg Config) (*VerifyOutcome, error) {
-	return verify.OneShot(g, cfg, verify.CycleContainment, verify.Args{})
-}
-
-// VerifyECycleContainment checks whether e lies on some cycle.
-func VerifyECycleContainment(g *Graph, e Edge, cfg Config) (*VerifyOutcome, error) {
-	return verify.OneShot(g, cfg, verify.ECycleContainment, verify.Args{E: e})
-}
-
-// BaselineConfig parameterizes the baseline algorithms.
-type BaselineConfig = baseline.Config
-
-// BaselineResult is a baseline outcome.
-type BaselineResult = baseline.Result
-
-// FloodingConnectivity runs the Θ(n/k + D) flooding baseline (§1.2).
-func FloodingConnectivity(g *Graph, cfg BaselineConfig) (*BaselineResult, error) {
-	return baseline.Flooding(g, cfg)
-}
-
-// RefereeConnectivity runs the collect-at-one-machine baseline (§2).
-func RefereeConnectivity(g *Graph, cfg BaselineConfig) (*BaselineResult, error) {
-	return baseline.Referee(g, cfg)
-}
-
-// REPConfig parameterizes the random-edge-partition algorithms (§1.3).
-type REPConfig = rep.Config
-
-// REPResult is a REP-model outcome.
-type REPResult = rep.Result
-
-// REPMST runs the Θ̃(n/k) REP-model MST (local filtering + conversion).
-func REPMST(g *Graph, cfg REPConfig) (*REPResult, error) { return rep.MST(g, cfg) }
-
-// REPConnectivity runs the REP-model spanning-forest algorithm.
-func REPConnectivity(g *Graph, cfg REPConfig) (*REPResult, error) {
-	return rep.Connectivity(g, cfg)
-}
-
-// CliqueTrace is a recorded congested-clique execution.
-type CliqueTrace = congested.Trace
-
-// ConvertConfig parameterizes a conversion-theorem replay.
-type ConvertConfig = congested.Config
-
-// ConvertResult reports a conversion-theorem replay.
-type ConvertResult = congested.ConvertResult
-
-// FloodingCongestedClique records a flooding run in the congested clique.
-func FloodingCongestedClique(g *Graph) ([]int, *CliqueTrace) { return congested.FloodingCC(g) }
-
-// ConvertCliqueTrace replays a clique trace in the k-machine model
-// (Õ(M/k² + Δ'T/k), Conversion Theorem).
-func ConvertCliqueTrace(tr *CliqueTrace, cfg ConvertConfig) (*ConvertResult, error) {
-	return congested.Convert(tr, cfg)
-}
-
-// DisjointnessInstance is a two-party set-disjointness instance for the
-// Theorem 5 lower-bound harness.
-type DisjointnessInstance = lowerbound.Instance
-
-// LowerBoundResult reports a lower-bound run (cut traffic, verdicts).
-type LowerBoundResult = lowerbound.Result
-
-// NewDisjointnessInstance samples a random-partition DISJ instance.
-func NewDisjointnessInstance(b int, seed int64) DisjointnessInstance {
-	return lowerbound.RandomInstance(b, seed, lowerbound.ForceNothing)
-}
-
-// RunLowerBound solves the Figure-1 SCS instance with the real algorithm
-// and meters the Alice/Bob cut traffic (Theorem 5).
-func RunLowerBound(inst DisjointnessInstance, cfg Config) (*LowerBoundResult, error) {
-	return lowerbound.RunSCS(inst, cfg)
-}
-
-// DefaultBandwidth returns the standard per-link budget, a concrete
-// O(polylog n): 16·ceil(log2 n)² bits per round.
-func DefaultBandwidth(n int) int { return kmachine.Bandwidth(n) }
-
-// Experiment is one unit of the paper-reproduction harness (E1..E12).
-type Experiment = experiments.Experiment
-
-// ExperimentParams controls harness runs.
-type ExperimentParams = experiments.Params
-
-// AllExperiments returns the full harness, one experiment per paper
-// table/figure/theorem (see DESIGN.md §4).
-func AllExperiments() []Experiment { return experiments.All() }
-
-// ExperimentByID returns a single experiment (e.g. "E1").
-func ExperimentByID(id string) (Experiment, error) { return experiments.ByID(id) }

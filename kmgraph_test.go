@@ -4,10 +4,19 @@ import (
 	"context"
 	"errors"
 	"testing"
+
+	"kmgraph/internal/baseline"
+	"kmgraph/internal/congested"
+	"kmgraph/internal/experiments"
+	"kmgraph/internal/kmachine"
+	"kmgraph/internal/lowerbound"
+	"kmgraph/internal/rep"
+	"kmgraph/internal/verify"
 )
 
 // Facade smoke tests: the public API end to end, the way a downstream
-// user would drive it.
+// user would drive it, and the paper apparatus through the internal
+// packages cmd/kmrun and cmd/kmbench import.
 
 func TestFacadeConnectivity(t *testing.T) {
 	g := DisjointComponents(300, 3, 0.4, 1)
@@ -39,7 +48,12 @@ func TestFacadeMST(t *testing.T) {
 
 func TestFacadeMinCut(t *testing.T) {
 	g := TwoCliquesBridged(12, 2, 6)
-	res, err := ApproxMinCut(g, MinCutConfig{Config: Config{K: 4, Seed: 7}})
+	c, err := NewCluster(g, WithK(4), WithSeed(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	res, err := c.ApproxMinCut(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,21 +67,26 @@ func TestFacadeMinCut(t *testing.T) {
 
 func TestFacadeVerifyAndBaselines(t *testing.T) {
 	g := Grid(8, 9)
-	out, err := VerifyBipartiteness(g, Config{K: 4, Seed: 8})
+	c, err := NewCluster(g, WithK(4), WithSeed(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	out, err := c.Verify(t.Context(), ProblemBipartiteness, VerifyArgs{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !out.Holds || !IsBipartiteOracle(g) {
 		t.Error("grid is bipartite")
 	}
-	fl, err := FloodingConnectivity(g, BaselineConfig{K: 4, Seed: 9})
+	fl, err := baseline.Flooding(g, baseline.Config{K: 4, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fl.Components != 1 {
 		t.Error("grid is connected")
 	}
-	rf, err := RefereeConnectivity(g, BaselineConfig{K: 4, Seed: 9})
+	rf, err := baseline.Referee(g, baseline.Config{K: 4, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +97,7 @@ func TestFacadeVerifyAndBaselines(t *testing.T) {
 
 func TestFacadeREPAndLowerBound(t *testing.T) {
 	g := WithDistinctWeights(GNM(100, 300, 10), 11)
-	res, err := REPMST(g, REPConfig{K: 4, Seed: 12})
+	res, err := rep.MST(g, rep.Config{K: 4, Seed: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,8 +106,8 @@ func TestFacadeREPAndLowerBound(t *testing.T) {
 		t.Error("REP MST weight mismatch")
 	}
 
-	inst := NewDisjointnessInstance(32, 13)
-	lb, err := RunLowerBound(inst, Config{K: 4, Seed: 14})
+	inst := lowerbound.RandomInstance(32, 13, lowerbound.ForceNothing)
+	lb, err := lowerbound.RunSCS(inst, Config{K: 4, Seed: 14})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,11 +118,11 @@ func TestFacadeREPAndLowerBound(t *testing.T) {
 
 func TestFacadeConversion(t *testing.T) {
 	g := GNM(120, 360, 15)
-	labels, tr := FloodingCongestedClique(g)
+	labels, tr := congested.FloodingCC(g)
 	if len(labels) != 120 {
 		t.Fatal("labels")
 	}
-	res, err := ConvertCliqueTrace(tr, ConvertConfig{K: 4, Seed: 16})
+	res, err := congested.Convert(tr, congested.Config{K: 4, Seed: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,13 +263,46 @@ func TestFacadeClusterCancellation(t *testing.T) {
 }
 
 func TestFacadeExperimentsRegistry(t *testing.T) {
-	if len(AllExperiments()) != 13 {
+	if len(experiments.All()) != 13 {
 		t.Error("expected 13 experiments")
 	}
-	if _, err := ExperimentByID("E1"); err != nil {
+	if _, err := experiments.ByID("E1"); err != nil {
 		t.Error(err)
 	}
-	if DefaultBandwidth(1024) <= 0 {
+	if kmachine.Bandwidth(1024) <= 0 {
 		t.Error("bandwidth")
+	}
+}
+
+// TestVerifyRefusesOutOfRangeArgs: an edge argument with an endpoint
+// outside [0, n) is refused, typed, before any run — EdgeID(u, v, n) =
+// u·n + v would otherwise alias {0, 12} onto the path's edge (1, 2) and
+// answer true — and so is an out-of-range s/t vertex.
+func TestVerifyRefusesOutOfRangeArgs(t *testing.T) {
+	g := Path(10)
+	c, err := NewCluster(g, WithK(2), WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	alias := Edge{U: 0, V: 12}
+	h := append([]Edge(nil), g.Edges()...)
+	h[1] = alias // (1, 2) spelled as {0, 12}
+	for _, tc := range []struct {
+		p    Problem
+		args VerifyArgs
+	}{
+		{ProblemCut, VerifyArgs{Cut: []Edge{alias}}},
+		{ProblemSpanningConnectedSubgraph, VerifyArgs{H: h}},
+		{ProblemEdgeOnAllPaths, VerifyArgs{S: 0, T: 9, E: alias}},
+		{ProblemSTConnectivity, VerifyArgs{S: -1, T: 1}},
+	} {
+		out, err := c.Verify(t.Context(), tc.p, tc.args)
+		if !errors.Is(err, verify.ErrBadArgs) {
+			t.Errorf("%s %+v: outcome %+v, error %v; want an error wrapping verify.ErrBadArgs", tc.p, tc.args, out, err)
+		}
+	}
+	if m := c.Metrics(); m.Total.Rounds != m.LoadRounds {
+		t.Errorf("%d rounds after the load's %d: a refused argument must cost no run", m.Total.Rounds, m.LoadRounds)
 	}
 }

@@ -63,27 +63,12 @@ func TestIdleClusterHoldsNoGoroutines(t *testing.T) {
 func TestOneHost(t *testing.T) {
 	parked := regexp.MustCompile(`\b(Park|Unpark)\(|\bPending\(\)|\[\]chan\b|chan hostCmd`)
 	var sites []string
-	for _, dir := range []string{"internal/kmachine", "internal/transport", "internal/transport/local",
-		"internal/transport/tcp", "internal/transport/chaos", "internal/resident"} {
-		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
-		if err != nil || len(files) == 0 {
-			t.Fatalf("no Go files under %s (%v)", dir, err)
+	nonTestLines(t, func(site, line string) {
+		if parked.MatchString(line) {
+			sites = append(sites, site)
 		}
-		for _, path := range files {
-			if strings.HasSuffix(path, "_test.go") {
-				continue
-			}
-			src, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, line := range strings.Split(string(src), "\n") {
-				if parked.MatchString(line) {
-					sites = append(sites, fmt.Sprintf("%s:%d: %s", path, i+1, strings.TrimSpace(line)))
-				}
-			}
-		}
-	}
+	}, "internal/kmachine", "internal/transport", "internal/transport/local",
+		"internal/transport/tcp", "internal/transport/chaos", "internal/resident")
 	if len(sites) != 0 {
 		t.Fatalf("the parked-cluster design is back:\n%s", strings.Join(sites, "\n"))
 	}
@@ -147,6 +132,74 @@ func TestOneShard(t *testing.T) {
 	for key := range allowed {
 		if !seen[key] {
 			t.Errorf("%s not found: the guard's patterns no longer match the code they guard", key)
+		}
+	}
+}
+
+// TestOneFrontDoor fails if a package-level twin of a Cluster method, or a
+// pass-through to the paper apparatus, is exported again beside the
+// Cluster constructors, or if a Theorem 3/4 reduction grows back a host of
+// its own (a one-shot runner that builds clusters itself).
+func TestOneFrontDoor(t *testing.T) {
+	exported := regexp.MustCompile(`^func ([A-Z]\w*)\(`)
+	allowed := map[string]bool{
+		"NewCluster": true, "OpenCluster": true, "OpenFleet": true, "OpenSource": true,
+		"WriteStore": true, "Connectivity": true, "MST": true, "NewGraphBuilder": true,
+		// The option constructors.
+		"WithEdgeSource": true, "WithK": true, "WithSeed": true, "WithMaxRounds": true, "WithJobTimeout": true,
+		"WithObserver": true, "WithPhaseMetrics": true, "WithTrials": true, "WithMaxLevel": true, "StrongOutput": true,
+	}
+	seen := make(map[string]bool)
+	var sites []string
+	nonTestLines(t, func(site, line string) {
+		if m := exported.FindStringSubmatch(line); m != nil {
+			seen[m[1]] = true
+			if !allowed[m[1]] {
+				sites = append(sites, site)
+			}
+		}
+	}, ".")
+	if len(sites) != 0 {
+		t.Errorf("kmgraph exports a second front door (use a Cluster method, or the internal package):\n%s", strings.Join(sites, "\n"))
+	}
+	for name := range allowed {
+		if !seen[name] {
+			t.Errorf("%s not found: the guard's pattern no longer matches the code it guards", name)
+		}
+	}
+
+	host := regexp.MustCompile(`"kmgraph/internal/core"|\bkmachine\.New(WithTransport)?\(`)
+	sites = nil
+	nonTestLines(t, func(site, line string) {
+		if host.MatchString(line) {
+			sites = append(sites, site)
+		}
+	}, "internal/verify", "internal/mincut")
+	if len(sites) != 0 {
+		t.Errorf("a reduction hosts itself again; it runs only over the runner its caller supplies:\n%s", strings.Join(sites, "\n"))
+	}
+}
+
+// nonTestLines calls fn with every line of the non-test Go files in dirs,
+// and the line's "path:n: text" site for a failure message.
+func nonTestLines(t *testing.T, fn func(site, line string), dirs ...string) {
+	t.Helper()
+	for _, dir := range dirs {
+		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil || len(files) == 0 {
+			t.Fatalf("no Go files under %s (%v)", dir, err)
+		}
+		for _, path := range files {
+			if strings.HasSuffix(path, "_test.go") {
+				continue
+			}
+			src, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, line := range strings.Split(string(src), "\n") {
+				fn(fmt.Sprintf("%s:%d: %s", path, i+1, strings.TrimSpace(line)), line)
+			}
 		}
 	}
 }

@@ -150,7 +150,7 @@ func TestOpenClusterServesStreamedGenerator(t *testing.T) {
 	if err := WriteStore(path, src); err != nil {
 		t.Fatalf("WriteStore: %v", err)
 	}
-	stored, closer, err := OpenStoreSource(path)
+	stored, closer, err := OpenSource(path)
 	if err != nil {
 		t.Fatal(err)
 	}
