@@ -2,10 +2,10 @@ package kmgraph
 
 // The backend axis: the same stored graph behind a fleet-backed Cluster
 // (two in-process kmworkers), a resident Cluster, and the one-shot hosts.
-// Placement is a constructor argument, so everything a caller can see —
-// answers, Metrics, job counts, observer events, cancellation — must
-// agree with the hosts whose machines are goroutines, and with sequential
-// oracles that share no code with either.
+// Placement is a constructor argument and one engine serves both kinds of
+// Cluster, so everything a caller can see — answers, Metrics, job counts,
+// observer events, cancellation — must agree between them, and with
+// sequential oracles that share no code with either.
 
 import (
 	"cmp"
@@ -15,6 +15,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"slices"
 	"strings"
@@ -80,14 +81,6 @@ func TestBackendAxis(t *testing.T) {
 			if err := WriteStore(path, g.Source()); err != nil {
 				t.Fatal(err)
 			}
-			oneShot, err := core.RunSource(g.Source(), Config{K: k, Seed: seed})
-			if err != nil {
-				t.Fatal(err)
-			}
-			oneShotMST, err := MST(g, MSTConfig{Config: Config{K: k, Seed: seed}})
-			if err != nil {
-				t.Fatal(err)
-			}
 			oracleLabels, oracleCount := ComponentsOracle(g)
 			oracleForest, oracleWeight := MSTOracle(g)
 			slices.SortFunc(oracleForest, func(a, b Edge) int { // canonical U < V: the edge ID order, as a result lists them
@@ -139,6 +132,9 @@ func TestBackendAxis(t *testing.T) {
 				}
 			}
 
+			// The fleet and a resident Cluster side by side: the same jobs in
+			// the same order must give the same answers at the same cost, every
+			// family and every batch of a churn stream included.
 			var mu sync.Mutex
 			var starts, dones int
 			fleet, err := OpenFleet(FleetSpec{Source: "store:" + path, Addrs: addrs},
@@ -146,6 +142,7 @@ func TestBackendAxis(t *testing.T) {
 					mu.Lock()
 					defer mu.Unlock()
 					switch {
+					case ev.Job == "load":
 					case ev.Done:
 						dones++
 					case ev.Phase < 0:
@@ -164,68 +161,136 @@ func TestBackendAxis(t *testing.T) {
 			if fleet.N() != g.N() || fleet.K() != k || fleet.Epoch() != 0 {
 				t.Errorf("fleet cluster: n=%d k=%d epoch=%d, want %d, %d, 0", fleet.N(), fleet.K(), fleet.Epoch(), g.N(), k)
 			}
-
-			fq, err := fleet.Connectivity(ctx)
-			if err != nil {
-				t.Fatal(err)
-			}
-			total := fleet.Metrics().Total
-			if got, want := metricsFingerprint(&total), metricsFingerprint(&oneShot.Metrics); got != want {
-				t.Errorf("fleet connectivity Metrics fingerprint %d, one-shot host's %d", got, want)
-			}
-			rq, err := resident.Connectivity(ctx)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fq.Components != oracleCount || rq.Components != oracleCount || oneShot.Components != oracleCount {
-				t.Errorf("components: fleet %d, resident %d, one-shot %d, union-find %d",
-					fq.Components, rq.Components, oneShot.Components, oracleCount)
-			}
-			if !sameLabeling(intLabels(fq.Labels), intLabels(rq.Labels)) || !sameLabeling(intLabels(fq.Labels), oracleLabels) {
-				t.Error("fleet label partition differs from the resident cluster's or the oracle's")
-			}
-			if fq.Rounds != oneShot.Metrics.Rounds || fq.Phases != oneShot.Phases || fq.SketchFailures != oneShot.SketchFailures {
-				t.Errorf("fleet query: %d rounds / %d phases / %d failures, one-shot %d / %d / %d",
-					fq.Rounds, fq.Phases, fq.SketchFailures, oneShot.Metrics.Rounds, oneShot.Phases, oneShot.SketchFailures)
-			}
-
-			fm, err := fleet.MST(ctx)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fm.TotalWeight != oracleWeight {
-				t.Errorf("fleet MST weight %d, Kruskal's %d", fm.TotalWeight, oracleWeight)
-			}
-			if got, want := metricsFingerprint(&fm.Metrics), metricsFingerprint(&oneShotMST.Metrics); got != want {
-				t.Errorf("fleet MST Metrics fingerprint %d, one-shot host's %d", got, want)
-			}
-			if tot := fleet.Metrics().Total; tot.Rounds != fq.Rounds+fm.Metrics.Rounds {
-				t.Errorf("fleet total rounds %d, want the two jobs' %d + %d", tot.Rounds, fq.Rounds, fm.Metrics.Rounds)
-			}
-
-			// What needs a residency is refused, typed, without a job.
-			_, errST := fleet.SpanningTree(ctx)
-			_, errBatch := fleet.ApplyBatch(ctx, []EdgeOp{{U: 0, V: 1, W: 1}})
-			_, errCut := fleet.ApproxMinCut(ctx)
-			_, errVerify := fleet.Verify(ctx, ProblemBipartiteness, VerifyArgs{})
-			for i, err := range []error{errST, errBatch, errCut, errVerify} {
-				if !errors.Is(err, ErrUnsupported) {
-					t.Errorf("unsupported family %d: err = %v, want ErrUnsupported", i, err)
+			jobs := 0
+			same := func(job string, run func(c *Cluster) (any, error)) any {
+				t.Helper()
+				jobs++
+				fv, ferr := run(fleet)
+				rv, rerr := run(resident)
+				if ferr != nil || rerr != nil {
+					t.Fatalf("%s: fleet err %v, resident err %v", job, ferr, rerr)
 				}
+				if !reflect.DeepEqual(fv, rv) {
+					t.Errorf("%s: fleet answered %+v, the resident Cluster %+v", job, fv, rv)
+				}
+				ft, rt := fleet.Metrics().Total, resident.Metrics().Total
+				if metricsFingerprint(&ft) != metricsFingerprint(&rt) {
+					t.Errorf("%s: fleet Metrics fingerprint %d, the resident Cluster's %d",
+						job, metricsFingerprint(&ft), metricsFingerprint(&rt))
+				}
+				return fv
+			}
+			q := same("connectivity", func(c *Cluster) (any, error) { return c.Connectivity(ctx) }).(*QueryResult)
+			if q.Components != oracleCount || !sameLabeling(intLabels(q.Labels), oracleLabels) {
+				t.Errorf("fleet connectivity: %d components, union-find %d (or the label partition differs)", q.Components, oracleCount)
+			}
+			same("spanning tree", func(c *Cluster) (any, error) { return c.SpanningTree(ctx) })
+			if m := same("mst", func(c *Cluster) (any, error) { return c.MST(ctx) }).(*MSTResult); m.TotalWeight != oracleWeight {
+				t.Errorf("fleet MST weight %d, Kruskal's %d", m.TotalWeight, oracleWeight)
+			}
+			same("mincut", func(c *Cluster) (any, error) { return c.ApproxMinCut(ctx, WithMaxLevel(6)) })
+			var cut []Edge
+			for _, e := range g.Edges() {
+				if (e.U < g.N()/2) != (e.V < g.N()/2) {
+					cut = append(cut, e)
+				}
+			}
+			e0 := g.Edges()[0]
+			for _, v := range []struct {
+				p    Problem
+				args VerifyArgs
+			}{
+				{ProblemSpanningConnectedSubgraph, VerifyArgs{H: oracleForest}},
+				{ProblemCut, VerifyArgs{Cut: cut}},
+				{ProblemSTConnectivity, VerifyArgs{S: 0, T: g.N() - 1}},
+				{ProblemEdgeOnAllPaths, VerifyArgs{S: e0.U, T: e0.V, E: e0}},
+				{ProblemSTCut, VerifyArgs{S: 0, T: g.N() - 1, Cut: cut}},
+				{ProblemBipartiteness, VerifyArgs{}},
+				{ProblemCycleContainment, VerifyArgs{}},
+				{ProblemECycleContainment, VerifyArgs{E: e0}},
+			} {
+				same("verify "+v.p.String(), func(c *Cluster) (any, error) { return c.Verify(ctx, v.p, v.args) })
+			}
+			stream := RandomChurnStream(g.N(), g.M(), 5, 40, 0.5, seed)
+			snap := g
+			for i, ops := range stream.Batches {
+				same(fmt.Sprintf("batch %d", i), func(c *Cluster) (any, error) { return c.ApplyBatch(ctx, ops) })
+				snap = ApplyOps(snap, ops)
+				q := same(fmt.Sprintf("connectivity after batch %d", i), func(c *Cluster) (any, error) { return c.Connectivity(ctx) }).(*QueryResult)
+				if labels, count := ComponentsOracle(snap); q.Components != count || !sameLabeling(intLabels(q.Labels), labels) {
+					t.Errorf("batch %d: fleet connectivity %d components, union-find %d (or the partition differs)", i, q.Components, count)
+				}
+			}
+			if fleet.Epoch() == 0 || fleet.Epoch() != resident.Epoch() {
+				t.Errorf("after the churn stream: fleet epoch %d, resident %d", fleet.Epoch(), resident.Epoch())
+			}
+			if fm, rm := fleet.Metrics(), resident.Metrics(); !reflect.DeepEqual(fm.Banks, rm.Banks) || fm.Edges != rm.Edges || fm.LoadRounds != rm.LoadRounds {
+				t.Errorf("fleet Metrics %+v, the resident Cluster's %+v", fm, rm)
 			}
 			mu.Lock()
 			defer mu.Unlock()
-			if jobs := fleet.Metrics().Jobs; jobs != 2 || starts != 2 || dones != 2 {
-				t.Errorf("after two jobs: Metrics().Jobs=%d, observer saw %d starts / %d dones", jobs, starts, dones)
+			if n := fleet.Metrics().Jobs; n != jobs || starts != jobs || dones != jobs {
+				t.Errorf("after %d jobs: Metrics().Jobs=%d, observer saw %d starts / %d dones", jobs, n, starts, dones)
 			}
 		})
 	}
 }
 
+// TestFleetResidency: a fleet-backed Cluster pays its shard load once, on
+// its first job — the second runs on the workers' kept machines, at the
+// resident Cluster's incremental cost — and its workers keep one residency
+// between the jobs.
+func TestFleetResidency(t *testing.T) {
+	g := GNM(2000, 6000, 5)
+	path := filepath.Join(t.TempDir(), "g.kmgs")
+	if err := WriteStore(path, g.Source()); err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	loads := 0
+	ctx := context.Background()
+	fleet, err := OpenFleet(FleetSpec{Source: "store:" + path, Addrs: startTestWorkers(t, 2)}, WithK(8), WithSeed(3),
+		WithObserver(func(ev ClusterEvent) {
+			mu.Lock()
+			defer mu.Unlock()
+			if ev.Job == "load" {
+				loads++
+			}
+		}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fleet.Close()
+	if met := fleet.Metrics(); met.LoadRounds != 0 || met.Total.Rounds != 0 {
+		t.Fatalf("before the first job: %+v, want nothing loaded", met)
+	}
+	first, err := fleet.Connectivity(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	load := fleet.Metrics().LoadRounds
+	second, err := fleet.Connectivity(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if met := fleet.Metrics(); loads != 1 || load == 0 || met.LoadRounds != load ||
+		met.Total.Rounds != load+first.Rounds+second.Rounds {
+		t.Errorf("two jobs: %d loads, %d load rounds (%d after the first job), total %d; want one load and total = load + %d + %d",
+			loads, met.LoadRounds, load, met.Total.Rounds, first.Rounds, second.Rounds)
+	}
+	if second.Rounds >= first.Rounds || second.Components != first.Components {
+		t.Errorf("repeat query: %d rounds / %d components after %d / %d; want the incremental re-query",
+			second.Rounds, second.Components, first.Rounds, first.Components)
+	}
+}
+
 // TestFleetClusterCancellation: a fleet job whose context is cancelled
-// while the workers' engines are running (the first heartbeat reporting a
-// completed round) returns ctx.Err() promptly and leaves the Cluster — and
-// the fleet — serviceable for the next job.
+// while the workers' engines are running (its first heartbeat) returns
+// ctx.Err() promptly — the machines agree on the Bye at a phase boundary —
+// and leaves the Cluster serviceable: the next job runs on the same
+// residency (opened by an empty batch before), with no second shard load.
 func TestFleetClusterCancellation(t *testing.T) {
 	const n, m, gs = 8000, 24000, int64(3)
 	want, err := ComponentsFromSourceOracle(StreamGNM(n, m, gs))
@@ -242,11 +307,22 @@ func TestFleetClusterCancellation(t *testing.T) {
 			cancelRunning()
 		}
 	}
-	fleet, err := OpenFleet(spec, WithK(4), WithSeed(5))
+	loads := 0
+	fleet, err := OpenFleet(spec, WithK(4), WithSeed(5), WithObserver(func(ev ClusterEvent) {
+		mu.Lock()
+		defer mu.Unlock()
+		if ev.Job == "load" {
+			loads++
+		}
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fleet.Close()
+	if _, err := fleet.ApplyBatch(context.Background(), nil); err != nil {
+		t.Fatal(err)
+	}
+	load := fleet.Metrics().Load
 
 	ctx, cancel := context.WithCancel(context.Background())
 	mu.Lock()
@@ -265,13 +341,16 @@ func TestFleetClusterCancellation(t *testing.T) {
 	if err != nil || q.Components != want {
 		t.Fatalf("job after a cancelled one: %v components, err %v; want %d", q, err, want)
 	}
-	if met := fleet.Metrics(); met.Jobs != 2 || met.Queries != 1 {
-		t.Errorf("Metrics after a cancelled and a clean job: %d jobs, %d queries; want 2, 1", met.Jobs, met.Queries)
+	mu.Lock()
+	defer mu.Unlock()
+	if met := fleet.Metrics(); met.Jobs != 3 || met.Queries != 1 || loads != 1 || !reflect.DeepEqual(met.Load, load) {
+		t.Errorf("after a batch, a cancelled and a clean job: %d jobs, %d queries, %d loads; want 3, 1 and the one load",
+			met.Jobs, met.Queries, loads)
 	}
 }
 
 // TestOneFleetJobPath fails if a serving layer or a CLI grows its own
-// distributed job path again: only a Cluster (through dist.Fleet) and the
+// distributed job path again: only a Cluster (through dist.OpenFleet) and the
 // benchmark module (bench/), which measures the coordinator itself, may
 // call dist.Run*.
 func TestOneFleetJobPath(t *testing.T) {
@@ -305,9 +384,10 @@ func TestOneFleetJobPath(t *testing.T) {
 // TestNotConvergedOnEveryHost: a job that runs out of phases answers wrong
 // — 208 components where the oracle counts 3, a 304-edge "spanning" forest
 // — so every host must say so: the partial result comes back with
-// ErrNotConverged from the one-shot drivers, a residency and a fleet alike
-// (the first and the last used to return it with a nil error, and kmserve
-// would have cached it).
+// ErrNotConverged from the one-shot drivers and from the one engine, whose
+// machines are goroutines or a fleet's alike (the one-shot and the fleet
+// hosts used to return it with a nil error, and kmserve would have cached
+// it).
 func TestNotConvergedOnEveryHost(t *testing.T) {
 	g := WithDistinctWeights(GNM(400, 1200, 1), 2)
 	ctx := context.Background()

@@ -9,16 +9,12 @@ package kmgraph
 import (
 	"context"
 	"errors"
-	"fmt"
 	"io"
 	"os"
 	"time"
 
-	"kmgraph/internal/core"
 	"kmgraph/internal/dist"
 	"kmgraph/internal/graph"
-	"kmgraph/internal/kmachine"
-	"kmgraph/internal/mincut"
 	"kmgraph/internal/resident"
 	"kmgraph/internal/store"
 	"kmgraph/internal/transport"
@@ -44,29 +40,11 @@ const DefaultClusterK = 8
 //
 // Where the k machines run is a property of the Cluster, not of its
 // callers: NewCluster and OpenCluster host them in this process,
-// OpenFleet on a kmworker fleet, and every method, observer event and
-// metric means the same on both.
+// OpenFleet on the kmworkers of a fleet. Either way the one engine
+// (internal/resident) runs every job, so every method, answer, observer
+// event and metric is the same on both.
 type Cluster struct {
-	e engine
-}
-
-// engine is what a Cluster needs of the k machines' host — exactly
-// resident.Engine's method set. *resident.Engine (machines are goroutines
-// holding a residency) and *dist.Fleet (machines are worker processes
-// that rebuild their shards per job) implement it; this field is the only
-// place that knows there are two.
-type engine interface {
-	Query(ctx context.Context) (*resident.QueryResult, error)
-	MST(ctx context.Context, strong bool) (*core.MSTResult, error)
-	MinCut(ctx context.Context, trials, maxLevel int) (*mincut.Result, error)
-	Verify(ctx context.Context, p verify.Problem, args verify.Args) (*verify.Outcome, error)
-	ApplyBatch(ctx context.Context, ops []graph.EdgeOp) (*resident.BatchResult, error)
-	Metrics() resident.Metrics
-	Epoch() uint64
-	Queue() (queued, running int)
-	N() int
-	K() int
-	Close() (*kmachine.Metrics, error)
+	e *resident.Engine
 }
 
 // ClusterOption configures NewCluster, OpenCluster and OpenFleet
@@ -167,20 +145,15 @@ var ErrObserverPanic = resident.ErrObserverPanic
 
 // ErrLinkDown is the typed failure of jobs on a fleet-backed Cluster: a
 // worker process died or desynchronized mid-round, so the job fails
-// promptly at the barrier instead of hanging. Match with errors.Is to
-// tell a crashed fleet from a bad job spec.
+// promptly at the barrier instead of hanging — and, once a batch has
+// changed the resident graph, every later job fails with it too. Match
+// with errors.Is to tell a crashed fleet from a bad job spec.
 var ErrLinkDown = transport.ErrLinkDown
 
-// ErrUnsupported is returned by the job families a fleet-backed Cluster
-// cannot run — ApplyBatch, ApproxMinCut, Verify and SpanningTree: fleet
-// workers rebuild their shards per job, so there is no residency to
-// mutate, derive views from, or keep a certificate forest on.
-var ErrUnsupported = resident.ErrUnsupported
-
 // FleetSpec names a graph hosted by a kmworker fleet: the source spec
-// every worker rematerializes its shard from, the worker addresses, and
-// the coordinator tuning (heartbeat deadline, retry recovery, flight log)
-// of jobs against it.
+// every worker loads its shards from, the worker addresses, and the
+// coordinator tuning (heartbeat deadline, retry recovery, flight log) of
+// the residency's commands.
 type FleetSpec = dist.FleetSpec
 
 // NewCluster loads g across a resident k-machine cluster (one graph
@@ -245,16 +218,14 @@ func OpenCluster(path string, opts ...ClusterOption) (*Cluster, error) {
 }
 
 // OpenFleet returns a Cluster whose k machines are hosted by the kmworker
-// processes of spec (cmd/kmworker), each loading its own slice of the
-// graph from spec.Source. It is an ordinary Cluster — the same methods,
-// observer events, admission queue and Metrics — with Connectivity and
-// MST run as distributed jobs whose results and Metrics are bit-identical
-// to the one-shot Connectivity / MST on the same graph, k and seed.
-// Workers keep nothing between jobs, so every job pays its shard load,
-// Epoch stays 0, and ApplyBatch, ApproxMinCut, Verify and SpanningTree
-// return ErrUnsupported. A lost worker fails the job with
-// ErrLinkDown after spec.Coord.Retry is spent. Nothing is dialed until
-// the first job; WithK must be at least the worker count.
+// processes of spec (cmd/kmworker): each worker loads its own slice of the
+// graph from spec.Source and keeps it, with the machines' kept state, for
+// as long as the Cluster is open. Every method, answer and Metrics is a
+// resident Cluster's on the same graph, k and seed; the first job pays the
+// load (nothing is dialed before it), and WithK must be at least the worker
+// count. A worker lost while Epoch is 0 costs a reload from spec.Source
+// under spec.Coord.Retry; after a batch has changed the graph, the loss
+// ends the Cluster's residency with ErrLinkDown.
 func OpenFleet(spec FleetSpec, opts ...ClusterOption) (*Cluster, error) {
 	o := resolveClusterOptions(opts)
 	if o.src != nil {
@@ -323,13 +294,8 @@ func (c *Cluster) Connectivity(ctx context.Context) (*QueryResult, error) {
 
 // SpanningTree returns a spanning forest of the current graph — the ST
 // corollary the paper highlights as breaking the Ω̃(n/k) barrier —
-// served from the residency's certificate-backed connectivity query. A
-// fleet keeps no certificate: there it returns ErrUnsupported, before
-// running anything.
+// served from the residency's certificate-backed connectivity query.
 func (c *Cluster) SpanningTree(ctx context.Context) (*QueryResult, error) {
-	if _, ok := c.e.(*resident.Engine); !ok {
-		return nil, fmt.Errorf("kmgraph: spanning tree: %w", ErrUnsupported)
-	}
 	return c.e.Query(ctx)
 }
 

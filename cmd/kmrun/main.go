@@ -32,16 +32,17 @@
 // With -transport tcp the Cluster is fleet-backed (kmgraph.OpenFleet): the
 // k machines run across the kmworker processes in -workers (cmd/kmworker),
 // this process coordinates, and each worker loads its own slice of the
-// graph — so only -store (a path every worker can read) and -gen gnm are
-// sources, there is no oracle (the coordinator never sees the graph), and
-// answers and Metrics are bit-identical to a local run. The trace gains one
-// pid per worker (100 + index) with the spans it streamed back; a failed
-// run with -flight-dump writes each side's flight-recorder snapshot (the
-// last rounds of every link) as JSON — see dist.FlightDump. A fleet keeps
-// no residency: connectivity and mst run on it, mincut answers
-// ErrUnsupported. verify and stream derive their arguments and oracles
-// from the in-memory graph and take -gen or -input only; so do the
-// baselines, which use no Cluster and cannot be traced.
+// graph and keeps it for the run — so only -store (a path every worker can
+// read) and -gen gnm are sources, and there is no oracle (the coordinator
+// never sees the graph). The same engine runs the jobs either way, so
+// connectivity, mst and mincut print the same answers, load and job rounds
+// and sketch failures as a local run on the same graph, k and seed. The
+// trace gains one pid per worker (100 + index) with the spans it streamed
+// back; a failed run with -flight-dump writes each side's flight-recorder
+// snapshot (the last rounds of every link) as JSON — see dist.FlightDump.
+// verify and stream derive their arguments and oracles from the in-memory
+// graph and take -gen or -input only; so do the baselines, which use no
+// Cluster and cannot be traced.
 package main
 
 import (

@@ -21,14 +21,12 @@
 // Each -fleet name=source@addr1,addr2,... registers a fleet-backed graph
 // (kmgraph.OpenFleet) in the same registry, under the same
 // /graphs/{name}/… endpoints, cache, miss coalescing, admission queue,
-// /jobs and /trace: only its k machines run elsewhere, on the listed
-// kmworker processes, with heartbeat supervision and retry recovery
-// (-fleet-retries, -fleet-heartbeat-timeout). Workers keep no state
-// between jobs, so a fleet serves connectivity and MST and answers 501 on
-// spanning-tree, mincut, verify and batch (no residency to mutate, derive
-// views from, or keep a certificate forest on). It degrades gracefully —
-// an unhealthy fleet answers 503 with Retry-After instead of hanging, and
-// the kmserve_graph_state gauge tracks fleet health on /metrics.
+// /jobs and /trace, serving every family: only its k machines run
+// elsewhere, kept resident by the listed kmworker processes, with
+// heartbeat supervision and retry recovery (-fleet-retries,
+// -fleet-heartbeat-timeout). It degrades gracefully — an unhealthy fleet
+// answers 503 with Retry-After instead of hanging, and the
+// kmserve_graph_state gauge tracks fleet health on /metrics.
 //
 // Endpoints (all JSON):
 //

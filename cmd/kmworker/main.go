@@ -1,11 +1,11 @@
 // Command kmworker hosts a contiguous range of a distributed k-machine
-// cluster. A coordinator (kmrun with -transport tcp) dials
-// the worker, ships a job spec, and the worker forms a TCP mesh with
-// its peers, loads its slice of the graph shard-direct from the job's
-// source spec, runs the round engine over its hosted machines, and
-// returns its partial result on the control connection. Workers are
-// stateless between jobs and serve concurrent jobs from different
-// coordinators.
+// cluster. A coordinator (kmrun with -transport tcp, kmserve -fleet) dials
+// the worker and ships a job spec; the worker forms a TCP mesh with its
+// peers, loads its slice of the graph shard-direct from the job's source
+// spec, and keeps that residency for as long as the control connection is
+// open, running each command the coordinator sends as one run of the round
+// engine over its hosted machines and returning its partial result.
+// Workers serve concurrent residencies from different coordinators.
 //
 // Usage:
 //
@@ -15,10 +15,10 @@
 // The worker beats on each job's control connection every -heartbeat so
 // coordinators can tell a slow worker from a dead one. On SIGINT or
 // SIGTERM it drains: it stops accepting jobs, reports the per-cluster
-// state of everything still running, finishes those jobs within
-// -drain-timeout, and exits 0. A second signal (or an expired drain)
-// aborts the remaining jobs immediately; their coordinators see a
-// classified link-down failure and can retry on a replacement worker.
+// state of everything still running, lets each run in flight finish
+// within -drain-timeout (ending its residency), and exits 0. A second
+// signal (or an expired drain) aborts the rest immediately; their
+// coordinators see a classified link-down failure and can retry.
 //
 // With -metrics-addr, the worker serves its transport telemetry
 // (per-link bytes/frames, reconnects, handshake failures, barrier-wait
@@ -56,8 +56,8 @@ func statusz(w *dist.Worker, started time.Time) http.HandlerFunc {
 		fmt.Fprintf(rw, "kmworker %s up %v, %d active job(s)\n",
 			w.Addr(), time.Since(started).Round(time.Second), len(jobs))
 		for _, j := range jobs {
-			fmt.Fprintf(rw, "cluster %016x trace %016x %s machines [%d,%d) round %d (running %v)\n",
-				j.ClusterID, j.TraceID, j.Kind, j.Lo, j.Hi, j.Rounds,
+			fmt.Fprintf(rw, "cluster %016x trace %016x machines [%d,%d) round %d (running %v)\n",
+				j.ClusterID, j.TraceID, j.Lo, j.Hi, j.Rounds,
 				time.Since(j.Started).Round(time.Millisecond))
 		}
 	}
@@ -113,8 +113,8 @@ func main() {
 		jobs := w.Jobs()
 		fmt.Fprintf(os.Stderr, "kmworker: %v: draining (%d active jobs, up to %v)\n", s, len(jobs), *drainTimeout)
 		for _, j := range jobs {
-			fmt.Fprintf(os.Stderr, "kmworker:   cluster %016x %s machines [%d,%d) round %d (running %v)\n",
-				j.ClusterID, j.Kind, j.Lo, j.Hi, j.Rounds, time.Since(j.Started).Round(time.Millisecond))
+			fmt.Fprintf(os.Stderr, "kmworker:   cluster %016x machines [%d,%d) round %d (running %v)\n",
+				j.ClusterID, j.Lo, j.Hi, j.Rounds, time.Since(j.Started).Round(time.Millisecond))
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 		go func() {

@@ -13,7 +13,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"kmgraph/internal/graph"
 	"kmgraph/internal/wire"
@@ -35,51 +34,17 @@ const maxOutputItems = 1 << 28
 func AppendOutput(b []byte, o any) ([]byte, error) {
 	switch mo := o.(type) {
 	case *MachineOutput:
-		b = append(b, outputConn)
-		b = appendLabels(b, mo.Labels)
-		b = wire.AppendVarint(b, mo.Failures)
-		b = wire.AppendUvarint(b, uint64(mo.Phases))
-		b = wire.AppendBool(b, mo.Converged)
-		b = wire.AppendUvarint(b, uint64(mo.CollapseIters))
-		b = wire.AppendVarint(b, int64(mo.ProtocolCount))
-		b = wire.AppendBool(b, mo.PhaseRounds != nil)
-		if mo.PhaseRounds != nil {
-			b = wire.AppendUvarint(b, uint64(len(mo.PhaseRounds)))
-			for _, r := range mo.PhaseRounds {
-				b = wire.AppendUvarint(b, uint64(r))
-			}
-		}
-		return b, nil
+		b = appendLabels(append(b, outputConn), mo.Labels)
+		b = wire.AppendInts(b, int(mo.Failures), mo.Phases, btoi(mo.Converged), mo.CollapseIters, mo.ProtocolCount,
+			btoi(mo.PhaseRounds != nil), len(mo.PhaseRounds))
+		return wire.AppendInts(b, mo.PhaseRounds...), nil
 	case *MSTOutput:
-		b = append(b, outputMST)
-		b = appendLabels(b, mo.Labels)
-		b = wire.AppendUvarint(b, uint64(len(mo.Edges)))
-		for _, e := range mo.Edges {
-			b = appendEdge(b, e)
+		b = appendEdges(appendLabels(append(b, outputMST), mo.Labels), mo.Edges)
+		b = wire.AppendInts(b, btoi(mo.VertexEdges != nil), len(mo.VertexEdges))
+		for _, v := range SortedKeys(mo.VertexEdges) {
+			b = appendEdges(wire.AppendInts(b, v), mo.VertexEdges[v])
 		}
-		b = wire.AppendBool(b, mo.VertexEdges != nil)
-		if mo.VertexEdges != nil {
-			vs := make([]int, 0, len(mo.VertexEdges))
-			for v := range mo.VertexEdges {
-				vs = append(vs, v)
-			}
-			sort.Ints(vs)
-			b = wire.AppendUvarint(b, uint64(len(vs)))
-			for _, v := range vs {
-				b = wire.AppendUvarint(b, uint64(v))
-				es := mo.VertexEdges[v]
-				b = wire.AppendUvarint(b, uint64(len(es)))
-				for _, e := range es {
-					b = appendEdge(b, e)
-				}
-			}
-		}
-		b = wire.AppendVarint(b, mo.Failures)
-		b = wire.AppendUvarint(b, uint64(mo.Phases))
-		b = wire.AppendBool(b, mo.Converged)
-		b = wire.AppendUvarint(b, uint64(mo.ElimIters))
-		b = wire.AppendUvarint(b, uint64(mo.WeakRounds))
-		return b, nil
+		return wire.AppendInts(b, int(mo.Failures), mo.Phases, btoi(mo.Converged), mo.ElimIters, mo.WeakRounds), nil
 	default:
 		return nil, fmt.Errorf("core: cannot encode output of type %T", o)
 	}
@@ -88,117 +53,105 @@ func AppendOutput(b []byte, o any) ([]byte, error) {
 // ReadOutput decodes a machine output encoded by AppendOutput.
 func ReadOutput(r *wire.Reader) (any, error) {
 	tag := int(r.Uvarint())
-	switch tag {
-	case outputConn:
-		mo := &MachineOutput{}
-		var err error
-		if mo.Labels, err = readLabels(r); err != nil {
-			return nil, err
-		}
-		mo.Failures = r.Varint()
-		mo.Phases = int(r.Uvarint())
-		mo.Converged = r.Bool()
-		mo.CollapseIters = int(r.Uvarint())
-		mo.ProtocolCount = int(r.Varint())
-		if r.Bool() {
-			cnt := int(r.Uvarint())
-			if err := checkCount(r, cnt); err != nil {
-				return nil, err
-			}
-			mo.PhaseRounds = make([]int, cnt)
-			for i := range mo.PhaseRounds {
-				mo.PhaseRounds[i] = int(r.Uvarint())
-			}
-		}
-		if r.Err() != nil {
-			return nil, r.Err()
-		}
-		return mo, nil
-	case outputMST:
-		mo := &MSTOutput{}
-		var err error
-		if mo.Labels, err = readLabels(r); err != nil {
-			return nil, err
-		}
-		cnt := int(r.Uvarint())
+	labels, err := readLabels(r)
+	var failures, converged, present, cnt int
+	switch {
+	case err != nil:
+		return nil, err
+	case tag == outputConn:
+		mo := &MachineOutput{Labels: labels}
+		r.Ints(&failures, &mo.Phases, &converged, &mo.CollapseIters, &mo.ProtocolCount, &present, &cnt)
 		if err := checkCount(r, cnt); err != nil {
 			return nil, err
 		}
-		for i := 0; i < cnt && r.Err() == nil; i++ {
-			mo.Edges = append(mo.Edges, readEdge(r))
+		if present != 0 {
+			mo.PhaseRounds = make([]int, cnt)
+			for i := range mo.PhaseRounds {
+				r.Ints(&mo.PhaseRounds[i])
+			}
 		}
-		if r.Bool() {
+		mo.Failures, mo.Converged = int64(failures), converged != 0
+		return mo, r.Err()
+	case tag == outputMST:
+		mo := &MSTOutput{Labels: labels}
+		if mo.Edges, err = readEdges(r); err != nil {
+			return nil, err
+		}
+		r.Ints(&present, &cnt)
+		if err := checkCount(r, cnt); err != nil {
+			return nil, err
+		}
+		if present != 0 {
 			mo.VertexEdges = make(map[int][]graph.Edge)
-			nv := int(r.Uvarint())
-			if err := checkCount(r, nv); err != nil {
+		}
+		for i := 0; i < cnt && present != 0 && r.Err() == nil; i++ {
+			var v int
+			r.Ints(&v)
+			if mo.VertexEdges[v], err = readEdges(r); err != nil {
 				return nil, err
 			}
-			for i := 0; i < nv && r.Err() == nil; i++ {
-				v := int(r.Uvarint())
-				ne := int(r.Uvarint())
-				if err := checkCount(r, ne); err != nil {
-					return nil, err
-				}
-				es := make([]graph.Edge, 0, min(ne, 1024))
-				for j := 0; j < ne && r.Err() == nil; j++ {
-					es = append(es, readEdge(r))
-				}
-				mo.VertexEdges[v] = es
-			}
 		}
-		mo.Failures = r.Varint()
-		mo.Phases = int(r.Uvarint())
-		mo.Converged = r.Bool()
-		mo.ElimIters = int(r.Uvarint())
-		mo.WeakRounds = int(r.Uvarint())
-		if r.Err() != nil {
-			return nil, r.Err()
-		}
-		return mo, nil
+		r.Ints(&failures, &mo.Phases, &converged, &mo.ElimIters, &mo.WeakRounds)
+		mo.Failures, mo.Converged = int64(failures), converged != 0
+		return mo, r.Err()
 	default:
-		if r.Err() != nil {
-			return nil, r.Err()
-		}
 		return nil, fmt.Errorf("core: unknown output tag %d", tag)
 	}
 }
 
 func appendLabels(b []byte, labels map[int]uint64) []byte {
-	vs := make([]int, 0, len(labels))
-	for v := range labels {
-		vs = append(vs, v)
-	}
-	sort.Ints(vs)
-	b = wire.AppendUvarint(b, uint64(len(vs)))
-	for _, v := range vs {
-		b = wire.AppendUvarint(b, uint64(v))
-		b = wire.AppendUvarint(b, labels[v])
+	b = wire.AppendInts(b, len(labels))
+	for _, v := range SortedKeys(labels) {
+		b = wire.AppendUvarint(wire.AppendInts(b, v), labels[v])
 	}
 	return b
 }
 
 func readLabels(r *wire.Reader) (map[int]uint64, error) {
-	cnt := int(r.Uvarint())
+	var cnt int
+	r.Ints(&cnt)
 	if err := checkCount(r, cnt); err != nil {
 		return nil, err
 	}
 	labels := make(map[int]uint64, min(cnt, 1<<20))
 	for i := 0; i < cnt && r.Err() == nil; i++ {
-		v := int(r.Uvarint())
+		var v int
+		r.Ints(&v)
 		labels[v] = r.Uvarint()
 	}
 	return labels, r.Err()
 }
 
-func appendEdge(b []byte, e graph.Edge) []byte {
-	b = wire.AppendUvarint(b, uint64(e.U))
-	b = wire.AppendUvarint(b, uint64(e.V))
-	b = wire.AppendVarint(b, e.W)
+func appendEdges(b []byte, es []graph.Edge) []byte {
+	b = wire.AppendInts(b, len(es))
+	for _, e := range es {
+		b = wire.AppendInts(b, e.U, e.V, int(e.W))
+	}
 	return b
 }
 
-func readEdge(r *wire.Reader) graph.Edge {
-	return graph.Edge{U: int(r.Uvarint()), V: int(r.Uvarint()), W: r.Varint()}
+func readEdges(r *wire.Reader) ([]graph.Edge, error) {
+	var cnt int
+	r.Ints(&cnt)
+	if err := checkCount(r, cnt); err != nil {
+		return nil, err
+	}
+	var es []graph.Edge
+	for i := 0; i < cnt && r.Err() == nil; i++ {
+		var e graph.Edge
+		var w int
+		r.Ints(&e.U, &e.V, &w)
+		e.W = int64(w)
+		es = append(es, e)
+	}
+	return es, r.Err()
+}
+
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 func checkCount(r *wire.Reader, n int) error {

@@ -9,6 +9,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -493,10 +494,10 @@ func (m *Merger) Parts() map[uint64][]int {
 	return p
 }
 
-// SortedKeys returns the keys of a uint64-keyed map in ascending order
-// (deterministic iteration for SPMD protocols).
-func SortedKeys[V any](p map[uint64]V) []uint64 {
-	ls := make([]uint64, 0, len(p))
+// SortedKeys returns the keys of a map in ascending order (deterministic
+// iteration for SPMD protocols and wire encodings).
+func SortedKeys[K cmp.Ordered, V any](p map[K]V) []K {
+	ls := make([]K, 0, len(p))
 	for l := range p {
 		ls = append(ls, l)
 	}

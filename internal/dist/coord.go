@@ -11,6 +11,7 @@ import (
 
 	"kmgraph/internal/core"
 	"kmgraph/internal/kmachine"
+	"kmgraph/internal/resident"
 	"kmgraph/internal/transport"
 	"kmgraph/internal/transport/tcp"
 	"kmgraph/internal/wire"
@@ -84,7 +85,7 @@ func (o CoordOptions) withDefaults() CoordOptions {
 // RunConnectivity runs one distributed connectivity job over the worker
 // fleet at addrs, on the graph named by the source spec, with default
 // coordinator options: the coordinator itself, for callers that measure
-// it. Everything else runs jobs through a fleet-backed Cluster (Fleet).
+// it. Everything else runs jobs on a fleet-backed Cluster (OpenFleet).
 func RunConnectivity(ctx context.Context, addrs []string, source string, cfg core.Config) (*core.Result, error) {
 	return runConnectivity(ctx, addrs, source, cfg, CoordOptions{}, nil)
 }
@@ -97,12 +98,11 @@ func RunConnectivity(ctx context.Context, addrs []string, source string, cfg cor
 // job that ran out of phases returns its partial result with
 // core.ErrNotConverged, as core.RunSource does.
 func runConnectivity(ctx context.Context, addrs []string, source string, cfg core.Config, opts CoordOptions, tr *spanLog) (*core.Result, error) {
-	job := Job{Kind: KindConnectivity, Source: source, Conn: cfg}
-	res, n, err := runRetry(ctx, addrs, job, opts, tr)
+	res, n, outs, err := runOneShot(ctx, addrs, source, core.MSTConfig{Config: cfg}, false, opts, tr)
 	if err != nil {
 		return nil, err
 	}
-	out, err := core.Assemble(n, res.Outputs)
+	out, err := core.Assemble(n, outs)
 	if out != nil {
 		out.Metrics = res.Metrics
 	}
@@ -111,149 +111,39 @@ func runConnectivity(ctx context.Context, addrs []string, source string, cfg cor
 
 // runMST is runConnectivity's MST counterpart (golden: core.RunMST).
 func runMST(ctx context.Context, addrs []string, source string, cfg core.MSTConfig, opts CoordOptions, tr *spanLog) (*core.MSTResult, error) {
-	job := Job{Kind: KindMST, Source: source, MST: cfg}
-	res, n, err := runRetry(ctx, addrs, job, opts, tr)
+	res, n, outs, err := runOneShot(ctx, addrs, source, cfg, true, opts, tr)
 	if err != nil {
 		return nil, err
 	}
-	out, err := core.AssembleMST(n, res.Outputs)
+	out, err := core.AssembleMST(n, outs)
 	if out != nil {
 		out.Metrics = res.Metrics
 	}
 	return out, err
 }
 
-type gathered struct {
-	idx int
-	rf  *resultFrame
-	err error
-}
-
-// runOnce ships the job to every worker, gathers and merges the
-// partials. One attempt: retries live in runRetry.
-func runOnce(ctx context.Context, addrs []string, job Job, opts CoordOptions, tr *spanLog) (*kmachine.Result, int, error) {
-	k := job.K()
-	ranges, err := SplitRanges(k, len(addrs))
-	if err != nil {
-		return nil, 0, err
-	}
-	job.ClusterID = newClusterID()
-	job.Workers = make([]WorkerSpec, len(addrs))
-	for i, a := range addrs {
-		job.Workers[i] = WorkerSpec{Addr: a, Lo: ranges[i][0], Hi: ranges[i][1]}
-	}
-	if tr != nil {
-		job.TraceID = newClusterID()
-		tr.reset(ranges)
-	}
-	if opts.Flight != nil {
-		opts.Flight.reset()
-	}
-
-	conns := make([]net.Conn, len(addrs))
-	closeAll := func() {
-		for _, c := range conns {
-			if c != nil {
-				c.Close()
-			}
-		}
-	}
-	for i, a := range addrs {
-		conn, err := net.DialTimeout("tcp", a, 10*time.Second)
+// runOneShot runs a one-shot job — a residency of the one command
+// resident.OneShot, closed after it — under the retry policy, reopening it
+// from the source after a lost worker. It returns the run's Result, the
+// vertex count and the machines' core outputs.
+func runOneShot(ctx context.Context, addrs []string, source string, cfg core.MSTConfig, mst bool, opts CoordOptions, tr *spanLog) (*kmachine.Result, int, []any, error) {
+	c := cfg.Config
+	f := &fleet{addrs: addrs, opts: opts.withDefaults(), tr: tr, job: Job{Source: source, Config: resident.Config{
+		K: c.K, BandwidthBits: c.BandwidthBits, Seed: c.Seed, MaxPhasesPerQuery: c.MaxPhases, MaxRounds: c.MaxRounds,
+		MessageOverheadBits: c.MessageOverheadBits, CollapseLevelWise: c.CollapseLevelWise, CoinMerge: c.CoinMerge,
+		FaithfulRandomness: c.FaithfulRandomness}}}
+	defer f.Close()
+	cmd := resident.OneShot(cfg, mst)
+	for attempt := 1; ; attempt++ {
+		res, _, err := f.Run(ctx, cmd, nil)
 		if err == nil {
-			conns[i] = conn
-			job.Index = i
-			err = tcp.WriteFrame(conn, tcp.FrameJob, AppendJob(nil, &job))
+			n, outs := resident.MachineOutputs(res.Outputs)
+			return res, n, outs, nil
 		}
-		if err != nil {
-			closeAll()
-			// Unreachable at dial time, or gone before it took the job, is
-			// a crashed worker: classify it so the retry policy (and
-			// Respawn) can recover from it.
-			workerFailuresCounter(transport.ReasonCrash).Inc()
-			return nil, 0, &transport.LinkDownError{
-				Peer: i, Addr: a, Reason: transport.ReasonCrash,
-				Err: fmt.Errorf("dist: starting job on worker: %w", err),
-			}
+		if err := f.Retry(ctx, attempt, err); err != nil {
+			return nil, 0, nil, err
 		}
 	}
-
-	// Cancellation reaches workers by hanging up their control
-	// connections; each worker then cancels its job context, and the
-	// abort propagates through the mesh as closing links.
-	watchDone := make(chan struct{})
-	defer close(watchDone)
-	go func() {
-		select {
-		case <-ctx.Done():
-			closeAll()
-		case <-watchDone:
-		}
-	}()
-
-	results := make(chan gathered, len(conns))
-	for i, conn := range conns {
-		go func(i int, conn net.Conn) {
-			rf, err := gatherOne(conn, i, addrs[i], opts, tr)
-			results <- gathered{idx: i, rf: rf, err: err}
-		}(i, conn)
-	}
-
-	met := transport.NewMetrics(k)
-	outputs := make([]any, k)
-	n := -1
-	var firstErr error
-	// The first failure closes every control connection immediately:
-	// the surviving gathers wake on their closed conns instead of
-	// waiting out the job, and the workers abort when their control
-	// links drop. Later errors are self-inflicted by that close and are
-	// not recorded.
-	fail := func(err error) {
-		if firstErr == nil {
-			firstErr = err
-			closeAll()
-		}
-	}
-	for range conns {
-		g := <-results
-		if g.err != nil {
-			fail(fmt.Errorf("dist: worker %d (%s): %w", g.idx, addrs[g.idx], g.err))
-			continue
-		}
-		rf := g.rf
-		want := ranges[g.idx]
-		if rf.lo != want[0] || rf.hi != want[1] {
-			fail(fmt.Errorf("dist: worker %d reported range [%d,%d), want [%d,%d)",
-				g.idx, rf.lo, rf.hi, want[0], want[1]))
-			continue
-		}
-		if n == -1 {
-			n = rf.n
-		} else if rf.n != n {
-			fail(fmt.Errorf("dist: workers disagree on n (%d vs %d)", rf.n, n))
-			continue
-		}
-		pm, err := transport.ReadMetrics(wire.NewReader(rf.metrics))
-		if err == nil {
-			err = transport.MergeMetrics(met, pm)
-		}
-		if err != nil {
-			fail(err)
-			continue
-		}
-		for i, o := range rf.outputs {
-			outputs[rf.lo+i] = o
-		}
-	}
-	closeAll()
-	if firstErr != nil {
-		if ctx.Err() != nil {
-			return nil, 0, ctx.Err()
-		}
-		return nil, 0, firstErr
-	}
-	met.Finish()
-	return &kmachine.Result{Metrics: *met, Outputs: outputs}, n, nil
 }
 
 // gatherOne reads a worker's result (or error) frame, consuming
@@ -359,40 +249,28 @@ func gatherOne(conn net.Conn, idx int, addr string, opts CoordOptions, tr *spanL
 
 func decodeResultFrame(body []byte) (*resultFrame, error) {
 	r := wire.NewReader(body)
-	rf := &resultFrame{
-		n:  int(r.Uvarint()),
-		lo: int(r.Uvarint()),
-		hi: int(r.Uvarint()),
+	rf := &resultFrame{}
+	if r.Ints(&rf.lo, &rf.hi); r.Err() != nil {
+		return nil, r.Err()
 	}
-	if err := r.Err(); err != nil {
+	if rf.lo < 0 || rf.hi <= rf.lo || rf.hi-rf.lo > maxK {
+		return nil, fmt.Errorf("dist: result frame for range [%d,%d)", rf.lo, rf.hi)
+	}
+	var err error
+	if rf.metrics, err = transport.ReadMetrics(r); err != nil {
 		return nil, err
 	}
-	if rf.n < 0 || rf.lo < 0 || rf.hi <= rf.lo || rf.hi-rf.lo > maxK {
-		return nil, fmt.Errorf("dist: result frame with n=%d range [%d,%d)", rf.n, rf.lo, rf.hi)
-	}
-	// Metrics claim the rest of the frame up to the outputs; re-parse via
-	// the shared reader so offsets stay aligned.
-	pm, err := transport.ReadMetrics(r)
-	if err != nil {
-		return nil, err
-	}
-	rf.metrics = transport.AppendMetrics(nil, pm)
 	for i := rf.lo; i < rf.hi; i++ {
-		o, err := core.ReadOutput(r)
+		o, err := resident.ReadOutput(r)
 		if err != nil {
 			return nil, err
 		}
 		rf.outputs = append(rf.outputs, o)
 	}
-	spans, err := readSpans(r)
-	if err != nil {
+	if rf.spans, err = readSpans(r); err != nil {
 		return nil, err
 	}
-	rf.spans = spans
-	if err := r.Done(); err != nil {
-		return nil, err
-	}
-	return rf, nil
+	return rf, r.Done()
 }
 
 // maxK mirrors the transport's machine bound.

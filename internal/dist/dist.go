@@ -1,11 +1,14 @@
 // Package dist runs k-machine jobs across OS processes. A coordinator
 // (kmrun -transport tcp, kmserve -fleet) splits the k machines into
-// contiguous ranges over a set of worker processes (cmd/kmworker),
-// ships each worker a job spec over a control connection, and gathers
-// partial results. The workers form a TCP mesh among themselves
-// (transport/tcp), each loads its own slice of the graph shard-direct
-// from the job's source spec, and each runs the ordinary round engine
-// over its hosted machines.
+// contiguous ranges over a set of worker processes (cmd/kmworker) and
+// ships each worker a job spec over a control connection. The workers form
+// a TCP mesh among themselves (transport/tcp), each loads its own slice of
+// the graph shard-direct from the job's source spec, and each keeps that
+// residency — mesh, cluster, shards, machines — for exactly as long as its
+// control connection is open, running every command frame that follows
+// the spec as one run and answering it with its partial result. A
+// fleet-backed Cluster (OpenFleet) is a resident.Engine whose machines live
+// there; a one-shot job (RunConnectivity) is a residency of one command.
 //
 // Determinism carries over wholesale: machine RNGs are seeded from
 // (seed, machine id), the vertex partition from the same RVP hash, and
@@ -28,33 +31,12 @@ import (
 	"strconv"
 	"strings"
 
-	"kmgraph/internal/core"
 	"kmgraph/internal/graph"
+	"kmgraph/internal/resident"
 	"kmgraph/internal/store"
 	"kmgraph/internal/transport"
 	"kmgraph/internal/wire"
 )
-
-// Kind selects the algorithm a job runs.
-type Kind uint8
-
-const (
-	// KindConnectivity runs the Õ(n/k²) connectivity algorithm.
-	KindConnectivity Kind = 1
-	// KindMST runs the MST algorithm.
-	KindMST Kind = 2
-)
-
-func (k Kind) String() string {
-	switch k {
-	case KindConnectivity:
-		return "connectivity"
-	case KindMST:
-		return "mst"
-	default:
-		return "kind(" + strconv.Itoa(int(k)) + ")"
-	}
-}
 
 // WorkerSpec is one participant of a job: its dialable address and its
 // hosted machine range.
@@ -63,10 +45,10 @@ type WorkerSpec struct {
 	Lo, Hi int
 }
 
-// Job is everything a worker needs to run its slice of a distributed
-// job. The coordinator personalizes Index per worker; every other field
-// is identical across the fleet (and validated so by the transport
-// handshake).
+// Job is everything a worker needs to host its slice of a distributed
+// job's residency. The coordinator personalizes Index per worker; every
+// other field is identical across the fleet (and validated so by the
+// transport handshake).
 type Job struct {
 	ClusterID uint64
 	// TraceID, when non-zero, enables cross-process job tracing: each
@@ -74,32 +56,14 @@ type Job struct {
 	// connection, and the coordinator assembles one multi-pid Chrome
 	// trace tagged with this ID.
 	TraceID uint64
-	Kind    Kind
 	Source  string // source spec, see the package comment
-
-	// Algorithm configuration, pre-resolution: zero-valued fields are
-	// resolved worker-side with WithDefaults(n), identically everywhere.
-	Conn core.Config
-	MST  core.MSTConfig // Kind == KindMST; Conn is ignored then
-
+	// Config is the residency's engine configuration, resolved worker-side
+	// for n, identically everywhere; the spec carries K, BandwidthBits, Seed,
+	// the phase, round and elimination caps, MessageOverheadBits and the
+	// three ablation switches.
+	Config  resident.Config
 	Index   int // this worker's position in Workers
 	Workers []WorkerSpec
-}
-
-// K returns the job's machine count.
-func (j *Job) K() int {
-	if j.Kind == KindMST {
-		return j.MST.K
-	}
-	return j.Conn.K
-}
-
-// config returns the job's base Config (shared fields).
-func (j *Job) config() core.Config {
-	if j.Kind == KindMST {
-		return j.MST.Config
-	}
-	return j.Conn
 }
 
 // specVersion 2 added the trace ID, span batches on heartbeat and
@@ -109,38 +73,33 @@ func (j *Job) config() core.Config {
 // would run different elimination protocols and desync mid-job.
 // specVersion 4 is the same for the result frame: a machine output carries
 // the phase driver's convergence verdict (core.AppendOutput).
-const specVersion = 4
+// specVersion 5 makes every job a residency that runs the command frames
+// following its spec, and packs the control frames' integers as varints.
+const specVersion = 5
+
+// ErrVersion is the failure of a job spec from a build of another wire
+// version: a worker refuses it before it dials or loads anything, and the
+// coordinator does not retry it.
+var ErrVersion = errors.New("dist: job spec version")
 
 // maxWorkers bounds a decoded worker list.
 const maxWorkers = 1 << 16
 
 // AppendJob encodes j as a FrameJob body.
 func AppendJob(b []byte, j *Job) []byte {
+	c := j.Config
 	b = wire.AppendUvarint(b, specVersion)
 	b = wire.AppendU64(b, j.ClusterID)
 	b = wire.AppendU64(b, j.TraceID)
-	b = wire.AppendUvarint(b, uint64(j.Kind))
 	b = wire.AppendBytes(b, []byte(j.Source))
-	c := j.config()
-	b = wire.AppendUvarint(b, uint64(c.K))
-	b = wire.AppendUvarint(b, uint64(c.BandwidthBits))
-	b = wire.AppendVarint(b, c.Seed)
-	b = wire.AppendUvarint(b, uint64(c.MaxPhases))
-	b = wire.AppendUvarint(b, uint64(c.MaxRounds))
-	b = wire.AppendUvarint(b, uint64(c.MessageOverheadBits))
+	b = wire.AppendInts(b, c.K, c.BandwidthBits, int(c.Seed), c.MaxPhasesPerQuery, c.MaxRounds, c.MessageOverheadBits,
+		c.MaxElimIters, j.Index, len(j.Workers))
 	b = wire.AppendBool(b, c.CollapseLevelWise)
 	b = wire.AppendBool(b, c.CoinMerge)
-	b = wire.AppendBool(b, c.EdgeCheckSelection)
 	b = wire.AppendBool(b, c.FaithfulRandomness)
-	b = wire.AppendBool(b, c.CountComponents)
-	b = wire.AppendBool(b, j.MST.StrongOutput)
-	b = wire.AppendUvarint(b, uint64(j.MST.MaxElimIters))
-	b = wire.AppendUvarint(b, uint64(j.Index))
-	b = wire.AppendUvarint(b, uint64(len(j.Workers)))
 	for _, w := range j.Workers {
 		b = wire.AppendBytes(b, []byte(w.Addr))
-		b = wire.AppendUvarint(b, uint64(w.Lo))
-		b = wire.AppendUvarint(b, uint64(w.Hi))
+		b = wire.AppendInts(b, w.Lo, w.Hi)
 	}
 	return b
 }
@@ -152,25 +111,14 @@ func DecodeJob(body []byte) (*Job, error) {
 		if r.Err() != nil {
 			return nil, r.Err()
 		}
-		return nil, fmt.Errorf("dist: job spec version %d, want %d", v, specVersion)
+		return nil, fmt.Errorf("%w %d, want %d", ErrVersion, v, specVersion)
 	}
-	j := &Job{ClusterID: r.U64(), TraceID: r.U64(), Kind: Kind(r.Uvarint()), Source: string(r.Bytes())}
-	var c core.Config
-	c.K = int(r.Uvarint())
-	c.BandwidthBits = int(r.Uvarint())
-	c.Seed = r.Varint()
-	c.MaxPhases = int(r.Uvarint())
-	c.MaxRounds = int(r.Uvarint())
-	c.MessageOverheadBits = int(r.Uvarint())
-	c.CollapseLevelWise = r.Bool()
-	c.CoinMerge = r.Bool()
-	c.EdgeCheckSelection = r.Bool()
-	c.FaithfulRandomness = r.Bool()
-	c.CountComponents = r.Bool()
-	j.MST.StrongOutput = r.Bool()
-	j.MST.MaxElimIters = int(r.Uvarint())
-	j.Index = int(r.Uvarint())
-	nw := int(r.Uvarint())
+	j := &Job{ClusterID: r.U64(), TraceID: r.U64(), Source: string(r.Bytes())}
+	c := &j.Config
+	var seed, nw int
+	r.Ints(&c.K, &c.BandwidthBits, &seed, &c.MaxPhasesPerQuery, &c.MaxRounds, &c.MessageOverheadBits,
+		&c.MaxElimIters, &j.Index, &nw)
+	c.Seed, c.CollapseLevelWise, c.CoinMerge, c.FaithfulRandomness = int64(seed), r.Bool(), r.Bool(), r.Bool()
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
@@ -179,19 +127,11 @@ func DecodeJob(body []byte) (*Job, error) {
 	}
 	j.Workers = make([]WorkerSpec, nw)
 	for i := range j.Workers {
-		j.Workers[i] = WorkerSpec{
-			Addr: string(r.Bytes()),
-			Lo:   int(r.Uvarint()),
-			Hi:   int(r.Uvarint()),
-		}
+		j.Workers[i].Addr = string(r.Bytes())
+		r.Ints(&j.Workers[i].Lo, &j.Workers[i].Hi)
 	}
 	if err := r.Done(); err != nil {
 		return nil, err
-	}
-	j.Conn = c
-	j.MST.Config = c
-	if j.Kind != KindConnectivity && j.Kind != KindMST {
-		return nil, fmt.Errorf("dist: unknown job kind %d", j.Kind)
 	}
 	if j.Index < 0 || j.Index >= nw {
 		return nil, fmt.Errorf("dist: job index %d of %d workers", j.Index, nw)
@@ -253,14 +193,13 @@ type nopCloser struct{}
 
 func (nopCloser) Close() error { return nil }
 
-// resultFrame is a worker's partial result: the vertex count it
-// observed, its partial Metrics, its hosted machines' outputs, and —
-// for traced jobs — the phase spans not yet streamed on heartbeats
-// (always including the trailing sync span, sealed at completion).
+// resultFrame is a worker's partial result of one run: its hosted range,
+// its partial Metrics, its machines' outputs, and — for traced jobs — the
+// phase spans not yet streamed on heartbeats (always including the
+// trailing sync span, sealed at completion).
 type resultFrame struct {
-	n       int
 	lo, hi  int
-	metrics []byte // transport.AppendMetrics encoding
+	metrics *transport.Metrics
 	outputs []any
 	spans   []transport.PhaseSpan
 }
@@ -281,8 +220,12 @@ type errorFrame struct {
 }
 
 // err reconstructs the failure the worker reported, preserving the
-// ErrLinkDown identity and the structured fields.
+// ErrLinkDown identity and the structured fields — and ErrVersion's, which
+// a worker of any version words the same.
 func (f *errorFrame) err() error {
+	if v, skew := strings.CutPrefix(f.msg, ErrVersion.Error()); skew {
+		return fmt.Errorf("dist: remote job failed: %w%s", ErrVersion, v)
+	}
 	if !f.linkDown {
 		return fmt.Errorf("dist: remote job failed: %s", f.msg)
 	}
@@ -303,31 +246,23 @@ func appendErrorFrame(b []byte, err error) []byte {
 	}
 	b = wire.AppendBytes(b, []byte(f.msg))
 	b = wire.AppendBool(b, f.linkDown)
-	b = wire.AppendVarint(b, int64(f.peer))
-	b = wire.AppendUvarint(b, f.round)
+	b = wire.AppendInts(b, f.peer, int(f.round))
 	b = wire.AppendBytes(b, []byte(f.reason))
-	b = appendFlight(b, f.flight)
-	return b
+	return appendFlight(b, f.flight)
 }
 
 func decodeErrorFrame(body []byte) (*errorFrame, error) {
 	r := wire.NewReader(body)
-	f := &errorFrame{
-		msg:      string(r.Bytes()),
-		linkDown: r.Bool(),
-		peer:     int(r.Varint()),
-		round:    r.Uvarint(),
-		reason:   transport.LinkDownReason(r.Bytes()),
-	}
+	f := &errorFrame{msg: string(r.Bytes()), linkDown: r.Bool()}
+	var round int
+	r.Ints(&f.peer, &round)
+	f.round, f.reason = uint64(round), transport.LinkDownReason(r.Bytes())
 	fl, err := readFlight(r)
 	if err != nil {
 		return nil, err
 	}
 	f.flight = fl
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	return f, nil
+	return f, r.Err()
 }
 
 // maxFlightRecords bounds a decoded flight snapshot (a recorder ring is
@@ -336,60 +271,51 @@ const maxFlightRecords = 4096
 
 // appendFlight encodes a flight-recorder snapshot.
 func appendFlight(b []byte, fl []transport.RoundFlight) []byte {
-	b = wire.AppendUvarint(b, uint64(len(fl)))
+	b = wire.AppendInts(b, len(fl))
 	for _, rf := range fl {
-		b = wire.AppendUvarint(b, rf.Seq)
-		b = wire.AppendVarint(b, rf.WaitNs)
+		b = wire.AppendInts(b, int(rf.Seq), int(rf.WaitNs), len(rf.Links))
 		b = wire.AppendBytes(b, []byte(rf.Err))
-		b = wire.AppendUvarint(b, uint64(len(rf.Links)))
 		for _, l := range rf.Links {
-			b = wire.AppendVarint(b, int64(l.Peer))
-			b = wire.AppendVarint(b, l.FramesSent)
-			b = wire.AppendVarint(b, l.FramesRecv)
-			b = wire.AppendVarint(b, l.BytesSent)
-			b = wire.AppendVarint(b, l.BytesRecv)
+			b = wire.AppendInts(b, l.Peer, int(l.FramesSent), int(l.FramesRecv), int(l.BytesSent), int(l.BytesRecv))
 		}
 	}
 	return b
 }
 
 func readFlight(r *wire.Reader) ([]transport.RoundFlight, error) {
-	n := int(r.Uvarint())
-	if err := r.Err(); err != nil {
+	n, err := count(r, maxFlightRecords)
+	if n == 0 || err != nil {
 		return nil, err
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	if n > maxFlightRecords {
-		return nil, fmt.Errorf("dist: flight snapshot with %d records", n)
 	}
 	fl := make([]transport.RoundFlight, n)
 	for i := range fl {
-		fl[i].Seq = r.Uvarint()
-		fl[i].WaitNs = r.Varint()
-		fl[i].Err = string(r.Bytes())
-		nl := int(r.Uvarint())
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
-		if nl > maxWorkers {
+		var seq, wait, nl int
+		r.Ints(&seq, &wait, &nl)
+		fl[i].Seq, fl[i].WaitNs, fl[i].Err = uint64(seq), int64(wait), string(r.Bytes())
+		if nl < 0 || nl > maxWorkers {
 			return nil, fmt.Errorf("dist: flight record with %d links", nl)
 		}
-		if nl > 0 {
-			fl[i].Links = make([]transport.LinkFlight, nl)
-			for j := range fl[i].Links {
-				fl[i].Links[j] = transport.LinkFlight{
-					Peer:       int(r.Varint()),
-					FramesSent: r.Varint(),
-					FramesRecv: r.Varint(),
-					BytesSent:  r.Varint(),
-					BytesRecv:  r.Varint(),
-				}
-			}
+		for j := 0; j < nl && r.Err() == nil; j++ {
+			var l [5]int
+			r.Ints(&l[0], &l[1], &l[2], &l[3], &l[4])
+			fl[i].Links = append(fl[i].Links, transport.LinkFlight{Peer: l[0], FramesSent: int64(l[1]),
+				FramesRecv: int64(l[2]), BytesSent: int64(l[3]), BytesRecv: int64(l[4])})
 		}
 	}
 	return fl, r.Err()
+}
+
+// count reads a collection size, refusing one above limit (the bound
+// only guards corrupt frames).
+func count(r *wire.Reader, limit int) (int, error) {
+	var n int
+	if r.Ints(&n); r.Err() != nil {
+		return 0, r.Err()
+	}
+	if n < 0 || n > limit {
+		return 0, fmt.Errorf("dist: collection of %d in a control frame", n)
+	}
+	return n, nil
 }
 
 // maxSpanBatch bounds the phase spans one heartbeat carries, keeping
@@ -403,43 +329,25 @@ const maxSpanDecode = 1 << 16
 
 // appendSpans encodes a phase-span batch.
 func appendSpans(b []byte, spans []transport.PhaseSpan) []byte {
-	b = wire.AppendUvarint(b, uint64(len(spans)))
+	b = wire.AppendInts(b, len(spans))
 	for _, s := range spans {
-		b = wire.AppendVarint(b, int64(s.Phase))
-		b = wire.AppendUvarint(b, uint64(s.StartRound))
-		b = wire.AppendUvarint(b, uint64(s.EndRound))
-		b = wire.AppendUvarint(b, uint64(s.StartUs))
-		b = wire.AppendUvarint(b, uint64(s.DurUs))
-		b = wire.AppendVarint(b, s.Frames)
-		b = wire.AppendVarint(b, s.Bytes)
-		b = wire.AppendVarint(b, s.WaitNs)
+		b = wire.AppendInts(b, s.Phase, s.StartRound, s.EndRound, int(s.StartUs), int(s.DurUs),
+			int(s.Frames), int(s.Bytes), int(s.WaitNs))
 	}
 	return b
 }
 
 func readSpans(r *wire.Reader) ([]transport.PhaseSpan, error) {
-	n := int(r.Uvarint())
-	if err := r.Err(); err != nil {
+	n, err := count(r, maxSpanDecode)
+	if n == 0 || err != nil {
 		return nil, err
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	if n > maxSpanDecode {
-		return nil, fmt.Errorf("dist: span batch of %d", n)
 	}
 	spans := make([]transport.PhaseSpan, n)
 	for i := range spans {
-		spans[i] = transport.PhaseSpan{
-			Phase:      int(r.Varint()),
-			StartRound: int(r.Uvarint()),
-			EndRound:   int(r.Uvarint()),
-			StartUs:    int64(r.Uvarint()),
-			DurUs:      int64(r.Uvarint()),
-			Frames:     r.Varint(),
-			Bytes:      r.Varint(),
-			WaitNs:     r.Varint(),
-		}
+		s := &spans[i]
+		var start, dur, frames, bytes, wait int
+		r.Ints(&s.Phase, &s.StartRound, &s.EndRound, &start, &dur, &frames, &bytes, &wait)
+		s.StartUs, s.DurUs, s.Frames, s.Bytes, s.WaitNs = int64(start), int64(dur), int64(frames), int64(bytes), int64(wait)
 	}
 	return spans, r.Err()
 }
@@ -450,17 +358,15 @@ func readSpans(r *wire.Reader) ([]transport.PhaseSpan, error) {
 func appendHeartbeat(b []byte, clusterID, rounds uint64, spans []transport.PhaseSpan) []byte {
 	b = wire.AppendU64(b, clusterID)
 	b = wire.AppendUvarint(b, rounds)
-	b = appendSpans(b, spans)
-	return b
+	return appendSpans(b, spans)
 }
 
 func decodeHeartbeat(body []byte) (clusterID, rounds uint64, spans []transport.PhaseSpan, err error) {
 	r := wire.NewReader(body)
-	clusterID = r.U64()
-	rounds = r.Uvarint()
+	clusterID, rounds = r.U64(), r.Uvarint()
 	spans, err = readSpans(r)
-	if err != nil {
-		return clusterID, rounds, nil, err
+	if err == nil {
+		err = r.Err()
 	}
-	return clusterID, rounds, spans, r.Err()
+	return clusterID, rounds, spans, err
 }

@@ -8,6 +8,8 @@ import (
 	"io"
 	"net"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -16,6 +18,7 @@ import (
 	"kmgraph/internal/core"
 	"kmgraph/internal/graph"
 	"kmgraph/internal/kmachine"
+	"kmgraph/internal/resident"
 	"kmgraph/internal/store"
 	"kmgraph/internal/transport"
 	"kmgraph/internal/transport/tcp"
@@ -266,42 +269,35 @@ func TestSplitRanges(t *testing.T) {
 func TestJobSpecRoundTrip(t *testing.T) {
 	j := &Job{
 		ClusterID: 0xdeadbeef,
-		Kind:      KindMST,
 		Source:    "store:/tmp/g.kmgs",
+		Config:    resident.Config{K: 8, Seed: -42, MaxElimIters: 7, CoinMerge: true},
 		Index:     1,
 		Workers: []WorkerSpec{
 			{Addr: "a:1", Lo: 0, Hi: 3},
 			{Addr: "b:2", Lo: 3, Hi: 8},
 		},
 	}
-	j.MST.K = 8
-	j.MST.Seed = 42
-	j.MST.StrongOutput = true
-	j.MST.MaxElimIters = 7
-	j.Conn = j.MST.Config
 
 	got, err := DecodeJob(AppendJob(nil, j))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.ClusterID != j.ClusterID || got.Kind != j.Kind || got.Source != j.Source ||
-		got.Index != j.Index || got.MST.K != 8 || got.MST.Seed != 42 ||
-		!got.MST.StrongOutput || got.MST.MaxElimIters != 7 || len(got.Workers) != 2 ||
-		got.Workers[1] != j.Workers[1] {
+	if !reflect.DeepEqual(got, j) {
 		t.Fatalf("round trip drifted: %+v vs %+v", got, j)
 	}
 
 	// A spec from an older build — version 2 ran the single-draw MST
 	// elimination, version 3 shipped machine outputs without the
-	// convergence verdict; the spec bytes are otherwise identical — is
-	// refused by its version, by the decoder and by a worker — which
-	// answers on the control link and dials no peer of the spec's mesh.
-	for _, v := range []byte{2, 3} {
+	// convergence verdict, version 4 knew no residency; the spec bytes are
+	// otherwise identical — is refused by its version with ErrVersion, by
+	// the decoder and by a worker — which answers on the control link and
+	// dials no peer of the spec's mesh.
+	for _, v := range []byte{2, 3, 4} {
 		stale := AppendJob(nil, j)
 		stale[0] = v
-		want := fmt.Sprintf("job spec version %d, want 4", v)
-		if _, err := DecodeJob(stale); err == nil || !strings.Contains(err.Error(), want) {
-			t.Fatalf("version-%d spec: err = %v, want the version error", v, err)
+		want := fmt.Sprintf("job spec version %d, want 5", v)
+		if _, err := DecodeJob(stale); !errors.Is(err, ErrVersion) || !strings.Contains(err.Error(), want) {
+			t.Fatalf("version-%d spec: err = %v, want ErrVersion", v, err)
 		}
 	}
 	peer, err := net.Listen("tcp", "127.0.0.1:0")
@@ -319,24 +315,28 @@ func TestJobSpecRoundTrip(t *testing.T) {
 	old := *j
 	old.Index = 1
 	old.Workers = []WorkerSpec{{Addr: peer.Addr().String(), Lo: 0, Hi: 3}, {Addr: startWorkers(t, 1)[0], Lo: 3, Hi: 8}}
-	v3 := AppendJob(nil, &old)
-	v3[0] = 3
+	v4 := AppendJob(nil, &old)
+	v4[0] = 4
 	conn, err := net.Dial("tcp", old.Workers[1].Addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if _, err := conn.Write(tcp.AppendFrame(nil, tcp.FrameJob, v3)); err != nil {
+	if _, err := conn.Write(tcp.AppendFrame(nil, tcp.FrameJob, v4)); err != nil {
 		t.Fatal(err)
 	}
 	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
 	var buf []byte
 	ft, body, err := tcp.ReadFrame(conn, &buf)
 	if err != nil || ft != tcp.FrameError {
-		t.Fatalf("worker's answer to a version-3 spec: frame %v, err %v; want an error frame", ft, err)
+		t.Fatalf("worker's answer to a version-4 spec: frame %v, err %v; want an error frame", ft, err)
 	}
-	if ef, err := decodeErrorFrame(body); err != nil || !strings.Contains(ef.err().Error(), "job spec version 3, want 4") {
-		t.Fatalf("worker's error frame: %v / %v, want the version error", ef, err)
+	ef, err := decodeErrorFrame(body)
+	if err != nil || !errors.Is(ef.err(), ErrVersion) || !strings.Contains(ef.err().Error(), "job spec version 4, want 5") {
+		t.Fatalf("worker's error frame: %v / %v, want ErrVersion", ef, err)
+	}
+	if again := (RetryPolicy{Attempts: 3}).again(context.Background(), 1, ef.err(), &[]string{}); !errors.Is(again, ErrVersion) {
+		t.Fatalf("retry policy on a version skew: %v, want no retry", again)
 	}
 	if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
 		t.Fatalf("control link after the refusal: %v, want EOF", err)
@@ -351,5 +351,46 @@ func TestJobSpecRoundTrip(t *testing.T) {
 	j.Workers[1].Lo = 4
 	if _, err := DecodeJob(AppendJob(nil, j)); err == nil {
 		t.Fatal("gap in worker cover not rejected")
+	}
+}
+
+// TestSpecKBeyondN: a spec whose k exceeds the graph's vertex count is
+// refused with resident.ErrBadConfig before anything is sized by k, for a
+// residency and a one-shot job alike. At k=1024 on a 2-vertex graph a
+// worker used to build the k-machine cluster and its k×k link state first
+// (1.4 GB allocated, four seconds) and only then fail.
+func TestSpecKBeyondN(t *testing.T) {
+	addr := startWorkers(t, 1)[0]
+	for name, cmd := range map[string][]byte{"residency": nil, "one-shot job": resident.OneShot(core.MSTConfig{}, false)} {
+		j := &Job{ClusterID: 7, Source: "gnm:2:0:1", Config: resident.Config{K: 1024, Seed: 1},
+			Workers: []WorkerSpec{{Addr: addr, Lo: 0, Hi: 1024}}}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames := tcp.AppendFrame(nil, tcp.FrameJob, AppendJob(nil, j))
+		if cmd != nil {
+			frames = tcp.AppendFrame(frames, tcp.FrameJob, cmd)
+		}
+		if _, err := conn.Write(frames); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+		var buf []byte
+		ft, body, err := tcp.ReadFrame(conn, &buf)
+		conn.Close()
+		runtime.ReadMemStats(&after)
+		if err != nil || ft != tcp.FrameError {
+			t.Fatalf("%s with k > n: frame %v, err %v; want an error frame", name, ft, err)
+		}
+		if ef, err := decodeErrorFrame(body); err != nil || !strings.Contains(ef.msg, resident.ErrBadConfig.Error()) {
+			t.Errorf("%s with k > n: error frame %+v (%v), want ErrBadConfig", name, ef, err)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 64<<20 {
+			t.Errorf("%s with k > n: the refusal allocated %d MB, want < 64", name, alloc>>20)
+		}
 	}
 }

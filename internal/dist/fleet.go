@@ -3,256 +3,251 @@ package dist
 import (
 	"context"
 	"fmt"
-	"sync"
-	"sync/atomic"
+	"net"
+	"time"
 
 	"kmgraph/internal/core"
-	"kmgraph/internal/graph"
 	"kmgraph/internal/kmachine"
-	"kmgraph/internal/mincut"
 	"kmgraph/internal/resident"
 	"kmgraph/internal/transport"
-	"kmgraph/internal/verify"
+	"kmgraph/internal/transport/tcp"
 )
 
 // FleetSpec names a graph served by a kmworker fleet.
 type FleetSpec struct {
-	// Source is the source spec every worker rematerializes its shard
-	// from (store:<path>, gnm:<n>:<m>:<seed>, rmat:<n>:<m>:<seed>). Store
+	// Source is the source spec every worker loads its shards from
+	// (store:<path>, gnm:<n>:<m>:<seed>, rmat:<n>:<m>:<seed>). Store
 	// paths must be readable by the workers.
 	Source string
-	// Addrs are the kmworker addresses. Jobs need the whole fleet.
+	// Addrs are the kmworker addresses. A residency needs the whole fleet.
 	Addrs []string
 	// Coord tunes the heartbeat deadline, retry recovery, flight log and
-	// per-worker progress hook of jobs against this fleet. The zero value
+	// per-worker progress hook of the residency's commands. The zero value
 	// uses coordinator defaults (30s heartbeat deadline, no retries).
 	Coord CoordOptions
 }
 
-// Fleet is the engine behind a fleet-backed Cluster: resident.Engine's
-// method set with the k machines hosted by kmworker processes. Every
-// connectivity or MST job is one coordinator run (runRetry) — workers
-// build their shards from the source spec, run, and forget — so results
-// and Metrics are bit-identical to core.RunSource / core.RunMST on the
-// same source, and there is no residency: the epoch stays 0 and the job
-// families that mutate or derive views of a resident graph answer
-// resident.ErrUnsupported. Jobs are admitted one at a time and reported
-// through the same Config.Observer stream a resident engine feeds.
-type Fleet struct {
-	spec   FleetSpec
-	cfg    resident.Config
-	sem    chan struct{} // admits one job at a time; its holder owns seq
-	closed chan struct{}
-	once   sync.Once
-	queued atomic.Int32
-	panics atomic.Uint64 // recovered Observer panics
-	seq    int
-
-	mu            sync.Mutex // guards what Metrics reads while a job runs
-	n             int
-	jobs, queries int
-	total         kmachine.Metrics // Σ completed jobs' merged Metrics
-}
-
-// OpenFleet returns the engine for spec. Of cfg it honours what a job
-// spec carries (K, Seed, BandwidthBits, MessageOverheadBits, the phase,
-// round and elimination caps, the three ablation switches) plus
-// JobTimeout, Observer and PhaseMetrics; sketch dimensions and bank counts
-// do not cross the wire. Nothing is dialed until the first job.
-func OpenFleet(spec FleetSpec, cfg resident.Config) (*Fleet, error) {
+// OpenFleet returns the resident engine whose k machines live on the
+// kmworkers of spec, each keeping its range's residency — loaded from
+// spec.Source by the first job — for as long as its control connection is
+// open, so answers and Metrics are a local engine's on the same graph, k
+// and seed. Of cfg the workers receive what a Job carries; sketch
+// dimensions and bank counts keep their defaults. A worker lost while the
+// epoch is 0 costs a reopen from the source under spec.Coord.Retry; after
+// an applied batch it ends the residency with ErrLinkDown.
+func OpenFleet(spec FleetSpec, cfg resident.Config) (*resident.Engine, error) {
 	if len(spec.Addrs) == 0 || cfg.K < len(spec.Addrs) {
 		return nil, fmt.Errorf("dist: %w: k=%d machines over %d workers (need 1 <= workers <= k)",
 			resident.ErrBadConfig, cfg.K, len(spec.Addrs))
 	}
-	f := &Fleet{spec: spec, cfg: cfg, sem: make(chan struct{}, 1), closed: make(chan struct{}),
-		total: *transport.NewMetrics(cfg.K)}
-	// Where this process can read the source, N is known from the start;
-	// otherwise the first job's result brings it.
+	f := &fleet{addrs: spec.Addrs, opts: spec.Coord.withDefaults(), job: Job{Source: spec.Source, Config: cfg}}
+	if cfg.Observer != nil {
+		f.tr = &spanLog{}
+	}
+	n := 0 // where this process can read the source, k is checked against n now
 	if src, c, err := OpenJobSource(spec.Source); err == nil {
-		f.n = src.N()
+		n = src.N()
 		c.Close()
 	}
-	return f, nil
+	return resident.NewRemote(cfg, n, f)
 }
 
-// notify delivers ev to the Observer, if any, containing a panic out of
-// it the way a resident engine does: counted, and failing the job it
-// fired in.
-func (f *Fleet) notify(ev resident.Event) {
-	if f.cfg.Observer == nil {
-		return
-	}
-	defer func() {
-		if recover() != nil {
-			f.panics.Add(1)
-		}
-	}()
-	f.cfg.Observer(ev)
+// fleet is the host of a fleet-backed engine (resident.Remote) and of a
+// one-shot job: the control connections of its residency's workers, each
+// of which keeps the residency for exactly as long as its connection is
+// open.
+type fleet struct {
+	addrs    []string // Respawn may replace them
+	job      Job
+	opts     CoordOptions
+	tr       *spanLog   // nil: untraced
+	conns    []net.Conn // nil: no residency open
+	ranges   [][2]int
+	failedAt time.Time // the first failure of a recovery in progress
 }
 
-// run admits one job, runs it under the observer protocol — start, one
-// phase event per phase boundary the lowest worker reports, done with
-// the merged Metrics as Delta and every worker's spans — and accounts
-// for it. job returns the merged Metrics and the vertex count of a job the
-// workers ran to its end — also beside an error, when that end was short of
-// convergence.
-func (f *Fleet) run(ctx context.Context, name string, job func(context.Context, *spanLog) (*kmachine.Metrics, int, error)) error {
-	if d := f.cfg.JobTimeout; d > 0 {
-		if _, has := ctx.Deadline(); !has {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, d)
-			defer cancel()
+// Run ships one command to every worker — opening a fresh residency first
+// when none is open — and gathers their outputs. A cancelled ctx sends a
+// Bye, which the machines agree on at their next phase boundary; a
+// residency still opening is hung up on.
+func (f *fleet) Run(ctx context.Context, cmd []byte, phase core.PhaseFunc) (*kmachine.Result, []transport.WorkerSpans, error) {
+	opening := f.conns == nil
+	err := f.open()
+	conns := f.conns
+	cancel := func() {
+		for _, c := range conns {
+			if opening {
+				c.Close()
+			} else {
+				tcp.WriteFrame(c, tcp.FrameBye, nil)
+			}
 		}
 	}
-	err := ctx.Err()
+	if f.tr != nil {
+		f.tr.phase = phase
+	}
+	var res *kmachine.Result
 	if err == nil {
-		f.queued.Add(1)
-		select {
-		case f.sem <- struct{}{}:
-			defer func() { <-f.sem }()
-		case <-ctx.Done():
-			err = ctx.Err()
-		case <-f.closed:
+		if err = f.send(tcp.FrameJob, cmd); err == nil {
+			res, err = f.gather(ctx, cancel)
 		}
-		f.queued.Add(-1)
 	}
-	select {
-	case <-f.closed:
-		err = resident.ErrClosed
-	default:
+	if err != nil {
+		f.Close()
+		return nil, nil, err
 	}
+	if !f.failedAt.IsZero() {
+		recoveryHistogram().Observe(time.Since(f.failedAt).Seconds())
+		f.failedAt = time.Time{}
+	}
+	return res, f.tr.streams(), nil
+}
+
+// open ships the job to every worker with its machine range, under a
+// fresh cluster ID (and, traced, a trace ID), unless a residency is open.
+func (f *fleet) open() error {
+	if f.conns != nil {
+		return nil
+	}
+	ranges, err := SplitRanges(f.job.Config.K, len(f.addrs))
 	if err != nil {
 		return err
 	}
-	f.seq++
-	seq, base, panics := f.seq, f.total.Rounds, f.panics.Load()
-
-	var tr *spanLog
-	last := base
-	if f.cfg.Observer != nil {
-		// A retry replays the same phases at the same rounds: report each
-		// boundary once, so the stream's round counter never runs backwards.
-		tr = &spanLog{phase: func(s transport.PhaseSpan) {
-			if r := base + s.EndRound; r > last {
-				last = r
-				f.notify(resident.Event{Job: name, Seq: seq, Phase: s.Phase, Round: r})
-			}
-		}}
+	job := f.job
+	job.ClusterID = newClusterID()
+	job.Workers = make([]WorkerSpec, len(f.addrs))
+	for i, a := range f.addrs {
+		job.Workers[i] = WorkerSpec{Addr: a, Lo: ranges[i][0], Hi: ranges[i][1]}
 	}
-	f.notify(resident.Event{Job: name, Seq: seq, Phase: -1, Round: base})
-	met, n, err := job(ctx, tr)
-	if err == nil && f.panics.Load() != panics {
-		err = resident.ErrObserverPanic
+	if f.tr != nil {
+		job.TraceID = newClusterID()
 	}
-	done := resident.Event{Job: name, Seq: seq, Phase: -1, Round: last, Done: true}
-	f.mu.Lock()
-	f.jobs++
-	if err != nil {
-		done.Err = err.Error()
+	if f.opts.Flight != nil {
+		f.opts.Flight.reset()
 	}
-	if met != nil {
-		// A fresh sum per job, never mutated once published: Metrics()
-		// readers and observers may keep what they were handed.
-		sum := transport.SumMetrics(&f.total, met)
-		f.n, f.total = n, *sum
-		done.Round, done.Delta, done.Workers = sum.Rounds, met, tr.streams()
-		if f.cfg.PhaseMetrics {
-			done.Snap = sum
+	f.conns, f.ranges = make([]net.Conn, len(f.addrs)), ranges
+	for i, a := range f.addrs {
+		conn, err := net.DialTimeout("tcp", a, 10*time.Second)
+		if err == nil {
+			f.conns[i] = conn
+			job.Index = i
+			err = tcp.WriteFrame(conn, tcp.FrameJob, AppendJob(nil, &job))
+		}
+		if err != nil {
+			return f.crashed(i, fmt.Errorf("dist: starting job on worker: %w", err))
 		}
 	}
-	f.mu.Unlock()
-	f.notify(done)
-	return err
+	return nil
 }
 
-// coreConfig is the part of the engine config a job spec carries.
-func (f *Fleet) coreConfig() core.Config {
-	c := f.cfg
-	return core.Config{K: c.K, BandwidthBits: c.BandwidthBits, Seed: c.Seed, MaxPhases: c.MaxPhasesPerQuery,
-		MaxRounds: c.MaxRounds, MessageOverheadBits: c.MessageOverheadBits,
-		CollapseLevelWise: c.CollapseLevelWise, CoinMerge: c.CoinMerge, FaithfulRandomness: c.FaithfulRandomness}
+// crashed classifies a worker that could not be reached, or was gone
+// before it took a frame, as a crashed one, so the retry policy (and
+// Respawn) can recover from it.
+func (f *fleet) crashed(i int, err error) error {
+	workerFailuresCounter(transport.ReasonCrash).Inc()
+	return &transport.LinkDownError{Peer: i, Addr: f.addrs[i], Reason: transport.ReasonCrash, Err: err}
 }
 
-// Query runs one distributed connectivity job. The one-shot algorithm
-// keeps no certificate, so the result carries no Forest.
-func (f *Fleet) Query(ctx context.Context) (*resident.QueryResult, error) {
-	var out *core.Result
-	err := f.run(ctx, "connectivity", func(ctx context.Context, tr *spanLog) (_ *kmachine.Metrics, _ int, err error) {
-		if out, err = runConnectivity(ctx, f.spec.Addrs, f.spec.Source, f.coreConfig(), f.spec.Coord, tr); out == nil {
-			return nil, 0, err
+// send writes one frame to every worker.
+func (f *fleet) send(t tcp.FrameType, body []byte) error {
+	for i, c := range f.conns {
+		if err := tcp.WriteFrame(c, t, body); err != nil {
+			return f.crashed(i, fmt.Errorf("dist: sending to worker: %w", err))
 		}
-		return &out.Metrics, len(out.Labels), err
-	})
-	if out == nil {
-		return nil, err
 	}
-	f.mu.Lock()
-	f.queries++
-	f.mu.Unlock()
-	return &resident.QueryResult{Labels: out.Labels, Components: out.Components, Phases: out.Phases,
-		Rounds: out.Metrics.Rounds, SketchFailures: out.SketchFailures, CollapseIters: out.CollapseIters}, err
+	return nil
 }
 
-// MST runs one distributed MST job (Theorem 2; strong selects 2(b)).
-func (f *Fleet) MST(ctx context.Context, strong bool) (out *core.MSTResult, err error) {
-	cfg := core.MSTConfig{Config: f.coreConfig(), StrongOutput: strong, MaxElimIters: f.cfg.MaxElimIters}
-	err = f.run(ctx, "mst", func(ctx context.Context, tr *spanLog) (_ *kmachine.Metrics, _ int, err error) {
-		if out, err = runMST(ctx, f.spec.Addrs, f.spec.Source, cfg, f.spec.Coord, tr); out == nil {
-			return nil, 0, err
+// hangUp closes the residency's control connections: the workers end it,
+// and one still running a command aborts, which propagates through the
+// mesh as closing links.
+func (f *fleet) hangUp() {
+	for _, c := range f.conns {
+		if c != nil {
+			c.Close()
 		}
-		return &out.Metrics, len(out.Labels), err
-	})
-	return out, err
+	}
 }
 
-func unsupported(job string) error {
-	return fmt.Errorf("dist: %s on a worker fleet: %w", job, resident.ErrUnsupported)
+// Retry applies the fleet's retry policy to a lost residency.
+func (f *fleet) Retry(ctx context.Context, attempt int, cause error) error {
+	if f.failedAt.IsZero() {
+		f.failedAt = time.Now()
+	}
+	return f.opts.Retry.again(ctx, attempt, cause, &f.addrs)
 }
 
-func (f *Fleet) ApplyBatch(context.Context, []graph.EdgeOp) (*resident.BatchResult, error) {
-	return nil, unsupported("batch")
+// Close hangs up on the workers, which end the residency.
+func (f *fleet) Close() error {
+	f.hangUp()
+	f.conns = nil
+	return nil
 }
 
-func (f *Fleet) MinCut(context.Context, int, int) (*mincut.Result, error) {
-	return nil, unsupported("mincut")
+type gathered struct {
+	idx int
+	rf  *resultFrame
+	err error
 }
 
-func (f *Fleet) Verify(context.Context, resident.Problem, resident.VerifyArgs) (*verify.Outcome, error) {
-	return nil, unsupported("verify")
-}
-
-// Metrics reports the fleet's cumulative accounting: no load phase, the
-// summed Metrics of its completed jobs, and the admission queue.
-func (f *Fleet) Metrics() resident.Metrics {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	queued, running := f.Queue()
-	return resident.Metrics{Total: f.total, Jobs: f.jobs, Queries: f.queries,
-		QueuedJobs: queued, RunningJobs: running, ObserverPanics: f.panics.Load()}
-}
-
-// Epoch is always 0: a fleet's source is immutable.
-func (f *Fleet) Epoch() uint64 { return 0 }
-
-// Queue snapshots the admission queue (waiting jobs, in-flight 0 or 1).
-func (f *Fleet) Queue() (queued, running int) { return int(f.queued.Load()), len(f.sem) }
-
-// N returns the vertex count (0 until known: see OpenFleet).
-func (f *Fleet) N() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.n
-}
-
-// K returns the machine count.
-func (f *Fleet) K() int { return f.cfg.K }
-
-// Close refuses further jobs (resident.ErrClosed), waits for the
-// in-flight one and returns the fleet's total Metrics. It is idempotent.
-func (f *Fleet) Close() (*kmachine.Metrics, error) {
-	f.once.Do(func() { close(f.closed) })
-	f.sem <- struct{}{}
-	defer func() { <-f.sem }()
-	tot := f.Metrics().Total
-	return &tot, nil
+// gather reads one result frame from every worker and merges the partials
+// into the run's Result. If ctx ends first, cancel runs. The first failure
+// hangs up at once, so the other gathers wake on their closed connections
+// instead of waiting the run out; later errors are self-inflicted by that
+// and are not recorded.
+func (f *fleet) gather(ctx context.Context, cancel func()) (*kmachine.Result, error) {
+	if f.tr != nil {
+		f.tr.reset(f.ranges)
+	}
+	watchDone := make(chan struct{})
+	defer close(watchDone)
+	go func() {
+		select {
+		case <-ctx.Done():
+			cancel()
+		case <-watchDone:
+		}
+	}()
+	results := make(chan gathered, len(f.conns))
+	for i, conn := range f.conns {
+		go func(i int, conn net.Conn) {
+			rf, err := gatherOne(conn, i, f.addrs[i], f.opts, f.tr)
+			results <- gathered{idx: i, rf: rf, err: err}
+		}(i, conn)
+	}
+	k := f.job.Config.K
+	met, outputs := transport.NewMetrics(k), make([]any, k)
+	var firstErr error
+	fail := func(err error) {
+		if firstErr == nil {
+			firstErr = err
+			f.hangUp()
+		}
+	}
+	for range f.conns {
+		g := <-results
+		if g.err != nil {
+			fail(fmt.Errorf("dist: worker %d (%s): %w", g.idx, f.addrs[g.idx], g.err))
+			continue
+		}
+		rf, want := g.rf, f.ranges[g.idx]
+		if rf.lo != want[0] || rf.hi != want[1] {
+			fail(fmt.Errorf("dist: worker %d reported range [%d,%d), want [%d,%d)",
+				g.idx, rf.lo, rf.hi, want[0], want[1]))
+			continue
+		}
+		if err := transport.MergeMetrics(met, rf.metrics); err != nil {
+			fail(err)
+			continue
+		}
+		copy(outputs[rf.lo:], rf.outputs)
+	}
+	if firstErr != nil {
+		if ctx.Err() != nil {
+			return nil, ctx.Err()
+		}
+		return nil, firstErr
+	}
+	met.Finish()
+	return &kmachine.Result{Metrics: *met, Outputs: outputs}, nil
 }

@@ -10,6 +10,8 @@ import (
 	"time"
 
 	"kmgraph/internal/core"
+	"kmgraph/internal/graph"
+	"kmgraph/internal/resident"
 	"kmgraph/internal/transport/tcp"
 	"kmgraph/internal/wire"
 )
@@ -93,8 +95,9 @@ func (tap *frameTap) frames() map[tcp.FrameType][][]byte {
 	return out
 }
 
-// realControlFrames runs two traced 2-worker jobs (and one that fails at
-// the workers) through taps and returns the control frames that crossed.
+// realControlFrames runs two traced 2-worker jobs, one that fails at the
+// workers and a residency through taps and returns the control frames
+// that crossed.
 func realControlFrames(t testing.TB) map[tcp.FrameType][][]byte {
 	t.Helper()
 	taps := make([]*frameTap, 2)
@@ -132,6 +135,21 @@ func realControlFrames(t testing.TB) map[tcp.FrameType][][]byte {
 	if _, err := RunConnectivity(ctx, addrs, "store:/nonexistent.kmgs", cfg.Config); err == nil {
 		t.Fatal("job on a missing store succeeded")
 	}
+	// A residency too: its command frames follow the spec, and its result
+	// frames carry the resident outputs, a batch's and a query's extras
+	// included.
+	e, err := OpenFleet(FleetSpec{Source: "gnm:600:1800:5", Addrs: addrs}, resident.Config{K: 4, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	if _, err := e.ApplyBatch(ctx, []graph.EdgeOp{{U: 1, V: 2, W: 3}, {U: 4, V: 5, Del: true}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Query(ctx); err != nil {
+		t.Fatal(err)
+	}
+	e.Close()
 	all := make(map[tcp.FrameType][][]byte)
 	for _, tap := range taps {
 		for ft, bodies := range tap.frames() {
@@ -177,7 +195,7 @@ func FuzzControlFrames(f *testing.F) {
 	if spans == 0 {
 		f.Fatal("no heartbeat of the traced job carried spans")
 	}
-	f.Add(byte(fuzzResult), []byte{4, 0, 2, 0xff, 0xff, 0x03}) // metrics for k=65535, no bytes
+	f.Add(byte(fuzzResult), []byte{0, 4, 0xff, 0xff, 0x03}) // metrics for k=65535, no bytes
 
 	f.Fuzz(func(t *testing.T, kind byte, body []byte) {
 		switch kind % fuzzDecoders {

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"sync"
 
+	"kmgraph/internal/core"
 	"kmgraph/internal/transport"
 )
 
@@ -18,21 +19,21 @@ import (
 const maxTraceSpansPerWorker = 1 << 16
 
 // spanLog collects the phase spans the workers of one traced job stream
-// back on their control connections. Each attempt resets it, so after a
+// back on their control connections. Each run resets it, so after a
 // recovered run it holds the clean replay's spans. A nil *spanLog is an
 // untraced job: the spec carries no trace ID and workers record nothing.
 type spanLog struct {
-	// phase, when non-nil, sees the lowest worker's phase spans as they
-	// arrive (every worker crosses the same phase boundaries at the same
-	// rounds, so one stream is the job's progress). It runs on that
-	// worker's gather goroutine.
-	phase func(transport.PhaseSpan)
+	// phase, when non-nil, sees the phase boundaries of the lowest
+	// worker's spans as they arrive (every worker crosses the same phase
+	// boundaries at the same rounds, so one stream is the job's progress).
+	// It runs on that worker's gather goroutine.
+	phase core.PhaseFunc
 
 	mu      sync.Mutex
 	workers []transport.WorkerSpans
 }
 
-// reset starts a fresh attempt: one empty span stream per worker.
+// reset starts a fresh run: one empty span stream per worker.
 func (t *spanLog) reset(ranges [][2]int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -57,13 +58,13 @@ func (t *spanLog) add(idx int, spans []transport.PhaseSpan) {
 	if idx == 0 && t.phase != nil {
 		for _, s := range spans {
 			if s.Phase >= 0 {
-				t.phase(s)
+				t.phase(s.Phase, s.EndRound, 0, 0)
 			}
 		}
 	}
 }
 
-// streams returns the per-worker span streams of the last attempt. Each
+// streams returns the per-worker span streams of the last run. Each
 // is in time order: a worker's frames have one writer at a time and carry
 // spans popped from one queue.
 func (t *spanLog) streams() []transport.WorkerSpans {
@@ -86,7 +87,7 @@ type FlightLog struct {
 	remote  map[int][]transport.RoundFlight
 }
 
-// reset starts a fresh attempt.
+// reset starts a fresh residency (every one opens with it).
 func (l *FlightLog) reset() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -99,9 +100,6 @@ func (l *FlightLog) reset() {
 func (l *FlightLog) recorder(idx int) *transport.FlightRecorder {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.control == nil {
-		l.control = make(map[int]*transport.FlightRecorder)
-	}
 	r, ok := l.control[idx]
 	if !ok {
 		r = transport.NewFlightRecorder(0)
@@ -117,9 +115,6 @@ func (l *FlightLog) setRemote(idx int, fl []transport.RoundFlight) {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.remote == nil {
-		l.remote = make(map[int][]transport.RoundFlight)
-	}
 	l.remote[idx] = fl
 }
 

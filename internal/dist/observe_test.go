@@ -10,7 +10,6 @@ import (
 	"sync"
 	"testing"
 
-	"kmgraph/internal/core"
 	"kmgraph/internal/graph"
 	"kmgraph/internal/resident"
 	"kmgraph/internal/store"
@@ -39,7 +38,7 @@ type fleetObserver struct {
 
 // openTracedFleet opens a fleet engine over addrs whose observer feeds a
 // fleetObserver.
-func openTracedFleet(t *testing.T, addrs []string, source string, k int, seed int64, coord CoordOptions) (*Fleet, *fleetObserver) {
+func openTracedFleet(t *testing.T, addrs []string, source string, k int, seed int64, coord CoordOptions) (*resident.Engine, *fleetObserver) {
 	t.Helper()
 	o := &fleetObserver{tracer: telemetry.NewJobTracer()}
 	f, err := OpenFleet(FleetSpec{Source: source, Addrs: addrs, Coord: coord}, resident.Config{
@@ -117,14 +116,19 @@ func checkTelescopes(t *testing.T, o *fleetObserver, workers, rounds, phases int
 // TestDistTraceTelescopesConnectivity is the tentpole acceptance for
 // cross-process tracing: a connectivity job on a fleet engine reports one
 // span stream per worker whose round totals each telescope exactly to
-// the merged Metrics.Rounds (itself pinned bit-identical to the local
-// golden), and the one trace assembler renders them one pid per worker.
+// the job's rounds (themselves the resident engine's on the same graph),
+// and the one trace assembler renders them one pid per worker.
 func TestDistTraceTelescopesConnectivity(t *testing.T) {
 	const (
 		n, m = 600, 1800
 		gs   = int64(7)
 	)
-	golden, err := core.RunSource(graph.StreamGNM(n, m, gs), core.Config{K: 6, Seed: 11})
+	local, err := resident.NewFromSource(graph.StreamGNM(n, m, gs), resident.Config{K: 6, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer local.Close()
+	golden, err := local.Query(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,9 +137,9 @@ func TestDistTraceTelescopesConnectivity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Rounds != golden.Metrics.Rounds || res.Components != golden.Components {
-		t.Fatalf("fleet query = %d components / %d rounds, golden %d / %d",
-			res.Components, res.Rounds, golden.Components, golden.Metrics.Rounds)
+	if res.Rounds != golden.Rounds || res.Components != golden.Components {
+		t.Fatalf("fleet query = %d components / %d rounds, resident engine's %d / %d",
+			res.Components, res.Rounds, golden.Components, golden.Rounds)
 	}
 	checkTelescopes(t, o, 3, res.Rounds, res.Phases)
 }

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"time"
 
-	"kmgraph/internal/kmachine"
 	"kmgraph/internal/telemetry"
 	"kmgraph/internal/transport"
 	"kmgraph/internal/transport/tcp"
@@ -15,8 +14,10 @@ import (
 // RetryPolicy governs coordinator-side recovery from failed job
 // attempts. Every attempt is a fresh job under a new cluster ID — the
 // workers rematerialize their shards from the source spec and replay
-// the exact deterministic computation, so a recovered result is
-// bit-identical to a fault-free run (results and Metrics both).
+// the exact deterministic computation, so a recovered one-shot result is
+// bit-identical to a fault-free run (results and Metrics both). A
+// fleet-backed Cluster retries the same way, by reopening its residency
+// from the source, while its epoch is 0.
 type RetryPolicy struct {
 	// Attempts is the total try budget, first attempt included
 	// (default 1 = never retry).
@@ -48,11 +49,6 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	return p
 }
 
-// retryable reports whether err is worth another attempt: only link-down
-// failures (crash, stall, desync) are — a malformed job or an unreadable
-// source fails identically every time, so it fails fast.
-func retryable(err error) bool { return errors.Is(err, transport.ErrLinkDown) }
-
 // delay computes the backoff before retry number retry (1-based), with
 // ±25% jitter.
 func (p RetryPolicy) delay(retry int) time.Duration {
@@ -64,43 +60,33 @@ func (p RetryPolicy) delay(retry int) time.Duration {
 	return d + jitter
 }
 
-// runRetry drives attempts of runOnce under the retry policy,
-// re-dialing (and, via Respawn, replacing) workers between attempts.
-func runRetry(ctx context.Context, addrs []string, job Job, opts CoordOptions, tr *spanLog) (*kmachine.Result, int, error) {
-	opts = opts.withDefaults()
-	pol := opts.Retry
-	var firstFail time.Time
-	for attempt := 1; ; attempt++ {
-		res, n, err := runOnce(ctx, addrs, job, opts, tr)
-		if err == nil {
-			if attempt > 1 {
-				recoveryHistogram().Observe(time.Since(firstFail).Seconds())
-			}
-			return res, n, nil
+// again decides, after the attempt-th try failed with cause, whether to
+// try once more: nil after Respawn (which may replace *addrs) and the
+// backoff, or the error that ends the job — cause itself when the attempts
+// are spent or it is not a lost worker (crash, stall, desync): a malformed
+// job or an unreadable source fails identically every time, so it fails
+// fast.
+func (p RetryPolicy) again(ctx context.Context, attempt int, cause error, addrs *[]string) error {
+	if ctx.Err() != nil || attempt >= p.Attempts || !errors.Is(cause, transport.ErrLinkDown) {
+		return cause
+	}
+	retriesCounter().Inc()
+	if p.Respawn != nil {
+		replacement, err := p.Respawn(ctx, attempt, cause, *addrs)
+		if err != nil {
+			return err
 		}
-		if ctx.Err() != nil || attempt >= pol.Attempts || !retryable(err) {
-			return nil, 0, err
+		if replacement != nil {
+			*addrs = replacement
 		}
-		if firstFail.IsZero() {
-			firstFail = time.Now()
-		}
-		retriesCounter().Inc()
-		if pol.Respawn != nil {
-			replacement, rerr := pol.Respawn(ctx, attempt, err, addrs)
-			if rerr != nil {
-				return nil, 0, rerr
-			}
-			if replacement != nil {
-				addrs = replacement
-			}
-		}
-		t := time.NewTimer(pol.delay(attempt))
-		select {
-		case <-t.C:
-		case <-ctx.Done():
-			t.Stop()
-			return nil, 0, ctx.Err()
-		}
+	}
+	t := time.NewTimer(p.delay(attempt))
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
 	}
 }
 

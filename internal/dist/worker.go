@@ -11,8 +11,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"kmgraph/internal/core"
 	"kmgraph/internal/kmachine"
+	"kmgraph/internal/resident"
 	"kmgraph/internal/transport"
 	"kmgraph/internal/transport/tcp"
 	"kmgraph/internal/wire"
@@ -46,9 +46,9 @@ func (o WorkerOptions) withDefaults() WorkerOptions {
 
 // Worker serves distributed k-machine jobs: it accepts control
 // connections carrying job specs and peer connections opening transport
-// links, routes each by its first frame, and runs one engine instance
-// per job over the hosted machine range the spec assigns it. Jobs are
-// independent — a worker serves concurrent jobs from different
+// links, routes each by its first frame, and keeps one residency per
+// control connection over the hosted machine range the spec assigns it.
+// Jobs are independent — a worker serves concurrent jobs from different
 // coordinators, each with its own mesh keyed by cluster ID.
 type Worker struct {
 	ln   net.Listener
@@ -56,13 +56,12 @@ type Worker struct {
 
 	mu     sync.Mutex
 	meshes map[uint64]*meshInbox
-	active map[uint64]*jobState // in-flight jobs by serial
-	serial uint64
+	active map[*jobState]bool // in-flight jobs
 
 	drainOnce sync.Once
-	abortOnce sync.Once
-	closed    chan struct{} // stop accepting (drain or close)
-	aborted   chan struct{} // cancel in-flight jobs (close only)
+	closed    chan struct{}   // stop accepting (drain or close)
+	aborted   context.Context // cancelled to abort in-flight jobs (close only)
+	abort     context.CancelFunc
 	wg        sync.WaitGroup
 }
 
@@ -71,8 +70,7 @@ type Worker struct {
 type JobStatus struct {
 	ClusterID uint64
 	TraceID   uint64 // 0 when the coordinator is not tracing
-	Kind      Kind
-	Lo, Hi    int // hosted machine range
+	Lo, Hi    int    // hosted machine range
 	Rounds    uint64
 	Started   time.Time
 }
@@ -81,14 +79,10 @@ type JobStatus struct {
 // cluster pointer is set once the engine exists; heartbeats and Jobs()
 // snapshot live round counts through it.
 type jobState struct {
-	clusterID uint64
-	traceID   uint64
-	kind      Kind
-	lo, hi    int
-	started   time.Time
-	cluster   atomic.Pointer[kmachine.Cluster]
-	seen      atomic.Uint64                          // the last live round count
-	spans     atomic.Pointer[transport.SpanRecorder] // set for traced jobs
+	JobStatus
+	cluster atomic.Pointer[kmachine.Cluster]
+	seen    atomic.Uint64                          // the last live round count
+	spans   atomic.Pointer[transport.SpanRecorder] // set for traced jobs
 }
 
 // rounds reports the job's live round count: 0 before the engine starts,
@@ -125,14 +119,10 @@ type meshInbox struct {
 
 // NewWorker wraps a listener. Call Serve to start accepting.
 func NewWorker(ln net.Listener, opts WorkerOptions) *Worker {
-	return &Worker{
-		ln:      ln,
-		opts:    opts.withDefaults(),
-		meshes:  make(map[uint64]*meshInbox),
-		active:  make(map[uint64]*jobState),
-		closed:  make(chan struct{}),
-		aborted: make(chan struct{}),
-	}
+	w := &Worker{ln: ln, opts: opts.withDefaults(), meshes: make(map[uint64]*meshInbox),
+		active: make(map[*jobState]bool), closed: make(chan struct{})}
+	w.aborted, w.abort = context.WithCancel(context.Background())
+	return w
 }
 
 // Addr returns the listener address (dialable by coordinator and peers).
@@ -160,14 +150,15 @@ func (w *Worker) Serve() error {
 // finish their connection handling.
 func (w *Worker) Close() error {
 	w.stopAccepting()
-	w.abortOnce.Do(func() { close(w.aborted) })
+	w.abort()
 	w.wg.Wait()
 	return nil
 }
 
 // Drain stops accepting new connections but lets in-flight jobs run to
-// completion. It returns nil once the worker is idle; if ctx expires
-// first, the remaining jobs are aborted (as Close would) and ctx's
+// completion: each residency to the end of the command sent to it, then
+// no further. It returns nil once the worker is idle; if ctx
+// expires first, the remaining jobs are aborted (as Close would) and ctx's
 // error is returned after they unwind. A job still forming its mesh
 // when Drain fires cannot complete (the listener no longer routes peer
 // links) and fails with its mesh timeout.
@@ -182,7 +173,7 @@ func (w *Worker) Drain(ctx context.Context) error {
 	case <-idle:
 		return nil
 	case <-ctx.Done():
-		w.abortOnce.Do(func() { close(w.aborted) })
+		w.abort()
 		<-idle
 		return ctx.Err()
 	}
@@ -201,53 +192,33 @@ func (w *Worker) stopAccepting() {
 func (w *Worker) Jobs() []JobStatus {
 	w.mu.Lock()
 	states := make([]*jobState, 0, len(w.active))
-	for _, st := range w.active {
+	for st := range w.active {
 		states = append(states, st)
 	}
 	w.mu.Unlock()
-	sort.Slice(states, func(i, j int) bool { return states[i].started.Before(states[j].started) })
+	sort.Slice(states, func(i, j int) bool { return states[i].Started.Before(states[j].Started) })
 	out := make([]JobStatus, len(states))
 	for i, st := range states {
-		out[i] = JobStatus{
-			ClusterID: st.clusterID,
-			TraceID:   st.traceID,
-			Kind:      st.kind,
-			Lo:        st.lo,
-			Hi:        st.hi,
-			Rounds:    st.rounds(),
-			Started:   st.started,
-		}
+		out[i] = st.JobStatus
+		out[i].Rounds = st.rounds()
 	}
 	return out
 }
 
-func (w *Worker) registerJob(job *Job) (uint64, *jobState) {
-	me := job.Workers[job.Index]
-	st := &jobState{
-		clusterID: job.ClusterID,
-		traceID:   job.TraceID,
-		kind:      job.Kind,
-		lo:        me.Lo,
-		hi:        me.Hi,
-		started:   time.Now(),
+// track registers a job's supervision record (on), or retires it.
+func (w *Worker) track(st *jobState, on bool) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if on {
+		w.active[st] = true
+	} else {
+		delete(w.active, st)
 	}
-	w.mu.Lock()
-	w.serial++
-	id := w.serial
-	w.active[id] = st
-	w.mu.Unlock()
-	return id, st
-}
-
-func (w *Worker) unregisterJob(id uint64) {
-	w.mu.Lock()
-	delete(w.active, id)
-	w.mu.Unlock()
 }
 
 // route reads a connection's first frame and dispatches: a Hello opens
 // a peer link (parked on its cluster's mesh inbox until the job claims
-// it), a Job runs a job with this connection as the control channel.
+// it), a Job serves a job with this connection as the control channel.
 func (w *Worker) route(conn net.Conn) {
 	defer w.wg.Done()
 	conn.SetReadDeadline(time.Now().Add(30 * time.Second))
@@ -278,7 +249,7 @@ func (w *Worker) route(conn net.Conn) {
 			conn.Close()
 			return
 		}
-		w.runJob(conn, job)
+		w.serve(conn, job)
 	default:
 		conn.Close()
 	}
@@ -325,67 +296,97 @@ func drainInbox(ch chan inboundPeer) {
 	}
 }
 
-// runJob executes one job with conn as the control channel: the result
-// (or error) frame goes back on it, and the job aborts if the
-// coordinator hangs up.
-func (w *Worker) runJob(conn net.Conn, job *Job) {
+// serve hosts one job with conn as its control connection: its machines
+// stay resident — mesh, cluster, shards, kept state — for exactly as long
+// as conn is open, each command frame that follows the spec is one run of
+// them, answered by a result frame, and a failure ends the residency with
+// an error frame (a drain, between commands).
+func (w *Worker) serve(conn net.Conn, job *Job) {
 	defer conn.Close()
-	id, st := w.registerJob(job)
-	defer w.unregisterJob(id)
-	ctx, cancel := context.WithCancel(context.Background())
+	me := job.Workers[job.Index]
+	st := &jobState{JobStatus: JobStatus{ClusterID: job.ClusterID, TraceID: job.TraceID, Lo: me.Lo, Hi: me.Hi, Started: time.Now()}}
+	w.track(st, true)
+	defer w.track(st, false)
+	// An aborting worker (Close, or an expired Drain) cancels its jobs; a
+	// plain Drain lets the run in flight finish.
+	ctx, cancel := context.WithCancel(w.aborted)
 	defer cancel()
-	// The coordinator stays silent until the job ends; any frame (Bye =
-	// explicit cancel) or a closed connection aborts the job.
-	go func() {
-		var buf []byte
-		for {
-			if _, _, err := tcp.ReadFrame(conn, &buf); err != nil {
-				cancel()
-				return
-			}
-		}
-	}()
-	go func() {
-		// An aborting worker (Close, or an expired Drain) cancels its
-		// jobs; a plain Drain lets them finish.
-		select {
-		case <-w.aborted:
-			cancel()
-		case <-ctx.Done():
-		}
-	}()
+	cmds := make(chan command, 1)
+	go control(ctx, conn, cmds, cancel)
 
-	// Heartbeats flow from job start (mesh formation and shard loading
-	// count as liveness too). The beater is stopped before the result
-	// write so the control connection has a single writer at a time.
-	hbStop := make(chan struct{})
-	hbDone := make(chan struct{})
-	if iv := w.opts.HeartbeatInterval; iv > 0 {
-		go w.heartbeat(conn, st, iv, hbStop, hbDone, cancel)
-	} else {
-		close(hbDone)
+	// Heartbeats flow while the worker is busy (opening or running), and
+	// stop before each answer, so the connection has one writer at a time.
+	stop := w.beat(conn, st, cancel)
+	r, err := w.open(ctx, job, st)
+	if err == nil {
+		defer r.close()
 	}
-
-	body, err := w.execute(ctx, job, st)
-	close(hbStop)
-	<-hbDone
-	if err != nil {
-		// A job this worker aborted by shutting down is a lost worker
-		// from the coordinator's point of view: report it as link-down
-		// so the failure classifies as retryable, not as a bad job.
-		select {
-		case <-w.aborted:
-			if !errors.Is(err, transport.ErrLinkDown) {
+	var body []byte
+	for {
+		stop()
+		if err != nil {
+			// A job this worker aborted by shutting down is a lost worker
+			// from the coordinator's point of view: report it as link-down,
+			// so the failure classifies as retryable, not as a bad job.
+			if w.aborted.Err() != nil && !errors.Is(err, transport.ErrLinkDown) {
 				err = &transport.LinkDownError{Peer: -1, Reason: transport.ReasonCrash,
 					Err: fmt.Errorf("dist: worker shutting down: %w", err)}
 			}
-		default:
+			w.logFailure(job, err)
+			writeError(conn, err)
+			return
 		}
-		w.logFailure(job, err)
-		writeError(conn, err)
-		return
+		if body != nil {
+			tcp.WriteFrame(conn, tcp.FrameResult, body)
+		}
+		var c command
+		select {
+		case c = <-cmds:
+		case <-ctx.Done():
+			return
+		case <-w.closed:
+			if len(cmds) == 0 { // a drain lets a command already sent run
+				return
+			}
+			c = <-cmds
+		}
+		stop = w.beat(conn, st, cancel)
+		body, err = r.run(ctx, c)
 	}
-	tcp.WriteFrame(conn, tcp.FrameResult, body)
+}
+
+// command is a command frame, with the flag a Bye that follows it sets.
+type command struct {
+	body      []byte
+	cancelled *atomic.Bool
+}
+
+// control reads the coordinator's frames until conn closes. Each command
+// frame is the next command, with a fresh cancel flag that a following Bye
+// sets — the machines agree on it through PhaseSync and stop at the same
+// phase boundary. Anything else, and the connection's end, cancels ctx.
+func control(ctx context.Context, conn net.Conn, cmds chan<- command, cancel context.CancelFunc) {
+	defer cancel()
+	var buf []byte
+	var flag *atomic.Bool
+	for {
+		t, body, err := tcp.ReadFrame(conn, &buf)
+		switch {
+		case err != nil:
+			return
+		case t == tcp.FrameJob:
+			flag = &atomic.Bool{}
+			select {
+			case cmds <- command{body: append([]byte(nil), body...), cancelled: flag}:
+			case <-ctx.Done():
+				return
+			}
+		case t == tcp.FrameBye && flag != nil:
+			flag.Store(true)
+		default:
+			return
+		}
+	}
 }
 
 // logFailure emits a structured record for a failed job. Link-down
@@ -397,11 +398,7 @@ func (w *Worker) logFailure(job *Job, err error) {
 	if lg == nil {
 		return
 	}
-	attrs := []any{
-		slog.String("cluster", fmt.Sprintf("%#x", job.ClusterID)),
-		slog.String("kind", job.Kind.String()),
-		slog.Int("worker", job.Index),
-	}
+	attrs := []any{slog.String("cluster", fmt.Sprintf("%#x", job.ClusterID)), slog.Int("worker", job.Index)}
 	var ld *transport.LinkDownError
 	if errors.As(err, &ld) {
 		attrs = append(attrs,
@@ -418,135 +415,141 @@ func (w *Worker) logFailure(job *Job, err error) {
 	lg.Error("dist: job failed", attrs...)
 }
 
-// heartbeat writes a liveness beat on the control connection every
-// interval until stopped. A failed write means the coordinator is gone:
-// the job is cancelled rather than left running unobserved.
-func (w *Worker) heartbeat(conn net.Conn, st *jobState, interval time.Duration,
-	stop <-chan struct{}, done chan<- struct{}, cancel context.CancelFunc) {
-	defer close(done)
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
-	var buf []byte
-	for {
-		select {
-		case <-stop:
-			return
-		case <-tick.C:
-			buf = tcp.AppendFrame(buf[:0], tcp.FrameHeartbeat,
-				appendHeartbeat(nil, st.clusterID, st.rounds(), st.drainSpans(maxSpanBatch)))
-			// Not less than a second: at a millisecond interval (tests) the
-			// deadline can pass between setting it and the write being
-			// scheduled, and a failed beat cancels the job.
-			conn.SetWriteDeadline(time.Now().Add(max(interval, time.Second)))
-			if _, err := conn.Write(buf); err != nil {
-				cancel()
+// beat writes a liveness beat on conn every heartbeat interval until stop.
+// A failed write means the coordinator is gone: cancel the job.
+func (w *Worker) beat(conn net.Conn, st *jobState, cancel context.CancelFunc) (stop func()) {
+	interval := w.opts.HeartbeatInterval
+	if interval <= 0 {
+		return func() {}
+	}
+	halt, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		tick := time.NewTicker(interval)
+		defer tick.Stop()
+		var buf []byte
+		for {
+			select {
+			case <-halt:
 				return
+			case <-tick.C:
+				buf = tcp.AppendFrame(buf[:0], tcp.FrameHeartbeat,
+					appendHeartbeat(nil, st.ClusterID, st.rounds(), st.drainSpans(maxSpanBatch)))
+				// Not less than a second: at a millisecond interval (tests) the
+				// deadline can pass between setting it and the write being
+				// scheduled, and a failed beat cancels the job.
+				conn.SetWriteDeadline(time.Now().Add(max(interval, time.Second)))
+				if _, err := conn.Write(buf); err != nil {
+					cancel()
+					return
+				}
 			}
 		}
+	}()
+	return func() {
+		close(halt)
+		<-done
 	}
 }
 
-// execute runs the job's hosted slice and returns the encoded result
-// frame body. The engine is published into st once it exists, so
-// heartbeats carry live round counts.
-func (w *Worker) execute(ctx context.Context, job *Job, st *jobState) ([]byte, error) {
-	me := job.Workers[job.Index]
-	lo, hi := me.Lo, me.Hi
-	k := job.K()
-	base := job.config()
+// residency is what a worker keeps of a job while its control connection
+// is open: its machine range of the residency, and what a traced run needs.
+type residency struct {
+	lo, hi int
+	part   *kmachine.ShardPartition
+	ms     *resident.Machines
+	peers  []*tcp.Peer // the mesh, until the transport takes it
+	flight *transport.FlightRecorder
+	st     *jobState
+	traced bool
+	rounds int // the cluster's rounds after the last run
+}
 
+// open forms the job's mesh, loads this worker's range of the graph from
+// the job's source — refusing a k beyond n before anything is sized by k —
+// and builds the cluster its machines run on, published into st so that
+// heartbeats carry live round counts.
+func (w *Worker) open(ctx context.Context, job *Job, st *jobState) (*residency, error) {
+	me := job.Workers[job.Index]
 	peers, err := w.formMesh(ctx, job)
 	if err != nil {
 		return nil, fmt.Errorf("dist: forming mesh: %w", err)
 	}
-	peersOwned := true // until the transport takes them
-	defer func() {
-		if peersOwned {
-			for _, p := range peers {
-				p.Close()
-			}
-		}
-	}()
-
+	r := &residency{lo: me.Lo, hi: me.Hi, peers: peers, st: st, traced: job.TraceID != 0}
 	src, closer, err := OpenJobSource(job.Source)
+	if err == nil {
+		r.part, err = resident.Load(src, job.Config, me.Lo, me.Hi)
+		closer.Close()
+	}
+	if err == nil {
+		r.ms, err = resident.NewMachines(r.part, job.Config, func(p transport.Params, met *transport.Metrics) (transport.Transport, error) {
+			tr, err := tcp.New(p, met, r.lo, r.hi, r.peers)
+			if err == nil {
+				r.peers, r.flight = nil, tr.Flight()
+			}
+			return tr, err
+		})
+	}
 	if err != nil {
+		r.close()
 		return nil, err
 	}
-	pseed := uint64(base.Seed) ^ 0x9e37
-	part, err := kmachine.LoadShardsRange(src, k, func(v int) int { return kmachine.HomeOf(pseed, k, v) }, lo, hi)
-	closer.Close()
-	if err != nil {
-		return nil, err
-	}
-	n := part.N()
+	st.cluster.Store(r.ms.Cluster())
+	return r, nil
+}
 
-	// Traced jobs record phase spans: the engine's phase hook (on the
-	// lowest hosted machine) marks each phase boundary, annotated with
-	// local wire-traffic and barrier-wait deltas read from the tcp
-	// transport's flight recorder. The heartbeat loop streams the spans
-	// back in bounded batches; the remainder rides the result frame.
+// run runs one command frame as one run of the residency's cluster and
+// encodes its result frame body: the hosted range, this worker's partial
+// Metrics, its machines' outputs and, traced, the spans
+// the heartbeats have not carried — the trailing sync span sealed, so that
+// they telescope to the run's rounds.
+func (r *residency) run(ctx context.Context, c command) ([]byte, error) {
+	// A traced run records phase spans: the phase hook of the lowest hosted
+	// machine marks each phase boundary, annotated with local wire traffic
+	// and barrier wait from the transport's flight recorder.
 	var rec *transport.SpanRecorder
-	var flight *transport.FlightRecorder // set by the transport factory below
-	if job.TraceID != 0 {
+	var hook func(phase, round int)
+	if r.traced {
 		rec = transport.NewSpanRecorder(func() (int64, int64, int64) {
-			if flight == nil {
+			if r.flight == nil {
 				return 0, 0, 0
 			}
-			_, fr, by, wait := flight.Totals()
+			_, fr, by, wait := r.flight.Totals()
 			return fr, by, wait
-		})
-		st.spans.Store(rec)
+		}, r.rounds)
+		r.st.spans.Store(rec)
+		hook = rec.Hook()
 	}
-
-	// A decoded job carries the shared configuration in both Conn and
-	// MST.Config, so one resolution serves either kind.
-	cfg := job.MST.WithDefaults(n)
-	if rec != nil {
-		cfg.PhaseHook, cfg.PhaseHookID = rec.Hook(), lo
-	}
-	handler := core.ConnectivityHandler(part.Shard, cfg.Config)
-	if job.Kind == KindMST {
-		handler = core.MSTHandler(part.Shard, cfg)
-	}
-
-	cluster, err := kmachine.NewWithTransport(cfg.MachineConfig(), func(p transport.Params, met *transport.Metrics) (transport.Transport, error) {
-		tr, err := tcp.New(p, met, lo, hi, peers)
-		if err == nil {
-			peersOwned = false
-			flight = tr.Flight()
-		}
-		return tr, err
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer cluster.Close() // the peer links; a cancelled job's peers abort on seeing them go
-	st.cluster.Store(cluster)
-	kres, err := cluster.RunContext(ctx, handler)
+	res, err := r.ms.Run(ctx, c.body, c.cancelled.Load, hook)
 	if err != nil {
 		return nil, err
 	}
 	var tail []transport.PhaseSpan
 	if rec != nil {
-		// Seal the trailing sync span so per-worker span rounds
-		// telescope exactly to the merged Metrics.Rounds, then flush
-		// whatever the heartbeats have not yet carried.
-		rec.Finish(kres.Metrics.Rounds)
+		rec.Finish(res.Metrics.Rounds)
 		tail = rec.Drain(0)
 	}
-
-	body := wire.AppendUvarint(nil, uint64(n))
-	body = wire.AppendUvarint(body, uint64(lo))
-	body = wire.AppendUvarint(body, uint64(hi))
-	body = transport.AppendMetrics(body, &kres.Metrics)
-	for id := lo; id < hi; id++ {
-		body, err = core.AppendOutput(body, kres.Outputs[id])
-		if err != nil {
+	r.rounds = res.Metrics.Rounds
+	body := wire.AppendInts(nil, r.lo, r.hi)
+	body = transport.AppendMetrics(body, &res.Metrics)
+	for id := r.lo; id < r.hi; id++ {
+		if body, err = resident.AppendOutput(body, res.Outputs[id]); err != nil {
 			return nil, err
 		}
 	}
-	body = appendSpans(body, tail)
-	return body, nil
+	return appendSpans(body, tail), nil
+}
+
+// close ends the residency: the machines' kept state, the cluster's peer
+// links (a peer whose residency goes on aborts on seeing them go), and any
+// mesh link no transport took.
+func (r *residency) close() {
+	if r.ms != nil {
+		r.ms.Close()
+	}
+	for _, p := range r.peers {
+		p.Close()
+	}
 }
 
 // formMesh establishes this worker's peer links: dial every lower-index
@@ -554,7 +557,7 @@ func (w *Worker) execute(ctx context.Context, job *Job, st *jobState) ([]byte, e
 // listener via the cluster's mesh inbox).
 func (w *Worker) formMesh(ctx context.Context, job *Job) ([]*tcp.Peer, error) {
 	me := job.Workers[job.Index]
-	base := job.config()
+	base := job.Config
 	ours := &tcp.Hello{
 		ClusterID:           job.ClusterID,
 		K:                   base.K,

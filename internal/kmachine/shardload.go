@@ -310,6 +310,9 @@ func (p *ShardPartition) N() int { return p.n }
 // M returns the edge count of the streamed graph.
 func (p *ShardPartition) M() int { return p.m }
 
+// Range returns the hosted machine range [lo, hi).
+func (p *ShardPartition) Range() (lo, hi int) { return p.lo, p.hi }
+
 // Shard returns machine i's shard; i must be in the hosted range.
 func (p *ShardPartition) Shard(i int) *Shard {
 	if i < p.lo || i >= p.hi {

@@ -345,7 +345,7 @@ func TestColdQueryKeepsNoSumsForSingletons(t *testing.T) {
 	}
 	assertMatchesOracle(t, g, q)
 	b = e.Metrics().Banks
-	cells := e.ccfg.Sketch.Cells()
+	cells := e.local.ccfg.Sketch.Cells()
 	if limit := q.Phases * (2 * g.M() / cells); b.KeptSums == 0 || b.KeptSums > limit {
 		t.Fatalf("kept sums = %d after %d phases, want 1..%d (half-edges/Cells() per bank read)", b.KeptSums, q.Phases, limit)
 	}

@@ -26,7 +26,7 @@ const (
 )
 
 // runSpec describes one derived-view connectivity run. It travels on the
-// control plane (command broadcast): subgraph membership is local
+// control plane (a cmdDerived command): subgraph membership is local
 // knowledge — every machine knows which of its vertices' incident edges
 // are in H.
 type runSpec struct {
@@ -131,7 +131,7 @@ func (m *rmachine) derive(spec *runSpec) *kmachine.Shard {
 // doubles the vertex universe, so sketch dimensions and the phase cap
 // scale exactly as a run on the cover graph itself would size them.
 func (m *rmachine) runConfig(spec *runSpec) core.Config {
-	cfg := m.ccfg
+	cfg := m.h.ccfg
 	if spec.kind == viewCover {
 		cfg.Sketch.N = 2 * m.view.N()
 		cfg.Sketch.Levels += 2

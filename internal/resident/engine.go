@@ -1,7 +1,9 @@
 package resident
 
 import (
+	"cmp"
 	"context"
+	"errors"
 	"sync"
 	"sync/atomic"
 
@@ -9,36 +11,34 @@ import (
 	"kmgraph/internal/graph"
 	"kmgraph/internal/kmachine"
 	"kmgraph/internal/mincut"
+	"kmgraph/internal/transport"
 	"kmgraph/internal/verify"
 )
 
 // Engine is a resident k-machine cluster: the graph is loaded and
-// partitioned once at New, then every algorithm family runs as a job
-// against the residency. Jobs are serialized through an admission
-// semaphore, so an Engine is safe for concurrent use; callers queue in
-// submission order and a queued caller whose context is cancelled never
-// runs.
+// partitioned once, then every algorithm family runs as a job against the
+// residency. Its machines are its own (New, NewFromSource) or a kmworker
+// fleet's (NewRemote); nothing else about it depends on which. Jobs are
+// serialized through an admission semaphore, so an Engine is safe for
+// concurrent use; callers queue in submission order and a queued caller
+// whose context is cancelled never runs.
 type Engine struct {
-	cfg    Config
-	ccfg   core.Config
-	n      int
-	k      int
-	banksN int
+	cfg  Config
+	n, k int
 
-	// The residency: the cluster (each machine's Ctx, the link queues, the
-	// cumulative Metrics) and one rmachine of kept state per machine. Every
-	// command is one ordinary run of the cluster over them; between
-	// commands they are memory and nothing else.
-	kc *kmachine.Cluster
-	ms []*rmachine
+	// The host, exactly one of the two: the machines the engine holds
+	// itself, or the fleet holding them. Every command is one ordinary run
+	// of the host's cluster over the machines' kept state; between commands
+	// they are memory and nothing else.
+	local  *Machines
+	remote Remote
 
 	// sem admits one job at a time; every field below the semaphore is
 	// guarded by holding it (New initializes them before any job can run).
-	sem          chan struct{}
-	closed       bool
-	dead         error // the run error that ended the residency, if one did
-	lastMaxRound int
-	jobSeq       int
+	sem    chan struct{}
+	closed bool
+	dead   error // the run error that ended the residency, if one did
+	jobSeq int
 
 	cancel atomic.Pointer[atomic.Bool] // current job's cancel flag
 
@@ -57,8 +57,9 @@ type Engine struct {
 	// not at all) mid-transition.
 	queued, running int
 
-	// statMu guards the counters surfaced by Metrics, which must be
-	// readable while a job is in flight.
+	// statMu guards the counters surfaced by Metrics (and n, which a
+	// fleet's first load learns), which must be readable while a job is in
+	// flight.
 	statMu      sync.Mutex
 	loadMetrics kmachine.Metrics
 	total       kmachine.Metrics // the cluster's Result.Metrics after the last run
@@ -68,6 +69,9 @@ type Engine struct {
 	edges       int
 	banks       BankMetrics
 }
+
+// errNotOpen is a fleet engine's state until a job opens its residency.
+var errNotOpen = errors.New("resident: residency not open")
 
 // New loads g across a fresh cluster: NewFromSource on the graph's own
 // edge stream.
@@ -85,72 +89,61 @@ func NewFromSource(src graph.EdgeSource, cfg Config) (*Engine, error) { return n
 
 // newOn is NewFromSource with the rounds carried by the transport mk
 // builds (nil: transport/local); tests use it to put a residency on
-// another backend. No answer or cost depends on it. The load is the first
-// command, in which every machine adopts its shard.
+// another backend. No answer or cost depends on it.
 func newOn(src graph.EdgeSource, cfg Config, mk kmachine.TransportMaker) (*Engine, error) {
-	n := src.N()
-	if err := validConfig(n, cfg); err != nil {
-		return nil, err
-	}
-	part, err := kmachine.LoadShards(src, cfg.K, uint64(cfg.Seed)^0x9e37)
+	part, err := Load(src, cfg, 0, cfg.K)
 	if err != nil {
 		return nil, err
 	}
-	ccfg := cfg.coreConfig(n)
-	banksN := cfg.Banks
-	if banksN <= 0 {
-		banksN = defaultBanks(n)
-	}
-	kc, err := kmachine.NewWithTransport(ccfg.MachineConfig(), mk)
+	h, err := NewMachines(part, cfg, mk)
 	if err != nil {
 		return nil, err
 	}
-
-	e := &Engine{
-		cfg:    cfg,
-		ccfg:   ccfg,
-		n:      n,
-		k:      ccfg.K,
-		banksN: banksN,
-		kc:     kc,
-		ms:     make([]*rmachine, ccfg.K),
-		sem:    make(chan struct{}, 1),
-		edges:  part.M(),
-	}
-	_, _, err = e.run(func(ctx *kmachine.Ctx) error {
-		view := part.Shard(ctx.ID())
-		m := &rmachine{
-			e:      e,
-			ctx:    ctx,
-			mg:     core.NewMerger(ctx, view, ccfg),
-			view:   view,
-			ccfg:   ccfg,
-			banksN: banksN,
-		}
-		e.ms[ctx.ID()] = m
-		return m.load()
-	})
-	if err != nil {
-		kc.Close()
+	e := &Engine{cfg: cfg, n: part.N(), k: cfg.K, local: h, sem: make(chan struct{}, 1)}
+	if err := e.load(context.Background()); err != nil {
+		h.Close()
 		return nil, err
 	}
-	e.loadMetrics = e.total
-	loadEv := Event{Job: "load", Seq: 0, Phase: -1, Round: e.lastMaxRound, Done: true}
-	if cfg.PhaseMetrics {
-		snap := e.loadMetrics
-		loadEv.Snap = &snap
-		delta := kmachine.Metrics{Rounds: snap.Rounds, Messages: snap.Messages, PayloadBytes: snap.PayloadBytes}
-		loadEv.Delta = &delta
-	}
-	e.notify(loadEv)
 	return e, nil
 }
 
+// NewRemote returns an engine whose machines r hosts in other processes
+// (internal/dist's kmworker fleet) for a graph of n vertices — or, n = 0,
+// of a count the load learns (and k's own bounds are all there is to check
+// before it). Nothing runs until the first job, which opens the residency.
+func NewRemote(cfg Config, n int, r Remote) (*Engine, error) {
+	if err := validConfig(cmp.Or(n, cfg.K), cfg); err != nil {
+		return nil, err
+	}
+	return &Engine{cfg: cfg, n: n, k: cfg.K, remote: r, dead: errNotOpen, sem: make(chan struct{}, 1)}, nil
+}
+
+// load opens the residency — on a fleet, a fresh one from the immutable
+// source — with its first command, in which every machine adopts its shard
+// and the shared randomness is set up. Its cost is Metrics().Load.
+func (e *Engine) load(ctx context.Context) error {
+	outs, _, err := e.exec(&jobToken{e: e, ctx: ctx}, &command{kind: cmdLoad})
+	if err != nil {
+		return err
+	}
+	e.statMu.Lock()
+	e.n, e.edges, e.loadMetrics = outs[0].n, outs[0].m, e.total
+	e.statMu.Unlock()
+	ev := Event{Job: "load", Seq: 0, Phase: -1, Round: e.total.Rounds, Done: true}
+	if e.cfg.PhaseMetrics {
+		snap := e.loadMetrics
+		ev.Snap = &snap
+		ev.Delta = &kmachine.Metrics{Rounds: snap.Rounds, Messages: snap.Messages, PayloadBytes: snap.PayloadBytes}
+	}
+	e.notify(ev)
+	return nil
+}
+
 // notify delivers an event to the user Observer. The callback runs on
-// engine goroutines (machine 0 for phase events, the submitter for job
-// events), so a panic out of it would otherwise take the whole cluster
-// down; instead it is recovered here, counted, and latched so the
-// current job fails with ErrObserverPanic.
+// engine goroutines (the lowest machine's, or a fleet's control link, for
+// phase events; the submitter for job events), so a panic out of it would
+// otherwise take the whole cluster down; instead it is recovered here,
+// counted, and latched so the current job fails with ErrObserverPanic.
 func (e *Engine) notify(ev Event) {
 	if e.cfg.Observer == nil {
 		return
@@ -165,52 +158,79 @@ func (e *Engine) notify(ev Event) {
 }
 
 // jobCancelled reports whether the currently running job has been asked to
-// stop; resident machines poll it through PhaseSync's collectives.
+// stop; the engine's own machines poll it through PhaseSync's collectives
+// (a fleet's hear it from Remote.Run's context).
 func (e *Engine) jobCancelled() bool {
 	p := e.cancel.Load()
 	return p != nil && p.Load()
 }
 
-// run executes one command — h over the machines' kept state — as one
-// ordinary run of the cluster, and returns the machines' outputs plus the
-// cluster-round delta it cost. A run that fails ends the residency: the
-// machines are wherever the failure caught them, so this command and
-// every later one return its error.
-func (e *Engine) run(h kmachine.Handler) ([]any, int, error) {
-	if e.dead != nil {
-		return nil, 0, e.dead
+// exec runs c on every machine as one run of the host for job t and
+// returns the machines' outputs with the rounds the run cost. A run that
+// fails ends the residency: its error is latched.
+func (e *Engine) exec(t *jobToken, c *command) ([]*output, int, error) {
+	var res *kmachine.Result
+	var err error
+	if e.remote != nil {
+		var workers []transport.WorkerSpans
+		res, workers, err = e.remote.Run(t.ctx, appendCommand(nil, c), t.phases())
+		t.addWorkers(workers)
+	} else {
+		res, err = e.local.run(context.Background(), c, e.jobCancelled, t.phases())
 	}
-	res, err := e.kc.Run(h)
 	if err != nil {
 		e.dead = err
 		return nil, 0, err
 	}
-	maxR := e.lastMaxRound
+	outs := make([]*output, len(res.Outputs))
 	var banks BankMetrics
-	for _, m := range e.ms {
-		if r := m.ctx.Round(); r > maxR {
-			maxR = r
-		}
-		banks.add(m.banks.stats)
-		banks.PoolPeak += m.mg.Pool().Peak()
+	for i, o := range res.Outputs {
+		outs[i] = o.(*output)
+		banks.add(outs[i].banks)
 	}
-	banks.KeptBytes = int64(banks.KeptSums) * int64(e.ccfg.Sketch.Cells()) * cellBytes
+	rounds := res.Metrics.Rounds - e.total.Rounds
 	e.statMu.Lock()
-	e.banks = banks
-	e.total = res.Metrics
+	e.banks, e.total = banks, res.Metrics
 	e.statMu.Unlock()
-	delta := maxR - e.lastMaxRound
-	e.lastMaxRound = maxR
-	return res.Outputs, delta, nil
+	return outs, rounds, nil
 }
 
-// command is run for a program over one machine's kept state whose return
-// value is that machine's output.
-func (e *Engine) command(prog func(m *rmachine) any) ([]any, int, error) {
-	return e.run(func(ctx *kmachine.Ctx) error {
-		ctx.SetOutput(prog(e.ms[ctx.ID()]))
-		return nil
-	})
+// ready returns the error that ended the residency, if one did, for job t
+// to fail with — except on a fleet while the epoch is 0, with nothing lost:
+// the residency (re)opens from the immutable source, at once when a job
+// finds it not open or lost, and after a lost worker (ErrLinkDown) fails an
+// attempt of the job as often as the fleet's retry policy allows.
+func (e *Engine) ready(t *jobToken, failed bool) error {
+	for e.dead != nil && e.remote != nil && e.epoch.Load() == 0 {
+		if failed {
+			if !errors.Is(e.dead, transport.ErrLinkDown) {
+				break
+			}
+			if err := e.remote.Retry(t.ctx, t.attempt, e.dead); err != nil {
+				return err
+			}
+			t.attempt++
+		}
+		failed = true
+		if e.dead = e.load(t.ctx); e.dead == nil {
+			t.before, t.workers = e.total, nil
+		}
+	}
+	return e.dead
+}
+
+// run executes command c of job t — on a fleet's reopened residency when
+// ready reopens a lost one — and returns the outputs and the rounds it cost.
+func (e *Engine) run(t *jobToken, c *command) ([]*output, int, error) {
+	for {
+		outs, rounds, err := e.exec(t, c)
+		if err == nil {
+			return outs, rounds, nil
+		}
+		if err := e.ready(t, true); err != nil {
+			return nil, 0, err
+		}
+	}
 }
 
 // jobToken is the admission record of one running job.
@@ -220,15 +240,19 @@ type jobToken struct {
 	seq       int
 	ctx       context.Context
 	cancelFn  context.CancelFunc // non-nil when begin applied Config.JobTimeout
-	startR    int
-	epoch     uint64 // graph epoch at admission (stable for read-only jobs)
+	epoch     uint64             // graph epoch at admission (stable for read-only jobs)
 	before    kmachine.Metrics
 	stopWatch chan struct{}
+	attempt   int                     // the job's tries on a fleet so far
+	lastPhase int                     // the round of the last phase boundary reported
+	workers   []transport.WorkerSpans // a fleet's phase spans of the job
 }
 
 // begin admits a job: it waits on the semaphore (honoring ctx while
-// queued), installs the cancellation flag the machines poll, and records
-// the metrics baseline for the job's cost delta.
+// queued), makes the residency ready (a fleet's first job opens it),
+// installs the cancellation flag the machines poll, and records the
+// metrics baseline for the job's cost delta. A job on a residency that a
+// run error ended fails at once, with that error.
 func (e *Engine) begin(ctx context.Context, name string) (*jobToken, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -261,8 +285,6 @@ func (e *Engine) begin(ctx context.Context, name string) (*jobToken, error) {
 	err := ctx.Err()
 	if e.closed {
 		err = ErrClosed
-	} else if e.dead != nil {
-		err = e.dead
 	}
 	if err != nil {
 		<-e.sem
@@ -270,8 +292,9 @@ func (e *Engine) begin(ctx context.Context, name string) (*jobToken, error) {
 	}
 	admitted = true
 	e.jobSeq++
-	t := &jobToken{e: e, name: name, seq: e.jobSeq, ctx: ctx, cancelFn: cancelFn,
-		startR: e.lastMaxRound, epoch: e.epoch.Load()}
+	t := &jobToken{e: e, name: name, seq: e.jobSeq, ctx: ctx, cancelFn: cancelFn, attempt: 1}
+	err = e.ready(t, false)
+	t.epoch = e.epoch.Load()
 	e.statMu.Lock()
 	e.queued--
 	e.running = 1
@@ -292,13 +315,55 @@ func (e *Engine) begin(ctx context.Context, name string) (*jobToken, error) {
 		}()
 	}
 	e.obsTripped.Store(false)
-	startEv := Event{Job: name, Seq: t.seq, Phase: -1, Round: t.startR}
+	startEv := Event{Job: name, Seq: t.seq, Phase: -1, Round: t.before.Rounds}
 	if e.cfg.PhaseMetrics {
 		snap := t.before
 		startEv.Snap = &snap
 	}
 	e.notify(startEv)
+	if err != nil {
+		t.end(err)
+		return nil, err
+	}
 	return t, nil
+}
+
+// phases is job t's phase hook: an observer event per phase boundary,
+// with a metrics snapshot under PhaseMetrics where the machines are the
+// engine's own (served by the coordinator out-of-band: snapshot requests
+// ride the event channel but are not barrier events, so fetching one
+// mid-run cannot wedge the round loop or change any metered quantity). A
+// retry on a fleet replays the boundaries it had reached at the same
+// rounds; each is reported once.
+func (t *jobToken) phases() core.PhaseFunc {
+	e := t.e
+	if e.cfg.Observer == nil {
+		return nil
+	}
+	return func(phase, round int, active, failures uint64) {
+		if round <= t.lastPhase {
+			return
+		}
+		t.lastPhase = round
+		ev := Event{Job: t.name, Seq: t.seq, Phase: phase, Round: round, Active: active, Failures: failures}
+		if e.cfg.PhaseMetrics && e.local != nil {
+			if met, ok := e.local.kc.Snapshot(); ok {
+				ev.Snap = &met
+			}
+		}
+		e.notify(ev)
+	}
+}
+
+// addWorkers appends one run's per-worker span streams to the job's.
+func (t *jobToken) addWorkers(ws []transport.WorkerSpans) {
+	for i, w := range ws {
+		if i < len(t.workers) {
+			t.workers[i].Spans = append(t.workers[i].Spans, w.Spans...)
+		} else {
+			t.workers = append(t.workers, w)
+		}
+	}
 }
 
 // end releases the job: stops the watcher, bumps counters, emits the done
@@ -327,7 +392,7 @@ func (t *jobToken) end(jobErr error) kmachine.Metrics {
 	if jobErr != nil {
 		errStr = jobErr.Error()
 	}
-	doneEv := Event{Job: t.name, Seq: t.seq, Phase: -1, Round: e.lastMaxRound, Done: true, Err: errStr}
+	doneEv := Event{Job: t.name, Seq: t.seq, Phase: -1, Round: after.Rounds, Done: true, Err: errStr, Workers: t.workers}
 	if e.cfg.Observer != nil {
 		// The delta is already computed; handing the observer its own
 		// copy costs one small allocation per job end, never per round.
@@ -346,17 +411,15 @@ func (t *jobToken) end(jobErr error) kmachine.Metrics {
 	return delta
 }
 
-// endOK completes a job that succeeded on its own terms, unless the
-// Observer panicked somewhere during it — then the job fails with
-// ErrObserverPanic instead (the caller's progress stream is incomplete
-// and must not be trusted silently). Returns the job's cost delta and
-// the final job error.
-func (t *jobToken) endOK() (kmachine.Metrics, error) {
-	var jobErr error
-	if t.e.obsTripped.Load() {
-		jobErr = ErrObserverPanic
+// finish ends the job with *err and returns its cost delta — unless it
+// succeeded on its own terms but the Observer panicked somewhere during it:
+// then *err becomes ErrObserverPanic (the result stands, but the caller's
+// progress stream is incomplete and must not be trusted silently).
+func (t *jobToken) finish(err *error) kmachine.Metrics {
+	if *err == nil && t.e.obsTripped.Load() {
+		*err = ErrObserverPanic
 	}
-	return t.end(jobErr), jobErr
+	return t.end(*err)
 }
 
 // cancelErr maps a machine-reported cancellation to the caller's context
@@ -372,11 +435,12 @@ func (t *jobToken) cancelErr() error {
 // out-of-range endpoints are rejected at ingress; duplicate insertions and
 // deletions of absent edges are rejected by the endpoint home machines
 // (and counted), leaving the graph, sketches, and certificate untouched.
-func (e *Engine) ApplyBatch(ctx context.Context, ops []graph.EdgeOp) (*BatchResult, error) {
+func (e *Engine) ApplyBatch(ctx context.Context, ops []graph.EdgeOp) (_ *BatchResult, err error) {
 	t, err := e.begin(ctx, "batch")
 	if err != nil {
 		return nil, err
 	}
+	defer t.finish(&err) // an applied batch stands whatever the observer did
 	clean := make([]graph.EdgeOp, 0, len(ops))
 	invalid := 0
 	for _, op := range ops {
@@ -387,12 +451,11 @@ func (e *Engine) ApplyBatch(ctx context.Context, ops []graph.EdgeOp) (*BatchResu
 		}
 		clean = append(clean, op)
 	}
-	outs, rounds, err := e.command(func(m *rmachine) any { return m.applyBatch(clean) })
+	outs, rounds, err := e.run(t, &command{kind: cmdApply, ops: clean})
 	if err != nil {
-		t.end(err)
 		return nil, err
 	}
-	r0 := outs[0].(*batchOutput)
+	r0 := outs[0].batch
 	e.statMu.Lock()
 	e.batches++
 	e.edges += r0.appliedIns - r0.appliedDel
@@ -402,54 +465,40 @@ func (e *Engine) ApplyBatch(ctx context.Context, ops []graph.EdgeOp) (*BatchResu
 		// stale. A fully-rejected batch leaves the epoch (and caches) alive.
 		e.epoch.Add(1)
 	}
-	epochAfter := e.epoch.Load() // exact: read while still holding the job slot
-	res := &BatchResult{
+	return &BatchResult{
 		Ops:             len(ops),
 		Applied:         r0.applied,
 		RejectedInserts: r0.rejIns,
 		RejectedDeletes: r0.rejDel,
 		RejectedInvalid: invalid,
 		Rounds:          rounds,
-		Epoch:           epochAfter,
-	}
-	if _, oerr := t.endOK(); oerr != nil {
-		// The batch is applied (the result is real); the error reports
-		// the broken observer hook, not a rejected mutation.
-		return res, oerr
-	}
-	return res, nil
+		Epoch:           e.epoch.Load(), // exact: read while still holding the job slot
+	}, nil
 }
 
 // Query answers connectivity on the current graph: component labels, the
 // component count, and a spanning forest, plus this query's incremental
 // cost accounting. A cancelled query returns ctx.Err(); the engine stays
 // consistent and serviceable.
-func (e *Engine) Query(ctx context.Context) (*QueryResult, error) {
+func (e *Engine) Query(ctx context.Context) (_ *QueryResult, err error) {
 	t, err := e.begin(ctx, "connectivity")
 	if err != nil {
 		return nil, err
 	}
-	rs, rounds, err := e.command(func(m *rmachine) any { return m.query(t) })
+	defer t.finish(&err)
+	rs, outs, rounds, err := e.phased(t, &command{kind: cmdQuery})
 	if err != nil {
-		t.end(err)
 		return nil, err
 	}
 	e.statMu.Lock()
 	e.queries++
 	e.statMu.Unlock()
-	outs, cancelled := jobOutputs(rs)
-	if cancelled {
-		err := t.cancelErr()
-		t.end(err)
-		return nil, err
-	}
 	cr, err := core.Assemble(e.n, outs)
 	if cr == nil {
-		t.end(err)
 		return nil, err
 	}
-	q := rs[0].(*jobOutput).query
-	res := &QueryResult{
+	q := rs[0].query
+	return &QueryResult{
 		Labels:            cr.Labels,
 		Components:        q.components,
 		Forest:            q.forest,
@@ -461,26 +510,25 @@ func (e *Engine) Query(ctx context.Context) (*QueryResult, error) {
 		CertificateEdges:  q.certEdges,
 		MergeEdges:        q.mergeEdges,
 		Epoch:             t.epoch,
-	}
-	if err != nil { // ErrNotConverged: the partial answer goes back with it
-		t.end(err)
-		return res, err
-	}
-	if _, oerr := t.endOK(); oerr != nil {
-		return res, oerr
-	}
-	return res, nil
+	}, err // ErrNotConverged: the partial answer goes back with it
 }
 
-// jobOutputs splits one phase-driven job's machine outputs into the
-// per-machine outputs core assembles and whether the job was cancelled
-// (which the machines observe jointly, so any one output carries it).
-func jobOutputs(rs []any) (outs []any, cancelled bool) {
-	outs = make([]any, len(rs))
-	for i, r := range rs {
-		outs[i] = r.(*jobOutput).machine
+// phased is run for a phase-driven command, adding the outputs core
+// assembles — or the caller's context error, when the machines stopped on
+// a cancel request (jointly, so any one output carries it).
+func (e *Engine) phased(t *jobToken, c *command) ([]*output, []any, int, error) {
+	rs, rounds, err := e.run(t, c)
+	if err != nil {
+		return nil, nil, 0, err
 	}
-	return outs, rs[0].(*jobOutput).cancelled
+	if rs[0].cancelled {
+		return nil, nil, 0, t.cancelErr()
+	}
+	outs := make([]any, len(rs))
+	for i, r := range rs {
+		outs[i] = r.machine
+	}
+	return rs, outs, rounds, nil
 }
 
 // MST constructs the minimum spanning forest of the current graph
@@ -488,38 +536,26 @@ func jobOutputs(rs []any) (outs []any, cancelled bool) {
 // same MWOE machinery as the one-shot algorithm, no graph re-load. With
 // strong set, every MST edge is also delivered to both endpoints' home
 // machines (Theorem 2(b)).
-func (e *Engine) MST(ctx context.Context, strong bool) (*core.MSTResult, error) {
+func (e *Engine) MST(ctx context.Context, strong bool) (out *core.MSTResult, err error) {
 	t, err := e.begin(ctx, "mst")
 	if err != nil {
 		return nil, err
 	}
-	startR := e.lastMaxRound
-	rs, _, err := e.command(func(m *rmachine) any { return m.runMST(t, strong) })
+	defer func() {
+		if m := t.finish(&err); out != nil {
+			out.Metrics = m
+		}
+	}()
+	_, outs, rounds, err := e.phased(t, &command{kind: cmdMST, strong: strong})
 	if err != nil {
-		t.end(err)
 		return nil, err
 	}
-	outs, cancelled := jobOutputs(rs)
-	if cancelled {
-		err := t.cancelErr()
-		t.end(err)
-		return nil, err
+	// With ErrNotConverged the edges decided so far are MST edges; the
+	// forest is not whole.
+	if out, err = core.AssembleMST(e.n, outs); out != nil {
+		out.WeakRounds -= e.total.Rounds - rounds // machines report session-cumulative rounds
 	}
-	out, err := core.AssembleMST(e.n, outs)
-	if out == nil {
-		t.end(err)
-		return nil, err
-	}
-	out.WeakRounds -= startR // machines report session-cumulative rounds
-	if err != nil {
-		// ErrNotConverged: the edges decided so far are MST edges; the
-		// forest is not whole.
-		out.Metrics = t.end(err)
-		return out, err
-	}
-	var oerr error
-	out.Metrics, oerr = t.endOK()
-	return out, oerr
+	return out, err
 }
 
 // runDerived executes one derived-view connectivity run under an admitted
@@ -528,13 +564,9 @@ func (e *Engine) runDerived(t *jobToken, spec *runSpec) (verify.Run, int, error)
 	if err := t.ctx.Err(); err != nil {
 		return verify.Run{}, 0, err
 	}
-	rs, rounds, err := e.command(func(m *rmachine) any { return m.runDerived(t, spec) })
+	rs, outs, rounds, err := e.phased(t, &command{kind: cmdDerived, spec: spec})
 	if err != nil {
 		return verify.Run{}, 0, err
-	}
-	outs, cancelled := jobOutputs(rs)
-	if cancelled {
-		return verify.Run{}, 0, t.cancelErr()
 	}
 	nView := e.n
 	if spec.kind == viewCover {
@@ -546,7 +578,7 @@ func (e *Engine) runDerived(t *jobToken, spec *runSpec) (verify.Run, int, error)
 	}
 	run := verify.Run{Components: cr.Components, Labels: cr.Labels}
 	for _, r := range rs {
-		run.ProbePresent = run.ProbePresent || r.(*jobOutput).probePresent
+		run.ProbePresent = run.ProbePresent || r.probePresent
 	}
 	return run, rounds, nil
 }
@@ -555,13 +587,18 @@ func (e *Engine) runDerived(t *jobToken, spec *runSpec) (verify.Run, int, error)
 // O(log n) factor (Theorem 3): the resident host of mincut.Search, each
 // sampling trial a derived-view connectivity run on the residency. trials
 // and maxLevel are mincut.Search's (0 selects 3 and 40).
-func (e *Engine) MinCut(ctx context.Context, trials, maxLevel int) (*mincut.Result, error) {
+func (e *Engine) MinCut(ctx context.Context, trials, maxLevel int) (res *mincut.Result, err error) {
 	t, err := e.begin(ctx, "mincut")
 	if err != nil {
 		return nil, err
 	}
+	defer func() {
+		if m := t.finish(&err); res != nil {
+			res.Metrics = m
+		}
+	}()
 	total := 0
-	res, err := mincut.Search(e.n, e.ccfg.Seed, trials, maxLevel, func(level, _ int, tseed, threshold uint64) (int, error) {
+	res, err = mincut.Search(e.n, e.cfg.Seed, trials, maxLevel, func(level, _ int, tseed, threshold uint64) (int, error) {
 		spec := newRunSpec(viewFull)
 		if level > 0 {
 			spec.kind, spec.tseed, spec.threshold = viewSample, tseed, threshold
@@ -571,45 +608,45 @@ func (e *Engine) MinCut(ctx context.Context, trials, maxLevel int) (*mincut.Resu
 		return run.Components, err
 	})
 	if err != nil {
-		t.end(err)
 		return nil, err
 	}
 	res.Rounds = total
-	var oerr error
-	res.Metrics, oerr = t.endOK()
-	return res, oerr
+	return res, nil
 }
 
 // Verify runs one of the Theorem 4 verification problems against the
 // current graph: the resident host of verify.Decide, each run of the
 // reduction a derived-view connectivity run on the residency.
-func (e *Engine) Verify(ctx context.Context, p Problem, args VerifyArgs) (*verify.Outcome, error) {
+func (e *Engine) Verify(ctx context.Context, p Problem, args VerifyArgs) (out *verify.Outcome, err error) {
 	t, err := e.begin(ctx, "verify")
 	if err != nil {
 		return nil, err
 	}
+	defer func() {
+		if m := t.finish(&err); out != nil {
+			out.Metrics = m
+		}
+	}()
 	e.statMu.Lock()
 	m := e.edges // stable for the job: only ApplyBatch changes it, and jobs serialize
 	e.statMu.Unlock()
 	total := 0
-	out, err := verify.Decide(p, args, e.n, m, func(v verify.View) (verify.Run, error) {
+	out, err = verify.Decide(p, args, e.n, m, func(v verify.View) (verify.Run, error) {
 		run, rounds, err := e.runDerived(t, specForView(v, e.n))
 		total += rounds
 		return run, err
 	})
 	if err != nil {
-		t.end(err)
 		return nil, err
 	}
 	out.Rounds = total
-	var oerr error
-	out.Metrics, oerr = t.endOK()
-	return out, oerr
+	return out, nil
 }
 
 // Metrics reports the engine's cumulative cost accounting. It is safe to
 // call concurrently with running jobs; Total reflects the state at the
-// last completed job (plus the load).
+// last completed job (plus the load). A fleet that reopens its residency
+// starts its Load and Total over with it.
 func (e *Engine) Metrics() Metrics {
 	e.statMu.Lock()
 	defer e.statMu.Unlock()
@@ -646,8 +683,13 @@ func (e *Engine) Queue() (queued, running int) {
 	return e.queued, e.running
 }
 
-// N returns the (fixed) vertex count.
-func (e *Engine) N() int { return e.n }
+// N returns the (fixed) vertex count — on a fleet whose source this
+// process cannot read, 0 until the first job has loaded it.
+func (e *Engine) N() int {
+	e.statMu.Lock()
+	defer e.statMu.Unlock()
+	return e.n
+}
 
 // K returns the machine count.
 func (e *Engine) K() int { return e.k }
@@ -661,15 +703,15 @@ func (e *Engine) Close() (*kmachine.Metrics, error) {
 	defer func() { <-e.sem }()
 	if !e.closed {
 		e.closed = true
-		if e.dead == nil {
-			for _, m := range e.ms {
-				m.banks.close()
-				m.mg.ReleasePools()
-			}
+		if e.remote != nil {
+			e.remote.Close()
+		} else {
+			e.local.Close()
 		}
-		e.ms = nil
-		e.kc.Close()
 	}
 	total := e.total
+	if e.dead == errNotOpen {
+		return &total, nil
+	}
 	return &total, e.dead
 }

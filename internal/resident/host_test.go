@@ -9,11 +9,14 @@ import (
 	"strings"
 	"testing"
 
+	"kmgraph/internal/core"
 	"kmgraph/internal/graph"
 	"kmgraph/internal/kmachine"
 	"kmgraph/internal/transport"
 	"kmgraph/internal/transport/chaos"
 	"kmgraph/internal/transport/local"
+	"kmgraph/internal/verify"
+	"kmgraph/internal/wire"
 )
 
 // zeroPlanChaos carries a residency's rounds through the fault-injection
@@ -97,19 +100,14 @@ func TestResidencyOnZeroPlanChaos(t *testing.T) {
 	}
 }
 
-// crash is a job whose program panics on machine 0 (the others return at
-// once, so the run ends with that machine's error).
+// crash is a job whose command panics on every machine — a derived run
+// without its spec — so the run ends with machine 0's error.
 func (e *Engine) crash(ctx context.Context) error {
 	t, err := e.begin(ctx, "crash")
 	if err != nil {
 		return err
 	}
-	_, _, err = e.command(func(m *rmachine) any {
-		if m.ctx.ID() == 0 {
-			panic("boom")
-		}
-		return nil
-	})
+	_, _, err = e.run(t, &command{kind: cmdDerived})
 	t.end(err)
 	return err
 }
@@ -133,7 +131,7 @@ func TestEngineDeath(t *testing.T) {
 	}{
 		{"panic", Config{K: 4, Seed: 5},
 			func(e *Engine) error { return e.crash(ctx) },
-			func(err error) bool { return strings.Contains(err.Error(), "machine 0 panicked: boom") }},
+			func(err error) bool { return strings.Contains(err.Error(), "machine 0 panicked") }},
 		{"max-rounds", Config{K: 4, Seed: 5, MaxRounds: loadRounds + 20},
 			func(e *Engine) error { _, err := e.Query(ctx); return err },
 			func(err error) bool { return errors.Is(err, kmachine.ErrMaxRounds) }},
@@ -167,5 +165,136 @@ func TestEngineDeath(t *testing.T) {
 			}
 			waitForGoroutines(t, base)
 		})
+	}
+}
+
+// loopback is a Remote whose machines live in this process but are reached
+// only through the wire forms — a fleet without sockets. lose, when set,
+// makes the next command of that kind end the residency the way a lost
+// worker does.
+type loopback struct {
+	src   graph.EdgeSource
+	cfg   Config
+	h     *Machines
+	opens int
+	lose  int
+}
+
+func (l *loopback) Run(ctx context.Context, cmd []byte, _ core.PhaseFunc) (*kmachine.Result, []transport.WorkerSpans, error) {
+	if c, err := readCommand(cmd); err != nil || c.kind == l.lose {
+		l.lose = 0
+		l.Close()
+		return nil, nil, &transport.LinkDownError{Peer: 1, Reason: transport.ReasonCrash, Err: errors.New("worker lost")}
+	}
+	if l.h == nil {
+		part, err := Load(l.src, l.cfg, 0, l.cfg.K)
+		if err != nil {
+			return nil, nil, err
+		}
+		if l.h, err = NewMachines(part, l.cfg, nil); err != nil {
+			return nil, nil, err
+		}
+		l.opens++
+	}
+	res, err := l.h.Run(ctx, cmd, func() bool { return false }, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	for i, o := range res.Outputs {
+		b, err := AppendOutput(nil, o)
+		if err != nil {
+			return nil, nil, err
+		}
+		if res.Outputs[i], err = ReadOutput(wire.NewReader(b)); err != nil {
+			return nil, nil, err
+		}
+	}
+	return res, nil, nil
+}
+
+func (l *loopback) Retry(_ context.Context, attempt int, cause error) error {
+	if attempt >= 3 || !errors.Is(cause, transport.ErrLinkDown) {
+		return cause
+	}
+	return nil
+}
+
+func (l *loopback) Close() error {
+	if l.h != nil {
+		l.h.Close()
+		l.h = nil
+	}
+	return nil
+}
+
+// TestRemoteEngine drives an engine whose machines are reached only
+// through commands and outputs in wire form. It answers as the engine
+// over its own machines does, at the same cost; it opens its residency on
+// the first job; a worker lost while the epoch is 0 costs a reopen from the
+// source within the job's retries; after an applied batch the loss ends the
+// residency, every later job failing with it.
+func TestRemoteEngine(t *testing.T) {
+	ctx := context.Background()
+	g := graph.WithDistinctWeights(graph.GNM(300, 900, 4), 5)
+	cfg := Config{K: 4, Seed: 9}
+	local := mustEngine(t, g, cfg)
+	lb := &loopback{src: g.Source(), cfg: cfg}
+	e, err := NewRemote(cfg, 0, lb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	if lb.opens != 0 || e.N() != 0 {
+		t.Fatalf("before the first job: %d opens, n=%d", lb.opens, e.N())
+	}
+	same := func(job string, run func(e *Engine) (any, error)) {
+		t.Helper()
+		rv, rerr := run(e)
+		lv, lerr := run(local)
+		if rerr != nil || lerr != nil || !reflect.DeepEqual(rv, lv) {
+			t.Fatalf("%s: remote %+v (%v), local %+v (%v)", job, rv, rerr, lv, lerr)
+		}
+		if rt, lt := e.Metrics().Total, local.Metrics().Total; !reflect.DeepEqual(rt, lt) {
+			t.Fatalf("%s: remote Metrics %v, local %v", job, rt, lt)
+		}
+	}
+	same("connectivity", func(e *Engine) (any, error) { return e.Query(ctx) })
+	same("mst", func(e *Engine) (any, error) { return e.MST(ctx, true) })
+	same("mincut", func(e *Engine) (any, error) { return e.MinCut(ctx, 0, 6) })
+	same("verify", func(e *Engine) (any, error) { return e.Verify(ctx, verify.STConnectivity, VerifyArgs{S: 0, T: 299}) })
+	if lb.opens != 1 || e.N() != g.N() {
+		t.Fatalf("after four jobs: %d opens, n=%d; want one, %d", lb.opens, e.N(), g.N())
+	}
+
+	// Lost at epoch 0: the query reopens from the source and answers as a
+	// fresh residency's first query.
+	fresh := mustEngine(t, g, cfg)
+	want, err := fresh.Query(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lb.lose = cmdQuery
+	q, err := e.Query(ctx)
+	if err != nil || lb.opens != 2 || q.Rounds != want.Rounds || !reflect.DeepEqual(q.Labels, want.Labels) {
+		t.Fatalf("query through a lost worker at epoch 0: %v, %d opens; want a reopen and the fresh residency's answer", err, lb.opens)
+	}
+	if got := e.Metrics().LoadRounds; got != fresh.Metrics().LoadRounds {
+		t.Errorf("after the reopen: load %d rounds, want %d", got, fresh.Metrics().LoadRounds)
+	}
+
+	// Lost after a batch: the residency is gone, with the batch.
+	if _, err := e.ApplyBatch(ctx, []graph.EdgeOp{{U: 0, V: 299, W: 1}}); err != nil || e.Epoch() != 1 {
+		t.Fatalf("batch: %v, epoch %d", err, e.Epoch())
+	}
+	lb.lose = cmdQuery
+	_, cause := e.Query(ctx)
+	if !errors.Is(cause, transport.ErrLinkDown) {
+		t.Fatalf("query through a lost worker at epoch 1: %v, want ErrLinkDown", cause)
+	}
+	if _, err := e.MST(ctx, false); err != cause || lb.opens != 2 {
+		t.Errorf("job after the loss: %v, %d opens; want the latched %v and no reopen", err, lb.opens, cause)
+	}
+	if _, err := e.Close(); err != cause {
+		t.Errorf("Close = %v, want %v", err, cause)
 	}
 }

@@ -11,30 +11,10 @@ import (
 	"kmgraph/internal/wire"
 )
 
-// A command is a program the host runs over every machine's kept state
-// (Engine.command). Command arrival is control plane and free; command
-// *contents* that are data (batch ops) are read only by machine 0 and
-// distributed in-model at metered cost. Run/MST specs are public problem
-// statements (local knowledge), so they ride the control plane for free.
-// Each machine's result is the
-// model's designated output variable o_i for that run: *batchOutput or
-// *jobOutput.
-
 // batchOutput is machine 0's verdict tally for one applied batch.
 type batchOutput struct {
 	applied, appliedIns, appliedDel int
 	rejIns, rejDel                  int
-}
-
-// jobOutput is one machine's output of a phase-driven job: the value the
-// one-shot handler of the same family would SetOutput (so the host
-// assembles it with core.Assemble / core.AssembleMST, convergence verdict
-// included), plus the resident-only extras.
-type jobOutput struct {
-	machine      any          // *core.MachineOutput or *core.MSTOutput
-	cancelled    bool         // the job stopped at a phase boundary on request
-	probePresent bool         // derived runs with a presence probe
-	query        *queryOutput // connectivity queries, machine 0 only
 }
 
 // queryOutput is the certificate coordinator's part of a query answer.
@@ -47,19 +27,17 @@ type queryOutput struct {
 }
 
 // rmachine is one machine's resident state for the lifetime of the
-// engine: its cluster Ctx and the session communicator bound to it, the
+// residency: its cluster Ctx and the session communicator bound to it, the
 // shared merge engine (labels, proxy states), the mutable adjacency view,
 // the maintained sketch banks, and — on machine 0 — the certificate
 // coordinator. It is plain state: a command's run lends it a goroutine.
 type rmachine struct {
-	e      *Engine
-	ctx    *kmachine.Ctx
-	mg     *core.Merger
-	view   *kmachine.Shard
-	banks  *bankCache
-	coord  *coordinator // machine 0 only
-	ccfg   core.Config
-	banksN int
+	h     *Machines
+	ctx   *kmachine.Ctx
+	mg    *core.Merger
+	view  *kmachine.Shard
+	banks *bankCache
+	coord *coordinator // machine 0 only
 
 	// globalPhase never repeats within a session, so proxy assignments and
 	// DRR ranks stay fresh across jobs (the paper's h_{j,ρ} freshness).
@@ -71,18 +49,42 @@ type rmachine struct {
 	chg         []byte      // the final sync's encoded label changes, reused
 }
 
+// exec runs command c over the machine's kept state and returns its output.
+func (m *rmachine) exec(c *command) (*output, error) {
+	out := &output{}
+	switch c.kind {
+	case cmdLoad:
+		if err := m.load(); err != nil {
+			return nil, err
+		}
+		out.n, out.m = m.view.N(), m.h.part.M()
+	case cmdApply:
+		out.batch = m.applyBatch(c.ops)
+	case cmdQuery:
+		out = m.query()
+	case cmdMST:
+		out = m.runMST(c.strong)
+	case cmdDerived:
+		out = m.runDerived(c.spec)
+	}
+	out.banks = m.banks.stats
+	out.banks.PoolPeak += m.mg.Pool().Peak()
+	out.banks.KeptBytes = int64(out.banks.KeptSums) * int64(m.h.ccfg.Sketch.Cells()) * cellBytes
+	return out, nil
+}
+
 // load is the first command: shared randomness, bank seeds, and — on
 // machine 0 — the certificate coordinator.
 func (m *rmachine) load() error {
 	if err := m.mg.Setup(); err != nil {
 		return err
 	}
-	m.mg.Cancelled = m.e.jobCancelled
-	seeds := make([]uint64, m.banksN)
+	m.mg.Cancelled = m.h.isCancelled
+	seeds := make([]uint64, m.h.banksN)
 	for b := range seeds {
 		seeds[b] = m.mg.Sh.BankSeed(b)
 	}
-	m.banks = newBankCache(m.ccfg.Sketch.Cells(), seeds, m.mg.Pool())
+	m.banks = newBankCache(m.h.ccfg.Sketch.Cells(), seeds, m.mg.Pool())
 	m.mg.OnRelabel = func(relabel map[uint64]uint64) {
 		m.banks.mergeRelabel(relabel, m.mg.Parts, m.view)
 	}
@@ -92,29 +94,13 @@ func (m *rmachine) load() error {
 	return nil
 }
 
-// phaseEvents returns the job's phase hook: an observer event from
-// machine 0 after every phase (free host-side observability, between
-// metered rounds). With Config.PhaseMetrics the event carries a deep
-// cluster-metrics snapshot, served by the coordinator out-of-band
-// (snapshot requests ride the event channel but are not barrier events,
-// so fetching one mid-run cannot wedge the round loop or change any
-// metered quantity).
-func (m *rmachine) phaseEvents(t *jobToken) core.PhaseFunc {
-	if m.ctx.ID() != 0 || m.e.cfg.Observer == nil {
+// phases returns the command's phase hook on the lowest hosted machine
+// (free host-side observability, between metered rounds).
+func (m *rmachine) phases() core.PhaseFunc {
+	if m.ctx.ID() != m.h.lo {
 		return nil
 	}
-	return func(phase, round int, active, failures uint64) {
-		ev := Event{
-			Job: t.name, Seq: t.seq, Phase: phase,
-			Round: round, Active: active, Failures: failures,
-		}
-		if m.e.cfg.PhaseMetrics {
-			if met, ok := m.e.kc.Snapshot(); ok {
-				ev.Snap = &met
-			}
-		}
-		m.e.notify(ev)
-	}
+	return m.h.phase
 }
 
 // jobMerger returns a fresh merge engine for one job over view: it reuses
@@ -123,7 +109,7 @@ func (m *rmachine) phaseEvents(t *jobToken) core.PhaseFunc {
 // the job is over.
 func (m *rmachine) jobMerger(view *kmachine.Shard, cfg core.Config) *core.Merger {
 	fm := core.NewMergerOn(m.mg.Comm, view, cfg, m.mg.Sh, m.mg.Poly)
-	fm.Cancelled = m.e.jobCancelled
+	fm.Cancelled = m.h.isCancelled
 	return fm
 }
 
@@ -298,10 +284,10 @@ func (m *rmachine) applyOp(del bool, u, v int, w int64) bool {
 // fresh forest edges and label changes to the coordinator. A cancelled
 // query breaks at a phase boundary but still runs the final sync, so the
 // coordinator's certificate stays consistent with the machines' labels.
-func (m *rmachine) query(t *jobToken) *jobOutput {
+func (m *rmachine) query() *output {
 	startFail := m.mg.Failures
 	startCollapse := m.mg.CollapseIters
-	rep := &jobOutput{}
+	rep := &output{}
 
 	// Step 1: certificate piece relabel.
 	var out []proxy.Out
@@ -348,8 +334,8 @@ func (m *rmachine) query(t *jobToken) *jobOutput {
 		m.pre = append(m.pre, m.mg.Labels[v])
 	}
 	m.mergeRecs = m.mergeRecs[:0]
-	phases, converged, cancelled := m.mg.RunPhases(m.globalPhase, m.ccfg.MaxPhases,
-		func(i int) { m.selectBanks(i % m.banksN) }, m.phaseEvents(t))
+	phases, converged, cancelled := m.mg.RunPhases(m.globalPhase, m.h.ccfg.MaxPhases,
+		func(i int) { m.selectBanks(i % m.h.banksN) }, m.phases())
 	m.globalPhase += phases
 	rep.cancelled = cancelled
 
@@ -434,14 +420,14 @@ func (m *rmachine) selectBanks(bank int) {
 // view of the live graph — the building block of the min-cut sampling
 // trials and the verification reductions: core's connectivity job on a
 // per-job merger over the derived view.
-func (m *rmachine) runDerived(t *jobToken, spec *runSpec) *jobOutput {
-	rep := &jobOutput{}
+func (m *rmachine) runDerived(spec *runSpec) *output {
+	rep := &output{}
 	if spec.probeU >= 0 && m.view.Home(spec.probeU) == m.ctx.ID() {
 		rep.probePresent = m.view.Has(spec.probeU, spec.probeV)
 	}
 	fm := m.jobMerger(m.derive(spec), m.runConfig(spec))
 	defer fm.ReleasePools()
-	out, cancelled := fm.ConnectivityJob(m.globalPhase, m.phaseEvents(t))
+	out, cancelled := fm.ConnectivityJob(m.globalPhase, m.phases())
 	m.globalPhase += out.Phases
 	rep.machine, rep.cancelled = out, cancelled
 	return rep
@@ -449,14 +435,14 @@ func (m *rmachine) runDerived(t *jobToken, spec *runSpec) *jobOutput {
 
 // runMST constructs the minimum spanning forest of the live graph: core's
 // §3.1 MST job on a per-job merger over the resident adjacency.
-func (m *rmachine) runMST(t *jobToken, strong bool) *jobOutput {
-	fm := m.jobMerger(m.view, m.ccfg)
+func (m *rmachine) runMST(strong bool) *output {
+	fm := m.jobMerger(m.view, m.h.ccfg)
 	defer fm.ReleasePools()
-	maxElim := m.e.cfg.MaxElimIters
+	maxElim := m.h.cfg.MaxElimIters
 	if maxElim <= 0 {
 		maxElim = core.DefaultMaxElimIters(m.view.N())
 	}
-	out, cancelled := fm.MSTJob(m.globalPhase, maxElim, strong, m.phaseEvents(t))
+	out, cancelled := fm.MSTJob(m.globalPhase, maxElim, strong, m.phases())
 	m.globalPhase += out.Phases
-	return &jobOutput{machine: out, cancelled: cancelled}
+	return &output{machine: out, cancelled: cancelled}
 }

@@ -5,15 +5,15 @@
 // min-cut approximation, and the Theorem 4 verification problems — without
 // ever re-distributing the graph.
 //
-// A residency is state, not a host. The engine owns one kmachine.Cluster
-// (each machine's Ctx, the link queues, the cumulative Metrics) and one
-// rmachine of kept state per machine, and executes every command — the
-// load, a batch, a query, a derived run, an MST — as one ordinary run of
-// that cluster whose handler is the command's program over the kept
-// state: outputs come back through Ctx.SetOutput, costs through
-// Result.Metrics. Between commands the residency is memory and holds no
-// goroutine; nothing in it depends on which transport carries its rounds.
-// Three things survive across jobs:
+// A residency is state, not a host: one kmachine.Cluster (each machine's
+// Ctx, the link queues, the cumulative Metrics) and one rmachine of kept
+// state per machine, held in this process (Machines) or by the kmworkers of
+// a fleet (Remote) alike. Every command — the load, a batch, a query, a
+// derived run, an MST — is data, run as one ordinary run of the cluster
+// over the kept state: outputs come back through Ctx.SetOutput (across the
+// wire, in AppendOutput's form), costs through Result.Metrics. Between
+// commands the residency is memory and holds no goroutine. Three things
+// survive across jobs:
 //
 //   - The loaded state: each machine's kmachine.Shard — the object the
 //     shard loader hands every host, adopted here and mutated in place by
@@ -95,7 +95,8 @@ type Config struct {
 	// phase boundary, leaving the engine serviceable.
 	JobTimeout time.Duration
 	// Observer, when non-nil, receives per-phase progress events. It is
-	// invoked from the engine's machine-0 goroutine (phase events) and the
+	// invoked from the engine's machine-0 goroutine (phase events; on a
+	// fleet, the lowest worker's control-link goroutine) and the
 	// submitting goroutine (job start/done events); it must be safe for
 	// that and should return quickly — it runs between metered rounds.
 	// A panicking Observer does not kill the engine: the panic is
@@ -103,8 +104,8 @@ type Config struct {
 	// which it fired fails with ErrObserverPanic.
 	Observer func(Event)
 	// PhaseMetrics, when set (and Observer is non-nil), attaches a deep
-	// cluster-wide kmachine.Metrics snapshot to every phase and job event
-	// (Event.Snap). Each phase snapshot costs one coordinator round-trip
+	// cluster-wide kmachine.Metrics snapshot to every job event and — where
+	// the machines are the engine's own — every phase event (Event.Snap). Each phase snapshot costs one coordinator round-trip
 	// and a k×k link-matrix copy outside the metered rounds; it is off by
 	// default so the plain observer path stays allocation-free.
 	PhaseMetrics bool
@@ -196,9 +197,10 @@ type Event struct {
 	// Messages, PayloadBytes — the same quantity end() meters). Nil on
 	// other events.
 	Delta *kmachine.Metrics
-	// Workers, on the Done event of a job that ran on a worker fleet, is
-	// each worker's phase-span stream (its own clock, its own link traffic
-	// and barrier waits). Nil for jobs of an in-process engine.
+	// Workers, on the Done event of a job of a fleet's engine, is each
+	// worker's phase-span stream of the job's runs (its own clock, its own
+	// link traffic and barrier waits). Nil where the machines are the
+	// engine's own.
 	Workers []transport.WorkerSpans
 }
 
@@ -329,6 +331,7 @@ const cellBytes = 24
 
 func (b *BankMetrics) add(o BankMetrics) {
 	b.KeptSums += o.KeptSums
+	b.KeptBytes += o.KeptBytes
 	b.ReadsKept += o.ReadsKept
 	b.ReadsRebuilt += o.ReadsRebuilt
 	b.Dropped += o.Dropped
@@ -346,18 +349,11 @@ type (
 // ErrNotConverged is returned by a job whose merge phases exhausted
 // MaxPhasesPerQuery with components still active (persistent sketch
 // failures); the engine remains usable and the job may be retried. It is
-// the one-shot and fleet hosts' error too.
+// the one-shot host's error too.
 var ErrNotConverged = core.ErrNotConverged
 
 // ErrClosed is returned by operations on a closed engine.
 var ErrClosed = errors.New("resident: cluster closed")
-
-// ErrUnsupported is returned by an engine that cannot run the requested
-// job family where its machines are placed: a worker fleet rebuilds its
-// shards per job, so it has no residency to mutate (ApplyBatch) or to
-// derive views from (min-cut, verification) and keeps no certificate
-// forest.
-var ErrUnsupported = errors.New("job family not supported on this cluster's placement")
 
 // ErrObserverPanic is returned by a job during which the Config.Observer
 // callback panicked. The engine recovers the panic (the cluster stays

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -14,7 +15,6 @@ import (
 	"time"
 
 	"kmgraph"
-	"kmgraph/internal/core"
 	"kmgraph/internal/dist"
 	"kmgraph/internal/graph"
 	"kmgraph/internal/store"
@@ -39,29 +39,38 @@ func startFleetWorker(t *testing.T) (*dist.Worker, string) {
 }
 
 // The fleet fixture: one weighted graph in a kmgs store every worker
-// loads its shard from, so connectivity and MST both have one-shot
-// goldens.
+// loads its shard from, and a resident Cluster on the same graph, k and
+// seed, whose answers a fleet's must equal job for job.
 const (
 	fleetK    = 4
 	fleetSeed = int64(9)
 )
 
-var fleetCfg = core.Config{K: fleetK, Seed: fleetSeed}
-
 func fleetGraph() *graph.Graph {
 	return graph.WithDistinctWeights(graph.GNM(4000, 12000, 3), 4)
 }
 
-// fleetSource writes the fixture graph to a store and returns its source
-// spec plus the one-shot connectivity golden on it.
-func fleetSource(t *testing.T) (string, *core.Result) {
+// residentTwin is the resident Cluster a fleet on the fixture must agree
+// with.
+func residentTwin(t *testing.T) *kmgraph.Cluster {
 	t.Helper()
-	g := fleetGraph()
-	path := filepath.Join(t.TempDir(), "fleet.kmgs")
-	if err := store.WriteFile(path, g.Source()); err != nil {
+	c, err := kmgraph.NewCluster(fleetGraph(), kmgraph.WithK(fleetK), kmgraph.WithSeed(fleetSeed))
+	if err != nil {
 		t.Fatal(err)
 	}
-	golden, err := core.RunSource(g.Source(), fleetCfg)
+	t.Cleanup(func() { c.Close() })
+	return c
+}
+
+// fleetSource writes the fixture graph to a store and returns its source
+// spec plus the resident twin's first connectivity answer on it.
+func fleetSource(t *testing.T) (string, *kmgraph.QueryResult) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "fleet.kmgs")
+	if err := store.WriteFile(path, fleetGraph().Source()); err != nil {
+		t.Fatal(err)
+	}
+	golden, err := residentTwin(t).Connectivity(context.Background())
 	if err != nil {
 		t.Fatalf("golden: %v", err)
 	}
@@ -87,7 +96,7 @@ func newFleetServer(t *testing.T, name, source string, addrs []string, coord dis
 }
 
 // newLiveFleetServer is newFleetServer over two fresh workers.
-func newLiveFleetServer(t *testing.T, name string) (*Server, *httptest.Server, *core.Result) {
+func newLiveFleetServer(t *testing.T, name string) (*Server, *httptest.Server, *kmgraph.QueryResult) {
 	t.Helper()
 	source, golden := fleetSource(t)
 	_, a0 := startFleetWorker(t)
@@ -121,8 +130,8 @@ func workerPhaseRounds(t *testing.T, url string) map[int]int {
 
 // TestFleetIsAGraph is the tentpole acceptance: a fleet-backed graph is
 // served by the code that serves resident graphs — coalescing, cache,
-// job funnel, trace, error mapping — and differs only in what its engine
-// cannot run. The cases share one fleet and run in order.
+// job funnel, trace, error mapping, every job family — and answers what a
+// resident graph does. The cases share one fleet and run in order.
 func TestFleetIsAGraph(t *testing.T) {
 	s, ts, golden := newLiveFleetServer(t, "web")
 	base := ts.URL + "/graphs/web"
@@ -154,9 +163,9 @@ func TestFleetIsAGraph(t *testing.T) {
 		close(start)
 		wg.Wait()
 		for i, c := range out {
-			if c.Components != golden.Components || c.Rounds != golden.Metrics.Rounds || c.SketchFailures != golden.SketchFailures {
-				t.Errorf("client %d: %d components / %d rounds / %d sketch failures, want core.RunSource's %d / %d / %d",
-					i, c.Components, c.Rounds, c.SketchFailures, golden.Components, golden.Metrics.Rounds, golden.SketchFailures)
+			if c.Components != golden.Components || c.Rounds != golden.Rounds || c.SketchFailures != golden.SketchFailures {
+				t.Errorf("client %d: %d components / %d rounds / %d sketch failures, want the resident twin's %d / %d / %d",
+					i, c.Components, c.Rounds, c.SketchFailures, golden.Components, golden.Rounds, golden.SketchFailures)
 			}
 		}
 		if n := okJobs("connectivity"); n != 1 {
@@ -184,24 +193,29 @@ func TestFleetIsAGraph(t *testing.T) {
 			Jobs []jobProgress `json:"jobs"`
 		}
 		getJSON(t, base+"/jobs", http.StatusOK, &jobs)
-		if len(jobs.Jobs) != 1 || jobs.Jobs[0].Job != "connectivity" || jobs.Jobs[0].Running ||
-			jobs.Jobs[0].Round != golden.Metrics.Rounds || jobs.Jobs[0].Phase != golden.Phases-1 {
-			t.Errorf("jobs = %+v, want the one finished connectivity job at round %d, phase %d",
-				jobs.Jobs, golden.Metrics.Rounds, golden.Phases-1)
+		load := s.graphs["web"].c.Metrics().LoadRounds
+		if len(jobs.Jobs) != 2 || jobs.Jobs[0].Job != "connectivity" || jobs.Jobs[0].Running || jobs.Jobs[1].Job != "load" ||
+			jobs.Jobs[0].Round != load+golden.Rounds || jobs.Jobs[0].Phase != golden.Phases-1 {
+			t.Errorf("jobs = %+v, want the load and the one finished connectivity job at round %d, phase %d",
+				jobs.Jobs, load+golden.Rounds, golden.Phases-1)
 		}
 		perPid := workerPhaseRounds(t, base+"/trace")
 		if len(perPid) != 2 {
 			t.Fatalf("trace worker pids = %v, want one per worker", perPid)
 		}
 		for pid, sum := range perPid {
-			if sum != golden.Metrics.Rounds {
-				t.Errorf("pid %d phase rounds sum to %d, want the job's %d", pid, sum, golden.Metrics.Rounds)
+			if sum != golden.Rounds {
+				t.Errorf("pid %d phase rounds sum to %d, want the job's %d", pid, sum, golden.Rounds)
 			}
 		}
 	})
 
-	t.Run("strong MST matches core.RunMST", func(t *testing.T) {
-		want, err := core.RunMST(fleetGraph(), core.MSTConfig{Config: fleetCfg, StrongOutput: true})
+	twin := residentTwin(t)
+	if _, err := twin.Connectivity(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	t.Run("strong MST matches the resident twin", func(t *testing.T) {
+		want, err := twin.MST(context.Background(), kmgraph.StrongOutput())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,26 +232,46 @@ func TestFleetIsAGraph(t *testing.T) {
 		}
 	})
 
-	t.Run("what a fleet cannot run answers 501", func(t *testing.T) {
-		for _, c := range []struct{ method, path, body string }{
-			{"POST", "/batch", `{"ops":[{"u":1,"v":2}]}`},
-			{"GET", "/mincut", ""},
-			{"POST", "/verify", `{"problem":"cycle"}`},
-			{"GET", "/spanning-tree", ""},
-			{"GET", "/connectivity?forest=true", ""}, // answerable from the cache, were it not a forest
-		} {
-			req, _ := http.NewRequest(c.method, base+c.path, strings.NewReader(c.body))
-			resp, err := http.DefaultClient.Do(req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var e errorResponse
-			decodeErr := json.NewDecoder(resp.Body).Decode(&e)
+	t.Run("serves every family", func(t *testing.T) {
+		var forest connectivityResponse
+		getJSON(t, base+"/spanning-tree", http.StatusOK, &forest)
+		want, err := twin.SpanningTree(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !forest.Cached || len(forest.Forest) != len(want.Forest) {
+			t.Errorf("spanning tree: cached=%v, %d forest edges; want the cached answer's %d", forest.Cached, len(forest.Forest), len(want.Forest))
+		}
+		for _, path := range []string{"/mincut?maxlevel=3", "/connectivity?forest=true"} {
+			getJSON(t, base+path, http.StatusOK, nil)
+		}
+		req, _ := http.NewRequest("POST", base+"/verify", strings.NewReader(`{"problem":"cycle"}`))
+		if resp, err := http.DefaultClient.Do(req); err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("verify: %v / %v, want 200", resp, err)
+		} else {
 			resp.Body.Close()
-			if resp.StatusCode != http.StatusNotImplemented || decodeErr != nil ||
-				!strings.Contains(e.Error, kmgraph.ErrUnsupported.Error()) {
-				t.Errorf("%s %s: status %d body %q, want 501 naming ErrUnsupported", c.method, c.path, resp.StatusCode, e.Error)
-			}
+		}
+		// A batch changes the graph on the workers: the epoch moves on, and
+		// the cached answer of the old one is not served again.
+		req, _ = http.NewRequest("POST", base+"/batch", strings.NewReader(`{"ops":[{"u":1,"v":2},{"u":3,"v":4}]}`))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b struct {
+			Applied int    `json:"applied"`
+			Epoch   uint64 `json:"epoch"`
+		}
+		decodeErr := json.NewDecoder(resp.Body).Decode(&b)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || decodeErr != nil || b.Applied == 0 || b.Epoch != 1 {
+			t.Fatalf("batch: status %d, %+v (%v); want it applied at epoch 1", resp.StatusCode, b, decodeErr)
+		}
+		var c connectivityResponse
+		resp = getJSON(t, base+"/connectivity", http.StatusOK, &c)
+		if c.Cached || resp.Header.Get("X-Kmserve-Cache") != "miss" || c.Epoch != 1 {
+			t.Errorf("connectivity after the batch: cached=%v header=%q epoch=%d, want a fresh answer at epoch 1",
+				c.Cached, resp.Header.Get("X-Kmserve-Cache"), c.Epoch)
 		}
 	})
 
@@ -276,8 +310,8 @@ func TestFleetConnectivityMatchesLocal(t *testing.T) {
 	if out.Components != golden.Components {
 		t.Errorf("components = %d, want %d", out.Components, golden.Components)
 	}
-	if out.Rounds != golden.Metrics.Rounds {
-		t.Errorf("rounds = %d, want %d (distributed run not bit-identical)", out.Rounds, golden.Metrics.Rounds)
+	if out.Rounds != golden.Rounds {
+		t.Errorf("rounds = %d, want %d (distributed run not bit-identical)", out.Rounds, golden.Rounds)
 	}
 	if out.Cached || resp.Header.Get("X-Kmserve-Cache") != "miss" {
 		t.Errorf("first request: cached=%v header=%q, want fresh miss", out.Cached, resp.Header.Get("X-Kmserve-Cache"))
@@ -414,9 +448,9 @@ func TestFleetDegradesAndRecovers(t *testing.T) {
 
 	var out connectivityResponse
 	getJSON(t, ts.URL+"/graphs/web/connectivity", http.StatusOK, &out)
-	if out.Components != golden.Components || out.Rounds != golden.Metrics.Rounds {
+	if out.Components != golden.Components || out.Rounds != golden.Rounds {
 		t.Errorf("recovered result = %d components / %d rounds, want %d / %d",
-			out.Components, out.Rounds, golden.Components, golden.Metrics.Rounds)
+			out.Components, out.Rounds, golden.Components, golden.Rounds)
 	}
 }
 
@@ -430,16 +464,16 @@ func TestFleetTraceAndRoundGauges(t *testing.T) {
 
 	var out connectivityResponse
 	getJSON(t, ts.URL+"/graphs/web/connectivity", http.StatusOK, &out)
-	if out.Rounds != golden.Metrics.Rounds {
-		t.Fatalf("rounds = %d, want %d", out.Rounds, golden.Metrics.Rounds)
+	if out.Rounds != golden.Rounds {
+		t.Fatalf("rounds = %d, want %d", out.Rounds, golden.Rounds)
 	}
 	perPid := workerPhaseRounds(t, ts.URL+"/fleet/web/trace")
 	if len(perPid) != 2 {
 		t.Fatalf("trace span pids = %v, want one per worker", perPid)
 	}
 	for pid, sum := range perPid {
-		if sum != golden.Metrics.Rounds {
-			t.Errorf("pid %d span rounds sum to %v, want %d", pid, sum, golden.Metrics.Rounds)
+		if sum != golden.Rounds {
+			t.Errorf("pid %d span rounds sum to %v, want %d", pid, sum, golden.Rounds)
 		}
 	}
 

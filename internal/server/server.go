@@ -4,7 +4,7 @@
 // connectivity, spanning-tree, MST, approximate min-cut, the Theorem 4
 // verifications, dynamic edge batches, and metrics — as endpoints over
 // the cancellable-job API. Both kinds of graph are served by the same
-// handlers; a fleet answers the families it cannot run with 501.
+// handlers, and serve every family.
 //
 // Three serving concerns layer over the Cluster:
 //
@@ -355,8 +355,6 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 // jobError maps a job error to an HTTP status.
 func (t *tenant) jobError(w http.ResponseWriter, err error) {
 	switch {
-	case errors.Is(err, kmgraph.ErrUnsupported):
-		writeError(w, http.StatusNotImplemented, "graph %q: %v", t.name, err)
 	case errors.Is(err, kmgraph.ErrLinkDown):
 		// A lost worker (retries exhausted) is degraded service, not a broken
 		// request — the fleet may come back. Re-probe now, so the state gauge
@@ -749,12 +747,6 @@ func (s *Server) handleSpanningTree(w http.ResponseWriter, r *http.Request) {
 func (s *Server) serveConnectivity(w http.ResponseWriter, r *http.Request, forest bool) {
 	t := s.tenant(w, r)
 	if t == nil {
-		return
-	}
-	if forest && t.fleet != nil {
-		// A fleet keeps no certificate forest to answer from, whatever its
-		// cache holds for plain connectivity.
-		t.jobError(w, fmt.Errorf("spanning forest: %w", kmgraph.ErrUnsupported))
 		return
 	}
 	labels := boolParam(r, "labels")

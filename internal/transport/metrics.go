@@ -119,31 +119,20 @@ func (m *Metrics) String() string {
 // AppendMetrics encodes m (a k-machine accounting, possibly a partial one
 // from a distributed worker) onto b in wire form.
 func AppendMetrics(b []byte, m *Metrics) []byte {
-	k := len(m.SentMsgs)
-	b = wire.AppendUvarint(b, uint64(k))
-	b = wire.AppendUvarint(b, uint64(m.Rounds))
-	b = wire.AppendVarint(b, m.Messages)
-	b = wire.AppendVarint(b, m.PayloadBytes)
-	b = wire.AppendVarint(b, int64(m.DroppedMessages))
-	b = wire.AppendVarint(b, m.DroppedBytes)
-	for _, row := range m.LinkBits {
+	b = wire.AppendInts(b, len(m.SentMsgs), m.Rounds, int(m.Messages), int(m.PayloadBytes), m.DroppedMessages,
+		int(m.DroppedBytes))
+	for _, row := range m.rows() {
 		for _, v := range row {
 			b = wire.AppendVarint(b, v)
 		}
-	}
-	for _, v := range m.SentMsgs {
-		b = wire.AppendVarint(b, v)
-	}
-	for _, v := range m.RecvMsgs {
-		b = wire.AppendVarint(b, v)
 	}
 	return b
 }
 
 // ReadMetrics decodes a Metrics encoded by AppendMetrics from r.
 func ReadMetrics(r *wire.Reader) (*Metrics, error) {
-	k := int(r.Uvarint())
-	if r.Err() != nil {
+	var k int
+	if r.Ints(&k); r.Err() != nil {
 		return nil, r.Err()
 	}
 	const maxK = 1 << 16
@@ -154,27 +143,25 @@ func ReadMetrics(r *wire.Reader) (*Metrics, error) {
 		return nil, fmt.Errorf("transport: metrics k=%d out of range", k)
 	}
 	m := NewMetrics(k)
-	m.Rounds = int(r.Uvarint())
-	m.Messages = r.Varint()
-	m.PayloadBytes = r.Varint()
-	m.DroppedMessages = int(r.Varint())
-	m.DroppedBytes = r.Varint()
-	for s := 0; s < k; s++ {
-		for d := 0; d < k; d++ {
-			m.LinkBits[s][d] = r.Varint()
+	var msgs, payload, dropped int
+	r.Ints(&m.Rounds, &msgs, &payload, &m.DroppedMessages, &dropped)
+	m.Messages, m.PayloadBytes, m.DroppedBytes = int64(msgs), int64(payload), int64(dropped)
+	for _, row := range m.rows() {
+		for i := range row {
+			row[i] = r.Varint()
 		}
-	}
-	for i := 0; i < k; i++ {
-		m.SentMsgs[i] = r.Varint()
-	}
-	for i := 0; i < k; i++ {
-		m.RecvMsgs[i] = r.Varint()
 	}
 	if r.Err() != nil {
 		return nil, r.Err()
 	}
 	m.Finish()
 	return m, nil
+}
+
+// rows lists the per-link and per-machine counters: the LinkBits rows, then
+// SentMsgs and RecvMsgs.
+func (m *Metrics) rows() [][]int64 {
+	return append(append(make([][]int64, 0, len(m.LinkBits)+2), m.LinkBits...), m.SentMsgs, m.RecvMsgs)
 }
 
 // MergeMetrics folds the partial accounting src (from one worker's hosted
@@ -196,18 +183,6 @@ func MergeMetrics(dst, src *Metrics) error {
 	}
 	dst.add(src)
 	return nil
-}
-
-// SumMetrics returns a + b for two complete accountings of the same k —
-// successive jobs of one cluster, whose rounds add (MergeMetrics' partials
-// of one run share theirs) — with MaxLinkBits resolved.
-func SumMetrics(a, b *Metrics) *Metrics {
-	sum := NewMetrics(len(a.SentMsgs))
-	sum.add(a)
-	sum.add(b)
-	sum.Rounds = a.Rounds + b.Rounds
-	sum.Finish()
-	return sum
 }
 
 // add folds every counter of src except Rounds into dst (same k).

@@ -7,8 +7,8 @@ import (
 
 // PhaseSpan is one phase of a distributed job as observed by a single
 // worker: the engine rounds it covered, its wall-clock extent on the
-// worker's own clock (microseconds since that worker started its engine
-// range), and the local link traffic and barrier wait accumulated while
+// worker's own clock (microseconds since that worker started the run),
+// and the local link traffic and barrier wait accumulated while
 // it ran. Spans are streamed to the coordinator in bounded batches
 // piggybacked on heartbeat frames, handed to the job's observer on its
 // done event (resident.Event.Workers), and rendered by
@@ -60,14 +60,18 @@ type SpanRecorder struct {
 	dropped   int
 }
 
-// NewSpanRecorder returns a recorder whose time origin is now. sample
-// may be nil (spans then carry no traffic annotations).
-func NewSpanRecorder(sample func() (frames, bytes, waitNs int64)) *SpanRecorder {
+// NewSpanRecorder returns a recorder of one run whose time origin is now
+// and whose round and traffic origins are round and sample's present
+// totals: where the previous run on the same links left them. sample may
+// be nil (spans then carry no traffic annotations).
+func NewSpanRecorder(sample func() (frames, bytes, waitNs int64), round int) *SpanRecorder {
 	now := time.Now()
 	if sample == nil {
 		sample = func() (int64, int64, int64) { return 0, 0, 0 }
 	}
-	return &SpanRecorder{sample: sample, start: now, lastT: now}
+	r := &SpanRecorder{sample: sample, start: now, lastT: now, lastRound: round}
+	r.lastFr, r.lastBy, r.lastWait = sample()
+	return r
 }
 
 // Hook returns the callback to install as core.Config.PhaseHook.

@@ -32,9 +32,10 @@ const (
 	handshakeTimeout = 30 * time.Second
 	// writeTimeout bounds one frame write.
 	writeTimeout = 30 * time.Second
-	// idleTimeout bounds the silence a read loop tolerates between frames
-	// — generous enough to cover a peer's shard-load skew before its
-	// first barrier.
+	// idleTimeout bounds the silence a barrier wait tolerates — generous
+	// enough to cover a peer's shard-load skew before its first barrier.
+	// Between runs (a residency waiting for its next command) a link may
+	// stay silent for as long as it is open.
 	idleTimeout = 2 * time.Minute
 )
 
@@ -93,14 +94,14 @@ func newPeer(conn net.Conn, remote *Hello) *Peer {
 	return p
 }
 
-// readLoop decodes inbound frames until the link dies or Close. The
-// first error is latched and the frame channel closed, so a blocked
-// barrier wait wakes immediately.
+// readLoop decodes inbound frames until the link dies, its read deadline
+// (set by each barrier, Transport.Round) passes, or Close. The first error
+// is latched and the frame channel closed, so a blocked barrier wait wakes
+// immediately.
 func (p *Peer) readLoop() {
 	var buf []byte
 	var err error
 	for err == nil {
-		p.conn.SetReadDeadline(time.Now().Add(idleTimeout))
 		var t FrameType
 		var body []byte
 		t, body, err = ReadFrame(p.conn, &buf)

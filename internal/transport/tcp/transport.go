@@ -134,6 +134,7 @@ func (t *Transport) recordBarrier(wait time.Duration) {
 // an error wrapping transport.ErrLinkDown.
 func (t *Transport) Round(in *transport.RoundIn, out *transport.RoundOut) error {
 	t.seq++
+	t.deadline(time.Now().Add(idleTimeout))
 	for _, m := range in.Msgs {
 		if own := t.owner[m.Dst]; own != nil {
 			own.stage = append(own.stage, m)
@@ -177,8 +178,9 @@ func (t *Transport) Round(in *transport.RoundIn, out *transport.RoundOut) error 
 	out.Running = t.running
 	if t.running <= 0 {
 		// The run is over, at this barrier for every participant; the next
-		// barrier opens the next.
+		// barrier opens the next, whenever that comes.
 		t.running = t.p.K
+		t.deadline(time.Time{})
 		out.Advanced = false
 		out.Inboxes = nil
 		return nil
@@ -190,6 +192,14 @@ func (t *Transport) Round(in *transport.RoundIn, out *transport.RoundOut) error 
 	out.Advanced = true
 	out.Inboxes = t.inboxes
 	return nil
+}
+
+// deadline sets every peer link's read deadline: a barrier's, or none
+// while the cluster waits between runs.
+func (t *Transport) deadline(d time.Time) {
+	for _, pr := range t.peers {
+		pr.conn.SetReadDeadline(d)
+	}
 }
 
 // Remnants reports traffic still queued on hosted links at termination.

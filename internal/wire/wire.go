@@ -133,6 +133,14 @@ func AppendBool(b []byte, v bool) []byte {
 	return append(b, 0)
 }
 
+// AppendInts appends each of vs in AppendVarint's form.
+func AppendInts(b []byte, vs ...int) []byte {
+	for _, v := range vs {
+		b = AppendVarint(b, int64(v))
+	}
+	return b
+}
+
 // Reader is a decoding cursor over a received message. The first decoding
 // error is latched; subsequent reads return zero values. Check Err (or use
 // Done) after decoding a full message.
@@ -241,6 +249,13 @@ func (r *Reader) Bool() bool {
 	v := r.buf[r.off]
 	r.off++
 	return v != 0
+}
+
+// Ints decodes values encoded by AppendInts into each of ps in turn.
+func (r *Reader) Ints(ps ...*int) {
+	for _, p := range ps {
+		*p = int(r.Varint())
+	}
 }
 
 // Int decodes a non-negative int encoded with AppendUvarint.

@@ -59,22 +59,21 @@
 //
 // OpenFleet is the third constructor of the same Cluster: the k machines
 // are hosted by kmworker processes (cmd/kmworker) joined by TCP links,
-// each loading its own slice of the graph from a source spec, and this
-// process only coordinates:
+// each loading its own slice of the graph from a source spec and keeping
+// it for as long as the Cluster is open, while this process coordinates:
 //
 //	c, err := kmgraph.OpenFleet(kmgraph.FleetSpec{
 //		Source: "store:web.kmgs", // readable by every worker
 //		Addrs:  []string{"10.0.0.1:9601", "10.0.0.2:9601"},
 //	}, kmgraph.WithK(32), kmgraph.WithSeed(7))
-//	q, err := c.Connectivity(ctx) // bit-identical to the local answer and Metrics
+//	q, err := c.Connectivity(ctx)   // bit-identical to the local answer and Metrics
+//	_, err = c.ApplyBatch(ctx, ops) // the graph changes on the workers
 //
-// Placement is a property of the Cluster, not of its callers: methods,
-// observer events, traces, the admission queue and Metrics mean the same
-// as on a resident Cluster. Workers keep nothing between jobs, so every
-// job pays its shard load, Epoch stays 0, and the families that need a
-// residency — ApplyBatch, ApproxMinCut, Verify, SpanningTree — return
-// ErrUnsupported; a lost worker fails the job with ErrLinkDown once
-// FleetSpec.Coord.Retry is spent.
+// Placement is a property of the Cluster, not of its callers: one engine
+// runs every job either way, so every family, answer, observer event,
+// trace and metric is the same. A lost worker fails the job with
+// ErrLinkDown once FleetSpec.Coord.Retry is spent; while Epoch is 0 the
+// next attempt reloads the graph, after a batch the residency is lost.
 //
 // # Serving over the network
 //
@@ -89,34 +88,12 @@
 //
 // # Migration note: one front door
 //
-// Every job family runs on a Cluster. Connectivity(g, cfg) and MST(g, cfg)
-// remain as one-shot runs because they alone take the per-run ablation
-// Config (EdgeCheckSelection, CollapseLevelWise, …); the other one-shot
-// twins and the paper-apparatus pass-throughs are gone. Replacements (the
-// internal packages are what cmd/kmrun and cmd/kmbench import; from
-// outside this module, use those commands):
-//
-//	ApproxMinCut, MinCutConfig        Cluster.ApproxMinCut(ctx, WithTrials(t), WithMaxLevel(l))
-//	VerifySpanningConnectedSubgraph, VerifyCut, VerifySTConnectivity, VerifyEdgeOnAllPaths,
-//	VerifySTCut, VerifyBipartiteness, VerifyCycleContainment, VerifyECycleContainment
-//	                                  Cluster.Verify(ctx, Problem…, VerifyArgs{…}), e.g. ProblemCut for VerifyCut
-//	SpanningTree                      Cluster.SpanningTree(ctx)
-//	ConnectivityFromSource            OpenCluster("", WithEdgeSource(src)), then Connectivity(ctx)
-//	OpenStoreSource                   OpenSource (sniffs a kmgs store, same results)
-//	FloodingConnectivity, RefereeConnectivity, BaselineConfig, BaselineResult
-//	                                  internal/baseline: Flooding, Referee, Config, Result (kmrun connectivity -algo)
-//	REPMST, REPConnectivity, REPConfig, REPResult
-//	                                  internal/rep: MST, Connectivity, Config, Result (kmrun mst -rep)
-//	FloodingCongestedClique, ConvertCliqueTrace, CliqueTrace, ConvertConfig, ConvertResult
-//	                                  internal/congested: FloodingCC, Convert, Trace, Config, ConvertResult (kmbench -exp E12)
-//	NewDisjointnessInstance, RunLowerBound, DisjointnessInstance, LowerBoundResult
-//	                                  internal/lowerbound: RandomInstance(b, seed, ForceNothing), RunSCS, Instance, Result (kmbench -exp E11)
-//	DefaultBandwidth                  internal/kmachine: Bandwidth
-//	AllExperiments, ExperimentByID, Experiment, ExperimentParams
-//	                                  internal/experiments: All, ByID, Experiment, Params (kmbench)
-//
-// NewDynamic, Dynamic and DynamicConfig went earlier the same way: use
-// NewCluster with Cluster.ApplyBatch(ctx, ops) and Cluster.Connectivity(ctx).
+// Every job family runs on a Cluster, wherever its machines are: a
+// fleet-backed one no longer refuses ApplyBatch, ApproxMinCut, Verify or
+// SpanningTree. Connectivity(g, cfg) and MST(g, cfg) remain as one-shot
+// runs because they alone take the per-run ablation Config
+// (EdgeCheckSelection, CollapseLevelWise, …). The README's "Migrating from
+// the one-shot functions" table maps every deleted name to its replacement.
 package kmgraph
 
 import (
@@ -290,8 +267,8 @@ type QueryResult = resident.QueryResult
 
 // ErrNotConverged is returned — with the partial result — by a job whose
 // merge phases exhaust their cap (persistent sketch failures, an
-// undersized Config.MaxPhases): by a Cluster job, resident or fleet-backed
-// (the cluster stays usable), and by Connectivity and MST alike.
+// undersized Config.MaxPhases): by every Cluster job, wherever its machines
+// are (the cluster stays usable), and by Connectivity and MST alike.
 var ErrNotConverged = core.ErrNotConverged
 
 // MinCutResult is a min-cut approximation outcome.

@@ -180,6 +180,42 @@ func TestOneFrontDoor(t *testing.T) {
 	}
 }
 
+// TestOneEngine fails if a Cluster grows a second engine again: a type
+// under internal/dist with the engine's job methods, an interface in
+// cluster.go for two implementations to hide behind, or the ErrUnsupported
+// a partial engine answers the families it cannot run with.
+func TestOneEngine(t *testing.T) {
+	method := regexp.MustCompile(`^func \([^)]*\) (Query|ApplyBatch|MinCut)\(`)
+	iface := regexp.MustCompile(`^type \w+ interface\b`)
+	var sites []string
+	nonTestLines(t, func(site, line string) {
+		if method.MatchString(line) {
+			sites = append(sites, site)
+		}
+	}, "internal/dist")
+	nonTestLines(t, func(site, line string) {
+		if strings.HasPrefix(site, "cluster.go:") && iface.MatchString(line) {
+			sites = append(sites, site)
+		}
+	}, ".")
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		src, err := os.ReadFile(path)
+		if err == nil && strings.Contains(string(src), "ErrUnsupported") {
+			sites = append(sites, path+": ErrUnsupported")
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sites) != 0 {
+		t.Fatalf("a Cluster has a second engine again:\n%s", strings.Join(sites, "\n"))
+	}
+}
+
 // nonTestLines calls fn with every line of the non-test Go files in dirs,
 // and the line's "path:n: text" site for a failure message.
 func nonTestLines(t *testing.T, fn func(site, line string), dirs ...string) {
