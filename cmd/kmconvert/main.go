@@ -1,5 +1,5 @@
 // Command kmconvert produces kmgs binary graph stores — the container
-// kmrun/kmbench serve shard-direct via -store and the library
+// kmrun serves shard-direct via -store and the library
 // serves via kmgraph.OpenCluster. Input is either a text edge list or a
 // streaming generator; in both cases the graph is written straight to
 // disk without ever being resident in memory (the generators' dedup set

@@ -55,6 +55,10 @@ type Pass struct {
 	// file of this package (e.g. "roundpure").
 	PkgDirectives map[string]bool
 
+	// Corpus is the whole run, for a whole-program analyzer; it may report
+	// at any position in Corpus.Fset.
+	Corpus *Corpus
+
 	diags *[]Diagnostic
 }
 
@@ -106,6 +110,7 @@ func RunAnalyzers(c *Corpus, analyzers []*Analyzer) ([]Diagnostic, []Waiver, err
 				TypesInfo:     pkg.Info,
 				MarkedTypes:   c.MarkedTypes,
 				PkgDirectives: pkg.Directives,
+				Corpus:        c,
 				diags:         &raw,
 			}
 			if err := a.Run(pass); err != nil {

@@ -2,6 +2,8 @@ package kit
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -24,11 +26,16 @@ type expectation struct {
 	hit  bool
 }
 
-// TestDir loads dir as a standalone package, runs the analyzers, and
-// checks the diagnostics against the corpus's want comments.
+// TestDir loads dir as a standalone package (or, when it holds a go.mod, as
+// a module's ./...), runs the analyzers, and checks the diagnostics against
+// the corpus's want comments.
 func TestDir(t *testing.T, dir string, analyzers ...*Analyzer) {
 	t.Helper()
-	c, err := LoadDir(dir)
+	load := LoadDir
+	if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
+		load = func(dir string) (*Corpus, error) { return Load(dir, []string{"./..."}) }
+	}
+	c, err := load(dir)
 	if err != nil {
 		t.Fatalf("loading %s: %v", dir, err)
 	}

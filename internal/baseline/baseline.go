@@ -23,12 +23,11 @@ import (
 	"kmgraph/internal/wire"
 )
 
-// Config parameterizes a baseline run.
+// Config parameterizes a baseline run; links carry kmachine.Bandwidth(n)
+// bits per round.
 type Config struct {
-	K             int
-	BandwidthBits int // 0 selects kmachine.Bandwidth(n)
-	Seed          int64
-	MaxRounds     int
+	K    int
+	Seed int64
 }
 
 // Result is a baseline connectivity outcome.
@@ -39,16 +38,11 @@ type Result struct {
 }
 
 func (c Config) engine(n int) (*kmachine.Cluster, *kmachine.Config, error) {
-	bw := c.BandwidthBits
-	if bw == 0 {
-		bw = kmachine.Bandwidth(n)
-	}
 	kc := kmachine.Config{
 		K:                   c.K,
-		BandwidthBits:       bw,
+		BandwidthBits:       kmachine.Bandwidth(n),
 		MessageOverheadBits: 64,
 		Seed:                c.Seed,
-		MaxRounds:           c.MaxRounds,
 	}
 	cl, err := kmachine.New(kc)
 	return cl, &kc, err

@@ -1,12 +1,6 @@
-// Package benchfmt is the shared machine-readable benchmark schema
-// ("kmachine-bench/v2") written by cmd/kmbench (engine-throughput
-// microbenchmarks) and cmd/kmload (serving throughput/latency), so the
-// project's performance trajectory is tracked in one format across PRs.
-//
-// v2 is a strict superset of v1: every v1 field is unchanged, v2 added
-// max_rss_bytes and graph_load_ms, and the serving fields (requests,
-// latency percentiles) are additive and omitted when empty — a v2
-// consumer reads every producer's output.
+// Package benchfmt is the machine-readable benchmark schema
+// ("kmachine-bench/v2") cmd/kmload writes its serving throughput and
+// latency in.
 package benchfmt
 
 import (
@@ -23,26 +17,13 @@ const Schema = "kmachine-bench/v2"
 
 // Result is one benchmark measurement.
 type Result struct {
-	// Name identifies the benchmark (slash-separated, parameters after
-	// the family name, e.g. "ConnectivitySketch/n2048_k16").
+	// Name identifies the benchmark (slash-separated, the request family
+	// after the benchmark's, e.g. "ServeLoad/connectivity").
 	Name string `json:"name"`
-	// NsPerOp is the mean wall time per operation (for serving
-	// benchmarks: the mean request latency).
+	// NsPerOp is the mean request latency.
 	NsPerOp float64 `json:"ns_per_op"`
-	// BytesPerOp / AllocsPerOp are the Go benchmark allocation counters
-	// (0 for serving benchmarks, which measure across processes).
-	BytesPerOp  int64 `json:"bytes_per_op"`
-	AllocsPerOp int64 `json:"allocs_per_op"`
-	// Rounds is the model cost of one operation (independent of
-	// wall-clock).
-	Rounds int `json:"rounds"`
-	// GraphLoadMs is the one-time input build/load wall time.
-	GraphLoadMs float64 `json:"graph_load_ms"`
-	// MaxRSSBytes is the process's peak resident set at the end of this
-	// benchmark (cumulative and monotone across a run).
-	MaxRSSBytes int64 `json:"max_rss_bytes"`
 
-	// Serving extensions (cmd/kmload; zero values are omitted).
+	// Zero values below are omitted.
 	//
 	// Requests counts completed requests; Errors counts non-2xx
 	// responses other than 429; Rejected counts 429 backpressure
@@ -82,9 +63,8 @@ func (d *Doc) Validate() error {
 			return fmt.Errorf("benchfmt: benchmark %d has no name", i)
 		}
 		for name, v := range map[string]float64{
-			"ns_per_op": r.NsPerOp, "graph_load_ms": r.GraphLoadMs,
-			"requests_per_sec": r.RequestsPerSec,
-			"p50_ns":           r.P50Ns, "p90_ns": r.P90Ns, "p99_ns": r.P99Ns,
+			"ns_per_op": r.NsPerOp, "requests_per_sec": r.RequestsPerSec,
+			"p50_ns": r.P50Ns, "p90_ns": r.P90Ns, "p99_ns": r.P99Ns,
 		} {
 			if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
 				return fmt.Errorf("benchfmt: %s: bad %s %v", r.Name, name, v)
@@ -114,22 +94,6 @@ func WriteFile(path string, results []Result) error {
 	}
 	data = append(data, '\n')
 	return os.WriteFile(path, data, 0o644)
-}
-
-// ReadFile reads and validates a kmachine-bench document.
-func ReadFile(path string) (*Doc, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var doc Doc
-	if err := json.Unmarshal(data, &doc); err != nil {
-		return nil, err
-	}
-	if err := doc.Validate(); err != nil {
-		return nil, err
-	}
-	return &doc, nil
 }
 
 // Percentile returns the p-th percentile (0 <= p <= 100) of sorted

@@ -110,12 +110,11 @@ func (c *ConvertResult) Predicted() float64 {
 	return c.TermMessages + c.TermDelta
 }
 
-// Config parameterizes a conversion run.
+// Config parameterizes a conversion run; links carry
+// kmachine.Bandwidth(n) bits per round.
 type Config struct {
-	K             int
-	BandwidthBits int // 0 selects kmachine.Bandwidth(n)
-	Seed          int64
-	MaxRounds     int
+	K    int
+	Seed int64
 }
 
 // Convert replays a congested clique trace in the k-machine model using
@@ -123,10 +122,7 @@ type Config struct {
 // measured cost alongside the theorem's prediction.
 func Convert(tr *Trace, cfg Config) (*ConvertResult, error) {
 	n := tr.N
-	bw := cfg.BandwidthBits
-	if bw == 0 {
-		bw = kmachine.Bandwidth(n)
-	}
+	bw := kmachine.Bandwidth(n)
 	// Node placement: the same RVP hashing the algorithms use.
 	home := func(v int) int { return kmachine.HomeOf(uint64(cfg.Seed)^0x9e37, cfg.K, v) }
 
@@ -145,7 +141,6 @@ func Convert(tr *Trace, cfg Config) (*ConvertResult, error) {
 		BandwidthBits:       bw,
 		MessageOverheadBits: 64,
 		Seed:                cfg.Seed,
-		MaxRounds:           cfg.MaxRounds,
 	})
 	if err != nil {
 		return nil, err

@@ -174,7 +174,10 @@ func OpenJobSource(spec string) (graph.EdgeSource, io.Closer, error) {
 		if err1 != nil || err2 != nil || err3 != nil {
 			return nil, nil, fmt.Errorf("dist: malformed source spec %q", spec)
 		}
-		if n < 2 || m < 0 || m > n*(n-1)/2 {
+		if n > store.MaxN {
+			return nil, nil, fmt.Errorf("dist: source spec %q: %w: vertex count %d out of range [2, %d]", spec, store.ErrLimit, n, store.MaxN)
+		}
+		if n < 2 || m < 0 || int64(m) > int64(n)*int64(n-1)/2 {
 			return nil, nil, fmt.Errorf("dist: source spec %q out of range", spec)
 		}
 		var src graph.EdgeSource

@@ -354,6 +354,24 @@ func TestJobSpecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestOpenJobSourceBounds: a generated source past the store's vertex
+// bound (2^31) is refused with store.ErrLimit. The m ≤ n(n−1)/2 check
+// used to wrap once n passed ~3·10⁹ and let "gnm:4294967298:0:1" through,
+// and a worker then sized its shard tables from that n (~43 GB).
+func TestOpenJobSourceBounds(t *testing.T) {
+	for _, spec := range []string{"gnm:4294967298:0:1", "gnm:2147483649:0:1"} {
+		if _, _, err := OpenJobSource(spec); !errors.Is(err, store.ErrLimit) {
+			t.Errorf("%s: err = %v, want store.ErrLimit", spec, err)
+		}
+	}
+	if _, _, err := OpenJobSource("gnm:10:46:1"); err == nil || errors.Is(err, store.ErrLimit) {
+		t.Errorf("gnm:10:46:1: err = %v, want out of range", err)
+	}
+	if src, _, err := OpenJobSource("gnm:10:45:1"); err != nil || src.N() != 10 {
+		t.Errorf("gnm:10:45:1: err = %v", err)
+	}
+}
+
 // TestSpecKBeyondN: a spec whose k exceeds the graph's vertex count is
 // refused with resident.ErrBadConfig before anything is sized by k, for a
 // residency and a one-shot job alike. At k=1024 on a 2-vertex graph a

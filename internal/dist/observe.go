@@ -118,13 +118,6 @@ func (l *FlightLog) setRemote(idx int, fl []transport.RoundFlight) {
 	l.remote[idx] = fl
 }
 
-// Remote returns the snapshot worker idx reported, if any.
-func (l *FlightLog) Remote(idx int) []transport.RoundFlight {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.remote[idx]
-}
-
 // FlightDump is the JSON schema of one -flight-dump file.
 type FlightDump struct {
 	// Side is "coordinator" (our view of the worker's control link) or

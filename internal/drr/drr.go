@@ -102,14 +102,3 @@ func SimulateRoundDepth(nComp int, rng *rand.Rand) int {
 	}
 	return MaxDepth(BuildForest(targets, ranks))
 }
-
-// RootOf resolves the root of component c in a parent forest.
-func RootOf(parent map[uint64]uint64, c uint64) uint64 {
-	for {
-		p, ok := parent[c]
-		if !ok {
-			return c
-		}
-		c = p
-	}
-}

@@ -29,9 +29,6 @@ func TestBuildForestBasic(t *testing.T) {
 	if MaxDepth(parent) != 2 {
 		t.Errorf("depth = %d", MaxDepth(parent))
 	}
-	if RootOf(parent, 0) != 2 || RootOf(parent, 2) != 2 {
-		t.Error("root resolution")
-	}
 }
 
 func TestForestIsAcyclic(t *testing.T) {

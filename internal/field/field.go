@@ -84,12 +84,6 @@ func Pow(a, e uint64) uint64 {
 	return r
 }
 
-// Inv returns the multiplicative inverse of a (a must be nonzero and
-// canonical), using Fermat's little theorem: a^(p-2) mod p.
-func Inv(a uint64) uint64 {
-	return Pow(a, P-2)
-}
-
 // PolyEval evaluates the polynomial with the given coefficients
 // (coeffs[i] is the coefficient of x^i) at point x, by Horner's rule.
 // Coefficients and x must be canonical.

@@ -138,16 +138,6 @@ func ChungLu(n int, gamma, avgDeg float64, seed int64) *Graph {
 	return b.Build()
 }
 
-// DegreeHistogram returns the sorted degree sequence of g (descending).
-func DegreeHistogram(g *Graph) []int {
-	degs := make([]int, g.N())
-	for v := 0; v < g.N(); v++ {
-		degs[v] = g.Degree(v)
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(degs)))
-	return degs
-}
-
 // MaxDegree returns the maximum degree of g.
 func MaxDegree(g *Graph) int {
 	m := 0

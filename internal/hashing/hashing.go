@@ -60,20 +60,6 @@ type Poly struct {
 	coeffs []uint64 // canonical field elements; coeffs[i] multiplies x^i
 }
 
-// NewPolyFromSeed expands a seed into a d-wise independent polynomial.
-// This is the default (PRF-seeded) construction.
-func NewPolyFromSeed(seed uint64, d int) *Poly {
-	if d < 1 {
-		d = 1
-	}
-	coeffs := make([]uint64, d)
-	for i := range coeffs {
-		// Rejection-free: Reduce introduces negligible bias (2^-61).
-		coeffs[i] = field.Reduce(Hash2(seed, uint64(i)+0x5bd1e995))
-	}
-	return &Poly{coeffs: coeffs}
-}
-
 // NewPolyFromBits builds a d-wise independent polynomial from raw shared
 // random bits, consuming 8 bytes per coefficient. This is the faithful
 // construction fed by the paper's random-bit distribution protocol (§2.2):
@@ -100,11 +86,6 @@ func (p *Poly) Degree() int { return len(p.coeffs) }
 // Eval hashes key to a field element in [0, 2^61-1).
 func (p *Poly) Eval(key uint64) uint64 {
 	return field.PolyEval(p.coeffs, field.Reduce(key))
-}
-
-// EvalRange hashes key to [0, n).
-func (p *Poly) EvalRange(key uint64, n int) int {
-	return RangeOf(p.Eval(key)<<3, n) // shift to use high bits uniformly
 }
 
 // TrailingZeros returns the number of trailing zero bits of the hash of x

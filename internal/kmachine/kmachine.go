@@ -230,9 +230,6 @@ func (c *Ctx) K() int { return c.cfg.K }
 // every run of the cluster.
 func (c *Ctx) Round() int { return c.round }
 
-// BandwidthBits returns the per-link per-round bit budget.
-func (c *Ctx) BandwidthBits() int { return c.cfg.BandwidthBits }
-
 // Rand returns this machine's private source of randomness (§1.1: each
 // machine has access to a private source of true random bits). It is
 // built on first use — most machines of most runs never draw from it.

@@ -40,14 +40,3 @@ func (p *EdgePartition) HomeEdge(e graph.Edge) int {
 
 // OwnedEdges returns the edges homed at machine i.
 func (p *EdgePartition) OwnedEdges(i int) []graph.Edge { return p.owned[i] }
-
-// MaxLoad returns the largest number of edges on one machine.
-func (p *EdgePartition) MaxLoad() int {
-	m := 0
-	for _, o := range p.owned {
-		if len(o) > m {
-			m = len(o)
-		}
-	}
-	return m
-}

@@ -1,7 +1,7 @@
-// Package procstat reads host-process statistics for the CLIs' memory
-// reporting (kmbench's max_rss_bytes, kmrun's peak-RSS lines). One
-// shared implementation so the platform normalization lives in exactly
-// one place.
+// Package procstat reads host-process statistics for memory reporting
+// (kmrun's peak-RSS lines, the process gauges on /metrics). One shared
+// implementation so the platform normalization lives in exactly one
+// place.
 package procstat
 
 import (

@@ -390,16 +390,6 @@ func (c *Comm) AllSum(x uint64) uint64 {
 	return c.AllReduceU64(x, func(a, b uint64) uint64 { return a + b })
 }
 
-// AllMax returns the max of x over all machines, on every machine.
-func (c *Comm) AllMax(x uint64) uint64 {
-	return c.AllReduceU64(x, func(a, b uint64) uint64 {
-		if a > b {
-			return a
-		}
-		return b
-	})
-}
-
 // Shared is the shared randomness established by Setup: a seed all
 // machines agree on, from which proxy hashes h_{j,ρ}, DRR ranks, and
 // per-phase sketch matrices are derived (DESIGN.md substitution #2; the

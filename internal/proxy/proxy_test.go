@@ -228,9 +228,9 @@ func TestAllReduce(t *testing.T) {
 		if sum != 21 {
 			return fmt.Errorf("sum = %d", sum)
 		}
-		max := comm.AllMax(uint64(ctx.ID() * 10))
-		if max != 60 {
-			return fmt.Errorf("max = %d", max)
+		mx := comm.AllReduceU64(uint64(ctx.ID()*10), func(a, b uint64) uint64 { return max(a, b) })
+		if mx != 60 {
+			return fmt.Errorf("max = %d", mx)
 		}
 		return nil
 	})

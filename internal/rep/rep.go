@@ -22,15 +22,14 @@ import (
 	"kmgraph/internal/wire"
 )
 
-// Config parameterizes a REP-model run.
+// Config parameterizes a REP-model run; links carry kmachine.Bandwidth(n)
+// bits per round.
 type Config struct {
-	K             int
-	BandwidthBits int // 0 selects kmachine.Bandwidth(n)
-	Seed          int64
-	MaxRounds     int
+	K    int
+	Seed int64
 }
 
-// Result is the outcome of a REP-model MST or connectivity run.
+// Result is the outcome of a REP-model MST run.
 type Result struct {
 	// Edges is the spanning forest (MST under the (w, id) order).
 	Edges []graph.Edge
@@ -65,22 +64,8 @@ func localForest(n int, edges []graph.Edge) []graph.Edge {
 
 // MST computes the minimum spanning forest of g in the REP model.
 func MST(g *graph.Graph, cfg Config) (*Result, error) {
-	return run(g, cfg, false)
-}
-
-// Connectivity computes a spanning forest of g in the REP model (weights
-// ignored for filtering purposes beyond tie-breaking). The forest's
-// components are g's components.
-func Connectivity(g *graph.Graph, cfg Config) (*Result, error) {
-	return run(g, cfg, true)
-}
-
-func run(g *graph.Graph, cfg Config, unweighted bool) (*Result, error) {
 	n := g.N()
-	bw := cfg.BandwidthBits
-	if bw == 0 {
-		bw = kmachine.Bandwidth(n)
-	}
+	bw := kmachine.Bandwidth(n)
 	edgePart := kmachine.NewREP(g, cfg.K, uint64(cfg.Seed)^0xe4e4)
 	vertexSeed := uint64(cfg.Seed) ^ 0x9e37 // must match core.Run's RVP
 
@@ -89,7 +74,6 @@ func run(g *graph.Graph, cfg Config, unweighted bool) (*Result, error) {
 		BandwidthBits:       bw,
 		MessageOverheadBits: 64,
 		Seed:                cfg.Seed,
-		MaxRounds:           cfg.MaxRounds,
 	})
 	if err != nil {
 		return nil, err
@@ -100,15 +84,7 @@ func run(g *graph.Graph, cfg Config, unweighted bool) (*Result, error) {
 	// RVP homes (batched per destination machine).
 	res, err := cluster.Run(func(ctx *kmachine.Ctx) error {
 		comm := proxy.NewComm(ctx)
-		mine := edgePart.OwnedEdges(ctx.ID())
-		if unweighted {
-			flat := make([]graph.Edge, len(mine))
-			for i, e := range mine {
-				flat[i] = graph.Edge{U: e.U, V: e.V, W: 1}
-			}
-			mine = flat
-		}
-		keep := localForest(n, mine)
+		keep := localForest(n, edgePart.OwnedEdges(ctx.ID()))
 
 		batches := make([][]byte, ctx.K())
 		addTo := func(dst int, e graph.Edge) {
@@ -175,7 +151,7 @@ func run(g *graph.Graph, cfg Config, unweighted bool) (*Result, error) {
 
 	// Phase 3: RVP MST on the filtered graph, same vertex partition.
 	mst, err := core.RunMST(filtered, core.MSTConfig{Config: core.Config{
-		K: cfg.K, BandwidthBits: bw, Seed: cfg.Seed, MaxRounds: cfg.MaxRounds,
+		K: cfg.K, BandwidthBits: bw, Seed: cfg.Seed,
 	}})
 	if err != nil {
 		return nil, err

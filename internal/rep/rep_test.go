@@ -42,23 +42,6 @@ func TestREPMSTMatchesOracle(t *testing.T) {
 	}
 }
 
-func TestREPConnectivity(t *testing.T) {
-	g := graph.DisjointComponents(120, 5, 0.4, 10)
-	res, err := Connectivity(g, Config{K: 4, Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	forest := graph.FromEdges(g.N(), res.Edges)
-	wantLabels, wantCount := graph.Components(g)
-	gotLabels, gotCount := graph.Components(forest)
-	if gotCount != wantCount {
-		t.Errorf("components %d, want %d", gotCount, wantCount)
-	}
-	if !graph.SameLabeling(gotLabels, wantLabels) {
-		t.Error("forest does not span the same components")
-	}
-}
-
 func TestFilteringBounds(t *testing.T) {
 	// Each machine keeps at most n-1 edges after local filtering.
 	g := graph.WithDistinctWeights(graph.Complete(40), 12)

@@ -330,7 +330,7 @@ func TestColdQueryKeepsNoSumsForSingletons(t *testing.T) {
 	ctx := context.Background()
 
 	e := mustEngine(t, g, Config{K: 4, Seed: 3, MaxPhasesPerQuery: 1})
-	if _, err := e.Query(ctx); !errors.Is(err, ErrNotConverged) {
+	if _, err := e.Query(ctx); !errors.Is(err, core.ErrNotConverged) {
 		t.Fatalf("one-phase query: err = %v, want ErrNotConverged", err)
 	}
 	b := e.Metrics().Banks

@@ -1,7 +1,6 @@
 package resident
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 
@@ -61,7 +60,7 @@ func Load(src graph.EdgeSource, cfg Config, lo, hi int) (*kmachine.ShardPartitio
 // the transport mk makes (nil: transport/local).
 func NewMachines(part *kmachine.ShardPartition, cfg Config, mk kmachine.TransportMaker) (*Machines, error) {
 	h := &Machines{cfg: cfg, ccfg: cfg.coreConfig(part.N()), part: part, ms: make([]*rmachine, cfg.K),
-		banksN: cmp.Or(max(cfg.Banks, 0), defaultBanks(part.N()))}
+		banksN: defaultBanks(part.N())}
 	h.lo, _ = part.Range()
 	var err error
 	if h.kc, err = kmachine.NewWithTransport(h.ccfg.MachineConfig(), mk); err != nil {

@@ -70,9 +70,6 @@ type Config struct {
 	// MaxPhasesPerQuery caps Boruvka phases per job; 0 selects the
 	// static default, 12·ceil(log2 n) + 4.
 	MaxPhasesPerQuery int
-	// Banks is the number of persistent sketch banks maintained; query
-	// phase p draws from bank p mod Banks. 0 selects 2·ceil(log2 n) + 4.
-	Banks int
 	// Sketch overrides sketch parameters; zero selects
 	// sketch.DefaultParams(n).
 	Sketch sketch.Params
@@ -134,6 +131,8 @@ func (c Config) coreConfig(n int) core.Config {
 	return cc
 }
 
+// defaultBanks is the number of persistent sketch banks a residency keeps,
+// 2·ceil(log2 n) + 4; query phase p draws from bank p mod it.
 func defaultBanks(n int) int {
 	l := 0
 	for s := 1; s < n; s <<= 1 {
@@ -345,12 +344,6 @@ type (
 	Problem    = verify.Problem
 	VerifyArgs = verify.Args
 )
-
-// ErrNotConverged is returned by a job whose merge phases exhausted
-// MaxPhasesPerQuery with components still active (persistent sketch
-// failures); the engine remains usable and the job may be retried. It is
-// the one-shot host's error too.
-var ErrNotConverged = core.ErrNotConverged
 
 // ErrClosed is returned by operations on a closed engine.
 var ErrClosed = errors.New("resident: cluster closed")

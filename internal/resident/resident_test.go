@@ -138,15 +138,15 @@ func TestPhaseDriverStopRuleOnResidency(t *testing.T) {
 	t.Run("exhausted", func(t *testing.T) {
 		e := mustEngine(t, g, Config{K: 4, Seed: 5, MaxPhasesPerQuery: 1})
 		ctx := context.Background()
-		if _, err := e.Verify(ctx, verify.CycleContainment, VerifyArgs{}); !errors.Is(err, ErrNotConverged) {
+		if _, err := e.Verify(ctx, verify.CycleContainment, VerifyArgs{}); !errors.Is(err, core.ErrNotConverged) {
 			t.Fatalf("derived run capped at one phase: err = %v, want ErrNotConverged", err)
 		}
 		q, err := e.Query(ctx)
-		if !errors.Is(err, ErrNotConverged) || q == nil || q.Phases != 1 {
+		if !errors.Is(err, core.ErrNotConverged) || q == nil || q.Phases != 1 {
 			t.Fatalf("query capped at one phase: result %+v, err %v; want a 1-phase partial result and ErrNotConverged", q, err)
 		}
 		for try := 0; err != nil; try++ {
-			if try == 64 || !errors.Is(err, ErrNotConverged) {
+			if try == 64 || !errors.Is(err, core.ErrNotConverged) {
 				t.Fatalf("retry %d: %v", try, err)
 			}
 			q, err = e.Query(ctx)
@@ -198,7 +198,7 @@ func TestTinySketchParamsStarveMST(t *testing.T) {
 		}
 		e := mustEngine(t, g, cfg)
 		res, err := e.MST(context.Background(), false)
-		if err != nil && !errors.Is(err, ErrNotConverged) {
+		if err != nil && !errors.Is(err, core.ErrNotConverged) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		forest, total := graph.KruskalMST(g)

@@ -50,10 +50,9 @@ type Config struct {
 	// included); a request beyond it is refused with 429. Default 16.
 	MaxQueue int
 	// DefaultTimeout is the job deadline applied when a request carries
-	// no ?timeout= parameter. Default 60s.
+	// no ?timeout= parameter. Default 60s. It also raises the 10-minute
+	// cap on ?timeout= when larger.
 	DefaultTimeout time.Duration
-	// MaxTimeout caps the ?timeout= parameter. Default 10m.
-	MaxTimeout time.Duration
 	// CacheEntries bounds each graph's result cache; 0 selects the
 	// default 128, negative disables caching entirely.
 	CacheEntries int
@@ -70,8 +69,7 @@ type Config struct {
 	// Logger, when non-nil, receives one structured record per request:
 	// request ID, method, path, status, duration, and cache disposition.
 	// The request ID (client-provided X-Request-Id or minted) is echoed
-	// on the response and threaded through the request context into
-	// every job the request runs.
+	// on the response.
 	Logger *slog.Logger
 }
 
@@ -81,14 +79,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DefaultTimeout <= 0 {
 		c.DefaultTimeout = 60 * time.Second
-	}
-	if c.MaxTimeout <= 0 {
-		c.MaxTimeout = 10 * time.Minute
-		if c.DefaultTimeout > c.MaxTimeout {
-			// An operator raising the default deadline means jobs that long
-			// are expected; don't let the cap silently undercut it.
-			c.MaxTimeout = c.DefaultTimeout
-		}
 	}
 	if c.CacheEntries == 0 {
 		c.CacheEntries = 128
@@ -250,7 +240,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		rid = newRequestID()
 	}
 	w.Header().Set("X-Request-Id", rid)
-	r = r.WithContext(context.WithValue(r.Context(), ridKey{}, rid))
 	sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
 	s.inflight.Add(1)
 	s.mux.ServeHTTP(sw, r)
@@ -409,7 +398,8 @@ func (t *tenant) release() { <-t.slots }
 
 // parseTimeout resolves the ?timeout= parameter (validated before any
 // cache lookup, so malformed requests fail even when an answer is
-// cached), clamped to Config.MaxTimeout.
+// cached), clamped to 10 minutes — or to Config.DefaultTimeout, when an
+// operator raised it past that: jobs that long are then expected.
 func (s *Server) parseTimeout(r *http.Request) (time.Duration, error) {
 	d := s.cfg.DefaultTimeout
 	if raw := r.URL.Query().Get("timeout"); raw != "" {
@@ -422,10 +412,7 @@ func (s *Server) parseTimeout(r *http.Request) (time.Duration, error) {
 			return 0, fmt.Errorf("bad timeout %q: must be positive", raw)
 		}
 	}
-	if d > s.cfg.MaxTimeout {
-		d = s.cfg.MaxTimeout
-	}
-	return d, nil
+	return min(d, max(10*time.Minute, s.cfg.DefaultTimeout)), nil
 }
 
 func boolParam(r *http.Request, name string) bool {

@@ -344,6 +344,14 @@ func TestRequestTimeoutMapsToJobDeadline(t *testing.T) {
 	getJSON(t, ts.URL+"/graphs/g/connectivity", http.StatusOK, nil)
 
 	getJSON(t, ts.URL+"/graphs/g/connectivity?timeout=bogus", http.StatusBadRequest, nil)
+
+	// ?timeout= is capped at 10 minutes, or at a larger DefaultTimeout.
+	for _, c := range []struct{ def, want time.Duration }{{0, 10 * time.Minute}, {20 * time.Minute, 20 * time.Minute}} {
+		s := &Server{cfg: Config{DefaultTimeout: c.def}.withDefaults()}
+		if d, err := s.parseTimeout(httptest.NewRequest("GET", "/?timeout=1h", nil)); err != nil || d != c.want {
+			t.Errorf("DefaultTimeout %v: ?timeout=1h gives %v, %v; want %v", c.def, d, err, c.want)
+		}
+	}
 }
 
 func TestLoadAndUnloadOverHTTP(t *testing.T) {

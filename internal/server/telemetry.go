@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"net/http"
@@ -241,17 +240,4 @@ func newRequestID() string {
 		return "0000000000000000"
 	}
 	return hex.EncodeToString(b[:])
-}
-
-// ridKey carries the request ID through the request context — and from
-// there into every job the request runs, since job contexts derive from
-// the request's.
-type ridKey struct{}
-
-// RequestIDFromContext returns the request ID threaded through ctx, or
-// "" outside a server request (job contexts carry it: they derive from
-// the request context).
-func RequestIDFromContext(ctx context.Context) string {
-	v, _ := ctx.Value(ridKey{}).(string)
-	return v
 }

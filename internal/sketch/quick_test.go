@@ -1,66 +1,9 @@
 package sketch
 
 import (
-	"math"
-	"sort"
 	"testing"
 	"testing/quick"
-
-	"kmgraph/internal/hashing"
 )
-
-func TestSupportSizeZero(t *testing.T) {
-	s := New(DefaultParams(100), 1)
-	if got := s.SupportSize(); got != 0 {
-		t.Errorf("zero sketch estimate = %v", got)
-	}
-}
-
-func TestSupportSizeOrdersOfMagnitude(t *testing.T) {
-	// The median estimate over seeds should be within a small constant
-	// factor of the truth across several orders of magnitude (the
-	// guarantee is constant-factor w.h.p., so the median is the right
-	// summary; the mean would be tail-dominated).
-	p := DefaultParams(4000)
-	for _, support := range []int{1, 8, 64, 512, 4096} {
-		const seeds = 31
-		ests := make([]float64, 0, seeds)
-		for seed := uint64(0); seed < seeds; seed++ {
-			s := New(p, seed*977+3)
-			for i := 0; i < support; i++ {
-				id := hashing.Hash3(seed, 0xe57, uint64(i)) % (4000 * 4000)
-				s.AddItem(id, 1)
-			}
-			ests = append(ests, s.SupportSize())
-		}
-		sort.Float64s(ests)
-		median := ests[len(ests)/2]
-		ratio := median / float64(support)
-		if ratio < 1.0/4 || ratio > 4 {
-			t.Errorf("support %d: median estimate %.1f (ratio %.2f) outside [1/4, 4]",
-				support, median, ratio)
-		}
-	}
-}
-
-func TestSupportSizeMonotoneInExpectation(t *testing.T) {
-	p := DefaultParams(1000)
-	avg := func(support int) float64 {
-		var sum float64
-		for seed := uint64(0); seed < 40; seed++ {
-			s := New(p, seed*31+7)
-			for i := 0; i < support; i++ {
-				s.AddItem(hashing.Hash3(seed, 9, uint64(i))%(1000*1000), 1)
-			}
-			sum += s.SupportSize()
-		}
-		return sum / 40
-	}
-	small, big := avg(4), avg(400)
-	if big <= small {
-		t.Errorf("estimate not increasing: %v vs %v", small, big)
-	}
-}
 
 // Property-based tests on the sketch algebra (testing/quick).
 
@@ -166,23 +109,5 @@ func TestQuickSampleSoundness(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestSupportSizeLogSanity(t *testing.T) {
-	// The estimate's log should be within ~2 of the true log for a large
-	// support (tight version of the order-of-magnitude test).
-	p := DefaultParams(4000)
-	var sum float64
-	for seed := uint64(0); seed < 50; seed++ {
-		s := New(p, seed*13+1)
-		for i := 0; i < 1024; i++ {
-			s.AddItem(hashing.Hash3(seed, 2, uint64(i))%(4000*4000), 1)
-		}
-		sum += math.Log2(s.SupportSize() + 1)
-	}
-	mean := sum / 50
-	if math.Abs(mean-10) > 2 {
-		t.Errorf("mean log2 estimate %.2f, want ~10", mean)
 	}
 }

@@ -224,9 +224,6 @@ func (s *Sketch) Reset() {
 	}
 }
 
-// Params returns the sketch shape.
-func (s *Sketch) Params() Params { return s.p }
-
 // Seed returns the shared seed the sketch was built with.
 func (s *Sketch) Seed() uint64 { return s.seed }
 

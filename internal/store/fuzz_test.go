@@ -28,7 +28,7 @@ func FuzzReader(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r, err := FromBytes(data)
+		r, err := newReader(data)
 		if err != nil {
 			return
 		}

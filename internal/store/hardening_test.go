@@ -37,20 +37,20 @@ func TestReaderCloseIdempotent(t *testing.T) {
 		}
 	}
 
-	// FromBytes readers (no file, no mapping) must close the same way.
+	// In-memory readers (no file, no mapping) must close the same way.
 	var buf bytes.Buffer
 	if err := Write(&buf, graph.Path(5).Source()); err != nil {
 		t.Fatal(err)
 	}
-	br, err := FromBytes(buf.Bytes())
+	br, err := newReader(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := br.Close(); err != nil {
-		t.Fatalf("FromBytes Close: %v", err)
+		t.Fatalf("in-memory Close: %v", err)
 	}
 	if err := br.Close(); err != nil {
-		t.Fatalf("FromBytes double Close: %v", err)
+		t.Fatalf("in-memory double Close: %v", err)
 	}
 }
 
@@ -112,12 +112,12 @@ func TestOpenErrorPathsDoNotLeak(t *testing.T) {
 }
 
 func TestWriterRejectsVertexCountBeyondMaxN(t *testing.T) {
-	src := graph.NewSliceSource(maxN+1, nil)
+	src := graph.NewSliceSource(MaxN+1, nil)
 	err := Write(&bytes.Buffer{}, src)
 	if !errors.Is(err, ErrLimit) {
-		t.Fatalf("n = maxN+1: got %v, want ErrLimit", err)
+		t.Fatalf("n = MaxN+1: got %v, want ErrLimit", err)
 	}
-	// n = maxN itself is within bounds; reject must be strictly past it.
+	// n = MaxN itself is within bounds; reject must be strictly past it.
 	// (Allocating 8 GB of degree table is out of scope for a unit test, so
 	// only the error text is checked to not fire at the boundary via the
 	// guard's condition — exercised indirectly by the reader test below.)
@@ -144,11 +144,11 @@ func TestReaderRejectsVertexCountBeyondMaxN(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
-	putU64(data[16:], uint64(maxN)+1)
+	putU64(data[16:], uint64(MaxN)+1)
 	putU32(data[40:], crcOf(data[:40])) // re-seal the header
-	_, err := FromBytes(data)
+	_, err := newReader(data)
 	if !errors.Is(err, ErrLimit) {
-		t.Fatalf("forged n = maxN+1: got %v, want ErrLimit", err)
+		t.Fatalf("forged n = MaxN+1: got %v, want ErrLimit", err)
 	}
 }
 
@@ -161,7 +161,7 @@ func TestConcurrentSourcesOneReader(t *testing.T) {
 	if err := write(&buf, g.Source(), 1<<10); err != nil { // many blocks
 		t.Fatal(err)
 	}
-	r, err := FromBytes(buf.Bytes())
+	r, err := newReader(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}

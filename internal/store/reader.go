@@ -19,7 +19,7 @@ import (
 // bounds-checked: corrupted or truncated input yields an error, never a
 // panic.
 //
-// A Reader is safe for concurrent metadata access (N, M, RowDegree) and
+// A Reader is safe for concurrent metadata access (N, M, Weighted) and
 // for concurrent Source() iterators over one mapping: each iterator is
 // single-goroutine like any EdgeSource, but any number of them may run
 // in parallel — per-block CRC verification, the only shared mutable
@@ -85,9 +85,6 @@ func Open(path string) (*Reader, error) {
 	return r, nil
 }
 
-// FromBytes opens a kmgs container held in memory (tests, fuzzing).
-func FromBytes(data []byte) (*Reader, error) { return newReader(data) }
-
 func newReader(data []byte) (*Reader, error) {
 	if len(data) < headerLen {
 		return nil, fmt.Errorf("store: truncated header (%d bytes)", len(data))
@@ -106,8 +103,8 @@ func newReader(data []byte) (*Reader, error) {
 		return nil, fmt.Errorf("store: unknown flags %#x", flags)
 	}
 	n64, m64 := getU64(data[16:]), getU64(data[24:])
-	if n64 > maxN {
-		return nil, fmt.Errorf("store: %w: vertex count %d out of range [0, %d]", ErrLimit, n64, maxN)
+	if n64 > MaxN {
+		return nil, fmt.Errorf("store: %w: vertex count %d out of range [0, %d]", ErrLimit, n64, MaxN)
 	}
 	nblocks := int(getU32(data[36:]))
 	r := &Reader{
@@ -190,15 +187,6 @@ func (r *Reader) M() int { return r.m }
 
 // Weighted reports whether the store carries explicit edge weights.
 func (r *Reader) Weighted() bool { return r.weighted }
-
-// RowDegree returns the canonical out-degree of row u: the number of
-// stored edges {u, v} with v > u (not the graph degree of u).
-func (r *Reader) RowDegree(u int) int {
-	if u < 0 || u >= r.n {
-		return 0
-	}
-	return int(getU32(r.deg[4*u:]))
-}
 
 // Close releases the mapping and the file. The Reader and any sources
 // derived from it must not be used afterwards. Close is idempotent:

@@ -59,9 +59,9 @@ const (
 	DefaultBlockTarget = 1 << 16
 	// indexEntryLen is the byte length of one block-index entry.
 	indexEntryLen = 16
-	// maxN bounds the vertex count so degrees and rows fit the uint32
-	// tables.
-	maxN = 1 << 31
+	// MaxN bounds the vertex count so degrees and rows fit the uint32
+	// tables; a generated job source (dist) keeps to it too.
+	MaxN = 1 << 31
 	// maxBlockBytes bounds one block's payload so its byte length fits the
 	// uint32 index entry.
 	maxBlockBytes = 1<<32 - 1
@@ -72,7 +72,7 @@ const (
 // testable without writing 2^32 edges.
 var maxRowDegree uint32 = 1<<32 - 1
 
-// ErrLimit tags size-bound violations: a vertex count beyond maxN, a row
+// ErrLimit tags size-bound violations: a vertex count beyond MaxN, a row
 // whose canonical out-degree overflows the uint32 degree table, or a
 // block too large for its uint32 index entry. Both the Writer and the
 // Reader report these as wrapped ErrLimit errors (errors.Is) instead of

@@ -19,7 +19,7 @@ func roundTrip(t *testing.T, g *graph.Graph, blockTarget int) {
 	if err := write(&buf, g.Source(), blockTarget); err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	r, err := FromBytes(buf.Bytes())
+	r, err := newReader(buf.Bytes())
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -128,7 +128,7 @@ func TestUnweightedFlag(t *testing.T) {
 	if err := Write(&buf, g.Source()); err != nil {
 		t.Fatal(err)
 	}
-	r, err := FromBytes(buf.Bytes())
+	r, err := newReader(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestReaderRejectsTruncation(t *testing.T) {
 	}
 	full := buf.Bytes()
 	for _, cut := range []int{0, 3, headerLen - 1, headerLen + 10, len(full) / 2, len(full) - 1} {
-		r, err := FromBytes(full[:cut])
+		r, err := newReader(full[:cut])
 		if err != nil {
 			continue // rejected at open: good
 		}
@@ -193,7 +193,7 @@ func TestReaderRejectsCorruption(t *testing.T) {
 		mut := append([]byte(nil), full...)
 		i := rng.Intn(len(mut))
 		mut[i] ^= 1 << uint(rng.Intn(8))
-		r, err := FromBytes(mut)
+		r, err := newReader(mut)
 		if err != nil {
 			continue
 		}

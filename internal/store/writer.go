@@ -49,8 +49,8 @@ func dirOf(path string) string {
 
 func write(w io.Writer, src graph.EdgeSource, blockTarget int) error {
 	n := src.N()
-	if n < 0 || n > maxN {
-		return fmt.Errorf("store: %w: vertex count %d out of range [0, %d]", ErrLimit, n, maxN)
+	if n < 0 || n > MaxN {
+		return fmt.Errorf("store: %w: vertex count %d out of range [0, %d]", ErrLimit, n, MaxN)
 	}
 	if blockTarget <= 0 {
 		blockTarget = DefaultBlockTarget

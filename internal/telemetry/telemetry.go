@@ -11,7 +11,7 @@
 // only after it stops.
 //
 // Everything here is stdlib-only and allocation-free on the hot paths:
-// Counter.Add, Gauge.Set, and Histogram.Observe perform a constant
+// Counter.Add and Histogram.Observe perform a constant
 // number of atomic operations and never allocate, so instrumenting a
 // 20k req/s serving loop or a per-phase engine callback costs nanoseconds,
 // not garbage.
@@ -69,28 +69,6 @@ func (c *Counter) Add(n int64) {
 
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Gauge is a value that can go up and down.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add adjusts the gauge by d.
-func (g *Gauge) Add(d float64) {
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + d)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Value returns the current gauge value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // Histogram is a log-bucketed distribution: observations land in the
 // first bucket whose upper bound is >= the value, with an implicit
@@ -179,7 +157,6 @@ type series struct {
 	labels  []Label
 	key     string // canonical label rendering, the dedup/sort key
 	counter *Counter
-	gauge   *Gauge
 	fn      func() float64 // CounterFunc / GaugeFunc callback
 	hist    *Histogram
 }
@@ -244,11 +221,6 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...Label) {
 	s := r.upsert(name, help, kindCounter, labels, func() *series { return &series{} })
 	s.fn = fn
-}
-
-// Gauge registers (or fetches) a gauge.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	return r.upsert(name, help, kindGauge, labels, func() *series { return &series{gauge: &Gauge{}} }).gauge
 }
 
 // GaugeFunc registers a gauge whose value is read from fn at scrape
@@ -427,8 +399,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 				fmt.Fprintf(&b, "%s %s\n", sampleName(f.name, s.key), formatValue(s.fn()))
 			case s.counter != nil:
 				fmt.Fprintf(&b, "%s %d\n", sampleName(f.name, s.key), s.counter.Value())
-			case s.gauge != nil:
-				fmt.Fprintf(&b, "%s %s\n", sampleName(f.name, s.key), formatValue(s.gauge.Value()))
 			}
 		}
 	}

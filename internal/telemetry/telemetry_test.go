@@ -16,11 +16,11 @@ func TestCounterGaugeBasics(t *testing.T) {
 	if c.Value() != 5 {
 		t.Fatalf("counter: %d, want 5", c.Value())
 	}
-	var g Gauge
-	g.Set(2.5)
-	g.Add(-1)
-	if g.Value() != 1.5 {
-		t.Fatalf("gauge: %v, want 1.5", g.Value())
+	r := NewRegistry()
+	r.GaugeFunc("g", "h", func() float64 { return 1.5 })
+	var sb strings.Builder
+	if err := r.WritePrometheus(&sb); err != nil || !strings.Contains(sb.String(), "\ng 1.5\n") {
+		t.Fatalf("gauge: %q (%v), want a g 1.5 sample", sb.String(), err)
 	}
 }
 
@@ -40,7 +40,7 @@ func TestRegistryIdempotentUpsert(t *testing.T) {
 			t.Fatal("kind mismatch did not panic")
 		}
 	}()
-	r.Gauge("x_total", "help")
+	r.GaugeFunc("x_total", "help", func() float64 { return 0 })
 }
 
 func TestHistogramObserveAndQuantile(t *testing.T) {
@@ -84,7 +84,7 @@ func TestPrometheusGrammar(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("b_requests_total", "Requests.", Label{Name: "endpoint", Value: "mst"}).Add(3)
 	r.Counter("b_requests_total", "Requests.", Label{Name: "endpoint", Value: "connectivity"}).Add(9)
-	r.Gauge("a_queue_depth", "Depth.", Label{Name: "graph", Value: `we"ird\name` + "\n"}).Set(2)
+	r.GaugeFunc("a_queue_depth", "Depth.", func() float64 { return 2 }, Label{Name: "graph", Value: `we"ird\name` + "\n"})
 	r.GaugeFunc("c_live", "Scrape-time.", func() float64 { return 7.5 })
 	h := r.HistogramWith([]float64{0.001, 0.01, 0.1}, "b_latency_seconds", "Latency.")
 	for _, v := range []float64{0.0005, 0.005, 0.05, 5} {
@@ -197,14 +197,6 @@ func BenchmarkCounterInc(b *testing.B) {
 	}
 }
 
-func BenchmarkGaugeSet(b *testing.B) {
-	g := NewRegistry().Gauge("g", "h")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		g.Set(float64(i))
-	}
-}
-
 func BenchmarkHistogramObserve(b *testing.B) {
 	h := NewRegistry().Histogram("h_seconds", "h")
 	b.ReportAllocs()
@@ -218,13 +210,9 @@ func BenchmarkHistogramObserve(b *testing.B) {
 func TestHotPathsAllocationFree(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("c_total", "h")
-	g := r.Gauge("g", "h")
 	h := r.Histogram("h_seconds", "h")
 	if n := testing.AllocsPerRun(1000, func() { c.Inc() }); n != 0 {
 		t.Errorf("Counter.Inc allocates %v/op", n)
-	}
-	if n := testing.AllocsPerRun(1000, func() { g.Set(3) }); n != 0 {
-		t.Errorf("Gauge.Set allocates %v/op", n)
 	}
 	if n := testing.AllocsPerRun(1000, func() { h.Observe(0.003) }); n != 0 {
 		t.Errorf("Histogram.Observe allocates %v/op", n)

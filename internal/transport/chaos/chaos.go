@@ -29,8 +29,8 @@ type Action uint8
 const (
 	// ActDrop silently discards the message.
 	ActDrop Action = iota + 1
-	// ActDelay holds the message for DelayRounds barriers, then injects
-	// it as if freshly staged.
+	// ActDelay holds the message for a number of barriers (one, for a
+	// link fault), then injects it as if freshly staged.
 	ActDelay
 	// ActSever kills the directed link: the first barrier at or after
 	// FromRound that stages a message on it fails with a LinkDownError,
@@ -58,20 +58,12 @@ type LinkFault struct {
 	// FromRound is the first barrier (1-based, counting Round calls) the
 	// fault applies to; 0 means from the start.
 	FromRound uint64
-	// ToRound is the last barrier the fault applies to; 0 means forever.
-	// Sever ignores ToRound: a severed link stays severed.
-	ToRound uint64
 	// Action is what happens to matching messages.
 	Action Action
-	// DelayRounds is the hold duration for ActDelay (minimum 1).
-	DelayRounds int
 }
 
 func (f *LinkFault) matches(round uint64, src, dst int) bool {
 	if f.FromRound > 0 && round < f.FromRound {
-		return false
-	}
-	if f.Action != ActSever && f.ToRound > 0 && round > f.ToRound {
 		return false
 	}
 	if f.Src >= 0 && f.Src != src {
@@ -202,11 +194,6 @@ func (t *Transport) Remnants() (int, int64) {
 // Close closes the wrapped transport.
 func (t *Transport) Close() error { return t.inner.Close() }
 
-// Journal returns the faults applied so far, in application order. Two
-// runs of the same plan over the same workload produce identical
-// journals — the replay-determinism tests pin exactly that.
-func (t *Transport) Journal() []Fault { return t.journal }
-
 // coin returns a deterministic uniform value in [0,1) for one decision.
 func (t *Transport) coin(round uint64, src, dst, ordinal int, salt uint64) float64 {
 	h := hashing.Hash4(uint64(t.plan.Seed)^salt, round, uint64(src)<<32|uint64(uint32(dst)), uint64(ordinal))
@@ -299,11 +286,7 @@ func (t *Transport) apply(m transport.Message, ordinal int) (bool, error) {
 			t.journal = append(t.journal, Fault{Round: t.round, Src: m.Src, Dst: m.Dst, Action: ActDrop})
 			return true, nil
 		case ActDelay:
-			d := f.DelayRounds
-			if d < 1 {
-				d = 1
-			}
-			t.hold(m, d)
+			t.hold(m, 1)
 			return true, nil
 		}
 	}

@@ -63,7 +63,7 @@ func runConnectivity(n, m int, gs int64, cfg core.Config, plan Plan) (*core.Resu
 	kres, err := cluster.Run(core.ConnectivityHandler(part.Shard, cfg))
 	var journal []Fault
 	if ct != nil {
-		journal = append(journal, ct.Journal()...)
+		journal = append(journal, ct.journal...)
 	}
 	if err != nil {
 		return nil, journal, err

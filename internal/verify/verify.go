@@ -108,14 +108,13 @@ type Outcome struct {
 	Metrics kmachine.Metrics
 }
 
-// ViewKind selects how a connectivity run's graph derives from G.
+// ViewKind selects how a connectivity run's graph derives from G; the
+// zero ViewKind is G itself.
 type ViewKind int
 
 const (
-	// ViewFull is G itself.
-	ViewFull ViewKind = iota
 	// ViewKeep keeps only the edges in View.Edges.
-	ViewKeep
+	ViewKeep ViewKind = iota + 1
 	// ViewRemove removes the edges in View.Edges.
 	ViewRemove
 	// ViewDoubleCover is the bipartite double cover of G (2n vertices).

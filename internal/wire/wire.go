@@ -258,13 +258,6 @@ func (r *Reader) Ints(ps ...*int) {
 	}
 }
 
-// Int decodes a non-negative int encoded with AppendUvarint.
-//
-//km:hotpath
-func (r *Reader) Int() int {
-	return int(r.Uvarint())
-}
-
 // Done reports an error unless the message decoded cleanly and completely.
 func (r *Reader) Done() error {
 	if r.err != nil {

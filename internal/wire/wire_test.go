@@ -74,10 +74,11 @@ func TestTrailingBytes(t *testing.T) {
 }
 
 func TestIntHelper(t *testing.T) {
-	buf := AppendUvarint(nil, 12345)
-	r := NewReader(buf)
-	if got := r.Int(); got != 12345 {
-		t.Errorf("Int = %d, want 12345", got)
+	r := NewReader(AppendInts(nil, 12345, -7))
+	var a, b int
+	r.Ints(&a, &b)
+	if a != 12345 || b != -7 || r.Done() != nil {
+		t.Errorf("Ints = %d, %d (%v), want 12345, -7", a, b, r.Done())
 	}
 }
 
