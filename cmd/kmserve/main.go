@@ -49,7 +49,6 @@
 //	GET    /graphs/{name}/jobs/{id}/events      (Server-Sent Events: one job's progress)
 //	GET    /fleet                               (health of every fleet-backed graph)
 //	GET    /fleet/{name}                        (503 body when the fleet is down)
-//	GET    /fleet/{name}/connectivity|mst|trace (aliases of /graphs/{name}/…)
 //
 // With -debug-addr, a second private listener serves net/http/pprof
 // under /debug/pprof/. With -log-requests, every request emits one

@@ -80,7 +80,7 @@ func Flooding(g *graph.Graph, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	defer cluster.Close()
-	part, err := kmachine.LoadShards(g.Source(), cfg.K, uint64(cfg.Seed)^0x9e37)
+	part, err := kmachine.LoadShards(g.Source(), cfg.K, kmachine.RVPSeed(cfg.Seed))
 	if err != nil {
 		return nil, err
 	}
@@ -154,7 +154,7 @@ func Referee(g *graph.Graph, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	defer cluster.Close()
-	part, err := kmachine.LoadShards(g.Source(), cfg.K, uint64(cfg.Seed)^0x9e37)
+	part, err := kmachine.LoadShards(g.Source(), cfg.K, kmachine.RVPSeed(cfg.Seed))
 	if err != nil {
 		return nil, err
 	}

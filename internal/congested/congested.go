@@ -124,7 +124,7 @@ func Convert(tr *Trace, cfg Config) (*ConvertResult, error) {
 	n := tr.N
 	bw := kmachine.Bandwidth(n)
 	// Node placement: the same RVP hashing the algorithms use.
-	home := func(v int) int { return kmachine.HomeOf(uint64(cfg.Seed)^0x9e37, cfg.K, v) }
+	home := func(v int) int { return kmachine.HomeOf(kmachine.RVPSeed(cfg.Seed), cfg.K, v) }
 
 	// Precompute, per machine and clique round, the messages it originates.
 	perMachineRound := make([][][]TraceMsg, cfg.K)

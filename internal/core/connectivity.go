@@ -101,14 +101,6 @@ type Config struct {
 	MaxRounds int
 	// MessageOverheadBits models per-message framing (0 = 64).
 	MessageOverheadBits int
-	// PhaseHook, when set, is called by the machine whose ID equals
-	// PhaseHookID right after each phase's end-of-phase collective, with
-	// the phase index and that machine's completed round count. It is
-	// observation only — it must not communicate or mutate state — and
-	// is never part of a distributed job spec: each participant installs
-	// its own (a worker hooks its lowest hosted machine).
-	PhaseHook   func(phase, round int) `json:"-"`
-	PhaseHookID int                    `json:"-"`
 }
 
 // WithDefaults resolves zero-valued fields for an n-vertex input. Every
@@ -162,8 +154,8 @@ type Result struct {
 
 // MachineOutput is each machine's designated output variable o_i of a
 // connectivity job. The one-shot handler sets it as the machine's output,
-// dist ships it in wire form (AppendOutput), and resident machines reply
-// with it; Assemble combines one per machine into the global Result.
+// resident machines reply with it (a fleet's in wire form, AppendOutput);
+// Assemble combines one per machine into the global Result.
 type MachineOutput struct {
 	Labels        map[int]uint64
 	Failures      int64
@@ -201,7 +193,7 @@ func RunSource(src graph.EdgeSource, cfg Config) (*Result, error) {
 
 // RunSourceContext is RunSource with cancellation.
 func RunSourceContext(ctx context.Context, src graph.EdgeSource, cfg Config) (*Result, error) {
-	part, err := kmachine.LoadShards(src, cfg.K, uint64(cfg.Seed)^0x9e37)
+	part, err := kmachine.LoadShards(src, cfg.K, kmachine.RVPSeed(cfg.Seed))
 	if err != nil {
 		return nil, err
 	}
@@ -297,8 +289,9 @@ func Assemble(n int, outputs []any) (*Result, error) {
 // ConnectivityHandler returns the per-machine connectivity program over
 // the given shard lookup (a ShardPartition's Shard method): shared-
 // randomness setup, the connectivity job, and the optional §2.6 output
-// protocol. cfg must already be resolved (WithDefaults) so every
-// participant of a multi-process run agrees on every parameter.
+// protocol, with machine 0 recording each phase's end round. cfg must
+// already be resolved (WithDefaults) so every machine agrees on every
+// parameter.
 func ConnectivityHandler(shard func(id int) *kmachine.Shard, cfg Config) kmachine.Handler {
 	return func(mctx *kmachine.Ctx) error {
 		m := NewMerger(mctx, shard(mctx.ID()), cfg)
@@ -307,11 +300,10 @@ func ConnectivityHandler(shard func(id int) *kmachine.Shard, cfg Config) kmachin
 			return err
 		}
 		var rounds []int
-		out, _ := m.ConnectivityJob(0, func(phase, round int, active, failures uint64) {
+		out, _ := m.ConnectivityJob(0, func(_, round int, _, _ uint64) {
 			if mctx.ID() == 0 {
 				rounds = append(rounds, round)
 			}
-			m.configHook(phase, round, active, failures)
 		})
 		out.PhaseRounds = rounds
 		if cfg.CountComponents {
@@ -322,19 +314,11 @@ func ConnectivityHandler(shard func(id int) *kmachine.Shard, cfg Config) kmachin
 	}
 }
 
-// configHook is the PhaseFunc delivering Config.PhaseHook on the machine
-// it names.
-func (m *Merger) configHook(phase, round int, _, _ uint64) {
-	if m.Cfg.PhaseHook != nil && m.Ctx.ID() == m.Cfg.PhaseHookID {
-		m.Cfg.PhaseHook(phase, round)
-	}
-}
-
 // ConnectivityJob is the Theorem 1 program over a ready Merger (shared
 // randomness established, singleton labels): selection phases numbered
 // from firstPhase until no component is active. Every host runs exactly
-// this — the one-shot and dist handlers after Setup, the resident
-// machines over a derived view of the residency.
+// this — the one-shot handler after Setup, the resident machines (a
+// fleet's included) over a derived view of the residency.
 func (m *Merger) ConnectivityJob(firstPhase int, after PhaseFunc) (out *MachineOutput, cancelled bool) {
 	sel := m.SelectSketch
 	if m.Cfg.EdgeCheckSelection {

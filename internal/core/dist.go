@@ -1,13 +1,12 @@
-// Distribution surface: the hooks a multi-process run needs from the
-// algorithm layer. A distributed worker hosts machines [lo, hi) of a
-// k-machine cluster behind transport/tcp; it builds the same per-machine
-// handler a single-process run would (ConnectivityHandler / MSTHandler
-// over its shard views), and ships its hosted machines' designated
-// outputs to the coordinator in wire form (AppendOutput / ReadOutput).
-// The coordinator reassembles the global result with Assemble /
-// AssembleMST over the combined output vector — the exact functions the
-// single-process paths use, so the distributed result is bit-identical
-// by construction.
+// Wire form of a machine's output: what a fleet's machines — the resident
+// machines a kmworker hosts (internal/resident) — send their coordinator.
+// A worker encodes each hosted machine's designated output of a command
+// (AppendOutput), and the coordinator decodes them (ReadOutput) and
+// reassembles the global result with Assemble / AssembleMST over the
+// combined output vector — the exact functions every in-process host uses,
+// so the distributed result is bit-identical by construction. The form
+// carries what a resident job produces; the one-shot handler's in-process
+// extras (PhaseRounds, the §2.6 ProtocolCount) do not cross it.
 
 package core
 
@@ -29,15 +28,13 @@ const (
 // guards against corrupt frames).
 const maxOutputItems = 1 << 28
 
-// AppendOutput encodes one machine's designated output (as produced by
-// the connectivity or MST handler) onto b in wire form.
+// AppendOutput encodes one machine's designated output of a connectivity
+// or MST job onto b in wire form.
 func AppendOutput(b []byte, o any) ([]byte, error) {
 	switch mo := o.(type) {
 	case *MachineOutput:
 		b = appendLabels(append(b, outputConn), mo.Labels)
-		b = wire.AppendInts(b, int(mo.Failures), mo.Phases, btoi(mo.Converged), mo.CollapseIters, mo.ProtocolCount,
-			btoi(mo.PhaseRounds != nil), len(mo.PhaseRounds))
-		return wire.AppendInts(b, mo.PhaseRounds...), nil
+		return wire.AppendInts(b, int(mo.Failures), mo.Phases, btoi(mo.Converged), mo.CollapseIters), nil
 	case *MSTOutput:
 		b = appendEdges(appendLabels(append(b, outputMST), mo.Labels), mo.Edges)
 		b = wire.AppendInts(b, btoi(mo.VertexEdges != nil), len(mo.VertexEdges))
@@ -59,17 +56,8 @@ func ReadOutput(r *wire.Reader) (any, error) {
 	case err != nil:
 		return nil, err
 	case tag == outputConn:
-		mo := &MachineOutput{Labels: labels}
-		r.Ints(&failures, &mo.Phases, &converged, &mo.CollapseIters, &mo.ProtocolCount, &present, &cnt)
-		if err := checkCount(r, cnt); err != nil {
-			return nil, err
-		}
-		if present != 0 {
-			mo.PhaseRounds = make([]int, cnt)
-			for i := range mo.PhaseRounds {
-				r.Ints(&mo.PhaseRounds[i])
-			}
-		}
+		mo := &MachineOutput{Labels: labels, ProtocolCount: -1}
+		r.Ints(&failures, &mo.Phases, &converged, &mo.CollapseIters)
 		mo.Failures, mo.Converged = int64(failures), converged != 0
 		return mo, r.Err()
 	case tag == outputMST:

@@ -33,9 +33,6 @@ type MSTConfig struct {
 	// StrongOutput also delivers each MST edge to both endpoints' home
 	// machines (Theorem 2(b)).
 	StrongOutput bool
-	// MaxElimIters caps elimination iterations per phase; 0 selects
-	// 2·ceil(log2 n) + 8 (enough for w.h.p. convergence).
-	MaxElimIters int
 }
 
 // MSTResult is the outcome of an MST run.
@@ -76,7 +73,7 @@ type MSTOutput struct {
 	WeakRounds  int
 }
 
-// DefaultMaxElimIters returns the default per-phase elimination cap for an
+// DefaultMaxElimIters returns the per-phase elimination cap for an
 // n-vertex input: 2·ceil(log2 n) + 8, enough for w.h.p. convergence.
 func DefaultMaxElimIters(n int) int {
 	l := 0
@@ -84,16 +81,6 @@ func DefaultMaxElimIters(n int) int {
 		l++
 	}
 	return 2*l + 8
-}
-
-// WithDefaults resolves zero-valued fields for an n-vertex input exactly
-// as RunMST would.
-func (c MSTConfig) WithDefaults(n int) MSTConfig {
-	c.Config = c.Config.WithDefaults(n)
-	if c.MaxElimIters == 0 {
-		c.MaxElimIters = DefaultMaxElimIters(n)
-	}
-	return c
 }
 
 // RunMST executes the MST algorithm on g under a fresh random vertex
@@ -106,12 +93,12 @@ func RunMST(g *graph.Graph, cfg MSTConfig) (*MSTResult, error) {
 // deadline passes, the underlying cluster aborts and ctx.Err() is
 // returned.
 func RunMSTContext(ctx context.Context, g *graph.Graph, cfg MSTConfig) (*MSTResult, error) {
-	cfg = cfg.WithDefaults(g.N())
-	part, err := kmachine.LoadShards(g.Source(), cfg.K, uint64(cfg.Seed)^0x9e37)
+	cfg.Config = cfg.Config.WithDefaults(g.N())
+	part, err := kmachine.LoadShards(g.Source(), cfg.K, kmachine.RVPSeed(cfg.Seed))
 	if err != nil {
 		return nil, err
 	}
-	res, err := runOneShot(ctx, cfg.Config, MSTHandler(part.Shard, cfg))
+	res, err := runOneShot(ctx, cfg.Config, mstHandler(part.Shard, cfg))
 	if err != nil {
 		return nil, err
 	}
@@ -175,16 +162,16 @@ func AssembleMST(n int, outputs []any) (*MSTResult, error) {
 	return out, nil
 }
 
-// MSTHandler returns the per-machine MST program over the given shard
-// lookup. cfg must already be resolved (MSTConfig.WithDefaults).
-func MSTHandler(shard func(id int) *kmachine.Shard, cfg MSTConfig) kmachine.Handler {
+// mstHandler returns the per-machine MST program over the given shard
+// lookup. cfg must already be resolved (Config.WithDefaults).
+func mstHandler(shard func(id int) *kmachine.Shard, cfg MSTConfig) kmachine.Handler {
 	return func(mctx *kmachine.Ctx) error {
 		m := NewMerger(mctx, shard(mctx.ID()), cfg.Config)
 		defer m.ReleasePools()
 		if err := m.Setup(); err != nil {
 			return err
 		}
-		out, _ := m.MSTJob(0, cfg.MaxElimIters, cfg.StrongOutput, m.configHook)
+		out, _ := m.MSTJob(0, DefaultMaxElimIters(m.View.N()), cfg.StrongOutput, nil)
 		mctx.SetOutput(out)
 		return nil
 	}

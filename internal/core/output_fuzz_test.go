@@ -12,8 +12,8 @@ import (
 )
 
 // realOutputs returns the per-machine outputs of real runs of both job
-// families: connectivity with the §2.6 count (machine 0 carries phase
-// rounds and the count) and strong-output MST (vertex-edge maps).
+// families as a residency produces them (no one-shot extras): a
+// connectivity job and a strong-output MST (vertex-edge maps).
 func realOutputs(t testing.TB) []any {
 	t.Helper()
 	g := graph.WithDistinctWeights(graph.GNM(60, 150, 3), 4)
@@ -21,9 +21,19 @@ func realOutputs(t testing.TB) []any {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := MSTConfig{Config: Config{K: 3, Seed: 5, CountComponents: true}, StrongOutput: true}.WithDefaults(g.N())
+	cfg := MSTConfig{Config: Config{K: 3, Seed: 5}.WithDefaults(g.N()), StrongOutput: true}
+	conn := func(mctx *kmachine.Ctx) error {
+		m := NewMerger(mctx, part.Shard(mctx.ID()), cfg.Config)
+		defer m.ReleasePools()
+		if err := m.Setup(); err != nil {
+			return err
+		}
+		out, _ := m.ConnectivityJob(0, nil)
+		mctx.SetOutput(out)
+		return nil
+	}
 	var outs []any
-	for _, h := range []kmachine.Handler{ConnectivityHandler(part.Shard, cfg.Config), MSTHandler(part.Shard, cfg)} {
+	for _, h := range []kmachine.Handler{conn, mstHandler(part.Shard, cfg)} {
 		res, err := runOneShot(context.Background(), cfg.Config, h)
 		if err != nil {
 			t.Fatal(err)
@@ -72,10 +82,10 @@ func FuzzReadOutput(f *testing.F) {
 		f.Add(b)
 	}
 	f.Add([]byte{})
-	f.Add([]byte{outputConn, 0xff, 0xff, 0xff, 0x7f})                   // 2^28-1 labels, no bytes
-	f.Add([]byte{outputConn, 0, 0, 0, 0, 0, 1, 0xff, 0xff, 0xff, 0x7f}) // 2^28-1 phase rounds
-	f.Add([]byte{outputMST, 0, 0xff, 0xff, 0xff, 0x7f})                 // 2^28-1 edges
-	f.Add([]byte{outputMST, 1, 0xff, 0xff, 0x03, 7, 0, 1})              // vertex 65535 of a 4-vertex graph
+	f.Add([]byte{outputConn, 0xff, 0xff, 0xff, 0x7f})         // 2^28-1 labels, no bytes
+	f.Add([]byte{outputMST, 0, 0, 2, 0xfe, 0xff, 0xff, 0x7f}) // 2^27-1 vertex-edge entries, no bytes
+	f.Add([]byte{outputMST, 0, 0xff, 0xff, 0xff, 0x7f})       // 2^28-1 edges
+	f.Add([]byte{outputMST, 1, 0xff, 0xff, 0x03, 7, 0, 1})    // vertex 65535 of a 4-vertex graph
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"kmgraph/internal/core"
-	"kmgraph/internal/kmachine"
 	"kmgraph/internal/resident"
 	"kmgraph/internal/transport"
 	"kmgraph/internal/transport/tcp"
@@ -82,68 +81,39 @@ func (o CoordOptions) withDefaults() CoordOptions {
 	return o
 }
 
-// RunConnectivity runs one distributed connectivity job over the worker
-// fleet at addrs, on the graph named by the source spec, with default
-// coordinator options: the coordinator itself, for callers that measure
-// it. Everything else runs jobs on a fleet-backed Cluster (OpenFleet).
+// RunConnectivity runs one connectivity job over the worker fleet at addrs,
+// on the graph named by the source spec, with default coordinator options:
+// a residency opened for it (OpenFleet), loaded, run once with fresh
+// sketches (resident.Engine.Static) and closed — the coordinator itself,
+// for callers that measure it; everything else runs jobs on a fleet-backed
+// Cluster. Its result and Metrics (the residency's total: the load plus
+// the run) are bit-identical to core.RunSource with the same spec and cfg,
+// and a job that ran out of phases returns its partial result with
+// core.ErrNotConverged, as core.RunSource does. A residency hosts neither
+// EdgeCheckSelection nor CountComponents: they are refused with
+// resident.ErrBadConfig before anything is dialed.
 func RunConnectivity(ctx context.Context, addrs []string, source string, cfg core.Config) (*core.Result, error) {
-	return runConnectivity(ctx, addrs, source, cfg, CoordOptions{}, nil)
-}
-
-// runConnectivity runs a connectivity job under opts; a non-nil span log
-// makes it a traced one. The assembled result (and its Metrics) is
-// bit-identical to core.RunSource with the same spec and configuration —
-// also after retries: jobs are deterministic and re-materializable from
-// their source spec, so a recovered run replays the exact computation. A
-// job that ran out of phases returns its partial result with
-// core.ErrNotConverged, as core.RunSource does.
-func runConnectivity(ctx context.Context, addrs []string, source string, cfg core.Config, opts CoordOptions, tr *spanLog) (*core.Result, error) {
-	res, n, outs, err := runOneShot(ctx, addrs, source, core.MSTConfig{Config: cfg}, false, opts, tr)
+	if cfg.EdgeCheckSelection || cfg.CountComponents {
+		return nil, fmt.Errorf("dist: %w: a residency runs neither EdgeCheckSelection nor CountComponents", resident.ErrBadConfig)
+	}
+	e, err := OpenFleet(FleetSpec{Source: source, Addrs: addrs}, residentConfig(cfg))
 	if err != nil {
 		return nil, err
 	}
-	out, err := core.Assemble(n, outs)
-	if out != nil {
-		out.Metrics = res.Metrics
+	defer e.Close()
+	res, err := e.Static(ctx)
+	if res != nil {
+		res.Metrics = e.Metrics().Total
 	}
-	return out, err
+	return res, err
 }
 
-// runMST is runConnectivity's MST counterpart (golden: core.RunMST).
-func runMST(ctx context.Context, addrs []string, source string, cfg core.MSTConfig, opts CoordOptions, tr *spanLog) (*core.MSTResult, error) {
-	res, n, outs, err := runOneShot(ctx, addrs, source, cfg, true, opts, tr)
-	if err != nil {
-		return nil, err
-	}
-	out, err := core.AssembleMST(n, outs)
-	if out != nil {
-		out.Metrics = res.Metrics
-	}
-	return out, err
-}
-
-// runOneShot runs a one-shot job — a residency of the one command
-// resident.OneShot, closed after it — under the retry policy, reopening it
-// from the source after a lost worker. It returns the run's Result, the
-// vertex count and the machines' core outputs.
-func runOneShot(ctx context.Context, addrs []string, source string, cfg core.MSTConfig, mst bool, opts CoordOptions, tr *spanLog) (*kmachine.Result, int, []any, error) {
-	c := cfg.Config
-	f := &fleet{addrs: addrs, opts: opts.withDefaults(), tr: tr, job: Job{Source: source, Config: resident.Config{
-		K: c.K, BandwidthBits: c.BandwidthBits, Seed: c.Seed, MaxPhasesPerQuery: c.MaxPhases, MaxRounds: c.MaxRounds,
-		MessageOverheadBits: c.MessageOverheadBits, CollapseLevelWise: c.CollapseLevelWise, CoinMerge: c.CoinMerge,
-		FaithfulRandomness: c.FaithfulRandomness}}}
-	defer f.Close()
-	cmd := resident.OneShot(cfg, mst)
-	for attempt := 1; ; attempt++ {
-		res, _, err := f.Run(ctx, cmd, nil)
-		if err == nil {
-			n, outs := resident.MachineOutputs(res.Outputs)
-			return res, n, outs, nil
-		}
-		if err := f.Retry(ctx, attempt, err); err != nil {
-			return nil, 0, nil, err
-		}
-	}
+// residentConfig is the residency configuration of a core one: every
+// parameter both share.
+func residentConfig(c core.Config) resident.Config {
+	return resident.Config{K: c.K, BandwidthBits: c.BandwidthBits, Seed: c.Seed, MaxPhasesPerQuery: c.MaxPhases,
+		Sketch: c.Sketch, CollapseLevelWise: c.CollapseLevelWise, CoinMerge: c.CoinMerge,
+		FaithfulRandomness: c.FaithfulRandomness, MessageOverheadBits: c.MessageOverheadBits, MaxRounds: c.MaxRounds}
 }
 
 // gatherOne reads a worker's result (or error) frame, consuming

@@ -6,9 +6,11 @@
 // the graph shard-direct from the job's source spec, and each keeps that
 // residency — mesh, cluster, shards, machines — for exactly as long as its
 // control connection is open, running every command frame that follows
-// the spec as one run and answering it with its partial result. A
-// fleet-backed Cluster (OpenFleet) is a resident.Engine whose machines live
-// there; a one-shot job (RunConnectivity) is a residency of one command.
+// the spec (a resident command: load, apply, query, mst, derived) as one
+// run and answering it with its partial result. Every job is a command of
+// a residency: a fleet-backed Cluster (OpenFleet) is a resident.Engine
+// whose machines live there, and a one-shot job (RunConnectivity) is a
+// residency's load plus one fresh-sketch run (resident.Engine.Static).
 //
 // Determinism carries over wholesale: machine RNGs are seeded from
 // (seed, machine id), the vertex partition from the same RVP hash, and
@@ -59,8 +61,8 @@ type Job struct {
 	Source  string // source spec, see the package comment
 	// Config is the residency's engine configuration, resolved worker-side
 	// for n, identically everywhere; the spec carries K, BandwidthBits, Seed,
-	// the phase, round and elimination caps, MessageOverheadBits and the
-	// three ablation switches.
+	// the phase, round and elimination caps, the sketch dimensions,
+	// MessageOverheadBits and the three ablation switches.
 	Config  resident.Config
 	Index   int // this worker's position in Workers
 	Workers []WorkerSpec
@@ -75,7 +77,9 @@ type Job struct {
 // the phase driver's convergence verdict (core.AppendOutput).
 // specVersion 5 makes every job a residency that runs the command frames
 // following its spec, and packs the control frames' integers as varints.
-const specVersion = 5
+// specVersion 6 ships the sketch dimensions, drops the one-shot command and
+// the output fields only it produced (core.AppendOutput).
+const specVersion = 6
 
 // ErrVersion is the failure of a job spec from a build of another wire
 // version: a worker refuses it before it dials or loads anything, and the
@@ -93,7 +97,7 @@ func AppendJob(b []byte, j *Job) []byte {
 	b = wire.AppendU64(b, j.TraceID)
 	b = wire.AppendBytes(b, []byte(j.Source))
 	b = wire.AppendInts(b, c.K, c.BandwidthBits, int(c.Seed), c.MaxPhasesPerQuery, c.MaxRounds, c.MessageOverheadBits,
-		c.MaxElimIters, j.Index, len(j.Workers))
+		c.MaxElimIters, c.Sketch.N, c.Sketch.Levels, c.Sketch.Buckets, c.Sketch.Reps, j.Index, len(j.Workers))
 	b = wire.AppendBool(b, c.CollapseLevelWise)
 	b = wire.AppendBool(b, c.CoinMerge)
 	b = wire.AppendBool(b, c.FaithfulRandomness)
@@ -116,8 +120,9 @@ func DecodeJob(body []byte) (*Job, error) {
 	j := &Job{ClusterID: r.U64(), TraceID: r.U64(), Source: string(r.Bytes())}
 	c := &j.Config
 	var seed, nw int
+	sk := &c.Sketch
 	r.Ints(&c.K, &c.BandwidthBits, &seed, &c.MaxPhasesPerQuery, &c.MaxRounds, &c.MessageOverheadBits,
-		&c.MaxElimIters, &j.Index, &nw)
+		&c.MaxElimIters, &sk.N, &sk.Levels, &sk.Buckets, &sk.Reps, &j.Index, &nw)
 	c.Seed, c.CollapseLevelWise, c.CoinMerge, c.FaithfulRandomness = int64(seed), r.Bool(), r.Bool(), r.Bool()
 	if err := r.Err(); err != nil {
 		return nil, err
@@ -139,6 +144,9 @@ func DecodeJob(body []byte) (*Job, error) {
 	k := c.K
 	if k < 1 {
 		return nil, fmt.Errorf("dist: job with k=%d", k)
+	}
+	if min(sk.N, sk.Levels, sk.Buckets, sk.Reps) < 0 {
+		return nil, fmt.Errorf("dist: job with sketch dimensions %+v", *sk)
 	}
 	next := 0
 	for i, w := range j.Workers {

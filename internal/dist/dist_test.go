@@ -19,6 +19,7 @@ import (
 	"kmgraph/internal/graph"
 	"kmgraph/internal/kmachine"
 	"kmgraph/internal/resident"
+	"kmgraph/internal/sketch"
 	"kmgraph/internal/store"
 	"kmgraph/internal/transport"
 	"kmgraph/internal/transport/tcp"
@@ -139,7 +140,8 @@ func TestGoldenMSTLocalVsTCP(t *testing.T) {
 	}
 
 	addrs := startWorkers(t, 2)
-	dist, err := runMST(context.Background(), addrs, "store:"+path, cfg, CoordOptions{}, nil)
+	dist, err := fleetMST(context.Background(), FleetSpec{Source: "store:" + path, Addrs: addrs},
+		residentConfig(cfg.Config), cfg.StrongOutput)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,6 +202,81 @@ func TestConcurrentJobs(t *testing.T) {
 		}(j.n, j.m, j.gs, j.k, j.seed)
 	}
 	wg.Wait()
+}
+
+// TestStaticMatchesOneShot is the bit-identity matrix of a fleet's jobs
+// against the one-shot host: RunConnectivity (a residency's load plus one
+// fresh-sketch run) against core.RunSource, and a fleet residency's MST,
+// its total Metrics, against core.RunMST — under every ablation a
+// residency hosts, tiny sketches that fail often, and a phase cap so small
+// that both hosts return the same partial result with ErrNotConverged.
+// The tiny-sketch case once diverged (352 against 517 rounds, both with a
+// nil error): the job spec did not carry the sketch dimensions.
+func TestStaticMatchesOneShot(t *testing.T) {
+	const k, seed = 4, int64(3)
+	g := graph.WithDistinctWeights(graph.GNM(600, 1800, 7), 8)
+	path := filepath.Join(t.TempDir(), "g.kmgs")
+	if err := store.WriteFile(path, g.Source()); err != nil {
+		t.Fatal(err)
+	}
+	spec := FleetSpec{Source: "store:" + path, Addrs: startWorkers(t, 2)}
+	tiny := sketch.DefaultParams(g.N())
+	tiny.Reps, tiny.Buckets = 1, 2
+	for name, cfg := range map[string]core.Config{
+		"default":            {},
+		"CollapseLevelWise":  {CollapseLevelWise: true},
+		"CoinMerge":          {CoinMerge: true},
+		"FaithfulRandomness": {FaithfulRandomness: true},
+		"tiny sketch":        {Sketch: tiny},
+		"phase cap":          {MaxPhases: 2},
+	} {
+		t.Run(name, func(t *testing.T) {
+			cfg.K, cfg.Seed = k, seed
+			local, lerr := core.RunSource(g.Source(), cfg)
+			fleet, ferr := RunConnectivity(context.Background(), spec.Addrs, spec.Source, cfg)
+			if lerr != ferr || local == nil || fleet == nil {
+				t.Fatalf("connectivity: fleet %v, local %v", ferr, lerr)
+			}
+			if fleet.Components != local.Components || fleet.Phases != local.Phases ||
+				fleet.SketchFailures != local.SketchFailures || fleet.CollapseIters != local.CollapseIters ||
+				!reflect.DeepEqual(fleet.Labels, local.Labels) ||
+				metricsFingerprint(&fleet.Metrics) != metricsFingerprint(&local.Metrics) {
+				t.Errorf("connectivity drifted:\n fleet %d components, %d phases, %d failures, %d collapse, %d rounds\n local %d components, %d phases, %d failures, %d collapse, %d rounds",
+					fleet.Components, fleet.Phases, fleet.SketchFailures, fleet.CollapseIters, fleet.Metrics.Rounds,
+					local.Components, local.Phases, local.SketchFailures, local.CollapseIters, local.Metrics.Rounds)
+			}
+			if name == "phase cap" && lerr != core.ErrNotConverged {
+				t.Errorf("a 2-phase cap converged (%v): the case tests nothing", lerr)
+			}
+
+			lm, lerr := core.RunMST(g, core.MSTConfig{Config: cfg})
+			fm, ferr := fleetMST(context.Background(), spec, residentConfig(cfg), false)
+			if lerr != ferr || lm == nil || fm == nil {
+				t.Fatalf("MST: fleet %v, local %v", ferr, lerr)
+			}
+			if !reflect.DeepEqual(fm.Edges, lm.Edges) || fm.Phases != lm.Phases || fm.ElimIters != lm.ElimIters ||
+				fm.SketchFailures != lm.SketchFailures || !reflect.DeepEqual(fm.Labels, lm.Labels) ||
+				metricsFingerprint(&fm.Metrics) != metricsFingerprint(&lm.Metrics) {
+				t.Errorf("MST drifted: fleet %d edges, %d phases, %d rounds; local %d edges, %d phases, %d rounds",
+					len(fm.Edges), fm.Phases, fm.Metrics.Rounds, len(lm.Edges), lm.Phases, lm.Metrics.Rounds)
+			}
+		})
+	}
+}
+
+// TestRunConnectivityRefusesOneShotSwitches: EdgeCheckSelection and
+// CountComponents exist only on the one-shot host; RunConnectivity refuses
+// them with resident.ErrBadConfig before it dials anything.
+func TestRunConnectivityRefusesOneShotSwitches(t *testing.T) {
+	addr, accepted, _ := silentListener(t)
+	for _, cfg := range []core.Config{{K: 2, Seed: 1, EdgeCheckSelection: true}, {K: 2, Seed: 1, CountComponents: true}} {
+		if _, err := RunConnectivity(context.Background(), []string{addr}, "gnm:200:600:1", cfg); !errors.Is(err, resident.ErrBadConfig) {
+			t.Errorf("%+v: err = %v, want ErrBadConfig", cfg, err)
+		}
+	}
+	if n := accepted(); n != 0 {
+		t.Errorf("the refusals dialed the fleet %d times", n)
+	}
 }
 
 // TestKilledWorkerFailsJob shuts one worker down mid-job and asserts
@@ -270,8 +347,9 @@ func TestJobSpecRoundTrip(t *testing.T) {
 	j := &Job{
 		ClusterID: 0xdeadbeef,
 		Source:    "store:/tmp/g.kmgs",
-		Config:    resident.Config{K: 8, Seed: -42, MaxElimIters: 7, CoinMerge: true},
-		Index:     1,
+		Config: resident.Config{K: 8, Seed: -42, MaxElimIters: 7, CoinMerge: true,
+			Sketch: sketch.Params{N: 100, Levels: 16, Buckets: 2, Reps: 1}},
+		Index: 1,
 		Workers: []WorkerSpec{
 			{Addr: "a:1", Lo: 0, Hi: 3},
 			{Addr: "b:2", Lo: 3, Hi: 8},
@@ -288,14 +366,14 @@ func TestJobSpecRoundTrip(t *testing.T) {
 
 	// A spec from an older build — version 2 ran the single-draw MST
 	// elimination, version 3 shipped machine outputs without the
-	// convergence verdict, version 4 knew no residency; the spec bytes are
-	// otherwise identical — is refused by its version with ErrVersion, by
-	// the decoder and by a worker — which answers on the control link and
+	// convergence verdict, version 4 knew no residency, version 5 no sketch
+	// dimensions — is refused by its version with ErrVersion, by the
+	// decoder and by a worker — which answers on the control link and
 	// dials no peer of the spec's mesh.
-	for _, v := range []byte{2, 3, 4} {
+	for _, v := range []byte{2, 3, 4, 5} {
 		stale := AppendJob(nil, j)
 		stale[0] = v
-		want := fmt.Sprintf("job spec version %d, want 5", v)
+		want := fmt.Sprintf("job spec version %d, want 6", v)
 		if _, err := DecodeJob(stale); !errors.Is(err, ErrVersion) || !strings.Contains(err.Error(), want) {
 			t.Fatalf("version-%d spec: err = %v, want ErrVersion", v, err)
 		}
@@ -315,24 +393,24 @@ func TestJobSpecRoundTrip(t *testing.T) {
 	old := *j
 	old.Index = 1
 	old.Workers = []WorkerSpec{{Addr: peer.Addr().String(), Lo: 0, Hi: 3}, {Addr: startWorkers(t, 1)[0], Lo: 3, Hi: 8}}
-	v4 := AppendJob(nil, &old)
-	v4[0] = 4
+	v5 := AppendJob(nil, &old)
+	v5[0] = 5
 	conn, err := net.Dial("tcp", old.Workers[1].Addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if _, err := conn.Write(tcp.AppendFrame(nil, tcp.FrameJob, v4)); err != nil {
+	if _, err := conn.Write(tcp.AppendFrame(nil, tcp.FrameJob, v5)); err != nil {
 		t.Fatal(err)
 	}
 	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
 	var buf []byte
 	ft, body, err := tcp.ReadFrame(conn, &buf)
 	if err != nil || ft != tcp.FrameError {
-		t.Fatalf("worker's answer to a version-4 spec: frame %v, err %v; want an error frame", ft, err)
+		t.Fatalf("worker's answer to a version-5 spec: frame %v, err %v; want an error frame", ft, err)
 	}
 	ef, err := decodeErrorFrame(body)
-	if err != nil || !errors.Is(ef.err(), ErrVersion) || !strings.Contains(ef.err().Error(), "job spec version 4, want 5") {
+	if err != nil || !errors.Is(ef.err(), ErrVersion) || !strings.Contains(ef.err().Error(), "job spec version 5, want 6") {
 		t.Fatalf("worker's error frame: %v / %v, want ErrVersion", ef, err)
 	}
 	if again := (RetryPolicy{Attempts: 3}).again(context.Background(), 1, ef.err(), &[]string{}); !errors.Is(again, ErrVersion) {
@@ -345,6 +423,14 @@ func TestJobSpecRoundTrip(t *testing.T) {
 	case <-dialed:
 		t.Fatal("worker dialed a mesh peer for a spec it refused")
 	default:
+	}
+
+	// Negative sketch dimensions must be rejected before a worker sizes
+	// anything by them.
+	bad := *j
+	bad.Config.Sketch.Levels = -1
+	if _, err := DecodeJob(AppendJob(nil, &bad)); err == nil {
+		t.Fatal("negative sketch dimensions not rejected")
 	}
 
 	// Non-contiguous cover must be rejected.
@@ -373,42 +459,36 @@ func TestOpenJobSourceBounds(t *testing.T) {
 }
 
 // TestSpecKBeyondN: a spec whose k exceeds the graph's vertex count is
-// refused with resident.ErrBadConfig before anything is sized by k, for a
-// residency and a one-shot job alike. At k=1024 on a 2-vertex graph a
-// worker used to build the k-machine cluster and its k×k link state first
-// (1.4 GB allocated, four seconds) and only then fail.
+// refused with resident.ErrBadConfig before anything is sized by k. At
+// k=1024 on a 2-vertex graph a worker used to build the k-machine cluster
+// and its k×k link state first (1.4 GB allocated, four seconds) and only
+// then fail.
 func TestSpecKBeyondN(t *testing.T) {
 	addr := startWorkers(t, 1)[0]
-	for name, cmd := range map[string][]byte{"residency": nil, "one-shot job": resident.OneShot(core.MSTConfig{}, false)} {
-		j := &Job{ClusterID: 7, Source: "gnm:2:0:1", Config: resident.Config{K: 1024, Seed: 1},
-			Workers: []WorkerSpec{{Addr: addr, Lo: 0, Hi: 1024}}}
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		conn, err := net.Dial("tcp", addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		frames := tcp.AppendFrame(nil, tcp.FrameJob, AppendJob(nil, j))
-		if cmd != nil {
-			frames = tcp.AppendFrame(frames, tcp.FrameJob, cmd)
-		}
-		if _, err := conn.Write(frames); err != nil {
-			t.Fatal(err)
-		}
-		conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-		var buf []byte
-		ft, body, err := tcp.ReadFrame(conn, &buf)
-		conn.Close()
-		runtime.ReadMemStats(&after)
-		if err != nil || ft != tcp.FrameError {
-			t.Fatalf("%s with k > n: frame %v, err %v; want an error frame", name, ft, err)
-		}
-		if ef, err := decodeErrorFrame(body); err != nil || !strings.Contains(ef.msg, resident.ErrBadConfig.Error()) {
-			t.Errorf("%s with k > n: error frame %+v (%v), want ErrBadConfig", name, ef, err)
-		}
-		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 64<<20 {
-			t.Errorf("%s with k > n: the refusal allocated %d MB, want < 64", name, alloc>>20)
-		}
+	j := &Job{ClusterID: 7, Source: "gnm:2:0:1", Config: resident.Config{K: 1024, Seed: 1},
+		Workers: []WorkerSpec{{Addr: addr, Lo: 0, Hi: 1024}}}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(tcp.AppendFrame(nil, tcp.FrameJob, AppendJob(nil, j))); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	var buf []byte
+	ft, body, err := tcp.ReadFrame(conn, &buf)
+	conn.Close()
+	runtime.ReadMemStats(&after)
+	if err != nil || ft != tcp.FrameError {
+		t.Fatalf("spec with k > n: frame %v, err %v; want an error frame", ft, err)
+	}
+	if ef, err := decodeErrorFrame(body); err != nil || !strings.Contains(ef.msg, resident.ErrBadConfig.Error()) {
+		t.Errorf("spec with k > n: error frame %+v (%v), want ErrBadConfig", ef, err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 64<<20 {
+		t.Errorf("spec with k > n: the refusal allocated %d MB, want < 64", alloc>>20)
 	}
 }

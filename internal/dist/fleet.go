@@ -30,11 +30,11 @@ type FleetSpec struct {
 // OpenFleet returns the resident engine whose k machines live on the
 // kmworkers of spec, each keeping its range's residency — loaded from
 // spec.Source by the first job — for as long as its control connection is
-// open, so answers and Metrics are a local engine's on the same graph, k
-// and seed. Of cfg the workers receive what a Job carries; sketch
-// dimensions and bank counts keep their defaults. A worker lost while the
-// epoch is 0 costs a reopen from the source under spec.Coord.Retry; after
-// an applied batch it ends the residency with ErrLinkDown.
+// open, so answers and Metrics are a local engine's on the same graph and
+// cfg. The workers receive all of cfg but what stays with the engine: its
+// Observer, PhaseMetrics and JobTimeout. A worker lost while the epoch is
+// 0 costs a reopen from the source under spec.Coord.Retry; after an
+// applied batch it ends the residency with ErrLinkDown.
 func OpenFleet(spec FleetSpec, cfg resident.Config) (*resident.Engine, error) {
 	if len(spec.Addrs) == 0 || cfg.K < len(spec.Addrs) {
 		return nil, fmt.Errorf("dist: %w: k=%d machines over %d workers (need 1 <= workers <= k)",
@@ -52,10 +52,9 @@ func OpenFleet(spec FleetSpec, cfg resident.Config) (*resident.Engine, error) {
 	return resident.NewRemote(cfg, n, f)
 }
 
-// fleet is the host of a fleet-backed engine (resident.Remote) and of a
-// one-shot job: the control connections of its residency's workers, each
-// of which keeps the residency for exactly as long as its connection is
-// open.
+// fleet is the host of a fleet-backed engine (resident.Remote): the
+// control connections of its residency's workers, each of which keeps the
+// residency for exactly as long as its connection is open.
 type fleet struct {
 	addrs    []string // Respawn may replace them
 	job      Job

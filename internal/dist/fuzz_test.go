@@ -117,11 +117,12 @@ func realControlFrames(t testing.TB) map[tcp.FrameType][][]byte {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	cfg := core.MSTConfig{Config: core.Config{K: 4, Seed: 9}, StrongOutput: true}
+	// An observer makes the residencies traced ones.
+	cfg := resident.Config{K: 4, Seed: 9, Observer: func(resident.Event) {}}
 	// n=1600, four times what it was: the corpus's heartbeat count follows
 	// the job's wall time, and MST elimination now takes about half the
 	// rounds on the same input.
-	if _, err := runMST(ctx, addrs, "gnm:1600:4800:3", cfg, CoordOptions{}, &spanLog{}); err != nil {
+	if _, err := fleetMST(ctx, FleetSpec{Source: "gnm:1600:4800:3", Addrs: addrs}, cfg, true); err != nil {
 		t.Fatal(err)
 	}
 	// A connectivity job too: its result frames carry the other output
@@ -129,10 +130,10 @@ func realControlFrames(t testing.TB) map[tcp.FrameType][][]byte {
 	// which fell when the proxies stopped keeping per-component sums (and
 	// wanders by ±5 % of the count from run to run: n=6000 keeps the
 	// corpus above its old size on a slow run too).
-	if _, err := runConnectivity(ctx, addrs, "gnm:6000:18000:5", cfg.Config, CoordOptions{}, &spanLog{}); err != nil {
+	if _, err := fleetStatic(ctx, FleetSpec{Source: "gnm:6000:18000:5", Addrs: addrs}, cfg); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunConnectivity(ctx, addrs, "store:/nonexistent.kmgs", cfg.Config); err == nil {
+	if _, err := RunConnectivity(ctx, addrs, "store:/nonexistent.kmgs", core.Config{K: 4, Seed: 9}); err == nil {
 		t.Fatal("job on a missing store succeeded")
 	}
 	// A residency too: its command frames follow the spec, and its result

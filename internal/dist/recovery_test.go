@@ -14,10 +14,41 @@ import (
 
 	"kmgraph/internal/core"
 	"kmgraph/internal/graph"
+	"kmgraph/internal/resident"
 	"kmgraph/internal/store"
 	"kmgraph/internal/transport"
 	"kmgraph/internal/transport/tcp"
 )
+
+// fleetStatic is RunConnectivity under the coordinator options and engine
+// configuration it does not take: a residency of spec opened for one
+// fresh-sketch run, its Metrics the residency's total (the load included).
+func fleetStatic(ctx context.Context, spec FleetSpec, cfg resident.Config) (*core.Result, error) {
+	e, err := OpenFleet(spec, cfg)
+	if err != nil {
+		return nil, err
+	}
+	defer e.Close()
+	res, err := e.Static(ctx)
+	if res != nil {
+		res.Metrics = e.Metrics().Total
+	}
+	return res, err
+}
+
+// fleetMST is fleetStatic's MST counterpart (golden: core.RunMST).
+func fleetMST(ctx context.Context, spec FleetSpec, cfg resident.Config, strong bool) (*core.MSTResult, error) {
+	e, err := OpenFleet(spec, cfg)
+	if err != nil {
+		return nil, err
+	}
+	defer e.Close()
+	res, err := e.MST(ctx, strong)
+	if res != nil {
+		res.Metrics = e.Metrics().Total
+	}
+	return res, err
+}
 
 // startWorker launches one in-process worker with a fast heartbeat and
 // returns it with its dialable address.
@@ -107,7 +138,7 @@ func TestRetryRecoversKilledWorkerConnectivity(t *testing.T) {
 		Respawn:    respawnDead(t, &respawned),
 	}}
 	spec := fmt.Sprintf("gnm:%d:%d:%d", n, m, gs)
-	res, err := runConnectivity(context.Background(), []string{a0, a1}, spec, cfg, opts, nil)
+	res, err := fleetStatic(context.Background(), FleetSpec{Source: spec, Addrs: []string{a0, a1}, Coord: opts}, residentConfig(cfg))
 	if err != nil {
 		t.Fatalf("job did not recover: %v", err)
 	}
@@ -158,7 +189,8 @@ func TestRetryRecoversKilledWorkerMST(t *testing.T) {
 		MaxBackoff: 200 * time.Millisecond,
 		Respawn:    respawnDead(t, &respawned),
 	}}
-	res, err := runMST(context.Background(), []string{a0, a1}, "store:"+path, cfg, opts, nil)
+	res, err := fleetMST(context.Background(), FleetSpec{Source: "store:" + path, Addrs: []string{a0, a1}, Coord: opts},
+		residentConfig(cfg.Config), cfg.StrongOutput)
 	if err != nil {
 		t.Fatalf("job did not recover: %v", err)
 	}
@@ -192,8 +224,8 @@ func TestSilentWorkerStallsPromptly(t *testing.T) {
 	cfg := core.Config{K: 2, Seed: 1}
 	opts := CoordOptions{HeartbeatTimeout: 300 * time.Millisecond}
 	start := time.Now()
-	_, err := runConnectivity(context.Background(), []string{addr},
-		"gnm:200:600:1", cfg, opts, nil)
+	_, err := fleetStatic(context.Background(), FleetSpec{Source: "gnm:200:600:1", Addrs: []string{addr}, Coord: opts},
+		residentConfig(cfg))
 	if err == nil {
 		t.Fatal("job succeeded against a silent worker")
 	}
@@ -297,8 +329,8 @@ func TestGarbageHeartbeatsFailAsDesync(t *testing.T) {
 		Retry:            RetryPolicy{Attempts: 2, Backoff: 10 * time.Millisecond},
 	}
 	start := time.Now()
-	_, err = runConnectivity(context.Background(), []string{ln.Addr().String()},
-		"gnm:200:600:1", core.Config{K: 2, Seed: 1}, opts, nil)
+	_, err = fleetStatic(context.Background(), FleetSpec{Source: "gnm:200:600:1", Addrs: []string{ln.Addr().String()}, Coord: opts},
+		resident.Config{K: 2, Seed: 1})
 	if !errors.Is(err, transport.ErrLinkDown) {
 		t.Fatalf("err = %v, want wrapping transport.ErrLinkDown", err)
 	}
@@ -387,8 +419,7 @@ func TestCancelDuringMeshDialReleasesWorker(t *testing.T) {
 	defer cancel()
 	done := make(chan error, 1)
 	go func() {
-		_, err := runConnectivity(ctx, []string{silent, addr},
-			"gnm:200:600:1", core.Config{K: 2, Seed: 1}, CoordOptions{}, nil)
+		_, err := RunConnectivity(ctx, []string{silent, addr}, "gnm:200:600:1", core.Config{K: 2, Seed: 1})
 		done <- err
 	}()
 	// The silent listener holds two connections once the worker is in its

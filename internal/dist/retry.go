@@ -11,13 +11,12 @@ import (
 	"kmgraph/internal/transport/tcp"
 )
 
-// RetryPolicy governs coordinator-side recovery from failed job
-// attempts. Every attempt is a fresh job under a new cluster ID — the
-// workers rematerialize their shards from the source spec and replay
-// the exact deterministic computation, so a recovered one-shot result is
-// bit-identical to a fault-free run (results and Metrics both). A
-// fleet-backed Cluster retries the same way, by reopening its residency
-// from the source, while its epoch is 0.
+// RetryPolicy governs coordinator-side recovery of a fleet-backed engine
+// while its epoch is 0: every attempt reopens the residency from the
+// source under a new cluster ID — the workers rematerialize their shards
+// from the source spec and replay the exact deterministic computation, so
+// a recovered result is bit-identical to a fault-free run (results and
+// Metrics both).
 type RetryPolicy struct {
 	// Attempts is the total try budget, first attempt included
 	// (default 1 = never retry).

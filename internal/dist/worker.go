@@ -156,8 +156,9 @@ func (w *Worker) Close() error {
 }
 
 // Drain stops accepting new connections but lets in-flight jobs run to
-// completion: each residency to the end of the command sent to it, then
-// no further. It returns nil once the worker is idle; if ctx
+// completion: each residency to the end of the command sent to it — a
+// residency caught in its load, to the end of the job it was opened for —
+// then no further. It returns nil once the worker is idle; if ctx
 // expires first, the remaining jobs are aborted (as Close would) and ctx's
 // error is returned after they unwind. A job still forming its mesh
 // when Drain fires cannot complete (the listener no longer routes peer
@@ -322,7 +323,7 @@ func (w *Worker) serve(conn net.Conn, job *Job) {
 		defer r.close()
 	}
 	var body []byte
-	for {
+	for served := 0; ; served++ {
 		stop()
 		if err != nil {
 			// A job this worker aborted by shutting down is a lost worker
@@ -345,10 +346,17 @@ func (w *Worker) serve(conn net.Conn, job *Job) {
 		case <-ctx.Done():
 			return
 		case <-w.closed:
-			if len(cmds) == 0 { // a drain lets a command already sent run
+			// A drain lets a command already sent run, and a residency that
+			// has run fewer than two waits for its next: the first is the
+			// load, which a coordinator sends only ahead of a job's own.
+			if len(cmds) == 0 && served >= 2 {
 				return
 			}
-			c = <-cmds
+			select {
+			case c = <-cmds:
+			case <-ctx.Done():
+				return
+			}
 		}
 		stop = w.beat(conn, st, cancel)
 		body, err = r.run(ctx, c)

@@ -14,6 +14,10 @@ func HomeOf(seed uint64, k, v int) int {
 	return hashing.RangeOf(hashing.Hash2(seed^0x52d5, uint64(v)), k)
 }
 
+// RVPSeed is the HomeOf seed of a job run under the given seed: every host
+// derives its vertex partition through it, so they place every vertex alike.
+func RVPSeed(seed int64) uint64 { return uint64(seed) ^ 0x9e37 }
+
 // EdgePartition is the random edge partition (REP, §1.3): each edge is
 // assigned to a uniformly random machine, independently.
 type EdgePartition struct {

@@ -11,9 +11,9 @@ import (
 // Shard is what the model gives a machine (§1.1), and the one form it takes
 // on every host: the vertices hashed to the machine with their incident
 // edges (neighbor IDs and weights), the public vertex count, and the
-// globally computable home function. The one-shot handlers, a distributed
-// worker and the baselines read the shard the loader hands them; a
-// residency adopts it as the machine's live graph and mutates it in place
+// globally computable home function. The one-shot handlers and the
+// baselines read the shard the loader hands them; a residency (a
+// distributed worker's range of one included) adopts it as the machine's live graph and mutates it in place
 // (Insert / Remove); min-cut sampling and the verification reductions
 // construct the filtered or lifted shard they run over (NewShard). How
 // adjacency is stored is this file's decision alone.

@@ -67,7 +67,7 @@ func MST(g *graph.Graph, cfg Config) (*Result, error) {
 	n := g.N()
 	bw := kmachine.Bandwidth(n)
 	edgePart := kmachine.NewREP(g, cfg.K, uint64(cfg.Seed)^0xe4e4)
-	vertexSeed := uint64(cfg.Seed) ^ 0x9e37 // must match core.Run's RVP
+	vertexSeed := kmachine.RVPSeed(cfg.Seed)
 
 	cluster, err := kmachine.New(kmachine.Config{
 		K:                   cfg.K,

@@ -558,6 +558,30 @@ func (e *Engine) MST(ctx context.Context, strong bool) (out *core.MSTResult, err
 	return out, err
 }
 
+// Static answers connectivity on the current graph with core's Theorem 1
+// job from scratch — singleton labels and fresh sketches over the full
+// live view, none of the maintained state — and returns core's assembly
+// of it, its Metrics the run's cost. On a residency opened for it, the
+// load plus this run cost what core.RunSource does on the same graph,
+// bit for bit (Metrics().Total). A job that ran out of phases returns its
+// partial result with core.ErrNotConverged.
+func (e *Engine) Static(ctx context.Context) (out *core.Result, err error) {
+	t, err := e.begin(ctx, "connectivity")
+	if err != nil {
+		return nil, err
+	}
+	defer func() {
+		if m := t.finish(&err); out != nil {
+			out.Metrics = m
+		}
+	}()
+	_, outs, _, err := e.phased(t, &command{kind: cmdDerived, spec: newRunSpec(viewFull)})
+	if err != nil {
+		return nil, err
+	}
+	return core.Assemble(e.n, outs)
+}
+
 // runDerived executes one derived-view connectivity run under an admitted
 // job and returns what the reductions read off it, plus the rounds it cost.
 func (e *Engine) runDerived(t *jobToken, spec *runSpec) (verify.Run, int, error) {

@@ -52,7 +52,7 @@ func Load(src graph.EdgeSource, cfg Config, lo, hi int) (*kmachine.ShardPartitio
 	if err := validConfig(src.N(), cfg); err != nil {
 		return nil, err
 	}
-	seed := uint64(cfg.Seed) ^ 0x9e37
+	seed := kmachine.RVPSeed(cfg.Seed)
 	return kmachine.LoadShardsRange(src, cfg.K, func(v int) int { return kmachine.HomeOf(seed, cfg.K, v) }, lo, hi)
 }
 
@@ -89,7 +89,7 @@ func (h *Machines) Run(ctx context.Context, cmd []byte, cancelled func() bool, p
 
 func (h *Machines) run(ctx context.Context, c *command, cancelled func() bool, phase core.PhaseFunc) (*kmachine.Result, error) {
 	h.cancelled, h.phase = cancelled, phase
-	prog := func(mctx *kmachine.Ctx) error {
+	res, err := h.kc.RunContext(ctx, func(mctx *kmachine.Ctx) error {
 		id := mctx.ID()
 		if c.kind == cmdLoad {
 			view := h.part.Shard(id)
@@ -98,26 +98,8 @@ func (h *Machines) run(ctx context.Context, c *command, cancelled func() bool, p
 		out, err := h.ms[id].exec(c)
 		mctx.SetOutput(out)
 		return err
-	}
-	if c.kind == cmdOneShot {
-		cfg := core.MSTConfig{Config: h.ccfg, StrongOutput: c.strong, MaxElimIters: c.maxElim}.WithDefaults(h.part.N())
-		cfg.EdgeCheckSelection, cfg.CountComponents = c.edgeCheck, c.count
-		if phase != nil {
-			cfg.PhaseHook, cfg.PhaseHookID = func(i, round int) { phase(i, round, 0, 0) }, h.lo
-		}
-		if prog = core.ConnectivityHandler(h.part.Shard, cfg.Config); c.mst {
-			prog = core.MSTHandler(h.part.Shard, cfg)
-		}
-	}
-	res, err := h.kc.RunContext(ctx, prog)
+	})
 	h.dead = h.dead || err != nil
-	if err == nil && c.kind == cmdOneShot {
-		for i, o := range res.Outputs {
-			if o != nil {
-				res.Outputs[i] = &output{machine: o, n: h.part.N()}
-			}
-		}
-	}
 	return res, err
 }
 
@@ -144,7 +126,6 @@ const (
 	cmdQuery
 	cmdMST
 	cmdDerived
-	cmdOneShot
 )
 
 // command is one program the host runs over every machine's kept state,
@@ -154,37 +135,12 @@ const (
 type command struct {
 	kind   int
 	ops    []graph.EdgeOp // cmdApply
-	strong bool           // cmdMST, cmdOneShot
+	strong bool           // cmdMST
 	spec   *runSpec       // cmdDerived
-
-	// cmdOneShot: the family and the per-run switches of a one-shot job.
-	mst, edgeCheck, count bool
-	maxElim               int
-}
-
-// OneShot is the command of a one-shot job (internal/dist's
-// RunConnectivity): core's bare connectivity — with mst, MST — handler over
-// the loaded shards under cfg's per-run switches, so a residency of this
-// one command costs exactly what core.RunSource or core.RunMST does.
-// MachineOutputs unwraps its outputs.
-func OneShot(cfg core.MSTConfig, mst bool) []byte {
-	return appendCommand(nil, &command{kind: cmdOneShot, mst: mst, strong: cfg.StrongOutput,
-		edgeCheck: cfg.EdgeCheckSelection, count: cfg.CountComponents, maxElim: cfg.MaxElimIters})
-}
-
-// MachineOutputs returns the vertex count and the core outputs a one-shot
-// command's machines produced (ReadOutput's values), for core.Assemble or
-// core.AssembleMST.
-func MachineOutputs(outs []any) (int, []any) {
-	mo := make([]any, len(outs))
-	for i, o := range outs {
-		mo[i] = o.(*output).machine
-	}
-	return outs[0].(*output).n, mo
 }
 
 func appendCommand(b []byte, c *command) []byte {
-	b = wire.AppendInts(b, c.kind, btoi(c.strong), btoi(c.mst), btoi(c.edgeCheck), btoi(c.count), c.maxElim, len(c.ops))
+	b = wire.AppendInts(b, c.kind, btoi(c.strong), len(c.ops))
 	for _, op := range c.ops {
 		b = wire.AppendInts(b, btoi(op.Del), op.U, op.V, int(op.W))
 	}
@@ -201,10 +157,10 @@ func appendCommand(b []byte, c *command) []byte {
 func readCommand(body []byte) (*command, error) {
 	r := wire.NewReader(body)
 	c := &command{}
-	var strong, mst, edgeCheck, count int
-	r.Ints(&c.kind, &strong, &mst, &edgeCheck, &count, &c.maxElim)
-	c.strong, c.mst, c.edgeCheck, c.count = strong != 0, mst != 0, edgeCheck != 0, count != 0
-	if c.kind < cmdLoad || c.kind > cmdOneShot {
+	var strong int
+	r.Ints(&c.kind, &strong)
+	c.strong = strong != 0
+	if c.kind < cmdLoad || c.kind > cmdDerived {
 		return nil, fmt.Errorf("resident: unknown command %d", c.kind)
 	}
 	c.ops = make([]graph.EdgeOp, size(r))
@@ -229,10 +185,10 @@ func readCommand(body []byte) (*command, error) {
 // output is one machine's output of one command — the model's designated
 // output variable o_i of that run — and its sketch-bank ledger after it.
 type output struct {
-	machine      any          // *core.MachineOutput or *core.MSTOutput: queries, derived runs, MSTs, one-shots
+	machine      any          // *core.MachineOutput or *core.MSTOutput: queries, derived runs, MSTs
 	cancelled    bool         // the job stopped at a phase boundary on request
 	probePresent bool         // derived runs with a presence probe
-	n, m         int          // the load (and a one-shot): the graph's vertex and edge counts
+	n, m         int          // the load: the graph's vertex and edge counts
 	banks        BankMetrics  // the machine's sketch-bank ledger after the command
 	batch        *batchOutput // a batch, on machine 0
 	query        *queryOutput // a query, on machine 0

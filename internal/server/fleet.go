@@ -184,16 +184,10 @@ func (s *Server) fleetTenant(w http.ResponseWriter, r *http.Request) *tenant {
 	return t
 }
 
-// fleetRoutes registers the fleet health endpoints, and the job and trace
-// routes fleets were served on before they were graphs, as aliases.
+// fleetRoutes registers the fleet health endpoints.
 func (s *Server) fleetRoutes() {
 	s.handle("GET /fleet", "fleet_list", s.handleFleetList)
 	s.handle("GET /fleet/{name}", "fleet_info", s.handleFleetInfo)
-	s.handle("GET /fleet/{name}/trace", "fleet_trace", s.handleTrace)
-	for _, m := range []string{"GET", "POST"} {
-		s.handle(m+" /fleet/{name}/connectivity", "fleet_connectivity", s.handleConnectivity)
-		s.handle(m+" /fleet/{name}/mst", "fleet_mst", s.handleMST)
-	}
 }
 
 // fleetWorker is one worker's registry entry.

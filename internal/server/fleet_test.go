@@ -299,14 +299,14 @@ func TestFleetIsAGraph(t *testing.T) {
 	})
 }
 
-// TestFleetConnectivityMatchesLocal keeps one case on the
-// /fleet/{name}/connectivity alias fleets were served on before they
-// were graphs.
+// TestFleetConnectivityMatchesLocal: a fleet-backed graph's first
+// connectivity answer is the local golden, its repeat a cache hit, and
+// GET /fleet/{name} reports its health.
 func TestFleetConnectivityMatchesLocal(t *testing.T) {
 	_, ts, golden := newLiveFleetServer(t, "web")
 
 	var out connectivityResponse
-	resp := getJSON(t, ts.URL+"/fleet/web/connectivity", http.StatusOK, &out)
+	resp := getJSON(t, ts.URL+"/graphs/web/connectivity", http.StatusOK, &out)
 	if out.Components != golden.Components {
 		t.Errorf("components = %d, want %d", out.Components, golden.Components)
 	}
@@ -317,8 +317,8 @@ func TestFleetConnectivityMatchesLocal(t *testing.T) {
 		t.Errorf("first request: cached=%v header=%q, want fresh miss", out.Cached, resp.Header.Get("X-Kmserve-Cache"))
 	}
 
-	// Fleet graphs are immutable: the second request must be a hit, on
-	// either name of the route.
+	// Without a batch the graph is unchanged: the second request must be a
+	// hit.
 	resp = getJSON(t, ts.URL+"/graphs/web/connectivity", http.StatusOK, &out)
 	if !out.Cached || resp.Header.Get("X-Kmserve-Cache") != "hit" {
 		t.Errorf("second request: cached=%v header=%q, want cache hit", out.Cached, resp.Header.Get("X-Kmserve-Cache"))
@@ -456,9 +456,8 @@ func TestFleetDegradesAndRecovers(t *testing.T) {
 
 // TestFleetTraceAndRoundGauges pins what only a fleet reports: its jobs
 // feed the per-worker round gauges from the workers' heartbeats, and the
-// graph's trace — here through the /fleet/{name}/trace alias — carries
-// one pid per worker whose span round sums telescope to the job's merged
-// rounds.
+// graph's trace carries one pid per worker whose span round sums telescope
+// to the job's merged rounds.
 func TestFleetTraceAndRoundGauges(t *testing.T) {
 	_, ts, golden := newLiveFleetServer(t, "web")
 
@@ -467,7 +466,7 @@ func TestFleetTraceAndRoundGauges(t *testing.T) {
 	if out.Rounds != golden.Rounds {
 		t.Fatalf("rounds = %d, want %d", out.Rounds, golden.Rounds)
 	}
-	perPid := workerPhaseRounds(t, ts.URL+"/fleet/web/trace")
+	perPid := workerPhaseRounds(t, ts.URL+"/graphs/web/trace")
 	if len(perPid) != 2 {
 		t.Fatalf("trace span pids = %v, want one per worker", perPid)
 	}

@@ -67,16 +67,16 @@ func (j *jobRecord) notify() {
 }
 
 // trackJob folds one observer event into the job records and wakes the
-// job's subscribers. Called from observe with o.mu conventions of its
-// own (it takes the lock itself).
-func (o *graphObs) trackJob(ev kmgraph.ClusterEvent) {
+// job's subscribers (it takes o.mu itself). On the Done event of a job
+// whose start it saw, it returns the job's wall-clock duration.
+func (o *graphObs) trackJob(ev kmgraph.ClusterEvent) (dur time.Duration, timed bool) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	j := o.jobs[ev.Seq]
 	switch {
 	case ev.Phase < 0 && !ev.Done:
 		if j != nil {
-			return // duplicate start
+			return 0, false // duplicate start
 		}
 		now := time.Now()
 		j = &jobRecord{
@@ -96,7 +96,7 @@ func (o *graphObs) trackJob(ev kmgraph.ClusterEvent) {
 		}
 		o.jobs[ev.Seq] = j
 		o.pruneJobs()
-		return
+		return 0, false
 	case j == nil && ev.Done:
 		// Jobs that report only at completion (the load job emits a
 		// single Done event) get a terminal record directly.
@@ -115,14 +115,15 @@ func (o *graphObs) trackJob(ev kmgraph.ClusterEvent) {
 			subs: make(map[chan struct{}]struct{}),
 		}
 		o.pruneJobs()
-		return
+		return 0, false
 	case j == nil:
-		return // phase event for a job that started before we looked
+		return 0, false // phase event for a job that started before we looked
 	case ev.Done:
+		dur, timed = time.Since(j.started), true
 		j.p.Round = ev.Round
 		j.p.Running = false
 		j.p.Err = ev.Err
-		j.p.DurationMs = float64(time.Since(j.started).Nanoseconds()) / 1e6
+		j.p.DurationMs = float64(dur.Nanoseconds()) / 1e6
 	default: // phase boundary
 		j.p.Phase = ev.Phase
 		j.p.Round = ev.Round
@@ -130,6 +131,7 @@ func (o *graphObs) trackJob(ev kmgraph.ClusterEvent) {
 		j.p.Failures = ev.Failures
 	}
 	j.notify()
+	return dur, timed
 }
 
 // pruneJobs evicts the oldest finished records past maxJobRecords.

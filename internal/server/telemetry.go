@@ -7,7 +7,6 @@ import (
 	"runtime/debug"
 	"strconv"
 	"sync"
-	"time"
 
 	"kmgraph"
 	"kmgraph/internal/telemetry"
@@ -38,7 +37,6 @@ type graphObs struct {
 	tracer *telemetry.JobTracer
 
 	mu   sync.Mutex
-	open map[int]time.Time  // job seq -> start wall time
 	jobs map[int]*jobRecord // job seq -> live progress (see jobs.go)
 }
 
@@ -60,7 +58,7 @@ func (s *Server) obsFor(name string) *graphObs {
 	}
 	tr := telemetry.NewJobTracer()
 	tr.SetMaxEvents(maxTraceEvents)
-	o := &graphObs{name: name, srv: s, tracer: tr, open: make(map[int]time.Time)}
+	o := &graphObs{name: name, srv: s, tracer: tr}
 	s.obs[name] = o
 	return o
 }
@@ -85,44 +83,35 @@ func (s *Server) dropUnregisteredObs(name string) {
 
 func (o *graphObs) observe(ev kmgraph.ClusterEvent) {
 	o.tracer.Observer()(ev)
-	o.trackJob(ev)
+	dur, timed := o.trackJob(ev)
+	if !ev.Done {
+		return
+	}
 	reg := o.srv.registry
 	graph := telemetry.Label{Name: "graph", Value: o.name}
 	job := telemetry.Label{Name: "job", Value: ev.Job}
-	switch {
-	case ev.Phase < 0 && !ev.Done:
-		o.mu.Lock()
-		o.open[ev.Seq] = time.Now()
-		o.mu.Unlock()
-
-	case ev.Done:
-		status := "ok"
-		if ev.Err != "" {
-			status = "error"
-		}
-		reg.Counter("kmgraph_jobs_total",
-			"Engine jobs completed, by graph, job family, and outcome.",
-			graph, job, telemetry.Label{Name: "status", Value: status}).Inc()
-		o.mu.Lock()
-		start, ok := o.open[ev.Seq]
-		delete(o.open, ev.Seq)
-		o.mu.Unlock()
-		if ok {
-			reg.Histogram("kmgraph_job_seconds",
-				"Engine job wall-clock duration in seconds.",
-				graph, job).Observe(time.Since(start).Seconds())
-		}
-		if ev.Delta != nil {
-			reg.Counter("kmgraph_job_rounds_total",
-				"Engine rounds consumed by completed jobs.",
-				graph, job).Add(int64(ev.Delta.Rounds))
-			reg.Counter("kmgraph_job_messages_total",
-				"Engine messages sent by completed jobs.",
-				graph, job).Add(ev.Delta.Messages)
-			reg.Counter("kmgraph_job_payload_bytes_total",
-				"Engine payload bytes sent by completed jobs.",
-				graph, job).Add(ev.Delta.PayloadBytes)
-		}
+	status := "ok"
+	if ev.Err != "" {
+		status = "error"
+	}
+	reg.Counter("kmgraph_jobs_total",
+		"Engine jobs completed, by graph, job family, and outcome.",
+		graph, job, telemetry.Label{Name: "status", Value: status}).Inc()
+	if timed {
+		reg.Histogram("kmgraph_job_seconds",
+			"Engine job wall-clock duration in seconds.",
+			graph, job).Observe(dur.Seconds())
+	}
+	if ev.Delta != nil {
+		reg.Counter("kmgraph_job_rounds_total",
+			"Engine rounds consumed by completed jobs.",
+			graph, job).Add(int64(ev.Delta.Rounds))
+		reg.Counter("kmgraph_job_messages_total",
+			"Engine messages sent by completed jobs.",
+			graph, job).Add(ev.Delta.Messages)
+		reg.Counter("kmgraph_job_payload_bytes_total",
+			"Engine payload bytes sent by completed jobs.",
+			graph, job).Add(ev.Delta.PayloadBytes)
 	}
 }
 

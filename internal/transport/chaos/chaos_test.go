@@ -47,7 +47,7 @@ func metricsFingerprint(m *kmachine.Metrics) uint64 {
 // local transport and returns the assembled result, the fault journal,
 // and the run error.
 func runConnectivity(n, m int, gs int64, cfg core.Config, plan Plan) (*core.Result, []Fault, error) {
-	part, err := kmachine.LoadShards(graph.StreamGNM(n, m, gs), cfg.K, uint64(cfg.Seed)^0x9e37)
+	part, err := kmachine.LoadShards(graph.StreamGNM(n, m, gs), cfg.K, kmachine.RVPSeed(cfg.Seed))
 	if err != nil {
 		return nil, nil, err
 	}

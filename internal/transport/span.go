@@ -74,7 +74,9 @@ func NewSpanRecorder(sample func() (frames, bytes, waitNs int64), round int) *Sp
 	return r
 }
 
-// Hook returns the callback to install as core.Config.PhaseHook.
+// Hook returns the phase-boundary callback of a run (resident.Machines.Run
+// takes it): the lowest hosted machine calls it after each phase's
+// end-of-phase collective with the phase index and its round count.
 func (r *SpanRecorder) Hook() func(phase, round int) {
 	return func(phase, round int) { r.record(phase, round) }
 }

@@ -182,11 +182,14 @@ func TestOneFrontDoor(t *testing.T) {
 
 // TestOneEngine fails if a Cluster grows a second engine again: a type
 // under internal/dist with the engine's job methods, an interface in
-// cluster.go for two implementations to hide behind, or the ErrUnsupported
-// a partial engine answers the families it cannot run with.
+// cluster.go for two implementations to hide behind, the ErrUnsupported
+// a partial engine answers the families it cannot run with, or a host
+// outside internal/core that runs core's one-shot handlers instead of
+// resident commands (as the fleet workers' one-shot command did).
 func TestOneEngine(t *testing.T) {
 	method := regexp.MustCompile(`^func \([^)]*\) (Query|ApplyBatch|MinCut)\(`)
 	iface := regexp.MustCompile(`^type \w+ interface\b`)
+	handler := regexp.MustCompile(`\bcore\.(ConnectivityHandler|MSTHandler)\b`)
 	var sites []string
 	nonTestLines(t, func(site, line string) {
 		if method.MatchString(line) {
@@ -205,6 +208,9 @@ func TestOneEngine(t *testing.T) {
 		src, err := os.ReadFile(path)
 		if err == nil && strings.Contains(string(src), "ErrUnsupported") {
 			sites = append(sites, path+": ErrUnsupported")
+		}
+		if m := handler.FindString(string(src)); m != "" && filepath.ToSlash(filepath.Dir(path)) != "internal/core" {
+			sites = append(sites, path+": "+m)
 		}
 		return err
 	})

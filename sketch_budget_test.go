@@ -14,7 +14,7 @@ import (
 func poolPeaks(t *testing.T, g *Graph, cfg core.Config, job func(m *core.Merger)) []int {
 	t.Helper()
 	cfg = cfg.WithDefaults(g.N())
-	part, err := kmachine.LoadShards(g.Source(), cfg.K, uint64(cfg.Seed)^0x9e37)
+	part, err := kmachine.LoadShards(g.Source(), cfg.K, kmachine.RVPSeed(cfg.Seed))
 	if err != nil {
 		t.Fatal(err)
 	}
