@@ -356,7 +356,7 @@ func TestFleetClusterCancellation(t *testing.T) {
 func TestOneFleetJobPath(t *testing.T) {
 	call := regexp.MustCompile(`\bdist\.Run[A-Z]\w*\(`)
 	var sites []string
-	for _, dir := range []string{"internal/server", "cmd/kmrun", "cmd/kmserve", "cmd/kmbench", "cmd/kmload", "internal/cli"} {
+	for _, dir := range []string{"internal/server", "cmd/kmrun", "cmd/kmserve", "cmd/kmbench", "internal/cli"} {
 		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
 		if err != nil || len(files) == 0 {
 			t.Fatalf("no Go files under %s (%v)", dir, err)

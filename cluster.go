@@ -331,7 +331,8 @@ func WithMaxLevel(l int) MinCutOption { return func(o *minCutJobOpts) { o.maxLev
 
 // ApproxMinCut estimates the edge connectivity of the current graph
 // within an O(log n) factor (Theorem 3), each sampling trial a
-// connectivity run on the residency.
+// connectivity run on the residency. A negative WithTrials, or a
+// WithMaxLevel outside [0, 64], is refused before the job starts.
 func (c *Cluster) ApproxMinCut(ctx context.Context, opts ...MinCutOption) (*MinCutResult, error) {
 	var o minCutJobOpts
 	for _, opt := range opts {

@@ -119,10 +119,24 @@ type Config struct {
 
 // Convert replays a congested clique trace in the k-machine model using
 // RVP node placement and random-intermediate routing, and returns the
-// measured cost alongside the theorem's prediction.
+// measured cost alongside the theorem's prediction. A trace that fails
+// Validate is refused with its error.
 func Convert(tr *Trace, cfg Config) (*ConvertResult, error) {
+	if err := tr.Validate(); err != nil {
+		return nil, err
+	}
 	n := tr.N
 	bw := kmachine.Bandwidth(n)
+	cluster, err := kmachine.New(kmachine.Config{
+		K:                   cfg.K,
+		BandwidthBits:       bw,
+		MessageOverheadBits: 64,
+		Seed:                cfg.Seed,
+	})
+	if err != nil {
+		return nil, err
+	}
+	defer cluster.Close()
 	// Node placement: the same RVP hashing the algorithms use.
 	home := func(v int) int { return kmachine.HomeOf(kmachine.RVPSeed(cfg.Seed), cfg.K, v) }
 
@@ -135,17 +149,6 @@ func Convert(tr *Trace, cfg Config) (*ConvertResult, error) {
 		h := home(m.Src)
 		perMachineRound[h][m.Round] = append(perMachineRound[h][m.Round], m)
 	}
-
-	cluster, err := kmachine.New(kmachine.Config{
-		K:                   cfg.K,
-		BandwidthBits:       bw,
-		MessageOverheadBits: 64,
-		Seed:                cfg.Seed,
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer cluster.Close()
 	res, err := cluster.Run(func(ctx *kmachine.Ctx) error {
 		comm := proxy.NewComm(ctx)
 		for r := 0; r < tr.Rounds; r++ {
@@ -185,14 +188,21 @@ func Convert(tr *Trace, cfg Config) (*ConvertResult, error) {
 	return out, nil
 }
 
-// Validate cross-checks a trace's internal consistency (counts, rounds).
+// Validate cross-checks a trace's internal consistency (counts, rounds,
+// endpoints, message sizes).
 func (tr *Trace) Validate() error {
+	if tr.N < 0 || tr.Rounds < 0 {
+		return fmt.Errorf("congested: trace of %d nodes and %d rounds", tr.N, tr.Rounds)
+	}
 	for _, m := range tr.Messages {
 		if m.Round < 0 || m.Round >= tr.Rounds {
 			return fmt.Errorf("congested: message round %d out of [0,%d)", m.Round, tr.Rounds)
 		}
 		if m.Src < 0 || m.Src >= tr.N || m.Dst < 0 || m.Dst >= tr.N {
 			return fmt.Errorf("congested: message endpoints out of range")
+		}
+		if m.Bits < 0 {
+			return fmt.Errorf("congested: message of %d bits", m.Bits)
 		}
 	}
 	return nil

@@ -89,3 +89,27 @@ func TestTraceValidateCatchesCorruption(t *testing.T) {
 		t.Error("src out of range should fail")
 	}
 }
+
+// TestConvertRefusesMalformedTraces: Convert returns Validate's error
+// instead of indexing past its per-round tables or sizing a payload from
+// a negative bit count.
+func TestConvertRefusesMalformedTraces(t *testing.T) {
+	for name, tr := range map[string]*Trace{
+		"round past the end": {N: 5, Rounds: 2, Messages: []TraceMsg{{Round: 3, Src: 0, Dst: 1, Bits: 8}}},
+		"negative round":     {N: 5, Rounds: 2, Messages: []TraceMsg{{Round: -1, Src: 0, Dst: 1, Bits: 8}}},
+		"negative rounds":    {N: 5, Rounds: -1},
+		"src out of range":   {N: 5, Rounds: 2, Messages: []TraceMsg{{Round: 0, Src: 9, Dst: 1, Bits: 8}}},
+		"dst out of range":   {N: 5, Rounds: 2, Messages: []TraceMsg{{Round: 0, Src: 0, Dst: -1, Bits: 8}}},
+		"negative bits":      {N: 5, Rounds: 2, Messages: []TraceMsg{{Round: 0, Src: 0, Dst: 1, Bits: -100}}},
+	} {
+		if _, err := Convert(tr, Config{K: 4, Seed: 1}); err == nil {
+			t.Errorf("%s: Convert returned no error", name)
+		}
+	}
+	// A valid trace on no machines: the cluster is refused before any
+	// message is placed on a machine.
+	tr := &Trace{N: 5, Rounds: 2, Messages: []TraceMsg{{Round: 0, Src: 0, Dst: 1, Bits: 8}}}
+	if _, err := Convert(tr, Config{K: 0, Seed: 1}); err == nil {
+		t.Error("K = 0: Convert returned no error")
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -610,8 +611,14 @@ func (e *Engine) runDerived(t *jobToken, spec *runSpec) (verify.Run, int, error)
 // MinCut estimates the edge connectivity of the current graph within an
 // O(log n) factor (Theorem 3): the resident host of mincut.Search, each
 // sampling trial a derived-view connectivity run on the residency. trials
-// and maxLevel are mincut.Search's (0 selects 3 and 40).
+// and maxLevel are mincut.Search's (0 selects 3 and 40); a negative trials,
+// or a maxLevel outside [0, 64] (the rate 2^-level needs a threshold), is
+// refused with ErrBadConfig before the job starts.
 func (e *Engine) MinCut(ctx context.Context, trials, maxLevel int) (res *mincut.Result, err error) {
+	if trials < 0 || maxLevel < 0 || maxLevel > 64 {
+		return nil, fmt.Errorf("resident: %w: mincut trials %d, max level %d (need trials >= 0, max level in [0, 64])",
+			ErrBadConfig, trials, maxLevel)
+	}
 	t, err := e.begin(ctx, "mincut")
 	if err != nil {
 		return nil, err

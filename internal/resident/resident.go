@@ -162,9 +162,9 @@ func validConfig(n int, cfg Config) error {
 	return nil
 }
 
-// ErrBadConfig tags configuration errors from New/NewFromSource so
-// callers (the CLIs, the server's POST /graphs handler) can distinguish
-// caller mistakes from engine failures.
+// ErrBadConfig tags configuration errors from New/NewFromSource and
+// MinCut's options so callers (the CLIs, the server's handlers) can
+// distinguish caller mistakes from engine failures.
 var ErrBadConfig = errors.New("invalid configuration")
 
 // Event is one progress notification delivered to Config.Observer.

@@ -526,3 +526,25 @@ func TestResidentQueryEquivalence(t *testing.T) {
 		t.Fatalf("resident %d components, static %d", q.Components, static.Components)
 	}
 }
+
+// TestMinCutRefusesBadOptions: a negative trial count, or a max level
+// outside [0, 64], is a configuration error, refused before the job
+// starts, not a search that skips its levels and returns a made-up
+// estimate. The residency serves the default search afterwards.
+func TestMinCutRefusesBadOptions(t *testing.T) {
+	ctx := context.Background()
+	e := mustEngine(t, graph.GNM(200, 2000, 3), Config{K: 4, Seed: 1})
+	before := e.Metrics()
+	for _, o := range []struct{ trials, maxLevel int }{{-1, 0}, {0, -3}, {0, 65}, {-2, -2}} {
+		if res, err := e.MinCut(ctx, o.trials, o.maxLevel); !errors.Is(err, ErrBadConfig) {
+			t.Errorf("MinCut(trials %d, max level %d) = %+v, %v; want ErrBadConfig", o.trials, o.maxLevel, res, err)
+		}
+	}
+	if after := e.Metrics(); after.Jobs != before.Jobs || after.Total.Rounds != before.Total.Rounds {
+		t.Errorf("refused searches ran: jobs %d -> %d, rounds %d -> %d",
+			before.Jobs, after.Jobs, before.Total.Rounds, after.Total.Rounds)
+	}
+	if mc, err := e.MinCut(ctx, 0, 0); err != nil || mc.Level < 1 {
+		t.Fatalf("default min-cut after the refusals: %+v, %v", mc, err)
+	}
+}

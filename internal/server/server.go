@@ -860,14 +860,7 @@ func (s *Server) handleMinCut(w http.ResponseWriter, r *http.Request) {
 	}
 	args := fmt.Sprintf("trials=%d&maxlevel=%d", trials, maxLevel)
 	s.runCached(w, r, t, "mincut", args, nil, func(ctx context.Context, _ uint64) (hitMarker, uint64, error) {
-		var opts []kmgraph.MinCutOption
-		if trials > 0 {
-			opts = append(opts, kmgraph.WithTrials(trials))
-		}
-		if maxLevel > 0 {
-			opts = append(opts, kmgraph.WithMaxLevel(maxLevel))
-		}
-		res, err := t.c.ApproxMinCut(ctx, opts...)
+		res, err := t.c.ApproxMinCut(ctx, kmgraph.WithTrials(trials), kmgraph.WithMaxLevel(maxLevel))
 		if err != nil {
 			return nil, 0, err
 		}

@@ -163,6 +163,25 @@ func TestVerifyBadArgsAre400(t *testing.T) {
 		http.StatusBadRequest, nil)
 }
 
+// TestMinCutBadOptionsAre400: a negative trial count or a max level outside
+// [0, 64] reaches the engine, which refuses it before the job starts, so
+// the caller gets 400 and no rounds are spent, not the default search's
+// answer under a cache key of its own.
+func TestMinCutBadOptionsAre400(t *testing.T) {
+	_, ts := newTestServer(t, Config{}, "g", kmgraph.GNM(200, 2000, 3), 4, 1)
+	base := ts.URL + "/graphs/g"
+	var before, after metricsResponse
+	getJSON(t, base+"/metrics", http.StatusOK, &before)
+	for _, q := range []string{"trials=-1", "maxlevel=-3", "maxlevel=65"} {
+		getJSON(t, base+"/mincut?"+q, http.StatusBadRequest, nil)
+	}
+	getJSON(t, base+"/metrics", http.StatusOK, &after)
+	if after.Jobs != before.Jobs || after.TotalRounds != before.TotalRounds {
+		t.Errorf("refused min-cuts ran: jobs %d -> %d, rounds %d -> %d",
+			before.Jobs, after.Jobs, before.TotalRounds, after.TotalRounds)
+	}
+}
+
 // TestCacheHitServesWithZeroRounds is the acceptance-criteria pin: a
 // repeated connectivity query on an unchanged graph is served from the
 // epoch-keyed cache without a single simulation round, and a batch that

@@ -82,9 +82,8 @@
 // family becomes an endpoint with per-request deadlines, a bounded
 // admission queue with 429 backpressure, and a result cache keyed on the
 // graph's mutation epoch (Cluster.Epoch) so repeated queries on an
-// unchanged graph cost zero simulation rounds. cmd/kmload is the matching
-// closed-loop load generator; see the README's "Serving" section and
-// EXPERIMENTS.md E16.
+// unchanged graph cost zero simulation rounds; see the README's "Serving"
+// section and EXPERIMENTS.md E16.
 //
 // # Migration note: one front door
 //
