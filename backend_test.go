@@ -392,7 +392,7 @@ func TestNotConvergedOnEveryHost(t *testing.T) {
 	g := WithDistinctWeights(GNM(400, 1200, 1), 2)
 	ctx := context.Background()
 	cfg := Config{K: 4, Seed: 1, MaxPhases: 1}
-	rcfg := resident.Config{K: 4, Seed: 1, MaxPhasesPerQuery: 1}
+	rcfg := resident.Config{Config: core.Config{K: 4, Seed: 1, MaxPhases: 1}}
 	type engine interface {
 		Query(context.Context) (*resident.QueryResult, error)
 		MST(context.Context, bool) (*core.MSTResult, error)

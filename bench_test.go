@@ -292,7 +292,7 @@ func BenchmarkFloodingBaseline(b *testing.B) {
 	g := GNM(1024, 3072, 1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := baseline.Flooding(g, baseline.Config{K: 8, Seed: int64(i)}); err != nil {
+		if _, err := baseline.Flooding(g, Config{K: 8, Seed: int64(i)}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -302,7 +302,7 @@ func BenchmarkRefereeBaseline(b *testing.B) {
 	g := GNM(1024, 3072, 1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := baseline.Referee(g, baseline.Config{K: 8, Seed: int64(i)}); err != nil {
+		if _, err := baseline.Referee(g, Config{K: 8, Seed: int64(i)}); err != nil {
 			b.Fatal(err)
 		}
 	}

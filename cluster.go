@@ -239,7 +239,7 @@ func OpenFleet(spec FleetSpec, opts ...ClusterOption) (*Cluster, error) {
 }
 
 func resolveClusterOptions(opts []ClusterOption) *clusterOptions {
-	o := &clusterOptions{Config: resident.Config{K: DefaultClusterK}}
+	o := &clusterOptions{Config: resident.Config{Config: Config{K: DefaultClusterK}}}
 	for _, opt := range opts {
 		opt(o)
 	}

@@ -151,7 +151,7 @@ func runBaseline(f *cli.Flags, g *kmgraph.Graph, algo string) (components int, c
 		if algo == "referee" {
 			run = baseline.Referee
 		}
-		res, err := run(g, baseline.Config{K: *f.K, Seed: *f.Seed})
+		res, err := run(g, kmgraph.Config{K: *f.K, Seed: *f.Seed})
 		if err != nil {
 			cli.Fatal(err)
 		}
@@ -176,7 +176,7 @@ func mst(fs *flag.FlagSet, args []string) {
 	}
 	if *repMode {
 		noCluster(f, g, "-rep")
-		res, err := rep.MST(g, rep.Config{K: *f.K, Seed: *f.Seed})
+		res, err := rep.MST(g, kmgraph.Config{K: *f.K, Seed: *f.Seed})
 		if err != nil {
 			cli.Fatal(err)
 		}

@@ -31,7 +31,7 @@ func main() {
 		rvp.TotalWeight, rvp.Metrics.Rounds, rvp.TotalWeight == best)
 
 	// REP model: local cycle-property filtering + conversion.
-	repRes, err := rep.MST(g, rep.Config{K: k, Seed: 5})
+	repRes, err := rep.MST(g, kmgraph.Config{K: k, Seed: 5})
 	if err != nil {
 		log.Fatal(err)
 	}

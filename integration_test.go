@@ -127,11 +127,11 @@ func TestIntegrationBaselinesAgreeWithCore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fl, err := baseline.Flooding(g, baseline.Config{K: 5, Seed: 1})
+	fl, err := baseline.Flooding(g, Config{K: 5, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rf, err := baseline.Referee(g, baseline.Config{K: 5, Seed: 1})
+	rf, err := baseline.Referee(g, Config{K: 5, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,18 +17,12 @@ import (
 	"fmt"
 	"sort"
 
+	"kmgraph/internal/core"
 	"kmgraph/internal/graph"
 	"kmgraph/internal/kmachine"
 	"kmgraph/internal/proxy"
 	"kmgraph/internal/wire"
 )
-
-// Config parameterizes a baseline run; links carry kmachine.Bandwidth(n)
-// bits per round.
-type Config struct {
-	K    int
-	Seed int64
-}
 
 // Result is a baseline connectivity outcome.
 type Result struct {
@@ -37,15 +31,16 @@ type Result struct {
 	Metrics    kmachine.Metrics
 }
 
-func (c Config) engine(n int) (*kmachine.Cluster, *kmachine.Config, error) {
-	kc := kmachine.Config{
-		K:                   c.K,
-		BandwidthBits:       kmachine.Bandwidth(n),
-		MessageOverheadBits: 64,
-		Seed:                c.Seed,
+// load loads g's shards under the random vertex partition and brings up
+// cfg's cluster for them. A baseline reads K, Seed and the link budget of
+// cfg; it has no phases, sketches or ablations.
+func load(g *graph.Graph, cfg core.Config) (*kmachine.Cluster, *kmachine.ShardPartition, error) {
+	part, err := kmachine.LoadShards(g.Source(), cfg.K, kmachine.RVPSeed(cfg.Seed))
+	if err != nil {
+		return nil, nil, err
 	}
-	cl, err := kmachine.New(kc)
-	return cl, &kc, err
+	cluster, err := kmachine.New(cfg.WithDefaults(g.N()).MachineConfig())
+	return cluster, part, err
 }
 
 func assemble(n int, res *kmachine.Result) (*Result, error) {
@@ -74,16 +69,12 @@ func assemble(n int, res *kmachine.Result) (*Result, error) {
 // super-round, every vertex whose label improved sends the new label to
 // all neighbors (batched per destination machine). Terminates when no
 // label changes anywhere.
-func Flooding(g *graph.Graph, cfg Config) (*Result, error) {
-	cluster, _, err := cfg.engine(g.N())
+func Flooding(g *graph.Graph, cfg core.Config) (*Result, error) {
+	cluster, part, err := load(g, cfg)
 	if err != nil {
 		return nil, err
 	}
 	defer cluster.Close()
-	part, err := kmachine.LoadShards(g.Source(), cfg.K, kmachine.RVPSeed(cfg.Seed))
-	if err != nil {
-		return nil, err
-	}
 	res, err := cluster.Run(func(ctx *kmachine.Ctx) error {
 		view := part.Shard(ctx.ID())
 		comm := proxy.NewComm(ctx)
@@ -148,16 +139,12 @@ func Flooding(g *graph.Graph, cfg Config) (*Result, error) {
 // Referee collects every edge at machine 0 (each edge sent once, by the
 // home of its smaller endpoint), solves connectivity locally with
 // union-find, and scatters each machine its own vertices' labels.
-func Referee(g *graph.Graph, cfg Config) (*Result, error) {
-	cluster, _, err := cfg.engine(g.N())
+func Referee(g *graph.Graph, cfg core.Config) (*Result, error) {
+	cluster, part, err := load(g, cfg)
 	if err != nil {
 		return nil, err
 	}
 	defer cluster.Close()
-	part, err := kmachine.LoadShards(g.Source(), cfg.K, kmachine.RVPSeed(cfg.Seed))
-	if err != nil {
-		return nil, err
-	}
 	res, err := cluster.Run(func(ctx *kmachine.Ctx) error {
 		view := part.Shard(ctx.ID())
 		comm := proxy.NewComm(ctx)

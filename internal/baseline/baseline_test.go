@@ -3,6 +3,7 @@ package baseline
 import (
 	"testing"
 
+	"kmgraph/internal/core"
 	"kmgraph/internal/graph"
 )
 
@@ -44,7 +45,7 @@ func TestFloodingFamilies(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			res, err := Flooding(tc.g, Config{K: 4, Seed: 3})
+			res, err := Flooding(tc.g, core.Config{K: 4, Seed: 3})
 			check(t, tc.name, tc.g, res, err)
 		})
 	}
@@ -62,7 +63,7 @@ func TestRefereeFamilies(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			res, err := Referee(tc.g, Config{K: 5, Seed: 6})
+			res, err := Referee(tc.g, core.Config{K: 5, Seed: 6})
 			check(t, tc.name, tc.g, res, err)
 		})
 	}
@@ -71,11 +72,11 @@ func TestRefereeFamilies(t *testing.T) {
 func TestFloodingDiameterSensitivity(t *testing.T) {
 	// Flooding pays Θ(D): a path (D = n-1) should need far more rounds
 	// than a star (D = 2) at equal size.
-	path, err := Flooding(graph.Path(200), Config{K: 4, Seed: 7})
+	path, err := Flooding(graph.Path(200), core.Config{K: 4, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	star, err := Flooding(graph.Star(200), Config{K: 4, Seed: 7})
+	star, err := Flooding(graph.Star(200), core.Config{K: 4, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,11 +88,11 @@ func TestFloodingDiameterSensitivity(t *testing.T) {
 
 func TestRefereeCongestion(t *testing.T) {
 	// The referee's links are the bottleneck: rounds grow with m.
-	small, err := Referee(graph.GNM(100, 300, 8), Config{K: 4, Seed: 9})
+	small, err := Referee(graph.GNM(100, 300, 8), core.Config{K: 4, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	big, err := Referee(graph.GNM(100, 3000, 8), Config{K: 4, Seed: 9})
+	big, err := Referee(graph.GNM(100, 3000, 8), core.Config{K: 4, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,9 +104,9 @@ func TestRefereeCongestion(t *testing.T) {
 func TestBaselinesAcrossK(t *testing.T) {
 	g := graph.GNM(120, 360, 10)
 	for _, k := range []int{2, 3, 8} {
-		res, err := Flooding(g, Config{K: k, Seed: 11})
+		res, err := Flooding(g, core.Config{K: k, Seed: 11})
 		check(t, "flooding", g, res, err)
-		res, err = Referee(g, Config{K: k, Seed: 11})
+		res, err = Referee(g, core.Config{K: k, Seed: 11})
 		check(t, "referee", g, res, err)
 	}
 }

@@ -15,6 +15,7 @@ package congested
 import (
 	"fmt"
 
+	"kmgraph/internal/core"
 	"kmgraph/internal/graph"
 	"kmgraph/internal/kmachine"
 	"kmgraph/internal/proxy"
@@ -110,29 +111,17 @@ func (c *ConvertResult) Predicted() float64 {
 	return c.TermMessages + c.TermDelta
 }
 
-// Config parameterizes a conversion run; links carry
-// kmachine.Bandwidth(n) bits per round.
-type Config struct {
-	K    int
-	Seed int64
-}
-
 // Convert replays a congested clique trace in the k-machine model using
 // RVP node placement and random-intermediate routing, and returns the
 // measured cost alongside the theorem's prediction. A trace that fails
-// Validate is refused with its error.
-func Convert(tr *Trace, cfg Config) (*ConvertResult, error) {
+// Validate is refused with its error. It reads K, Seed and the link
+// budget of cfg.
+func Convert(tr *Trace, cfg core.Config) (*ConvertResult, error) {
 	if err := tr.Validate(); err != nil {
 		return nil, err
 	}
-	n := tr.N
-	bw := kmachine.Bandwidth(n)
-	cluster, err := kmachine.New(kmachine.Config{
-		K:                   cfg.K,
-		BandwidthBits:       bw,
-		MessageOverheadBits: 64,
-		Seed:                cfg.Seed,
-	})
+	cfg = cfg.WithDefaults(tr.N)
+	cluster, err := kmachine.New(cfg.MachineConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -181,8 +170,8 @@ func Convert(tr *Trace, cfg Config) (*ConvertResult, error) {
 	}
 	out := &ConvertResult{
 		Rounds:       res.Metrics.Rounds,
-		TermMessages: float64(len(tr.Messages)) * b / (float64(cfg.K*cfg.K) * float64(bw)),
-		TermDelta:    float64(tr.MaxDelta) * float64(tr.Rounds) * b / (float64(cfg.K) * float64(bw)),
+		TermMessages: float64(len(tr.Messages)) * b / (float64(cfg.K*cfg.K) * float64(cfg.BandwidthBits)),
+		TermDelta:    float64(tr.MaxDelta) * float64(tr.Rounds) * b / (float64(cfg.K) * float64(cfg.BandwidthBits)),
 		Metrics:      res.Metrics,
 	}
 	return out, nil

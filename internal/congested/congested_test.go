@@ -3,6 +3,7 @@ package congested
 import (
 	"testing"
 
+	"kmgraph/internal/core"
 	"kmgraph/internal/graph"
 )
 
@@ -45,7 +46,7 @@ func TestFloodingCCDiameterRounds(t *testing.T) {
 func TestConvertExecutesAndPredicts(t *testing.T) {
 	g := graph.GNM(200, 600, 3)
 	_, tr := FloodingCC(g)
-	res, err := Convert(tr, Config{K: 4, Seed: 5})
+	res, err := Convert(tr, core.Config{K: 4, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,11 +67,11 @@ func TestConvertExecutesAndPredicts(t *testing.T) {
 func TestConvertImprovesWithK(t *testing.T) {
 	g := graph.GNM(300, 2000, 7)
 	_, tr := FloodingCC(g)
-	r4, err := Convert(tr, Config{K: 4, Seed: 9})
+	r4, err := Convert(tr, core.Config{K: 4, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r16, err := Convert(tr, Config{K: 16, Seed: 9})
+	r16, err := Convert(tr, core.Config{K: 16, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,14 +103,14 @@ func TestConvertRefusesMalformedTraces(t *testing.T) {
 		"dst out of range":   {N: 5, Rounds: 2, Messages: []TraceMsg{{Round: 0, Src: 0, Dst: -1, Bits: 8}}},
 		"negative bits":      {N: 5, Rounds: 2, Messages: []TraceMsg{{Round: 0, Src: 0, Dst: 1, Bits: -100}}},
 	} {
-		if _, err := Convert(tr, Config{K: 4, Seed: 1}); err == nil {
+		if _, err := Convert(tr, core.Config{K: 4, Seed: 1}); err == nil {
 			t.Errorf("%s: Convert returned no error", name)
 		}
 	}
 	// A valid trace on no machines: the cluster is refused before any
 	// message is placed on a machine.
 	tr := &Trace{N: 5, Rounds: 2, Messages: []TraceMsg{{Round: 0, Src: 0, Dst: 1, Bits: 8}}}
-	if _, err := Convert(tr, Config{K: 0, Seed: 1}); err == nil {
+	if _, err := Convert(tr, core.Config{K: 0, Seed: 1}); err == nil {
 		t.Error("K = 0: Convert returned no error")
 	}
 }

@@ -59,7 +59,11 @@ import (
 	"kmgraph/internal/wire"
 )
 
-// Config parameterizes a connectivity run.
+// Config is the one algorithm parameter set: the model's k, seed and link
+// budget plus the algorithm's caps and ablation switches. It parameterizes
+// every algorithm — connectivity, MST, the baselines — on every host:
+// one-shot, resident (resident.Config embeds it) and a fleet, whose workers
+// receive it whole in AppendConfig's form.
 type Config struct {
 	// K is the number of machines.
 	K int
@@ -67,9 +71,12 @@ type Config struct {
 	BandwidthBits int
 	// Seed drives the random vertex partition and all private coins.
 	Seed int64
-	// MaxPhases caps Boruvka phases; 0 selects 12·ceil(log2 n) + 4
+	// MaxPhases caps Boruvka phases per job; 0 selects 12·ceil(log2 n) + 4
 	// (Lemma 7's bound plus slack).
 	MaxPhases int
+	// MaxElimIters caps MST elimination iterations per phase; 0 selects
+	// 2·ceil(log2 n) + 8, enough for w.h.p. convergence.
+	MaxElimIters int
 	// Sketch overrides sketch parameters; zero value selects
 	// sketch.DefaultParams(n).
 	Sketch sketch.Params
@@ -97,7 +104,8 @@ type Config struct {
 	// which outputs the component count — all within the model. The count
 	// lands in Result.ProtocolCount.
 	CountComponents bool
-	// MaxRounds aborts runaway executions (0 = engine default).
+	// MaxRounds aborts runaway executions (0 = the engine default; a
+	// residency's is 5,000,000 cumulative rounds).
 	MaxRounds int
 	// MessageOverheadBits models per-message framing (0 = 64).
 	MessageOverheadBits int
@@ -109,18 +117,47 @@ func (c Config) WithDefaults(n int) Config {
 	if c.BandwidthBits == 0 {
 		c.BandwidthBits = kmachine.Bandwidth(n)
 	}
+	l := 0
+	for s := 1; s < n; s <<= 1 {
+		l++
+	}
 	if c.MaxPhases == 0 {
-		l := 0
-		for s := 1; s < n; s <<= 1 {
-			l++
-		}
 		c.MaxPhases = 12*l + 4
+	}
+	if c.MaxElimIters == 0 {
+		c.MaxElimIters = 2*l + 8
 	}
 	if c.Sketch == (sketch.Params{}) {
 		c.Sketch = sketch.DefaultParams(n)
 	}
 	if c.MessageOverheadBits == 0 {
 		c.MessageOverheadBits = 64
+	}
+	return c
+}
+
+// AppendConfig encodes every field of c onto b in wire form.
+func AppendConfig(b []byte, c Config) []byte {
+	sk := c.Sketch
+	b = wire.AppendInts(b, c.K, c.BandwidthBits, int(c.Seed), c.MaxPhases, c.MaxElimIters,
+		sk.N, sk.Levels, sk.Buckets, sk.Reps, c.MaxRounds, c.MessageOverheadBits)
+	for _, f := range []bool{c.CollapseLevelWise, c.CoinMerge, c.EdgeCheckSelection, c.FaithfulRandomness, c.CountComponents} {
+		b = wire.AppendBool(b, f)
+	}
+	return b
+}
+
+// ReadConfig decodes a Config encoded by AppendConfig; a decoding error
+// is latched in r.
+func ReadConfig(r *wire.Reader) Config {
+	var c Config
+	var seed int
+	sk := &c.Sketch
+	r.Ints(&c.K, &c.BandwidthBits, &seed, &c.MaxPhases, &c.MaxElimIters,
+		&sk.N, &sk.Levels, &sk.Buckets, &sk.Reps, &c.MaxRounds, &c.MessageOverheadBits)
+	c.Seed = int64(seed)
+	for _, f := range []*bool{&c.CollapseLevelWise, &c.CoinMerge, &c.EdgeCheckSelection, &c.FaithfulRandomness, &c.CountComponents} {
+		*f = r.Bool()
 	}
 	return c
 }
@@ -218,7 +255,8 @@ func RunShards(ctx context.Context, part *kmachine.ShardPartition, cfg Config) (
 }
 
 // MachineConfig is the engine configuration a (resolved) Config runs
-// under — the one conversion every host's cluster bring-up goes through.
+// under — the one conversion every cluster bring-up goes through: each
+// host's, the baselines', REP's and the congested-clique conversion's.
 func (c Config) MachineConfig() kmachine.Config {
 	return kmachine.Config{
 		K:                   c.K,

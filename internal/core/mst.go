@@ -73,16 +73,6 @@ type MSTOutput struct {
 	WeakRounds  int
 }
 
-// DefaultMaxElimIters returns the per-phase elimination cap for an
-// n-vertex input: 2·ceil(log2 n) + 8, enough for w.h.p. convergence.
-func DefaultMaxElimIters(n int) int {
-	l := 0
-	for s := 1; s < n; s <<= 1 {
-		l++
-	}
-	return 2*l + 8
-}
-
 // RunMST executes the MST algorithm on g under a fresh random vertex
 // partition.
 func RunMST(g *graph.Graph, cfg MSTConfig) (*MSTResult, error) {
@@ -171,7 +161,7 @@ func mstHandler(shard func(id int) *kmachine.Shard, cfg MSTConfig) kmachine.Hand
 		if err := m.Setup(); err != nil {
 			return err
 		}
-		out, _ := m.MSTJob(0, DefaultMaxElimIters(m.View.N()), cfg.StrongOutput, nil)
+		out, _ := m.MSTJob(0, cfg.StrongOutput, nil)
 		mctx.SetOutput(out)
 		return nil
 	}
@@ -181,8 +171,8 @@ func mstHandler(shard func(id int) *kmachine.Shard, cfg MSTConfig) kmachine.Hand
 // phases numbered from firstPhase, MST edges accumulated on the proxies
 // (weak output) and, with strong set, disseminated to both endpoints'
 // homes. A cancelled job skips the dissemination.
-func (m *Merger) MSTJob(firstPhase, maxElimIters int, strong bool, after PhaseFunc) (out *MSTOutput, cancelled bool) {
-	w := NewMWOE(m, maxElimIters)
+func (m *Merger) MSTJob(firstPhase int, strong bool, after PhaseFunc) (out *MSTOutput, cancelled bool) {
+	w := NewMWOE(m)
 	phases, converged, cancelled := m.RunPhases(firstPhase, m.Cfg.MaxPhases, func(int) { w.Select() }, after)
 	out = &MSTOutput{Phases: phases, Converged: converged, WeakRounds: m.Ctx.Round()}
 	if strong && !cancelled {

@@ -48,10 +48,9 @@ func edgeLessHalf(u int, h graph.Half, n int, tw int64, tid uint64) bool {
 // outgoing edge under (weight, edge ID) and the forest the unique MST;
 // rounds, messages and bytes are what move (about half, E6).
 type MWOE struct {
-	M            *Merger
-	MaxElimIters int
-	Edges        map[uint64]graph.Edge
-	ElimIters    int
+	M         *Merger
+	Edges     map[uint64]graph.Edge
+	ElimIters int
 
 	thresholds []threshold                    // this iteration's, reused
 	asked      []*CompState                   // states with queries in flight, in send order, reused
@@ -69,10 +68,10 @@ type threshold struct {
 	id    uint64
 }
 
-// NewMWOE returns an MWOE selector over m. maxElimIters caps elimination
-// iterations per phase.
-func NewMWOE(m *Merger, maxElimIters int) *MWOE {
-	w := &MWOE{M: m, MaxElimIters: maxElimIters, Edges: make(map[uint64]graph.Edge), sent: make([]int, m.Ctx.K())}
+// NewMWOE returns an MWOE selector over m; m.Cfg.MaxElimIters caps
+// elimination iterations per phase.
+func NewMWOE(m *Merger) *MWOE {
+	w := &MWOE{M: m, Edges: make(map[uint64]graph.Edge), sent: make([]int, m.Ctx.K())}
 	m.allSlots = true
 	n := m.View.N()
 	w.lighter = func(u int, h graph.Half) bool { return edgeLessHalf(u, h, n, w.cut.w, w.cut.id) }
@@ -117,7 +116,7 @@ func (w *MWOE) Select() {
 			break
 		}
 		w.ElimIters++
-		if s > w.MaxElimIters {
+		if s > m.Cfg.MaxElimIters {
 			// Truncated: discard this phase's decision for the remaining
 			// active components (conservative; negligible probability).
 			for _, st := range m.States {

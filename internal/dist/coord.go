@@ -89,14 +89,11 @@ func (o CoordOptions) withDefaults() CoordOptions {
 // Cluster. Its result and Metrics (the residency's total: the load plus
 // the run) are bit-identical to core.RunSource with the same spec and cfg,
 // and a job that ran out of phases returns its partial result with
-// core.ErrNotConverged, as core.RunSource does. A residency hosts neither
-// EdgeCheckSelection nor CountComponents: they are refused with
+// core.ErrNotConverged, as core.RunSource does. A config no residency
+// hosts (EdgeCheckSelection, CountComponents) is refused with
 // resident.ErrBadConfig before anything is dialed.
 func RunConnectivity(ctx context.Context, addrs []string, source string, cfg core.Config) (*core.Result, error) {
-	if cfg.EdgeCheckSelection || cfg.CountComponents {
-		return nil, fmt.Errorf("dist: %w: a residency runs neither EdgeCheckSelection nor CountComponents", resident.ErrBadConfig)
-	}
-	e, err := OpenFleet(FleetSpec{Source: source, Addrs: addrs}, residentConfig(cfg))
+	e, err := OpenFleet(FleetSpec{Source: source, Addrs: addrs}, resident.Config{Config: cfg})
 	if err != nil {
 		return nil, err
 	}
@@ -106,14 +103,6 @@ func RunConnectivity(ctx context.Context, addrs []string, source string, cfg cor
 		res.Metrics = e.Metrics().Total
 	}
 	return res, err
-}
-
-// residentConfig is the residency configuration of a core one: every
-// parameter both share.
-func residentConfig(c core.Config) resident.Config {
-	return resident.Config{K: c.K, BandwidthBits: c.BandwidthBits, Seed: c.Seed, MaxPhasesPerQuery: c.MaxPhases,
-		Sketch: c.Sketch, CollapseLevelWise: c.CollapseLevelWise, CoinMerge: c.CoinMerge,
-		FaithfulRandomness: c.FaithfulRandomness, MessageOverheadBits: c.MessageOverheadBits, MaxRounds: c.MaxRounds}
 }
 
 // gatherOne reads a worker's result (or error) frame, consuming

@@ -33,8 +33,8 @@ import (
 	"strconv"
 	"strings"
 
+	"kmgraph/internal/core"
 	"kmgraph/internal/graph"
-	"kmgraph/internal/resident"
 	"kmgraph/internal/store"
 	"kmgraph/internal/transport"
 	"kmgraph/internal/wire"
@@ -59,11 +59,11 @@ type Job struct {
 	// trace tagged with this ID.
 	TraceID uint64
 	Source  string // source spec, see the package comment
-	// Config is the residency's engine configuration, resolved worker-side
-	// for n, identically everywhere; the spec carries K, BandwidthBits, Seed,
-	// the phase, round and elimination caps, the sketch dimensions,
-	// MessageOverheadBits and the three ablation switches.
-	Config  resident.Config
+	// Config is the algorithm's parameter set, shipped whole
+	// (core.AppendConfig) and resolved worker-side for n, identically
+	// everywhere. The engine's own fields — Observer, PhaseMetrics,
+	// JobTimeout — stay with the coordinator's resident.Config.
+	Config  core.Config
 	Index   int // this worker's position in Workers
 	Workers []WorkerSpec
 }
@@ -79,7 +79,8 @@ type Job struct {
 // following its spec, and packs the control frames' integers as varints.
 // specVersion 6 ships the sketch dimensions, drops the one-shot command and
 // the output fields only it produced (core.AppendOutput).
-const specVersion = 6
+// specVersion 7 ships the whole core.Config in core.AppendConfig's form.
+const specVersion = 7
 
 // ErrVersion is the failure of a job spec from a build of another wire
 // version: a worker refuses it before it dials or loads anything, and the
@@ -91,16 +92,12 @@ const maxWorkers = 1 << 16
 
 // AppendJob encodes j as a FrameJob body.
 func AppendJob(b []byte, j *Job) []byte {
-	c := j.Config
 	b = wire.AppendUvarint(b, specVersion)
 	b = wire.AppendU64(b, j.ClusterID)
 	b = wire.AppendU64(b, j.TraceID)
 	b = wire.AppendBytes(b, []byte(j.Source))
-	b = wire.AppendInts(b, c.K, c.BandwidthBits, int(c.Seed), c.MaxPhasesPerQuery, c.MaxRounds, c.MessageOverheadBits,
-		c.MaxElimIters, c.Sketch.N, c.Sketch.Levels, c.Sketch.Buckets, c.Sketch.Reps, j.Index, len(j.Workers))
-	b = wire.AppendBool(b, c.CollapseLevelWise)
-	b = wire.AppendBool(b, c.CoinMerge)
-	b = wire.AppendBool(b, c.FaithfulRandomness)
+	b = core.AppendConfig(b, j.Config)
+	b = wire.AppendInts(b, j.Index, len(j.Workers))
 	for _, w := range j.Workers {
 		b = wire.AppendBytes(b, []byte(w.Addr))
 		b = wire.AppendInts(b, w.Lo, w.Hi)
@@ -117,15 +114,10 @@ func DecodeJob(body []byte) (*Job, error) {
 		}
 		return nil, fmt.Errorf("%w %d, want %d", ErrVersion, v, specVersion)
 	}
-	j := &Job{ClusterID: r.U64(), TraceID: r.U64(), Source: string(r.Bytes())}
-	c := &j.Config
-	var seed, nw int
-	sk := &c.Sketch
-	r.Ints(&c.K, &c.BandwidthBits, &seed, &c.MaxPhasesPerQuery, &c.MaxRounds, &c.MessageOverheadBits,
-		&c.MaxElimIters, &sk.N, &sk.Levels, &sk.Buckets, &sk.Reps, &j.Index, &nw)
-	c.Seed, c.CollapseLevelWise, c.CoinMerge, c.FaithfulRandomness = int64(seed), r.Bool(), r.Bool(), r.Bool()
-	if err := r.Err(); err != nil {
-		return nil, err
+	j := &Job{ClusterID: r.U64(), TraceID: r.U64(), Source: string(r.Bytes()), Config: core.ReadConfig(r)}
+	var nw int
+	if r.Ints(&j.Index, &nw); r.Err() != nil {
+		return nil, r.Err()
 	}
 	if nw < 1 || nw > maxWorkers {
 		return nil, fmt.Errorf("dist: job with %d workers", nw)
@@ -141,12 +133,12 @@ func DecodeJob(body []byte) (*Job, error) {
 	if j.Index < 0 || j.Index >= nw {
 		return nil, fmt.Errorf("dist: job index %d of %d workers", j.Index, nw)
 	}
-	k := c.K
+	k, sk := j.Config.K, j.Config.Sketch
 	if k < 1 {
 		return nil, fmt.Errorf("dist: job with k=%d", k)
 	}
 	if min(sk.N, sk.Levels, sk.Buckets, sk.Reps) < 0 {
-		return nil, fmt.Errorf("dist: job with sketch dimensions %+v", *sk)
+		return nil, fmt.Errorf("dist: job with sketch dimensions %+v", sk)
 	}
 	next := 0
 	for i, w := range j.Workers {

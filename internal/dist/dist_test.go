@@ -141,7 +141,7 @@ func TestGoldenMSTLocalVsTCP(t *testing.T) {
 
 	addrs := startWorkers(t, 2)
 	dist, err := fleetMST(context.Background(), FleetSpec{Source: "store:" + path, Addrs: addrs},
-		residentConfig(cfg.Config), cfg.StrongOutput)
+		resident.Config{Config: cfg.Config}, cfg.StrongOutput)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestStaticMatchesOneShot(t *testing.T) {
 			}
 
 			lm, lerr := core.RunMST(g, core.MSTConfig{Config: cfg})
-			fm, ferr := fleetMST(context.Background(), spec, residentConfig(cfg), false)
+			fm, ferr := fleetMST(context.Background(), spec, resident.Config{Config: cfg}, false)
 			if lerr != ferr || lm == nil || fm == nil {
 				t.Fatalf("MST: fleet %v, local %v", ferr, lerr)
 			}
@@ -347,7 +347,7 @@ func TestJobSpecRoundTrip(t *testing.T) {
 	j := &Job{
 		ClusterID: 0xdeadbeef,
 		Source:    "store:/tmp/g.kmgs",
-		Config: resident.Config{K: 8, Seed: -42, MaxElimIters: 7, CoinMerge: true,
+		Config: core.Config{K: 8, Seed: -42, MaxElimIters: 7, CoinMerge: true,
 			Sketch: sketch.Params{N: 100, Levels: 16, Buckets: 2, Reps: 1}},
 		Index: 1,
 		Workers: []WorkerSpec{
@@ -367,13 +367,13 @@ func TestJobSpecRoundTrip(t *testing.T) {
 	// A spec from an older build — version 2 ran the single-draw MST
 	// elimination, version 3 shipped machine outputs without the
 	// convergence verdict, version 4 knew no residency, version 5 no sketch
-	// dimensions — is refused by its version with ErrVersion, by the
+	// dimensions, version 6 only part of core.Config — is refused by its version with ErrVersion, by the
 	// decoder and by a worker — which answers on the control link and
 	// dials no peer of the spec's mesh.
-	for _, v := range []byte{2, 3, 4, 5} {
+	for _, v := range []byte{2, 3, 4, 5, 6} {
 		stale := AppendJob(nil, j)
 		stale[0] = v
-		want := fmt.Sprintf("job spec version %d, want 6", v)
+		want := fmt.Sprintf("job spec version %d, want 7", v)
 		if _, err := DecodeJob(stale); !errors.Is(err, ErrVersion) || !strings.Contains(err.Error(), want) {
 			t.Fatalf("version-%d spec: err = %v, want ErrVersion", v, err)
 		}
@@ -393,24 +393,24 @@ func TestJobSpecRoundTrip(t *testing.T) {
 	old := *j
 	old.Index = 1
 	old.Workers = []WorkerSpec{{Addr: peer.Addr().String(), Lo: 0, Hi: 3}, {Addr: startWorkers(t, 1)[0], Lo: 3, Hi: 8}}
-	v5 := AppendJob(nil, &old)
-	v5[0] = 5
+	v6 := AppendJob(nil, &old)
+	v6[0] = 6
 	conn, err := net.Dial("tcp", old.Workers[1].Addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if _, err := conn.Write(tcp.AppendFrame(nil, tcp.FrameJob, v5)); err != nil {
+	if _, err := conn.Write(tcp.AppendFrame(nil, tcp.FrameJob, v6)); err != nil {
 		t.Fatal(err)
 	}
 	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
 	var buf []byte
 	ft, body, err := tcp.ReadFrame(conn, &buf)
 	if err != nil || ft != tcp.FrameError {
-		t.Fatalf("worker's answer to a version-5 spec: frame %v, err %v; want an error frame", ft, err)
+		t.Fatalf("worker's answer to a version-6 spec: frame %v, err %v; want an error frame", ft, err)
 	}
 	ef, err := decodeErrorFrame(body)
-	if err != nil || !errors.Is(ef.err(), ErrVersion) || !strings.Contains(ef.err().Error(), "job spec version 5, want 6") {
+	if err != nil || !errors.Is(ef.err(), ErrVersion) || !strings.Contains(ef.err().Error(), "job spec version 6, want 7") {
 		t.Fatalf("worker's error frame: %v / %v, want ErrVersion", ef, err)
 	}
 	if again := (RetryPolicy{Attempts: 3}).again(context.Background(), 1, ef.err(), &[]string{}); !errors.Is(again, ErrVersion) {
@@ -465,7 +465,7 @@ func TestOpenJobSourceBounds(t *testing.T) {
 // then fail.
 func TestSpecKBeyondN(t *testing.T) {
 	addr := startWorkers(t, 1)[0]
-	j := &Job{ClusterID: 7, Source: "gnm:2:0:1", Config: resident.Config{K: 1024, Seed: 1},
+	j := &Job{ClusterID: 7, Source: "gnm:2:0:1", Config: core.Config{K: 1024, Seed: 1},
 		Workers: []WorkerSpec{{Addr: addr, Lo: 0, Hi: 1024}}}
 	var before, after runtime.MemStats
 	runtime.GC()

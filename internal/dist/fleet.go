@@ -31,8 +31,8 @@ type FleetSpec struct {
 // kmworkers of spec, each keeping its range's residency — loaded from
 // spec.Source by the first job — for as long as its control connection is
 // open, so answers and Metrics are a local engine's on the same graph and
-// cfg. The workers receive all of cfg but what stays with the engine: its
-// Observer, PhaseMetrics and JobTimeout. A worker lost while the epoch is
+// cfg. The workers receive cfg.Config, the algorithm's parameters; the
+// engine's own fields stay here. A worker lost while the epoch is
 // 0 costs a reopen from the source under spec.Coord.Retry; after an
 // applied batch it ends the residency with ErrLinkDown.
 func OpenFleet(spec FleetSpec, cfg resident.Config) (*resident.Engine, error) {
@@ -40,7 +40,7 @@ func OpenFleet(spec FleetSpec, cfg resident.Config) (*resident.Engine, error) {
 		return nil, fmt.Errorf("dist: %w: k=%d machines over %d workers (need 1 <= workers <= k)",
 			resident.ErrBadConfig, cfg.K, len(spec.Addrs))
 	}
-	f := &fleet{addrs: spec.Addrs, opts: spec.Coord.withDefaults(), job: Job{Source: spec.Source, Config: cfg}}
+	f := &fleet{addrs: spec.Addrs, opts: spec.Coord.withDefaults(), job: Job{Source: spec.Source, Config: cfg.Config}}
 	if cfg.Observer != nil {
 		f.tr = &spanLog{}
 	}

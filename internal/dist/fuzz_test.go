@@ -118,7 +118,7 @@ func realControlFrames(t testing.TB) map[tcp.FrameType][][]byte {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 	// An observer makes the residencies traced ones.
-	cfg := resident.Config{K: 4, Seed: 9, Observer: func(resident.Event) {}}
+	cfg := resident.Config{Config: core.Config{K: 4, Seed: 9}, Observer: func(resident.Event) {}}
 	// n=1600, four times what it was: the corpus's heartbeat count follows
 	// the job's wall time, and MST elimination now takes about half the
 	// rounds on the same input.
@@ -139,7 +139,7 @@ func realControlFrames(t testing.TB) map[tcp.FrameType][][]byte {
 	// A residency too: its command frames follow the spec, and its result
 	// frames carry the resident outputs, a batch's and a query's extras
 	// included.
-	e, err := OpenFleet(FleetSpec{Source: "gnm:600:1800:5", Addrs: addrs}, resident.Config{K: 4, Seed: 9})
+	e, err := OpenFleet(FleetSpec{Source: "gnm:600:1800:5", Addrs: addrs}, resident.Config{Config: core.Config{K: 4, Seed: 9}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"kmgraph/internal/core"
 	"kmgraph/internal/graph"
 	"kmgraph/internal/resident"
 	"kmgraph/internal/store"
@@ -42,7 +43,7 @@ func openTracedFleet(t *testing.T, addrs []string, source string, k int, seed in
 	t.Helper()
 	o := &fleetObserver{tracer: telemetry.NewJobTracer()}
 	f, err := OpenFleet(FleetSpec{Source: source, Addrs: addrs, Coord: coord}, resident.Config{
-		K: k, Seed: seed, PhaseMetrics: true,
+		Config: core.Config{K: k, Seed: seed}, PhaseMetrics: true,
 		Observer: func(ev resident.Event) {
 			o.tracer.Observer()(ev)
 			o.mu.Lock()
@@ -123,7 +124,7 @@ func TestDistTraceTelescopesConnectivity(t *testing.T) {
 		n, m = 600, 1800
 		gs   = int64(7)
 	)
-	local, err := resident.NewFromSource(graph.StreamGNM(n, m, gs), resident.Config{K: 6, Seed: 11})
+	local, err := resident.NewFromSource(graph.StreamGNM(n, m, gs), resident.Config{Config: core.Config{K: 6, Seed: 11}})
 	if err != nil {
 		t.Fatal(err)
 	}

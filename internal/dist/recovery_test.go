@@ -138,7 +138,7 @@ func TestRetryRecoversKilledWorkerConnectivity(t *testing.T) {
 		Respawn:    respawnDead(t, &respawned),
 	}}
 	spec := fmt.Sprintf("gnm:%d:%d:%d", n, m, gs)
-	res, err := fleetStatic(context.Background(), FleetSpec{Source: spec, Addrs: []string{a0, a1}, Coord: opts}, residentConfig(cfg))
+	res, err := fleetStatic(context.Background(), FleetSpec{Source: spec, Addrs: []string{a0, a1}, Coord: opts}, resident.Config{Config: cfg})
 	if err != nil {
 		t.Fatalf("job did not recover: %v", err)
 	}
@@ -190,7 +190,7 @@ func TestRetryRecoversKilledWorkerMST(t *testing.T) {
 		Respawn:    respawnDead(t, &respawned),
 	}}
 	res, err := fleetMST(context.Background(), FleetSpec{Source: "store:" + path, Addrs: []string{a0, a1}, Coord: opts},
-		residentConfig(cfg.Config), cfg.StrongOutput)
+		resident.Config{Config: cfg.Config}, cfg.StrongOutput)
 	if err != nil {
 		t.Fatalf("job did not recover: %v", err)
 	}
@@ -225,7 +225,7 @@ func TestSilentWorkerStallsPromptly(t *testing.T) {
 	opts := CoordOptions{HeartbeatTimeout: 300 * time.Millisecond}
 	start := time.Now()
 	_, err := fleetStatic(context.Background(), FleetSpec{Source: "gnm:200:600:1", Addrs: []string{addr}, Coord: opts},
-		residentConfig(cfg))
+		resident.Config{Config: cfg})
 	if err == nil {
 		t.Fatal("job succeeded against a silent worker")
 	}
@@ -330,7 +330,7 @@ func TestGarbageHeartbeatsFailAsDesync(t *testing.T) {
 	}
 	start := time.Now()
 	_, err = fleetStatic(context.Background(), FleetSpec{Source: "gnm:200:600:1", Addrs: []string{ln.Addr().String()}, Coord: opts},
-		resident.Config{K: 2, Seed: 1})
+		resident.Config{Config: core.Config{K: 2, Seed: 1}})
 	if !errors.Is(err, transport.ErrLinkDown) {
 		t.Fatalf("err = %v, want wrapping transport.ErrLinkDown", err)
 	}

@@ -484,13 +484,14 @@ func (w *Worker) open(ctx context.Context, job *Job, st *jobState) (*residency, 
 		return nil, fmt.Errorf("dist: forming mesh: %w", err)
 	}
 	r := &residency{lo: me.Lo, hi: me.Hi, peers: peers, st: st, traced: job.TraceID != 0}
+	cfg := resident.Config{Config: job.Config}
 	src, closer, err := OpenJobSource(job.Source)
 	if err == nil {
-		r.part, err = resident.Load(src, job.Config, me.Lo, me.Hi)
+		r.part, err = resident.Load(src, cfg, me.Lo, me.Hi)
 		closer.Close()
 	}
 	if err == nil {
-		r.ms, err = resident.NewMachines(r.part, job.Config, func(p transport.Params, met *transport.Metrics) (transport.Transport, error) {
+		r.ms, err = resident.NewMachines(r.part, cfg, func(p transport.Params, met *transport.Metrics) (transport.Transport, error) {
 			tr, err := tcp.New(p, met, r.lo, r.hi, r.peers)
 			if err == nil {
 				r.peers, r.flight = nil, tr.Flight()

@@ -72,7 +72,7 @@ func E6() Experiment {
 				"k", "conversion rounds", "MST rounds", "total", "filtered edges", "weight ok")
 			var kf2, conv []float64
 			for _, k := range ks {
-				rr, err := rep.MST(gd, rep.Config{K: k, Seed: p.Seed})
+				rr, err := rep.MST(gd, core.Config{K: k, Seed: p.Seed})
 				if err != nil {
 					return nil, err
 				}
@@ -163,7 +163,7 @@ func E8() Experiment {
 				"graph", "n", "true λ", "estimate", "ratio", "runs", "rounds")
 			for _, tc := range cases {
 				lambda := graph.MinCut(tc.g)
-				e, err := resident.New(tc.g, resident.Config{K: 4, Seed: p.Seed})
+				e, err := resident.New(tc.g, resident.Config{Config: core.Config{K: 4, Seed: p.Seed}})
 				if err != nil {
 					return nil, err
 				}
@@ -235,7 +235,7 @@ func E9() Experiment {
 				e := engines[r.g]
 				if e == nil {
 					var err error
-					if e, err = resident.New(r.g, resident.Config{K: 4, Seed: p.Seed}); err != nil {
+					if e, err = resident.New(r.g, resident.Config{Config: core.Config{K: 4, Seed: p.Seed}}); err != nil {
 						return nil, err
 					}
 					defer e.Close()
@@ -285,7 +285,7 @@ func E12() Experiment {
 			tb := stats.NewTable("E12: conversion of a congested-clique flooding trace (n="+stats.I(n)+")",
 				"k", "measured rounds", "M/(k²B) term", "Δ'T/(kB) term", "predicted")
 			for _, k := range ks {
-				r, err := congested.Convert(tr, congested.Config{K: k, Seed: p.Seed})
+				r, err := congested.Convert(tr, core.Config{K: k, Seed: p.Seed})
 				if err != nil {
 					return nil, err
 				}

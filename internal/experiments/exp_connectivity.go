@@ -51,13 +51,13 @@ func E1() Experiment {
 							}
 							return float64(r.Metrics.Rounds), nil
 						case "flooding":
-							r, err := baseline.Flooding(g, baseline.Config{K: k, Seed: seed})
+							r, err := baseline.Flooding(g, core.Config{K: k, Seed: seed})
 							if err != nil {
 								return 0, err
 							}
 							return float64(r.Metrics.Rounds), nil
 						default:
-							r, err := baseline.Referee(g, baseline.Config{K: k, Seed: seed})
+							r, err := baseline.Referee(g, core.Config{K: k, Seed: seed})
 							if err != nil {
 								return 0, err
 							}
@@ -108,7 +108,7 @@ func E1() Experiment {
 				if err != nil {
 					return nil, err
 				}
-				fl, err := baseline.Flooding(pg, baseline.Config{K: k, Seed: p.Seed})
+				fl, err := baseline.Flooding(pg, core.Config{K: k, Seed: p.Seed})
 				if err != nil {
 					return nil, err
 				}

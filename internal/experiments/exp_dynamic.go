@@ -69,7 +69,7 @@ func runDynamic(p Params) ([]*stats.Table, error) {
 func runDynamicConfig(wl dynWorkload, n, m, batches, batchSize, k int, seed int64) ([]string, error) {
 	s := wl.stream(n, m, batches, batchSize, seed)
 	ctx := context.Background()
-	sess, err := resident.New(s.Initial, resident.Config{K: k, Seed: seed})
+	sess, err := resident.New(s.Initial, resident.Config{Config: core.Config{K: k, Seed: seed}})
 	if err != nil {
 		return nil, err
 	}

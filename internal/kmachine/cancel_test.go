@@ -73,6 +73,35 @@ func TestRunContextDeadline(t *testing.T) {
 	}
 }
 
+// TestFailedMachineAbortsPeers: a machine that fails aborts the run as a
+// cancel does — its peers, stepping forever, are released within a few
+// rounds instead of at MaxRounds — and the run returns that machine's error.
+func TestFailedMachineAbortsPeers(t *testing.T) {
+	base := runtime.NumGoroutine()
+	cl, err := New(Config{K: 3, BandwidthBits: 64, Seed: 5, MaxRounds: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	failed := errors.New("machine 1 failed")
+	res, err := cl.Run(func(c *Ctx) error {
+		if c.ID() == 1 {
+			return failed
+		}
+		for {
+			c.Broadcast([]byte("spin"))
+			c.Step()
+		}
+	})
+	if !errors.Is(err, failed) {
+		t.Fatalf("err = %v, want the failed machine's", err)
+	}
+	if res.Metrics.Rounds >= 10 {
+		t.Fatalf("peers stepped %d rounds after the failure, want < 10", res.Metrics.Rounds)
+	}
+	waitGoroutines(t, base)
+}
+
 // TestSnapshotDuringRun: Snapshot observes monotone round counts while the
 // cluster runs, is consistent (deep-copied), and reports false once the
 // run ends.

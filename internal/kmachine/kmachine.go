@@ -509,7 +509,10 @@ func (c *Cluster) RunContext(ctx context.Context, h Handler) (*Result, error) {
 				doneDelta++
 				res.Outputs[e.id] = e.output
 				if e.err != nil && firstErr == nil && !errors.Is(e.err, ErrMaxRounds) {
+					// A failed machine fails the run: its peers are aborted
+					// as by a cancel, not left to step until MaxRounds.
 					firstErr = e.err
+					aborting, unilateral = true, true
 				}
 			} else {
 				co.spareOutbox[i] = e.outbox[:0]

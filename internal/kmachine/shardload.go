@@ -269,9 +269,11 @@ func LoadShardsRange(src graph.EdgeSource, k int, home func(v int) int, lo, hi i
 	}
 
 	// Sort rows by neighbor (a no-op for canonical-row-order sources like
-	// the store, whose halves arrive pre-sorted) and reject duplicates.
+	// the store, whose halves arrive pre-sorted) and reject duplicates,
+	// walking vertices in order so the error names the lowest.
 	for i := lo; i < hi; i++ {
-		for v, row := range p.shards[i].adj {
+		for _, v := range p.shards[i].owned {
+			row := p.shards[i].adj[v]
 			if !halvesSorted(row) {
 				sort.Slice(row, func(a, b int) bool { return row[a].To < row[b].To })
 			}

@@ -143,6 +143,25 @@ func TestShardLoadRejectsBadStreams(t *testing.T) {
 	}
 }
 
+// TestShardLoadDuplicateErrorIsStable: a stream with several duplicate
+// edges is refused with one message, naming the lowest vertex with a
+// duplicate, however often it is loaded.
+func TestShardLoadDuplicateErrorIsStable(t *testing.T) {
+	edges := []graph.Edge{{U: 30, V: 41}, {U: 12, V: 20}, {U: 3, V: 7}, {U: 1, V: 2}}
+	edges = append(edges, graph.Edge{U: 41, V: 30}, graph.Edge{U: 20, V: 12}, graph.Edge{U: 7, V: 3})
+	msgs := map[string]bool{}
+	for i := 0; i < 50; i++ {
+		_, err := LoadShards(graph.NewSliceSource(50, edges), 1, 1)
+		if err == nil {
+			t.Fatal("loader accepted duplicate edges")
+		}
+		msgs[err.Error()] = true
+	}
+	if want := "kmachine: duplicate edge (3,7) in stream"; len(msgs) != 1 || !msgs[want] {
+		t.Fatalf("50 loads gave %d messages %v, want only %q", len(msgs), msgs, want)
+	}
+}
+
 // TestShardMutationMatchesOracle drives Insert / Remove / Has on a loaded
 // shard against a map oracle: verdicts agree, rows stay sorted and hold
 // exactly the oracle's edges, and — rows being carved from one arena per

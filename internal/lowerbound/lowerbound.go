@@ -170,6 +170,7 @@ func RunSCS(inst Instance, cfg core.Config) (*Result, error) {
 		keep[graph.EdgeID(e.U, e.V, g.N())] = true
 	}
 	hGraph := g.Filter(func(e graph.Edge) bool { return keep[graph.EdgeID(e.U, e.V, g.N())] })
+	cfg = cfg.WithDefaults(g.N())
 
 	homes, err := inst.Partition(cfg.K, cfg.Seed)
 	if err != nil {
@@ -186,9 +187,6 @@ func RunSCS(inst Instance, cfg core.Config) (*Result, error) {
 	inA := make([]bool, cfg.K)
 	for i := 0; i < cfg.K/2; i++ {
 		inA[i] = true
-	}
-	if cfg.BandwidthBits == 0 {
-		cfg.BandwidthBits = kmachine.Bandwidth(g.N())
 	}
 	half := int64(cfg.K / 2)
 	return &Result{

@@ -4,6 +4,7 @@ import (
 	"hash/fnv"
 	"testing"
 
+	"kmgraph/internal/core"
 	"kmgraph/internal/graph"
 )
 
@@ -52,7 +53,7 @@ func TestREPMSTDeterministic(t *testing.T) {
 	g := graph.WithDistinctWeights(graph.GNM(100, 400, 1), 2)
 	var first uint64
 	for i := 0; i < 5; i++ {
-		res, err := MST(g, Config{K: 4, Seed: 9})
+		res, err := MST(g, core.Config{K: 4, Seed: 9})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -22,13 +22,6 @@ import (
 	"kmgraph/internal/wire"
 )
 
-// Config parameterizes a REP-model run; links carry kmachine.Bandwidth(n)
-// bits per round.
-type Config struct {
-	K    int
-	Seed int64
-}
-
 // Result is the outcome of a REP-model MST run.
 type Result struct {
 	// Edges is the spanning forest (MST under the (w, id) order).
@@ -62,19 +55,14 @@ func localForest(n int, edges []graph.Edge) []graph.Edge {
 	return keep
 }
 
-// MST computes the minimum spanning forest of g in the REP model.
-func MST(g *graph.Graph, cfg Config) (*Result, error) {
+// MST computes the minimum spanning forest of g in the REP model: the
+// conversion under cfg's K, Seed and link budget, then cfg's RVP MST.
+func MST(g *graph.Graph, cfg core.Config) (*Result, error) {
 	n := g.N()
-	bw := kmachine.Bandwidth(n)
 	edgePart := kmachine.NewREP(g, cfg.K, uint64(cfg.Seed)^0xe4e4)
 	vertexSeed := kmachine.RVPSeed(cfg.Seed)
 
-	cluster, err := kmachine.New(kmachine.Config{
-		K:                   cfg.K,
-		BandwidthBits:       bw,
-		MessageOverheadBits: 64,
-		Seed:                cfg.Seed,
-	})
+	cluster, err := kmachine.New(cfg.WithDefaults(n).MachineConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -150,9 +138,7 @@ func MST(g *graph.Graph, cfg Config) (*Result, error) {
 	filtered := graph.FromEdges(n, edges)
 
 	// Phase 3: RVP MST on the filtered graph, same vertex partition.
-	mst, err := core.RunMST(filtered, core.MSTConfig{Config: core.Config{
-		K: cfg.K, BandwidthBits: bw, Seed: cfg.Seed,
-	}})
+	mst, err := core.RunMST(filtered, core.MSTConfig{Config: cfg})
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package rep
 import (
 	"testing"
 
+	"kmgraph/internal/core"
 	"kmgraph/internal/graph"
 )
 
@@ -18,7 +19,7 @@ func TestREPMSTMatchesOracle(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			res, err := MST(tc.g, Config{K: 4, Seed: 9})
+			res, err := MST(tc.g, core.Config{K: 4, Seed: 9})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -46,7 +47,7 @@ func TestFilteringBounds(t *testing.T) {
 	// Each machine keeps at most n-1 edges after local filtering.
 	g := graph.WithDistinctWeights(graph.Complete(40), 12)
 	k := 4
-	res, err := MST(g, Config{K: k, Seed: 13})
+	res, err := MST(g, core.Config{K: k, Seed: 13})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -329,7 +329,7 @@ func TestColdQueryKeepsNoSumsForSingletons(t *testing.T) {
 	g := graph.GNM(600, 1800, 9)
 	ctx := context.Background()
 
-	e := mustEngine(t, g, Config{K: 4, Seed: 3, MaxPhasesPerQuery: 1})
+	e := mustEngine(t, g, Config{Config: core.Config{K: 4, Seed: 3, MaxPhases: 1}})
 	if _, err := e.Query(ctx); !errors.Is(err, core.ErrNotConverged) {
 		t.Fatalf("one-phase query: err = %v, want ErrNotConverged", err)
 	}
@@ -338,14 +338,14 @@ func TestColdQueryKeepsNoSumsForSingletons(t *testing.T) {
 		t.Fatalf("phase 0 over singletons: %+v, want %d rebuilt reads and nothing kept", b, g.N())
 	}
 
-	e = mustEngine(t, g, Config{K: 4, Seed: 3})
+	e = mustEngine(t, g, Config{Config: core.Config{K: 4, Seed: 3}})
 	q, err := e.Query(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertMatchesOracle(t, g, q)
 	b = e.Metrics().Banks
-	cells := e.local.ccfg.Sketch.Cells()
+	cells := e.local.cfg.Sketch.Cells()
 	if limit := q.Phases * (2 * g.M() / cells); b.KeptSums == 0 || b.KeptSums > limit {
 		t.Fatalf("kept sums = %d after %d phases, want 1..%d (half-edges/Cells() per bank read)", b.KeptSums, q.Phases, limit)
 	}

@@ -131,7 +131,7 @@ func (m *rmachine) derive(spec *runSpec) *kmachine.Shard {
 // doubles the vertex universe, so sketch dimensions and the phase cap
 // scale exactly as a run on the cover graph itself would size them.
 func (m *rmachine) runConfig(spec *runSpec) core.Config {
-	cfg := m.h.ccfg
+	cfg := m.h.cfg
 	if spec.kind == viewCover {
 		cfg.Sketch.N = 2 * m.view.N()
 		cfg.Sketch.Levels += 2

@@ -89,17 +89,17 @@ func replay(t *testing.T, s *graph.Stream, cfg Config) ([]*BatchResult, []*Query
 
 func TestChurnStreamMatchesOracle(t *testing.T) {
 	s := graph.RandomChurnStream(300, 600, 6, 30, 0.5, 17)
-	replay(t, s, Config{K: 4, Seed: 11})
+	replay(t, s, Config{Config: core.Config{K: 4, Seed: 11}})
 }
 
 func TestSlidingWindowMatchesOracle(t *testing.T) {
 	s := graph.SlidingWindowStream(200, 420, 5, 40, 9)
-	replay(t, s, Config{K: 4, Seed: 5})
+	replay(t, s, Config{Config: core.Config{K: 4, Seed: 5}})
 }
 
 func TestSplitMergeAdversary(t *testing.T) {
 	s := graph.SplitMergeStream(160, 4, 6, 3)
-	_, qrs := replay(t, s, Config{K: 4, Seed: 23})
+	_, qrs := replay(t, s, Config{Config: core.Config{K: 4, Seed: 23}})
 	for i, q := range qrs {
 		want := 1
 		if i%2 == 0 {
@@ -118,14 +118,14 @@ func TestSplitMergeAdversary(t *testing.T) {
 
 func TestCoinMergeAndLevelWise(t *testing.T) {
 	s := graph.RandomChurnStream(150, 300, 3, 20, 0.5, 29)
-	replay(t, s, Config{K: 3, Seed: 7, CoinMerge: true})
-	replay(t, s, Config{K: 3, Seed: 7, CollapseLevelWise: true})
+	replay(t, s, Config{Config: core.Config{K: 3, Seed: 7, CoinMerge: true}})
+	replay(t, s, Config{Config: core.Config{K: 3, Seed: 7, CollapseLevelWise: true}})
 }
 
 func TestEdgeCases(t *testing.T) {
 	ctx := context.Background()
 	g := graph.Path(50) // 0-1-...-49
-	sess := mustEngine(t, g, Config{K: 3, Seed: 2})
+	sess := mustEngine(t, g, Config{Config: core.Config{K: 3, Seed: 2}})
 
 	// Empty batch.
 	br, err := sess.ApplyBatch(ctx, nil)
@@ -206,7 +206,7 @@ func TestEdgeCases(t *testing.T) {
 // including round counts — across separate sessions.
 func TestDeterminism(t *testing.T) {
 	s := graph.RandomChurnStream(200, 400, 4, 25, 0.5, 31)
-	cfg := Config{K: 4, Seed: 19}
+	cfg := Config{Config: core.Config{K: 4, Seed: 19}}
 	br1, qr1 := replay(t, s, cfg)
 	br2, qr2 := replay(t, s, cfg)
 	if !reflect.DeepEqual(br1, br2) {
@@ -225,7 +225,7 @@ func TestIncrementalCheaperThanStatic(t *testing.T) {
 	n, m, k := 1000, 3000, 8
 	s := graph.RandomChurnStream(n, m, 3, m/100, 0.5, 41)
 	ctx := context.Background()
-	sess := mustEngine(t, s.Initial, Config{K: k, Seed: 47})
+	sess := mustEngine(t, s.Initial, Config{Config: core.Config{K: k, Seed: 47}})
 	if _, err := sess.Query(ctx); err != nil { // initial build-up
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestIncrementalCheaperThanStatic(t *testing.T) {
 // TestSessionLifecycle checks Close idempotence and post-close errors.
 func TestSessionLifecycle(t *testing.T) {
 	ctx := context.Background()
-	sess, err := New(graph.Cycle(30), Config{K: 2, Seed: 1})
+	sess, err := New(graph.Cycle(30), Config{Config: core.Config{K: 2, Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,8 +30,7 @@ type Remote interface {
 // connection is open: the cluster carrying the rounds of machines [lo, hi)
 // over their shards and, from the load command on, their kept state.
 type Machines struct {
-	cfg    Config
-	ccfg   core.Config
+	cfg    core.Config
 	banksN int
 	part   *kmachine.ShardPartition
 	kc     *kmachine.Cluster
@@ -59,11 +58,11 @@ func Load(src graph.EdgeSource, cfg Config, lo, hi int) (*kmachine.ShardPartitio
 // NewMachines builds the cluster that carries part's machines' rounds on
 // the transport mk makes (nil: transport/local).
 func NewMachines(part *kmachine.ShardPartition, cfg Config, mk kmachine.TransportMaker) (*Machines, error) {
-	h := &Machines{cfg: cfg, ccfg: cfg.coreConfig(part.N()), part: part, ms: make([]*rmachine, cfg.K),
+	h := &Machines{cfg: cfg.coreConfig(part.N()), part: part, ms: make([]*rmachine, cfg.K),
 		banksN: defaultBanks(part.N())}
 	h.lo, _ = part.Range()
 	var err error
-	if h.kc, err = kmachine.NewWithTransport(h.ccfg.MachineConfig(), mk); err != nil {
+	if h.kc, err = kmachine.NewWithTransport(h.cfg.MachineConfig(), mk); err != nil {
 		return nil, err
 	}
 	return h, nil
@@ -75,8 +74,10 @@ func (h *Machines) Cluster() *kmachine.Cluster { return h.kc }
 // Run executes one command as a fleet ships it (appendCommand) under ctx:
 // cancelled is polled through PhaseSync, and phase (when non-nil) sees the
 // lowest hosted machine's phase boundaries. AppendOutput encodes outputs.
+// A malformed command is refused before it runs, leaving the machines
+// serviceable.
 func (h *Machines) Run(ctx context.Context, cmd []byte, cancelled func() bool, phase func(phase, round int)) (*kmachine.Result, error) {
-	c, err := readCommand(cmd)
+	c, err := readCommand(cmd, h.part.N())
 	if err != nil {
 		return nil, err
 	}
@@ -93,7 +94,7 @@ func (h *Machines) run(ctx context.Context, c *command, cancelled func() bool, p
 		id := mctx.ID()
 		if c.kind == cmdLoad {
 			view := h.part.Shard(id)
-			h.ms[id] = &rmachine{h: h, ctx: mctx, mg: core.NewMerger(mctx, view, h.ccfg), view: view}
+			h.ms[id] = &rmachine{h: h, ctx: mctx, mg: core.NewMerger(mctx, view, h.cfg), view: view}
 		}
 		out, err := h.ms[id].exec(c)
 		mctx.SetOutput(out)
@@ -154,7 +155,11 @@ func appendCommand(b []byte, c *command) []byte {
 	return b
 }
 
-func readCommand(body []byte) (*command, error) {
+// readCommand decodes a command for a residency of n vertices, refusing
+// what no engine sends: an op that is not a canonical edge 0 <= U < V < n,
+// a probe outside [0, n) (but for the absent probe, both ends -1), and an
+// unknown view kind.
+func readCommand(body []byte, n int) (*command, error) {
 	r := wire.NewReader(body)
 	c := &command{}
 	var strong int
@@ -165,15 +170,26 @@ func readCommand(body []byte) (*command, error) {
 	}
 	c.ops = make([]graph.EdgeOp, size(r))
 	for i := range c.ops {
+		op := &c.ops[i]
 		var del, w int
-		r.Ints(&del, &c.ops[i].U, &c.ops[i].V, &w)
-		c.ops[i].Del, c.ops[i].W = del != 0, int64(w)
+		r.Ints(&del, &op.U, &op.V, &w)
+		op.Del, op.W = del != 0, int64(w)
+		if op.U < 0 || op.U >= op.V || op.V >= n {
+			return nil, fmt.Errorf("resident: command op (%d,%d) of %d vertices", op.U, op.V, n)
+		}
 	}
 	if c.kind == cmdDerived {
 		s := &runSpec{edges: map[uint64]bool{}}
 		var tseed, threshold int
 		r.Ints(&s.kind, &s.probeU, &s.probeV, &tseed, &threshold)
 		s.tseed, s.threshold = uint64(tseed), uint64(threshold)
+		if s.kind < viewFull || s.kind > viewCover {
+			return nil, fmt.Errorf("resident: unknown view kind %d", s.kind)
+		}
+		absent := s.probeU == -1 && s.probeV == -1
+		if !absent && (s.probeU < 0 || s.probeU >= n || s.probeV < 0 || s.probeV >= n) {
+			return nil, fmt.Errorf("resident: probe (%d,%d) of %d vertices", s.probeU, s.probeV, n)
+		}
 		for i := size(r); i > 0; i-- {
 			s.edges[r.Uvarint()] = true
 		}

@@ -35,7 +35,7 @@ func TestResidencyOnZeroPlanChaos(t *testing.T) {
 	ctx := context.Background()
 	dynamic := func(mk kmachine.TransportMaker) (string, *kmachine.Metrics) {
 		stream := graph.RandomChurnStream(128, 384, 6, 12, 0.4, 7)
-		e, err := newOn(stream.Initial.Source(), Config{K: 4, Seed: 7}, mk)
+		e, err := newOn(stream.Initial.Source(), Config{Config: core.Config{K: 4, Seed: 7}}, mk)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,7 +58,7 @@ func TestResidencyOnZeroPlanChaos(t *testing.T) {
 		return trace, met
 	}
 	static := func(mk kmachine.TransportMaker) (string, *kmachine.Metrics) {
-		e, err := newOn(graph.GNM(192, 576, 9).Source(), Config{K: 4, Seed: 21}, mk)
+		e, err := newOn(graph.GNM(192, 576, 9).Source(), Config{Config: core.Config{K: 4, Seed: 21}}, mk)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,7 +119,7 @@ func (e *Engine) crash(ctx context.Context) error {
 func TestEngineDeath(t *testing.T) {
 	ctx := context.Background()
 	g := graph.GNM(200, 600, 5)
-	probe := mustEngine(t, g, Config{K: 4, Seed: 5})
+	probe := mustEngine(t, g, Config{Config: core.Config{K: 4, Seed: 5}})
 	loadRounds := probe.Metrics().LoadRounds
 	probe.Close()
 
@@ -129,10 +129,10 @@ func TestEngineDeath(t *testing.T) {
 		kill func(e *Engine) error
 		is   func(err error) bool
 	}{
-		{"panic", Config{K: 4, Seed: 5},
+		{"panic", Config{Config: core.Config{K: 4, Seed: 5}},
 			func(e *Engine) error { return e.crash(ctx) },
 			func(err error) bool { return strings.Contains(err.Error(), "machine 0 panicked") }},
-		{"max-rounds", Config{K: 4, Seed: 5, MaxRounds: loadRounds + 20},
+		{"max-rounds", Config{Config: core.Config{K: 4, Seed: 5, MaxRounds: loadRounds + 20}},
 			func(e *Engine) error { _, err := e.Query(ctx); return err },
 			func(err error) bool { return errors.Is(err, kmachine.ErrMaxRounds) }},
 	} {
@@ -181,7 +181,7 @@ type loopback struct {
 }
 
 func (l *loopback) Run(ctx context.Context, cmd []byte, _ core.PhaseFunc) (*kmachine.Result, []transport.WorkerSpans, error) {
-	if c, err := readCommand(cmd); err != nil || c.kind == l.lose {
+	if c, err := readCommand(cmd, l.src.N()); err != nil || c.kind == l.lose {
 		l.lose = 0
 		l.Close()
 		return nil, nil, &transport.LinkDownError{Peer: 1, Reason: transport.ReasonCrash, Err: errors.New("worker lost")}
@@ -236,7 +236,7 @@ func (l *loopback) Close() error {
 func TestRemoteEngine(t *testing.T) {
 	ctx := context.Background()
 	g := graph.WithDistinctWeights(graph.GNM(300, 900, 4), 5)
-	cfg := Config{K: 4, Seed: 9}
+	cfg := Config{Config: core.Config{K: 4, Seed: 9}}
 	local := mustEngine(t, g, cfg)
 	lb := &loopback{src: g.Source(), cfg: cfg}
 	e, err := NewRemote(cfg, 0, lb)
@@ -297,4 +297,111 @@ func TestRemoteEngine(t *testing.T) {
 	if _, err := e.Close(); err != cause {
 		t.Errorf("Close = %v, want %v", err, cause)
 	}
+}
+
+// TestMalformedCommandRefused: a command no engine sends — an op that is
+// not a canonical edge of the graph, a probe outside it, an unknown view
+// kind — is refused before it runs, and the machines answer the next
+// command as if it had never arrived.
+func TestMalformedCommandRefused(t *testing.T) {
+	ctx := context.Background()
+	g := graph.GNM(200, 600, 3)
+	cfg := Config{Config: core.Config{K: 4, Seed: 5}}
+	part, err := Load(g.Source(), cfg, 0, cfg.K)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := NewMachines(part, cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	run := func(c *command) (*kmachine.Result, error) {
+		return h.Run(ctx, appendCommand(nil, c), func() bool { return false }, nil)
+	}
+	if _, err := run(&command{kind: cmdLoad}); err != nil {
+		t.Fatal(err)
+	}
+	probe := newRunSpec(viewFull)
+	probe.probeU, probe.probeV = 500, 3
+	for _, tc := range []struct {
+		name string
+		c    *command
+	}{
+		{"self-loop", &command{kind: cmdApply, ops: []graph.EdgeOp{{U: 7, V: 7}}}},
+		{"reversed", &command{kind: cmdApply, ops: []graph.EdgeOp{{U: 9, V: 2}}}},
+		{"out of range", &command{kind: cmdApply, ops: []graph.EdgeOp{{U: 2, V: 205}}}},
+		{"probe", &command{kind: cmdDerived, spec: probe}},
+		{"half probe", &command{kind: cmdDerived, spec: &runSpec{kind: viewFull, probeU: -1, probeV: 4}}},
+		{"view kind", &command{kind: cmdDerived, spec: newRunSpec(viewCover + 1)}},
+	} {
+		if res, err := run(tc.c); err == nil {
+			t.Fatalf("%s: command ran (%d rounds), want refused", tc.name, res.Metrics.Rounds)
+		}
+	}
+	res, err := run(&command{kind: cmdQuery})
+	if err != nil {
+		t.Fatalf("query after the refusals: %v", err)
+	}
+	if got, want := res.Outputs[0].(*output).query.components, graph.ComponentCount(g); got != want {
+		t.Fatalf("query after the refusals: %d components, oracle %d", got, want)
+	}
+}
+
+// FuzzReadCommand: the decoder of a fleet's command bytes never panics,
+// allocates in proportion to its input, and accepts only a command that
+// obeys readCommand's rules for the given n and re-encodes to an equal one.
+func FuzzReadCommand(f *testing.F) {
+	const n = 200
+	keep := newRunSpec(viewKeep)
+	keep.edges = map[uint64]bool{graph.EdgeID(1, 2, n): true, graph.EdgeID(3, 190, n): true}
+	keep.probeU, keep.probeV = 1, 2
+	seeds := []*command{
+		{kind: cmdLoad},
+		{kind: cmdApply, ops: []graph.EdgeOp{{U: 1, V: 2, W: 5}, {U: 0, V: 199, Del: true}}},
+		{kind: cmdQuery},
+		{kind: cmdMST},
+		{kind: cmdMST, strong: true},
+	}
+	for kind := viewFull; kind <= viewCover; kind++ {
+		s := newRunSpec(kind)
+		s.edges = keep.edges
+		s.probeU, s.probeV = 3, 190
+		s.tseed, s.threshold = 11, 1<<62
+		seeds = append(seeds, &command{kind: cmdDerived, spec: s})
+	}
+	for _, c := range seeds {
+		f.Add(appendCommand(nil, c), n)
+	}
+	f.Add([]byte{2, 0, 0xfe, 0xff, 0xff, 0x7f}, n) // 2^27-1 ops, no bytes
+	f.Fuzz(func(t *testing.T, data []byte, n int) {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		c, err := readCommand(data, n)
+		runtime.ReadMemStats(&m1)
+		if grew, budget := m1.TotalAlloc-m0.TotalAlloc, uint64(1<<16+512*len(data)); grew > budget {
+			t.Fatalf("decoding %d bytes allocated %d (budget %d)", len(data), grew, budget)
+		}
+		if err != nil {
+			return
+		}
+		for _, op := range c.ops {
+			if op.U < 0 || op.U >= op.V || op.V >= n {
+				t.Fatalf("accepted op %+v of %d vertices", op, n)
+			}
+		}
+		if s := c.spec; s != nil {
+			if s.kind < viewFull || s.kind > viewCover {
+				t.Fatalf("accepted view kind %d", s.kind)
+			}
+			if absent := s.probeU == -1 && s.probeV == -1; !absent &&
+				(s.probeU < 0 || s.probeU >= n || s.probeV < 0 || s.probeV >= n) {
+				t.Fatalf("accepted probe (%d,%d) of %d vertices", s.probeU, s.probeV, n)
+			}
+		}
+		again, err := readCommand(appendCommand(nil, c), n)
+		if err != nil || !reflect.DeepEqual(again, c) {
+			t.Fatalf("re-encoded command drifted (err %v):\n got  %+v\n want %+v", err, again, c)
+		}
+	})
 }

@@ -69,7 +69,7 @@ func (m *rmachine) exec(c *command) (*output, error) {
 	}
 	out.banks = m.banks.stats
 	out.banks.PoolPeak += m.mg.Pool().Peak()
-	out.banks.KeptBytes = int64(out.banks.KeptSums) * int64(m.h.ccfg.Sketch.Cells()) * cellBytes
+	out.banks.KeptBytes = int64(out.banks.KeptSums) * int64(m.h.cfg.Sketch.Cells()) * cellBytes
 	return out, nil
 }
 
@@ -84,7 +84,7 @@ func (m *rmachine) load() error {
 	for b := range seeds {
 		seeds[b] = m.mg.Sh.BankSeed(b)
 	}
-	m.banks = newBankCache(m.h.ccfg.Sketch.Cells(), seeds, m.mg.Pool())
+	m.banks = newBankCache(m.h.cfg.Sketch.Cells(), seeds, m.mg.Pool())
 	m.mg.OnRelabel = func(relabel map[uint64]uint64) {
 		m.banks.mergeRelabel(relabel, m.mg.Parts, m.view)
 	}
@@ -334,7 +334,7 @@ func (m *rmachine) query() *output {
 		m.pre = append(m.pre, m.mg.Labels[v])
 	}
 	m.mergeRecs = m.mergeRecs[:0]
-	phases, converged, cancelled := m.mg.RunPhases(m.globalPhase, m.h.ccfg.MaxPhases,
+	phases, converged, cancelled := m.mg.RunPhases(m.globalPhase, m.h.cfg.MaxPhases,
 		func(i int) { m.selectBanks(i % m.h.banksN) }, m.phases())
 	m.globalPhase += phases
 	rep.cancelled = cancelled
@@ -436,13 +436,9 @@ func (m *rmachine) runDerived(spec *runSpec) *output {
 // runMST constructs the minimum spanning forest of the live graph: core's
 // §3.1 MST job on a per-job merger over the resident adjacency.
 func (m *rmachine) runMST(strong bool) *output {
-	fm := m.jobMerger(m.view, m.h.ccfg)
+	fm := m.jobMerger(m.view, m.h.cfg)
 	defer fm.ReleasePools()
-	maxElim := m.h.cfg.MaxElimIters
-	if maxElim <= 0 {
-		maxElim = core.DefaultMaxElimIters(m.view.N())
-	}
-	out, cancelled := fm.MSTJob(m.globalPhase, maxElim, strong, m.phases())
+	out, cancelled := fm.MSTJob(m.globalPhase, strong, m.phases())
 	m.globalPhase += out.Phases
 	return &output{machine: out, cancelled: cancelled}
 }

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"kmgraph/internal/core"
 	"kmgraph/internal/graph"
 )
 
@@ -17,7 +18,7 @@ func TestObserverPanicIsRecovered(t *testing.T) {
 	ctx := context.Background()
 	g := graph.GNM(200, 500, 5)
 	var calls atomic.Int64
-	cfg := Config{K: 3, Seed: 11, PhaseMetrics: true}
+	cfg := Config{Config: core.Config{K: 3, Seed: 11}, PhaseMetrics: true}
 	cfg.Observer = func(ev Event) {
 		if calls.Add(1) > 2 {
 			panic("observer bug")
@@ -54,7 +55,7 @@ func TestObserverPanicInDoneEvent(t *testing.T) {
 	ctx := context.Background()
 	g := graph.GNM(150, 400, 6)
 	var armed atomic.Bool
-	cfg := Config{K: 3, Seed: 13}
+	cfg := Config{Config: core.Config{K: 3, Seed: 13}}
 	cfg.Observer = func(ev Event) {
 		if armed.Load() && ev.Done {
 			panic("done-event bug")

@@ -46,45 +46,27 @@
 package resident
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"math/bits"
 	"time"
 
 	"kmgraph/internal/core"
 	"kmgraph/internal/graph"
 	"kmgraph/internal/kmachine"
-	"kmgraph/internal/sketch"
 	"kmgraph/internal/transport"
 	"kmgraph/internal/verify"
 )
 
-// Config parameterizes a resident engine. The zero value of everything
-// except K is sensible.
+// Config parameterizes a resident engine: the algorithm's parameters, the
+// core.Config every host runs under (K is required; the zero value of the
+// rest is sensible), plus the engine's own fields, which no machine sees.
+// A residency's MaxPhases caps each job's phases, and its MaxRounds (0 =
+// 5,000,000) the session's cumulative rounds. It hosts neither
+// EdgeCheckSelection nor CountComponents.
 type Config struct {
-	// K is the number of machines.
-	K int
-	// BandwidthBits is the per-link budget; 0 selects kmachine.Bandwidth(n).
-	BandwidthBits int
-	// Seed drives the vertex partition and all private coins.
-	Seed int64
-	// MaxPhasesPerQuery caps Boruvka phases per job; 0 selects the
-	// static default, 12·ceil(log2 n) + 4.
-	MaxPhasesPerQuery int
-	// Sketch overrides sketch parameters; zero selects
-	// sketch.DefaultParams(n).
-	Sketch sketch.Params
-	// CollapseLevelWise, CoinMerge, and FaithfulRandomness select the same
-	// ablations as the static core.Config.
-	CollapseLevelWise  bool
-	CoinMerge          bool
-	FaithfulRandomness bool
-	// MessageOverheadBits models per-message framing (0 = 64).
-	MessageOverheadBits int
-	// MaxRounds aborts runaway sessions (0 = 5,000,000 cumulative rounds).
-	MaxRounds int
-	// MaxElimIters caps MST elimination iterations per phase; 0 selects
-	// 2·ceil(log2 n) + 8.
-	MaxElimIters int
+	core.Config
 	// JobTimeout, when positive, is the default wall-clock deadline applied
 	// to every job whose context carries no earlier deadline. It covers the
 	// whole job — time queued on the admission semaphore included — and a
@@ -110,36 +92,16 @@ type Config struct {
 
 const defaultSessionMaxRounds = 5_000_000
 
-// coreConfig resolves the engine config into the shared core.Config.
+// coreConfig resolves the algorithm's parameters for an n-vertex graph.
 func (c Config) coreConfig(n int) core.Config {
-	cc := core.Config{
-		K:                   c.K,
-		BandwidthBits:       c.BandwidthBits,
-		Seed:                c.Seed,
-		MaxPhases:           c.MaxPhasesPerQuery,
-		Sketch:              c.Sketch,
-		CollapseLevelWise:   c.CollapseLevelWise,
-		CoinMerge:           c.CoinMerge,
-		FaithfulRandomness:  c.FaithfulRandomness,
-		MessageOverheadBits: c.MessageOverheadBits,
-		MaxRounds:           c.MaxRounds,
-	}
-	cc = cc.WithDefaults(n)
-	if cc.MaxRounds == 0 {
-		cc.MaxRounds = defaultSessionMaxRounds
-	}
+	cc := c.Config.WithDefaults(n)
+	cc.MaxRounds = cmp.Or(cc.MaxRounds, defaultSessionMaxRounds)
 	return cc
 }
 
 // defaultBanks is the number of persistent sketch banks a residency keeps,
 // 2·ceil(log2 n) + 4; query phase p draws from bank p mod it.
-func defaultBanks(n int) int {
-	l := 0
-	for s := 1; s < n; s <<= 1 {
-		l++
-	}
-	return 2*l + 4
-}
+func defaultBanks(n int) int { return 2*bits.Len(uint(n-1)) + 4 }
 
 func validConfig(n int, cfg Config) error {
 	if cfg.K < 1 {
@@ -158,6 +120,9 @@ func validConfig(n int, cfg Config) error {
 	}
 	if cfg.JobTimeout < 0 {
 		return fmt.Errorf("resident: %w: negative JobTimeout %v", ErrBadConfig, cfg.JobTimeout)
+	}
+	if cfg.EdgeCheckSelection || cfg.CountComponents {
+		return fmt.Errorf("resident: %w: a residency runs neither EdgeCheckSelection nor CountComponents", ErrBadConfig)
 	}
 	return nil
 }

@@ -32,7 +32,7 @@ func mustEngine(t *testing.T, g *graph.Graph, cfg Config) *Engine {
 func TestOneClusterServesEveryFamily(t *testing.T) {
 	ctx := context.Background()
 	g := graph.WithDistinctWeights(graph.RandomConnected(400, 900, 7), 8)
-	e := mustEngine(t, g, Config{K: 5, Seed: 21})
+	e := mustEngine(t, g, Config{Config: core.Config{K: 5, Seed: 21}})
 
 	load := e.Metrics()
 	if load.LoadRounds <= 0 {
@@ -136,7 +136,7 @@ func TestPhaseDriverStopRuleOnResidency(t *testing.T) {
 	_, oracleCC := graph.Components(g)
 
 	t.Run("exhausted", func(t *testing.T) {
-		e := mustEngine(t, g, Config{K: 4, Seed: 5, MaxPhasesPerQuery: 1})
+		e := mustEngine(t, g, Config{Config: core.Config{K: 4, Seed: 5, MaxPhases: 1}})
 		ctx := context.Background()
 		if _, err := e.Verify(ctx, verify.CycleContainment, VerifyArgs{}); !errors.Is(err, core.ErrNotConverged) {
 			t.Fatalf("derived run capped at one phase: err = %v, want ErrNotConverged", err)
@@ -157,7 +157,7 @@ func TestPhaseDriverStopRuleOnResidency(t *testing.T) {
 	t.Run("cancelled", func(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
-		cfg := Config{K: 4, Seed: 5}
+		cfg := Config{Config: core.Config{K: 4, Seed: 5}}
 		cfg.Observer = func(ev Event) {
 			if ev.Job == "mincut" && ev.Phase == 0 {
 				cancel() // mid-run: between phase 0 and phase 1 of the first derived run
@@ -192,9 +192,9 @@ func TestTinySketchParamsStarveMST(t *testing.T) {
 		g := graph.WithUniformWeights(graph.RandomConnected(120, 360, seed), 40, seed+10) // ties too
 		p := sketch.DefaultParams(g.N())
 		p.Reps, p.Buckets = 1, 2
-		cfg := Config{K: 4, Seed: seed, Sketch: p, MaxElimIters: 1}
+		cfg := Config{Config: core.Config{K: 4, Seed: seed, Sketch: p, MaxElimIters: 1}}
 		if seed%2 == 0 {
-			cfg.MaxPhasesPerQuery = 6 // too few for a starved job: the not-converged cell
+			cfg.MaxPhases = 6 // too few for a starved job: the not-converged cell
 		}
 		e := mustEngine(t, g, cfg)
 		res, err := e.MST(context.Background(), false)
@@ -233,7 +233,7 @@ func TestTinySketchParamsStarveMST(t *testing.T) {
 func TestMSTTracksBatches(t *testing.T) {
 	ctx := context.Background()
 	g := graph.WithDistinctWeights(graph.RandomConnected(150, 400, 31), 32)
-	e := mustEngine(t, g, Config{K: 3, Seed: 37})
+	e := mustEngine(t, g, Config{Config: core.Config{K: 3, Seed: 37}})
 	mst1, err := e.MST(ctx, false)
 	if err != nil {
 		t.Fatal(err)
@@ -260,7 +260,7 @@ func TestMSTTracksBatches(t *testing.T) {
 // to both endpoints' home machines.
 func TestStrongOutputMST(t *testing.T) {
 	g := graph.WithDistinctWeights(graph.RandomConnected(120, 300, 41), 42)
-	e := mustEngine(t, g, Config{K: 3, Seed: 43})
+	e := mustEngine(t, g, Config{Config: core.Config{K: 3, Seed: 43}})
 	mst, err := e.MST(context.Background(), true)
 	if err != nil {
 		t.Fatal(err)
@@ -290,7 +290,7 @@ func TestCancellationMidPhase(t *testing.T) {
 	g := graph.WithDistinctWeights(graph.RandomConnected(500, 1200, 51), 52)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	cfg := Config{K: 4, Seed: 53}
+	cfg := Config{Config: core.Config{K: 4, Seed: 53}}
 	cfg.Observer = func(ev Event) {
 		if ev.Job == "mst" && ev.Phase == 0 {
 			cancel() // fires mid-job, between phase 0 and phase 1
@@ -328,7 +328,7 @@ func TestCancelledQueryKeepsEngineConsistent(t *testing.T) {
 	g := graph.GNM(400, 800, 61)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	cfg := Config{K: 4, Seed: 63}
+	cfg := Config{Config: core.Config{K: 4, Seed: 63}}
 	cfg.Observer = func(ev Event) {
 		if ev.Job == "connectivity" && ev.Seq == 1 && ev.Phase == 0 {
 			cancel()
@@ -363,7 +363,7 @@ func TestCancelledQueryKeepsEngineConsistent(t *testing.T) {
 // behind a running job never executes.
 func TestQueuedJobCancellation(t *testing.T) {
 	g := graph.GNM(300, 700, 71)
-	e := mustEngine(t, g, Config{K: 3, Seed: 73})
+	e := mustEngine(t, g, Config{Config: core.Config{K: 3, Seed: 73}})
 
 	hold, err := e.begin(context.Background(), "hold") // occupy the queue slot
 	if err != nil {
@@ -395,7 +395,7 @@ func TestQueuedJobCancellation(t *testing.T) {
 // queue must serialize them without races or deadlocks (run under -race).
 func TestConcurrentCallers(t *testing.T) {
 	g := graph.GNM(200, 500, 81)
-	e := mustEngine(t, g, Config{K: 3, Seed: 83})
+	e := mustEngine(t, g, Config{Config: core.Config{K: 3, Seed: 83}})
 	var wg sync.WaitGroup
 	errs := make(chan error, 24)
 	for i := 0; i < 8; i++ {
@@ -428,7 +428,7 @@ func TestCloseReleasesGoroutines(t *testing.T) {
 	g := graph.WithDistinctWeights(graph.RandomConnected(300, 700, 91), 92)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	cfg := Config{K: 4, Seed: 93}
+	cfg := Config{Config: core.Config{K: 4, Seed: 93}}
 	cfg.Observer = func(ev Event) {
 		if ev.Job == "mst" && ev.Phase == 0 {
 			cancel()
@@ -473,7 +473,7 @@ func TestObserverSeesPhases(t *testing.T) {
 	g := graph.GNM(200, 500, 95)
 	var mu sync.Mutex
 	var events []Event
-	cfg := Config{K: 3, Seed: 97}
+	cfg := Config{Config: core.Config{K: 3, Seed: 97}}
 	cfg.Observer = func(ev Event) {
 		mu.Lock()
 		events = append(events, ev)
@@ -512,7 +512,7 @@ func TestObserverSeesPhases(t *testing.T) {
 // algorithm and the oracle answer.
 func TestResidentQueryEquivalence(t *testing.T) {
 	g := graph.GNM(350, 650, 99)
-	e := mustEngine(t, g, Config{K: 5, Seed: 101})
+	e := mustEngine(t, g, Config{Config: core.Config{K: 5, Seed: 101}})
 	q, err := e.Query(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -533,7 +533,7 @@ func TestResidentQueryEquivalence(t *testing.T) {
 // estimate. The residency serves the default search afterwards.
 func TestMinCutRefusesBadOptions(t *testing.T) {
 	ctx := context.Background()
-	e := mustEngine(t, graph.GNM(200, 2000, 3), Config{K: 4, Seed: 1})
+	e := mustEngine(t, graph.GNM(200, 2000, 3), Config{Config: core.Config{K: 4, Seed: 1}})
 	before := e.Metrics()
 	for _, o := range []struct{ trials, maxLevel int }{{-1, 0}, {0, -3}, {0, 65}, {-2, -2}} {
 		if res, err := e.MinCut(ctx, o.trials, o.maxLevel); !errors.Is(err, ErrBadConfig) {

@@ -79,14 +79,14 @@ func TestFacadeVerifyAndBaselines(t *testing.T) {
 	if !out.Holds || !IsBipartiteOracle(g) {
 		t.Error("grid is bipartite")
 	}
-	fl, err := baseline.Flooding(g, baseline.Config{K: 4, Seed: 9})
+	fl, err := baseline.Flooding(g, Config{K: 4, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fl.Components != 1 {
 		t.Error("grid is connected")
 	}
-	rf, err := baseline.Referee(g, baseline.Config{K: 4, Seed: 9})
+	rf, err := baseline.Referee(g, Config{K: 4, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestFacadeVerifyAndBaselines(t *testing.T) {
 
 func TestFacadeREPAndLowerBound(t *testing.T) {
 	g := WithDistinctWeights(GNM(100, 300, 10), 11)
-	res, err := rep.MST(g, rep.Config{K: 4, Seed: 12})
+	res, err := rep.MST(g, Config{K: 4, Seed: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestFacadeConversion(t *testing.T) {
 	if len(labels) != 120 {
 		t.Fatal("labels")
 	}
-	res, err := congested.Convert(tr, congested.Config{K: 4, Seed: 16})
+	res, err := congested.Convert(tr, Config{K: 4, Seed: 16})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,7 +67,7 @@ func TestDenseSketchBudget(t *testing.T) {
 	t.Run("mst", func(t *testing.T) {
 		wg := WithDistinctWeights(g, 9)
 		check(t, poolPeaks(t, wg, core.Config{K: k, Seed: 21}, func(m *core.Merger) {
-			if out, _ := m.MSTJob(0, core.DefaultMaxElimIters(wg.N()), false, nil); !out.Converged {
+			if out, _ := m.MSTJob(0, false, nil); !out.Converged {
 				t.Error("MST job did not converge")
 			}
 		}))
