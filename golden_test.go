@@ -77,6 +77,16 @@ func checkGolden(t *testing.T, name string, m *kmachine.Metrics, want goldenMetr
 	}
 }
 
+// checkPath pins the algorithm's path — phases, sketch failures, collapse or
+// elimination iterations — apart from its cost: a change to what a message
+// costs moves the metrics, never the path.
+func checkPath(t *testing.T, name, got, want string) {
+	t.Helper()
+	if got != want {
+		t.Errorf("%s: path drifted:\n got:  %s\n want: %s", name, got, want)
+	}
+}
+
 func TestGoldenConnectivityMetrics(t *testing.T) {
 	g := GNM(256, 768, 3)
 	res, err := Connectivity(g, Config{K: 5, Seed: 11})
@@ -86,6 +96,7 @@ func TestGoldenConnectivityMetrics(t *testing.T) {
 	if res.Components != 1 {
 		t.Fatalf("components = %d, want 1", res.Components)
 	}
+	checkPath(t, "connectivity", fmt.Sprintf("phases=%d failures=%d collapse=%d", res.Phases, res.SketchFailures, res.CollapseIters), "phases=8 failures=0 collapse=15")
 	checkGolden(t, "connectivity", &res.Metrics, goldenMetrics{
 		rounds: 318, messages: 7162, payload: 387298,
 		maxLink: 173168, totalBits: 2882200, fingerprint: 2744927441185012788,
@@ -123,6 +134,7 @@ func TestGoldenMSTMetrics(t *testing.T) {
 	if total != 9531 {
 		t.Fatalf("MST weight = %d, want 9531", total)
 	}
+	checkPath(t, "mst", fmt.Sprintf("phases=%d failures=%d elim=%d", res.Phases, res.SketchFailures, res.ElimIters), "phases=7 failures=0 elim=11")
 	// Re-pinned once, declared-algorithmic: elimination takes every slot a
 	// sum verified (core.MWOE) where §3.1 draws one — 37 iterations became
 	// 11 and 828 rounds 445, in the same 7 phases; the forest above is the
@@ -139,7 +151,7 @@ func TestGoldenDynamicMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var trace string
+	var trace, path string
 	for i, batch := range stream.Batches {
 		br, err := sess.ApplyBatch(t.Context(), batch)
 		if err != nil {
@@ -150,7 +162,9 @@ func TestGoldenDynamicMetrics(t *testing.T) {
 			t.Fatal(err)
 		}
 		trace += fmt.Sprintf("[%d:%d/%d/%d]", i, br.Applied, q.Components, q.Rounds)
+		path += fmt.Sprintf("[%d:%d/%d/%d]", i, q.Phases, q.SketchFailures, q.CollapseIters)
 	}
+	checkPath(t, "dynamic", path, "[0:7/0/11][1:3/0/4][2:2/0/3][3:2/0/2][4:3/0/3][5:1/0/1]")
 	// The session-wide Metrics are what the resident engine's Close
 	// returns; Cluster.Close drops them, so pin them at the engine.
 	met, err := sess.e.Close()
@@ -174,19 +188,22 @@ func TestGoldenClusterResidentMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	var trace string
+	var trace, path string
 	for j := 0; j < 3; j++ {
 		q, err := c.Connectivity(t.Context())
 		if err != nil {
 			t.Fatal(err)
 		}
 		trace += fmt.Sprintf("[%d:%d/%d]", j, q.Components, q.Rounds)
+		path += fmt.Sprintf("[%d:%d/%d/%d]", j, q.Phases, q.SketchFailures, q.CollapseIters)
 	}
 	mst, err := c.MST(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}
 	trace += fmt.Sprintf("[mst:%d]", len(mst.Edges))
+	path += fmt.Sprintf("[mst:%d/%d/%d]", mst.Phases, mst.SketchFailures, mst.ElimIters)
+	checkPath(t, "resident", path, "[0:8/0/14][1:1/0/1][2:1/0/1][mst:9/0/15]")
 	const wantTrace = "[0:1/338][1:1/24][2:1/23][mst:191]"
 	if trace != wantTrace {
 		t.Errorf("resident trace drifted:\n got:  %s\n want: %s", trace, wantTrace)
