@@ -97,9 +97,14 @@ func TestGoldenConnectivityMetrics(t *testing.T) {
 		t.Fatalf("components = %d, want 1", res.Components)
 	}
 	checkPath(t, "connectivity", fmt.Sprintf("phases=%d failures=%d collapse=%d", res.Phases, res.SketchFailures, res.CollapseIters), "phases=8 failures=0 collapse=15")
+	// Re-pinned once, declared-algorithmic: a light part (fewer than
+	// Cells() local half-edges) ships its adjacency rows instead of its
+	// sketch, and the proxy adds them in by AddVertex to the same cells —
+	// 318 rounds became 186 and 387,298 payload bytes 75,418, with the
+	// messages and the path above unchanged.
 	checkGolden(t, "connectivity", &res.Metrics, goldenMetrics{
-		rounds: 318, messages: 7162, payload: 387298,
-		maxLink: 173168, totalBits: 2882200, fingerprint: 2744927441185012788,
+		rounds: 186, messages: 7162, payload: 75418,
+		maxLink: 54760, totalBits: 921208, fingerprint: 10000305451513819197,
 	})
 }
 
@@ -135,13 +140,15 @@ func TestGoldenMSTMetrics(t *testing.T) {
 		t.Fatalf("MST weight = %d, want 9531", total)
 	}
 	checkPath(t, "mst", fmt.Sprintf("phases=%d failures=%d elim=%d", res.Phases, res.SketchFailures, res.ElimIters), "phases=7 failures=0 elim=11")
-	// Re-pinned once, declared-algorithmic: elimination takes every slot a
+	// Re-pinned twice, declared-algorithmic: elimination takes every slot a
 	// sum verified (core.MWOE) where §3.1 draws one — 37 iterations became
-	// 11 and 828 rounds 445, in the same 7 phases; the forest above is the
-	// same.
+	// 11 and 828 rounds 445, in the same 7 phases; then a light part ships
+	// its rows (lighter than the threshold) instead of its sketch — 445
+	// rounds became 246 and 269,727 payload bytes 57,829, with the messages
+	// and the path unchanged. The forest above is the same throughout.
 	checkGolden(t, "mst", &res.Metrics, goldenMetrics{
-		rounds: 445, messages: 7781, payload: 269727,
-		maxLink: 233896, totalBits: 2077568, fingerprint: 940796583189211731,
+		rounds: 246, messages: 7781, payload: 57829,
+		maxLink: 92096, totalBits: 797136, fingerprint: 7902653826118550425,
 	})
 }
 
@@ -171,13 +178,17 @@ func TestGoldenDynamicMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const wantTrace = "[0:12/1/264][1:12/1/71][2:12/1/50][3:12/1/45][4:12/1/66][5:12/1/24]"
+	// Re-pinned once, declared-algorithmic: light parts ship their rows, so
+	// the cold first query fell from 264 to 136 rounds and the session from
+	// 534 to 406 (payload 239,202 to 70,483 bytes); the incremental queries,
+	// the messages and the path are unchanged.
+	const wantTrace = "[0:12/1/136][1:12/1/71][2:12/1/50][3:12/1/45][4:12/1/66][5:12/1/24]"
 	if trace != wantTrace {
 		t.Errorf("dynamic trace drifted:\n got:  %s\n want: %s", trace, wantTrace)
 	}
 	checkGolden(t, "dynamic", met, goldenMetrics{
-		rounds: 534, messages: 5730, payload: 239202,
-		maxLink: 175936, totalBits: 1816896, fingerprint: 17654665923677721495,
+		rounds: 406, messages: 5730, payload: 70483,
+		maxLink: 106416, totalBits: 776416, fingerprint: 10635007348978488148,
 	})
 }
 
@@ -204,7 +215,9 @@ func TestGoldenClusterResidentMetrics(t *testing.T) {
 	trace += fmt.Sprintf("[mst:%d]", len(mst.Edges))
 	path += fmt.Sprintf("[mst:%d/%d/%d]", mst.Phases, mst.SketchFailures, mst.ElimIters)
 	checkPath(t, "resident", path, "[0:8/0/14][1:1/0/1][2:1/0/1][mst:9/0/15]")
-	const wantTrace = "[0:1/338][1:1/24][2:1/23][mst:191]"
+	// Re-pinned once, declared-algorithmic: light parts ship their rows, so
+	// the cold query fell from 338 to 187 rounds on the same path.
+	const wantTrace = "[0:1/187][1:1/24][2:1/23][mst:191]"
 	if trace != wantTrace {
 		t.Errorf("resident trace drifted:\n got:  %s\n want: %s", trace, wantTrace)
 	}

@@ -9,9 +9,12 @@
 //
 //  1. Every machine builds, per component *part* it holds, the sum of fresh
 //     l0-sketches of its vertices' edge-incidence vectors (§2.3) and sends
-//     it to the component's random proxy machine h(phase, label) (§2.2).
-//  2. The proxy sums the part sketches — intra-component edges cancel by
-//     linearity — and samples one outgoing edge (§2.4).
+//     it to the component's random proxy machine h(phase, label) (§2.2);
+//     a light part, of fewer than Params.Cells() local half-edges, sends
+//     its adjacency rows instead (Light, PartPayload).
+//  2. The proxy sums the parts — rows by sketching them in, which gives
+//     the same cells — intra-component edges cancel by linearity — and
+//     samples one outgoing edge (§2.4).
 //  3. The proxy learns the label of the neighboring component by querying
 //     the sampled endpoint's home machine.
 //  4. Distributed random ranking (§2.5): the component connects to the

@@ -10,10 +10,12 @@ package core
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"slices"
 
 	"kmgraph/internal/drr"
+	"kmgraph/internal/graph"
 	"kmgraph/internal/hashing"
 	"kmgraph/internal/kmachine"
 	"kmgraph/internal/proxy"
@@ -141,6 +143,7 @@ type Merger struct {
 	stFree       []*CompState
 	statesSpare  map[uint64]*CompState
 	encScratch   []byte
+	rowBuf       []graph.Half // addPart: one decoded row
 	outBuf       []proxy.Out
 	ansBuf       []proxy.Out
 	keyBuf       []uint64
@@ -177,10 +180,11 @@ func (m *Merger) StateKeys() []uint64 {
 }
 
 // SumAndSample is the proxy side of a sketch selection step (Lemma 3): it
-// adds up, per component, the part sketches received as (label, encoded
-// sketch) messages, l0-samples each sum once and stores the outcome in the
-// component's state (the one sample, or for an MST job every verified
-// slot), recording every sender as a part holder. Nothing
+// adds up, per component, the parts received as (label, encoded sketch or
+// adjacency rows) messages — a sketch by AddEncoded, rows by AddVertex,
+// which gives the same cells — l0-samples each sum once and stores the
+// outcome in the component's state (the one sample, or for an MST job every
+// verified slot), recording every sender as a part holder. Nothing
 // reads a sum after its sample, so all components share one pooled scratch
 // sketch: a first pass chains each label's messages (chainNext) from the
 // label's first one (chainHead), a second folds one chain at a time. Cell
@@ -196,11 +200,11 @@ func (m *Merger) SumAndSample(recv []kmachine.Message, seed uint64, create bool)
 	}
 	next, heads := m.chainNext[:0], m.chainHead[:0]
 	for i, msg := range recv {
-		label, _ := splitPart(msg.Data)
+		label := wire.NewReader(msg.Data).Uvarint() >> 1
 		st := m.States[label]
 		if st == nil {
 			if !create {
-				panic("core: part sketch for a component state not held here")
+				panic("core: part for a component state not held here")
 			}
 			st = m.NewState(label)
 			m.States[label] = st
@@ -218,13 +222,11 @@ func (m *Merger) SumAndSample(recv []kmachine.Message, seed uint64, create bool)
 	m.slotBuf = m.slotBuf[:0]
 	for _, h := range heads {
 		for i := h; i >= 0; i = next[i] {
-			_, enc := splitPart(recv[i].Data)
-			if err := sum.AddEncoded(enc); err != nil {
-				panic(fmt.Sprintf("core: bad sketch from %d: %v", recv[i].Src, err)) //kmvet:ignore panic path; never executes on protocol-conformant traffic
+			if err := m.addPart(sum, recv[i].Data, recv[i].Src); err != nil {
+				panic(fmt.Sprintf("core: bad part from %d: %v", recv[i].Src, err)) //kmvet:ignore panic path; never executes on protocol-conformant traffic
 			}
 		}
-		label, _ := splitPart(recv[h].Data)
-		st := m.States[label]
+		st := m.States[wire.NewReader(recv[h].Data).Uvarint()>>1]
 		if m.allSlots {
 			st.slotLo = int32(len(m.slotBuf))
 			m.slotBuf, st.status, st.full = sum.SampleAll(m.slotBuf)
@@ -239,20 +241,99 @@ func (m *Merger) SumAndSample(recv []kmachine.Message, seed uint64, create bool)
 	m.chainNext, m.chainHead = next, heads
 }
 
-// splitPart splits a SketchPayload body into its label and encoded sketch.
-func splitPart(data []byte) (label uint64, enc []byte) {
+var errPartRow = errors.New("core: part row of a vertex out of range or homed elsewhere, or with a bad neighbour")
+
+// addPart folds one PartPayload body from machine src into sum: a sketch by
+// AddEncoded, rows by AddVertex. Rows are peer bytes, refused unless every
+// vertex is below the sketch's N and homed at src, every neighbour is below
+// N and not the vertex, and no count or degree runs past the message; after
+// an error sum is unspecified.
+//
+//km:hotpath
+func (m *Merger) addPart(sum *sketch.Sketch, data []byte, src int) error {
 	r := wire.NewReader(data)
-	label = r.Uvarint()
-	return label, data[len(data)-r.Len():]
+	hdr := r.Uvarint()
+	if r.Err() != nil {
+		return r.Err()
+	}
+	if hdr&1 == 0 {
+		return sum.AddEncoded(data[len(data)-r.Len():])
+	}
+	n := uint64(m.Cfg.Sketch.N)
+	for c := r.Uvarint(); c > 0 && r.Err() == nil; c-- {
+		v, d := r.Uvarint(), r.Uvarint()
+		if r.Err() != nil || v >= n || m.View.Home(int(v)) != src || d > uint64(r.Len()) {
+			return cmp.Or(r.Err(), errPartRow)
+		}
+		row := m.rowBuf[:0]
+		for ; d > 0; d-- {
+			to := r.Uvarint()
+			if r.Err() != nil || to >= n || to == v {
+				return cmp.Or(r.Err(), errPartRow)
+			}
+			row = append(row, graph.Half{To: int(to)})
+		}
+		sum.AddVertex(int(v), row, nil)
+		m.rowBuf = row
+	}
+	return r.Done()
 }
 
-// SketchPayload encodes (label, sk) through the machine's reusable scratch
-// buffer and interns the exact-size result in the arena, so oversized
-// worst-case capacity hints never fragment arena chunks.
-func (m *Merger) SketchPayload(label uint64, sk *sketch.Sketch) []byte {
+// Light reports whether a part ships its adjacency rows instead of a
+// sketch: it has fewer than cells (Params.Cells()) local half-edges under
+// filter (nil = all), so its rows (under 15 bytes a half-edge) undercut a
+// dense sketch (~17 bytes a cell). A residency keeps no sums for it.
+func Light(view *kmachine.Shard, members []int, filter func(u int, h graph.Half) bool, cells int) bool {
+	h := 0
+	for _, u := range members {
+		if h += keptDegree(u, view.Adj(u), filter); h >= cells {
+			return false
+		}
+	}
+	return true
+}
+
+// keptDegree counts u's half-edges under filter (nil = all).
+func keptDegree(u int, adj []graph.Half, filter func(u int, h graph.Half) bool) int {
+	if filter == nil {
+		return len(adj)
+	}
+	d := 0
+	for _, h := range adj {
+		if filter(u, h) {
+			d++
+		}
+	}
+	return d
+}
+
+// PartPayload encodes one part through the machine's reusable scratch
+// buffer and interns the exact-size result in the arena. The header is
+// uvarint(label<<1 | rows). A sketch body is sk.EncodeTo; a nil sk means
+// rows under filter: uvarint(count), then per member with a kept half-edge
+// uvarint(v), uvarint(d) and d × uvarint(to).
+func (m *Merger) PartPayload(label uint64, members []int, filter func(u int, h graph.Half) bool, sk *sketch.Sketch) []byte {
 	scr := m.encScratch[:0]
-	scr = wire.AppendUvarint(scr, label)
-	scr = sk.EncodeTo(scr)
+	if sk != nil {
+		scr = sk.EncodeTo(wire.AppendUvarint(scr, label<<1))
+	} else {
+		count := 0
+		for _, v := range members {
+			count += min(keptDegree(v, m.View.Adj(v), filter), 1)
+		}
+		scr = wire.AppendUvarint(wire.AppendUvarint(scr, label<<1|1), uint64(count))
+		for _, v := range members {
+			adj := m.View.Adj(v)
+			if d := keptDegree(v, adj, filter); d > 0 {
+				scr = wire.AppendUvarint(wire.AppendUvarint(scr, uint64(v)), uint64(d))
+				for _, h := range adj {
+					if filter == nil || filter(v, h) {
+						scr = wire.AppendUvarint(scr, uint64(h.To))
+					}
+				}
+			}
+		}
+	}
 	m.encScratch = scr
 	return m.Comm.FramedPayload(scr)
 }
@@ -545,8 +626,9 @@ func (m *Merger) SelectSketch() {
 }
 
 // GatherParts is the first half of a sketch selection step (§2.3, Lemma
-// 3): every part's sketch — whatever part returns for it, encoded before
-// the next call — travels to its component's proxy, which sums the parts
+// 3): every part travels to its component's proxy — as the sketch part
+// returns for it, encoded before the next call, or, where part returns nil
+// for a light part, as its adjacency rows — and the proxy sums the parts
 // per component (intra-component edges cancel by linearity), samples the
 // sum and records the part holders (SumAndSample). Payloads are interned
 // exact-size in the arena.
@@ -554,25 +636,33 @@ func (m *Merger) GatherParts(seed uint64, part func(label uint64, members []int)
 	parts := m.Parts()
 	out := m.outBuf[:0]
 	for _, label := range SortedKeys(parts) {
-		out = append(out, proxy.Out{Dst: m.ProxyOf(0, label), Data: m.SketchPayload(label, part(label, parts[label])), Framed: true})
+		members := parts[label]
+		out = append(out, proxy.Out{Dst: m.ProxyOf(0, label), Data: m.PartPayload(label, members, nil, part(label, members)), Framed: true})
 	}
 	recv := m.Comm.Exchange(out)
 	m.outBuf = out
 	m.SumAndSample(recv, seed, true)
 }
 
-// GatherFreshParts gathers part sketches built fresh against the view
-// under seed. One pooled sketch is reset per part.
+// GatherFreshParts gathers the parts, a heavy one's sketch built fresh
+// against the view under seed into one pooled sketch.
 func (m *Merger) GatherFreshParts(seed uint64) {
 	sk := m.Pool().Get(seed)
-	m.GatherParts(seed, func(_ uint64, members []int) *sketch.Sketch {
-		sk.Reset()
-		for _, v := range members {
-			sk.AddVertex(v, m.View.Adj(v), nil)
-		}
-		return sk
-	})
+	m.GatherParts(seed, func(_ uint64, members []int) *sketch.Sketch { return m.partSketch(sk, members, nil) })
 	m.Pool().Put(sk)
+}
+
+// partSketch builds a heavy part's sketch under filter (nil = all) into
+// sk, reset first, or returns nil for a light part, whose rows travel.
+func (m *Merger) partSketch(sk *sketch.Sketch, members []int, filter func(u int, h graph.Half) bool) *sketch.Sketch {
+	if Light(m.View, members, filter, m.Cfg.Sketch.Cells()) {
+		return nil
+	}
+	sk.Reset()
+	for _, v := range members {
+		sk.AddVertex(v, m.View.Adj(v), filter)
+	}
+	return sk
 }
 
 // RankSampled is the second half (§2.4–2.5): take the outgoing edge sampled

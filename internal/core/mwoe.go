@@ -178,8 +178,9 @@ func (w *MWOE) Select() {
 		m.States = newStates
 		m.StateSlot++
 
-		// Filtered part re-sketches to the (new) proxies, by ascending label
-		// (a component has one proxy, so labels are distinct).
+		// Filtered parts to the (new) proxies, by ascending label (a
+		// component has one proxy, so labels are distinct): a re-sketch, or
+		// a light part's rows lighter than the threshold.
 		slices.SortFunc(ths, func(a, b threshold) int { return cmp.Compare(a.label, b.label) })
 		w.thresholds = ths
 		seed := m.Sh.SketchSeed(m.Phase, s)
@@ -187,11 +188,9 @@ func (w *MWOE) Select() {
 		part := m.Pool().Get(seed)
 		for _, th := range ths {
 			w.cut = th
-			for _, v := range parts[th.label] {
-				part.AddVertex(v, m.View.Adj(v), w.lighter)
-			}
-			out = append(out, proxy.Out{Dst: m.ProxyOf(m.StateSlot, th.label), Data: m.SketchPayload(th.label, part), Framed: true})
-			part.Reset()
+			members := parts[th.label]
+			sk := m.partSketch(part, members, w.lighter)
+			out = append(out, proxy.Out{Dst: m.ProxyOf(m.StateSlot, th.label), Data: m.PartPayload(th.label, members, w.lighter, sk), Framed: true})
 		}
 		m.Pool().Put(part)
 		recv = m.Comm.Exchange(out)

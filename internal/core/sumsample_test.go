@@ -40,7 +40,7 @@ func encodeParts(p sketch.Params, seed uint64, parts []partMsg) []kmachine.Messa
 		for id, sign := range pm.items {
 			sk.AddItem(id, sign)
 		}
-		recv[i] = kmachine.Message{Src: pm.src, Data: sk.EncodeTo(wire.AppendUvarint(nil, pm.label))}
+		recv[i] = kmachine.Message{Src: pm.src, Data: sk.EncodeTo(wire.AppendUvarint(nil, pm.label<<1))}
 	}
 	return recv
 }
@@ -52,8 +52,9 @@ func referenceSamples(t *testing.T, p sketch.Params, seed uint64, recv []kmachin
 	sums := make(map[uint64]*sketch.Sketch)
 	holders := make(map[uint64]map[int]bool)
 	for _, msg := range recv {
-		label, enc := splitPart(msg.Data)
-		part, err := sketch.Decode(p, seed, enc)
+		r := wire.NewReader(msg.Data)
+		label := r.Uvarint() >> 1
+		part, err := sketch.Decode(p, seed, msg.Data[len(msg.Data)-r.Len():])
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -80,7 +80,10 @@ type Job struct {
 // specVersion 6 ships the sketch dimensions, drops the one-shot command and
 // the output fields only it produced (core.AppendOutput).
 // specVersion 7 ships the whole core.Config in core.AppendConfig's form.
-const specVersion = 7
+// specVersion 8 changes no byte of the spec: a light part travels to its
+// proxy as adjacency rows (core.Merger.PartPayload), which a build of
+// version 7 would misread as a sketch.
+const specVersion = 8
 
 // ErrVersion is the failure of a job spec from a build of another wire
 // version: a worker refuses it before it dials or loads anything, and the

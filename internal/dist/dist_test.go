@@ -367,13 +367,14 @@ func TestJobSpecRoundTrip(t *testing.T) {
 	// A spec from an older build — version 2 ran the single-draw MST
 	// elimination, version 3 shipped machine outputs without the
 	// convergence verdict, version 4 knew no residency, version 5 no sketch
-	// dimensions, version 6 only part of core.Config — is refused by its version with ErrVersion, by the
+	// dimensions, version 6 only part of core.Config, version 7 sent every
+	// part as a sketch — is refused by its version with ErrVersion, by the
 	// decoder and by a worker — which answers on the control link and
 	// dials no peer of the spec's mesh.
-	for _, v := range []byte{2, 3, 4, 5, 6} {
+	for _, v := range []byte{2, 3, 4, 5, 6, 7} {
 		stale := AppendJob(nil, j)
 		stale[0] = v
-		want := fmt.Sprintf("job spec version %d, want 7", v)
+		want := fmt.Sprintf("job spec version %d, want 8", v)
 		if _, err := DecodeJob(stale); !errors.Is(err, ErrVersion) || !strings.Contains(err.Error(), want) {
 			t.Fatalf("version-%d spec: err = %v, want ErrVersion", v, err)
 		}
@@ -393,24 +394,24 @@ func TestJobSpecRoundTrip(t *testing.T) {
 	old := *j
 	old.Index = 1
 	old.Workers = []WorkerSpec{{Addr: peer.Addr().String(), Lo: 0, Hi: 3}, {Addr: startWorkers(t, 1)[0], Lo: 3, Hi: 8}}
-	v6 := AppendJob(nil, &old)
-	v6[0] = 6
+	v7 := AppendJob(nil, &old)
+	v7[0] = 7
 	conn, err := net.Dial("tcp", old.Workers[1].Addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if _, err := conn.Write(tcp.AppendFrame(nil, tcp.FrameJob, v6)); err != nil {
+	if _, err := conn.Write(tcp.AppendFrame(nil, tcp.FrameJob, v7)); err != nil {
 		t.Fatal(err)
 	}
 	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
 	var buf []byte
 	ft, body, err := tcp.ReadFrame(conn, &buf)
 	if err != nil || ft != tcp.FrameError {
-		t.Fatalf("worker's answer to a version-6 spec: frame %v, err %v; want an error frame", ft, err)
+		t.Fatalf("worker's answer to a version-7 spec: frame %v, err %v; want an error frame", ft, err)
 	}
 	ef, err := decodeErrorFrame(body)
-	if err != nil || !errors.Is(ef.err(), ErrVersion) || !strings.Contains(ef.err().Error(), "job spec version 6, want 7") {
+	if err != nil || !errors.Is(ef.err(), ErrVersion) || !strings.Contains(ef.err().Error(), "job spec version 7, want 8") {
 		t.Fatalf("worker's error frame: %v / %v, want ErrVersion", ef, err)
 	}
 	if again := (RetryPolicy{Attempts: 3}).again(context.Background(), 1, ef.err(), &[]string{}); !errors.Is(again, ErrVersion) {

@@ -100,20 +100,6 @@ func (s *Shard) Remove(u, to int) bool {
 	return true
 }
 
-// HalfEdges counts the local half-edges of a part, stopping once the count
-// reaches limit (callers only compare against it).
-//
-//km:hotpath
-func (s *Shard) HalfEdges(members []int, limit int) int {
-	h := 0
-	for _, u := range members {
-		if h += len(s.adj[u]); h >= limit {
-			break
-		}
-	}
-	return h
-}
-
 // ShardPartition is a vertex partition of one input over k machines: the
 // Shard of every machine in the hosted range [lo, hi). It is built by
 // streaming an EdgeSource and sending each endpoint to its home machine's

@@ -209,7 +209,6 @@ func TestShardMutationMatchesOracle(t *testing.T) {
 		if step%97 != 0 && step != 3999 {
 			continue
 		}
-		half := 0
 		for _, v := range s.Owned() {
 			row := s.Adj(v)
 			if !sort.SliceIsSorted(row, func(a, b int) bool { return row[a].To < row[b].To }) {
@@ -223,10 +222,6 @@ func TestShardMutationMatchesOracle(t *testing.T) {
 					t.Fatalf("step %d: row %d holds %v, oracle (%d, %v)", step, v, h, w, ok)
 				}
 			}
-			half += len(row)
-		}
-		if got := s.HalfEdges(s.Owned(), 1<<30); got != half {
-			t.Fatalf("step %d: HalfEdges = %d, rows hold %d", step, got, half)
 		}
 	}
 	// The model's locality: a vertex homed elsewhere has no row here.

@@ -86,8 +86,8 @@ func TestResidencyOnZeroPlanChaos(t *testing.T) {
 		run  func(kmachine.TransportMaker) (string, *kmachine.Metrics)
 		want string
 	}{
-		{"dynamic", dynamic, "[0:12/1/264][1:12/1/71][2:12/1/50][3:12/1/45][4:12/1/66][5:12/1/24]"},
-		{"static", static, "[0:1/338][1:1/24][2:1/23][mst:191]"},
+		{"dynamic", dynamic, "[0:12/1/136][1:12/1/71][2:12/1/50][3:12/1/45][4:12/1/66][5:12/1/24]"},
+		{"static", static, "[0:1/187][1:1/24][2:1/23][mst:191]"},
 	} {
 		localTrace, localMet := c.run(nil)
 		chaosTrace, chaosMet := c.run(zeroPlanChaos)

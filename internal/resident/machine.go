@@ -400,17 +400,14 @@ func (m *rmachine) query() *output {
 }
 
 // selectBanks is the dynamic selection step: the static sketch path
-// (§2.3–2.5) with part sketches drawn from the maintained banks instead of
-// built fresh against a per-phase projection (light parts still are, into
-// one pooled scratch sketch), and every applied merge's sampled edge
-// recorded for the certificate forest.
+// (§2.3–2.5) with heavy parts' sketches drawn from the maintained banks
+// instead of built fresh against a per-phase projection (light parts ship
+// their adjacency rows), and every applied merge's sampled edge recorded
+// for the certificate forest.
 func (m *rmachine) selectBanks(bank int) {
-	seed := m.banks.seeds[bank]
-	scratch := m.mg.Pool().Get(seed)
-	m.mg.GatherParts(seed, func(label uint64, members []int) *sketch.Sketch {
-		return m.banks.get(label, bank, members, m.view, scratch)
+	m.mg.GatherParts(m.banks.seeds[bank], func(label uint64, members []int) *sketch.Sketch {
+		return m.banks.get(label, bank, members, m.view)
 	})
-	m.mg.Pool().Put(scratch)
 	m.mg.RankSampled(func(st *core.CompState, w int64) {
 		m.mergeRecs = append(m.mergeRecs, graph.Edge{U: st.PendU, V: st.PendV, W: w})
 	})

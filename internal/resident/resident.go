@@ -273,8 +273,8 @@ type BankMetrics struct {
 	// KeptBytes their cell arrays' size.
 	KeptSums  int
 	KeptBytes int64
-	// ReadsKept and ReadsRebuilt count part-sketch reads served by a kept
-	// sum and reads built from adjacency (light parts, and the first read
+	// ReadsKept and ReadsRebuilt count part reads served by a kept sum and
+	// reads served from adjacency (a light part's rows, and the first read
 	// of a heavy part's bank).
 	ReadsKept, ReadsRebuilt int64
 	// Dropped counts kept sums released without a successor: their part

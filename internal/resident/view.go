@@ -1,6 +1,7 @@
 package resident
 
 import (
+	"kmgraph/internal/core"
 	"kmgraph/internal/graph"
 	"kmgraph/internal/kmachine"
 	"kmgraph/internal/sketch"
@@ -9,10 +10,10 @@ import (
 // bankCache maintains sums of part members' l0-sketches over the *current*
 // adjacency, per component part held on this machine and per sketch bank —
 // but only where a sum pays for itself: a (part, bank) sum is kept only
-// when the part's local half-edge count reaches Params.Cells(), i.e. when
-// the summary is smaller than the adjacency it summarizes. A lighter
-// part's sketch is rebuilt from adjacency into the reader's scratch sketch
-// (a rebuild is free local computation). Kept sums are updated in O(1) per
+// when the part is not core.Light, i.e. when its local half-edge count
+// reaches Params.Cells() and the summary is smaller than the adjacency it
+// summarizes. A light part keeps no sum and ships its adjacency rows
+// instead (core.Merger.GatherParts). Kept sums are updated in O(1) per
 // edge op by AddItem's ±1 linearity, follow the certificate step's vertex
 // moves by AddVertex/SubVertex, fold in place when components merge, and
 // are drawn from and returned to the session merger's sketch pool.
@@ -29,32 +30,31 @@ func newBankCache(cells int, seeds []uint64, pool *sketch.Pool) *bankCache {
 }
 
 // get returns a part's sketch under one bank: the kept sum of a heavy part
-// (built on first read), or a rebuild into scratch for a light one — valid
-// until the next get, which is all GatherParts asks.
+// (built on first read), or nil for a light one, which GatherParts serves
+// from adjacency.
 //
 //km:hotpath
-func (c *bankCache) get(label uint64, bank int, members []int, view *kmachine.Shard, scratch *sketch.Sketch) *sketch.Sketch {
+func (c *bankCache) get(label uint64, bank int, members []int, view *kmachine.Shard) *sketch.Sketch {
 	sums := c.parts[label]
-	sk := scratch
-	if view.HalfEdges(members, c.cells) < c.cells {
+	if core.Light(view, members, nil, c.cells) {
 		if sums != nil {
 			c.drop(label) // the part shrank below what a sum is worth
 		}
-		sk.Reset()
-	} else {
-		if sums == nil {
-			sums = c.track(label)
-		}
-		if sums[bank] != nil {
-			c.stats.ReadsKept++
-			return sums[bank]
-		}
-		sk = c.pool.Get(c.seeds[bank])
-		sums[bank] = sk
-		c.stats.KeptSums++
-		c.stats.KeptPeak = max(c.stats.KeptPeak, c.stats.KeptSums)
+		c.stats.ReadsRebuilt++
+		return nil
+	}
+	if sums == nil {
+		sums = c.track(label)
+	}
+	if sums[bank] != nil {
+		c.stats.ReadsKept++
+		return sums[bank]
 	}
 	c.stats.ReadsRebuilt++
+	sk := c.pool.Get(c.seeds[bank])
+	sums[bank] = sk
+	c.stats.KeptSums++
+	c.stats.KeptPeak = max(c.stats.KeptPeak, c.stats.KeptSums)
 	for _, v := range members {
 		sk.AddVertex(v, view.Adj(v), nil)
 	}
@@ -210,7 +210,7 @@ func (c *bankCache) fold(root uint64, srcs []uint64, local map[uint64][]int, vie
 	for _, l := range srcs {
 		sums := c.parts[l]
 		switch {
-		case sums == nil && view.HalfEdges(local[l], c.cells) < c.cells:
+		case sums == nil && core.Light(view, local[l], nil, c.cells):
 			light = append(light, l)
 		case sums == nil:
 			complete = false

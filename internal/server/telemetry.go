@@ -155,7 +155,7 @@ func (s *Server) registerTenantMetrics(t *tenant) {
 		"Part-sketch reads served from a kept sketch-bank sum.",
 		func() float64 { return float64(t.c.Metrics().Banks.ReadsKept) }, g)
 	s.registry.CounterFunc("kmgraph_bank_reads_rebuilt_total",
-		"Part-sketch reads rebuilt from the part's adjacency.",
+		"Part reads served from the part's adjacency.",
 		func() float64 { return float64(t.c.Metrics().Banks.ReadsRebuilt) }, g)
 	s.registry.CounterFunc("kmgraph_bank_dropped_total",
 		"Kept sketch-bank sums released without a successor.",
