@@ -97,14 +97,17 @@ func TestGoldenConnectivityMetrics(t *testing.T) {
 		t.Fatalf("components = %d, want 1", res.Components)
 	}
 	checkPath(t, "connectivity", fmt.Sprintf("phases=%d failures=%d collapse=%d", res.Phases, res.SketchFailures, res.CollapseIters), "phases=8 failures=0 collapse=15")
-	// Re-pinned once, declared-algorithmic: a light part (fewer than
+	// Re-pinned twice, declared-algorithmic: a light part (fewer than
 	// Cells() local half-edges) ships its adjacency rows instead of its
 	// sketch, and the proxy adds them in by AddVertex to the same cells —
 	// 318 rounds became 186 and 387,298 payload bytes 75,418, with the
-	// messages and the path above unchanged.
+	// messages and the path above unchanged; then sums ride on count frames
+	// (proxy.Comm.ExchangeSum: an AllSum is one exchange, PhaseSync rides
+	// on the relabel exchange) — 186 rounds became 139 and 7,162 messages
+	// 5,943, on the same path.
 	checkGolden(t, "connectivity", &res.Metrics, goldenMetrics{
-		rounds: 186, messages: 7162, payload: 75418,
-		maxLink: 54760, totalBits: 921208, fingerprint: 10000305451513819197,
+		rounds: 139, messages: 5943, payload: 70310,
+		maxLink: 47968, totalBits: 806808, fingerprint: 10214090650055898558,
 	})
 }
 
@@ -117,9 +120,12 @@ func TestGoldenConnectivityEdgeCheckMetrics(t *testing.T) {
 	if res.Components != 1 {
 		t.Fatalf("components = %d, want 1", res.Components)
 	}
+	// Re-pinned once, declared-algorithmic: sums ride on count frames
+	// (proxy.Comm.ExchangeSum), so 132 rounds became 90 and 4,319 messages
+	// 3,619; the answer is unchanged.
 	checkGolden(t, "edgecheck", &res.Metrics, goldenMetrics{
-		rounds: 132, messages: 4319, payload: 40582,
-		maxLink: 45968, totalBits: 509152, fingerprint: 3973943383982545545,
+		rounds: 90, messages: 3619, payload: 37446,
+		maxLink: 39904, totalBits: 443296, fingerprint: 5584820081189671177,
 	})
 }
 
@@ -145,10 +151,14 @@ func TestGoldenMSTMetrics(t *testing.T) {
 	// 11 and 828 rounds 445, in the same 7 phases; then a light part ships
 	// its rows (lighter than the threshold) instead of its sketch — 445
 	// rounds became 246 and 269,727 payload bytes 57,829, with the messages
-	// and the path unchanged. The forest above is the same throughout.
+	// and the path unchanged; then sums ride on count frames
+	// (proxy.Comm.ExchangeSum: collapse's and elimination's sums are one
+	// exchange each, PhaseSync rides on the relabel exchange) — 246 rounds
+	// became 189 and 7,781 messages 6,796, on the same path. The forest
+	// above is the same throughout.
 	checkGolden(t, "mst", &res.Metrics, goldenMetrics{
-		rounds: 246, messages: 7781, payload: 57829,
-		maxLink: 92096, totalBits: 797136, fingerprint: 7902653826118550425,
+		rounds: 189, messages: 6796, payload: 52321,
+		maxLink: 80560, totalBits: 696640, fingerprint: 10033169675046022824,
 	})
 }
 
@@ -178,17 +188,20 @@ func TestGoldenDynamicMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Re-pinned once, declared-algorithmic: light parts ship their rows, so
+	// Re-pinned twice, declared-algorithmic: light parts ship their rows, so
 	// the cold first query fell from 264 to 136 rounds and the session from
 	// 534 to 406 (payload 239,202 to 70,483 bytes); the incremental queries,
-	// the messages and the path are unchanged.
-	const wantTrace = "[0:12/1/136][1:12/1/71][2:12/1/50][3:12/1/45][4:12/1/66][5:12/1/24]"
+	// the messages and the path are unchanged. Then sums ride on count
+	// frames (proxy.Comm.ExchangeSum), so the queries fell from
+	// 136/71/50/45/66/24 to 97/55/39/35/51/19 rounds and the session from
+	// 406 to 310, on the same path.
+	const wantTrace = "[0:12/1/97][1:12/1/55][2:12/1/39][3:12/1/35][4:12/1/51][5:12/1/19]"
 	if trace != wantTrace {
 		t.Errorf("dynamic trace drifted:\n got:  %s\n want: %s", trace, wantTrace)
 	}
 	checkGolden(t, "dynamic", met, goldenMetrics{
-		rounds: 406, messages: 5730, payload: 70483,
-		maxLink: 106416, totalBits: 776416, fingerprint: 10635007348978488148,
+		rounds: 310, messages: 4158, payload: 62075,
+		maxLink: 88728, totalBits: 617656, fingerprint: 16985862442884043319,
 	})
 }
 
@@ -215,9 +228,11 @@ func TestGoldenClusterResidentMetrics(t *testing.T) {
 	trace += fmt.Sprintf("[mst:%d]", len(mst.Edges))
 	path += fmt.Sprintf("[mst:%d/%d/%d]", mst.Phases, mst.SketchFailures, mst.ElimIters)
 	checkPath(t, "resident", path, "[0:8/0/14][1:1/0/1][2:1/0/1][mst:9/0/15]")
-	// Re-pinned once, declared-algorithmic: light parts ship their rows, so
-	// the cold query fell from 338 to 187 rounds on the same path.
-	const wantTrace = "[0:1/187][1:1/24][2:1/23][mst:191]"
+	// Re-pinned twice, declared-algorithmic: light parts ship their rows, so
+	// the cold query fell from 338 to 187 rounds on the same path; then sums
+	// ride on count frames (proxy.Comm.ExchangeSum), so the queries fell
+	// from 187/24/23 to 140/19/18 rounds, on the same path.
+	const wantTrace = "[0:1/140][1:1/19][2:1/18][mst:191]"
 	if trace != wantTrace {
 		t.Errorf("resident trace drifted:\n got:  %s\n want: %s", trace, wantTrace)
 	}

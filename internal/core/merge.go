@@ -90,7 +90,7 @@ func NewCompState(label uint64, k int) *CompState {
 // vertices, proxy-held component states, and the collapse/relabel
 // machinery. A selection step (sketch sampling, edge checking, MWOE
 // elimination, or dynamic bank sampling) fills States and applies the
-// merge rule; Collapse and BroadcastAndRelabel then finish the phase.
+// merge rule; Collapse and PhaseSync then finish the phase.
 type Merger struct {
 	Ctx  *kmachine.Ctx
 	Comm *proxy.Comm
@@ -124,9 +124,9 @@ type Merger struct {
 	OnRelabel func(relabel map[uint64]uint64)
 
 	// Cancelled, when non-nil, reports whether the current job was asked
-	// to stop. It is polled through PhaseSync's existing collectives, so
-	// every machine reaches the same verdict at the same point of the
-	// protocol and cancellation costs no extra rounds.
+	// to stop. It is polled through the phase sums PhaseSync carries on its
+	// relabel exchange, so every machine reaches the same verdict at the
+	// same point of the protocol and cancellation costs no extra rounds.
 	Cancelled func() bool
 
 	// allSlots makes SumAndSample keep every slot a sum verifies
@@ -426,9 +426,10 @@ func (m *Merger) ReleasePools() {
 	}
 }
 
-// cancelMask packs the cancellation flag into the high bits of the
-// failure/active AllSums: counts stay below 2^48, machine counts below
-// 2^16, so the two fields cannot collide.
+// cancelShift packs the cancellation flag into the high bits of a summed
+// count word (PhaseSync's failures, MST elimination's active count): counts
+// stay below 2^48, machine counts below 2^16, so the two fields cannot
+// collide.
 const cancelShift = 48
 
 // CancelBit returns 1 if this machine observes a cancellation request.
@@ -439,14 +440,16 @@ func (m *Merger) CancelBit() uint64 {
 	return 0
 }
 
-// PhaseSync runs the end-of-phase collectives: the cluster-wide count of
-// active components, the cluster-wide failure count, and the jointly
-// agreed cancellation verdict (piggybacked on the failure sum, so polling
-// for cancellation is free).
+// PhaseSync ends a phase in one exchange: the relabel exchange
+// (broadcastRelabel), whose count frames also carry the phase's sums — the
+// cluster-wide count of active components, the cluster-wide failure count,
+// and the jointly agreed cancellation verdict (packed into the failure
+// word, so polling for cancellation is free). Both words are final once
+// the selection step returns.
 func (m *Merger) PhaseSync() (active, failures uint64, cancelled bool) {
-	active = m.Comm.AllSum(m.PhaseActive)
-	fc := m.Comm.AllSum(m.PhaseFailures() | m.CancelBit()<<cancelShift)
-	return active, fc & (1<<cancelShift - 1), fc>>cancelShift > 0
+	sums := [2]uint64{m.PhaseActive, m.PhaseFailures() | m.CancelBit()<<cancelShift}
+	m.broadcastRelabel(sums[:])
+	return sums[0], sums[1] & (1<<cancelShift - 1), sums[1]>>cancelShift > 0
 }
 
 // PhaseFunc observes the end of a job's i-th phase (0-based within the
@@ -457,17 +460,16 @@ type PhaseFunc func(i, round int, active, failures uint64)
 // RunPhases is the Borůvka phase driver every job on every host runs:
 // up to maxPhases phases numbered firstPhase, firstPhase+1, … (0 for a
 // one-shot run; the session-global counter on a residency, so proxies and
-// ranks never repeat), each phase sel → Collapse → BroadcastAndRelabel →
-// PhaseSync. It stops when no component anywhere is active and nothing
-// failed (converged), when the machines jointly observe a cancellation
-// request, or when maxPhases are spent (neither flag set).
+// ranks never repeat), each phase sel → Collapse → PhaseSync. It stops
+// when no component anywhere is active and nothing failed (converged),
+// when the machines jointly observe a cancellation request, or when
+// maxPhases are spent (neither flag set).
 func (m *Merger) RunPhases(firstPhase, maxPhases int, sel func(i int), after PhaseFunc) (phases int, converged, cancelled bool) {
 	for m.Phase = firstPhase; phases < maxPhases; m.Phase++ {
 		m.StateSlot = 0
 		m.PhaseActive = 0
 		sel(phases)
 		m.Collapse()
-		m.BroadcastAndRelabel()
 		active, failures, cancel := m.PhaseSync()
 		if after != nil {
 			after(phases, m.Ctx.Round(), active, failures)
@@ -618,8 +620,7 @@ func (m *Merger) ApplyRank(st *CompState, nbrLabel uint64) {
 // SelectSketch is the paper's per-phase selection path (§2.3–2.5): fresh
 // part sketches to component proxies, linear combination, l0-sample,
 // neighbor-label resolution, DRR ranking. It fills m.States with each
-// component's merge decision; Collapse and BroadcastAndRelabel finish the
-// phase.
+// component's merge decision; Collapse and PhaseSync finish the phase.
 func (m *Merger) SelectSketch() {
 	m.GatherFreshParts(m.Sh.SketchSeed(m.Phase, 0))
 	m.RankSampled(nil)
@@ -759,20 +760,18 @@ func (m *Merger) AnswerLabelQueries(recv []kmachine.Message) []proxy.Out {
 	return out
 }
 
-// BroadcastAndRelabel sends each merged component's root label to all
-// machines holding parts and applies the relabeling locally, returning the
-// local count of merged components.
-func (m *Merger) BroadcastAndRelabel() uint64 {
+// broadcastRelabel sends each merged component's root label to all
+// machines holding parts and applies the relabeling locally; sum rides on
+// the exchange's count frames (proxy.Comm.ExchangeSum).
+func (m *Merger) broadcastRelabel(sum []uint64) {
 	k := m.Ctx.K()
 	out := m.outBuf[:0]
-	var localMerges uint64
 	a := m.Comm.Arena()
 	for _, label := range m.StateKeys() {
 		st := m.States[label]
 		if st.Cur == st.Label {
 			continue
 		}
-		localMerges++
 		buf := a.Grab(20)
 		buf = wire.AppendUvarint(buf, st.Label)
 		buf = wire.AppendUvarint(buf, st.Cur)
@@ -783,7 +782,7 @@ func (m *Merger) BroadcastAndRelabel() uint64 {
 			}
 		}
 	}
-	recv := m.Comm.Exchange(out)
+	recv := m.Comm.ExchangeSum(out, sum)
 	m.outBuf = out
 	if m.relabel == nil {
 		m.relabel = make(map[uint64]uint64)
@@ -797,7 +796,6 @@ func (m *Merger) BroadcastAndRelabel() uint64 {
 		relabel[oldL] = newL
 	}
 	m.applyRelabel(relabel)
-	return localMerges
 }
 
 // applyRelabel notifies the relabel hook, then rewrites owned labels

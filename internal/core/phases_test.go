@@ -106,6 +106,17 @@ func TestRunPhasesStopRule(t *testing.T) {
 		}
 	})
 
+	t.Run("floor", func(t *testing.T) {
+		// A phase whose selection step sends nothing costs its exchange
+		// floor alone: one collapse iteration (query, answer, the changed
+		// sum) and PhaseSync's relabel exchange carrying the phase sums —
+		// 4 rounds, after Setup's 2-round relay broadcast.
+		r := runPhases(t, 0, 5, nil, active)
+		if want := []int{6, 10, 14, 18, 22}; !slices.Equal(r.afterRound, want) {
+			t.Fatalf("after hook rounds %v, want %v (4 a phase)", r.afterRound, want)
+		}
+	})
+
 	t.Run("cancelled", func(t *testing.T) {
 		// One machine alone observes the request, during phase 1: every
 		// machine must stop together at that phase's end.

@@ -83,7 +83,10 @@ type Job struct {
 // specVersion 8 changes no byte of the spec: a light part travels to its
 // proxy as adjacency rows (core.Merger.PartPayload), which a build of
 // version 7 would misread as a sketch.
-const specVersion = 8
+// specVersion 9 changes no byte of the spec: an exchange's count frames
+// carry the reduce vector summed on them (proxy.Comm.ExchangeSum), which a
+// build of version 8 would refuse as bad count frames.
+const specVersion = 9
 
 // ErrVersion is the failure of a job spec from a build of another wire
 // version: a worker refuses it before it dials or loads anything, and the

@@ -5,6 +5,10 @@
 //     (machines announce per-destination message counts, then stream
 //     payloads; the collective completes when every announced message has
 //     arrived). All higher-level protocols are built from exchanges.
+//     The count frames go to every peer anyway, so they also carry a
+//     reduce vector (Comm.ExchangeSum): a cluster-wide sum rides on an
+//     exchange the protocol already pays for, and AllSum is one exchange
+//     of count frames alone.
 //   - RelayBroadcast, the paper's §2.2 routing trick: the source splits its
 //     payload into k-1 chunks, sends chunk i across link i, and every
 //     machine rebroadcasts its chunk — distributing b bits to all machines
@@ -109,11 +113,24 @@ func (c *Comm) frame(seq uint64, kind byte, payload []byte) []byte {
 // the given messages; the call returns every message addressed to this
 // machine in this collective, sorted by (source, send order). The round
 // cost is driven by the largest per-link traffic, which is how Lemma 1's
-// load-balancing manifests.
+// load-balancing manifests. Every machine announces its per-peer message
+// count in a count frame on every link, empty ones included, so an
+// exchange costs at least one round.
 //
 // The returned slice is reused by the next collective call on c; consume
 // it before then (retaining individual messages' Data bytes is fine).
 func (c *Comm) Exchange(out []Out) []kmachine.Message {
+	return c.ExchangeSum(out, nil)
+}
+
+// ExchangeSum is Exchange with a reduce vector riding on the count frames:
+// each frame's body is uvarint(count) followed by len(sum) uvarint words,
+// this machine's contribution. The words received are folded into sum in
+// place, so on return sum[i] is the cluster-wide total of every machine's
+// sum[i]. All machines must pass vectors of the same length; a count frame
+// with any other number of words is refused. A sum therefore costs no
+// round beyond the exchange it rides on.
+func (c *Comm) ExchangeSum(out []Out, sum []uint64) []kmachine.Message {
 	k := c.ctx.K()
 	seq := c.seq
 	c.seq++
@@ -132,10 +149,13 @@ func (c *Comm) Exchange(out []Out) []kmachine.Message {
 		if d == c.ctx.ID() {
 			continue
 		}
-		buf := a.Grab(21)
+		buf := a.Grab(21 + 10*len(sum))
 		buf = wire.AppendUvarint(buf, seq)
 		buf = append(buf, kindCount)
 		buf = wire.AppendUvarint(buf, counts[d])
+		for _, x := range sum {
+			buf = wire.AppendUvarint(buf, x)
+		}
 		c.ctx.Send(d, a.Commit(buf))
 	}
 	for _, o := range out {
@@ -187,6 +207,9 @@ func (c *Comm) Exchange(out []Out) []kmachine.Message {
 		case kindCount:
 			rr := wire.NewReader(body)
 			expected[m.Src] = int64(rr.Uvarint())
+			for i := range sum {
+				sum[i] += rr.Uvarint()
+			}
 			if rr.Done() != nil {
 				return fmt.Errorf("proxy: bad count frame from %d", m.Src)
 			}
@@ -251,27 +274,6 @@ func (c *Comm) GatherTo(root int, data []byte) [][]byte {
 		out[m.Src] = m.Data
 	}
 	return out
-}
-
-// BroadcastFrom sends data from root to every machine directly (root's
-// links carry the full payload). Everyone returns the data.
-func (c *Comm) BroadcastFrom(root int, data []byte) []byte {
-	var out []Out
-	if c.ctx.ID() == root {
-		for d := 0; d < c.ctx.K(); d++ {
-			if d != root {
-				out = append(out, Out{Dst: d, Data: data})
-			}
-		}
-	}
-	recv := c.Exchange(out)
-	if c.ctx.ID() == root {
-		return data
-	}
-	if len(recv) != 1 {
-		panic(fmt.Sprintf("proxy: broadcast expected 1 message, got %d", len(recv)))
-	}
-	return recv[0].Data
 }
 
 // RelayBroadcast distributes data from root to all machines using the
@@ -361,33 +363,12 @@ func (c *Comm) RelayBroadcast(root int, data []byte) []byte {
 	return outBuf[:total]
 }
 
-// AllReduceU64 combines one value per machine with op (must be associative
-// and commutative) and returns the result on every machine. Implemented as
-// gather-to-0 plus broadcast: O(1) exchanges of O(k) tiny messages.
-func (c *Comm) AllReduceU64(x uint64, op func(a, b uint64) uint64) uint64 {
-	a := c.ctx.Arena()
-	blobs := c.GatherTo(0, a.Commit(wire.AppendU64(a.Grab(8), x)))
-	var res uint64
-	var buf []byte
-	if c.ctx.ID() == 0 {
-		res = x
-		for src, b := range blobs {
-			if src == 0 || b == nil {
-				continue
-			}
-			r := wire.NewReader(b)
-			res = op(res, r.U64())
-		}
-		buf = a.Commit(wire.AppendU64(a.Grab(8), res))
-	}
-	buf = c.BroadcastFrom(0, buf)
-	r := wire.NewReader(buf)
-	return r.U64()
-}
-
-// AllSum returns the sum of x over all machines, on every machine.
+// AllSum returns the sum of x over all machines, on every machine: one
+// exchange of count frames alone.
 func (c *Comm) AllSum(x uint64) uint64 {
-	return c.AllReduceU64(x, func(a, b uint64) uint64 { return a + b })
+	sum := [1]uint64{x}
+	c.ExchangeSum(nil, sum[:])
+	return sum[0]
 }
 
 // Shared is the shared randomness established by Setup: a seed all

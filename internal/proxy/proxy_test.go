@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"kmgraph/internal/kmachine"
@@ -145,10 +146,6 @@ func TestGatherBroadcast(t *testing.T) {
 		} else if blobs != nil {
 			return fmt.Errorf("non-root got blobs")
 		}
-		got := comm.BroadcastFrom(2, []byte{99})
-		if len(got) != 1 || got[0] != 99 {
-			return fmt.Errorf("broadcast got %v", got)
-		}
 		return nil
 	})
 	if err != nil {
@@ -174,7 +171,17 @@ func TestRelayBroadcastCorrectAndFaster(t *testing.T) {
 			if relay {
 				got = comm.RelayBroadcast(0, data)
 			} else {
-				got = comm.BroadcastFrom(0, data)
+				// Direct: root's links each carry the whole payload.
+				var out []Out
+				if ctx.ID() == 0 {
+					for d := 1; d < k; d++ {
+						out = append(out, Out{Dst: d, Data: data})
+					}
+				}
+				got = data
+				if recv := comm.Exchange(out); ctx.ID() != 0 && len(recv) == 1 {
+					got = recv[0].Data
+				}
 			}
 			if !bytes.Equal(got, payload) {
 				return fmt.Errorf("machine %d: payload mismatch (len %d)", ctx.ID(), len(got))
@@ -222,20 +229,77 @@ func TestRelayBroadcastSmallAndK1(t *testing.T) {
 func TestAllReduce(t *testing.T) {
 	k := 7
 	c := newCluster(t, k, 2048)
-	_, err := c.Run(func(ctx *kmachine.Ctx) error {
+	res, err := c.Run(func(ctx *kmachine.Ctx) error {
 		comm := NewComm(ctx)
-		sum := comm.AllSum(uint64(ctx.ID()))
-		if sum != 21 {
+		if sum := comm.AllSum(uint64(ctx.ID())); sum != 21 {
 			return fmt.Errorf("sum = %d", sum)
-		}
-		mx := comm.AllReduceU64(uint64(ctx.ID()*10), func(a, b uint64) uint64 { return max(a, b) })
-		if mx != 60 {
-			return fmt.Errorf("max = %d", mx)
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	// One exchange of count frames alone: one round, one frame per link.
+	if res.Metrics.Rounds != 1 || res.Metrics.Messages != int64(k*(k-1)) {
+		t.Errorf("AllSum cost %d rounds, %d messages; want 1, %d", res.Metrics.Rounds, res.Metrics.Messages, k*(k-1))
+	}
+}
+
+// TestExchangeSum sums a 2-word vector on the count frames of an exchange
+// that also carries payload messages: both arrive intact.
+func TestExchangeSum(t *testing.T) {
+	for _, k := range []int{1, 2, 7} {
+		c := newCluster(t, k, 2048)
+		_, err := c.Run(func(ctx *kmachine.Ctx) error {
+			comm := NewComm(ctx)
+			id := ctx.ID()
+			out := []Out{{Dst: (id + 1) % k, Data: []byte{byte(id), 1}}, {Dst: (id + 1) % k, Data: []byte{byte(id), 2}}}
+			sum := []uint64{uint64(id + 1), 1 << (40 + id)}
+			recv := comm.ExchangeSum(out, sum)
+			var want1 uint64
+			for i := 0; i < k; i++ {
+				want1 += 1 << (40 + i)
+			}
+			if sum[0] != uint64(k*(k+1)/2) || sum[1] != want1 {
+				return fmt.Errorf("k=%d machine %d: sum = %v, want [%d %d]", k, id, sum, k*(k+1)/2, want1)
+			}
+			from := (id + k - 1) % k
+			if len(recv) != 2 || recv[0].Src != from || !bytes.Equal(recv[0].Data, []byte{byte(from), 1}) || !bytes.Equal(recv[1].Data, []byte{byte(from), 2}) {
+				return fmt.Errorf("k=%d machine %d: payloads %v", k, id, recv)
+			}
+			// A plain exchange after a summed one still carries no words.
+			if got := comm.Exchange(nil); len(got) != 0 {
+				return fmt.Errorf("k=%d machine %d: empty exchange returned %d", k, id, len(got))
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("k=%d: %v", k, err)
+		}
+	}
+}
+
+// TestExchangeSumRefusesWordCount sends machine 1 a hand-made count frame
+// whose reduce vector has the wrong number of words.
+func TestExchangeSumRefusesWordCount(t *testing.T) {
+	for _, words := range []int{0, 1, 3} {
+		c := newCluster(t, 2, 2048)
+		_, err := c.Run(func(ctx *kmachine.Ctx) error {
+			if ctx.ID() == 0 {
+				buf := append(wire.AppendUvarint(nil, 0), kindCount)
+				buf = wire.AppendUvarint(buf, 0)
+				for i := 0; i < words; i++ {
+					buf = wire.AppendUvarint(buf, 5)
+				}
+				ctx.Send(1, buf)
+				return nil
+			}
+			NewComm(ctx).ExchangeSum(nil, []uint64{1, 2})
+			return nil
+		})
+		if err == nil || !strings.Contains(err.Error(), "bad count frame from 0") {
+			t.Errorf("%d words for 2: err = %v, want a bad count frame", words, err)
+		}
 	}
 }
 

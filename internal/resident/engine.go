@@ -159,8 +159,9 @@ func (e *Engine) notify(ev Event) {
 }
 
 // jobCancelled reports whether the currently running job has been asked to
-// stop; the engine's own machines poll it through PhaseSync's collectives
-// (a fleet's hear it from Remote.Run's context).
+// stop; the engine's own machines poll it through the phase sums PhaseSync
+// carries on its relabel exchange (a fleet's hear it from Remote.Run's
+// context).
 func (e *Engine) jobCancelled() bool {
 	p := e.cancel.Load()
 	return p != nil && p.Load()

@@ -86,8 +86,12 @@ func TestResidencyOnZeroPlanChaos(t *testing.T) {
 		run  func(kmachine.TransportMaker) (string, *kmachine.Metrics)
 		want string
 	}{
-		{"dynamic", dynamic, "[0:12/1/136][1:12/1/71][2:12/1/50][3:12/1/45][4:12/1/66][5:12/1/24]"},
-		{"static", static, "[0:1/187][1:1/24][2:1/23][mst:191]"},
+		// Copies of the root goldens' traces, re-pinned with them when sums
+		// began to ride on count frames (declared-algorithmic: queries
+		// 136/71/50/45/66/24 → 97/55/39/35/51/19 and 187/24/23 → 140/19/18
+		// rounds, on the same path).
+		{"dynamic", dynamic, "[0:12/1/97][1:12/1/55][2:12/1/39][3:12/1/35][4:12/1/51][5:12/1/19]"},
+		{"static", static, "[0:1/140][1:1/19][2:1/18][mst:191]"},
 	} {
 		localTrace, localMet := c.run(nil)
 		chaosTrace, chaosMet := c.run(zeroPlanChaos)

@@ -34,12 +34,12 @@
 // Jobs are serialized: a semaphore admits one at a time, callers queue on
 // it, and a caller whose context is cancelled while queued never runs.
 // A running job observes cancellation cooperatively at phase boundaries —
-// the verdict rides the phase-end collectives (core.Merger.PhaseSync), so
-// every machine stops at the same point of the protocol, the barrier is
-// never wedged, and the cluster stays serviceable for the next job. A
-// run that fails — a machine program that panics, a session past
-// MaxRounds — ends the residency instead: that job and every later one
-// return the run's error.
+// the verdict rides the phase sums core.Merger.PhaseSync carries on its
+// relabel exchange, so every machine stops at the same point of the
+// protocol, the barrier is never wedged, and the cluster stays
+// serviceable for the next job. A run that fails — a machine program that
+// panics, a session past MaxRounds — ends the residency instead: that job
+// and every later one return the run's error.
 // Per-phase freshness across jobs comes from a session-global phase
 // counter: proxy assignments h_{j,ρ}, DRR ranks, and sketch seeds never
 // repeat within a session.
