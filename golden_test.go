@@ -97,17 +97,20 @@ func TestGoldenConnectivityMetrics(t *testing.T) {
 		t.Fatalf("components = %d, want 1", res.Components)
 	}
 	checkPath(t, "connectivity", fmt.Sprintf("phases=%d failures=%d collapse=%d", res.Phases, res.SketchFailures, res.CollapseIters), "phases=8 failures=0 collapse=15")
-	// Re-pinned twice, declared-algorithmic: a light part (fewer than
+	// Re-pinned three times, declared-algorithmic: a light part (fewer than
 	// Cells() local half-edges) ships its adjacency rows instead of its
 	// sketch, and the proxy adds them in by AddVertex to the same cells —
 	// 318 rounds became 186 and 387,298 payload bytes 75,418, with the
 	// messages and the path above unchanged; then sums ride on count frames
 	// (proxy.Comm.ExchangeSum: an AllSum is one exchange, PhaseSync rides
 	// on the relabel exchange) — 186 rounds became 139 and 7,162 messages
-	// 5,943, on the same path.
+	// 5,943, on the same path. Then, declared-algorithmic once more, an
+	// exchange sends one frame per link with its payloads inside, and
+	// Collapse's changed-sum rides on its next query exchange — 139 rounds
+	// became 116 and 5,943 messages 1,787, on the same path.
 	checkGolden(t, "connectivity", &res.Metrics, goldenMetrics{
-		rounds: 139, messages: 5943, payload: 70310,
-		maxLink: 47968, totalBits: 806808, fingerprint: 10214090650055898558,
+		rounds: 116, messages: 1787, payload: 65518,
+		maxLink: 34016, totalBits: 539640, fingerprint: 7746819361692233280,
 	})
 }
 
@@ -120,12 +123,14 @@ func TestGoldenConnectivityEdgeCheckMetrics(t *testing.T) {
 	if res.Components != 1 {
 		t.Fatalf("components = %d, want 1", res.Components)
 	}
-	// Re-pinned once, declared-algorithmic: sums ride on count frames
+	// Re-pinned twice, declared-algorithmic: sums ride on count frames
 	// (proxy.Comm.ExchangeSum), so 132 rounds became 90 and 4,319 messages
-	// 3,619; the answer is unchanged.
+	// 3,619; then one frame per link per exchange, and Collapse's sum on
+	// its next query exchange, so 90 rounds became 75 and 3,619 messages
+	// 1,041; the answer is unchanged.
 	checkGolden(t, "edgecheck", &res.Metrics, goldenMetrics{
-		rounds: 90, messages: 3619, payload: 37446,
-		maxLink: 39904, totalBits: 443296, fingerprint: 5584820081189671177,
+		rounds: 75, messages: 1041, payload: 34690,
+		maxLink: 25104, totalBits: 279752, fingerprint: 4426880746189167181,
 	})
 }
 
@@ -146,7 +151,7 @@ func TestGoldenMSTMetrics(t *testing.T) {
 		t.Fatalf("MST weight = %d, want 9531", total)
 	}
 	checkPath(t, "mst", fmt.Sprintf("phases=%d failures=%d elim=%d", res.Phases, res.SketchFailures, res.ElimIters), "phases=7 failures=0 elim=11")
-	// Re-pinned twice, declared-algorithmic: elimination takes every slot a
+	// Re-pinned four times, declared-algorithmic: elimination takes every slot a
 	// sum verified (core.MWOE) where §3.1 draws one — 37 iterations became
 	// 11 and 828 rounds 445, in the same 7 phases; then a light part ships
 	// its rows (lighter than the threshold) instead of its sketch — 445
@@ -154,11 +159,13 @@ func TestGoldenMSTMetrics(t *testing.T) {
 	// and the path unchanged; then sums ride on count frames
 	// (proxy.Comm.ExchangeSum: collapse's and elimination's sums are one
 	// exchange each, PhaseSync rides on the relabel exchange) — 246 rounds
-	// became 189 and 7,781 messages 6,796, on the same path. The forest
-	// above is the same throughout.
+	// became 189 and 7,781 messages 6,796, on the same path; then an
+	// exchange sends one frame per link, and Collapse's sum rides on its
+	// next query exchange — 189 rounds became 151 and 6,796 messages 1,737,
+	// on the same path. The forest above is the same throughout.
 	checkGolden(t, "mst", &res.Metrics, goldenMetrics{
-		rounds: 189, messages: 6796, payload: 52321,
-		maxLink: 80560, totalBits: 696640, fingerprint: 10033169675046022824,
+		rounds: 151, messages: 1737, payload: 46280,
+		maxLink: 47728, totalBits: 386944, fingerprint: 6186411045927247367,
 	})
 }
 
@@ -188,20 +195,23 @@ func TestGoldenDynamicMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Re-pinned twice, declared-algorithmic: light parts ship their rows, so
+	// Re-pinned three times, declared-algorithmic: light parts ship their rows, so
 	// the cold first query fell from 264 to 136 rounds and the session from
 	// 534 to 406 (payload 239,202 to 70,483 bytes); the incremental queries,
 	// the messages and the path are unchanged. Then sums ride on count
 	// frames (proxy.Comm.ExchangeSum), so the queries fell from
 	// 136/71/50/45/66/24 to 97/55/39/35/51/19 rounds and the session from
-	// 406 to 310, on the same path.
-	const wantTrace = "[0:12/1/97][1:12/1/55][2:12/1/39][3:12/1/35][4:12/1/51][5:12/1/19]"
+	// 406 to 310, on the same path. Then one frame per link per exchange,
+	// and Collapse's sum on its next query exchange: the first three
+	// queries fell from 97/55/39 to 84/54/38 rounds and the session from
+	// 310 to 295 (4,158 messages to 2,219), on the same path.
+	const wantTrace = "[0:12/1/84][1:12/1/54][2:12/1/38][3:12/1/35][4:12/1/51][5:12/1/19]"
 	if trace != wantTrace {
 		t.Errorf("dynamic trace drifted:\n got:  %s\n want: %s", trace, wantTrace)
 	}
 	checkGolden(t, "dynamic", met, goldenMetrics{
-		rounds: 310, messages: 4158, payload: 62075,
-		maxLink: 88728, totalBits: 617656, fingerprint: 16985862442884043319,
+		rounds: 295, messages: 2219, payload: 58439,
+		maxLink: 77432, totalBits: 481272, fingerprint: 12954001032385458548,
 	})
 }
 
@@ -228,11 +238,13 @@ func TestGoldenClusterResidentMetrics(t *testing.T) {
 	trace += fmt.Sprintf("[mst:%d]", len(mst.Edges))
 	path += fmt.Sprintf("[mst:%d/%d/%d]", mst.Phases, mst.SketchFailures, mst.ElimIters)
 	checkPath(t, "resident", path, "[0:8/0/14][1:1/0/1][2:1/0/1][mst:9/0/15]")
-	// Re-pinned twice, declared-algorithmic: light parts ship their rows, so
+	// Re-pinned three times, declared-algorithmic: light parts ship their rows, so
 	// the cold query fell from 338 to 187 rounds on the same path; then sums
 	// ride on count frames (proxy.Comm.ExchangeSum), so the queries fell
-	// from 187/24/23 to 140/19/18 rounds, on the same path.
-	const wantTrace = "[0:1/140][1:1/19][2:1/18][mst:191]"
+	// from 187/24/23 to 140/19/18 rounds, on the same path. Then one frame
+	// per link per exchange, and Collapse's sum on its next query exchange:
+	// 140/19/18 became 121/18/18, on the same path.
+	const wantTrace = "[0:1/121][1:1/18][2:1/18][mst:191]"
 	if trace != wantTrace {
 		t.Errorf("resident trace drifted:\n got:  %s\n want: %s", trace, wantTrace)
 	}

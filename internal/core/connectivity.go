@@ -35,8 +35,9 @@
 // EdgeCheckSelection replaces step 1–3 with the GHS-style strategy the
 // paper argues against (§1.2): every phase, query the current label of
 // every neighbor across every edge, and pick an outgoing edge directly.
-// Its per-phase traffic is Θ(m) instead of Θ̃(n), isolating exactly the
-// contribution of linear sketching (ablation in experiment E1).
+// Label queries are deduplicated per machine, so a phase moves
+// Θ(min(m, nk)) label entries instead of Θ̃(n) sketch cells: Θ(m) only
+// while m ≤ nk (ablation in experiment E1).
 //
 // All communication goes through proxy.Comm exchanges, so the engine's
 // per-link bandwidth accounting prices every step exactly as Lemma 1 does.
@@ -110,7 +111,8 @@ type Config struct {
 	// MaxRounds aborts runaway executions (0 = the engine default; a
 	// residency's is 5,000,000 cumulative rounds).
 	MaxRounds int
-	// MessageOverheadBits models per-message framing (0 = 64).
+	// MessageOverheadBits models a frame's header (0 = 64); an exchange
+	// sends one frame per link.
 	MessageOverheadBits int
 }
 
@@ -418,8 +420,9 @@ func (m *Merger) countComponents() int {
 }
 
 // selectEdgeCheck is the GHS-style baseline: learn the label of every
-// neighbor across every edge (Θ(m) traffic per phase), then nominate the
-// smallest outgoing edge per part directly.
+// neighbor across every edge (Θ(min(m, nk)) label entries per phase, one
+// per distinct neighbor per machine), then nominate the smallest outgoing
+// edge per part directly.
 func (m *Merger) selectEdgeCheck() {
 	k := m.Ctx.K()
 	parts := m.Parts()

@@ -96,7 +96,7 @@ func TestLightPartRowsMatchSketch(t *testing.T) {
 								}
 								body = sk
 							}
-							out = append(out, proxy.Out{Dst: int(label % uint64(k)), Data: m.PartPayload(label, parts[label], filter, body), Framed: true})
+							out = append(out, proxy.Out{Dst: int(label % uint64(k)), Data: m.PartPayload(label, parts[label], filter, body)})
 						}
 						m.Pool().Put(sk)
 						m.SumAndSample(m.Comm.Exchange(out), seed, true)

@@ -142,10 +142,11 @@ type Merger struct {
 	partsFree    [][]int
 	stFree       []*CompState
 	statesSpare  map[uint64]*CompState
-	encScratch   []byte
+	encScratch   []byte       // PartPayload: this gather's parts, back to back
 	rowBuf       []graph.Half // addPart: one decoded row
 	outBuf       []proxy.Out
 	ansBuf       []proxy.Out
+	queryBuf     []kmachine.Message // Collapse: queries held across a handoff
 	keyBuf       []uint64
 	chainNext    []int32 // SumAndSample: message -> next message of its label, -1 ends
 	chainHead    []int32 // SumAndSample: first message of each label seen
@@ -307,13 +308,16 @@ func keptDegree(u int, adj []graph.Half, filter func(u int, h graph.Half) bool) 
 	return d
 }
 
-// PartPayload encodes one part through the machine's reusable scratch
-// buffer and interns the exact-size result in the arena. The header is
+// PartPayload encodes one part after the gather's earlier ones in the
+// machine's part scratch, which each gather empties, and returns its bytes:
+// they stay intact until the next gather, and the exchange copies them into
+// their link's frame, so a part is copied once. The header is
 // uvarint(label<<1 | rows). A sketch body is sk.EncodeTo; a nil sk means
 // rows under filter: uvarint(count), then per member with a kept half-edge
 // uvarint(v), uvarint(d) and d × uvarint(to).
 func (m *Merger) PartPayload(label uint64, members []int, filter func(u int, h graph.Half) bool, sk *sketch.Sketch) []byte {
-	scr := m.encScratch[:0]
+	scr := m.encScratch
+	start := len(scr)
 	if sk != nil {
 		scr = sk.EncodeTo(wire.AppendUvarint(scr, label<<1))
 	} else {
@@ -335,7 +339,7 @@ func (m *Merger) PartPayload(label uint64, members []int, filter func(u int, h g
 		}
 	}
 	m.encScratch = scr
-	return m.Comm.FramedPayload(scr)
+	return scr[start:len(scr):len(scr)]
 }
 
 // NewState returns a zeroed root CompState for label, reusing a recycled
@@ -441,7 +445,7 @@ func (m *Merger) CancelBit() uint64 {
 }
 
 // PhaseSync ends a phase in one exchange: the relabel exchange
-// (broadcastRelabel), whose count frames also carry the phase's sums — the
+// (broadcastRelabel), whose frames also carry the phase's sums — the
 // cluster-wide count of active components, the cluster-wide failure count,
 // and the jointly agreed cancellation verdict (packed into the failure
 // word, so polling for cancellation is free). Both words are final once
@@ -636,9 +640,10 @@ func (m *Merger) SelectSketch() {
 func (m *Merger) GatherParts(seed uint64, part func(label uint64, members []int) *sketch.Sketch) {
 	parts := m.Parts()
 	out := m.outBuf[:0]
+	m.encScratch = m.encScratch[:0]
 	for _, label := range SortedKeys(parts) {
 		members := parts[label]
-		out = append(out, proxy.Out{Dst: m.ProxyOf(0, label), Data: m.PartPayload(label, members, nil, part(label, members)), Framed: true})
+		out = append(out, proxy.Out{Dst: m.ProxyOf(0, label), Data: m.PartPayload(label, members, nil, part(label, members))})
 	}
 	recv := m.Comm.Exchange(out)
 	m.outBuf = out
@@ -762,7 +767,7 @@ func (m *Merger) AnswerLabelQueries(recv []kmachine.Message) []proxy.Out {
 
 // broadcastRelabel sends each merged component's root label to all
 // machines holding parts and applies the relabeling locally; sum rides on
-// the exchange's count frames (proxy.Comm.ExchangeSum).
+// the exchange's frames, one per link (proxy.Comm.ExchangeSum).
 func (m *Merger) broadcastRelabel(sum []uint64) {
 	k := m.Ctx.K()
 	out := m.outBuf[:0]
@@ -817,12 +822,21 @@ func (m *Merger) applyRelabel(relabel map[uint64]uint64) {
 // Collapse resolves every component's pointer to its tree root. The
 // default is pointer doubling (cur <- cur's cur) with state handoff to
 // fresh proxies each iteration; level-wise mode answers the original
-// parent instead, walking one level per iteration as in Lemma 5.
+// parent instead, walking one level per iteration as in Lemma 5. From the
+// second iteration on, the last iteration's cluster-wide changed count
+// rides on the query exchange, whose queries go to the proxies cur's state
+// is handed to next: when nothing changed anywhere the queries are dropped
+// and no handoff happens, otherwise the handoff runs before the answers.
+// T iterations cost 3T exchanges.
 func (m *Merger) Collapse() {
 	a := m.Comm.Arena()
-	for {
-		m.CollapseIters++
-		// Queries: ask the proxy currently holding cur's state.
+	var changed [1]uint64
+	for first := true; ; first = false {
+		slot, sum := m.StateSlot, changed[:0]
+		if !first {
+			slot, sum = slot+1, changed[:]
+		}
+		// Queries: ask the proxy holding cur's state once any handoff is done.
 		out := m.outBuf[:0]
 		for _, label := range m.StateKeys() {
 			st := m.States[label]
@@ -832,12 +846,23 @@ func (m *Merger) Collapse() {
 			q := a.Grab(20)
 			q = wire.AppendUvarint(q, st.Cur)
 			q = wire.AppendUvarint(q, st.Label)
-			out = append(out, proxy.Out{Dst: m.ProxyOf(m.StateSlot, st.Cur), Data: a.Commit(q)})
+			out = append(out, proxy.Out{Dst: m.ProxyOf(slot, st.Cur), Data: a.Commit(q)})
 		}
-		recv := m.Comm.Exchange(out)
+		recv := m.Comm.ExchangeSum(out, sum)
+		m.outBuf = out
+		if !first {
+			if changed[0] == 0 {
+				return
+			}
+			// The handoff's exchange reuses the receive slice.
+			m.queryBuf = append(m.queryBuf[:0], recv...)
+			recv = m.queryBuf
+			m.HandoffStates()
+		}
+		m.CollapseIters++
 
-		// Answers.
-		out = out[:0]
+		// Answers, to wherever the asker's state now is.
+		out = m.outBuf[:0]
 		for _, msg := range recv {
 			r := wire.NewReader(msg.Data)
 			target := r.Uvarint()
@@ -853,13 +878,13 @@ func (m *Merger) Collapse() {
 			rep := a.Grab(20)
 			rep = wire.AppendUvarint(rep, asker)
 			rep = wire.AppendUvarint(rep, ans)
-			out = append(out, proxy.Out{Dst: msg.Src, Data: a.Commit(rep)})
+			out = append(out, proxy.Out{Dst: m.ProxyOf(m.StateSlot, asker), Data: a.Commit(rep)})
 		}
 		recv = m.Comm.Exchange(out)
 		m.outBuf = out
 
 		// Updates.
-		var changed uint64
+		changed[0] = 0
 		for _, msg := range recv {
 			r := wire.NewReader(msg.Data)
 			asker := r.Uvarint()
@@ -870,13 +895,9 @@ func (m *Merger) Collapse() {
 			}
 			if newCur != st.Cur {
 				st.Cur = newCur
-				changed++
+				changed[0]++
 			}
 		}
-		if m.Comm.AllSum(changed) == 0 {
-			return
-		}
-		m.HandoffStates()
 	}
 }
 

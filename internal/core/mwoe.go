@@ -184,13 +184,13 @@ func (w *MWOE) Select() {
 		slices.SortFunc(ths, func(a, b threshold) int { return cmp.Compare(a.label, b.label) })
 		w.thresholds = ths
 		seed := m.Sh.SketchSeed(m.Phase, s)
-		out = out[:0]
+		out, m.encScratch = out[:0], m.encScratch[:0]
 		part := m.Pool().Get(seed)
 		for _, th := range ths {
 			w.cut = th
 			members := parts[th.label]
 			sk := m.partSketch(part, members, w.lighter)
-			out = append(out, proxy.Out{Dst: m.ProxyOf(m.StateSlot, th.label), Data: m.PartPayload(th.label, members, w.lighter, sk), Framed: true})
+			out = append(out, proxy.Out{Dst: m.ProxyOf(m.StateSlot, th.label), Data: m.PartPayload(th.label, members, w.lighter, sk)})
 		}
 		m.Pool().Put(part)
 		recv = m.Comm.Exchange(out)

@@ -60,8 +60,14 @@ func TestTinyBandwidthStillCorrect(t *testing.T) {
 	if tiny.Components != 4 || normal.Components != 4 {
 		t.Errorf("components %d/%d, want 4", tiny.Components, normal.Components)
 	}
-	if tiny.Metrics.Rounds <= 4*normal.Metrics.Rounds {
-		t.Errorf("tiny bandwidth (%d rounds) should cost far more than normal (%d)",
+	// The model's own premise: a link moves at most 64 bits a round, so
+	// the busiest link alone takes its bits/64 rounds.
+	if floor := (tiny.Metrics.MaxLinkBits + 63) / 64; int64(tiny.Metrics.Rounds) < floor {
+		t.Errorf("tiny bandwidth took %d rounds, under its busiest link's %d bits / 64 = %d",
+			tiny.Metrics.Rounds, tiny.Metrics.MaxLinkBits, floor)
+	}
+	if tiny.Metrics.Rounds <= normal.Metrics.Rounds {
+		t.Errorf("tiny bandwidth (%d rounds) should cost more than normal (%d)",
 			tiny.Metrics.Rounds, normal.Metrics.Rounds)
 	}
 }

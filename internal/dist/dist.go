@@ -86,7 +86,10 @@ type Job struct {
 // specVersion 9 changes no byte of the spec: an exchange's count frames
 // carry the reduce vector summed on them (proxy.Comm.ExchangeSum), which a
 // build of version 8 would refuse as bad count frames.
-const specVersion = 9
+// specVersion 10 changes no byte of the spec: an exchange sends one frame
+// per link, its payloads carried in the frame (proxy.Comm.ExchangeSum), and
+// Collapse's changed-sum rides on its next query exchange.
+const specVersion = 10
 
 // ErrVersion is the failure of a job spec from a build of another wire
 // version: a worker refuses it before it dials or loads anything, and the

@@ -127,11 +127,12 @@ func realControlFrames(t testing.TB) map[tcp.FrameType][][]byte {
 	}
 	// A connectivity job too: its result frames carry the other output
 	// kind, and the corpus's heartbeat count follows the jobs' wall time,
-	// which fell when the proxies stopped keeping per-component sums and
-	// again when light parts began to ship rows (and wanders by ±5 % of
-	// the count from run to run: n=60000 keeps the corpus above its old
-	// size on a slow run too).
-	if _, err := fleetStatic(ctx, FleetSpec{Source: "gnm:60000:180000:5", Addrs: addrs}, cfg); err != nil {
+	// which fell when the proxies stopped keeping per-component sums, again
+	// when light parts began to ship rows, and again when an exchange
+	// began to send one frame per link (and wanders by ±6 % of the count
+	// from run to run: n=120000 keeps the corpus above its old size on a
+	// fast run too).
+	if _, err := fleetStatic(ctx, FleetSpec{Source: "gnm:120000:360000:5", Addrs: addrs}, cfg); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := RunConnectivity(ctx, addrs, "store:/nonexistent.kmgs", core.Config{K: 4, Seed: 9}); err == nil {

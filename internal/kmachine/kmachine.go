@@ -69,7 +69,8 @@ type Config struct {
 	// Use Bandwidth(n) for the standard polylog(n) setting.
 	BandwidthBits int
 	// MessageOverheadBits is added to every message's transmission cost,
-	// modeling addressing/framing headers (Θ(log n) in the model).
+	// modeling addressing/framing headers (Θ(log n) in the model). A
+	// proxy exchange sends one message per link, so it is paid per frame.
 	MessageOverheadBits int
 	// Seed drives all per-machine private randomness.
 	Seed int64

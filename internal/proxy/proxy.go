@@ -1,14 +1,14 @@
 // Package proxy provides the communication layer the paper's algorithms
 // are written against:
 //
-//   - Comm.Exchange, a deterministic bulk point-to-point collective
-//     (machines announce per-destination message counts, then stream
-//     payloads; the collective completes when every announced message has
-//     arrived). All higher-level protocols are built from exchanges.
-//     The count frames go to every peer anyway, so they also carry a
-//     reduce vector (Comm.ExchangeSum): a cluster-wide sum rides on an
-//     exchange the protocol already pays for, and AllSum is one exchange
-//     of count frames alone.
+//   - Comm.Exchange, a deterministic bulk point-to-point collective: each
+//     machine sends every peer exactly one frame, its payloads for that
+//     peer inside and empty links included, and the collective completes
+//     once a frame from every peer has arrived. All higher-level protocols
+//     are built from exchanges. The frames go to every peer anyway, so
+//     they also carry a reduce vector (Comm.ExchangeSum): a cluster-wide
+//     sum rides on an exchange the protocol already pays for, and AllSum
+//     is one exchange of empty frames.
 //   - RelayBroadcast, the paper's §2.2 routing trick: the source splits its
 //     payload into k-1 chunks, sends chunk i across link i, and every
 //     machine rebroadcasts its chunk — distributing b bits to all machines
@@ -24,6 +24,7 @@ package proxy
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"kmgraph/internal/hashing"
@@ -31,64 +32,36 @@ import (
 	"kmgraph/internal/wire"
 )
 
-// Out is an outgoing payload addressed to a machine.
-//
-// Framed marks a payload built with FrameHeadroom reserved bytes in front
-// (see Comm.FramedPayload): Exchange stamps the frame header into the
-// reservation instead of copying the whole payload into a fresh frame —
-// the zero-copy path for large messages.
+// Out is an outgoing payload addressed to a machine. The exchange copies
+// Data into its link's frame, so the caller may reuse it once the call returns.
 type Out struct {
-	Dst    int
-	Data   []byte
-	Framed bool
+	Dst  int
+	Data []byte
 }
-
-// FrameHeadroom is the reservation, in bytes, preceding a Framed payload:
-// room for the largest uvarint sequence number plus the kind byte.
-const FrameHeadroom = 11
-
-// FramedPayload interns body into the arena with FrameHeadroom reserved
-// bytes in front and returns the payload for an Out with Framed set. The
-// body bytes are stable; the reservation is stamped by Exchange at send
-// time.
-func (c *Comm) FramedPayload(body []byte) []byte {
-	var headroom [FrameHeadroom]byte
-	a := c.ctx.Arena()
-	buf := a.Grab(FrameHeadroom + len(body))
-	buf = append(buf, headroom[:]...)
-	buf = append(buf, body...)
-	return a.Commit(buf)
-}
-
-const (
-	kindCount   = 0
-	kindPayload = 1
-)
 
 // Comm wraps a machine context with exchange sequencing. All machines must
 // execute the same sequence of collective calls (SPMD).
 type Comm struct {
-	ctx     *kmachine.Ctx
-	seq     uint64
-	pending map[uint64][]kmachine.Message
+	ctx   *kmachine.Ctx
+	seq   uint64
+	early []kmachine.Message // frames of later exchanges, in arrival order
 
-	// Reused per-collective scratch (k-sized, zeroed each Exchange).
-	counts   []uint64
-	expected []int64
-	got      []int64
-	recvBuf  []kmachine.Message // arrivals, in arrival order
-	sortBuf  []kmachine.Message // the same, by source: what Exchange returns
+	// Reused per-exchange scratch, k-sized but for order and recv.
+	ends   []int              // per destination: payload count, then where its bucket of order ends
+	sizes  []int              // per destination: its entries' bytes
+	order  []int32            // out's indices, bucketed by destination
+	frames []kmachine.Message // this exchange's frame from each source; nil Data = not yet here
+	recv   []kmachine.Message // the frames' payloads, by (source, send order): what Exchange returns
 }
 
 // NewComm returns a collective communicator over ctx.
 func NewComm(ctx *kmachine.Ctx) *Comm {
 	k := ctx.K()
 	return &Comm{
-		ctx:      ctx,
-		pending:  make(map[uint64][]kmachine.Message),
-		counts:   make([]uint64, k),
-		expected: make([]int64, k),
-		got:      make([]int64, k),
+		ctx:    ctx,
+		ends:   make([]int, k),
+		sizes:  make([]int, k),
+		frames: make([]kmachine.Message, k),
 	}
 }
 
@@ -99,23 +72,15 @@ func (c *Comm) Ctx() *kmachine.Ctx { return c.ctx }
 // it avoid a heap allocation per message.
 func (c *Comm) Arena() *wire.Arena { return c.ctx.Arena() }
 
-// frame seals (seq, kind, payload) into an arena-backed message.
-func (c *Comm) frame(seq uint64, kind byte, payload []byte) []byte {
-	a := c.ctx.Arena()
-	buf := a.Grab(len(payload) + 11)
-	buf = wire.AppendUvarint(buf, seq)
-	buf = append(buf, kind)
-	buf = append(buf, payload...)
-	return a.Commit(buf)
-}
-
 // Exchange performs one collective all-to-all delivery: this machine sends
 // the given messages; the call returns every message addressed to this
 // machine in this collective, sorted by (source, send order). The round
 // cost is driven by the largest per-link traffic, which is how Lemma 1's
-// load-balancing manifests. Every machine announces its per-peer message
-// count in a count frame on every link, empty ones included, so an
-// exchange costs at least one round.
+// load-balancing manifests. A link carries exactly one frame per exchange,
+// its payloads inside, and an empty link gets one too (so receivers know
+// when they are done): an exchange costs at least one round, and
+// k(k-1) frames cluster-wide plus one self frame per machine that sends
+// itself anything.
 //
 // The returned slice is reused by the next collective call on c; consume
 // it before then (retaining individual messages' Data bytes is fine).
@@ -123,144 +88,160 @@ func (c *Comm) Exchange(out []Out) []kmachine.Message {
 	return c.ExchangeSum(out, nil)
 }
 
-// ExchangeSum is Exchange with a reduce vector riding on the count frames:
-// each frame's body is uvarint(count) followed by len(sum) uvarint words,
-// this machine's contribution. The words received are folded into sum in
-// place, so on return sum[i] is the cluster-wide total of every machine's
-// sum[i]. All machines must pass vectors of the same length; a count frame
-// with any other number of words is refused. A sum therefore costs no
-// round beyond the exchange it rides on.
+// ExchangeSum is Exchange with a reduce vector riding on the frames. The
+// frame to each peer is uvarint(seq), uvarint(count), this machine's
+// len(sum) words as uvarints, then count entries uvarint(len) ‖ bytes in
+// send order; the payloads a machine sends itself travel as one self
+// frame without words, sent only when there are any. The words received
+// are folded into sum in place, so on return sum[i] is the cluster-wide
+// total of every machine's sum[i]. All machines must pass vectors of the
+// same length; a frame with any other number of words is refused, as are
+// a stale seq and a second frame from one source in one exchange. A sum
+// therefore costs no round beyond the exchange it rides on.
 func (c *Comm) ExchangeSum(out []Out, sum []uint64) []kmachine.Message {
-	k := c.ctx.K()
+	k, me := c.ctx.K(), c.ctx.ID()
 	seq := c.seq
 	c.seq++
 
-	a := c.ctx.Arena()
-	counts := c.counts
-	for i := range counts {
-		counts[i] = 0
-	}
+	// Bucket out's indices by destination (a stable counting sort), then
+	// build each link's frame in the arena, copying each payload once.
+	ends, sizes := c.ends, c.sizes
+	clear(ends)
+	clear(sizes)
 	for _, o := range out {
-		counts[o.Dst]++
+		ends[o.Dst]++
+		sizes[o.Dst] += uvarintLen(uint64(len(o.Data))) + len(o.Data)
 	}
-	// Announce counts to every machine (including zero counts, so
-	// receivers know when they are done).
-	for d := 0; d < k; d++ {
-		if d == c.ctx.ID() {
-			continue
+	at := 0
+	for d, n := range ends {
+		ends[d], at = at, at+n
+	}
+	order := slices.Grow(c.order[:0], len(out))[:len(out)]
+	for i, o := range out {
+		order[ends[o.Dst]] = int32(i)
+		ends[o.Dst]++
+	}
+	c.order = order
+	a, need, from := c.ctx.Arena(), k-1, 0
+	for d, end := range ends {
+		idx, words := order[from:end], sum
+		from = end
+		if d == me {
+			if len(idx) == 0 {
+				continue
+			}
+			need, words = k, nil
 		}
-		buf := a.Grab(21 + 10*len(sum))
-		buf = wire.AppendUvarint(buf, seq)
-		buf = append(buf, kindCount)
-		buf = wire.AppendUvarint(buf, counts[d])
-		for _, x := range sum {
-			buf = wire.AppendUvarint(buf, x)
+		buf := a.Grab(20 + 10*len(words) + sizes[d])
+		buf = binary.AppendUvarint(binary.AppendUvarint(buf, seq), uint64(len(idx)))
+		for _, x := range words {
+			buf = binary.AppendUvarint(buf, x)
+		}
+		for _, i := range idx {
+			buf = wire.AppendBytes(buf, out[i].Data)
 		}
 		c.ctx.Send(d, a.Commit(buf))
 	}
-	for _, o := range out {
-		if o.Framed {
-			// Stamp the header right-aligned into the reservation; payloads
-			// shared by several Outs get identical stamps, so re-stamping is
-			// idempotent.
-			var hdr [FrameHeadroom]byte
-			hn := binary.PutUvarint(hdr[:], seq)
-			start := FrameHeadroom - hn - 1
-			copy(o.Data[start:], hdr[:hn])
-			o.Data[FrameHeadroom-1] = kindPayload
-			c.ctx.Send(o.Dst, o.Data[start:])
-			continue
-		}
-		c.ctx.Send(o.Dst, c.frame(seq, kindPayload, o.Data))
-	}
 
-	expected := c.expected
-	for i := range expected {
-		expected[i] = -1
+	frames := c.frames
+	clear(frames)
+	// Frames that arrived during earlier exchanges go first; arrive keeps
+	// the ones still early, compacting c.early in place.
+	early := c.early
+	c.early = early[:0]
+	for _, m := range early {
+		need -= c.arrive(m, seq)
 	}
-	expected[c.ctx.ID()] = int64(counts[c.ctx.ID()])
-	got := c.got
-	for i := range got {
-		got[i] = 0
-	}
-	recv := c.recvBuf[:0]
-
-	process := func(m kmachine.Message) error {
-		r := wire.NewReader(m.Data)
-		mseq := r.Uvarint()
-		if r.Err() != nil {
-			return fmt.Errorf("proxy: bad frame from %d", m.Src)
-		}
-		if mseq != seq {
-			if mseq < seq {
-				return fmt.Errorf("proxy: stale frame seq %d < %d from %d", mseq, seq, m.Src)
-			}
-			c.pending[mseq] = append(c.pending[mseq], m)
-			return nil
-		}
-		if r.Len() < 1 {
-			return fmt.Errorf("proxy: empty frame from %d", m.Src)
-		}
-		kind := m.Data[len(m.Data)-r.Len()]
-		body := m.Data[len(m.Data)-r.Len()+1:]
-		switch kind {
-		case kindCount:
-			rr := wire.NewReader(body)
-			expected[m.Src] = int64(rr.Uvarint())
-			for i := range sum {
-				sum[i] += rr.Uvarint()
-			}
-			if rr.Done() != nil {
-				return fmt.Errorf("proxy: bad count frame from %d", m.Src)
-			}
-		case kindPayload:
-			recv = append(recv, kmachine.Message{Src: m.Src, Dst: m.Dst, Data: body})
-			got[m.Src]++
-		default:
-			return fmt.Errorf("proxy: unknown frame kind %d", kind)
-		}
-		return nil
-	}
-
-	done := func() bool {
-		for i := 0; i < k; i++ {
-			if expected[i] < 0 || got[i] < expected[i] {
-				return false
-			}
-		}
-		return true
-	}
-
-	// Drain frames buffered by earlier collectives first.
-	if buf, ok := c.pending[seq]; ok {
-		delete(c.pending, seq)
-		for _, m := range buf {
-			if err := process(m); err != nil {
-				panic(err)
-			}
-		}
-	}
-	for !done() {
+	for need > 0 {
 		for _, m := range c.ctx.Step() {
-			if err := process(m); err != nil {
+			need -= c.arrive(m, seq)
+		}
+	}
+	recv, err := c.recv[:0], error(nil)
+	for src, f := range frames {
+		words := sum
+		if src == me {
+			words = nil
+		}
+		if f.Data != nil {
+			if recv, err = readFrame(f.Data, words, src, me, recv); err != nil {
 				panic(err)
 			}
 		}
 	}
-	// Stable counting sort by source: got already tallies the arrivals per
-	// source, so its prefix sums are each source's first slot in the result.
-	at := int64(0)
-	for i, n := range got {
-		got[i], at = at, at+n
-	}
-	sorted := slices.Grow(c.sortBuf[:0], len(recv))[:len(recv)]
-	for _, m := range recv {
-		sorted[got[m.Src]] = m
-		got[m.Src]++
-	}
-	c.recvBuf, c.sortBuf = recv, sorted
-	return sorted
+	c.recv = recv
+	return recv
 }
+
+// arrive files one frame received during exchange seq: a later exchange's
+// is kept for it, this exchange's takes its source's slot. It returns the
+// number of slots filled, and panics on a frame no exchange can take.
+func (c *Comm) arrive(m kmachine.Message, seq uint64) int {
+	mseq, n := uvarint(m.Data)
+	switch {
+	case n <= 0:
+		panic(fmt.Errorf("proxy: bad frame from %d", m.Src))
+	case mseq > seq:
+		c.early = append(c.early, m)
+		return 0
+	case mseq < seq:
+		panic(fmt.Errorf("proxy: stale frame seq %d < %d from %d", mseq, seq, m.Src))
+	case c.frames[m.Src].Data != nil:
+		panic(fmt.Errorf("proxy: second frame from %d in exchange %d", m.Src, seq))
+	}
+	c.frames[m.Src] = m
+	return 1
+}
+
+// readFrame is the reader of a peer's bytes: it parses one frame from src
+// — uvarint(seq), uvarint(count), len(sum) words, count entries — adds the
+// words into sum and appends the entries to recv as messages from src to
+// dst, each Data aliasing the frame. It refuses a frame whose words or
+// entries are short or run past its end, any bytes after the last entry,
+// and a uvarint not in its shortest form, so an accepted frame is the one
+// encoding of what it carries. It allocates no more than recv's growth by
+// at most one message per frame byte.
+func readFrame(frame []byte, sum []uint64, src, dst int, recv []kmachine.Message) ([]kmachine.Message, error) {
+	b, ok := frame, true
+	next := func() uint64 {
+		x, n := uvarint(b)
+		if ok = ok && n > 0; ok {
+			b = b[n:]
+		}
+		return x
+	}
+	next() // seq, checked on arrival
+	count := next()
+	for i := range sum {
+		sum[i] += next()
+	}
+	for ok = ok && count <= uint64(len(b)); ok && count > 0; count-- {
+		if l := next(); ok && l <= uint64(len(b)) {
+			recv = append(recv, kmachine.Message{Src: src, Dst: dst, Data: b[:l:l]})
+			b = b[l:]
+		} else {
+			ok = false
+		}
+	}
+	if !ok || len(b) != 0 {
+		return recv, fmt.Errorf("proxy: bad frame from %d", src)
+	}
+	return recv, nil
+}
+
+// uvarint decodes a uvarint from the front of b in its shortest form: the
+// value and its length, or n <= 0 where b holds none (truncated, overflowing
+// or padded with a zero continuation byte).
+func uvarint(b []byte) (x uint64, n int) {
+	x, n = binary.Uvarint(b)
+	if n > 1 && b[n-1] == 0 {
+		return 0, -1
+	}
+	return x, n
+}
+
+// uvarintLen is the length of x's uvarint encoding.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
 // GatherTo sends data from every machine to root; root receives all k
 // blobs indexed by source machine, others receive nil.
@@ -290,23 +271,11 @@ func (c *Comm) RelayBroadcast(root int, data []byte) []byte {
 	// Phase 1: scatter chunk i to relay machine i.
 	var out []Out
 	if c.ctx.ID() == root {
-		// Relays are all machines except root; chunk r goes to relay r.
-		relays := make([]int, 0, k-1)
-		for d := 0; d < k; d++ {
-			if d != root {
-				relays = append(relays, d)
-			}
-		}
-		per := (len(data) + len(relays) - 1) / len(relays)
-		for i, d := range relays {
-			lo := i * per
-			hi := lo + per
-			if lo > len(data) {
-				lo = len(data)
-			}
-			if hi > len(data) {
-				hi = len(data)
-			}
+		// Relays are the k-1 machines after root, cyclically; chunk i goes to the i-th.
+		per := (len(data) + k - 2) / (k - 1)
+		for i := 0; i < k-1; i++ {
+			d := (root + 1 + i) % k
+			lo, hi := min(i*per, len(data)), min((i+1)*per, len(data))
 			a := c.ctx.Arena()
 			body := a.Grab(hi - lo + 30)
 			body = wire.AppendUvarint(body, uint64(i))
@@ -364,7 +333,7 @@ func (c *Comm) RelayBroadcast(root int, data []byte) []byte {
 }
 
 // AllSum returns the sum of x over all machines, on every machine: one
-// exchange of count frames alone.
+// exchange of empty frames.
 func (c *Comm) AllSum(x uint64) uint64 {
 	sum := [1]uint64{x}
 	c.ExchangeSum(nil, sum[:])

@@ -2,8 +2,9 @@ package proxy
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
-	"slices"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -279,28 +280,183 @@ func TestExchangeSum(t *testing.T) {
 	}
 }
 
-// TestExchangeSumRefusesWordCount sends machine 1 a hand-made count frame
-// whose reduce vector has the wrong number of words.
+// appendFrame encodes a frame by hand: seq, count, the words, then the
+// entries, whose number need not match count.
+func appendFrame(b []byte, seq, count uint64, words []uint64, entries ...[]byte) []byte {
+	b = wire.AppendUvarint(wire.AppendUvarint(b, seq), count)
+	for _, x := range words {
+		b = wire.AppendUvarint(b, x)
+	}
+	for _, e := range entries {
+		b = wire.AppendBytes(b, e)
+	}
+	return b
+}
+
+// TestExchangeSumRefusesWordCount hand-sends machine 1, which sums a
+// 2-word vector, frames it must refuse: the wrong number of words, a count
+// that runs past the frame's bytes, a second frame from the same peer in
+// one exchange, and a frame of an exchange already done.
 func TestExchangeSumRefusesWordCount(t *testing.T) {
-	for _, words := range []int{0, 1, 3} {
+	two := []uint64{5, 5}
+	for _, tc := range []struct {
+		name   string
+		frames [][][]byte // what machine 0 sends, round by round
+		want   string
+	}{
+		{"0 words", [][][]byte{{appendFrame(nil, 0, 0, nil)}}, "bad frame from 0"},
+		{"1 word", [][][]byte{{appendFrame(nil, 0, 0, []uint64{5})}}, "bad frame from 0"},
+		{"3 words", [][][]byte{{appendFrame(nil, 0, 0, []uint64{5, 5, 5})}}, "bad frame from 0"},
+		{"count past the bytes", [][][]byte{{appendFrame(nil, 0, 3, two, []byte("x"))}}, "bad frame from 0"},
+		{"second frame", [][][]byte{{appendFrame(nil, 0, 0, two), appendFrame(nil, 0, 0, two)}}, "second frame from 0"},
+		{"stale seq", [][][]byte{{appendFrame(nil, 0, 0, two)}, {appendFrame(nil, 1, 0, two), appendFrame(nil, 0, 0, two)}}, "stale frame seq 0 < 1 from 0"},
+	} {
 		c := newCluster(t, 2, 2048)
 		_, err := c.Run(func(ctx *kmachine.Ctx) error {
 			if ctx.ID() == 0 {
-				buf := append(wire.AppendUvarint(nil, 0), kindCount)
-				buf = wire.AppendUvarint(buf, 0)
-				for i := 0; i < words; i++ {
-					buf = wire.AppendUvarint(buf, 5)
+				for i, round := range tc.frames {
+					if i > 0 {
+						ctx.Step()
+					}
+					for _, f := range round {
+						ctx.Send(1, f)
+					}
 				}
-				ctx.Send(1, buf)
 				return nil
 			}
-			NewComm(ctx).ExchangeSum(nil, []uint64{1, 2})
+			comm := NewComm(ctx)
+			for range tc.frames {
+				comm.ExchangeSum(nil, []uint64{1, 2})
+			}
 			return nil
 		})
-		if err == nil || !strings.Contains(err.Error(), "bad count frame from 0") {
-			t.Errorf("%d words for 2: err = %v, want a bad count frame", words, err)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
 		}
 	}
+}
+
+// TestExchangeFrameCount pins what an exchange costs in messages: one
+// frame per link however many payloads ride on it, empty links included,
+// plus one self frame on each machine that sends itself anything.
+func TestExchangeFrameCount(t *testing.T) {
+	const k = 5
+	for _, per := range []int{0, 1, 7} {
+		c := newCluster(t, k, 2048)
+		res, err := c.Run(func(ctx *kmachine.Ctx) error {
+			id := ctx.ID()
+			var out []Out
+			for d := 0; d < k; d++ {
+				if d == id && id%2 == 1 {
+					continue // odd machines send themselves nothing
+				}
+				for i := 0; i < per*(d+1); i++ {
+					out = append(out, Out{Dst: d, Data: []byte{byte(id), byte(i)}})
+				}
+			}
+			recv := NewComm(ctx).Exchange(out)
+			want := per * (id + 1) * k
+			if id%2 == 1 {
+				want -= per * (id + 1)
+			}
+			if len(recv) != want {
+				return fmt.Errorf("machine %d: %d payloads, want %d", id, len(recv), want)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		selfFrames := 0
+		if per > 0 {
+			selfFrames = (k + 1) / 2
+		}
+		if want := int64(k*(k-1) + selfFrames); res.Metrics.Messages != want {
+			t.Errorf("%d payloads per link: %d messages, want %d", per, res.Metrics.Messages, want)
+		}
+	}
+}
+
+// refFrame is an independent reading of a frame with words reduce words:
+// what it carries, or false where a refusal rule applies.
+func refFrame(frame []byte, words int) (seq uint64, ws []uint64, entries [][]byte, ok bool) {
+	ok = true
+	next := func() uint64 {
+		x, n := binary.Uvarint(frame)
+		if n <= 0 || n != len(binary.AppendUvarint(nil, x)) {
+			ok = false
+			return 0
+		}
+		frame = frame[n:]
+		return x
+	}
+	seq = next()
+	count := next()
+	for i := 0; ok && i < words; i++ {
+		ws = append(ws, next())
+	}
+	for ; ok && count > 0; count-- {
+		if l := next(); ok && l <= uint64(len(frame)) {
+			entries = append(entries, frame[:l])
+			frame = frame[l:]
+		} else {
+			ok = false
+		}
+	}
+	return seq, ws, entries, ok && len(frame) == 0
+}
+
+// FuzzExchangeFrame feeds the exchange's reader of peer bytes (readFrame)
+// and holds it to three things: it refuses exactly what an independent
+// reader refuses (words or entries short or past the end, trailing bytes, a
+// uvarint not in its shortest form), its allocation is bounded by the
+// frame's length, and an accepted frame re-encodes to the same bytes.
+func FuzzExchangeFrame(f *testing.F) {
+	f.Add(appendFrame(nil, 3, 2, []uint64{7, 1 << 40}, []byte("ab"), nil), uint8(2))
+	f.Add(appendFrame(nil, 0, 1, nil, []byte("self")), uint8(0))
+	f.Add(appendFrame(nil, 9, 0, []uint64{0, 0}), uint8(2))
+	f.Add(appendFrame(nil, 1, 0, []uint64{5}), uint8(2))                                   // a word short
+	f.Add(appendFrame(nil, 1, 0, []uint64{5, 5, 5}), uint8(2))                             // a word over
+	f.Add(appendFrame(nil, 1, 3, nil, []byte("x")), uint8(0))                              // count past the end
+	f.Add(appendFrame(nil, 1, 1, nil, []byte("xyz"))[:5], uint8(0))                        // entry past the end
+	f.Add(append(appendFrame(nil, 1, 1, nil, []byte("x")), 0), uint8(0))                   // trailing byte
+	f.Add([]byte{0x80, 0x00, 0x00}, uint8(0))                                              // padded seq
+	f.Add([]byte{1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}, uint8(0)) // count overflows
+	f.Add([]byte{}, uint8(1))
+	f.Fuzz(func(t *testing.T, frame []byte, nwords uint8) {
+		words := int(nwords % 4)
+		sum := make([]uint64, words)
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		recv, err := readFrame(frame, sum, 1, 2, nil)
+		runtime.ReadMemStats(&m1)
+		if grew, budget := m1.TotalAlloc-m0.TotalAlloc, uint64(1<<16+128*len(frame)); grew > budget {
+			t.Fatalf("reading %d bytes allocated %d, over %d", len(frame), grew, budget)
+		}
+		seq, ws, entries, ok := refFrame(frame, words)
+		if ok != (err == nil) {
+			t.Fatalf("err %v, the refusal rules say accept = %v", err, ok)
+		}
+		if err != nil {
+			return
+		}
+		again := wire.AppendUvarint(wire.AppendUvarint(nil, seq), uint64(len(recv)))
+		for i, x := range sum {
+			if x != ws[i] {
+				t.Fatalf("word %d read as %d, want %d", i, x, ws[i])
+			}
+			again = wire.AppendUvarint(again, x)
+		}
+		for i, m := range recv {
+			if m.Src != 1 || m.Dst != 2 || i >= len(entries) || !bytes.Equal(m.Data, entries[i]) {
+				t.Fatalf("entry %d read as %+v", i, m)
+			}
+			again = wire.AppendBytes(again, m.Data)
+		}
+		if len(recv) != len(entries) || !bytes.Equal(again, frame) {
+			t.Fatalf("accepted frame re-encodes to %x, not %x", again, frame)
+		}
+	})
 }
 
 func TestSharedSetupAgreement(t *testing.T) {
@@ -483,25 +639,26 @@ func TestExchangeDeterministicRounds(t *testing.T) {
 }
 
 // TestExchangeOrderAcrossRounds pins what Exchange returns when one
-// collective spans several rounds: arrivals interleave sources round by
-// round (and, for frames a faster machine sent early, come out of the
-// pending buffer first), and the result is their stable sort by source —
-// (source, send order). The slice a call returned may be overwritten by
-// later calls; the Data bytes it pointed at may not.
+// collective spans several rounds: frames arrive out of source order
+// (a short frame before a long one, and frames a faster machine sent for
+// the next collective, kept early, before the slower machines' frames of
+// that collective), and the result is (source, send order) regardless.
+// The slice a call returned may be overwritten by later calls; the Data
+// bytes it pointed at may not.
 func TestExchangeOrderAcrossRounds(t *testing.T) {
 	const k, hub = 4, 1
 	// sends[c][src] messages go from src to the hub in collective c (the
 	// hub's own are self-sends). Machine 3 has nothing to wait for in
-	// collective 0, so its collective-1 frames reach the hub early.
+	// collective 0, so its collective-1 frame reaches the hub early.
 	sends := [][k]int{{6, 2, 2, 0}, {2, 1, 3, 4}, {1, 1, 0, 1}}
 	payload := func(c, src, idx int) []byte {
 		return append([]byte{byte(c), byte(src), byte(idx)}, bytes.Repeat([]byte{0xa5}, 37)...)
 	}
-	c := newCluster(t, k, 512) // one 40-byte message per link per round
+	c := newCluster(t, k, 512) // one 40-byte payload per link per round
 	_, err := c.Run(func(ctx *kmachine.Ctx) error {
 		comm := NewComm(ctx)
 		var kept [][]byte // every Data slice the hub was ever handed
-		sawPending, sawUnsorted := false, false
+		sawEarly, sawUnsorted := false, false
 		for col := range sends {
 			var out []Out
 			for i := 0; i < sends[col][ctx.ID()]; i++ {
@@ -518,21 +675,23 @@ func TestExchangeOrderAcrossRounds(t *testing.T) {
 			if col == 0 && ctx.Round()-start < 3 {
 				return fmt.Errorf("collective 0 took %d rounds, want >= 3", ctx.Round()-start)
 			}
-			sawPending = sawPending || len(comm.pending[comm.seq]) > 0
-			arrival := slices.Clone(comm.recvBuf)
-			sawUnsorted = sawUnsorted || !slices.IsSortedFunc(arrival, bySrc)
-			slices.SortStableFunc(arrival, bySrc)
-			if len(recv) != len(arrival) {
-				return fmt.Errorf("collective %d: %d messages returned, %d arrived", col, len(recv), len(arrival))
+			// A next-collective frame already here from source s, while a
+			// lower source's is not, arrived out of source order.
+			var here [k]bool
+			for _, f := range comm.early {
+				here[f.Src] = true
+			}
+			for s := range here {
+				sawEarly = sawEarly || here[s]
+				for lower := 0; here[s] && lower < s; lower++ {
+					sawUnsorted = sawUnsorted || (lower != hub && !here[lower])
+				}
 			}
 			i := 0
 			for src := 0; src < k; src++ {
 				for idx := 0; idx < sends[col][src]; idx++ {
 					if i >= len(recv) || recv[i].Src != src || !bytes.Equal(recv[i].Data, payload(col, src, idx)) {
 						return fmt.Errorf("collective %d: message %d is not (source %d, send %d)", col, i, src, idx)
-					}
-					if &recv[i].Data[0] != &arrival[i].Data[0] {
-						return fmt.Errorf("collective %d: message %d is not the stable sort of arrival order", col, i)
 					}
 					kept = append(kept, recv[i].Data)
 					i++
@@ -543,8 +702,8 @@ func TestExchangeOrderAcrossRounds(t *testing.T) {
 			}
 		}
 		if ctx.ID() == hub {
-			if !sawPending || !sawUnsorted {
-				return fmt.Errorf("schedule too tame: pending path %v, out-of-order arrival %v", sawPending, sawUnsorted)
+			if !sawEarly || !sawUnsorted {
+				return fmt.Errorf("schedule too tame: early frames %v, out-of-order arrival %v", sawEarly, sawUnsorted)
 			}
 			i := 0
 			for col := range sends {
@@ -565,4 +724,30 @@ func TestExchangeOrderAcrossRounds(t *testing.T) {
 	}
 }
 
-func bySrc(a, b kmachine.Message) int { return a.Src - b.Src }
+// TestExchangeSumAllocationFree pins the steady state: once the arena chunk
+// and the receive slice have grown, an exchange with payloads and a sum
+// allocates nothing.
+func TestExchangeSumAllocationFree(t *testing.T) {
+	const k = 3
+	c := newCluster(t, k, 2048)
+	_, err := c.Run(func(ctx *kmachine.Ctx) error {
+		comm := NewComm(ctx)
+		var out []Out
+		for d := 0; d < k; d++ {
+			for i := 0; i < 3; i++ {
+				out = append(out, Out{Dst: d, Data: []byte{byte(i), 1, 2, 3}})
+			}
+		}
+		sum := make([]uint64, 2)
+		for i := 0; i < 10; i++ {
+			comm.ExchangeSum(out, sum)
+		}
+		if n := testing.AllocsPerRun(100, func() { comm.ExchangeSum(out, sum) }); n != 0 {
+			return fmt.Errorf("machine %d: %v allocations per exchange", ctx.ID(), n)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
