@@ -54,7 +54,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"kmgraph/internal/graph"
 	"kmgraph/internal/kmachine"
@@ -282,27 +282,38 @@ func runOneShot(ctx context.Context, cfg Config, h kmachine.Handler) (*kmachine.
 	return cluster.RunContext(ctx, h)
 }
 
+// placeLabels copies machine i's vertex labels into all, refusing a
+// vertex out of range or one already placed. The assemblers then refuse a
+// run that left a vertex unplaced.
+func placeLabels(all []uint64, placed []bool, i int, labels map[int]uint64) error {
+	for v, l := range labels {
+		if v < 0 || v >= len(all) {
+			return fmt.Errorf("core: machine %d labeled vertex %d of %d", i, v, len(all))
+		}
+		if placed[v] {
+			return fmt.Errorf("core: machine %d labeled vertex %d, labeled before", i, v)
+		}
+		all[v], placed[v] = l, true
+	}
+	return nil
+}
+
 // Assemble combines one MachineOutput per machine into the global
 // connectivity result over n vertices (Metrics is left to the host, which
-// knows what the job cost it). When the machines ran out of phases the
-// result is partial and comes back together with ErrNotConverged.
+// knows what the job cost it). Every vertex must be labeled by exactly one
+// machine. When the machines ran out of phases the result is partial and
+// comes back together with ErrNotConverged.
 func Assemble(n int, outputs []any) (*Result, error) {
 	out := &Result{Labels: make([]uint64, n), ProtocolCount: -1}
 	converged := true
-	seen := make(map[uint64]bool)
-	assigned := 0
+	placed := make([]bool, n)
 	for i, o := range outputs {
 		mo, ok := o.(*MachineOutput)
 		if !ok {
 			return nil, fmt.Errorf("core: machine %d produced no output", i)
 		}
-		for v, l := range mo.Labels {
-			if v < 0 || v >= n {
-				return nil, fmt.Errorf("core: machine %d labeled vertex %d of %d", i, v, n)
-			}
-			out.Labels[v] = l
-			seen[l] = true
-			assigned++
+		if err := placeLabels(out.Labels, placed, i, mo.Labels); err != nil {
+			return nil, err
 		}
 		out.SketchFailures += mo.Failures
 		converged = converged && mo.Converged
@@ -319,8 +330,12 @@ func Assemble(n int, outputs []any) (*Result, error) {
 			out.PhaseRounds = mo.PhaseRounds
 		}
 	}
-	if assigned != n {
-		return nil, fmt.Errorf("core: %d of %d vertices labeled", assigned, n)
+	if v := slices.Index(placed, false); v >= 0 {
+		return nil, fmt.Errorf("core: no machine labeled vertex %d of %d", v, n)
+	}
+	seen := make(map[uint64]bool)
+	for _, l := range out.Labels {
+		seen[l] = true
 	}
 	out.Components = len(seen)
 	if !converged {
@@ -427,28 +442,24 @@ func (m *Merger) selectEdgeCheck() {
 	k := m.Ctx.K()
 	parts := m.Parts()
 
-	// Query each distinct neighbor's label, batched per home machine.
-	nbrByDst := make(map[int]map[int]bool)
+	// Query each distinct neighbor's label, batched per home machine in
+	// ascending order.
+	var nbrs []int
 	for _, v := range m.View.Owned() {
 		for _, h := range m.View.Adj(v) {
-			dst := m.View.Home(h.To)
-			if nbrByDst[dst] == nil {
-				nbrByDst[dst] = make(map[int]bool)
-			}
-			nbrByDst[dst][h.To] = true
+			nbrs = append(nbrs, h.To)
 		}
 	}
+	slices.Sort(nbrs)
+	byDst := make([][]int, k)
+	for _, v := range slices.Compact(nbrs) {
+		byDst[m.View.Home(v)] = append(byDst[m.View.Home(v)], v)
+	}
 	var out []proxy.Out
-	for dst := 0; dst < k; dst++ {
-		set := nbrByDst[dst]
-		if len(set) == 0 {
+	for dst, vs := range byDst {
+		if len(vs) == 0 {
 			continue
 		}
-		vs := make([]int, 0, len(set))
-		for v := range set {
-			vs = append(vs, v)
-		}
-		sort.Ints(vs)
 		buf := wire.AppendUvarint(nil, uint64(len(vs)))
 		for _, v := range vs {
 			buf = wire.AppendUvarint(buf, uint64(v))
@@ -507,33 +518,28 @@ func (m *Merger) selectEdgeCheck() {
 	}
 	recv = m.Comm.Exchange(out)
 
-	// Proxy side: pick the overall minimum candidate per component.
+	// Proxy side: pick the overall minimum candidate per component, one
+	// label's nominations at a time.
 	m.ResetStates()
-	cand := make(map[uint64]uint64)   // label -> best edge id
-	target := make(map[uint64]uint64) // label -> target label
-	hasCand := make(map[uint64]bool)  // label -> any candidate
-	for _, msg := range recv {
-		r := wire.NewReader(msg.Data)
-		label := r.Uvarint()
-		found := r.Bool()
-		id := r.Uvarint()
-		tgt := r.Uvarint()
-		st := m.States[label]
-		if st == nil {
-			st = m.NewState(label)
-			m.States[label] = st
+	byLabel := m.sortByLabel(recv, 0)
+	for j := 0; j < len(byLabel); {
+		st := m.NewState(byLabel[j].label)
+		m.States = append(m.States, st)
+		var bestID, target uint64
+		hasCand := false
+		for ; j < len(byLabel) && byLabel[j].label == st.Label; j++ {
+			msg := recv[byLabel[j].i]
+			r := wire.NewReader(msg.Data)
+			r.Uvarint()
+			found, id, tgt := r.Bool(), r.Uvarint(), r.Uvarint()
+			st.Holders[msg.Src/8] |= 1 << uint(msg.Src%8)
+			if found && (!hasCand || id < bestID) {
+				bestID, target, hasCand = id, tgt, true
+			}
 		}
-		st.Holders[msg.Src/8] |= 1 << uint(msg.Src%8)
-		if found && (!hasCand[label] || id < cand[label]) {
-			cand[label] = id
-			target[label] = tgt
-			hasCand[label] = true
-		}
-	}
-	for label, st := range m.States {
-		if hasCand[label] {
+		if hasCand {
 			m.PhaseActive++
-			m.ApplyRank(st, target[label])
+			m.ApplyRank(st, target)
 		}
 	}
 }

@@ -204,3 +204,44 @@ func TestIsolatedVerticesMixed(t *testing.T) {
 		t.Errorf("components = %d, want 51", res.Components)
 	}
 }
+
+// TestAssemblersRefuseBadCoverage: machine outputs arrive from peers, so
+// both assemblers refuse a vertex two machines label and a run that leaves
+// a vertex unlabeled, and accept the same outputs once each vertex is
+// labeled exactly once.
+func TestAssemblersRefuseBadCoverage(t *testing.T) {
+	conn := func(labels ...map[int]uint64) []any {
+		outs := make([]any, len(labels))
+		for i, l := range labels {
+			outs[i] = &MachineOutput{Labels: l, Converged: true, ProtocolCount: -1}
+		}
+		return outs
+	}
+	mst := func(labels ...map[int]uint64) []any {
+		outs := make([]any, len(labels))
+		for i, l := range labels {
+			outs[i] = &MSTOutput{Labels: l, Converged: true}
+		}
+		return outs
+	}
+	for _, tc := range []struct {
+		name   string
+		labels []map[int]uint64
+		ok     bool
+	}{
+		{"labeled twice, one missing", []map[int]uint64{{0: 0, 1: 0}, {1: 0}}, false},
+		{"one of three labeled", []map[int]uint64{{0: 0}, {}}, false},
+		{"labeled twice", []map[int]uint64{{0: 0, 1: 0}, {1: 0, 2: 2}}, false},
+		{"each once", []map[int]uint64{{0: 0, 1: 0}, {2: 2}}, true},
+	} {
+		res, err := Assemble(3, conn(tc.labels...))
+		if (err == nil) != tc.ok {
+			t.Errorf("Assemble, %s: err = %v, want ok = %v", tc.name, err, tc.ok)
+		} else if tc.ok && res.Components != 2 {
+			t.Errorf("Assemble, %s: %d components, want 2", tc.name, res.Components)
+		}
+		if _, err := AssembleMST(3, mst(tc.labels...)); (err == nil) != tc.ok {
+			t.Errorf("AssembleMST, %s: err = %v, want ok = %v", tc.name, err, tc.ok)
+		}
+	}
+}

@@ -21,15 +21,15 @@ import (
 // the sample, or on an MST job's Merger every slot and the full flag.
 func partOutcomes(m *Merger, seen map[string]int) map[uint64]string {
 	got := make(map[uint64]string, len(m.States))
-	for label, st := range m.States {
+	for _, st := range m.States {
 		if m.allSlots {
 			slots, status, _ := m.takeSlots(st)
-			got[label] = fmt.Sprint(status, slots, st.full)
+			got[st.Label] = fmt.Sprint(status, slots, st.full)
 			seen[fmt.Sprint("full=", st.full)]++
 			seen[status.String()]++
 		} else {
 			x, y, inside, status, _ := st.takeSample()
-			got[label] = fmt.Sprint(status, x, y, inside)
+			got[st.Label] = fmt.Sprint(status, x, y, inside)
 			seen[status.String()]++
 		}
 	}

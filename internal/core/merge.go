@@ -41,14 +41,12 @@ type CompState struct {
 	ElimDone    bool
 
 	// Transient proxy-side selection state, never encoded: the outcome of
-	// l0-sampling the sum of this component's part sketches (SumAndSample) —
+	// l0-sampling the sum of this component's part sketches (SumAndSample).
 	// PendU/PendV is the sampled edge awaiting neighbor-label resolution; an
 	// MST job (Merger.allSlots) keeps every slot the sum verified instead,
-	// as a range of the Merger's slot buffer — and, while SumAndSample runs,
-	// the component's last part message.
+	// as a range of the Merger's slot buffer.
 	PendU, PendV   int
 	status         sketch.Status // of the stored sample
-	tail           int32         // 1 + index of the last part message seen; 0 = none
 	slotLo, slotHi int32         // MST: Merger.slotBuf[slotLo:slotHi], the sample first
 	insideSmaller  bool          // PendU is the endpoint inside the component
 	full           bool          // MST: the slots are the sum's whole support
@@ -103,8 +101,11 @@ type Merger struct {
 	Sh   *proxy.Shared
 	Poly *hashing.Poly // non-nil in FaithfulRandomness mode
 
-	Labels        map[int]uint64 // owned vertex -> component label
-	States        map[uint64]*CompState
+	Labels map[int]uint64 // owned vertex -> component label
+	// States holds the component states this machine proxies, one per
+	// label, ascending by label: every step walks them in that order, so
+	// its sends are deterministic, and finds one by binary search (stateOf).
+	States        []*CompState
 	StateSlot     int // proxy slot currently holding component states
 	Failures      int64
 	CollapseIters int
@@ -141,15 +142,12 @@ type Merger struct {
 	partsMap     map[uint64][]int
 	partsFree    [][]int
 	stFree       []*CompState
-	statesSpare  map[uint64]*CompState
 	encScratch   []byte       // PartPayload: this gather's parts, back to back
 	rowBuf       []graph.Half // addPart: one decoded row
 	outBuf       []proxy.Out
 	ansBuf       []proxy.Out
 	queryBuf     []kmachine.Message // Collapse: queries held across a handoff
-	keyBuf       []uint64
-	chainNext    []int32 // SumAndSample: message -> next message of its label, -1 ends
-	chainHead    []int32 // SumAndSample: first message of each label seen
+	labeledBuf   []labeledMsg       // sortByLabel: received messages grouped by label
 	relabel      map[uint64]uint64
 }
 
@@ -166,17 +164,45 @@ func (m *Merger) takeSlots(st *CompState) (slots []sketch.Slot, status sketch.St
 	return m.slotsOf(st), st.status, ok
 }
 
-// StateKeys returns m.States' labels in ascending order through a reused
-// buffer (valid until the next StateKeys call).
+// stateOf returns the state of label, or nil when this machine does not
+// proxy it.
 //
 //km:hotpath
-func (m *Merger) StateKeys() []uint64 {
-	ls := m.keyBuf[:0]
-	for l := range m.States {
-		ls = append(ls, l)
+func (m *Merger) stateOf(label uint64) *CompState {
+	if i, ok := slices.BinarySearchFunc(m.States, label, cmpStateLabel); ok {
+		return m.States[i]
 	}
-	slices.Sort(ls)
-	m.keyBuf = ls
+	return nil
+}
+
+func cmpStateLabel(st *CompState, label uint64) int { return cmp.Compare(st.Label, label) }
+
+func cmpStates(a, b *CompState) int { return cmp.Compare(a.Label, b.Label) }
+
+// labeledMsg is a received message's index and the component label its
+// body starts with.
+type labeledMsg struct {
+	label uint64
+	i     int32
+}
+
+func cmpLabeledMsgs(a, b labeledMsg) int {
+	return cmp.Or(cmp.Compare(a.label, b.label), cmp.Compare(a.i, b.i))
+}
+
+// sortByLabel returns recv's messages as (label, index) pairs sorted by
+// label, then by index — each label's messages one run, in receive order —
+// with label the body's leading uvarint shifted right by shift. The slice
+// is reused by the next call.
+//
+//km:hotpath
+func (m *Merger) sortByLabel(recv []kmachine.Message, shift uint) []labeledMsg {
+	ls := m.labeledBuf[:0]
+	for i, msg := range recv {
+		ls = append(ls, labeledMsg{label: wire.NewReader(msg.Data).Uvarint() >> shift, i: int32(i)})
+	}
+	slices.SortFunc(ls, cmpLabeledMsgs)
+	m.labeledBuf = ls
 	return ls
 }
 
@@ -187,47 +213,36 @@ func (m *Merger) StateKeys() []uint64 {
 // outcome in the component's state (the one sample, or for an MST job every
 // verified slot), recording every sender as a part holder. Nothing
 // reads a sum after its sample, so all components share one pooled scratch
-// sketch: a first pass chains each label's messages (chainNext) from the
-// label's first one (chainHead), a second folds one chain at a time. Cell
-// addition commutes, so the fold order cannot change a sample. With create
-// set the step starts from no states and makes one per label seen (static
-// connectivity, MST iteration 0, the resident bank path); otherwise every
-// label must already have its state here (MST elimination iterations).
+// sketch: the messages are sorted by label (sortByLabel) and folded one
+// label's run at a time. With create set the step starts from no states and
+// appends one per label seen, in label order (static connectivity, MST
+// iteration 0, the resident bank path); otherwise every label must already
+// have its state here (MST elimination iterations).
 //
 //km:hotpath
 func (m *Merger) SumAndSample(recv []kmachine.Message, seed uint64, create bool) {
 	if create {
 		m.ResetStates()
 	}
-	next, heads := m.chainNext[:0], m.chainHead[:0]
-	for i, msg := range recv {
-		label := wire.NewReader(msg.Data).Uvarint() >> 1
-		st := m.States[label]
-		if st == nil {
-			if !create {
-				panic("core: part for a component state not held here")
-			}
-			st = m.NewState(label)
-			m.States[label] = st
-		}
-		st.Holders[msg.Src/8] |= 1 << uint(msg.Src%8)
-		if st.tail == 0 {
-			heads = append(heads, int32(i))
-		} else {
-			next[st.tail-1] = int32(i)
-		}
-		st.tail = int32(i) + 1
-		next = append(next, -1)
-	}
+	byLabel := m.sortByLabel(recv, 1)
 	sum := m.Pool().Get(seed)
 	m.slotBuf = m.slotBuf[:0]
-	for _, h := range heads {
-		for i := h; i >= 0; i = next[i] {
-			if err := m.addPart(sum, recv[i].Data, recv[i].Src); err != nil {
-				panic(fmt.Sprintf("core: bad part from %d: %v", recv[i].Src, err)) //kmvet:ignore panic path; never executes on protocol-conformant traffic
+	for j := 0; j < len(byLabel); {
+		label := byLabel[j].label
+		var st *CompState
+		if create {
+			st = m.NewState(label)
+			m.States = append(m.States, st)
+		} else if st = m.stateOf(label); st == nil {
+			panic("core: part for a component state not held here")
+		}
+		for ; j < len(byLabel) && byLabel[j].label == label; j++ {
+			msg := recv[byLabel[j].i]
+			st.Holders[msg.Src/8] |= 1 << uint(msg.Src%8)
+			if err := m.addPart(sum, msg.Data, msg.Src); err != nil {
+				panic(fmt.Sprintf("core: bad part from %d: %v", msg.Src, err)) //kmvet:ignore panic path; never executes on protocol-conformant traffic
 			}
 		}
-		st := m.States[wire.NewReader(recv[h].Data).Uvarint()>>1]
 		if m.allSlots {
 			st.slotLo = int32(len(m.slotBuf))
 			m.slotBuf, st.status, st.full = sum.SampleAll(m.slotBuf)
@@ -235,11 +250,10 @@ func (m *Merger) SumAndSample(recv []kmachine.Message, seed uint64, create bool)
 		} else {
 			st.PendU, st.PendV, st.insideSmaller, st.status = sum.SampleEdge()
 		}
-		st.sampled, st.tail = true, 0
+		st.sampled = true
 		sum.Reset()
 	}
 	m.Pool().Put(sum)
-	m.chainNext, m.chainHead = next, heads
 }
 
 var errPartRow = errors.New("core: part row of a vertex out of range or homed elsewhere, or with a bad neighbour")
@@ -364,17 +378,11 @@ func (m *Merger) NewState(label uint64) *CompState {
 	return st
 }
 
-// ResetStates recycles every state in m.States into the pool and installs
-// an empty map, ready for a new selection step.
+// ResetStates recycles every state in m.States into the pool and empties
+// it, ready for a new selection step.
 func (m *Merger) ResetStates() {
-	if m.States == nil {
-		m.States = make(map[uint64]*CompState)
-		return
-	}
-	for l, st := range m.States {
-		m.stFree = append(m.stFree, st) //kmvet:ignore free-list recycling; recycled states are fully reset by NewState before reuse
-		delete(m.States, l)
-	}
+	m.stFree = append(m.stFree, m.States...)
+	m.States = m.States[:0]
 }
 
 // DecodeStateInto parses a CompState produced by Encode into a pooled
@@ -394,22 +402,33 @@ func (m *Merger) DecodeStateInto(r *wire.Reader) *CompState {
 	return st
 }
 
-// takeSpareStates returns an empty map for the next proxy slot, reusing
-// the previous handoff's map when possible; pair with putSpareStates.
-func (m *Merger) takeSpareStates() map[uint64]*CompState {
-	ns := m.statesSpare
-	if ns == nil {
-		ns = make(map[uint64]*CompState)
+// handOff starts st's move to the next slot's proxy (a fresh h_{j,ρ} per
+// iteration, as Lemma 5 requires for independence): when that is this
+// machine st joins kept, otherwise its encoding, after tag unless that is
+// 0, joins out and st is recycled. A handoff ranges over m.States with
+// kept = m.States[:0], which only overwrites states already visited, and
+// ends in installStates.
+func (m *Merger) handOff(st *CompState, tag byte, kept []*CompState, out []proxy.Out) ([]*CompState, []proxy.Out) {
+	dst := m.ProxyOf(m.StateSlot+1, st.Label)
+	if dst == m.Ctx.ID() {
+		return append(kept, st), out
 	}
-	m.statesSpare = nil
-	return ns
+	a := m.Comm.Arena()
+	buf := a.Grab(97 + len(st.Holders))
+	if tag != 0 {
+		buf = append(buf, tag)
+	}
+	buf = st.Encode(buf)
+	m.stFree = append(m.stFree, st) // encoded copy travels; recycle the original
+	return kept, append(out, proxy.Out{Dst: dst, Data: a.Commit(buf)})
 }
 
-// putSpareStates empties old (its states must already be moved or
-// recycled) and parks it for the next takeSpareStates.
-func (m *Merger) putSpareStates(old map[uint64]*CompState) {
-	clear(old)
-	m.statesSpare = old
+// installStates makes states — the ones a handoff kept, then the ones it
+// received — the next slot's, back in label order.
+func (m *Merger) installStates(states []*CompState) {
+	slices.SortFunc(states, cmpStates)
+	m.States = states
+	m.StateSlot++
 }
 
 // Pool returns the machine's sketch pool (shape Cfg.Sketch), so selection
@@ -680,8 +699,8 @@ func (m *Merger) partSketch(sk *sketch.Sketch, members []int, filter func(u int,
 func (m *Merger) RankSampled(merged func(st *CompState, w int64)) {
 	a := m.Comm.Arena()
 	out := m.outBuf[:0]
-	for _, label := range m.StateKeys() {
-		x, y, insideSmaller, status, _ := m.States[label].takeSample()
+	for _, st := range m.States {
+		x, y, insideSmaller, status, _ := st.takeSample()
 		switch status {
 		case sketch.Empty:
 			// No outgoing edges: inactive root this phase.
@@ -696,7 +715,7 @@ func (m *Merger) RankSampled(merged func(st *CompState, w int64)) {
 			q = wire.AppendUvarint(q, uint64(outside))
 			q = wire.AppendUvarint(q, uint64(x))
 			q = wire.AppendUvarint(q, uint64(y))
-			q = wire.AppendUvarint(q, label)
+			q = wire.AppendUvarint(q, st.Label)
 			out = append(out, proxy.Out{Dst: m.View.Home(outside), Data: a.Commit(q)})
 		}
 	}
@@ -710,7 +729,7 @@ func (m *Merger) RankSampled(merged func(st *CompState, w int64)) {
 		nbrLabel := r.Uvarint()
 		valid := r.Bool()
 		w := r.Varint()
-		st := m.States[askLabel]
+		st := m.stateOf(askLabel)
 		if st == nil {
 			panic("core: reply for unknown component")
 		}
@@ -772,8 +791,7 @@ func (m *Merger) broadcastRelabel(sum []uint64) {
 	k := m.Ctx.K()
 	out := m.outBuf[:0]
 	a := m.Comm.Arena()
-	for _, label := range m.StateKeys() {
-		st := m.States[label]
+	for _, st := range m.States {
 		if st.Cur == st.Label {
 			continue
 		}
@@ -838,8 +856,7 @@ func (m *Merger) Collapse() {
 		}
 		// Queries: ask the proxy holding cur's state once any handoff is done.
 		out := m.outBuf[:0]
-		for _, label := range m.StateKeys() {
-			st := m.States[label]
+		for _, st := range m.States {
 			if st.Cur == st.Label {
 				continue
 			}
@@ -867,7 +884,7 @@ func (m *Merger) Collapse() {
 			r := wire.NewReader(msg.Data)
 			target := r.Uvarint()
 			asker := r.Uvarint()
-			st := m.States[target]
+			st := m.stateOf(target)
 			if st == nil {
 				panic("core: query for component state not held here")
 			}
@@ -889,7 +906,7 @@ func (m *Merger) Collapse() {
 			r := wire.NewReader(msg.Data)
 			asker := r.Uvarint()
 			newCur := r.Uvarint()
-			st := m.States[asker]
+			st := m.stateOf(asker)
 			if st == nil {
 				panic("core: answer for unknown component")
 			}
@@ -902,29 +919,16 @@ func (m *Merger) Collapse() {
 }
 
 // HandoffStates moves all component states to the next slot's proxies
-// (fresh h_{j,ρ} per iteration, as Lemma 5 requires for independence).
+// (handOff, installStates).
 func (m *Merger) HandoffStates() {
-	out := m.outBuf[:0]
-	a := m.Comm.Arena()
-	newStates := m.takeSpareStates()
-	for _, label := range m.StateKeys() {
-		st := m.States[label]
-		dst := m.ProxyOf(m.StateSlot+1, label)
-		if dst == m.Ctx.ID() {
-			newStates[label] = st
-			continue
-		}
-		out = append(out, proxy.Out{Dst: dst, Data: a.Commit(st.Encode(a.Grab(96 + len(st.Holders))))})
-		m.stFree = append(m.stFree, st) // encoded copy travels; recycle the original
+	out, kept := m.outBuf[:0], m.States[:0]
+	for _, st := range m.States {
+		kept, out = m.handOff(st, 0, kept, out)
 	}
 	recv := m.Comm.Exchange(out)
 	m.outBuf = out
 	for _, msg := range recv {
-		r := wire.NewReader(msg.Data)
-		st := m.DecodeStateInto(r)
-		newStates[st.Label] = st
+		kept = append(kept, m.DecodeStateInto(wire.NewReader(msg.Data)))
 	}
-	m.putSpareStates(m.States)
-	m.States = newStates
-	m.StateSlot++
+	m.installStates(kept)
 }

@@ -22,6 +22,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"kmgraph/internal/graph"
 	"kmgraph/internal/kmachine"
@@ -101,22 +102,21 @@ func RunMSTContext(ctx context.Context, g *graph.Graph, cfg MSTConfig) (*MSTResu
 
 // AssembleMST combines one MSTOutput per machine into the global MST
 // result over n vertices (Metrics is left to the host, as in Assemble).
-// When the machines ran out of phases the edges are MST edges but the
-// forest is not whole, and it comes back together with ErrNotConverged.
+// Every vertex must be labeled by exactly one machine. When the machines
+// ran out of phases the edges are MST edges but the forest is not whole,
+// and it comes back together with ErrNotConverged.
 func AssembleMST(n int, outputs []any) (*MSTResult, error) {
 	out := &MSTResult{Labels: make([]uint64, n)}
 	converged := true
+	placed := make([]bool, n)
 	byID := make(map[uint64]graph.Edge)
 	for i, o := range outputs {
 		mo, ok := o.(*MSTOutput)
 		if !ok {
 			return nil, fmt.Errorf("core: machine %d produced no MST output", i)
 		}
-		for v, l := range mo.Labels {
-			if v < 0 || v >= n {
-				return nil, fmt.Errorf("core: machine %d labeled vertex %d of %d", i, v, n)
-			}
-			out.Labels[v] = l
+		if err := placeLabels(out.Labels, placed, i, mo.Labels); err != nil {
+			return nil, err
 		}
 		for _, e := range mo.Edges {
 			byID[graph.EdgeID(e.U, e.V, n)] = e
@@ -140,6 +140,9 @@ func AssembleMST(n int, outputs []any) (*MSTResult, error) {
 				out.VertexEdges[v] = es
 			}
 		}
+	}
+	if v := slices.Index(placed, false); v >= 0 {
+		return nil, fmt.Errorf("core: no machine labeled vertex %d of %d", v, n)
 	}
 	for _, id := range SortedKeys(byID) {
 		e := byID[id]

@@ -99,42 +99,33 @@ func (w *MWOE) Select() {
 	// collective, so all machines break together).
 	for s := 1; ; s++ {
 		ac := m.Comm.AllSum(active | m.CancelBit()<<cancelShift)
-		if ac>>cancelShift > 0 {
-			// Cancelled mid-elimination: discard undecided components and
-			// finish the phase; the phase loop observes the cancellation at
-			// its PhaseSync and stops.
-			for _, st := range m.States {
-				if !st.ElimDone {
-					st.ElimDone = true
-					st.HasBest = false
-					st.Cur, st.Parent = st.Label, st.Label
-				}
+		cancelled := ac>>cancelShift > 0
+		if !cancelled {
+			if ac == 0 {
+				break
 			}
-			break
+			w.ElimIters++
 		}
-		if ac&(1<<cancelShift-1) == 0 {
-			break
-		}
-		w.ElimIters++
-		if s > m.Cfg.MaxElimIters {
-			// Truncated: discard this phase's decision for the remaining
-			// active components (conservative; negligible probability).
+		if cancelled || s > m.Cfg.MaxElimIters {
+			// Cancelled mid-elimination (the phase loop observes it at its
+			// PhaseSync and stops), or truncated (a failure; conservative,
+			// negligible probability): discard this phase's decision for
+			// the components still eliminating and finish the phase.
 			for _, st := range m.States {
 				if !st.ElimDone {
-					st.ElimDone = true
-					st.HasBest = false
+					st.ElimDone, st.HasBest = true, false
 					st.Cur, st.Parent = st.Label, st.Label
-					m.Failures++
+					if !cancelled {
+						m.Failures++
+					}
 				}
 			}
 			break
 		}
 
 		// Combined exchange: thresholds to part holders + state handoff.
-		out := m.outBuf[:0]
-		newStates := m.takeSpareStates()
-		for _, label := range m.StateKeys() {
-			st := m.States[label]
+		out, kept := m.outBuf[:0], m.States[:0]
+		for _, st := range m.States {
 			if st.HasBest && !st.ElimDone {
 				buf := a.Grab(40)
 				buf = append(buf, tagThreshold)
@@ -148,16 +139,7 @@ func (w *MWOE) Select() {
 					}
 				}
 			}
-			dst := m.ProxyOf(m.StateSlot+1, label)
-			if dst == m.Ctx.ID() {
-				newStates[label] = st
-			} else {
-				buf := a.Grab(97 + len(st.Holders))
-				buf = append(buf, tagState)
-				buf = st.Encode(buf)
-				out = append(out, proxy.Out{Dst: dst, Data: a.Commit(buf)})
-				m.stFree = append(m.stFree, st)
-			}
+			kept, out = m.handOff(st, tagState, kept, out)
 		}
 		recv := m.Comm.Exchange(out)
 		ths := w.thresholds[:0]
@@ -167,16 +149,12 @@ func (w *MWOE) Select() {
 				r := wire.NewReader(msg.Data[1:])
 				ths = append(ths, threshold{label: r.Uvarint(), w: r.Varint(), id: r.Uvarint()})
 			case tagState:
-				r := wire.NewReader(msg.Data[1:])
-				st := m.DecodeStateInto(r)
-				newStates[st.Label] = st
+				kept = append(kept, m.DecodeStateInto(wire.NewReader(msg.Data[1:])))
 			default:
 				panic("core: unknown elimination message tag")
 			}
 		}
-		m.putSpareStates(m.States)
-		m.States = newStates
-		m.StateSlot++
+		m.installStates(kept)
 
 		// Filtered parts to the (new) proxies, by ascending label (a
 		// component has one proxy, so labels are distinct): a re-sketch, or
@@ -200,8 +178,7 @@ func (w *MWOE) Select() {
 	}
 
 	// Decisions: record MWOEs as MST edges and apply the merge rule.
-	for _, label := range m.StateKeys() {
-		st := m.States[label]
+	for _, st := range m.States {
 		if st.ElimDone && st.HasBest {
 			u, v := st.BestU, st.BestV
 			w.Edges[graph.EdgeID(u, v, n)] = graph.Edge{U: u, V: v, W: st.BestW}
@@ -231,8 +208,7 @@ func (w *MWOE) sampleAndResolve() uint64 {
 	asked := w.asked[:0]
 	sent := w.sent
 	clear(sent)
-	for _, label := range m.StateKeys() {
-		st := m.States[label]
+	for _, st := range m.States {
 		slots, status, ok := m.takeSlots(st)
 		if st.ElimDone || !ok {
 			continue
@@ -254,7 +230,7 @@ func (w *MWOE) sampleAndResolve() uint64 {
 				q = wire.AppendUvarint(q, uint64(outside))
 				q = wire.AppendUvarint(q, uint64(x))
 				q = wire.AppendUvarint(q, uint64(y))
-				q = wire.AppendUvarint(q, label)
+				q = wire.AppendUvarint(q, st.Label)
 				home := m.View.Home(outside)
 				out = append(out, proxy.Out{Dst: home, Data: a.Commit(q)})
 				sent[home]++

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
 	"kmgraph/internal/graph"
@@ -157,12 +159,27 @@ func soloMerger(t *testing.T, k int, p sketch.Params) *Merger {
 	return m
 }
 
+// checkSorted fails unless m.States is strictly ascending by label: one
+// state per label, in the order every step walks and searches them. It
+// reports with Errorf, so a machine's goroutine may call it.
+func checkSorted(t *testing.T, m *Merger, step string) {
+	t.Helper()
+	for i := 1; i < len(m.States); i++ {
+		if m.States[i-1].Label >= m.States[i].Label {
+			t.Errorf("machine %d after %s: state %d has label %d, state %d label %d", m.Ctx.ID(), step, i-1, m.States[i-1].Label, i, m.States[i].Label)
+			return
+		}
+	}
+}
+
 // checkStates compares the stored sample (for an MST job's Merger, the
 // stored slots) and holders of every label in want against the states, and
 // that nothing else holds a fresh sample.
 func checkStates(t *testing.T, m *Merger, k int, want map[uint64]sample, wantAll map[uint64]allSample, holders map[uint64]map[int]bool) {
 	t.Helper()
-	for label, st := range m.States {
+	checkSorted(t, m, "SumAndSample")
+	for _, st := range m.States {
+		label := st.Label
 		ws, fresh := want[label]
 		got, slots := sample{}, []sketch.Slot(nil)
 		var ok bool
@@ -173,9 +190,6 @@ func checkStates(t *testing.T, m *Merger, k int, want map[uint64]sample, wantAll
 		}
 		if ok != fresh {
 			t.Fatalf("label %d: stored sample = %v, want %v", label, ok, fresh)
-		}
-		if st.tail != 0 {
-			t.Fatalf("label %d: chain tail %d left behind", label, st.tail)
 		}
 		if !fresh {
 			continue
@@ -195,16 +209,17 @@ func checkStates(t *testing.T, m *Merger, k int, want map[uint64]sample, wantAll
 		}
 	}
 	for label := range want {
-		if m.States[label] == nil {
+		if m.stateOf(label) == nil {
 			t.Fatalf("label %d has no state", label)
 		}
 	}
 }
 
 // TestSumAndSampleMatchesPerLabelSums is the differential test of the
-// proxy side: one scratch sketch folded chain by chain must store, for
-// every label, the sample its own dense Decode+Add sum gives — and, on an
-// MST job's Merger (every other shape pass), all of that sum's slots.
+// proxy side: one scratch sketch folded one label's run at a time must
+// store, for every label, the sample its own dense Decode+Add sum gives —
+// and, on an MST job's Merger (every other shape pass), all of that sum's
+// slots — in states kept ascending by label.
 func TestSumAndSampleMatchesPerLabelSums(t *testing.T) {
 	const k = 8
 	small := sketch.Params{N: 64, Levels: 3, Buckets: 2, Reps: 1} // small enough that samples fail
@@ -268,6 +283,78 @@ func TestSumAndSampleMatchesPerLabelSums(t *testing.T) {
 	for _, s := range []sketch.Status{sketch.Empty, sketch.Sampled, sketch.Failed} {
 		if seen[s] == 0 {
 			t.Errorf("no label's reference sample was %v: the inputs do not cover it", s)
+		}
+	}
+}
+
+// TestStatesStayLabelSortedAcrossK runs, on every machine of a k-machine
+// cluster, each step that builds or moves proxy states — SumAndSample with
+// create, HandoffStates, selectEdgeCheck, and an MST phase whose
+// elimination iterations hand states off and run SumAndSample without
+// create — and checks after each that m.States is strictly ascending by
+// label, and that a handoff moves every state, its holders intact, to its
+// next slot's proxy.
+func TestStatesStayLabelSortedAcrossK(t *testing.T) {
+	const n = 200
+	g := graph.WithDistinctWeights(graph.GNM(n, 400, 3), 3)
+	for _, k := range []int{1, 4, 8} {
+		cfg := Config{K: k, Seed: 5}.WithDefaults(n)
+		part, err := kmachine.LoadShards(g.Source(), k, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var mu sync.Mutex
+		before, after := make(map[uint64][]byte), make(map[uint64][]byte)
+		elimIters := 0
+		_, err = runOneShot(t.Context(), cfg, func(mctx *kmachine.Ctx) error {
+			m := NewMerger(mctx, part.Shard(mctx.ID()), cfg)
+			defer m.ReleasePools()
+			if err := m.Setup(); err != nil {
+				return err
+			}
+			m.GatherFreshParts(m.Sh.SketchSeed(m.Phase, 0))
+			checkSorted(t, m, "SumAndSample")
+			mu.Lock()
+			for _, st := range m.States {
+				before[st.Label] = slices.Clone(st.Holders)
+			}
+			mu.Unlock()
+			m.HandoffStates()
+			checkSorted(t, m, "HandoffStates")
+			mu.Lock()
+			for _, st := range m.States {
+				after[st.Label] = slices.Clone(st.Holders)
+				if p := m.ProxyOf(m.StateSlot, st.Label); p != mctx.ID() {
+					t.Errorf("k=%d: label %d handed to machine %d, its proxy is %d", k, st.Label, mctx.ID(), p)
+				}
+			}
+			mu.Unlock()
+
+			m.selectEdgeCheck()
+			checkSorted(t, m, "selectEdgeCheck")
+
+			w := NewMWOE(m)
+			m.Phase, m.StateSlot = 1, 0
+			w.Select()
+			checkSorted(t, m, "an MST phase")
+			if mctx.ID() == 0 {
+				elimIters = w.ElimIters
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(after) != len(before) {
+			t.Fatalf("k=%d: %d states after the handoff, %d before", k, len(after), len(before))
+		}
+		for label, hs := range before {
+			if !bytes.Equal(after[label], hs) {
+				t.Fatalf("k=%d: label %d holders %08b after the handoff, %08b before", k, label, after[label], hs)
+			}
+		}
+		if elimIters == 0 {
+			t.Fatalf("k=%d: the MST phase ran no elimination iteration", k)
 		}
 	}
 }

@@ -89,7 +89,9 @@ type Job struct {
 // specVersion 10 changes no byte of the spec: an exchange sends one frame
 // per link, its payloads carried in the frame (proxy.Comm.ExchangeSum), and
 // Collapse's changed-sum rides on its next query exchange.
-const specVersion = 10
+// specVersion 11 drops the query output's component count from the result
+// frame (resident.AppendOutput): the host counts from the labels.
+const specVersion = 11
 
 // ErrVersion is the failure of a job spec from a build of another wire
 // version: a worker refuses it before it dials or loads anything, and the

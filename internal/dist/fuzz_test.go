@@ -108,8 +108,10 @@ func realControlFrames(t testing.TB) map[tcp.FrameType][][]byte {
 			t.Fatal(err)
 		}
 		// Beat fast enough that a sub-second job still emits heartbeats
-		// carrying span batches.
-		w := NewWorker(ln, WorkerOptions{MeshTimeout: 30 * time.Second, HeartbeatInterval: time.Millisecond})
+		// carrying span batches, and that the corpus, whose heartbeat
+		// count follows the jobs' wall time, stays above its old size as
+		// the jobs get faster.
+		w := NewWorker(ln, WorkerOptions{MeshTimeout: 30 * time.Second, HeartbeatInterval: 250 * time.Microsecond})
 		go w.Serve()
 		t.Cleanup(func() { w.Close() })
 		taps[i] = startTap(t, w.Addr())

@@ -173,15 +173,6 @@ func (c *coordinator) relabelAndGrow(changes []vertLabel, merges []graph.Edge) {
 	c.sorted = mergeSortedIDs(c.sorted, slices.Compact(fresh))
 }
 
-// components counts distinct labels.
-func (c *coordinator) components() int {
-	seen := make(map[uint64]bool)
-	for _, l := range c.labels {
-		seen[l] = true
-	}
-	return len(seen)
-}
-
 // forestEdges returns the current forest sorted by edge ID.
 func (c *coordinator) forestEdges() []graph.Edge {
 	out := make([]graph.Edge, 0, len(c.forest))

@@ -502,7 +502,7 @@ func (e *Engine) Query(ctx context.Context) (_ *QueryResult, err error) {
 	q := rs[0].query
 	return &QueryResult{
 		Labels:            cr.Labels,
-		Components:        q.components,
+		Components:        cr.Components,
 		Forest:            q.forest,
 		Phases:            cr.Phases,
 		Rounds:            rounds,

@@ -227,7 +227,7 @@ func AppendOutput(b []byte, o any) ([]byte, error) {
 		b = wire.AppendInts(b, bt.applied, bt.appliedIns, bt.appliedDel, bt.rejIns, bt.rejDel)
 	}
 	if b = wire.AppendBool(b, q != nil); q != nil {
-		b = wire.AppendInts(b, q.components, q.relabeled, q.certEdges, q.mergeEdges, len(q.forest))
+		b = wire.AppendInts(b, q.relabeled, q.certEdges, q.mergeEdges, len(q.forest))
 		for _, e := range q.forest {
 			b = wire.AppendInts(b, e.U, e.V, int(e.W))
 		}
@@ -256,7 +256,7 @@ func ReadOutput(r *wire.Reader) (any, error) {
 	}
 	if r.Bool() {
 		q := &queryOutput{}
-		r.Ints(&q.components, &q.relabeled, &q.certEdges, &q.mergeEdges)
+		r.Ints(&q.relabeled, &q.certEdges, &q.mergeEdges)
 		q.forest = make([]graph.Edge, size(r))
 		for i := range q.forest {
 			var w int

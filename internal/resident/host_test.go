@@ -350,7 +350,15 @@ func TestMalformedCommandRefused(t *testing.T) {
 	if err != nil {
 		t.Fatalf("query after the refusals: %v", err)
 	}
-	if got, want := res.Outputs[0].(*output).query.components, graph.ComponentCount(g); got != want {
+	outs := make([]any, len(res.Outputs))
+	for i, o := range res.Outputs {
+		outs[i] = o.(*output).machine
+	}
+	cr, err := core.Assemble(g.N(), outs)
+	if err != nil {
+		t.Fatalf("query after the refusals: %v", err)
+	}
+	if got, want := cr.Components, graph.ComponentCount(g); got != want {
 		t.Fatalf("query after the refusals: %d components, oracle %d", got, want)
 	}
 }

@@ -19,7 +19,6 @@ type batchOutput struct {
 
 // queryOutput is the certificate coordinator's part of a query answer.
 type queryOutput struct {
-	components int
 	forest     []graph.Edge
 	relabeled  int
 	certEdges  int
@@ -340,8 +339,7 @@ func (m *rmachine) query() *output {
 	rep.cancelled = cancelled
 
 	// Step 3: final sync — Boruvka label changes and sampled merge edges
-	// flow to the coordinator, which grows the forest and counts
-	// components over its resident labeling.
+	// flow to the coordinator, which grows the forest.
 	chg := m.chg[:0]
 	nc := 0
 	for i, v := range m.view.Owned() {
@@ -380,7 +378,6 @@ func (m *rmachine) query() *output {
 		}
 		m.synced = changes
 		m.coord.relabelAndGrow(changes, merges)
-		rep.query.components = m.coord.components()
 		rep.query.forest = m.coord.forestEdges()
 		rep.query.mergeEdges = len(merges)
 	}
