@@ -15,7 +15,6 @@ package baseline
 
 import (
 	"fmt"
-	"sort"
 
 	"kmgraph/internal/core"
 	"kmgraph/internal/graph"
@@ -43,26 +42,14 @@ func load(g *graph.Graph, cfg core.Config) (*kmachine.Cluster, *kmachine.ShardPa
 	return cluster, part, err
 }
 
+// assemble combines the machines' outputs — each a core.MachineOutput of
+// its final labels — through core.Assemble, the one connectivity assembler.
 func assemble(n int, res *kmachine.Result) (*Result, error) {
-	out := &Result{Labels: make([]uint64, n), Metrics: res.Metrics}
-	seen := make(map[uint64]bool)
-	assigned := 0
-	for i, o := range res.Outputs {
-		mo, ok := o.(map[int]uint64)
-		if !ok {
-			return nil, fmt.Errorf("baseline: machine %d produced no output", i)
-		}
-		for v, l := range mo {
-			out.Labels[v] = l
-			seen[l] = true
-			assigned++
-		}
+	cr, err := core.Assemble(n, res.Outputs)
+	if err != nil {
+		return nil, err
 	}
-	if assigned != n {
-		return nil, fmt.Errorf("baseline: %d of %d vertices labeled", assigned, n)
-	}
-	out.Components = len(seen)
-	return out, nil
+	return &Result{Labels: cr.Labels, Components: cr.Components, Metrics: res.Metrics}, nil
 }
 
 // Flooding computes connected components by min-label flooding: each
@@ -78,37 +65,35 @@ func Flooding(g *graph.Graph, cfg core.Config) (*Result, error) {
 	res, err := cluster.Run(func(ctx *kmachine.Ctx) error {
 		view := part.Shard(ctx.ID())
 		comm := proxy.NewComm(ctx)
-		labels := make(map[int]uint64, len(view.Owned()))
-		changed := make(map[int]bool, len(view.Owned()))
-		for _, v := range view.Owned() {
-			labels[v] = uint64(v)
-			changed[v] = true
+		owned := view.Owned()
+		labels := make([]uint64, len(owned)) // parallel to owned
+		changed := make([]bool, len(owned))
+		for i, v := range owned {
+			labels[i] = uint64(v)
+			changed[i] = true
 		}
 		for {
-			// Batch (neighbor, label) updates per destination machine.
-			batches := make(map[int][]byte)
-			vs := make([]int, 0, len(changed))
-			for v := range changed {
-				vs = append(vs, v)
-			}
-			sort.Ints(vs)
-			for _, v := range vs {
-				for _, h := range view.Adj(v) {
+			// Batch (neighbor, label) updates per destination machine,
+			// changed vertices in ascending order.
+			batches := make([][]byte, ctx.K())
+			for i := range owned {
+				if !changed[i] {
+					continue
+				}
+				for _, h := range view.Row(i) {
 					dst := view.Home(h.To)
-					b := batches[dst]
-					b = wire.AppendUvarint(b, uint64(h.To))
-					b = wire.AppendUvarint(b, labels[v])
-					batches[dst] = b
+					batches[dst] = wire.AppendUvarint(wire.AppendUvarint(batches[dst], uint64(h.To)), labels[i])
 				}
 			}
 			var out []proxy.Out
-			for dst := 0; dst < ctx.K(); dst++ {
-				if b, ok := batches[dst]; ok {
+			for dst, b := range batches {
+				if len(b) > 0 {
 					out = append(out, proxy.Out{Dst: dst, Data: b})
 				}
 			}
 			recv := comm.Exchange(out)
-			changed = make(map[int]bool)
+			clear(changed)
+			nchanged := uint64(0)
 			for _, msg := range recv {
 				r := wire.NewReader(msg.Data)
 				for r.Len() > 0 {
@@ -117,17 +102,20 @@ func Flooding(g *graph.Graph, cfg core.Config) (*Result, error) {
 					if r.Err() != nil {
 						return fmt.Errorf("baseline: bad flood batch")
 					}
-					if l < labels[v] {
-						labels[v] = l
-						changed[v] = true
+					if i := view.Ordinal(v); l < labels[i] {
+						labels[i] = l
+						if !changed[i] {
+							changed[i] = true
+							nchanged++
+						}
 					}
 				}
 			}
-			if comm.AllSum(uint64(len(changed))) == 0 {
+			if comm.AllSum(nchanged) == 0 {
 				break
 			}
 		}
-		ctx.SetOutput(labels)
+		ctx.SetOutput(&core.MachineOutput{Owned: owned, Labels: labels, Converged: true, ProtocolCount: -1})
 		return nil
 	})
 	if err != nil {
@@ -197,7 +185,7 @@ func Referee(g *graph.Graph, cfg core.Config) (*Result, error) {
 			}
 		}
 		recv := comm.Exchange(out)
-		labels := make(map[int]uint64, len(view.Owned()))
+		labels := make([]uint64, len(view.Owned())) // parallel to the owned vertices
 		for _, msg := range recv {
 			r := wire.NewReader(msg.Data)
 			for r.Len() > 0 {
@@ -206,11 +194,10 @@ func Referee(g *graph.Graph, cfg core.Config) (*Result, error) {
 				if r.Err() != nil {
 					return fmt.Errorf("baseline: bad label batch")
 				}
-				labels[v] = l
+				labels[view.Ordinal(v)] = l
 			}
 		}
-		// Machines with no vertices output an empty map.
-		ctx.SetOutput(labels)
+		ctx.SetOutput(&core.MachineOutput{Owned: view.Owned(), Labels: labels, Converged: true, ProtocolCount: -1})
 		return nil
 	})
 	if err != nil {

@@ -199,7 +199,8 @@ type Result struct {
 // resident machines reply with it (a fleet's in wire form, AppendOutput);
 // Assemble combines one per machine into the global Result.
 type MachineOutput struct {
-	Labels        map[int]uint64
+	Owned         []int    // the machine's vertices, ascending (its view's Owned)
+	Labels        []uint64 // Labels[i] is the component label of Owned[i]
 	Failures      int64
 	Phases        int
 	Converged     bool // the phase driver's verdict, reached jointly by the machines
@@ -282,18 +283,21 @@ func runOneShot(ctx context.Context, cfg Config, h kmachine.Handler) (*kmachine.
 	return cluster.RunContext(ctx, h)
 }
 
-// placeLabels copies machine i's vertex labels into all, refusing a
-// vertex out of range or one already placed. The assemblers then refuse a
-// run that left a vertex unplaced.
-func placeLabels(all []uint64, placed []bool, i int, labels map[int]uint64) error {
-	for v, l := range labels {
+// placeLabels copies machine i's vertex labels (labels[j] of owned[j])
+// into all, in order, refusing a vertex out of range or one already placed.
+// The assemblers then refuse a run that left a vertex unplaced.
+func placeLabels(all []uint64, placed []bool, i int, owned []int, labels []uint64) error {
+	if len(owned) != len(labels) {
+		return fmt.Errorf("core: machine %d labeled %d of its %d vertices", i, len(labels), len(owned))
+	}
+	for j, v := range owned {
 		if v < 0 || v >= len(all) {
 			return fmt.Errorf("core: machine %d labeled vertex %d of %d", i, v, len(all))
 		}
 		if placed[v] {
 			return fmt.Errorf("core: machine %d labeled vertex %d, labeled before", i, v)
 		}
-		all[v], placed[v] = l, true
+		all[v], placed[v] = labels[j], true
 	}
 	return nil
 }
@@ -312,7 +316,7 @@ func Assemble(n int, outputs []any) (*Result, error) {
 		if !ok {
 			return nil, fmt.Errorf("core: machine %d produced no output", i)
 		}
-		if err := placeLabels(out.Labels, placed, i, mo.Labels); err != nil {
+		if err := placeLabels(out.Labels, placed, i, mo.Owned, mo.Labels); err != nil {
 			return nil, err
 		}
 		out.SketchFailures += mo.Failures
@@ -384,6 +388,7 @@ func (m *Merger) ConnectivityJob(firstPhase int, after PhaseFunc) (out *MachineO
 	}
 	phases, converged, cancelled := m.RunPhases(firstPhase, m.Cfg.MaxPhases, func(int) { sel() }, after)
 	return &MachineOutput{
+		Owned:         m.View.Owned(),
 		Labels:        m.Labels,
 		Failures:      m.Failures,
 		Phases:        phases,
@@ -398,40 +403,32 @@ func (m *Merger) ConnectivityJob(firstPhase int, after PhaseFunc) (out *MachineO
 // the proxies forward the distinct labels they proxy to machine 0, which
 // returns the count (and -1 is returned on all other machines).
 func (m *Merger) countComponents() int {
-	// Collect the distinct labels first, then emit in sorted order: the
-	// send order reaches the proxies' recorded streams, and building it
-	// from map iteration would shuffle it per run.
+	// Labels go out in ascending order: the send order reaches the proxies'
+	// recorded streams.
 	var out []proxy.Out
-	seen := make(map[uint64]bool)
-	for _, l := range m.Labels {
-		seen[l] = true
+	for _, p := range m.Parts() {
+		out = append(out, proxy.Out{Dst: m.ProxyOf(0, p.Label), Data: wire.AppendUvarint(nil, p.Label)})
 	}
-	for _, l := range SortedKeys(seen) {
-		out = append(out, proxy.Out{
-			Dst:  m.ProxyOf(0, l),
-			Data: wire.AppendUvarint(nil, l),
-		})
-	}
-	recv := m.Comm.Exchange(out)
-	distinct := make(map[uint64]bool)
-	for _, msg := range recv {
-		r := wire.NewReader(msg.Data)
-		distinct[r.Uvarint()] = true
-	}
+	distinct := distinctLabels(nil, m.Comm.Exchange(out))
 	out = nil
-	for _, l := range SortedKeys(distinct) {
+	for _, l := range distinct {
 		out = append(out, proxy.Out{Dst: 0, Data: wire.AppendUvarint(nil, l)})
 	}
-	recv = m.Comm.Exchange(out)
+	recv := m.Comm.Exchange(out)
 	if m.Ctx.ID() != 0 {
 		return -1
 	}
-	count := make(map[uint64]bool)
+	return len(distinctLabels(distinct[:0], recv))
+}
+
+// distinctLabels appends the labels the messages carry to ls, then sorts
+// and compacts it.
+func distinctLabels(ls []uint64, recv []kmachine.Message) []uint64 {
 	for _, msg := range recv {
-		r := wire.NewReader(msg.Data)
-		count[r.Uvarint()] = true
+		ls = append(ls, wire.NewReader(msg.Data).Uvarint())
 	}
-	return len(count)
+	slices.Sort(ls)
+	return slices.Compact(ls)
 }
 
 // selectEdgeCheck is the GHS-style baseline: learn the label of every
@@ -451,8 +448,9 @@ func (m *Merger) selectEdgeCheck() {
 		}
 	}
 	slices.Sort(nbrs)
+	nbrs = slices.Compact(nbrs)
 	byDst := make([][]int, k)
-	for _, v := range slices.Compact(nbrs) {
+	for _, v := range nbrs {
 		byDst[m.View.Home(v)] = append(byDst[m.View.Home(v)], v)
 	}
 	var out []proxy.Out
@@ -477,44 +475,49 @@ func (m *Merger) selectEdgeCheck() {
 		for i := 0; i < cnt; i++ {
 			v := int(r.Uvarint())
 			rep = wire.AppendUvarint(rep, uint64(v))
-			rep = wire.AppendUvarint(rep, m.Labels[v])
+			rep = wire.AppendUvarint(rep, m.LabelOf(v))
 		}
 		out = append(out, proxy.Out{Dst: msg.Src, Data: rep})
 	}
 	recv = m.Comm.Exchange(out)
-	nbrLabel := make(map[int]uint64)
+	nbrLabel := make([]uint64, len(nbrs)) // parallel to nbrs
 	for _, msg := range recv {
 		r := wire.NewReader(msg.Data)
 		cnt := int(r.Uvarint())
 		for i := 0; i < cnt; i++ {
-			v := int(r.Uvarint())
-			nbrLabel[v] = r.Uvarint()
+			j, ok := slices.BinarySearch(nbrs, int(r.Uvarint()))
+			if !ok {
+				panic("core: label answer for a vertex not asked about")
+			}
+			nbrLabel[j] = r.Uvarint()
 		}
 	}
 
 	// Nominate the minimum outgoing edge (by edge ID) per part.
 	n := m.View.N()
 	out = nil
-	for _, label := range SortedKeys(parts) {
+	for _, p := range parts {
 		bestID := uint64(1) << 63
 		var bestTarget uint64
 		found := false
-		for _, v := range parts[label] {
-			for _, h := range m.View.Adj(v) {
-				if nbrLabel[h.To] == label {
+		for _, i := range p.Members {
+			v := m.View.Owned()[i]
+			for _, h := range m.View.Row(i) {
+				j, _ := slices.BinarySearch(nbrs, h.To)
+				if nbrLabel[j] == p.Label {
 					continue
 				}
 				id := graph.EdgeID(v, h.To, n)
 				if !found || id < bestID {
-					bestID, bestTarget, found = id, nbrLabel[h.To], true
+					bestID, bestTarget, found = id, nbrLabel[j], true
 				}
 			}
 		}
-		buf := wire.AppendUvarint(nil, label)
+		buf := wire.AppendUvarint(nil, p.Label)
 		buf = wire.AppendBool(buf, found)
 		buf = wire.AppendUvarint(buf, bestID)
 		buf = wire.AppendUvarint(buf, bestTarget)
-		out = append(out, proxy.Out{Dst: m.ProxyOf(0, label), Data: buf})
+		out = append(out, proxy.Out{Dst: m.ProxyOf(0, p.Label), Data: buf})
 	}
 	recv = m.Comm.Exchange(out)
 

@@ -206,41 +206,52 @@ func TestIsolatedVerticesMixed(t *testing.T) {
 }
 
 // TestAssemblersRefuseBadCoverage: machine outputs arrive from peers, so
-// both assemblers refuse a vertex two machines label and a run that leaves
-// a vertex unlabeled, and accept the same outputs once each vertex is
-// labeled exactly once.
+// both assemblers refuse a vertex two machines label, a vertex one machine
+// lists twice, and a run that leaves a vertex unlabeled, and accept the
+// same outputs once each vertex is labeled exactly once. A machine's labels
+// are given as (vertex, label) pairs.
 func TestAssemblersRefuseBadCoverage(t *testing.T) {
-	conn := func(labels ...map[int]uint64) []any {
-		outs := make([]any, len(labels))
-		for i, l := range labels {
-			outs[i] = &MachineOutput{Labels: l, Converged: true, ProtocolCount: -1}
+	split := func(pairs [][2]int) ([]int, []uint64) {
+		owned, labels := []int{}, []uint64{}
+		for _, p := range pairs {
+			owned, labels = append(owned, p[0]), append(labels, uint64(p[1]))
+		}
+		return owned, labels
+	}
+	conn := func(machines ...[][2]int) []any {
+		outs := make([]any, len(machines))
+		for i, pairs := range machines {
+			owned, labels := split(pairs)
+			outs[i] = &MachineOutput{Owned: owned, Labels: labels, Converged: true, ProtocolCount: -1}
 		}
 		return outs
 	}
-	mst := func(labels ...map[int]uint64) []any {
-		outs := make([]any, len(labels))
-		for i, l := range labels {
-			outs[i] = &MSTOutput{Labels: l, Converged: true}
+	mst := func(machines ...[][2]int) []any {
+		outs := make([]any, len(machines))
+		for i, pairs := range machines {
+			owned, labels := split(pairs)
+			outs[i] = &MSTOutput{Owned: owned, Labels: labels, Converged: true}
 		}
 		return outs
 	}
 	for _, tc := range []struct {
-		name   string
-		labels []map[int]uint64
-		ok     bool
+		name     string
+		machines [][][2]int
+		ok       bool
 	}{
-		{"labeled twice, one missing", []map[int]uint64{{0: 0, 1: 0}, {1: 0}}, false},
-		{"one of three labeled", []map[int]uint64{{0: 0}, {}}, false},
-		{"labeled twice", []map[int]uint64{{0: 0, 1: 0}, {1: 0, 2: 2}}, false},
-		{"each once", []map[int]uint64{{0: 0, 1: 0}, {2: 2}}, true},
+		{"labeled twice, one missing", [][][2]int{{{0, 0}, {1, 0}}, {{1, 0}}}, false},
+		{"one of three labeled", [][][2]int{{{0, 0}}, {}}, false},
+		{"labeled twice", [][][2]int{{{0, 0}, {1, 0}}, {{1, 0}, {2, 2}}}, false},
+		{"listed twice by one machine", [][][2]int{{{0, 0}, {0, 0}, {1, 0}}, {{2, 2}}}, false},
+		{"each once", [][][2]int{{{0, 0}, {1, 0}}, {{2, 2}}}, true},
 	} {
-		res, err := Assemble(3, conn(tc.labels...))
+		res, err := Assemble(3, conn(tc.machines...))
 		if (err == nil) != tc.ok {
 			t.Errorf("Assemble, %s: err = %v, want ok = %v", tc.name, err, tc.ok)
 		} else if tc.ok && res.Components != 2 {
 			t.Errorf("Assemble, %s: %d components, want 2", tc.name, res.Components)
 		}
-		if _, err := AssembleMST(3, mst(tc.labels...)); (err == nil) != tc.ok {
+		if _, err := AssembleMST(3, mst(tc.machines...)); (err == nil) != tc.ok {
 			t.Errorf("AssembleMST, %s: err = %v, want ok = %v", tc.name, err, tc.ok)
 		}
 	}

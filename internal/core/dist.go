@@ -33,10 +33,10 @@ const maxOutputItems = 1 << 28
 func AppendOutput(b []byte, o any) ([]byte, error) {
 	switch mo := o.(type) {
 	case *MachineOutput:
-		b = appendLabels(append(b, outputConn), mo.Labels)
+		b = appendLabels(append(b, outputConn), mo.Owned, mo.Labels)
 		return wire.AppendInts(b, int(mo.Failures), mo.Phases, btoi(mo.Converged), mo.CollapseIters), nil
 	case *MSTOutput:
-		b = appendEdges(appendLabels(append(b, outputMST), mo.Labels), mo.Edges)
+		b = appendEdges(appendLabels(append(b, outputMST), mo.Owned, mo.Labels), mo.Edges)
 		b = wire.AppendInts(b, btoi(mo.VertexEdges != nil), len(mo.VertexEdges))
 		for _, v := range SortedKeys(mo.VertexEdges) {
 			b = appendEdges(wire.AppendInts(b, v), mo.VertexEdges[v])
@@ -50,18 +50,18 @@ func AppendOutput(b []byte, o any) ([]byte, error) {
 // ReadOutput decodes a machine output encoded by AppendOutput.
 func ReadOutput(r *wire.Reader) (any, error) {
 	tag := int(r.Uvarint())
-	labels, err := readLabels(r)
+	owned, labels, err := readLabels(r)
 	var failures, converged, present, cnt int
 	switch {
 	case err != nil:
 		return nil, err
 	case tag == outputConn:
-		mo := &MachineOutput{Labels: labels, ProtocolCount: -1}
+		mo := &MachineOutput{Owned: owned, Labels: labels, ProtocolCount: -1}
 		r.Ints(&failures, &mo.Phases, &converged, &mo.CollapseIters)
 		mo.Failures, mo.Converged = int64(failures), converged != 0
 		return mo, r.Err()
 	case tag == outputMST:
-		mo := &MSTOutput{Labels: labels}
+		mo := &MSTOutput{Owned: owned, Labels: labels}
 		if mo.Edges, err = readEdges(r); err != nil {
 			return nil, err
 		}
@@ -87,27 +87,33 @@ func ReadOutput(r *wire.Reader) (any, error) {
 	}
 }
 
-func appendLabels(b []byte, labels map[int]uint64) []byte {
-	b = wire.AppendInts(b, len(labels))
-	for _, v := range SortedKeys(labels) {
-		b = wire.AppendUvarint(wire.AppendInts(b, v), labels[v])
+// appendLabels encodes a machine's (vertex, label) pairs, vertices ascending.
+func appendLabels(b []byte, owned []int, labels []uint64) []byte {
+	b = wire.AppendInts(b, len(owned))
+	for i, v := range owned {
+		b = wire.AppendUvarint(wire.AppendInts(b, v), labels[i])
 	}
 	return b
 }
 
-func readLabels(r *wire.Reader) (map[int]uint64, error) {
+// readLabels decodes appendLabels' pairs, refusing vertices that are not
+// strictly ascending, as a machine's owned vertices are.
+func readLabels(r *wire.Reader) ([]int, []uint64, error) {
 	var cnt int
 	r.Ints(&cnt)
 	if err := checkCount(r, cnt); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	labels := make(map[int]uint64, min(cnt, 1<<20))
+	owned, labels := make([]int, 0, min(cnt, 1<<20)), make([]uint64, 0, min(cnt, 1<<20))
 	for i := 0; i < cnt && r.Err() == nil; i++ {
 		var v int
 		r.Ints(&v)
-		labels[v] = r.Uvarint()
+		if i > 0 && v <= owned[i-1] && r.Err() == nil {
+			return nil, nil, fmt.Errorf("core: output labels vertex %d after vertex %d", v, owned[i-1])
+		}
+		owned, labels = append(owned, v), append(labels, r.Uvarint())
 	}
-	return labels, r.Err()
+	return owned, labels, r.Err()
 }
 
 func appendEdges(b []byte, es []graph.Edge) []byte {

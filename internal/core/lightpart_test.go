@@ -71,8 +71,8 @@ func TestLightPartRowsMatchSketch(t *testing.T) {
 			_, err = runOneShot(t.Context(), cfg, func(mctx *kmachine.Ctx) error {
 				m := NewMerger(mctx, shards.Shard(mctx.ID()), cfg)
 				defer m.ReleasePools()
-				for _, v := range m.View.Owned() {
-					m.Labels[v] = labels[v]
+				for i, v := range m.View.Owned() {
+					m.Labels[i] = labels[v]
 				}
 				local := make(map[string]int)
 				for step, filtered := range []bool{false, false, true, true} {
@@ -80,10 +80,10 @@ func TestLightPartRowsMatchSketch(t *testing.T) {
 					seed := uint64(7*trial + step)
 					var got [2]map[uint64]string
 					for form := range got {
-						parts := m.Parts()
 						var out []proxy.Out
 						sk := m.Pool().Get(seed)
-						for _, label := range SortedKeys(parts) {
+						for _, p := range m.Parts() {
+							label := p.Label
 							var filter func(u int, h graph.Half) bool
 							if cut, ok := cuts[label]; filtered && ok {
 								filter = func(u int, h graph.Half) bool { return edgeLessHalf(u, h, n, cut.w, cut.id) }
@@ -91,12 +91,12 @@ func TestLightPartRowsMatchSketch(t *testing.T) {
 							var body *sketch.Sketch // form 0: rows
 							if form == 1 {
 								sk.Reset()
-								for _, v := range parts[label] {
-									sk.AddVertex(v, m.View.Adj(v), filter)
+								for _, i := range p.Members {
+									sk.AddVertex(m.View.Owned()[i], m.View.Row(i), filter)
 								}
 								body = sk
 							}
-							out = append(out, proxy.Out{Dst: int(label % uint64(k)), Data: m.PartPayload(label, parts[label], filter, body)})
+							out = append(out, proxy.Out{Dst: int(label % uint64(k)), Data: m.PartPayload(label, p.Members, filter, body)})
 						}
 						m.Pool().Put(sk)
 						m.SumAndSample(m.Comm.Exchange(out), seed, true)

@@ -101,7 +101,7 @@ type Merger struct {
 	Sh   *proxy.Shared
 	Poly *hashing.Poly // non-nil in FaithfulRandomness mode
 
-	Labels map[int]uint64 // owned vertex -> component label
+	Labels []uint64 // Labels[i] is the component label of View.Owned()[i]
 	// States holds the component states this machine proxies, one per
 	// label, ascending by label: every step walks them in that order, so
 	// its sends are deterministic, and finds one by binary search (stateOf).
@@ -139,15 +139,15 @@ type Merger struct {
 
 	prevFailures int64
 	skPool       *sketch.Pool
-	partsMap     map[uint64][]int
-	partsFree    [][]int
+	partBuf      []Part // Parts: the last grouping
+	memberBuf    []int  // Parts: its members' ordinals, part after part
 	stFree       []*CompState
 	encScratch   []byte       // PartPayload: this gather's parts, back to back
 	rowBuf       []graph.Half // addPart: one decoded row
 	outBuf       []proxy.Out
 	ansBuf       []proxy.Out
 	queryBuf     []kmachine.Message // Collapse: queries held across a handoff
-	labeledBuf   []labeledMsg       // sortByLabel: received messages grouped by label
+	labeledBuf   []labeled          // sortByLabel and Parts: indices grouped by label
 	relabel      map[uint64]uint64
 }
 
@@ -179,14 +179,13 @@ func cmpStateLabel(st *CompState, label uint64) int { return cmp.Compare(st.Labe
 
 func cmpStates(a, b *CompState) int { return cmp.Compare(a.Label, b.Label) }
 
-// labeledMsg is a received message's index and the component label its
-// body starts with.
-type labeledMsg struct {
+// labeled is an index (a received message's, or an ordinal) and its label.
+type labeled struct {
 	label uint64
 	i     int32
 }
 
-func cmpLabeledMsgs(a, b labeledMsg) int {
+func cmpLabeled(a, b labeled) int {
 	return cmp.Or(cmp.Compare(a.label, b.label), cmp.Compare(a.i, b.i))
 }
 
@@ -196,12 +195,12 @@ func cmpLabeledMsgs(a, b labeledMsg) int {
 // is reused by the next call.
 //
 //km:hotpath
-func (m *Merger) sortByLabel(recv []kmachine.Message, shift uint) []labeledMsg {
+func (m *Merger) sortByLabel(recv []kmachine.Message, shift uint) []labeled {
 	ls := m.labeledBuf[:0]
 	for i, msg := range recv {
-		ls = append(ls, labeledMsg{label: wire.NewReader(msg.Data).Uvarint() >> shift, i: int32(i)})
+		ls = append(ls, labeled{label: wire.NewReader(msg.Data).Uvarint() >> shift, i: int32(i)})
 	}
-	slices.SortFunc(ls, cmpLabeledMsgs)
+	slices.SortFunc(ls, cmpLabeled)
 	m.labeledBuf = ls
 	return ls
 }
@@ -294,14 +293,14 @@ func (m *Merger) addPart(sum *sketch.Sketch, data []byte, src int) error {
 	return r.Done()
 }
 
-// Light reports whether a part ships its adjacency rows instead of a
-// sketch: it has fewer than cells (Params.Cells()) local half-edges under
+// Light reports whether a part (member ordinals in view) ships its rows, not
+// a sketch: it has fewer than cells (Params.Cells()) local half-edges under
 // filter (nil = all), so its rows (under 15 bytes a half-edge) undercut a
 // dense sketch (~17 bytes a cell). A residency keeps no sums for it.
 func Light(view *kmachine.Shard, members []int, filter func(u int, h graph.Half) bool, cells int) bool {
 	h := 0
-	for _, u := range members {
-		if h += keptDegree(u, view.Adj(u), filter); h >= cells {
+	for _, i := range members {
+		if h += keptDegree(view.Owned()[i], view.Row(i), filter); h >= cells {
 			return false
 		}
 	}
@@ -322,26 +321,26 @@ func keptDegree(u int, adj []graph.Half, filter func(u int, h graph.Half) bool) 
 	return d
 }
 
-// PartPayload encodes one part after the gather's earlier ones in the
-// machine's part scratch, which each gather empties, and returns its bytes:
-// they stay intact until the next gather, and the exchange copies them into
-// their link's frame, so a part is copied once. The header is
-// uvarint(label<<1 | rows). A sketch body is sk.EncodeTo; a nil sk means
-// rows under filter: uvarint(count), then per member with a kept half-edge
-// uvarint(v), uvarint(d) and d × uvarint(to).
+// PartPayload encodes one part (member ordinals, as in Parts) after the
+// gather's earlier ones in the machine's part scratch, which each gather
+// empties, and returns its bytes: they stay intact until the next gather,
+// and the exchange copies them into their link's frame, so a part is copied
+// once. The header is uvarint(label<<1 | rows). A sketch body is
+// sk.EncodeTo; a nil sk means rows under filter: uvarint(count), then per
+// member with a kept half-edge uvarint(v), uvarint(d) and d × uvarint(to).
 func (m *Merger) PartPayload(label uint64, members []int, filter func(u int, h graph.Half) bool, sk *sketch.Sketch) []byte {
 	scr := m.encScratch
 	start := len(scr)
 	if sk != nil {
 		scr = sk.EncodeTo(wire.AppendUvarint(scr, label<<1))
 	} else {
-		count := 0
-		for _, v := range members {
-			count += min(keptDegree(v, m.View.Adj(v), filter), 1)
+		owned, count := m.View.Owned(), 0
+		for _, i := range members {
+			count += min(keptDegree(owned[i], m.View.Row(i), filter), 1)
 		}
 		scr = wire.AppendUvarint(wire.AppendUvarint(scr, label<<1|1), uint64(count))
-		for _, v := range members {
-			adj := m.View.Adj(v)
+		for _, i := range members {
+			v, adj := owned[i], m.View.Row(i)
 			if d := keptDegree(v, adj, filter); d > 0 {
 				scr = wire.AppendUvarint(wire.AppendUvarint(scr, uint64(v)), uint64(d))
 				for _, h := range adj {
@@ -508,15 +507,9 @@ func (m *Merger) RunPhases(firstPhase, maxPhases int, sel func(i int), after Pha
 	return phases, false, false
 }
 
-// NewMerger returns a merge engine for one machine.
+// NewMerger returns a merge engine for one machine (labels as NewMergerOn).
 func NewMerger(ctx *kmachine.Ctx, view *kmachine.Shard, cfg Config) *Merger {
-	return &Merger{
-		Ctx:    ctx,
-		Comm:   proxy.NewComm(ctx),
-		View:   view,
-		Cfg:    cfg,
-		Labels: make(map[int]uint64, len(view.Owned())),
-	}
+	return NewMergerOn(proxy.NewComm(ctx), view, cfg, nil, nil)
 }
 
 // NewMergerOn returns a merge engine that shares an existing communicator
@@ -532,15 +525,18 @@ func NewMergerOn(comm *proxy.Comm, view *kmachine.Shard, cfg Config, sh *proxy.S
 		Cfg:    cfg,
 		Sh:     sh,
 		Poly:   poly,
-		Labels: make(map[int]uint64, len(view.Owned())),
+		Labels: make([]uint64, len(view.Owned())),
 	}
-	for _, v := range view.Owned() {
-		m.Labels[v] = uint64(v)
+	for i, v := range view.Owned() {
+		m.Labels[i] = uint64(v)
 	}
 	return m
 }
 
-// Setup establishes shared randomness and the initial singleton labeling.
+// LabelOf returns the current label of owned vertex v.
+func (m *Merger) LabelOf(v int) uint64 { return m.Labels[m.View.Ordinal(v)] }
+
+// Setup establishes shared randomness.
 func (m *Merger) Setup() error {
 	m.Sh = proxy.Setup(m.Comm)
 	if m.Cfg.FaithfulRandomness {
@@ -557,9 +553,6 @@ func (m *Merger) Setup() error {
 			return fmt.Errorf("core: polynomial construction failed")
 		}
 	}
-	for _, v := range m.View.Owned() {
-		m.Labels[v] = uint64(v)
-	}
 	return nil
 }
 
@@ -573,33 +566,50 @@ func (m *Merger) ProxyOf(slot int, label uint64) int {
 	return m.Sh.ProxyOf(m.Phase, slot, label, m.Ctx.K())
 }
 
-// Parts groups this machine's vertices by current component label. The
-// returned map and its slices are reused by the next Parts call on this
-// Merger — consume the grouping within the phase step that requested it.
+// Part is one component's members on this machine: the ordinals (positions
+// in View.Owned()) of the owned vertices whose label is Label, ascending.
+type Part struct {
+	Label   uint64
+	Members []int
+}
+
+// Parts groups this machine's vertices by current component label: one
+// Part per label, ascending by label. The slice and its members are reused
+// by the next Parts call on this Merger — consume the grouping within the
+// phase step that requested it.
 //
 //km:hotpath
-func (m *Merger) Parts() map[uint64][]int {
-	if m.partsMap == nil {
-		m.partsMap = make(map[uint64][]int, len(m.View.Owned())) //kmvet:ignore one-time lazy init; reused by every later call
+func (m *Merger) Parts() []Part {
+	ls := m.labeledBuf[:0]
+	for i, l := range m.Labels {
+		ls = append(ls, labeled{label: l, i: int32(i)})
 	}
-	p := m.partsMap
-	for l, s := range p {
-		m.partsFree = append(m.partsFree, s[:0]) //kmvet:ignore free-list recycling; recycled slices are truncated and value-independent
-		delete(p, l)
-	}
-	for _, v := range m.View.Owned() {
-		l := m.Labels[v]
-		s, ok := p[l]
-		if !ok {
-			if n := len(m.partsFree); n > 0 {
-				s = m.partsFree[n-1]
-				m.partsFree = m.partsFree[:n-1]
-			}
+	slices.SortFunc(ls, cmpLabeled)
+	members, parts := slices.Grow(m.memberBuf[:0], len(ls)), m.partBuf[:0]
+	lo := 0
+	for j, x := range ls {
+		members = append(members, int(x.i)) // never grows: parts keep pointing in
+		if j+1 == len(ls) || ls[j+1].label != x.label {
+			parts = append(parts, Part{Label: x.label, Members: members[lo : j+1 : j+1]})
+			lo = j + 1
 		}
-		p[l] = append(s, v)
 	}
-	return p
+	m.labeledBuf, m.memberBuf, m.partBuf = ls, members, parts
+	return parts
 }
+
+// Members returns the member ordinals of label's part in parts (a Parts
+// result), or nil when no owned vertex carries label.
+//
+//km:hotpath
+func Members(parts []Part, label uint64) []int {
+	if i, ok := slices.BinarySearchFunc(parts, label, cmpPartLabel); ok {
+		return parts[i].Members
+	}
+	return nil
+}
+
+func cmpPartLabel(p Part, label uint64) int { return cmp.Compare(p.Label, label) }
 
 // SortedKeys returns the keys of a map in ascending order (deterministic
 // iteration for SPMD protocols and wire encodings).
@@ -657,12 +667,10 @@ func (m *Merger) SelectSketch() {
 // sum and records the part holders (SumAndSample). Payloads are interned
 // exact-size in the arena.
 func (m *Merger) GatherParts(seed uint64, part func(label uint64, members []int) *sketch.Sketch) {
-	parts := m.Parts()
 	out := m.outBuf[:0]
 	m.encScratch = m.encScratch[:0]
-	for _, label := range SortedKeys(parts) {
-		members := parts[label]
-		out = append(out, proxy.Out{Dst: m.ProxyOf(0, label), Data: m.PartPayload(label, members, nil, part(label, members))})
+	for _, p := range m.Parts() {
+		out = append(out, proxy.Out{Dst: m.ProxyOf(0, p.Label), Data: m.PartPayload(p.Label, p.Members, nil, part(p.Label, p.Members))})
 	}
 	recv := m.Comm.Exchange(out)
 	m.outBuf = out
@@ -684,8 +692,8 @@ func (m *Merger) partSketch(sk *sketch.Sketch, members []int, filter func(u int,
 		return nil
 	}
 	sk.Reset()
-	for _, v := range members {
-		sk.AddVertex(v, m.View.Adj(v), filter)
+	for _, i := range members {
+		sk.AddVertex(m.View.Owned()[i], m.View.Row(i), filter)
 	}
 	return sk
 }
@@ -764,9 +772,10 @@ func (m *Merger) AnswerLabelQueries(recv []kmachine.Message) []proxy.Out {
 		if other == outside {
 			other = y
 		}
+		o := m.View.Ordinal(outside)
 		valid := false
 		var w int64
-		for _, h := range m.View.Adj(outside) {
+		for _, h := range m.View.Row(o) {
 			if h.To == other {
 				valid = true
 				w = h.W
@@ -775,7 +784,7 @@ func (m *Merger) AnswerLabelQueries(recv []kmachine.Message) []proxy.Out {
 		}
 		rep := a.Grab(40)
 		rep = wire.AppendUvarint(rep, askLabel)
-		rep = wire.AppendUvarint(rep, m.Labels[outside])
+		rep = wire.AppendUvarint(rep, m.Labels[o])
 		rep = wire.AppendBool(rep, valid)
 		rep = wire.AppendVarint(rep, w)
 		out = append(out, proxy.Out{Dst: msg.Src, Data: a.Commit(rep)})
@@ -830,9 +839,9 @@ func (m *Merger) applyRelabel(relabel map[uint64]uint64) {
 	if m.OnRelabel != nil {
 		m.OnRelabel(relabel)
 	}
-	for v, l := range m.Labels {
+	for i, l := range m.Labels {
 		if nl, ok := relabel[l]; ok {
-			m.Labels[v] = nl
+			m.Labels[i] = nl
 		}
 	}
 }

@@ -64,7 +64,8 @@ type MSTResult struct {
 // MSTOutput is each machine's designated output of an MST job (the MST
 // counterpart of MachineOutput).
 type MSTOutput struct {
-	Labels      map[int]uint64
+	Owned       []int    // as in MachineOutput
+	Labels      []uint64 // Labels[i] is the component label of Owned[i]
 	Edges       []graph.Edge
 	VertexEdges map[int][]graph.Edge
 	Failures    int64
@@ -115,7 +116,7 @@ func AssembleMST(n int, outputs []any) (*MSTResult, error) {
 		if !ok {
 			return nil, fmt.Errorf("core: machine %d produced no MST output", i)
 		}
-		if err := placeLabels(out.Labels, placed, i, mo.Labels); err != nil {
+		if err := placeLabels(out.Labels, placed, i, mo.Owned, mo.Labels); err != nil {
 			return nil, err
 		}
 		for _, e := range mo.Edges {
@@ -181,7 +182,7 @@ func (m *Merger) MSTJob(firstPhase int, strong bool, after PhaseFunc) (out *MSTO
 	if strong && !cancelled {
 		out.VertexEdges = w.DisseminateStrong()
 	}
-	out.Labels = m.Labels
+	out.Owned, out.Labels = m.View.Owned(), m.Labels
 	out.Failures = m.Failures
 	out.ElimIters = w.ElimIters
 	for _, id := range SortedKeys(w.Edges) {

@@ -166,7 +166,7 @@ func (w *MWOE) Select() {
 		part := m.Pool().Get(seed)
 		for _, th := range ths {
 			w.cut = th
-			members := parts[th.label]
+			members := Members(parts, th.label)
 			sk := m.partSketch(part, members, w.lighter)
 			out = append(out, proxy.Out{Dst: m.ProxyOf(m.StateSlot, th.label), Data: m.PartPayload(th.label, members, w.lighter, sk)})
 		}

@@ -69,10 +69,43 @@ func TestOutputRoundTrip(t *testing.T) {
 	}
 }
 
+// connFrame is a connectivity output in wire form labeling the given
+// vertices, in the given order, 0.
+func connFrame(vs ...int) []byte {
+	b := wire.AppendInts([]byte{outputConn}, len(vs))
+	for _, v := range vs {
+		b = wire.AppendUvarint(wire.AppendInts(b, v), 0)
+	}
+	return wire.AppendInts(b, 0, 1, 1, 0)
+}
+
+// TestReadOutputRefusesUnsortedLabels: a machine's vertices are ascending,
+// so the decoder refuses a label list that is not strictly ascending — a
+// vertex listed twice would otherwise keep only one of its labels.
+func TestReadOutputRefusesUnsortedLabels(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		vs   []int
+		ok   bool
+	}{
+		{"vertex 1 listed twice", []int{0, 1, 1}, false},
+		{"vertex 2, then vertex 1", []int{2, 1}, false},
+		{"ascending", []int{0, 1, 2}, true},
+	} {
+		o, err := ReadOutput(wire.NewReader(connFrame(tc.vs...)))
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: err = %v, want ok = %v", tc.name, err, tc.ok)
+		} else if tc.ok && !reflect.DeepEqual(o.(*MachineOutput).Owned, tc.vs) {
+			t.Errorf("%s: decoded vertices %v", tc.name, o.(*MachineOutput).Owned)
+		}
+	}
+}
+
 // FuzzReadOutput: the decoder of worker-supplied output bytes never
 // panics, allocates in proportion to its input (a count field alone must
-// not size an allocation), accepts only what re-encodes to an equal
-// value, and hands the assemblers nothing that makes them panic.
+// not size an allocation), accepts only strictly ascending vertices with
+// one label each and what re-encodes to an equal value, and hands the
+// assemblers nothing that makes them panic.
 func FuzzReadOutput(f *testing.F) {
 	for _, o := range realOutputs(f) {
 		b, err := AppendOutput(nil, o)
@@ -86,6 +119,8 @@ func FuzzReadOutput(f *testing.F) {
 	f.Add([]byte{outputMST, 0, 0, 2, 0xfe, 0xff, 0xff, 0x7f}) // 2^27-1 vertex-edge entries, no bytes
 	f.Add([]byte{outputMST, 0, 0xff, 0xff, 0xff, 0x7f})       // 2^28-1 edges
 	f.Add([]byte{outputMST, 1, 0xff, 0xff, 0x03, 7, 0, 1})    // vertex 65535 of a 4-vertex graph
+	f.Add(connFrame(0, 1, 1))                                 // vertex 1 listed twice
+	f.Add(connFrame(2, 1))                                    // vertices out of order
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
@@ -96,6 +131,22 @@ func FuzzReadOutput(f *testing.F) {
 		}
 		if err != nil {
 			return
+		}
+		var owned []int
+		var labels []uint64
+		switch mo := o.(type) {
+		case *MachineOutput:
+			owned, labels = mo.Owned, mo.Labels
+		case *MSTOutput:
+			owned, labels = mo.Owned, mo.Labels
+		}
+		if len(owned) != len(labels) {
+			t.Fatalf("%d vertices with %d labels accepted", len(owned), len(labels))
+		}
+		for i := 1; i < len(owned); i++ {
+			if owned[i] <= owned[i-1] {
+				t.Fatalf("vertex %d after vertex %d accepted", owned[i], owned[i-1])
+			}
 		}
 		b, err := AppendOutput(nil, o)
 		if err != nil {

@@ -172,6 +172,40 @@ func checkSorted(t *testing.T, m *Merger, step string) {
 	}
 }
 
+// checkParts checks the machine's ordinal space after step: one label per
+// owned vertex, and Parts strictly ascending by label, each part's member
+// ordinals ascending and carrying its label, every owned vertex in exactly
+// one part. It returns the size of the largest part.
+func checkParts(t *testing.T, m *Merger, step string) int {
+	t.Helper()
+	owned := m.View.Owned()
+	if len(m.Labels) != len(owned) {
+		t.Errorf("machine %d after %s: %d labels for %d owned vertices", m.Ctx.ID(), step, len(m.Labels), len(owned))
+		return 0
+	}
+	parts := m.Parts()
+	seen, largest := 0, 0
+	for j, p := range parts {
+		if j > 0 && parts[j-1].Label >= p.Label {
+			t.Errorf("machine %d after %s: part %d has label %d, part %d label %d", m.Ctx.ID(), step, j-1, parts[j-1].Label, j, p.Label)
+		}
+		for x, i := range p.Members {
+			if x > 0 && p.Members[x-1] >= i {
+				t.Errorf("machine %d after %s: part %d lists ordinal %d after %d", m.Ctx.ID(), step, p.Label, i, p.Members[x-1])
+			}
+			if v := owned[i]; m.LabelOf(v) != p.Label {
+				t.Errorf("machine %d after %s: vertex %d labeled %d sits in part %d", m.Ctx.ID(), step, v, m.LabelOf(v), p.Label)
+			}
+		}
+		seen += len(p.Members)
+		largest = max(largest, len(p.Members))
+	}
+	if seen != len(owned) {
+		t.Errorf("machine %d after %s: parts hold %d members, %d vertices owned", m.Ctx.ID(), step, seen, len(owned))
+	}
+	return largest
+}
+
 // checkStates compares the stored sample (for an MST job's Merger, the
 // stored slots) and holders of every label in want against the states, and
 // that nothing else holds a fresh sample.
@@ -292,8 +326,10 @@ func TestSumAndSampleMatchesPerLabelSums(t *testing.T) {
 // create, HandoffStates, selectEdgeCheck, and an MST phase whose
 // elimination iterations hand states off and run SumAndSample without
 // create — and checks after each that m.States is strictly ascending by
-// label, and that a handoff moves every state, its holders intact, to its
-// next slot's proxy.
+// label, that the machine's labels and parts are one ordinal space
+// (checkParts; the edge-check and MST phases are finished by Collapse and
+// PhaseSync, so parts merge), and that a handoff moves every state, its
+// holders intact, to its next slot's proxy.
 func TestStatesStayLabelSortedAcrossK(t *testing.T) {
 	const n = 200
 	g := graph.WithDistinctWeights(graph.GNM(n, 400, 3), 3)
@@ -305,7 +341,7 @@ func TestStatesStayLabelSortedAcrossK(t *testing.T) {
 		}
 		var mu sync.Mutex
 		before, after := make(map[uint64][]byte), make(map[uint64][]byte)
-		elimIters := 0
+		elimIters, largest := 0, 0
 		_, err = runOneShot(t.Context(), cfg, func(mctx *kmachine.Ctx) error {
 			m := NewMerger(mctx, part.Shard(mctx.ID()), cfg)
 			defer m.ReleasePools()
@@ -314,6 +350,7 @@ func TestStatesStayLabelSortedAcrossK(t *testing.T) {
 			}
 			m.GatherFreshParts(m.Sh.SketchSeed(m.Phase, 0))
 			checkSorted(t, m, "SumAndSample")
+			checkParts(t, m, "SumAndSample")
 			mu.Lock()
 			for _, st := range m.States {
 				before[st.Label] = slices.Clone(st.Holders)
@@ -321,6 +358,7 @@ func TestStatesStayLabelSortedAcrossK(t *testing.T) {
 			mu.Unlock()
 			m.HandoffStates()
 			checkSorted(t, m, "HandoffStates")
+			checkParts(t, m, "HandoffStates")
 			mu.Lock()
 			for _, st := range m.States {
 				after[st.Label] = slices.Clone(st.Holders)
@@ -332,11 +370,23 @@ func TestStatesStayLabelSortedAcrossK(t *testing.T) {
 
 			m.selectEdgeCheck()
 			checkSorted(t, m, "selectEdgeCheck")
+			checkParts(t, m, "selectEdgeCheck")
+			m.StateSlot = 0 // the edge check's states sit at slot 0
+			m.Collapse()
+			m.PhaseSync()
+			big := checkParts(t, m, "an edge-check relabel")
 
 			w := NewMWOE(m)
 			m.Phase, m.StateSlot = 1, 0
 			w.Select()
 			checkSorted(t, m, "an MST phase")
+			checkParts(t, m, "an MST phase")
+			m.Collapse()
+			m.PhaseSync()
+			big = max(big, checkParts(t, m, "an MST relabel"))
+			mu.Lock()
+			largest = max(largest, big)
+			mu.Unlock()
 			if mctx.ID() == 0 {
 				elimIters = w.ElimIters
 			}
@@ -355,6 +405,9 @@ func TestStatesStayLabelSortedAcrossK(t *testing.T) {
 		}
 		if elimIters == 0 {
 			t.Fatalf("k=%d: the MST phase ran no elimination iteration", k)
+		}
+		if largest < 2 {
+			t.Fatalf("k=%d: no relabel merged two vertices of one machine", k)
 		}
 	}
 }

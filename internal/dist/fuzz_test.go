@@ -108,9 +108,7 @@ func realControlFrames(t testing.TB) map[tcp.FrameType][][]byte {
 			t.Fatal(err)
 		}
 		// Beat fast enough that a sub-second job still emits heartbeats
-		// carrying span batches, and that the corpus, whose heartbeat
-		// count follows the jobs' wall time, stays above its old size as
-		// the jobs get faster.
+		// carrying span batches, many of them distinct.
 		w := NewWorker(ln, WorkerOptions{MeshTimeout: 30 * time.Second, HeartbeatInterval: 250 * time.Microsecond})
 		go w.Serve()
 		t.Cleanup(func() { w.Close() })
@@ -121,19 +119,13 @@ func realControlFrames(t testing.TB) map[tcp.FrameType][][]byte {
 	defer cancel()
 	// An observer makes the residencies traced ones.
 	cfg := resident.Config{Config: core.Config{K: 4, Seed: 9}, Observer: func(resident.Event) {}}
-	// n=1600, four times what it was: the corpus's heartbeat count follows
-	// the job's wall time, and MST elimination now takes about half the
-	// rounds on the same input.
+	// n=1600: long enough for heartbeats that carry MST phase spans.
 	if _, err := fleetMST(ctx, FleetSpec{Source: "gnm:1600:4800:3", Addrs: addrs}, cfg, true); err != nil {
 		t.Fatal(err)
 	}
 	// A connectivity job too: its result frames carry the other output
-	// kind, and the corpus's heartbeat count follows the jobs' wall time,
-	// which fell when the proxies stopped keeping per-component sums, again
-	// when light parts began to ship rows, and again when an exchange
-	// began to send one frame per link (and wanders by ±6 % of the count
-	// from run to run: n=120000 keeps the corpus above its old size on a
-	// fast run too).
+	// kind, and at n=120000 it runs long enough to give the corpus most of
+	// its distinct heartbeats.
 	if _, err := fleetStatic(ctx, FleetSpec{Source: "gnm:120000:360000:5", Addrs: addrs}, cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -174,31 +166,60 @@ const (
 	fuzzDecoders
 )
 
+// The corpus takes a fixed number of heartbeat and span seeds, whatever
+// the jobs' wall time: a seed is named by its index (seed#N), so a count
+// that followed the clock would drop names whenever the engine got faster.
+// The job, result and error frames (40) are fixed by the commands; the
+// total, 6,041 seeds with the one hand-made frame, exceeds the most the
+// unfixed corpus gave on a 2-core x86-64 box (5,890 with the package
+// alone, 5,301 in a full `go test ./...`).
+const (
+	fuzzHeartbeats = 4500 // heartbeat seeds
+	fuzzSpanSeeds  = 1500 // span batches taken from the heartbeats
+)
+
+// firstN returns the first n bodies, repeated in order when there are
+// fewer.
+func firstN(bodies [][]byte, n int) [][]byte {
+	out := make([][]byte, n)
+	for i := range out {
+		out[i] = bodies[i%len(bodies)]
+	}
+	return out
+}
+
 // FuzzControlFrames: every decoder of the coordinator–worker control link
 // survives arbitrary bytes — no panic, no hang on a huge count field —
 // and what it accepts survives a re-encode. Seeded from the frames of a
-// real traced 2-worker job.
+// real traced 2-worker job: every job, result and error frame, and the
+// first fuzzHeartbeats heartbeats and fuzzSpanSeeds span batches.
 func FuzzControlFrames(f *testing.F) {
 	real := realControlFrames(f)
 	for kind, ft := range []tcp.FrameType{
 		fuzzJob: tcp.FrameJob, fuzzResult: tcp.FrameResult, fuzzError: tcp.FrameError, fuzzHeartbeat: tcp.FrameHeartbeat,
 	} {
-		if len(real[ft]) == 0 {
+		bodies := real[ft]
+		if len(bodies) == 0 {
 			f.Fatalf("the real jobs produced no frame of type %d", ft)
 		}
-		for _, body := range real[ft] {
+		if ft == tcp.FrameHeartbeat {
+			bodies = firstN(bodies, fuzzHeartbeats)
+		}
+		for _, body := range bodies {
 			f.Add(byte(kind), body)
 		}
 	}
-	spans := 0
+	var spans [][]byte
 	for _, body := range real[tcp.FrameHeartbeat] {
 		if _, _, sp, err := decodeHeartbeat(body); err == nil && len(sp) > 0 {
-			f.Add(byte(fuzzSpans), appendSpans(nil, sp))
-			spans++
+			spans = append(spans, appendSpans(nil, sp))
 		}
 	}
-	if spans == 0 {
+	if len(spans) == 0 {
 		f.Fatal("no heartbeat of the traced job carried spans")
+	}
+	for _, body := range firstN(spans, fuzzSpanSeeds) {
+		f.Add(byte(fuzzSpans), body)
 	}
 	f.Add(byte(fuzzResult), []byte{0, 4, 0xff, 0xff, 0x03}) // metrics for k=65535, no bytes
 

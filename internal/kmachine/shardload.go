@@ -1,9 +1,10 @@
 package kmachine
 
 import (
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"kmgraph/internal/graph"
 )
@@ -15,28 +16,27 @@ import (
 // baselines read the shard the loader hands them; a residency (a
 // distributed worker's range of one included) adopts it as the machine's live graph and mutates it in place
 // (Insert / Remove); min-cut sampling and the verification reductions
-// construct the filtered or lifted shard they run over (NewShard). How
-// adjacency is stored is this file's decision alone.
+// construct the filtered or lifted shard they run over (NewShard).
+//
+// A shard is one ordinal space: Owned()[i] has its row at i, and per-vertex
+// state elsewhere (a Merger's labels, its parts' members) is indexed alike.
+// Ordinal is the one vertex-to-position lookup. How adjacency is stored is
+// this file's decision alone.
 type Shard struct {
 	n, id int
-	owned []int
+	owned []int // ascending
 	home  func(v int) int
-	adj   map[int][]graph.Half // a row per owned vertex, sorted by neighbor
+	rows  [][]graph.Half // rows[i] is owned[i]'s row, sorted by neighbor
 }
 
 // NewShard wraps rows the caller built for machine id's owned vertices
-// (ascending; rows sorted by neighbor) over an n-vertex graph. An owned
-// vertex without a row gets an empty one; adj may be nil.
-func NewShard(n, id int, owned []int, home func(v int) int, adj map[int][]graph.Half) *Shard {
-	if adj == nil {
-		adj = make(map[int][]graph.Half, len(owned))
+// (ascending) over an n-vertex graph: rows[i], sorted by neighbor, is
+// owned[i]'s, and a nil row — or nil rows — means no edges.
+func NewShard(n, id int, owned []int, home func(v int) int, rows [][]graph.Half) *Shard {
+	if rows == nil {
+		rows = make([][]graph.Half, len(owned))
 	}
-	for _, u := range owned {
-		if _, ok := adj[u]; !ok {
-			adj[u] = nil
-		}
-	}
-	return &Shard{n: n, id: id, owned: owned, home: home, adj: adj}
+	return &Shard{n: n, id: id, owned: owned, home: home, rows: rows}
 }
 
 // ID returns the machine the shard belongs to.
@@ -51,52 +51,56 @@ func (s *Shard) Owned() []int { return s.owned }
 // Home returns the home machine of any vertex.
 func (s *Shard) Home(v int) int { return s.home(v) }
 
-// Adj returns the adjacency list of an owned vertex. Asking for a vertex
-// homed elsewhere panics: that would violate the model. (Every owned
-// vertex has a row, so the check is the row lookup itself, not a hash.)
-func (s *Shard) Adj(u int) []graph.Half {
-	row, ok := s.adj[u]
+// Ordinal returns owned vertex v's position in Owned(), its row's and its
+// state's in any slice parallel to Owned(). Asking for a vertex homed
+// elsewhere panics: that would violate the model.
+func (s *Shard) Ordinal(v int) int {
+	i, ok := slices.BinarySearch(s.owned, v)
 	if !ok {
-		panic(fmt.Sprintf("kmachine: machine %d accessed non-local vertex %d (home %d)", s.id, u, s.home(u)))
+		panic(fmt.Sprintf("kmachine: machine %d accessed non-local vertex %d (home %d)", s.id, v, s.home(v)))
 	}
-	return row
+	return i
 }
 
-func (s *Shard) find(u, to int) (int, bool) {
-	a := s.Adj(u)
-	i := sort.Search(len(a), func(i int) bool { return a[i].To >= to })
-	return i, i < len(a) && a[i].To == to
+// Row returns the adjacency list of Owned()[i].
+func (s *Shard) Row(i int) []graph.Half { return s.rows[i] }
+
+// Adj returns owned vertex u's adjacency list, Row(Ordinal(u)).
+func (s *Shard) Adj(u int) []graph.Half { return s.rows[s.Ordinal(u)] }
+
+// find locates `to` in owned vertex u's row: u's ordinal, the index, found.
+func (s *Shard) find(u, to int) (o, i int, ok bool) {
+	o = s.Ordinal(u)
+	i, ok = slices.BinarySearchFunc(s.rows[o], graph.Half{To: to}, cmpHalves)
+	return o, i, ok
 }
+
+func cmpHalves(a, b graph.Half) int { return cmp.Compare(a.To, b.To) }
 
 // Has reports whether the owned vertex u currently has an edge to `to`.
 func (s *Shard) Has(u, to int) bool {
-	_, ok := s.find(u, to)
+	_, _, ok := s.find(u, to)
 	return ok
 }
 
 // Insert adds the half-edge u->h, keeping the row sorted. It reports
 // false (and leaves the row unchanged) if the edge is already present.
 func (s *Shard) Insert(u int, h graph.Half) bool {
-	i, ok := s.find(u, h.To)
+	o, i, ok := s.find(u, h.To)
 	if ok {
 		return false
 	}
-	a := append(s.adj[u], graph.Half{})
-	copy(a[i+1:], a[i:])
-	a[i] = h
-	s.adj[u] = a
+	s.rows[o] = slices.Insert(s.rows[o], i, h)
 	return true
 }
 
 // Remove deletes the half-edge u->to, reporting whether it was present.
 func (s *Shard) Remove(u, to int) bool {
-	i, ok := s.find(u, to)
+	o, i, ok := s.find(u, to)
 	if !ok {
 		return false
 	}
-	a := s.adj[u]
-	copy(a[i:], a[i+1:])
-	s.adj[u] = a[:len(a)-1]
+	s.rows[o] = slices.Delete(s.rows[o], i, i+1)
 	return true
 }
 
@@ -159,8 +163,7 @@ func LoadShardsRange(src graph.EdgeSource, k int, home func(v int) int, lo, hi i
 		perMachine[h]++
 	}
 	for i := lo; i < hi; i++ {
-		p.shards[i] = &Shard{n: n, id: i, home: home,
-			owned: make([]int, 0, perMachine[i]), adj: make(map[int][]graph.Half, perMachine[i])}
+		p.shards[i] = &Shard{n: n, id: i, home: home, owned: make([]int, 0, perMachine[i])}
 	}
 	for v := 0; v < n; v++ {
 		if hosted(homes[v]) {
@@ -198,19 +201,22 @@ func LoadShardsRange(src graph.EdgeSource, k int, home func(v int) int, lo, hi i
 	}
 	p.m = m
 
-	// Exactly-sized rows carved from one arena per machine.
-	cur := make([]int32, n)
+	// Exactly-sized rows carved from one arena per machine: a hosted
+	// vertex's half-edges go to arenas[home][next[v]:end[v]], in order.
+	arenas := make([][]graph.Half, k)
+	next, end := make([]int32, n), deg
 	for i := lo; i < hi; i++ {
-		total := 0
-		for _, v := range p.shards[i].owned {
-			total += int(deg[v])
+		s := p.shards[i]
+		total := int32(0)
+		for _, v := range s.owned {
+			next[v] = total
+			total += deg[v]
+			end[v] = total
 		}
-		arena := make([]graph.Half, total)
-		off := 0
-		for _, v := range p.shards[i].owned {
-			d := int(deg[v])
-			p.shards[i].adj[v] = arena[off : off : off+d]
-			off += d
+		arenas[i] = make([]graph.Half, total)
+		s.rows = make([][]graph.Half, len(s.owned))
+		for j, v := range s.owned {
+			s.rows[j] = arenas[i][next[v]:end[v]:end[v]]
 		}
 	}
 
@@ -233,18 +239,18 @@ func LoadShardsRange(src graph.EdgeSource, k int, home func(v int) int, lo, hi i
 		}
 		hu, hv := homes[e.U], homes[e.V]
 		if hosted(hu) {
-			if int(cur[e.U]) >= int(deg[e.U]) {
+			if next[e.U] >= end[e.U] {
 				return nil, fmt.Errorf("kmachine: source changed between passes (row %d overflow)", e.U)
 			}
-			p.shards[hu].adj[e.U] = append(p.shards[hu].adj[e.U], graph.Half{To: e.V, W: e.W})
-			cur[e.U]++
+			arenas[hu][next[e.U]] = graph.Half{To: e.V, W: e.W}
+			next[e.U]++
 		}
 		if hosted(hv) {
-			if int(cur[e.V]) >= int(deg[e.V]) {
+			if next[e.V] >= end[e.V] {
 				return nil, fmt.Errorf("kmachine: source changed between passes (row %d overflow)", e.V)
 			}
-			p.shards[hv].adj[e.V] = append(p.shards[hv].adj[e.V], graph.Half{To: e.U, W: e.W})
-			cur[e.V]++
+			arenas[hv][next[e.V]] = graph.Half{To: e.U, W: e.W}
+			next[e.V]++
 		}
 	}
 	if _, err := src.Next(); err != io.EOF {
@@ -258,28 +264,22 @@ func LoadShardsRange(src graph.EdgeSource, k int, home func(v int) int, lo, hi i
 	// the store, whose halves arrive pre-sorted) and reject duplicates,
 	// walking vertices in order so the error names the lowest.
 	for i := lo; i < hi; i++ {
-		for _, v := range p.shards[i].owned {
-			row := p.shards[i].adj[v]
-			if !halvesSorted(row) {
-				sort.Slice(row, func(a, b int) bool { return row[a].To < row[b].To })
+		for j, v := range p.shards[i].owned {
+			row := p.shards[i].rows[j]
+			if next[v] != end[v] {
+				return nil, fmt.Errorf("kmachine: source changed between passes (row %d short)", v)
 			}
-			for j := 1; j < len(row); j++ {
-				if row[j].To == row[j-1].To {
-					return nil, fmt.Errorf("kmachine: duplicate edge (%d,%d) in stream", v, row[j].To)
+			if !slices.IsSortedFunc(row, cmpHalves) {
+				slices.SortFunc(row, cmpHalves)
+			}
+			for x := 1; x < len(row); x++ {
+				if row[x].To == row[x-1].To {
+					return nil, fmt.Errorf("kmachine: duplicate edge (%d,%d) in stream", v, row[x].To)
 				}
 			}
 		}
 	}
 	return p, nil
-}
-
-func halvesSorted(row []graph.Half) bool {
-	for i := 1; i < len(row); i++ {
-		if row[i].To < row[i-1].To {
-			return false
-		}
-	}
-	return true
 }
 
 // N returns the vertex count.

@@ -162,10 +162,12 @@ func TestShardLoadDuplicateErrorIsStable(t *testing.T) {
 	}
 }
 
-// TestShardMutationMatchesOracle drives Insert / Remove / Has on a loaded
-// shard against a map oracle: verdicts agree, rows stay sorted and hold
-// exactly the oracle's edges, and — rows being carved from one arena per
-// machine — a row that outgrows its slot never tramples its neighbours.
+// TestShardMutationMatchesOracle drives Insert / Remove / Has against a
+// map oracle, on a loaded shard and on one NewShard built with nil rows
+// over the same vertices: verdicts agree, rows stay sorted and hold exactly
+// the oracle's edges, and — rows being carved from one arena per machine —
+// a row that outgrows its slot never tramples its neighbours. A vertex
+// homed elsewhere has no row: mutating it or asking for its row panics.
 func TestShardMutationMatchesOracle(t *testing.T) {
 	const n, k = 60, 3
 	g := graph.GNM(n, 150, 11)
@@ -174,35 +176,60 @@ func TestShardMutationMatchesOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := sp.Shard(1)
-	oracle := make(map[int]map[int]int64) // owned vertex -> neighbor -> weight
-	for _, u := range s.Owned() {
-		oracle[u] = make(map[int]int64)
-		for _, h := range g.Adj(u) {
-			oracle[u][h.To] = h.W
-		}
-	}
 	if len(s.Owned()) == 0 {
 		t.Fatal("machine 1 owns nothing")
 	}
+	loaded := make(map[int]map[int]int64) // owned vertex -> neighbor -> weight
+	empty := make(map[int]map[int]int64)
+	for _, u := range s.Owned() {
+		loaded[u], empty[u] = make(map[int]int64), make(map[int]int64)
+		for _, h := range g.Adj(u) {
+			loaded[u][h.To] = h.W
+		}
+	}
+	mutateAgainstOracle(t, "loaded", s, loaded, n)
+	mutateAgainstOracle(t, "nil rows", NewShard(n, 1, s.Owned(), s.Home, nil), empty, n)
+
+	other := sp.Shard(0).Owned()[0]
+	for name, touch := range map[string]func(){
+		"Insert": func() { s.Insert(other, graph.Half{To: 1, W: 1}) },
+		"Adj":    func() { s.Adj(other) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s of non-local vertex %d did not panic", name, other)
+				}
+			}()
+			touch()
+		}()
+	}
+}
+
+// mutateAgainstOracle runs 4000 random Insert / Remove / Has steps on s,
+// an n-vertex shard whose rows start as oracle's, checking every row
+// against the oracle as it goes.
+func mutateAgainstOracle(t *testing.T, name string, s *Shard, oracle map[int]map[int]int64, n int) {
+	t.Helper()
 	rng := rand.New(rand.NewSource(9))
 	for step := 0; step < 4000; step++ {
 		u := s.Owned()[rng.Intn(len(s.Owned()))]
 		to := rng.Intn(n)
 		_, present := oracle[u][to]
 		if s.Has(u, to) != present {
-			t.Fatalf("step %d: Has(%d,%d) = %v, oracle %v", step, u, to, !present, present)
+			t.Fatalf("%s, step %d: Has(%d,%d) = %v, oracle %v", name, step, u, to, !present, present)
 		}
 		if rng.Intn(3) > 0 { // insert-biased, so rows outgrow their arena slots
 			w := int64(step)
 			if s.Insert(u, graph.Half{To: to, W: w}) == present {
-				t.Fatalf("step %d: Insert(%d,%d) verdict wrong (present=%v)", step, u, to, present)
+				t.Fatalf("%s, step %d: Insert(%d,%d) verdict wrong (present=%v)", name, step, u, to, present)
 			}
 			if !present {
 				oracle[u][to] = w
 			}
 		} else {
 			if s.Remove(u, to) != present {
-				t.Fatalf("step %d: Remove(%d,%d) verdict wrong (present=%v)", step, u, to, present)
+				t.Fatalf("%s, step %d: Remove(%d,%d) verdict wrong (present=%v)", name, step, u, to, present)
 			}
 			delete(oracle[u], to)
 		}
@@ -212,23 +239,16 @@ func TestShardMutationMatchesOracle(t *testing.T) {
 		for _, v := range s.Owned() {
 			row := s.Adj(v)
 			if !sort.SliceIsSorted(row, func(a, b int) bool { return row[a].To < row[b].To }) {
-				t.Fatalf("step %d: row %d unsorted: %v", step, v, row)
+				t.Fatalf("%s, step %d: row %d unsorted: %v", name, step, v, row)
 			}
 			if len(row) != len(oracle[v]) {
-				t.Fatalf("step %d: row %d has %d halves, oracle %d", step, v, len(row), len(oracle[v]))
+				t.Fatalf("%s, step %d: row %d has %d halves, oracle %d", name, step, v, len(row), len(oracle[v]))
 			}
 			for _, h := range row {
 				if w, ok := oracle[v][h.To]; !ok || w != h.W {
-					t.Fatalf("step %d: row %d holds %v, oracle (%d, %v)", step, v, h, w, ok)
+					t.Fatalf("%s, step %d: row %d holds %v, oracle (%d, %v)", name, step, v, h, w, ok)
 				}
 			}
 		}
 	}
-	// The model's locality: a vertex homed elsewhere has no row here.
-	defer func() {
-		if recover() == nil {
-			t.Error("mutating a non-local vertex did not panic")
-		}
-	}()
-	s.Insert(sp.Shard(0).Owned()[0], graph.Half{To: 1, W: 1})
 }

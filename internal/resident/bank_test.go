@@ -21,19 +21,19 @@ type bankRig struct {
 	t      *testing.T
 	params sketch.Params
 	view   *kmachine.Shard
-	labels map[int]uint64
+	labels []uint64 // parallel to view.Owned()
 	c      *bankCache
 }
 
 func newBankRig(t *testing.T, n, banks int) *bankRig {
 	params := sketch.Params{N: n, Levels: 6, Buckets: 2, Reps: 1}
 	home := func(v int) int { return min(v%3, 1) }
-	r := &bankRig{t: t, params: params, labels: make(map[int]uint64)}
+	r := &bankRig{t: t, params: params}
 	var owned []int
 	for v := 0; v < n; v++ {
 		if home(v) == 0 {
 			owned = append(owned, v)
-			r.labels[v] = uint64(v)
+			r.labels = append(r.labels, uint64(v))
 		}
 	}
 	r.view = kmachine.NewShard(n, 0, owned, home, nil)
@@ -45,19 +45,29 @@ func newBankRig(t *testing.T, n, banks int) *bankRig {
 	return r
 }
 
-func (r *bankRig) parts() map[uint64][]int {
-	p := make(map[uint64][]int)
-	for _, v := range r.view.Owned() {
-		p[r.labels[v]] = append(p[r.labels[v]], v)
+// label returns owned vertex v's part label; setLabel moves it.
+func (r *bankRig) label(v int) uint64       { return r.labels[r.view.Ordinal(v)] }
+func (r *bankRig) setLabel(v int, l uint64) { r.labels[r.view.Ordinal(v)] = l }
+
+// parts is the grouping core.Merger.Parts gives, built independently.
+func (r *bankRig) parts() []core.Part {
+	byLabel := make(map[uint64][]int) // label -> member ordinals
+	for i, l := range r.labels {
+		byLabel[l] = append(byLabel[l], i)
 	}
-	return p
+	var ps []core.Part
+	for _, l := range core.SortedKeys(byLabel) {
+		ps = append(ps, core.Part{Label: l, Members: byLabel[l]})
+	}
+	return ps
 }
 
 // want is the reference: a fresh AddVertex build over the part's current
-// adjacency, encoded.
+// adjacency (members: ordinals), encoded.
 func (r *bankRig) want(bank int, members []int) []byte {
 	sk := sketch.New(r.params, r.c.seeds[bank])
-	for _, v := range members {
+	for _, i := range members {
+		v := r.view.Owned()[i]
 		sk.AddVertex(v, r.view.Adj(v), nil)
 	}
 	return sk.EncodeTo(nil)
@@ -79,7 +89,7 @@ func (r *bankRig) setEdge(u, v int, del bool) {
 		}
 		changed := del && r.view.Remove(end.a, end.b) || !del && r.view.Insert(end.a, graph.Half{To: end.b, W: 1})
 		if changed {
-			r.c.update(r.labels[end.a], id, end.sign)
+			r.c.update(r.label(end.a), id, end.sign)
 		}
 	}
 }
@@ -87,15 +97,15 @@ func (r *bankRig) setEdge(u, v int, del bool) {
 func (r *bankRig) move(moves []vertLabel) {
 	r.c.move(moves, r.labels, r.parts, r.view)
 	for _, mv := range moves {
-		r.labels[mv.v] = mv.label
+		r.setLabel(mv.v, mv.label)
 	}
 }
 
 func (r *bankRig) merge(relabel map[uint64]uint64) {
 	r.c.mergeRelabel(relabel, r.parts, r.view)
-	for v, l := range r.labels {
+	for i, l := range r.labels {
 		if root, ok := relabel[l]; ok {
-			r.labels[v] = root
+			r.labels[i] = root
 		}
 	}
 }
@@ -104,14 +114,13 @@ func (r *bankRig) merge(relabel map[uint64]uint64) {
 // a light part (its rows travel instead), a fresh build's vector otherwise.
 func (r *bankRig) read(bank int) {
 	r.t.Helper()
-	parts := r.parts()
-	for _, label := range core.SortedKeys(parts) {
-		sk := r.c.get(label, bank, parts[label], r.view)
-		if light := core.Light(r.view, parts[label], nil, r.c.cells); light != (sk == nil) {
-			r.t.Fatalf("get(part %d, bank %d) = %v for a part with light = %v", label, bank, sk, light)
+	for _, p := range r.parts() {
+		sk := r.c.get(p.Label, bank, p.Members, r.view)
+		if light := core.Light(r.view, p.Members, nil, r.c.cells); light != (sk == nil) {
+			r.t.Fatalf("get(part %d, bank %d) = %v for a part with light = %v", p.Label, bank, sk, light)
 		}
-		if sk != nil && !bytes.Equal(sk.EncodeTo(nil), r.want(bank, parts[label])) {
-			r.t.Fatalf("get(part %d, bank %d) differs from a fresh build", label, bank)
+		if sk != nil && !bytes.Equal(sk.EncodeTo(nil), r.want(bank, p.Members)) {
+			r.t.Fatalf("get(part %d, bank %d) differs from a fresh build", p.Label, bank)
 		}
 	}
 }
@@ -124,8 +133,8 @@ func (r *bankRig) check(when string) {
 	parts := r.parts()
 	kept := 0
 	for label, sums := range r.c.parts {
-		members, ok := parts[label]
-		if !ok {
+		members := core.Members(parts, label)
+		if members == nil {
 			r.t.Fatalf("%s: sums kept for label %d, which has no local part", when, label)
 		}
 		for b, sk := range sums {
@@ -218,10 +227,10 @@ func TestBankCacheScenarios(t *testing.T) {
 		r.star(30, cells)
 		r.star(60, cells)
 		parts := r.parts()
-		r.c.get(0, 0, parts[0], r.view)
-		r.c.get(0, 1, parts[0], r.view)
-		r.c.get(30, 1, parts[30], r.view)
-		r.c.get(30, 2, parts[30], r.view)
+		r.c.get(0, 0, core.Members(parts, 0), r.view)
+		r.c.get(0, 1, core.Members(parts, 0), r.view)
+		r.c.get(30, 1, core.Members(parts, 30), r.view)
+		r.c.get(30, 2, core.Members(parts, 30), r.view)
 		r.merge(map[uint64]uint64{30: 0})
 		if r.keeps(0, 0) || !r.keeps(0, 1) || r.keeps(0, 2) {
 			t.Fatalf("merged part must keep exactly the bank both sources kept")
@@ -239,7 +248,7 @@ func TestBankCacheScenarios(t *testing.T) {
 		r.star(0, cells)
 		for _, v := range []int{3, 6, 9, 12} {
 			r.star(v, 2)
-			r.labels[v] = 0
+			r.setLabel(v, 0)
 		}
 		r.star(60, cells)
 		r.read(0)
@@ -282,17 +291,20 @@ func TestBankCacheMatchesFreshBuilds(t *testing.T) {
 				var moves []vertLabel
 				for _, i := range rng.Perm(len(owned))[:1+rng.Intn(4)] {
 					v := owned[i]
-					to := r.labels[owned[rng.Intn(len(owned))]]
+					to := r.label(owned[rng.Intn(len(owned))])
 					if rng.Intn(3) == 0 {
 						to = uint64(v) // split off under its own id, as fragments do
 					}
-					if to != r.labels[v] {
+					if to != r.label(v) {
 						moves = append(moves, vertLabel{v: v, label: to})
 					}
 				}
 				r.move(moves)
 			case op < 8: // a phase's relabel: some parts merge under a root
-				ls := core.SortedKeys(r.parts())
+				var ls []uint64
+				for _, p := range r.parts() {
+					ls = append(ls, p.Label)
+				}
 				relabel := make(map[uint64]uint64)
 				root := ls[rng.Intn(len(ls))]
 				if rng.Intn(4) == 0 {

@@ -9,6 +9,8 @@
 package resident
 
 import (
+	"slices"
+
 	"kmgraph/internal/core"
 	"kmgraph/internal/graph"
 	"kmgraph/internal/kmachine"
@@ -93,38 +95,31 @@ func (m *rmachine) derive(spec *runSpec) *kmachine.Shard {
 		// Bipartite double cover: vertices v and v+n, each base edge {u,v}
 		// lifts to {u, v+n} and {u+n, v}. Keeping both copies of a vertex
 		// on its base home machine preserves the RVP locality argument.
-		n := live.N()
-		owned := make([]int, 0, 2*len(live.Owned()))
-		adj := make(map[int][]graph.Half, 2*len(live.Owned()))
-		for _, v := range live.Owned() {
-			owned = append(owned, v)
-			base := live.Adj(v)
-			up := make([]graph.Half, len(base))
-			down := make([]graph.Half, len(base))
-			for i, h := range base {
-				up[i] = graph.Half{To: h.To + n, W: h.W}
-				down[i] = graph.Half{To: h.To, W: h.W}
+		// The owned list is the base vertices, then their lifts: ascending.
+		n, base := live.N(), live.Owned()
+		owned := make([]int, 2*len(base))
+		rows := make([][]graph.Half, 2*len(base))
+		for i, v := range base {
+			row := live.Row(i)
+			up := make([]graph.Half, len(row))
+			for j, h := range row {
+				up[j] = graph.Half{To: h.To + n, W: h.W}
 			}
-			adj[v] = up
-			adj[v+n] = down
+			owned[i], rows[i] = v, up
+			owned[len(base)+i], rows[len(base)+i] = v+n, slices.Clone(row)
 		}
-		for _, v := range live.Owned() {
-			owned = append(owned, v+n)
-		}
-		return kmachine.NewShard(2*n, live.ID(), owned, func(x int) int { return live.Home(x % n) }, adj)
+		return kmachine.NewShard(2*n, live.ID(), owned, func(x int) int { return live.Home(x % n) }, rows)
 	}
 	n := live.N()
-	adj := make(map[int][]graph.Half, len(live.Owned()))
-	for _, v := range live.Owned() {
-		var kept []graph.Half
-		for _, h := range live.Adj(v) {
+	rows := make([][]graph.Half, len(live.Owned()))
+	for i, v := range live.Owned() {
+		for _, h := range live.Row(i) {
 			if spec.keepEdge(v, h.To, n) {
-				kept = append(kept, h)
+				rows[i] = append(rows[i], h)
 			}
 		}
-		adj[v] = kept
 	}
-	return kmachine.NewShard(n, live.ID(), live.Owned(), live.Home, adj)
+	return kmachine.NewShard(n, live.ID(), live.Owned(), live.Home, rows)
 }
 
 // runConfig resolves the core config a derived run uses: the double cover

@@ -255,11 +255,11 @@ func (m *rmachine) applyOp(del bool, u, v int, w int64) bool {
 		}
 		if ownU {
 			m.view.Remove(u, v)
-			m.banks.update(m.mg.Labels[u], id, -1)
+			m.banks.update(m.mg.LabelOf(u), id, -1)
 		}
 		if ownV {
 			m.view.Remove(v, u)
-			m.banks.update(m.mg.Labels[v], id, +1)
+			m.banks.update(m.mg.LabelOf(v), id, +1)
 		}
 		return true
 	}
@@ -268,11 +268,11 @@ func (m *rmachine) applyOp(del bool, u, v int, w int64) bool {
 	}
 	if ownU {
 		m.view.Insert(u, graph.Half{To: v, W: w})
-		m.banks.update(m.mg.Labels[u], id, +1)
+		m.banks.update(m.mg.LabelOf(u), id, +1)
 	}
 	if ownV {
 		m.view.Insert(v, graph.Half{To: u, W: w})
-		m.banks.update(m.mg.Labels[v], id, -1)
+		m.banks.update(m.mg.LabelOf(v), id, -1)
 	}
 	return true
 }
@@ -324,14 +324,11 @@ func (m *rmachine) query() *output {
 	}
 	m.banks.move(m.moves, m.mg.Labels, m.mg.Parts, m.view)
 	for _, mv := range m.moves {
-		m.mg.Labels[mv.v] = mv.label
+		m.mg.Labels[m.view.Ordinal(mv.v)] = mv.label
 	}
 
 	// Step 2: Boruvka merge phases from the piece labeling.
-	m.pre = m.pre[:0]
-	for _, v := range m.view.Owned() {
-		m.pre = append(m.pre, m.mg.Labels[v])
-	}
+	m.pre = append(m.pre[:0], m.mg.Labels...)
 	m.mergeRecs = m.mergeRecs[:0]
 	phases, converged, cancelled := m.mg.RunPhases(m.globalPhase, m.h.cfg.MaxPhases,
 		func(i int) { m.selectBanks(i % m.h.banksN) }, m.phases())
@@ -342,10 +339,10 @@ func (m *rmachine) query() *output {
 	// flow to the coordinator, which grows the forest.
 	chg := m.chg[:0]
 	nc := 0
-	for i, v := range m.view.Owned() {
-		if m.mg.Labels[v] != m.pre[i] {
-			chg = wire.AppendUvarint(chg, uint64(v))
-			chg = wire.AppendUvarint(chg, m.mg.Labels[v])
+	for i, l := range m.mg.Labels {
+		if l != m.pre[i] {
+			chg = wire.AppendUvarint(chg, uint64(m.view.Owned()[i]))
+			chg = wire.AppendUvarint(chg, l)
 			nc++
 		}
 	}
@@ -382,10 +379,11 @@ func (m *rmachine) query() *output {
 		rep.query.mergeEdges = len(merges)
 	}
 	// The session merger's labels and counters outlive the job: the output
-	// is this query's deltas and the live label map, which the host
+	// is this query's deltas and the live labels, which the host
 	// assembles into its own slice before it admits the next command — and
 	// only a command changes labels.
 	rep.machine = &core.MachineOutput{
+		Owned:         m.view.Owned(),
 		Labels:        m.mg.Labels,
 		Failures:      m.mg.Failures - startFail,
 		Phases:        phases,

@@ -29,9 +29,9 @@ func newBankCache(cells int, seeds []uint64, pool *sketch.Pool) *bankCache {
 	return &bankCache{cells: cells, seeds: seeds, pool: pool, parts: make(map[uint64][]*sketch.Sketch)}
 }
 
-// get returns a part's sketch under one bank: the kept sum of a heavy part
-// (built on first read), or nil for a light one, which GatherParts serves
-// from adjacency.
+// get returns a part's sketch under one bank (members: their ordinals in
+// view): the kept sum of a heavy part (built on first read), or nil for a
+// light one, which GatherParts serves from adjacency.
 //
 //km:hotpath
 func (c *bankCache) get(label uint64, bank int, members []int, view *kmachine.Shard) *sketch.Sketch {
@@ -55,8 +55,8 @@ func (c *bankCache) get(label uint64, bank int, members []int, view *kmachine.Sh
 	sums[bank] = sk
 	c.stats.KeptSums++
 	c.stats.KeptPeak = max(c.stats.KeptPeak, c.stats.KeptSums)
-	for _, v := range members {
-		sk.AddVertex(v, view.Adj(v), nil)
+	for _, i := range members {
+		sk.AddVertex(view.Owned()[i], view.Row(i), nil)
 	}
 	return sk
 }
@@ -142,27 +142,27 @@ func (c *bankCache) close() {
 // joins its new part's. Only when the leavers are the majority of their
 // local part is the part dropped instead — rebuilding from the vertices
 // that stay is then the cheaper side.
-func (c *bankCache) move(moves []vertLabel, labels map[int]uint64, parts func() map[uint64][]int, view *kmachine.Shard) {
+func (c *bankCache) move(moves []vertLabel, labels []uint64, parts func() []core.Part, view *kmachine.Shard) {
 	if len(c.parts) == 0 || len(moves) == 0 {
 		return
 	}
 	leavers := make(map[uint64]int) // kept part -> vertices leaving it
 	for _, mv := range moves {
-		if old := labels[mv.v]; c.parts[old] != nil {
+		if old := labels[view.Ordinal(mv.v)]; c.parts[old] != nil {
 			leavers[old]++
 		}
 	}
 	if len(leavers) > 0 {
 		local := parts()
 		for old, n := range leavers {
-			if 2*n > len(local[old]) {
+			if 2*n > len(core.Members(local, old)) {
 				c.drop(old)
 			}
 		}
 	}
 	for _, mv := range moves {
 		adj := view.Adj(mv.v)
-		c.leave(labels[mv.v], mv.v, adj)
+		c.leave(labels[view.Ordinal(mv.v)], mv.v, adj)
 		c.join(mv.label, mv.v, adj)
 	}
 }
@@ -173,7 +173,7 @@ func (c *bankCache) move(moves []vertLabel, labels map[int]uint64, parts func() 
 // part either keeps it or is light; light sources contribute their members
 // by AddVertex, and a lone source's sums just move to the root label. Any
 // other bank is released and rebuilt on its next read.
-func (c *bankCache) mergeRelabel(relabel map[uint64]uint64, parts func() map[uint64][]int, view *kmachine.Shard) {
+func (c *bankCache) mergeRelabel(relabel map[uint64]uint64, parts func() []core.Part, view *kmachine.Shard) {
 	if len(c.parts) == 0 {
 		return
 	}
@@ -186,7 +186,7 @@ func (c *bankCache) mergeRelabel(relabel map[uint64]uint64, parts func() map[uin
 	}
 	local := parts()
 	for old, root := range relabel {
-		if srcs, ok := heirs[root]; ok && len(local[old]) > 0 {
+		if srcs, ok := heirs[root]; ok && len(core.Members(local, old)) > 0 {
 			heirs[root] = append(srcs, old) // any order: sketch addition commutes
 		}
 	}
@@ -194,7 +194,7 @@ func (c *bankCache) mergeRelabel(relabel map[uint64]uint64, parts func() map[uin
 		if len(srcs) == 0 {
 			continue // a kept part nothing merges into
 		}
-		if len(local[root]) > 0 {
+		if len(core.Members(local, root)) > 0 {
 			srcs = append(srcs, root)
 		}
 		c.fold(root, srcs, local, view)
@@ -203,14 +203,14 @@ func (c *bankCache) mergeRelabel(relabel map[uint64]uint64, parts func() map[uin
 
 // fold merges the local source parts srcs (at least one of them kept) into
 // the part labelled root.
-func (c *bankCache) fold(root uint64, srcs []uint64, local map[uint64][]int, view *kmachine.Shard) {
+func (c *bankCache) fold(root uint64, srcs []uint64, local []core.Part, view *kmachine.Shard) {
 	var dst []*sketch.Sketch
 	light := srcs[:0] // sources without sums that are cheap enough to add in
 	complete := true  // no heavy source lacks sums altogether
 	for _, l := range srcs {
 		sums := c.parts[l]
 		switch {
-		case sums == nil && core.Light(view, local[l], nil, c.cells):
+		case sums == nil && core.Light(view, core.Members(local, l), nil, c.cells):
 			light = append(light, l)
 		case sums == nil:
 			complete = false
@@ -235,8 +235,8 @@ func (c *bankCache) fold(root uint64, srcs []uint64, local map[uint64][]int, vie
 		return
 	}
 	for _, l := range light {
-		for _, v := range local[l] {
-			c.join(root, v, view.Adj(v))
+		for _, i := range core.Members(local, l) {
+			c.join(root, view.Owned()[i], view.Row(i))
 		}
 	}
 }
