@@ -440,27 +440,41 @@ func (m *Merger) selectEdgeCheck() {
 	parts := m.Parts()
 
 	// Query each distinct neighbor's label, batched per home machine in
-	// ascending order.
-	var nbrs []int
-	for _, v := range m.View.Owned() {
-		for _, h := range m.View.Adj(v) {
-			nbrs = append(nbrs, h.To)
+	// ascending order. Every local half-edge is ranked once: its (neighbour,
+	// position) pair — position counting half-edges row after row, row i's
+	// from off[i] — sorted, so rank[position] indexes its neighbour in nbrs,
+	// and asked[h] lists the ranks asked of home h in send order.
+	owned := m.View.Owned()
+	off := make([]int, len(owned)+1)
+	for i := range owned {
+		off[i+1] = off[i] + len(m.View.Row(i))
+	}
+	pairs := make([]uint64, 0, off[len(owned)])
+	for i := range owned {
+		for x, h := range m.View.Row(i) {
+			pairs = append(pairs, uint64(h.To)<<32|uint64(off[i]+x))
 		}
 	}
-	slices.Sort(nbrs)
-	nbrs = slices.Compact(nbrs)
-	byDst := make([][]int, k)
-	for _, v := range nbrs {
-		byDst[m.View.Home(v)] = append(byDst[m.View.Home(v)], v)
+	slices.Sort(pairs)
+	rank := make([]int32, len(pairs))
+	var nbrs []int
+	asked := make([][]int32, k)
+	for _, pr := range pairs {
+		if v := int(pr >> 32); len(nbrs) == 0 || nbrs[len(nbrs)-1] != v {
+			nbrs = append(nbrs, v)
+			h := m.View.Home(v)
+			asked[h] = append(asked[h], int32(len(nbrs)-1))
+		}
+		rank[pr&(1<<32-1)] = int32(len(nbrs) - 1)
 	}
 	var out []proxy.Out
-	for dst, vs := range byDst {
-		if len(vs) == 0 {
+	for dst, js := range asked {
+		if len(js) == 0 {
 			continue
 		}
-		buf := wire.AppendUvarint(nil, uint64(len(vs)))
-		for _, v := range vs {
-			buf = wire.AppendUvarint(buf, uint64(v))
+		buf := wire.AppendUvarint(nil, uint64(len(js)))
+		for _, j := range js {
+			buf = wire.AppendUvarint(buf, uint64(nbrs[j]))
 		}
 		out = append(out, proxy.Out{Dst: dst, Data: buf})
 	}
@@ -480,13 +494,16 @@ func (m *Merger) selectEdgeCheck() {
 		out = append(out, proxy.Out{Dst: msg.Src, Data: rep})
 	}
 	recv = m.Comm.Exchange(out)
+	// A home answers in the order it was asked.
 	nbrLabel := make([]uint64, len(nbrs)) // parallel to nbrs
 	for _, msg := range recv {
 		r := wire.NewReader(msg.Data)
-		cnt := int(r.Uvarint())
-		for i := 0; i < cnt; i++ {
-			j, ok := slices.BinarySearch(nbrs, int(r.Uvarint()))
-			if !ok {
+		js := asked[msg.Src]
+		if int(r.Uvarint()) != len(js) {
+			panic("core: label answers do not match the questions")
+		}
+		for _, j := range js {
+			if r.Uvarint() != uint64(nbrs[j]) {
 				panic("core: label answer for a vertex not asked about")
 			}
 			nbrLabel[j] = r.Uvarint()
@@ -501,9 +518,9 @@ func (m *Merger) selectEdgeCheck() {
 		var bestTarget uint64
 		found := false
 		for _, i := range p.Members {
-			v := m.View.Owned()[i]
-			for _, h := range m.View.Row(i) {
-				j, _ := slices.BinarySearch(nbrs, h.To)
+			v := owned[i]
+			for x, h := range m.View.Row(i) {
+				j := rank[off[i]+x]
 				if nbrLabel[j] == p.Label {
 					continue
 				}
@@ -526,12 +543,12 @@ func (m *Merger) selectEdgeCheck() {
 	m.ResetStates()
 	byLabel := m.sortByLabel(recv, 0)
 	for j := 0; j < len(byLabel); {
-		st := m.NewState(byLabel[j].label)
+		st := m.NewState(byLabel[j].label())
 		m.States = append(m.States, st)
 		var bestID, target uint64
 		hasCand := false
-		for ; j < len(byLabel) && byLabel[j].label == st.Label; j++ {
-			msg := recv[byLabel[j].i]
+		for ; j < len(byLabel) && byLabel[j].label() == st.Label; j++ {
+			msg := recv[byLabel[j].i()]
 			r := wire.NewReader(msg.Data)
 			r.Uvarint()
 			found, id, tgt := r.Bool(), r.Uvarint(), r.Uvarint()

@@ -180,8 +180,9 @@ func refRows(body []byte, src int) (rows [][]graph.Half, vs []int, ok bool) {
 // panic, allocation bounded by the input, rows refused exactly when some
 // rule is broken (a vertex out of range or homed elsewhere, a neighbour out
 // of range or the vertex itself, a degree or count past the message end, a
-// truncated header, trailing bytes), and accepted rows adding into a sum
-// exactly as AddVertex of the same rows does.
+// truncated header, trailing bytes), and accepted rows read as items that
+// add into a sum exactly as AddVertex of the same rows does, and that
+// SampleItems samples as that sum.
 func FuzzAddPart(f *testing.F) {
 	p := sketch.Params{N: fuzzRowsN, Levels: 6, Buckets: 3, Reps: 2}
 	const seed = 5
@@ -213,7 +214,8 @@ func FuzzAddPart(f *testing.F) {
 		m, sum := &Merger{View: view, Cfg: Config{Sketch: p}}, sketch.New(p, seed)
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
-		err := m.addPart(sum, data, src)
+		var items sketch.Items
+		err := m.addPart(sum, &items, data, src)
 		runtime.ReadMemStats(&m1)
 		if grew, budget := m1.TotalAlloc-m0.TotalAlloc, uint64(1<<16+64*len(data)); grew > budget {
 			t.Fatalf("decoding %d bytes allocated %d, over %d", len(data), grew, budget)
@@ -240,7 +242,17 @@ func FuzzAddPart(f *testing.F) {
 				want.AddVertex(vs[i], row, nil)
 			}
 		}
-		if err == nil && !bytes.Equal(sum.EncodeTo(nil), want.EncodeTo(nil)) {
+		if err != nil {
+			return
+		}
+		gx, gy, gin, gst := sum.SampleEdge(&items)
+		if wx, wy, win, wst := want.SampleEdge(nil); gx != wx || gy != wy || gin != win || gst != wst {
+			t.Fatalf("accepted rows sample %d-%d %v %v, AddVertex of them %d-%d %v %v", gx, gy, gin, gst, wx, wy, win, wst)
+		}
+		for _, it := range items.List {
+			sum.AddItem(uint64(it)>>1, 1-2*int(it&1))
+		}
+		if !bytes.Equal(sum.EncodeTo(nil), want.EncodeTo(nil)) {
 			t.Fatal("accepted part adds other cells than AddVertex of its rows")
 		}
 	})

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 
 	"kmgraph/internal/drr"
 	"kmgraph/internal/graph"
@@ -118,11 +119,12 @@ type Merger struct {
 	PhaseActive uint64
 
 	// OnRelabel, when non-nil, is invoked with each non-empty old-label ->
-	// root map just BEFORE owned labels are rewritten (so the hook still
-	// sees the pre-merge grouping). The dynamic subsystem uses it to merge
-	// maintained sketch-bank sums by linearity. The map is reused by the
-	// next phase: read it during the call only.
-	OnRelabel func(relabel map[uint64]uint64)
+	// root map just BEFORE owned labels are rewritten, and with parts, the
+	// grouping (Parts) of the labels before it — the one the phase's gather
+	// built. The dynamic subsystem uses it to merge maintained sketch-bank
+	// sums by linearity. Both are reused by the next phase: read them
+	// during the call only.
+	OnRelabel func(relabel map[uint64]uint64, parts []Part)
 
 	// Cancelled, when non-nil, reports whether the current job was asked
 	// to stop. It is polled through the phase sums PhaseSync carries on its
@@ -139,11 +141,11 @@ type Merger struct {
 
 	prevFailures int64
 	skPool       *sketch.Pool
+	phaseParts   []Part // the grouping this phase's gather built, nil before it
 	partBuf      []Part // Parts: the last grouping
 	memberBuf    []int  // Parts: its members' ordinals, part after part
 	stFree       []*CompState
-	encScratch   []byte       // PartPayload: this gather's parts, back to back
-	rowBuf       []graph.Half // addPart: one decoded row
+	encScratch   []byte // PartPayload: this gather's parts, back to back
 	outBuf       []proxy.Out
 	ansBuf       []proxy.Out
 	queryBuf     []kmachine.Message // Collapse: queries held across a handoff
@@ -179,15 +181,25 @@ func cmpStateLabel(st *CompState, label uint64) int { return cmp.Compare(st.Labe
 
 func cmpStates(a, b *CompState) int { return cmp.Compare(a.Label, b.Label) }
 
-// labeled is an index (a received message's, or an ordinal) and its label.
-type labeled struct {
-	label uint64
-	i     int32
+// labeled is an index (a received message's, or an ordinal) and its label
+// in one word, label<<32 | index, so that sorting the words sorts by
+// label, then by index.
+type labeled uint64
+
+// packLabel packs (label, i). Labels are vertex IDs, below 2·graph.MaxN even
+// in a derived double cover: a peer's that is not is a protocol violation.
+//
+//km:hotpath
+func packLabel(l uint64, i int) labeled {
+	if l >= 2*graph.MaxN {
+		panic("core: a label that is no vertex ID")
+	}
+	return labeled(l<<32 | uint64(i))
 }
 
-func cmpLabeled(a, b labeled) int {
-	return cmp.Or(cmp.Compare(a.label, b.label), cmp.Compare(a.i, b.i))
-}
+func (x labeled) label() uint64 { return uint64(x) >> 32 }
+
+func (x labeled) i() int { return int(uint32(x)) }
 
 // sortByLabel returns recv's messages as (label, index) pairs sorted by
 // label, then by index — each label's messages one run, in receive order —
@@ -198,25 +210,28 @@ func cmpLabeled(a, b labeled) int {
 func (m *Merger) sortByLabel(recv []kmachine.Message, shift uint) []labeled {
 	ls := m.labeledBuf[:0]
 	for i, msg := range recv {
-		ls = append(ls, labeled{label: wire.NewReader(msg.Data).Uvarint() >> shift, i: int32(i)})
+		ls = append(ls, packLabel(wire.NewReader(msg.Data).Uvarint()>>shift, i))
 	}
-	slices.SortFunc(ls, cmpLabeled)
+	slices.Sort(ls)
 	m.labeledBuf = ls
 	return ls
 }
 
 // SumAndSample is the proxy side of a sketch selection step (Lemma 3): it
-// adds up, per component, the parts received as (label, encoded sketch or
-// adjacency rows) messages — a sketch by AddEncoded, rows by AddVertex,
-// which gives the same cells — l0-samples each sum once and stores the
-// outcome in the component's state (the one sample, or for an MST job every
-// verified slot), recording every sender as a part holder. Nothing
-// reads a sum after its sample, so all components share one pooled scratch
-// sketch: the messages are sorted by label (sortByLabel) and folded one
-// label's run at a time. With create set the step starts from no states and
-// appends one per label seen, in label order (static connectivity, MST
-// iteration 0, the resident bank path); otherwise every label must already
-// have its state here (MST elimination iterations).
+// sums, per component, the parts received as (label, encoded sketch or
+// adjacency rows) messages, l0-samples each sum once and stores the outcome
+// in the component's state (the one sample, or for an MST job every
+// verified slot), recording every sender as a part holder. Nothing reads a
+// sum after its sample, so all components share one pooled scratch sketch:
+// the messages are sorted by label (sortByLabel) and folded one label's run
+// at a time. Sketch parts go into the sum by AddEncoded. Rows never do on a
+// connectivity step: they become items that SampleItems reads beside the
+// sum, which samples what adding them would, while an MST job, which needs
+// every level of the sum (SampleAll), adds them by AddVertex (addRows).
+// With create set the step starts from no states and appends one per label
+// seen, in label order (static connectivity, MST iteration 0, the resident
+// bank path); otherwise every label must already have its state here (MST
+// elimination iterations).
 //
 //km:hotpath
 func (m *Merger) SumAndSample(recv []kmachine.Message, seed uint64, create bool) {
@@ -225,9 +240,10 @@ func (m *Merger) SumAndSample(recv []kmachine.Message, seed uint64, create bool)
 	}
 	byLabel := m.sortByLabel(recv, 1)
 	sum := m.Pool().Get(seed)
+	sc := runScratches.Get().(*runScratch)
 	m.slotBuf = m.slotBuf[:0]
 	for j := 0; j < len(byLabel); {
-		label := byLabel[j].label
+		label := byLabel[j].label()
 		var st *CompState
 		if create {
 			st = m.NewState(label)
@@ -235,36 +251,54 @@ func (m *Merger) SumAndSample(recv []kmachine.Message, seed uint64, create bool)
 		} else if st = m.stateOf(label); st == nil {
 			panic("core: part for a component state not held here")
 		}
-		for ; j < len(byLabel) && byLabel[j].label == label; j++ {
-			msg := recv[byLabel[j].i]
+		sc.items.List = sc.items.List[:0]
+		for ; j < len(byLabel) && byLabel[j].label() == label; j++ {
+			msg := recv[byLabel[j].i()]
 			st.Holders[msg.Src/8] |= 1 << uint(msg.Src%8)
-			if err := m.addPart(sum, msg.Data, msg.Src); err != nil {
+			if err := m.addPart(sum, &sc.items, msg.Data, msg.Src); err != nil {
 				panic(fmt.Sprintf("core: bad part from %d: %v", msg.Src, err)) //kmvet:ignore panic path; never executes on protocol-conformant traffic
 			}
 		}
 		if m.allSlots {
+			sc.addRows(sum, uint64(m.Cfg.Sketch.N))
 			st.slotLo = int32(len(m.slotBuf))
 			m.slotBuf, st.status, st.full = sum.SampleAll(m.slotBuf)
 			st.slotHi = int32(len(m.slotBuf))
 		} else {
-			st.PendU, st.PendV, st.insideSmaller, st.status = sum.SampleEdge()
+			st.PendU, st.PendV, st.insideSmaller, st.status = sum.SampleEdge(&sc.items)
 		}
 		st.sampled = true
 		sum.Reset()
 	}
+	runScratches.Put(sc)
 	m.Pool().Put(sum)
 }
 
+// runScratch is what SumAndSample reads a label's run into: its rows as
+// items, and for addRows a bitset of the run's row vertices and one row.
+type runScratch struct {
+	items sketch.Items
+	mark  []uint64
+	row   []graph.Half
+}
+
+// runScratches recycles run scratch process-wide, as the shared sketch
+// pools recycle SumAndSample's sum: each cold query opens a fresh Cluster,
+// so scratch kept per Merger would grow anew on every one.
+var runScratches = sync.Pool{New: func() any { return new(runScratch) }}
+
 var errPartRow = errors.New("core: part row of a vertex out of range or homed elsewhere, or with a bad neighbour")
 
-// addPart folds one PartPayload body from machine src into sum: a sketch by
-// AddEncoded, rows by AddVertex. Rows are peer bytes, refused unless every
-// vertex is below the sketch's N and homed at src, every neighbour is below
-// N and not the vertex, and no count or degree runs past the message; after
-// an error sum is unspecified.
+// addPart reads one PartPayload body from machine src: a sketch goes into
+// sum by AddEncoded; rows go onto items.List, one item per half-edge (v,
+// to) as AddVertex would add it — slot EdgeID(v, to), sign +1 when v < to —
+// in row order. Rows are peer bytes, refused unless every vertex is below
+// the sketch's N and homed at src, every neighbour is below N and not the
+// vertex, and no count or degree runs past the message; after an error
+// sum and items are unspecified.
 //
 //km:hotpath
-func (m *Merger) addPart(sum *sketch.Sketch, data []byte, src int) error {
+func (m *Merger) addPart(sum *sketch.Sketch, items *sketch.Items, data []byte, src int) error {
 	r := wire.NewReader(data)
 	hdr := r.Uvarint()
 	if r.Err() != nil {
@@ -279,18 +313,61 @@ func (m *Merger) addPart(sum *sketch.Sketch, data []byte, src int) error {
 		if r.Err() != nil || v >= n || m.View.Home(int(v)) != src || d > uint64(r.Len()) {
 			return cmp.Or(r.Err(), errPartRow)
 		}
-		row := m.rowBuf[:0]
 		for ; d > 0; d-- {
 			to := r.Uvarint()
-			if r.Err() != nil || to >= n || to == v {
+			switch {
+			case r.Err() != nil || to >= n || to == v:
 				return cmp.Or(r.Err(), errPartRow)
+			case v < to:
+				items.List = append(items.List, sketch.MakeItem(v*n+to, +1))
+			default:
+				items.List = append(items.List, sketch.MakeItem(to*n+v, -1))
 			}
-			row = append(row, graph.Half{To: int(to)})
 		}
-		sum.AddVertex(int(v), row, nil)
-		m.rowBuf = row
 	}
 	return r.Done()
+}
+
+// addRows adds the run's row items (addPart's, one row after another) to
+// sum by AddVertex over n vertices, less the half-edges whose neighbour
+// sent its own row in the run. Those come in pairs: rows are symmetric,
+// and one component's parts share one filter (none, or its threshold,
+// which keeps or drops both halves of an edge), so the neighbour's row
+// holds the other half — the same slot with the opposite sign — and the
+// two cancel exactly in every tester. Dropping both leaves every cell as
+// it was. addRows uses the items up: it rewrites each into its half-edge,
+// v<<32 | to (vertices are below graph.MaxN = 2^31), so that the slot is
+// divided out once.
+func (sc *runScratch) addRows(sum *sketch.Sketch, n uint64) {
+	items := sc.items.List
+	if len(items) == 0 {
+		return
+	}
+	mark := slices.Grow(sc.mark[:0], int(n+63)/64)[:(n+63)/64]
+	for i, it := range items {
+		id := uint64(it) >> 1
+		v, to := id/n, id%n
+		if it&1 != 0 {
+			v, to = to, v
+		}
+		mark[v/64] |= 1 << (v % 64)
+		items[i] = sketch.Item(v<<32 | to)
+	}
+	for lo := 0; lo < len(items); {
+		v, row := items[lo]>>32, sc.row[:0]
+		hi := lo
+		for ; hi < len(items) && items[hi]>>32 == v; hi++ {
+			if to := uint64(items[hi] & (1<<32 - 1)); mark[to/64]&(1<<(to%64)) == 0 {
+				row = append(row, graph.Half{To: int(to)})
+			}
+		}
+		sum.AddVertex(int(v), row, nil)
+		sc.row, lo = row, hi
+	}
+	for _, it := range items {
+		mark[it>>32/64] = 0
+	}
+	sc.mark = mark
 }
 
 // Light reports whether a part (member ordinals in view) ships its rows, not
@@ -490,6 +567,7 @@ func (m *Merger) RunPhases(firstPhase, maxPhases int, sel func(i int), after Pha
 	for m.Phase = firstPhase; phases < maxPhases; m.Phase++ {
 		m.StateSlot = 0
 		m.PhaseActive = 0
+		m.phaseParts = nil
 		sel(phases)
 		m.Collapse()
 		active, failures, cancel := m.PhaseSync()
@@ -582,15 +660,15 @@ type Part struct {
 func (m *Merger) Parts() []Part {
 	ls := m.labeledBuf[:0]
 	for i, l := range m.Labels {
-		ls = append(ls, labeled{label: l, i: int32(i)})
+		ls = append(ls, packLabel(l, i))
 	}
-	slices.SortFunc(ls, cmpLabeled)
+	slices.Sort(ls)
 	members, parts := slices.Grow(m.memberBuf[:0], len(ls)), m.partBuf[:0]
 	lo := 0
 	for j, x := range ls {
-		members = append(members, int(x.i)) // never grows: parts keep pointing in
-		if j+1 == len(ls) || ls[j+1].label != x.label {
-			parts = append(parts, Part{Label: x.label, Members: members[lo : j+1 : j+1]})
+		members = append(members, x.i()) // never grows: parts keep pointing in
+		if j+1 == len(ls) || ls[j+1].label() != x.label() {
+			parts = append(parts, Part{Label: x.label(), Members: members[lo : j+1 : j+1]})
 			lo = j + 1
 		}
 	}
@@ -665,24 +743,31 @@ func (m *Merger) SelectSketch() {
 // for a light part, as its adjacency rows — and the proxy sums the parts
 // per component (intra-component edges cancel by linearity), samples the
 // sum and records the part holders (SumAndSample). Payloads are interned
-// exact-size in the arena.
-func (m *Merger) GatherParts(seed uint64, part func(label uint64, members []int) *sketch.Sketch) {
+// exact-size in the arena. It returns the grouping it gathered (Parts):
+// the phase's one, which its elimination iterations and the relabel hook
+// read until the phase relabels.
+func (m *Merger) GatherParts(seed uint64, part func(label uint64, members []int) *sketch.Sketch) []Part {
 	out := m.outBuf[:0]
 	m.encScratch = m.encScratch[:0]
-	for _, p := range m.Parts() {
+	parts := m.Parts()
+	for _, p := range parts {
 		out = append(out, proxy.Out{Dst: m.ProxyOf(0, p.Label), Data: m.PartPayload(p.Label, p.Members, nil, part(p.Label, p.Members))})
 	}
 	recv := m.Comm.Exchange(out)
 	m.outBuf = out
 	m.SumAndSample(recv, seed, true)
+	m.phaseParts = parts
+	return parts
 }
 
 // GatherFreshParts gathers the parts, a heavy one's sketch built fresh
-// against the view under seed into one pooled sketch.
-func (m *Merger) GatherFreshParts(seed uint64) {
+// against the view under seed into one pooled sketch, and returns the
+// grouping (GatherParts).
+func (m *Merger) GatherFreshParts(seed uint64) []Part {
 	sk := m.Pool().Get(seed)
-	m.GatherParts(seed, func(_ uint64, members []int) *sketch.Sketch { return m.partSketch(sk, members, nil) })
+	parts := m.GatherParts(seed, func(_ uint64, members []int) *sketch.Sketch { return m.partSketch(sk, members, nil) })
 	m.Pool().Put(sk)
+	return parts
 }
 
 // partSketch builds a heavy part's sketch under filter (nil = all) into
@@ -837,7 +922,11 @@ func (m *Merger) applyRelabel(relabel map[uint64]uint64) {
 		return
 	}
 	if m.OnRelabel != nil {
-		m.OnRelabel(relabel)
+		parts := m.phaseParts
+		if parts == nil {
+			parts = m.Parts()
+		}
+		m.OnRelabel(relabel, parts)
 	}
 	for i, l := range m.Labels {
 		if nl, ok := relabel[l]; ok {

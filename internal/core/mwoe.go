@@ -87,8 +87,7 @@ func (w *MWOE) Select() {
 	n := m.View.N()
 
 	// Iteration 0: unfiltered sketches, exactly as connectivity.
-	m.GatherFreshParts(m.Sh.SketchSeed(m.Phase, 0))
-	parts := m.Parts()
+	parts := m.GatherFreshParts(m.Sh.SketchSeed(m.Phase, 0))
 	a := m.Comm.Arena()
 
 	active := w.sampleAndResolve()

@@ -13,12 +13,13 @@ import (
 	"kmgraph/internal/wire"
 )
 
-// partMsg is one (label, part sketch) message of a selection step, and the
-// items the part sketch holds.
+// partMsg is one (label, part) message of a selection step: a part sketch
+// and the items it holds, or a light part's rows.
 type partMsg struct {
 	src   int
 	label uint64
 	items map[uint64]int // edge slot -> ±1
+	rows  [][]uint64     // when not nil: the part's rows, each its vertex then its neighbours
 }
 
 type sample struct {
@@ -38,6 +39,10 @@ type allSample struct {
 func encodeParts(p sketch.Params, seed uint64, parts []partMsg) []kmachine.Message {
 	recv := make([]kmachine.Message, len(parts))
 	for i, pm := range parts {
+		if pm.rows != nil {
+			recv[i] = kmachine.Message{Src: pm.src, Data: appendRows(nil, pm.label, pm.rows...)}
+			continue
+		}
 		sk := sketch.New(p, seed)
 		for id, sign := range pm.items {
 			sk.AddItem(id, sign)
@@ -48,15 +53,27 @@ func encodeParts(p sketch.Params, seed uint64, parts []partMsg) []kmachine.Messa
 }
 
 // referenceSamples is the per-label dense path SumAndSample replaced:
-// Decode every part, Add it into the label's own sum, sample each sum.
+// Decode every part, or AddVertex its rows, Add it into the label's own
+// sum, sample each sum.
 func referenceSamples(t *testing.T, p sketch.Params, seed uint64, recv []kmachine.Message) (map[uint64]sample, map[uint64]allSample, map[uint64]map[int]bool) {
 	t.Helper()
 	sums := make(map[uint64]*sketch.Sketch)
 	holders := make(map[uint64]map[int]bool)
 	for _, msg := range recv {
 		r := wire.NewReader(msg.Data)
-		label := r.Uvarint() >> 1
+		hdr := r.Uvarint()
+		label := hdr >> 1
 		part, err := sketch.Decode(p, seed, msg.Data[len(msg.Data)-r.Len():])
+		if hdr&1 == 1 {
+			part, err = sketch.New(p, seed), nil
+			for c := r.Uvarint(); c > 0; c-- {
+				v, row := int(r.Uvarint()), []graph.Half(nil)
+				for d := r.Uvarint(); d > 0; d-- {
+					row = append(row, graph.Half{To: int(r.Uvarint())})
+				}
+				part.AddVertex(v, row, nil)
+			}
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,7 +90,7 @@ func referenceSamples(t *testing.T, p sketch.Params, seed uint64, recv []kmachin
 	wantAll := make(map[uint64]allSample)
 	for label, sum := range sums {
 		var s sample
-		s.x, s.y, s.insideSmaller, s.status = sum.SampleEdge()
+		s.x, s.y, s.insideSmaller, s.status = sum.SampleEdge(nil)
 		want[label] = s
 		var a allSample
 		a.slots, _, a.full = sum.SampleAll(nil)
@@ -83,10 +100,15 @@ func referenceSamples(t *testing.T, p sketch.Params, seed uint64, recv []kmachin
 }
 
 // randomParts draws a message set over labels 100, 101, …: 1..k parts per
-// label from distinct sources, some empty, some cancelling to the zero
-// vector, some repeated with the opposite sign; ordered as Exchange
-// returns them (by source, a label's parts interleaved with the others').
-func randomParts(rng *rand.Rand, n, k, labels int) []partMsg {
+// label from distinct sources, ordered as Exchange returns them (by source,
+// a label's parts interleaved with the others'). A label's parts are all
+// sketches, all rows, or mixed (forms, when set, counts which). Sketch
+// parts are random: some empty, some cancelling to the zero vector, some
+// repeated with the opposite sign. Rows parts describe a component as a
+// graph would: vertices homed at their source (home), edges inside the
+// component in both endpoints' rows, and outgoing ones; in a mixed label a
+// part may go as the sketch of its rows instead.
+func randomParts(rng *rand.Rand, n, k, labels int, home func(int) int, forms map[string]int) []partMsg {
 	slot := func() uint64 {
 		x, y := rng.Intn(n), rng.Intn(n-1)
 		if y >= x {
@@ -97,6 +119,16 @@ func randomParts(rng *rand.Rand, n, k, labels int) []partMsg {
 	var parts []partMsg
 	for l := 0; l < labels; l++ {
 		label := uint64(100 + l)
+		if form := rng.Intn(3); form > 0 {
+			parts = append(parts, componentParts(rng, n, label, home, form == 2)...)
+			if forms != nil {
+				forms[[]string{"", "rows", "mixed"}[form]]++
+			}
+			continue
+		}
+		if forms != nil {
+			forms["sketches"]++
+		}
 		srcs := rng.Perm(k)[:1+rng.Intn(k)]
 		kind := rng.Intn(5)
 		for i, src := range srcs {
@@ -132,6 +164,68 @@ func randomParts(rng *rand.Rand, n, k, labels int) []partMsg {
 		}
 	}
 	return bySrc
+}
+
+// componentParts returns one component's parts, one per source holding a
+// vertex of it, as rows (or, when mixed, some as the sketch of their rows):
+// a random vertex set with symmetric edges inside it and a few outgoing
+// ones, each vertex's row in its home's part.
+func componentParts(rng *rand.Rand, n int, label uint64, home func(int) int, mixed bool) []partMsg {
+	vs := rng.Perm(n)[:1+rng.Intn(12)]
+	slices.Sort(vs)
+	adj := make(map[int][]int)
+	link := func(a, b int) {
+		if a != b && !slices.Contains(adj[a], b) {
+			adj[a] = append(adj[a], b)
+			if slices.Contains(vs, b) {
+				adj[b] = append(adj[b], a)
+			}
+		}
+	}
+	for e := rng.Intn(3 * len(vs)); e > 0; e-- {
+		link(vs[rng.Intn(len(vs))], vs[rng.Intn(len(vs))])
+	}
+	for e := rng.Intn(5); e > 0; e-- {
+		if o := rng.Intn(n); !slices.Contains(vs, o) {
+			link(vs[rng.Intn(len(vs))], o)
+		}
+	}
+	bySrc := make(map[int]int) // source -> its part's index in parts
+	var parts []partMsg
+	for _, v := range vs {
+		src := home(v)
+		i, ok := bySrc[src]
+		if !ok {
+			i = len(parts)
+			bySrc[src] = i
+			parts = append(parts, partMsg{src: src, label: label, rows: [][]uint64{}})
+		}
+		if pm := &parts[i]; len(adj[v]) > 0 {
+			row := []uint64{uint64(v)}
+			for _, to := range adj[v] {
+				row = append(row, uint64(to))
+			}
+			pm.rows = append(pm.rows, row)
+		}
+	}
+	for i := range parts {
+		if pm := &parts[i]; mixed && rng.Intn(2) == 0 {
+			pm.items = make(map[uint64]int)
+			for _, row := range pm.rows {
+				for _, to := range row[1:] {
+					id, sign := graph.EdgeID(int(row[0]), int(to), n), 1
+					if row[0] > to {
+						sign = -1
+					}
+					if pm.items[id] += sign; pm.items[id] == 0 {
+						delete(pm.items, id)
+					}
+				}
+			}
+			pm.rows = nil
+		}
+	}
+	return parts
 }
 
 // soloMerger returns machine 0's Merger of a k-machine cluster whose run is
@@ -253,19 +347,21 @@ func checkStates(t *testing.T, m *Merger, k int, want map[uint64]sample, wantAll
 // proxy side: one scratch sketch folded one label's run at a time must
 // store, for every label, the sample its own dense Decode+Add sum gives —
 // and, on an MST job's Merger (every other shape pass), all of that sum's
-// slots — in states kept ascending by label.
+// slots — in states kept ascending by label, whether the label's parts are
+// all sketches, all rows, or mixed.
 func TestSumAndSampleMatchesPerLabelSums(t *testing.T) {
 	const k = 8
 	small := sketch.Params{N: 64, Levels: 3, Buckets: 2, Reps: 1} // small enough that samples fail
 	shapes := []sketch.Params{sketch.DefaultParams(64), small, sketch.DefaultParams(64), small}
 	seen := make(map[sketch.Status]int)
+	forms := make(map[string]int)
 	for i, p := range shapes {
 		m := soloMerger(t, k, p)
 		m.allSlots = i >= 2
 		rng := rand.New(rand.NewSource(int64(p.Levels)))
 		for round := 0; round < 60; round++ {
 			seed := rng.Uint64()
-			recv := encodeParts(p, seed, randomParts(rng, p.N, k, 1+rng.Intn(30)))
+			recv := encodeParts(p, seed, randomParts(rng, p.N, k, 1+rng.Intn(30), m.View.Home, forms))
 			want, wantAll, holders := referenceSamples(t, p, seed, recv)
 			m.SumAndSample(recv, seed, true)
 			if len(m.States) != len(want) {
@@ -279,7 +375,7 @@ func TestSumAndSampleMatchesPerLabelSums(t *testing.T) {
 			// An elimination iteration: fresh sketches under a new seed for
 			// some of the labels, states kept (create=false).
 			var again []partMsg
-			for _, pm := range randomParts(rng, p.N, k, len(want)) {
+			for _, pm := range randomParts(rng, p.N, k, len(want), m.View.Home, nil) {
 				if pm.label%3 != 0 {
 					again = append(again, pm)
 				}
@@ -302,21 +398,28 @@ func TestSumAndSampleMatchesPerLabelSums(t *testing.T) {
 			t.Fatalf("SumAndSample held %d dense sketches at once, want 1", peak)
 		}
 
-		// A part for a label without a state is a protocol violation.
-		stray := encodeParts(p, 7, []partMsg{{src: 3, label: 9999}})
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("create=false accepted a part for an unknown label")
-				}
+		// A part for a label without a state, or for a label that is no
+		// vertex ID, is a protocol violation.
+		for _, stray := range []partMsg{{src: 3, label: 9999}, {src: 3, label: 2 * graph.MaxN}} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("SumAndSample accepted a part for label %d", stray.label)
+					}
+				}()
+				m.SumAndSample(encodeParts(p, 7, []partMsg{stray}), 7, stray.label == 2*graph.MaxN)
 			}()
-			m.SumAndSample(stray, 7, false)
-		}()
+		}
 	}
-	t.Logf("reference statuses: %v", seen)
+	t.Logf("reference statuses: %v; label forms: %v", seen, forms)
 	for _, s := range []sketch.Status{sketch.Empty, sketch.Sampled, sketch.Failed} {
 		if seen[s] == 0 {
 			t.Errorf("no label's reference sample was %v: the inputs do not cover it", s)
+		}
+	}
+	for _, f := range []string{"sketches", "rows", "mixed"} {
+		if forms[f] == 0 {
+			t.Errorf("no label's parts were %s: the inputs do not cover it", f)
 		}
 	}
 }
@@ -409,5 +512,61 @@ func TestStatesStayLabelSortedAcrossK(t *testing.T) {
 		if largest < 2 {
 			t.Fatalf("k=%d: no relabel merged two vertices of one machine", k)
 		}
+	}
+}
+
+// TestRelabelHookSeesTheOldGrouping runs phases that alternate a selection
+// that gathers parts (SelectSketch) with one that gathers none
+// (selectEdgeCheck) and checks, on every machine, that the relabel hook
+// always receives the grouping of the labels it is about to see rewritten:
+// the phase's gather's where there was one, never an earlier phase's.
+func TestRelabelHookSeesTheOldGrouping(t *testing.T) {
+	const n = 200
+	g := graph.GNM(n, 300, 4)
+	cfg := Config{K: 4, Seed: 9}.WithDefaults(n)
+	part, err := kmachine.LoadShards(g.Source(), cfg.K, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	calls := make(map[bool]int) // by whether the phase gathered
+	_, err = runOneShot(t.Context(), cfg, func(mctx *kmachine.Ctx) error {
+		m := NewMerger(mctx, part.Shard(mctx.ID()), cfg)
+		defer m.ReleasePools()
+		if err := m.Setup(); err != nil {
+			return err
+		}
+		gathered := false
+		m.OnRelabel = func(_ map[uint64]uint64, parts []Part) {
+			want := make(map[uint64][]int)
+			for i, l := range m.Labels {
+				want[l] = append(want[l], i)
+			}
+			if len(parts) != len(want) {
+				t.Errorf("machine %d phase %d: hook got %d parts, the labels make %d", mctx.ID(), m.Phase, len(parts), len(want))
+			}
+			for _, p := range parts {
+				if !slices.Equal(p.Members, want[p.Label]) {
+					t.Errorf("machine %d phase %d: hook got part %d = %v, the labels make %v", mctx.ID(), m.Phase, p.Label, p.Members, want[p.Label])
+				}
+			}
+			mu.Lock()
+			calls[gathered]++
+			mu.Unlock()
+		}
+		m.RunPhases(0, 6, func(i int) {
+			if gathered = i%2 == 0; gathered {
+				m.SelectSketch()
+			} else {
+				m.selectEdgeCheck()
+			}
+		}, nil)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if calls[true] == 0 || calls[false] == 0 {
+		t.Fatalf("relabels after a gather: %d, after an edge check: %d; the phases do not cover both", calls[true], calls[false])
 	}
 }

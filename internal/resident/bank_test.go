@@ -102,7 +102,7 @@ func (r *bankRig) move(moves []vertLabel) {
 }
 
 func (r *bankRig) merge(relabel map[uint64]uint64) {
-	r.c.mergeRelabel(relabel, r.parts, r.view)
+	r.c.mergeRelabel(relabel, r.parts(), r.view)
 	for i, l := range r.labels {
 		if root, ok := relabel[l]; ok {
 			r.labels[i] = root

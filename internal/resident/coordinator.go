@@ -25,7 +25,17 @@ type coordinator struct {
 	// its few fresh edges in instead of re-sorting the whole forest.
 	sorted []uint64
 	uf     *graph.UnionFind // recompute's piece finder, reset per query
+	// recompute's per-query tables, indexed by vertex ID (labels and piece
+	// roots are vertex IDs) and made by its first call: how many vertices
+	// carry each label, and each piece root's chosen label (noLabel until
+	// one is chosen).
+	classSize  []int32
+	pieceLabel []uint64
 }
+
+// noLabel marks a piece root without a chosen label: labels are vertex
+// IDs, below graph.MaxN.
+const noLabel = ^uint64(0)
 
 type vertLabel struct {
 	v     int
@@ -121,26 +131,29 @@ func (c *coordinator) recompute() (changes []vertLabel, certEdges int) {
 	c.sorted = mergeSortedIDs(kept, accepted)
 	clear(c.pending)
 
-	classSize := make(map[uint64]int)
-	for v := 0; v < c.n; v++ {
-		classSize[c.labels[v]]++
+	if c.classSize == nil {
+		c.classSize, c.pieceLabel = make([]int32, c.n), make([]uint64, c.n)
 	}
-	pieceLabel := make(map[int]uint64)
+	classSize, pieceLabel := c.classSize, c.pieceLabel
+	clear(classSize)
+	for _, l := range c.labels {
+		classSize[l]++
+	}
+	for r := range pieceLabel {
+		pieceLabel[r] = noLabel
+	}
 	for v := 0; v < c.n; v++ {
-		l := uint64(v)
-		if classSize[l] == 0 {
+		if classSize[v] == 0 {
 			continue // v's ID is not a label in use
 		}
 		r := uf.Find(v)
-		cur, taken := pieceLabel[r]
-		if !taken || classSize[l] > classSize[cur] {
-			pieceLabel[r] = l
+		if cur := pieceLabel[r]; cur == noLabel || classSize[v] > classSize[cur] {
+			pieceLabel[r] = uint64(v)
 		}
 	}
 	// Fallback: minimum vertex of the piece (ascending scan ⇒ first seen).
 	for v := 0; v < c.n; v++ {
-		r := uf.Find(v)
-		if _, ok := pieceLabel[r]; !ok {
+		if r := uf.Find(v); pieceLabel[r] == noLabel {
 			pieceLabel[r] = uint64(v)
 		}
 	}

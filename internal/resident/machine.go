@@ -84,8 +84,8 @@ func (m *rmachine) load() error {
 		seeds[b] = m.mg.Sh.BankSeed(b)
 	}
 	m.banks = newBankCache(m.h.cfg.Sketch.Cells(), seeds, m.mg.Pool())
-	m.mg.OnRelabel = func(relabel map[uint64]uint64) {
-		m.banks.mergeRelabel(relabel, m.mg.Parts, m.view)
+	m.mg.OnRelabel = func(relabel map[uint64]uint64, parts []core.Part) {
+		m.banks.mergeRelabel(relabel, parts, m.view)
 	}
 	if m.ctx.ID() == 0 {
 		m.coord = newCoordinator(m.view.N())

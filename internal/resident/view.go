@@ -168,12 +168,12 @@ func (c *bankCache) move(moves []vertLabel, labels []uint64, parts func() []core
 }
 
 // mergeRelabel folds kept sums through an old-label -> root map, in place
-// (invoked before labels are rewritten, so parts still returns the old
-// grouping). A bank of the merged part survives when every local source
+// (invoked before labels are rewritten: local is the grouping of the old
+// labels). A bank of the merged part survives when every local source
 // part either keeps it or is light; light sources contribute their members
 // by AddVertex, and a lone source's sums just move to the root label. Any
 // other bank is released and rebuilt on its next read.
-func (c *bankCache) mergeRelabel(relabel map[uint64]uint64, parts func() []core.Part, view *kmachine.Shard) {
+func (c *bankCache) mergeRelabel(relabel map[uint64]uint64, local []core.Part, view *kmachine.Shard) {
 	if len(c.parts) == 0 {
 		return
 	}
@@ -184,7 +184,6 @@ func (c *bankCache) mergeRelabel(relabel map[uint64]uint64, parts func() []core.
 		}
 		heirs[l] = nil
 	}
-	local := parts()
 	for old, root := range relabel {
 		if srcs, ok := heirs[root]; ok && len(core.Members(local, old)) > 0 {
 			heirs[root] = append(srcs, old) // any order: sketch addition commutes

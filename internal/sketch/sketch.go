@@ -22,11 +22,16 @@
 // z derive from a shared seed, so machines build *identical* projections —
 // the distributed analogue of the paper's shared sketch matrix L_j.
 //
-// Every item is added by one kernel (addSlot, under AddVertex, SubVertex and
-// AddItem). It reads powers of z from radix-16 fixed-base windows built per
-// seed and factors a slot's power as (z^N)^x · z^y. The field is exact and
-// its elements canonical, so a power is the same word however it is
-// factored, and a cell is the same three words the formulas above give.
+// Every item a sketch holds is added by one kernel (addSlot, under
+// AddVertex, SubVertex and AddItem). It reads powers of z from radix-16
+// fixed-base windows built per seed and factors a slot's power as
+// (z^N)^x · z^y. The field is exact and its elements canonical, so a power
+// is the same word however it is factored, and a cell is the same three
+// words the formulas above give. A sample can also read items the sketch
+// never holds: SampleItems sums a list of them into each tester it scans,
+// with the words addSlot would add, and so returns what adding them first
+// would, while only the items at the few levels it scans pay for buckets
+// and powers.
 //
 //km:roundpure
 package sketch
@@ -408,38 +413,117 @@ func (s *Sketch) verify(c *cell) (id uint64, sign int, ok bool) {
 // from sparsest down. Among the verified slots of the first productive
 // level it returns the one maximizing a query hash, which approximates a
 // uniform sample over the support (the max-hash slot is the level's
-// "survivor"). The same sketch always returns the same answer.
+// "survivor"). The same sketch always returns the same answer. Sample is
+// SampleItems without items.
 //
 // Sample stops at the first productive level and keeps one slot, as the
 // paper's sampler does; connectivity uses it. Every other tester it
 // verified on the way is thrown away — SampleAll returns them all, which
 // MST elimination uses in place of §3.1's single draw.
-func (s *Sketch) Sample() (id uint64, sign int, st Status) {
-	if s.IsZero() {
-		return 0, 0, Empty
+func (s *Sketch) Sample() (id uint64, sign int, st Status) { return s.SampleItems(nil) }
+
+// Item is one signed slot, packed in a word: the slot id shifted left
+// once, the low bit set when the sign is -1. Every slot of a graph's
+// universe fits, as ids stay below graph.MaxN² = 2^62.
+type Item uint64
+
+// MakeItem packs slot id with sign (+1 or -1).
+func MakeItem(id uint64, sign int) Item {
+	if sign < 0 {
+		return Item(id<<1 | 1)
 	}
-	qsalt := s.qsalt
+	return Item(id << 1)
+}
+
+// Items is a list of items that SampleItems reads beside a sketch without
+// adding them, with the scratch it orders them in: the items by level
+// (ord; lvl holds each one's level, above[l] counts those above level l),
+// the terms of those at the levels scanned so far (hot), and one row of
+// testers to sum them in (row). Reused, it stops growing once warm.
+type Items struct {
+	List []Item // in any order; duplicates and opposite signs add up
+
+	ord   []Item
+	lvl   []uint8
+	above []int32
+	hot   []term
+	row   []cell
+}
+
+// term is an item's share of the testers it reaches: its bucket-hash mix
+// and the signed count, idSum and fingerprint addSlot would add.
+type term struct {
+	mix, idf, fp uint64
+	cnt          int64
+}
+
+// SampleItems returns exactly what adding each of items.List to s with
+// AddItem, then calling Sample, would return, and leaves s unchanged: a
+// sample that reads items it never adds. It walks the levels from the
+// sparsest down and takes each (rep, level) row's testers as s's cells
+// plus the items whose level reaches that row, so only the items at the
+// levels it scans — a few, as it stops at the first level that verifies —
+// pay for buckets and fingerprint powers; the rest cost one level hash
+// each. A scan that verifies nothing has visited every tester, so it
+// returns Empty exactly when all of them were zero. A nil items is the
+// empty list.
+//
+//km:hotpath
+func (s *Sketch) SampleItems(items *Items) (id uint64, sign int, st Status) {
+	// Above the highest written row and the highest item every tester is
+	// zero: the scan starts below them.
+	top := s.topRow()
+	var ord []Item
+	var hot []term
+	var row []cell
+	if items != nil && len(items.List) > 0 {
+		var itop int
+		ord, itop = items.order(s)
+		top, hot, row = max(top, itop), items.hot[:0], items.row
+	}
 	nb := s.p.Buckets
-	for level := s.p.Levels - 1; level >= 0; level-- {
-		var bestID uint64
+	nonzero := false
+	for level := top; level >= 0; level-- {
+		// The items at level or above: ord[:end], the new ones made hot.
+		end := len(ord)
+		if level > 0 && len(ord) > 0 {
+			end = int(items.above[level-1])
+		}
+		for _, it := range ord[len(hot):end] {
+			hot = append(hot, s.termOf(it))
+		}
+		var bestID, bestH uint64
 		var bestSign int
-		var bestH uint64
 		found := false
 		for rep := 0; rep < s.p.Reps; rep++ {
 			rl := rep*s.p.Levels + level
-			for t := s.touched[rl]; t != 0; t &= t - 1 {
-				b := bits.TrailingZeros64(t)
-				c := &s.cells[rl*nb+b]
+			cells, mask := s.cells[rl*nb:(rl+1)*nb], s.touched[rl]
+			if len(hot) > 0 {
+				copy(row, cells)
+				for i := range hot {
+					t := &hot[i]
+					b := hashing.RangeOf(hashing.Mix64(s.bpre[rl]^t.mix), nb)
+					mask |= 1 << uint(b)
+					c := &row[b]
+					c.count += t.cnt
+					c.idSum = field.Add(c.idSum, t.idf)
+					c.fp = field.Add(c.fp, t.fp)
+				}
+				cells = row
+			}
+			for ; mask != 0; mask &= mask - 1 {
+				b := bits.TrailingZeros64(mask)
+				c := &cells[b]
+				if c.count == 0 && c.idSum == 0 && c.fp == 0 {
+					continue
+				}
+				nonzero = true
 				cid, csign, ok := s.verify(c)
-				if !ok {
-					continue
-				}
 				// Consistency: the slot must actually belong here.
-				if s.levelOf(cid) < level || s.bucketOf(rep, level, cid) != b {
+				if !ok || s.levelOf(cid) < level || s.bucketOf(rep, level, cid) != b {
 					continue
 				}
-				h := hashing.Hash2(qsalt, cid)
-				if !found || h > bestH {
+				if h := hashing.Hash2(s.qsalt, cid); !found || h > bestH {
 					bestID, bestSign, bestH, found = cid, csign, h, true
 				}
 			}
@@ -448,7 +532,70 @@ func (s *Sketch) Sample() (id uint64, sign int, st Status) {
 			return bestID, bestSign, Sampled
 		}
 	}
-	return 0, 0, Failed
+	if nonzero {
+		return 0, 0, Failed
+	}
+	return 0, 0, Empty
+}
+
+// topRow returns the highest level at which some repetition's row has a
+// written tester, or -1 when none has.
+func (s *Sketch) topRow() int {
+	for level := s.p.Levels - 1; level >= 0; level-- {
+		for rl := level; rl < len(s.touched); rl += s.p.Levels {
+			if s.touched[rl] != 0 {
+				return level
+			}
+		}
+	}
+	return -1
+}
+
+// order returns l.List ordered by level under s, highest first, in l.ord —
+// a counting pass that hashes each item once for its level — and the
+// highest level, with l.above[lv] the number of items above level lv; it
+// sizes l.hot to hold every item's term and l.row to a row of s's testers.
+//
+//km:hotpath
+func (l *Items) order(s *Sketch) (ord []Item, top int) {
+	n, levels := len(l.List), s.p.Levels
+	lvl := slices.Grow(l.lvl[:0], n)[:n]
+	above := slices.Grow(l.above[:0], levels)[:levels]
+	clear(above)
+	for i, it := range l.List {
+		lv := s.levelOf(uint64(it) >> 1)
+		lvl[i] = uint8(lv)
+		above[lv]++
+		top = max(top, lv)
+	}
+	// Running sums from the top: above[lv] = items at level lv or above.
+	for lv, c := levels-2, above[levels-1]; lv >= 0; lv-- {
+		c += above[lv]
+		above[lv] = c
+	}
+	// Fill each level's range from its end; what is left is the start of
+	// the range, the number of items above the level.
+	ord = slices.Grow(l.ord[:0], n)[:n]
+	for i := n - 1; i >= 0; i-- {
+		lv := lvl[i]
+		above[lv]--
+		ord[above[lv]] = l.List[i]
+	}
+	l.hot = slices.Grow(l.hot[:0], n)
+	l.row = slices.Grow(l.row[:0], s.p.Buckets)[:s.p.Buckets]
+	l.lvl, l.above, l.ord = lvl, above, ord
+	return ord, top
+}
+
+// termOf returns what item it adds to each tester it reaches, as addSlot
+// adds it.
+func (s *Sketch) termOf(it Item) term {
+	id := uint64(it) >> 1
+	t := term{mix: idMix(id), idf: field.Reduce(id), fp: s.powID(id), cnt: 1}
+	if it&1 != 0 {
+		t.idf, t.fp, t.cnt = field.Neg(t.idf), field.Neg(t.fp), -1
+	}
+	return t
 }
 
 // Slot is one recovered coordinate of a sketched vector: an edge-slot id
@@ -550,12 +697,12 @@ func hasSlot(slots []Slot, id uint64) bool {
 	return false
 }
 
-// SampleEdge decodes a sampled slot into a canonical edge (x < y) plus the
-// side flag: insideSmaller reports whether the *smaller* endpoint x is the
-// one inside the sketched vertex set (sign +1), which the connectivity
+// SampleEdge decodes SampleItems' slot into a canonical edge (x < y) plus
+// the side flag: insideSmaller reports whether the *smaller* endpoint x is
+// the one inside the sketched vertex set (sign +1), which the connectivity
 // algorithm uses to identify the neighboring component's endpoint.
-func (s *Sketch) SampleEdge() (x, y int, insideSmaller bool, st Status) {
-	id, sign, st := s.Sample()
+func (s *Sketch) SampleEdge(items *Items) (x, y int, insideSmaller bool, st Status) {
+	id, sign, st := s.SampleItems(items)
 	if st != Sampled {
 		return 0, 0, false, st
 	}

@@ -5,6 +5,7 @@ import (
 	"cmp"
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -186,7 +187,7 @@ func TestVertexSketchSamplesIncidentEdge(t *testing.T) {
 		}
 		s := New(p, 77)
 		s.AddVertex(u, g.Adj(u), nil)
-		x, y, insideSmaller, st := s.SampleEdge()
+		x, y, insideSmaller, st := s.SampleEdge(nil)
 		if st == Failed {
 			continue
 		}
@@ -219,7 +220,7 @@ func TestComponentSketchSamplesOutgoingEdge(t *testing.T) {
 				s.AddVertex(u, g.Adj(u), nil)
 			}
 		}
-		x, y, insideSmaller, st := s.SampleEdge()
+		x, y, insideSmaller, st := s.SampleEdge(nil)
 		if st == Failed {
 			continue
 		}
@@ -262,7 +263,7 @@ func TestFilteredSketch(t *testing.T) {
 	for seed := uint64(0); seed < 20; seed++ {
 		s := New(p, seed)
 		s.AddVertex(0, g.Adj(0), filter)
-		x, y, _, st := s.SampleEdge()
+		x, y, _, st := s.SampleEdge(nil)
 		if st == Failed || st == Empty {
 			continue
 		}
@@ -962,4 +963,171 @@ func FuzzAddEncoded(f *testing.F) {
 		d.Sample()
 		d.SampleAll(nil)
 	})
+}
+
+// refSample is the sampler SampleItems replaced, kept as the reference: a
+// zero test over every tester first, then the scan of the levels from the
+// sparsest down.
+func refSample(s *Sketch) (id uint64, sign int, st Status) {
+	if s.IsZero() {
+		return 0, 0, Empty
+	}
+	nb := s.p.Buckets
+	for level := s.p.Levels - 1; level >= 0; level-- {
+		var bestID, bestH uint64
+		var bestSign int
+		found := false
+		for rep := 0; rep < s.p.Reps; rep++ {
+			rl := rep*s.p.Levels + level
+			for t := s.touched[rl]; t != 0; t &= t - 1 {
+				b := bits.TrailingZeros64(t)
+				cid, csign, ok := s.verify(&s.cells[rl*nb+b])
+				if !ok || s.levelOf(cid) < level || s.bucketOf(rep, level, cid) != b {
+					continue
+				}
+				if h := hashing.Hash2(s.qsalt, cid); !found || h > bestH {
+					bestID, bestSign, bestH, found = cid, csign, h, true
+				}
+			}
+		}
+		if found {
+			return bestID, bestSign, Sampled
+		}
+	}
+	return 0, 0, Failed
+}
+
+// forgeCells writes a few testers no sum of items gives: one-sparse-looking
+// cells whose slot belongs to another bucket or level, or whose fingerprint
+// is the slot's but whose count or idSum is off, or a zero count and idSum
+// under a nonzero fingerprint. They are what a fingerprint collision leaves,
+// and every sampler must read them alike.
+func forgeCells(rng *rand.Rand, s *Sketch) {
+	universe := uint64(s.p.N) * uint64(s.p.N)
+	for j := 1 + rng.Intn(4); j > 0; j-- {
+		rl, b := rng.Intn(s.p.Reps*s.p.Levels), rng.Intn(s.p.Buckets)
+		id := rng.Uint64() % universe
+		c := &s.cells[rl*s.p.Buckets+b]
+		switch rng.Intn(4) {
+		case 0: // a whole slot, wherever it landed
+			c.count, c.idSum, c.fp = 1, field.Reduce(id), s.powID(id)
+		case 1: // the negative of one
+			c.count, c.idSum, c.fp = -1, field.Neg(field.Reduce(id)), field.Neg(s.powID(id))
+		case 2: // a slot's fingerprint under a wrong count
+			c.count, c.idSum, c.fp = 2, field.Reduce(id), s.powID(id)
+		default: // zero count and idSum, nonzero fingerprint
+			c.count, c.idSum, c.fp = 0, 0, 1+rng.Uint64()%(field.P-1)
+		}
+		s.touched[rl] |= 1 << uint(b)
+	}
+}
+
+// TestSampleItemsMatchesAddThenSample pins SampleItems to its definition:
+// on random item lists — duplicates, cancelling pairs, items cancelling
+// the base sketch's — over zero, item-built and forged base sketches, in
+// the default shape and in shapes small enough to fail, it returns what
+// AddItem of every item then Sample returns (and what the replaced
+// IsZero-first sampler returns), leaves s byte-identical, and allocates
+// nothing once warm.
+func TestSampleItemsMatchesAddThenSample(t *testing.T) {
+	shapes := []Params{
+		DefaultParams(64),
+		DefaultParams(1000),
+		{N: 64, Levels: 3, Buckets: 2, Reps: 1},
+		{N: 64, Levels: 5, Buckets: 3, Reps: 2},
+	}
+	seen := make(map[Status]int)
+	var scratch Items
+	for si, p := range shapes {
+		rng := rand.New(rand.NewSource(int64(si) + 7))
+		universe := uint64(p.N) * uint64(p.N)
+		s := New(p, 1)
+		for trial := 0; trial < 400; trial++ {
+			s.Reset()
+			s.reseed(rng.Uint64())
+			var base []Item
+			if trial%4 == 1 || trial%4 == 3 {
+				for j := rng.Intn(40); j > 0; j-- {
+					it := MakeItem(rng.Uint64()%universe, 1-2*rng.Intn(2))
+					base = append(base, it)
+					s.AddItem(uint64(it)>>1, 1-2*int(it&1))
+				}
+			}
+			if trial%4 >= 2 {
+				forgeCells(rng, s)
+			}
+			items := scratch.List[:0]
+			size := rng.Intn(60)
+			if trial%8 == 0 {
+				size = rng.Intn(4)
+			}
+			for len(items) < size {
+				id := rng.Uint64() % universe
+				switch r := rng.Intn(10); {
+				case r == 0 && len(items) > 0: // a duplicate
+					items = append(items, items[rng.Intn(len(items))])
+				case r == 1 && len(items) > 0: // cancel an earlier item
+					items = append(items, items[rng.Intn(len(items))]^1)
+				case r == 2 && len(base) > 0: // cancel a base item
+					items = append(items, base[rng.Intn(len(base))]^1)
+				case r == 3: // a cancelling pair
+					items = append(items, MakeItem(id, 1), MakeItem(id, -1))
+				default:
+					items = append(items, MakeItem(id, 1-2*rng.Intn(2)))
+				}
+			}
+			rng.Shuffle(len(items), func(i, j int) { items[i], items[j] = items[j], items[i] })
+			scratch.List = items
+
+			sum := New(p, s.Seed())
+			if err := sum.Add(s); err != nil {
+				t.Fatal(err)
+			}
+			for _, it := range items {
+				sum.AddItem(uint64(it)>>1, 1-2*int(it&1))
+			}
+			wid, wsign, wst := sum.Sample()
+			if rid, rsign, rst := refSample(sum); rid != wid || rsign != wsign || rst != wst {
+				t.Fatalf("shape %d trial %d: Sample %d %d %v, the replaced sampler %d %d %v", si, trial, wid, wsign, wst, rid, rsign, rst)
+			}
+			before := s.EncodeTo(nil)
+			id, sign, st := s.SampleItems(&scratch)
+			if id != wid || sign != wsign || st != wst {
+				t.Fatalf("shape %d trial %d (%d items): SampleItems %d %d %v, AddItem then Sample %d %d %v", si, trial, len(items), id, sign, st, wid, wsign, wst)
+			}
+			if !bytes.Equal(s.EncodeTo(nil), before) {
+				t.Fatalf("shape %d trial %d: SampleItems changed the sketch", si, trial)
+			}
+			seen[st]++
+		}
+		scratch.List = scratch.List[:0]
+		for j := 0; j < 64; j++ {
+			scratch.List = append(scratch.List, MakeItem(rng.Uint64()%universe, 1-2*rng.Intn(2)))
+		}
+		s.SampleItems(&scratch)
+		if a := testing.AllocsPerRun(50, func() { s.SampleItems(&scratch) }); a != 0 {
+			t.Fatalf("shape %d: SampleItems allocates %.1f times per call once warm", si, a)
+		}
+	}
+	t.Logf("statuses: %v", seen)
+	for _, st := range []Status{Empty, Sampled, Failed} {
+		if seen[st] == 0 {
+			t.Errorf("no trial came out %v: the inputs do not cover it", st)
+		}
+	}
+}
+
+// BenchmarkSampleItems samples what BenchmarkSample's sketch holds, read as
+// items beside an empty sketch instead of added to it.
+func BenchmarkSampleItems(b *testing.B) {
+	p := DefaultParams(4096)
+	s := New(p, 9)
+	var items Items
+	for i := uint64(0); i < 100; i++ {
+		items.List = append(items.List, MakeItem(i*37+5, 1))
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.SampleItems(&items)
+	}
 }
