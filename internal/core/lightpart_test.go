@@ -22,15 +22,11 @@ import (
 func partOutcomes(m *Merger, seen map[string]int) map[uint64]string {
 	got := make(map[uint64]string, len(m.States))
 	for _, st := range m.States {
+		st.sampled = false
+		got[st.Label] = fmt.Sprint(st.status, m.slotsOf(st), st.full)
+		seen[st.status.String()]++
 		if m.allSlots {
-			slots, status, _ := m.takeSlots(st)
-			got[st.Label] = fmt.Sprint(status, slots, st.full)
 			seen[fmt.Sprint("full=", st.full)]++
-			seen[status.String()]++
-		} else {
-			x, y, inside, status, _ := st.takeSample()
-			got[st.Label] = fmt.Sprint(status, x, y, inside)
-			seen[status.String()]++
 		}
 	}
 	return got
@@ -181,8 +177,8 @@ func refRows(body []byte, src int) (rows [][]graph.Half, vs []int, ok bool) {
 // rule is broken (a vertex out of range or homed elsewhere, a neighbour out
 // of range or the vertex itself, a degree or count past the message end, a
 // truncated header, trailing bytes), and accepted rows read as items that
-// add into a sum exactly as AddVertex of the same rows does, and that
-// SampleItems samples as that sum.
+// add into a sum exactly as AddVertex of the same rows does, and that the
+// sampler scan reads beside the sum as that sum, in both modes.
 func FuzzAddPart(f *testing.F) {
 	p := sketch.Params{N: fuzzRowsN, Levels: 6, Buckets: 3, Reps: 2}
 	const seed = 5
@@ -245,9 +241,11 @@ func FuzzAddPart(f *testing.F) {
 		if err != nil {
 			return
 		}
-		gx, gy, gin, gst := sum.SampleEdge(&items)
-		if wx, wy, win, wst := want.SampleEdge(nil); gx != wx || gy != wy || gin != win || gst != wst {
-			t.Fatalf("accepted rows sample %d-%d %v %v, AddVertex of them %d-%d %v %v", gx, gy, gin, gst, wx, wy, win, wst)
+		for _, all := range []bool{false, true} {
+			got, gst, gfull := sum.SampleSlots(nil, &items, all)
+			if ws, wst, wfull := want.SampleSlots(nil, nil, all); !slices.Equal(got, ws) || gst != wst || gfull != wfull {
+				t.Fatalf("all=%v: accepted rows sample %v %v full=%v, AddVertex of them %v %v full=%v", all, got, gst, gfull, ws, wst, wfull)
+			}
 		}
 		for _, it := range items.List {
 			sum.AddItem(uint64(it)>>1, 1-2*int(it&1))

@@ -42,25 +42,16 @@ type CompState struct {
 	ElimDone    bool
 
 	// Transient proxy-side selection state, never encoded: the outcome of
-	// l0-sampling the sum of this component's part sketches (SumAndSample).
-	// PendU/PendV is the sampled edge awaiting neighbor-label resolution; an
-	// MST job (Merger.allSlots) keeps every slot the sum verified instead,
-	// as a range of the Merger's slot buffer.
-	PendU, PendV   int
+	// l0-sampling the sum of this component's parts (SumAndSample), a range
+	// of the Merger's slots (slotsOf) — the one sample, or on an MST job
+	// (Merger.allSlots) every slot the sum verified, the sample first.
 	status         sketch.Status // of the stored sample
-	slotLo, slotHi int32         // MST: Merger.slotBuf[slotLo:slotHi], the sample first
-	insideSmaller  bool          // PendU is the endpoint inside the component
-	full           bool          // MST: the slots are the sum's whole support
-	sampled        bool          // a sample is stored and not yet taken
-}
-
-// takeSample hands out the sample SumAndSample stored for the component,
-// once; ok is false when no part sketch arrived for it since the last take.
-//
-//km:hotpath
-func (st *CompState) takeSample() (x, y int, insideSmaller bool, status sketch.Status, ok bool) {
-	ok, st.sampled = st.sampled, false
-	return st.PendU, st.PendV, st.insideSmaller, st.status, ok
+	slotLo, slotHi int32
+	full           bool // the slots are the sum's whole support
+	// sampled is set when SumAndSample stores a sample and cleared when a
+	// step reads it: an elimination iteration reads only the states that
+	// received parts.
+	sampled bool
 }
 
 // Encode appends the wire encoding of the state.
@@ -132,12 +123,11 @@ type Merger struct {
 	// same point of the protocol and cancellation costs no extra rounds.
 	Cancelled func() bool
 
-	// allSlots makes SumAndSample keep every slot a sum verifies
-	// (sketch.SampleAll) instead of the one sample: NewMWOE sets it, for the
-	// life of an MST job's Merger. slotBuf holds them, one range per
-	// component, from one SumAndSample to the next.
+	// allSlots makes SumAndSample keep every slot a sum verifies instead of
+	// the one sample (sketch.SampleSlots): NewMWOE sets it, for the life of
+	// an MST job's Merger.
 	allSlots bool
-	slotBuf  []sketch.Slot
+	sl       *slotScratch // held from the first SumAndSample to ReleasePools
 
 	prevFailures int64
 	skPool       *sketch.Pool
@@ -153,18 +143,9 @@ type Merger struct {
 	relabel      map[uint64]uint64
 }
 
-// slotsOf returns every slot st's sum verified in the last SumAndSample of
-// an MST job, the sample first; valid, as is st.full (whether they are the
-// sum's whole support), until the next one.
-func (m *Merger) slotsOf(st *CompState) []sketch.Slot { return m.slotBuf[st.slotLo:st.slotHi] }
-
-// takeSlots is takeSample for an MST job.
-//
-//km:hotpath
-func (m *Merger) takeSlots(st *CompState) (slots []sketch.Slot, status sketch.Status, ok bool) {
-	ok, st.sampled = st.sampled, false
-	return m.slotsOf(st), st.status, ok
-}
+// slotsOf returns the slots the last SumAndSample stored for st, the
+// sample first; valid, as is st.full, until the next one.
+func (m *Merger) slotsOf(st *CompState) []sketch.Slot { return m.sl.slots[st.slotLo:st.slotHi] }
 
 // stateOf returns the state of label, or nil when this machine does not
 // proxy it.
@@ -220,18 +201,17 @@ func (m *Merger) sortByLabel(recv []kmachine.Message, shift uint) []labeled {
 // SumAndSample is the proxy side of a sketch selection step (Lemma 3): it
 // sums, per component, the parts received as (label, encoded sketch or
 // adjacency rows) messages, l0-samples each sum once and stores the outcome
-// in the component's state (the one sample, or for an MST job every
-// verified slot), recording every sender as a part holder. Nothing reads a
-// sum after its sample, so all components share one pooled scratch sketch:
-// the messages are sorted by label (sortByLabel) and folded one label's run
-// at a time. Sketch parts go into the sum by AddEncoded. Rows never do on a
-// connectivity step: they become items that SampleItems reads beside the
-// sum, which samples what adding them would, while an MST job, which needs
-// every level of the sum (SampleAll), adds them by AddVertex (addRows).
-// With create set the step starts from no states and appends one per label
-// seen, in label order (static connectivity, MST iteration 0, the resident
-// bank path); otherwise every label must already have its state here (MST
-// elimination iterations).
+// in the component's state as a range of slots (slotsOf) — the one sample,
+// or for an MST job every verified slot — recording every sender as a part
+// holder. Nothing reads a sum after its sample, so all components share
+// one pooled scratch sketch: the messages are sorted by label
+// (sortByLabel) and folded one label's run at a time. Sketch parts go into
+// the sum by AddEncoded; rows never do: they become items that the one
+// scan (sketch.SampleSlots) reads beside the sum, and samples what adding
+// them would. With create set the step starts from no states and appends
+// one per label seen, in label order (static connectivity, MST iteration
+// 0, the resident bank path); otherwise every label must already have its
+// state here (MST elimination iterations).
 //
 //km:hotpath
 func (m *Merger) SumAndSample(recv []kmachine.Message, seed uint64, create bool) {
@@ -241,7 +221,11 @@ func (m *Merger) SumAndSample(recv []kmachine.Message, seed uint64, create bool)
 	byLabel := m.sortByLabel(recv, 1)
 	sum := m.Pool().Get(seed)
 	sc := runScratches.Get().(*runScratch)
-	m.slotBuf = m.slotBuf[:0]
+	if m.sl == nil {
+		m.sl = slotScratches.Get().(*slotScratch)
+	}
+	sl := m.sl
+	sl.slots = sl.slots[:0]
 	for j := 0; j < len(byLabel); {
 		label := byLabel[j].label()
 		var st *CompState
@@ -260,13 +244,11 @@ func (m *Merger) SumAndSample(recv []kmachine.Message, seed uint64, create bool)
 			}
 		}
 		if m.allSlots {
-			sc.addRows(sum, uint64(m.Cfg.Sketch.N))
-			st.slotLo = int32(len(m.slotBuf))
-			m.slotBuf, st.status, st.full = sum.SampleAll(m.slotBuf)
-			st.slotHi = int32(len(m.slotBuf))
-		} else {
-			st.PendU, st.PendV, st.insideSmaller, st.status = sum.SampleEdge(&sc.items)
+			sc.dropPairs(uint64(m.Cfg.Sketch.N))
 		}
+		st.slotLo = int32(len(sl.slots))
+		sl.slots, st.status, st.full = sum.SampleSlots(sl.slots, &sc.items, m.allSlots)
+		st.slotHi = int32(len(sl.slots))
 		st.sampled = true
 		sum.Reset()
 	}
@@ -275,17 +257,33 @@ func (m *Merger) SumAndSample(recv []kmachine.Message, seed uint64, create bool)
 }
 
 // runScratch is what SumAndSample reads a label's run into: its rows as
-// items, and for addRows a bitset of the run's row vertices and one row.
+// items, and dropPairs' bitset of their vertices.
 type runScratch struct {
 	items sketch.Items
 	mark  []uint64
-	row   []graph.Half
 }
 
-// runScratches recycles run scratch process-wide, as the shared sketch
-// pools recycle SumAndSample's sum: each cold query opens a fresh Cluster,
-// so scratch kept per Merger would grow anew on every one.
-var runScratches = sync.Pool{New: func() any { return new(runScratch) }}
+// slotScratch is what a selection step keeps from SumAndSample to its
+// resolver: every component's slots, one range per state; and askSlots'
+// states asked, per-home query counts and one state's replies.
+type slotScratch struct {
+	slots []sketch.Slot
+	asked []*CompState
+	reps  []reply
+	sent  []int
+}
+
+// runScratches and slotScratches recycle selection scratch process-wide,
+// as the shared sketch pools recycle SumAndSample's sum: each cold query
+// opens a fresh Cluster, so scratch made per Merger would grow anew on
+// every one. The slots are held from a Merger's first SumAndSample to its
+// ReleasePools, a run's scratch for one SumAndSample only: held per
+// Merger, every machine of a process kept its largest run's items, and the
+// cold workloads' peak RSS rose by about 8 %.
+var (
+	runScratches  = sync.Pool{New: func() any { return new(runScratch) }}
+	slotScratches = sync.Pool{New: func() any { return new(slotScratch) }}
+)
 
 var errPartRow = errors.New("core: part row of a vertex out of range or homed elsewhere, or with a bad neighbour")
 
@@ -328,46 +326,47 @@ func (m *Merger) addPart(sum *sketch.Sketch, items *sketch.Items, data []byte, s
 	return r.Done()
 }
 
-// addRows adds the run's row items (addPart's, one row after another) to
-// sum by AddVertex over n vertices, less the half-edges whose neighbour
-// sent its own row in the run. Those come in pairs: rows are symmetric,
-// and one component's parts share one filter (none, or its threshold,
-// which keeps or drops both halves of an edge), so the neighbour's row
-// holds the other half — the same slot with the opposite sign — and the
-// two cancel exactly in every tester. Dropping both leaves every cell as
-// it was. addRows uses the items up: it rewrites each into its half-edge,
-// v<<32 | to (vertices are below graph.MaxN = 2^31), so that the slot is
-// divided out once.
-func (sc *runScratch) addRows(sum *sketch.Sketch, n uint64) {
+// dropPairs removes from the run's row items (addPart's, over n vertices)
+// the half-edges whose neighbour sent its own row in the run. Those come in
+// pairs: rows are symmetric, and one component's parts share one filter
+// (none, or its threshold, which keeps or drops both halves of an edge), so
+// the neighbour's row holds the other half — the same slot with the
+// opposite sign — and the two cancel exactly in every tester. Dropping both
+// leaves every tester as it was. Only an all-slots scan gains by it, as it
+// hashes every item at every level; a first-slot scan hashes only the items
+// at the few levels it reads, and the drop cost a connectivity step about
+// 5 % of its CPU when it was tried there.
+func (sc *runScratch) dropPairs(n uint64) {
 	items := sc.items.List
 	if len(items) == 0 {
 		return
 	}
-	mark := slices.Grow(sc.mark[:0], int(n+63)/64)[:(n+63)/64]
-	for i, it := range items {
+	ends := func(it sketch.Item) (v, to uint64) {
 		id := uint64(it) >> 1
-		v, to := id/n, id%n
 		if it&1 != 0 {
-			v, to = to, v
+			return id % n, id / n
 		}
-		mark[v/64] |= 1 << (v % 64)
-		items[i] = sketch.Item(v<<32 | to)
+		return id / n, id % n
 	}
-	for lo := 0; lo < len(items); {
-		v, row := items[lo]>>32, sc.row[:0]
-		hi := lo
-		for ; hi < len(items) && items[hi]>>32 == v; hi++ {
-			if to := uint64(items[hi] & (1<<32 - 1)); mark[to/64]&(1<<(to%64)) == 0 {
-				row = append(row, graph.Half{To: int(to)})
-			}
+	mark := slices.Grow(sc.mark[:0], int(n+63)/64)[:(n+63)/64]
+	for _, it := range items {
+		v, _ := ends(it)
+		mark[v/64] |= 1 << (v % 64)
+	}
+	// Kept items move to the front, dropped ones to the back, so that the
+	// marks can be cleared from the whole list.
+	kept := 0
+	for i, it := range items {
+		if _, to := ends(it); mark[to/64]&(1<<(to%64)) == 0 {
+			items[kept], items[i] = it, items[kept]
+			kept++
 		}
-		sum.AddVertex(int(v), row, nil)
-		sc.row, lo = row, hi
 	}
 	for _, it := range items {
-		mark[it>>32/64] = 0
+		v, _ := ends(it)
+		mark[v/64] = 0
 	}
-	sc.mark = mark
+	sc.items.List, sc.mark = items[:kept], mark
 }
 
 // Light reports whether a part (member ordinals in view) ships its rows, not
@@ -517,11 +516,17 @@ func (m *Merger) Pool() *sketch.Pool {
 	return m.skPool
 }
 
-// ReleasePools hands the machine's recycled sketches back to the
-// process-wide shared pool; call when the Merger's run is over.
+// ReleasePools hands the machine's recycled sketches and selection
+// scratch back to the process-wide pools; call when the Merger's run is
+// over.
 func (m *Merger) ReleasePools() {
 	if m.skPool != nil {
 		m.skPool.Release()
+	}
+	if m.sl != nil {
+		clear(m.sl.asked[:cap(m.sl.asked)]) // drop the states
+		slotScratches.Put(m.sl)
+		m.sl = nil
 	}
 }
 
@@ -783,60 +788,109 @@ func (m *Merger) partSketch(sk *sketch.Sketch, members []int, filter func(u int,
 	return sk
 }
 
-// RankSampled is the second half (§2.4–2.5): take the outgoing edge sampled
-// from every gathered component sum, resolve the neighbor's label by
-// querying the outside endpoint's home machine (which also validates that
-// the edge exists), and apply the merge rule. merged, when non-nil, sees
-// every component that connected to its neighbor, with the sampled edge in
-// PendU/PendV and its weight.
-func (m *Merger) RankSampled(merged func(st *CompState, w int64)) {
-	a := m.Comm.Arena()
-	out := m.outBuf[:0]
+// RankSampled is the second half (§2.4–2.5): resolve the neighbour label
+// of the edge sampled from every gathered component sum by asking the
+// outside endpoint's home machine (askSlots, which also validates that the
+// edge exists), and apply the merge rule. merged, when non-nil, sees every
+// component that connected to its neighbour, with the sampled edge and its
+// weight.
+func (m *Merger) RankSampled(merged func(st *CompState, e graph.Edge)) {
+	asked := m.sl.asked[:0]
 	for _, st := range m.States {
-		x, y, insideSmaller, status, _ := st.takeSample()
-		switch status {
+		if !st.sampled {
+			continue
+		}
+		st.sampled = false
+		switch st.status {
 		case sketch.Empty:
 			// No outgoing edges: inactive root this phase.
 		case sketch.Failed:
 			m.Failures++
 		case sketch.Sampled:
-			outside := x
-			if insideSmaller {
-				outside = y
-			}
+			asked = append(asked, st)
+		}
+	}
+	m.sl.asked = asked
+	m.askSlots(asked, func(st *CompState, slots []sketch.Slot, reps []reply) {
+		if !reps[0].valid || reps[0].label == st.Label {
+			// Fingerprint collision produced garbage: count as failure.
+			m.Failures++
+			return
+		}
+		m.PhaseActive++
+		m.ApplyRank(st, reps[0].label)
+		if merged != nil && st.Parent != st.Label {
+			x, y, _ := slots[0].Edge(m.Cfg.Sketch.N)
+			merged(st, graph.Edge{U: x, V: y, W: reps[0].w})
+		}
+	})
+}
+
+// reply is a home machine's answer to a label query (AnswerLabelQueries):
+// the outside endpoint's label, whether the slot's edge exists, and its
+// weight.
+type reply struct {
+	label uint64
+	valid bool
+	w     int64
+}
+
+// askSlots is the one label-query round trip of a selection step: for
+// every slot of the states asked (in m.States order), a query to the home
+// machine of the edge's outside endpoint, in one query exchange and one
+// answer exchange. Then it hands decide each state asked, in order, with
+// its slots and their replies, parallel and valid during the call. Replies
+// carry no slot index: a home machine answers its queries in the order
+// Exchange handed them over — by (source, send order) — and Exchange hands
+// the answers back the same way, so the replies of one home machine are in
+// this machine's send order to it.
+func (m *Merger) askSlots(asked []*CompState, decide func(st *CompState, slots []sketch.Slot, reps []reply)) {
+	scr, n, k := m.sl, m.Cfg.Sketch.N, m.Ctx.K()
+	a := m.Comm.Arena()
+	out := m.outBuf[:0]
+	sent := slices.Grow(scr.sent[:0], k)[:k]
+	clear(sent)
+	for _, st := range asked {
+		for _, sl := range m.slotsOf(st) {
+			x, y, outside := sl.Edge(n)
 			q := a.Grab(40)
 			q = wire.AppendUvarint(q, uint64(outside))
 			q = wire.AppendUvarint(q, uint64(x))
 			q = wire.AppendUvarint(q, uint64(y))
 			q = wire.AppendUvarint(q, st.Label)
-			out = append(out, proxy.Out{Dst: m.View.Home(outside), Data: a.Commit(q)})
+			home := m.View.Home(outside)
+			out = append(out, proxy.Out{Dst: home, Data: a.Commit(q)})
+			sent[home]++
 		}
 	}
 	recv := m.Comm.Exchange(out)
 	m.outBuf = out
 	recv = m.Comm.Exchange(m.AnswerLabelQueries(recv))
 
-	for _, msg := range recv {
-		r := wire.NewReader(msg.Data)
-		askLabel := r.Uvarint()
-		nbrLabel := r.Uvarint()
-		valid := r.Bool()
-		w := r.Varint()
-		st := m.stateOf(askLabel)
-		if st == nil {
-			panic("core: reply for unknown component")
-		}
-		if !valid || nbrLabel == askLabel {
-			// Fingerprint collision produced garbage: count as failure.
-			m.Failures++
-			continue
-		}
-		m.PhaseActive++
-		m.ApplyRank(st, nbrLabel)
-		if merged != nil && st.Parent != st.Label {
-			merged(st, w)
-		}
+	// sent[h] becomes the index of home machine h's next unread reply.
+	next := 0
+	for h, c := range sent {
+		sent[h], next = next, next+c
 	}
+	if next != len(recv) {
+		panic("core: label replies do not match the queries sent")
+	}
+	for _, st := range asked {
+		slots, reps := m.slotsOf(st), scr.reps[:0]
+		for _, sl := range slots {
+			_, _, outside := sl.Edge(n)
+			home := m.View.Home(outside)
+			r := wire.NewReader(recv[sent[home]].Data)
+			sent[home]++
+			if r.Uvarint() != st.Label {
+				panic("core: label reply for another component's slot")
+			}
+			reps = append(reps, reply{label: r.Uvarint(), valid: r.Bool(), w: r.Varint()})
+		}
+		decide(st, slots, reps)
+		scr.reps = reps
+	}
+	scr.sent = sent
 }
 
 // AnswerLabelQueries serves queries of the form (outside, x, y, askLabel):

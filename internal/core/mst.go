@@ -110,7 +110,6 @@ func AssembleMST(n int, outputs []any) (*MSTResult, error) {
 	out := &MSTResult{Labels: make([]uint64, n)}
 	converged := true
 	placed := make([]bool, n)
-	byID := make(map[uint64]graph.Edge)
 	for i, o := range outputs {
 		mo, ok := o.(*MSTOutput)
 		if !ok {
@@ -119,9 +118,7 @@ func AssembleMST(n int, outputs []any) (*MSTResult, error) {
 		if err := placeLabels(out.Labels, placed, i, mo.Owned, mo.Labels); err != nil {
 			return nil, err
 		}
-		for _, e := range mo.Edges {
-			byID[graph.EdgeID(e.U, e.V, n)] = e
-		}
+		out.Edges = append(out.Edges, mo.Edges...)
 		out.SketchFailures += mo.Failures
 		converged = converged && mo.Converged
 		if mo.Phases > out.Phases {
@@ -145,9 +142,8 @@ func AssembleMST(n int, outputs []any) (*MSTResult, error) {
 	if v := slices.Index(placed, false); v >= 0 {
 		return nil, fmt.Errorf("core: no machine labeled vertex %d of %d", v, n)
 	}
-	for _, id := range SortedKeys(byID) {
-		e := byID[id]
-		out.Edges = append(out.Edges, e)
+	out.Edges = sortEdges(out.Edges, n)
+	for _, e := range out.Edges {
 		out.TotalWeight += e.W
 	}
 	if !converged {
@@ -179,14 +175,13 @@ func (m *Merger) MSTJob(firstPhase int, strong bool, after PhaseFunc) (out *MSTO
 	w := NewMWOE(m)
 	phases, converged, cancelled := m.RunPhases(firstPhase, m.Cfg.MaxPhases, func(int) { w.Select() }, after)
 	out = &MSTOutput{Phases: phases, Converged: converged, WeakRounds: m.Ctx.Round()}
+	w.Edges = sortEdges(w.Edges, m.View.N())
 	if strong && !cancelled {
 		out.VertexEdges = w.DisseminateStrong()
 	}
 	out.Owned, out.Labels = m.View.Owned(), m.Labels
 	out.Failures = m.Failures
 	out.ElimIters = w.ElimIters
-	for _, id := range SortedKeys(w.Edges) {
-		out.Edges = append(out.Edges, w.Edges[id])
-	}
+	out.Edges = w.Edges
 	return out, cancelled
 }

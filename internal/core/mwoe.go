@@ -32,15 +32,18 @@ func edgeLessHalf(u int, h graph.Half, n int, tw int64, tid uint64) bool {
 
 // MWOE drives MWOE selection phases over a Merger. Edges accumulates the
 // decided MST edges known to this machine (the weak output criterion:
-// every MST edge is known to the proxy that recorded it).
+// every MST edge is known to the proxy that recorded it), in decision
+// order until sortEdges orders them by edge ID.
 //
-// One departure from §3.1, on every host: the paper draws one outgoing
-// edge from a component's summed sketch per elimination iteration, so the
-// candidates halve and a phase takes ~log2 of their number in iterations.
-// Here an iteration takes every slot the sum verified (sketch.SampleAll:
-// 4.4 per sum on G(3000, 9000), a third of the sums decoding in full),
-// asks about all of them in the exchanges the one draw already cost, and
-// thresholds on the lightest: the candidates fall
+// It runs connectivity's selection pipeline — SumAndSample's one sampler
+// scan, askSlots' one label-query round trip — with one departure from
+// §3.1, on every host: the paper draws one outgoing edge from a
+// component's summed sketch per elimination iteration, so the candidates
+// halve and a phase takes ~log2 of their number in iterations. Here an
+// iteration takes every slot the sum verified (an all-slots
+// sketch.SampleSlots scan: 4.4 per sum on G(3000, 9000), a third of the
+// sums decoding in full), asks about all of them in the exchanges the one
+// draw already costs, and thresholds on the lightest: the candidates fall
 // ~(s+1)-fold with s slots, a phase takes ~log_(s+1) iterations, and a sum
 // that decodes in full ends the component's elimination at once. The
 // answer is unchanged — elimination still ends only on an empty filtered
@@ -49,12 +52,10 @@ func edgeLessHalf(u int, h graph.Half, n int, tw int64, tid uint64) bool {
 // rounds, messages and bytes are what move (about half, E6).
 type MWOE struct {
 	M         *Merger
-	Edges     map[uint64]graph.Edge
+	Edges     []graph.Edge
 	ElimIters int
 
 	thresholds []threshold                    // this iteration's, reused
-	asked      []*CompState                   // states with queries in flight, in send order, reused
-	sent       []int                          // per home machine: queries sent, then next reply to read
 	cut        threshold                      // the one lighter filters against
 	lighter    func(u int, h graph.Half) bool // AddVertex filter, bound once
 }
@@ -71,7 +72,7 @@ type threshold struct {
 // NewMWOE returns an MWOE selector over m; m.Cfg.MaxElimIters caps
 // elimination iterations per phase.
 func NewMWOE(m *Merger) *MWOE {
-	w := &MWOE{M: m, Edges: make(map[uint64]graph.Edge), sent: make([]int, m.Ctx.K())}
+	w := &MWOE{M: m}
 	m.allSlots = true
 	n := m.View.N()
 	w.lighter = func(u int, h graph.Half) bool { return edgeLessHalf(u, h, n, w.cut.w, w.cut.id) }
@@ -179,8 +180,7 @@ func (w *MWOE) Select() {
 	// Decisions: record MWOEs as MST edges and apply the merge rule.
 	for _, st := range m.States {
 		if st.ElimDone && st.HasBest {
-			u, v := st.BestU, st.BestV
-			w.Edges[graph.EdgeID(u, v, n)] = graph.Edge{U: u, V: v, W: st.BestW}
+			w.Edges = append(w.Edges, graph.Edge{U: st.BestU, V: st.BestV, W: st.BestW})
 			m.PhaseActive++
 			m.ApplyRank(st, st.TargetLabel)
 		}
@@ -188,11 +188,10 @@ func (w *MWOE) Select() {
 }
 
 // sampleAndResolve takes every slot each state's summed sketch verified,
-// asks the outside endpoint's home machine about each of them (neighbor
-// label, existence, weight) in one query exchange and one answer exchange,
-// and makes the lightest valid reply under the (weight, edge ID) order the
-// component's new best edge. It returns the local count of components
-// still eliminating.
+// asks the outside endpoint's home machine about each of them (askSlots:
+// neighbour label, existence, weight), and makes the lightest valid reply
+// under the (weight, edge ID) order the component's new best edge. It
+// returns the local count of components still eliminating.
 //
 // A component has converged — its best edge is the MWOE — when its
 // filtered vector comes back empty, or when the sum decoded in full and
@@ -201,18 +200,14 @@ func (w *MWOE) Select() {
 // iteration. A step fails only when no reply is usable.
 func (w *MWOE) sampleAndResolve() uint64 {
 	m := w.M
-	n := m.View.N()
-	a := m.Comm.Arena()
-	out := m.outBuf[:0]
-	asked := w.asked[:0]
-	sent := w.sent
-	clear(sent)
+	asked := m.sl.asked[:0]
 	for _, st := range m.States {
-		slots, status, ok := m.takeSlots(st)
-		if st.ElimDone || !ok {
+		fresh := st.sampled
+		st.sampled = false
+		if st.ElimDone || !fresh {
 			continue
 		}
-		switch status {
+		switch st.status {
 		case sketch.Empty:
 			// Nothing lighter remains. If a best edge exists, it is the
 			// MWOE; otherwise the component has no outgoing edges at all.
@@ -223,62 +218,27 @@ func (w *MWOE) sampleAndResolve() uint64 {
 			st.HasBest = false
 		case sketch.Sampled:
 			asked = append(asked, st)
-			for _, sl := range slots {
-				x, y, outside := sl.Edge(n)
-				q := a.Grab(40)
-				q = wire.AppendUvarint(q, uint64(outside))
-				q = wire.AppendUvarint(q, uint64(x))
-				q = wire.AppendUvarint(q, uint64(y))
-				q = wire.AppendUvarint(q, st.Label)
-				home := m.View.Home(outside)
-				out = append(out, proxy.Out{Dst: home, Data: a.Commit(q)})
-				sent[home]++
-			}
 		}
 	}
-	recv := m.Comm.Exchange(out)
-	m.outBuf, w.asked = out, asked
-	recv = m.Comm.Exchange(m.AnswerLabelQueries(recv))
-
-	// Replies carry no slot index: a home machine answers its queries in
-	// the order Exchange handed them over — by (source, send order) — and
-	// Exchange hands the answers back the same way, so the replies of one
-	// home machine are in this machine's send order to it. sent[h] becomes
-	// the index of the next unread reply of home machine h.
-	next := 0
-	for h, c := range sent {
-		sent[h], next = next, next+c
-	}
-	if next != len(recv) {
-		panic("core: MST replies do not match the queries sent")
-	}
+	m.sl.asked = asked
 	var active uint64
-	for _, st := range asked {
+	m.askSlots(asked, func(st *CompState, slots []sketch.Slot, reps []reply) {
 		usable, confirmed := false, true
 		var bestID uint64
-		for _, sl := range m.slotsOf(st) {
-			x, y, outside := sl.Edge(n)
-			home := m.View.Home(outside)
-			r := wire.NewReader(recv[sent[home]].Data)
-			sent[home]++
-			askLabel := r.Uvarint()
-			nbrLabel := r.Uvarint()
-			valid := r.Bool()
-			wgt := r.Varint()
-			if askLabel != st.Label {
-				panic("core: MST reply for another component's slot")
-			}
-			if !valid || nbrLabel == askLabel {
+		for i, sl := range slots {
+			rp := reps[i]
+			if !rp.valid || rp.label == st.Label {
 				// A fingerprint collision produced a slot that is no
 				// outgoing edge: the decode cannot be trusted to be whole.
 				confirmed = false
 				continue
 			}
-			if usable && (wgt > st.BestW || wgt == st.BestW && sl.ID > bestID) {
+			if usable && (rp.w > st.BestW || rp.w == st.BestW && sl.ID > bestID) {
 				continue
 			}
 			usable, bestID = true, sl.ID
-			st.BestU, st.BestV, st.BestW, st.TargetLabel = x, y, wgt, nbrLabel
+			st.BestU, st.BestV, _ = sl.Edge(m.Cfg.Sketch.N)
+			st.BestW, st.TargetLabel = rp.w, rp.label
 		}
 		switch {
 		case !usable:
@@ -291,20 +251,30 @@ func (w *MWOE) sampleAndResolve() uint64 {
 			st.HasBest = true
 			active++
 		}
-	}
+	})
 	return active
 }
 
-// DisseminateStrong routes every recorded MST edge to the home machines of
-// both endpoints (Theorem 2(b)'s output criterion) and returns this
-// machine's vertex-to-incident-MST-edges map.
+// sortEdges orders es by edge ID over n vertices and drops repeats: two
+// components proxied on one machine, or two machines, can record one edge.
+func sortEdges(es []graph.Edge, n int) []graph.Edge {
+	slices.SortFunc(es, func(a, b graph.Edge) int {
+		return cmp.Compare(graph.EdgeID(a.U, a.V, n), graph.EdgeID(b.U, b.V, n))
+	})
+	return slices.CompactFunc(es, func(a, b graph.Edge) bool {
+		return graph.EdgeID(a.U, a.V, n) == graph.EdgeID(b.U, b.V, n)
+	})
+}
+
+// DisseminateStrong routes every recorded MST edge, in Edges' order, to the
+// home machines of both endpoints (Theorem 2(b)'s output criterion) and
+// returns this machine's vertex-to-incident-MST-edges map.
 func (w *MWOE) DisseminateStrong() map[int][]graph.Edge {
 	m := w.M
 	n := m.View.N()
 	a := m.Comm.Arena()
 	var out []proxy.Out
-	for _, id := range SortedKeys(w.Edges) {
-		e := w.Edges[id]
+	for _, e := range w.Edges {
 		buf := a.Grab(30)
 		buf = wire.AppendUvarint(buf, uint64(e.U))
 		buf = wire.AppendUvarint(buf, uint64(e.V))

@@ -22,17 +22,13 @@ type partMsg struct {
 	rows  [][]uint64     // when not nil: the part's rows, each its vertex then its neighbours
 }
 
+// sample is what SumAndSample stores for a label: its slots (the one
+// sample, or on an MST job's Merger every slot the sum verified), the
+// status and the full-decode verdict.
 type sample struct {
-	x, y          int
-	insideSmaller bool
-	status        sketch.Status
-}
-
-// allSample is what an MST job's Merger stores instead: every verified
-// slot of the sum and the full-decode verdict.
-type allSample struct {
-	slots []sketch.Slot
-	full  bool
+	slots  []sketch.Slot
+	status sketch.Status
+	full   bool
 }
 
 // encodeParts builds the messages as GatherParts would.
@@ -55,10 +51,10 @@ func encodeParts(p sketch.Params, seed uint64, parts []partMsg) []kmachine.Messa
 // referenceSamples is the per-label dense path SumAndSample replaced:
 // Decode every part, or AddVertex its rows, Add it into the label's own
 // sum, sample each sum.
-func referenceSamples(t *testing.T, p sketch.Params, seed uint64, recv []kmachine.Message) (map[uint64]sample, map[uint64]allSample, map[uint64]map[int]bool) {
+func referenceSamples(t *testing.T, p sketch.Params, seed uint64, recv []kmachine.Message) (want, wantAll map[uint64]sample, holders map[uint64]map[int]bool) {
 	t.Helper()
 	sums := make(map[uint64]*sketch.Sketch)
-	holders := make(map[uint64]map[int]bool)
+	holders = make(map[uint64]map[int]bool)
 	for _, msg := range recv {
 		r := wire.NewReader(msg.Data)
 		hdr := r.Uvarint()
@@ -86,14 +82,19 @@ func referenceSamples(t *testing.T, p sketch.Params, seed uint64, recv []kmachin
 		}
 		holders[label][msg.Src] = true
 	}
-	want := make(map[uint64]sample)
-	wantAll := make(map[uint64]allSample)
+	want, wantAll = make(map[uint64]sample), make(map[uint64]sample)
 	for label, sum := range sums {
-		var s sample
-		s.x, s.y, s.insideSmaller, s.status = sum.SampleEdge(nil)
+		s := sample{full: true}
+		var id uint64
+		var sign int
+		if id, sign, s.status = sum.Sample(); s.status == sketch.Sampled {
+			s.slots, s.full = []sketch.Slot{{ID: id, Sign: sign}}, false
+		} else if s.status == sketch.Failed {
+			s.full = false
+		}
 		want[label] = s
-		var a allSample
-		a.slots, _, a.full = sum.SampleAll(nil)
+		var a sample
+		a.slots, a.status, a.full = sum.SampleSlots(nil, nil, true)
 		wantAll[label] = a
 	}
 	return want, wantAll, holders
@@ -228,6 +229,32 @@ func componentParts(rng *rand.Rand, n int, label uint64, home func(int) int, mix
 	return parts
 }
 
+// innerParts returns the rows parts of a component whose every edge lies
+// inside it: a path through a few random vertices, each vertex's row in its
+// home's part.
+func innerParts(rng *rand.Rand, n int, label uint64, home func(int) int) []partMsg {
+	vs := rng.Perm(n)[:2+rng.Intn(10)]
+	bySrc := make(map[int]int) // source -> its part's index in parts
+	var parts []partMsg
+	for i, v := range vs {
+		row := []uint64{uint64(v)}
+		if i > 0 {
+			row = append(row, uint64(vs[i-1]))
+		}
+		if i+1 < len(vs) {
+			row = append(row, uint64(vs[i+1]))
+		}
+		j, ok := bySrc[home(v)]
+		if !ok {
+			j = len(parts)
+			bySrc[home(v)] = j
+			parts = append(parts, partMsg{src: home(v), label: label})
+		}
+		parts[j].rows = append(parts[j].rows, row)
+	}
+	return parts
+}
+
 // soloMerger returns machine 0's Merger of a k-machine cluster whose run is
 // already over: SumAndSample needs a Merger (for K and the pool) but no
 // communication, so the test drives it from its own goroutine.
@@ -300,35 +327,28 @@ func checkParts(t *testing.T, m *Merger, step string) int {
 	return largest
 }
 
-// checkStates compares the stored sample (for an MST job's Merger, the
-// stored slots) and holders of every label in want against the states, and
-// that nothing else holds a fresh sample.
-func checkStates(t *testing.T, m *Merger, k int, want map[uint64]sample, wantAll map[uint64]allSample, holders map[uint64]map[int]bool) {
+// checkStates compares the stored sample (for an MST job's Merger, every
+// stored slot) and holders of every label in want against the states, and
+// that nothing else holds a fresh sample; it reads (clears) every state's
+// sampled flag, as a step's state loop does.
+func checkStates(t *testing.T, m *Merger, k int, want, wantAll map[uint64]sample, holders map[uint64]map[int]bool) {
 	t.Helper()
 	checkSorted(t, m, "SumAndSample")
 	for _, st := range m.States {
 		label := st.Label
 		ws, fresh := want[label]
-		got, slots := sample{}, []sketch.Slot(nil)
-		var ok bool
 		if m.allSlots {
-			slots, got.status, ok = m.takeSlots(st)
-		} else {
-			got.x, got.y, got.insideSmaller, got.status, ok = st.takeSample()
+			ws = wantAll[label]
 		}
-		if ok != fresh {
-			t.Fatalf("label %d: stored sample = %v, want %v", label, ok, fresh)
+		if st.sampled != fresh {
+			t.Fatalf("label %d: stored sample = %v, want %v", label, st.sampled, fresh)
 		}
+		st.sampled = false
 		if !fresh {
 			continue
 		}
-		if wa := wantAll[label]; m.allSlots {
-			// The head of the slots is the sample (sketch's own tests).
-			if got.status != ws.status || !slices.Equal(slots, wa.slots) || st.full != wa.full {
-				t.Fatalf("label %d: %v slots %v full %v, reference %v %v full %v", label, got.status, slots, st.full, ws.status, wa.slots, wa.full)
-			}
-		} else if got != ws {
-			t.Fatalf("label %d: sample %+v, reference %+v", label, got, ws)
+		if got := m.slotsOf(st); st.status != ws.status || !slices.Equal(got, ws.slots) || st.full != ws.full {
+			t.Fatalf("label %d: %v slots %v full %v, reference %v %v full %v", label, st.status, got, st.full, ws.status, ws.slots, ws.full)
 		}
 		for src := 0; src < k; src++ {
 			if got := st.Holders[src/8]&(1<<uint(src%8)) != 0; got != holders[label][src] {
@@ -393,6 +413,23 @@ func TestSumAndSampleMatchesPerLabelSums(t *testing.T) {
 				t.Fatalf("create=false changed the state set: %d, was %d", len(m.States), len(want))
 			}
 			checkStates(t, m, k, want2, wantAll2, holders2)
+		}
+		// A component whose rows hold only its inner edges sums to zero:
+		// Empty and full on both paths, and the pair drop of an MST job's
+		// Merger leaves none of its items.
+		recv := encodeParts(p, 9, innerParts(rng, p.N, 77, m.View.Home))
+		m.SumAndSample(recv, 9, true)
+		if st := m.stateOf(77); st == nil || st.status != sketch.Empty || !st.full {
+			t.Fatalf("all-slots=%v: an all-internal component came back %+v, want Empty and full", m.allSlots, st)
+		}
+		var sc runScratch
+		for _, msg := range recv {
+			if err := m.addPart(nil, &sc.items, msg.Data, msg.Src); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if sc.dropPairs(uint64(p.N)); len(sc.items.List) != 0 {
+			t.Fatalf("the pair drop left %d items of an all-internal component", len(sc.items.List))
 		}
 		if peak := m.Pool().Peak(); peak != 1 {
 			t.Fatalf("SumAndSample held %d dense sketches at once, want 1", peak)

@@ -298,7 +298,6 @@ func TestKilledWorkerFailsJob(t *testing.T) {
 	}
 	defer workers[0].Close()
 
-	// Big enough to outlive the kill below by a wide margin.
 	cfg := core.Config{K: 8, Seed: 1}
 	done := make(chan error, 1)
 	go func() {
@@ -306,7 +305,27 @@ func TestKilledWorkerFailsJob(t *testing.T) {
 		done <- err
 	}()
 
-	time.Sleep(300 * time.Millisecond)
+	// Kill the second worker once the job is under way there — it reports a
+	// live round — rather than after a fixed delay, which a faster engine
+	// outruns.
+	underWay := func() bool {
+		for _, j := range workers[1].Jobs() {
+			if j.Rounds > 0 {
+				return true
+			}
+		}
+		return false
+	}
+	guard := time.After(60 * time.Second)
+	for !underWay() {
+		select {
+		case err := <-done:
+			t.Fatalf("job ended (err %v) before the worker reported a round", err)
+		case <-guard:
+			t.Fatal("the worker never reported a round of the job")
+		case <-time.After(time.Millisecond):
+		}
+	}
 	workers[1].Close()
 
 	select {

@@ -166,17 +166,23 @@ const (
 	fuzzDecoders
 )
 
-// The corpus takes a fixed number of heartbeat and span seeds, whatever
-// the jobs' wall time: a seed is named by its index (seed#N), so a count
-// that followed the clock would drop names whenever the engine got faster.
-// The job, result and error frames (40) are fixed by the commands; the
-// total, 6,041 seeds with the one hand-made frame, exceeds the most the
-// unfixed corpus gave on a 2-core x86-64 box (5,890 with the package
-// alone, 5,301 in a full `go test ./...`).
-const (
-	fuzzHeartbeats = 4500 // heartbeat seeds
-	fuzzSpanSeeds  = 1500 // span batches taken from the heartbeats
-)
+// The corpus takes a fixed number of seeds of each kind, whatever the
+// jobs' wall time: a seed is named by its index (seed#N), so a count that
+// followed the clock would drop names whenever the engine got faster. The
+// job, result and error counts are what the commands send; on a loaded box
+// the failing job's second worker can be closed before its job or error
+// frame crosses (23 job and 1 error frames were seen), so those are fixed
+// too. The total, 6,041 seeds with the one hand-made frame, exceeds the
+// most the unfixed corpus gave on a 2-core x86-64 box (5,890 with the
+// package alone, 5,301 in a full `go test ./...`).
+var fuzzSeeds = map[tcp.FrameType]int{
+	tcp.FrameJob:       24,
+	tcp.FrameResult:    14,
+	tcp.FrameError:     2,
+	tcp.FrameHeartbeat: 4500,
+}
+
+const fuzzSpanSeeds = 1500 // span batches taken from the heartbeats
 
 // firstN returns the first n bodies, repeated in order when there are
 // fewer.
@@ -190,9 +196,9 @@ func firstN(bodies [][]byte, n int) [][]byte {
 
 // FuzzControlFrames: every decoder of the coordinator–worker control link
 // survives arbitrary bytes — no panic, no hang on a huge count field —
-// and what it accepts survives a re-encode. Seeded from the frames of a
-// real traced 2-worker job: every job, result and error frame, and the
-// first fuzzHeartbeats heartbeats and fuzzSpanSeeds span batches.
+// and what it accepts survives a re-encode. Seeded from the frames of
+// real traced 2-worker jobs: the first fuzzSeeds[kind] frames of each kind
+// and fuzzSpanSeeds span batches.
 func FuzzControlFrames(f *testing.F) {
 	real := realControlFrames(f)
 	for kind, ft := range []tcp.FrameType{
@@ -202,10 +208,7 @@ func FuzzControlFrames(f *testing.F) {
 		if len(bodies) == 0 {
 			f.Fatalf("the real jobs produced no frame of type %d", ft)
 		}
-		if ft == tcp.FrameHeartbeat {
-			bodies = firstN(bodies, fuzzHeartbeats)
-		}
-		for _, body := range bodies {
+		for _, body := range firstN(bodies, fuzzSeeds[ft]) {
 			f.Add(byte(kind), body)
 		}
 	}

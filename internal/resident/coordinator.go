@@ -174,6 +174,10 @@ func (c *coordinator) relabelAndGrow(changes []vertLabel, merges []graph.Edge) {
 	for _, ch := range changes {
 		c.labels[ch.v] = ch.label
 	}
+	if len(c.forest) == 0 {
+		// A cold query's forest is every merge: grow it once.
+		c.forest = make(map[uint64]graph.Edge, len(merges))
+	}
 	fresh := make([]uint64, 0, len(merges))
 	for _, e := range merges {
 		id := graph.EdgeID(e.U, e.V, c.n)

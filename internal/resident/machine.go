@@ -1,6 +1,7 @@
 package resident
 
 import (
+	"slices"
 	"sort"
 
 	"kmgraph/internal/core"
@@ -40,12 +41,13 @@ type rmachine struct {
 
 	// globalPhase never repeats within a session, so proxy assignments and
 	// DRR ranks stay fresh across jobs (the paper's h_{j,ρ} freshness).
-	globalPhase int
-	mergeRecs   []graph.Edge
-	moves       []vertLabel // step 1's relabels, reused across queries
-	synced      []vertLabel // machine 0: the final sync's label changes, reused
-	pre         []uint64    // owned labels entering the merge phases, reused
-	chg         []byte      // the final sync's encoded label changes, reused
+	globalPhase  int
+	mergeRecs    []graph.Edge
+	moves        []vertLabel  // step 1's relabels, reused across queries
+	synced       []vertLabel  // machine 0: the final sync's label changes, reused
+	syncedMerges []graph.Edge // machine 0: the final sync's merge edges, reused
+	pre          []uint64     // owned labels entering the merge phases, reused
+	chg          []byte       // the final sync's encoded label changes, reused
 }
 
 // exec runs command c over the machine's kept state and returns its output.
@@ -360,8 +362,18 @@ func (m *rmachine) query() *output {
 	data = a.Commit(data)
 	recv = m.mg.Comm.Exchange([]proxy.Out{{Dst: 0, Data: data}})
 	if m.ctx.ID() == 0 {
-		changes := m.synced[:0]
-		var merges []graph.Edge
+		// Sized from the frames' counts: a cold query syncs every vertex.
+		nc, ne := 0, 0
+		for _, msg := range recv {
+			r := wire.NewReader(msg.Data)
+			c := int(r.Uvarint())
+			for i := 0; i < 2*c; i++ {
+				r.Uvarint()
+			}
+			nc, ne = nc+c, ne+int(r.Uvarint())
+		}
+		changes := slices.Grow(m.synced[:0], nc)
+		merges := slices.Grow(m.syncedMerges[:0], ne)
 		for _, msg := range recv {
 			r := wire.NewReader(msg.Data)
 			cnt := int(r.Uvarint())
@@ -373,7 +385,7 @@ func (m *rmachine) query() *output {
 				merges = append(merges, graph.Edge{U: int(r.Uvarint()), V: int(r.Uvarint()), W: r.Varint()})
 			}
 		}
-		m.synced = changes
+		m.synced, m.syncedMerges = changes, merges
 		m.coord.relabelAndGrow(changes, merges)
 		rep.query.forest = m.coord.forestEdges()
 		rep.query.mergeEdges = len(merges)
@@ -403,9 +415,9 @@ func (m *rmachine) selectBanks(bank int) {
 	m.mg.GatherParts(m.banks.seeds[bank], func(label uint64, members []int) *sketch.Sketch {
 		return m.banks.get(label, bank, members, m.view)
 	})
-	m.mg.RankSampled(func(st *core.CompState, w int64) {
-		m.mergeRecs = append(m.mergeRecs, graph.Edge{U: st.PendU, V: st.PendV, W: w})
-	})
+	// A step records at most one merge per state this machine proxies.
+	m.mergeRecs = slices.Grow(m.mergeRecs, len(m.mg.States))
+	m.mg.RankSampled(func(_ *core.CompState, e graph.Edge) { m.mergeRecs = append(m.mergeRecs, e) })
 }
 
 // runDerived executes one fresh connectivity computation over a derived

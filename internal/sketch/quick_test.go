@@ -55,7 +55,7 @@ func TestQuickInverseCancels(t *testing.T) {
 		for _, id := range ids {
 			s.AddItem(uint64(id)%(256*256), -1)
 		}
-		return s.IsZero()
+		return isZero(s)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -27,11 +27,13 @@
 // fixed-base windows built per seed and factors a slot's power as
 // (z^N)^x · z^y. The field is exact and its elements canonical, so a power
 // is the same word however it is factored, and a cell is the same three
-// words the formulas above give. A sample can also read items the sketch
-// never holds: SampleItems sums a list of them into each tester it scans,
-// with the words addSlot would add, and so returns what adding them first
-// would, while only the items at the few levels it scans pay for buckets
-// and powers.
+// words the formulas above give. Every sample comes from one scan
+// (SampleSlots), which can also read items the sketch never holds: it sums
+// them into each tester it visits with the words addSlot would add, and so
+// returns what adding them first would. It keeps either the first
+// productive level's survivor (connectivity) or every slot it verifies
+// (MST elimination); a first-slot scan stops early, so only the items at
+// the few levels it reads pay for buckets and powers.
 //
 //km:roundpure
 package sketch
@@ -124,7 +126,7 @@ type Sketch struct {
 	cells   []cell
 	// touched[rep*Levels+level] has bit b set if bucket b was ever written;
 	// clear bits are guaranteed-zero cells, so the scan paths (encode,
-	// sample, zero test) skip them. A touched cell may still have cancelled
+	// sample, Reset) skip them. A touched cell may still have cancelled
 	// back to zero — those are re-checked against the actual values.
 	touched []uint64
 }
@@ -368,21 +370,6 @@ func (s *Sketch) Add(other *Sketch) error {
 	return nil
 }
 
-// IsZero reports whether every tester is zero.
-func (s *Sketch) IsZero() bool {
-	nb := s.p.Buckets
-	for rl, t := range s.touched {
-		base := rl * nb
-		for ; t != 0; t &= t - 1 {
-			c := &s.cells[base+bits.TrailingZeros64(t)]
-			if c.count != 0 || c.idSum != 0 || c.fp != 0 {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // verify checks whether cell c holds exactly one slot and returns it.
 func (s *Sketch) verify(c *cell) (id uint64, sign int, ok bool) {
 	switch c.count {
@@ -409,18 +396,18 @@ func (s *Sketch) verify(c *cell) (id uint64, sign int, ok bool) {
 	return id, sign, true
 }
 
-// Sample recovers one nonzero slot of the sketched vector, scanning levels
-// from sparsest down. Among the verified slots of the first productive
-// level it returns the one maximizing a query hash, which approximates a
-// uniform sample over the support (the max-hash slot is the level's
-// "survivor"). The same sketch always returns the same answer. Sample is
-// SampleItems without items.
-//
-// Sample stops at the first productive level and keeps one slot, as the
-// paper's sampler does; connectivity uses it. Every other tester it
-// verified on the way is thrown away — SampleAll returns them all, which
-// MST elimination uses in place of §3.1's single draw.
-func (s *Sketch) Sample() (id uint64, sign int, st Status) { return s.SampleItems(nil) }
+// Sample recovers one nonzero slot of the sketched vector: the slot of a
+// first-slot SampleSlots scan without items (levels from the sparsest
+// down, the max-hash verified slot of the first productive level). The
+// same sketch always returns the same answer.
+func (s *Sketch) Sample() (id uint64, sign int, st Status) {
+	var one [1]Slot
+	slots, st, _ := s.SampleSlots(one[:0], nil, false)
+	if st != Sampled {
+		return 0, 0, st
+	}
+	return slots[0].ID, slots[0].Sign, st
+}
 
 // Item is one signed slot, packed in a word: the slot id shifted left
 // once, the low bit set when the sign is -1. Every slot of a graph's
@@ -435,7 +422,7 @@ func MakeItem(id uint64, sign int) Item {
 	return Item(id << 1)
 }
 
-// Items is a list of items that SampleItems reads beside a sketch without
+// Items is a list of items that SampleSlots reads beside a sketch without
 // adding them, with the scratch it orders them in: the items by level
 // (ord; lvl holds each one's level, above[l] counts those above level l),
 // the terms of those at the levels scanned so far (hot), and one row of
@@ -457,19 +444,51 @@ type term struct {
 	cnt          int64
 }
 
-// SampleItems returns exactly what adding each of items.List to s with
-// AddItem, then calling Sample, would return, and leaves s unchanged: a
-// sample that reads items it never adds. It walks the levels from the
-// sparsest down and takes each (rep, level) row's testers as s's cells
-// plus the items whose level reaches that row, so only the items at the
-// levels it scans — a few, as it stops at the first level that verifies —
-// pay for buckets and fingerprint powers; the rest cost one level hash
-// each. A scan that verifies nothing has visited every tester, so it
-// returns Empty exactly when all of them were zero. A nil items is the
-// empty list.
+// Slot is one recovered coordinate of a sketched vector: an edge-slot id
+// and the sign of its entry.
+type Slot struct {
+	ID   uint64
+	Sign int
+}
+
+// Edge decodes the slot into its canonical edge (x < y) over n vertices and
+// the endpoint outside the sketched vertex set: y when the sign is +1 (the
+// smaller endpoint x is the one inside), x otherwise.
+func (sl Slot) Edge(n int) (x, y, outside int) {
+	x, y = graph.DecodeEdgeID(sl.ID, n)
+	if sl.Sign > 0 {
+		return x, y, y
+	}
+	return x, y, x
+}
+
+// SampleSlots is the one sampler scan. It reads the sketched vector plus
+// items.List (nil = none) as if each item had been added with AddItem, and
+// leaves s unchanged. It walks the levels from the sparsest down and takes
+// each (rep, level) row's testers as s's cells plus the items whose level
+// reaches that row, checking each non-zero tester for one slot (one-sparse
+// fingerprint, level and bucket consistency). It appends the recovered
+// slots to buf and returns the extended buf: first the max-hash slot of
+// the first level that verifies any — the level's "survivor", which
+// approximates a uniform sample over the support (Sample's answer) — then,
+// when all is set, every other distinct slot verified at any level of any
+// repetition, in scan order (levels from the sparsest down, then
+// repetition, then bucket). A sum verifies at most Cells() slots.
+//
+// Without all the scan stops at the first productive level, as the
+// paper's sampler does (§2.3), so only the items at the few levels it
+// reads pay for buckets and fingerprint powers; the rest cost one level
+// hash each. Connectivity reads that one slot. MST elimination (core.MWOE)
+// reads them all, as candidates in place of §3.1's single draw.
+//
+// A scan that verifies nothing has visited every tester: st is Empty when
+// all of them were zero, Failed otherwise. full reports that the slots are
+// the whole support of the vector: an Empty scan, or an all scan in which
+// some repetition's level-0 row — where every slot lives, whatever its
+// level — had every non-zero tester verified.
 //
 //km:hotpath
-func (s *Sketch) SampleItems(items *Items) (id uint64, sign int, st Status) {
+func (s *Sketch) SampleSlots(buf []Slot, items *Items, all bool) (slots []Slot, st Status, full bool) {
 	// Above the highest written row and the highest item every tester is
 	// zero: the scan starts below them.
 	top := s.topRow()
@@ -481,9 +500,10 @@ func (s *Sketch) SampleItems(items *Items) (id uint64, sign int, st Status) {
 		ord, itop = items.order(s)
 		top, hot, row = max(top, itop), items.hot[:0], items.row
 	}
-	nb := s.p.Buckets
+	first, nb := len(buf), s.p.Buckets
+	var headH uint64
 	nonzero := false
-	for level := top; level >= 0; level-- {
+	for level := top; level >= 0 && (all || len(buf) == first); level-- {
 		// The items at level or above: ord[:end], the new ones made hot.
 		end := len(ord)
 		if level > 0 && len(ord) > 0 {
@@ -492,9 +512,8 @@ func (s *Sketch) SampleItems(items *Items) (id uint64, sign int, st Status) {
 		for _, it := range ord[len(hot):end] {
 			hot = append(hot, s.termOf(it))
 		}
-		var bestID, bestH uint64
-		var bestSign int
-		found := false
+		// Until a level produces a slot, its max-hash slot is the head.
+		head := len(buf) == first
 		for rep := 0; rep < s.p.Reps; rep++ {
 			rl := rep*s.p.Levels + level
 			cells, mask := s.cells[rl*nb:(rl+1)*nb], s.touched[rl]
@@ -511,31 +530,57 @@ func (s *Sketch) SampleItems(items *Items) (id uint64, sign int, st Status) {
 				}
 				cells = row
 			}
+			nz, verified := 0, 0
 			for ; mask != 0; mask &= mask - 1 {
 				b := bits.TrailingZeros64(mask)
 				c := &cells[b]
 				if c.count == 0 && c.idSum == 0 && c.fp == 0 {
 					continue
 				}
-				nonzero = true
+				nz++
 				cid, csign, ok := s.verify(c)
 				// Consistency: the slot must actually belong here.
 				if !ok || s.levelOf(cid) < level || s.bucketOf(rep, level, cid) != b {
 					continue
 				}
-				if h := hashing.Hash2(s.qsalt, cid); !found || h > bestH {
-					bestID, bestSign, bestH, found = cid, csign, h, true
+				verified++
+				if hasSlot(buf[first:], cid) {
+					continue
+				}
+				sl := Slot{ID: cid, Sign: csign}
+				if !head {
+					buf = append(buf, sl)
+					continue
+				}
+				h := hashing.Hash2(s.qsalt, cid)
+				if len(buf) > first && h <= headH {
+					if all {
+						buf = append(buf, sl)
+					}
+					continue
+				}
+				headH = h
+				if all {
+					buf = append(buf, sl)
+					last := len(buf) - 1
+					buf[first], buf[last] = buf[last], buf[first]
+				} else {
+					buf = append(buf[:first], sl)
 				}
 			}
-		}
-		if found {
-			return bestID, bestSign, Sampled
+			nonzero = nonzero || nz > 0
+			if all && level == 0 && nz > 0 && verified == nz {
+				full = true
+			}
 		}
 	}
-	if nonzero {
-		return 0, 0, Failed
+	switch {
+	case len(buf) > first:
+		return buf, Sampled, full
+	case nonzero:
+		return buf, Failed, false
 	}
-	return 0, 0, Empty
+	return buf, Empty, true
 }
 
 // topRow returns the highest level at which some repetition's row has a
@@ -598,94 +643,6 @@ func (s *Sketch) termOf(it Item) term {
 	return t
 }
 
-// Slot is one recovered coordinate of a sketched vector: an edge-slot id
-// and the sign of its entry.
-type Slot struct {
-	ID   uint64
-	Sign int
-}
-
-// Edge decodes the slot into its canonical edge (x < y) over n vertices and
-// the endpoint outside the sketched vertex set: y when the sign is +1 (the
-// smaller endpoint x is the one inside, as SampleEdge's insideSmaller), x
-// otherwise.
-func (sl Slot) Edge(n int) (x, y, outside int) {
-	x, y = graph.DecodeEdgeID(sl.ID, n)
-	if sl.Sign > 0 {
-		return x, y, y
-	}
-	return x, y, x
-}
-
-// SampleAll is Sample without the throwing away: it appends to buf every
-// distinct slot that passes the checks Sample makes (one-sparse
-// fingerprint, level and bucket consistency) at any level of any
-// repetition, and returns the extended buf. The first slot appended is
-// exactly Sample's answer and st exactly Sample's status, so a caller that
-// reads only that one sees Sample; the rest follow in scan order (levels
-// from sparsest down, then repetition, then bucket), the same for the same
-// sketch. A sum verifies at most Cells() slots.
-//
-// full reports that the appended slots are the whole support of the
-// vector: some repetition's level-0 row — where every slot lives, whatever
-// its level — had every non-zero tester verified, so each of its buckets
-// holds exactly one slot and all of them were returned. An Empty sketch is
-// full.
-//
-// This departs from the paper's sampler, which draws one slot per sketch
-// (§2.3): MST elimination (core.MWOE) uses every verified slot as a
-// candidate, connectivity keeps the single draw of Sample.
-//
-//km:hotpath
-func (s *Sketch) SampleAll(buf []Slot) (slots []Slot, st Status, full bool) {
-	if s.IsZero() {
-		return buf, Empty, true
-	}
-	first := len(buf)
-	nb := s.p.Buckets
-	var headH uint64
-	for level := s.p.Levels - 1; level >= 0; level-- {
-		// Until a level produces a slot, this level's max-hash survivor is
-		// Sample's answer and belongs at the head.
-		head := len(buf) == first
-		for rep := 0; rep < s.p.Reps; rep++ {
-			rl := rep*s.p.Levels + level
-			nonzero, verified := 0, 0
-			for t := s.touched[rl]; t != 0; t &= t - 1 {
-				b := bits.TrailingZeros64(t)
-				c := &s.cells[rl*nb+b]
-				if c.count == 0 && c.idSum == 0 && c.fp == 0 {
-					continue
-				}
-				nonzero++
-				cid, csign, ok := s.verify(c)
-				if !ok || s.levelOf(cid) < level || s.bucketOf(rep, level, cid) != b {
-					continue
-				}
-				verified++
-				if hasSlot(buf[first:], cid) {
-					continue
-				}
-				buf = append(buf, Slot{ID: cid, Sign: csign})
-				if head {
-					if h := hashing.Hash2(s.qsalt, cid); len(buf) == first+1 || h > headH {
-						headH = h
-						last := len(buf) - 1
-						buf[first], buf[last] = buf[last], buf[first]
-					}
-				}
-			}
-			if level == 0 && nonzero > 0 && verified == nonzero {
-				full = true
-			}
-		}
-	}
-	if len(buf) == first {
-		return buf, Failed, false
-	}
-	return buf, Sampled, full
-}
-
 // hasSlot reports whether id is among slots (a sum verifies a few slots,
 // a handful of times each: a scan beats any index).
 func hasSlot(slots []Slot, id uint64) bool {
@@ -695,19 +652,6 @@ func hasSlot(slots []Slot, id uint64) bool {
 		}
 	}
 	return false
-}
-
-// SampleEdge decodes SampleItems' slot into a canonical edge (x < y) plus
-// the side flag: insideSmaller reports whether the *smaller* endpoint x is
-// the one inside the sketched vertex set (sign +1), which the connectivity
-// algorithm uses to identify the neighboring component's endpoint.
-func (s *Sketch) SampleEdge(items *Items) (x, y int, insideSmaller bool, st Status) {
-	id, sign, st := s.SampleItems(items)
-	if st != Sampled {
-		return 0, 0, false, st
-	}
-	x, y = graph.DecodeEdgeID(id, s.p.N)
-	return x, y, sign > 0, Sampled
 }
 
 // EncodeTo appends a compact wire encoding: per (rep, level) a bucket

@@ -15,6 +15,22 @@ import (
 	"kmgraph/internal/hashing"
 )
 
+// isZero reports whether every tester of s is zero.
+func isZero(s *Sketch) bool {
+	return !slices.ContainsFunc(s.cells, func(c cell) bool { return c != (cell{}) })
+}
+
+// sampleEdge decodes Sample's slot into its canonical edge (x < y) and the
+// endpoint inside the sketched vertex set.
+func sampleEdge(s *Sketch) (x, y, inside int, st Status) {
+	id, sign, st := s.Sample()
+	if st != Sampled {
+		return 0, 0, 0, st
+	}
+	x, y, outside := Slot{ID: id, Sign: sign}.Edge(s.p.N)
+	return x, y, x + y - outside, st
+}
+
 func TestOneItemRecovery(t *testing.T) {
 	p := DefaultParams(100)
 	for _, sign := range []int{+1, -1} {
@@ -29,7 +45,7 @@ func TestOneItemRecovery(t *testing.T) {
 
 func TestEmptySketch(t *testing.T) {
 	s := New(DefaultParams(50), 1)
-	if !s.IsZero() {
+	if !isZero(s) {
 		t.Fatal("fresh sketch should be zero")
 	}
 	if _, _, st := s.Sample(); st != Empty {
@@ -43,7 +59,7 @@ func TestCancellation(t *testing.T) {
 	// +1 and -1 on the same slot must cancel exactly.
 	s.AddItem(999, +1)
 	s.AddItem(999, -1)
-	if !s.IsZero() {
+	if !isZero(s) {
 		t.Fatal("cancelled sketch should be exactly zero")
 	}
 }
@@ -187,7 +203,7 @@ func TestVertexSketchSamplesIncidentEdge(t *testing.T) {
 		}
 		s := New(p, 77)
 		s.AddVertex(u, g.Adj(u), nil)
-		x, y, insideSmaller, st := s.SampleEdge(nil)
+		x, y, inside, st := sampleEdge(s)
 		if st == Failed {
 			continue
 		}
@@ -196,10 +212,6 @@ func TestVertexSketchSamplesIncidentEdge(t *testing.T) {
 		}
 		if !g.HasEdge(x, y) {
 			t.Fatalf("vertex %d: sampled non-edge (%d,%d)", u, x, y)
-		}
-		inside := y
-		if insideSmaller {
-			inside = x
 		}
 		if inside != u {
 			t.Fatalf("vertex %d: side flag says inside=%d", u, inside)
@@ -220,7 +232,7 @@ func TestComponentSketchSamplesOutgoingEdge(t *testing.T) {
 				s.AddVertex(u, g.Adj(u), nil)
 			}
 		}
-		x, y, insideSmaller, st := s.SampleEdge(nil)
+		x, y, inside, st := sampleEdge(s)
 		if st == Failed {
 			continue
 		}
@@ -232,10 +244,6 @@ func TestComponentSketchSamplesOutgoingEdge(t *testing.T) {
 		}
 		if inSet(x) == inSet(y) {
 			t.Fatalf("seed %d: edge (%d,%d) does not cross the cut", seed, x, y)
-		}
-		inside := y
-		if insideSmaller {
-			inside = x
 		}
 		if !inSet(inside) {
 			t.Fatalf("seed %d: side flag wrong for (%d,%d)", seed, x, y)
@@ -250,7 +258,7 @@ func TestComponentSketchEmptyWhenSaturated(t *testing.T) {
 	for u := 0; u < g.N(); u++ {
 		s.AddVertex(u, g.Adj(u), nil)
 	}
-	if !s.IsZero() {
+	if !isZero(s) {
 		t.Fatal("whole-graph sketch should cancel to zero")
 	}
 }
@@ -263,7 +271,7 @@ func TestFilteredSketch(t *testing.T) {
 	for seed := uint64(0); seed < 20; seed++ {
 		s := New(p, seed)
 		s.AddVertex(0, g.Adj(0), filter)
-		x, y, _, st := s.SampleEdge(nil)
+		x, y, _, st := sampleEdge(s)
 		if st == Failed || st == Empty {
 			continue
 		}
@@ -395,7 +403,7 @@ func BenchmarkSampleAll(b *testing.B) {
 	var buf []Slot
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf, _, _ = s.SampleAll(buf[:0])
+		buf, _, _ = s.SampleSlots(buf[:0], nil, true)
 	}
 }
 
@@ -528,7 +536,7 @@ func TestAddVertexMatchesAddItem(t *testing.T) {
 
 // TestSampleAllAgreesWithSampleAndSupport: over random supports of size
 // 0…200 — built with ± pairs that cancel, so the sketch has touched cells
-// that are zero again — SampleAll's first slot and status are Sample's,
+// that are zero again — an all-slots scan's first slot and status are Sample's,
 // every slot is a support element with its sign, none repeats, and a full
 // decode returns the support exactly. A second shape small enough to fail covers
 // Failed and truncated decodes.
@@ -567,10 +575,10 @@ func TestSampleAllAgreesWithSampleAndSupport(t *testing.T) {
 			id, sign, st := s.Sample()
 			var full bool
 			var ast Status
-			buf, ast, full = s.SampleAll(buf[:0])
+			buf, ast, full = s.SampleSlots(buf[:0], nil, true)
 			seen[ast]++
 			if ast != st {
-				t.Fatalf("shape %d trial %d: SampleAll status %v, Sample's %v", si, trial, ast, st)
+				t.Fatalf("shape %d trial %d: all-slots status %v, Sample's %v", si, trial, ast, st)
 			}
 			if (st == Sampled) != (len(buf) > 0) {
 				t.Fatalf("shape %d trial %d: status %v with %d slots", si, trial, st, len(buf))
@@ -584,8 +592,8 @@ func TestSampleAllAgreesWithSampleAndSupport(t *testing.T) {
 			// Appending after a caller's own prefix changes nothing: the
 			// prefix stays, and is not consulted for duplicates.
 			pre := []Slot{{ID: id, Sign: 7}}
-			if after, _, _ := s.SampleAll(pre); after[0] != pre[0] || !slices.Equal(after[1:], buf) {
-				t.Fatalf("shape %d trial %d: after a prefix SampleAll appended %v, alone %v", si, trial, after[1:], buf)
+			if after, _, _ := s.SampleSlots(pre, nil, true); after[0] != pre[0] || !slices.Equal(after[1:], buf) {
+				t.Fatalf("shape %d trial %d: after a prefix the scan appended %v, alone %v", si, trial, after[1:], buf)
 			}
 			got := make(map[uint64]bool, len(buf))
 			for _, sl := range buf {
@@ -621,12 +629,12 @@ func TestSampleAllAllocationFree(t *testing.T) {
 	for i := uint64(0); i < 40; i++ {
 		s.AddItem(hashing.Hash2(9, i)%(256*256), 1)
 	}
-	buf, st, _ := s.SampleAll(nil)
+	buf, st, _ := s.SampleSlots(nil, nil, true)
 	if st != Sampled || len(buf) < 2 {
 		t.Fatalf("status %v, %d slots: want several", st, len(buf))
 	}
-	if a := testing.AllocsPerRun(100, func() { buf, _, _ = s.SampleAll(buf[:0]) }); a != 0 {
-		t.Fatalf("SampleAll with a reused buffer allocates %.1f times per call", a)
+	if a := testing.AllocsPerRun(100, func() { buf, _, _ = s.SampleSlots(buf[:0], nil, true) }); a != 0 {
+		t.Fatalf("an all-slots scan with a reused buffer allocates %.1f times per call", a)
 	}
 }
 
@@ -773,7 +781,7 @@ func (r *naive) recover(rep, level, bucket int) (Slot, bool) {
 	return sl, ok
 }
 
-// sampleAll returns what SampleAll documents: every distinct recoverable
+// sampleAll returns what an all-slots SampleSlots documents: every distinct recoverable
 // slot, the max-query-hash slot of the sparsest productive level first, the
 // status, and whether some repetition's level-0 row decoded completely.
 func (r *naive) sampleAll() (slots []Slot, st Status, full bool) {
@@ -814,7 +822,7 @@ func (r *naive) sampleAll() (slots []Slot, st Status, full bool) {
 }
 
 // checkAgainstNaive compares a sketch with the reference cell for cell (the
-// encodings) and answer for answer (Sample and SampleAll).
+// encodings) and answer for answer (Sample and an all-slots SampleSlots).
 func checkAgainstNaive(t *testing.T, what string, s *Sketch, r *naive) {
 	t.Helper()
 	if !bytes.Equal(s.EncodeTo(nil), r.encode()) {
@@ -825,15 +833,15 @@ func checkAgainstNaive(t *testing.T, what string, s *Sketch, r *naive) {
 	if st != wantSt || st == Sampled && (Slot{ID: id, Sign: sign}) != want[0] {
 		t.Fatalf("%s: Sample = (%d, %d, %v), reference %v %v", what, id, sign, st, want, wantSt)
 	}
-	got, gotSt, gotFull := s.SampleAll(nil)
+	got, gotSt, gotFull := s.SampleSlots(nil, nil, true)
 	if gotSt != wantSt || gotFull != wantFull || len(got) != len(want) || len(got) > 0 && got[0] != want[0] {
-		t.Fatalf("%s: SampleAll = %v %v full=%v, reference %v %v full=%v", what, got, gotSt, gotFull, want, wantSt, wantFull)
+		t.Fatalf("%s: all-slots scan = %v %v full=%v, reference %v %v full=%v", what, got, gotSt, gotFull, want, wantSt, wantFull)
 	}
 	byID := func(a, b Slot) int { return cmp.Compare(a.ID, b.ID) }
 	slices.SortFunc(got, byID)
 	slices.SortFunc(want, byID)
 	if !slices.Equal(got, want) {
-		t.Fatalf("%s: SampleAll slots %v, reference %v", what, got, want)
+		t.Fatalf("%s: all-slots scan %v, reference %v", what, got, want)
 	}
 }
 
@@ -891,7 +899,7 @@ func TestKernelMatchesReference(t *testing.T) {
 				r.addVertex(u, rows[u], nil, +1)
 			}
 			step("cancelling everything")
-			if !s.IsZero() || len(s.EncodeTo(nil)) != p.Reps*p.Levels {
+			if !isZero(s) || len(s.EncodeTo(nil)) != p.Reps*p.Levels {
 				t.Fatalf("n %d levels %d: the cancelled sketch is not the zero sketch", n, p.Levels)
 			}
 		}
@@ -961,40 +969,69 @@ func FuzzAddEncoded(f *testing.F) {
 			t.Fatalf("AddEncoded twice differs from Decode + Add (err %v)", err)
 		}
 		d.Sample()
-		d.SampleAll(nil)
+		d.SampleSlots(nil, nil, true)
 	})
 }
 
-// refSample is the sampler SampleItems replaced, kept as the reference: a
-// zero test over every tester first, then the scan of the levels from the
-// sparsest down.
+// refSample and refSampleAll are the two samplers SampleSlots replaced,
+// kept as references: a zero test over every tester first, then a scan of
+// the levels from the sparsest down — refSample stops at the first
+// productive level with its max-hash slot, refSampleAll keeps every
+// distinct slot with that one first and reports the full decode.
 func refSample(s *Sketch) (id uint64, sign int, st Status) {
-	if s.IsZero() {
-		return 0, 0, Empty
+	slots, st, _ := refScan(s, false)
+	if st != Sampled {
+		return 0, 0, st
+	}
+	return slots[0].ID, slots[0].Sign, st
+}
+
+func refSampleAll(s *Sketch) (slots []Slot, st Status, full bool) { return refScan(s, true) }
+
+func refScan(s *Sketch, all bool) (slots []Slot, st Status, full bool) {
+	if isZero(s) {
+		return nil, Empty, true
 	}
 	nb := s.p.Buckets
-	for level := s.p.Levels - 1; level >= 0; level-- {
-		var bestID, bestH uint64
-		var bestSign int
-		found := false
+	for level := s.p.Levels - 1; level >= 0 && (all || len(slots) == 0); level-- {
+		var bestH uint64
+		head := len(slots) == 0
 		for rep := 0; rep < s.p.Reps; rep++ {
 			rl := rep*s.p.Levels + level
+			nonzero, verified := 0, 0
 			for t := s.touched[rl]; t != 0; t &= t - 1 {
 				b := bits.TrailingZeros64(t)
-				cid, csign, ok := s.verify(&s.cells[rl*nb+b])
+				c := &s.cells[rl*nb+b]
+				if *c == (cell{}) {
+					continue
+				}
+				nonzero++
+				cid, csign, ok := s.verify(c)
 				if !ok || s.levelOf(cid) < level || s.bucketOf(rep, level, cid) != b {
 					continue
 				}
-				if h := hashing.Hash2(s.qsalt, cid); !found || h > bestH {
-					bestID, bestSign, bestH, found = cid, csign, h, true
+				verified++
+				if slices.ContainsFunc(slots, func(sl Slot) bool { return sl.ID == cid }) {
+					continue
+				}
+				if h := hashing.Hash2(s.qsalt, cid); head && (len(slots) == 0 || h > bestH) {
+					bestH = h
+					slots = append(slots, Slot{ID: cid, Sign: csign})
+					slots[0], slots[len(slots)-1] = slots[len(slots)-1], slots[0]
+				} else if all {
+					slots = append(slots, Slot{ID: cid, Sign: csign})
 				}
 			}
-		}
-		if found {
-			return bestID, bestSign, Sampled
+			full = full || level == 0 && nonzero > 0 && verified == nonzero
 		}
 	}
-	return 0, 0, Failed
+	if len(slots) == 0 {
+		return nil, Failed, false
+	}
+	if !all {
+		return slots[:1], Sampled, false
+	}
+	return slots, Sampled, full
 }
 
 // forgeCells writes a few testers no sum of items gives: one-sparse-looking
@@ -1022,13 +1059,15 @@ func forgeCells(rng *rand.Rand, s *Sketch) {
 	}
 }
 
-// TestSampleItemsMatchesAddThenSample pins SampleItems to its definition:
-// on random item lists — duplicates, cancelling pairs, items cancelling
-// the base sketch's — over zero, item-built and forged base sketches, in
-// the default shape and in shapes small enough to fail, it returns what
-// AddItem of every item then Sample returns (and what the replaced
-// IsZero-first sampler returns), leaves s byte-identical, and allocates
-// nothing once warm.
+// TestSampleItemsMatchesAddThenSample pins SampleSlots with items to its
+// definition, in both modes: on random item lists — duplicates, cancelling
+// pairs, items cancelling the base sketch's — over zero, item-built and
+// forged base sketches, in the default shape and in shapes small enough to
+// fail, a first-slot scan returns what AddItem of every item then Sample
+// returns, an all-slots scan what AddItem then an all-slots scan without
+// items returns (slots, status and full), both what the replaced
+// zero-test-first samplers return; s stays byte-identical, and a warm scan
+// allocates nothing.
 func TestSampleItemsMatchesAddThenSample(t *testing.T) {
 	shapes := []Params{
 		DefaultParams(64),
@@ -1036,8 +1075,9 @@ func TestSampleItemsMatchesAddThenSample(t *testing.T) {
 		{N: 64, Levels: 3, Buckets: 2, Reps: 1},
 		{N: 64, Levels: 5, Buckets: 3, Reps: 2},
 	}
-	seen := make(map[Status]int)
+	seen := make(map[string]int)
 	var scratch Items
+	var buf []Slot
 	for si, p := range shapes {
 		rng := rand.New(rand.NewSource(int64(si) + 7))
 		universe := uint64(p.N) * uint64(p.N)
@@ -1090,29 +1130,41 @@ func TestSampleItemsMatchesAddThenSample(t *testing.T) {
 			if rid, rsign, rst := refSample(sum); rid != wid || rsign != wsign || rst != wst {
 				t.Fatalf("shape %d trial %d: Sample %d %d %v, the replaced sampler %d %d %v", si, trial, wid, wsign, wst, rid, rsign, rst)
 			}
+			wall, wallSt, wallFull := sum.SampleSlots(nil, nil, true)
+			if rall, rst, rfull := refSampleAll(sum); !slices.Equal(rall, wall) || rst != wallSt || rfull != wallFull {
+				t.Fatalf("shape %d trial %d: all-slots scan %v %v full=%v, the replaced sampler %v %v full=%v", si, trial, wall, wallSt, wallFull, rall, rst, rfull)
+			}
 			before := s.EncodeTo(nil)
-			id, sign, st := s.SampleItems(&scratch)
-			if id != wid || sign != wsign || st != wst {
-				t.Fatalf("shape %d trial %d (%d items): SampleItems %d %d %v, AddItem then Sample %d %d %v", si, trial, len(items), id, sign, st, wid, wsign, wst)
+			var st Status
+			var full bool
+			buf, st, full = s.SampleSlots(buf[:0], &scratch, false)
+			if st != wst || (st == Sampled) != (len(buf) == 1) || st == Sampled && (buf[0] != Slot{ID: wid, Sign: wsign}) || full != (st == Empty) {
+				t.Fatalf("shape %d trial %d (%d items): first-slot scan %v %v full=%v, AddItem then Sample %d %d %v", si, trial, len(items), buf, st, full, wid, wsign, wst)
+			}
+			buf, st, full = s.SampleSlots(buf[:0], &scratch, true)
+			if !slices.Equal(buf, wall) || st != wallSt || full != wallFull {
+				t.Fatalf("shape %d trial %d (%d items): all-slots scan %v %v full=%v, AddItem then scan %v %v full=%v", si, trial, len(items), buf, st, full, wall, wallSt, wallFull)
 			}
 			if !bytes.Equal(s.EncodeTo(nil), before) {
-				t.Fatalf("shape %d trial %d: SampleItems changed the sketch", si, trial)
+				t.Fatalf("shape %d trial %d: the scan changed the sketch", si, trial)
 			}
-			seen[st]++
+			seen[fmt.Sprint(st, " full=", full)]++
 		}
 		scratch.List = scratch.List[:0]
 		for j := 0; j < 64; j++ {
 			scratch.List = append(scratch.List, MakeItem(rng.Uint64()%universe, 1-2*rng.Intn(2)))
 		}
-		s.SampleItems(&scratch)
-		if a := testing.AllocsPerRun(50, func() { s.SampleItems(&scratch) }); a != 0 {
-			t.Fatalf("shape %d: SampleItems allocates %.1f times per call once warm", si, a)
+		for _, all := range []bool{false, true} {
+			buf, _, _ = s.SampleSlots(buf[:0], &scratch, all)
+			if a := testing.AllocsPerRun(50, func() { buf, _, _ = s.SampleSlots(buf[:0], &scratch, all) }); a != 0 {
+				t.Fatalf("shape %d all=%v: the scan allocates %.1f times per call once warm", si, all, a)
+			}
 		}
 	}
-	t.Logf("statuses: %v", seen)
-	for _, st := range []Status{Empty, Sampled, Failed} {
-		if seen[st] == 0 {
-			t.Errorf("no trial came out %v: the inputs do not cover it", st)
+	t.Logf("outcomes: %v", seen)
+	for _, o := range []string{"empty full=true", "sampled full=true", "sampled full=false", "failed full=false"} {
+		if seen[o] == 0 {
+			t.Errorf("no trial came out %s: the inputs do not cover it", o)
 		}
 	}
 }
@@ -1126,8 +1178,9 @@ func BenchmarkSampleItems(b *testing.B) {
 	for i := uint64(0); i < 100; i++ {
 		items.List = append(items.List, MakeItem(i*37+5, 1))
 	}
+	var one [1]Slot
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.SampleItems(&items)
+		s.SampleSlots(one[:0], &items, false)
 	}
 }
