@@ -257,9 +257,10 @@ func (m *Merger) SumAndSample(recv []kmachine.Message, seed uint64, create bool)
 }
 
 // runScratch is what SumAndSample reads a label's run into: its rows as
-// items, and dropPairs' bitset of their vertices.
+// items, and dropPairs' decoded ends of them and bitset of their vertices.
 type runScratch struct {
 	items sketch.Items
+	ends  [][2]uint32
 	mark  []uint64
 }
 
@@ -341,32 +342,32 @@ func (sc *runScratch) dropPairs(n uint64) {
 	if len(items) == 0 {
 		return
 	}
-	ends := func(it sketch.Item) (v, to uint64) {
-		id := uint64(it) >> 1
-		if it&1 != 0 {
-			return id % n, id / n
-		}
-		return id / n, id % n
-	}
+	// Each item's (vertex, neighbour), decoded once.
+	ends := slices.Grow(sc.ends[:0], len(items))[:len(items)]
 	mark := slices.Grow(sc.mark[:0], int(n+63)/64)[:(n+63)/64]
-	for _, it := range items {
-		v, _ := ends(it)
+	for i, it := range items {
+		id := uint64(it) >> 1
+		v, to := id/n, id%n
+		if it&1 != 0 {
+			v, to = to, v
+		}
+		ends[i] = [2]uint32{uint32(v), uint32(to)}
 		mark[v/64] |= 1 << (v % 64)
 	}
-	// Kept items move to the front, dropped ones to the back, so that the
-	// marks can be cleared from the whole list.
+	// Kept items move to the front, dropped ones to the back; the swap
+	// only touches positions already read, so ends[i] is items[i] when
+	// read.
 	kept := 0
 	for i, it := range items {
-		if _, to := ends(it); mark[to/64]&(1<<(to%64)) == 0 {
+		if to := ends[i][1]; mark[to/64]&(1<<(to%64)) == 0 {
 			items[kept], items[i] = it, items[kept]
 			kept++
 		}
 	}
-	for _, it := range items {
-		v, _ := ends(it)
-		mark[v/64] = 0
+	for _, e := range ends {
+		mark[e[0]/64] = 0
 	}
-	sc.items.List, sc.mark = items[:kept], mark
+	sc.items.List, sc.mark, sc.ends = items[:kept], mark, ends
 }
 
 // Light reports whether a part (member ordinals in view) ships its rows, not

@@ -91,7 +91,11 @@ type Job struct {
 // Collapse's changed-sum rides on its next query exchange.
 // specVersion 11 drops the query output's component count from the result
 // frame (resident.AppendOutput): the host counts from the labels.
-const specVersion = 11
+// specVersion 12 changes no byte of the spec: a query's final sync ships
+// one (pre-query label, post-query label) rename per changed class
+// (resident rmachine.query), which a build of version 11 would read as
+// per-vertex label changes.
+const specVersion = 12
 
 // ErrVersion is the failure of a job spec from a build of another wire
 // version: a worker refuses it before it dials or loads anything, and the

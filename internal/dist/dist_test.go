@@ -389,14 +389,15 @@ func TestJobSpecRoundTrip(t *testing.T) {
 	// dimensions, version 6 only part of core.Config, version 7 sent every
 	// part as a sketch, version 8 sent count frames without reduce words,
 	// version 9 a count frame per link beside one frame per payload,
-	// version 10 a query output with the coordinator's component count —
+	// version 10 a query output with the coordinator's component count,
+	// version 11 a final sync of per-vertex label changes —
 	// is refused by its version with ErrVersion, by the decoder and by a
 	// worker — which answers on the control link and dials no peer of the
 	// spec's mesh.
-	for _, v := range []byte{2, 3, 4, 5, 6, 7, 8, 9, 10} {
+	for _, v := range []byte{2, 3, 4, 5, 6, 7, 8, 9, 10, 11} {
 		stale := AppendJob(nil, j)
 		stale[0] = v
-		want := fmt.Sprintf("job spec version %d, want 11", v)
+		want := fmt.Sprintf("job spec version %d, want 12", v)
 		if _, err := DecodeJob(stale); !errors.Is(err, ErrVersion) || !strings.Contains(err.Error(), want) {
 			t.Fatalf("version-%d spec: err = %v, want ErrVersion", v, err)
 		}
@@ -416,24 +417,24 @@ func TestJobSpecRoundTrip(t *testing.T) {
 	old := *j
 	old.Index = 1
 	old.Workers = []WorkerSpec{{Addr: peer.Addr().String(), Lo: 0, Hi: 3}, {Addr: startWorkers(t, 1)[0], Lo: 3, Hi: 8}}
-	v10 := AppendJob(nil, &old)
-	v10[0] = 10
+	v11 := AppendJob(nil, &old)
+	v11[0] = 11
 	conn, err := net.Dial("tcp", old.Workers[1].Addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if _, err := conn.Write(tcp.AppendFrame(nil, tcp.FrameJob, v10)); err != nil {
+	if _, err := conn.Write(tcp.AppendFrame(nil, tcp.FrameJob, v11)); err != nil {
 		t.Fatal(err)
 	}
 	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
 	var buf []byte
 	ft, body, err := tcp.ReadFrame(conn, &buf)
 	if err != nil || ft != tcp.FrameError {
-		t.Fatalf("worker's answer to a version-10 spec: frame %v, err %v; want an error frame", ft, err)
+		t.Fatalf("worker's answer to a version-11 spec: frame %v, err %v; want an error frame", ft, err)
 	}
 	ef, err := decodeErrorFrame(body)
-	if err != nil || !errors.Is(ef.err(), ErrVersion) || !strings.Contains(ef.err().Error(), "job spec version 10, want 11") {
+	if err != nil || !errors.Is(ef.err(), ErrVersion) || !strings.Contains(ef.err().Error(), "job spec version 11, want 12") {
 		t.Fatalf("worker's error frame: %v / %v, want ErrVersion", ef, err)
 	}
 	if again := (RetryPolicy{Attempts: 3}).again(context.Background(), 1, ef.err(), &[]string{}); !errors.Is(again, ErrVersion) {

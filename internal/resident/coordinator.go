@@ -1,6 +1,7 @@
 package resident
 
 import (
+	"cmp"
 	"slices"
 
 	"kmgraph/internal/core"
@@ -11,26 +12,34 @@ import (
 // machine 0 legitimately observes every accepted operation, so it can
 // maintain — in free local memory — a connectivity certificate of the
 // current graph: the spanning forest established by the last query plus
-// the net insertions since. Queries recompute certificate pieces locally
-// and ship only changed labels; everything machine 0 knows here it learned
-// through metered communication (op routing and verdict collection).
+// the net insertions since. Queries recompute certificate pieces locally,
+// ship only changed labels out and take one rename per changed class back;
+// everything machine 0 knows here it learned through metered communication
+// (op routing, verdict collection and the final sync).
 type coordinator struct {
-	n       int
-	labels  []uint64              // authoritative labeling as of last sync
-	forest  map[uint64]graph.Edge // spanning forest of the last queried snapshot, minus deletions
+	n      int
+	labels []uint64 // authoritative labeling as of last sync
+	// forest is the spanning forest of the last queried snapshot, sorted by
+	// edge ID; an edge deleted since stays as a dead entry until recompute
+	// prunes it. Each query merges its few fresh edges in instead of
+	// re-sorting the whole forest.
+	forest  []forestEdge
 	pending map[uint64]graph.Edge // net accepted insertions since the last query
-	// sorted lists the forest's edge IDs in ascending order, plus IDs
-	// deleted since the last recompute (which skips and prunes them): one
-	// listing serves recompute and forestEdges, and each query only merges
-	// its few fresh edges in instead of re-sorting the whole forest.
-	sorted []uint64
-	uf     *graph.UnionFind // recompute's piece finder, reset per query
+	uf      *graph.UnionFind      // recompute's piece finder, reset per query
 	// recompute's per-query tables, indexed by vertex ID (labels and piece
 	// roots are vertex IDs) and made by its first call: how many vertices
 	// carry each label, and each piece root's chosen label (noLabel until
-	// one is chosen).
+	// one is chosen). relabelAndGrow reuses pieceLabel as its rename table.
 	classSize  []int32
 	pieceLabel []uint64
+}
+
+// forestEdge is one certificate forest entry: the edge, its ID, and
+// whether it was deleted since the last recompute.
+type forestEdge struct {
+	id   uint64
+	e    graph.Edge
+	dead bool
 }
 
 // noLabel marks a piece root without a chosen label: labels are vertex
@@ -46,7 +55,6 @@ func newCoordinator(n int) *coordinator {
 	c := &coordinator{
 		n:       n,
 		labels:  make([]uint64, n),
-		forest:  make(map[uint64]graph.Edge),
 		pending: make(map[uint64]graph.Edge),
 		uf:      graph.NewUnionFind(n),
 	}
@@ -63,8 +71,9 @@ func newCoordinator(n int) *coordinator {
 func (c *coordinator) applyAccepted(op graph.EdgeOp) {
 	id := graph.EdgeID(op.U, op.V, c.n)
 	if op.Del {
-		if _, ok := c.forest[id]; ok {
-			delete(c.forest, id)
+		i, ok := slices.BinarySearchFunc(c.forest, id, func(f forestEdge, id uint64) int { return cmp.Compare(f.id, id) })
+		if ok && !c.forest[i].dead {
+			c.forest[i].dead = true
 			return
 		}
 		delete(c.pending, id)
@@ -73,13 +82,21 @@ func (c *coordinator) applyAccepted(op graph.EdgeOp) {
 	c.pending[id] = graph.Edge{U: op.U, V: op.V, W: op.W}
 }
 
-// mergeSortedIDs merges the ascending, disjoint ID lists a and add into a,
-// in place from the back.
-func mergeSortedIDs(a, add []uint64) []uint64 {
+// grow merges fresh edges into the forest: add is sorted by ID and
+// compacted, then merged in place from the back. None of its edges may be
+// in the forest already.
+func (c *coordinator) grow(add []forestEdge) {
+	slices.SortFunc(add, func(a, b forestEdge) int { return cmp.Compare(a.id, b.id) })
+	add = slices.CompactFunc(add, func(a, b forestEdge) bool { return a.id == b.id })
+	a := c.forest
+	if len(a) == 0 {
+		c.forest = add
+		return
+	}
 	i, j := len(a)-1, len(add)-1
 	a = slices.Grow(a, len(add))[:len(a)+len(add)]
 	for k := len(a) - 1; j >= 0; k-- {
-		if i >= 0 && a[i] > add[j] {
+		if i >= 0 && a[i].id > add[j].id {
 			a[k] = a[i]
 			i--
 		} else {
@@ -87,7 +104,7 @@ func mergeSortedIDs(a, add []uint64) []uint64 {
 			j--
 		}
 	}
-	return a
+	c.forest = a
 }
 
 // recompute rebuilds piece labels from the certificate (forest ∪ pending),
@@ -105,30 +122,27 @@ func mergeSortedIDs(a, add []uint64) []uint64 {
 // piece. The common case — a big component shedding a small fragment —
 // therefore relabels only the fragment.
 func (c *coordinator) recompute() (changes []vertLabel, certEdges int) {
-	certEdges = len(c.forest) + len(c.pending)
 	uf := c.uf
 	uf.Reset()
-	kept := c.sorted[:0]
-	for _, id := range c.sorted {
-		e, ok := c.forest[id]
-		if !ok {
+	kept := c.forest[:0]
+	for _, f := range c.forest {
+		if f.dead {
 			continue // deleted since the last query
 		}
-		if uf.Union(e.U, e.V) {
-			kept = append(kept, id)
-		} else {
-			delete(c.forest, id)
+		certEdges++
+		if uf.Union(f.e.U, f.e.V) {
+			kept = append(kept, f)
 		}
 	}
-	fresh := core.SortedKeys(c.pending)
-	accepted := fresh[:0]
-	for _, id := range fresh {
+	certEdges += len(c.pending)
+	var accepted []forestEdge
+	for _, id := range core.SortedKeys(c.pending) {
 		if e := c.pending[id]; uf.Union(e.U, e.V) {
-			c.forest[id] = e
-			accepted = append(accepted, id)
+			accepted = append(accepted, forestEdge{id: id, e: e})
 		}
 	}
-	c.sorted = mergeSortedIDs(kept, accepted)
+	c.forest = kept
+	c.grow(accepted)
 	clear(c.pending)
 
 	if c.classSize == nil {
@@ -167,35 +181,40 @@ func (c *coordinator) recompute() (changes []vertLabel, certEdges int) {
 	return changes, certEdges
 }
 
-// relabelAndGrow applies a query's final sync: per-vertex label updates
-// from the merge phases and the freshly sampled merge edges that join the
-// forest.
-func (c *coordinator) relabelAndGrow(changes []vertLabel, merges []graph.Edge) {
-	for _, ch := range changes {
-		c.labels[ch.v] = ch.label
-	}
-	if len(c.forest) == 0 {
-		// A cold query's forest is every merge: grow it once.
-		c.forest = make(map[uint64]graph.Edge, len(merges))
-	}
-	fresh := make([]uint64, 0, len(merges))
-	for _, e := range merges {
-		id := graph.EdgeID(e.U, e.V, c.n)
-		if _, ok := c.forest[id]; !ok {
-			fresh = append(fresh, id)
+// relabelAndGrow applies a query's final sync: the merge phases' renames,
+// pre<<32 | post words of a pre-query label and the label its class took
+// (each machine sends one word per class it holds members of), and the
+// freshly sampled merge edges that join the forest (a merge edge joins two
+// pieces, so none is in it already). It runs after recompute, which leaves
+// no dead entry.
+func (c *coordinator) relabelAndGrow(renames []uint64, merges []graph.Edge) {
+	if len(renames) > 0 {
+		ren := c.pieceLabel // recompute's scratch once it returns
+		for l := range ren {
+			ren[l] = noLabel
 		}
-		c.forest[id] = e
+		for _, w := range renames {
+			ren[w>>32] = w & (1<<32 - 1)
+		}
+		for v, l := range c.labels {
+			if r := ren[l]; r != noLabel {
+				c.labels[v] = r
+			}
+		}
 	}
-	slices.Sort(fresh)
-	c.sorted = mergeSortedIDs(c.sorted, slices.Compact(fresh))
+	add := make([]forestEdge, len(merges))
+	for i, e := range merges {
+		add[i] = forestEdge{id: graph.EdgeID(e.U, e.V, c.n), e: e}
+	}
+	c.grow(add)
 }
 
-// forestEdges returns the current forest sorted by edge ID.
+// forestEdges returns the current forest's live edges, sorted by edge ID.
 func (c *coordinator) forestEdges() []graph.Edge {
 	out := make([]graph.Edge, 0, len(c.forest))
-	for _, id := range c.sorted {
-		if e, ok := c.forest[id]; ok {
-			out = append(out, e)
+	for _, f := range c.forest {
+		if !f.dead {
+			out = append(out, f.e)
 		}
 	}
 	return out

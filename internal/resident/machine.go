@@ -44,10 +44,10 @@ type rmachine struct {
 	globalPhase  int
 	mergeRecs    []graph.Edge
 	moves        []vertLabel  // step 1's relabels, reused across queries
-	synced       []vertLabel  // machine 0: the final sync's label changes, reused
+	synced       []uint64     // machine 0: the final sync's renames, reused
 	syncedMerges []graph.Edge // machine 0: the final sync's merge edges, reused
 	pre          []uint64     // owned labels entering the merge phases, reused
-	chg          []byte       // the final sync's encoded label changes, reused
+	chg          []byte       // the final sync's encoded renames, reused
 }
 
 // exec runs command c over the machine's kept state and returns its output.
@@ -282,7 +282,7 @@ func (m *rmachine) applyOp(del bool, u, v int, w int64) bool {
 // query answers connectivity on the current graph: certificate piece
 // relabel (only changed labels travel), Boruvka merge phases over the
 // maintained banks via the shared engine, and a final sync that returns
-// fresh forest edges and label changes to the coordinator. A cancelled
+// fresh forest edges and class renames to the coordinator. A cancelled
 // query breaks at a phase boundary but still runs the final sync, so the
 // coordinator's certificate stays consistent with the machines' labels.
 func (m *rmachine) query() *output {
@@ -337,21 +337,31 @@ func (m *rmachine) query() *output {
 	m.globalPhase += phases
 	rep.cancelled = cancelled
 
-	// Step 3: final sync — Boruvka label changes and sampled merge edges
-	// flow to the coordinator, which grows the forest.
-	chg := m.chg[:0]
-	nc := 0
+	// Step 3: final sync — class renames and sampled merge edges flow to
+	// the coordinator, which relabels class-wise and grows the forest.
+	// Boruvka phases only merge, so a pre label's class takes one post
+	// label: this machine sends one pre<<32 | post word per changed class,
+	// pre ascending (a cold query's pre labels are the owned vertices). The
+	// words overwrite m.pre from the front, behind the walk's reads.
+	ren := m.pre[:0]
 	for i, l := range m.mg.Labels {
-		if l != m.pre[i] {
-			chg = wire.AppendUvarint(chg, uint64(m.view.Owned()[i]))
-			chg = wire.AppendUvarint(chg, l)
-			nc++
+		if w := m.pre[i]<<32 | l; l != m.pre[i] && (len(ren) == 0 || ren[len(ren)-1] != w) {
+			ren = append(ren, w)
 		}
+	}
+	if !slices.IsSorted(ren) {
+		slices.Sort(ren)
+		ren = slices.Compact(ren)
+	}
+	chg := m.chg[:0]
+	for _, w := range ren {
+		chg = wire.AppendUvarint(chg, w>>32)
+		chg = wire.AppendUvarint(chg, w&(1<<32-1))
 	}
 	m.chg = chg
 	a := m.mg.Comm.Arena()
 	data := a.Grab(20 + len(chg) + 30*len(m.mergeRecs))
-	data = wire.AppendUvarint(data, uint64(nc))
+	data = wire.AppendUvarint(data, uint64(len(ren)))
 	data = append(data, chg...)
 	data = wire.AppendUvarint(data, uint64(len(m.mergeRecs)))
 	for _, e := range m.mergeRecs {
@@ -362,31 +372,30 @@ func (m *rmachine) query() *output {
 	data = a.Commit(data)
 	recv = m.mg.Comm.Exchange([]proxy.Out{{Dst: 0, Data: data}})
 	if m.ctx.ID() == 0 {
-		// Sized from the frames' counts: a cold query syncs every vertex.
-		nc, ne := 0, 0
+		// Sized from the frames' counts: a cold query renames every vertex
+		// but the roots.
+		nr, ne := 0, 0
 		for _, msg := range recv {
 			r := wire.NewReader(msg.Data)
 			c := int(r.Uvarint())
 			for i := 0; i < 2*c; i++ {
 				r.Uvarint()
 			}
-			nc, ne = nc+c, ne+int(r.Uvarint())
+			nr, ne = nr+c, ne+int(r.Uvarint())
 		}
-		changes := slices.Grow(m.synced[:0], nc)
+		renames := slices.Grow(m.synced[:0], nr)
 		merges := slices.Grow(m.syncedMerges[:0], ne)
 		for _, msg := range recv {
 			r := wire.NewReader(msg.Data)
-			cnt := int(r.Uvarint())
-			for i := 0; i < cnt; i++ {
-				changes = append(changes, vertLabel{v: int(r.Uvarint()), label: r.Uvarint()})
+			for c := r.Uvarint(); c > 0; c-- {
+				renames = append(renames, r.Uvarint()<<32|r.Uvarint())
 			}
-			me := int(r.Uvarint())
-			for i := 0; i < me; i++ {
+			for c := r.Uvarint(); c > 0; c-- {
 				merges = append(merges, graph.Edge{U: int(r.Uvarint()), V: int(r.Uvarint()), W: r.Varint()})
 			}
 		}
-		m.synced, m.syncedMerges = changes, merges
-		m.coord.relabelAndGrow(changes, merges)
+		m.synced, m.syncedMerges = renames, merges
+		m.coord.relabelAndGrow(renames, merges)
 		rep.query.forest = m.coord.forestEdges()
 		rep.query.mergeEdges = len(merges)
 	}
